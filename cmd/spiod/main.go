@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -163,7 +162,7 @@ func runServe(args []string) {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			w.Write(snapshotBody(s))
+			w.Write(s.StatsJSON())
 		})
 		mux.Handle("/debug/vars", expvar.Handler())
 		var err error
@@ -211,14 +210,6 @@ func decodedCacheBytes(mb int64) int64 {
 		return -1
 	}
 	return mb << 20
-}
-
-func snapshotBody(s *server.Server) []byte {
-	snap, err := json.MarshalIndent(s.Snapshot(), "", "  ")
-	if err != nil {
-		return []byte("{}\n")
-	}
-	return append(snap, '\n')
 }
 
 func fatal(err error) {

@@ -478,9 +478,7 @@ func (df *DataFile) ReaderAt() io.ReaderAt { return df.ra }
 // sequential readahead: prefetched bytes land somewhere they can be
 // found again.
 func (df *DataFile) SetReaderAt(ra io.ReaderAt) {
-	//spio:allow racegate -- documented contract: installed right after open, before any concurrent reads; read-only afterwards
 	df.ra = ra
-	//spio:allow racegate -- same open-time contract as df.ra: set before any concurrent reads
 	df.cached = true
 }
 
@@ -501,7 +499,6 @@ type DecodedBlockCache interface {
 // SetReaderAt, install it right after open, not concurrently with
 // reads. Compressed files only (a raw payload has no decode to save).
 func (df *DataFile) SetDecodedCache(c DecodedBlockCache) {
-	//spio:allow racegate -- documented contract: installed right after open, before any concurrent reads; read-only afterwards
 	df.decoded = c
 	df.cached = true
 }

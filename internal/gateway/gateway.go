@@ -18,8 +18,10 @@
 package gateway
 
 import (
-	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"net"
 	"time"
 
 	"spio/internal/format"
@@ -41,11 +43,9 @@ type Config struct {
 	// Cooldown is how long an open breaker rejects a backend before
 	// letting one probe through (default 5s).
 	Cooldown time.Duration
-	// MaxFrame bounds response frames accepted from backends and
-	// requests accepted on the front (default server.DefaultMaxFrame).
+	// MaxFrame bounds response frames accepted from backends (default
+	// server.DefaultMaxFrame).
 	MaxFrame int64
-	// MaxReqBytes bounds one front request frame (default 1 MiB).
-	MaxReqBytes int64
 	// WireCodec is the front response-compression policy: "" or "any"
 	// honors what each client requested; "none" forces raw.
 	WireCodec string
@@ -91,13 +91,6 @@ func (c *Config) maxFrame() int64 {
 	return server.DefaultMaxFrame
 }
 
-func (c *Config) maxReqBytes() uint32 {
-	if c.MaxReqBytes > 0 {
-		return uint32(c.MaxReqBytes)
-	}
-	return 1 << 20
-}
-
 // ShardSpec names one shard of a mounted dataset: the dataset reference
 // the shard's files are served under, and the backends holding it. The
 // first address is the primary; any further addresses are replicas the
@@ -109,24 +102,29 @@ type ShardSpec struct {
 }
 
 // Gateway is the resident front-tier state: mounted shard maps over
-// pooled backend connections.
+// pooled backend connections, served through the same server.Front as a
+// spiod, whose Backend it is.
 type Gateway struct {
 	cfg Config
 
 	backends map[string]*backend // keyed by address; shared across mounts
 	mounts   map[string]*gwMount
 
-	front   frontState
+	front   *server.Front
 	metrics gwMetrics
 }
 
-// gwMount is one logical dataset assembled from shards.
+// gwMount is one logical dataset assembled from shards; it answers the
+// front's server.Dataset seam by scatter-gather (merge.go, stream.go).
 type gwMount struct {
-	name     string
-	shards   []*gwShard
-	merged   *format.Meta // concatenated shard metadata; the front's opMeta answer
-	metaBlob []byte       // EncodeMeta image of merged
+	g      *Gateway
+	name   string
+	shards []*gwShard
+	merged *format.Meta // concatenated shard metadata; the front's opMeta answer
 }
+
+// Meta returns the merged metadata.
+func (m *gwMount) Meta() *format.Meta { return m.merged }
 
 // gwShard is one shard: a disjoint file subset with its spatial
 // geometry and the backends serving it.
@@ -152,9 +150,29 @@ func New(cfg Config) *Gateway {
 		backends: map[string]*backend{},
 		mounts:   map[string]*gwMount{},
 	}
-	g.front.init()
-	g.metrics.startNano = time.Now().UnixNano()
+	// The front runs on its defaults for workers, queue depth and
+	// response budget: the admission that guards a spiod guards the
+	// gateway's fan-out the same way.
+	g.front = server.NewFront(server.Config{WireCodec: cfg.WireCodec}, g)
 	return g
+}
+
+// Serve accepts front connections on l until Shutdown. It returns nil
+// on drain-triggered listener close.
+func (g *Gateway) Serve(l net.Listener) error { return g.front.Serve(l) }
+
+// Shutdown drains the front — stop accepting, let in-flight requests
+// finish, send idle connections a drain notice — and then closes the
+// backend pools. The context bounds the wait; when it expires the pools
+// are left to the requests still using them.
+func (g *Gateway) Shutdown(ctx context.Context) error {
+	if err := g.front.Shutdown(ctx); err != nil {
+		return err
+	}
+	for _, be := range g.backends {
+		_ = be.pool.Close() // gateway going away; per-conn errors are moot
+	}
+	return nil
 }
 
 func (g *Gateway) logf(format string, args ...any) {
@@ -198,7 +216,7 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("spiogate: mount %s: no shards", name)
 	}
-	m := &gwMount{name: name}
+	m := &gwMount{g: g, name: name}
 	for i, spec := range specs {
 		if len(spec.Addrs) == 0 {
 			return fmt.Errorf("spiogate: mount %s: shard %d has no backends", name, i)
@@ -222,14 +240,12 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) error {
 	if err != nil {
 		return fmt.Errorf("spiogate: mount %s: %w", name, err)
 	}
-	var mb bytes.Buffer
-	if err := format.EncodeMeta(&mb, merged); err != nil {
+	if err := format.EncodeMeta(io.Discard, merged); err != nil {
 		// EncodeMeta validates: overlapping shard partitions or count
 		// mismatches are caught here, before the mount is served.
 		return fmt.Errorf("spiogate: mount %s: merged metadata invalid: %w", name, err)
 	}
 	m.merged = merged
-	m.metaBlob = mb.Bytes()
 	g.mounts[name] = m
 	g.logf("spiogate: mounted %s: %d shards, %d files, %d particles",
 		name, len(m.shards), len(merged.Files), merged.Total)
@@ -297,10 +313,10 @@ func mergeMetas(shards []*gwShard) (*format.Meta, error) {
 	return merged, nil
 }
 
-// mount resolves a front dataset reference. Gateways serve plain names
-// only — step selection happens at the shard layer, where the series
-// lives.
-func (g *Gateway) mount(ref string) (*gwMount, error) {
+// Resolve maps a front dataset reference to its mount (server.Backend).
+// Gateways serve plain names only — step selection happens at the shard
+// layer, where the series lives.
+func (g *Gateway) Resolve(ref string) (server.Dataset, error) {
 	m, ok := g.mounts[ref]
 	if !ok {
 		return nil, fmt.Errorf("spiogate: no dataset mounted as %q", ref)
@@ -308,8 +324,8 @@ func (g *Gateway) mount(ref string) (*gwMount, error) {
 	return m, nil
 }
 
-// list returns the mounted dataset names.
-func (g *Gateway) list() []string {
+// List returns the mounted dataset names (server.Backend).
+func (g *Gateway) List() []string {
 	names := make([]string, 0, len(g.mounts))
 	for name := range g.mounts {
 		names = append(names, name)

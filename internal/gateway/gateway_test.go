@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"os"
@@ -442,6 +443,88 @@ func TestGatewayProgressive(t *testing.T) {
 	}
 	if err := st.Cancel(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatewayShutdownMidStream drains a gateway with one client halfway
+// through a progressive stream and a second one idle: the stream runs
+// to its end through the drain, Shutdown returns only then, the idle
+// client's next call is refused with ErrDraining (the front's drain
+// notice), and the backend pools end up closed.
+func TestGatewayShutdownMidStream(t *testing.T) {
+	src := t.TempDir()
+	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 40)
+	specs, _ := splitShards(t, src, 3)
+	g, gwAddr := startGateway(t, Config{}, specs)
+
+	streamer, err := server.OpenRemote(gwAddr, "sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer streamer.Close()
+	idle, err := server.OpenRemote(gwAddr, "sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+
+	st, err := streamer.ProgressiveBox(streamer.Meta().Domain, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := st.NextLevel()
+	if err != nil || !ok {
+		t.Fatalf("first level: ok=%v err=%v", ok, err)
+	}
+	if st.Done() {
+		t.Fatal("dataset streams in one level; the test needs a stream left open")
+	}
+	total := int64(first.Len())
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- g.Shutdown(ctx)
+	}()
+	// The drain has begun once the listener is closed and dials fail.
+	for {
+		c, err := server.Dial(gwAddr)
+		if err != nil {
+			break
+		}
+		_ = c.Close()
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned with the stream still open: %v", err)
+	default:
+	}
+
+	for !st.Done() {
+		buf, _, err := st.NextLevel()
+		if err != nil {
+			t.Fatalf("stream during drain: %v", err)
+		}
+		total += int64(buf.Len())
+	}
+	if total != streamer.Meta().Total {
+		t.Fatalf("drained stream delivered %d of %d particles", total, streamer.Meta().Total)
+	}
+	if st.Stats().Partial {
+		t.Error("drained stream flagged partial: a shard stream was cut")
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, _, err := idle.QueryBox(idle.Meta().Domain, rdr.Options{}); !errors.Is(err, server.ErrDraining) {
+		t.Fatalf("idle client after drain: %v, want ErrDraining", err)
+	}
+	for addr, be := range g.backends {
+		if _, err := be.pool.Get(); !errors.Is(err, server.ErrPoolClosed) {
+			t.Errorf("backend %s: pool still open after Shutdown (Get: %v)", addr, err)
+		}
 	}
 }
 

@@ -70,19 +70,13 @@ func (b *breaker) open(now time.Time) bool {
 	return !b.openUntil.IsZero() && now.Before(b.openUntil)
 }
 
-// gwMetrics is the gateway's observability state, mirroring the spiod
-// metrics idiom: monotonic atomics, snapshot as JSON via opStats.
+// gwMetrics counts what only the gateway does; requests, errors,
+// connections and streams are counted once, by the shared front.
 type gwMetrics struct {
-	startNano    int64
-	requests     atomic.Int64 // completed front requests
-	errors       atomic.Int64 // front requests answered with an error status
 	partials     atomic.Int64 // requests answered with the partial-result flag
 	fanout       atomic.Int64 // shard calls issued
 	shardErrors  atomic.Int64 // shard calls that failed (after replica retries)
 	breakerSkips atomic.Int64 // replica attempts rejected by an open breaker
-	streams      atomic.Int64 // progressive streams opened
-	streamLevels atomic.Int64 // level frames sent
-	activeConns  atomic.Int64 // front connections currently open
 }
 
 // MetricsSnapshot is the JSON shape served for opStats.
@@ -100,20 +94,22 @@ type MetricsSnapshot struct {
 	OpenBreakers  int     `json:"open_breakers"`
 }
 
-// snapshotJSON renders the metrics for opStats.
-func (g *Gateway) snapshotJSON() []byte {
+// StatsJSON renders the metrics for opStats (server.Backend): the
+// front's traffic counters beside the gateway's own.
+func (g *Gateway) StatsJSON() []byte {
 	now := time.Now()
+	front := g.front.Snapshot()
 	snap := MetricsSnapshot{
-		UptimeSeconds: float64(now.UnixNano()-g.metrics.startNano) / 1e9,
-		Requests:      g.metrics.requests.Load(),
-		Errors:        g.metrics.errors.Load(),
+		UptimeSeconds: front.UptimeSeconds,
+		Requests:      front.Requests,
+		Errors:        front.Errors,
 		Partials:      g.metrics.partials.Load(),
 		Fanout:        g.metrics.fanout.Load(),
 		ShardErrors:   g.metrics.shardErrors.Load(),
 		BreakerSkips:  g.metrics.breakerSkips.Load(),
-		Streams:       g.metrics.streams.Load(),
-		StreamLevels:  g.metrics.streamLevels.Load(),
-		ActiveConns:   g.metrics.activeConns.Load(),
+		Streams:       front.Streams,
+		StreamLevels:  front.StreamLevels,
+		ActiveConns:   front.ActiveConns,
 	}
 	for _, be := range g.backends {
 		if be.brk.open(now) {

@@ -93,7 +93,7 @@ func (g *Gateway) fanOut(targets []*gwShard, fn func(sh *gwShard, ds *server.Rem
 // gatherErr folds fan-out failures into the partial-result contract:
 // every shard failing fails the query; any shard succeeding degrades
 // the failures to a partial-result flag.
-func gatherErr(results []shardResult, st *rdr.Stats) error {
+func (g *Gateway) gatherErr(results []shardResult, st *rdr.Stats) error {
 	var firstErr error
 	failed := 0
 	for _, r := range results {
@@ -112,14 +112,23 @@ func gatherErr(results []shardResult, st *rdr.Stats) error {
 	if failed > 0 {
 		st.Partial = true
 	}
+	g.notePartial(st)
 	return nil
 }
 
-// gwQueryBox scatter-gathers a box query: route, fan out, concatenate
+// notePartial counts an answer going out with the partial-result flag.
+func (g *Gateway) notePartial(st *rdr.Stats) {
+	if st.Partial {
+		g.metrics.partials.Add(1)
+	}
+}
+
+// QueryBox scatter-gathers a box query: route, fan out, concatenate
 // in shard mount order. Shard partitions are disjoint, so every
 // particle arrives exactly once, and concatenation in metadata order
 // reproduces the single-node result.
-func (g *Gateway) gwQueryBox(m *gwMount, box geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
+func (m *gwMount) QueryBox(box geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
+	g := m.g
 	var st rdr.Stats
 	targets := m.shardsFor(box, opts.NoFilter)
 	if len(targets) == 0 {
@@ -131,7 +140,7 @@ func (g *Gateway) gwQueryBox(m *gwMount, box geom.Box, opts rdr.Options) (*parti
 		buf, sst, err := ds.QueryBox(box, opts)
 		return shardResult{buf: buf, st: sst, err: err}
 	})
-	if err := gatherErr(results, &st); err != nil {
+	if err := g.gatherErr(results, &st); err != nil {
 		return nil, st, err
 	}
 	var out *particle.Buffer
@@ -148,12 +157,13 @@ func (g *Gateway) gwQueryBox(m *gwMount, box geom.Box, opts rdr.Options) (*parti
 	return out, st, nil
 }
 
-// gwHalo scatter-gathers a patch + ghost-margin read. Each shard splits
+// Halo scatter-gathers a patch + ghost-margin read. Each shard splits
 // its own particles into own/ghost against the same patch box; the
 // partitions being disjoint means no particle appears on two shards, so
 // plain concatenation de-duplicates by construction — ghosts at a shard
 // boundary come from whichever shard owns them.
-func (g *Gateway) gwHalo(m *gwMount, patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+	g := m.g
 	if halo < 0 {
 		return nil, nil, st, fmt.Errorf("query: negative halo %v", halo)
 	}
@@ -175,7 +185,7 @@ func (g *Gateway) gwHalo(m *gwMount, patch geom.Box, halo float64, opts rdr.Opti
 		o, gh, sst, err := ds.Halo(patch, halo, opts)
 		return shardResult{buf: o, extra: gh, st: sst, err: err}
 	})
-	if err := gatherErr(results, &st); err != nil {
+	if err := g.gatherErr(results, &st); err != nil {
 		return nil, nil, st, err
 	}
 	for _, r := range results {
@@ -192,14 +202,15 @@ func (g *Gateway) gwHalo(m *gwMount, patch geom.Box, halo float64, opts rdr.Opti
 	return own, ghost, st, nil
 }
 
-// gwDensity scatter-gathers a density grid. Every shard returns raw
+// DensityGrid scatter-gathers a density grid. Every shard returns raw
 // (unscaled) per-cell sample counts plus its sampled-particle count;
 // the gateway sums both — integer-valued float64 adds, exact — and
 // scales once against the merged total with the same arithmetic the
 // local path uses (query.ScaleDensity), so the merged grid is
 // bit-identical to the single-node answer. raw skips the final scaling
 // (a nested gateway asked us for raw counts itself).
-func (g *Gateway) gwDensity(m *gwMount, dims geom.Idx3, opts rdr.Options, raw bool) ([]float64, float64, int64, rdr.Stats, error) {
+func (m *gwMount) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([]float64, float64, int64, rdr.Stats, error) {
+	g := m.g
 	var st rdr.Stats
 	opts.PerFileBase = m.mergedBase(opts.Readers)
 	results := g.fanOut(m.shards, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
@@ -208,7 +219,7 @@ func (g *Gateway) gwDensity(m *gwMount, dims geom.Idx3, opts rdr.Options, raw bo
 		buf.dists = counts // reuse the float slice slot
 		return buf
 	})
-	if err := gatherErr(results, &st); err != nil {
+	if err := g.gatherErr(results, &st); err != nil {
 		return nil, 0, 0, st, err
 	}
 	var counts []float64
@@ -244,7 +255,7 @@ type knnCand struct {
 	dist float64
 }
 
-// gwKNN scatter-gathers a k-nearest-neighbour search with wave-based
+// KNN scatter-gathers a k-nearest-neighbour search with wave-based
 // pruning: shards are ordered by the distance from the query point to
 // their region (geom.Box.Dist); the gateway queries the containing
 // shards first, then widens to any shard whose region is nearer than
@@ -252,7 +263,8 @@ type knnCand struct {
 // displace the current answer. Each shard returns its own top
 // min(k, shardTotal), a superset of its contribution to the global top
 // k, and the gateway re-ranks the union.
-func (g *Gateway) gwKNN(m *gwMount, p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
+func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
+	g := m.g
 	var st rdr.Stats
 	if k <= 0 {
 		return nil, nil, st, fmt.Errorf("query: k must be positive, got %d", k)
@@ -347,6 +359,7 @@ func (g *Gateway) gwKNN(m *gwMount, p geom.Vec3, k int) (*particle.Buffer, []flo
 		// the answer may be incomplete, flag it instead of failing.
 		st.Partial = true
 	}
+	g.notePartial(&st)
 	n := k
 	if n > len(cands) {
 		n = len(cands)

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"time"
 
 	"spio/internal/geom"
@@ -13,7 +14,6 @@ import (
 // stream: the pooled client it holds for the stream's duration, and
 // where it is in its level sequence.
 type shardStream struct {
-	sh     *gwShard
 	be     *backend
 	c      *server.Client
 	stream *server.RemoteStream
@@ -64,170 +64,137 @@ func (g *Gateway) openShardStream(sh *gwShard, box geom.Box, levels, readers int
 			return nil, err // request-level refusal: definitive
 		}
 		be.brk.success()
-		return &shardStream{sh: sh, be: be, c: c, stream: st}, nil
+		return &shardStream{be: be, c: c, stream: st}, nil
 	}
 	return nil, lastErr
 }
 
-// executeStream serves a progressive LOD stream assembled from shard
-// streams with a per-level barrier: level L goes to the client only
-// after every contributing shard has delivered its level-L increment,
-// so the merged stream is exactly as strictly coarse-first as a
-// single node's. Client acks propagate as acks to every shard stream —
-// the end consumer's rate is the backends' read rate. A shard failing
-// mid-stream drops out (its remaining levels are lost) and flags the
-// stream partial; the survivors keep refining.
-func (g *Gateway) executeStream(conn *frontConn, m *gwMount, req *server.Request, codec uint8, start time.Time) error {
-	targets := m.shardsFor(req.Box, req.NoFilter)
+// gwStream is a progressive LOD stream assembled from shard streams
+// with a per-level barrier: NextLevel returns level L only after every
+// contributing shard has delivered its level-L increment, so the merged
+// stream is exactly as strictly coarse-first as a single node's. The
+// front's ack loop drives it, so each client ack becomes one ack to
+// every shard stream — the end consumer's rate is the backends' read
+// rate. A shard failing mid-stream drops out (its remaining levels are
+// lost) and flags the stream partial; the survivors keep refining.
+type gwStream struct {
+	g       *Gateway
+	schema  *particle.Schema
+	shards  []*shardStream
+	partial bool
+	level   int // levels delivered
+	done    bool
+}
+
+// Stream opens the shard streams of a progressive read (server.Dataset).
+func (m *gwMount) Stream(box geom.Box, opts rdr.Options) (server.LevelStream, error) {
+	targets := m.shardsFor(box, opts.NoFilter)
 	if len(targets) == 0 {
-		g.metrics.errors.Add(1)
-		return g.sendStatus(conn, server.StatusError, "spiod: no files intersect the requested box")
+		return nil, errors.New("spiod: no files intersect the requested box")
 	}
-	base := m.mergedBase(req.Readers)
-	streams := make([]*shardStream, 0, len(targets))
-	partial := false
+	base := m.mergedBase(opts.Readers)
+	s := &gwStream{g: m.g, schema: m.merged.Schema}
 	var openErr error
 	for _, sh := range targets {
-		ss, err := g.openShardStream(sh, req.Box, req.Levels, req.Readers, base, req.NoFilter)
+		ss, err := m.g.openShardStream(sh, box, opts.Levels, opts.Readers, base, opts.NoFilter)
 		if err != nil {
-			g.metrics.shardErrors.Add(1)
-			partial = true
+			m.g.metrics.shardErrors.Add(1)
+			s.partial = true
 			openErr = err
 			continue
 		}
-		streams = append(streams, ss)
+		s.shards = append(s.shards, ss)
 	}
-	if len(streams) == 0 {
-		return g.sendErr(conn, openErr)
+	if len(s.shards) == 0 {
+		return nil, openErr
 	}
-	defer func() {
-		for _, ss := range streams {
-			if ss.c != nil && !ss.stream.Done() {
-				_ = ss.stream.Cancel() // abandoned stream; conn state handled by put
-			}
-			ss.put()
-		}
-	}()
-	if err := g.sendStatus(conn, server.StatusOK, ""); err != nil {
-		return err
-	}
-	g.metrics.streams.Add(1)
-
-	level := 0
-	sendFinal := func(done bool) error {
-		st := g.cumStats(streams, partial, start)
-		f := &server.StreamFrame{Level: level, Done: done, Stats: st,
-			Buf: particle.NewBuffer(m.merged.Schema, 0)}
-		body, err := server.MarshalStreamFrame(f, codec)
-		if err != nil {
-			return err
-		}
-		return conn.writeLockedFrame(body)
-	}
-	for {
-		ab, err := server.FrameRead(conn, server.AckFrameMax)
-		if err != nil {
-			return err
-		}
-		ack, err := server.UnmarshalAck(ab)
-		if err != nil {
-			return g.sendStatus(conn, server.StatusError, err.Error())
-		}
-		if ack == server.AckCancel {
-			for _, ss := range streams {
-				if !ss.failed {
-					_ = ss.stream.Cancel() // client cancelled; best effort
-				}
-			}
-			return sendFinal(true)
-		}
-
-		// Per-level barrier: every live shard advances one level before
-		// anything is emitted. The fetches run concurrently; each
-		// goroutine writes only its own stream's fields and signals done
-		// exactly once, so the collector's full drain bounds them all.
-		live := 0
-		done := make(chan struct{})
-		for _, ss := range streams {
-			if ss.failed || ss.stream.Done() {
-				ss.buf = nil
-				continue
-			}
-			live++
-			go func(ss *shardStream) {
-				buf, ok, err := ss.stream.NextLevel()
-				switch {
-				case err != nil:
-					ss.failed = true
-					ss.buf = nil
-					g.metrics.shardErrors.Add(1)
-				case !ok:
-					ss.buf = nil
-				default:
-					ss.buf = buf
-				}
-				done <- struct{}{}
-			}(ss)
-		}
-		for i := 0; i < live; i++ {
-			<-done
-		}
-		if live == 0 {
-			// Acked past the end; close out cleanly like the daemon does.
-			return sendFinal(true)
-		}
-
-		out := particle.NewBuffer(m.merged.Schema, 0)
-		allDone := true
-		for _, ss := range streams {
-			if ss.failed {
-				partial = true
-				ss.put() // broken conn goes back (and is closed) promptly
-				continue
-			}
-			if ss.buf != nil {
-				out.AppendBuffer(ss.buf)
-				ss.buf = nil
-			}
-			if !ss.stream.Done() {
-				allDone = false
-			} else {
-				ss.put() // finished cleanly; the conn is reusable now
-			}
-		}
-		anyLive := false
-		for _, ss := range streams {
-			if !ss.failed {
-				anyLive = true
-			}
-		}
-		if !anyLive {
-			// Every shard died mid-stream: nothing left to refine.
-			return sendFinal(true)
-		}
-		st := g.cumStats(streams, partial, start)
-		f := &server.StreamFrame{Level: level, Done: allDone, Stats: st, Buf: out}
-		body, err := server.MarshalStreamFrame(f, codec)
-		if err != nil {
-			return err
-		}
-		if err := conn.writeLockedFrame(body); err != nil {
-			return err
-		}
-		g.metrics.streamLevels.Add(1)
-		level++
-		if allDone {
-			return nil
-		}
-	}
+	return s, nil
 }
 
-// cumStats sums the shard streams' cumulative read telemetry.
-func (g *Gateway) cumStats(streams []*shardStream, partial bool, start time.Time) server.WireStats {
+// NextLevel advances every live shard one level and returns the merged
+// increment; ok is false once no shard has anything left to give.
+func (s *gwStream) NextLevel() (*particle.Buffer, bool, error) {
+	// The fetches run concurrently; each goroutine writes only its own
+	// stream's fields and signals done exactly once, so the collector's
+	// full drain bounds them all.
+	live := 0
+	fetched := make(chan struct{})
+	for _, ss := range s.shards {
+		ss.buf = nil
+		if ss.failed || ss.stream.Done() {
+			continue
+		}
+		live++
+		go func(ss *shardStream) {
+			buf, ok, err := ss.stream.NextLevel()
+			switch {
+			case err != nil:
+				ss.failed = true
+				s.g.metrics.shardErrors.Add(1)
+			case ok:
+				ss.buf = buf
+			}
+			fetched <- struct{}{}
+		}(ss)
+	}
+	for i := 0; i < live; i++ {
+		<-fetched
+	}
+	if live == 0 {
+		return nil, false, nil // acked past the end
+	}
+
+	out := particle.NewBuffer(s.schema, 0)
+	allDone, anyLive := true, false
+	for _, ss := range s.shards {
+		if ss.failed {
+			s.partial = true
+			ss.put() // broken conn goes back (and is closed) promptly
+			continue
+		}
+		anyLive = true
+		if ss.buf != nil {
+			out.AppendBuffer(ss.buf)
+			ss.buf = nil
+		}
+		if !ss.stream.Done() {
+			allDone = false
+		} else {
+			ss.put() // finished cleanly; the conn is reusable now
+		}
+	}
+	if !anyLive {
+		return nil, false, nil // every shard died mid-stream: nothing left to refine
+	}
+	s.level++
+	s.done = allDone
+	return out, true, nil
+}
+
+// Level returns the number of levels delivered.
+func (s *gwStream) Level() int { return s.level }
+
+// Done reports whether every surviving shard stream has ended.
+func (s *gwStream) Done() bool { return s.done }
+
+// Stats sums the shard streams' cumulative read telemetry.
+func (s *gwStream) Stats() rdr.Stats {
 	var read rdr.Stats
-	for _, ss := range streams {
+	for _, ss := range s.shards {
 		read.Add(ss.stream.Stats())
 	}
-	read.Partial = read.Partial || partial
-	return server.WireStats{Read: read, Service: int64(time.Since(start))}
+	read.Partial = read.Partial || s.partial
+	return read
+}
+
+// Close cancels the shard streams still running and returns their
+// connections to the pools.
+func (s *gwStream) Close() error {
+	for _, ss := range s.shards {
+		if ss.c != nil && !ss.stream.Done() {
+			_ = ss.stream.Cancel() // abandoned stream; conn state handled by put
+		}
+		ss.put()
+	}
+	return nil
 }

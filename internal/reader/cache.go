@@ -12,13 +12,17 @@ import (
 // systems; an interactive viewer issuing repeated box queries against
 // the same dataset pays that cost once per file with the cache enabled.
 //
-// Entries are reference-counted: eviction closes a handle only once no
-// read is using it, so concurrent queries on one Dataset are safe.
+// Entries are reference-counted and pinned by identity: acquire hands
+// out the entry, release takes it back. Eviction drops an entry from
+// the name index at once and closes its handle when that entry's own
+// last pin is released, so a reopen of the same name while the old
+// handle is still being read gets a fresh entry and the two never share
+// a refcount.
 type fileCache struct {
 	mu        sync.Mutex
 	capacity  int
-	entries   map[string]*cacheEntry
-	lru       *list.List // front = most recently used; element value: string (name)
+	entries   map[string]*cacheEntry // live (not evicted) entries only
+	lru       *list.List             // front = most recently used; element value: *cacheEntry
 	hits      int64
 	misses    int64
 	evictions int64
@@ -27,9 +31,10 @@ type fileCache struct {
 }
 
 type cacheEntry struct {
+	name    string
 	df      *format.DataFile
 	refs    int
-	evicted bool // close when refs drops to 0
+	evicted bool // out of the index; close when refs drops to 0
 	elem    *list.Element
 }
 
@@ -41,80 +46,80 @@ func newFileCache(capacity int) *fileCache {
 	}
 }
 
-// acquire returns an open handle for name, opening it on a miss, and
-// pins it until release. opened reports whether a real open happened.
-func (fc *fileCache) acquire(d *Dataset, name string) (df *format.DataFile, opened bool, err error) {
+// acquire returns a pinned entry holding an open handle for name,
+// opening the file on a miss. opened reports whether a real open
+// happened. The caller must release the entry it was given.
+func (fc *fileCache) acquire(d *Dataset, name string) (e *cacheEntry, opened bool, err error) {
 	fc.mu.Lock()
-	if e, ok := fc.entries[name]; ok && !e.evicted {
-		e.refs++
-		fc.lru.MoveToFront(e.elem)
+	if e := fc.pinLocked(name); e != nil {
 		fc.hits++
 		fc.mu.Unlock()
-		return e.df, false, nil
+		return e, false, nil
 	}
 	fc.misses++
 	fc.mu.Unlock()
 
 	// Open outside the lock; a racing open of the same file just wastes
 	// one descriptor briefly.
-	df, err = d.openDataFile(name)
+	df, err := d.openDataFile(name)
 	if err != nil {
 		return nil, true, err
 	}
 	fc.mu.Lock()
-	if e, ok := fc.entries[name]; ok && !e.evicted {
+	if e := fc.pinLocked(name); e != nil {
 		// Lost the race: use the cached one and discard ours.
-		e.refs++
-		fc.lru.MoveToFront(e.elem)
 		fc.mu.Unlock()
 		_ = df.Close() // read-only duplicate handle
-		return e.df, true, nil
+		return e, true, nil
 	}
-	e := &cacheEntry{df: df, refs: 1}
-	e.elem = fc.lru.PushFront(name)
+	e = &cacheEntry{name: name, df: df, refs: 1}
+	e.elem = fc.lru.PushFront(e)
 	fc.entries[name] = e
 	fc.evictLocked()
 	fc.mu.Unlock()
-	return df, true, nil
+	return e, true, nil
 }
 
-// release unpins a handle previously acquired.
-func (fc *fileCache) release(name string) {
+// pinLocked pins and returns the live entry for name, or nil.
+func (fc *fileCache) pinLocked(name string) *cacheEntry {
+	e := fc.entries[name]
+	if e == nil {
+		return nil
+	}
+	e.refs++
+	fc.lru.MoveToFront(e.elem)
+	return e
+}
+
+// release unpins an entry returned by acquire. An evicted entry closes
+// when its own last pin goes, whatever the index holds for its name by
+// then.
+func (fc *fileCache) release(e *cacheEntry) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	e, ok := fc.entries[name]
-	if !ok {
-		// Already evicted and closed after its last release.
-		return
-	}
 	e.refs--
 	if e.evicted && e.refs <= 0 {
-		delete(fc.entries, name)
 		_ = e.df.Close() // read-only handle evicted from the cache
 	}
 }
 
-// evictLocked shrinks the cache to capacity, closing idle handles and
-// flagging busy ones for close-on-release.
+// dropLocked takes e out of the index and the LRU list, closing its
+// handle now if idle and on its last release otherwise.
+func (fc *fileCache) dropLocked(e *cacheEntry) error {
+	fc.lru.Remove(e.elem)
+	delete(fc.entries, e.name)
+	e.evicted = true
+	if e.refs <= 0 {
+		return e.df.Close()
+	}
+	return nil
+}
+
+// evictLocked shrinks the cache to capacity, least recently used first.
 func (fc *fileCache) evictLocked() {
 	for fc.lru.Len() > fc.capacity {
-		back := fc.lru.Back()
-		if back == nil {
-			return
-		}
-		name := back.Value.(string)
-		fc.lru.Remove(back)
-		e := fc.entries[name]
-		if e == nil {
-			continue
-		}
-		e.evicted = true
-		e.elem = nil
 		fc.evictions++
-		if e.refs <= 0 {
-			delete(fc.entries, name)
-			_ = e.df.Close() // read-only handle evicted from the cache
-		}
+		_ = fc.dropLocked(fc.lru.Back().Value.(*cacheEntry)) // read-only handle evicted from the cache
 	}
 }
 
@@ -123,16 +128,11 @@ func (fc *fileCache) closeAll() error {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	var first error
-	for name, e := range fc.entries {
-		e.evicted = true
-		if e.refs <= 0 {
-			if err := e.df.Close(); err != nil && first == nil {
-				first = err
-			}
-			delete(fc.entries, name)
+	for _, e := range fc.entries {
+		if err := fc.dropLocked(e); err != nil && first == nil {
+			first = err
 		}
 	}
-	fc.lru.Init()
 	return first
 }
 

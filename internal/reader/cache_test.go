@@ -1,11 +1,13 @@
 package reader
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"spio/internal/format"
 	"spio/internal/geom"
 )
 
@@ -107,6 +109,72 @@ func TestFileCacheConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestFileCachePinIdentity forces, by construction, the interleaving
+// TestFileCacheConcurrentQueries only met by scheduler luck: a handle is
+// evicted while pinned, its name is reopened, and the pins are released
+// oldest first. Pins are by entry, so the old pin's release must not
+// unpin the new handle, and no handle may outlive Close.
+func TestFileCachePinIdentity(t *testing.T) {
+	dir, _ := writeDataset(t, geom.I3(2, 1, 1), geom.I3(1, 1, 1), 16, nil)
+	ds, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []*format.DataFile
+	ds.SetOpenHook(func(df *format.DataFile) { handles = append(handles, df) })
+	if err := ds.SetFileCache(1); err != nil {
+		t.Fatal(err)
+	}
+	fc := ds.cache
+	a, b := ds.meta.Files[0].Name, ds.meta.Files[1].Name
+	acquire := func(name string) *cacheEntry {
+		t.Helper()
+		e, _, err := fc.acquire(ds, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	readable := func(what string, e *cacheEntry) {
+		t.Helper()
+		if _, err := e.df.ReadRange(0, 1); err != nil {
+			t.Fatalf("%s: pinned handle is not readable: %v", what, err)
+		}
+	}
+
+	a1 := acquire(a) // pinned for the whole sequence
+	b1 := acquire(b) // evicts a1 while it is pinned
+	a2 := acquire(a) // a miss: reopens a beside the evicted, still pinned a1
+	if a1 == a2 || a1.df == a2.df {
+		t.Fatal("reopen of an evicted-but-pinned name reused the old entry")
+	}
+	readable("a1 after its eviction", a1)
+	fc.release(a1) // the bad order: the old pin goes first and must close only a1
+	if a2.refs != 1 {
+		t.Fatalf("releasing the old pin changed the new entry's refcount to %d", a2.refs)
+	}
+	b2 := acquire(b) // evicts a2 while it is pinned; it must stay open
+	readable("a2 after the old pin's release and its own eviction", a2)
+	readable("b1 after its eviction", b1)
+	fc.release(a2)
+	fc.release(b1)
+	fc.release(b2)
+
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(handles) != 4 {
+		t.Fatalf("opened %d handles, want 4", len(handles))
+	}
+	for i, df := range handles {
+		// A second Close reports os.ErrClosed; nil means the cache never
+		// closed this handle.
+		if err := df.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("handle %d (%s) was left open after Close (second close: %v)", i, filepath.Base(df.Path()), err)
+		}
 	}
 }
 

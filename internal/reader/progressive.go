@@ -21,6 +21,7 @@ type Progressive struct {
 	base     int64   // per-file level-0 budget
 	level    int     // next level to deliver (0-based)
 	done     bool
+	stats    Stats // cumulative over the levels delivered
 }
 
 // Progressive opens the given entries for level-by-level streaming.
@@ -56,6 +57,7 @@ func (d *Dataset) ProgressiveBase(entries []*format.FileEntry, readers int, base
 		}
 		p.files = append(p.files, df)
 	}
+	p.stats.FilesOpened = len(p.files)
 	return p, nil
 }
 
@@ -64,6 +66,10 @@ func (p *Progressive) Level() int { return p.level }
 
 // Done reports whether every file has been fully streamed.
 func (p *Progressive) Done() bool { return p.done }
+
+// Stats returns the read telemetry accumulated over the levels
+// delivered so far; every particle streamed is kept.
+func (p *Progressive) Stats() Stats { return p.stats }
 
 // NextLevel reads and returns the increment for the next level of
 // detail: the particles in level p.Level() that have not been delivered
@@ -92,6 +98,9 @@ func (p *Progressive) NextLevel() (*particle.Buffer, bool, error) {
 	if !remaining {
 		p.done = true
 	}
+	p.stats.ParticlesRead += int64(out.Len())
+	p.stats.ParticlesKept += int64(out.Len())
+	p.stats.BytesRead += out.Bytes()
 	return out, true, nil
 }
 

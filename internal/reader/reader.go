@@ -231,8 +231,8 @@ func (d *Dataset) readOne(e *format.FileEntry, base int64, opts Options, proj *p
 		if err != nil {
 			return nil, st, err
 		}
-		defer d.cache.release(e.Name)
-		df = cached
+		defer d.cache.release(cached)
+		df = cached.df
 		if opened {
 			st.FilesOpened = 1
 		} else {

@@ -1,0 +1,491 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"spio/internal/format"
+	"spio/internal/geom"
+	"spio/internal/particle"
+	rdr "spio/internal/reader"
+)
+
+// Backend is what a Front serves. spiod's Server answers from local
+// mounts; the gateway answers by scatter-gather over shards. Everything
+// about connections, frames, admission and drain is the Front's; a
+// Backend only names datasets and answers queries on them.
+type Backend interface {
+	// Resolve maps a dataset reference to the dataset answering it.
+	Resolve(ref string) (Dataset, error)
+	// List returns the servable dataset references (opList).
+	List() []string
+	// StatsJSON renders the backend's metrics document (opStats).
+	StatsJSON() []byte
+}
+
+// Dataset is the query surface a Backend resolves a reference to. An
+// error wrapping ErrBudget, ErrOverloaded or ErrDraining travels to the
+// client under the matching status; any other error is a plain failure.
+type Dataset interface {
+	Meta() *format.Meta
+	QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
+	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
+	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error)
+	// DensityGrid returns per-cell estimates and the sampling fraction,
+	// or with raw the unscaled counts (fraction 1); sampled is the number
+	// of particles counted, where the backend reports it.
+	DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) (counts []float64, frac float64, sampled int64, st rdr.Stats, err error)
+	// Stream opens a progressive stream over the files intersecting q
+	// (every file with opts.NoFilter).
+	Stream(q geom.Box, opts rdr.Options) (LevelStream, error)
+}
+
+// LevelStream delivers one LOD level increment per NextLevel call;
+// *rdr.Progressive is the local one. Level counts the levels delivered
+// and Stats is cumulative over them.
+type LevelStream interface {
+	NextLevel() (*particle.Buffer, bool, error)
+	Level() int
+	Done() bool
+	Stats() rdr.Stats
+	Close() error
+}
+
+// Frame bounds on what a client may send.
+const (
+	helloFrameMax = 64
+	ackFrameMax   = 16
+	reqFrameMax   = 1 << 20
+)
+
+// Front is the protocol front shared by spiod and spiogate: the accept
+// loop, the per-connection hello and request loop, admission, the
+// response byte budget, frame encoding, the progressive ack loop, the
+// drain handshake and the traffic counters.
+type Front struct {
+	cfg     Config
+	backend Backend
+	adm     *admission
+
+	mu        sync.Mutex
+	listeners []net.Listener
+	conns     map[*srvConn]struct{}
+
+	stop      chan struct{} // closed when drain starts
+	drained   chan struct{} // closed when drain has finished
+	drainOnce sync.Once
+	draining  atomic.Bool
+	reqWG     sync.WaitGroup // in-flight requests and streams
+	connWG    sync.WaitGroup // connection handlers
+	acceptWG  sync.WaitGroup // accept loops
+
+	metrics metrics
+
+	// requestDelay artificially lengthens request service (tests: holds
+	// workers busy to provoke queueing and overload).
+	requestDelay time.Duration
+}
+
+// NewFront builds a Front over b. Of cfg it reads Workers, QueueDepth,
+// MaxRespBytes and WireCodec.
+func NewFront(cfg Config, b Backend) *Front {
+	return &Front{
+		cfg:     cfg,
+		backend: b,
+		adm:     newAdmission(cfg.workers(), cfg.queueDepth()),
+		conns:   map[*srvConn]struct{}{},
+		stop:    make(chan struct{}),
+		drained: make(chan struct{}),
+		metrics: metrics{startNano: time.Now().UnixNano()},
+	}
+}
+
+// Serve accepts connections on l until Shutdown. It returns nil on
+// drain-triggered listener close.
+func (f *Front) Serve(l net.Listener) error {
+	f.mu.Lock()
+	if f.draining.Load() {
+		f.mu.Unlock()
+		return errDraining
+	}
+	f.listeners = append(f.listeners, l)
+	f.mu.Unlock()
+	f.acceptWG.Add(1)
+	defer f.acceptWG.Done()
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			if f.draining.Load() {
+				return nil
+			}
+			return err
+		}
+		f.mu.Lock()
+		if f.draining.Load() {
+			f.mu.Unlock()
+			_ = conn.Close() // drain raced the accept: turn the client away
+			return nil
+		}
+		sc := &srvConn{Conn: conn}
+		f.conns[sc] = struct{}{}
+		f.mu.Unlock()
+		f.connWG.Add(1)
+		go func() {
+			defer f.connWG.Done()
+			f.handleConn(sc)
+		}()
+	}
+}
+
+// srvConn is one accepted connection plus the mutex that serializes
+// frame writes on it. The request loop is sequential, but graceful
+// drain writes an unsolicited statusDraining frame from the Shutdown
+// goroutine — without the lock that frame could interleave with a late
+// handler response and corrupt the stream.
+type srvConn struct {
+	net.Conn
+	wmu sync.Mutex
+}
+
+// writeLockedFrame sends one frame under the connection's write lock.
+func (c *srvConn) writeLockedFrame(body []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	//spio:allow lockorder -- wmu serializes whole frame writes on this conn; holding it across the I/O is the point
+	return writeFrame(c.Conn, body)
+}
+
+// Shutdown drains the front: stop accepting, fail queued admissions,
+// let in-flight requests and streams finish, then notify and close
+// connections. The context bounds the wait; the drain itself runs once
+// and every caller waits for the same one.
+func (f *Front) Shutdown(ctx context.Context) error {
+	f.drainOnce.Do(func() {
+		f.draining.Store(true)
+		close(f.stop)
+		f.mu.Lock()
+		for _, l := range f.listeners {
+			_ = l.Close() // unblocks Accept; drain is the reported outcome
+		}
+		f.mu.Unlock()
+		go f.drain()
+	})
+	select {
+	case <-f.drained:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (f *Front) drain() {
+	defer close(f.drained)
+	f.reqWG.Wait() // every admitted request/stream completes
+	// Snapshot under the lock, notify and close outside it: the notice
+	// write and Close can stall on a wedged peer, and holding f.mu
+	// through that would freeze accept bookkeeping for everyone else.
+	f.mu.Lock()
+	idle := make([]*srvConn, 0, len(f.conns))
+	for c := range f.conns {
+		idle = append(idle, c)
+	}
+	f.mu.Unlock()
+	for _, c := range idle {
+		// Drain handshake: tell the idle peer we are going away before
+		// cutting the connection, so its next call reads a clean
+		// statusDraining frame (ErrDraining, retried or routed around)
+		// instead of a raw reset. Best effort, bounded by a short
+		// deadline — a wedged peer gets the abrupt close.
+		_ = c.SetWriteDeadline(time.Now().Add(time.Second))
+		_ = f.sendStatus(c, statusDraining, errDraining.Error()) // best effort; close follows either way
+		_ = c.Close()                                            // idle connections blocked in read
+	}
+	f.connWG.Wait()
+	f.acceptWG.Wait()
+}
+
+// handleConn speaks the protocol on one connection: hello, then a
+// request loop.
+func (f *Front) handleConn(conn *srvConn) {
+	f.metrics.activeConns.Add(1)
+	defer f.metrics.activeConns.Add(-1)
+	defer func() {
+		f.mu.Lock()
+		delete(f.conns, conn)
+		f.mu.Unlock()
+		_ = conn.Close() // second close after drain is harmless
+	}()
+
+	body, err := readFrame(conn, helloFrameMax)
+	if err != nil {
+		return
+	}
+	h, err := decodeHello(newReader(bytes.NewReader(body)))
+	if err != nil {
+		_ = f.sendStatus(conn, statusError, err.Error())
+		return
+	}
+	if h.Version != protoVersion {
+		_ = f.sendStatus(conn, statusError,
+			fmt.Sprintf("spiod: protocol version %d not supported (want %d)", h.Version, protoVersion))
+		return
+	}
+	codec := f.cfg.wireCodecFor(h.Codec)
+	if err := f.send(conn, statusOK, "", func(e *writer) {
+		encodeHelloAck(e, &helloAck{Features: serverFeatures})
+	}); err != nil {
+		return
+	}
+
+	for {
+		body, err := readFrame(conn, reqFrameMax)
+		if err != nil {
+			return // client closed (or drain closed us)
+		}
+		req, err := decodeRequest(newReader(bytes.NewReader(body)))
+		if err != nil {
+			_ = f.sendStatus(conn, statusError, err.Error())
+			return
+		}
+		if err := f.handleRequest(conn, req, codec); err != nil {
+			return
+		}
+	}
+}
+
+// sendStatus writes a header-only response frame.
+func (f *Front) sendStatus(conn *srvConn, status uint8, msg string) error {
+	return f.send(conn, status, msg, nil)
+}
+
+// fail answers a request with an error status and counts it.
+func (f *Front) fail(conn *srvConn, status uint8, msg string) error {
+	f.metrics.errors.Add(1)
+	return f.sendStatus(conn, status, msg)
+}
+
+// sendErr answers a request with a backend error, mapped onto the wire
+// status vocabulary: what a gateway's shard refused with, the gateway's
+// client is refused with.
+func (f *Front) sendErr(conn *srvConn, err error) error {
+	status := uint8(statusError)
+	switch {
+	case errors.Is(err, ErrBudget):
+		status = statusBudget
+	case errors.Is(err, ErrOverloaded):
+		status = statusOverloaded
+	case errors.Is(err, ErrDraining):
+		status = statusDraining
+	}
+	return f.fail(conn, status, err.Error())
+}
+
+// send writes one response frame: header, then the payload encoded by
+// body (which must leave the writer clean on success).
+func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *writer)) error {
+	var fb frameBuf
+	e := newWriter(&fb)
+	encodeRespHeader(e, &respHeader{Status: status, Msg: msg})
+	if body != nil {
+		body(e)
+	}
+	if e.err != nil {
+		return e.err
+	}
+	f.metrics.bytesServed.Add(int64(len(fb.b)) + 4)
+	return conn.writeLockedFrame(fb.b)
+}
+
+// handleRequest admits and executes one request. A non-nil return tears
+// the connection down (wire-level failure); request-level errors travel
+// back as status frames.
+func (f *Front) handleRequest(conn *srvConn, req *request, codec uint8) error {
+	f.reqWG.Add(1)
+	defer f.reqWG.Done()
+	// Recheck after Add: Shutdown flips draining before waiting, so a
+	// request that saw draining==false here is inside the wait.
+	if f.draining.Load() {
+		f.metrics.drained.Add(1)
+		return f.sendStatus(conn, statusDraining, errDraining.Error())
+	}
+	wait, err := f.adm.acquire(f.stop)
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		f.metrics.overloaded.Add(1)
+		return f.sendStatus(conn, statusOverloaded, err.Error())
+	case errors.Is(err, errDraining):
+		f.metrics.drained.Add(1)
+		return f.sendStatus(conn, statusDraining, err.Error())
+	case err != nil:
+		return f.sendStatus(conn, statusError, err.Error())
+	}
+	defer f.adm.release()
+	if f.requestDelay > 0 {
+		time.Sleep(f.requestDelay)
+	}
+	werr := f.execute(conn, req, codec, wait, time.Now())
+	if werr != nil {
+		f.metrics.errors.Add(1)
+	}
+	return werr
+}
+
+// execute dispatches an admitted request to the backend and encodes its
+// answer.
+func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Duration, start time.Time) error {
+	// Ops that need no dataset first.
+	switch req.Op {
+	case opStats:
+		blob := f.backend.StatsJSON()
+		f.metrics.requests.Add(1)
+		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, blob) })
+	case opList:
+		names := f.backend.List()
+		f.metrics.requests.Add(1)
+		return f.send(conn, statusOK, "", func(e *writer) { encodeNames(e, names) })
+	}
+
+	ds, err := f.backend.Resolve(req.Dataset)
+	if err != nil {
+		return f.sendErr(conn, err)
+	}
+	opts := rdr.Options{
+		Levels:      req.Levels,
+		Readers:     req.Readers,
+		NoFilter:    req.NoFilter,
+		Fields:      req.Fields,
+		PerFileBase: req.Base,
+	}
+	budget := f.cfg.maxRespBytes()
+
+	finish := func(st rdr.Stats) wireStats {
+		ws := wireStats{Read: st, QueueWait: int64(wait), Service: int64(time.Since(start))}
+		f.metrics.note(&ws)
+		return ws
+	}
+
+	switch req.Op {
+	case opMeta:
+		var mb bytes.Buffer
+		if err := format.EncodeMeta(&mb, ds.Meta()); err != nil {
+			return f.sendErr(conn, err)
+		}
+		f.metrics.requests.Add(1)
+		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, mb.Bytes()) })
+
+	case opQueryBox:
+		buf, st, err := ds.QueryBox(req.Box, opts)
+		if err != nil {
+			return f.sendErr(conn, err)
+		}
+		if buf.Bytes() > budget {
+			return f.fail(conn, statusBudget, budgetMsg(buf.Bytes(), budget))
+		}
+		resp := &queryResp{Stats: finish(st), Buf: buf}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp, codec) })
+
+	case opKNN:
+		buf, dists, st, err := ds.KNN(req.Point, req.K)
+		if err != nil {
+			return f.sendErr(conn, err)
+		}
+		resp := &knnResp{Stats: finish(st), Buf: buf, Dists: dists}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp, codec) })
+
+	case opHalo:
+		own, ghost, st, err := ds.Halo(req.Box, req.Halo, opts)
+		if err != nil {
+			return f.sendErr(conn, err)
+		}
+		if n := own.Bytes() + ghost.Bytes(); n > budget {
+			return f.fail(conn, statusBudget, budgetMsg(n, budget))
+		}
+		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp, codec) })
+
+	case opDensityGrid:
+		counts, frac, sampled, st, err := ds.DensityGrid(req.Dims, opts, req.Flags&reqFlagRawDensity != 0)
+		if err != nil {
+			return f.sendErr(conn, err)
+		}
+		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac, Sampled: sampled}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
+
+	case opProgressive:
+		return f.executeStream(conn, req, ds, opts, codec, wait, start)
+
+	default:
+		return f.fail(conn, statusError, fmt.Sprintf("spiod: unknown op %d", req.Op))
+	}
+}
+
+func budgetMsg(got, budget int64) string {
+	return fmt.Sprintf("spiod: response of %d bytes exceeds the per-request budget of %d", got, budget)
+}
+
+// executeStream serves a progressive LOD stream: one level increment
+// per client ack, so the client's consumption rate is the backend's
+// read rate (backpressure), and an ackCancel stops after any prefix.
+// The worker slot is held for the stream's whole duration.
+func (f *Front) executeStream(conn *srvConn, req *request, ds Dataset, opts rdr.Options, codec uint8, wait time.Duration, start time.Time) error {
+	p, err := ds.Stream(req.Box, opts)
+	if err != nil {
+		return f.sendErr(conn, err)
+	}
+	defer func() {
+		_ = p.Close() // stream already answered; close is best-effort
+	}()
+	if err := f.sendStatus(conn, statusOK, ""); err != nil {
+		return err
+	}
+	f.metrics.streams.Add(1)
+
+	sendLevel := func(level int, done bool, buf *particle.Buffer) error {
+		fr := &streamFrame{Level: level, Done: done, Buf: buf,
+			Stats: wireStats{Read: p.Stats(), QueueWait: int64(wait), Service: int64(time.Since(start))}}
+		if done {
+			f.metrics.note(&fr.Stats)
+		}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, fr, codec) })
+	}
+	var sent int64
+	budget := f.cfg.maxRespBytes()
+	for {
+		ab, err := readFrame(conn, ackFrameMax)
+		if err != nil {
+			return err
+		}
+		ack, err := decodeAck(newReader(bytes.NewReader(ab)))
+		if err != nil {
+			return f.sendStatus(conn, statusError, err.Error())
+		}
+		var buf *particle.Buffer
+		ok := false
+		if ack == ackCancel {
+			f.metrics.streamCancels.Add(1)
+		} else if buf, ok, err = p.NextLevel(); err != nil {
+			return f.sendStatus(conn, statusError, err.Error())
+		}
+		if !ok {
+			// Cancelled, or acked past the end: close the stream cleanly.
+			return sendLevel(p.Level(), true, particle.NewBuffer(ds.Meta().Schema, 0))
+		}
+		sent += buf.Bytes()
+		done := p.Done() ||
+			(req.Levels > 0 && p.Level() >= req.Levels) ||
+			sent >= budget // LOD semantics: any prefix is a valid subset
+		if err := sendLevel(p.Level()-1, done, buf); err != nil {
+			return err
+		}
+		f.metrics.streamLevels.Add(1)
+		if done {
+			return nil
+		}
+	}
+}

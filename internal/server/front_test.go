@@ -1,0 +1,324 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"spio/internal/format"
+	"spio/internal/geom"
+	"spio/internal/particle"
+	rdr "spio/internal/reader"
+)
+
+// fakeBackend drives the Front alone: one dataset, "fake", that answers
+// every query with a canned buffer and streams it `levels` times. hook,
+// when set, runs at the start of every dataset call (a test blocks
+// there to hold a worker); err, when set, is what every query returns.
+type fakeBackend struct {
+	buf    *particle.Buffer
+	levels int
+	hook   func()
+
+	mu  sync.Mutex
+	err error
+}
+
+func (b *fakeBackend) setErr(err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.err = err
+}
+
+func newFakeBackend(records, levels int) *fakeBackend {
+	buf := particle.NewBuffer(particle.Uintah(), records)
+	if err := buf.DecodeRecords(make([]byte, records*buf.Schema().Stride())); err != nil {
+		panic(err)
+	}
+	return &fakeBackend{buf: buf, levels: levels}
+}
+
+func (b *fakeBackend) Resolve(ref string) (Dataset, error) {
+	if ref != "fake" {
+		return nil, fmt.Errorf("fake: no dataset %q", ref)
+	}
+	return fakeDataset{b}, nil
+}
+func (b *fakeBackend) List() []string    { return []string{"fake"} }
+func (b *fakeBackend) StatsJSON() []byte { return []byte(`{"fake":true}`) }
+
+func (b *fakeBackend) enter() error {
+	if b.hook != nil {
+		b.hook()
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
+}
+
+type fakeDataset struct{ b *fakeBackend }
+
+func (fakeDataset) Meta() *format.Meta {
+	return &format.Meta{Domain: geom.UnitBox(), Schema: particle.Uintah()}
+}
+func (d fakeDataset) QueryBox(geom.Box, rdr.Options) (*particle.Buffer, rdr.Stats, error) {
+	return d.b.buf, rdr.Stats{}, d.b.enter()
+}
+func (d fakeDataset) KNN(geom.Vec3, int) (*particle.Buffer, []float64, rdr.Stats, error) {
+	return d.b.buf, make([]float64, d.b.buf.Len()), rdr.Stats{}, d.b.enter()
+}
+func (d fakeDataset) Halo(geom.Box, float64, rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+	return d.b.buf, d.b.buf, st, d.b.enter()
+}
+func (d fakeDataset) DensityGrid(geom.Idx3, rdr.Options, bool) ([]float64, float64, int64, rdr.Stats, error) {
+	return []float64{1}, 1, 1, rdr.Stats{}, d.b.enter()
+}
+func (d fakeDataset) Stream(geom.Box, rdr.Options) (LevelStream, error) {
+	if err := d.b.enter(); err != nil {
+		return nil, err
+	}
+	return &fakeStream{b: d.b}, nil
+}
+
+type fakeStream struct {
+	b     *fakeBackend
+	level int
+}
+
+func (s *fakeStream) NextLevel() (*particle.Buffer, bool, error) {
+	if s.Done() {
+		return nil, false, nil
+	}
+	s.level++
+	return s.b.buf, true, nil
+}
+func (s *fakeStream) Level() int { return s.level }
+func (s *fakeStream) Done() bool { return s.level >= s.b.levels }
+func (s *fakeStream) Stats() rdr.Stats {
+	return rdr.Stats{ParticlesKept: int64(s.level * s.b.buf.Len())}
+}
+func (s *fakeStream) Close() error { return nil }
+
+// dialFake connects a client to a front over a fakeBackend and attaches
+// the fake dataset without the opMeta round trip.
+func dialFake(t *testing.T, addr string) *RemoteDataset {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c.Attach("fake", fakeDataset{}.Meta())
+}
+
+func TestFrontOverloadFastFail(t *testing.T) {
+	b := newFakeBackend(4, 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	b.hook = func() { entered <- struct{}{}; <-release }
+	f := NewFront(Config{Workers: 1, QueueDepth: 1}, b)
+	addr := startServer(t, f)
+
+	results := make(chan error, 2)
+	query := func() {
+		_, _, err := dialFake(t, addr).QueryBox(geom.UnitBox(), rdr.Options{})
+		results <- err
+	}
+	go query()
+	<-entered // the only worker is now held inside the backend
+	go query()
+	for f.adm.waiting.Load() != 1 { // the only queue slot is now taken
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := dialFake(t, addr).QueryBox(geom.UnitBox(), rdr.Options{}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third request with worker and queue full: %v, want ErrOverloaded", err)
+	}
+	close(release)
+	<-entered // the queued request reaches the backend once the worker frees
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("admitted request: %v", err)
+		}
+	}
+	if got := f.Snapshot(); got.Overloaded != 1 || got.Requests != 2 {
+		t.Errorf("counters: overloaded=%d requests=%d, want 1 and 2", got.Overloaded, got.Requests)
+	}
+}
+
+func TestFrontBudgetAndErrorStatus(t *testing.T) {
+	b := newFakeBackend(64, 4)
+	f := NewFront(Config{MaxRespBytes: b.buf.Bytes() + 1}, b)
+	addr := startServer(t, f)
+	ds := dialFake(t, addr)
+
+	// One buffer fits the budget, the two of a halo answer do not.
+	if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil {
+		t.Fatalf("box within budget: %v", err)
+	}
+	if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("halo over budget: %v, want ErrBudget", err)
+	}
+	// A stream ends early, Done, at the budget: any LOD prefix is valid.
+	st, err := ds.ProgressiveBox(geom.UnitBox(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !st.Done() {
+		if _, _, err := st.NextLevel(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Level() != 2 {
+		t.Errorf("stream over a %d-level backend ended after %d levels, want 2 (budget)", b.levels, st.Level())
+	}
+
+	// Backend errors keep their status across the front: what a shard
+	// refused a gateway with reaches the gateway's client as the same error.
+	for _, want := range []error{ErrBudget, ErrOverloaded, ErrDraining} {
+		b.setErr(fmt.Errorf("shard 2: %w", want))
+		if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); !errors.Is(err, want) {
+			t.Errorf("backend error %v reached the client as %v", want, err)
+		}
+		if want == ErrDraining {
+			break // a draining status breaks the client connection by design
+		}
+	}
+	ds = dialFake(t, addr)
+	b.setErr(errors.New("fake: bad query"))
+	if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err == nil || !strings.Contains(err.Error(), "bad query") {
+		t.Errorf("plain backend error: %v", err)
+	}
+	b.setErr(nil)
+	if _, err := ds.c.Open("nope"); err == nil || !strings.Contains(err.Error(), `no dataset "nope"`) {
+		t.Errorf("unresolvable reference: %v", err)
+	}
+	if got := f.Snapshot().Errors; got != 6 {
+		t.Errorf("errors counted: %d, want 6", got)
+	}
+}
+
+func TestFrontUnknownOp(t *testing.T) {
+	f := NewFront(Config{}, newFakeBackend(4, 1))
+	ds := dialFake(t, startServer(t, f))
+	if _, err := ds.c.call(&request{Op: 99, Dataset: "fake"}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
+		t.Fatalf("op 99: %v", err)
+	}
+	// A refused op is a completed exchange: the connection carries on.
+	names, err := ds.c.List()
+	if err != nil || len(names) != 1 || names[0] != "fake" {
+		t.Fatalf("list after a refused op: %v %v", names, err)
+	}
+	if blob, err := ds.c.Stats(); err != nil || string(blob) != `{"fake":true}` {
+		t.Fatalf("stats: %q %v", blob, err)
+	}
+}
+
+// TestFrontDrain drains a front with one client mid-stream and one
+// idle: the stream runs to its end, a request arriving during the drain
+// is refused with ErrDraining, the idle connection is told so too (the
+// drain notice), and Shutdown returns only after the stream finished.
+func TestFrontDrain(t *testing.T) {
+	f := NewFront(Config{}, newFakeBackend(4, 3))
+	addr := startServer(t, f)
+	streamer, during, idle := dialFake(t, addr), dialFake(t, addr), dialFake(t, addr)
+
+	st, err := streamer.ProgressiveBox(geom.UnitBox(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.NextLevel(); err != nil || !ok {
+		t.Fatalf("first level: %v ok=%v", err, ok)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- f.Shutdown(context.Background()) }()
+	<-f.stop
+
+	if _, _, err := during.QueryBox(geom.UnitBox(), rdr.Options{}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("request during drain: %v, want ErrDraining", err)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned with the stream still open: %v", err)
+	default:
+	}
+	for !st.Done() {
+		if _, _, err := st.NextLevel(); err != nil {
+			t.Fatalf("stream during drain: %v", err)
+		}
+	}
+	if st.Level() != 3 {
+		t.Errorf("drained stream delivered %d of 3 levels", st.Level())
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	// The idle connection was closed behind a statusDraining notice.
+	if _, _, err := idle.QueryBox(geom.UnitBox(), rdr.Options{}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("idle client after drain: %v, want ErrDraining", err)
+	}
+	// A second Shutdown waits for (here: finds) the same finished drain.
+	if err := f.Shutdown(context.Background()); err != nil {
+		t.Fatalf("second Shutdown: %v", err)
+	}
+	if err := f.Serve(nil); !errors.Is(err, errDraining) {
+		t.Fatalf("Serve after drain: %v", err)
+	}
+}
+
+func TestFrontBadHello(t *testing.T) {
+	f := NewFront(Config{}, newFakeBackend(4, 1))
+	_, path, err := ParseAddr(startServer(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(mutate func(fb *frameBuf)) string {
+		t.Helper()
+		conn, err := net.Dial("unix", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var fb frameBuf
+		mutate(&fb)
+		if err := writeFrame(conn, fb.b); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readFrame(conn, 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := decodeRespHeader(newReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Status != statusError {
+			t.Fatalf("bad hello answered with status %d", h.Status)
+		}
+		// The front hangs up after refusing a hello.
+		if _, err := readFrame(conn, 1<<16); err == nil {
+			t.Fatal("connection still open after a refused hello")
+		}
+		return h.Msg
+	}
+	if msg := refused(func(fb *frameBuf) {
+		encodeHello(newWriter(fb), &hello{Version: protoVersion})
+		copy(fb.b, "NOTSPIO!")
+	}); !strings.Contains(msg, "not a spio serving connection") {
+		t.Errorf("bad magic: %q", msg)
+	}
+	if msg := refused(func(fb *frameBuf) {
+		encodeHello(newWriter(fb), &hello{Version: protoVersion + 1})
+	}); !strings.Contains(msg, "protocol version") {
+		t.Errorf("bad version: %q", msg)
+	}
+	if msg := refused(func(fb *frameBuf) {
+		encodeHello(newWriter(fb), &hello{Version: protoVersion, Codec: maxWireCodec + 1})
+	}); !strings.Contains(msg, "unknown wire codec") {
+		t.Errorf("bad codec: %q", msg)
+	}
+}

@@ -8,7 +8,7 @@ import (
 	rdr "spio/internal/reader"
 )
 
-// metrics is the server's live counter set, updated per request with
+// metrics is the front's live counter set, updated per request with
 // atomics (many worker goroutines, no lock).
 type metrics struct {
 	startNano int64
@@ -93,11 +93,11 @@ type MetricsSnapshot struct {
 	Datasets     map[string]DatasetMetrics `json:"datasets"`
 }
 
-// Snapshot assembles the current metrics image: request counters, the
-// shared block cache, and every mounted dataset's file-cache counters.
-func (s *Server) Snapshot() MetricsSnapshot {
-	m := &s.metrics
-	snap := MetricsSnapshot{
+// Snapshot is the front's own part of the metrics image: the request,
+// connection, stream and byte counters. A Backend adds what it owns.
+func (f *Front) Snapshot() MetricsSnapshot {
+	m := &f.metrics
+	return MetricsSnapshot{
 		UptimeSeconds:  time.Duration(time.Now().UnixNano() - m.startNano).Seconds(),
 		Requests:       m.requests.Load(),
 		Errors:         m.errors.Load(),
@@ -115,10 +115,17 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		StreamLevels:   m.streamLevels.Load(),
 		StreamCancels:  m.streamCancels.Load(),
 		ActiveConns:    m.activeConns.Load(),
-		BlockCache:     s.cache.Stats(),
-		DecodedCache:   s.dcache.Stats(),
-		Datasets:       map[string]DatasetMetrics{},
 	}
+}
+
+// Snapshot assembles the current metrics image: the front's counters,
+// the shared block cache, and every mounted dataset's file-cache
+// counters.
+func (s *Server) Snapshot() MetricsSnapshot {
+	snap := s.front.Snapshot()
+	snap.BlockCache = s.cache.Stats()
+	snap.DecodedCache = s.dcache.Stats()
+	snap.Datasets = map[string]DatasetMetrics{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, mt := range s.mounts {
@@ -140,8 +147,8 @@ func (s *Server) Snapshot() MetricsSnapshot {
 	return snap
 }
 
-// snapshotJSON is the /metrics and opStats body.
-func (s *Server) snapshotJSON() []byte {
+// StatsJSON is the /metrics and opStats body (Backend).
+func (s *Server) StatsJSON() []byte {
 	b, err := json.MarshalIndent(s.Snapshot(), "", "  ")
 	if err != nil {
 		// The snapshot is plain counters; marshaling cannot fail. Keep the

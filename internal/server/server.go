@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -12,10 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"spio/internal/format"
+	"spio/internal/geom"
 	"spio/internal/particle"
 	"spio/internal/query"
 	rdr "spio/internal/reader"
@@ -46,8 +43,6 @@ type Config struct {
 	// instead of materializing (default 1 GiB). Progressive streams end
 	// early (Done) at the budget — a coarse prefix is a valid result.
 	MaxRespBytes int64
-	// MaxReqBytes bounds one request frame (default 1 MiB).
-	MaxReqBytes int64
 	// CacheBytes bounds the shared block cache (default 256 MiB).
 	CacheBytes int64
 	// BlockBytes is the block cache granularity (default DefaultBlockSize).
@@ -91,13 +86,6 @@ func (c *Config) maxRespBytes() int64 {
 		return c.MaxRespBytes
 	}
 	return 1 << 30
-}
-
-func (c *Config) maxReqBytes() uint32 {
-	if c.MaxReqBytes > 0 {
-		return uint32(c.MaxReqBytes)
-	}
-	return 1 << 20
 }
 
 func (c *Config) cacheBytes() int64 {
@@ -146,46 +134,34 @@ type mount struct {
 }
 
 // Server is the resident serving state: mounted datasets over a shared
-// block cache, behind an admission controller.
+// block cache, served through a Front whose Backend it is.
 type Server struct {
 	cfg    Config
 	cache  *BlockCache
 	dcache *DecodedCache // decoded-block tier; nil when disabled
-	adm    *admission
+	front  *Front
 
-	mu        sync.Mutex
-	mounts    map[string]*mount
-	listeners []net.Listener
-	conns     map[*srvConn]struct{}
-
-	stop     chan struct{}
-	draining atomic.Bool
-	reqWG    sync.WaitGroup // in-flight requests and streams
-	connWG   sync.WaitGroup // connection handlers
-	acceptWG sync.WaitGroup // accept loops
-
-	metrics metrics
-
-	// requestDelay artificially lengthens request service (tests: holds
-	// workers busy to provoke queueing and overload).
-	requestDelay time.Duration
+	mu     sync.Mutex
+	mounts map[string]*mount
 }
 
 // New builds a Server; Mount datasets, then Serve listeners.
 func New(cfg Config) *Server {
-	return &Server{
+	s := &Server{
 		cfg:    cfg,
 		cache:  NewBlockCache(cfg.cacheBytes(), cfg.BlockBytes),
 		dcache: NewDecodedCache(cfg.decodedCacheBytes()),
-		adm:    newAdmission(cfg.workers(), cfg.queueDepth()),
 		mounts: map[string]*mount{},
-		conns:  map[*srvConn]struct{}{},
-		stop:   make(chan struct{}),
-		metrics: metrics{
-			startNano: time.Now().UnixNano(),
-		},
 	}
+	s.front = NewFront(cfg, s)
+	return s
 }
+
+// Serve accepts connections on l until Shutdown (see Front.Serve).
+func (s *Server) Serve(l net.Listener) error { return s.front.Serve(l) }
+
+// Shutdown drains the server (see Front.Shutdown).
+func (s *Server) Shutdown(ctx context.Context) error { return s.front.Shutdown(ctx) }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -312,9 +288,9 @@ func (s *Server) checkDataset(name string, ds *rdr.Dataset) error {
 		name, len(problems), problems[0].String())
 }
 
-// resolve maps a dataset reference — "name", "name@N", "name@latest" —
-// to an open dataset.
-func (s *Server) resolve(ref string) (*rdr.Dataset, error) {
+// Resolve maps a dataset reference — "name", "name@N", "name@latest" —
+// to an open dataset (Backend).
+func (s *Server) Resolve(ref string) (Dataset, error) {
 	name, sel := ref, ""
 	if i := strings.IndexByte(ref, '@'); i >= 0 {
 		name, sel = ref[:i], ref[i+1:]
@@ -325,14 +301,13 @@ func (s *Server) resolve(ref string) (*rdr.Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("spiod: no dataset mounted as %q", name)
 	}
-	if !m.series {
+	key := "" // the open-map key: "" for a plain mount, the decimal step for a series
+	switch {
+	case !m.series:
 		if sel != "" {
 			return nil, fmt.Errorf("spiod: %s is not a series (reference %q)", name, ref)
 		}
-		return s.openDataset(m, "")
-	}
-	switch sel {
-	case "", "latest":
+	case sel == "" || sel == "latest":
 		step, ok, err := rdr.LatestStep(m.dir)
 		if err != nil {
 			return nil, fmt.Errorf("spiod: %s: %w", name, err)
@@ -340,18 +315,23 @@ func (s *Server) resolve(ref string) (*rdr.Dataset, error) {
 		if !ok {
 			return nil, fmt.Errorf("spiod: %s: no readable steps", name)
 		}
-		return s.openDataset(m, strconv.Itoa(step))
+		key = strconv.Itoa(step)
 	default:
 		step, err := strconv.Atoi(sel)
 		if err != nil || step < 0 {
 			return nil, fmt.Errorf("spiod: %s: bad step reference %q", name, sel)
 		}
-		return s.openDataset(m, strconv.Itoa(step))
+		key = strconv.Itoa(step)
 	}
+	ds, err := s.openDataset(m, key)
+	if err != nil {
+		return nil, err
+	}
+	return localDataset{ds}, nil
 }
 
-// list returns the currently servable dataset references.
-func (s *Server) list() []string {
+// List returns the currently servable dataset references (Backend).
+func (s *Server) List() []string {
 	s.mu.Lock()
 	mounts := make([]*mount, 0, len(s.mounts))
 	for _, m := range s.mounts {
@@ -376,407 +356,43 @@ func (s *Server) list() []string {
 	return refs
 }
 
-// Serve accepts connections on l until Shutdown. It returns nil on
-// drain-triggered listener close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return errDraining
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	s.acceptWG.Add(1)
-	defer s.acceptWG.Done()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining.Load() {
-			s.mu.Unlock()
-			_ = conn.Close() // drain raced the accept: turn the client away
-			return nil
-		}
-		sc := &srvConn{Conn: conn}
-		s.conns[sc] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			s.handleConn(sc)
-		}()
-	}
+// localDataset answers the Front's Dataset seam from a mounted
+// rdr.Dataset and internal/query; Meta and QueryBox are the reader's.
+type localDataset struct{ *rdr.Dataset }
+
+func (d localDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
+	return query.KNN(d.Dataset, p, k)
 }
 
-// srvConn is one accepted connection plus the mutex that serializes
-// frame writes on it. The request loop is sequential, but graceful
-// drain writes an unsolicited statusDraining frame from the Shutdown
-// goroutine — without the lock that frame could interleave with a late
-// handler response and corrupt the stream.
-type srvConn struct {
-	net.Conn
-	wmu sync.Mutex
+func (d localDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+	return query.Halo(d.Dataset, patch, halo, opts)
 }
 
-// writeLockedFrame sends one frame under the connection's write lock.
-func (c *srvConn) writeLockedFrame(body []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	//spio:allow lockorder -- wmu serializes whole frame writes on this conn; holding it across the I/O is the point
-	return writeFrame(c.Conn, body)
+func (d localDataset) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([]float64, float64, int64, rdr.Stats, error) {
+	if raw {
+		counts, sampled, st, err := query.DensityGridRaw(d.Dataset, dims, opts)
+		return counts, 1, sampled, st, err
+	}
+	counts, frac, st, err := query.DensityGrid(d.Dataset, dims, opts.Levels, opts.Readers)
+	return counts, frac, 0, st, err
 }
 
-// Shutdown drains the server: stop accepting, fail queued admissions,
-// let in-flight requests and streams finish, then notify and close
-// connections. The context bounds the wait.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(s.stop)
-	s.mu.Lock()
-	for _, l := range s.listeners {
-		_ = l.Close() // unblocks Accept; drain is the reported outcome
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.reqWG.Wait() // every admitted request/stream completes
-		// Snapshot under the lock, notify and close outside it: the
-		// notice write and Close can stall on a wedged peer, and holding
-		// s.mu through that would freeze accept bookkeeping and the
-		// stats path for every other caller.
-		s.mu.Lock()
-		idle := make([]*srvConn, 0, len(s.conns))
-		for c := range s.conns {
-			idle = append(idle, c)
-		}
-		s.mu.Unlock()
-		for _, c := range idle {
-			// Drain handshake: tell the idle peer we are going away
-			// before cutting the connection, so its next call reads a
-			// clean statusDraining frame (ErrDraining, retried or routed
-			// around) instead of a raw reset. Best effort, bounded by a
-			// short deadline — a wedged peer gets the abrupt close.
-			var fb frameBuf
-			e := newWriter(&fb)
-			encodeRespHeader(e, &respHeader{Status: statusDraining, Msg: errDraining.Error()})
-			if e.err == nil {
-				_ = c.SetWriteDeadline(time.Now().Add(time.Second))
-				_ = c.writeLockedFrame(fb.b) // best effort; close follows either way
-			}
-			_ = c.Close() // idle connections blocked in read
-		}
-		s.connWG.Wait()
-		s.acceptWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// handleConn speaks the protocol on one connection: hello, then a
-// request loop.
-func (s *Server) handleConn(conn *srvConn) {
-	s.metrics.activeConns.Add(1)
-	defer s.metrics.activeConns.Add(-1)
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close() // second close after drain is harmless
-	}()
-
-	body, err := readFrame(conn, 64)
-	if err != nil {
-		return
-	}
-	h, err := decodeHello(newReader(bytes.NewReader(body)))
-	if err != nil {
-		_ = s.sendStatus(conn, statusError, err.Error())
-		return
-	}
-	if h.Version != protoVersion {
-		_ = s.sendStatus(conn, statusError,
-			fmt.Sprintf("spiod: protocol version %d not supported (want %d)", h.Version, protoVersion))
-		return
-	}
-	codec := s.cfg.wireCodecFor(h.Codec)
-	if err := s.send(conn, statusOK, "", func(e *writer) {
-		encodeHelloAck(e, &helloAck{Features: serverFeatures})
-	}); err != nil {
-		return
-	}
-
-	for {
-		body, err := readFrame(conn, s.cfg.maxReqBytes())
-		if err != nil {
-			return // client closed (or drain closed us)
-		}
-		req, err := decodeRequest(newReader(bytes.NewReader(body)))
-		if err != nil {
-			_ = s.sendStatus(conn, statusError, err.Error())
-			return
-		}
-		if err := s.handleRequest(conn, req, codec); err != nil {
-			return
-		}
-	}
-}
-
-// sendStatus writes a header-only response frame.
-func (s *Server) sendStatus(conn *srvConn, status uint8, msg string) error {
-	return s.send(conn, status, msg, nil)
-}
-
-// send writes one response frame: header, then the payload encoded by
-// body (which must leave the writer clean on success).
-func (s *Server) send(conn *srvConn, status uint8, msg string, body func(e *writer)) error {
-	var fb frameBuf
-	e := newWriter(&fb)
-	encodeRespHeader(e, &respHeader{Status: status, Msg: msg})
-	if body != nil {
-		body(e)
-	}
-	if e.err != nil {
-		return e.err
-	}
-	s.metrics.bytesServed.Add(int64(len(fb.b)) + 4)
-	return conn.writeLockedFrame(fb.b)
-}
-
-// handleRequest admits and executes one request. A non-nil return tears
-// the connection down (wire-level failure); request-level errors travel
-// back as status frames.
-func (s *Server) handleRequest(conn *srvConn, req *request, codec uint8) error {
-	s.reqWG.Add(1)
-	defer s.reqWG.Done()
-	// Recheck after Add: Shutdown flips draining before waiting, so a
-	// request that saw draining==false here is inside the wait.
-	if s.draining.Load() {
-		s.metrics.drained.Add(1)
-		return s.sendStatus(conn, statusDraining, errDraining.Error())
-	}
-	wait, err := s.adm.acquire(s.stop)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		s.metrics.overloaded.Add(1)
-		return s.sendStatus(conn, statusOverloaded, err.Error())
-	case errors.Is(err, errDraining):
-		s.metrics.drained.Add(1)
-		return s.sendStatus(conn, statusDraining, err.Error())
-	case err != nil:
-		return s.sendStatus(conn, statusError, err.Error())
-	}
-	defer s.adm.release()
-	if s.requestDelay > 0 {
-		time.Sleep(s.requestDelay)
-	}
-	start := time.Now()
-	werr := s.execute(conn, req, codec, wait, start)
-	if werr != nil {
-		s.metrics.errors.Add(1)
-	}
-	return werr
-}
-
-// execute dispatches an admitted request.
-func (s *Server) execute(conn *srvConn, req *request, codec uint8, wait time.Duration, start time.Time) error {
-	// Ops that need no dataset first.
-	switch req.Op {
-	case opStats:
-		blob := s.snapshotJSON()
-		s.metrics.requests.Add(1)
-		return s.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, blob) })
-	case opList:
-		names := s.list()
-		s.metrics.requests.Add(1)
-		return s.send(conn, statusOK, "", func(e *writer) { encodeNames(e, names) })
-	}
-
-	ds, err := s.resolve(req.Dataset)
-	if err != nil {
-		s.metrics.errors.Add(1)
-		return s.sendStatus(conn, statusError, err.Error())
-	}
-	opts := rdr.Options{
-		Levels:      req.Levels,
-		Readers:     req.Readers,
-		NoFilter:    req.NoFilter,
-		Fields:      req.Fields,
-		PerFileBase: req.Base,
-	}
-
-	finish := func(st rdr.Stats) wireStats {
-		ws := wireStats{Read: st, QueueWait: int64(wait), Service: int64(time.Since(start))}
-		s.metrics.note(&ws)
-		return ws
-	}
-
-	switch req.Op {
-	case opMeta:
-		var mb bytes.Buffer
-		if err := format.EncodeMeta(&mb, ds.Meta()); err != nil {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		s.metrics.requests.Add(1)
-		return s.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, mb.Bytes()) })
-
-	case opQueryBox:
-		buf, st, err := ds.QueryBox(req.Box, opts)
-		if err != nil {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		if buf.Bytes() > s.cfg.maxRespBytes() {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusBudget, budgetMsg(buf.Bytes(), s.cfg.maxRespBytes()))
-		}
-		resp := &queryResp{Stats: finish(st), Buf: buf}
-		return s.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp, codec) })
-
-	case opKNN:
-		buf, dists, st, err := query.KNN(ds, req.Point, req.K)
-		if err != nil {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		resp := &knnResp{Stats: finish(st), Buf: buf, Dists: dists}
-		return s.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp, codec) })
-
-	case opHalo:
-		own, ghost, st, err := query.Halo(ds, req.Box, req.Halo, opts)
-		if err != nil {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		if own.Bytes()+ghost.Bytes() > s.cfg.maxRespBytes() {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusBudget, budgetMsg(own.Bytes()+ghost.Bytes(), s.cfg.maxRespBytes()))
-		}
-		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
-		return s.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp, codec) })
-
-	case opDensityGrid:
-		if req.Flags&reqFlagRawDensity != 0 {
-			counts, sampled, st, err := query.DensityGridRaw(ds, req.Dims, opts)
-			if err != nil {
-				s.metrics.errors.Add(1)
-				return s.sendStatus(conn, statusError, err.Error())
-			}
-			resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: 1, Sampled: sampled}
-			return s.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
-		}
-		counts, frac, st, err := query.DensityGrid(ds, req.Dims, req.Levels, req.Readers)
-		if err != nil {
-			s.metrics.errors.Add(1)
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac}
-		return s.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
-
-	case opProgressive:
-		return s.executeStream(conn, req, ds, codec, wait, start)
-
-	default:
-		s.metrics.errors.Add(1)
-		return s.sendStatus(conn, statusError, fmt.Sprintf("spiod: unknown op %d", req.Op))
-	}
-}
-
-func budgetMsg(got, budget int64) string {
-	return fmt.Sprintf("spiod: response of %d bytes exceeds the per-request budget of %d", got, budget)
-}
-
-// executeStream serves a progressive LOD stream: one level increment
-// per client ack, so the client's consumption rate is the server's send
-// rate (backpressure), and an ackCancel stops after any prefix. The
-// worker slot is held for the stream's whole duration.
-func (s *Server) executeStream(conn *srvConn, req *request, ds *rdr.Dataset, codec uint8, wait time.Duration, start time.Time) error {
+func (d localDataset) Stream(q geom.Box, opts rdr.Options) (LevelStream, error) {
 	var entries []*format.FileEntry
-	if req.NoFilter {
-		m := ds.Meta()
+	if opts.NoFilter {
+		m := d.Meta()
 		for i := range m.Files {
 			entries = append(entries, &m.Files[i])
 		}
 	} else {
-		entries = ds.Meta().FilesIntersecting(req.Box)
+		entries = d.Meta().FilesIntersecting(q)
 	}
 	if len(entries) == 0 {
-		s.metrics.errors.Add(1)
-		return s.sendStatus(conn, statusError, "spiod: no files intersect the requested box")
+		return nil, fmt.Errorf("spiod: no files intersect the requested box")
 	}
-	p, err := ds.ProgressiveBase(entries, req.Readers, req.Base)
+	p, err := d.ProgressiveBase(entries, opts.Readers, opts.PerFileBase)
 	if err != nil {
-		s.metrics.errors.Add(1)
-		return s.sendStatus(conn, statusError, err.Error())
+		return nil, err
 	}
-	defer func() {
-		_ = p.Close() // stream already answered; close is best-effort
-	}()
-	if err := s.sendStatus(conn, statusOK, ""); err != nil {
-		return err
-	}
-	s.metrics.streams.Add(1)
-
-	var cum wireStats
-	cum.Read.FilesOpened = len(entries)
-	var sent int64
-	budget := s.cfg.maxRespBytes()
-	for {
-		ab, err := readFrame(conn, 16)
-		if err != nil {
-			return err
-		}
-		ack, err := decodeAck(newReader(bytes.NewReader(ab)))
-		if err != nil {
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		if ack == ackCancel {
-			s.metrics.streamCancels.Add(1)
-			s.metrics.note(&cum)
-			f := &streamFrame{Level: p.Level(), Done: true, Stats: cum,
-				Buf: particle.NewBuffer(ds.Meta().Schema, 0)}
-			return s.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, f, codec) })
-		}
-		buf, ok, err := p.NextLevel()
-		if err != nil {
-			return s.sendStatus(conn, statusError, err.Error())
-		}
-		if !ok {
-			// Client acked past the end; close the stream cleanly.
-			f := &streamFrame{Level: p.Level(), Done: true, Stats: cum,
-				Buf: particle.NewBuffer(ds.Meta().Schema, 0)}
-			return s.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, f, codec) })
-		}
-		sent += buf.Bytes()
-		cum.Read.ParticlesRead += int64(buf.Len())
-		cum.Read.ParticlesKept += int64(buf.Len())
-		cum.Read.BytesRead += buf.Bytes()
-		cum.QueueWait = int64(wait)
-		cum.Service = int64(time.Since(start))
-		done := p.Done() ||
-			(req.Levels > 0 && p.Level() >= req.Levels) ||
-			sent >= budget // LOD semantics: any prefix is a valid subset
-		f := &streamFrame{Level: p.Level() - 1, Done: done, Stats: cum, Buf: buf}
-		if err := s.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, f, codec) }); err != nil {
-			return err
-		}
-		s.metrics.streamLevels.Add(1)
-		if done {
-			s.metrics.note(&cum)
-			return nil
-		}
-	}
+	return p, nil
 }

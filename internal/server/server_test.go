@@ -291,8 +291,8 @@ func TestProgressiveStreamMatchesLocal(t *testing.T) {
 	if err := st2.Cancel(); err != nil {
 		t.Fatal(err)
 	}
-	if s.metrics.streamCancels.Load() != 1 {
-		t.Errorf("cancel not recorded: %d", s.metrics.streamCancels.Load())
+	if s.front.metrics.streamCancels.Load() != 1 {
+		t.Errorf("cancel not recorded: %d", s.front.metrics.streamCancels.Load())
 	}
 	// The connection serves plain requests again after the cancel.
 	if _, _, err := ds.QueryBox(q, rdr.Options{Levels: 1}); err != nil {
@@ -307,7 +307,7 @@ func TestOverloadFastFail(t *testing.T) {
 	dir := t.TempDir()
 	writeDataset(t, dir, geom.I3(2, 1, 1), geom.I3(1, 1, 1), 50)
 	s := New(Config{Workers: 1, QueueDepth: 1})
-	s.requestDelay = 150 * time.Millisecond // hold the single worker busy
+	s.front.requestDelay = 150 * time.Millisecond // hold the single worker busy
 	if err := s.Mount("sim", dir); err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +348,8 @@ func TestOverloadFastFail(t *testing.T) {
 	if ok.Load() == 0 || overloaded.Load() == 0 {
 		t.Fatalf("want both successes and fast-fails: ok=%d overloaded=%d", ok.Load(), overloaded.Load())
 	}
-	if s.metrics.overloaded.Load() != overloaded.Load() {
-		t.Errorf("metrics disagree: %d vs %d", s.metrics.overloaded.Load(), overloaded.Load())
+	if s.front.metrics.overloaded.Load() != overloaded.Load() {
+		t.Errorf("metrics disagree: %d vs %d", s.front.metrics.overloaded.Load(), overloaded.Load())
 	}
 }
 
@@ -394,7 +394,7 @@ func TestGracefulDrainCompletesStream(t *testing.T) {
 		drained <- s.Shutdown(ctx)
 	}()
 	// Wait until the drain is visible.
-	for !s.draining.Load() {
+	for !s.front.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -60,9 +60,12 @@ func sockAddr(t testing.TB) string {
 	return "unix:" + filepath.Join(dir, "s.sock")
 }
 
-// startServer serves s on a fresh unix socket and returns the dial
-// address. Shutdown runs at test cleanup.
-func startServer(t testing.TB, s *Server) string {
+// startServer serves s (a Server or a bare Front) on a fresh unix socket
+// and returns the dial address. Shutdown runs at test cleanup.
+func startServer(t testing.TB, s interface {
+	Serve(net.Listener) error
+	Shutdown(context.Context) error
+}) string {
 	t.Helper()
 	addr := sockAddr(t)
 	_, path, err := ParseAddr(addr)

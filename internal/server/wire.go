@@ -40,22 +40,22 @@ const (
 // backends speak the scatter-gather extensions before routing to them;
 // a plain client can ignore them entirely.
 const (
-	// featureBaseOverride: the server honors request.Base as the per-file
+	// FeatureBaseOverride: the server honors request.Base as the per-file
 	// LOD level-0 budget instead of deriving it from its own file count.
-	featureBaseOverride uint32 = 1 << 0
-	// featurePartialResults: response stats carry the partial-result
+	FeatureBaseOverride uint32 = 1 << 0
+	// FeaturePartialResults: response stats carry the partial-result
 	// flag a gateway sets when a shard's region is missing.
-	featurePartialResults uint32 = 1 << 1
-	// featureRawDensity: the server honors reqFlagRawDensity, returning
+	FeaturePartialResults uint32 = 1 << 1
+	// FeatureRawDensity: the server honors reqFlagRawDensity, returning
 	// unscaled density counts plus the sampled-particle count.
-	featureRawDensity uint32 = 1 << 2
+	FeatureRawDensity uint32 = 1 << 2
 	// featureDrainNotice: on graceful shutdown the server sends idle
 	// connections a statusDraining frame before closing them, so the
 	// next caller sees ErrDraining instead of a raw connection error.
 	featureDrainNotice uint32 = 1 << 3
 
 	// serverFeatures is everything this build implements.
-	serverFeatures = featureBaseOverride | featurePartialResults | featureRawDensity | featureDrainNotice
+	serverFeatures = FeatureBaseOverride | FeaturePartialResults | FeatureRawDensity | featureDrainNotice
 )
 
 // Wire buffer codecs. The client requests one in its hello; every

@@ -15,9 +15,10 @@
 # collabort, lockorder, wiretaint, goleak, racegate — all
 # interprocedural) over the whole module, prints the per-analyzer
 # diagnostic counts and wall times, fails on any unsuppressed
-# diagnostic (exit 1; load errors exit 2), and enforces a generous
-# wall-clock budget on the ten-analyzer run so a fixpoint gone
-# superlinear is caught here rather than ossifying into CI.
+# diagnostic (exit 1; load errors exit 2), caps the number of reasoned
+# //spio:allow suppressions, and enforces a generous wall-clock budget
+# on the ten-analyzer run so a fixpoint gone superlinear is caught here
+# rather than ossifying into CI.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,6 +42,15 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== go test at GOMAXPROCS=1,2,8 (reader, server, gateway) =="
+# The serving path's failures have depended on core count before (the
+# file-cache pin bug failed 20/20 on 2 cores and hid on others), so the
+# three packages that share handles across goroutines run uncached at a
+# single P, at two, and oversubscribed.
+for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -count=1 ./internal/reader ./internal/server ./internal/gateway
+done
 
 echo "== fault-injection tests =="
 go test ./internal/fault
@@ -196,9 +206,23 @@ echo "spiogate smoke: gateway byte-identical to local; dead shard degraded to fl
 
 echo "== spiolint =="
 lint_budget=300
+lint_max_suppressed=10
+lint_out=$(mktemp /tmp/spio-lint-XXXXXX.txt)
 lint_start=$(date +%s)
-go run ./cmd/spiolint -summary ./...
+lint_status=0
+go run ./cmd/spiolint -summary ./... >"$lint_out" 2>&1 || lint_status=$?
 lint_elapsed=$(( $(date +%s) - lint_start ))
+cat "$lint_out"
+lint_suppressed=$(sed -n 's/.*suppressed=\([0-9]*\).*/\1/p' "$lint_out")
+rm -f "$lint_out"
+if [ "$lint_status" -ne 0 ]; then
+	exit "$lint_status"
+fi
+echo "spiolint: ${lint_suppressed} reasoned suppressions (ceiling ${lint_max_suppressed})"
+if [ "$lint_suppressed" -gt "$lint_max_suppressed" ]; then
+	echo "spiolint: more than ${lint_max_suppressed} //spio:allow suppressions; fix the finding instead of adding one"
+	exit 1
+fi
 echo "spiolint: full ten-analyzer run took ${lint_elapsed}s (budget ${lint_budget}s)"
 if [ "$lint_elapsed" -gt "$lint_budget" ]; then
 	echo "spiolint: exceeded the ${lint_budget}s runtime budget"
