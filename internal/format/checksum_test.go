@@ -85,7 +85,7 @@ func TestChecksummedFileSizeValidation(t *testing.T) {
 	}
 }
 
-func TestReadRangeProjected(t *testing.T) {
+func TestScanProjected(t *testing.T) {
 	path, buf := writeTestDataFile(t, 120)
 	df, err := OpenDataFile(path)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestReadRangeProjected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := df.ReadRangeProjected(20, 80, p)
+	got, err := scanProjected(df, 20, 80, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestReadRangeProjected(t *testing.T) {
 		}
 	}
 	// Bad ranges and mismatched projections fail.
-	if _, err := df.ReadRangeProjected(-1, 5, p); err == nil {
+	if _, err := scanProjected(df, -1, 5, p); err == nil {
 		t.Error("bad range accepted")
 	}
 	wrong, _ := particle.PositionOnly().Project(nil)
-	if _, err := df.ReadRangeProjected(0, 5, wrong); err == nil {
+	if _, err := scanProjected(df, 0, 5, wrong); err == nil {
 		t.Error("projection from wrong schema accepted")
 	}
 }

@@ -147,11 +147,11 @@ func TestCompressedProjectedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rf.ReadRangeProjected(100, 800, proj)
+	want, err := scanProjected(rf, 100, 800, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cf.ReadRangeProjected(100, 800, proj)
+	got, err := scanProjected(cf, 100, 800, proj)
 	if err != nil {
 		t.Fatal(err)
 	}

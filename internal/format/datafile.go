@@ -650,32 +650,97 @@ func (df *DataFile) Close() error {
 	return df.f.Close()
 }
 
-// payloadRange materializes the AoS record bytes of records [lo, hi).
-// Raw payloads are read directly at their fixed offsets. Compressed
-// payloads read whole compressed blocks through the ra seam — so a
-// serving layer's block cache holds compressed bytes, multiplying its
-// effective capacity — and decode on the way out (decode-on-egress).
+// scanChunkRecords is the granularity a raw payload is scanned at: a
+// quarter-megabyte of Uintah records, small enough that the chunk the
+// ReadAt just filled is still cache-resident when the callback filters
+// it, large enough that the per-chunk costs are noise.
+const scanChunkRecords = 2048
+
+// stagePool recycles the read path's staging slices: raw scan chunks,
+// compressed block bytes, decoded block images. Codec blocks follow the
+// LOD levels, so their sizes span two orders of magnitude; a pool of
+// as-needed sizes would keep handing a small slice to a large request
+// and allocating anyway. Every slice is therefore allocated with the
+// capacity of the largest thing the file can make the path stage — its
+// largest possible codec block's records plus framing — and whatever is
+// pooled serves whatever a file of that size asks.
+var stagePool sync.Pool // *[]byte
+
+func (df *DataFile) stage(n int) []byte {
+	if v, _ := stagePool.Get().(*[]byte); v != nil && cap(*v) >= n {
+		return (*v)[:n]
+	}
+	full := int(min(df.Header.Count, maxCodecBlockRecords))*df.Header.Schema.Stride() + 16*df.Header.Schema.NumFields()
+	return make([]byte, n, max(n, full))
+}
+
+// Scan is the one read primitive: it hands fn the AoS record bytes of
+// records [lo, hi), in record order, as record-aligned chunks. Every
+// other read (ReadRange and its wrappers, the reader's box filter, the
+// progressive stream) is a callback over it, so nothing on the read path
+// materializes more than a chunk of a file.
 //
-// The block walk is a read→decode pipeline: every overlapping block is
-// handled by a bounded worker fan-out, so the ReadAts overlap each
-// other (and, through the singleflight BlockCache, any disk latency)
-// while finished reads decode in parallel into disjoint regions of the
-// result. Blocks fully inside [lo, hi) decode in place into the result
-// slice; only the edge blocks pay an overlap copy. A sequential access
-// pattern (a read starting at 0 or where the previous one ended — the
-// ReadPrefix/progressive-LOD shape) arms a best-effort readahead of the
-// next block.
-func (df *DataFile) payloadRange(lo, hi int64) ([]byte, error) {
+// A chunk is valid only for the duration of the call and must not be
+// written: it is a pooled buffer about to be refilled, or — on a
+// decoded-tier hit — the tier's shared slice itself. Raw payloads are
+// read through the ra seam scanChunkRecords records at a time.
+// Compressed payloads read whole compressed blocks through the ra seam —
+// so a serving layer's block cache holds compressed bytes, multiplying
+// its effective capacity — and decode on the way out, one codec block
+// per chunk (the edge blocks clipped to the range): the blocks of the
+// range run through a bounded read→decode window, so the ReadAts overlap
+// each other (and, through the singleflight BlockCache, any disk
+// latency) and the decodes run in parallel while fn consumes the blocks
+// in order. A sequential access pattern (a scan starting at 0 or where
+// the previous one ended — the ReadPrefix/progressive-LOD shape) arms a
+// best-effort readahead of the next block.
+//
+// proj, when non-nil, names the fields fn will look at (it must have
+// been built from this file's schema); the others may hold garbage. A
+// compressed block that no decoded tier will keep then inflates only
+// those fields' frames (particle.DecompressFieldsInto).
+func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, fn func(recs []byte) error) error {
+	var want []bool
+	if proj != nil {
+		if !proj.Source().Equal(df.Header.Schema) {
+			return fmt.Errorf("format: %s: projection source schema mismatch", df.path)
+		}
+		want = proj.Wants()
+	}
+	if err := df.checkRange(lo, hi); err != nil {
+		return err
+	}
+	if err := df.scan(lo, hi, want, fn); err != nil {
+		return fmt.Errorf("format: %s: %w", df.path, err)
+	}
+	return nil
+}
+
+func (df *DataFile) checkRange(lo, hi int64) error {
+	if lo < 0 || hi > df.Header.Count || lo > hi {
+		return fmt.Errorf("format: %s: range [%d,%d) out of [0,%d)", df.path, lo, hi, df.Header.Count)
+	}
+	return nil
+}
+
+func (df *DataFile) scan(lo, hi int64, want []bool, fn func(recs []byte) error) error {
+	if lo == hi {
+		return nil
+	}
 	stride := int64(df.Header.Schema.Stride())
-	data := make([]byte, (hi-lo)*stride)
 	if df.blockRecs == nil {
-		if len(data) == 0 {
-			return data, nil
+		chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
+		defer toPool(&stagePool, chunk)
+		for at := lo; at < hi; at += scanChunkRecords {
+			recs := chunk[:min(hi-at, scanChunkRecords)*stride]
+			if _, err := df.ra.ReadAt(recs, df.payloadOff+at*stride); err != nil {
+				return err
+			}
+			if err := fn(recs); err != nil {
+				return err
+			}
 		}
-		if _, err := df.ra.ReadAt(data, df.payloadOff+lo*stride); err != nil {
-			return nil, err
-		}
-		return data, nil
+		return nil
 	}
 	sequential := lo == 0 || lo == df.lastHi.Load()
 	df.lastHi.Store(hi)
@@ -686,117 +751,121 @@ func (df *DataFile) payloadRange(lo, hi int64) ([]byte, error) {
 	for b1 < len(df.blockRecs)-1 && df.blockRecs[b1] < hi {
 		b1++
 	}
-	if err := df.decodeBlockRange(data, lo, hi, b0, b1); err != nil {
-		return nil, err
+	if err := df.scanBlocks(lo, hi, b0, b1, want, fn); err != nil {
+		return err
 	}
 	if sequential && df.cached && b1 < len(df.blockRecs)-1 {
 		df.readahead(b1)
 	}
-	return data, nil
+	return nil
 }
 
-// decodeBlockRange runs the read→decode pipeline for blocks [b0, b1)
-// of a compressed payload into data (the record image of [lo, hi)).
-// The ra seam and decoded tier are loaded once here, on the caller's
-// goroutine, and handed to the workers by value: the setters that
-// install them are ordered before any read, and the workers must not
-// touch the fields themselves.
-func (df *DataFile) decodeBlockRange(data []byte, lo, hi int64, b0, b1 int) error {
+// scanBlock is one decoded codec block on its way to the scan callback.
+type scanBlock struct {
+	recs []byte // the whole block's AoS image
+	// pooled marks an image drawn from stagePool, returned once the
+	// callback is done with it; otherwise recs is the decoded tier's
+	// shared slice and is only ever read.
+	pooled bool
+	err    error
+}
+
+// scanBlocks runs the read→decode window over blocks [b0, b1) of a
+// compressed payload and feeds fn their overlap with [lo, hi) in block
+// order. At most `window` blocks are in flight — being read, being
+// decoded, or decoded and waiting their turn — so the scan holds a
+// bounded number of block images however long the range. The ra seam
+// and decoded tier are loaded once here, on the caller's goroutine, and
+// handed to the workers by value: the setters that install them are
+// ordered before any read, and the workers must not touch the fields
+// themselves. Every worker is joined before scanBlocks returns.
+func (df *DataFile) scanBlocks(lo, hi int64, b0, b1 int, want []bool, fn func(recs []byte) error) error {
 	ra, decoded := df.ra, df.decoded
+	stride := int64(df.Header.Schema.Stride())
+	deliver := func(bi int, blk scanBlock) error {
+		if blk.err != nil {
+			return blk.err
+		}
+		bLo := df.blockRecs[bi]
+		cLo, cHi := max(lo, bLo), min(hi, df.blockRecs[bi+1])
+		err := fn(blk.recs[(cLo-bLo)*stride : (cHi-bLo)*stride])
+		if blk.pooled {
+			toPool(&stagePool, blk.recs)
+		}
+		return err
+	}
 	n := b1 - b0
 	if n <= 1 {
 		for bi := b0; bi < b1; bi++ {
-			if err := df.readDecodeBlock(ra, decoded, data, lo, hi, bi); err != nil {
+			if err := deliver(bi, df.loadBlock(ra, decoded, bi, want)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// At least a few workers even on one P: a ReadAt parked in the
-	// kernel releases its P, so the fan-out still overlaps disk latency
+	// At least a few in flight even on one P: a ReadAt parked in the
+	// kernel releases its P, so the window still overlaps disk latency
 	// when it cannot overlap decode.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
+	window := min(max(runtime.GOMAXPROCS(0), 4), n)
+	// One slot per block, each written once by its worker.
+	slots := make([]chan scanBlock, n)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	started := 0
+	for i := 0; i < n; i++ {
+		for ; started < n && started < i+window; started++ {
+			slot := make(chan scanBlock, 1)
+			slots[started] = slot
+			wg.Add(1)
+			go func(bi int) {
+				defer wg.Done()
+				slot <- df.loadBlock(ra, decoded, bi, want)
+			}(b0 + started)
+		}
+		if err := deliver(b0+i, <-slots[i]); err != nil {
+			return err
+		}
 	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
-		mu       sync.Mutex
-		firstErr error
-	)
-	for bi := b0; bi < b1; bi++ {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := df.readDecodeBlock(ra, decoded, data, lo, hi, bi); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(bi)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	return nil
 }
 
-// readDecodeBlock reads one compressed block through the ra seam (and
-// the decoded tier, when installed) and lands its overlap with [lo, hi)
-// in data. Safe to call concurrently for distinct blocks: each block's
-// records occupy a disjoint region of data.
-func (df *DataFile) readDecodeBlock(ra io.ReaderAt, decoded DecodedBlockCache, data []byte, lo, hi int64, bi int) error {
-	stride := int64(df.Header.Schema.Stride())
-	bLo, bHi := df.blockRecs[bi], df.blockRecs[bi+1]
-	cLo, cHi := max(lo, bLo), min(hi, bHi)
+// loadBlock produces the decoded image of block bi: the decoded tier's
+// copy when it has one; otherwise the compressed bytes are read through
+// the ra seam and inflated — into a fresh slice the tier takes ownership
+// of (shared and immutable from then on), or, with no tier, into a
+// pooled image holding only the wanted fields. Safe to call
+// concurrently for distinct blocks.
+func (df *DataFile) loadBlock(ra io.ReaderAt, decoded DecodedBlockCache, bi int, want []bool) scanBlock {
 	if decoded != nil {
 		if recs := decoded.GetBlock(bi); recs != nil {
-			copy(data[(cLo-lo)*stride:(cHi-lo)*stride], recs[(cLo-bLo)*stride:(cHi-bLo)*stride])
-			return nil
+			return scanBlock{recs: recs}
 		}
 		recs, err := df.decodeWholeBlock(ra, bi)
 		if err != nil {
-			return err
+			return scanBlock{err: err}
 		}
-		copy(data[(cLo-lo)*stride:(cHi-lo)*stride], recs[(cLo-bLo)*stride:(cHi-bLo)*stride])
-		// The tier takes ownership only after the copy out: once offered,
-		// the bytes are shared and immutable.
 		decoded.PutBlock(bi, recs)
-		return nil
+		return scanBlock{recs: recs}
 	}
-	comp := fromPool(&scratchPool, int(df.blockOffs[bi+1]-df.blockOffs[bi]))
-	defer toPool(&scratchPool, comp)
+	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
+	defer toPool(&stagePool, comp)
 	if _, err := ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
-		return err
+		return scanBlock{err: err}
 	}
-	if cLo == bLo && cHi == bHi {
-		// Fully covered: decode straight into the block's slot of the
-		// result, no intermediate record image.
-		return particle.DecompressBlockInto(df.Header.Schema, comp, int(bHi-bLo),
-			data[(bLo-lo)*stride:(bHi-lo)*stride])
+	count := int(df.blockRecs[bi+1] - df.blockRecs[bi])
+	recs := df.stage(count * df.Header.Schema.Stride())
+	if err := particle.DecompressFieldsInto(df.Header.Schema, comp, count, recs, want); err != nil {
+		toPool(&stagePool, recs)
+		return scanBlock{err: err}
 	}
-	recs := fromPool(&imagePool, int((bHi-bLo)*stride))
-	defer toPool(&imagePool, recs)
-	if err := particle.DecompressBlockInto(df.Header.Schema, comp, int(bHi-bLo), recs); err != nil {
-		return err
-	}
-	copy(data[(cLo-lo)*stride:(cHi-lo)*stride], recs[(cLo-bLo)*stride:(cHi-bLo)*stride])
-	return nil
+	return scanBlock{recs: recs, pooled: true}
 }
 
 // decodeWholeBlock reads and decodes one whole compressed block into a
 // fresh slice (the decoded tier takes ownership of it).
 func (df *DataFile) decodeWholeBlock(ra io.ReaderAt, bi int) ([]byte, error) {
-	comp := fromPool(&scratchPool, int(df.blockOffs[bi+1]-df.blockOffs[bi]))
-	defer toPool(&scratchPool, comp)
+	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
+	defer toPool(&stagePool, comp)
 	if _, err := ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
 		return nil, err
 	}
@@ -830,22 +899,23 @@ func (df *DataFile) readahead(bi int) {
 			}
 			return
 		}
-		comp := fromPool(&scratchPool, int(df.blockOffs[bi+1]-df.blockOffs[bi]))
+		comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
 		_, _ = ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi])
-		toPool(&scratchPool, comp)
+		toPool(&stagePool, comp)
 	}()
 }
 
-// ReadRange reads records [lo, hi) into a new buffer.
+// ReadRange reads records [lo, hi) into a new buffer, allocated once at
+// its exact size and filled chunk by chunk.
 func (df *DataFile) ReadRange(lo, hi int64) (*particle.Buffer, error) {
-	if lo < 0 || hi > df.Header.Count || lo > hi {
-		return nil, fmt.Errorf("format: %s: range [%d,%d) out of [0,%d)", df.path, lo, hi, df.Header.Count)
+	if err := df.checkRange(lo, hi); err != nil {
+		return nil, err
 	}
-	data, err := df.payloadRange(lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("format: %s: %w", df.path, err)
+	fill := particle.NewFiller(df.Header.Schema, nil, int(hi-lo))
+	if err := df.Scan(lo, hi, nil, fill.Chunk); err != nil {
+		return nil, err
 	}
-	return particle.Decode(df.Header.Schema, data)
+	return fill.Buffer()
 }
 
 // ReadPrefix reads the first n records — a level-of-detail read. n is
@@ -873,26 +943,6 @@ func (df *DataFile) ReadAll() (*particle.Buffer, error) {
 func (df *DataFile) ReadLevels(perFileBase int64, levels int) (*particle.Buffer, error) {
 	n := lod.PrefixCount(df.Header.Count, perFileBase, df.Header.LOD.Scale, levels)
 	return df.ReadPrefix(n)
-}
-
-// ReadRangeProjected reads records [lo, hi) keeping only the fields of
-// the projection (which must have been built from this file's schema).
-func (df *DataFile) ReadRangeProjected(lo, hi int64, p *particle.Projection) (*particle.Buffer, error) {
-	if !p.Source().Equal(df.Header.Schema) {
-		return nil, fmt.Errorf("format: %s: projection source schema mismatch", df.path)
-	}
-	if lo < 0 || hi > df.Header.Count || lo > hi {
-		return nil, fmt.Errorf("format: %s: range [%d,%d) out of [0,%d)", df.path, lo, hi, df.Header.Count)
-	}
-	data, err := df.payloadRange(lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("format: %s: %w", df.path, err)
-	}
-	out := particle.NewBuffer(p.Schema(), int(hi-lo))
-	if err := p.DecodeRecords(out, data); err != nil {
-		return nil, fmt.Errorf("format: %s: %w", df.path, err)
-	}
-	return out, nil
 }
 
 // VerifyPayload re-reads the whole payload and checks it against the

@@ -73,8 +73,25 @@ func FuzzOpenDataFile(f *testing.F) {
 		defer df.Close()
 		// Anything that opens must be internally consistent enough to
 		// read fully without panicking.
-		if _, err := df.ReadAll(); err != nil {
+		all, err := df.ReadAll()
+		// A position-only scan of the same bytes takes the field-skipping
+		// decode; it may only be more permissive than the full read, and
+		// must agree with it on every position.
+		proj, perr := df.Header.Schema.Project(nil)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		pos, perr := scanProjected(df, 0, df.Header.Count, proj)
+		if err != nil {
 			return
+		}
+		if perr != nil {
+			t.Fatalf("full read succeeded, position-only scan failed: %v", perr)
+		}
+		for i := 0; i < all.Len(); i++ {
+			if a, b := all.Position(i), pos.Position(i); a != b && (a == a || b == b) {
+				t.Fatalf("record %d: position-only scan reads %v, full read %v", i, b, a)
+			}
 		}
 		if df.Header.PayloadCRC {
 			_ = df.VerifyPayload()

@@ -155,6 +155,15 @@ func (m *Meta) FilesIntersecting(q geom.Box) []*FileEntry {
 	return out
 }
 
+// AllFiles returns every entry, in file order.
+func (m *Meta) AllFiles() []*FileEntry {
+	out := make([]*FileEntry, len(m.Files))
+	for i := range m.Files {
+		out[i] = &m.Files[i]
+	}
+	return out
+}
+
 // WriteMeta writes the metadata file into dir, atomically: the bytes
 // land in a temp file that is fsynced and renamed over the canonical
 // name (fsys nil means the real filesystem), so a reader either sees

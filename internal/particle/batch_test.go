@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"spio/internal/israce"
 )
 
 // batchSchema builds a random schema: position plus a handful of
@@ -286,6 +288,9 @@ func TestBatchDecompressBadRegion(t *testing.T) {
 // point of the fast spec. Each bound leaves slack for a GC emptying
 // the state pool mid-run.
 func TestCodecAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
 	schema, records := testBlock(t, 4096, 13)
 	cases := []struct {
 		name     string

@@ -1,7 +1,6 @@
 package particle
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -304,30 +303,6 @@ func (b *Buffer) DecodeRecords(data []byte) error {
 	at := b.n
 	b.SetLen(at + len(data)/stride)
 	return b.DecodeRecordsAt(data, at)
-}
-
-// appendFieldBytes decodes one field's little-endian component bytes
-// onto the end of field slot k, without advancing the particle count
-// (the caller appends every field of a record, then bumps n).
-func (b *Buffer) appendFieldBytes(k int, f Field, data []byte) error {
-	if len(data) != f.Bytes() {
-		return fmt.Errorf("particle: field %q wants %d bytes, got %d", f.Name, f.Bytes(), len(data))
-	}
-	switch f.Kind {
-	case Float64:
-		s := b.f64[b.fieldSlot[k]]
-		for c := 0; c < f.Components; c++ {
-			s = append(s, math.Float64frombits(binary.LittleEndian.Uint64(data[c*8:])))
-		}
-		b.f64[b.fieldSlot[k]] = s
-	case Float32:
-		s := b.f32[b.fieldSlot[k]]
-		for c := 0; c < f.Components; c++ {
-			s = append(s, math.Float32frombits(binary.LittleEndian.Uint32(data[c*4:])))
-		}
-		b.f32[b.fieldSlot[k]] = s
-	}
-	return nil
 }
 
 // Decode builds a buffer from an AoS record encoding.

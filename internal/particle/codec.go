@@ -443,6 +443,19 @@ func DecompressBlock(schema *Schema, data []byte, count int) ([]byte, error) {
 // the middle of a result slice, batch decodes into disjoint regions).
 // It allocates nothing in steady state.
 func DecompressBlockInto(schema *Schema, data []byte, count int, dst []byte) error {
+	return DecompressFieldsInto(schema, data, count, dst, nil)
+}
+
+// DecompressFieldsInto is DecompressBlockInto for a reader that wants
+// only some fields: want[fi] false leaves field fi's bytes of dst
+// untouched (unspecified) and skips its inflate, which is most of a
+// block's decode cost when a query projects onto the position. A nil
+// want decodes every field. Skipped frames are still walked and checked
+// — known codec id on a field kind it applies to, raw length equal to
+// the column, payload inside the block, no trailing bytes — so a
+// malformed frame is rejected by a projected read exactly as by a full
+// one; only corruption inside a skipped payload goes unseen.
+func DecompressFieldsInto(schema *Schema, data []byte, count int, dst []byte, want []bool) error {
 	if count < 0 {
 		return fmt.Errorf("particle: negative record count %d", count)
 	}
@@ -452,12 +465,12 @@ func DecompressBlockInto(schema *Schema, data []byte, count int, dst []byte) err
 	}
 	st := getCodecState()
 	defer putCodecState(st)
-	return st.decompressInto(schema, data, count, dst)
+	return st.decompressInto(schema, data, count, dst, want)
 }
 
-// decompressInto walks the per-field frames, decoding each straight into
-// the field's slots of the dst record image.
-func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst []byte) error {
+// decompressInto walks the per-field frames, decoding each wanted field
+// straight into its slots of the dst record image.
+func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst []byte, want []bool) error {
 	stride := schema.Stride()
 	for fi := 0; fi < schema.NumFields(); fi++ {
 		f := schema.Field(fi)
@@ -475,12 +488,20 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 		data = data[n+int(plen):]
 
 		colLen := count * f.Bytes()
+		switch {
+		case id > codecMax:
+			return fmt.Errorf("particle: field %q: unknown codec %d", f.Name, id)
+		case id == CodecRaw && len(payload) != colLen:
+			return fmt.Errorf("particle: field %q: raw column has %d bytes, want %d", f.Name, len(payload), colLen)
+		case (id == CodecDeltaVarint || id == CodecQuantize) && f.Kind != Float64:
+			return fmt.Errorf("particle: field %q: %v codec on %v column", f.Name, id, f.Kind)
+		}
+		if want != nil && !want[fi] {
+			continue
+		}
 		var err error
 		switch id {
 		case CodecRaw:
-			if len(payload) != colLen {
-				return fmt.Errorf("particle: field %q: raw column has %d bytes, want %d", f.Name, len(payload), colLen)
-			}
 			scatterColumn(dst, stride, off, f.Bytes(), payload)
 		case CodecShuffleDeflate:
 			err = st.decodeShuffleDeflate(payload, dst, stride, off, f, count)
@@ -490,17 +511,9 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 				unshuffleToRecords(dst, shuf, stride, off, f.Kind.Size(), f.Components, count)
 			}
 		case CodecDeltaVarint:
-			if f.Kind != Float64 {
-				return fmt.Errorf("particle: field %q: delta codec on %v column", f.Name, f.Kind)
-			}
 			err = decodeDeltaVarintInto(dst, stride, off, payload, count, f.Components)
 		case CodecQuantize:
-			if f.Kind != Float64 {
-				return fmt.Errorf("particle: field %q: quantize codec on %v column", f.Name, f.Kind)
-			}
 			err = decodeQuantizeInto(dst, stride, off, payload, count, f.Components)
-		default:
-			return fmt.Errorf("particle: field %q: unknown codec %d", f.Name, id)
 		}
 		if err != nil {
 			return fmt.Errorf("particle: field %q: %w", f.Name, err)

@@ -296,8 +296,24 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return
 		}
 		got, err := DecompressBlock(schema, data, count)
+		// The field-skipping decode sees the same hostile frame: it may
+		// accept one the full decode rejects (damage inside a payload it
+		// never inflates), never the reverse, and what it does decode is
+		// the full decode's position.
+		posOnly := make([]bool, schema.NumFields())
+		posOnly[0] = true
+		part := make([]byte, count*schema.Stride())
+		perr := DecompressFieldsInto(schema, data, count, part, posOnly)
 		if err != nil {
 			return
+		}
+		if perr != nil {
+			t.Fatalf("full decode accepted a frame the position-only decode rejects: %v", perr)
+		}
+		for i := 0; i < count; i++ {
+			if o := i * schema.Stride(); !bytes.Equal(part[o:o+24], got[o:o+24]) {
+				t.Fatalf("record %d: position-only decode differs from the full decode", i)
+			}
 		}
 		// Whatever decoded must re-encode and decode to the same bytes.
 		re, err := CompressBlock(schema, LosslessSpec(schema), got)

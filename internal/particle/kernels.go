@@ -416,7 +416,15 @@ func (b *Buffer) encodeGatherBlock(dst []byte, idx []int) {
 // is fixed by the metadata counts, arrival order only picks which region
 // fills next.
 func (b *Buffer) DecodeRecordsAt(data []byte, at int) error {
-	stride := b.schema.Stride()
+	return b.decodeRowsAt(data, b.schema.stride, b.schema.offsets, at)
+}
+
+// decodeRowsAt is DecodeRecordsAt over rows of any layout that carries
+// the buffer's fields: rows are stride bytes apart and field k of the
+// buffer sits at byte offs[k] of each row. The buffer's own schema gives
+// the plain record decode; a projection's source layout gives the
+// columnar projected decode (project.go).
+func (b *Buffer) decodeRowsAt(data []byte, stride int, offs []int, at int) error {
 	if len(data)%stride != 0 {
 		return fmt.Errorf("particle: %d bytes is not a multiple of record size %d", len(data), stride)
 	}
@@ -429,18 +437,17 @@ func (b *Buffer) DecodeRecordsAt(data []byte, at int) error {
 		if bhi > count {
 			bhi = count
 		}
-		b.decodeBlock(data[blo*stride:bhi*stride], at+blo, bhi-blo)
+		b.decodeBlock(data[blo*stride:bhi*stride], stride, offs, at+blo, bhi-blo)
 	}
 	return nil
 }
 
-// decodeBlock transposes one block of records AoS -> SoA, field-major.
-func (b *Buffer) decodeBlock(data []byte, at, count int) {
-	stride := b.schema.Stride()
+// decodeBlock transposes one block of rows AoS -> SoA, field-major.
+func (b *Buffer) decodeBlock(data []byte, stride int, offs []int, at, count int) {
 	for fi := 0; fi < b.schema.NumFields(); fi++ {
 		f := b.schema.Field(fi)
 		c := f.Components
-		off := b.schema.Offset(fi)
+		off := offs[fi]
 		switch f.Kind {
 		case Float64:
 			s := b.f64[b.fieldSlot[fi]][at*c : (at+count)*c]

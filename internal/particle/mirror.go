@@ -39,7 +39,7 @@ func (b *Buffer) EncodedMirror() []byte { return b.aos }
 // can still be reading the mirror.
 func (b *Buffer) dropMirror() {
 	if b.aos != nil {
-		putAoS(b.aos)
+		PutAoS(b.aos)
 		b.aos = nil
 	}
 }

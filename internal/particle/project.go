@@ -18,6 +18,8 @@ type Projection struct {
 	// srcOffset[i] is the byte offset of that field within a source
 	// record.
 	srcOffset []int
+	// wants[fi] reports whether source field fi is projected.
+	wants []bool
 }
 
 // Project builds a projection keeping the named fields. The position
@@ -51,11 +53,21 @@ func (s *Schema) Project(names []string) (*Projection, error) {
 		offsets[i] = off
 		off += s.Field(i).Bytes()
 	}
-	p := &Projection{src: s, sub: sub, srcField: keep}
+	p := &Projection{src: s, sub: sub, srcField: keep, wants: make([]bool, s.NumFields())}
 	for _, fi := range keep {
 		p.srcOffset = append(p.srcOffset, offsets[fi])
+		p.wants[fi] = true
 	}
 	return p, nil
+}
+
+// ProjectOnto is Project for an optional field list, the shape read
+// options carry: no names means no projection — nil, whole records.
+func (s *Schema) ProjectOnto(names []string) (*Projection, error) {
+	if len(names) == 0 {
+		return nil, nil
+	}
+	return s.Project(names)
 }
 
 // Source returns the full schema the projection reads from.
@@ -64,6 +76,11 @@ func (p *Projection) Source() *Schema { return p.src }
 // Schema returns the projected (subset) schema.
 func (p *Projection) Schema() *Schema { return p.sub }
 
+// Wants returns, per source-schema field, whether the projection keeps
+// it — the mask a field-skipping decode takes. The slice is shared and
+// must not be written.
+func (p *Projection) Wants() []bool { return p.wants }
+
 // DecodeRecords decodes source-schema records, keeping only the
 // projected fields, and appends them to a buffer with the projection's
 // schema.
@@ -71,23 +88,21 @@ func (p *Projection) DecodeRecords(dst *Buffer, data []byte) error {
 	if !dst.Schema().Equal(p.sub) {
 		return fmt.Errorf("particle: projection target has schema %v, want %v", dst.Schema(), p.sub)
 	}
-	stride := p.src.Stride()
-	if len(data)%stride != 0 {
-		return fmt.Errorf("particle: %d bytes is not a multiple of source record size %d", len(data), stride)
+	if len(data)%p.src.Stride() != 0 {
+		return fmt.Errorf("particle: %d bytes is not a multiple of source record size %d", len(data), p.src.Stride())
 	}
-	count := len(data) / stride
-	for i := 0; i < count; i++ {
-		rec := data[i*stride : (i+1)*stride]
-		for k := range p.srcField {
-			f := p.sub.Field(k)
-			field := rec[p.srcOffset[k] : p.srcOffset[k]+f.Bytes()]
-			if err := dst.appendFieldBytes(k, f, field); err != nil {
-				return err
-			}
-		}
-		dst.n++
-	}
-	return nil
+	at := dst.Len()
+	dst.SetLen(at + len(data)/p.src.Stride())
+	return p.DecodeRecordsAt(dst, data, at)
+}
+
+// DecodeRecordsAt is the projected Buffer.DecodeRecordsAt: it decodes
+// the projected fields of the source-schema records in data into
+// particles [at, at+count) of dst (a buffer of the projection's schema
+// already sized to cover the region). Columnar, like the full decode —
+// one strided pass per kept field.
+func (p *Projection) DecodeRecordsAt(dst *Buffer, data []byte, at int) error {
+	return dst.decodeRowsAt(data, p.src.Stride(), p.srcOffset, at)
 }
 
 // Apply projects an in-memory buffer (full schema) onto the subset.

@@ -34,7 +34,9 @@ func GetAoS(n int) []byte {
 	return make([]byte, n)
 }
 
-func putAoS(b []byte) {
+// PutAoS returns a slice obtained from GetAoS to the pool. The caller
+// must not touch it afterwards.
+func PutAoS(b []byte) {
 	aosPool.Put(&b)
 }
 

@@ -1,0 +1,223 @@
+package particle
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"spio/internal/geom"
+)
+
+// positionRecords encodes one PositionOnly record per point.
+func positionRecords(pts []geom.Vec3) []byte {
+	b := NewBuffer(PositionOnly(), len(pts))
+	for _, p := range pts {
+		b.Append([]float64{p.X, p.Y, p.Z})
+	}
+	return b.Encode()
+}
+
+// TestSelectClosedIsContainsClosed pins the one containment test of the
+// read path against geom.Box.ContainsClosed — which is what the old
+// `Contains(p) || ContainsClosed(p)` always evaluated to — on the cases
+// where a rewritten comparison could drift: each Lo/Hi face, one ulp
+// outside each, NaN and ±Inf coordinates, and an empty box.
+func TestSelectClosedIsContainsClosed(t *testing.T) {
+	q := geom.NewBox(geom.V3(-1, 0.25, 2), geom.V3(1, 0.75, 8))
+	mid := q.Center()
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	down := func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	pts := []geom.Vec3{mid, q.Lo, q.Hi}
+	faces := [3][2]float64{{q.Lo.X, q.Hi.X}, {q.Lo.Y, q.Hi.Y}, {q.Lo.Z, q.Hi.Z}}
+	for axis, f := range faces {
+		for _, c := range []float64{f[0], f[1], down(f[0]), up(f[0]), down(f[1]), up(f[1]),
+			math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := [3]float64{mid.X, mid.Y, mid.Z}
+			p[axis] = c
+			pts = append(pts, geom.V3(p[0], p[1], p[2]))
+		}
+	}
+	pts = append(pts, geom.V3(math.NaN(), math.NaN(), math.NaN()))
+	recs := positionRecords(pts)
+
+	boxes := []geom.Box{
+		q,
+		geom.EmptyBox(),
+		{Lo: q.Hi, Hi: q.Lo}, // inverted: Lo > Hi on every axis
+		{Lo: q.Lo, Hi: q.Lo}, // degenerate: the single point Lo
+		geom.NewBox(geom.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1)), geom.V3(math.Inf(1), math.Inf(1), math.Inf(1))),
+	}
+	for _, box := range boxes {
+		sel := selectClosed(nil, recs, 24, box)
+		next := 0
+		for i, p := range pts {
+			want := box.ContainsClosed(p)
+			if old := box.Contains(p) || box.ContainsClosed(p); old != want {
+				t.Fatalf("box %v point %v: the doubled test is not ContainsClosed", box, p)
+			}
+			got := next < len(sel) && sel[next] == int32(i)
+			if got {
+				next++
+			}
+			if got != want {
+				t.Errorf("box %v point %d %v: selected=%v, ContainsClosed=%v", box, i, p, got, want)
+			}
+		}
+		if next != len(sel) {
+			t.Errorf("box %v: selection %v is not an increasing list of record indices", box, sel)
+		}
+	}
+}
+
+func TestSplitHalfOpen(t *testing.T) {
+	patch := geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
+	pts := []geom.Vec3{
+		geom.V3(0, 0, 0),       // on Lo: owned
+		geom.V3(0.5, 0.5, 0.5), // inside
+		geom.V3(1, 0.5, 0.5),   // on Hi: ghost
+		geom.V3(-0.1, 0.5, 0.5),
+		geom.V3(0.5, 0.5, math.Nextafter(1, 0)),
+	}
+	recs := positionRecords(pts)
+	sel := []int32{0, 1, 2, 3, 4}
+	in, out := splitHalfOpen(sel, recs, 24, patch, nil)
+	if len(in) != 3 || in[0] != 0 || in[1] != 1 || in[2] != 4 {
+		t.Errorf("owned = %v, want [0 1 4]", in)
+	}
+	if len(out) != 2 || out[0] != 2 || out[1] != 3 {
+		t.Errorf("ghost = %v, want [2 3]", out)
+	}
+}
+
+// TestCollectorMatchesSelectAndProject checks the gather half of the
+// kernel against the column path it replaces: collecting a selection
+// (across many staging segments) equals Decode -> Select -> Apply.
+func TestCollectorMatchesSelectAndProject(t *testing.T) {
+	schema := Uintah()
+	n := 3*(collectorSegBytes/schema.Stride()) + 17 // several segments, a ragged tail
+	src := Uniform(schema, geom.UnitBox(), n, 11, 0)
+	recs := src.Encode()
+	var sel []int32
+	var idx []int
+	for i := 0; i < n; i++ {
+		if i%3 != 1 {
+			sel = append(sel, int32(i))
+			idx = append(idx, i)
+		}
+	}
+	for _, names := range [][]string{nil, {PositionField}, {"density"}, {"id", "stress"}, {"stress", "density", "volume", "id", "type"}} {
+		var proj *Projection
+		want := src.Select(idx)
+		if names != nil {
+			p, err := schema.Project(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proj = p
+			if want, err = p.Apply(want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := newCollector(schema, proj)
+		// Feed the selection in uneven pieces, as chunks would.
+		half := len(recs) / schema.Stride() / 2 * schema.Stride()
+		cut := 0
+		for cut < len(sel) && int(sel[cut])*schema.Stride() < half {
+			cut++
+		}
+		c.add(recs, schema.Stride(), sel[:cut])
+		rebased := make([]int32, 0, len(sel)-cut)
+		for _, i := range sel[cut:] {
+			rebased = append(rebased, i-int32(half/schema.Stride()))
+		}
+		c.add(recs[half:], schema.Stride(), rebased)
+		if c.n != len(sel) {
+			t.Fatalf("fields %v: collected %d of %d", names, c.n, len(sel))
+		}
+		got := c.buffer()
+		if !got.Equal(want) {
+			t.Errorf("fields %v: collector differs from Select+Apply", names)
+		}
+		if c.n != 0 || !c.buffer().Equal(NewBuffer(got.Schema(), 0)) {
+			t.Errorf("fields %v: collector not reset by Buffer", names)
+		}
+	}
+}
+
+// TestDecompressFieldsSkipsButValidates pins the field-skipping decode:
+// the wanted fields come out bit-identical to a full decode, the others
+// are left untouched, and a frame that a full decode rejects for its
+// structure — unknown codec id, a length running past the block, raw
+// length disagreeing with the column, a codec on the wrong field kind,
+// trailing bytes — is rejected by a position-only decode too, wherever
+// in the block the damage sits.
+func TestDecompressFieldsSkipsButValidates(t *testing.T) {
+	schema, records := testBlock(t, 200, 9)
+	const count = 200
+	for _, spec := range []Spec{LosslessSpec(schema), FastSpec(schema), LossySpec(schema, 1e-3), {}} {
+		comp, err := CompressBlock(schema, spec, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := DecompressBlock(schema, comp, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]bool, schema.NumFields())
+		want[0], want[2] = true, true // position + density
+		got := bytes.Repeat([]byte{0xA5}, len(full))
+		if err := DecompressFieldsInto(schema, comp, count, got, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < count; i++ {
+			for fi := 0; fi < schema.NumFields(); fi++ {
+				lo := i*schema.Stride() + schema.Offset(fi)
+				hi := lo + schema.Field(fi).Bytes()
+				if want[fi] && !bytes.Equal(got[lo:hi], full[lo:hi]) {
+					t.Fatalf("record %d field %d: wanted field differs from the full decode", i, fi)
+				}
+				if !want[fi] && !bytes.Equal(got[lo:hi], bytes.Repeat([]byte{0xA5}, hi-lo)) {
+					t.Fatalf("record %d field %d: skipped field was written", i, fi)
+				}
+			}
+		}
+	}
+
+	comp, err := CompressBlock(schema, LosslessSpec(schema), records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets of every field frame's header within the block.
+	var heads []int
+	for off, fi := 0, 0; fi < schema.NumFields(); fi++ {
+		heads = append(heads, off)
+		plen, n := binary.Uvarint(comp[off+1:])
+		off += 1 + n + int(plen)
+	}
+	last := heads[len(heads)-1]
+	posOnly := make([]bool, schema.NumFields())
+	posOnly[0] = true
+	hostile := map[string][]byte{
+		"unknown codec id in a skipped frame": mutate(comp, func(m []byte) []byte { m[heads[1]] = byte(codecMax) + 1; return m }),
+		"length past the block":               mutate(comp, func(m []byte) []byte { return append(m[:last+1], 0xff, 0xff, 0x7f) }),
+		"trailing bytes":                      mutate(comp, func(m []byte) []byte { return append(m, 0) }),
+		"block ends before the last frame":    mutate(comp, func(m []byte) []byte { return m[:last] }),
+		"delta codec on a float32 field":      mutate(comp, func(m []byte) []byte { m[last] = byte(CodecDeltaVarint); return m }),
+		"raw id on a compressed-length frame": mutate(comp, func(m []byte) []byte { m[heads[1]] = byte(CodecRaw); return m }),
+	}
+	dst := make([]byte, count*schema.Stride())
+	for name, m := range hostile {
+		fullErr := DecompressBlockInto(schema, m, count, dst)
+		skipErr := DecompressFieldsInto(schema, m, count, dst, posOnly)
+		if fullErr == nil || skipErr == nil {
+			t.Errorf("%s: full decode err=%v, position-only err=%v; both must reject", name, fullErr, skipErr)
+		} else if fullErr.Error() != skipErr.Error() {
+			t.Errorf("%s: full decode says %q, position-only says %q", name, fullErr, skipErr)
+		}
+	}
+}
+
+func mutate(b []byte, fn func([]byte) []byte) []byte {
+	return fn(append([]byte(nil), b...))
+}

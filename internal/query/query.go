@@ -101,19 +101,20 @@ func Halo(ds *reader.Dataset, patch geom.Box, halo float64, opts reader.Options)
 		patch.Lo.Sub(geom.V3(halo, halo, halo)),
 		patch.Hi.Add(geom.V3(halo, halo, halo)),
 	)
-	all, st, err := ds.QueryBox(grown, opts)
+	// One pass: the closed grown box selects, the half-open patch splits
+	// the selection into owned and ghost.
+	schema := ds.Meta().Schema
+	proj, err := schema.ProjectOnto(opts.Fields)
 	if err != nil {
 		return nil, nil, st, err
 	}
-	own = particle.NewBuffer(all.Schema(), all.Len())
-	ghost = particle.NewBuffer(all.Schema(), 0)
-	for i := 0; i < all.Len(); i++ {
-		if patch.Contains(all.Position(i)) {
-			own.AppendFrom(all, i)
-		} else {
-			ghost.AppendFrom(all, i)
-		}
+	f := particle.NewHaloFilter(schema, proj, grown, patch)
+	st, err = ds.Scan(ds.Meta().FilesIntersecting(grown), opts, f.Chunk)
+	if err != nil {
+		return nil, nil, st, err
 	}
+	own, ghost = f.Buffers()
+	st.ParticlesKept = int64(own.Len() + ghost.Len())
 	return own, ghost, st, nil
 }
 
@@ -138,16 +139,25 @@ func DensityGrid(ds *reader.Dataset, dims geom.Idx3, levels, readers int) ([]flo
 // both bias the estimate (shards sample at different effective
 // fractions) and break bit-identity with the single-node answer.
 func DensityGridRaw(ds *reader.Dataset, dims geom.Idx3, opts reader.Options) ([]float64, int64, reader.Stats, error) {
-	sub, st, err := ds.ReadAll(opts)
+	meta := ds.Meta()
+	grid := geom.NewGrid(meta.Domain, dims)
+	counts := make([]float64, grid.Cells())
+	// Positions are all a density needs: project onto them, so a
+	// compressed block inflates its position plane alone, and count
+	// straight from the record bytes.
+	opts.Fields = []string{particle.PositionField}
+	stride := meta.Schema.Stride()
+	st, err := ds.Scan(meta.AllFiles(), opts, func(recs []byte) error {
+		for off := 0; off < len(recs); off += stride {
+			counts[grid.LocateLinear(particle.PositionAt(recs, off))]++
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, 0, st, err
 	}
-	grid := geom.NewGrid(ds.Meta().Domain, dims)
-	counts := make([]float64, grid.Cells())
-	for i := 0; i < sub.Len(); i++ {
-		counts[grid.LocateLinear(sub.Position(i))]++
-	}
-	return counts, int64(sub.Len()), st, nil
+	st.ParticlesKept = st.ParticlesRead
+	return counts, st.ParticlesRead, st, nil
 }
 
 // ScaleDensity converts raw sample counts into density estimates in

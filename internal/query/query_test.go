@@ -3,12 +3,15 @@ package query
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
 	"spio/internal/agg"
 	"spio/internal/core"
 	"spio/internal/geom"
+	"spio/internal/israce"
 	"spio/internal/mpi"
 	"spio/internal/particle"
 	"spio/internal/reader"
@@ -197,5 +200,69 @@ func TestDensityGridExactAndSampled(t *testing.T) {
 	}
 	if corr := num / math.Sqrt(dx*dy); corr < 0.7 {
 		t.Errorf("sampled density decorrelated from exact (r=%.2f)", corr)
+	}
+}
+
+// TestDensityGridAllocatesTheGrid holds DensityGridRaw to the read
+// path's memory model: it counts positions straight out of the record
+// chunks, so what it allocates is the grid plus a constant (one staging
+// slice a per-P pool may fail to hand back), however much data it
+// samples. The 4 MB file here cost the old ReadAll-then-count path more
+// than 8 MB.
+func TestDensityGridAllocatesTheGrid(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const perRank, slack = 8192, 1 << 20
+	for _, codec := range []string{"raw", "lossless"} {
+		dir := t.TempDir()
+		simDims := geom.I3(2, 2, 1)
+		grid := geom.NewGrid(geom.UnitBox(), simDims)
+		cfg := core.WriteConfig{Agg: agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: simDims}}
+		if codec == "lossless" {
+			cfg.Codec = particle.LosslessSpec(particle.Uintah())
+		}
+		err := mpi.Run(4, func(c *mpi.Comm) error {
+			local := particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), perRank, 3, c.Rank())
+			_, werr := core.Write(c, dir, cfg, local)
+			return werr
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := reader.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if err := ds.SetFileCache(4); err != nil {
+			t.Fatal(err)
+		}
+		dims := geom.I3(16, 16, 8)
+		run := func() {
+			counts, sampled, _, err := DensityGridRaw(ds, dims, reader.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sampled != 4*perRank || len(counts) != dims.Volume() {
+				t.Fatalf("%s: sampled %d into %d cells", codec, sampled, len(counts))
+			}
+		}
+		run()
+		run() // pools warm
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		got := int64(after.TotalAlloc-before.TotalAlloc) / runs
+		gridBytes := int64(8 * dims.Volume())
+		t.Logf("%s: %d bytes allocated for a %d-byte grid over %d bytes of records", codec, got, gridBytes, 4*perRank*124)
+		if got > gridBytes+slack {
+			t.Errorf("%s: DensityGridRaw allocates %d bytes for a %d-byte grid; budget %d", codec, got, gridBytes, gridBytes+slack)
+		}
 	}
 }

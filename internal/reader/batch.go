@@ -13,19 +13,13 @@ import (
 // tiles×files-per-tile opens into distinct-files opens.
 func (d *Dataset) QueryBoxes(qs []geom.Box, opts Options) ([]*particle.Buffer, Stats, error) {
 	var st Stats
-	var proj *particle.Projection
-	outSchema := d.meta.Schema
-	if len(opts.Fields) > 0 {
-		p, err := d.meta.Schema.Project(opts.Fields)
-		if err != nil {
-			return nil, st, err
-		}
-		proj = p
-		outSchema = p.Schema()
+	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
+	if err != nil {
+		return nil, st, err
 	}
-	outs := make([]*particle.Buffer, len(qs))
-	for i := range outs {
-		outs[i] = particle.NewBuffer(outSchema, 0)
+	filters := make([]*particle.BoxFilter, len(qs))
+	for i, q := range qs {
+		filters[i] = particle.NewBoxFilter(d.meta.Schema, proj, q)
 	}
 
 	// File -> interested queries.
@@ -47,22 +41,22 @@ func (d *Dataset) QueryBoxes(qs []geom.Box, opts Options) ([]*particle.Buffer, S
 		}
 	}
 
-	base := perFileBase(d.meta, opts.readers())
 	for _, h := range hits {
-		buf, fst, err := d.readOne(h.entry, base, opts, proj)
+		fst, err := d.scanFile(h.entry, opts, proj, func(recs []byte) error {
+			for _, qi := range h.queries {
+				_ = filters[qi].Chunk(recs) // a filter never fails
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, st, err
 		}
 		st.Add(fst)
-		for i := 0; i < buf.Len(); i++ {
-			p := buf.Position(i)
-			for _, qi := range h.queries {
-				if qs[qi].Contains(p) || qs[qi].ContainsClosed(p) {
-					outs[qi].AppendFrom(buf, i)
-					st.ParticlesKept++
-				}
-			}
-		}
+	}
+	outs := make([]*particle.Buffer, len(qs))
+	for i, f := range filters {
+		outs[i] = f.Buffer()
+		st.ParticlesKept += int64(outs[i].Len())
 	}
 	return outs, st, nil
 }

@@ -84,16 +84,11 @@ func (d *Dataset) Fsck(opts FsckOptions) []Problem {
 		}
 		if opts.Deep {
 			buf, err := df.ReadAll()
+			if err == nil {
+				err = buf.CheckInside(fe.Partition)
+			}
 			if err != nil {
 				add(fe.Name, err)
-			} else {
-				for j := 0; j < buf.Len(); j++ {
-					p := buf.Position(j)
-					if !fe.Partition.Contains(p) && !fe.Partition.ContainsClosed(p) {
-						add(fe.Name, fmt.Errorf("particle %d at %v outside partition %v", j, p, fe.Partition))
-						break
-					}
-				}
 			}
 		}
 		_ = df.Close() // read-only; close failures are not integrity problems

@@ -38,11 +38,8 @@ func (d *Dataset) ProgressiveBase(entries []*format.FileEntry, readers int, base
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("reader: no entries to stream")
 	}
-	if readers <= 0 {
-		readers = 1
-	}
 	if base <= 0 {
-		base = perFileBase(d.meta, readers)
+		base = PerFileBase(d.meta, readers)
 	}
 	p := &Progressive{
 		ds:       d,
@@ -78,26 +75,31 @@ func (p *Progressive) NextLevel() (*particle.Buffer, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
-	out := particle.NewBuffer(p.ds.meta.Schema, 0)
+	// The headers give every file's share of the level, so the increment
+	// is allocated once at its exact size and decoded in place.
+	targets := make([]int64, len(p.files))
+	var total int64
 	remaining := false
 	for i, df := range p.files {
-		target := lod.PrefixCount(df.Header.Count, p.base, df.Header.LOD.Scale, p.level+1)
-		if target > p.consumed[i] {
-			buf, err := df.ReadRange(p.consumed[i], target)
-			if err != nil {
-				return nil, false, err
-			}
-			out.AppendBuffer(buf)
-			p.consumed[i] = target
-		}
-		if p.consumed[i] < df.Header.Count {
+		targets[i] = max(p.consumed[i], lod.PrefixCount(df.Header.Count, p.base, df.Header.LOD.Scale, p.level+1))
+		total += targets[i] - p.consumed[i]
+		if targets[i] < df.Header.Count {
 			remaining = true
 		}
 	}
-	p.level++
-	if !remaining {
-		p.done = true
+	fill := particle.NewFiller(p.ds.meta.Schema, nil, int(total))
+	for i, df := range p.files {
+		if err := df.Scan(p.consumed[i], targets[i], nil, fill.Chunk); err != nil {
+			return nil, false, err
+		}
+		p.consumed[i] = targets[i]
 	}
+	out, err := fill.Buffer()
+	if err != nil {
+		return nil, false, err
+	}
+	p.level++
+	p.done = !remaining
 	p.stats.ParticlesRead += int64(out.Len())
 	p.stats.ParticlesKept += int64(out.Len())
 	p.stats.BytesRead += out.Bytes()

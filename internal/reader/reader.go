@@ -128,35 +128,32 @@ type Options struct {
 	PerFileBase int64
 }
 
-func (o Options) readers() int {
-	if o.Readers <= 0 {
-		return 1
-	}
-	return o.Readers
-}
-
-// perFileBase distributes the dataset-wide level-0 budget n·P over the
-// dataset's files.
-func perFileBase(meta *format.Meta, readers int) int64 {
+// PerFileBase is the per-file level-0 budget derivation: n·P spread
+// over the dataset's files (readers <= 0 means one). A gateway uses it
+// on the merged metadata to compute the base it pushes down to every
+// shard (Options.PerFileBase).
+func PerFileBase(meta *format.Meta, readers int) int64 {
 	nFiles := int64(len(meta.Files))
 	if nFiles == 0 {
 		return 1
 	}
-	base := int64(readers) * int64(meta.LOD.BasePerReader) / nFiles
-	if base < 1 {
-		base = 1
-	}
-	return base
+	base := int64(max(readers, 1)) * int64(meta.LOD.BasePerReader) / nFiles
+	return max(base, 1)
 }
 
-// PerFileBase exposes the per-file level-0 budget derivation: n·P spread
-// over the dataset's files. A gateway uses it on the merged metadata to
-// compute the base it pushes down to every shard (Options.PerFileBase).
-func PerFileBase(meta *format.Meta, readers int) int64 {
-	if readers <= 0 {
-		readers = 1
+// prefixLen is the length of the LOD prefix a read under opts takes from
+// a file of count records: the first Levels levels — sized from the
+// per-file base, an explicit override or the derivation from Readers —
+// or all of it.
+func (d *Dataset) prefixLen(opts Options, count int64, scale int) int64 {
+	if opts.Levels <= 0 {
+		return count
 	}
-	return perFileBase(meta, readers)
+	base := opts.PerFileBase
+	if base <= 0 {
+		base = PerFileBase(d.meta, opts.Readers)
+	}
+	return lod.PrefixCount(count, base, scale, opts.Levels)
 }
 
 // QueryBox reads the particles intersecting q, consulting the metadata
@@ -165,112 +162,111 @@ func PerFileBase(meta *format.Meta, readers int) int64 {
 // file to select exactly which file to read").
 func (d *Dataset) QueryBox(q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
 	entries := d.meta.FilesIntersecting(q)
-	return d.readEntries(entries, q, opts)
+	return d.ReadEntries(entries, q, opts)
 }
 
 // ReadAll reads the whole dataset (optionally only some LOD levels).
 func (d *Dataset) ReadAll(opts Options) (*particle.Buffer, Stats, error) {
-	entries := make([]*format.FileEntry, len(d.meta.Files))
-	for i := range d.meta.Files {
-		entries[i] = &d.meta.Files[i]
-	}
 	opts.NoFilter = true
-	return d.readEntries(entries, d.meta.Domain, opts)
+	return d.ReadEntries(d.meta.AllFiles(), d.meta.Domain, opts)
 }
 
 // ReadEntries reads the given metadata entries (a reader rank's assigned
-// file subset), filtered to q unless opts.NoFilter.
+// file subset), filtered to q unless opts.NoFilter. The unfiltered read
+// takes its size from the metadata, so the result is allocated once and
+// every chunk decodes straight into place.
 func (d *Dataset) ReadEntries(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
-	return d.readEntries(entries, q, opts)
-}
-
-func (d *Dataset) readEntries(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
-	var st Stats
-	var proj *particle.Projection
-	outSchema := d.meta.Schema
-	if len(opts.Fields) > 0 {
-		p, err := d.meta.Schema.Project(opts.Fields)
+	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if opts.NoFilter {
+		var total int64
+		for _, e := range entries {
+			total += d.prefixLen(opts, e.Count, d.meta.LOD.Scale)
+		}
+		fill := particle.NewFiller(d.meta.Schema, proj, int(total))
+		st, err := d.Scan(entries, opts, fill.Chunk)
 		if err != nil {
 			return nil, st, err
 		}
-		proj = p
-		outSchema = p.Schema()
+		st.ParticlesKept = total
+		out, err := fill.Buffer()
+		return out, st, err
 	}
-	out := particle.NewBuffer(outSchema, 0)
-	base := opts.PerFileBase
-	if base <= 0 {
-		base = perFileBase(d.meta, opts.readers())
+	f := particle.NewBoxFilter(d.meta.Schema, proj, q)
+	st, err := d.Scan(entries, opts, f.Chunk)
+	if err != nil {
+		return nil, st, err
 	}
-	for _, e := range entries {
-		buf, fst, err := d.readOne(e, base, opts, proj)
-		if err != nil {
-			return nil, st, err
-		}
-		st.Add(fst)
-		if opts.NoFilter {
-			out.AppendBuffer(buf)
-			st.ParticlesKept += int64(buf.Len())
-			continue
-		}
-		for i := 0; i < buf.Len(); i++ {
-			if q.Contains(buf.Position(i)) || q.ContainsClosed(buf.Position(i)) {
-				out.AppendFrom(buf, i)
-				st.ParticlesKept++
-			}
-		}
-	}
+	out := f.Buffer()
+	st.ParticlesKept = int64(out.Len())
 	return out, st, nil
 }
 
-func (d *Dataset) readOne(e *format.FileEntry, base int64, opts Options, proj *particle.Projection) (*particle.Buffer, Stats, error) {
+// Scan streams the records of the given entries to fn as AoS chunks of
+// the dataset schema, in metadata-then-record order — each file's LOD
+// prefix as selected by opts.Levels, every record of it (filtering is
+// the callback's business; opts.NoFilter is ignored). Every read of the
+// package is a callback over it. A chunk is valid only during the call
+// and must not be written; with opts.Fields set, only the projected
+// fields of its records are meaningful. The returned Stats count the
+// file-system work; ParticlesKept is left to the caller.
+func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, fn func(recs []byte) error) (Stats, error) {
+	var st Stats
+	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
+	if err != nil {
+		return st, err
+	}
+	for _, e := range entries {
+		fst, err := d.scanFile(e, opts, proj, fn)
+		st.Add(fst)
+		if err != nil {
+			return st, err
+		}
+	}
+	return st, nil
+}
+
+// scanFile streams one data file's LOD prefix to fn through the file
+// cache, and reports the work done.
+func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, fn func(recs []byte) error) (Stats, error) {
 	var st Stats
 	var df *format.DataFile
-	fromCache := false
 	if d.cache != nil {
 		cached, opened, err := d.cache.acquire(d, e.Name)
 		if err != nil {
-			return nil, st, err
+			return st, err
 		}
 		defer d.cache.release(cached)
 		df = cached.df
 		if opened {
 			st.FilesOpened = 1
 		} else {
-			fromCache = true
 			st.CacheHits = 1
 		}
 	} else {
 		opened, err := d.openDataFile(e.Name)
 		if err != nil {
-			return nil, st, err
+			return st, err
 		}
 		defer opened.Close()
 		df = opened
 		st.FilesOpened = 1
 	}
 
-	hi := df.Header.Count
-	if opts.Levels > 0 {
-		hi = lod.PrefixCount(df.Header.Count, base, df.Header.LOD.Scale, opts.Levels)
+	hi := d.prefixLen(opts, df.Header.Count, df.Header.LOD.Scale)
+	if err := df.Scan(0, hi, proj, fn); err != nil {
+		return st, err
 	}
-	var buf *particle.Buffer
-	var err error
-	if proj != nil {
-		buf, err = df.ReadRangeProjected(0, hi, proj)
-	} else {
-		buf, err = df.ReadRange(0, hi)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	st.ParticlesRead = int64(buf.Len())
+	st.ParticlesRead = hi
 	// Bytes stream in whole records regardless of projection.
-	st.BytesRead = int64(buf.Len()) * int64(d.meta.Schema.Stride())
-	if fromCache {
+	st.BytesRead = hi * int64(d.meta.Schema.Stride())
+	if st.CacheHits > 0 {
 		st.BytesFromCache = st.BytesRead
 		d.cache.noteBytes(st.BytesRead)
 	}
-	return buf, st, nil
+	return st, nil
 }
 
 // QueryFieldRange returns the metadata entries whose stored per-field
@@ -377,7 +373,7 @@ func ScanWithoutMetadata(dir string, schema *particle.Schema, q geom.Box) (*part
 	if err != nil {
 		return nil, st, err
 	}
-	out := particle.NewBuffer(schema, 0)
+	f := particle.NewBoxFilter(schema, nil, q)
 	for _, de := range names {
 		if de.IsDir() || !strings.HasSuffix(de.Name(), ".spd") {
 			continue
@@ -386,21 +382,21 @@ func ScanWithoutMetadata(dir string, schema *particle.Schema, q geom.Box) (*part
 		if err != nil {
 			return nil, st, err
 		}
-		buf, err := df.ReadAll()
-		_ = df.Close() // read-only; the ReadAll error is the one to report
+		if !df.Header.Schema.Equal(schema) {
+			_ = df.Close() // read-only; the schema mismatch is the error to report
+			return nil, st, fmt.Errorf("reader: %s: schema %v differs from the requested %v", de.Name(), df.Header.Schema, schema)
+		}
+		err = df.Scan(0, df.Header.Count, nil, f.Chunk)
+		_ = df.Close() // read-only; the scan error is the one to report
 		if err != nil {
 			return nil, st, err
 		}
 		st.FilesOpened++
-		st.ParticlesRead += int64(buf.Len())
-		st.BytesRead += buf.Bytes()
-		for i := 0; i < buf.Len(); i++ {
-			if q.Contains(buf.Position(i)) || q.ContainsClosed(buf.Position(i)) {
-				out.AppendFrom(buf, i)
-				st.ParticlesKept++
-			}
-		}
+		st.ParticlesRead += df.Header.Count
+		st.BytesRead += df.Header.Count * int64(schema.Stride())
 	}
+	out := f.Buffer()
+	st.ParticlesKept = int64(out.Len())
 	return out, st, nil
 }
 

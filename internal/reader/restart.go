@@ -33,12 +33,11 @@ func Restart(c *mpi.Comm, dir string, domain geom.Box, simDims geom.Idx3) (*part
 	// Half-open patch ownership: drop particles the closed-box query
 	// admitted on the upper faces unless this patch touches the domain
 	// boundary there (the grid's boundary cells own their closed faces).
-	owned := particle.NewBuffer(buf.Schema(), buf.Len())
+	var owned []int
 	for i := 0; i < buf.Len(); i++ {
-		p := buf.Position(i)
-		if grid.Locate(p).Linear(simDims) == c.Rank() {
-			owned.AppendFrom(buf, i)
+		if grid.Locate(buf.Position(i)).Linear(simDims) == c.Rank() {
+			owned = append(owned, i)
 		}
 	}
-	return owned, nil
+	return buf.Select(owned), nil
 }

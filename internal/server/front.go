@@ -237,7 +237,7 @@ func (f *Front) handleConn(conn *srvConn) {
 		return
 	}
 	codec := f.cfg.wireCodecFor(h.Codec)
-	if err := f.send(conn, statusOK, "", func(e *writer) {
+	if err := f.send(conn, statusOK, "", 0, func(e *writer) {
 		encodeHelloAck(e, &helloAck{Features: serverFeatures})
 	}); err != nil {
 		return
@@ -261,7 +261,7 @@ func (f *Front) handleConn(conn *srvConn) {
 
 // sendStatus writes a header-only response frame.
 func (f *Front) sendStatus(conn *srvConn, status uint8, msg string) error {
-	return f.send(conn, status, msg, nil)
+	return f.send(conn, status, msg, 0, nil)
 }
 
 // fail answers a request with an error status and counts it.
@@ -287,9 +287,12 @@ func (f *Front) sendErr(conn *srvConn, err error) error {
 }
 
 // send writes one response frame: header, then the payload encoded by
-// body (which must leave the writer clean on success).
-func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *writer)) error {
-	var fb frameBuf
+// body (which must leave the writer clean on success). size is the
+// payload's length when the caller knows it (an upper bound is fine: a
+// compressed buffer never exceeds its raw size), so the frame is
+// allocated once instead of grown append by append.
+func (f *Front) send(conn *srvConn, status uint8, msg string, size int64, body func(e *writer)) error {
+	fb := frameBuf{b: make([]byte, 0, size+frameSlack)}
 	e := newWriter(&fb)
 	encodeRespHeader(e, &respHeader{Status: status, Msg: msg})
 	if body != nil {
@@ -344,11 +347,11 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 	case opStats:
 		blob := f.backend.StatsJSON()
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, blob) })
+		return f.send(conn, statusOK, "", int64(len(blob)), func(e *writer) { encodeBlob(e, blob) })
 	case opList:
 		names := f.backend.List()
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", func(e *writer) { encodeNames(e, names) })
+		return f.send(conn, statusOK, "", 0, func(e *writer) { encodeNames(e, names) })
 	}
 
 	ds, err := f.backend.Resolve(req.Dataset)
@@ -377,7 +380,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.sendErr(conn, err)
 		}
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, mb.Bytes()) })
+		return f.send(conn, statusOK, "", int64(mb.Len()), func(e *writer) { encodeBlob(e, mb.Bytes()) })
 
 	case opQueryBox:
 		buf, st, err := ds.QueryBox(req.Box, opts)
@@ -388,7 +391,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.fail(conn, statusBudget, budgetMsg(buf.Bytes(), budget))
 		}
 		resp := &queryResp{Stats: finish(st), Buf: buf}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", buf.Bytes(), func(e *writer) { encodeQueryResp(e, resp, codec) })
 
 	case opKNN:
 		buf, dists, st, err := ds.KNN(req.Point, req.K)
@@ -396,7 +399,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.sendErr(conn, err)
 		}
 		resp := &knnResp{Stats: finish(st), Buf: buf, Dists: dists}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", buf.Bytes()+int64(8*len(dists)), func(e *writer) { encodeKNNResp(e, resp, codec) })
 
 	case opHalo:
 		own, ghost, st, err := ds.Halo(req.Box, req.Halo, opts)
@@ -407,7 +410,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.fail(conn, statusBudget, budgetMsg(n, budget))
 		}
 		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", own.Bytes()+ghost.Bytes(), func(e *writer) { encodeHaloResp(e, resp, codec) })
 
 	case opDensityGrid:
 		counts, frac, sampled, st, err := ds.DensityGrid(req.Dims, opts, req.Flags&reqFlagRawDensity != 0)
@@ -415,7 +418,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.sendErr(conn, err)
 		}
 		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac, Sampled: sampled}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
+		return f.send(conn, statusOK, "", int64(8*len(counts)), func(e *writer) { encodeDensityResp(e, resp) })
 
 	case opProgressive:
 		return f.executeStream(conn, req, ds, opts, codec, wait, start)
@@ -452,7 +455,7 @@ func (f *Front) executeStream(conn *srvConn, req *request, ds Dataset, opts rdr.
 		if done {
 			f.metrics.note(&fr.Stats)
 		}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, fr, codec) })
+		return f.send(conn, statusOK, "", buf.Bytes(), func(e *writer) { encodeStreamFrame(e, fr, codec) })
 	}
 	var sent int64
 	budget := f.cfg.maxRespBytes()

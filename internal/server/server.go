@@ -380,10 +380,7 @@ func (d localDataset) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([
 func (d localDataset) Stream(q geom.Box, opts rdr.Options) (LevelStream, error) {
 	var entries []*format.FileEntry
 	if opts.NoFilter {
-		m := d.Meta()
-		for i := range m.Files {
-			entries = append(entries, &m.Files[i])
-		}
+		entries = d.Meta().AllFiles()
 	} else {
 		entries = d.Meta().FilesIntersecting(q)
 	}

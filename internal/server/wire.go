@@ -292,6 +292,10 @@ func (b wireByteReader) ReadByte() (byte, error) {
 // frameBuf accumulates one frame body in memory.
 type frameBuf struct{ b []byte }
 
+// frameSlack is the room a pre-sized response frame leaves beyond its
+// payload for the header, the stats and a buffer's schema.
+const frameSlack = 512
+
 func (f *frameBuf) Write(p []byte) (int, error) {
 	f.b = append(f.b, p...)
 	return len(p), nil
@@ -598,7 +602,10 @@ const wireBlockRecords = 8192
 func encodeBuffer(e *writer, buf *particle.Buffer, codec uint8) {
 	encodeWireSchema(e, buf.Schema())
 	e.u64(uint64(buf.Len()))
-	data := make([]byte, buf.Len()*buf.Schema().Stride())
+	// Staging only: e.bytes below copies the payload into the frame, so
+	// the image goes back to the pool on the way out.
+	data := particle.GetAoS(buf.Len() * buf.Schema().Stride())
+	defer particle.PutAoS(data)
 	buf.EncodeRecordsInto(data, 0, buf.Len())
 	payload, actual := data, uint8(wireCodecRaw)
 	var scratch *[]byte

@@ -8,9 +8,11 @@
 # regression there is called out as such. The race-detector step covers
 # the packages with real concurrency (the goroutine-rank MPI
 # substitute, the collective write pipeline, the fault-injection seam,
-# the atomic format writers, the reader's shared file cache, and the
-# serving daemon — the server tier additionally at -count=2 to shake
-# out order-dependent interleavings); the spiolint step runs the full
+# the atomic format writers and the streaming scan's decode window, the
+# reader's shared file cache, and the serving daemon — the server tier
+# additionally at -count=2 to shake out order-dependent interleavings);
+# the benchmark dry gate builds, vets and smoke-tests the nested
+# benchmark module against the tree; the spiolint step runs the full
 # analyzer suite (collorder, bufhandoff, errdrop, tagclash, wiresym,
 # collabort, lockorder, wiretaint, goleak, racegate — all
 # interprocedural) over the whole module, prints the per-analyzer
@@ -52,12 +54,23 @@ for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/reader ./internal/server ./internal/gateway
 done
 
+echo "== benchmark dry gate =="
+# benchmark/ is a module of its own, so the steps above do not compile
+# it: a signature change in internal/format or the facade that breaks
+# the benchmark's build would otherwise surface only when the benchmark
+# is next run. This vets it and runs its smoke test; the numbers it
+# prints are not results.
+(cd benchmark && go vet . && go test .)
+
 echo "== fault-injection tests =="
 go test ./internal/fault
 go test -run 'TestFault|TestFsck|TestWrite(File|Meta)' ./internal/core ./internal/format
 
-echo "== go test -race (mpi, core, fault, format, reader, server, gateway) =="
-go test -race ./internal/mpi ./internal/core ./internal/fault ./internal/format ./internal/reader ./internal/server ./internal/gateway
+echo "== go test -race (mpi, core, fault, particle, format, reader, query, server, gateway) =="
+# internal/format carries the streaming-scan differential test (eight
+# goroutines on one DataFile per codec x seam); particle and query hold
+# the kernels and the callers it is built from.
+go test -race ./internal/mpi ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/reader ./internal/query ./internal/server ./internal/gateway
 
 echo "== go test -race -count=2 (server tier) =="
 # The serving daemon is the most schedule-sensitive tier (admission
