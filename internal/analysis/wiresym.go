@@ -24,7 +24,8 @@ import (
 // unexported spellings — the analyzer extracts the ordered sequence of
 // fixed-width field operations each side performs on a sticky writer
 // (type named "writer") or reader (type named "reader"): u8, u32, u64,
-// i64, f64, uvarint, str, bytes, vec3, box (the reader's boxv
+// i64, f64, uvarint, str, bytes (and its zero-copy spellings, the
+// writer's lend and the reader's view), vec3, box (the reader's boxv
 // normalizes to box), idx3. Extraction is interprocedural over the
 // loaded call graph:
 //
@@ -57,9 +58,12 @@ var WireSym = &Analyzer{
 }
 
 // wireOps maps sticky writer/reader method names to canonical field
-// tokens. The reader's boxv is the writer's box.
+// tokens. The reader's boxv is the writer's box; lend and view move the
+// same bytes as bytes does, by reference.
 var wireOps = map[string]string{
 	"bytes":   "bytes",
+	"lend":    "bytes",
+	"view":    "bytes",
 	"u8":      "u8",
 	"u16":     "u16",
 	"u32":     "u32",

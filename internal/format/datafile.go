@@ -476,7 +476,8 @@ func (df *DataFile) ReaderAt() io.ReaderAt { return df.ra }
 // bytes of the underlying file. Not safe to call concurrently with
 // reads; install it right after open. Installing a seam also arms the
 // sequential readahead: prefetched bytes land somewhere they can be
-// found again.
+// found again. A seam that also has ViewAt (viewerAt) lends a raw scan
+// its bytes instead of copying them into a staging chunk.
 func (df *DataFile) SetReaderAt(ra io.ReaderAt) {
 	df.ra = ra
 	df.cached = true
@@ -682,8 +683,10 @@ func (df *DataFile) stage(n int) []byte {
 //
 // A chunk is valid only for the duration of the call and must not be
 // written: it is a pooled buffer about to be refilled, or — on a
-// decoded-tier hit — the tier's shared slice itself. Raw payloads are
-// read through the ra seam scanChunkRecords records at a time.
+// decoded-tier hit — the tier's shared slice itself, or the ra seam's own
+// memory. Raw payloads are read through the ra seam scanChunkRecords
+// records at a time, or, when the seam can lend its bytes (viewerAt; the
+// serving layer's block cache can), handed over in place.
 // Compressed payloads read whole compressed blocks through the ra seam —
 // so a serving layer's block cache holds compressed bytes, multiplying
 // its effective capacity — and decode on the way out, one codec block
@@ -729,6 +732,9 @@ func (df *DataFile) scan(lo, hi int64, want []bool, fn func(recs []byte) error) 
 	}
 	stride := int64(df.Header.Schema.Stride())
 	if df.blockRecs == nil {
+		if v, ok := df.ra.(viewerAt); ok {
+			return df.scanViews(v, lo, hi, fn)
+		}
 		chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
 		defer toPool(&stagePool, chunk)
 		for at := lo; at < hi; at += scanChunkRecords {
@@ -756,6 +762,56 @@ func (df *DataFile) scan(lo, hi int64, want []bool, fn func(recs []byte) error) 
 	}
 	if sequential && df.cached && b1 < len(df.blockRecs)-1 {
 		df.readahead(b1)
+	}
+	return nil
+}
+
+// viewerAt is an ra seam that can lend its bytes instead of copying them
+// out: ViewAt returns the file's bytes from off on, as far as the seam
+// holds them in one piece (a block cache: to the end of the cache block)
+// and at least one, or io.EOF at the end of the file. The view is
+// read-only and stays valid and unchanged for as long as it is held.
+type viewerAt interface {
+	ViewAt(off int64) ([]byte, error)
+}
+
+// scanViews is the raw scan over a seam that lends its bytes: fn is
+// handed record-aligned sub-slices of the seam's own memory, and only
+// the record that straddles the end of a view is copied, to be handed
+// over whole.
+func (df *DataFile) scanViews(ra viewerAt, lo, hi int64, fn func(recs []byte) error) error {
+	stride := df.Header.Schema.Stride()
+	pos, end := df.payloadOff+lo*int64(stride), df.payloadOff+hi*int64(stride)
+	straddler := make([]byte, 0, stride)
+	for pos < end {
+		v, err := ra.ViewAt(pos)
+		if err != nil {
+			return err
+		}
+		if len(v) == 0 {
+			return io.ErrNoProgress
+		}
+		v = v[:min(int64(len(v)), end-pos)]
+		pos += int64(len(v))
+		if len(straddler) > 0 {
+			k := min(stride-len(straddler), len(v))
+			straddler = append(straddler, v[:k]...)
+			v = v[k:]
+			if len(straddler) < stride {
+				continue
+			}
+			if err := fn(straddler); err != nil {
+				return err
+			}
+			straddler = straddler[:0]
+		}
+		whole := len(v) / stride * stride
+		if whole > 0 {
+			if err := fn(v[:whole:whole]); err != nil {
+				return err
+			}
+		}
+		straddler = append(straddler, v[whole:]...)
 	}
 	return nil
 }
@@ -911,7 +967,7 @@ func (df *DataFile) ReadRange(lo, hi int64) (*particle.Buffer, error) {
 	if err := df.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
-	fill := particle.NewFiller(df.Header.Schema, nil, int(hi-lo))
+	fill := particle.NewFiller(df.Header.Schema, int(hi-lo))
 	if err := df.Scan(lo, hi, nil, fill.Chunk); err != nil {
 		return nil, err
 	}

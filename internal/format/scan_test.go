@@ -148,6 +148,22 @@ func (s *lruSeam) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// lendingSeam is an lruSeam that also lends its blocks in place (the
+// viewerAt seam the serving layer's block cache is), so a raw scan hands
+// out the seam's own slices.
+type lendingSeam struct{ *lruSeam }
+
+func (s lendingSeam) ViewAt(off int64) ([]byte, error) {
+	data, err := s.block(off / s.blockSize)
+	if err != nil {
+		return nil, err
+	}
+	if bo := off % s.blockSize; bo < int64(len(data)) {
+		return data[bo:], nil
+	}
+	return nil, io.EOF
+}
+
 // oneBlockTier is the thrashing decoded tier: it keeps only the block
 // most recently offered.
 type oneBlockTier struct {
@@ -175,7 +191,9 @@ func (c *oneBlockTier) PutBlock(bi int, recs []byte) {
 // read path: over {raw, lossless, lossy} files x {full range, LOD
 // prefix ending mid-block, range starting mid-block, empty range} x
 // {all fields, position only, position + one scalar} x {no seam, block
-// seam, seam + decoded tier, seam + tier of one block}, a box query
+// seam, seam + decoded tier, seam + tier of one block, a seam that lends
+// its blocks — of a size no record is aligned to, and of a size smaller
+// than a record}, a box query
 // through Scan + the filter kernel must equal the kept reference (whole
 // range -> Decode -> per-row closed test) bit for bit. Eight goroutines
 // share each DataFile, so under -race this is also the proof that a scan
@@ -214,7 +232,7 @@ func TestScanMatchesReference(t *testing.T) {
 		"lossless": particle.LosslessSpec(schema),
 		"lossy":    particle.LossySpec(schema, 1e-4),
 	}
-	seams := []string{"none", "seam", "seam+tier", "seam+tier1"}
+	seams := []string{"none", "seam", "seam+tier", "seam+tier1", "view", "view-tiny"}
 	for codec, spec := range specs {
 		path := filepath.Join(dir, codec+".spd")
 		hdr := DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 5, Codec: spec}
@@ -232,6 +250,10 @@ func TestScanMatchesReference(t *testing.T) {
 					df.SetReaderAt(newLRUSeam(df.ReaderAt(), 16<<10, 32))
 				}
 				switch seam {
+				case "view":
+					df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 1000, 32)})
+				case "view-tiny":
+					df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 100, 32)})
 				case "seam+tier":
 					df.SetDecodedCache(newMapDecodedCache())
 				case "seam+tier1":
@@ -291,10 +313,14 @@ func TestScanMatchesReference(t *testing.T) {
 // argument of decoding in place.
 func TestScanChunksCoverRangeInOrder(t *testing.T) {
 	raw, comp, _ := writeCodecPair(t, 3*scanChunkRecords+123, particle.LosslessSpec(particle.Uintah()), false)
-	for _, path := range []string{raw, comp} {
+	for i, path := range []string{raw, comp, raw} {
 		df, err := OpenDataFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 2 {
+			// The raw file again, through a seam that lends its blocks.
+			df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 4096, 8)})
 		}
 		image := refPayload(t, path)
 		stride := int64(df.Header.Schema.Stride())

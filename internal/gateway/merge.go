@@ -37,23 +37,27 @@ func (m *gwMount) mergedBase(readers int) int64 {
 
 // emptyResult builds the zero-particle answer for queries whose box
 // intersects no shard, honoring any field projection.
-func (m *gwMount) emptyResult(fields []string) (*particle.Buffer, error) {
-	schema := m.merged.Schema
-	if len(fields) > 0 {
-		proj, err := schema.Project(fields)
-		if err != nil {
-			return nil, err
-		}
-		schema = proj.Schema()
+func (m *gwMount) emptyResult(fields []string) (*particle.Rows, error) {
+	proj, err := m.merged.Schema.ProjectOnto(fields)
+	if err != nil {
+		return nil, err
 	}
-	return particle.NewBuffer(schema, 0), nil
+	if proj != nil {
+		return particle.NewRows(proj.Schema()), nil
+	}
+	return particle.NewRows(m.merged.Schema), nil
 }
 
-// shardResult is one shard's contribution to a fanned-out query.
+// shardResult is one shard's contribution to a fanned-out query. The
+// gateway is a client that sends its answers on, so a shard's bulk
+// answer arrives, is merged and leaves again as rows; no columns exist
+// here but KNN's k records. A result's rows are released by whoever
+// drops the result, or moved into the merge.
 type shardResult struct {
-	idx   int // shard mount index, for deterministic merge order
-	buf   *particle.Buffer
-	extra *particle.Buffer // halo ghosts
+	idx   int              // shard mount index, for deterministic merge order
+	rows  *particle.Rows   // box answer; halo: the owned particles
+	extra *particle.Rows   // halo ghosts
+	buf   *particle.Buffer // KNN neighbours
 	dists []float64
 	count int64 // raw-density sampled count
 	st    rdr.Stats
@@ -126,32 +130,33 @@ func (g *Gateway) notePartial(st *rdr.Stats) {
 // QueryBox scatter-gathers a box query: route, fan out, concatenate
 // in shard mount order. Shard partitions are disjoint, so every
 // particle arrives exactly once, and concatenation in metadata order
-// reproduces the single-node result.
-func (m *gwMount) QueryBox(box geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
+// reproduces the single-node result. The merge moves rows: the first
+// shard's answer takes the others after it.
+func (m *gwMount) QueryBox(box geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
 	g := m.g
 	var st rdr.Stats
 	targets := m.shardsFor(box, opts.NoFilter)
 	if len(targets) == 0 {
-		buf, err := m.emptyResult(opts.Fields)
-		return buf, st, err
+		rows, err := m.emptyResult(opts.Fields)
+		return rows, st, err
 	}
 	opts.PerFileBase = m.mergedBase(opts.Readers)
 	results := g.fanOut(targets, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
-		buf, sst, err := ds.QueryBox(box, opts)
-		return shardResult{buf: buf, st: sst, err: err}
+		rows, sst, err := ds.QueryBoxRows(box, opts)
+		return shardResult{rows: rows, st: sst, err: err}
 	})
 	if err := g.gatherErr(results, &st); err != nil {
 		return nil, st, err
 	}
-	var out *particle.Buffer
+	var out *particle.Rows
 	for _, r := range results {
 		if r.err != nil {
 			continue
 		}
 		if out == nil {
-			out = r.buf
+			out = r.rows
 		} else {
-			out.AppendBuffer(r.buf)
+			out.Append(r.rows)
 		}
 	}
 	return out, st, nil
@@ -162,7 +167,7 @@ func (m *gwMount) QueryBox(box geom.Box, opts rdr.Options) (*particle.Buffer, rd
 // partitions being disjoint means no particle appears on two shards, so
 // plain concatenation de-duplicates by construction — ghosts at a shard
 // boundary come from whichever shard owns them.
-func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
 	g := m.g
 	if halo < 0 {
 		return nil, nil, st, fmt.Errorf("query: negative halo %v", halo)
@@ -173,8 +178,7 @@ func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, gho
 	)
 	targets := m.shardsFor(grown, opts.NoFilter)
 	if len(targets) == 0 {
-		own, err = m.emptyResult(opts.Fields)
-		if err != nil {
+		if own, err = m.emptyResult(opts.Fields); err != nil {
 			return nil, nil, st, err
 		}
 		ghost, err = m.emptyResult(opts.Fields)
@@ -182,8 +186,8 @@ func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, gho
 	}
 	opts.PerFileBase = m.mergedBase(opts.Readers)
 	results := g.fanOut(targets, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
-		o, gh, sst, err := ds.Halo(patch, halo, opts)
-		return shardResult{buf: o, extra: gh, st: sst, err: err}
+		o, gh, sst, err := ds.HaloRows(patch, halo, opts)
+		return shardResult{rows: o, extra: gh, st: sst, err: err}
 	})
 	if err := g.gatherErr(results, &st); err != nil {
 		return nil, nil, st, err
@@ -193,10 +197,10 @@ func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, gho
 			continue
 		}
 		if own == nil {
-			own, ghost = r.buf, r.extra
+			own, ghost = r.rows, r.extra
 		} else {
-			own.AppendBuffer(r.buf)
-			ghost.AppendBuffer(r.extra)
+			own.Append(r.rows)
+			ghost.Append(r.extra)
 		}
 	}
 	return own, ghost, st, nil

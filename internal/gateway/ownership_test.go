@@ -1,0 +1,460 @@
+package gateway
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"spio/internal/geom"
+	"spio/internal/israce"
+	"spio/internal/particle"
+	"spio/internal/query"
+	rdr "spio/internal/reader"
+	"spio/internal/server"
+)
+
+// An answer crosses a server as rows in pooled segments, is read by the
+// client into a pooled frame body and inflated into pooled segments
+// again; only the columns the public API returns are the caller's own.
+// The tests here hold that line from outside: nothing a caller is handed
+// aliases memory that goes back to a pool, and every segment drawn is
+// returned whatever way the request ends.
+
+// mixedOp is one request of the ownership mix: kind over a box.
+type mixedOp struct {
+	kind int
+	box  geom.Box
+}
+
+const (
+	opBox = iota
+	opBoxProjected
+	opReadLevels
+	opHalo
+	opKNN
+	opStream
+	opDensity
+	numMixedKinds
+)
+
+var mixedFields = []string{"density"}
+
+func mixedOps() []mixedOp {
+	boxes := []geom.Box{
+		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
+		geom.NewBox(geom.V3(0.3, 0.2, 0), geom.V3(0.8, 0.7, 1)),
+		geom.NewBox(geom.V3(0.45, 0.45, 0.2), geom.V3(0.55, 0.55, 0.8)),
+		geom.UnitBox(),
+	}
+	var ops []mixedOp
+	for _, b := range boxes {
+		for k := 0; k < numMixedKinds; k++ {
+			ops = append(ops, mixedOp{kind: k, box: b})
+		}
+	}
+	return ops
+}
+
+// mixedAnswer is what one op returned: its buffers, in a fixed order,
+// and its float results.
+type mixedAnswer struct {
+	bufs   []*particle.Buffer
+	floats []float64
+}
+
+// mixedTarget is what the mix runs against: the query surface the remote
+// dataset and the local reader have in common, so that one definition of
+// the ops serves both sides of the comparison.
+type mixedTarget interface {
+	QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
+	ReadAll(opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
+	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error)
+	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
+	DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error)
+	// levels opens a progressive read over q: next delivers a level, end
+	// abandons the rest.
+	levels(q geom.Box, readers int) (next func() (*particle.Buffer, bool, error), end func() error, err error)
+}
+
+type remoteTarget struct{ *server.RemoteDataset }
+
+func (r remoteTarget) levels(q geom.Box, readers int) (func() (*particle.Buffer, bool, error), func() error, error) {
+	st, err := r.ProgressiveBox(q, 0, readers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.NextLevel, st.Cancel, nil
+}
+
+// localTarget is the local reader: the truth.
+type localTarget struct{ *rdr.Dataset }
+
+func (l localTarget) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+	return query.Halo(l.Dataset, patch, halo, opts)
+}
+
+func (l localTarget) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
+	return query.KNN(l.Dataset, p, k)
+}
+
+func (l localTarget) DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error) {
+	return query.DensityGrid(l.Dataset, dims, levels, readers)
+}
+
+func (l localTarget) levels(q geom.Box, readers int) (func() (*particle.Buffer, bool, error), func() error, error) {
+	p, err := l.Progressive(l.Meta().FilesIntersecting(q), readers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.NextLevel, p.Close, nil
+}
+
+// answer runs op against t.
+func answer(t mixedTarget, op mixedOp) (mixedAnswer, error) {
+	var a mixedAnswer
+	switch op.kind {
+	case opBox, opBoxProjected:
+		var opts rdr.Options
+		if op.kind == opBoxProjected {
+			opts.Fields = mixedFields
+		}
+		buf, _, err := t.QueryBox(op.box, opts)
+		a.bufs = []*particle.Buffer{buf}
+		return a, err
+	case opReadLevels:
+		buf, _, err := t.ReadAll(rdr.Options{Levels: 2, Readers: 4})
+		a.bufs = []*particle.Buffer{buf}
+		return a, err
+	case opHalo:
+		own, ghost, _, err := t.Halo(op.box, 0.05, rdr.Options{})
+		a.bufs = []*particle.Buffer{own, ghost}
+		return a, err
+	case opKNN:
+		buf, dists, _, err := t.KNN(op.box.Center(), 8)
+		a.bufs, a.floats = []*particle.Buffer{buf}, dists
+		return a, err
+	case opStream:
+		next, end, err := t.levels(op.box, 4)
+		if err != nil {
+			return a, err
+		}
+		for l := 0; l < 2; l++ {
+			buf, ok, err := next()
+			if err != nil {
+				return a, err
+			}
+			if !ok {
+				break
+			}
+			a.bufs = append(a.bufs, buf)
+		}
+		return a, end()
+	default:
+		counts, frac, _, err := t.DensityGrid(geom.I3(4, 4, 2), 2, 4)
+		a.floats = append(counts, frac)
+		return a, err
+	}
+}
+
+// sameAnswer compares a held remote answer with the local truth. A
+// gateway returns particles in shard order, so buffers compare as sorted
+// record multisets.
+func sameAnswer(got, want mixedAnswer) error {
+	if len(got.bufs) != len(want.bufs) || len(got.floats) != len(want.floats) {
+		return fmt.Errorf("%d buffers and %d floats, want %d and %d", len(got.bufs), len(got.floats), len(want.bufs), len(want.floats))
+	}
+	for i := range got.floats {
+		if got.floats[i] != want.floats[i] {
+			return fmt.Errorf("float %d is %v, want %v", i, got.floats[i], want.floats[i])
+		}
+	}
+	for i := range got.bufs {
+		if !got.bufs[i].Schema().Equal(want.bufs[i].Schema()) || got.bufs[i].Len() != want.bufs[i].Len() {
+			return fmt.Errorf("buffer %d holds %d particles of %v, want %d of %v", i,
+				got.bufs[i].Len(), got.bufs[i].Schema(), want.bufs[i].Len(), want.bufs[i].Schema())
+		}
+		g, w := records(got.bufs[i]), records(want.bufs[i])
+		for j := range g {
+			if g[j] != w[j] {
+				return fmt.Errorf("buffer %d: sorted record %d differs", i, j)
+			}
+		}
+	}
+	return nil
+}
+
+// TestResultsDoNotAliasPooledMemory: 8 clients x 200 mixed ops through a
+// spiod and through a 3-shard spiogate, half the clients on the raw wire
+// and half on the lossless one, every result held until the last op has
+// been answered — by which time every pooled segment and frame body has
+// been reused many times over — and only then compared with the local
+// read. Under -race a result sharing memory with a pool would also be a
+// reported race. At the end no row segment is held anywhere.
+func TestResultsDoNotAliasPooledMemory(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	src := t.TempDir()
+	writeDataset(t, src, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 100)
+	local, err := rdr.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	ops := mixedOps()
+	truth := make([]mixedAnswer, len(ops))
+	for i, op := range ops {
+		if truth[i], err = answer(localTarget{local}, op); err != nil {
+			t.Fatalf("local op %d: %v", i, err)
+		}
+	}
+
+	var stops []func()
+	spiod, stop := startBackend(t, src)
+	stops = append(stops, stop)
+	specs, shardStops := splitShards(t, src, 3)
+	stops = append(stops, shardStops...)
+	g, gate := startGateway(t, Config{}, specs)
+
+	for name, dep := range map[string]struct{ addr, ref string }{
+		"spiod":    {spiod, "shard"},
+		"spiogate": {gate, "sim"},
+	} {
+		const clients, perClient = 8, 200
+		answers := make([][]mixedAnswer, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				codec := server.WireCodecRaw
+				if c%2 == 1 {
+					codec = server.WireCodecLossless
+				}
+				ds, err := server.OpenRemote(dep.addr, dep.ref, server.WithWireCodec(codec))
+				if err != nil {
+					t.Errorf("%s client %d: %v", name, c, err)
+					return
+				}
+				defer ds.Close()
+				for j := 0; j < perClient; j++ {
+					a, err := answer(remoteTarget{ds}, ops[(c*7+j)%len(ops)])
+					if err != nil {
+						t.Errorf("%s client %d op %d: %v", name, c, j, err)
+						return
+					}
+					answers[c] = append(answers[c], a)
+				}
+			}(c)
+		}
+		wg.Wait()
+		for c := range answers {
+			for j, a := range answers[c] {
+				if err := sameAnswer(a, truth[(c*7+j)%len(ops)]); err != nil {
+					t.Fatalf("%s client %d op %d (kind %d): held result differs from the local read: %v",
+						name, c, j, ops[(c*7+j)%len(ops)].kind, err)
+				}
+			}
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := g.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range stops {
+		stop()
+	}
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held after every server has drained", got-held)
+	}
+}
+
+// cutListener hands out connections that, once armed, break in the
+// middle of the next large write: half of it goes out, then the
+// connection closes — a backend dying while it sends an answer.
+type cutListener struct {
+	net.Listener
+	armed atomic.Bool
+	cuts  atomic.Int64
+}
+
+func (l *cutListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &cutConn{Conn: c, l: l}, nil
+}
+
+type cutConn struct {
+	net.Conn
+	l *cutListener
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if len(p) < 16<<10 || !c.l.armed.Load() {
+		return c.Conn.Write(p)
+	}
+	c.l.cuts.Add(1)
+	n, _ := c.Conn.Write(p[:len(p)/2])
+	_ = c.Conn.Close() // the write error below is the one reported
+	return n, net.ErrClosed
+}
+
+// TestLosingReplicaReleasesRows: a shard's primary dies halfway through
+// sending its answer, the gateway's call fails in the middle of a frame
+// and is retried on the replica, and the client gets the whole answer.
+// Neither the primary's unsent rows, nor the gateway's half-read frame,
+// nor the losing attempt's result leave a row segment held.
+func TestLosingReplicaReleasesRows(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	src := t.TempDir()
+	writeDataset(t, src, geom.I3(2, 2, 1), geom.I3(2, 2, 1), 400) // 1 file, 1 shard, ~200 KB
+	dir := filepath.Join(t.TempDir(), "shard")
+	if err := Split(src, []string{dir}); err != nil {
+		t.Fatal(err)
+	}
+	primary := server.New(server.Config{})
+	if err := primary.Mount("shard", dir); err != nil {
+		t.Fatal(err)
+	}
+	primaryAddr := sockAddr(t)
+	cut := &cutListener{Listener: listenOn(t, primaryAddr)}
+	go func() { _ = primary.Serve(cut) }()
+	replicaAddr, stopReplica := startBackend(t, dir)
+
+	g, addr := startGateway(t, Config{CallTimeout: 5 * time.Second, FailThreshold: 100},
+		[]ShardSpec{{Ref: "shard", Addrs: []string{primaryAddr, replicaAddr}}})
+	local, err := rdr.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	remote, err := server.OpenRemote(addr, "sim", server.WithWireCodec(server.WireCodecRaw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := local.Meta().Domain
+	wantBox, _, err := local.QueryBox(domain, rdr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOwn, wantGhost, _, err := query.Halo(local, geom.NewBox(geom.V3(0.2, 0.2, 0), geom.V3(0.8, 0.8, 1)), 0.1, rdr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cut.armed.Store(true)
+	for round := 0; round < 3; round++ {
+		got, st, err := remote.QueryBox(domain, rdr.Options{})
+		if err != nil || st.Partial {
+			t.Fatalf("box with a dying primary: partial=%v err=%v", st.Partial, err)
+		}
+		sameRecords(t, "failover box", got, wantBox)
+		own, ghost, st, err := remote.Halo(geom.NewBox(geom.V3(0.2, 0.2, 0), geom.V3(0.8, 0.8, 1)), 0.1, rdr.Options{})
+		if err != nil || st.Partial {
+			t.Fatalf("halo with a dying primary: partial=%v err=%v", st.Partial, err)
+		}
+		sameRecords(t, "failover halo own", own, wantOwn)
+		sameRecords(t, "failover halo ghost", ghost, wantGhost)
+	}
+	if cut.cuts.Load() == 0 {
+		t.Fatal("the primary never died mid-answer: the test did not test the failover")
+	}
+	if got := g.metrics.shardErrors.Load(); got != 0 {
+		t.Errorf("%d shard errors: a failover is not one", got)
+	}
+
+	_ = remote.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := g.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stopReplica()
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held after a losing replica", got-held)
+	}
+}
+
+// allocPerRun returns the bytes the whole process allocates per call of
+// fn in steady state: pools warmed by ten calls (every goroutine of every
+// hop has to have left a slice on every P it may run on), the collector
+// off so a cycle cannot empty them mid-measurement.
+func allocPerRun(fn func()) int64 {
+	for i := 0; i < 10; i++ {
+		fn()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestServeAllocationBudget is TestReadAllocationBudget's serving twin:
+// what a remote QueryBox allocates — server, client and everything
+// between, all in this process — is a function of the answer, not of how
+// many hands it passed through. The answer's columns are allocated once,
+// at the client's edge; rows, frames and compressed payloads live in
+// pools. Before answers travelled as rows the same query cost about 6.5
+// answers through a spiod and 13 through a gateway.
+func TestServeAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const slack = 1 << 20 // per-query bookkeeping, the codec probe, one pool miss
+	src := t.TempDir()
+	writeDataset(t, src, geom.I3(4, 2, 1), geom.I3(2, 2, 1), 8192) // 2 files of 4 MB
+	spiod, _ := startBackend(t, src)
+	specs, _ := splitShards(t, src, 2)
+	_, gate := startGateway(t, Config{}, specs)
+	q := geom.NewBox(geom.V3(0.3, 0.2, 0.1), geom.V3(0.7, 0.8, 0.9)) // straddles both files
+
+	for _, c := range []struct {
+		name, addr, ref string
+		codec           uint8
+		factor          int64
+	}{
+		{"spiod/raw", spiod, "shard", server.WireCodecRaw, 2},
+		{"spiod/lossless", spiod, "shard", server.WireCodecLossless, 2},
+		{"spiogate", gate, "sim", server.WireCodecLossless, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ds, err := server.OpenRemote(c.addr, c.ref, server.WithWireCodec(c.codec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			var answer int64
+			got := allocPerRun(func() {
+				buf, _, err := ds.QueryBox(q, rdr.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				answer = buf.Bytes()
+			})
+			if answer < 1<<20 {
+				t.Fatalf("the box keeps %d bytes; the test wants an answer the constant does not drown", answer)
+			}
+			t.Logf("remote QueryBox: %d bytes allocated for a %d-byte answer (%.2fx)", got, answer, float64(got)/float64(answer))
+			if budget := c.factor*answer + slack; got > budget {
+				t.Errorf("remote QueryBox allocates %d bytes for a %d-byte answer; budget %d", got, answer, budget)
+			}
+		})
+	}
+}

@@ -17,7 +17,7 @@ type shardStream struct {
 	be     *backend
 	c      *server.Client
 	stream *server.RemoteStream
-	buf    *particle.Buffer // this level's increment
+	rows   *particle.Rows // this level's increment
 	failed bool
 }
 
@@ -112,27 +112,27 @@ func (m *gwMount) Stream(box geom.Box, opts rdr.Options) (server.LevelStream, er
 }
 
 // NextLevel advances every live shard one level and returns the merged
-// increment; ok is false once no shard has anything left to give.
-func (s *gwStream) NextLevel() (*particle.Buffer, bool, error) {
+// increment — the shards' rows, moved together in shard order; ok is
+// false once no shard has anything left to give.
+func (s *gwStream) NextLevel() (*particle.Rows, bool, error) {
 	// The fetches run concurrently; each goroutine writes only its own
 	// stream's fields and signals done exactly once, so the collector's
 	// full drain bounds them all.
 	live := 0
 	fetched := make(chan struct{})
 	for _, ss := range s.shards {
-		ss.buf = nil
 		if ss.failed || ss.stream.Done() {
 			continue
 		}
 		live++
 		go func(ss *shardStream) {
-			buf, ok, err := ss.stream.NextLevel()
+			rows, ok, err := ss.stream.NextLevelRows()
 			switch {
 			case err != nil:
 				ss.failed = true
 				s.g.metrics.shardErrors.Add(1)
 			case ok:
-				ss.buf = buf
+				ss.rows = rows
 			}
 			fetched <- struct{}{}
 		}(ss)
@@ -144,7 +144,7 @@ func (s *gwStream) NextLevel() (*particle.Buffer, bool, error) {
 		return nil, false, nil // acked past the end
 	}
 
-	out := particle.NewBuffer(s.schema, 0)
+	out := particle.NewRows(s.schema)
 	allDone, anyLive := true, false
 	for _, ss := range s.shards {
 		if ss.failed {
@@ -153,9 +153,9 @@ func (s *gwStream) NextLevel() (*particle.Buffer, bool, error) {
 			continue
 		}
 		anyLive = true
-		if ss.buf != nil {
-			out.AppendBuffer(ss.buf)
-			ss.buf = nil
+		if ss.rows != nil {
+			out.Append(ss.rows)
+			ss.rows = nil
 		}
 		if !ss.stream.Done() {
 			allDone = false

@@ -48,6 +48,37 @@ func (b *batchErr) set(err error) {
 	b.mu.Unlock()
 }
 
+// eachBlock runs fn for every block index in [0, n) on at most workers
+// goroutines and returns the first error. fn must write only to outputs
+// that are its block's own.
+func eachBlock(n, workers int, fn func(i int) error) error {
+	workers = batchWorkers(workers, n)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		wg   sync.WaitGroup
+		sem  = make(chan struct{}, workers)
+		errs batchErr
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs.set(fn(i))
+		}(i)
+	}
+	wg.Wait()
+	return errs.err
+}
+
 // CompressBlocks compresses each block of AoS records under the spec
 // concurrently on at most workers goroutines (workers <= 0 means
 // GOMAXPROCS) and returns the per-block frames in block order. The
@@ -59,67 +90,18 @@ func CompressBlocks(schema *Schema, spec Spec, blocks [][]byte, workers int) ([]
 		return nil, err
 	}
 	out := make([][]byte, len(blocks))
-	workers = batchWorkers(workers, len(blocks))
-	if workers == 1 {
-		for bi, records := range blocks {
-			comp, err := CompressBlock(schema, spec, records)
-			if err != nil {
-				return nil, fmt.Errorf("particle: batch compress block %d: %w", bi, err)
-			}
-			out[bi] = comp
+	err := eachBlock(len(blocks), workers, func(bi int) error {
+		comp, err := CompressBlock(schema, spec, blocks[bi])
+		if err != nil {
+			return fmt.Errorf("particle: batch compress block %d: %w", bi, err)
 		}
-		return out, nil
-	}
-	var (
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, workers)
-		errs batchErr
-	)
-	for bi := range blocks {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			comp, err := CompressBlock(schema, spec, blocks[bi])
-			if err != nil {
-				errs.set(fmt.Errorf("particle: batch compress block %d: %w", bi, err))
-				return
-			}
-			out[bi] = comp
-		}(bi)
-	}
-	wg.Wait()
-	if errs.err != nil {
-		return nil, errs.err
-	}
-	return out, nil
-}
-
-// AppendCompressedBlocks appends the frames for a run of blocks onto
-// dst in block order and returns the extended slice — the concatenation
-// is byte-identical to joining CompressBlocks' results. With one worker
-// it streams every frame straight onto dst (no per-block staging at
-// all, the shape the egress hot path wants); with more it fans out via
-// CompressBlocks and concatenates.
-func AppendCompressedBlocks(dst []byte, schema *Schema, spec Spec, blocks [][]byte, workers int) ([]byte, error) {
-	if batchWorkers(workers, len(blocks)) == 1 {
-		var err error
-		for bi, records := range blocks {
-			if dst, err = AppendCompressedBlock(dst, schema, spec, records); err != nil {
-				return nil, fmt.Errorf("particle: batch compress block %d: %w", bi, err)
-			}
-		}
-		return dst, nil
-	}
-	frames, err := CompressBlocks(schema, spec, blocks, workers)
+		out[bi] = comp
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range frames {
-		dst = append(dst, f...)
-	}
-	return dst, nil
+	return out, nil
 }
 
 // SplitFrames walks a concatenation of block frames — counts[i] records
@@ -188,34 +170,12 @@ func DecompressBlocks(schema *Schema, blocks []CompressedBlock, dst []byte, work
 				bi, blk.At, blk.At+blk.Count, len(dst)/stride)
 		}
 	}
-	workers = batchWorkers(workers, len(blocks))
-	if workers == 1 {
-		for bi, blk := range blocks {
-			region := dst[blk.At*stride : (blk.At+blk.Count)*stride]
-			if err := DecompressBlockInto(schema, blk.Frame, blk.Count, region); err != nil {
-				return fmt.Errorf("particle: batch decode block %d: %w", bi, err)
-			}
+	return eachBlock(len(blocks), workers, func(bi int) error {
+		blk := blocks[bi]
+		region := dst[blk.At*stride : (blk.At+blk.Count)*stride]
+		if err := DecompressBlockInto(schema, blk.Frame, blk.Count, region); err != nil {
+			return fmt.Errorf("particle: batch decode block %d: %w", bi, err)
 		}
 		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, workers)
-		errs batchErr
-	)
-	for bi := range blocks {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			blk := blocks[bi]
-			region := dst[blk.At*stride : (blk.At+blk.Count)*stride]
-			if err := DecompressBlockInto(schema, blk.Frame, blk.Count, region); err != nil {
-				errs.set(fmt.Errorf("particle: batch decode block %d: %w", bi, err))
-			}
-		}(bi)
-	}
-	wg.Wait()
-	return errs.err
+	})
 }

@@ -93,15 +93,7 @@ func (p *Projection) DecodeRecords(dst *Buffer, data []byte) error {
 	}
 	at := dst.Len()
 	dst.SetLen(at + len(data)/p.src.Stride())
-	return p.DecodeRecordsAt(dst, data, at)
-}
-
-// DecodeRecordsAt is the projected Buffer.DecodeRecordsAt: it decodes
-// the projected fields of the source-schema records in data into
-// particles [at, at+count) of dst (a buffer of the projection's schema
-// already sized to cover the region). Columnar, like the full decode —
-// one strided pass per kept field.
-func (p *Projection) DecodeRecordsAt(dst *Buffer, data []byte, at int) error {
+	// Columnar, like the full decode — one strided pass per kept field.
 	return dst.decodeRowsAt(data, p.src.Stride(), p.srcOffset, at)
 }
 

@@ -1,0 +1,274 @@
+package particle
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
+
+// Rows is the answer of a read in the layout it was found in and the
+// layout the wire sends: compact AoS records of one schema. A filter
+// stages its survivors as rows anyway (their number is not known until
+// the last chunk has been looked at); naming that staging lets an answer
+// travel filter → wire → caller without being transposed to columns and
+// back on the way. The columns a caller of the public API gets are made
+// once, at the edge, by Buffer.
+//
+// The records live in pooled segments of one capacity class. A segment
+// holds a whole number of codec blocks (RowBlock rows), so every block
+// of a Rows is contiguous in memory and a block codec can read or write
+// it in place.
+//
+// Ownership: a Rows belongs to whoever holds it, and the holder ends its
+// life with exactly one of Buffer (the columns, for a caller that wants
+// them), Append onto another Rows (a merge), or Release. After that the
+// segments are back in the pool and about to be overwritten: nothing may
+// keep a slice obtained from Segments or Block. A Rows is not safe for
+// concurrent use.
+type Rows struct {
+	schema *Schema
+	stride int
+	perSeg int      // rows a full segment holds; a multiple of RowBlock
+	segs   [][]byte // len = rows held × stride; every segment but the last is full
+	n      int
+}
+
+// RowBlock is the codec block of a Rows: a payload compressed from rows
+// is cut every RowBlock rows, and segments hold whole blocks.
+const RowBlock = 8192
+
+// rowSegBytes is the one capacity every pooled segment has, so whatever
+// is in the pool serves whatever asks: a megabyte holds one block of
+// Uintah records, five of bare positions.
+const rowSegBytes = 1 << 20
+
+var (
+	rowSegPool  sync.Pool    // *[]byte of capacity rowSegBytes
+	rowSegsHeld atomic.Int64 // segments inside live Rows
+)
+
+// RowSegmentsHeld returns the number of segments currently owned by Rows
+// that have not been released. A process with no read in flight holds
+// none; tests use it to check that every exit path releases.
+func RowSegmentsHeld() int64 { return rowSegsHeld.Load() }
+
+// NewRows returns an empty Rows of the schema. It holds no segment until
+// a row is added.
+func NewRows(schema *Schema) *Rows {
+	if schema == nil {
+		panic("particle: nil schema")
+	}
+	stride := schema.Stride()
+	return &Rows{schema: schema, stride: stride,
+		perSeg: max(rowSegBytes/(RowBlock*stride), 1) * RowBlock}
+}
+
+// Schema returns the schema of the rows.
+func (r *Rows) Schema() *Schema { return r.schema }
+
+// Len returns the number of rows.
+func (r *Rows) Len() int { return r.n }
+
+// Bytes returns the size of the rows: the raw payload they are.
+func (r *Rows) Bytes() int64 { return int64(r.n) * int64(r.stride) }
+
+// Segments returns the rows in order, a whole number of records per
+// slice. The slices are the Rows' own memory: read-only, and dead once
+// the Rows is released.
+func (r *Rows) Segments() [][]byte { return r.segs }
+
+// NumBlocks returns the number of codec blocks the rows form.
+func (r *Rows) NumBlocks() int { return (r.n + RowBlock - 1) / RowBlock }
+
+// Block returns rows [i·RowBlock, (i+1)·RowBlock) — the last block may
+// be short — as one contiguous slice of the Rows' own memory.
+func (r *Rows) Block(i int) []byte {
+	lo := i * RowBlock
+	seg := r.segs[lo/r.perSeg]
+	at := lo % r.perSeg * r.stride
+	return seg[at:min(len(seg), at+RowBlock*r.stride)]
+}
+
+// room returns the unwritten tail of the last segment, a whole number of
+// rows: space for want more, or for as many as the segment still takes
+// (at least one; a new segment when the last is full). advance commits
+// what the caller wrote there.
+func (r *Rows) room(want int) []byte {
+	full := r.perSeg * r.stride
+	last := len(r.segs) - 1
+	if last < 0 || len(r.segs[last]) == full {
+		seg, _ := rowSegPool.Get().(*[]byte)
+		if seg == nil {
+			seg = new([]byte)
+			*seg = make([]byte, 0, rowSegBytes)
+		}
+		rowSegsHeld.Add(1)
+		r.segs = append(r.segs, (*seg)[:0])
+		last++
+	}
+	seg := r.segs[last]
+	need := min(len(seg)+want*r.stride, full)
+	if cap(seg) < need {
+		// Only a schema whose block outgrows the pooled class gets here:
+		// its segment is a plain allocation that doubles up to one block.
+		grown := make([]byte, len(seg), min(max(2*cap(seg), need), full))
+		copy(grown, seg)
+		recycleRowSeg(seg)
+		r.segs[last], seg = grown, grown
+	}
+	tail := seg[len(seg):min(cap(seg), full)]
+	return tail[:len(tail)/r.stride*r.stride]
+}
+
+// advance commits rows written into the slice room returned.
+func (r *Rows) advance(rows int) {
+	last := len(r.segs) - 1
+	r.segs[last] = r.segs[last][:len(r.segs[last])+rows*r.stride]
+	r.n += rows
+}
+
+// extend adds count rows of unspecified content, for a caller about to
+// overwrite every one of them block by block.
+func (r *Rows) extend(count int) {
+	for count > 0 {
+		k := min(len(r.room(count))/r.stride, count)
+		r.advance(k)
+		count -= k
+	}
+}
+
+// AppendRecords copies recs, whole records of the schema, after the rows
+// already held.
+func (r *Rows) AppendRecords(recs []byte) {
+	if len(recs)%r.stride != 0 {
+		panic(fmt.Sprintf("particle: %d bytes is not a multiple of record size %d", len(recs), r.stride))
+	}
+	for len(recs) > 0 {
+		dst := r.room(len(recs) / r.stride)
+		k := min(len(dst), len(recs))
+		copy(dst, recs[:k])
+		r.advance(k / r.stride)
+		recs = recs[k:]
+	}
+}
+
+// Append moves the rows of o after the rows of r and releases o: the
+// merge of two answers. Schemas must match.
+func (r *Rows) Append(o *Rows) {
+	if r.schema != o.schema && !r.schema.Equal(o.schema) {
+		panic("particle: Append across different schemas")
+	}
+	if r.n == 0 {
+		r.Release()
+		r.segs, r.n = o.segs, o.n
+		o.segs, o.n = nil, 0
+		return
+	}
+	for _, seg := range o.segs {
+		r.AppendRecords(seg)
+	}
+	o.Release()
+}
+
+// Rows returns the buffer's particles as rows: the record encoding,
+// written once into pooled segments.
+func (b *Buffer) Rows() *Rows {
+	r := NewRows(b.schema)
+	for lo := 0; lo < b.n; {
+		dst := r.room(b.n - lo)
+		k := min(len(dst)/r.stride, b.n-lo)
+		b.EncodeRecordsInto(dst[:k*r.stride], lo, lo+k)
+		r.advance(k)
+		lo += k
+	}
+	return r
+}
+
+// Buffer returns the rows as columns, allocated once at their exact
+// size, and releases the rows. It is the one transposition an answer
+// undergoes, made where a caller wants columns.
+func (r *Rows) Buffer() *Buffer {
+	// SetLen, not NewBufferOverwrite: a read result is never Recycled, so
+	// drawing its columns from the recycle pools would only drain what
+	// the write path put there.
+	out := NewBuffer(r.schema, 0)
+	out.SetLen(r.n)
+	at := 0
+	for _, seg := range r.segs {
+		// Segments hold whole records of out's schema inside its range.
+		_ = out.DecodeRecordsAt(seg, at)
+		at += len(seg) / r.stride
+	}
+	r.Release()
+	return out
+}
+
+// Release returns the segments to the pool and empties the Rows. It is
+// safe on a nil or already released Rows.
+func (r *Rows) Release() {
+	if r == nil {
+		return
+	}
+	for _, seg := range r.segs {
+		rowSegsHeld.Add(-1)
+		recycleRowSeg(seg)
+	}
+	r.segs, r.n = nil, 0
+}
+
+// recycleRowSeg pools a segment of the pooled class; a grown one is left
+// to the collector.
+func recycleRowSeg(seg []byte) {
+	if cap(seg) == rowSegBytes {
+		rowSegPool.Put(&seg)
+	}
+}
+
+// CompressRows compresses r under spec one RowBlock at a time, on at
+// most workers goroutines (<= 0 means GOMAXPROCS), appending block i's
+// frame onto frames[i] — the caller supplies one destination per block,
+// each with room for FrameBound bytes if it is not to be reallocated.
+// The frames are byte-identical to CompressBlock over the same records.
+func CompressRows(frames [][]byte, r *Rows, spec Spec, workers int) error {
+	if err := spec.Validate(r.schema); err != nil {
+		return err
+	}
+	return eachBlock(r.NumBlocks(), workers, func(i int) error {
+		st := getCodecState()
+		defer putCodecState(st)
+		frames[i] = st.appendBlock(frames[i], r.schema, spec, r.Block(i))
+		return nil
+	})
+}
+
+// FrameBound is the most a block frame of count records can take: every
+// field falls back to its raw column when its codec does not shrink it,
+// so a frame never exceeds the records plus the per-field framing.
+func FrameBound(schema *Schema, count int) int {
+	return count*schema.Stride() + 16*schema.NumFields()
+}
+
+// Decompress reverses CompressRows into an empty Rows: stream is the
+// concatenation of the block frames of n rows. It may be untrusted; n
+// must already be bounded by the caller, since it sizes the result. On
+// failure the rows hold garbage and are the caller's to release.
+func (r *Rows) Decompress(stream []byte, n, workers int) error {
+	if r.n != 0 {
+		return fmt.Errorf("particle: Decompress into %d rows, want none", r.n)
+	}
+	counts := make([]int, 0, n/RowBlock+1)
+	for lo := 0; lo < n; lo += RowBlock {
+		counts = append(counts, min(RowBlock, n-lo))
+	}
+	blocks, err := SplitFrames(r.schema, stream, counts)
+	if err != nil {
+		return err
+	}
+	r.extend(n)
+	return eachBlock(len(blocks), workers, func(i int) error {
+		if err := DecompressBlockInto(r.schema, blocks[i].Frame, blocks[i].Count, r.Block(i)); err != nil {
+			return fmt.Errorf("particle: batch decode block %d: %w", i, err)
+		}
+		return nil
+	})
+}

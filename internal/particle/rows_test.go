@@ -1,0 +1,211 @@
+package particle
+
+import (
+	"bytes"
+	"testing"
+
+	"spio/internal/geom"
+)
+
+// wideSchema has a record too wide for a block of it to fit the pooled
+// segment class, so its segments grow instead.
+func wideSchema(t *testing.T) *Schema {
+	t.Helper()
+	s, err := NewSchema([]Field{
+		{Name: PositionField, Kind: Float64, Components: 3},
+		{Name: "tensor", Kind: Float64, Components: 36},
+		{Name: "tag", Kind: Float32, Components: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RowBlock*s.Stride() <= rowSegBytes {
+		t.Fatalf("stride %d is not wide enough for the test", s.Stride())
+	}
+	return s
+}
+
+// TestRowsRoundTrip checks the Rows invariants over the sizes where they
+// could slip — empty, one row, either side of a block and of a segment —
+// for a schema with one block per segment, one with several, and one
+// whose block outgrows the pooled class: the rows are the buffer's
+// record encoding, every block is contiguous and where Block says it is,
+// Buffer gives the buffer back, and no segment stays held.
+func TestRowsRoundTrip(t *testing.T) {
+	held := RowSegmentsHeld()
+	for _, schema := range []*Schema{Uintah(), PositionOnly(), wideSchema(t)} {
+		perSeg := NewRows(schema).perSeg
+		for _, n := range []int{0, 1, RowBlock - 1, RowBlock, RowBlock + 1, perSeg, perSeg + 1, 3*RowBlock + 17} {
+			buf := Uniform(schema, geom.UnitBox(), n, 3, 0)
+			want := buf.Encode()
+			r := buf.Rows()
+			if r.Len() != n || r.Bytes() != int64(len(want)) || !r.Schema().Equal(schema) {
+				t.Fatalf("%v n=%d: Rows reports %d rows, %d bytes", schema, n, r.Len(), r.Bytes())
+			}
+			if got := bytes.Join(r.Segments(), nil); !bytes.Equal(got, want) {
+				t.Fatalf("%v n=%d: rows are not the record encoding", schema, n)
+			}
+			for i, seg := range r.Segments() {
+				if i < len(r.Segments())-1 && len(seg) != perSeg*schema.Stride() {
+					t.Fatalf("%v n=%d: segment %d holds %d bytes, a full one holds %d", schema, n, i, len(seg), perSeg*schema.Stride())
+				}
+			}
+			if r.NumBlocks() != (n+RowBlock-1)/RowBlock {
+				t.Fatalf("%v n=%d: %d blocks", schema, n, r.NumBlocks())
+			}
+			for i := 0; i < r.NumBlocks(); i++ {
+				lo, hi := i*RowBlock*schema.Stride(), min((i+1)*RowBlock*schema.Stride(), len(want))
+				if !bytes.Equal(r.Block(i), want[lo:hi]) {
+					t.Fatalf("%v n=%d: block %d is not records [%d,%d)", schema, n, i, i*RowBlock, (i+1)*RowBlock)
+				}
+			}
+			if !r.Buffer().Equal(buf) {
+				t.Fatalf("%v n=%d: Buffer differs from the source", schema, n)
+			}
+			if r.Len() != 0 || len(r.Segments()) != 0 {
+				t.Fatalf("%v n=%d: Buffer left the rows alive", schema, n)
+			}
+			r.Release() // a second release is harmless
+		}
+	}
+	if got := RowSegmentsHeld(); got != held {
+		t.Errorf("%d segments still held", got-held)
+	}
+}
+
+// TestRowsAppend merges answers the way a gateway does: the result is the
+// concatenation, the sources are released, and appending onto an empty
+// Rows takes the segments over instead of copying them.
+func TestRowsAppend(t *testing.T) {
+	held := RowSegmentsHeld()
+	schema := Uintah()
+	parts := []int{RowBlock + 5, 0, 3, 2*RowBlock - 8, 1}
+	var want []byte
+	out := NewRows(schema)
+	for i, n := range parts {
+		buf := Uniform(schema, geom.UnitBox(), n, int64(i+1), 0)
+		want = append(want, buf.Encode()...)
+		r := buf.Rows()
+		var first []byte
+		if len(r.Segments()) > 0 {
+			first = r.Segments()[0]
+		}
+		out.Append(r)
+		if r.Len() != 0 || len(r.Segments()) != 0 {
+			t.Fatalf("part %d: Append left its source alive", i)
+		}
+		if i == 0 && &out.Segments()[0][0] != &first[0] {
+			t.Error("Append onto an empty Rows copied instead of taking the segments")
+		}
+	}
+	if got := bytes.Join(out.Segments(), nil); !bytes.Equal(got, want) {
+		t.Fatal("appended rows are not the concatenation")
+	}
+	for i := 0; i < out.NumBlocks(); i++ {
+		lo, hi := i*RowBlock*schema.Stride(), min((i+1)*RowBlock*schema.Stride(), len(want))
+		if !bytes.Equal(out.Block(i), want[lo:hi]) {
+			t.Fatalf("block %d of the merged rows is misplaced", i)
+		}
+	}
+	out.Release()
+	if got := RowSegmentsHeld(); got != held {
+		t.Errorf("%d segments still held", got-held)
+	}
+}
+
+// TestCompressRowsMatchesBlocks pins the rows codec to the block codec:
+// the frames are CompressBlock's over the same records cut every
+// RowBlock, for any worker count; Decompress gives the rows back, and
+// rejects a torn or padded stream.
+func TestCompressRowsMatchesBlocks(t *testing.T) {
+	held := RowSegmentsHeld()
+	for _, schema := range []*Schema{Uintah(), PositionOnly(), wideSchema(t)} {
+		for _, n := range []int{0, 1, RowBlock, RowBlock + 1, 3*RowBlock + 17} {
+			buf := Uniform(schema, geom.UnitBox(), n, 5, 0)
+			recs := buf.Encode()
+			spec := FastSpec(schema)
+			var want []byte
+			for lo := 0; lo < n; lo += RowBlock {
+				hi := min(lo+RowBlock, n)
+				frame, err := CompressBlock(schema, spec, recs[lo*schema.Stride():hi*schema.Stride()])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, frame...)
+			}
+			for _, workers := range []int{1, 4} {
+				r := buf.Rows()
+				frames := make([][]byte, r.NumBlocks())
+				for i := range frames {
+					frames[i] = make([]byte, 0, FrameBound(schema, RowBlock))
+				}
+				if err := CompressRows(frames, r, spec, workers); err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range frames {
+					if cap(f) != FrameBound(schema, RowBlock) {
+						t.Fatalf("%v n=%d: frame %d outgrew FrameBound", schema, n, i)
+					}
+				}
+				stream := bytes.Join(frames, nil)
+				if !bytes.Equal(stream, want) {
+					t.Fatalf("%v n=%d workers=%d: frames differ from CompressBlock's", schema, n, workers)
+				}
+				back := NewRows(schema)
+				if err := back.Decompress(stream, n, workers); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(bytes.Join(back.Segments(), nil), recs) {
+					t.Fatalf("%v n=%d workers=%d: Decompress differs from the records", schema, n, workers)
+				}
+				if err := back.Decompress(stream, n, workers); n > 0 && err == nil {
+					t.Errorf("%v n=%d: Decompress into rows already held accepted", schema, n)
+				}
+				back.Release()
+				r.Release()
+				if n == 0 {
+					continue
+				}
+				if err := back.Decompress(stream[:len(stream)-1], n, workers); err == nil {
+					t.Errorf("%v n=%d: torn stream accepted", schema, n)
+				}
+				back.Release()
+				if err := back.Decompress(append(stream[:len(stream):len(stream)], 0), n, workers); err == nil {
+					t.Errorf("%v n=%d: padded stream accepted", schema, n)
+				}
+				back.Release()
+			}
+		}
+	}
+	if got := RowSegmentsHeld(); got != held {
+		t.Errorf("%d segments still held", got-held)
+	}
+}
+
+// TestRowFillerChecksCount: a fill that comes up short, or runs over,
+// hands out nothing and holds nothing.
+func TestRowFillerChecksCount(t *testing.T) {
+	held := RowSegmentsHeld()
+	schema := PositionOnly()
+	recs := Uniform(schema, geom.UnitBox(), 10, 1, 0).Encode()
+	for _, announced := range []int{9, 11} {
+		f := NewRowFiller(schema, nil, announced)
+		if err := f.Chunk(recs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Rows(); err == nil {
+			t.Errorf("10 records accepted where %d were announced", announced)
+		}
+	}
+	f := NewRowFiller(schema, nil, 10)
+	_ = f.Chunk(recs[:4*24])
+	_ = f.Chunk(recs[4*24:])
+	r, err := f.Rows()
+	if err != nil || !bytes.Equal(bytes.Join(r.Segments(), nil), recs) {
+		t.Fatalf("fill of the announced size: %v", err)
+	}
+	r.Release()
+	if got := RowSegmentsHeld(); got != held {
+		t.Errorf("%d segments still held", got-held)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"spio/internal/geom"
 )
@@ -19,8 +18,10 @@ import (
 // copied out. Nothing is decoded for a record that is thrown away.
 //
 // BoxFilter and HaloFilter are the kernel as the readers use it — a scan
-// callback plus the result; Filler is its unfiltered sibling for reads
-// whose size is known up front.
+// callback plus the result, handed out as Rows (for an answer that is
+// going onto the wire) or as the Buffer made from them; RowFiller is
+// their unfiltered sibling, and Filler fills columns directly for a
+// local read whose size is known up front.
 
 // BoxFilter is the scan callback of a box query: it keeps the records
 // whose position lies in the closed box, projected onto proj's fields.
@@ -44,9 +45,15 @@ func (f *BoxFilter) Chunk(recs []byte) error {
 	return nil
 }
 
-// Buffer returns the records kept so far, in the order they were seen,
-// in columns allocated once at their exact size, and resets the filter.
-func (f *BoxFilter) Buffer() *Buffer { return f.kept.buffer() }
+// Rows returns the records kept so far, in the order they were seen, and
+// resets the filter. The caller owns them (see Rows).
+func (f *BoxFilter) Rows() *Rows { return f.kept.rows() }
+
+// Buffer is Rows as columns allocated once at their exact size.
+func (f *BoxFilter) Buffer() *Buffer { return f.Rows().Buffer() }
+
+// Release drops the records kept so far: the exit of a scan that failed.
+func (f *BoxFilter) Release() { f.kept.rows().Release() }
 
 // HaloFilter is the scan callback of a halo read: one pass keeps the
 // records inside the closed grown box and splits them into those the
@@ -74,51 +81,82 @@ func (f *HaloFilter) Chunk(recs []byte) error {
 	return nil
 }
 
-// Buffers returns the owned and the ghost records and resets the filter.
-func (f *HaloFilter) Buffers() (own, ghost *Buffer) { return f.own.buffer(), f.ghosts.buffer() }
+// Rows returns the owned and the ghost records and resets the filter.
+// The caller owns both.
+func (f *HaloFilter) Rows() (own, ghost *Rows) { return f.own.rows(), f.ghosts.rows() }
 
-// Filler is the scan callback of an unfiltered read whose record count
-// is known before the first chunk arrives (from headers or metadata):
-// the result is allocated once, at that size, and every chunk decodes
-// straight into place.
-type Filler struct {
-	out    *Buffer
-	proj   *Projection // nil: whole records
-	stride int         // source record bytes
-	at     int         // particles filled so far
+// Release drops the records kept so far: the exit of a scan that failed.
+func (f *HaloFilter) Release() {
+	f.own.rows().Release()
+	f.ghosts.rows().Release()
 }
 
-// NewFiller returns a filler for n records of schema src, keeping the
+// RowFiller is the scan callback of an unfiltered read that keeps its
+// records as rows: every record of every chunk, projected onto proj's
+// fields. The record count is known before the first chunk arrives (from
+// headers or metadata) and is checked at the end.
+type RowFiller struct {
+	kept   *collector
+	stride int // source record bytes
+	want   int
+}
+
+// NewRowFiller returns a filler for n records of schema src, keeping the
 // fields of proj (nil keeps whole records).
-func NewFiller(src *Schema, proj *Projection, n int) *Filler {
-	schema := src
-	if proj != nil {
-		schema = proj.sub
+func NewRowFiller(src *Schema, proj *Projection, n int) *RowFiller {
+	return &RowFiller{kept: newCollector(src, proj), stride: src.Stride(), want: n}
+}
+
+// Chunk keeps one chunk of AoS records.
+func (f *RowFiller) Chunk(recs []byte) error {
+	f.kept.addAll(recs, f.stride)
+	return nil
+}
+
+// Release drops the records kept so far: the exit of a scan that failed.
+func (f *RowFiller) Release() { f.kept.rows().Release() }
+
+// Rows returns the records kept; the caller owns them. It fails, holding
+// nothing, if the chunks did not add up to the size the filler was made
+// for: what the sizes were taken from disagrees with the records that
+// were there.
+func (f *RowFiller) Rows() (*Rows, error) {
+	out := f.kept.rows()
+	if out.Len() != f.want {
+		got := out.Len()
+		out.Release()
+		return nil, fmt.Errorf("particle: read %d records where %d were announced", got, f.want)
 	}
-	// SetLen, not NewBufferOverwrite: a read result is never Recycled, so
-	// drawing its columns from the recycle pools would only drain what
-	// the write path put there.
+	return out, nil
+}
+
+// Filler is the scan callback of an unfiltered local read of whole
+// records whose count is known before the first chunk arrives: the
+// result columns are allocated once, at that size, and every chunk
+// decodes straight into place, with no rows staged in between.
+type Filler struct {
+	out *Buffer
+	at  int // particles filled so far
+}
+
+// NewFiller returns a filler for n records of the schema.
+func NewFiller(schema *Schema, n int) *Filler {
+	// SetLen, not NewBufferOverwrite: see Rows.Buffer.
 	out := NewBuffer(schema, 0)
 	out.SetLen(n)
-	return &Filler{out: out, proj: proj, stride: src.Stride()}
+	return &Filler{out: out}
 }
 
 // Chunk decodes one chunk of AoS records after the ones before it. It
 // fails if the chunks run past the size the filler was made for.
 func (f *Filler) Chunk(recs []byte) error {
-	var err error
-	if f.proj != nil {
-		err = f.proj.DecodeRecordsAt(f.out, recs, f.at)
-	} else {
-		err = f.out.DecodeRecordsAt(recs, f.at)
-	}
-	f.at += len(recs) / f.stride
+	err := f.out.DecodeRecordsAt(recs, f.at)
+	f.at += len(recs) / f.out.schema.stride
 	return err
 }
 
 // Buffer returns the filled buffer. It fails if the chunks did not add
-// up to the size the filler was made for: what the sizes were taken from
-// disagrees with the records that were there.
+// up to the size the filler was made for.
 func (f *Filler) Buffer() (*Buffer, error) {
 	if f.at != f.out.Len() {
 		return nil, fmt.Errorf("particle: read %d records where %d were announced", f.at, f.out.Len())
@@ -173,27 +211,16 @@ func splitHalfOpen(sel []int32, recs []byte, stride int, box geom.Box, rest []in
 	return in, rest
 }
 
-// collectorSegBytes sizes the staging segments of a collector. Segments
-// are pooled and all the same size, so a query's staging costs no
-// allocation in steady state whatever its answer size.
-const collectorSegBytes = 256 << 10
-
-var collectorSegPool sync.Pool // *[]byte of collectorSegBytes
-
 // collector accumulates the records a scan keeps. The number of
 // survivors is not known until the last chunk has been filtered, and the
-// chunks are recycled under the scan, so kept records are first copied —
-// projected fields only — as compact AoS rows of the output schema into
-// pooled fixed-size segments; buffer then allocates the output columns
-// once, at the exact size, and decodes the segments into them with the
-// dense column kernel. The staging copy touches survivors only.
+// chunks are recycled under the scan, so kept records are copied —
+// projected fields only — as compact rows of the output schema into a
+// Rows. The copy touches survivors only.
 type collector struct {
 	schema *Schema // output schema
 	spans  []span  // byte ranges of a source record that form an output row
 	stride int     // output row bytes
-	perSeg int     // rows per segment
-	segs   [][]byte
-	n      int
+	kept   *Rows
 }
 
 // span is one contiguous byte range of a source record.
@@ -216,53 +243,53 @@ func newCollector(src *Schema, proj *Projection) *collector {
 		}
 	}
 	c.stride = c.schema.Stride()
-	c.perSeg = max(collectorSegBytes/c.stride, 1)
+	c.kept = NewRows(c.schema)
 	return c
+}
+
+// copyRow writes the output row of one source record to d.
+func (c *collector) copyRow(d, row []byte) {
+	for _, sp := range c.spans {
+		copy(d[:sp.n], row[sp.off:sp.off+sp.n])
+		d = d[sp.n:]
+	}
 }
 
 // add copies the selected records of recs (source-schema rows stride
 // bytes apart) into the collector, in selection order.
 func (c *collector) add(recs []byte, stride int, sel []int32) {
 	for len(sel) > 0 {
-		if c.n == len(c.segs)*c.perSeg {
-			c.segs = append(c.segs, getSeg(c.perSeg*c.stride))
-		}
-		used := c.n % c.perSeg
-		take := min(len(sel), c.perSeg-used)
-		dst := c.segs[len(c.segs)-1][used*c.stride:]
+		dst := c.kept.room(len(sel))
+		take := min(len(sel), len(dst)/c.stride)
 		for j, i := range sel[:take] {
-			row, d := recs[int(i)*stride:], dst[j*c.stride:]
-			for _, sp := range c.spans {
-				copy(d[:sp.n], row[sp.off:sp.off+sp.n])
-				d = d[sp.n:]
-			}
+			c.copyRow(dst[j*c.stride:], recs[int(i)*stride:])
 		}
-		c.n += take
+		c.kept.advance(take)
 		sel = sel[take:]
 	}
 }
 
-// buffer decodes the collected records into a buffer of exactly that
-// many particles, returns the staging segments to the pool and resets
-// the collector.
-func (c *collector) buffer() *Buffer {
-	// SetLen, not NewBufferOverwrite: see NewFiller.
-	out := NewBuffer(c.schema, 0)
-	out.SetLen(c.n)
-	for si, seg := range c.segs {
-		at := si * c.perSeg
-		rows := min(c.perSeg, c.n-at)
-		// Segment rows are whole output-schema records inside out's range.
-		_ = out.DecodeRecordsAt(seg[:rows*c.stride], at)
-		collectorSegPool.Put(&seg)
+// addAll copies every record of recs into the collector.
+func (c *collector) addAll(recs []byte, stride int) {
+	if len(c.spans) == 1 && c.spans[0].n == stride {
+		c.kept.AppendRecords(recs)
+		return
 	}
-	c.segs, c.n = nil, 0
-	return out
+	for n := len(recs) / stride; n > 0; {
+		dst := c.kept.room(n)
+		take := min(n, len(dst)/c.stride)
+		for j := 0; j < take; j++ {
+			c.copyRow(dst[j*c.stride:], recs[j*stride:])
+		}
+		c.kept.advance(take)
+		recs, n = recs[take*stride:], n-take
+	}
 }
 
-func getSeg(n int) []byte {
-	if v, _ := collectorSegPool.Get().(*[]byte); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]byte, n, max(n, collectorSegBytes))
+// rows hands the collected records to the caller and resets the
+// collector.
+func (c *collector) rows() *Rows {
+	out := c.kept
+	c.kept = NewRows(c.schema)
+	return out
 }

@@ -95,7 +95,7 @@ func TestSplitHalfOpen(t *testing.T) {
 // (across many staging segments) equals Decode -> Select -> Apply.
 func TestCollectorMatchesSelectAndProject(t *testing.T) {
 	schema := Uintah()
-	n := 3*(collectorSegBytes/schema.Stride()) + 17 // several segments, a ragged tail
+	n := 3*RowBlock + 17 // several segments, a ragged tail
 	src := Uniform(schema, geom.UnitBox(), n, 11, 0)
 	recs := src.Encode()
 	var sel []int32
@@ -132,15 +132,28 @@ func TestCollectorMatchesSelectAndProject(t *testing.T) {
 			rebased = append(rebased, i-int32(half/schema.Stride()))
 		}
 		c.add(recs[half:], schema.Stride(), rebased)
-		if c.n != len(sel) {
-			t.Fatalf("fields %v: collected %d of %d", names, c.n, len(sel))
+		if c.kept.Len() != len(sel) {
+			t.Fatalf("fields %v: collected %d of %d", names, c.kept.Len(), len(sel))
 		}
-		got := c.buffer()
+		got := c.rows().Buffer()
 		if !got.Equal(want) {
 			t.Errorf("fields %v: collector differs from Select+Apply", names)
 		}
-		if c.n != 0 || !c.buffer().Equal(NewBuffer(got.Schema(), 0)) {
-			t.Errorf("fields %v: collector not reset by Buffer", names)
+		if c.kept.Len() != 0 || !c.rows().Buffer().Equal(NewBuffer(got.Schema(), 0)) {
+			t.Errorf("fields %v: collector not reset by rows", names)
+		}
+		// Every record kept is the same as every record selected.
+		c.addAll(recs, schema.Stride())
+		all := src
+		if proj != nil {
+			a, err := proj.Apply(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = a
+		}
+		if !c.rows().Buffer().Equal(all) {
+			t.Errorf("fields %v: addAll differs from Apply", names)
 		}
 	}
 }

@@ -94,6 +94,17 @@ func KNN(ds *reader.Dataset, p geom.Vec3, k int) (*particle.Buffer, []float64, r
 // the ghost layer a stencil operation needs. It returns the owned and
 // ghost particles separately.
 func Halo(ds *reader.Dataset, patch geom.Box, halo float64, opts reader.Options) (own, ghost *particle.Buffer, st reader.Stats, err error) {
+	o, g, st, err := HaloRows(ds, patch, halo, opts)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	return o.Buffer(), g.Buffer(), st, nil
+}
+
+// HaloRows is Halo for a caller that sends the answer on instead of
+// looking at it (a server): the same particles as rows, which the caller
+// owns.
+func HaloRows(ds *reader.Dataset, patch geom.Box, halo float64, opts reader.Options) (own, ghost *particle.Rows, st reader.Stats, err error) {
 	if halo < 0 {
 		return nil, nil, st, fmt.Errorf("query: negative halo %v", halo)
 	}
@@ -111,9 +122,10 @@ func Halo(ds *reader.Dataset, patch geom.Box, halo float64, opts reader.Options)
 	f := particle.NewHaloFilter(schema, proj, grown, patch)
 	st, err = ds.Scan(ds.Meta().FilesIntersecting(grown), opts, f.Chunk)
 	if err != nil {
+		f.Release()
 		return nil, nil, st, err
 	}
-	own, ghost = f.Buffers()
+	own, ghost = f.Rows()
 	st.ParticlesKept = int64(own.Len() + ghost.Len())
 	return own, ghost, st, nil
 }

@@ -20,6 +20,7 @@ func (d *Dataset) QueryBoxes(qs []geom.Box, opts Options) ([]*particle.Buffer, S
 	filters := make([]*particle.BoxFilter, len(qs))
 	for i, q := range qs {
 		filters[i] = particle.NewBoxFilter(d.meta.Schema, proj, q)
+		defer filters[i].Release() // on success the records have been handed out by then
 	}
 
 	// File -> interested queries.

@@ -72,11 +72,22 @@ func (p *Progressive) Stats() Stats { return p.stats }
 // detail: the particles in level p.Level() that have not been delivered
 // yet. It returns (nil, false, nil) once all levels are exhausted.
 func (p *Progressive) NextLevel() (*particle.Buffer, bool, error) {
+	rows, ok, err := p.NextLevelRows()
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return rows.Buffer(), true, nil
+}
+
+// NextLevelRows is NextLevel for a caller that sends the increment on
+// instead of looking at it (a server): the same particles as rows, which
+// the caller owns.
+func (p *Progressive) NextLevelRows() (*particle.Rows, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
 	// The headers give every file's share of the level, so the increment
-	// is allocated once at its exact size and decoded in place.
+	// is checked against its exact size.
 	targets := make([]int64, len(p.files))
 	var total int64
 	remaining := false
@@ -87,14 +98,15 @@ func (p *Progressive) NextLevel() (*particle.Buffer, bool, error) {
 			remaining = true
 		}
 	}
-	fill := particle.NewFiller(p.ds.meta.Schema, nil, int(total))
+	fill := particle.NewRowFiller(p.ds.meta.Schema, nil, int(total))
 	for i, df := range p.files {
 		if err := df.Scan(p.consumed[i], targets[i], nil, fill.Chunk); err != nil {
+			fill.Release()
 			return nil, false, err
 		}
 		p.consumed[i] = targets[i]
 	}
-	out, err := fill.Buffer()
+	out, err := fill.Rows()
 	if err != nil {
 		return nil, false, err
 	}

@@ -161,8 +161,14 @@ func (d *Dataset) prefixLen(opts Options, count int64, scale int) int64 {
 // reads simply uses the bounding box information stored in the metadata
 // file to select exactly which file to read").
 func (d *Dataset) QueryBox(q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
-	entries := d.meta.FilesIntersecting(q)
-	return d.ReadEntries(entries, q, opts)
+	return buffered(d.QueryBoxRows(q, opts))
+}
+
+// QueryBoxRows is QueryBox for a caller that sends the answer on instead
+// of looking at it (a server): the same particles as the rows the filter
+// kept, not yet transposed to columns. The caller owns the rows.
+func (d *Dataset) QueryBoxRows(q geom.Box, opts Options) (*particle.Rows, Stats, error) {
+	return d.ReadEntriesRows(d.meta.FilesIntersecting(q), q, opts)
 }
 
 // ReadAll reads the whole dataset (optionally only some LOD levels).
@@ -172,10 +178,24 @@ func (d *Dataset) ReadAll(opts Options) (*particle.Buffer, Stats, error) {
 }
 
 // ReadEntries reads the given metadata entries (a reader rank's assigned
-// file subset), filtered to q unless opts.NoFilter. The unfiltered read
-// takes its size from the metadata, so the result is allocated once and
-// every chunk decodes straight into place.
+// file subset), filtered to q unless opts.NoFilter.
 func (d *Dataset) ReadEntries(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
+	return buffered(d.ReadEntriesRows(entries, q, opts))
+}
+
+// buffered turns a rows-returning read into the columnar one.
+func buffered(rows *particle.Rows, st Stats, err error) (*particle.Buffer, Stats, error) {
+	if err != nil {
+		return nil, st, err
+	}
+	return rows.Buffer(), st, nil
+}
+
+// ReadEntriesRows is the read under every box and whole-file read: one
+// scan over the entries whose callback keeps the records inside q — or,
+// with opts.NoFilter, all of them, checked against the count the
+// metadata announces — as rows the caller owns.
+func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Rows, Stats, error) {
 	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
 	if err != nil {
 		return nil, Stats{}, err
@@ -185,21 +205,26 @@ func (d *Dataset) ReadEntries(entries []*format.FileEntry, q geom.Box, opts Opti
 		for _, e := range entries {
 			total += d.prefixLen(opts, e.Count, d.meta.LOD.Scale)
 		}
-		fill := particle.NewFiller(d.meta.Schema, proj, int(total))
+		fill := particle.NewRowFiller(d.meta.Schema, proj, int(total))
 		st, err := d.Scan(entries, opts, fill.Chunk)
+		if err != nil {
+			fill.Release()
+			return nil, st, err
+		}
+		out, err := fill.Rows()
 		if err != nil {
 			return nil, st, err
 		}
 		st.ParticlesKept = total
-		out, err := fill.Buffer()
-		return out, st, err
+		return out, st, nil
 	}
 	f := particle.NewBoxFilter(d.meta.Schema, proj, q)
 	st, err := d.Scan(entries, opts, f.Chunk)
 	if err != nil {
+		f.Release()
 		return nil, st, err
 	}
-	out := f.Buffer()
+	out := f.Rows()
 	st.ParticlesKept = int64(out.Len())
 	return out, st, nil
 }
@@ -374,6 +399,7 @@ func ScanWithoutMetadata(dir string, schema *particle.Schema, q geom.Box) (*part
 		return nil, st, err
 	}
 	f := particle.NewBoxFilter(schema, nil, q)
+	defer f.Release() // on success the records have been handed out by then
 	for _, de := range names {
 		if de.IsDir() || !strings.HasSuffix(de.Name(), ".spd") {
 			continue

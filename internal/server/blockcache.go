@@ -137,32 +137,38 @@ type cachedReaderAt struct {
 // end of the underlying file returns io.EOF with the bytes that exist,
 // per the io.ReaderAt contract.
 func (r *cachedReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		// Match os.File.ReadAt semantics: a negative offset is a caller
-		// bug, not a truncation — don't misreport it as one.
-		return 0, &fs.PathError{Op: "readat", Path: r.key, Err: errors.New("negative offset")}
-	}
-	bs := r.c.blockSize
 	n := 0
-	for len(p) > 0 {
-		data, err := r.c.blockFor(r.key, off/bs, r.base)
+	for n < len(p) {
+		v, err := r.ViewAt(off + int64(n))
 		if err != nil {
 			return n, err
 		}
-		bo := off % bs
-		if int64(len(data)) <= bo {
-			return n, io.EOF
-		}
-		m := copy(p, data[bo:])
-		n += m
-		off += int64(m)
-		p = p[m:]
-		if len(p) > 0 && int64(len(data)) < bs {
-			// Short (tail) block with bytes still wanted: end of file.
-			return n, io.EOF
-		}
+		n += copy(p[n:], v)
 	}
 	return n, nil
+}
+
+// ViewAt lends the cached bytes at off instead of copying them: the rest
+// of the block that holds off, at least one byte, or io.EOF at the end
+// of the file. A cached block is immutable and its slice outlives its
+// eviction (the cache only forgets it), so a view needs neither a copy
+// nor a pin; the caller must not write it. It is what lets a raw scan
+// test the hot bytes where they are (format.DataFile.Scan).
+func (r *cachedReaderAt) ViewAt(off int64) ([]byte, error) {
+	if off < 0 {
+		// Match os.File.ReadAt semantics: a negative offset is a caller
+		// bug, not a truncation — don't misreport it as one.
+		return nil, &fs.PathError{Op: "readat", Path: r.key, Err: errors.New("negative offset")}
+	}
+	bs := r.c.blockSize
+	data, err := r.c.blockFor(r.key, off/bs, r.base)
+	if err != nil {
+		return nil, err
+	}
+	if bo := off % bs; bo < int64(len(data)) {
+		return data[bo:], nil
+	}
+	return nil, io.EOF
 }
 
 // blockFor returns block idx of file, loading it through base on a miss.

@@ -158,6 +158,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 			if ack, err = decodeHelloAck(d); err == nil {
 				c.features = ack.Features
 			}
+			d.release()
 		}
 	}
 	if err != nil {
@@ -211,20 +212,24 @@ func (c *Client) sendRequest(req *request) error {
 }
 
 // readResp reads one response frame and maps its status to an error;
-// the returned decoder is positioned at the payload.
+// the returned decoder is positioned at the payload. It is over the
+// frame's body, which may be pooled: whoever gets a decoder releases it
+// when the response has been decoded, and keeps nothing that aliases it.
 func (c *Client) readResp() (*respHeader, *reader, error) {
 	body, err := readFrame(c.conn, uint32(c.maxFrame))
 	if err != nil {
 		return nil, nil, err
 	}
-	d := newReader(bytes.NewReader(body))
+	d := bodyReader(body)
 	h, err := decodeRespHeader(d)
+	if err == nil && h.Status == statusOK {
+		return h, d, nil
+	}
+	d.release()
 	if err != nil {
 		return nil, nil, err
 	}
 	switch h.Status {
-	case statusOK:
-		return h, d, nil
 	case statusOverloaded:
 		return h, nil, fmt.Errorf("%w (%s)", ErrOverloaded, h.Msg)
 	case statusDraining:
@@ -237,6 +242,7 @@ func (c *Client) readResp() (*respHeader, *reader, error) {
 }
 
 // call performs one request/response exchange under the client lock.
+// The caller releases the decoder it gets (see readResp).
 func (c *Client) call(req *request) (*reader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -277,6 +283,7 @@ func (c *Client) List() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.release()
 	return decodeNames(d)
 }
 
@@ -286,6 +293,7 @@ func (c *Client) Stats() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.release()
 	return decodeBlob(d, uint64(c.maxFrame))
 }
 
@@ -296,6 +304,7 @@ func (c *Client) Open(ref string) (*RemoteDataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.release()
 	blob, err := decodeBlob(d, uint64(c.maxFrame))
 	if err != nil {
 		return nil, err
@@ -384,6 +393,17 @@ func fillOpts(req *request, opts rdr.Options) {
 
 // QueryBox reads the particles intersecting q, server-side.
 func (r *RemoteDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
+	rows, st, err := r.QueryBoxRows(q, opts)
+	if err != nil {
+		return nil, st, err
+	}
+	return rows.Buffer(), st, nil
+}
+
+// QueryBoxRows is QueryBox for a caller that sends the answer on instead
+// of looking at it (a gateway): the particles as the rows the wire
+// carried, not transposed to columns. The caller owns the rows.
+func (r *RemoteDataset) QueryBoxRows(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
 	req := r.req(opQueryBox)
 	req.Box = q
 	fillOpts(req, opts)
@@ -391,11 +411,12 @@ func (r *RemoteDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer
 	if err != nil {
 		return nil, rdr.Stats{}, err
 	}
+	defer d.release()
 	resp, err := decodeQueryResp(d, r.c.maxFrame)
 	if err != nil {
 		return nil, rdr.Stats{}, err
 	}
-	return resp.Buf, resp.Stats.Read, nil
+	return resp.Rows, resp.Stats.Read, nil
 }
 
 // ReadAll reads the whole dataset (optionally only some LOD levels).
@@ -413,16 +434,27 @@ func (r *RemoteDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rd
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
+	defer d.release()
 	resp, err := decodeKNNResp(d, r.c.maxFrame)
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
-	return resp.Buf, resp.Dists, resp.Stats.Read, nil
+	return resp.Rows.Buffer(), resp.Dists, resp.Stats.Read, nil
 }
 
 // Halo reads a patch's particles plus the ghost layer within halo of
 // it, separately.
 func (r *RemoteDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
+	o, g, st, err := r.HaloRows(patch, halo, opts)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	return o.Buffer(), g.Buffer(), st, nil
+}
+
+// HaloRows is Halo with the particles as rows the caller owns (see
+// QueryBoxRows).
+func (r *RemoteDataset) HaloRows(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
 	req := r.req(opHalo)
 	req.Box = patch
 	req.Halo = halo
@@ -431,6 +463,7 @@ func (r *RemoteDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (ow
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
+	defer d.release()
 	resp, err := decodeHaloResp(d, r.c.maxFrame)
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
@@ -449,6 +482,7 @@ func (r *RemoteDataset) DensityGrid(dims geom.Idx3, levels, readers int) ([]floa
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
 	}
+	defer d.release()
 	resp, err := decodeDensityResp(d, r.c.maxFrame)
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
@@ -469,6 +503,7 @@ func (r *RemoteDataset) DensityGridRaw(dims geom.Idx3, opts rdr.Options) ([]floa
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
 	}
+	defer d.release()
 	resp, err := decodeDensityResp(d, r.c.maxFrame)
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
@@ -521,7 +556,8 @@ func (r *RemoteDataset) ProgressiveBoxBase(q geom.Box, levels, readers int, base
 		r.c.mu.Unlock()
 		return nil, err
 	}
-	if h, _, err := r.c.readResp(); err != nil {
+	h, d, err := r.c.readResp()
+	if err != nil {
 		if h == nil || h.Status == statusDraining {
 			r.c.broken = true
 		}
@@ -529,6 +565,7 @@ func (r *RemoteDataset) ProgressiveBoxBase(q geom.Box, levels, readers int, base
 		r.c.mu.Unlock()
 		return nil, err
 	}
+	d.release()
 	r.c.disarmDeadline()
 	// The lock stays held: the connection speaks this stream until done.
 	return &RemoteStream{c: r.c}, nil
@@ -547,6 +584,16 @@ func (st *RemoteStream) Stats() rdr.Stats { return st.stats }
 // NextLevel acks and receives the next level increment; ok is false
 // once the stream is exhausted.
 func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
+	rows, ok, err := st.NextLevelRows()
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return rows.Buffer(), true, nil
+}
+
+// NextLevelRows is NextLevel with the increment as rows the caller owns
+// (see RemoteDataset.QueryBoxRows).
+func (st *RemoteStream) NextLevelRows() (*particle.Rows, bool, error) {
 	if st.done {
 		return nil, false, nil
 	}
@@ -565,7 +612,7 @@ func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
 		st.done = true
 		st.release()
 	}
-	return f.Buf, true, nil
+	return f.Rows, true, nil
 }
 
 // Cancel stops the stream after the levels already received; the server
@@ -583,6 +630,7 @@ func (st *RemoteStream) Cancel() error {
 		return err
 	}
 	st.release()
+	f.Rows.Release() // the closing frame of a cancelled stream is empty
 	st.stats = f.Stats.Read
 	return nil
 }
@@ -607,6 +655,7 @@ func (st *RemoteStream) exchange(ack uint8) (*streamFrame, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.release()
 	return decodeStreamFrame(d, st.c.maxFrame)
 }
 

@@ -34,9 +34,15 @@ type Backend interface {
 // client under the matching status; any other error is a plain failure.
 type Dataset interface {
 	Meta() *format.Meta
-	QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
+	// QueryBox and Halo answer with rows (see particle.Rows): the layout
+	// the filter found the particles in and the layout the wire sends, so
+	// a bulk answer is never transposed on its way through a server. The
+	// front owns the rows it is handed and releases them once the answer
+	// has been written, or not sent.
+	QueryBox(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error)
+	// KNN answers k records, few enough to stay columnar.
 	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
-	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error)
+	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error)
 	// DensityGrid returns per-cell estimates and the sampling fraction,
 	// or with raw the unscaled counts (fraction 1); sampled is the number
 	// of particles counted, where the backend reports it.
@@ -46,11 +52,11 @@ type Dataset interface {
 	Stream(q geom.Box, opts rdr.Options) (LevelStream, error)
 }
 
-// LevelStream delivers one LOD level increment per NextLevel call;
-// *rdr.Progressive is the local one. Level counts the levels delivered
-// and Stats is cumulative over them.
+// LevelStream delivers one LOD level increment per NextLevel call, as
+// rows the front owns; *rdr.Progressive is under the local one. Level
+// counts the levels delivered and Stats is cumulative over them.
 type LevelStream interface {
-	NextLevel() (*particle.Buffer, bool, error)
+	NextLevel() (*particle.Rows, bool, error)
 	Level() int
 	Done() bool
 	Stats() rdr.Stats
@@ -153,12 +159,13 @@ type srvConn struct {
 	wmu sync.Mutex
 }
 
-// writeLockedFrame sends one frame under the connection's write lock.
-func (c *srvConn) writeLockedFrame(body []byte) error {
+// writeLockedFrame sends one frame under the connection's write lock,
+// which is held for the whole of a vectored write.
+func (c *srvConn) writeLockedFrame(fr *vecFrame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	//spio:allow lockorder -- wmu serializes whole frame writes on this conn; holding it across the I/O is the point
-	return writeFrame(c.Conn, body)
+	return fr.writeTo(c.Conn)
 }
 
 // Shutdown drains the front: stop accepting, fail queued admissions,
@@ -226,7 +233,7 @@ func (f *Front) handleConn(conn *srvConn) {
 	if err != nil {
 		return
 	}
-	h, err := decodeHello(newReader(bytes.NewReader(body)))
+	h, err := decodeHello(bodyReader(body))
 	if err != nil {
 		_ = f.sendStatus(conn, statusError, err.Error())
 		return
@@ -237,7 +244,7 @@ func (f *Front) handleConn(conn *srvConn) {
 		return
 	}
 	codec := f.cfg.wireCodecFor(h.Codec)
-	if err := f.send(conn, statusOK, "", 0, func(e *writer) {
+	if err := f.send(conn, statusOK, "", func(e *writer) {
 		encodeHelloAck(e, &helloAck{Features: serverFeatures})
 	}); err != nil {
 		return
@@ -248,7 +255,9 @@ func (f *Front) handleConn(conn *srvConn) {
 		if err != nil {
 			return // client closed (or drain closed us)
 		}
-		req, err := decodeRequest(newReader(bytes.NewReader(body)))
+		d := bodyReader(body)
+		req, err := decodeRequest(d)
+		d.release()
 		if err != nil {
 			_ = f.sendStatus(conn, statusError, err.Error())
 			return
@@ -261,7 +270,7 @@ func (f *Front) handleConn(conn *srvConn) {
 
 // sendStatus writes a header-only response frame.
 func (f *Front) sendStatus(conn *srvConn, status uint8, msg string) error {
-	return f.send(conn, status, msg, 0, nil)
+	return f.send(conn, status, msg, nil)
 }
 
 // fail answers a request with an error status and counts it.
@@ -287,13 +296,12 @@ func (f *Front) sendErr(conn *srvConn, err error) error {
 }
 
 // send writes one response frame: header, then the payload encoded by
-// body (which must leave the writer clean on success). size is the
-// payload's length when the caller knows it (an upper bound is fine: a
-// compressed buffer never exceeds its raw size), so the frame is
-// allocated once instead of grown append by append.
-func (f *Front) send(conn *srvConn, status uint8, msg string, size int64, body func(e *writer)) error {
-	fb := frameBuf{b: make([]byte, 0, size+frameSlack)}
-	e := newWriter(&fb)
+// body (which must leave the writer clean on success). Whatever body
+// lends the frame must stay unchanged until send returns.
+func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *writer)) error {
+	fr := newVecFrame()
+	defer fr.release()
+	e := newWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: status, Msg: msg})
 	if body != nil {
 		body(e)
@@ -301,22 +309,27 @@ func (f *Front) send(conn *srvConn, status uint8, msg string, size int64, body f
 	if e.err != nil {
 		return e.err
 	}
-	f.metrics.bytesServed.Add(int64(len(fb.b)) + 4)
-	return conn.writeLockedFrame(fb.b)
+	f.metrics.bytesServed.Add(int64(fr.size()) + 4)
+	return conn.writeLockedFrame(fr)
 }
 
 // handleRequest admits and executes one request. A non-nil return tears
 // the connection down (wire-level failure); request-level errors travel
 // back as status frames.
 func (f *Front) handleRequest(conn *srvConn, req *request, codec uint8) error {
-	f.reqWG.Add(1)
-	defer f.reqWG.Done()
-	// Recheck after Add: Shutdown flips draining before waiting, so a
-	// request that saw draining==false here is inside the wait.
+	// A request joins the drain's wait under f.mu, which Shutdown takes
+	// after flipping draining and before it starts waiting: the request is
+	// either counted before the wait begins or sees the flag and is turned
+	// away — never added to a WaitGroup already being waited on.
+	f.mu.Lock()
 	if f.draining.Load() {
+		f.mu.Unlock()
 		f.metrics.drained.Add(1)
 		return f.sendStatus(conn, statusDraining, errDraining.Error())
 	}
+	f.reqWG.Add(1)
+	f.mu.Unlock()
+	defer f.reqWG.Done()
 	wait, err := f.adm.acquire(f.stop)
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -347,11 +360,11 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 	case opStats:
 		blob := f.backend.StatsJSON()
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", int64(len(blob)), func(e *writer) { encodeBlob(e, blob) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, blob) })
 	case opList:
 		names := f.backend.List()
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", 0, func(e *writer) { encodeNames(e, names) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeNames(e, names) })
 	}
 
 	ds, err := f.backend.Resolve(req.Dataset)
@@ -380,37 +393,42 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.sendErr(conn, err)
 		}
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", int64(mb.Len()), func(e *writer) { encodeBlob(e, mb.Bytes()) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, mb.Bytes()) })
 
 	case opQueryBox:
-		buf, st, err := ds.QueryBox(req.Box, opts)
+		rows, st, err := ds.QueryBox(req.Box, opts)
 		if err != nil {
 			return f.sendErr(conn, err)
 		}
-		if buf.Bytes() > budget {
-			return f.fail(conn, statusBudget, budgetMsg(buf.Bytes(), budget))
+		defer rows.Release()
+		if rows.Bytes() > budget {
+			return f.fail(conn, statusBudget, budgetMsg(rows.Bytes(), budget))
 		}
-		resp := &queryResp{Stats: finish(st), Buf: buf}
-		return f.send(conn, statusOK, "", buf.Bytes(), func(e *writer) { encodeQueryResp(e, resp, codec) })
+		resp := &queryResp{Stats: finish(st), Rows: rows}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp, codec) })
 
 	case opKNN:
 		buf, dists, st, err := ds.KNN(req.Point, req.K)
 		if err != nil {
 			return f.sendErr(conn, err)
 		}
-		resp := &knnResp{Stats: finish(st), Buf: buf, Dists: dists}
-		return f.send(conn, statusOK, "", buf.Bytes()+int64(8*len(dists)), func(e *writer) { encodeKNNResp(e, resp, codec) })
+		rows := buf.Rows()
+		defer rows.Release()
+		resp := &knnResp{Stats: finish(st), Rows: rows, Dists: dists}
+		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp, codec) })
 
 	case opHalo:
 		own, ghost, st, err := ds.Halo(req.Box, req.Halo, opts)
 		if err != nil {
 			return f.sendErr(conn, err)
 		}
+		defer own.Release()
+		defer ghost.Release()
 		if n := own.Bytes() + ghost.Bytes(); n > budget {
 			return f.fail(conn, statusBudget, budgetMsg(n, budget))
 		}
 		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
-		return f.send(conn, statusOK, "", own.Bytes()+ghost.Bytes(), func(e *writer) { encodeHaloResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp, codec) })
 
 	case opDensityGrid:
 		counts, frac, sampled, st, err := ds.DensityGrid(req.Dims, opts, req.Flags&reqFlagRawDensity != 0)
@@ -418,7 +436,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.sendErr(conn, err)
 		}
 		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac, Sampled: sampled}
-		return f.send(conn, statusOK, "", int64(8*len(counts)), func(e *writer) { encodeDensityResp(e, resp) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
 
 	case opProgressive:
 		return f.executeStream(conn, req, ds, opts, codec, wait, start)
@@ -449,13 +467,15 @@ func (f *Front) executeStream(conn *srvConn, req *request, ds Dataset, opts rdr.
 	}
 	f.metrics.streams.Add(1)
 
-	sendLevel := func(level int, done bool, buf *particle.Buffer) error {
-		fr := &streamFrame{Level: level, Done: done, Buf: buf,
+	// sendLevel owns the rows it is handed.
+	sendLevel := func(level int, done bool, rows *particle.Rows) error {
+		defer rows.Release()
+		fr := &streamFrame{Level: level, Done: done, Rows: rows,
 			Stats: wireStats{Read: p.Stats(), QueueWait: int64(wait), Service: int64(time.Since(start))}}
 		if done {
 			f.metrics.note(&fr.Stats)
 		}
-		return f.send(conn, statusOK, "", buf.Bytes(), func(e *writer) { encodeStreamFrame(e, fr, codec) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, fr, codec) })
 	}
 	var sent int64
 	budget := f.cfg.maxRespBytes()
@@ -464,26 +484,26 @@ func (f *Front) executeStream(conn *srvConn, req *request, ds Dataset, opts rdr.
 		if err != nil {
 			return err
 		}
-		ack, err := decodeAck(newReader(bytes.NewReader(ab)))
+		ack, err := decodeAck(bodyReader(ab))
 		if err != nil {
 			return f.sendStatus(conn, statusError, err.Error())
 		}
-		var buf *particle.Buffer
+		var rows *particle.Rows
 		ok := false
 		if ack == ackCancel {
 			f.metrics.streamCancels.Add(1)
-		} else if buf, ok, err = p.NextLevel(); err != nil {
+		} else if rows, ok, err = p.NextLevel(); err != nil {
 			return f.sendStatus(conn, statusError, err.Error())
 		}
 		if !ok {
 			// Cancelled, or acked past the end: close the stream cleanly.
-			return sendLevel(p.Level(), true, particle.NewBuffer(ds.Meta().Schema, 0))
+			return sendLevel(p.Level(), true, particle.NewRows(ds.Meta().Schema))
 		}
-		sent += buf.Bytes()
+		sent += rows.Bytes()
 		done := p.Done() ||
 			(req.Levels > 0 && p.Level() >= req.Levels) ||
 			sent >= budget // LOD semantics: any prefix is a valid subset
-		if err := sendLevel(p.Level()-1, done, buf); err != nil {
+		if err := sendLevel(p.Level()-1, done, rows); err != nil {
 			return err
 		}
 		f.metrics.streamLevels.Add(1)

@@ -67,14 +67,20 @@ type fakeDataset struct{ b *fakeBackend }
 func (fakeDataset) Meta() *format.Meta {
 	return &format.Meta{Domain: geom.UnitBox(), Schema: particle.Uintah()}
 }
-func (d fakeDataset) QueryBox(geom.Box, rdr.Options) (*particle.Buffer, rdr.Stats, error) {
-	return d.b.buf, rdr.Stats{}, d.b.enter()
+func (d fakeDataset) QueryBox(geom.Box, rdr.Options) (*particle.Rows, rdr.Stats, error) {
+	if err := d.b.enter(); err != nil {
+		return nil, rdr.Stats{}, err
+	}
+	return d.b.buf.Rows(), rdr.Stats{}, nil
 }
 func (d fakeDataset) KNN(geom.Vec3, int) (*particle.Buffer, []float64, rdr.Stats, error) {
 	return d.b.buf, make([]float64, d.b.buf.Len()), rdr.Stats{}, d.b.enter()
 }
-func (d fakeDataset) Halo(geom.Box, float64, rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
-	return d.b.buf, d.b.buf, st, d.b.enter()
+func (d fakeDataset) Halo(geom.Box, float64, rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
+	if err := d.b.enter(); err != nil {
+		return nil, nil, st, err
+	}
+	return d.b.buf.Rows(), d.b.buf.Rows(), st, nil
 }
 func (d fakeDataset) DensityGrid(geom.Idx3, rdr.Options, bool) ([]float64, float64, int64, rdr.Stats, error) {
 	return []float64{1}, 1, 1, rdr.Stats{}, d.b.enter()
@@ -91,12 +97,12 @@ type fakeStream struct {
 	level int
 }
 
-func (s *fakeStream) NextLevel() (*particle.Buffer, bool, error) {
+func (s *fakeStream) NextLevel() (*particle.Rows, bool, error) {
 	if s.Done() {
 		return nil, false, nil
 	}
 	s.level++
-	return s.b.buf, true, nil
+	return s.b.buf.Rows(), true, nil
 }
 func (s *fakeStream) Level() int { return s.level }
 func (s *fakeStream) Done() bool { return s.level >= s.b.levels }

@@ -1,0 +1,335 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"spio/internal/geom"
+	"spio/internal/particle"
+	rdr "spio/internal/reader"
+)
+
+// TestRowsReleasedOnEveryExit drives a Front through every way a request
+// that was handed rows can end — answered, refused for the budget,
+// failed by the backend, written to a peer that hangs up in the middle
+// of the frame, streamed and cancelled — and checks, once the front has
+// drained, that no row segment is still held: the front owns the rows it
+// is handed, and releases them on every path.
+func TestRowsReleasedOnEveryExit(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	// 40000 Uintah records: a 5 MB answer, several segments, far more than
+	// a socket buffer holds, so a write to a peer that is gone must fail.
+	b := newFakeBackend(40000, 3)
+	f := NewFront(Config{MaxRespBytes: b.buf.Bytes() + 1}, b)
+	addr := startServer(t, f)
+	_, path, err := ParseAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, codec := range []uint8{WireCodecRaw, WireCodecLossless} {
+		c, err := Dial(addr, WithWireCodec(codec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := c.Attach("fake", fakeDataset{}.Meta())
+		// Answered.
+		if got, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil || !got.Equal(b.buf) {
+			t.Fatalf("codec %d: box: %v", codec, err)
+		}
+		if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); err != nil {
+			t.Fatalf("codec %d: knn: %v", codec, err)
+		}
+		// Refused for the budget, with both halves of the halo in hand.
+		if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
+			t.Fatalf("codec %d: halo over budget: %v, want ErrBudget", codec, err)
+		}
+		// Failed by the backend.
+		b.setErr(errors.New("fake: backend down"))
+		if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err == nil {
+			t.Fatalf("codec %d: backend error did not reach the client", codec)
+		}
+		b.setErr(nil)
+		// Streamed one level, then cancelled.
+		st, err := ds.ProgressiveBox(geom.UnitBox(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lvl, ok, err := st.NextLevel(); err != nil || !ok || !lvl.Equal(b.buf) {
+			t.Fatalf("codec %d: first level: ok=%v err=%v", codec, ok, err)
+		}
+		if err := st.Cancel(); err != nil {
+			t.Fatalf("codec %d: cancel: %v", codec, err)
+		}
+		// Streamed to the end (the budget ends it after one more level).
+		st, err = ds.ProgressiveBox(geom.UnitBox(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !st.Done() {
+			if _, _, err := st.NextLevel(); err != nil {
+				t.Fatalf("codec %d: stream: %v", codec, err)
+			}
+		}
+		_ = c.Close()
+
+		// The peer hangs up with the answer on its way: hello and request
+		// by hand, then close without reading a byte of the response.
+		conn, err := net.Dial("unix", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fb frameBuf
+		encodeHello(newWriter(&fb), &hello{Version: protoVersion, Codec: codec})
+		if err := writeFrame(conn, fb.b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readFrame(conn, 1<<16); err != nil {
+			t.Fatal(err)
+		}
+		fb = frameBuf{}
+		encodeRequest(newWriter(&fb), &request{Op: opQueryBox, Dataset: "fake", Box: geom.UnitBox()})
+		if err := writeFrame(conn, fb.b); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+		// The request is answered into the closed connection before the
+		// drain below can turn it away: wait for its handler to be gone.
+		for deadline := time.Now().Add(10 * time.Second); f.metrics.activeConns.Load() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("connection handlers still running 10s after their peers hung up")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held after the front has drained", got-held)
+	}
+	// Per codec: one budget refusal, one backend error, and the raw answer
+	// — far larger than a socket buffer — failing on the peer that left.
+	if got := f.Snapshot().Errors; got < 5 {
+		t.Errorf("%d requests failed, want at least 5: the refusing and failing exits did not all run", got)
+	}
+}
+
+// writeLog is a net.Conn that records every Write it is handed. It is a
+// wrapped connection, as the benchmark's counting listener makes them:
+// it has no vectored write, so a vector reaches it piece by piece.
+type writeLog struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (c *writeLog) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// take returns the writes recorded so far and forgets them.
+func (c *writeLog) take() [][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.writes
+	c.writes = nil
+	return w
+}
+
+type writeLogListener struct {
+	net.Listener
+	conns chan *writeLog
+}
+
+func (l *writeLogListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	wl := &writeLog{Conn: c}
+	l.conns <- wl
+	return wl, nil
+}
+
+// TestOneWritePerFrame pins the frame writers: a frame with no lent
+// payload — hello, request, ack, status, list, stats, density — leaves
+// either side in exactly one Write, length prefix included, on any
+// connection; a frame with a lent payload is one vectored write on a
+// socket and degrades to its pieces in order on a wrapped connection.
+// Either way the bytes on the connection are the same frame.
+func TestOneWritePerFrame(t *testing.T) {
+	b := newFakeBackend(4, 2)
+	f := NewFront(Config{}, b)
+	addr := sockAddr(t)
+	_, path, err := ParseAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := &writeLogListener{Listener: l, conns: make(chan *writeLog, 1)}
+	go func() { _ = f.Serve(wl) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := f.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	}()
+
+	c, err := Dial(addr, WithWireCodec(WireCodecRaw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := <-wl.conns
+	cli := &writeLog{Conn: c.conn}
+	c.conn = cli
+	ds := c.Attach("fake", fakeDataset{}.Meta())
+
+	// oneFrame checks that side wrote exactly one frame in exactly `writes`
+	// Writes since the last check, and returns its body.
+	oneFrame := func(what string, side *writeLog, writes int) []byte {
+		t.Helper()
+		ws := side.take()
+		if len(ws) != writes {
+			t.Errorf("%s: %d writes, want %d", what, len(ws), writes)
+		}
+		stream := bytes.Join(ws, nil)
+		body, err := readFrame(bytes.NewReader(stream), 1<<20)
+		if err != nil || len(body)+4 != len(stream) {
+			t.Fatalf("%s: %d bytes written are not one frame: %v", what, len(stream), err)
+		}
+		return body
+	}
+	oneFrame("hello ack", srv, 1)
+
+	if _, err := c.List(); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("list request", cli, 1)
+	oneFrame("list response", srv, 1)
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("stats request", cli, 1)
+	oneFrame("stats response", srv, 1)
+	if _, _, _, err := ds.DensityGrid(geom.I3(1, 1, 1), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("density request", cli, 1)
+	oneFrame("density response", srv, 1)
+	if _, err := c.Open("nope"); err == nil {
+		t.Fatal("unresolvable reference opened")
+	}
+	oneFrame("meta request", cli, 1)
+	oneFrame("error status", srv, 1)
+
+	// A lent payload: head, then the one row segment, since nothing
+	// follows the rows of a box answer; a KNN answer has its distances
+	// behind them.
+	if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("box request", cli, 1)
+	box := oneFrame("box response on a wrapped connection", srv, 2)
+	if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("knn request", cli, 1)
+	oneFrame("knn response on a wrapped connection", srv, 3)
+
+	// Stream: every ack is one write, every level frame head + rows.
+	st, err := ds.ProgressiveBox(geom.UnitBox(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("stream request", cli, 1)
+	oneFrame("stream open status", srv, 1)
+	if _, _, err := st.NextLevel(); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("ack", cli, 1)
+	oneFrame("level frame", srv, 2)
+	if err := st.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	oneFrame("cancel", cli, 1)
+	oneFrame("closing level frame (no rows)", srv, 1)
+
+	// The same box answer through a real socket — one vectored write —
+	// is the same frame but for the times in its stats.
+	d := bodyReader(box)
+	if _, err := decodeRespHeader(d); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeQueryResp(d, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Rows.Release()
+	left, right := socketPair(t)
+	fr := newVecFrame()
+	e := newWriter(fr)
+	encodeRespHeader(e, &respHeader{Status: statusOK})
+	encodeQueryResp(e, resp, wireCodecRaw)
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- fr.writeTo(left) }()
+	got, err := readFrame(right, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, box) {
+		t.Errorf("the frame a vectored write puts on a socket (%d bytes) differs from the one written piece by piece (%d bytes)", len(got), len(box))
+	}
+}
+
+// socketPair returns the two ends of a connected unix stream socket.
+func socketPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	addr := sockAddr(t)
+	_, path, err := ParseAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	left, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right := <-accepted
+	t.Cleanup(func() { left.Close(); right.Close() })
+	return left, right
+}

@@ -357,15 +357,20 @@ func (s *Server) List() []string {
 }
 
 // localDataset answers the Front's Dataset seam from a mounted
-// rdr.Dataset and internal/query; Meta and QueryBox are the reader's.
+// rdr.Dataset and internal/query; Meta is the reader's, and the bulk
+// answers are the reader's rows-returning reads.
 type localDataset struct{ *rdr.Dataset }
+
+func (d localDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
+	return d.QueryBoxRows(q, opts)
+}
 
 func (d localDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
 	return query.KNN(d.Dataset, p, k)
 }
 
-func (d localDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
-	return query.Halo(d.Dataset, patch, halo, opts)
+func (d localDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
+	return query.HaloRows(d.Dataset, patch, halo, opts)
 }
 
 func (d localDataset) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([]float64, float64, int64, rdr.Stats, error) {
@@ -391,5 +396,11 @@ func (d localDataset) Stream(q geom.Box, opts rdr.Options) (LevelStream, error) 
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return localStream{p}, nil
 }
+
+// localStream is a local progressive read as the Front's LevelStream:
+// its levels leave as rows.
+type localStream struct{ *rdr.Progressive }
+
+func (s localStream) NextLevel() (*particle.Rows, bool, error) { return s.NextLevelRows() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 
 	"spio/internal/geom"
@@ -147,6 +148,37 @@ func (e *writer) bytes(p []byte) {
 	_, e.err = e.w.Write(p)
 }
 
+// lend puts chunks into the frame in order. A frame assembled for a
+// vectored write (vecFrame) takes them by reference — they go out from
+// where they lie and must stay unchanged until the frame has been
+// written; any other sink has them written now.
+func (e *writer) lend(chunks [][]byte) {
+	f, vectored := e.w.(*vecFrame)
+	for _, c := range chunks {
+		if e.err != nil {
+			return
+		}
+		if vectored {
+			f.lend(c)
+		} else {
+			e.bytes(c)
+		}
+	}
+}
+
+// keep hands over the pooled frame bodies that hold chunks just lent:
+// they go back to the pool once the frame has no more use for them —
+// after the write for a vectored frame, now for a sink that copied.
+func (e *writer) keep(bodies [][]byte) {
+	if f, vectored := e.w.(*vecFrame); vectored {
+		f.held = append(f.held, bodies...)
+		return
+	}
+	for _, b := range bodies {
+		putBody(b)
+	}
+}
+
 func (e *writer) u8(v uint8) { e.bytes([]byte{v}) }
 
 func (e *writer) u32(v uint32) {
@@ -200,12 +232,24 @@ func (e *writer) idx3(i geom.Idx3) {
 //
 //spio:untrusted-input
 type reader struct {
-	r   io.Reader
-	n   int64
-	err error
+	r    io.Reader // nil when decoding a frame body held in memory
+	body []byte
+	n    int64
+	err  error
 }
 
 func newReader(r io.Reader) *reader { return &reader{r: r} }
+
+// bodyReader decodes a frame body held in memory, which is what lets
+// view lend the body's bytes instead of copying them.
+func bodyReader(body []byte) *reader { return &reader{body: body} }
+
+// release ends the decoding of a frame body: a pooled body goes back to
+// the pool, and nothing view returned may be used afterwards.
+func (d *reader) release() {
+	putBody(d.body)
+	d.body = nil
+}
 
 func (d *reader) fail(err error) {
 	if d.err == nil {
@@ -213,15 +257,56 @@ func (d *reader) fail(err error) {
 	}
 }
 
+func (d *reader) short(err error) {
+	d.err = fmt.Errorf("spiod: short read at offset %d: %w", d.n, err)
+}
+
 func (d *reader) bytes(p []byte) {
 	if d.err != nil {
 		return
 	}
+	if d.r == nil {
+		rest := d.body[d.n:]
+		switch {
+		case len(rest) >= len(p):
+			copy(p, rest)
+			d.n += int64(len(p))
+		case len(rest) == 0:
+			d.short(io.EOF)
+		default:
+			d.short(io.ErrUnexpectedEOF)
+		}
+		return
+	}
 	if _, err := io.ReadFull(d.r, p); err != nil {
-		d.err = fmt.Errorf("spiod: short read at offset %d: %w", d.n, err)
+		d.short(err)
 		return
 	}
 	d.n += int64(len(p))
+}
+
+// view returns the next n bytes of the frame. Over a body held in memory
+// they are lent, not copied: the slice aliases the body and is dead once
+// the body is released. n is untrusted; the caller bounds it first.
+func (d *reader) view(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if d.r == nil {
+		rest := d.body[d.n:]
+		if uint64(len(rest)) < n {
+			d.short(io.ErrUnexpectedEOF)
+			return nil
+		}
+		d.n += int64(n)
+		return rest[:n:n]
+	}
+	p := make([]byte, n)
+	d.bytes(p)
+	if d.err != nil {
+		return nil
+	}
+	return p
 }
 
 func (d *reader) u8() uint8 {
@@ -292,25 +377,132 @@ func (b wireByteReader) ReadByte() (byte, error) {
 // frameBuf accumulates one frame body in memory.
 type frameBuf struct{ b []byte }
 
-// frameSlack is the room a pre-sized response frame leaves beyond its
-// payload for the header, the stats and a buffer's schema.
-const frameSlack = 512
-
 func (f *frameBuf) Write(p []byte) (int, error) {
 	f.b = append(f.b, p...)
 	return len(p), nil
 }
 
-// writeFrame sends one length-prefixed frame.
+// smallFrame is the body size up to which writeFrame copies prefix and
+// body into one buffer, so that any writer sees a single Write.
+const smallFrame = 4 << 10
+
+// writeFrame sends one length-prefixed frame in one write: a small frame
+// as one buffer, a larger one as a vector — one writev on a socket, the
+// pieces in order on a writer that has no vectored write.
 func writeFrame(w io.Writer, body []byte) error {
-	e := newWriter(w)
-	e.u32(uint32(len(body)))
-	e.bytes(body)
-	return e.err
+	var prefix [4]byte
+	binary.LittleEndian.PutUint32(prefix[:], uint32(len(body)))
+	if len(body) <= smallFrame {
+		_, err := w.Write(append(prefix[:], body...))
+		return err
+	}
+	v := net.Buffers{prefix[:], body}
+	_, err := v.WriteTo(w)
+	return err
+}
+
+// vecFrame assembles one response frame for a single vectored write.
+// What is written to it is copied behind the length prefix; what is lent
+// to it — an answer's row segments, the block frames compressed from
+// them — is only referenced, and goes out from where it lies. An answer's
+// payload is therefore produced once and never copied into a frame.
+type vecFrame struct {
+	head []byte   // length prefix, then every written byte
+	cuts []vecCut // the lent chunks, in order
+	lent int      // bytes lent
+	held [][]byte // pooled bodies holding lent chunks
+}
+
+// vecCut is one lent chunk: p goes out before head[at:].
+type vecCut struct {
+	at int
+	p  []byte
+}
+
+func newVecFrame() *vecFrame { return &vecFrame{head: make([]byte, 4, 512)} }
+
+func (f *vecFrame) Write(p []byte) (int, error) {
+	f.head = append(f.head, p...)
+	return len(p), nil
+}
+
+func (f *vecFrame) lend(p []byte) {
+	if len(p) > 0 {
+		f.cuts = append(f.cuts, vecCut{len(f.head), p})
+		f.lent += len(p)
+	}
+}
+
+// size returns the length of the frame body.
+func (f *vecFrame) size() int { return len(f.head) - 4 + f.lent }
+
+// writeTo sends the frame: one Write when nothing was lent, else one
+// vectored write (see writeFrame).
+func (f *vecFrame) writeTo(w io.Writer) error {
+	binary.LittleEndian.PutUint32(f.head, uint32(f.size()))
+	if len(f.cuts) == 0 {
+		_, err := w.Write(f.head)
+		return err
+	}
+	v := make(net.Buffers, 0, 2*len(f.cuts)+1)
+	at := 0
+	for _, c := range f.cuts {
+		if c.at > at {
+			v = append(v, f.head[at:c.at])
+			at = c.at
+		}
+		v = append(v, c.p)
+	}
+	if at < len(f.head) {
+		v = append(v, f.head[at:])
+	}
+	_, err := v.WriteTo(w)
+	return err
+}
+
+// release returns the held bodies to the pool once the frame is done
+// with, written or not.
+func (f *vecFrame) release() {
+	for _, b := range f.held {
+		putBody(b)
+	}
+	f.held = nil
+}
+
+// Pooled frame bodies: the response frames a client reads and the
+// compressed payloads a server lends to a frame. One capacity class, so
+// whatever is in the pool serves whatever asks for it; a body too small
+// to be worth tying a class body up, or too large for the class, is a
+// plain allocation the collector takes back.
+const (
+	bodyClass = 4 << 20
+	bodySmall = 32 << 10
+)
+
+var bodyPool sync.Pool // *[]byte of capacity bodyClass
+
+// getBody returns an n-byte body of unspecified content.
+func getBody(n int) []byte {
+	if n <= bodySmall || n > bodyClass {
+		return make([]byte, n)
+	}
+	if v, _ := bodyPool.Get().(*[]byte); v != nil {
+		return (*v)[:n]
+	}
+	return make([]byte, n, bodyClass)
+}
+
+// putBody returns a body to the pool if it is of the pooled class. The
+// caller must not touch it, or anything aliasing it, afterwards.
+func putBody(b []byte) {
+	if cap(b) == bodyClass {
+		bodyPool.Put(&b)
+	}
 }
 
 // readFrame receives one length-prefixed frame, refusing bodies larger
-// than max.
+// than max. The body comes from getBody: a caller that is done with it
+// may putBody it.
 func readFrame(r io.Reader, max uint32) ([]byte, error) {
 	d := newReader(r)
 	n := d.u32()
@@ -320,9 +512,10 @@ func readFrame(r io.Reader, max uint32) ([]byte, error) {
 	if n > max {
 		return nil, fmt.Errorf("spiod: frame of %d bytes exceeds limit %d", n, max)
 	}
-	body := make([]byte, n)
+	body := getBody(int(n))
 	d.bytes(body)
 	if d.err != nil {
+		putBody(body)
 		return nil, d.err
 	}
 	return body, nil
@@ -582,103 +775,97 @@ func decodeWireSchema(d *reader) (*particle.Schema, error) {
 	return particle.NewSchema(fields)
 }
 
-// Buffer on the wire: schema, record count, actual codec, payload
-// length, then the payload — the raw AoS record image (wireCodecRaw) or
-// a concatenation of particle block frames (wireCodecLossless), cut
-// every wireBlockRecords records. The split is deterministic from the
-// record count, so the decoder reconstructs the block boundaries from
-// the self-describing frames alone and both sides can run the blocks
-// through the parallel batch codec. A raw payload is exactly the
-// data-file encoding, so a streamed level is bit-identical to the file
-// prefix it came from; a compressed one decodes to it. The server
-// encodes with the negotiated codec but keeps raw whenever compression
-// doesn't shrink the buffer, so codec is a ceiling, not a promise.
+// Rows on the wire: schema, record count, actual codec, payload length,
+// then the payload — the raw AoS record image (wireCodecRaw), which is
+// what the rows are, or a concatenation of particle block frames
+// (wireCodecLossless), cut every wireBlockRecords records. The split is
+// deterministic from the record count, so the decoder reconstructs the
+// block boundaries from the self-describing frames alone and both sides
+// can run the blocks through the parallel batch codec. A raw payload is
+// exactly the data-file encoding, so a streamed level is bit-identical
+// to the file prefix it came from; a compressed one decodes to it. The
+// server encodes with the negotiated codec but keeps raw whenever
+// compression doesn't shrink the buffer, so codec is a ceiling, not a
+// promise.
+//
+// Neither side copies the payload: the encoder lends the frame the row
+// segments themselves, or block frames compressed straight out of them
+// into a pooled body; the decoder inflates block frames lying in the
+// frame body it was handed straight into row segments.
 
-// wireBlockRecords cuts egress buffers into codec blocks: small enough
+// wireBlockRecords cuts egress payloads into codec blocks: small enough
 // that encode/decode parallelism has work units, large enough that the
-// per-block framing stays noise.
-const wireBlockRecords = 8192
+// per-block framing stays noise. It is the block of particle.Rows, which
+// is what keeps every block of an answer contiguous in memory.
+const wireBlockRecords = particle.RowBlock
 
-func encodeBuffer(e *writer, buf *particle.Buffer, codec uint8) {
-	encodeWireSchema(e, buf.Schema())
-	e.u64(uint64(buf.Len()))
-	// Staging only: e.bytes below copies the payload into the frame, so
-	// the image goes back to the pool on the way out.
-	data := particle.GetAoS(buf.Len() * buf.Schema().Stride())
-	defer particle.PutAoS(data)
-	buf.EncodeRecordsInto(data, 0, buf.Len())
-	payload, actual := data, uint8(wireCodecRaw)
-	var scratch *[]byte
+func encodeRows(e *writer, rows *particle.Rows, codec uint8) {
+	encodeWireSchema(e, rows.Schema())
+	e.u64(uint64(rows.Len()))
+	payload, actual := rows.Segments(), uint8(wireCodecRaw)
+	var bodies [][]byte
 	if codec == wireCodecLossless {
-		scratch, _ = wireCompPool.Get().(*[]byte)
-		if scratch == nil {
-			scratch = new([]byte)
+		if frames, held, ok := compressRows(rows); ok {
+			payload, actual, bodies = frames, wireCodecLossless, held
 		}
-		if comp, ok := compressWirePayload(buf.Schema(), data, (*scratch)[:0]); ok {
-			payload, actual = comp, wireCodecLossless
-			*scratch = comp
-		}
+	}
+	var plen uint64
+	for _, p := range payload {
+		plen += uint64(len(p))
 	}
 	e.u8(actual)
-	e.uvarint(uint64(len(payload)))
-	e.bytes(payload)
-	if scratch != nil {
-		// e.bytes copied the payload into the frame; the scratch (and
-		// whatever capacity it grew) goes back to the pool.
-		wireCompPool.Put(scratch)
-	}
+	e.uvarint(plen)
+	e.lend(payload)
+	e.keep(bodies)
 }
 
-// wireCompPool recycles the compressed-payload staging buffers of
-// encodeBuffer: egress compression is per-response, and a fresh
-// multi-megabyte slice per response is pure allocator churn.
-var wireCompPool sync.Pool // *[]byte
-
-// compressWirePayload compresses an AoS image into the concatenated
-// block frames of a lossless wire payload appended onto dst (callers
-// pass recycled scratch), compressing the blocks in parallel when
-// there are spare cores. The egress codec is the throughput-first
-// FastSpec, narrowed by a probe of the leading records so noisy
-// columns that would not pay for their codec ride raw instead of
-// costing full LZ time every block — the frames are self-describing,
+// compressRows compresses an answer's rows into the block frames of a
+// lossless wire payload, each block straight out of the rows into a
+// region of its own of a pooled body, the blocks in parallel when there
+// are spare cores. It returns the frames in order and the bodies that
+// hold them (the caller's to putBody). The egress codec is the
+// throughput-first FastSpec, narrowed by a probe of the leading records
+// so noisy columns that would not pay for their codec ride raw instead
+// of costing full LZ time every block — the frames are self-describing,
 // so neither the spec choice nor the narrowing ever reaches the wire
-// contract. ok is false when compression does not shrink the image.
-func compressWirePayload(schema *particle.Schema, data []byte, dst []byte) ([]byte, bool) {
-	stride := schema.Stride()
-	count := len(data) / stride
-	blocks := make([][]byte, 0, count/wireBlockRecords+1)
-	for lo := 0; lo < count; lo += wireBlockRecords {
-		hi := min(lo+wireBlockRecords, count)
-		blocks = append(blocks, data[lo*stride:hi*stride])
+// contract. ok is false, with nothing held, when compression does not
+// shrink the payload.
+func compressRows(rows *particle.Rows) (frames, bodies [][]byte, ok bool) {
+	if rows.Len() == 0 {
+		return nil, nil, false
 	}
-	spec := particle.NarrowSpec(schema, particle.FastSpec(schema), data)
-	out, err := particle.AppendCompressedBlocks(dst, schema, spec, blocks, 0)
-	if err != nil || len(out)-len(dst) >= len(data) {
-		return nil, false
+	schema := rows.Schema()
+	region := particle.FrameBound(schema, wireBlockRecords)
+	perBody := max(bodyClass/region, 1)
+	frames = make([][]byte, rows.NumBlocks())
+	for i := 0; i < len(frames); i += perBody {
+		k := min(perBody, len(frames)-i)
+		body := getBody(k * region)
+		bodies = append(bodies, body)
+		for j := 0; j < k; j++ {
+			frames[i+j] = body[j*region : j*region : (j+1)*region]
+		}
 	}
-	return out, true
+	spec := particle.NarrowSpec(schema, particle.FastSpec(schema), rows.Block(0))
+	total := 0
+	err := particle.CompressRows(frames, rows, spec, 0)
+	for _, f := range frames {
+		total += len(f)
+	}
+	if err != nil || int64(total) >= rows.Bytes() {
+		for _, b := range bodies {
+			putBody(b)
+		}
+		return nil, nil, false
+	}
+	return frames, bodies, true
 }
 
-// decompressWirePayload reverses compressWirePayload into dst (the raw
-// AoS image of count records): it reconstructs the deterministic block
-// split, walks the frame boundaries, and decodes the blocks in parallel
-// into disjoint regions of dst.
-func decompressWirePayload(schema *particle.Schema, stream []byte, count int, dst []byte) error {
-	counts := make([]int, 0, count/wireBlockRecords+1)
-	for lo := 0; lo < count; lo += wireBlockRecords {
-		counts = append(counts, min(wireBlockRecords, count-lo))
-	}
-	blocks, err := particle.SplitFrames(schema, stream, counts)
-	if err != nil {
-		return err
-	}
-	return particle.DecompressBlocks(schema, blocks, dst, 0)
-}
-
-// decodeBuffer decodes a buffer, refusing decoded payloads larger than
-// limit bytes (the caller's frame bound; the frame is already in
-// memory, the limit guards the record-count allocation).
-func decodeBuffer(d *reader, limit int64) (*particle.Buffer, error) {
+// decodeRows decodes an answer's rows, refusing decoded payloads larger
+// than limit bytes (the caller's frame bound; the frame is already in
+// memory, the limit guards the record-count allocation). The caller
+// owns the rows; they do not alias the frame.
+func decodeRows(d *reader, limit int64) (*particle.Rows, error) {
 	schema, err := decodeWireSchema(d)
 	if err != nil {
 		return nil, err
@@ -710,19 +897,18 @@ func decodeBuffer(d *reader, limit int64) (*particle.Buffer, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	data := make([]byte, plen)
-	d.bytes(data)
+	payload := d.view(plen)
 	if d.err != nil {
 		return nil, d.err
 	}
-	if codec == wireCodecLossless {
-		raw := make([]byte, size)
-		if err := decompressWirePayload(schema, data, int(n), raw); err != nil {
-			return nil, fmt.Errorf("spiod: %w", err)
-		}
-		data = raw
+	rows := particle.NewRows(schema)
+	if codec == wireCodecRaw {
+		rows.AppendRecords(payload)
+	} else if err := rows.Decompress(payload, int(n), 0); err != nil {
+		rows.Release()
+		return nil, fmt.Errorf("spiod: %w", err)
 	}
-	return particle.Decode(schema, data)
+	return rows, nil
 }
 
 // Float slices (KNN distances, density grids).
@@ -796,15 +982,16 @@ func decodeNames(d *reader) ([]string, error) {
 	return names, nil
 }
 
-// queryResp answers opQueryBox.
+// queryResp answers opQueryBox. A decoded response's rows are the
+// caller's to release, here and in every response below.
 type queryResp struct {
 	Stats wireStats
-	Buf   *particle.Buffer
+	Rows  *particle.Rows
 }
 
 func encodeQueryResp(e *writer, r *queryResp, codec uint8) {
 	encodeStats(e, &r.Stats)
-	encodeBuffer(e, r.Buf, codec)
+	encodeRows(e, r.Rows, codec)
 }
 
 func decodeQueryResp(d *reader, limit int64) (*queryResp, error) {
@@ -812,23 +999,23 @@ func decodeQueryResp(d *reader, limit int64) (*queryResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := decodeBuffer(d, limit)
+	rows, err := decodeRows(d, limit)
 	if err != nil {
 		return nil, err
 	}
-	return &queryResp{Stats: *st, Buf: buf}, nil
+	return &queryResp{Stats: *st, Rows: rows}, nil
 }
 
 // knnResp answers opKNN.
 type knnResp struct {
 	Stats wireStats
-	Buf   *particle.Buffer
+	Rows  *particle.Rows
 	Dists []float64
 }
 
 func encodeKNNResp(e *writer, r *knnResp, codec uint8) {
 	encodeStats(e, &r.Stats)
-	encodeBuffer(e, r.Buf, codec)
+	encodeRows(e, r.Rows, codec)
 	encodeFloats(e, r.Dists)
 }
 
@@ -837,28 +1024,29 @@ func decodeKNNResp(d *reader, limit int64) (*knnResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := decodeBuffer(d, limit)
+	rows, err := decodeRows(d, limit)
 	if err != nil {
 		return nil, err
 	}
 	dists, err := decodeFloats(d, int(limit/8)+1)
 	if err != nil {
+		rows.Release()
 		return nil, err
 	}
-	return &knnResp{Stats: *st, Buf: buf, Dists: dists}, nil
+	return &knnResp{Stats: *st, Rows: rows, Dists: dists}, nil
 }
 
 // haloResp answers opHalo: the owned and ghost particles separately.
 type haloResp struct {
 	Stats wireStats
-	Own   *particle.Buffer
-	Ghost *particle.Buffer
+	Own   *particle.Rows
+	Ghost *particle.Rows
 }
 
 func encodeHaloResp(e *writer, r *haloResp, codec uint8) {
 	encodeStats(e, &r.Stats)
-	encodeBuffer(e, r.Own, codec)
-	encodeBuffer(e, r.Ghost, codec)
+	encodeRows(e, r.Own, codec)
+	encodeRows(e, r.Ghost, codec)
 }
 
 func decodeHaloResp(d *reader, limit int64) (*haloResp, error) {
@@ -866,12 +1054,13 @@ func decodeHaloResp(d *reader, limit int64) (*haloResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	own, err := decodeBuffer(d, limit)
+	own, err := decodeRows(d, limit)
 	if err != nil {
 		return nil, err
 	}
-	ghost, err := decodeBuffer(d, limit)
+	ghost, err := decodeRows(d, limit)
 	if err != nil {
+		own.Release()
 		return nil, err
 	}
 	return &haloResp{Stats: *st, Own: own, Ghost: ghost}, nil
@@ -914,12 +1103,12 @@ func decodeDensityResp(d *reader, limit int64) (*densityResp, error) {
 }
 
 // streamFrame is one level increment of a progressive stream. Done
-// marks the final frame; its buffer may be empty.
+// marks the final frame; its rows may be empty.
 type streamFrame struct {
 	Level int
 	Done  bool
 	Stats wireStats // cumulative over the stream so far
-	Buf   *particle.Buffer
+	Rows  *particle.Rows
 }
 
 func encodeStreamFrame(e *writer, f *streamFrame, codec uint8) {
@@ -930,7 +1119,7 @@ func encodeStreamFrame(e *writer, f *streamFrame, codec uint8) {
 	}
 	e.u8(done)
 	encodeStats(e, &f.Stats)
-	encodeBuffer(e, f.Buf, codec)
+	encodeRows(e, f.Rows, codec)
 }
 
 func decodeStreamFrame(d *reader, limit int64) (*streamFrame, error) {
@@ -942,11 +1131,11 @@ func decodeStreamFrame(d *reader, limit int64) (*streamFrame, error) {
 		return nil, err
 	}
 	f.Stats = *st
-	buf, err := decodeBuffer(d, limit)
+	rows, err := decodeRows(d, limit)
 	if err != nil {
 		return nil, err
 	}
-	f.Buf = buf
+	f.Rows = rows
 	return &f, nil
 }
 

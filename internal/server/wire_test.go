@@ -244,14 +244,15 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	want := &streamFrame{
 		Level: 2, Done: true,
 		Stats: wireStats{Read: rdr.Stats{ParticlesRead: 33, BytesRead: 33 * 24}},
-		Buf:   buf,
+		Rows:  buf.Rows(),
 	}
+	defer want.Rows.Release()
 	d := roundTrip(t, func(e *writer) { encodeStreamFrame(e, want, wireCodecLossless) })
 	got, err := decodeStreamFrame(d, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Level != want.Level || got.Done != want.Done || got.Stats != want.Stats || !got.Buf.Equal(buf) {
+	if got.Level != want.Level || got.Done != want.Done || got.Stats != want.Stats || !got.Rows.Buffer().Equal(buf) {
 		t.Fatalf("stream frame mismatch: %+v", got)
 	}
 }

@@ -10,7 +10,8 @@
 # substitute, the collective write pipeline, the fault-injection seam,
 # the atomic format writers and the streaming scan's decode window, the
 # reader's shared file cache, and the serving daemon — the server tier
-# additionally at -count=2 to shake out order-dependent interleavings);
+# additionally at -count=2 to shake out order-dependent interleavings,
+# and the answer-ownership tests by name at -count=3);
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the full
 # analyzer suite (collorder, bufhandoff, errdrop, tagclash, wiresym,
@@ -72,6 +73,15 @@ echo "== go test -race (mpi, core, fault, particle, format, reader, query, serve
 # the kernels and the callers it is built from.
 go test -race ./internal/mpi ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/reader ./internal/query ./internal/server ./internal/gateway
 
+echo "== answer ownership (-race -count=3) =="
+# The rows an answer travels as live in pools: a result that aliased
+# pooled memory, or a segment not released on some exit, is a bug only a
+# particular interleaving shows. The tests that hold results across
+# thousands of pool reuses, cut connections mid-frame and pin the wire
+# bytes against the kept columnar reference run again, by name, three
+# times.
+go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplicaReleasesRows|TestRowsReleasedOnEveryExit|TestOneWritePerFrame|TestWireFramesMatchReference' ./internal/server ./internal/gateway
+
 echo "== go test -race -count=2 (server tier) =="
 # The serving daemon is the most schedule-sensitive tier (admission
 # control, cache eviction, drain); a second run without cached results
@@ -91,7 +101,8 @@ go test -run '^$' -fuzz '^FuzzOpenDataFile$' -fuzztime 10s ./internal/format
 echo "== codec pipeline smoke =="
 # The lossless wire codec must stay within a small constant factor of
 # the raw memcpy path: a short bench run fails if lossless encode
-# throughput drops below 25% of raw. That floor catches a silent fall
+# throughput drops below 25% of raw (both start from columns, so both
+# pay the one transposition into rows and the ratio isolates the codec). That floor catches a silent fall
 # back to slow-path compression (e.g. the pooled shuffle+LZ egress spec
 # regressing to per-call flate) while leaving ample noise margin — the
 # pipelined codec runs well above 50% of raw on the CI machine.
