@@ -494,6 +494,11 @@ type DecodedBlockCache interface {
 	// PutBlock offers block bi's decoded bytes to the cache, which takes
 	// ownership of the slice (the caller never writes it again).
 	PutBlock(bi int, recs []byte)
+	// Holds reports whether the cache could hold n decoded bytes at once.
+	// A scan whose blocks decode to more goes around the cache: under any
+	// recency policy it would push out its own first block before it
+	// could come back to it, and everybody else's on the way.
+	Holds(n int64) bool
 }
 
 // SetDecodedCache installs a decoded-block cache tier. Like
@@ -681,28 +686,39 @@ func (df *DataFile) stage(n int) []byte {
 // progressive stream) is a callback over it, so nothing on the read path
 // materializes more than a chunk of a file.
 //
-// A chunk is valid only for the duration of the call and must not be
-// written: it is a pooled buffer about to be refilled, or — on a
-// decoded-tier hit — the tier's shared slice itself, or the ra seam's own
-// memory. Raw payloads are read through the ra seam scanChunkRecords
-// records at a time, or, when the seam can lend its bytes (viewerAt; the
-// serving layer's block cache can), handed over in place.
-// Compressed payloads read whole compressed blocks through the ra seam —
-// so a serving layer's block cache holds compressed bytes, multiplying
-// its effective capacity — and decode on the way out, one codec block
-// per chunk (the edge blocks clipped to the range): the blocks of the
-// range run through a bounded read→decode window, so the ReadAts overlap
-// each other (and, through the singleflight BlockCache, any disk
-// latency) and the decodes run in parallel while fn consumes the blocks
-// in order. A sequential access pattern (a scan starting at 0 or where
-// the previous one ended — the ReadPrefix/progressive-LOD shape) arms a
-// best-effort readahead of the next block.
+// A scan selects, then takes. sel, when non-nil, is run over every chunk
+// and names the records fn is to look at: fn gets the chunk and that
+// selection (indices of records in the chunk, increasing), and of the
+// chunk only the positions and the selected records are defined. With a
+// nil sel, picked is nil and every record of the chunk counts. Knowing
+// the selection before the take is what lets a compressed block decode
+// its position, run sel on it on the decode worker, and assemble the
+// other fields of the selected records alone
+// (particle.DecompressPickedInto) — so sel must be safe for concurrent
+// use, while fn always runs on the caller's goroutine, in order.
+//
+// A chunk and its selection are valid only for the duration of the call
+// and must not be written: the chunk is a pooled buffer about to be
+// refilled, or — on a decoded-tier hit — the tier's shared slice itself,
+// or the ra seam's own memory. Raw payloads are read through the ra seam
+// scanChunkRecords records at a time, or, when the seam can lend its
+// bytes (viewerAt; the serving layer's block cache can), handed over in
+// place. Compressed payloads read whole compressed blocks through the ra
+// seam — so a serving layer's block cache holds compressed bytes,
+// multiplying its effective capacity — and decode on the way out, one
+// codec block per chunk (the edge blocks clipped to the range): the
+// blocks of the range run through a bounded read→decode window, so the
+// ReadAts overlap each other (and, through the singleflight BlockCache,
+// any disk latency) and the decodes run in parallel while fn consumes
+// the blocks in order. A sequential access pattern (a scan starting at 0
+// or where the previous one ended — the ReadPrefix/progressive-LOD
+// shape) arms a best-effort readahead of the next block.
 //
 // proj, when non-nil, names the fields fn will look at (it must have
 // been built from this file's schema); the others may hold garbage. A
 // compressed block that no decoded tier will keep then inflates only
-// those fields' frames (particle.DecompressFieldsInto).
-func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, fn func(recs []byte) error) error {
+// those fields' frames.
+func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) error {
 	var want []bool
 	if proj != nil {
 		if !proj.Source().Equal(df.Header.Schema) {
@@ -713,7 +729,7 @@ func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, fn func(recs [
 	if err := df.checkRange(lo, hi); err != nil {
 		return err
 	}
-	if err := df.scan(lo, hi, want, fn); err != nil {
+	if err := df.scan(lo, hi, want, sel, fn); err != nil {
 		return fmt.Errorf("format: %s: %w", df.path, err)
 	}
 	return nil
@@ -726,14 +742,44 @@ func (df *DataFile) checkRange(lo, hi int64) error {
 	return nil
 }
 
-func (df *DataFile) scan(lo, hi int64, want []bool, fn func(recs []byte) error) error {
+// selPool recycles selection vectors: one per raw scan, one per block in
+// flight of a compressed one.
+var selPool sync.Pool // *[]int32
+
+func getSel() []int32 {
+	if v, _ := selPool.Get().(*[]int32); v != nil {
+		return (*v)[:0]
+	}
+	return nil
+}
+
+func putSel(sel []int32) {
+	if cap(sel) > 0 {
+		selPool.Put(&sel)
+	}
+}
+
+func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn func(recs []byte, picked []int32) error) error {
 	if lo == hi {
 		return nil
 	}
 	stride := int64(df.Header.Schema.Stride())
 	if df.blockRecs == nil {
+		// A raw chunk is all there: select and take run back to back on
+		// the caller's goroutine, over one selection vector.
+		var picked []int32
+		if sel != nil {
+			picked = getSel()
+			defer func() { putSel(picked) }()
+		}
+		each := func(recs []byte) error {
+			if sel != nil {
+				picked = sel(picked[:0], recs)
+			}
+			return fn(recs, picked)
+		}
 		if v, ok := df.ra.(viewerAt); ok {
-			return df.scanViews(v, lo, hi, fn)
+			return df.scanViews(v, lo, hi, each)
 		}
 		chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
 		defer toPool(&stagePool, chunk)
@@ -742,7 +788,7 @@ func (df *DataFile) scan(lo, hi int64, want []bool, fn func(recs []byte) error) 
 			if _, err := df.ra.ReadAt(recs, df.payloadOff+at*stride); err != nil {
 				return err
 			}
-			if err := fn(recs); err != nil {
+			if err := each(recs); err != nil {
 				return err
 			}
 		}
@@ -757,11 +803,20 @@ func (df *DataFile) scan(lo, hi int64, want []bool, fn func(recs []byte) error) 
 	for b1 < len(df.blockRecs)-1 && df.blockRecs[b1] < hi {
 		b1++
 	}
-	if err := df.scanBlocks(lo, hi, b0, b1, want, fn); err != nil {
+	// The ra seam and decoded tier are loaded once here, on the caller's
+	// goroutine, and handed to the workers by value: the setters that
+	// install them are ordered before any read, and the workers must not
+	// touch the fields themselves. A range the tier cannot hold goes
+	// around it — no lookup, no insert, no decoded readahead.
+	sc := blockScan{df: df, ra: df.ra, decoded: df.decoded, want: want, sel: sel, lo: lo, hi: hi}
+	if sc.decoded != nil && !sc.decoded.Holds((df.blockRecs[b1]-df.blockRecs[b0])*stride) {
+		sc.decoded = nil
+	}
+	if err := sc.run(b0, b1, fn); err != nil {
 		return err
 	}
 	if sequential && df.cached && b1 < len(df.blockRecs)-1 {
-		df.readahead(b1)
+		df.readahead(sc.ra, sc.decoded, b1)
 	}
 	return nil
 }
@@ -816,9 +871,23 @@ func (df *DataFile) scanViews(ra viewerAt, lo, hi int64, fn func(recs []byte) er
 	return nil
 }
 
+// blockScan is what the window workers of one compressed scan share, all
+// of it fixed before the first starts.
+type blockScan struct {
+	df      *DataFile
+	ra      io.ReaderAt
+	decoded DecodedBlockCache // nil: no tier, or a range it cannot hold
+	want    []bool
+	sel     particle.Selector
+	lo, hi  int64
+}
+
 // scanBlock is one decoded codec block on its way to the scan callback.
 type scanBlock struct {
 	recs []byte // the whole block's AoS image
+	// picked is the selection over the block's overlap with the range,
+	// drawn from selPool (nil without a selector).
+	picked []int32
 	// pooled marks an image drawn from stagePool, returned once the
 	// callback is done with it; otherwise recs is the decoded tier's
 	// shared slice and is only ever read.
@@ -826,34 +895,33 @@ type scanBlock struct {
 	err    error
 }
 
-// scanBlocks runs the read→decode window over blocks [b0, b1) of a
-// compressed payload and feeds fn their overlap with [lo, hi) in block
-// order. At most `window` blocks are in flight — being read, being
-// decoded, or decoded and waiting their turn — so the scan holds a
-// bounded number of block images however long the range. The ra seam
-// and decoded tier are loaded once here, on the caller's goroutine, and
-// handed to the workers by value: the setters that install them are
-// ordered before any read, and the workers must not touch the fields
-// themselves. Every worker is joined before scanBlocks returns.
-func (df *DataFile) scanBlocks(lo, hi int64, b0, b1 int, want []bool, fn func(recs []byte) error) error {
-	ra, decoded := df.ra, df.decoded
-	stride := int64(df.Header.Schema.Stride())
+// clip returns the rows of block bi inside the scanned range, relative
+// to the block.
+func (sc *blockScan) clip(bi int) (lo, hi int) {
+	bLo := sc.df.blockRecs[bi]
+	return int(max(sc.lo, bLo) - bLo), int(min(sc.hi, sc.df.blockRecs[bi+1]) - bLo)
+}
+
+// run puts blocks [b0, b1) through the read→decode window and feeds fn
+// their overlap with the range in block order. At most `window` blocks
+// are in flight — being read, being decoded, or decoded and waiting
+// their turn — so the scan holds a bounded number of block images
+// however long the range. Every worker is joined before run returns.
+func (sc *blockScan) run(b0, b1 int, fn func(recs []byte, picked []int32) error) error {
+	stride := sc.df.Header.Schema.Stride()
 	deliver := func(bi int, blk scanBlock) error {
 		if blk.err != nil {
 			return blk.err
 		}
-		bLo := df.blockRecs[bi]
-		cLo, cHi := max(lo, bLo), min(hi, df.blockRecs[bi+1])
-		err := fn(blk.recs[(cLo-bLo)*stride : (cHi-bLo)*stride])
-		if blk.pooled {
-			toPool(&stagePool, blk.recs)
-		}
+		cLo, cHi := sc.clip(bi)
+		err := fn(blk.recs[cLo*stride:cHi*stride], blk.picked)
+		blk.release()
 		return err
 	}
 	n := b1 - b0
 	if n <= 1 {
 		for bi := b0; bi < b1; bi++ {
-			if err := deliver(bi, df.loadBlock(ra, decoded, bi, want)); err != nil {
+			if err := deliver(bi, sc.load(bi)); err != nil {
 				return err
 			}
 		}
@@ -863,58 +931,87 @@ func (df *DataFile) scanBlocks(lo, hi int64, b0, b1 int, want []bool, fn func(re
 	// kernel releases its P, so the window still overlaps disk latency
 	// when it cannot overlap decode.
 	window := min(max(runtime.GOMAXPROCS(0), 4), n)
-	// One slot per block, each written once by its worker.
-	slots := make([]chan scanBlock, n)
+	// Block i travels through slot i%window: block i+window starts only
+	// after block i has been taken out of it, so a worker's one send
+	// never blocks, not even when an error ends the scan early and
+	// nobody receives any more (what is left in the slots then goes to
+	// the collector instead of the pools).
+	slots := make([]chan scanBlock, window)
+	for i := range slots {
+		slots[i] = make(chan scanBlock, 1)
+	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	started := 0
 	for i := 0; i < n; i++ {
 		for ; started < n && started < i+window; started++ {
-			slot := make(chan scanBlock, 1)
-			slots[started] = slot
 			wg.Add(1)
-			go func(bi int) {
+			go func(bi int, slot chan<- scanBlock) {
 				defer wg.Done()
-				slot <- df.loadBlock(ra, decoded, bi, want)
-			}(b0 + started)
+				slot <- sc.load(bi)
+			}(b0+started, slots[started%window])
 		}
-		if err := deliver(b0+i, <-slots[i]); err != nil {
+		if err := deliver(b0+i, <-slots[i%window]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadBlock produces the decoded image of block bi: the decoded tier's
-// copy when it has one; otherwise the compressed bytes are read through
-// the ra seam and inflated — into a fresh slice the tier takes ownership
-// of (shared and immutable from then on), or, with no tier, into a
-// pooled image holding only the wanted fields. Safe to call
-// concurrently for distinct blocks.
-func (df *DataFile) loadBlock(ra io.ReaderAt, decoded DecodedBlockCache, bi int, want []bool) scanBlock {
-	if decoded != nil {
-		if recs := decoded.GetBlock(bi); recs != nil {
-			return scanBlock{recs: recs}
+// release returns what the block borrowed from the pools.
+func (blk scanBlock) release() {
+	if blk.pooled {
+		toPool(&stagePool, blk.recs)
+	}
+	putSel(blk.picked)
+}
+
+// load produces the decoded image of block bi and the selection over its
+// part of the range. With a tier it is the tier's copy when there is
+// one, and otherwise a whole decode into a fresh slice the tier takes
+// ownership of (shared and immutable from then on), selected from
+// afterwards like a raw chunk. Without one the compressed bytes are
+// inflated into a pooled image position first, and of the other wanted
+// fields only what the selection keeps. Safe to call concurrently for
+// distinct blocks.
+func (sc *blockScan) load(bi int) scanBlock {
+	df := sc.df
+	stride := df.Header.Schema.Stride()
+	cLo, cHi := sc.clip(bi)
+	var blk scanBlock
+	if sc.sel != nil {
+		blk.picked = getSel()
+	}
+	fail := func(err error) scanBlock {
+		blk.release()
+		return scanBlock{err: err}
+	}
+	if sc.decoded != nil {
+		if blk.recs = sc.decoded.GetBlock(bi); blk.recs == nil {
+			var err error
+			if blk.recs, err = df.decodeWholeBlock(sc.ra, bi); err != nil {
+				return fail(err)
+			}
+			sc.decoded.PutBlock(bi, blk.recs)
 		}
-		recs, err := df.decodeWholeBlock(ra, bi)
-		if err != nil {
-			return scanBlock{err: err}
+		if sc.sel != nil {
+			blk.picked = sc.sel(blk.picked, blk.recs[cLo*stride:cHi*stride])
 		}
-		decoded.PutBlock(bi, recs)
-		return scanBlock{recs: recs}
+		return blk
 	}
 	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
 	defer toPool(&stagePool, comp)
-	if _, err := ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
-		return scanBlock{err: err}
+	if _, err := sc.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
+		return fail(err)
 	}
 	count := int(df.blockRecs[bi+1] - df.blockRecs[bi])
-	recs := df.stage(count * df.Header.Schema.Stride())
-	if err := particle.DecompressFieldsInto(df.Header.Schema, comp, count, recs, want); err != nil {
-		toPool(&stagePool, recs)
-		return scanBlock{err: err}
+	blk.recs, blk.pooled = df.stage(count*stride), true
+	var err error
+	blk.picked, err = particle.DecompressPickedInto(df.Header.Schema, comp, count, blk.recs, sc.want, cLo, cHi, sc.sel, blk.picked)
+	if err != nil {
+		return fail(err)
 	}
-	return scanBlock{recs: recs, pooled: true}
+	return blk
 }
 
 // decodeWholeBlock reads and decodes one whole compressed block into a
@@ -929,19 +1026,19 @@ func (df *DataFile) decodeWholeBlock(ra io.ReaderAt, bi int) ([]byte, error) {
 }
 
 // readahead prefetches block bi in the background: its ReadAt warms the
-// compressed cache under the ra seam, and with a decoded tier installed
-// the decoded bytes land there too, so the next sequential read starts
-// hot. One readahead runs at a time (raBusy); errors are dropped — a
-// prefetch that fails only costs the head start, and the foreground
-// read that follows will surface any real fault. The ra seam and
-// decoded tier are captured here, on the caller's goroutine, so the
-// prefetch never reads the installable fields. raWG is the join point
-// (tests drain it); Close does not block on it.
-func (df *DataFile) readahead(bi int) {
+// compressed cache under the ra seam, and with a decoded tier in play
+// (installed, and not bypassed by the scan that arms this) the decoded
+// bytes land there too, so the next sequential read starts hot. One
+// readahead runs at a time (raBusy); errors are dropped — a prefetch
+// that fails only costs the head start, and the foreground read that
+// follows will surface any real fault. The ra seam and decoded tier are
+// the scan's, loaded on the caller's goroutine, so the prefetch never
+// reads the installable fields. raWG is the join point (tests drain it);
+// Close does not block on it.
+func (df *DataFile) readahead(ra io.ReaderAt, decoded DecodedBlockCache, bi int) {
 	if !df.raBusy.CompareAndSwap(false, true) {
 		return
 	}
-	ra, decoded := df.ra, df.decoded
 	df.raWG.Add(1)
 	go func() {
 		defer df.raWG.Done()
@@ -968,7 +1065,7 @@ func (df *DataFile) ReadRange(lo, hi int64) (*particle.Buffer, error) {
 		return nil, err
 	}
 	fill := particle.NewFiller(df.Header.Schema, int(hi-lo))
-	if err := df.Scan(lo, hi, nil, fill.Chunk); err != nil {
+	if err := df.Scan(lo, hi, nil, nil, fill.Chunk); err != nil {
 		return nil, err
 	}
 	return fill.Buffer()

@@ -1,30 +1,37 @@
 package format
 
 import (
+	"io"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spio/internal/particle"
 )
 
-// mapDecodedCache is a minimal DecodedBlockCache for seam tests: an
-// unbounded map with hit/put counters.
+// mapDecodedCache is a minimal DecodedBlockCache for seam tests: a map
+// that never evicts, with lookup/hit/put counters, and a capacity that
+// only decides which scans go around it (0: none do).
 type mapDecodedCache struct {
+	capacity int64
+
 	mu     sync.Mutex
 	blocks map[int][]byte
+	gets   int
 	hits   int
 	puts   int
 }
 
-func newMapDecodedCache() *mapDecodedCache {
-	return &mapDecodedCache{blocks: map[int][]byte{}}
+func newMapDecodedCache(capacity int64) *mapDecodedCache {
+	return &mapDecodedCache{capacity: capacity, blocks: map[int][]byte{}}
 }
 
 func (c *mapDecodedCache) GetBlock(bi int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gets++
 	recs := c.blocks[bi]
 	if recs != nil {
 		c.hits++
@@ -41,6 +48,8 @@ func (c *mapDecodedCache) PutBlock(bi int, recs []byte) {
 	}
 }
 
+func (c *mapDecodedCache) Holds(n int64) bool { return c.capacity == 0 || n <= c.capacity }
+
 // TestDecodedTierServesRepeatReads pins the decoded-tier seam: repeat
 // range reads must hit the tier instead of re-inflating, and every
 // answer must stay byte-identical to the raw layout.
@@ -56,7 +65,7 @@ func TestDecodedTierServesRepeatReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	tier := newMapDecodedCache()
+	tier := newMapDecodedCache(0)
 	cf.SetDecodedCache(tier)
 
 	r := rand.New(rand.NewSource(31))
@@ -117,7 +126,7 @@ func TestConcurrentPayloadRangeSharedFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tier {
-			cf.SetDecodedCache(newMapDecodedCache())
+			cf.SetDecodedCache(newMapDecodedCache(0))
 		}
 		count := cf.Header.Count
 		var wg sync.WaitGroup
@@ -173,7 +182,7 @@ func TestSequentialReadaheadWarmsTier(t *testing.T) {
 	if len(cf.blockRecs) < 4 {
 		t.Skipf("only %d blocks; need 3+ for a readahead target", len(cf.blockRecs)-1)
 	}
-	tier := newMapDecodedCache()
+	tier := newMapDecodedCache(0)
 	cf.SetDecodedCache(tier)
 
 	// A prefix read covering block 0 only: blocks [0,1) decode, block 1
@@ -196,7 +205,7 @@ func TestSequentialReadaheadWarmsTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	tier2 := newMapDecodedCache()
+	tier2 := newMapDecodedCache(0)
 	cold.SetDecodedCache(tier2)
 	cold.lastHi.Store(-1) // no prior read
 	mid := cold.blockRecs[2] + 1
@@ -209,5 +218,69 @@ func TestSequentialReadaheadWarmsTier(t *testing.T) {
 	tier2.mu.Unlock()
 	if armed {
 		t.Error("non-sequential read armed the readahead")
+	}
+}
+
+// countingReaderAt counts the reads that reach it.
+type countingReaderAt struct {
+	io.ReaderAt
+	reads atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads.Add(1)
+	return c.ReaderAt.ReadAt(p, off)
+}
+
+// TestScanGoesAroundTierItCannotFit pins the bypass rule: a scan whose
+// blocks decode to more than the decoded tier holds neither asks it, nor
+// fills it, nor parks its readahead there — under LRU it would evict its
+// own head before it could come back to it — while its readahead still
+// warms the compressed bytes under the seam; a scan the tier can hold
+// uses it exactly as before.
+func TestScanGoesAroundTierItCannotFit(t *testing.T) {
+	_, comp, _ := writeCodecPair(t, 6000, particle.LosslessSpec(particle.Uintah()), false)
+	cf, err := OpenDataFile(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	if len(cf.blockRecs) < 5 {
+		t.Skipf("only %d blocks", len(cf.blockRecs)-1)
+	}
+	stride := int64(cf.Header.Schema.Stride())
+	seam := &countingReaderAt{ReaderAt: cf.ReaderAt()}
+	cf.SetReaderAt(seam)
+	// Room for blocks 0..2 together, not for 0..3.
+	tier := newMapDecodedCache(cf.blockRecs[3] * stride)
+	cf.SetDecodedCache(tier)
+
+	// Too large, sequential (starts at 0) and ending before the file does:
+	// blocks 0..3 are read, block 4 is the readahead target.
+	if _, err := cf.ReadRange(0, cf.blockRecs[3]+1); err != nil {
+		t.Fatal(err)
+	}
+	cf.raWG.Wait()
+	if tier.gets != 0 || tier.puts != 0 {
+		t.Errorf("a scan too large for the tier asked it %d times and offered it %d blocks", tier.gets, tier.puts)
+	}
+	if got := seam.reads.Load(); got != 5 {
+		t.Errorf("%d reads through the seam, want the scan's 4 blocks and the readahead's 1", got)
+	}
+
+	// Small enough: the tier is filled, and warmed with the next block.
+	if _, err := cf.ReadRange(0, cf.blockRecs[2]); err != nil {
+		t.Fatal(err)
+	}
+	cf.raWG.Wait()
+	if tier.puts != 3 || tier.blocks[2] == nil {
+		t.Errorf("a scan the tier holds left %d blocks in it, want blocks 0, 1 and the readahead's 2", tier.puts)
+	}
+	if _, err := cf.ReadRange(0, cf.blockRecs[2]); err != nil {
+		t.Fatal(err)
+	}
+	cf.raWG.Wait()
+	if tier.hits < 2 {
+		t.Errorf("the repeat of a scan the tier holds hit it %d times", tier.hits)
 	}
 }

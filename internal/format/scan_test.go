@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 // way a projected reader drives Scan.
 func scanProjected(df *DataFile, lo, hi int64, proj *particle.Projection) (*particle.Buffer, error) {
 	out := particle.NewBuffer(proj.Schema(), 0)
-	err := df.Scan(lo, hi, proj, func(recs []byte) error { return proj.DecodeRecords(out, recs) })
+	err := df.Scan(lo, hi, proj, nil, func(recs []byte, _ []int32) error { return proj.DecodeRecords(out, recs) })
 	if err != nil {
 		return nil, err
 	}
@@ -61,8 +62,8 @@ func refPayload(t *testing.T, path string) []byte {
 }
 
 // refQuery is the old algorithm end to end: whole range -> Decode ->
-// per-row closed test -> AppendFrom, projected afterwards.
-func refQuery(schema *particle.Schema, image []byte, lo, hi int64, proj *particle.Projection, q geom.Box) (*particle.Buffer, error) {
+// per-row test -> AppendFrom, projected afterwards.
+func refQuery(schema *particle.Schema, image []byte, lo, hi int64, proj *particle.Projection, keep func(geom.Vec3) bool) (*particle.Buffer, error) {
 	stride := int64(schema.Stride())
 	all, err := particle.Decode(schema, image[lo*stride:hi*stride])
 	if err != nil {
@@ -70,7 +71,7 @@ func refQuery(schema *particle.Schema, image []byte, lo, hi int64, proj *particl
 	}
 	out := particle.NewBuffer(schema, 0)
 	for i := 0; i < all.Len(); i++ {
-		if q.ContainsClosed(all.Position(i)) {
+		if keep(all.Position(i)) {
 			out.AppendFrom(all, i)
 		}
 	}
@@ -80,13 +81,53 @@ func refQuery(schema *particle.Schema, image []byte, lo, hi int64, proj *particl
 	return out, nil
 }
 
-// scanQuery is the new path: Scan -> the fused box filter.
-func scanQuery(df *DataFile, lo, hi int64, proj *particle.Projection, q geom.Box) (*particle.Buffer, error) {
-	f := particle.NewBoxFilter(df.Header.Schema, proj, q)
-	if err := df.Scan(lo, hi, proj, f.Chunk); err != nil {
-		return nil, err
+// poisoned wraps a scan callback so that it sees only what the scan
+// defines for it: it is handed a copy of the chunk in which every record
+// outside the selection, position included, and every field outside the
+// projection has been overwritten. A callback that reads anything it was
+// not given then produces a wrong answer instead of a lucky one — which
+// is how "the filters never look at a record that was not picked" is
+// checked, and a compressed block's never-assembled rows along with it.
+// selecting says whether the scan was given a selector (a nil picked
+// then means nothing was picked, not everything).
+func poisoned(schema *particle.Schema, proj *particle.Projection, selecting bool, take func(recs []byte, picked []int32) error) func([]byte, []int32) error {
+	stride := schema.Stride()
+	var scratch []byte
+	return func(recs []byte, picked []int32) error {
+		if cap(scratch) < len(recs) {
+			scratch = make([]byte, len(recs))
+		}
+		cp := scratch[:len(recs)]
+		for i := range cp {
+			cp[i] = 0xA5
+		}
+		keepRow := func(i int) {
+			row, src := cp[i*stride:(i+1)*stride], recs[i*stride:(i+1)*stride]
+			if proj == nil {
+				copy(row, src)
+				return
+			}
+			for fi, want := range proj.Wants() {
+				if want {
+					o := schema.Offset(fi)
+					copy(row[o:o+schema.Field(fi).Bytes()], src[o:])
+				}
+			}
+		}
+		if selecting {
+			for j, i := range picked {
+				if int(i) >= len(recs)/stride || j > 0 && picked[j-1] >= i {
+					return fmt.Errorf("selection %v is not an increasing list of records of a %d-record chunk", picked, len(recs)/stride)
+				}
+				keepRow(int(i))
+			}
+		} else {
+			for i := 0; i < len(recs)/stride; i++ {
+				keepRow(i)
+			}
+		}
+		return take(cp, picked)
 	}
-	return f.Buffer(), nil
 }
 
 // lruSeam is a block-cache-shaped ReaderAt seam: fixed-size blocks of
@@ -165,7 +206,8 @@ func (s lendingSeam) ViewAt(off int64) ([]byte, error) {
 }
 
 // oneBlockTier is the thrashing decoded tier: it keeps only the block
-// most recently offered.
+// most recently offered, and claims to hold anything, so that every scan
+// goes through it.
 type oneBlockTier struct {
 	mu   sync.Mutex
 	bi   int
@@ -187,17 +229,24 @@ func (c *oneBlockTier) PutBlock(bi int, recs []byte) {
 	c.bi, c.recs = bi, recs
 }
 
+func (c *oneBlockTier) Holds(int64) bool { return true }
+
 // TestScanMatchesReference is the differential test of the streaming
-// read path: over {raw, lossless, lossy} files x {full range, LOD
-// prefix ending mid-block, range starting mid-block, empty range} x
-// {all fields, position only, position + one scalar} x {no seam, block
-// seam, seam + decoded tier, seam + tier of one block, a seam that lends
-// its blocks — of a size no record is aligned to, and of a size smaller
-// than a record}, a box query
-// through Scan + the filter kernel must equal the kept reference (whole
-// range -> Decode -> per-row closed test) bit for bit. Eight goroutines
+// read path: over {raw, lossless, fast, lossy} files x {full range, LOD
+// prefix ending mid-block, range starting mid-block, both ends inside
+// one block, empty range} x {all fields, position only, position + one
+// scalar} x {no seam, block seam, a seam that lends its blocks — of a
+// size no record is aligned to, and of a size smaller than a record} x
+// {no decoded tier, an ample tier, a tier of one block, and for
+// compressed files a tier too small for any range (every scan goes
+// around it and it is never touched) and a tier that holds some of the
+// ranges}, a box query (select-then-take through the fused filter), a
+// halo and an unfiltered fill must equal the kept reference (whole range
+// -> Decode -> per-row test) bit for bit — while every callback is
+// handed only what the scan defines for it (poisoned). Eight goroutines
 // share each DataFile, so under -race this is also the proof that a scan
-// never writes a shared tier slice or another scan's chunk.
+// never writes a shared tier slice or another scan's chunk, and that the
+// selectors the decode workers run share nothing with the takes.
 func TestScanMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 12000
@@ -223,87 +272,160 @@ func TestScanMatchesReference(t *testing.T) {
 		{0, cuts[k-3] + 37},                // LOD-style prefix ending mid-block
 		{cuts[k-4] + 11, cuts[k-2]},        // starts mid-block, ends on a boundary
 		{cuts[k-4] + 11, cuts[k-3] + 1000}, // both ends mid-block
+		{cuts[k-2] + 5, cuts[k-2] + 600},   // inside one block: both clips on it
 		{cuts[k-3], cuts[k-3]},             // empty
 	}
 	projections := [][]string{nil, {particle.PositionField}, {"density"}}
+	stride := int64(schema.Stride())
 
+	// codec/seam, where the seam names what sits under and in front of the
+	// file: a ReaderAt seam ("seam", or a lending "view"), a decoded tier
+	// ("tier": ample; "tier1": one block; "tier-bypass": too small for any
+	// range; "tier-some": holds the two-block ranges, not the long ones),
+	// or both. A raw file has no decode for a tier to save.
+	type config struct{ codec, seam string }
+	var configs []config
+	for _, codec := range []string{"raw", "lossless", "fast", "lossy"} {
+		seams := []string{"none", "seam", "seam+tier", "seam+tier1", "view", "view-tiny"}
+		if codec != "raw" {
+			seams = append(seams, "tier", "tier-bypass", "seam+tier-bypass", "seam+tier-some")
+		}
+		for _, seam := range seams {
+			configs = append(configs, config{codec, seam})
+		}
+	}
 	specs := map[string]particle.Spec{
 		"raw":      {},
 		"lossless": particle.LosslessSpec(schema),
+		"fast":     particle.FastSpec(schema),
 		"lossy":    particle.LossySpec(schema, 1e-4),
 	}
-	seams := []string{"none", "seam", "seam+tier", "seam+tier1", "view", "view-tiny"}
+	images := map[string][]byte{}
 	for codec, spec := range specs {
 		path := filepath.Join(dir, codec+".spd")
 		hdr := DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 5, Codec: spec}
 		if err := WriteDataFile(nil, path, hdr, buf); err != nil {
 			t.Fatal(err)
 		}
-		image := refPayload(t, path)
-		for _, seam := range seams {
-			t.Run(codec+"/"+seam, func(t *testing.T) {
-				df, err := OpenDataFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seam != "none" {
-					df.SetReaderAt(newLRUSeam(df.ReaderAt(), 16<<10, 32))
-				}
-				switch seam {
-				case "view":
-					df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 1000, 32)})
-				case "view-tiny":
-					df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 100, 32)})
-				case "seam+tier":
-					df.SetDecodedCache(newMapDecodedCache())
-				case "seam+tier1":
-					df.SetDecodedCache(&oneBlockTier{})
-				}
-				var wg sync.WaitGroup
-				for g := 0; g < 8; g++ {
-					wg.Add(1)
-					go func(seed int64) {
-						defer wg.Done()
-						r := rand.New(rand.NewSource(seed))
-						for i := 0; i < 4; i++ {
-							rg := ranges[r.Intn(len(ranges))]
-							var proj *particle.Projection
-							if names := projections[r.Intn(len(projections))]; names != nil {
-								p, err := schema.Project(names)
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								proj = p
+		images[codec] = refPayload(t, path)
+	}
+	for _, cfg := range configs {
+		image := images[cfg.codec]
+		t.Run(cfg.codec+"/"+cfg.seam, func(t *testing.T) {
+			df, err := OpenDataFile(filepath.Join(dir, cfg.codec+".spd"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seam, tier, _ := strings.Cut(cfg.seam, "+")
+			if strings.HasPrefix(seam, "tier") {
+				seam, tier = "none", seam
+			}
+			switch seam {
+			case "seam":
+				df.SetReaderAt(newLRUSeam(df.ReaderAt(), 16<<10, 32))
+			case "view":
+				df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 1000, 32)})
+			case "view-tiny":
+				df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 100, 32)})
+			}
+			var bypassed *mapDecodedCache
+			switch tier {
+			case "tier":
+				df.SetDecodedCache(newMapDecodedCache(0))
+			case "tier1":
+				df.SetDecodedCache(&oneBlockTier{})
+			case "tier-bypass":
+				bypassed = newMapDecodedCache(1)
+				df.SetDecodedCache(bypassed)
+			case "tier-some":
+				df.SetDecodedCache(newMapDecodedCache((cuts[k-2] - cuts[k-5]) * stride))
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					for i := 0; i < 3; i++ {
+						rg := ranges[r.Intn(len(ranges))]
+						var proj *particle.Projection
+						if names := projections[r.Intn(len(projections))]; names != nil {
+							p, err := schema.Project(names)
+							if err != nil {
+								t.Error(err)
+								return
 							}
-							c := geom.V3(r.Float64(), r.Float64(), r.Float64())
-							h := 0.05 + 0.4*r.Float64()
-							q := geom.NewBox(c.Sub(geom.V3(h, h, h)), c.Add(geom.V3(h, h, h)))
-							what := fmt.Sprintf("range %v fields %v box %v", rg, proj != nil, q)
-							want, err := refQuery(schema, image, rg[0], rg[1], proj, q)
+							proj = p
+						}
+						c := geom.V3(r.Float64(), r.Float64(), r.Float64())
+						h := 0.05 + 0.4*r.Float64()
+						q := geom.NewBox(c.Sub(geom.V3(h, h, h)), c.Add(geom.V3(h, h, h)))
+						grown := geom.NewBox(q.Lo.Sub(geom.V3(0.03, 0.03, 0.03)), q.Hi.Add(geom.V3(0.03, 0.03, 0.03)))
+						kind := []string{"box", "halo", "fill"}[r.Intn(3)]
+						what := fmt.Sprintf("%s range %v fields %v box %v", kind, rg, proj != nil, q)
+
+						// What the scan returns, and the per-row tests that say
+						// what it should have.
+						var got []*particle.Buffer
+						var keeps []func(geom.Vec3) bool
+						var err error
+						switch kind {
+						case "box":
+							f := particle.NewBoxFilter(schema, proj, q)
+							err = df.Scan(rg[0], rg[1], proj, f.Select, poisoned(schema, proj, true, f.Take))
+							got = []*particle.Buffer{f.Buffer()}
+							keeps = []func(geom.Vec3) bool{q.ContainsClosed}
+						case "halo":
+							f := particle.NewHaloFilter(schema, proj, grown, q)
+							err = df.Scan(rg[0], rg[1], proj, f.Select, poisoned(schema, proj, true, f.Take))
+							own, ghost := f.Rows()
+							got = []*particle.Buffer{own.Buffer(), ghost.Buffer()}
+							keeps = []func(geom.Vec3) bool{
+								func(p geom.Vec3) bool { return grown.ContainsClosed(p) && q.Contains(p) },
+								func(p geom.Vec3) bool { return grown.ContainsClosed(p) && !q.Contains(p) },
+							}
+						case "fill":
+							f := particle.NewRowFiller(schema, proj, int(rg[1]-rg[0]))
+							err = df.Scan(rg[0], rg[1], proj, nil, poisoned(schema, proj, false, f.Chunk))
+							rows, ferr := f.Rows()
+							if ferr != nil {
+								t.Errorf("%s: %v", what, ferr)
+								return
+							}
+							got = []*particle.Buffer{rows.Buffer()}
+							keeps = []func(geom.Vec3) bool{func(geom.Vec3) bool { return true }}
+						}
+						if err != nil {
+							t.Errorf("%s: %v", what, err)
+							return
+						}
+						for j, keep := range keeps {
+							want, err := refQuery(schema, image, rg[0], rg[1], proj, keep)
 							if err != nil {
 								t.Errorf("%s: reference: %v", what, err)
 								return
 							}
-							got, err := scanQuery(df, rg[0], rg[1], proj, q)
-							if err != nil {
-								t.Errorf("%s: %v", what, err)
-								return
-							}
-							if !got.Equal(want) {
-								t.Errorf("%s: scan kept %d, reference kept %d, or they differ in content", what, got.Len(), want.Len())
+							if !got[j].Equal(want) {
+								t.Errorf("%s: part %d: scan kept %d, reference kept %d, or they differ in content", what, j, got[j].Len(), want.Len())
 								return
 							}
 						}
-					}(int64(g) + 100)
+					}
+				}(int64(g) + 100)
+			}
+			wg.Wait()
+			df.raWG.Wait() // readahead must settle before the file closes under -race
+			if bypassed != nil {
+				bypassed.mu.Lock()
+				if bypassed.gets != 0 || bypassed.puts != 0 {
+					t.Errorf("a tier that holds nothing was asked %d times and offered %d blocks", bypassed.gets, bypassed.puts)
 				}
-				wg.Wait()
-				df.raWG.Wait() // readahead must settle before the file closes under -race
-				if err := df.Close(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+				bypassed.mu.Unlock()
+			}
+			if err := df.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -326,7 +448,10 @@ func TestScanChunksCoverRangeInOrder(t *testing.T) {
 		stride := int64(df.Header.Schema.Stride())
 		lo, hi := int64(7), df.Header.Count-5
 		at := lo
-		err = df.Scan(lo, hi, nil, func(recs []byte) error {
+		err = df.Scan(lo, hi, nil, nil, func(recs []byte, picked []int32) error {
+			if picked != nil {
+				t.Errorf("a scan without a selector handed out the selection %v", picked)
+			}
 			if int64(len(recs))%stride != 0 || len(recs) == 0 {
 				t.Errorf("chunk of %d bytes is not a positive whole number of records", len(recs))
 			}
@@ -344,7 +469,7 @@ func TestScanChunksCoverRangeInOrder(t *testing.T) {
 		}
 		// A callback error stops the scan and comes back to the caller.
 		calls := 0
-		err = df.Scan(0, df.Header.Count, nil, func([]byte) error { calls++; return io.ErrUnexpectedEOF })
+		err = df.Scan(0, df.Header.Count, nil, nil, func([]byte, []int32) error { calls++; return io.ErrUnexpectedEOF })
 		if err == nil || calls != 1 {
 			t.Errorf("callback error: scan returned %v after %d calls", err, calls)
 		}

@@ -42,7 +42,8 @@ const (
 	// bytes, then all second bytes, ...) and deflates the result;
 	// lossless for any field. The shuffle groups the slowly-varying
 	// sign/exponent bytes of neighbouring values so flate sees long
-	// runs.
+	// runs. The payload is one RFC 1951 stream; the encoder cuts it at
+	// the planes and stores the incompressible ones (deflatePlanes).
 	CodecShuffleDeflate CodecID = 1
 	// CodecDeltaVarint encodes integer-valued float64 columns (particle
 	// ids, type tags) as zigzag varints of consecutive differences;
@@ -398,7 +399,8 @@ func (st *codecState) encodeField(f Field, want CodecID, bound float64, records 
 
 // encodeShuffle byte-plane-transposes one field straight out of the
 // record image (fused gather+shuffle, see codec_state.go) and entropy-
-// codes the planes with flate or the fast LZ.
+// codes the planes with flate (plane by plane, see deflatePlanes) or the
+// fast LZ.
 func (st *codecState) encodeShuffle(id CodecID, f Field, records []byte, stride, off, count int) (CodecID, []byte) {
 	shuf := st.shuffled(count * f.Bytes())
 	shuffleFromRecords(shuf, records, stride, off, f.Kind.Size(), f.Components, count)
@@ -406,9 +408,7 @@ func (st *codecState) encodeShuffle(id CodecID, f Field, records []byte, stride,
 		st.out.b = appendLZ(st.out.b[:0], shuf, st.tab)
 		return CodecShuffleLZ, st.out.b
 	}
-	zw := st.flateWriter()
-	_, _ = zw.Write(shuf) // sliceWriter writes cannot fail
-	_ = zw.Close()
+	st.deflatePlanes(shuf, f.Kind.Size())
 	return CodecShuffleDeflate, st.out.b
 }
 
@@ -443,46 +443,71 @@ func DecompressBlock(schema *Schema, data []byte, count int) ([]byte, error) {
 // the middle of a result slice, batch decodes into disjoint regions).
 // It allocates nothing in steady state.
 func DecompressBlockInto(schema *Schema, data []byte, count int, dst []byte) error {
-	return DecompressFieldsInto(schema, data, count, dst, nil)
+	_, err := DecompressPickedInto(schema, data, count, dst, nil, 0, count, nil, nil)
+	return err
 }
 
-// DecompressFieldsInto is DecompressBlockInto for a reader that wants
-// only some fields: want[fi] false leaves field fi's bytes of dst
-// untouched (unspecified) and skips its inflate, which is most of a
-// block's decode cost when a query projects onto the position. A nil
-// want decodes every field. Skipped frames are still walked and checked
-// — known codec id on a field kind it applies to, raw length equal to
-// the column, payload inside the block, no trailing bytes — so a
-// malformed frame is rejected by a projected read exactly as by a full
-// one; only corruption inside a skipped payload goes unseen.
-func DecompressFieldsInto(schema *Schema, data []byte, count int, dst []byte, want []bool) error {
+// DecompressPickedInto is DecompressBlockInto for a reader that keeps
+// only some fields of only some rows, and so need not decode the rest.
+//
+// Fields: want[fi] false leaves field fi's bytes of dst untouched
+// (unspecified) and skips its inflate, which is most of a block's decode
+// cost when a query projects onto the position. A nil want decodes every
+// field. Skipped frames are still walked and checked — known codec id on
+// a field kind it applies to, raw length equal to the column, payload
+// inside the block, no trailing bytes — so a malformed frame is rejected
+// by a projected read exactly as by a full one, with the same error;
+// only corruption inside a skipped payload goes unseen.
+//
+// Rows: the reader learns which it keeps from their positions. With a
+// pick, the position (field 0) of every record is decoded first, wanted
+// or not, pick is run over records [lo, hi) of dst, and every other
+// wanted field is then decoded at the picked rows alone. The selection
+// is returned, appended to picked — indices relative to lo. Of dst, the
+// position of every record and the wanted fields of the picked rows are
+// then defined; everything else is unspecified. A byte-plane codec still
+// inflates a wanted field's planes whole (a deflate stream has no random
+// access) but assembles values only where a row was picked, and a block
+// in which nothing was picked inflates nothing after the position — its
+// frames are walked and checked all the same. A nil pick decodes every
+// record and returns picked as it came.
+func DecompressPickedInto(schema *Schema, data []byte, count int, dst []byte, want []bool, lo, hi int, pick Selector, picked []int32) ([]int32, error) {
 	if count < 0 {
-		return fmt.Errorf("particle: negative record count %d", count)
+		return picked, fmt.Errorf("particle: negative record count %d", count)
 	}
 	stride := schema.Stride()
 	if len(dst) != count*stride {
-		return fmt.Errorf("particle: destination holds %d bytes, block decodes to %d", len(dst), count*stride)
+		return picked, fmt.Errorf("particle: destination holds %d bytes, block decodes to %d", len(dst), count*stride)
+	}
+	if lo < 0 || hi > count || lo > hi {
+		return picked, fmt.Errorf("particle: rows [%d,%d) out of a block of %d", lo, hi, count)
 	}
 	st := getCodecState()
 	defer putCodecState(st)
-	return st.decompressInto(schema, data, count, dst, want)
+	return st.decompressInto(schema, data, count, dst, want, lo, hi, pick, picked)
 }
 
 // decompressInto walks the per-field frames, decoding each wanted field
-// straight into its slots of the dst record image.
-func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst []byte, want []bool) error {
+// straight into its slots of the dst record image — with a pick, at the
+// rows it selects from [lo, hi) once the position is in place.
+func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst []byte, want []bool, lo, hi int, pick Selector, picked []int32) ([]int32, error) {
 	stride := schema.Stride()
+	// Once the position has been picked over, rows names the records the
+	// other fields are decoded at (relative to lo); until then, and
+	// without a pick, a field is decoded at all of them.
+	var rows []int32
+	picking := false
 	for fi := 0; fi < schema.NumFields(); fi++ {
 		f := schema.Field(fi)
 		off := schema.Offset(fi)
 		if len(data) < 1 {
-			return fmt.Errorf("particle: compressed block ends before field %q", f.Name)
+			return picked, fmt.Errorf("particle: compressed block ends before field %q", f.Name)
 		}
 		id := CodecID(data[0])
 		data = data[1:]
 		plen, n := binary.Uvarint(data)
 		if n <= 0 || plen > uint64(len(data)-n) {
-			return fmt.Errorf("particle: field %q: bad compressed payload length", f.Name)
+			return picked, fmt.Errorf("particle: field %q: bad compressed payload length", f.Name)
 		}
 		payload := data[n : n+int(plen)]
 		data = data[n+int(plen):]
@@ -490,45 +515,67 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 		colLen := count * f.Bytes()
 		switch {
 		case id > codecMax:
-			return fmt.Errorf("particle: field %q: unknown codec %d", f.Name, id)
+			return picked, fmt.Errorf("particle: field %q: unknown codec %d", f.Name, id)
 		case id == CodecRaw && len(payload) != colLen:
-			return fmt.Errorf("particle: field %q: raw column has %d bytes, want %d", f.Name, len(payload), colLen)
+			return picked, fmt.Errorf("particle: field %q: raw column has %d bytes, want %d", f.Name, len(payload), colLen)
 		case (id == CodecDeltaVarint || id == CodecQuantize) && f.Kind != Float64:
-			return fmt.Errorf("particle: field %q: %v codec on %v column", f.Name, id, f.Kind)
+			return picked, fmt.Errorf("particle: field %q: %v codec on %v column", f.Name, id, f.Kind)
 		}
-		if want != nil && !want[fi] {
+		selecting := pick != nil && fi == 0 // the position is what pick looks at
+		if !selecting && (want != nil && !want[fi] || picking && len(rows) == 0) {
 			continue
 		}
 		var err error
 		switch id {
 		case CodecRaw:
-			scatterColumn(dst, stride, off, f.Bytes(), payload)
-		case CodecShuffleDeflate:
-			err = st.decodeShuffleDeflate(payload, dst, stride, off, f, count)
-		case CodecShuffleLZ:
-			shuf := st.shuffled(colLen)
-			if err = decodeLZ(shuf, payload); err == nil {
-				unshuffleToRecords(dst, shuf, stride, off, f.Kind.Size(), f.Components, count)
+			if !picking {
+				scatterColumn(dst, stride, off, f.Bytes(), payload)
+			} else {
+				for _, i := range rows {
+					r := lo + int(i)
+					copy(dst[r*stride+off:r*stride+off+f.Bytes()], payload[r*f.Bytes():])
+				}
 			}
+		case CodecShuffleDeflate, CodecShuffleLZ:
+			shuf := st.shuffled(colLen)
+			if id == CodecShuffleLZ {
+				err = decodeLZ(shuf, payload)
+			} else {
+				err = st.inflate(shuf, payload)
+			}
+			if err != nil {
+				break
+			}
+			if !picking {
+				unshuffleToRecords(dst, shuf, stride, off, f.Kind.Size(), f.Components, count)
+			} else {
+				unshuffleRows(dst, shuf, stride, off, f.Kind.Size(), f.Components, count, lo, rows)
+			}
+		// The varint codecs are one sequential stream each: a value is
+		// found only by decoding those before it, so they decode whole.
 		case CodecDeltaVarint:
 			err = decodeDeltaVarintInto(dst, stride, off, payload, count, f.Components)
 		case CodecQuantize:
 			err = decodeQuantizeInto(dst, stride, off, payload, count, f.Components)
 		}
 		if err != nil {
-			return fmt.Errorf("particle: field %q: %w", f.Name, err)
+			return picked, fmt.Errorf("particle: field %q: %w", f.Name, err)
+		}
+		if selecting {
+			base := len(picked)
+			picked = pick(picked, dst[lo*stride:hi*stride])
+			rows, picking = picked[base:], true
 		}
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("particle: %d trailing bytes after compressed block", len(data))
+		return picked, fmt.Errorf("particle: %d trailing bytes after compressed block", len(data))
 	}
-	return nil
+	return picked, nil
 }
 
-// decodeShuffleDeflate inflates one field's byte planes on the pooled
-// flate reader and unshuffles them into the record image.
-func (st *codecState) decodeShuffleDeflate(payload, dst []byte, stride, off int, f Field, count int) error {
-	shuf := st.shuffled(count * f.Bytes())
+// inflate fills shuf — one field's byte planes — from a deflate payload
+// on the pooled flate reader.
+func (st *codecState) inflate(shuf, payload []byte) error {
 	zr := st.flateReader(payload)
 	if _, err := io.ReadFull(zr, shuf); err != nil {
 		return fmt.Errorf("inflate: %w", err)
@@ -539,7 +586,6 @@ func (st *codecState) decodeShuffleDeflate(payload, dst []byte, stride, off int,
 	if n, _ := zr.Read(one[:]); n != 0 {
 		return fmt.Errorf("inflate: stream longer than column")
 	}
-	unshuffleToRecords(dst, shuf, stride, off, f.Kind.Size(), f.Components, count)
 	return nil
 }
 

@@ -50,10 +50,9 @@ func (st *codecState) shuffled(n int) []byte {
 	return st.shf[:n]
 }
 
-// flateWriter returns the pooled flate writer reset onto st.out (which
-// is itself reset to empty).
+// flateWriter returns the pooled flate writer reset — no window, no
+// pending bits — to append onto st.out.
 func (st *codecState) flateWriter() *flate.Writer {
-	st.out.b = st.out.b[:0]
 	if st.fw == nil {
 		zw, err := flate.NewWriter(&st.out, flate.BestSpeed)
 		if err != nil {
@@ -66,6 +65,83 @@ func (st *codecState) flateWriter() *flate.Writer {
 	}
 	st.fw.Reset(&st.out)
 	return st.fw
+}
+
+// The shuffle+deflate payload is one RFC 1951 stream cut at the byte
+// planes. The planes of a float column are not alike: the low mantissa
+// bytes are noise no entropy coder shrinks, the sign/exponent bytes are
+// nearly constant. One flate stream over the whole column cuts its
+// 64 KiB blocks wherever they fall, so noise and structure share Huffman
+// tables, and both sides pay symbol-by-symbol coding for bytes that come
+// out as long as they went in. deflatePlanes instead emits, per plane,
+// either hand-framed stored blocks (a plane storedPlane judges
+// incompressible: a header and a copy on both sides) or that plane's own
+// flate segment — the pooled writer Reset, so no match reaches into
+// another plane, then Flush, which ends the segment on a byte boundary —
+// and closes the stream with one final empty stored block. Every piece
+// is a whole number of deflate blocks starting and ending byte-aligned,
+// so their concatenation is a valid stream that any inflater reads; the
+// codec id and the decoder are the single-stream encoder's.
+
+// maxStored is the most bytes one stored deflate block carries.
+const maxStored = 0xffff
+
+// deflatePlanes sets st.out to the deflate stream of shuf, planes byte
+// planes of equal length. The bytes depend on shuf alone: the writer is
+// Reset per segment, so nothing of what it compressed before shows.
+func (st *codecState) deflatePlanes(shuf []byte, planes int) {
+	st.out.b = st.out.b[:0]
+	n := len(shuf) / planes
+	for p := 0; p < planes && n > 0; p++ {
+		plane := shuf[p*n : (p+1)*n]
+		if storedPlane(plane) {
+			for len(plane) > 0 {
+				k := min(len(plane), maxStored)
+				// BFINAL=0 BTYPE=00 and the padding to the byte boundary,
+				// then LEN and its complement.
+				st.out.b = append(st.out.b, 0, byte(k), byte(k>>8), ^byte(k), ^byte(k>>8))
+				st.out.b = append(st.out.b, plane[:k]...)
+				plane = plane[k:]
+			}
+			continue
+		}
+		zw := st.flateWriter()
+		_, _ = zw.Write(plane) // sliceWriter writes cannot fail
+		_ = zw.Flush()
+	}
+	st.out.b = append(st.out.b, 1, 0, 0, 0xff, 0xff) // BFINAL=1, stored, empty
+}
+
+// storedPlane reports whether a byte plane is too close to uniform noise
+// for Huffman coding to pay: its collision entropy -log2(sum p(b)^2) is
+// above 7 bits per byte. The collision entropy never exceeds the
+// order-0 (Shannon) entropy, so a stored plane would have cost a Huffman
+// coder more than 7/8 of its length — at most an eighth is given up,
+// against coding time on both sides — and the test is exact in integers
+// where an entropy sum is not: 128 * sum c(b)^2 < n^2. A plane of a few
+// hundred bytes never passes it (n samples collide as if n/256 of them
+// agreed); flate decides those itself. The threshold is a constant of
+// the encoder, not of the format: the decoder reads whatever it chose.
+func storedPlane(plane []byte) bool {
+	// Four tables: consecutive equal bytes do not wait on one counter.
+	var h [4][256]uint32
+	i := 0
+	for ; i+4 <= len(plane); i += 4 {
+		h[0][plane[i]]++
+		h[1][plane[i+1]]++
+		h[2][plane[i+2]]++
+		h[3][plane[i+3]]++
+	}
+	for ; i < len(plane); i++ {
+		h[0][plane[i]]++
+	}
+	var sq uint64
+	for b := 0; b < 256; b++ {
+		c := uint64(h[0][b] + h[1][b] + h[2][b] + h[3][b])
+		sq += c * c
+	}
+	n := uint64(len(plane))
+	return sq < n*n>>7
 }
 
 // flateReader returns the pooled flate reader reset onto payload.
@@ -300,6 +376,38 @@ func unshuffleToRecords(records, shuf []byte, stride, off, sz, c, count int) {
 						records[base+k*sz] = row[i*c+k]
 					}
 				}
+			}
+		}
+	}
+}
+
+// unshuffleRows is unshuffleToRecords for a selection: it reassembles the
+// field's values of records lo+rows[j] alone, one byte from each plane
+// per value, and leaves every other record of the image untouched. The
+// cost follows the selection, not the block. sz is a Kind's size, 8 or 4.
+func unshuffleRows(records, shuf []byte, stride, off, sz, c, count, lo int, rows []int32) {
+	nelem := count * c
+	switch sz {
+	case 8:
+		p0, p1, p2, p3 := shuf[:nelem], shuf[nelem:2*nelem], shuf[2*nelem:3*nelem], shuf[3*nelem:4*nelem]
+		p4, p5, p6, p7 := shuf[4*nelem:5*nelem], shuf[5*nelem:6*nelem], shuf[6*nelem:7*nelem], shuf[7*nelem:8*nelem]
+		for _, i := range rows {
+			r := lo + int(i)
+			pos := r*stride + off
+			for e := r * c; e < (r+1)*c; e, pos = e+1, pos+8 {
+				v := uint64(p0[e]) | uint64(p1[e])<<8 | uint64(p2[e])<<16 | uint64(p3[e])<<24 |
+					uint64(p4[e])<<32 | uint64(p5[e])<<40 | uint64(p6[e])<<48 | uint64(p7[e])<<56
+				binary.LittleEndian.PutUint64(records[pos:], v)
+			}
+		}
+	case 4:
+		p0, p1, p2, p3 := shuf[:nelem], shuf[nelem:2*nelem], shuf[2*nelem:3*nelem], shuf[3*nelem:4*nelem]
+		for _, i := range rows {
+			r := lo + int(i)
+			pos := r*stride + off
+			for e := r * c; e < (r+1)*c; e, pos = e+1, pos+4 {
+				v := uint32(p0[e]) | uint32(p1[e])<<8 | uint32(p2[e])<<16 | uint32(p3[e])<<24
+				binary.LittleEndian.PutUint32(records[pos:], v)
 			}
 		}
 	}

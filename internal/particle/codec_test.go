@@ -279,6 +279,57 @@ func TestDecompressBlockHostile(t *testing.T) {
 		if err == nil && len(got) != 64*schema.Stride() {
 			t.Fatalf("trial %d: no error but %d bytes", trial, len(got))
 		}
+		checkPickedAgainstFull(t, schema, m, 64, got, err)
+	}
+}
+
+// pickNothing and pickOddX are the selectors the hostile tests drive the
+// row-picking decode with: a block without survivors, which inflates
+// nothing after the position, and one whose survivors depend on the
+// decoded bytes.
+func pickNothing(sel []int32, _ []byte) []int32 { return sel }
+
+func pickOddX(stride int) Selector {
+	return func(sel []int32, recs []byte) []int32 {
+		for i := 0; i*stride < len(recs); i++ {
+			if recs[i*stride]&1 == 1 {
+				sel = append(sel, int32(i))
+			}
+		}
+		return sel
+	}
+}
+
+// checkPickedAgainstFull runs the row-picking decode on a frame the full
+// decode has already judged (full, fullErr). It sees the same hostile
+// bytes, and must survive them; it may accept a frame the full decode
+// rejects — damage inside a payload it never inflates — never the
+// reverse; and what it decodes is the full decode's.
+func checkPickedAgainstFull(t testing.TB, schema *Schema, frame []byte, count int, full []byte, fullErr error) {
+	t.Helper()
+	stride := schema.Stride()
+	for name, pick := range map[string]Selector{"nothing": pickNothing, "odd x": pickOddX(stride)} {
+		part := make([]byte, count*stride)
+		picked, err := DecompressPickedInto(schema, frame, count, part, nil, 0, count, pick, nil)
+		if fullErr != nil {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("pick %s: full decode accepted a frame the picking decode rejects: %v", name, err)
+		}
+		if want := pick(nil, full); len(picked) != len(want) {
+			t.Fatalf("pick %s: %d rows picked, %d from the full decode", name, len(picked), len(want))
+		}
+		for i := 0; i < count; i++ {
+			if o := i * stride; !bytes.Equal(part[o:o+24], full[o:o+24]) {
+				t.Fatalf("pick %s: record %d: position differs from the full decode", name, i)
+			}
+		}
+		for _, i := range picked {
+			if o := int(i) * stride; !bytes.Equal(part[o:o+stride], full[o:o+stride]) {
+				t.Fatalf("pick %s: picked record %d differs from the full decode", name, i)
+			}
+		}
 	}
 }
 
@@ -287,6 +338,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	_, records := testBlockF(schema, 32)
 	comp, _ := CompressBlock(schema, LosslessSpec(schema), records)
 	f.Add(comp, 32)
+	f.Add(refCompressBlock(f, schema, LosslessSpec(schema), records), 32) // as files written before the plane cut hold it
 	fast, _ := CompressBlock(schema, FastSpec(schema), records)
 	f.Add(fast, 32)
 	f.Add([]byte{}, 0)
@@ -303,7 +355,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		posOnly := make([]bool, schema.NumFields())
 		posOnly[0] = true
 		part := make([]byte, count*schema.Stride())
-		perr := DecompressFieldsInto(schema, data, count, part, posOnly)
+		_, perr := DecompressPickedInto(schema, data, count, part, posOnly, 0, count, nil, nil)
+		// So does the row-picking decode, with no survivors and with some.
+		checkPickedAgainstFull(t, schema, data, count, got, err)
 		if err != nil {
 			return
 		}

@@ -190,7 +190,7 @@ func TestRowFillerChecksCount(t *testing.T) {
 	recs := Uniform(schema, geom.UnitBox(), 10, 1, 0).Encode()
 	for _, announced := range []int{9, 11} {
 		f := NewRowFiller(schema, nil, announced)
-		if err := f.Chunk(recs); err != nil {
+		if err := f.Chunk(recs, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.Rows(); err == nil {
@@ -198,8 +198,8 @@ func TestRowFillerChecksCount(t *testing.T) {
 		}
 	}
 	f := NewRowFiller(schema, nil, 10)
-	_ = f.Chunk(recs[:4*24])
-	_ = f.Chunk(recs[4*24:])
+	_ = f.Chunk(recs[:4*24], nil)
+	_ = f.Chunk(recs[4*24:], nil)
 	r, err := f.Rows()
 	if err != nil || !bytes.Equal(bytes.Join(r.Segments(), nil), recs) {
 		t.Fatalf("fill of the announced size: %v", err)

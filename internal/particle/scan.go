@@ -11,24 +11,37 @@ import (
 // The fused filter kernel of the read path. A box query looks at every
 // record of every intersecting file and keeps a small fraction of them,
 // so what it does with the rest is the cost. These kernels work on the
-// AoS record chunks a format.DataFile scan hands out: the box is tested
-// on the position bytes in place (the position is field 0, so it sits at
-// byte 0 of every record), the survivors of a chunk are named by a
-// selection vector, and only they — and only the projected fields — are
-// copied out. Nothing is decoded for a record that is thrown away.
+// AoS record chunks a format.DataFile scan hands out, in two steps the
+// scan runs itself: select — the box is tested on the position bytes in
+// place (the position is field 0, so it sits at byte 0 of every record)
+// and the survivors of a chunk are named by a selection vector — then
+// take: only they, and only the projected fields, are copied out.
+// Nothing is decoded for a record that is thrown away, and because the
+// scan knows the selection before the take, a compressed block never
+// even assembles the other fields of such a record
+// (DecompressPickedInto).
 //
-// BoxFilter and HaloFilter are the kernel as the readers use it — a scan
-// callback plus the result, handed out as Rows (for an answer that is
-// going onto the wire) or as the Buffer made from them; RowFiller is
-// their unfiltered sibling, and Filler fills columns directly for a
-// local read whose size is known up front.
+// BoxFilter and HaloFilter are the kernel as the readers use it — a
+// selector and a scan callback plus the result, handed out as Rows (for
+// an answer that is going onto the wire) or as the Buffer made from
+// them; RowFiller is their unfiltered sibling, and Filler fills columns
+// directly for a local read whose size is known up front.
 
-// BoxFilter is the scan callback of a box query: it keeps the records
-// whose position lies in the closed box, projected onto proj's fields.
+// Selector is the select step of a scan: it appends to sel the index of
+// every record of recs (whole records of the scanned schema) that the
+// scan is to keep, in record order, and returns the extended slice. It
+// may look at positions only — of a chunk whose selection is not yet
+// known nothing else is defined — and must be safe for concurrent use: a
+// scan of a compressed file runs it on its decode workers, several
+// blocks at a time.
+type Selector func(sel []int32, recs []byte) []int32
+
+// BoxFilter is a box query as a scan sees it: Select keeps the records
+// whose position lies in the closed box, Take collects them projected
+// onto proj's fields.
 type BoxFilter struct {
 	q      geom.Box
 	stride int
-	sel    []int32
 	kept   *collector
 }
 
@@ -38,10 +51,15 @@ func NewBoxFilter(src *Schema, proj *Projection, q geom.Box) *BoxFilter {
 	return &BoxFilter{q: q, stride: src.Stride(), kept: newCollector(src, proj)}
 }
 
-// Chunk filters one chunk of AoS records.
-func (f *BoxFilter) Chunk(recs []byte) error {
-	f.sel = selectClosed(f.sel[:0], recs, f.stride, f.q)
-	f.kept.add(recs, f.stride, f.sel)
+// Select is the filter's Selector. It reads only what NewBoxFilter set.
+func (f *BoxFilter) Select(sel []int32, recs []byte) []int32 {
+	return selectClosed(sel, recs, f.stride, f.q)
+}
+
+// Take is the scan callback: it copies the picked records of one chunk.
+// Records that were not picked are not looked at.
+func (f *BoxFilter) Take(recs []byte, picked []int32) error {
+	f.kept.add(recs, f.stride, picked)
 	return nil
 }
 
@@ -55,13 +73,13 @@ func (f *BoxFilter) Buffer() *Buffer { return f.Rows().Buffer() }
 // Release drops the records kept so far: the exit of a scan that failed.
 func (f *BoxFilter) Release() { f.kept.rows().Release() }
 
-// HaloFilter is the scan callback of a halo read: one pass keeps the
-// records inside the closed grown box and splits them into those the
-// half-open patch owns and the ghosts around it.
+// HaloFilter is a halo read as a scan sees it: Select keeps the records
+// inside the closed grown box, Take splits them into those the half-open
+// patch owns and the ghosts around it and collects both.
 type HaloFilter struct {
 	grown, patch geom.Box
 	stride       int
-	sel, rest    []int32
+	in, rest     []int32
 	own, ghosts  *collector
 }
 
@@ -72,11 +90,18 @@ func NewHaloFilter(src *Schema, proj *Projection, grown, patch geom.Box) *HaloFi
 		own: newCollector(src, proj), ghosts: newCollector(src, proj)}
 }
 
-// Chunk filters one chunk of AoS records.
-func (f *HaloFilter) Chunk(recs []byte) error {
-	f.sel = selectClosed(f.sel[:0], recs, f.stride, f.grown)
-	f.sel, f.rest = splitHalfOpen(f.sel, recs, f.stride, f.patch, f.rest[:0])
-	f.own.add(recs, f.stride, f.sel)
+// Select is the filter's Selector. It reads only what NewHaloFilter set.
+func (f *HaloFilter) Select(sel []int32, recs []byte) []int32 {
+	return selectClosed(sel, recs, f.stride, f.grown)
+}
+
+// Take is the scan callback: it splits the picked records of one chunk
+// by the patch and copies them. Records that were not picked are not
+// looked at, and picked is the scan's: the split goes into the filter's
+// own vectors.
+func (f *HaloFilter) Take(recs []byte, picked []int32) error {
+	f.in, f.rest = splitHalfOpen(picked, recs, f.stride, f.patch, f.in[:0], f.rest[:0])
+	f.own.add(recs, f.stride, f.in)
 	f.ghosts.add(recs, f.stride, f.rest)
 	return nil
 }
@@ -107,8 +132,9 @@ func NewRowFiller(src *Schema, proj *Projection, n int) *RowFiller {
 	return &RowFiller{kept: newCollector(src, proj), stride: src.Stride(), want: n}
 }
 
-// Chunk keeps one chunk of AoS records.
-func (f *RowFiller) Chunk(recs []byte) error {
+// Chunk is the scan callback of a scan without a selector: it keeps every
+// record of one chunk.
+func (f *RowFiller) Chunk(recs []byte, _ []int32) error {
 	f.kept.addAll(recs, f.stride)
 	return nil
 }
@@ -147,9 +173,10 @@ func NewFiller(schema *Schema, n int) *Filler {
 	return &Filler{out: out}
 }
 
-// Chunk decodes one chunk of AoS records after the ones before it. It
-// fails if the chunks run past the size the filler was made for.
-func (f *Filler) Chunk(recs []byte) error {
+// Chunk is the scan callback of a scan without a selector: it decodes one
+// chunk of AoS records after the ones before it. It fails if the chunks
+// run past the size the filler was made for.
+func (f *Filler) Chunk(recs []byte, _ []int32) error {
 	err := f.out.DecodeRecordsAt(recs, f.at)
 	f.at += len(recs) / f.out.schema.stride
 	return err
@@ -197,10 +224,9 @@ func selectClosed(sel []int32, recs []byte, stride int, q geom.Box) []int32 {
 }
 
 // splitHalfOpen partitions a selection by the half-open box: the
-// selected records inside [Lo, Hi) stay in sel (compacted in place,
-// order kept), the others are appended to rest.
-func splitHalfOpen(sel []int32, recs []byte, stride int, box geom.Box, rest []int32) (in, out []int32) {
-	in = sel[:0]
+// selected records inside [Lo, Hi) are appended to in, the others to
+// rest, order kept. sel is only read.
+func splitHalfOpen(sel []int32, recs []byte, stride int, box geom.Box, in, rest []int32) ([]int32, []int32) {
 	for _, i := range sel {
 		if box.Contains(PositionAt(recs, int(i)*stride)) {
 			in = append(in, i)

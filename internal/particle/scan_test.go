@@ -81,7 +81,7 @@ func TestSplitHalfOpen(t *testing.T) {
 	}
 	recs := positionRecords(pts)
 	sel := []int32{0, 1, 2, 3, 4}
-	in, out := splitHalfOpen(sel, recs, 24, patch, nil)
+	in, out := splitHalfOpen(sel, recs, 24, patch, nil, nil)
 	if len(in) != 3 || in[0] != 0 || in[1] != 1 || in[2] != 4 {
 		t.Errorf("owned = %v, want [0 1 4]", in)
 	}
@@ -158,13 +158,14 @@ func TestCollectorMatchesSelectAndProject(t *testing.T) {
 	}
 }
 
-// TestDecompressFieldsSkipsButValidates pins the field-skipping decode:
-// the wanted fields come out bit-identical to a full decode, the others
-// are left untouched, and a frame that a full decode rejects for its
-// structure — unknown codec id, a length running past the block, raw
-// length disagreeing with the column, a codec on the wrong field kind,
-// trailing bytes — is rejected by a position-only decode too, wherever
-// in the block the damage sits.
+// TestDecompressFieldsSkipsButValidates pins the field-skipping and the
+// row-picking decode: the wanted fields (of the picked rows) come out
+// bit-identical to a full decode, skipped fields are left untouched, and
+// a frame that a full decode rejects for its structure — unknown codec
+// id, a length running past the block, raw length disagreeing with the
+// column, a codec on the wrong field kind, trailing bytes — is rejected
+// with the same error by a position-only decode and by the decode of a
+// block without survivors, wherever in the block the damage sits.
 func TestDecompressFieldsSkipsButValidates(t *testing.T) {
 	schema, records := testBlock(t, 200, 9)
 	const count = 200
@@ -179,8 +180,10 @@ func TestDecompressFieldsSkipsButValidates(t *testing.T) {
 		}
 		want := make([]bool, schema.NumFields())
 		want[0], want[2] = true, true // position + density
+		// The same, and over picked rows too, against poisoned images.
+		checkPartialDecodes(t, schema, comp, count, full, want, pickOddX(schema.Stride()))
 		got := bytes.Repeat([]byte{0xA5}, len(full))
-		if err := DecompressFieldsInto(schema, comp, count, got, want); err != nil {
+		if _, err := DecompressPickedInto(schema, comp, count, got, want, 0, count, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < count; i++ {
@@ -222,11 +225,14 @@ func TestDecompressFieldsSkipsButValidates(t *testing.T) {
 	dst := make([]byte, count*schema.Stride())
 	for name, m := range hostile {
 		fullErr := DecompressBlockInto(schema, m, count, dst)
-		skipErr := DecompressFieldsInto(schema, m, count, dst, posOnly)
-		if fullErr == nil || skipErr == nil {
-			t.Errorf("%s: full decode err=%v, position-only err=%v; both must reject", name, fullErr, skipErr)
-		} else if fullErr.Error() != skipErr.Error() {
-			t.Errorf("%s: full decode says %q, position-only says %q", name, fullErr, skipErr)
+		_, skipErr := DecompressPickedInto(schema, m, count, dst, posOnly, 0, count, nil, nil)
+		// A block in which nothing is picked inflates the position alone,
+		// like the position-only decode, though every field is wanted.
+		_, pickErr := DecompressPickedInto(schema, m, count, dst, nil, 0, count, pickNothing, nil)
+		if fullErr == nil || skipErr == nil || pickErr == nil {
+			t.Errorf("%s: full decode err=%v, position-only err=%v, zero-survivor err=%v; all must reject", name, fullErr, skipErr, pickErr)
+		} else if fullErr.Error() != skipErr.Error() || fullErr.Error() != pickErr.Error() {
+			t.Errorf("%s: full decode says %q, position-only says %q, zero-survivor says %q", name, fullErr, skipErr, pickErr)
 		}
 	}
 }

@@ -120,7 +120,7 @@ func HaloRows(ds *reader.Dataset, patch geom.Box, halo float64, opts reader.Opti
 		return nil, nil, st, err
 	}
 	f := particle.NewHaloFilter(schema, proj, grown, patch)
-	st, err = ds.Scan(ds.Meta().FilesIntersecting(grown), opts, f.Chunk)
+	st, err = ds.Scan(ds.Meta().FilesIntersecting(grown), opts, f.Select, f.Take)
 	if err != nil {
 		f.Release()
 		return nil, nil, st, err
@@ -159,7 +159,7 @@ func DensityGridRaw(ds *reader.Dataset, dims geom.Idx3, opts reader.Options) ([]
 	// straight from the record bytes.
 	opts.Fields = []string{particle.PositionField}
 	stride := meta.Schema.Stride()
-	st, err := ds.Scan(meta.AllFiles(), opts, func(recs []byte) error {
+	st, err := ds.Scan(meta.AllFiles(), opts, nil, func(recs []byte, _ []int32) error {
 		for off := 0; off < len(recs); off += stride {
 			counts[grid.LocateLinear(particle.PositionAt(recs, off))]++
 		}

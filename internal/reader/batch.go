@@ -42,10 +42,14 @@ func (d *Dataset) QueryBoxes(qs []geom.Box, opts Options) ([]*particle.Buffer, S
 		}
 	}
 
+	// Each chunk is looked at by several boxes, so the scan selects
+	// nothing and every filter selects for itself.
+	var sel []int32
 	for _, h := range hits {
-		fst, err := d.scanFile(h.entry, opts, proj, func(recs []byte) error {
+		fst, err := d.scanFile(h.entry, opts, proj, nil, func(recs []byte, _ []int32) error {
 			for _, qi := range h.queries {
-				_ = filters[qi].Chunk(recs) // a filter never fails
+				sel = filters[qi].Select(sel[:0], recs)
+				_ = filters[qi].Take(recs, sel) // a filter never fails
 			}
 			return nil
 		})

@@ -100,7 +100,7 @@ func (p *Progressive) NextLevelRows() (*particle.Rows, bool, error) {
 	}
 	fill := particle.NewRowFiller(p.ds.meta.Schema, nil, int(total))
 	for i, df := range p.files {
-		if err := df.Scan(p.consumed[i], targets[i], nil, fill.Chunk); err != nil {
+		if err := df.Scan(p.consumed[i], targets[i], nil, nil, fill.Chunk); err != nil {
 			fill.Release()
 			return nil, false, err
 		}

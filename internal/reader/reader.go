@@ -206,7 +206,7 @@ func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts 
 			total += d.prefixLen(opts, e.Count, d.meta.LOD.Scale)
 		}
 		fill := particle.NewRowFiller(d.meta.Schema, proj, int(total))
-		st, err := d.Scan(entries, opts, fill.Chunk)
+		st, err := d.Scan(entries, opts, nil, fill.Chunk)
 		if err != nil {
 			fill.Release()
 			return nil, st, err
@@ -219,7 +219,7 @@ func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts 
 		return out, st, nil
 	}
 	f := particle.NewBoxFilter(d.meta.Schema, proj, q)
-	st, err := d.Scan(entries, opts, f.Chunk)
+	st, err := d.Scan(entries, opts, f.Select, f.Take)
 	if err != nil {
 		f.Release()
 		return nil, st, err
@@ -231,20 +231,23 @@ func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts 
 
 // Scan streams the records of the given entries to fn as AoS chunks of
 // the dataset schema, in metadata-then-record order — each file's LOD
-// prefix as selected by opts.Levels, every record of it (filtering is
-// the callback's business; opts.NoFilter is ignored). Every read of the
-// package is a callback over it. A chunk is valid only during the call
-// and must not be written; with opts.Fields set, only the projected
-// fields of its records are meaningful. The returned Stats count the
-// file-system work; ParticlesKept is left to the caller.
-func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, fn func(recs []byte) error) (Stats, error) {
+// prefix as selected by opts.Levels (opts.NoFilter is ignored: what is
+// kept is sel's and the callback's business). Every read of the package
+// is a callback over it. sel and fn are format.DataFile.Scan's: with a
+// selector, fn gets each chunk with the selection sel made on it and may
+// look at the selected records only; without, picked is nil and every
+// record counts. A chunk is valid only during the call and must not be
+// written; with opts.Fields set, only the projected fields of its
+// records are meaningful. The returned Stats count the file-system work;
+// ParticlesKept is left to the caller.
+func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, sel particle.Selector, fn func(recs []byte, picked []int32) error) (Stats, error) {
 	var st Stats
 	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
 	if err != nil {
 		return st, err
 	}
 	for _, e := range entries {
-		fst, err := d.scanFile(e, opts, proj, fn)
+		fst, err := d.scanFile(e, opts, proj, sel, fn)
 		st.Add(fst)
 		if err != nil {
 			return st, err
@@ -255,7 +258,7 @@ func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, fn func(recs [
 
 // scanFile streams one data file's LOD prefix to fn through the file
 // cache, and reports the work done.
-func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, fn func(recs []byte) error) (Stats, error) {
+func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) (Stats, error) {
 	var st Stats
 	var df *format.DataFile
 	if d.cache != nil {
@@ -281,7 +284,7 @@ func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Pro
 	}
 
 	hi := d.prefixLen(opts, df.Header.Count, df.Header.LOD.Scale)
-	if err := df.Scan(0, hi, proj, fn); err != nil {
+	if err := df.Scan(0, hi, proj, sel, fn); err != nil {
 		return st, err
 	}
 	st.ParticlesRead = hi
@@ -412,7 +415,7 @@ func ScanWithoutMetadata(dir string, schema *particle.Schema, q geom.Box) (*part
 			_ = df.Close() // read-only; the schema mismatch is the error to report
 			return nil, st, fmt.Errorf("reader: %s: schema %v differs from the requested %v", de.Name(), df.Header.Schema, schema)
 		}
-		err = df.Scan(0, df.Header.Count, nil, f.Chunk)
+		err = df.Scan(0, df.Header.Count, nil, f.Select, f.Take)
 		_ = df.Close() // read-only; the scan error is the one to report
 		if err != nil {
 			return nil, st, err

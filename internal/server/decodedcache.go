@@ -98,6 +98,8 @@ func (f *fileDecodedCache) PutBlock(bi int, recs []byte) {
 	f.c.put(blockKey{file: f.key, idx: int64(bi)}, recs)
 }
 
+func (f *fileDecodedCache) Holds(n int64) bool { return n <= f.c.capacity }
+
 func (c *DecodedCache) get(k blockKey) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -114,9 +116,11 @@ func (c *DecodedCache) get(k blockKey) []byte {
 }
 
 func (c *DecodedCache) put(k blockKey, recs []byte) {
-	if len(recs) == 0 {
+	if len(recs) == 0 || int64(len(recs)) > c.capacity {
 		// A zero-length block adds 0 to used, so eviction could never
-		// reclaim it; there is also nothing to save by caching it.
+		// reclaim it; there is also nothing to save by caching it. A block
+		// larger than the tier would push out every block in it and then
+		// itself.
 		return
 	}
 	c.mu.Lock()

@@ -93,6 +93,40 @@ func TestDecodedCacheDuplicateAndEmptyPuts(t *testing.T) {
 	}
 }
 
+// TestDecodedCacheRejectsOversizedBlock: a block larger than the whole
+// tier used to be pushed to the front, after which the eviction loop
+// emptied the tier and finally evicted the new block too — everything
+// lost and nothing gained. It is refused before the insert and leaves no
+// trace but the miss that preceded it; Holds, which a scan asks before
+// it goes through the tier at all, draws the same line.
+func TestDecodedCacheRejectsOversizedBlock(t *testing.T) {
+	c := NewDecodedCache(10)
+	f := c.ForFile("a")
+	f.PutBlock(0, []byte{1, 2, 3, 4})
+	f.PutBlock(1, []byte{5, 6, 7, 8})
+	before := c.Stats()
+	if f.GetBlock(2) != nil {
+		t.Fatal("block 2 cached before it was put")
+	}
+	f.PutBlock(2, make([]byte, 11))
+	if f.GetBlock(0) == nil || f.GetBlock(1) == nil {
+		t.Error("an oversized put pushed resident blocks out")
+	}
+	after := c.Stats()
+	before.Misses++                                                             // the lookup of block 2
+	before.Hits, before.BytesFromCache = before.Hits+2, before.BytesFromCache+8 // the two lookups just made
+	if after != before {
+		t.Errorf("an oversized put left a trace: %+v, want %+v", after, before)
+	}
+	f.PutBlock(3, make([]byte, 10)) // exactly the capacity: fits, alone
+	if st := c.Stats(); st.Blocks != 1 || st.Used != 10 || st.Evictions != 2 {
+		t.Errorf("a block of exactly the capacity: %+v", st)
+	}
+	if !f.Holds(10) || f.Holds(11) || !f.Holds(0) {
+		t.Error("Holds does not draw the line at the capacity")
+	}
+}
+
 // TestDecodedTierEndToEnd wires the real two-tier stack the way spiod
 // does — BlockCache under the ra seam, DecodedCache in front — and
 // hammers it concurrently with both tiers too small for the payload.
