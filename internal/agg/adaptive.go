@@ -213,9 +213,3 @@ func (l *AdaptiveLayout) PartitionBox(part int) geom.Box {
 func (l *AdaptiveLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (*particle.Buffer, Timing, error) {
 	return ExchangeScan(c, l.Grid, l.aggregators, l.senderSets, local)
 }
-
-// ExchangeMirrored is Exchange with the aggregated buffer's encoded
-// mirror assembled from the wire payloads; the write pipeline uses it.
-func (l *AdaptiveLayout) ExchangeMirrored(c *mpi.Comm, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return ExchangeScanMirrored(c, l.Grid, l.aggregators, l.senderSets, local)
-}

@@ -114,13 +114,7 @@ type send struct {
 // it only after the exchange is drained. An early return here would
 // leave peers blocked in Recv — error agreement happens collectively in
 // the caller (internal/core), which requires every rank to reach it.
-// wantMirror additionally assembles the aggregated buffer's encoded
-// mirror (particle.SetEncodedMirror) from the wire payloads as they
-// arrive: the AoS image the downstream data-file write needs is exactly
-// the received bytes laid out at their region offsets, so building it
-// here is a copy per payload instead of a full SoA -> AoS re-encode
-// later. Callers that never write a file skip the copies.
-func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []int, isAgg, wantMirror bool) (*particle.Buffer, Timing, error) {
+func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []int, isAgg bool) (*particle.Buffer, Timing, error) {
 	var tm Timing
 	var firstErr error
 	note := func(err error) {
@@ -196,11 +190,6 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 		// consumed — so paying for zeroed pages here would be pure waste.
 		agg = particle.NewBufferOverwrite(schema, int(total))
 	}
-	stride := schema.Stride()
-	var image []byte // AoS mirror assembly, filled region by region
-	if wantMirror && isAgg && total > 0 {
-		image = particle.GetAoS(int(total) * stride)
-	}
 
 	// Phase 3: particle exchange. Sends are posted first (eager,
 	// non-blocking); the self bundle is an in-memory copy into its region.
@@ -219,12 +208,6 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 	}
 	if selfBuf != nil && agg != nil {
 		agg.CopyFrom(int(offsets[c.Rank()]), selfBuf)
-		if image != nil && selfBuf.Len() > 0 {
-			// The self bundle never hits the wire, so its mirror region is
-			// encoded here — the one region whose transpose is not saved.
-			off := int(offsets[c.Rank()]) * stride
-			selfBuf.EncodeRecordsInto(image[off:off+selfBuf.Len()*stride], 0, selfBuf.Len())
-		}
 	}
 
 	// Receive in arrival order: AnySource, first payload in wins. Each
@@ -263,11 +246,6 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 				continue
 			}
 			tm.ExchangeBytes += int64(len(data))
-			if image != nil {
-				// Concurrent with the pool's decode of the same payload —
-				// both only read data.
-				copy(image[int(offsets[src])*stride:], data)
-			}
 			pool.Go(data, int(offsets[src]))
 		}
 		if err := pool.Wait(); err != nil {
@@ -277,12 +255,6 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 		for _, w := range wires {
 			putWire(w)
 		}
-	}
-	// Attach the mirror only on a clean exchange: a content error leaves
-	// regions of the image unwritten, and the caller aborts the write
-	// before anything could consume it anyway.
-	if image != nil && firstErr == nil {
-		agg.SetEncodedMirror(image)
 	}
 	tm.ParticleExchange = time.Since(start)
 	return agg, tm, firstErr
@@ -297,18 +269,6 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 // Aggregator ranks return their partition's aggregated buffer; other
 // ranks return nil.
 func ExchangeAligned(c *mpi.Comm, l *Layout, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return exchangeAligned(c, l, local, false)
-}
-
-// ExchangeAlignedMirrored is ExchangeAligned with the aggregated
-// buffer's encoded mirror assembled from the wire payloads (see
-// exchange's wantMirror). The write pipeline uses it so the data-file
-// encode degenerates to a row gather over already-encoded bytes.
-func ExchangeAlignedMirrored(c *mpi.Comm, l *Layout, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return exchangeAligned(c, l, local, true)
-}
-
-func exchangeAligned(c *mpi.Comm, l *Layout, local *particle.Buffer, wantMirror bool) (*particle.Buffer, Timing, error) {
 	if l.NumRanks != c.Size() {
 		return nil, Timing{}, fmt.Errorf("agg: layout built for %d ranks, world has %d", l.NumRanks, c.Size())
 	}
@@ -318,7 +278,7 @@ func exchangeAligned(c *mpi.Comm, l *Layout, local *particle.Buffer, wantMirror 
 	if isAgg {
 		expectFrom = l.RanksInPartition(part)
 	}
-	return exchange(c, local.Schema(), sends, expectFrom, isAgg, wantMirror)
+	return exchange(c, local.Schema(), sends, expectFrom, isAgg)
 }
 
 // ExchangeScan runs the two-phase exchange for a non-aligned grid: each
@@ -327,18 +287,6 @@ func exchangeAligned(c *mpi.Comm, l *Layout, local *particle.Buffer, wantMirror 
 // will send a count to partition p's aggregator; every rank must compute
 // identical senderSets (they are derived from globally known geometry).
 func ExchangeScan(c *mpi.Comm, grid geom.Grid, aggregators []int, senderSets [][]int, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return exchangeScan(c, grid, aggregators, senderSets, local, false)
-}
-
-// ExchangeScanMirrored is ExchangeScan with the aggregated buffer's
-// encoded mirror assembled from the wire payloads (see exchange's
-// wantMirror). The write pipeline uses it so the data-file encode
-// degenerates to a row gather over already-encoded bytes.
-func ExchangeScanMirrored(c *mpi.Comm, grid geom.Grid, aggregators []int, senderSets [][]int, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return exchangeScan(c, grid, aggregators, senderSets, local, true)
-}
-
-func exchangeScan(c *mpi.Comm, grid geom.Grid, aggregators []int, senderSets [][]int, local *particle.Buffer, wantMirror bool) (*particle.Buffer, Timing, error) {
 	split := SplitByPartition(local, grid)
 
 	// Which partitions am I on record as sending to?
@@ -386,7 +334,7 @@ func exchangeScan(c *mpi.Comm, grid geom.Grid, aggregators []int, senderSets [][
 			break
 		}
 	}
-	agg, tm, err := exchange(c, schema, sends, expectFrom, isAgg, wantMirror)
+	agg, tm, err := exchange(c, schema, sends, expectFrom, isAgg)
 	// The split bins are dead once exchange returns: every bundle has
 	// either been encoded onto the wire or copied into the aggregation
 	// buffer (the self-send). Recycle their columns for the next write.

@@ -88,9 +88,3 @@ func (l *ScanLayout) PartitionBox(part int) geom.Box {
 func (l *ScanLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (*particle.Buffer, Timing, error) {
 	return ExchangeScan(c, l.Grid, l.aggregators, l.senderSets, local)
 }
-
-// ExchangeMirrored is Exchange with the aggregated buffer's encoded
-// mirror assembled from the wire payloads; the write pipeline uses it.
-func (l *ScanLayout) ExchangeMirrored(c *mpi.Comm, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return ExchangeScanMirrored(c, l.Grid, l.aggregators, l.senderSets, local)
-}

@@ -185,9 +185,8 @@ func RunTimed(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []AnalyzerT
 
 // TimingsLine renders the per-analyzer wall times as one parseable
 // line, e.g. "collorder=12.3ms bufhandoff=0.4ms ...". ci.sh surfaces it
-// under -summary and scripts/bench.sh records it into the benchmark
-// JSON, so the format is a contract: space-separated name=<float>ms
-// pairs in suite order.
+// under -summary, so the format is a contract: space-separated
+// name=<float>ms pairs in suite order.
 func TimingsLine(timings []AnalyzerTiming) string {
 	var b strings.Builder
 	for i, tm := range timings {

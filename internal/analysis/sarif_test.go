@@ -119,8 +119,7 @@ func TestWriteSARIF(t *testing.T) {
 	}
 }
 
-// TestTimingsLine pins the name=<float>ms format bench.sh parses out of
-// the -summary output.
+// TestTimingsLine pins the name=<float>ms format of the -summary output.
 func TestTimingsLine(t *testing.T) {
 	got := TimingsLine([]AnalyzerTiming{
 		{Name: "collorder", Elapsed: 12345 * time.Microsecond},

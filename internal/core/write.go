@@ -150,10 +150,8 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 		return writeScan(c, dir, cfg, local)
 	}
 
-	// Steps 1–5. The mirrored exchange assembles the aggregation
-	// buffer's encoded (AoS) image from the wire payloads as a side
-	// effect, so the data-file write below skips re-encoding it.
-	aggBuf, tm, exchErr := agg.ExchangeAlignedMirrored(c, layout, local)
+	// Steps 1–5.
+	aggBuf, tm, exchErr := agg.ExchangeAligned(c, layout, local)
 	res.Timing = tm
 	part, isAgg := layout.IsAggregator(c.Rank())
 	var partBox geom.Box
@@ -183,7 +181,7 @@ func writeScan(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer)
 	if err != nil {
 		return res, err
 	}
-	aggBuf, tm, exchErr := layout.ExchangeMirrored(c, local)
+	aggBuf, tm, exchErr := layout.Exchange(c, local)
 	res.Timing = tm
 
 	part, isAgg := layout.IsAggregator(c.Rank())
@@ -214,7 +212,7 @@ func writeAdaptive(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buf
 	if err != nil {
 		return res, err
 	}
-	aggBuf, tm, exchErr := layout.ExchangeMirrored(c, local)
+	aggBuf, tm, exchErr := layout.Exchange(c, local)
 	res.Timing = tm
 
 	part, isAgg := layout.IsAggregator(c.Rank())

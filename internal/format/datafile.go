@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"spio/internal/fault"
 	"spio/internal/geom"
@@ -349,57 +348,45 @@ func toPool(p *sync.Pool, b []byte) {
 // gathers records through it: payload record i is particle order[i].
 //
 // The ordered path copies whole rows through the permutation out of an
-// AoS image of the buffer: the random access the shuffle forces then
-// costs one bounded copy per record instead of one column read per
-// element. The image is the buffer's encoded mirror when the exchange
-// assembled one (free), otherwise a pooled sequential encode — whose
-// SoA -> AoS transpose runs at its sequential speed. Payloads larger
-// than maxImageBytes gather per chunk straight from the columns
-// instead, so a huge file never doubles its buffer's footprint.
+// AoS image of the buffer — a pooled sequential encode, whose SoA -> AoS
+// transpose runs at its sequential speed: the random access the shuffle
+// forces then costs one bounded copy per record instead of one column
+// read per element. Payloads larger than maxImageBytes gather per chunk
+// straight from the columns instead, so a huge file never doubles its
+// buffer's footprint.
 func writeDataPayload(w io.Writer, prefix []byte, hdr *DataHeader, buf *particle.Buffer, order []int) error {
 	if _, err := w.Write(prefix); err != nil {
 		return err
 	}
 	stride := buf.Schema().Stride()
 	total := buf.Len() * stride
-	image := buf.EncodedMirror() // valid while buf is unmutated, which holds through this write
-	if image == nil && order != nil && total > 0 && total <= maxImageBytes {
-		img := fromPool(&imagePool, total)
-		defer toPool(&imagePool, img)
-		buf.EncodeRecordsInto(img, 0, buf.Len())
-		image = img
+	var image []byte
+	if order != nil && total > 0 && total <= maxImageBytes {
+		image = fromPool(&imagePool, total)
+		defer toPool(&imagePool, image)
+		buf.EncodeRecordsInto(image, 0, buf.Len())
 	}
 	chunk := chunkRecords
 	if buf.Len() < chunk {
 		chunk = buf.Len()
 	}
-	var scratch []byte
-	if order != nil || image == nil {
-		scratch = fromPool(&scratchPool, chunk*stride)
-		defer toPool(&scratchPool, scratch)
-	}
+	scratch := fromPool(&scratchPool, chunk*stride)
+	defer toPool(&scratchPool, scratch)
 	var payloadCRC uint32
 	for lo := 0; lo < buf.Len(); lo += chunk {
 		hi := lo + chunk
 		if hi > buf.Len() {
 			hi = buf.Len()
 		}
-		var p []byte
+		p := scratch[:(hi-lo)*stride]
 		switch {
-		case order == nil && image != nil:
-			// Unordered with a mirror in hand: the payload bytes already
-			// exist, stream them out directly.
-			p = image[lo*stride : hi*stride]
 		case image != nil:
-			p = scratch[:(hi-lo)*stride]
 			for i, rec := range order[lo:hi] {
 				copy(p[i*stride:(i+1)*stride], image[rec*stride:(rec+1)*stride])
 			}
 		case order != nil:
-			p = scratch[:(hi-lo)*stride]
 			buf.EncodeRecordsGather(p, order[lo:hi])
 		default:
-			p = scratch[:(hi-lo)*stride]
 			buf.EncodeRecordsInto(p, lo, hi)
 		}
 		if hdr.PayloadCRC {
@@ -430,8 +417,10 @@ func (h *headerBuf) Write(p []byte) (int, error) {
 // DataFile is an open handle to a data file supporting random-access
 // record-range reads (the primitive behind LOD prefix reads).
 type DataFile struct {
-	f          *os.File
-	ra         io.ReaderAt // payload read seam; defaults to f
+	f *os.File
+	// ra is what every payload read goes through: f, or what
+	// OpenOptions.Seam put in front of it. Fixed at open.
+	ra         io.ReaderAt
 	Header     DataHeader
 	payloadOff int64
 	path       string
@@ -443,20 +432,10 @@ type DataFile struct {
 	// compressed files, Count*Stride for raw ones.
 	payloadBytes int64
 
-	// decoded is the optional decoded-block cache tier (SetDecodedCache);
-	// nil means every block decode runs in place.
+	// decoded is the decoded-block cache tier OpenOptions.Decoded gave a
+	// compressed file; nil means every block decode runs in place. Fixed
+	// at open.
 	decoded DecodedBlockCache
-	// cached records that a serving-layer cache sits under ra, which is
-	// what makes readahead worth its bytes.
-	cached bool
-	// lastHi is the record end of the most recent range read; a read
-	// starting there (or at 0) is a sequential pattern and arms the
-	// readahead.
-	lastHi atomic.Int64
-	// raBusy admits one in-flight readahead; raWG is its join point
-	// (tests drain it — Close deliberately does not block on it).
-	raBusy atomic.Bool
-	raWG   sync.WaitGroup
 }
 
 // Compressed reports whether the payload is stored compressed.
@@ -465,23 +444,6 @@ func (df *DataFile) Compressed() bool { return df.blockRecs != nil }
 // PayloadBytes returns the stored payload length in bytes (the
 // compressed length for compressed files).
 func (df *DataFile) PayloadBytes() int64 { return df.payloadBytes }
-
-// ReaderAt returns the io.ReaderAt payload reads currently go through
-// (the underlying file unless SetReaderAt replaced it).
-func (df *DataFile) ReaderAt() io.ReaderAt { return df.ra }
-
-// SetReaderAt reroutes every payload read (ReadRange, projections,
-// VerifyPayload) through ra — the seam a serving layer uses to slide a
-// shared block cache under the record reads. ra must serve the exact
-// bytes of the underlying file. Not safe to call concurrently with
-// reads; install it right after open. Installing a seam also arms the
-// sequential readahead: prefetched bytes land somewhere they can be
-// found again. A seam that also has ViewAt (viewerAt) lends a raw scan
-// its bytes instead of copying them into a staging chunk.
-func (df *DataFile) SetReaderAt(ra io.ReaderAt) {
-	df.ra = ra
-	df.cached = true
-}
 
 // DecodedBlockCache is the seam for a decoded-block cache tier in front
 // of the compressed-resident one: it holds whole decoded codec blocks
@@ -501,16 +463,32 @@ type DecodedBlockCache interface {
 	Holds(n int64) bool
 }
 
-// SetDecodedCache installs a decoded-block cache tier. Like
-// SetReaderAt, install it right after open, not concurrently with
-// reads. Compressed files only (a raw payload has no decode to save).
-func (df *DataFile) SetDecodedCache(c DecodedBlockCache) {
-	df.decoded = c
-	df.cached = true
+// OpenOptions is what a serving layer puts between a data file's record
+// reads and its bytes. It is fixed when the file is opened: a DataFile
+// has no state installed after it is built. The zero value reads the
+// file directly and decodes every block in place.
+type OpenOptions struct {
+	// Seam, when non-nil, is given the opened file and returns what
+	// every payload read (Scan and its wrappers, VerifyPayload) goes
+	// through instead — a shared block cache, a counter. What it returns
+	// must serve the exact bytes of file. One that also has ViewAt
+	// (viewerAt) lends a raw scan its bytes instead of copying them into
+	// a staging chunk.
+	Seam func(path string, file io.ReaderAt) io.ReaderAt
+	// Decoded, when non-nil, is asked for the decoded-block tier of each
+	// compressed file opened (a raw payload has no decode to save); it
+	// may return nil for none.
+	Decoded func(path string) DecodedBlockCache
 }
 
-// OpenDataFile opens and validates a data file.
+// OpenDataFile opens and validates a data file, to be read directly.
 func OpenDataFile(path string) (*DataFile, error) {
+	return OpenDataFileWith(path, OpenOptions{})
+}
+
+// OpenDataFileWith is OpenDataFile with the handle's payload reads routed
+// as opts says.
+func OpenDataFileWith(path string, opts OpenOptions) (*DataFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -519,6 +497,12 @@ func OpenDataFile(path string) (*DataFile, error) {
 	if err != nil {
 		f.Close()
 		return nil, err
+	}
+	if opts.Seam != nil {
+		df.ra = opts.Seam(path, f)
+	}
+	if opts.Decoded != nil && df.Compressed() {
+		df.decoded = opts.Decoded(path)
 	}
 	return df, nil
 }
@@ -644,14 +628,8 @@ func classifyHeaderErr(path string, err error) error {
 	return fmt.Errorf("format: %s: %w", path, err)
 }
 
-// Path returns the file's path.
-func (df *DataFile) Path() string { return df.path }
-
-// Close releases the file handle. It does not wait for an in-flight
-// readahead: callers routinely close files under cache locks, and a
-// blocking Close would stall them. A straggling prefetch reading a
-// closed *os.File gets ErrClosed (os.File serializes Close against
-// ReadAt internally) and drops it like any other readahead error.
+// Close releases the file handle. Every goroutine a Scan starts is joined
+// before that Scan returns, so nothing of the handle's is running by then.
 func (df *DataFile) Close() error {
 	return df.f.Close()
 }
@@ -710,9 +688,7 @@ func (df *DataFile) stage(n int) []byte {
 // blocks of the range run through a bounded read→decode window, so the
 // ReadAts overlap each other (and, through the singleflight BlockCache,
 // any disk latency) and the decodes run in parallel while fn consumes
-// the blocks in order. A sequential access pattern (a scan starting at 0
-// or where the previous one ended — the ReadPrefix/progressive-LOD
-// shape) arms a best-effort readahead of the next block.
+// the blocks in order.
 //
 // proj, when non-nil, names the fields fn will look at (it must have
 // been built from this file's schema); the others may hold garbage. A
@@ -794,8 +770,6 @@ func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn fu
 		}
 		return nil
 	}
-	sequential := lo == 0 || lo == df.lastHi.Load()
-	df.lastHi.Store(hi)
 	// Block range [b0, b1) overlapping [lo, hi): first block extending
 	// past lo, then every block starting before hi.
 	b0 := sort.Search(len(df.blockRecs)-1, func(i int) bool { return df.blockRecs[i+1] > lo })
@@ -803,22 +777,12 @@ func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn fu
 	for b1 < len(df.blockRecs)-1 && df.blockRecs[b1] < hi {
 		b1++
 	}
-	// The ra seam and decoded tier are loaded once here, on the caller's
-	// goroutine, and handed to the workers by value: the setters that
-	// install them are ordered before any read, and the workers must not
-	// touch the fields themselves. A range the tier cannot hold goes
-	// around it — no lookup, no insert, no decoded readahead.
-	sc := blockScan{df: df, ra: df.ra, decoded: df.decoded, want: want, sel: sel, lo: lo, hi: hi}
+	// A range the tier cannot hold goes around it: no lookup, no insert.
+	sc := blockScan{df: df, decoded: df.decoded, want: want, sel: sel, lo: lo, hi: hi}
 	if sc.decoded != nil && !sc.decoded.Holds((df.blockRecs[b1]-df.blockRecs[b0])*stride) {
 		sc.decoded = nil
 	}
-	if err := sc.run(b0, b1, fn); err != nil {
-		return err
-	}
-	if sequential && df.cached && b1 < len(df.blockRecs)-1 {
-		df.readahead(sc.ra, sc.decoded, b1)
-	}
-	return nil
+	return sc.run(b0, b1, fn)
 }
 
 // viewerAt is an ra seam that can lend its bytes instead of copying them
@@ -875,7 +839,6 @@ func (df *DataFile) scanViews(ra viewerAt, lo, hi int64, fn func(recs []byte) er
 // of it fixed before the first starts.
 type blockScan struct {
 	df      *DataFile
-	ra      io.ReaderAt
 	decoded DecodedBlockCache // nil: no tier, or a range it cannot hold
 	want    []bool
 	sel     particle.Selector
@@ -989,7 +952,7 @@ func (sc *blockScan) load(bi int) scanBlock {
 	if sc.decoded != nil {
 		if blk.recs = sc.decoded.GetBlock(bi); blk.recs == nil {
 			var err error
-			if blk.recs, err = df.decodeWholeBlock(sc.ra, bi); err != nil {
+			if blk.recs, err = df.decodeWholeBlock(bi); err != nil {
 				return fail(err)
 			}
 			sc.decoded.PutBlock(bi, blk.recs)
@@ -1001,7 +964,7 @@ func (sc *blockScan) load(bi int) scanBlock {
 	}
 	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
 	defer toPool(&stagePool, comp)
-	if _, err := sc.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
+	if _, err := df.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
 		return fail(err)
 	}
 	count := int(df.blockRecs[bi+1] - df.blockRecs[bi])
@@ -1016,46 +979,13 @@ func (sc *blockScan) load(bi int) scanBlock {
 
 // decodeWholeBlock reads and decodes one whole compressed block into a
 // fresh slice (the decoded tier takes ownership of it).
-func (df *DataFile) decodeWholeBlock(ra io.ReaderAt, bi int) ([]byte, error) {
+func (df *DataFile) decodeWholeBlock(bi int) ([]byte, error) {
 	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
 	defer toPool(&stagePool, comp)
-	if _, err := ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
+	if _, err := df.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
 		return nil, err
 	}
 	return particle.DecompressBlock(df.Header.Schema, comp, int(df.blockRecs[bi+1]-df.blockRecs[bi]))
-}
-
-// readahead prefetches block bi in the background: its ReadAt warms the
-// compressed cache under the ra seam, and with a decoded tier in play
-// (installed, and not bypassed by the scan that arms this) the decoded
-// bytes land there too, so the next sequential read starts hot. One
-// readahead runs at a time (raBusy); errors are dropped — a prefetch
-// that fails only costs the head start, and the foreground read that
-// follows will surface any real fault. The ra seam and decoded tier are
-// the scan's, loaded on the caller's goroutine, so the prefetch never
-// reads the installable fields. raWG is the join point (tests drain it);
-// Close does not block on it.
-func (df *DataFile) readahead(ra io.ReaderAt, decoded DecodedBlockCache, bi int) {
-	if !df.raBusy.CompareAndSwap(false, true) {
-		return
-	}
-	df.raWG.Add(1)
-	go func() {
-		defer df.raWG.Done()
-		defer df.raBusy.Store(false)
-		if decoded != nil {
-			if decoded.GetBlock(bi) != nil {
-				return
-			}
-			if recs, err := df.decodeWholeBlock(ra, bi); err == nil {
-				decoded.PutBlock(bi, recs)
-			}
-			return
-		}
-		comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
-		_, _ = ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi])
-		toPool(&stagePool, comp)
-	}()
 }
 
 // ReadRange reads records [lo, hi) into a new buffer, allocated once at

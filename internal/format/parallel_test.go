@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spio/internal/particle"
 )
@@ -50,6 +51,12 @@ func (c *mapDecodedCache) PutBlock(bi int, recs []byte) {
 
 func (c *mapDecodedCache) Holds(n int64) bool { return c.capacity == 0 || n <= c.capacity }
 
+// tierOf is the OpenOptions.Decoded of a test with one tier for its one
+// file.
+func tierOf(c DecodedBlockCache) func(string) DecodedBlockCache {
+	return func(string) DecodedBlockCache { return c }
+}
+
 // TestDecodedTierServesRepeatReads pins the decoded-tier seam: repeat
 // range reads must hit the tier instead of re-inflating, and every
 // answer must stay byte-identical to the raw layout.
@@ -60,13 +67,12 @@ func TestDecodedTierServesRepeatReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	cf, err := OpenDataFile(comp)
+	tier := newMapDecodedCache(0)
+	cf, err := OpenDataFileWith(comp, OpenOptions{Decoded: tierOf(tier)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	tier := newMapDecodedCache(0)
-	cf.SetDecodedCache(tier)
 
 	r := rand.New(rand.NewSource(31))
 	count := cf.Header.Count
@@ -101,10 +107,9 @@ func TestDecodedTierServesRepeatReads(t *testing.T) {
 
 // TestConcurrentPayloadRangeSharedFile is the -race stress of the
 // read→decode pipeline: many goroutines drive random overlapping ranges
-// through ONE DataFile — shared decode fan-out, shared decoded tier,
-// shared readahead state — and every result must match the raw ground
-// truth. GOMAXPROCS is raised so the workers genuinely interleave on
-// the single-CPU CI machine.
+// through ONE DataFile — shared decode fan-out, shared decoded tier —
+// and every result must match the raw ground truth. GOMAXPROCS is raised
+// so the workers genuinely interleave on the single-CPU CI machine.
 func TestConcurrentPayloadRangeSharedFile(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	raw, comp, _ := writeCodecPair(t, 5000, particle.LosslessSpec(particle.Uintah()), false)
@@ -121,12 +126,13 @@ func TestConcurrentPayloadRangeSharedFile(t *testing.T) {
 	stride := int64(want.Schema().Stride())
 
 	for _, tier := range []bool{false, true} {
-		cf, err := OpenDataFile(comp)
+		var opts OpenOptions
+		if tier {
+			opts.Decoded = tierOf(newMapDecodedCache(0))
+		}
+		cf, err := OpenDataFileWith(comp, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if tier {
-			cf.SetDecodedCache(newMapDecodedCache(0))
 		}
 		count := cf.Header.Count
 		var wg sync.WaitGroup
@@ -138,7 +144,7 @@ func TestConcurrentPayloadRangeSharedFile(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					var lo, hi int64
 					if r.Intn(3) == 0 {
-						hi = 1 + r.Int63n(count) // prefix: arms the readahead
+						hi = 1 + r.Int63n(count) // prefix: the LOD read's shape
 					} else {
 						lo = r.Int63n(count)
 						hi = lo + 1 + r.Int63n(count-lo)
@@ -161,63 +167,9 @@ func TestConcurrentPayloadRangeSharedFile(t *testing.T) {
 			}(int64(g))
 		}
 		wg.Wait()
-		cf.raWG.Wait() // readahead must settle before the file closes under -race
 		if err := cf.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestSequentialReadaheadWarmsTier pins the prefetch contract: a
-// sequential (prefix-shaped) read arms a readahead of the next block,
-// which lands whole in the decoded tier before any foreground read
-// wants it.
-func TestSequentialReadaheadWarmsTier(t *testing.T) {
-	_, comp, _ := writeCodecPair(t, 6000, particle.LosslessSpec(particle.Uintah()), false)
-	cf, err := OpenDataFile(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	if len(cf.blockRecs) < 4 {
-		t.Skipf("only %d blocks; need 3+ for a readahead target", len(cf.blockRecs)-1)
-	}
-	tier := newMapDecodedCache(0)
-	cf.SetDecodedCache(tier)
-
-	// A prefix read covering block 0 only: blocks [0,1) decode, block 1
-	// is the readahead target.
-	if _, err := cf.ReadRange(0, cf.blockRecs[1]); err != nil {
-		t.Fatal(err)
-	}
-	cf.raWG.Wait()
-	tier.mu.Lock()
-	_, warmed := tier.blocks[1]
-	tier.mu.Unlock()
-	if !warmed {
-		t.Error("sequential prefix read did not warm the next block into the decoded tier")
-	}
-
-	// A random (non-sequential) read must not arm it: block 3 stays cold
-	// after a read ending inside block 2 that did not start at lastHi.
-	cold, err := OpenDataFile(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	tier2 := newMapDecodedCache(0)
-	cold.SetDecodedCache(tier2)
-	cold.lastHi.Store(-1) // no prior read
-	mid := cold.blockRecs[2] + 1
-	if _, err := cold.ReadRange(mid, cold.blockRecs[3]); err != nil {
-		t.Fatal(err)
-	}
-	cold.raWG.Wait()
-	tier2.mu.Lock()
-	_, armed := tier2.blocks[3]
-	tier2.mu.Unlock()
-	if armed {
-		t.Error("non-sequential read armed the readahead")
 	}
 }
 
@@ -232,55 +184,100 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return c.ReaderAt.ReadAt(p, off)
 }
 
+// over is the OpenOptions.Seam that puts c in front of the one file a
+// test opens.
+func (c *countingReaderAt) over(_ string, file io.ReaderAt) io.ReaderAt {
+	c.ReaderAt = file
+	return c
+}
+
 // TestScanGoesAroundTierItCannotFit pins the bypass rule: a scan whose
-// blocks decode to more than the decoded tier holds neither asks it, nor
-// fills it, nor parks its readahead there — under LRU it would evict its
-// own head before it could come back to it — while its readahead still
-// warms the compressed bytes under the seam; a scan the tier can hold
-// uses it exactly as before.
+// blocks decode to more than the decoded tier holds neither asks it nor
+// fills it — under LRU it would evict its own head before it could come
+// back to it — and reads exactly its own blocks through the seam; a scan
+// the tier can hold uses it exactly as before.
 func TestScanGoesAroundTierItCannotFit(t *testing.T) {
 	_, comp, _ := writeCodecPair(t, 6000, particle.LosslessSpec(particle.Uintah()), false)
-	cf, err := OpenDataFile(comp)
+	seam := &countingReaderAt{}
+	tier := newMapDecodedCache(0)
+	cf, err := OpenDataFileWith(comp, OpenOptions{Seam: seam.over, Decoded: tierOf(tier)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	if len(cf.blockRecs) < 5 {
-		t.Skipf("only %d blocks", len(cf.blockRecs)-1)
+	blockRecs := cf.blockRecs
+	if len(blockRecs) < 5 {
+		t.Skipf("only %d blocks", len(blockRecs)-1)
 	}
-	stride := int64(cf.Header.Schema.Stride())
-	seam := &countingReaderAt{ReaderAt: cf.ReaderAt()}
-	cf.SetReaderAt(seam)
 	// Room for blocks 0..2 together, not for 0..3.
-	tier := newMapDecodedCache(cf.blockRecs[3] * stride)
-	cf.SetDecodedCache(tier)
+	tier.capacity = blockRecs[3] * int64(cf.Header.Schema.Stride())
 
-	// Too large, sequential (starts at 0) and ending before the file does:
-	// blocks 0..3 are read, block 4 is the readahead target.
-	if _, err := cf.ReadRange(0, cf.blockRecs[3]+1); err != nil {
+	// Too large: blocks 0..3 are read, and nothing else.
+	if _, err := cf.ReadRange(0, blockRecs[3]+1); err != nil {
 		t.Fatal(err)
 	}
-	cf.raWG.Wait()
 	if tier.gets != 0 || tier.puts != 0 {
 		t.Errorf("a scan too large for the tier asked it %d times and offered it %d blocks", tier.gets, tier.puts)
 	}
-	if got := seam.reads.Load(); got != 5 {
-		t.Errorf("%d reads through the seam, want the scan's 4 blocks and the readahead's 1", got)
+	if got := seam.reads.Load(); got != 4 {
+		t.Errorf("%d reads through the seam, want the scan's 4 blocks", got)
 	}
 
-	// Small enough: the tier is filled, and warmed with the next block.
-	if _, err := cf.ReadRange(0, cf.blockRecs[2]); err != nil {
+	// Small enough: the tier is filled.
+	if _, err := cf.ReadRange(0, blockRecs[2]); err != nil {
 		t.Fatal(err)
 	}
-	cf.raWG.Wait()
-	if tier.puts != 3 || tier.blocks[2] == nil {
-		t.Errorf("a scan the tier holds left %d blocks in it, want blocks 0, 1 and the readahead's 2", tier.puts)
+	if tier.puts != 2 || tier.blocks[0] == nil || tier.blocks[1] == nil {
+		t.Errorf("a scan the tier holds left %d blocks in it, want blocks 0 and 1", tier.puts)
 	}
-	if _, err := cf.ReadRange(0, cf.blockRecs[2]); err != nil {
+	if _, err := cf.ReadRange(0, blockRecs[2]); err != nil {
 		t.Fatal(err)
 	}
-	cf.raWG.Wait()
-	if tier.hits < 2 {
-		t.Errorf("the repeat of a scan the tier holds hit it %d times", tier.hits)
+	if tier.hits != 2 {
+		t.Errorf("the repeat of a scan the tier holds hit it %d times, want 2", tier.hits)
+	}
+}
+
+// TestScanLeavesNoGoroutineBehind: every goroutine a scan starts is joined
+// before the scan returns, so once the last of a file's scans is back
+// nothing reads through its seam any more and Close has nobody to wait
+// for — behind a seam, under the prefix reads of a progressive stream.
+func TestScanLeavesNoGoroutineBehind(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, comp, _ := writeCodecPair(t, 6000, particle.LosslessSpec(particle.Uintah()), false)
+	baseline := runtime.NumGoroutine()
+	seam := &countingReaderAt{}
+	cf, err := OpenDataFileWith(comp, OpenOptions{Seam: seam.over})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 8; i++ {
+				if _, err := cf.ReadPrefix(1 + r.Int63n(cf.Header.Count)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	reads := seam.reads.Load()
+	if err := cf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine that has signalled its WaitGroup may be a moment from
+	// gone; one with work left is not.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the scans, %d after Close", baseline, runtime.NumGoroutine())
+		}
+	}
+	if late := seam.reads.Load() - reads; late != 0 {
+		t.Errorf("%d reads reached the seam after the last scan had returned", late)
 	}
 }

@@ -312,33 +312,34 @@ func TestScanMatchesReference(t *testing.T) {
 	for _, cfg := range configs {
 		image := images[cfg.codec]
 		t.Run(cfg.codec+"/"+cfg.seam, func(t *testing.T) {
-			df, err := OpenDataFile(filepath.Join(dir, cfg.codec+".spd"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			seam, tier, _ := strings.Cut(cfg.seam, "+")
 			if strings.HasPrefix(seam, "tier") {
 				seam, tier = "none", seam
 			}
+			var opts OpenOptions
 			switch seam {
 			case "seam":
-				df.SetReaderAt(newLRUSeam(df.ReaderAt(), 16<<10, 32))
+				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return newLRUSeam(f, 16<<10, 32) }
 			case "view":
-				df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 1000, 32)})
+				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 1000, 32)} }
 			case "view-tiny":
-				df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 100, 32)})
+				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 100, 32)} }
 			}
 			var bypassed *mapDecodedCache
 			switch tier {
 			case "tier":
-				df.SetDecodedCache(newMapDecodedCache(0))
+				opts.Decoded = tierOf(newMapDecodedCache(0))
 			case "tier1":
-				df.SetDecodedCache(&oneBlockTier{})
+				opts.Decoded = tierOf(&oneBlockTier{})
 			case "tier-bypass":
 				bypassed = newMapDecodedCache(1)
-				df.SetDecodedCache(bypassed)
+				opts.Decoded = tierOf(bypassed)
 			case "tier-some":
-				df.SetDecodedCache(newMapDecodedCache((cuts[k-2] - cuts[k-5]) * stride))
+				opts.Decoded = tierOf(newMapDecodedCache((cuts[k-2] - cuts[k-5]) * stride))
+			}
+			df, err := OpenDataFileWith(filepath.Join(dir, cfg.codec+".spd"), opts)
+			if err != nil {
+				t.Fatal(err)
 			}
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -414,7 +415,6 @@ func TestScanMatchesReference(t *testing.T) {
 				}(int64(g) + 100)
 			}
 			wg.Wait()
-			df.raWG.Wait() // readahead must settle before the file closes under -race
 			if bypassed != nil {
 				bypassed.mu.Lock()
 				if bypassed.gets != 0 || bypassed.puts != 0 {
@@ -436,13 +436,14 @@ func TestScanMatchesReference(t *testing.T) {
 func TestScanChunksCoverRangeInOrder(t *testing.T) {
 	raw, comp, _ := writeCodecPair(t, 3*scanChunkRecords+123, particle.LosslessSpec(particle.Uintah()), false)
 	for i, path := range []string{raw, comp, raw} {
-		df, err := OpenDataFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var opts OpenOptions
 		if i == 2 {
 			// The raw file again, through a seam that lends its blocks.
-			df.SetReaderAt(lendingSeam{newLRUSeam(df.f, 4096, 8)})
+			opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 4096, 8)} }
+		}
+		df, err := OpenDataFileWith(path, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
 		image := refPayload(t, path)
 		stride := int64(df.Header.Schema.Stride())

@@ -18,10 +18,6 @@ type Buffer struct {
 	f32    [][]float32 // one entry per Float32 field
 	// fieldSlot[i] indexes into f64 or f32 depending on the field's kind.
 	fieldSlot []int
-	// aos, when non-nil, is the cached AoS record encoding of the
-	// buffer's current contents (exactly n*Stride() bytes) — see
-	// SetEncodedMirror. Mutating methods drop it.
-	aos []byte
 }
 
 // NewBuffer returns an empty buffer with capacity hint cap particles.
@@ -61,7 +57,6 @@ func (b *Buffer) Position(i int) geom.Vec3 {
 
 // SetPosition overwrites the position of particle i.
 func (b *Buffer) SetPosition(i int, v geom.Vec3) {
-	b.dropMirror()
 	p := b.f64[b.fieldSlot[0]]
 	p[3*i], p[3*i+1], p[3*i+2] = v.X, v.Y, v.Z
 }
@@ -91,7 +86,6 @@ func (b *Buffer) Float32Field(field int) []float32 {
 // have one []float64 per field (Float32 fields are converted); each entry
 // must have exactly the field's component count.
 func (b *Buffer) Append(vals ...[]float64) {
-	b.dropMirror()
 	if len(vals) != b.schema.NumFields() {
 		panic(fmt.Sprintf("particle: Append got %d fields, schema has %d", len(vals), b.schema.NumFields()))
 	}
@@ -117,7 +111,6 @@ func (b *Buffer) Append(vals ...[]float64) {
 // AppendFrom copies particle i of src onto the end of b. Schemas must
 // match (same pointer or Equal).
 func (b *Buffer) AppendFrom(src *Buffer, i int) {
-	b.dropMirror()
 	if b.schema != src.schema && !b.schema.Equal(src.schema) {
 		panic("particle: AppendFrom across different schemas")
 	}
@@ -137,7 +130,6 @@ func (b *Buffer) AppendFrom(src *Buffer, i int) {
 
 // AppendBuffer copies all particles of src onto the end of b.
 func (b *Buffer) AppendBuffer(src *Buffer) {
-	b.dropMirror()
 	if b.schema != src.schema && !b.schema.Equal(src.schema) {
 		panic("particle: AppendBuffer across different schemas")
 	}
@@ -156,7 +148,6 @@ func (b *Buffer) AppendBuffer(src *Buffer) {
 // reshuffle is built on (paper Section 3.4: "the particles are reordered
 // in-place").
 func (b *Buffer) Swap(i, j int) {
-	b.dropMirror()
 	if i == j {
 		return
 	}
@@ -295,7 +286,6 @@ func (b *Buffer) Encode() []byte {
 // whole number of records) to the buffer. It is a thin wrapper over the
 // DecodeRecordsAt kernel: extend the buffer once, decode in place.
 func (b *Buffer) DecodeRecords(data []byte) error {
-	b.dropMirror()
 	stride := b.schema.Stride()
 	if len(data)%stride != 0 {
 		return fmt.Errorf("particle: %d bytes is not a multiple of record size %d", len(data), stride)

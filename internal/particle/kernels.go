@@ -21,7 +21,6 @@ import (
 // buffer's length, like the append-capacity contract of the standard
 // library's slices.Grow.
 func (b *Buffer) Grow(n int) {
-	b.dropMirror()
 	if n <= 0 {
 		return
 	}
@@ -53,7 +52,6 @@ func (b *Buffer) Grow(n int) {
 // its buffer once from the announced counts, then concurrent
 // DecodeRecordsAt calls fill disjoint regions in place.
 func (b *Buffer) SetLen(n int) {
-	b.dropMirror()
 	if n < 0 {
 		panic(fmt.Sprintf("particle: SetLen(%d)", n))
 	}
@@ -104,7 +102,6 @@ func (b *Buffer) SetLen(n int) {
 // sibling of DecodeRecordsAt, used for self-sends that never hit the
 // wire.
 func (b *Buffer) CopyFrom(at int, src *Buffer) {
-	b.dropMirror()
 	if b.schema != src.schema && !b.schema.Equal(src.schema) {
 		panic("particle: CopyFrom across different schemas")
 	}
@@ -135,7 +132,6 @@ func (b *Buffer) CopyFrom(at int, src *Buffer) {
 // copy-back; the displaced column becomes the scratch for the next field
 // of the same kind.
 func (b *Buffer) Permute(perm []int) {
-	b.dropMirror()
 	if len(perm) != b.n {
 		panic(fmt.Sprintf("particle: permutation length %d != buffer length %d", len(perm), b.n))
 	}

@@ -20,25 +20,7 @@ import "sync"
 var (
 	colPool64 sync.Pool // *[]float64
 	colPool32 sync.Pool // *[]float32
-	aosPool   sync.Pool // *[]byte, encoded-mirror staging (mirror.go)
 )
-
-// GetAoS returns an n-byte slice for assembling a record-encoded (AoS)
-// staging area, recycled when possible. Contents are unspecified — the
-// caller must overwrite every byte it will expose (SetEncodedMirror
-// consumers read all of it).
-func GetAoS(n int) []byte {
-	if v, _ := aosPool.Get().(*[]byte); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]byte, n)
-}
-
-// PutAoS returns a slice obtained from GetAoS to the pool. The caller
-// must not touch it afterwards.
-func PutAoS(b []byte) {
-	aosPool.Put(&b)
-}
 
 func getCol64(want int) []float64 {
 	if v, _ := colPool64.Get().(*[]float64); v != nil && cap(*v) >= want {
@@ -100,6 +82,5 @@ func Recycle(b *Buffer) {
 		colPool32.Put(&col)
 		b.f32[i] = nil
 	}
-	b.dropMirror()
 	b.n = 0
 }

@@ -137,24 +137,30 @@ func (fc *fileCache) closeAll() error {
 }
 
 // SetFileCache enables (n > 0) or disables (n <= 0) the open-file cache.
-// Disabling closes all idle cached handles.
+// Disabling closes all idle cached handles. It is safe to call while
+// queries run: a query uses the cache it found when it started.
 func (d *Dataset) SetFileCache(n int) error {
-	if n <= 0 {
-		if d.cache != nil {
-			err := d.cache.closeAll()
-			d.cache = nil
-			return err
-		}
-		return nil
+	d.setCache.Lock()
+	defer d.setCache.Unlock()
+	fc := d.cache.Load()
+	switch {
+	case n > 0 && fc == nil:
+		d.cache.Store(newFileCache(n))
+	case n > 0:
+		fc.mu.Lock()
+		fc.capacity = n
+		fc.evictLocked()
+		fc.mu.Unlock()
+	case fc != nil:
+		d.cache.Store(nil)
+		// A scan that loaded fc before this still opens through it: with
+		// no capacity left, what it opens is dropped from the index at
+		// once and closed on its release.
+		fc.mu.Lock()
+		fc.capacity = 0
+		fc.mu.Unlock()
+		return fc.closeAll()
 	}
-	if d.cache != nil {
-		d.cache.mu.Lock()
-		d.cache.capacity = n
-		d.cache.evictLocked()
-		d.cache.mu.Unlock()
-		return nil
-	}
-	d.cache = newFileCache(n)
 	return nil
 }
 
@@ -179,24 +185,25 @@ type CacheStats struct {
 // CacheStats reports the open-file cache's counters (zeros when the
 // cache is disabled).
 func (d *Dataset) CacheStats() CacheStats {
-	if d.cache == nil {
+	fc := d.cache.Load()
+	if fc == nil {
 		return CacheStats{}
 	}
-	d.cache.mu.Lock()
-	defer d.cache.mu.Unlock()
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
 	return CacheStats{
-		Hits:           d.cache.hits,
-		Misses:         d.cache.misses,
-		Evictions:      d.cache.evictions,
-		BytesFromCache: d.cache.bytesFromCache,
+		Hits:           fc.hits,
+		Misses:         fc.misses,
+		Evictions:      fc.evictions,
+		BytesFromCache: fc.bytesFromCache,
 	}
 }
 
 // Close releases any cached file handles. The Dataset remains usable
 // (subsequent reads reopen files).
 func (d *Dataset) Close() error {
-	if d.cache != nil {
-		return d.cache.closeAll()
+	if fc := d.cache.Load(); fc != nil {
+		return fc.closeAll()
 	}
 	return nil
 }

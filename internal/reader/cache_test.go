@@ -2,6 +2,7 @@ package reader
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -73,8 +74,8 @@ func TestFileCacheEviction(t *testing.T) {
 			t.Fatalf("sweep %d read %d of %d", i, got.Len(), all.Len())
 		}
 	}
-	if ds.cache.lru.Len() > 2 || len(ds.cache.entries) > 2 {
-		t.Errorf("cache overgrew: %d entries", len(ds.cache.entries))
+	if fc := ds.cache.Load(); fc.lru.Len() > 2 || len(fc.entries) > 2 {
+		t.Errorf("cache overgrew: %d entries", len(fc.entries))
 	}
 	if cs := ds.CacheStats(); cs.Evictions == 0 {
 		t.Errorf("3 sweeps of 16 files through a 2-slot cache recorded no evictions")
@@ -119,16 +120,18 @@ func TestFileCacheConcurrentQueries(t *testing.T) {
 // unpin the new handle, and no handle may outlive Close.
 func TestFileCachePinIdentity(t *testing.T) {
 	dir, _ := writeDataset(t, geom.I3(2, 1, 1), geom.I3(1, 1, 1), 16, nil)
-	ds, err := Open(dir)
+	var handles []*os.File
+	ds, err := OpenWith(dir, format.OpenOptions{Seam: func(_ string, file io.ReaderAt) io.ReaderAt {
+		handles = append(handles, file.(*os.File))
+		return file
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handles []*format.DataFile
-	ds.SetOpenHook(func(df *format.DataFile) { handles = append(handles, df) })
 	if err := ds.SetFileCache(1); err != nil {
 		t.Fatal(err)
 	}
-	fc := ds.cache
+	fc := ds.cache.Load()
 	a, b := ds.meta.Files[0].Name, ds.meta.Files[1].Name
 	acquire := func(name string) *cacheEntry {
 		t.Helper()
@@ -169,11 +172,76 @@ func TestFileCachePinIdentity(t *testing.T) {
 	if len(handles) != 4 {
 		t.Fatalf("opened %d handles, want 4", len(handles))
 	}
-	for i, df := range handles {
+	for i, f := range handles {
 		// A second Close reports os.ErrClosed; nil means the cache never
 		// closed this handle.
-		if err := df.Close(); !errors.Is(err, os.ErrClosed) {
-			t.Errorf("handle %d (%s) was left open after Close (second close: %v)", i, filepath.Base(df.Path()), err)
+		if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("handle %d (%s) was left open after Close (second close: %v)", i, filepath.Base(f.Name()), err)
+		}
+	}
+}
+
+// TestSetFileCacheBesideQueries: SetFileCache is the one thing about a
+// Dataset that changes after it is built, and it may change while queries
+// run — each of them keeps the cache it started with, and a cache taken
+// away under a query still closes what that query opens through it.
+func TestSetFileCacheBesideQueries(t *testing.T) {
+	dir, all := writeDataset(t, geom.I3(4, 2, 1), geom.I3(1, 1, 1), 32, nil)
+	var mu sync.Mutex
+	var handles []*os.File
+	ds, err := OpenWith(dir, format.OpenOptions{Seam: func(_ string, file io.ReaderAt) io.ReaderAt {
+		mu.Lock()
+		handles = append(handles, file.(*os.File))
+		mu.Unlock()
+		return file
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	toggled := make(chan struct{})
+	go func() {
+		defer close(toggled)
+		for n := 0; ; n = 2 - n {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := ds.SetFileCache(n); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				got, _, err := ds.ReadAll(Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Len() != all.Len() {
+					t.Errorf("read %d of %d particles", got.Len(), all.Len())
+					return
+				}
+				ds.CacheStats()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-toggled
+	if err := ds.SetFileCache(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range handles {
+		if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("handle %d of %d (%s) was left open (second close: %v)", i, len(handles), filepath.Base(f.Name()), err)
 		}
 	}
 }

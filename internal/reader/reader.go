@@ -20,6 +20,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"spio/internal/format"
 	"spio/internal/geom"
@@ -62,39 +64,36 @@ func (s *Stats) Add(other Stats) {
 
 // Dataset is an open spio dataset directory.
 type Dataset struct {
-	dir      string
-	meta     *format.Meta
-	cache    *fileCache             // nil unless SetFileCache enabled it
-	openHook func(*format.DataFile) // nil unless SetOpenHook installed one
+	dir  string
+	meta *format.Meta
+	// open is how every read opens a data file, fixed by OpenWith. Fsck
+	// opens files plainly: a check must not fill a serving layer's caches.
+	open format.OpenOptions
+	// cache is nil unless SetFileCache enabled it. SetFileCache may run
+	// beside queries, so each of them loads the pointer once; setCache
+	// orders SetFileCache calls among themselves.
+	cache    atomic.Pointer[fileCache]
+	setCache sync.Mutex
 }
 
-// SetOpenHook registers fn to run on every data-file handle this
-// Dataset opens (cache misses and cache-bypassing progressive streams
-// included), before any payload read goes through it. The serving
-// layer uses the hook to reroute payload reads through a shared block
-// cache via DataFile.SetReaderAt. Install it before issuing reads; it
-// is not safe to change concurrently with queries.
-func (d *Dataset) SetOpenHook(fn func(*format.DataFile)) { d.openHook = fn }
-
-// openDataFile opens one data file, applying the open hook.
+// openDataFile opens one data file the way OpenWith fixed.
 func (d *Dataset) openDataFile(name string) (*format.DataFile, error) {
-	df, err := format.OpenDataFile(filepath.Join(d.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	if d.openHook != nil {
-		d.openHook(df)
-	}
-	return df, nil
+	return format.OpenDataFileWith(filepath.Join(d.dir, name), d.open)
 }
 
 // Open reads and validates the dataset's spatial metadata file.
 func Open(dir string) (*Dataset, error) {
+	return OpenWith(dir, format.OpenOptions{})
+}
+
+// OpenWith is Open for a serving layer: every data file the dataset
+// opens to read is opened with opts (format.OpenDataFileWith).
+func OpenWith(dir string, opts format.OpenOptions) (*Dataset, error) {
 	meta, err := format.ReadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{dir: dir, meta: meta}, nil
+	return &Dataset{dir: dir, meta: meta, open: opts}, nil
 }
 
 // Meta exposes the decoded metadata.
@@ -261,12 +260,13 @@ func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, sel particle.S
 func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) (Stats, error) {
 	var st Stats
 	var df *format.DataFile
-	if d.cache != nil {
-		cached, opened, err := d.cache.acquire(d, e.Name)
+	cache := d.cache.Load()
+	if cache != nil {
+		cached, opened, err := cache.acquire(d, e.Name)
 		if err != nil {
 			return st, err
 		}
-		defer d.cache.release(cached)
+		defer cache.release(cached)
 		df = cached.df
 		if opened {
 			st.FilesOpened = 1
@@ -292,7 +292,7 @@ func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Pro
 	st.BytesRead = hi * int64(d.meta.Schema.Stride())
 	if st.CacheHits > 0 {
 		st.BytesFromCache = st.BytesRead
-		d.cache.noteBytes(st.BytesRead)
+		cache.noteBytes(st.BytesRead)
 	}
 	return st, nil
 }

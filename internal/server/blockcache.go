@@ -214,7 +214,12 @@ func (c *BlockCache) blockFor(file string, idx int64, base io.ReaderAt) ([]byte,
 		close(f.done)
 		return nil, err
 	}
-	f.data = buf[:n:n]
+	f.data = buf
+	if n < len(buf) {
+		// A file's tail block is held at its own size: as a prefix of buf
+		// it would pin the whole blockSize array while used counts n.
+		f.data = append(make([]byte, 0, n), buf[:n]...)
+	}
 
 	c.mu.Lock()
 	delete(c.inflight, k)

@@ -321,6 +321,50 @@ func TestBlockCacheNoEmptyTailBlocks(t *testing.T) {
 	}
 }
 
+// recordingReaderAt remembers the array behind every buffer it was asked
+// to fill, by its first byte, with the array's size.
+type recordingReaderAt struct {
+	data   []byte
+	arrays map[*byte]int
+}
+
+func (r *recordingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.arrays[&p[0]] = cap(p)
+	return (&countingReaderAt{data: r.data}).ReadAt(p, off)
+}
+
+// TestBlockCacheHoldsTailBlocksAtTheirSize: the capacity bounds the
+// memory the cache pins, not just the bytes it counts — a short tail
+// block must not keep the blockSize array it was read into alive.
+func TestBlockCacheHoldsTailBlocksAtTheirSize(t *testing.T) {
+	const capacity, blockSize = 16 << 10, 4 << 10
+	c := NewBlockCache(capacity, blockSize)
+	arrays := map[*byte]int{}
+	for i := 0; i < 64; i++ {
+		data := randomBytes(100+i, int64(i)) // every file is one short block
+		got := make([]byte, len(data))
+		base := &recordingReaderAt{data: data, arrays: arrays}
+		if _, err := c.ReaderFor(string(rune('a'+i)), base).ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("file %d: content mismatch", i)
+		}
+	}
+	var pinned int
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		data := el.Value.(*cacheBlock).data
+		if size, readInto := arrays[&data[0]]; readInto {
+			pinned += size // the block is the front of the array the read filled
+		} else {
+			pinned += cap(data)
+		}
+	}
+	if st := c.Stats(); st.Blocks != 64 || int64(pinned) != st.Used || pinned > capacity {
+		t.Errorf("%d blocks counted as %d bytes pin %d bytes (capacity %d)", st.Blocks, st.Used, pinned, capacity)
+	}
+}
+
 func TestBlockCacheNegativeOffset(t *testing.T) {
 	c := NewBlockCache(1<<20, 512)
 	ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(1024, 7)})

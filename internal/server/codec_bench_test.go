@@ -12,7 +12,7 @@ import (
 	"spio/internal/particle"
 )
 
-// The BENCH_PR8 benchmarks measure what the codec layer buys, in the
+// These benchmarks measure what the codec layer buys, in the
 // two places it pays rent: bytes on the wire per query response, and
 // disk traffic through a byte-bounded block cache that now holds
 // compressed blocks.
@@ -54,22 +54,21 @@ func benchCachedRangeReads(b *testing.B, codec particle.Spec, decodedBytes int64
 	if err := format.WriteDataFile(nil, path, hdr, buf); err != nil {
 		b.Fatal(err)
 	}
-	df, err := format.OpenDataFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer df.Close()
-
 	// A cache holding a quarter of the *uncompressed* payload: raw
 	// blocks thrash under a working set of the whole file, while the
 	// same byte budget keeps a multiple of the working set resident
 	// once the cache holds compressed blocks.
 	cache := NewBlockCache(int64(n*buf.Schema().Stride()/4), 16<<10)
-	df.SetReaderAt(cache.ReaderFor(path, df.ReaderAt()))
+	opts := format.OpenOptions{Seam: cache.ReaderFor}
 	dcache := NewDecodedCache(decodedBytes)
 	if dcache != nil {
-		df.SetDecodedCache(dcache.ForFile(path))
+		opts.Decoded = dcache.ForFile
 	}
+	df, err := format.OpenDataFileWith(path, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer df.Close()
 
 	r := rand.New(rand.NewSource(7))
 	b.ResetTimer()

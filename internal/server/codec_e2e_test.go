@@ -30,15 +30,15 @@ func TestCompressedBlockCacheEvictionRace(t *testing.T) {
 	if err := format.WriteDataFile(nil, path, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
-	df, err := format.OpenDataFile(path)
+	plain, err := format.OpenDataFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer df.Close()
-	if !df.Compressed() {
+	defer plain.Close()
+	if !plain.Compressed() {
 		t.Fatal("test file is not compressed")
 	}
-	want, err := df.ReadAll()
+	want, err := plain.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,11 @@ func TestCompressedBlockCacheEvictionRace(t *testing.T) {
 	// A cache of a few tiny blocks under a payload of hundreds of KB:
 	// nearly every block access evicts something.
 	cache := NewBlockCache(4<<10, 1<<10)
-	df.SetReaderAt(cache.ReaderFor(path, df.ReaderAt()))
+	df, err := format.OpenDataFileWith(path, format.OpenOptions{Seam: cache.ReaderFor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer df.Close()
 
 	count := df.Header.Count
 	var wg sync.WaitGroup

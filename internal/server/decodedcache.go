@@ -79,8 +79,9 @@ func (c *DecodedCache) Stats() DecodedCacheStats {
 	return st
 }
 
-// ForFile returns the per-file view a DataFile's SetDecodedCache wants;
-// key must uniquely identify the file's content (spiod uses its path).
+// ForFile returns the per-file view a DataFile is opened with (it has
+// the shape of format.OpenOptions.Decoded); key must uniquely identify
+// the file's content (spiod uses its path).
 func (c *DecodedCache) ForFile(key string) format.DecodedBlockCache {
 	return &fileDecodedCache{c: c, key: key}
 }

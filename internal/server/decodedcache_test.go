@@ -144,12 +144,12 @@ func TestDecodedTierEndToEnd(t *testing.T) {
 	if err := format.WriteDataFile(nil, path, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
-	df, err := format.OpenDataFile(path)
+	plain, err := format.OpenDataFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer df.Close()
-	want, err := df.ReadAll()
+	defer plain.Close()
+	want, err := plain.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,11 @@ func TestDecodedTierEndToEnd(t *testing.T) {
 
 	cache := NewBlockCache(16<<10, 2<<10)
 	dcache := NewDecodedCache(64 << 10) // a few decoded blocks: constant eviction
-	df.SetReaderAt(cache.ReaderFor(path, df.ReaderAt()))
-	df.SetDecodedCache(dcache.ForFile(path))
+	df, err := format.OpenDataFileWith(path, format.OpenOptions{Seam: cache.ReaderFor, Decoded: dcache.ForFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer df.Close()
 
 	count := df.Header.Count
 	var wg sync.WaitGroup

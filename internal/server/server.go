@@ -139,7 +139,12 @@ type Server struct {
 	cfg    Config
 	cache  *BlockCache
 	dcache *DecodedCache // decoded-block tier; nil when disabled
-	front  *Front
+	// open layers the caches under every data file a mounted dataset
+	// opens to read: payload reads go through the shared block cache,
+	// and compressed files get the decoded tier in front of it, holding
+	// whole decoded blocks so a hot set pays inflate once.
+	open  format.OpenOptions
+	front *Front
 
 	mu     sync.Mutex
 	mounts map[string]*mount
@@ -152,6 +157,10 @@ func New(cfg Config) *Server {
 		cache:  NewBlockCache(cfg.cacheBytes(), cfg.BlockBytes),
 		dcache: NewDecodedCache(cfg.decodedCacheBytes()),
 		mounts: map[string]*mount{},
+	}
+	s.open.Seam = s.cache.ReaderFor
+	if s.dcache != nil {
+		s.open.Decoded = s.dcache.ForFile
 	}
 	s.front = NewFront(cfg, s)
 	return s
@@ -210,7 +219,8 @@ func (s *Server) Mount(name, dir string) error {
 }
 
 // openDataset opens (or returns the cached) dataset for one mount key,
-// applying the fsck policy and wiring the caches. Callers need not hold
+// opened over the caches (s.open) and checked under the fsck policy —
+// on plain handles, so a check fills no cache. Callers need not hold
 // s.mu. m.mu guards only the open map, never the open itself: mount
 // fsck reads every file (through the parallel decode pool for
 // compressed payloads), and holding the mount lock across that would
@@ -231,7 +241,7 @@ func (s *Server) openDataset(m *mount, key string) (*rdr.Dataset, error) {
 		}
 		dir = rdr.StepDir(m.dir, step)
 	}
-	ds, err := rdr.Open(dir)
+	ds, err := rdr.OpenWith(dir, s.open)
 	if err != nil {
 		return nil, fmt.Errorf("spiod: %s: %w", m.name, err)
 	}
@@ -243,16 +253,6 @@ func (s *Server) openDataset(m *mount, key string) (*rdr.Dataset, error) {
 		_ = ds.Close() // unwinding a failed mount
 		return nil, err
 	}
-	// Layer the shared block cache under the file cache: every data-file
-	// handle the dataset opens reroutes payload reads through it. The
-	// decoded tier sits in front of it for compressed files, holding
-	// whole decoded blocks so the hot set pays inflate once.
-	ds.SetOpenHook(func(df *format.DataFile) {
-		df.SetReaderAt(s.cache.ReaderFor(df.Path(), df.ReaderAt()))
-		if s.dcache != nil && df.Compressed() {
-			df.SetDecodedCache(s.dcache.ForFile(df.Path()))
-		}
-	})
 	m.mu.Lock()
 	if cached, ok := m.open[key]; ok {
 		// Lost the open race: serve the published copy, discard ours.

@@ -7,9 +7,10 @@
 # tests (error agreement, abort cleanup, torn-write fsck) by name so a
 # regression there is called out as such. The race-detector step covers
 # the packages with real concurrency (the goroutine-rank MPI
-# substitute, the collective write pipeline, the fault-injection seam,
-# the atomic format writers and the streaming scan's decode window, the
-# reader's shared file cache, and the serving daemon — the server tier
+# substitute, the exchange's decode pool, the collective write pipeline,
+# the fault-injection seam, the atomic format writers and the streaming
+# scan's decode window, the reader's shared file cache and its run-time
+# resize, and the serving daemon — the server tier
 # additionally at -count=2 to shake out order-dependent interleavings,
 # and the answer-ownership tests by name at -count=3);
 # the benchmark dry gate builds, vets and smoke-tests the nested
@@ -67,11 +68,12 @@ echo "== fault-injection tests =="
 go test ./internal/fault
 go test -run 'TestFault|TestFsck|TestWrite(File|Meta)' ./internal/core ./internal/format
 
-echo "== go test -race (mpi, core, fault, particle, format, reader, query, server, gateway) =="
+echo "== go test -race (mpi, agg, core, fault, particle, format, reader, query, server, gateway) =="
 # internal/format carries the streaming-scan differential test (eight
 # goroutines on one DataFile per codec x seam); particle and query hold
-# the kernels and the callers it is built from.
-go test -race ./internal/mpi ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/reader ./internal/query ./internal/server ./internal/gateway
+# the kernels and the callers it is built from; internal/agg's exchange
+# decodes arriving payloads on a worker pool.
+go test -race ./internal/mpi ./internal/agg ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/reader ./internal/query ./internal/server ./internal/gateway
 
 echo "== answer ownership (-race -count=3) =="
 # The rows an answer travels as live in pools: a result that aliased
@@ -230,7 +232,9 @@ echo "spiogate smoke: gateway byte-identical to local; dead shard degraded to fl
 
 echo "== spiolint =="
 lint_budget=300
-lint_max_suppressed=10
+# The tree's count, not headroom above it: a new suppression has to
+# retire an old one or argue for raising this.
+lint_max_suppressed=7
 lint_out=$(mktemp /tmp/spio-lint-XXXXXX.txt)
 lint_start=$(date +%s)
 lint_status=0
