@@ -281,24 +281,21 @@ func TestBatchDecompressBadRegion(t *testing.T) {
 
 // TestCodecAllocs pins the pooled-state contract (the PR's allocation
 // satellite): steady-state CompressBlock allocates only its output
-// frame, and DecompressBlockInto allocates nothing of its own. The
-// shuffle+deflate decode bound is looser because the stdlib inflater
-// allocates Huffman link tables per dynamic block inside Read — churn
-// the pool cannot reach; shuffle+LZ has no such tax, which is the
-// point of the fast spec. Each bound leaves slack for a GC emptying
-// the state pool mid-run.
+// frame, and DecompressBlockInto allocates nothing of its own — under
+// either byte codec: the inflater's Huffman tables are part of the
+// pooled state. Each bound leaves slack for a GC emptying the state
+// pool mid-run.
 func TestCodecAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	schema, records := testBlock(t, 4096, 13)
 	cases := []struct {
-		name     string
-		spec     Spec
-		decBound float64
+		name string
+		spec Spec
 	}{
-		{"lossless", LosslessSpec(schema), 75}, // stdlib inflate Huffman tables
-		{"fast", FastSpec(schema), 1},          // pooled state only
+		{"lossless", LosslessSpec(schema)},
+		{"fast", FastSpec(schema)},
 	}
 	for _, c := range cases {
 		comp, err := CompressBlock(schema, c.spec, records)
@@ -324,9 +321,9 @@ func TestCodecAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if decAllocs > c.decBound {
-			t.Errorf("%s: DecompressBlockInto: %.1f allocs/op, want <= %.0f",
-				c.name, decAllocs, c.decBound)
+		if decAllocs > 1 {
+			t.Errorf("%s: DecompressBlockInto: %.1f allocs/op, want <= 1 (pooled state only)",
+				c.name, decAllocs)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package particle
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -541,7 +540,7 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 			if id == CodecShuffleLZ {
 				err = decodeLZ(shuf, payload)
 			} else {
-				err = st.inflate(shuf, payload)
+				err = st.inf.inflate(shuf, payload)
 			}
 			if err != nil {
 				break
@@ -571,22 +570,6 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 		return picked, fmt.Errorf("particle: %d trailing bytes after compressed block", len(data))
 	}
 	return picked, nil
-}
-
-// inflate fills shuf — one field's byte planes — from a deflate payload
-// on the pooled flate reader.
-func (st *codecState) inflate(shuf, payload []byte) error {
-	zr := st.flateReader(payload)
-	if _, err := io.ReadFull(zr, shuf); err != nil {
-		return fmt.Errorf("inflate: %w", err)
-	}
-	// The stream must end exactly at the column boundary; trailing data
-	// means a corrupt or hostile frame.
-	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
-		return fmt.Errorf("inflate: stream longer than column")
-	}
-	return nil
 }
 
 // gatherColumn extracts one field's bytes from an AoS record image into

@@ -19,18 +19,7 @@ import (
 // refDeflateColumn deflates a whole shuffled column as one flate stream.
 func refDeflateColumn(t testing.TB, shuf []byte) []byte {
 	t.Helper()
-	var out bytes.Buffer
-	zw, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(shuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return deflated(t, shuf, flate.BestSpeed, 0)
 }
 
 // shuffledColumn returns field fi of the records as byte planes.

@@ -1,10 +1,8 @@
 package particle
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"io"
 	"sync"
 )
 
@@ -16,13 +14,22 @@ import (
 // call, so compressing N blocks on W workers allocates at most W states
 // total, regardless of N.
 //
+// Size: the struct is 7.7 KiB, nearly all of it the inflater's Huffman
+// tables (inflate.go); it points at the 64 KiB LZ table, at the shuffle
+// and staging scratch of the largest block seen, and — once it has
+// encoded a deflate field — at the flate.Writer. A decode clears none of
+// it: a deflate block rebuilds its tables by overwriting exactly the
+// entries its two codes reach (every entry a lookup can land on; what a
+// one-code or no-code tree leaves unassigned is written as such), the
+// scratch is overwritten before it is read, and only the LZ encoder
+// clears its table.
+//
 // Ownership rule: a codecState is owned by exactly one (de)compression
 // call from Get to Put; nothing inside it survives the call — payloads
 // returned to callers are always appended onto caller-owned slices.
 type codecState struct {
 	fw  *flate.Writer // lazily built, Reset per use
-	fr  io.ReadCloser // flate reader, Reset per use (flate.Resetter)
-	br  bytes.Reader  // resettable source the flate reader drains
+	inf inflater      // Huffman tables of the deflate decoder (inflate.go)
 	tab *lzTable      // LZ match-finder table, cleared per block
 	out sliceWriter   // compressed-bytes staging (flate destination)
 	shf []byte        // shuffled byte planes
@@ -142,21 +149,6 @@ func storedPlane(plane []byte) bool {
 	}
 	n := uint64(len(plane))
 	return sq < n*n>>7
-}
-
-// flateReader returns the pooled flate reader reset onto payload.
-func (st *codecState) flateReader(payload []byte) io.Reader {
-	st.br.Reset(payload)
-	if st.fr == nil {
-		st.fr = flate.NewReader(&st.br)
-		return st.fr
-	}
-	// flate.NewReader's concrete type implements flate.Resetter; the
-	// stdlib documents Reset as the intended reuse path.
-	if err := st.fr.(flate.Resetter).Reset(&st.br, nil); err != nil {
-		panic(err) // Reset with a nil dictionary cannot fail
-	}
-	return st.fr
 }
 
 // sliceWriter is an io.Writer appending into a reusable byte slice.

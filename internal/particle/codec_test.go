@@ -2,8 +2,10 @@ package particle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -280,6 +282,34 @@ func TestDecompressBlockHostile(t *testing.T) {
 			t.Fatalf("trial %d: no error but %d bytes", trial, len(got))
 		}
 		checkPickedAgainstFull(t, schema, m, 64, got, err)
+	}
+
+	// A deflate payload that gives the whole column and then does not end
+	// — its final block cut off — or does not end there — bytes after the
+	// final block — used to be served: only further output was looked for.
+	fields := splitFields(t, schema, comp)
+	for name, damage := range map[string]func(p []byte) []byte{
+		"no final block":              func(p []byte) []byte { return p[:len(p)-5] },
+		"bytes after the final block": func(p []byte) []byte { return append(p, 0) },
+		"a stream after the stream":   func(p []byte) []byte { return append(p, 1, 0, 0, 0xff, 0xff) },
+	} {
+		var m []byte
+		for fi, ff := range fields {
+			if fi == 0 {
+				if ff.id != CodecShuffleDeflate {
+					t.Fatalf("the position is coded %v, not shuffle+deflate", ff.id)
+				}
+				ff.payload = damage(append([]byte(nil), ff.payload...))
+			}
+			m = append(binary.AppendUvarint(append(m, byte(ff.id)), uint64(len(ff.payload))), ff.payload...)
+		}
+		_, err := DecompressBlock(schema, m, 64)
+		if want := `particle: field "position": inflate: `; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: %v, want an error starting %q", name, err, want)
+		}
+		if _, err := DecompressPickedInto(schema, m, 64, make([]byte, len(records)), nil, 0, 64, pickNothing, nil); err == nil {
+			t.Errorf("%s: the position-first decode accepts it", name)
+		}
 	}
 }
 

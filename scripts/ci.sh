@@ -91,13 +91,16 @@ echo "== go test -race -count=2 (server tier) =="
 go test -race -count=2 ./internal/server/...
 
 echo "== codec fuzz smoke =="
-# Short fuzz bursts over the two codec attack surfaces: the per-field
-# block codec round-trip (hostile specs and record bytes) and the data
+# Short fuzz bursts over the three codec attack surfaces: the per-field
+# block codec round-trip (hostile specs and record bytes), the deflate
+# decoder under it (differential against compress/flate: never laxer,
+# same bytes, and every flate.Writer stream accepted) and the data
 # file opener (whose corpus now seeds compressed files, truncations,
 # and bit flips). Regressions here are memory-safety or round-trip
 # bugs, not flakes: the corpora are deterministic seeds plus 10s of
 # mutation.
 go test -run '^$' -fuzz '^FuzzCodecRoundTrip$' -fuzztime 10s ./internal/particle
+go test -run '^$' -fuzz '^FuzzInflate$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzOpenDataFile$' -fuzztime 10s ./internal/format
 
 echo "== codec pipeline smoke =="
