@@ -89,7 +89,6 @@ func runServe(args []string) {
 		queue   = fs.Int("queue", 0, "max queued requests before fast-fail (0 = default)")
 		cacheMB = fs.Int64("cache-mb", 256, "shared block cache size in MiB")
 		blockKB = fs.Int("block-kb", 0, "block cache granularity in KiB (0 = default)")
-		dcMB    = fs.Int64("decoded-cache-mb", 0, "decoded-block cache tier size in MiB (0 = cache-mb/4, negative = off)")
 		fcSlots = fs.Int("file-cache", 0, "per-dataset open-file cache slots (0 = default)")
 		respMB  = fs.Int64("max-resp-mb", 0, "per-request response budget in MiB (0 = default 1024)")
 		fsck    = fs.String("fsck", server.FsckRefuse, "mount integrity policy: refuse|warn|off")
@@ -115,16 +114,15 @@ func runServe(args []string) {
 	}
 
 	cfg := server.Config{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		CacheBytes:        *cacheMB << 20,
-		BlockBytes:        *blockKB << 10,
-		DecodedCacheBytes: decodedCacheBytes(*dcMB),
-		FileCacheSlots:    *fcSlots,
-		MaxRespBytes:      *respMB << 20,
-		Fsck:              *fsck,
-		WireCodec:         *wcodec,
-		Logf:              log.Printf,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheBytes:     *cacheMB << 20,
+		BlockBytes:     *blockKB << 10,
+		FileCacheSlots: *fcSlots,
+		MaxRespBytes:   *respMB << 20,
+		Fsck:           *fsck,
+		WireCodec:      *wcodec,
+		Logf:           log.Printf,
 	}
 	s := server.New(cfg)
 	for _, m := range mounts.mounts {
@@ -201,15 +199,6 @@ func runServe(args []string) {
 			fatal(err)
 		}
 	}
-}
-
-// decodedCacheBytes maps the -decoded-cache-mb flag onto the config
-// convention (0 = derived default, negative = disabled).
-func decodedCacheBytes(mb int64) int64 {
-	if mb < 0 {
-		return -1
-	}
-	return mb << 20
 }
 
 func fatal(err error) {

@@ -159,3 +159,33 @@ func (w *wire) exchange(req []byte) error {
 	_, err := w.conn.Write(req) // want "across net.Conn.Write"
 	return err
 }
+
+// Box is the generic-receiver case (internal/cache.Cache is the real
+// one): its methods are declared once and called through instantiations,
+// and its lock class is lockorder.Box.mu whatever T is.
+type Box[T any] struct {
+	mu   sync.Mutex
+	v    T
+	full chan struct{}
+}
+
+// Put parks on the channel under the lock, inside a generic method.
+func (b *Box[T]) Put(v T) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.v = v
+	b.full <- struct{}{} // want "holds lockorder.Box.mu .* across channel send"
+}
+
+// Wait is clean on its own; its summary says "may block".
+func (b *Box[T]) Wait() {
+	<-b.full
+}
+
+// fillUnder holds another class across a generic method that blocks: the
+// summary must reach the caller through the instantiation Box[int].
+func fillUnder(c *counter, b *Box[int]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b.Wait() // want "may block on channel receive"
+}

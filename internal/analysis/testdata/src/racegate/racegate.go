@@ -197,3 +197,28 @@ func (w *Worker) run() {
 		return
 	}
 }
+
+// --- true positive on a generic receiver: an unlocked write in a
+// goroutine spawned through an instantiation, beside a locked one ---
+
+type Cell[T any] struct {
+	mu sync.Mutex
+	v  T
+	n  int
+}
+
+func (c *Cell[T]) Set(v T) {
+	c.mu.Lock()
+	c.v = v
+	c.n++
+	c.mu.Unlock()
+}
+
+func (c *Cell[T]) bump() {
+	c.n++ // want "share no common lock"
+}
+
+func Spin(c *Cell[string]) {
+	go c.bump()
+	c.Set("x")
+}

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -431,11 +430,6 @@ type DataFile struct {
 	// payloadBytes is the stored payload length: compressed bytes for
 	// compressed files, Count*Stride for raw ones.
 	payloadBytes int64
-
-	// decoded is the decoded-block cache tier OpenOptions.Decoded gave a
-	// compressed file; nil means every block decode runs in place. Fixed
-	// at open.
-	decoded DecodedBlockCache
 }
 
 // Compressed reports whether the payload is stored compressed.
@@ -445,28 +439,10 @@ func (df *DataFile) Compressed() bool { return df.blockRecs != nil }
 // compressed length for compressed files).
 func (df *DataFile) PayloadBytes() int64 { return df.payloadBytes }
 
-// DecodedBlockCache is the seam for a decoded-block cache tier in front
-// of the compressed-resident one: it holds whole decoded codec blocks
-// so a hot working set pays inflate once. Implementations must be safe
-// for concurrent use — range reads run their block decodes in parallel.
-type DecodedBlockCache interface {
-	// GetBlock returns the decoded AoS record bytes of block bi, or nil.
-	// The returned slice is shared and must not be written.
-	GetBlock(bi int) []byte
-	// PutBlock offers block bi's decoded bytes to the cache, which takes
-	// ownership of the slice (the caller never writes it again).
-	PutBlock(bi int, recs []byte)
-	// Holds reports whether the cache could hold n decoded bytes at once.
-	// A scan whose blocks decode to more goes around the cache: under any
-	// recency policy it would push out its own first block before it
-	// could come back to it, and everybody else's on the way.
-	Holds(n int64) bool
-}
-
 // OpenOptions is what a serving layer puts between a data file's record
 // reads and its bytes. It is fixed when the file is opened: a DataFile
 // has no state installed after it is built. The zero value reads the
-// file directly and decodes every block in place.
+// file directly.
 type OpenOptions struct {
 	// Seam, when non-nil, is given the opened file and returns what
 	// every payload read (Scan and its wrappers, VerifyPayload) goes
@@ -475,10 +451,6 @@ type OpenOptions struct {
 	// (viewerAt) lends a raw scan its bytes instead of copying them into
 	// a staging chunk.
 	Seam func(path string, file io.ReaderAt) io.ReaderAt
-	// Decoded, when non-nil, is asked for the decoded-block tier of each
-	// compressed file opened (a raw payload has no decode to save); it
-	// may return nil for none.
-	Decoded func(path string) DecodedBlockCache
 }
 
 // OpenDataFile opens and validates a data file, to be read directly.
@@ -500,9 +472,6 @@ func OpenDataFileWith(path string, opts OpenOptions) (*DataFile, error) {
 	}
 	if opts.Seam != nil {
 		df.ra = opts.Seam(path, f)
-	}
-	if opts.Decoded != nil && df.Compressed() {
-		df.decoded = opts.Decoded(path)
 	}
 	return df, nil
 }
@@ -628,8 +597,8 @@ func classifyHeaderErr(path string, err error) error {
 	return fmt.Errorf("format: %s: %w", path, err)
 }
 
-// Close releases the file handle. Every goroutine a Scan starts is joined
-// before that Scan returns, so nothing of the handle's is running by then.
+// Close releases the file handle. A Scan starts no goroutine, so nothing
+// of the handle's is running once its scans have returned.
 func (df *DataFile) Close() error {
 	return df.f.Close()
 }
@@ -670,30 +639,25 @@ func (df *DataFile) stage(n int) []byte {
 // chunk only the positions and the selected records are defined. With a
 // nil sel, picked is nil and every record of the chunk counts. Knowing
 // the selection before the take is what lets a compressed block decode
-// its position, run sel on it on the decode worker, and assemble the
-// other fields of the selected records alone
-// (particle.DecompressPickedInto) — so sel must be safe for concurrent
-// use, while fn always runs on the caller's goroutine, in order.
+// its position, run sel on it, and assemble the other fields of the
+// selected records alone (particle.DecompressPickedInto). sel and fn
+// both run on the caller's goroutine, chunk by chunk, in order.
 //
 // A chunk and its selection are valid only for the duration of the call
 // and must not be written: the chunk is a pooled buffer about to be
-// refilled, or — on a decoded-tier hit — the tier's shared slice itself,
-// or the ra seam's own memory. Raw payloads are read through the ra seam
-// scanChunkRecords records at a time, or, when the seam can lend its
-// bytes (viewerAt; the serving layer's block cache can), handed over in
-// place. Compressed payloads read whole compressed blocks through the ra
-// seam — so a serving layer's block cache holds compressed bytes,
+// refilled, or the ra seam's own memory. Raw payloads are read through
+// the ra seam scanChunkRecords records at a time, or, when the seam can
+// lend its bytes (viewerAt; the serving layer's block cache can), handed
+// over in place. Compressed payloads read whole compressed blocks through
+// the ra seam — so a serving layer's block cache holds compressed bytes,
 // multiplying its effective capacity — and decode on the way out, one
-// codec block per chunk (the edge blocks clipped to the range): the
-// blocks of the range run through a bounded read→decode window, so the
-// ReadAts overlap each other (and, through the singleflight BlockCache,
-// any disk latency) and the decodes run in parallel while fn consumes
-// the blocks in order.
+// codec block per chunk (the edge blocks clipped to the range), one
+// block at a time: concurrency is between scans, not inside one
+// (DESIGN.md §13.3).
 //
 // proj, when non-nil, names the fields fn will look at (it must have
-// been built from this file's schema); the others may hold garbage. A
-// compressed block that no decoded tier will keep then inflates only
-// those fields' frames.
+// been built from this file's schema); the others may hold garbage: a
+// compressed block inflates only those fields' frames.
 func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) error {
 	var want []bool
 	if proj != nil {
@@ -739,50 +703,71 @@ func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn fu
 	if lo == hi {
 		return nil
 	}
-	stride := int64(df.Header.Schema.Stride())
-	if df.blockRecs == nil {
-		// A raw chunk is all there: select and take run back to back on
-		// the caller's goroutine, over one selection vector.
-		var picked []int32
-		if sel != nil {
-			picked = getSel()
-			defer func() { putSel(picked) }()
-		}
-		each := func(recs []byte) error {
-			if sel != nil {
-				picked = sel(picked[:0], recs)
-			}
-			return fn(recs, picked)
-		}
-		if v, ok := df.ra.(viewerAt); ok {
-			return df.scanViews(v, lo, hi, each)
-		}
-		chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
-		defer toPool(&stagePool, chunk)
-		for at := lo; at < hi; at += scanChunkRecords {
-			recs := chunk[:min(hi-at, scanChunkRecords)*stride]
-			if _, err := df.ra.ReadAt(recs, df.payloadOff+at*stride); err != nil {
-				return err
-			}
-			if err := each(recs); err != nil {
+	// Select and take run back to back on the caller's goroutine, chunk
+	// by chunk, so one selection vector serves the whole scan.
+	var picked []int32
+	if sel != nil {
+		picked = getSel()
+		defer func() { putSel(picked) }()
+	}
+	if df.blockRecs != nil {
+		// Every block overlapping [lo, hi): the first that extends past lo,
+		// then each that starts before hi.
+		bi := sort.Search(len(df.blockRecs)-1, func(i int) bool { return df.blockRecs[i+1] > lo })
+		for ; bi < len(df.blockRecs)-1 && df.blockRecs[bi] < hi; bi++ {
+			var err error
+			if picked, err = df.scanBlock(bi, lo, hi, want, sel, picked, fn); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// Block range [b0, b1) overlapping [lo, hi): first block extending
-	// past lo, then every block starting before hi.
-	b0 := sort.Search(len(df.blockRecs)-1, func(i int) bool { return df.blockRecs[i+1] > lo })
-	b1 := b0
-	for b1 < len(df.blockRecs)-1 && df.blockRecs[b1] < hi {
-		b1++
+	each := func(recs []byte) error {
+		if sel != nil {
+			picked = sel(picked[:0], recs)
+		}
+		return fn(recs, picked)
 	}
-	// A range the tier cannot hold goes around it: no lookup, no insert.
-	sc := blockScan{df: df, decoded: df.decoded, want: want, sel: sel, lo: lo, hi: hi}
-	if sc.decoded != nil && !sc.decoded.Holds((df.blockRecs[b1]-df.blockRecs[b0])*stride) {
-		sc.decoded = nil
+	if v, ok := df.ra.(viewerAt); ok {
+		return df.scanViews(v, lo, hi, each)
 	}
-	return sc.run(b0, b1, fn)
+	stride := int64(df.Header.Schema.Stride())
+	chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
+	defer toPool(&stagePool, chunk)
+	for at := lo; at < hi; at += scanChunkRecords {
+		recs := chunk[:min(hi-at, scanChunkRecords)*stride]
+		if _, err := df.ra.ReadAt(recs, df.payloadOff+at*stride); err != nil {
+			return err
+		}
+		if err := each(recs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanBlock is the compressed scan's step: it reads codec block bi whole
+// through the ra seam, inflates it into a pooled image — position first,
+// and of the other wanted fields only what sel keeps of the block's
+// overlap with [lo, hi) (particle.DecompressPickedInto) — and hands fn
+// that overlap with the selection, which it returns for the next block to
+// reuse. A scan holds one block image however long its range.
+func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, sel particle.Selector, picked []int32, fn func(recs []byte, picked []int32) error) ([]int32, error) {
+	bLo, bHi := df.blockRecs[bi], df.blockRecs[bi+1]
+	count, stride := int(bHi-bLo), df.Header.Schema.Stride()
+	cLo, cHi := int(max(lo, bLo)-bLo), int(min(hi, bHi)-bLo)
+	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
+	defer toPool(&stagePool, comp)
+	if _, err := df.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
+		return picked, err
+	}
+	recs := df.stage(count * stride)
+	defer toPool(&stagePool, recs)
+	picked, err := particle.DecompressPickedInto(df.Header.Schema, comp, count, recs, want, cLo, cHi, sel, picked[:0])
+	if err != nil {
+		return picked, err
+	}
+	return picked, fn(recs[cLo*stride:cHi*stride], picked)
 }
 
 // viewerAt is an ra seam that can lend its bytes instead of copying them
@@ -833,159 +818,6 @@ func (df *DataFile) scanViews(ra viewerAt, lo, hi int64, fn func(recs []byte) er
 		straddler = append(straddler, v[whole:]...)
 	}
 	return nil
-}
-
-// blockScan is what the window workers of one compressed scan share, all
-// of it fixed before the first starts.
-type blockScan struct {
-	df      *DataFile
-	decoded DecodedBlockCache // nil: no tier, or a range it cannot hold
-	want    []bool
-	sel     particle.Selector
-	lo, hi  int64
-}
-
-// scanBlock is one decoded codec block on its way to the scan callback.
-type scanBlock struct {
-	recs []byte // the whole block's AoS image
-	// picked is the selection over the block's overlap with the range,
-	// drawn from selPool (nil without a selector).
-	picked []int32
-	// pooled marks an image drawn from stagePool, returned once the
-	// callback is done with it; otherwise recs is the decoded tier's
-	// shared slice and is only ever read.
-	pooled bool
-	err    error
-}
-
-// clip returns the rows of block bi inside the scanned range, relative
-// to the block.
-func (sc *blockScan) clip(bi int) (lo, hi int) {
-	bLo := sc.df.blockRecs[bi]
-	return int(max(sc.lo, bLo) - bLo), int(min(sc.hi, sc.df.blockRecs[bi+1]) - bLo)
-}
-
-// run puts blocks [b0, b1) through the read→decode window and feeds fn
-// their overlap with the range in block order. At most `window` blocks
-// are in flight — being read, being decoded, or decoded and waiting
-// their turn — so the scan holds a bounded number of block images
-// however long the range. Every worker is joined before run returns.
-func (sc *blockScan) run(b0, b1 int, fn func(recs []byte, picked []int32) error) error {
-	stride := sc.df.Header.Schema.Stride()
-	deliver := func(bi int, blk scanBlock) error {
-		if blk.err != nil {
-			return blk.err
-		}
-		cLo, cHi := sc.clip(bi)
-		err := fn(blk.recs[cLo*stride:cHi*stride], blk.picked)
-		blk.release()
-		return err
-	}
-	n := b1 - b0
-	if n <= 1 {
-		for bi := b0; bi < b1; bi++ {
-			if err := deliver(bi, sc.load(bi)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// At least a few in flight even on one P: a ReadAt parked in the
-	// kernel releases its P, so the window still overlaps disk latency
-	// when it cannot overlap decode.
-	window := min(max(runtime.GOMAXPROCS(0), 4), n)
-	// Block i travels through slot i%window: block i+window starts only
-	// after block i has been taken out of it, so a worker's one send
-	// never blocks, not even when an error ends the scan early and
-	// nobody receives any more (what is left in the slots then goes to
-	// the collector instead of the pools).
-	slots := make([]chan scanBlock, window)
-	for i := range slots {
-		slots[i] = make(chan scanBlock, 1)
-	}
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	started := 0
-	for i := 0; i < n; i++ {
-		for ; started < n && started < i+window; started++ {
-			wg.Add(1)
-			go func(bi int, slot chan<- scanBlock) {
-				defer wg.Done()
-				slot <- sc.load(bi)
-			}(b0+started, slots[started%window])
-		}
-		if err := deliver(b0+i, <-slots[i%window]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// release returns what the block borrowed from the pools.
-func (blk scanBlock) release() {
-	if blk.pooled {
-		toPool(&stagePool, blk.recs)
-	}
-	putSel(blk.picked)
-}
-
-// load produces the decoded image of block bi and the selection over its
-// part of the range. With a tier it is the tier's copy when there is
-// one, and otherwise a whole decode into a fresh slice the tier takes
-// ownership of (shared and immutable from then on), selected from
-// afterwards like a raw chunk. Without one the compressed bytes are
-// inflated into a pooled image position first, and of the other wanted
-// fields only what the selection keeps. Safe to call concurrently for
-// distinct blocks.
-func (sc *blockScan) load(bi int) scanBlock {
-	df := sc.df
-	stride := df.Header.Schema.Stride()
-	cLo, cHi := sc.clip(bi)
-	var blk scanBlock
-	if sc.sel != nil {
-		blk.picked = getSel()
-	}
-	fail := func(err error) scanBlock {
-		blk.release()
-		return scanBlock{err: err}
-	}
-	if sc.decoded != nil {
-		if blk.recs = sc.decoded.GetBlock(bi); blk.recs == nil {
-			var err error
-			if blk.recs, err = df.decodeWholeBlock(bi); err != nil {
-				return fail(err)
-			}
-			sc.decoded.PutBlock(bi, blk.recs)
-		}
-		if sc.sel != nil {
-			blk.picked = sc.sel(blk.picked, blk.recs[cLo*stride:cHi*stride])
-		}
-		return blk
-	}
-	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
-	defer toPool(&stagePool, comp)
-	if _, err := df.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
-		return fail(err)
-	}
-	count := int(df.blockRecs[bi+1] - df.blockRecs[bi])
-	blk.recs, blk.pooled = df.stage(count*stride), true
-	var err error
-	blk.picked, err = particle.DecompressPickedInto(df.Header.Schema, comp, count, blk.recs, sc.want, cLo, cHi, sc.sel, blk.picked)
-	if err != nil {
-		return fail(err)
-	}
-	return blk
-}
-
-// decodeWholeBlock reads and decodes one whole compressed block into a
-// fresh slice (the decoded tier takes ownership of it).
-func (df *DataFile) decodeWholeBlock(bi int) ([]byte, error) {
-	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
-	defer toPool(&stagePool, comp)
-	if _, err := df.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
-		return nil, err
-	}
-	return particle.DecompressBlock(df.Header.Schema, comp, int(df.blockRecs[bi+1]-df.blockRecs[bi]))
 }
 
 // ReadRange reads records [lo, hi) into a new buffer, allocated once at

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -205,47 +204,18 @@ func (s lendingSeam) ViewAt(off int64) ([]byte, error) {
 	return nil, io.EOF
 }
 
-// oneBlockTier is the thrashing decoded tier: it keeps only the block
-// most recently offered, and claims to hold anything, so that every scan
-// goes through it.
-type oneBlockTier struct {
-	mu   sync.Mutex
-	bi   int
-	recs []byte
-}
-
-func (c *oneBlockTier) GetBlock(bi int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.recs != nil && c.bi == bi {
-		return c.recs
-	}
-	return nil
-}
-
-func (c *oneBlockTier) PutBlock(bi int, recs []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bi, c.recs = bi, recs
-}
-
-func (c *oneBlockTier) Holds(int64) bool { return true }
-
 // TestScanMatchesReference is the differential test of the streaming
 // read path: over {raw, lossless, fast, lossy} files x {full range, LOD
 // prefix ending mid-block, range starting mid-block, both ends inside
 // one block, empty range} x {all fields, position only, position + one
 // scalar} x {no seam, block seam, a seam that lends its blocks — of a
-// size no record is aligned to, and of a size smaller than a record} x
-// {no decoded tier, an ample tier, a tier of one block, and for
-// compressed files a tier too small for any range (every scan goes
-// around it and it is never touched) and a tier that holds some of the
-// ranges}, a box query (select-then-take through the fused filter), a
+// size no record is aligned to, and of a size smaller than a record},
+// a box query (select-then-take through the fused filter), a
 // halo and an unfiltered fill must equal the kept reference (whole range
 // -> Decode -> per-row test) bit for bit — while every callback is
 // handed only what the scan defines for it (poisoned). Eight goroutines
 // share each DataFile, so under -race this is also the proof that a scan
-// never writes a shared tier slice or another scan's chunk, and that the
+// never writes a seam's lent bytes or another scan's chunk, and that the
 // selectors the decode workers run share nothing with the takes.
 func TestScanMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -276,21 +246,13 @@ func TestScanMatchesReference(t *testing.T) {
 		{cuts[k-3], cuts[k-3]},             // empty
 	}
 	projections := [][]string{nil, {particle.PositionField}, {"density"}}
-	stride := int64(schema.Stride())
 
-	// codec/seam, where the seam names what sits under and in front of the
-	// file: a ReaderAt seam ("seam", or a lending "view"), a decoded tier
-	// ("tier": ample; "tier1": one block; "tier-bypass": too small for any
-	// range; "tier-some": holds the two-block ranges, not the long ones),
-	// or both. A raw file has no decode for a tier to save.
+	// codec/seam, where the seam names what sits under the file: nothing,
+	// a ReaderAt seam ("seam"), or one that lends its blocks ("view").
 	type config struct{ codec, seam string }
 	var configs []config
 	for _, codec := range []string{"raw", "lossless", "fast", "lossy"} {
-		seams := []string{"none", "seam", "seam+tier", "seam+tier1", "view", "view-tiny"}
-		if codec != "raw" {
-			seams = append(seams, "tier", "tier-bypass", "seam+tier-bypass", "seam+tier-some")
-		}
-		for _, seam := range seams {
+		for _, seam := range []string{"none", "seam", "view", "view-tiny"} {
 			configs = append(configs, config{codec, seam})
 		}
 	}
@@ -312,30 +274,14 @@ func TestScanMatchesReference(t *testing.T) {
 	for _, cfg := range configs {
 		image := images[cfg.codec]
 		t.Run(cfg.codec+"/"+cfg.seam, func(t *testing.T) {
-			seam, tier, _ := strings.Cut(cfg.seam, "+")
-			if strings.HasPrefix(seam, "tier") {
-				seam, tier = "none", seam
-			}
 			var opts OpenOptions
-			switch seam {
+			switch cfg.seam {
 			case "seam":
 				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return newLRUSeam(f, 16<<10, 32) }
 			case "view":
 				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 1000, 32)} }
 			case "view-tiny":
 				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 100, 32)} }
-			}
-			var bypassed *mapDecodedCache
-			switch tier {
-			case "tier":
-				opts.Decoded = tierOf(newMapDecodedCache(0))
-			case "tier1":
-				opts.Decoded = tierOf(&oneBlockTier{})
-			case "tier-bypass":
-				bypassed = newMapDecodedCache(1)
-				opts.Decoded = tierOf(bypassed)
-			case "tier-some":
-				opts.Decoded = tierOf(newMapDecodedCache((cuts[k-2] - cuts[k-5]) * stride))
 			}
 			df, err := OpenDataFileWith(filepath.Join(dir, cfg.codec+".spd"), opts)
 			if err != nil {
@@ -415,13 +361,6 @@ func TestScanMatchesReference(t *testing.T) {
 				}(int64(g) + 100)
 			}
 			wg.Wait()
-			if bypassed != nil {
-				bypassed.mu.Lock()
-				if bypassed.gets != 0 || bypassed.puts != 0 {
-					t.Errorf("a tier that holds nothing was asked %d times and offered %d blocks", bypassed.gets, bypassed.puts)
-				}
-				bypassed.mu.Unlock()
-			}
 			if err := df.Close(); err != nil {
 				t.Fatal(err)
 			}

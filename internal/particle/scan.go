@@ -30,10 +30,8 @@ import (
 // Selector is the select step of a scan: it appends to sel the index of
 // every record of recs (whole records of the scanned schema) that the
 // scan is to keep, in record order, and returns the extended slice. It
-// may look at positions only — of a chunk whose selection is not yet
-// known nothing else is defined — and must be safe for concurrent use: a
-// scan of a compressed file runs it on its decode workers, several
-// blocks at a time.
+// may look at positions only: of a chunk whose selection is not yet known
+// nothing else is defined.
 type Selector func(sel []int32, recs []byte) []int32
 
 // BoxFilter is a box query as a scan sees it: Select keeps the records

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"spio/internal/cache"
 	"spio/internal/format"
 	"spio/internal/geom"
 )
@@ -74,8 +75,8 @@ func TestFileCacheEviction(t *testing.T) {
 			t.Fatalf("sweep %d read %d of %d", i, got.Len(), all.Len())
 		}
 	}
-	if fc := ds.cache.Load(); fc.lru.Len() > 2 || len(fc.entries) > 2 {
-		t.Errorf("cache overgrew: %d entries", len(fc.entries))
+	if n := ds.cache.Load().Stats().Len; n > 2 {
+		t.Errorf("cache overgrew: %d entries", n)
 	}
 	if cs := ds.CacheStats(); cs.Evictions == 0 {
 		t.Errorf("3 sweeps of 16 files through a 2-slot cache recorded no evictions")
@@ -133,7 +134,8 @@ func TestFileCachePinIdentity(t *testing.T) {
 	}
 	fc := ds.cache.Load()
 	a, b := ds.meta.Files[0].Name, ds.meta.Files[1].Name
-	acquire := func(name string) *cacheEntry {
+	type entry = *cache.Entry[string, *format.DataFile]
+	acquire := func(name string) entry {
 		t.Helper()
 		e, _, err := fc.acquire(ds, name)
 		if err != nil {
@@ -141,9 +143,9 @@ func TestFileCachePinIdentity(t *testing.T) {
 		}
 		return e
 	}
-	readable := func(what string, e *cacheEntry) {
+	readable := func(what string, e entry) {
 		t.Helper()
-		if _, err := e.df.ReadRange(0, 1); err != nil {
+		if _, err := e.Value.ReadRange(0, 1); err != nil {
 			t.Fatalf("%s: pinned handle is not readable: %v", what, err)
 		}
 	}
@@ -151,20 +153,17 @@ func TestFileCachePinIdentity(t *testing.T) {
 	a1 := acquire(a) // pinned for the whole sequence
 	b1 := acquire(b) // evicts a1 while it is pinned
 	a2 := acquire(a) // a miss: reopens a beside the evicted, still pinned a1
-	if a1 == a2 || a1.df == a2.df {
+	if a1 == a2 || a1.Value == a2.Value {
 		t.Fatal("reopen of an evicted-but-pinned name reused the old entry")
 	}
 	readable("a1 after its eviction", a1)
-	fc.release(a1) // the bad order: the old pin goes first and must close only a1
-	if a2.refs != 1 {
-		t.Fatalf("releasing the old pin changed the new entry's refcount to %d", a2.refs)
-	}
-	b2 := acquire(b) // evicts a2 while it is pinned; it must stay open
+	fc.Release(a1)   // the bad order: the old pin goes first and must close only a1
+	b2 := acquire(b) // evicts a2, whose own pin must have survived a1's release
 	readable("a2 after the old pin's release and its own eviction", a2)
 	readable("b1 after its eviction", b1)
-	fc.release(a2)
-	fc.release(b1)
-	fc.release(b2)
+	fc.Release(a2)
+	fc.Release(b1)
+	fc.Release(b2)
 
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)

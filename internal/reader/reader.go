@@ -262,16 +262,16 @@ func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Pro
 	var df *format.DataFile
 	cache := d.cache.Load()
 	if cache != nil {
-		cached, opened, err := cache.acquire(d, e.Name)
+		cached, hit, err := cache.acquire(d, e.Name)
 		if err != nil {
 			return st, err
 		}
-		defer cache.release(cached)
-		df = cached.df
-		if opened {
-			st.FilesOpened = 1
-		} else {
+		defer cache.Release(cached)
+		df = cached.Value
+		if hit {
 			st.CacheHits = 1
+		} else {
+			st.FilesOpened = 1
 		}
 	} else {
 		opened, err := d.openDataFile(e.Name)
@@ -292,7 +292,7 @@ func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Pro
 	st.BytesRead = hi * int64(d.meta.Schema.Stride())
 	if st.CacheHits > 0 {
 		st.BytesFromCache = st.BytesRead
-		cache.noteBytes(st.BytesRead)
+		cache.bytesFromCache.Add(st.BytesRead)
 	}
 	return st, nil
 }

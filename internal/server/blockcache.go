@@ -25,11 +25,11 @@
 package server
 
 import (
-	"container/list"
 	"errors"
 	"io"
 	"io/fs"
-	"sync"
+
+	"spio/internal/cache"
 )
 
 // BlockCacheStats is the shared block cache's counter snapshot.
@@ -54,39 +54,20 @@ type BlockCacheStats struct {
 // layered under the per-dataset open-file caches: every payload read of
 // every mounted dataset goes through it, so concurrent clients querying
 // overlapping regions hit memory instead of multiplying disk reads.
-// Loads are singleflighted per block — N queries racing on a cold block
-// do one disk read and share the bytes.
+// It is a cache.Cache whose cost is a block's length: N queries racing on
+// a cold block do one disk read and share the bytes.
 //
 // Cached blocks are immutable once inserted; the cache assumes data
 // files are immutable once published (spio writes them via atomic
 // rename and never mutates them in place).
 type BlockCache struct {
 	blockSize int64
-	capacity  int64
-
-	mu       sync.Mutex
-	used     int64
-	lru      *list.List // front = most recently used; values *cacheBlock
-	blocks   map[blockKey]*list.Element
-	inflight map[blockKey]*blockFlight
-	stats    BlockCacheStats
+	blocks    *cache.Cache[blockKey, []byte]
 }
 
 type blockKey struct {
 	file string
 	idx  int64
-}
-
-type cacheBlock struct {
-	key  blockKey
-	data []byte // immutable after insert
-}
-
-// blockFlight is one in-progress singleflighted block load.
-type blockFlight struct {
-	done chan struct{}
-	data []byte
-	err  error
 }
 
 // DefaultBlockSize is the block granularity when none is configured.
@@ -98,26 +79,20 @@ func NewBlockCache(capacityBytes int64, blockSize int) *BlockCache {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	if capacityBytes < int64(blockSize) {
-		capacityBytes = int64(blockSize)
-	}
 	return &BlockCache{
 		blockSize: int64(blockSize),
-		capacity:  capacityBytes,
-		lru:       list.New(),
-		blocks:    make(map[blockKey]*list.Element),
-		inflight:  make(map[blockKey]*blockFlight),
+		blocks:    cache.New[blockKey, []byte](max(capacityBytes, int64(blockSize)), nil),
 	}
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *BlockCache) Stats() BlockCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stats
-	st.Used = c.used
-	st.Blocks = c.lru.Len()
-	return st
+	st := c.blocks.Stats()
+	return BlockCacheStats{
+		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+		BytesFromCache: st.HitCost, BytesFromDisk: st.LoadCost,
+		Used: st.Used, Blocks: st.Len,
+	}
 }
 
 // ReaderFor returns an io.ReaderAt serving key's bytes from the cache,
@@ -161,7 +136,10 @@ func (r *cachedReaderAt) ViewAt(off int64) ([]byte, error) {
 		return nil, &fs.PathError{Op: "readat", Path: r.key, Err: errors.New("negative offset")}
 	}
 	bs := r.c.blockSize
-	data, err := r.c.blockFor(r.key, off/bs, r.base)
+	idx := off / bs
+	data, err := r.c.blocks.Get(blockKey{file: r.key, idx: idx}, func() ([]byte, int64, error) {
+		return r.readBlock(idx)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -171,87 +149,19 @@ func (r *cachedReaderAt) ViewAt(off int64) ([]byte, error) {
 	return nil, io.EOF
 }
 
-// blockFor returns block idx of file, loading it through base on a miss.
-// Concurrent callers for the same cold block share one disk read.
-func (c *BlockCache) blockFor(file string, idx int64, base io.ReaderAt) ([]byte, error) {
-	k := blockKey{file: file, idx: idx}
-	c.mu.Lock()
-	if el, ok := c.blocks[k]; ok {
-		b := el.Value.(*cacheBlock)
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		c.stats.BytesFromCache += int64(len(b.data))
-		c.mu.Unlock()
-		return b.data, nil
+// readBlock reads block idx of the file from base. A read exactly at EOF
+// (any file sized a multiple of the block size ends with one) yields an
+// empty block of cost 0, which the cache returns and does not keep.
+func (r *cachedReaderAt) readBlock(idx int64) ([]byte, int64, error) {
+	buf := make([]byte, r.c.blockSize)
+	n, err := r.base.ReadAt(buf, idx*r.c.blockSize)
+	if err != nil && err != io.EOF { // a short tail block is a valid block
+		return nil, 0, err
 	}
-	if f, ok := c.inflight[k]; ok {
-		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		c.mu.Lock()
-		c.stats.Hits++
-		c.stats.BytesFromCache += int64(len(f.data))
-		c.mu.Unlock()
-		return f.data, nil
-	}
-	f := &blockFlight{done: make(chan struct{})}
-	c.inflight[k] = f
-	c.stats.Misses++
-	c.mu.Unlock()
-
-	buf := make([]byte, c.blockSize)
-	n, err := base.ReadAt(buf, idx*c.blockSize)
-	if err == io.EOF {
-		err = nil // a short tail block is a valid block
-	}
-	if err != nil {
-		f.err = err
-		c.mu.Lock()
-		delete(c.inflight, k)
-		c.mu.Unlock()
-		close(f.done)
-		return nil, err
-	}
-	f.data = buf
 	if n < len(buf) {
 		// A file's tail block is held at its own size: as a prefix of buf
-		// it would pin the whole blockSize array while used counts n.
-		f.data = append(make([]byte, 0, n), buf[:n]...)
+		// it would pin the whole blockSize array while the cache counts n.
+		buf = append(make([]byte, 0, n), buf[:n]...)
 	}
-
-	c.mu.Lock()
-	delete(c.inflight, k)
-	// A read exactly at EOF (any file sized a multiple of blockSize ends
-	// with one) yields a zero-length block. Don't cache it: it adds 0 to
-	// used, so the byte-based eviction loop could never reclaim it, and
-	// Stats().Blocks would grow without bound under series churn.
-	if n > 0 {
-		el := c.lru.PushFront(&cacheBlock{key: k, data: f.data})
-		c.blocks[k] = el
-		c.used += int64(n)
-		c.stats.BytesFromDisk += int64(n)
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.data, nil
-}
-
-// evictLocked shrinks the cache to capacity. Evicted blocks stay valid
-// for readers already holding their slices (slices are immutable; the
-// cache only forgets them).
-func (c *BlockCache) evictLocked() {
-	for c.used > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		b := back.Value.(*cacheBlock)
-		c.lru.Remove(back)
-		delete(c.blocks, b.key)
-		c.used -= int64(len(b.data))
-		c.stats.Evictions++
-	}
+	return buf, int64(n), nil
 }

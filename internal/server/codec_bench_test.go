@@ -43,7 +43,7 @@ func benchWireQueryResp(b *testing.B, codec uint8) {
 func BenchmarkWireQueryRespRaw(b *testing.B)      { benchWireQueryResp(b, wireCodecRaw) }
 func BenchmarkWireQueryRespLossless(b *testing.B) { benchWireQueryResp(b, wireCodecLossless) }
 
-func benchCachedRangeReads(b *testing.B, codec particle.Spec, decodedBytes int64) {
+func benchCachedRangeReads(b *testing.B, codec particle.Spec) {
 	dir := b.TempDir()
 	const n = 32768
 	const span = 8192 // one codec block, so raw and compressed fetch the same records
@@ -59,12 +59,7 @@ func benchCachedRangeReads(b *testing.B, codec particle.Spec, decodedBytes int64
 	// same byte budget keeps a multiple of the working set resident
 	// once the cache holds compressed blocks.
 	cache := NewBlockCache(int64(n*buf.Schema().Stride()/4), 16<<10)
-	opts := format.OpenOptions{Seam: cache.ReaderFor}
-	dcache := NewDecodedCache(decodedBytes)
-	if dcache != nil {
-		opts.Decoded = dcache.ForFile
-	}
-	df, err := format.OpenDataFileWith(path, opts)
+	df, err := format.OpenDataFileWith(path, format.OpenOptions{Seam: cache.ReaderFor})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,26 +78,15 @@ func benchCachedRangeReads(b *testing.B, codec particle.Spec, decodedBytes int64
 	b.ReportMetric(float64(st.BytesFromDisk)/float64(b.N), "disk_B/op")
 	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "cache_hit_ratio")
 	b.ReportMetric(float64(df.PayloadBytes()), "payload_B")
-	if dcache != nil {
-		dst := dcache.Stats()
-		b.ReportMetric(float64(dst.Hits)/float64(dst.Hits+dst.Misses), "decoded_hit_ratio")
-	}
 }
 
 func BenchmarkCachedRangeReadRaw(b *testing.B) {
-	benchCachedRangeReads(b, particle.Spec{}, 0)
+	benchCachedRangeReads(b, particle.Spec{})
 }
 
 // Quantized positions/velocities (1e-3 absolute bound) are the case
 // the cache-capacity-multiplication argument is about: the compressed
 // working set fits where the raw one thrashes.
 func BenchmarkCachedRangeReadCompressed(b *testing.B) {
-	benchCachedRangeReads(b, particle.LossySpec(particle.Uintah(), 1e-3), 0)
-}
-
-// The decoded-block tier in front of the same compressed cache: the
-// hot working set is served as plain record bytes, paying inflate only
-// on first touch, so repeat reads approach the raw path's latency.
-func BenchmarkCachedRangeReadDecodedTier(b *testing.B) {
-	benchCachedRangeReads(b, particle.LossySpec(particle.Uintah(), 1e-3), 8<<20)
+	benchCachedRangeReads(b, particle.LossySpec(particle.Uintah(), 1e-3))
 }

@@ -60,6 +60,14 @@ type DatasetMetrics struct {
 	FileCache rdr.CacheStats `json:"file_cache"`
 }
 
+// DecodedCacheStats is what is left of the decoded-block tier (deleted:
+// DESIGN.md §13.4): always zero. The field and its keys stay because the
+// /metrics image is read by the benchmark, which is a fixed contract.
+type DecodedCacheStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+}
+
 // MetricsSnapshot is the JSON image served on /metrics, by `spiod
 // stats`, and published to expvar — the Darshan-style aggregate view of
 // what the daemon's I/O has been doing.
@@ -124,13 +132,11 @@ func (f *Front) Snapshot() MetricsSnapshot {
 func (s *Server) Snapshot() MetricsSnapshot {
 	snap := s.front.Snapshot()
 	snap.BlockCache = s.cache.Stats()
-	snap.DecodedCache = s.dcache.Stats()
 	snap.Datasets = map[string]DatasetMetrics{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, mt := range s.mounts {
-		mt.mu.Lock()
-		for ref, ds := range mt.open {
+		mt.open.Each(func(ref string, ds *rdr.Dataset) {
 			key := name
 			if mt.series {
 				key = name + "@" + ref
@@ -141,8 +147,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 				Files:     len(ds.Meta().Files),
 				FileCache: ds.CacheStats(),
 			}
-		}
-		mt.mu.Unlock()
+		})
 	}
 	return snap
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"spio/internal/cache"
 	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
@@ -47,11 +48,6 @@ type Config struct {
 	CacheBytes int64
 	// BlockBytes is the block cache granularity (default DefaultBlockSize).
 	BlockBytes int
-	// DecodedCacheBytes bounds the decoded-block cache tier in front of
-	// the compressed one: whole decoded codec blocks, so repeat queries
-	// over a hot working set pay inflate once (default CacheBytes/4;
-	// < 0 disables the tier).
-	DecodedCacheBytes int64
 	// FileCacheSlots is each mounted dataset's open-file cache capacity
 	// (default 64).
 	FileCacheSlots int
@@ -95,16 +91,6 @@ func (c *Config) cacheBytes() int64 {
 	return 256 << 20
 }
 
-func (c *Config) decodedCacheBytes() int64 {
-	if c.DecodedCacheBytes < 0 {
-		return 0
-	}
-	if c.DecodedCacheBytes > 0 {
-		return c.DecodedCacheBytes
-	}
-	return c.cacheBytes() / 4
-}
-
 // wireCodecFor clamps a client's requested codec by the server policy.
 func (c *Config) wireCodecFor(requested uint8) uint8 {
 	if c.WireCodec == "none" {
@@ -127,22 +113,27 @@ type mount struct {
 	dir    string
 	series bool
 
-	mu sync.Mutex
-	// open caches opened datasets: key "" for a plain mount, the decimal
-	// step for a series mount.
-	open map[string]*rdr.Dataset
+	// open holds the opened datasets, each at cost 1: key "" for a plain
+	// mount, the decimal step for a series mount. Its load opens and
+	// checks a step once however many first requests race for it, and
+	// its drop gives up the step's file cache (Server.openDataset).
+	open *cache.Cache[string, *rdr.Dataset]
 }
+
+// mountSteps bounds the steps of one series mount held open at a time.
+// Each holds up to FileCacheSlots (64) descriptors, so 8 is 512 of the
+// usual soft limit of 1024 with the other half left to sockets and other
+// mounts; a viewer scrubbing a series revisits its last few steps, not
+// its first. One value is in use, so it is not a Config field.
+const mountSteps = 8
 
 // Server is the resident serving state: mounted datasets over a shared
 // block cache, served through a Front whose Backend it is.
 type Server struct {
-	cfg    Config
-	cache  *BlockCache
-	dcache *DecodedCache // decoded-block tier; nil when disabled
-	// open layers the caches under every data file a mounted dataset
-	// opens to read: payload reads go through the shared block cache,
-	// and compressed files get the decoded tier in front of it, holding
-	// whole decoded blocks so a hot set pays inflate once.
+	cfg   Config
+	cache *BlockCache
+	// open puts the shared block cache under every data file a mounted
+	// dataset opens to read.
 	open  format.OpenOptions
 	front *Front
 
@@ -155,13 +146,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		cache:  NewBlockCache(cfg.cacheBytes(), cfg.BlockBytes),
-		dcache: NewDecodedCache(cfg.decodedCacheBytes()),
 		mounts: map[string]*mount{},
 	}
 	s.open.Seam = s.cache.ReaderFor
-	if s.dcache != nil {
-		s.open.Decoded = s.dcache.ForFile
-	}
 	s.front = NewFront(cfg, s)
 	return s
 }
@@ -188,7 +175,11 @@ func (s *Server) Mount(name, dir string) error {
 	if name == "" || strings.ContainsAny(name, "@ \t\n") {
 		return fmt.Errorf("spiod: invalid mount name %q", name)
 	}
-	m := &mount{name: name, dir: dir, open: map[string]*rdr.Dataset{}}
+	m := &mount{name: name, dir: dir, open: cache.New[string](mountSteps, func(ds *rdr.Dataset) {
+		// Idle handles close now, busy ones on their release; a query still
+		// running on the step finishes on handles it opens and closes itself.
+		_ = ds.SetFileCache(0) // always nil
+	})}
 	if _, err := os.Stat(filepath.Join(dir, format.MetaFileName)); err == nil {
 		if _, err := s.openDataset(m, ""); err != nil {
 			return err
@@ -218,51 +209,32 @@ func (s *Server) Mount(name, dir string) error {
 	return nil
 }
 
-// openDataset opens (or returns the cached) dataset for one mount key,
-// opened over the caches (s.open) and checked under the fsck policy —
-// on plain handles, so a check fills no cache. Callers need not hold
-// s.mu. m.mu guards only the open map, never the open itself: mount
-// fsck reads every file (through the parallel decode pool for
-// compressed payloads), and holding the mount lock across that would
-// stall every request on the mount. Two concurrent first opens of the
-// same key may both do the work; the second to finish closes its copy.
+// openDataset returns the dataset for one mount key from the mount's
+// cache, which on a miss opens it over the block cache (s.open) and
+// checks it under the fsck policy — on plain handles, so a check fills
+// no cache, and with no lock held: mount fsck reads every file (through
+// the parallel decode pool for compressed payloads), and the requests
+// for the mount's other steps go on beside it. Callers need not hold
+// s.mu.
 func (s *Server) openDataset(m *mount, key string) (*rdr.Dataset, error) {
-	m.mu.Lock()
-	ds, ok := m.open[key]
-	m.mu.Unlock()
-	if ok {
-		return ds, nil
-	}
-	dir := m.dir
-	if m.series {
-		step, err := strconv.Atoi(key)
-		if err != nil {
-			return nil, fmt.Errorf("spiod: %s@%s: bad step reference", m.name, key)
+	return m.open.Get(key, func() (*rdr.Dataset, int64, error) {
+		dir := m.dir
+		if m.series {
+			step, err := strconv.Atoi(key)
+			if err != nil {
+				return nil, 0, fmt.Errorf("spiod: %s@%s: bad step reference", m.name, key)
+			}
+			dir = rdr.StepDir(m.dir, step)
 		}
-		dir = rdr.StepDir(m.dir, step)
-	}
-	ds, err := rdr.OpenWith(dir, s.open)
-	if err != nil {
-		return nil, fmt.Errorf("spiod: %s: %w", m.name, err)
-	}
-	if err := s.checkDataset(m.name, ds); err != nil {
-		_ = ds.Close() // refusing to serve; the fsck error is the one to report
-		return nil, err
-	}
-	if err := ds.SetFileCache(s.cfg.fileCacheSlots()); err != nil {
-		_ = ds.Close() // unwinding a failed mount
-		return nil, err
-	}
-	m.mu.Lock()
-	if cached, ok := m.open[key]; ok {
-		// Lost the open race: serve the published copy, discard ours.
-		m.mu.Unlock()
-		_ = ds.Close()
-		return cached, nil
-	}
-	m.open[key] = ds
-	m.mu.Unlock()
-	return ds, nil
+		ds, err := rdr.OpenWith(dir, s.open)
+		if err != nil {
+			return nil, 0, fmt.Errorf("spiod: %s: %w", m.name, err)
+		}
+		if err := s.checkDataset(m.name, ds); err != nil {
+			return nil, 0, err
+		}
+		return ds, 1, ds.SetFileCache(s.cfg.fileCacheSlots())
+	})
 }
 
 // checkDataset applies the mount-time fsck policy.

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"spio/internal/agg"
 	"spio/internal/core"
 	"spio/internal/fault"
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
@@ -542,6 +545,81 @@ func TestSeriesMountAndLatest(t *testing.T) {
 	}
 	if len(refs) != 2 || refs[0] != "sim@0" || refs[1] != "sim@3" {
 		t.Errorf("List = %v", refs)
+	}
+}
+
+// TestSeriesMountHoldsBoundedSteps: however many steps of a series are
+// asked for, the mount holds mountSteps of them — datasets and
+// descriptors — an evicted step answers again, and racing first requests
+// for a cold step open and check it once.
+func TestSeriesMountHoldsBoundedSteps(t *testing.T) {
+	const steps, filesPerStep = mountSteps + 4, 2
+	base := t.TempDir()
+	for i := 0; i < steps; i++ {
+		writeDataset(t, rdr.StepDir(base, i), geom.I3(2, 1, 1), geom.I3(1, 1, 1), 20+i)
+	}
+	// Step 1 holds a leftover temp file: every check of it under the warn
+	// policy logs that one problem.
+	if err := os.WriteFile(filepath.Join(rdr.StepDir(base, 1), "x"+format.TempSuffix), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return 0 // not Linux: the descriptor bound goes unchecked
+		}
+		return len(ents)
+	}
+	fdsBefore := fds()
+	var checks atomic.Int64
+	s := New(Config{Fsck: FsckWarn, Logf: func(f string, _ ...any) {
+		if strings.Contains(f, "fsck") {
+			checks.Add(1)
+		}
+	}})
+	if err := s.Mount("sim", base); err != nil {
+		t.Fatal(err)
+	}
+	query := func(step int) {
+		t.Helper()
+		ds, err := s.Resolve(fmt.Sprintf("sim@%d", step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Release()
+		if want := filesPerStep * (20 + step); rows.Len() != want {
+			t.Fatalf("step %d answered %d particles, want %d", step, rows.Len(), want)
+		}
+	}
+	for step := 2; step < steps; step++ {
+		query(step)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Resolve("sim@1"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := checks.Load(); n != 1 {
+		t.Errorf("8 racing first requests for a cold step logged its one fsck problem %d times", n)
+	}
+	query(1)
+	query(0)
+	query(2) // evicted long ago
+	if n := len(s.Snapshot().Datasets); n > mountSteps {
+		t.Errorf("the mount holds %d steps open, bound %d", n, mountSteps)
+	}
+	if open := fds() - fdsBefore; open > mountSteps*filesPerStep+4 {
+		t.Errorf("%d descriptors open after %d steps, want at most %d steps' worth", open, steps, mountSteps)
 	}
 }
 

@@ -9,10 +9,11 @@
 # the packages with real concurrency (the goroutine-rank MPI
 # substitute, the exchange's decode pool, the collective write pipeline,
 # the fault-injection seam, the atomic format writers and the streaming
-# scan's decode window, the reader's shared file cache and its run-time
-# resize, and the serving daemon — the server tier
-# additionally at -count=2 to shake out order-dependent interleavings,
-# and the answer-ownership tests by name at -count=3);
+# scan's decode window, the one cache under the file, block and dataset
+# caches, the reader's shared file cache and its run-time resize, and the
+# serving daemon — the server tier additionally at -count=2 to shake out
+# order-dependent interleavings, and the answer-ownership tests and the
+# cache's forced interleavings by name at -count=3);
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the full
 # analyzer suite (collorder, bufhandoff, errdrop, tagclash, wiresym,
@@ -47,13 +48,13 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test at GOMAXPROCS=1,2,8 (reader, server, gateway) =="
+echo "== go test at GOMAXPROCS=1,2,8 (cache, reader, server, gateway) =="
 # The serving path's failures have depended on core count before (the
 # file-cache pin bug failed 20/20 on 2 cores and hid on others), so the
-# three packages that share handles across goroutines run uncached at a
-# single P, at two, and oversubscribed.
+# cache and the three packages that share handles through it run uncached
+# at a single P, at two, and oversubscribed.
 for procs in 1 2 8; do
-	GOMAXPROCS=$procs go test -count=1 ./internal/reader ./internal/server ./internal/gateway
+	GOMAXPROCS=$procs go test -count=1 ./internal/cache ./internal/reader ./internal/server ./internal/gateway
 done
 
 echo "== benchmark dry gate =="
@@ -68,12 +69,12 @@ echo "== fault-injection tests =="
 go test ./internal/fault
 go test -run 'TestFault|TestFsck|TestWrite(File|Meta)' ./internal/core ./internal/format
 
-echo "== go test -race (mpi, agg, core, fault, particle, format, reader, query, server, gateway) =="
+echo "== go test -race (mpi, agg, core, fault, particle, format, cache, reader, query, server, gateway) =="
 # internal/format carries the streaming-scan differential test (eight
 # goroutines on one DataFile per codec x seam); particle and query hold
 # the kernels and the callers it is built from; internal/agg's exchange
 # decodes arriving payloads on a worker pool.
-go test -race ./internal/mpi ./internal/agg ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/reader ./internal/query ./internal/server ./internal/gateway
+go test -race ./internal/mpi ./internal/agg ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/cache ./internal/reader ./internal/query ./internal/server ./internal/gateway
 
 echo "== answer ownership (-race -count=3) =="
 # The rows an answer travels as live in pools: a result that aliased
@@ -83,6 +84,11 @@ echo "== answer ownership (-race -count=3) =="
 # bytes against the kept columnar reference run again, by name, three
 # times.
 go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplicaReleasesRows|TestRowsReleasedOnEveryExit|TestOneWritePerFrame|TestWireFramesMatchReference' ./internal/server ./internal/gateway
+# The interleavings that were the three old caches' bugs — evicted while
+# pinned and re-acquired, eviction racing a parked load, a failing load
+# with waiters, a resize to nothing under users — are forced by
+# construction in the one cache's suite; they run again the same way.
+go test -race -count=3 -run '^TestForced' ./internal/cache
 
 echo "== go test -race -count=2 (server tier) =="
 # The serving daemon is the most schedule-sensitive tier (admission
