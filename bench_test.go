@@ -277,7 +277,7 @@ func BenchmarkAblationLODDensity(b *testing.B) {
 // grid skips the per-particle binning scan (paper Section 3.3). Both
 // run the same 16-rank exchange; the scan variant uses a deliberately
 // misaligned grid.
-func BenchmarkAblationExchangeAligned(b *testing.B) {
+func BenchmarkAblationAlignedExchange(b *testing.B) {
 	cfg := agg.Config{Domain: geom.UnitBox(), SimDims: geom.I3(4, 4, 1), Factor: geom.I3(2, 2, 1)}
 	layout, err := agg.NewLayout(cfg, 16)
 	if err != nil {
@@ -292,7 +292,8 @@ func BenchmarkAblationExchangeAligned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := mpi.Run(16, func(c *mpi.Comm) error {
-			_, _, err := agg.ExchangeAligned(c, layout, locals[c.Rank()])
+			ag, _, err := layout.Exchange(c, locals[c.Rank()])
+			ag.Rows.Release()
 			return err
 		})
 		if err != nil {
@@ -301,19 +302,16 @@ func BenchmarkAblationExchangeAligned(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationExchangeScan(b *testing.B) {
+func BenchmarkAblationScanExchange(b *testing.B) {
 	simGrid := geom.NewGrid(geom.UnitBox(), geom.I3(4, 4, 1))
+	patches := make([]geom.Box, 16)
+	for r := range patches {
+		patches[r] = simGrid.CellBoxLinear(r)
+	}
 	// Misaligned: 3 partitions over 16 patches along x.
-	aggGrid := geom.NewGrid(geom.UnitBox(), geom.I3(3, 1, 1))
-	aggregators := []int{0, 5, 10}
-	senderSets := make([][]int, 3)
-	for p := range senderSets {
-		pb := aggGrid.CellBoxLinear(p)
-		for r := 0; r < 16; r++ {
-			if simGrid.CellBoxLinear(r).Intersects(pb) {
-				senderSets[p] = append(senderSets[p], r)
-			}
-		}
+	layout, err := agg.NewScanLayout(geom.UnitBox(), geom.I3(3, 1, 1), patches)
+	if err != nil {
+		b.Fatal(err)
 	}
 	locals := make([]*particle.Buffer, 16)
 	for r := range locals {
@@ -323,7 +321,8 @@ func BenchmarkAblationExchangeScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := mpi.Run(16, func(c *mpi.Comm) error {
-			_, _, err := agg.ExchangeScan(c, aggGrid, aggregators, senderSets, locals[c.Rank()])
+			ag, _, err := layout.Exchange(c, locals[c.Rank()])
+			ag.Rows.Release()
 			return err
 		})
 		if err != nil {

@@ -17,28 +17,9 @@ import (
 // subdomain: ranks all-to-all exchange their spatial extents and particle
 // counts, every rank independently derives the identical occupied region
 // and grid, aggregators stay uniformly spread over the entire rank space,
-// and ranks without particles drop out of the subsequent phases.
-
-// AdaptiveLayout is the resolved adaptive aggregation structure. Unlike
-// Layout it is generally not aligned with the simulation patches, so the
-// exchange scans particles into partitions (ExchangeScan).
-type AdaptiveLayout struct {
-	// Grid partitions the occupied subdomain.
-	Grid geom.Grid
-	// Occupied is the tight union of non-empty ranks' bounds.
-	Occupied geom.Box
-	// NumRanks is the world size.
-	NumRanks int
-	// RankBounds and RankCounts are the gathered per-rank extents and
-	// particle counts (the all-to-all exchange's payload).
-	RankBounds []geom.Box
-	RankCounts []int64
-	// aggregators maps partition -> owning rank, uniform over the rank
-	// space.
-	aggregators []int
-	// senderSets maps partition -> ranks that will announce a count.
-	senderSets [][]int
-}
+// and ranks without particles drop out of the subsequent phases. The
+// result is a ScanLayout: it is generally not aligned with the simulation
+// patches, so the exchange scans particles into partitions.
 
 // extentMsg is the 56-byte payload each rank contributes to the
 // all-to-all extent exchange: its bounding box and particle count.
@@ -71,18 +52,11 @@ func decodeExtent(data []byte) (geom.Box, int64, error) {
 	return b, int64(binary.LittleEndian.Uint64(data[48:])), nil
 }
 
-// boundsEps returns the inflation used to make closed particle bounds
-// safely half-open against partition boxes.
+// boundsEps returns the inflation that makes the occupied region's closed
+// bounds a half-open grid box.
 func boundsEps(domain geom.Box) float64 {
 	s := domain.Size()
 	return 1e-9 * (math.Abs(s.X) + math.Abs(s.Y) + math.Abs(s.Z) + 1)
-}
-
-// inflate grows a closed bounding box into a half-open one, clamped to
-// the domain.
-func inflate(b, domain geom.Box, eps float64) geom.Box {
-	hi := b.Hi.Add(geom.V3(eps, eps, eps)).Min(domain.Hi)
-	return geom.Box{Lo: b.Lo, Hi: hi}
 }
 
 // BuildAdaptive exchanges extents and counts across all ranks (the
@@ -92,7 +66,7 @@ func inflate(b, domain geom.Box, eps float64) geom.Box {
 // every rank. parts is the desired partition-grid shape (same role as
 // AggDims for the uniform layout); its volume must not exceed the world
 // size. local supplies this rank's bounds and count.
-func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particle.Buffer) (*AdaptiveLayout, error) {
+func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particle.Buffer) (*ScanLayout, error) {
 	if parts.X <= 0 || parts.Y <= 0 || parts.Z <= 0 {
 		return nil, fmt.Errorf("agg: invalid partition dims %v", parts)
 	}
@@ -103,11 +77,10 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 	payload := encodeExtent(local.Bounds(), int64(local.Len()))
 	gathered := c.Allgather(payload)
 
-	l := &AdaptiveLayout{
-		NumRanks:   c.Size(),
-		RankBounds: make([]geom.Box, c.Size()),
-		RankCounts: make([]int64, c.Size()),
-	}
+	// The gathered per-rank extents and counts: the all-to-all exchange's
+	// payload, identical on every rank.
+	rankBounds := make([]geom.Box, c.Size())
+	rankCounts := make([]int64, c.Size())
 	occupied := geom.EmptyBox()
 	anyParticles := false
 	for r, msg := range gathered {
@@ -115,8 +88,7 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 		if err != nil {
 			return nil, fmt.Errorf("agg: rank %d: %w", r, err)
 		}
-		l.RankBounds[r] = b
-		l.RankCounts[r] = n
+		rankBounds[r], rankCounts[r] = b, n
 		if n > 0 {
 			occupied = occupied.Union(b)
 			anyParticles = true
@@ -125,13 +97,13 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 	if !anyParticles {
 		return nil, fmt.Errorf("agg: no rank holds any particles")
 	}
-	l.Occupied = occupied
 
 	// The grid spans only the occupied region ("the aggregation-grid is
 	// then adjusted to partition just those regions which contain
-	// particles"), inflated so the max particle is strictly inside.
+	// particles"), inflated so the max particle is strictly inside, and
+	// clamped to the domain.
 	eps := boundsEps(domain)
-	gridBox := inflate(occupied, domain, eps)
+	gridBox := geom.Box{Lo: occupied.Lo, Hi: occupied.Hi.Add(geom.V3(eps, eps, eps)).Min(domain.Hi)}
 	if gridBox.IsEmpty() {
 		// Degenerate occupied region (e.g. all particles coplanar on the
 		// domain's upper face); give the flat axes a minimal thickness.
@@ -147,69 +119,42 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 		}
 		gridBox.Hi = hi
 	}
-	l.Grid = geom.NewGrid(gridBox, parts)
-
-	// Aggregators uniformly over the entire rank space (Section 6: "the
-	// adaptive grid places aggregators uniformly across the entire rank
-	// space, and ensures that no aggregator is assigned to empty
-	// simulation domain" — every partition of the adaptive grid holds
-	// occupied space by construction).
-	l.aggregators = selectAggregators(c.Size(), parts.Volume())
+	l := &ScanLayout{
+		Grid:     geom.NewGrid(gridBox, parts),
+		NumRanks: c.Size(),
+		Occupied: occupied,
+		// Aggregators uniformly over the entire rank space (Section 6:
+		// "the adaptive grid places aggregators uniformly across the
+		// entire rank space, and ensures that no aggregator is assigned to
+		// empty simulation domain" — every partition of the adaptive grid
+		// holds occupied space by construction).
+		aggregators: selectAggregators(c.Size(), parts.Volume()),
+		senderSets:  make([][]int, parts.Volume()),
+	}
 
 	// Sender sets: rank r will announce a count to partition p iff r has
-	// particles and its inflated bounds intersect p's box. Every rank
-	// computes this from the identical gathered table, so senders and
-	// receivers agree. Ranks without particles "do not participate in
-	// the subsequent stages at all".
-	l.senderSets = make([][]int, parts.Volume())
-	for p := range l.senderSets {
-		pb := l.Grid.CellBoxLinear(p)
-		for r := 0; r < c.Size(); r++ {
-			if l.RankCounts[r] == 0 {
-				continue
-			}
-			if inflate(l.RankBounds[r], domain, eps).Intersects(pb) {
-				l.senderSets[p] = append(l.senderSets[p], r)
+	// particles and p lies in the range of cells r's closed bounds span
+	// under the clamped Grid.Locate that SplitByPartition bins with.
+	// Locate is monotone per axis, so every particle of r is binned
+	// inside that range: sender sets and bins agree by construction,
+	// whatever a particle on an upper face or an inflation below the
+	// coordinates' precision does to a box test. Every rank computes this
+	// from the identical gathered table, so senders and receivers agree.
+	// Ranks without particles "do not participate in the subsequent
+	// stages at all".
+	for r := 0; r < c.Size(); r++ {
+		if rankCounts[r] == 0 {
+			continue
+		}
+		lo, hi := l.Grid.Locate(rankBounds[r].Lo), l.Grid.Locate(rankBounds[r].Hi)
+		for z := lo.Z; z <= hi.Z; z++ {
+			for y := lo.Y; y <= hi.Y; y++ {
+				for x := lo.X; x <= hi.X; x++ {
+					p := geom.I3(x, y, z).Linear(parts)
+					l.senderSets[p] = append(l.senderSets[p], r)
+				}
 			}
 		}
 	}
 	return l, nil
-}
-
-// NumPartitions returns the partition (= file) count.
-func (l *AdaptiveLayout) NumPartitions() int { return l.Grid.Cells() }
-
-// Aggregator returns the rank owning partition part.
-func (l *AdaptiveLayout) Aggregator(part int) int { return l.aggregators[part] }
-
-// Aggregators returns a copy of the partition → aggregator table.
-func (l *AdaptiveLayout) Aggregators() []int {
-	cp := make([]int, len(l.aggregators))
-	copy(cp, l.aggregators)
-	return cp
-}
-
-// IsAggregator reports whether rank owns some partition.
-func (l *AdaptiveLayout) IsAggregator(rank int) (part int, ok bool) {
-	for p, r := range l.aggregators {
-		if r == rank {
-			return p, true
-		}
-	}
-	return -1, false
-}
-
-// SenderSet returns the ranks that will announce counts to partition
-// part's aggregator.
-func (l *AdaptiveLayout) SenderSet(part int) []int { return l.senderSets[part] }
-
-// PartitionBox returns the box of partition part.
-func (l *AdaptiveLayout) PartitionBox(part int) geom.Box {
-	return l.Grid.CellBoxLinear(part)
-}
-
-// Exchange runs the scanning two-phase exchange over the adaptive
-// layout. Aggregator ranks get their partition's particles; others nil.
-func (l *AdaptiveLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return ExchangeScan(c, l.Grid, l.aggregators, l.senderSets, local)
 }

@@ -11,12 +11,12 @@ import (
 
 // runAdaptive runs BuildAdaptive + Exchange over the occupancy workload
 // and returns per-partition buffers plus one representative layout.
-func runAdaptive(t *testing.T, nRanks int, simDims, parts geom.Idx3, q float64, perRank int) ([]*particle.Buffer, *AdaptiveLayout) {
+func runAdaptive(t *testing.T, nRanks int, simDims, parts geom.Idx3, q float64, perRank int) ([]*particle.Buffer, *ScanLayout) {
 	t.Helper()
 	domain := geom.UnitBox()
 	simGrid := geom.NewGrid(domain, simDims)
 	results := make([]*particle.Buffer, parts.Volume())
-	layouts := make([]*AdaptiveLayout, nRanks)
+	layouts := make([]*ScanLayout, nRanks)
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
 		patch := simGrid.CellBox(geom.Unlinear(c.Rank(), simDims))
 		local := particle.Occupancy(particle.Uintah(), domain, patch, perRank, q, 19, c.Rank())
@@ -25,14 +25,9 @@ func runAdaptive(t *testing.T, nRanks int, simDims, parts geom.Idx3, q float64, 
 			return err
 		}
 		layouts[c.Rank()] = l
-		aggBuf, _, err := l.Exchange(c, local)
-		if err != nil {
-			return err
-		}
-		if part, ok := l.IsAggregator(c.Rank()); ok {
-			results[part] = aggBuf
-		}
-		return nil
+		ag, _, err := l.Exchange(c, local)
+		collect(results, ag)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +131,9 @@ func TestNonAdaptiveLeavesEmptyPartitionsAdaptiveDoesNot(t *testing.T) {
 	err = mpi.Run(nRanks, func(c *mpi.Comm) error {
 		patch := simGrid.CellBox(geom.Unlinear(c.Rank(), simDims))
 		local := particle.Occupancy(particle.Uintah(), domain, patch, 100, 0.25, 19, c.Rank())
-		aggBuf, _, err := ExchangeAligned(c, l, local)
-		if err != nil {
-			return err
-		}
-		if part, ok := l.IsAggregator(c.Rank()); ok {
-			nonAdaptive[part] = aggBuf
-		}
-		return nil
+		ag, _, err := l.Exchange(c, local)
+		collect(nonAdaptive, ag)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +175,8 @@ func TestAdaptiveEmptyRanksDoNotSend(t *testing.T) {
 				}
 			}
 		}
-		_, _, err = l.Exchange(c, local)
+		ag, _, err := l.Exchange(c, local)
+		ag.Rows.Release()
 		return err
 	})
 	if err != nil {
@@ -226,14 +217,9 @@ func TestAdaptiveClusteredWorkload(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		aggBuf, _, err := l.Exchange(c, local)
-		if err != nil {
-			return err
-		}
-		if part, ok := l.IsAggregator(c.Rank()); ok {
-			results[part] = aggBuf
-		}
-		return nil
+		ag, _, err := l.Exchange(c, local)
+		collect(results, ag)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,8 @@ func BenchmarkExchangeAligned64Ranks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := mpi.Run(64, func(c *mpi.Comm) error {
-			_, _, err := ExchangeAligned(c, layout, locals[c.Rank()])
+			ag, _, err := layout.Exchange(c, locals[c.Rank()])
+			ag.Rows.Release()
 			return err
 		})
 		if err != nil {

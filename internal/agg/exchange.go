@@ -3,6 +3,8 @@ package agg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,12 +15,12 @@ import (
 
 // wirePool recycles encoded record payloads across exchanges. A payload
 // is written once by its sender's encode, read once by the receiver's
-// decode, and is then dead — without recycling every write allocates
-// (and the runtime zero-fills) megabytes of one-shot wire buffers. The
-// sender draws from the pool before encoding; the receiver returns every
-// payload once its decode pool has drained. sync.Pool supplies the
-// happens-before edge between a Put on one rank's goroutine and a Get on
-// another's.
+// copy into the aggregate, and is then dead — without recycling every
+// write allocates (and the runtime zero-fills) megabytes of one-shot wire
+// buffers. The sender draws from the pool before encoding; the receiver
+// returns every payload as soon as it has placed it. sync.Pool supplies
+// the happens-before edge between a Put on one rank's goroutine and a Get
+// on another's.
 var wirePool sync.Pool // *[]byte
 
 // getWire returns an n-byte slice that may hold stale payload bytes;
@@ -52,14 +54,9 @@ type Timing struct {
 	// cleanup when a write fails; zero on the success path.
 	Abort time.Duration
 	// ExchangeBytes counts the particle payload bytes this rank received
-	// over the wire during the data phase (self-sends are in-memory
-	// copies and are not counted).
+	// over the wire during the data phase (self-sends are encoded in
+	// place and are not counted).
 	ExchangeBytes int64
-	// DecodeConcurrency is the peak number of payloads this rank decoded
-	// simultaneously during the data phase — the observability hook for
-	// the arrival-order overlap (0 on non-aggregators, 1 when every
-	// payload decoded serially).
-	DecodeConcurrency int
 }
 
 // Aggregation returns the total time spent moving data over the network
@@ -73,10 +70,12 @@ func (t Timing) Total() time.Duration {
 	return t.Aggregation() + t.Reorder + t.FileIO + t.MetaIO + t.Abort
 }
 
-// send is one outgoing bundle: a buffer destined for one aggregator.
+// send is one outgoing bundle: count particles for one aggregator, and
+// the sender's encode of them — records [lo, hi) of the bundle into dst.
 type send struct {
-	to  int
-	buf *particle.Buffer
+	to     int
+	count  int
+	encode func(dst []byte, lo, hi int)
 }
 
 // exchange runs the paper's two-phase protocol from one rank's
@@ -86,35 +85,41 @@ type send struct {
 //     many particles to expect (the aggregators "do not know a-priori
 //     how many data packets to expect, nor how big a buffer to
 //     allocate").
-//  2. Buffer allocation sized once from the received counts, with each
-//     sender's region offset fixed by the globally known sender order.
+//  2. The aggregate sized once from the received counts, with each
+//     sender's offset in it fixed by the globally known sender order.
 //  3. Particle exchange — non-blocking point-to-point sends of the
-//     encoded records, received with AnySource in arrival order and
-//     decoded concurrently into the disjoint pre-assigned regions.
+//     encoded records, received with AnySource in arrival order and each
+//     copied to its sender's offset.
 //
-// Because placement is by offset, not arrival, the aggregated buffer is
-// byte-identical to rank-order assembly: a slow sender delays only its
-// own region's decode, never the decodes behind it (the paper's
-// non-blocking consumption, Section 3.3). The data phase's AnySource
-// matching does mean consecutive exchanges on the same communicator must
-// be separated by a collective (or run on Dup'd communicators) so one
-// exchange cannot consume the next one's payloads; every caller in
-// internal/core satisfies this via the error-agreement rounds.
+// The aggregate is rows: a payload is already the record encoding the
+// file holds, so nothing is decoded here, and the one transposition of
+// the write path is the sender's encode. Because placement is by offset,
+// not arrival, the aggregate is byte-identical to rank-order assembly
+// whatever the delivery schedule (the paper's non-blocking consumption,
+// Section 3.3). The data phase's AnySource matching does mean consecutive
+// exchanges on the same communicator must be separated by a collective
+// (or run on Dup'd communicators) so one exchange cannot consume the next
+// one's payloads; every caller in internal/core satisfies this via the
+// error-agreement rounds.
 //
-// sends lists this rank's outgoing bundles (self-sends are delivered
-// in-memory). expectFrom lists, for an aggregator rank, the ranks it must
-// hear a count from; isAgg says whether this rank is an aggregator (an
-// aggregator's sender set may legitimately be empty). Returns the
-// aggregated buffer (empty but non-nil for aggregators with nothing to
-// receive, nil for non-aggregators) and the phase timings.
+// sends lists this rank's outgoing bundles (the self bundle is encoded
+// straight into its place). expectFrom lists, for an aggregator rank, the
+// ranks it must hear a count from; isAgg says whether this rank is an
+// aggregator (an aggregator's sender set may legitimately be empty).
+// Returns the aggregate (empty but non-nil for aggregators with nothing
+// to receive, nil for non-aggregators), which is the caller's to Release
+// whatever the error, and the phase timings.
 //
-// Content errors (malformed counts, short payloads, decode failures) do
-// not abort the protocol mid-flight: the rank keeps posting every send
-// and receive its peers count on, records the first error, and reports
-// it only after the exchange is drained. An early return here would
-// leave peers blocked in Recv — error agreement happens collectively in
-// the caller (internal/core), which requires every rank to reach it.
-func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []int, isAgg bool) (*particle.Buffer, Timing, error) {
+// Content errors (malformed counts, unannounced, repeated or short
+// payloads) do not abort the protocol mid-flight: the rank keeps posting
+// every send and receive its peers count on, records the first error, and
+// reports it only after the exchange is drained. An early return here
+// would leave peers blocked in Recv — error agreement happens
+// collectively in the caller (internal/core), which requires every rank
+// to reach it. The rows of a sender whose payload was refused hold
+// whatever the pooled segments held; the agreed abort releases them
+// unread.
+func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []int, isAgg bool) (*particle.Rows, Timing, error) {
 	var tm Timing
 	var firstErr error
 	note := func(err error) {
@@ -122,229 +127,205 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 			firstErr = err
 		}
 	}
+	stride := schema.Stride()
 
 	// Phase 1: metadata exchange.
 	start := time.Now()
-	var selfBuf *particle.Buffer
-	for _, s := range sends {
+	var self *send
+	for i := range sends {
+		s := &sends[i]
 		if s.to == c.Rank() {
-			selfBuf = s.buf
+			self = s
 			continue
 		}
 		var cnt [8]byte
-		binary.LittleEndian.PutUint64(cnt[:], uint64(s.buf.Len()))
+		binary.LittleEndian.PutUint64(cnt[:], uint64(s.count))
 		c.Isend(s.to, tagMetaCount, cnt[:])
 	}
-	counts := make(map[int]int64, len(expectFrom))
-	total := int64(0)
-	for _, src := range expectFrom {
-		if src == c.Rank() {
-			if selfBuf != nil {
-				counts[src] = int64(selfBuf.Len())
-				total += int64(selfBuf.Len())
-			}
-			continue
-		}
-		data, _ := c.Recv(src, tagMetaCount)
-		if len(data) != 8 {
-			// Treat the count as zero so no data receive is posted for
-			// src; if src nevertheless sends a data message it stays
-			// queued and is discarded with the communicator (see DESIGN
-			// §9 on stray messages after a content error).
-			note(fmt.Errorf("agg: malformed count message from rank %d (%d bytes)", src, len(data)))
-			counts[src] = 0
-			continue
-		}
-		n := int64(binary.LittleEndian.Uint64(data))
-		counts[src] = n
-		total += n
+	// region is where one sender's particles go: count rows from row at
+	// of the aggregate, its place in expectFrom — the sender order every
+	// rank derives from globally known geometry — and not its arrival.
+	type region struct {
+		at, count int
+		got       bool
 	}
-	tm.MetadataExchange = time.Since(start)
-
-	// Phase 2: size the aggregation buffer once from the counts and fix
-	// each source's region offset by its position in expectFrom — the
-	// sender order every rank derives from globally known geometry.
-	// Placement is thereby independent of arrival order. Aggregators
-	// always get a buffer, even when every sender announced zero
-	// particles — callers index into it unconditionally.
-	start = time.Now()
-	var agg *particle.Buffer
-	offsets := make(map[int]int64, len(expectFrom))
-	pending := 0
-	{
-		off := int64(0)
-		for _, src := range expectFrom {
-			offsets[src] = off
-			off += counts[src] // missing key (self with no selfBuf) reads 0
-			if src != c.Rank() && counts[src] > 0 {
+	regions := make(map[int]*region, len(expectFrom))
+	total, pending := 0, 0
+	for _, src := range expectFrom {
+		reg := &region{at: total}
+		regions[src] = reg
+		if src == c.Rank() {
+			if self != nil {
+				reg.count = self.count
+			}
+		} else {
+			data, _ := c.Recv(src, tagMetaCount)
+			n := int64(-1)
+			if len(data) == 8 {
+				n = int64(binary.LittleEndian.Uint64(data))
+			}
+			if n < 0 || n > int64(math.MaxInt/stride-total) {
+				// Not eight bytes, negative, or more than an aggregate can
+				// hold. Treat the count as zero so no data receive is posted
+				// for src; if src nevertheless sends a data message it stays
+				// queued and is discarded with the communicator (see DESIGN
+				// §9 on stray messages after a content error).
+				note(fmt.Errorf("agg: malformed count message from rank %d (%d bytes: % x)", src, len(data), data))
+				continue
+			}
+			reg.count = int(n)
+			if n > 0 {
 				pending++
 			}
 		}
+		total += reg.count
 	}
+	tm.MetadataExchange = time.Since(start)
+
+	// Phase 2: size the aggregate once from the counts. Aggregators
+	// always get one, even when every sender announced zero particles.
+	// Its rows start out as whatever the pooled segments held: on the
+	// success path every one is overwritten before anything reads it (the
+	// self region by the encode below, every other announced region by
+	// its payload), and on a content error the collective agreement in
+	// the caller aborts the write before the aggregate is consumed.
+	start = time.Now()
+	var agg *particle.Rows
 	if isAgg {
-		// Recycled, stale-valued columns on purpose: on the success path
-		// every particle of the buffer is overwritten before anything reads
-		// it (the self region by CopyFrom, every other announced region by
-		// its payload's decode), and on a content error the collective
-		// agreement in the caller aborts the write before the buffer is
-		// consumed — so paying for zeroed pages here would be pure waste.
-		agg = particle.NewBufferOverwrite(schema, int(total))
+		agg = particle.NewRows(schema)
+		agg.Extend(total)
 	}
 
 	// Phase 3: particle exchange. Sends are posted first (eager,
-	// non-blocking); the self bundle is an in-memory copy into its region.
-	// Each payload is encoded into a pooled slice whose ownership moves to
-	// the receiver (SendOwned), so the wire bytes are written exactly once
-	// — encoding into a rank-local scratch would force the transport to
-	// copy the payload again. The receiver recycles the slice after its
-	// decode pool drains.
+	// non-blocking). Each payload is encoded into a pooled slice whose
+	// ownership moves to the receiver (SendOwned), so the wire bytes are
+	// written exactly once — encoding into a rank-local scratch would
+	// force the transport to copy the payload again. The self bundle
+	// never exists as a payload: it is encoded into its rows.
 	for _, s := range sends {
-		if s.to == c.Rank() || s.buf.Len() == 0 {
+		if s.to == c.Rank() || s.count == 0 {
 			continue
 		}
-		payload := getWire(s.buf.Len() * schema.Stride())
-		s.buf.EncodeRecordsInto(payload, 0, s.buf.Len())
+		payload := getWire(s.count * stride)
+		s.encode(payload, 0, s.count)
 		c.SendOwned(s.to, tagData, payload)
 	}
-	if selfBuf != nil && agg != nil {
-		agg.CopyFrom(int(offsets[c.Rank()]), selfBuf)
+	if reg := regions[c.Rank()]; agg != nil && reg != nil && reg.count > 0 {
+		agg.Span(reg.at, reg.count, func(lo int, dst []byte) {
+			self.encode(dst, lo, lo+len(dst)/stride)
+		})
 	}
 
-	// Receive in arrival order: AnySource, first payload in wins. Each
-	// payload goes to a bounded worker pool decoding into its sender's
-	// pre-assigned region; regions are disjoint, so decodes overlap both
-	// each other and the remaining receives. agg is off-limits from the
-	// first Go until Wait returns (the bufhandoff contract).
-	if pending > 0 {
-		pool := particle.NewDecodePool(agg, 0)
-		got := make(map[int]bool, pending)
-		// Every received payload goes back to the wire pool, but only
-		// after pool.Wait: until then the decode workers are reading them.
-		wires := make([][]byte, 0, pending)
-		for i := 0; i < pending; i++ {
-			data, st := c.Recv(mpi.AnySource, tagData)
-			wires = append(wires, data)
-			src := st.Source
-			n, expected := counts[src]
-			switch {
-			case !expected || src == c.Rank() || n == 0:
-				// A payload nobody announced. Drop it and keep the
-				// receive posted — the announced payloads are still in
-				// flight and peers count on us consuming them.
-				note(fmt.Errorf("agg: unexpected data message from rank %d (%d bytes)", src, len(data)))
-				i--
-				continue
-			case got[src]:
-				note(fmt.Errorf("agg: duplicate data message from rank %d", src))
-				i--
-				continue
-			}
-			got[src] = true
-			if want := n * int64(schema.Stride()); int64(len(data)) != want {
+	// Receive in arrival order: AnySource, first payload in wins, copied
+	// to its sender's region and handed back to the wire pool. The loop
+	// ends when every announced payload has been consumed, whatever else
+	// arrived in between.
+	for pending > 0 {
+		data, st := c.Recv(mpi.AnySource, tagData)
+		src := st.Source
+		reg := regions[src]
+		switch {
+		case reg == nil || src == c.Rank() || reg.count == 0:
+			// A payload nobody announced. Drop it and keep the receive
+			// posted — the announced payloads are still in flight and
+			// peers count on us consuming them.
+			note(fmt.Errorf("agg: unexpected data message from rank %d (%d bytes)", src, len(data)))
+		case reg.got:
+			note(fmt.Errorf("agg: duplicate data message from rank %d", src))
+		default:
+			reg.got = true
+			pending--
+			if want := reg.count * stride; len(data) != want {
 				note(fmt.Errorf("agg: rank %d announced %d particles but sent %d bytes (want %d)",
-					src, n, len(data), want))
-				continue
+					src, reg.count, len(data), want))
+				break
 			}
 			tm.ExchangeBytes += int64(len(data))
-			pool.Go(data, int(offsets[src]))
+			agg.Span(reg.at, reg.count, func(lo int, dst []byte) {
+				copy(dst, data[lo*stride:])
+			})
 		}
-		if err := pool.Wait(); err != nil {
-			note(err)
-		}
-		tm.DecodeConcurrency = pool.PeakConcurrency()
-		for _, w := range wires {
-			putWire(w)
-		}
+		putWire(data)
 	}
 	tm.ParticleExchange = time.Since(start)
 	return agg, tm, firstErr
 }
 
-// ExchangeAligned runs the two-phase exchange for an aligned
-// aggregation-grid: every rank's patch lies in exactly one partition, so
-// each rank sends its whole buffer to one aggregator with no per-particle
-// scan (Section 3.3, "each process can simply send all of its particles
-// to the process which owns the partition").
-//
-// Aggregator ranks return their partition's aggregated buffer; other
-// ranks return nil.
-func ExchangeAligned(c *mpi.Comm, l *Layout, local *particle.Buffer) (*particle.Buffer, Timing, error) {
+// Aggregate is an aggregator's share of an exchange: the partition it
+// owns and that partition's particles as rows, in sender order. Rows is
+// nil on a rank that aggregates nothing (Part is then -1); otherwise it is
+// the holder's to Release, whatever error came with it.
+type Aggregate struct {
+	Part int
+	Box  geom.Box
+	Rows *particle.Rows
+}
+
+// Exchange runs the two-phase exchange for an aligned aggregation-grid:
+// every rank's patch lies in exactly one partition, so each rank sends
+// its whole buffer to one aggregator with no per-particle scan (Section
+// 3.3, "each process can simply send all of its particles to the process
+// which owns the partition").
+func (l *Layout) Exchange(c *mpi.Comm, local *particle.Buffer) (Aggregate, Timing, error) {
 	if l.NumRanks != c.Size() {
-		return nil, Timing{}, fmt.Errorf("agg: layout built for %d ranks, world has %d", l.NumRanks, c.Size())
+		return Aggregate{Part: -1}, Timing{}, fmt.Errorf("agg: layout built for %d ranks, world has %d", l.NumRanks, c.Size())
 	}
-	sends := []send{{to: l.AggregatorOfRank(c.Rank()), buf: local}}
+	sends := []send{{to: l.AggregatorOfRank(c.Rank()), count: local.Len(), encode: local.EncodeRecordsInto}}
+	ag := Aggregate{Part: -1}
 	var expectFrom []int
 	part, isAgg := l.IsAggregator(c.Rank())
 	if isAgg {
+		ag.Part, ag.Box = part, l.PartitionBox(part)
 		expectFrom = l.RanksInPartition(part)
 	}
-	return exchange(c, local.Schema(), sends, expectFrom, isAgg)
+	var tm Timing
+	var err error
+	ag.Rows, tm, err = exchange(c, local.Schema(), sends, expectFrom, isAgg)
+	return ag, tm, err
 }
 
-// ExchangeScan runs the two-phase exchange for a non-aligned grid: each
-// rank scans its particles to bin them by aggregation partition and may
-// send to several aggregators. senderSets[p] must list the ranks that
-// will send a count to partition p's aggregator; every rank must compute
-// identical senderSets (they are derived from globally known geometry).
-func ExchangeScan(c *mpi.Comm, grid geom.Grid, aggregators []int, senderSets [][]int, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	split := SplitByPartition(local, grid)
+// Exchange runs the two-phase exchange for a grid that is not aligned
+// with the ranks' patches: each rank scans its particles to bin them by
+// partition (SplitByPartition) and may send to several aggregators, each
+// bundle encoded straight from the caller's columns through its bin's
+// index list. Every rank must hold the identical layout (it is derived
+// from globally known geometry).
+func (l *ScanLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (Aggregate, Timing, error) {
+	split := SplitByPartition(local, l.Grid)
 
-	// Which partitions am I on record as sending to?
-	mine := make(map[int]bool)
-	for p, senders := range senderSets {
-		for _, r := range senders {
-			if r == c.Rank() {
-				mine[p] = true
-			}
-		}
-	}
-	// Sanity: every non-empty bin must be covered by a sender-set entry,
-	// otherwise the aggregator would never post a receive for us. The
-	// violation is recorded, not returned early: this rank still runs the
-	// full exchange (dropping the uncovered particles, which no peer is
-	// expecting anyway) so its peers' sends and receives all complete,
-	// and the caller's collective error agreement surfaces the failure on
-	// every rank.
-	var sanityErr error
-	for p, buf := range split {
-		if buf != nil && buf.Len() > 0 && !mine[p] && sanityErr == nil {
-			sanityErr = fmt.Errorf("agg: rank %d holds %d particles for partition %d but is not in its sender set",
-				c.Rank(), buf.Len(), p)
-		}
-	}
 	var sends []send
-	schema := local.Schema()
-	for p := range senderSets {
-		if !mine[p] {
-			continue
+	var sanityErr error
+	for p, senders := range l.senderSets {
+		idx := split[p]
+		if slices.Contains(senders, c.Rank()) {
+			sends = append(sends, send{to: l.aggregators[p], count: len(idx), encode: func(dst []byte, lo, hi int) {
+				local.EncodeRecordsGather(dst, idx[lo:hi])
+			}})
+		} else if len(idx) > 0 && sanityErr == nil {
+			// Every non-empty bin must be covered by a sender-set entry,
+			// otherwise the aggregator would never post a receive for us.
+			// The violation is recorded, not returned early: this rank
+			// still runs the full exchange (dropping the uncovered
+			// particles, which no peer is expecting anyway) so its peers'
+			// sends and receives all complete, and the caller's collective
+			// error agreement surfaces the failure on every rank.
+			sanityErr = fmt.Errorf("agg: rank %d holds %d particles for partition %d but is not in its sender set",
+				c.Rank(), len(idx), p)
 		}
-		buf := split[p]
-		if buf == nil {
-			buf = particle.NewBuffer(schema, 0)
-		}
-		sends = append(sends, send{to: aggregators[p], buf: buf})
 	}
 
+	ag := Aggregate{Part: -1}
 	var expectFrom []int
-	var isAgg bool
-	for p, aggRank := range aggregators {
-		if aggRank == c.Rank() {
-			expectFrom = senderSets[p]
-			isAgg = true
-			break
-		}
+	part, isAgg := l.IsAggregator(c.Rank())
+	if isAgg {
+		ag.Part, ag.Box = part, l.PartitionBox(part)
+		expectFrom = l.senderSets[part]
 	}
-	agg, tm, err := exchange(c, schema, sends, expectFrom, isAgg)
-	// The split bins are dead once exchange returns: every bundle has
-	// either been encoded onto the wire or copied into the aggregation
-	// buffer (the self-send). Recycle their columns for the next write.
-	// Each split buffer appears at most once in sends, so no column is
-	// returned to the pool twice.
-	for _, buf := range split {
-		particle.Recycle(buf)
-	}
+	var tm Timing
+	var err error
+	ag.Rows, tm, err = exchange(c, local.Schema(), sends, expectFrom, isAgg)
 	if sanityErr != nil {
 		err = sanityErr
 	}
-	return agg, tm, err
+	return ag, tm, err
 }

@@ -9,6 +9,14 @@ import (
 	"spio/internal/particle"
 )
 
+// collect ends an exchange in a test: an aggregator's rows become the
+// columns the assertions read, filed under its partition.
+func collect(results []*particle.Buffer, ag Aggregate) {
+	if ag.Rows != nil {
+		results[ag.Part] = ag.Rows.Buffer()
+	}
+}
+
 // runAligned generates a uniform workload, runs the aligned exchange, and
 // returns the per-partition aggregated buffers (indexed by partition).
 func runAligned(t *testing.T, cfg Config, nRanks, perRank int) []*particle.Buffer {
@@ -20,19 +28,12 @@ func runAligned(t *testing.T, cfg Config, nRanks, perRank int) []*particle.Buffe
 	results := make([]*particle.Buffer, l.NumPartitions())
 	err = mpi.Run(nRanks, func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), l.PatchOf(c.Rank()), perRank, 7, c.Rank())
-		aggBuf, _, err := ExchangeAligned(c, l, local)
-		if err != nil {
-			return err
+		ag, _, err := l.Exchange(c, local)
+		if part, ok := l.IsAggregator(c.Rank()); ok != (ag.Rows != nil) || part != ag.Part {
+			err = fmt.Errorf("aggregate of partition %d (rows: %v) on the aggregator of %d (%v)", ag.Part, ag.Rows != nil, part, ok)
 		}
-		if part, ok := l.IsAggregator(c.Rank()); ok {
-			if aggBuf == nil {
-				return fmt.Errorf("aggregator got nil buffer")
-			}
-			results[part] = aggBuf
-		} else if aggBuf != nil {
-			return fmt.Errorf("non-aggregator got a buffer")
-		}
-		return nil
+		collect(results, ag)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func TestExchangeAlignedDeterministicOrder(t *testing.T) {
 func TestExchangeAlignedWorldSizeMismatch(t *testing.T) {
 	l, _ := NewLayout(unitCfg(geom.I3(4, 2, 1), geom.I3(2, 2, 1)), 8)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
-		_, _, err := ExchangeAligned(c, l, particle.NewBuffer(particle.Uintah(), 0))
+		_, _, err := l.Exchange(c, particle.NewBuffer(particle.Uintah(), 0))
 		if err == nil {
 			return fmt.Errorf("mismatched world accepted")
 		}
@@ -169,14 +170,9 @@ func TestExchangeAlignedEmptyRanks(t *testing.T) {
 		} else {
 			local = particle.NewBuffer(particle.Uintah(), 0)
 		}
-		aggBuf, _, err := ExchangeAligned(c, l, local)
-		if err != nil {
-			return err
-		}
-		if part, ok := l.IsAggregator(c.Rank()); ok {
-			results[part] = aggBuf
-		}
-		return nil
+		ag, _, err := l.Exchange(c, local)
+		collect(results, ag)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +187,8 @@ func TestExchangeTimingPopulated(t *testing.T) {
 	l, _ := NewLayout(cfg, 4)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), l.PatchOf(c.Rank()), 100, 3, c.Rank())
-		_, tm, err := ExchangeAligned(c, l, local)
+		ag, tm, err := l.Exchange(c, local)
+		ag.Rows.Release()
 		if err != nil {
 			return err
 		}
@@ -225,19 +222,13 @@ func TestExchangeScanNonAligned(t *testing.T) {
 			}
 		}
 	}
+	l := &ScanLayout{Grid: grid, NumRanks: 4, aggregators: aggregators, senderSets: senderSets}
 	results := make([]*particle.Buffer, 3)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), simGrid.CellBoxLinear(c.Rank()), 90, 5, c.Rank())
-		aggBuf, _, err := ExchangeScan(c, grid, aggregators, senderSets, local)
-		if err != nil {
-			return err
-		}
-		for p, a := range aggregators {
-			if a == c.Rank() {
-				results[p] = aggBuf
-			}
-		}
-		return nil
+		ag, _, err := l.Exchange(c, local)
+		collect(results, ag)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,11 +256,12 @@ func TestExchangeScanRejectsUncoveredSender(t *testing.T) {
 	// send to, the exchange must fail loudly instead of deadlocking.
 	domain := geom.UnitBox()
 	grid := geom.NewGrid(domain, geom.I3(2, 1, 1))
-	aggregators := []int{0, 1}
-	senderSets := [][]int{{0}, {0}} // rank 1 missing everywhere
+	l := &ScanLayout{Grid: grid, NumRanks: 2, aggregators: []int{0, 1},
+		senderSets: [][]int{{0}, {0}}} // rank 1 missing everywhere
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), domain, 10, 1, c.Rank())
-		_, _, err := ExchangeScan(c, grid, aggregators, senderSets, local)
+		ag, _, err := l.Exchange(c, local)
+		ag.Rows.Release()
 		if c.Rank() == 1 && err == nil {
 			return fmt.Errorf("uncovered sender accepted")
 		}

@@ -172,12 +172,11 @@ func (l *Layout) RanksInPartition(part int) []int {
 // partition containing them — the per-particle scan needed for
 // non-aligned grids (Section 3: "If a process's data is split into two
 // aggregators, it must loop through the particles to determine which
-// aggregator they belong to"). The result has one (possibly nil) buffer
-// per partition.
-// The scan is two passes: a locate pass that bins indices, then one
-// columnar gather per occupied partition (Buffer.Select), so the
-// per-particle schema walk of AppendFrom is off the hot path.
-func SplitByPartition(buf *particle.Buffer, aggGrid geom.Grid) []*particle.Buffer {
+// aggregator they belong to"). The result has, per partition, the indices
+// of its particles in buffer order (empty for a partition that gets
+// none): a sender encodes each bundle through its list
+// (Buffer.EncodeRecordsGather), so no per-partition buffer is built.
+func SplitByPartition(buf *particle.Buffer, aggGrid geom.Grid) [][]int {
 	cells := aggGrid.Cells()
 	n := buf.Len()
 	parts := make([]int, n)
@@ -200,11 +199,9 @@ func SplitByPartition(buf *particle.Buffer, aggGrid geom.Grid) []*particle.Buffe
 		order[next[p]] = i
 		next[p]++
 	}
-	out := make([]*particle.Buffer, cells)
-	for p := 0; p < cells; p++ {
-		if counts[p] > 0 {
-			out[p] = buf.Select(order[offs[p]:offs[p+1]])
-		}
+	out := make([][]int, cells)
+	for p := range out {
+		out[p] = order[offs[p]:offs[p+1]]
 	}
 	return out
 }

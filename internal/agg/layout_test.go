@@ -175,15 +175,15 @@ func TestSplitByPartition(t *testing.T) {
 	buf := particle.Uniform(particle.Uintah(), domain, 400, 3, 0)
 	split := SplitByPartition(buf, grid)
 	total := 0
-	for p, b := range split {
-		if b == nil {
-			continue
-		}
-		total += b.Len()
+	for p, idx := range split {
+		total += len(idx)
 		box := grid.CellBoxLinear(p)
-		for i := 0; i < b.Len(); i++ {
-			if !box.Contains(b.Position(i)) && !box.ContainsClosed(b.Position(i)) {
+		for k, i := range idx {
+			if !box.Contains(buf.Position(i)) && !box.ContainsClosed(buf.Position(i)) {
 				t.Fatalf("particle binned into wrong partition %d", p)
+			}
+			if k > 0 && idx[k-1] >= i {
+				t.Fatalf("partition %d lists particle %d after %d: not buffer order", p, i, idx[k-1])
 			}
 		}
 	}
@@ -194,9 +194,9 @@ func TestSplitByPartition(t *testing.T) {
 
 func TestSplitByPartitionEmpty(t *testing.T) {
 	split := SplitByPartition(particle.NewBuffer(particle.Uintah(), 0), geom.NewGrid(geom.UnitBox(), geom.I3(2, 1, 1)))
-	for _, b := range split {
-		if b != nil {
-			t.Error("empty buffer produced non-nil bins")
+	for _, idx := range split {
+		if len(idx) != 0 {
+			t.Error("empty buffer produced non-empty bins")
 		}
 	}
 }

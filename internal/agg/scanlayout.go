@@ -4,24 +4,31 @@ import (
 	"fmt"
 
 	"spio/internal/geom"
-	"spio/internal/mpi"
-	"spio/internal/particle"
 )
 
 // ScanLayout is the general, non-aligned aggregation structure the paper
 // describes in Section 3: an arbitrary rectilinear aggregation-grid
-// imposed on the domain, not necessarily aligned with the simulation's
-// patches. Ranks whose patches straddle partition boundaries scan their
-// particles to split them among several aggregators ("If a process's
-// data is split into two aggregators, it must loop through the particles
-// to determine which aggregator they belong to").
+// imposed on the domain (NewScanLayout) or fitted to the occupied part of
+// it (BuildAdaptive, Section 6), not necessarily aligned with the
+// simulation's patches. Ranks whose particles straddle partition
+// boundaries scan them to split them among several aggregators ("If a
+// process's data is split into two aggregators, it must loop through the
+// particles to determine which aggregator they belong to").
 type ScanLayout struct {
-	// Grid is the imposed aggregation-grid.
+	// Grid is the aggregation-grid.
 	Grid geom.Grid
 	// NumRanks is the world size.
-	NumRanks    int
+	NumRanks int
+	// Occupied is the tight union of the non-empty ranks' bounds that an
+	// adaptive grid was fitted to; BuildAdaptive sets it, an imposed grid
+	// leaves it zero.
+	Occupied geom.Box
+	// aggregators maps partition -> owning rank, uniform over the rank
+	// space.
 	aggregators []int
-	senderSets  [][]int
+	// senderSets maps partition -> ranks that will announce a count, in
+	// rank order.
+	senderSets [][]int
 }
 
 // NewScanLayout builds a scan layout for nRanks writers whose particles
@@ -82,9 +89,4 @@ func (l *ScanLayout) SenderSet(part int) []int { return l.senderSets[part] }
 // PartitionBox returns the box of partition part.
 func (l *ScanLayout) PartitionBox(part int) geom.Box {
 	return l.Grid.CellBoxLinear(part)
-}
-
-// Exchange runs the scanning two-phase exchange over the layout.
-func (l *ScanLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (*particle.Buffer, Timing, error) {
-	return ExchangeScan(c, l.Grid, l.aggregators, l.senderSets, local)
 }

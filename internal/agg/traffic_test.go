@@ -21,7 +21,8 @@ func measureTraffic(t *testing.T, cfg Config, nRanks, perRank int) mpi.TrafficSt
 	w := mpi.NewWorld(nRanks)
 	err = w.Run(func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), layout.PatchOf(c.Rank()), perRank, 7, c.Rank())
-		_, _, err := ExchangeAligned(c, layout, local)
+		ag, _, err := layout.Exchange(c, local)
+		ag.Rows.Release()
 		return err
 	})
 	if err != nil {

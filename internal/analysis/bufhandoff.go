@@ -7,15 +7,10 @@ import (
 	"strings"
 )
 
-// BufHandoff enforces the asynchronous buffer-ownership transfers of
-// the API. Two hand-offs open an ownership window:
-//
-//   - WriteAsync (spio or internal/core spelling): "Ownership of local
-//     transfers to the write until Wait returns: the caller must not
-//     modify the buffer in between."
-//   - particle.NewDecodePool: the destination buffer belongs to the
-//     pool's decode workers from construction until DecodePool.Wait
-//     returns (the arrival-order aggregation contract).
+// BufHandoff enforces the asynchronous buffer-ownership transfer of the
+// API: WriteAsync (spio or internal/core spelling) — "Ownership of local
+// transfers to the write until Wait returns: the caller must not modify
+// the buffer in between."
 //
 // Any use of the *particle.Buffer between the hand-off and the matching
 // Wait races with the background goroutines, so it is flagged.
@@ -31,20 +26,16 @@ import (
 // since their execution time is unknown.
 var BufHandoff = &Analyzer{
 	Name: "bufhandoff",
-	Doc:  "flags uses of a particle.Buffer between an async handoff (WriteAsync, NewDecodePool) and Wait (ownership race)",
+	Doc:  "flags uses of a particle.Buffer between an async handoff (WriteAsync) and Wait (ownership race)",
 	Run:  runBufHandoff,
 }
 
 // handoff is one hand-off call's taint interval.
 type handoff struct {
 	bufObj  types.Object // the buffer variable handed off
-	pendObj types.Object // the handle variable (PendingWrite / DecodePool), if bound
+	pendObj types.Object // the PendingWrite handle variable, if bound
 	start   token.Pos    // end of the hand-off call
 	end     token.Pos    // position of the matching Wait (or NoPos = function end)
-	// what names the hand-off call and owner names who holds the buffer,
-	// for the diagnostic ("WriteAsync"/"the checkpoint",
-	// "NewDecodePool"/"the decode pool").
-	what, owner, handle string
 	// viaPath is set when the handoff happened through a helper whose
 	// summary passes the buffer on; it names the chain for the
 	// diagnostic.
@@ -97,7 +88,7 @@ func checkHandoffs(pass *Pass, body *ast.BlockStmt) {
 		}
 		for _, l := range lhs {
 			obj := identObj(pass.Info, l)
-			if obj != nil && (isNamed(obj.Type(), corePath, "PendingWrite") || isNamed(obj.Type(), particlePath, "DecodePool")) {
+			if obj != nil && isNamed(obj.Type(), corePath, "PendingWrite") {
 				h.pendObj = obj
 				break
 			}
@@ -115,8 +106,7 @@ func checkHandoffs(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if !methodOn(pass.Info, n, corePath, "PendingWrite", "Wait") &&
-				!methodOn(pass.Info, n, particlePath, "DecodePool", "Wait") {
+			if !methodOn(pass.Info, n, corePath, "PendingWrite", "Wait") {
 				return true
 			}
 			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
@@ -204,52 +194,34 @@ func checkHandoffs(pass *Pass, body *ast.BlockStmt) {
 			}
 			waited := "before Wait on the pending write"
 			if h.pendObj == nil && h.end == token.NoPos {
-				waited = "and the " + h.handle + " handle is never waited on"
+				waited = "and the PendingWrite handle is never waited on"
 			}
 			via := ""
 			if len(h.viaPath) > 0 {
 				via = " (handed off via " + strings.Join(h.viaPath, " → ") + ")"
 			}
 			if path, ok := deepUse[id]; ok {
-				pass.Reportf(id.Pos(), "buffer %s is used after being handed off to %s%s %s (use path: %s): ownership transfers to %s until Wait returns", id.Name, h.what, via, waited, strings.Join(path, " → "), h.owner)
+				pass.Reportf(id.Pos(), "buffer %s is used after being handed off to WriteAsync%s %s (use path: %s): ownership transfers to the checkpoint until Wait returns", id.Name, via, waited, strings.Join(path, " → "))
 			} else {
-				pass.Reportf(id.Pos(), "buffer %s is used after being handed off to %s%s %s: ownership transfers to %s until Wait returns", id.Name, h.what, via, waited, h.owner)
+				pass.Reportf(id.Pos(), "buffer %s is used after being handed off to WriteAsync%s %s: ownership transfers to the checkpoint until Wait returns", id.Name, via, waited)
 			}
 		}
 		return true
 	})
 }
 
-// checkpointHandoff and poolHandoff describe the two hand-off shapes
-// for diagnostics.
-func checkpointHandoff(bufObj types.Object, viaPath []string) *handoff {
-	return &handoff{bufObj: bufObj, viaPath: viaPath, what: "WriteAsync", owner: "the checkpoint", handle: "PendingWrite"}
-}
-
-func poolHandoff(bufObj types.Object, viaPath []string) *handoff {
-	return &handoff{bufObj: bufObj, viaPath: viaPath, what: "NewDecodePool", owner: "the decode pool", handle: "DecodePool"}
-}
-
 // handoffTarget reports whether call transfers a buffer's ownership to a
 // background owner: a direct WriteAsync call (last argument is the
-// buffer), a direct particle.NewDecodePool call (first argument is the
-// destination buffer), or a call to a loaded helper whose summary hands
-// a buffer argument off. For helpers the returned handoff carries the
-// call path to the underlying hand-off.
+// buffer), or a call to a loaded helper whose summary hands a buffer
+// argument off. For helpers the returned handoff carries the call path to
+// the underlying hand-off.
 func handoffTarget(pass *Pass, call *ast.CallExpr) (*handoff, bool) {
 	if isWriteAsync(pass.Info, call) {
 		if len(call.Args) == 0 {
 			return nil, false
 		}
 		obj := identObj(pass.Info, call.Args[len(call.Args)-1])
-		return checkpointHandoff(obj, nil), obj != nil
-	}
-	if isNewDecodePool(pass.Info, call) {
-		if len(call.Args) == 0 {
-			return nil, false
-		}
-		obj := identObj(pass.Info, call.Args[0])
-		return poolHandoff(obj, nil), obj != nil
+		return &handoff{bufObj: obj}, obj != nil
 	}
 	if pass.Prog == nil {
 		return nil, false
@@ -276,11 +248,7 @@ func handoffTarget(pass *Pass, call *ast.CallExpr) (*handoff, bool) {
 			j = csig.Params().Len() - 1
 		}
 		if j >= 0 && sum.handoff[j] {
-			path := sum.handoffPath[j]
-			if len(path) > 0 && strings.HasPrefix(path[len(path)-1], "NewDecodePool") {
-				return poolHandoff(obj, path), true
-			}
-			return checkpointHandoff(obj, path), true
+			return &handoff{bufObj: obj, viaPath: sum.handoffPath[j]}, true
 		}
 	}
 	return nil, false
@@ -290,9 +258,4 @@ func handoffTarget(pass *Pass, call *ast.CallExpr) (*handoff, bool) {
 // core.WriteAsync.
 func isWriteAsync(info *types.Info, call *ast.CallExpr) bool {
 	return pkgFunc(info, call, rootPath, "WriteAsync") || pkgFunc(info, call, corePath, "WriteAsync")
-}
-
-// isNewDecodePool reports whether call is particle.NewDecodePool.
-func isNewDecodePool(info *types.Info, call *ast.CallExpr) bool {
-	return pkgFunc(info, call, particlePath, "NewDecodePool")
 }

@@ -348,14 +348,6 @@ func (p *Program) bufSummaryOf(fn *types.Func) *bufSummary {
 				return
 			}
 		}
-		if isNewDecodePool(info, call) && len(call.Args) > 0 {
-			if i, id, ok := argIdx(0); ok {
-				consumed[id] = true
-				pos := fi.Pkg.Fset.Position(call.Pos())
-				markHandoff(i, []string{name, fmt.Sprintf("NewDecodePool at %s", pos)})
-				return
-			}
-		}
 		callee := p.calleeFunc(info, call)
 		var calleeSum *bufSummary
 		if callee != nil {

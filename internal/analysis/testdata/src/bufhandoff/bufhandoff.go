@@ -85,47 +85,3 @@ func okHelperHandoff(c *mpi.Comm, cfg core.WriteConfig, buf *particle.Buffer) in
 	_, _ = p.Wait()
 	return readLen(buf)
 }
-
-// The decode pool owns its destination buffer from construction until
-// Wait: reading it in between races with the pool's decode workers.
-func useWhilePoolDecodes(dst *particle.Buffer, payloads [][]byte) int {
-	pool := particle.NewDecodePool(dst, 4)
-	for i, p := range payloads {
-		pool.Go(p, i)
-	}
-	n := dst.Len() // want "used after being handed off to NewDecodePool"
-	_ = pool.Wait()
-	return n
-}
-
-// Discarding the pool handle leaves the buffer owned by the workers for
-// the rest of the function.
-func poolNeverDrained(dst *particle.Buffer) int {
-	particle.NewDecodePool(dst, 1)
-	return dst.Len() // want "never waited on"
-}
-
-// Waiting returns ownership: the documented contract.
-func okAfterPoolWait(dst *particle.Buffer, data []byte) int {
-	pool := particle.NewDecodePool(dst, 1)
-	pool.Go(data, 0)
-	_ = pool.Wait()
-	return dst.Len()
-}
-
-// startDecode wraps NewDecodePool: per its summary, its buffer
-// parameter is handed off to the pool.
-func startDecode(dst *particle.Buffer, data []byte) *particle.DecodePool {
-	pool := particle.NewDecodePool(dst, 2)
-	pool.Go(data, 0)
-	return pool
-}
-
-// Interprocedural: the pool hand-off hides one call deep; the window
-// opens at the wrapper call and the diagnostic names the chain.
-func useAfterHelperPoolHandoff(dst *particle.Buffer, data []byte) int {
-	pool := startDecode(dst, data)
-	n := dst.Len() // want "handed off via bufhandoff.startDecode"
-	_ = pool.Wait()
-	return n
-}

@@ -15,8 +15,8 @@ func droppedWrite(c *mpi.Comm, cfg core.WriteConfig, buf *particle.Buffer) {
 }
 
 // A format encode call's error silently dropped.
-func droppedEncode(path string, hdr format.DataHeader, buf *particle.Buffer) {
-	format.WriteDataFile(nil, path, hdr, buf) // want "result of format.WriteDataFile is dropped"
+func droppedEncode(path string, hdr *format.DataHeader, rows *particle.Rows) {
+	format.WriteDataFile(nil, path, hdr, rows, nil) // want "result of format.WriteDataFile is dropped"
 }
 
 // Blanking the error while binding the payload hides decode failures.

@@ -102,6 +102,7 @@ func TestFaultDataWriteAbortsAllRanks(t *testing.T) {
 	for _, name := range listDatasetFiles(t, dir) {
 		t.Errorf("aborted write left %q visible", name)
 	}
+	noSegmentsHeld(t)
 
 	// The aborted directory must accept a clean write that reads back.
 	err = mpi.Run(8, func(c *mpi.Comm) error {
@@ -162,6 +163,7 @@ func TestFaultMetaWriteAbortsAllRanks(t *testing.T) {
 	for _, name := range listDatasetFiles(t, dir) {
 		t.Errorf("aborted write left %q visible", name)
 	}
+	noSegmentsHeld(t)
 }
 
 // TestFaultTransientWriteRetries injects a single transient write error
@@ -202,6 +204,8 @@ func TestFaultTransientWriteRetries(t *testing.T) {
 	if meta.Total != 60 {
 		t.Errorf("total = %d, want 60", meta.Total)
 	}
+	// The retry gathered the payload again out of the same rows.
+	noSegmentsHeld(t)
 }
 
 // TestFsckDetectsTornAndPartialWrites simulates a crash after a

@@ -10,6 +10,7 @@ import (
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
+	"spio/internal/reader"
 )
 
 func TestWriteScanNonAligned(t *testing.T) {
@@ -98,5 +99,108 @@ func TestWriteScanRejectsTooManyPartitions(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteAdaptiveRankOnUpperFace: an adaptive write whose sender sets
+// disagreed with the bins used to fail on every rank. A rank whose
+// particles all sit on the domain's closed upper face has bounds that
+// inflating cannot make a half-open box inside the domain, and on a
+// domain far from the origin the inflation is below the coordinates'
+// precision and the rank holding the occupied region's maximum is in the
+// same place. Sender sets now come from the cells the closed bounds span
+// under the split's own Locate, so each write must succeed and read back
+// complete.
+func TestWriteAdaptiveRankOnUpperFace(t *testing.T) {
+	simDims := geom.I3(2, 2, 1)
+	onFace := func(domain geom.Box, axis, n int) func(rank int, patch geom.Box) *particle.Buffer {
+		return func(rank int, patch geom.Box) *particle.Buffer {
+			b := particle.Uniform(particle.Uintah(), patch, n, 3, rank)
+			if rank == 3 {
+				for i := 0; i < b.Len(); i++ {
+					b.SetPosition(i, b.Position(i).WithComp(axis, domain.Hi.Comp(axis)))
+				}
+			}
+			return b
+		}
+	}
+	far := geom.NewBox(geom.V3(1e9, 1e9, 1e9), geom.V3(1e9+1, 1e9+1, 1e9+1))
+	cases := []struct {
+		name   string
+		domain geom.Box
+		local  func(rank int, patch geom.Box) *particle.Buffer
+	}{
+		{"one particle at (1, 0.75, 0.5)", geom.UnitBox(), func(rank int, patch geom.Box) *particle.Buffer {
+			if rank != 3 {
+				return particle.Uniform(particle.Uintah(), patch, 40, 3, rank)
+			}
+			b := particle.Uniform(particle.Uintah(), patch, 1, 3, rank)
+			b.SetPosition(0, geom.V3(1, 0.75, 0.5))
+			return b
+		}},
+		{"a whole rank on the x face", geom.UnitBox(), onFace(geom.UnitBox(), 0, 40)},
+		{"a whole rank on the y face", geom.UnitBox(), onFace(geom.UnitBox(), 1, 40)},
+		{"a whole rank on the z face", geom.UnitBox(), onFace(geom.UnitBox(), 2, 40)},
+		{"the occupied maximum, far from the origin", far, func(rank int, patch geom.Box) *particle.Buffer {
+			// Every particle in the lower 40 % of the domain per axis, and
+			// rank 3 holding only the one that is furthest out in x.
+			n := 40
+			if rank == 3 {
+				n = 1
+			}
+			b := particle.Uniform(particle.Uintah(), geom.NewBox(far.Lo, far.Lo.Add(geom.V3(0.4, 0.4, 0.4))), n, 3, rank)
+			if rank == 3 {
+				b.SetPosition(0, far.Lo.Add(geom.V3(0.5, 0.25, 0.25)))
+			}
+			return b
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := WriteConfig{
+				Agg:           agg.Config{Domain: tc.domain, SimDims: simDims, Factor: geom.I3(1, 1, 1)},
+				Adaptive:      true,
+				ValidateInput: true,
+				Seed:          5,
+			}
+			grid := geom.NewGrid(tc.domain, simDims)
+			want := make(map[float64]int)
+			locals := make([]*particle.Buffer, 4)
+			for r := range locals {
+				locals[r] = tc.local(r, grid.CellBoxLinear(r))
+				for _, id := range locals[r].Float64Field(locals[r].Schema().FieldIndex("id")) {
+					want[id]++
+				}
+			}
+			err := mpi.Run(4, func(c *mpi.Comm) error {
+				_, err := Write(c, dir, cfg, locals[c.Rank()])
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := reader.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if problems := ds.Fsck(reader.FsckOptions{Deep: true}); len(problems) != 0 {
+				t.Errorf("fsck: %v", problems)
+			}
+			all, _, err := ds.ReadAll(reader.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range all.Float64Field(all.Schema().FieldIndex("id")) {
+				want[id]--
+			}
+			for id, n := range want {
+				if n != 0 {
+					t.Fatalf("particle %v read back %d times too few", id, n)
+				}
+			}
+			noSegmentsHeld(t)
+		})
 	}
 }

@@ -1,12 +1,12 @@
 // Package core wires the substrates into the paper's end-to-end I/O
 // pipeline. The write side is the eight-step scheme of Section 3:
 //
-//	(1) set up the aggregation-grid        (agg.NewLayout / BuildAdaptive)
+//	(1) set up the aggregation-grid        (agg.NewLayout / NewScanLayout / BuildAdaptive)
 //	(2) select aggregators                 (agg, uniform over rank space)
 //	(3) exchange metadata                  (counts, non-blocking P2P)
-//	(4) allocate aggregation buffers       (sized from the counts)
-//	(5) exchange particles                 (non-blocking P2P)
-//	(6) shuffle particles into LOD order   (lod.Reorder, in place)
+//	(4) allocate aggregation buffers       (particle.Rows, sized from the counts)
+//	(5) exchange particles                 (non-blocking P2P, placed by sender offset)
+//	(6) shuffle particles into LOD order   (lod.Permutation, applied by the write's gather)
 //	(7) write each aggregator's data file  (format.WriteDataFile)
 //	(8) gather + write spatial metadata    (Allgather to rank 0, format.WriteMeta)
 //
@@ -119,17 +119,31 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 	if cfg.Adaptive && cfg.AggDims != (geom.Idx3{}) {
 		return res, fmt.Errorf("core: Adaptive and AggDims are mutually exclusive")
 	}
-	// For the aligned path, build the layout before any communication:
-	// layout errors are pure config errors, identical on every rank, so
-	// an early return here is symmetric and cannot strand a peer in a
+	// Steps 1–2: one of the two layouts, and the grid shape the metadata
+	// records (the partition factor and the aggregation-grid's dims). A
+	// layout fixed by the configuration is built before any communication:
+	// its errors are pure config errors, identical on every rank, so an
+	// early return here is symmetric and cannot strand a peer in a
 	// collective.
-	var layout *agg.Layout
-	if !cfg.Adaptive && cfg.AggDims == (geom.Idx3{}) {
-		var err error
-		layout, err = agg.NewLayout(cfg.Agg, c.Size())
-		if err != nil {
-			return res, err
+	var aligned *agg.Layout
+	var scan *agg.ScanLayout
+	factor, aggDims := cfg.Agg.Factor, cfg.AggDims
+	var err error
+	switch {
+	case cfg.Adaptive:
+		// Fitted to the particles, collectively, once they are validated.
+	case cfg.AggDims != (geom.Idx3{}):
+		// A non-aligned grid has no meaningful partition factor; record
+		// zeros so readers can tell the difference.
+		factor = geom.Idx3{}
+		scan, err = scanLayout(c.Size(), cfg)
+	default:
+		if aligned, err = agg.NewLayout(cfg.Agg, c.Size()); err == nil {
+			aggDims = aligned.AggGrid.Dims
 		}
+	}
+	if err != nil {
+		return res, err
 	}
 	if cfg.ValidateInput {
 		// Collective validation: every rank learns whether any rank's
@@ -144,97 +158,69 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 		}
 	}
 	if cfg.Adaptive {
-		return writeAdaptive(c, dir, cfg, local)
-	}
-	if cfg.AggDims != (geom.Idx3{}) {
-		return writeScan(c, dir, cfg, local)
+		if scan, err = adaptiveLayout(c, cfg, local); err != nil {
+			return res, err
+		}
+		aggDims = scan.Grid.Dims
 	}
 
-	// Steps 1–5.
-	aggBuf, tm, exchErr := agg.ExchangeAligned(c, layout, local)
-	res.Timing = tm
-	part, isAgg := layout.IsAggregator(c.Rank())
-	var partBox geom.Box
-	if isAgg {
-		partBox = layout.PartitionBox(part)
+	// Steps 3–5.
+	var ag agg.Aggregate
+	var exchErr error
+	if aligned != nil {
+		ag, res.Timing, exchErr = aligned.Exchange(c, local)
+	} else {
+		ag, res.Timing, exchErr = scan.Exchange(c, local)
 	}
 
 	// Steps 6–8 plus error agreement.
-	err := finishWrite(c, dir, cfg, layout.SimDims, cfg.Agg.Factor, layout.AggGrid.Dims,
-		local.Schema(), isAgg, part, partBox, aggBuf, exchErr, &res)
+	err = finishWrite(c, dir, cfg, factor, aggDims, local.Schema(), ag, exchErr, &res)
 	return res, err
 }
 
-// writeScan runs the pipeline over an imposed non-aligned
-// aggregation-grid (WriteConfig.AggDims).
-func writeScan(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (WriteResult, error) {
-	res := WriteResult{Partition: -1}
-	if v := cfg.Agg.SimDims.Volume(); v != c.Size() {
-		return res, fmt.Errorf("core: sim dims %v cover %d patches, world has %d ranks", cfg.Agg.SimDims, v, c.Size())
+// scanLayout imposes the non-aligned aggregation-grid WriteConfig.AggDims
+// on the ranks' simulation patches.
+func scanLayout(nRanks int, cfg WriteConfig) (*agg.ScanLayout, error) {
+	if v := cfg.Agg.SimDims.Volume(); v != nRanks {
+		return nil, fmt.Errorf("core: sim dims %v cover %d patches, world has %d ranks", cfg.Agg.SimDims, v, nRanks)
 	}
 	simGrid := geom.NewGrid(cfg.Agg.Domain, cfg.Agg.SimDims)
-	patches := make([]geom.Box, c.Size())
+	patches := make([]geom.Box, nRanks)
 	for r := range patches {
 		patches[r] = simGrid.CellBox(geom.Unlinear(r, cfg.Agg.SimDims))
 	}
-	layout, err := agg.NewScanLayout(cfg.Agg.Domain, cfg.AggDims, patches)
-	if err != nil {
-		return res, err
-	}
-	aggBuf, tm, exchErr := layout.Exchange(c, local)
-	res.Timing = tm
-
-	part, isAgg := layout.IsAggregator(c.Rank())
-	var partBox geom.Box
-	if isAgg {
-		partBox = layout.PartitionBox(part)
-	}
-	// A non-aligned grid has no meaningful partition factor; record
-	// zeros so readers can tell the difference.
-	err = finishWrite(c, dir, cfg, cfg.Agg.SimDims, geom.Idx3{}, cfg.AggDims,
-		local.Schema(), isAgg, part, partBox, aggBuf, exchErr, &res)
-	return res, err
+	return agg.NewScanLayout(cfg.Agg.Domain, cfg.AggDims, patches)
 }
 
-func writeAdaptive(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (WriteResult, error) {
-	res := WriteResult{Partition: -1}
+// adaptiveLayout fits the Section 6 grid, of shape SimDims/Factor, to the
+// occupied subdomain. It is collective (agg.BuildAdaptive).
+func adaptiveLayout(c *mpi.Comm, cfg WriteConfig, local *particle.Buffer) (*agg.ScanLayout, error) {
 	// Validate before deriving the partition-grid shape: a zero factor
 	// component must be rejected here, not divided by below.
 	if err := cfg.Agg.Validate(c.Size()); err != nil {
-		return res, err
+		return nil, err
 	}
 	parts := geom.Idx3{
 		X: cfg.Agg.SimDims.X / cfg.Agg.Factor.X,
 		Y: cfg.Agg.SimDims.Y / cfg.Agg.Factor.Y,
 		Z: cfg.Agg.SimDims.Z / cfg.Agg.Factor.Z,
 	}
-	layout, err := agg.BuildAdaptive(c, cfg.Agg.Domain, parts, local)
-	if err != nil {
-		return res, err
-	}
-	aggBuf, tm, exchErr := layout.Exchange(c, local)
-	res.Timing = tm
-
-	part, isAgg := layout.IsAggregator(c.Rank())
-	var partBox geom.Box
-	if isAgg {
-		partBox = layout.PartitionBox(part)
-	}
-	err = finishWrite(c, dir, cfg, cfg.Agg.SimDims, cfg.Agg.Factor, parts,
-		local.Schema(), isAgg, part, partBox, aggBuf, exchErr, &res)
-	return res, err
+	return agg.BuildAdaptive(c, cfg.Agg.Domain, parts, local)
 }
 
 // finishWrite runs steps 6–8 plus the collective error-agreement
 // protocol (DESIGN §9). Every exit path between the particle exchange
 // and the metadata write passes through an agreement round, so a
 // failure on any rank surfaces as a non-nil error on every rank and no
-// rank is left blocked in a collective its peers skipped.
+// rank is left blocked in a collective its peers skipped. The aggregate
+// is released on every one of them (its file entry holds values and fresh
+// slices, nothing of the rows).
 func finishWrite(c *mpi.Comm, dir string, cfg WriteConfig,
-	simDims, factor, aggDims geom.Idx3, schema *particle.Schema,
-	isAgg bool, part int, partBox geom.Box,
-	aggBuf *particle.Buffer, exchErr error, res *WriteResult) error {
+	factor, aggDims geom.Idx3, schema *particle.Schema,
+	ag agg.Aggregate, exchErr error, res *WriteResult) error {
 
+	defer ag.Rows.Release()
+	isAgg := ag.Rows != nil
 	// Agreement point 1: the exchange itself. Nothing has been written
 	// yet, so there is nothing to clean up.
 	if err := agreePoint(c, "particle exchange", exchErr, dir, cfg, isAgg, false, &res.Timing); err != nil {
@@ -244,13 +230,9 @@ func finishWrite(c *mpi.Comm, dir string, cfg WriteConfig,
 	var entry fileEntryMsg
 	var werr error
 	if isAgg {
-		res.Partition = part
-		res.FileParticles = int64(aggBuf.Len())
-		entry, werr = reorderAndWrite(cfg.fs(), dir, cfg, c.Rank(), part, partBox, aggBuf, &res.Timing)
-		// The aggregation buffer is dead once its file entry is built
-		// (Bounds is a value, FieldRanges returns fresh slices): recycle
-		// its columns for the next write's exchange.
-		particle.Recycle(aggBuf)
+		res.Partition = ag.Part
+		res.FileParticles = int64(ag.Rows.Len())
+		entry, werr = reorderAndWrite(cfg.fs(), dir, cfg, c.Rank(), ag, &res.Timing)
 	}
 	// Agreement point 2: the data-file writes. Some aggregators may have
 	// already published their file; an agreed failure removes them.
@@ -259,7 +241,7 @@ func finishWrite(c *mpi.Comm, dir string, cfg WriteConfig,
 	}
 
 	start := time.Now()
-	merr := writeMetaCollective(c, dir, cfg, simDims, factor, aggDims, schema, isAgg, entry)
+	merr := writeMetaCollective(c, dir, cfg, factor, aggDims, schema, isAgg, entry)
 	res.Timing.MetaIO = time.Since(start)
 	// Agreement point 3: the metadata write (only rank 0 writes the
 	// file, so only rank 0 can fail it locally).
@@ -322,14 +304,14 @@ func abortWrite(c *mpi.Comm, dir string, cfg WriteConfig, isAgg bool) {
 
 // reorderAndWrite performs steps 6–7 on an aggregator. The LOD reorder
 // is fused into the file write: only the index permutation is computed
-// here, and WriteDataFileOrdered gathers the payload through it as it
-// streams out, so the permuted buffer is never materialized (the bytes
-// on disk are identical to reordering in place first). The buffer itself
-// stays in arrival order — the bounds and field-range scans below are
+// here, and WriteDataFile gathers the payload through it as it streams
+// out, so the permuted aggregate is never materialized (the bytes on disk
+// are identical to reordering in place first). The rows themselves stay
+// in sender order — the bounds and field-range scans are
 // order-independent.
-func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank, part int, partBox geom.Box, aggBuf *particle.Buffer, tm *agg.Timing) (fileEntryMsg, error) {
+func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank int, ag agg.Aggregate, tm *agg.Timing) (fileEntryMsg, error) {
 	start := time.Now()
-	order := lod.Permutation(aggBuf, cfg.Heuristic, reorderSeed(cfg.Seed, part))
+	order := lod.Permutation(ag.Rows, cfg.Heuristic, reorderSeed(cfg.Seed, ag.Part))
 	tm.Reorder = time.Since(start)
 
 	start = time.Now()
@@ -340,26 +322,26 @@ func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank, p
 	hdr := format.DataHeader{
 		LOD:          cfg.LOD,
 		Heuristic:    cfg.Heuristic,
-		Seed:         reorderSeed(cfg.Seed, part),
+		Seed:         reorderSeed(cfg.Seed, ag.Part),
 		PayloadCRC:   cfg.Checksum,
 		Codec:        cfg.Codec,
 		CodecWorkers: cfg.CodecWorkers,
 	}
-	if err := format.WriteDataFileOrdered(fsys, filepath.Join(dir, name), hdr, aggBuf, order); err != nil {
+	if err := format.WriteDataFile(fsys, filepath.Join(dir, name), &hdr, ag.Rows, order); err != nil {
 		return fileEntryMsg{}, err
 	}
 	tm.FileIO = time.Since(start)
 
 	entry := fileEntryMsg{
-		boxIndex:  part,
-		count:     int64(aggBuf.Len()),
-		partition: partBox,
-		bounds:    aggBuf.Bounds(),
+		boxIndex:  ag.Part,
+		count:     hdr.Count,
+		partition: ag.Box,
+		bounds:    hdr.Bounds,
 	}
-	// An aggregator with no particles has no field values: skip the
-	// range row rather than storing the ±Inf scan sentinels.
-	if cfg.FieldRanges && aggBuf.Len() > 0 {
-		entry.fieldMin, entry.fieldMax = fieldRanges(aggBuf)
+	// An aggregator with no particles has no field values: FieldRanges
+	// yields no row rather than the ±Inf scan sentinels.
+	if cfg.FieldRanges {
+		entry.fieldMin, entry.fieldMax = ag.Rows.FieldRanges()
 	}
 	return entry, nil
 }
@@ -369,16 +351,6 @@ func reorderSeed(seed int64, part int) int64 {
 	z := uint64(seed) ^ (0x9e3779b97f4a7c15 * uint64(part+1))
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	return int64(z ^ (z >> 27))
-}
-
-// fieldRanges computes per-component minima and maxima across all
-// particles, flattened in schema order. An empty buffer yields no
-// ranges: min/max of nothing is undefined, not ±Inf. It delegates to the
-// buffer's single-pass-per-field scan, which preserves the old
-// math.Min/math.Max semantics (NaN propagates, -0 < +0) with plain
-// comparisons.
-func fieldRanges(b *particle.Buffer) (mins, maxs []float64) {
-	return b.FieldRanges()
 }
 
 // fileEntryMsg is the Allgather payload each aggregator contributes for
@@ -457,7 +429,7 @@ func decodeFileEntryMsg(data []byte) (fileEntryMsg, error) {
 // writeMetaCollective gathers all aggregators' file entries and writes
 // the metadata file on rank 0.
 func writeMetaCollective(c *mpi.Comm, dir string, cfg WriteConfig,
-	simDims, factor, aggDims geom.Idx3, schema *particle.Schema,
+	factor, aggDims geom.Idx3, schema *particle.Schema,
 	isAgg bool, entry fileEntryMsg) error {
 
 	var payload []byte
@@ -471,7 +443,7 @@ func writeMetaCollective(c *mpi.Comm, dir string, cfg WriteConfig,
 
 	meta := &format.Meta{
 		Domain:          cfg.Agg.Domain,
-		SimDims:         simDims,
+		SimDims:         cfg.Agg.SimDims,
 		PartitionFactor: factor,
 		AggDims:         aggDims,
 		Schema:          schema,

@@ -55,32 +55,6 @@ func writeFileAtomic(fsys fault.WriteFS, path string, emit func(w io.Writer) err
 	return err
 }
 
-// writebackWriter forwards writes to the underlying file and, every
-// kickEvery bytes, nudges the kernel to start background writeback of
-// the range just written (kickWriteback). Streaming a multi-megabyte
-// payload otherwise leaves every page dirty until the final fsync, which
-// then serializes the entire disk transfer behind the encode; kicking
-// early overlaps the two. Advisory only — durability still comes from
-// the Sync before rename.
-type writebackWriter struct {
-	f      fault.File
-	off    int64 // bytes forwarded so far
-	kicked int64 // start of the first range not yet kicked
-}
-
-// kickEvery matches the bufio buffer size above: one kick per flush.
-const kickEvery = 1 << 20
-
-func (w *writebackWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	w.off += int64(n)
-	if w.off-w.kicked >= kickEvery {
-		kickWriteback(w.f, w.kicked, w.off-w.kicked)
-		w.kicked = w.off
-	}
-	return n, err
-}
-
 // writeFileOnce is one attempt of the temp+fsync+rename sequence. On
 // any failure the temp file is removed, so aborted writes leave the
 // directory as it was.
@@ -90,12 +64,11 @@ func writeFileOnce(fsys fault.WriteFS, path string, emit func(w io.Writer) error
 	if err != nil {
 		return err
 	}
-	wk := &writebackWriter{f: f}
 	// The buffer coalesces small header/trailer writes; it is deliberately
 	// smaller than the ~1MB payload chunks the data-file emitters produce,
 	// so bufio's large-write fast path hands those to the file directly
 	// instead of memmove-ing every payload byte through the buffer first.
-	bw := bufio.NewWriterSize(wk, 1<<18)
+	bw := bufio.NewWriterSize(f, 1<<18)
 	err = emit(bw)
 	if err == nil {
 		err = bw.Flush()
@@ -103,9 +76,7 @@ func writeFileOnce(fsys fault.WriteFS, path string, emit func(w io.Writer) error
 	if err == nil {
 		// The data must be durable before the rename publishes it:
 		// rename-before-fsync can surface a complete-looking file with
-		// missing content after a crash. The writebackWriter has already
-		// pushed most pages toward the disk, so this mostly waits for the
-		// tail instead of flushing the whole file cold.
+		// missing content after a crash.
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {

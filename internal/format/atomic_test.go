@@ -39,7 +39,7 @@ func TestWriteDataFileFailureLeavesNoTrace(t *testing.T) {
 	in := fault.NewInjector()
 	in.Add(0, fault.Fault{Op: fault.OpWrite})
 	path := filepath.Join(dir, "file_0.spd")
-	err := WriteDataFile(in.FS(0), path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 100))
+	err := writeBuf(in.FS(0), path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 100))
 	if !errors.Is(err, fault.ErrNoSpace) {
 		t.Fatalf("WriteDataFile: got %v, want ErrNoSpace", err)
 	}
@@ -55,7 +55,7 @@ func TestWriteDataFileTornWriteInvisible(t *testing.T) {
 	in := fault.NewInjector()
 	in.Add(0, fault.Fault{Op: fault.OpWrite, Torn: true})
 	path := filepath.Join(dir, "file_0.spd")
-	err := WriteDataFile(in.FS(0), path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 100))
+	err := writeBuf(in.FS(0), path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 100))
 	if err == nil {
 		t.Fatal("torn write reported success")
 	}
@@ -72,7 +72,7 @@ func TestWriteDataFileRetriesTransient(t *testing.T) {
 	in.Add(0, fault.Fault{Op: fault.OpWrite, Count: 1, Err: fault.Transient(errors.New("eagain"))})
 	path := filepath.Join(dir, "file_0.spd")
 	buf := atomicTestBuf(t, 100)
-	if err := WriteDataFile(in.FS(0), path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
+	if err := writeBuf(in.FS(0), path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
 		t.Fatalf("WriteDataFile with one transient fault: %v", err)
 	}
 	if in.Injected() == 0 {
@@ -100,7 +100,7 @@ func TestWriteDataFileNoRetryOnPersistent(t *testing.T) {
 	dir := t.TempDir()
 	in := fault.NewInjector()
 	in.Add(0, fault.Fault{Op: fault.OpSync})
-	err := WriteDataFile(in.FS(0), filepath.Join(dir, "f.spd"), DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 4))
+	err := writeBuf(in.FS(0), filepath.Join(dir, "f.spd"), DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 4))
 	if !errors.Is(err, fault.ErrNoSpace) {
 		t.Fatalf("got %v, want ErrNoSpace", err)
 	}
@@ -128,7 +128,7 @@ func TestWriteMetaRenameFailureCleansTemp(t *testing.T) {
 func TestOpenDataFileClassifiesTruncation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "file_0.spd")
-	if err := WriteDataFile(nil, path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 64)); err != nil {
+	if err := writeBuf(nil, path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 64)); err != nil {
 		t.Fatalf("WriteDataFile: %v", err)
 	}
 	st, err := os.Stat(path)

@@ -16,7 +16,7 @@ func BenchmarkWriteDataFile64K(b *testing.B) {
 	b.SetBytes(buf.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteDataFile(nil, filepath.Join(dir, "bench.spd"), hdr, buf); err != nil {
+		if err := writeBuf(nil, filepath.Join(dir, "bench.spd"), hdr, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -26,7 +26,7 @@ func BenchmarkReadDataFile64K(b *testing.B) {
 	dir := b.TempDir()
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 65536, 7, 0)
 	path := filepath.Join(dir, "bench.spd")
-	if err := WriteDataFile(nil, path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
+	if err := writeBuf(nil, path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(buf.Bytes())
@@ -47,7 +47,7 @@ func BenchmarkReadPrefix4K(b *testing.B) {
 	dir := b.TempDir()
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 65536, 7, 0)
 	path := filepath.Join(dir, "bench.spd")
-	if err := WriteDataFile(nil, path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
+	if err := writeBuf(nil, path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
 		b.Fatal(err)
 	}
 	df, err := OpenDataFile(path)

@@ -16,7 +16,7 @@ func writeChecksummed(t *testing.T, n int) (string, *particle.Buffer) {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), n, 3, 0)
 	path := filepath.Join(dir, "c.spd")
 	hdr := DataHeader{LOD: lod.DefaultParams(), PayloadCRC: true}
-	if err := WriteDataFile(nil, path, hdr, buf); err != nil {
+	if err := writeBuf(nil, path, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
 	return path, buf

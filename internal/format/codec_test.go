@@ -24,11 +24,11 @@ func writeCodecPair(t *testing.T, n int, spec particle.Spec, crc bool) (raw, com
 	raw = filepath.Join(dir, "raw.spd")
 	comp = filepath.Join(dir, "comp.spd")
 	hdr := DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 3, PayloadCRC: crc}
-	if err := WriteDataFile(nil, raw, hdr, buf); err != nil {
+	if err := writeBuf(nil, raw, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
 	hdr.Codec = spec
-	if err := WriteDataFile(nil, comp, hdr, buf); err != nil {
+	if err := writeBuf(nil, comp, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
 	return raw, comp, buf
@@ -254,7 +254,7 @@ func TestCompressedEmptyFile(t *testing.T) {
 	buf := particle.NewBuffer(particle.Uintah(), 0)
 	path := filepath.Join(dir, "empty.spd")
 	hdr := DataHeader{LOD: lod.DefaultParams(), Codec: particle.LosslessSpec(particle.Uintah())}
-	if err := WriteDataFile(nil, path, hdr, buf); err != nil {
+	if err := writeBuf(nil, path, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
 	df, err := OpenDataFile(path)
@@ -274,15 +274,17 @@ func TestCompressedEmptyFile(t *testing.T) {
 	}
 }
 
-// TestCompressedOrderedWrite checks WriteDataFileOrdered under a codec:
-// the on-disk records must equal applying the permutation first.
+// TestCompressedOrderedWrite checks a write through an order under a
+// codec: the on-disk records must equal applying the permutation first.
 func TestCompressedOrderedWrite(t *testing.T) {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 500, 5, 0)
 	order := rand.New(rand.NewSource(6)).Perm(500)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ordered.spd")
 	hdr := DataHeader{LOD: lod.DefaultParams(), Codec: particle.LosslessSpec(particle.Uintah())}
-	if err := WriteDataFileOrdered(nil, path, hdr, buf, order); err != nil {
+	rows := buf.Rows()
+	defer rows.Release()
+	if err := WriteDataFile(nil, path, &hdr, rows, order); err != nil {
 		t.Fatal(err)
 	}
 	df, err := OpenDataFile(path)

@@ -156,29 +156,24 @@ func encodeDataHeader(e *writer, h *DataHeader, blocks []codecBlock) {
 	}
 }
 
-// WriteDataFile writes a complete data file at path. buf must already be
-// in LOD order; hdr.Count and hdr.Bounds are filled from buf. The file
-// lands via temp-file + fsync + atomic rename (fsys nil means the real
-// filesystem), so readers never observe a torn data file under path.
-func WriteDataFile(fsys fault.WriteFS, path string, hdr DataHeader, buf *particle.Buffer) error {
-	return WriteDataFileOrdered(fsys, path, hdr, buf, nil)
-}
-
-// WriteDataFileOrdered is WriteDataFile for a buffer that is not yet in
-// LOD order: record i of the payload is particle order[i] of buf, so the
-// permuted payload streams out without the reorder ever being
-// materialized in memory. A nil order writes buf as-is. The bytes on
-// disk are identical to applying the permutation to buf and calling
-// WriteDataFile.
-func WriteDataFileOrdered(fsys fault.WriteFS, path string, hdr DataHeader, buf *particle.Buffer, order []int) error {
-	if order != nil && len(order) != buf.Len() {
-		return fmt.Errorf("format: order has %d indices, buffer has %d particles", len(order), buf.Len())
+// WriteDataFile writes a complete data file at path: record i of the
+// payload is row order[i] of rows, or row i when order is nil (rows
+// already in LOD order). The payload is gathered through order as it
+// streams out, so the reorder is never materialized; the bytes on disk
+// are those of reordering first. hdr.Schema, hdr.Count and hdr.Bounds are
+// filled from rows, for the file and for the caller. rows stay the
+// caller's. The file lands via temp-file + fsync + atomic rename (fsys nil
+// means the real filesystem), so readers never observe a torn data file
+// under path.
+func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *particle.Rows, order []int) error {
+	if order != nil && len(order) != rows.Len() {
+		return fmt.Errorf("format: order has %d indices, the rows are %d", len(order), rows.Len())
 	}
 	if hdr.Schema == nil {
-		hdr.Schema = buf.Schema()
+		hdr.Schema = rows.Schema()
 	}
-	if !hdr.Schema.Equal(buf.Schema()) {
-		return fmt.Errorf("format: header schema %v != buffer schema %v", hdr.Schema, buf.Schema())
+	if !hdr.Schema.Equal(rows.Schema()) {
+		return fmt.Errorf("format: header schema %v != rows schema %v", hdr.Schema, rows.Schema())
 	}
 	if err := hdr.LOD.Validate(); err != nil {
 		return err
@@ -186,8 +181,8 @@ func WriteDataFileOrdered(fsys fault.WriteFS, path string, hdr DataHeader, buf *
 	if err := hdr.Codec.Validate(hdr.Schema); err != nil {
 		return err
 	}
-	hdr.Count = int64(buf.Len())
-	hdr.Bounds = buf.Bounds()
+	hdr.Count = int64(rows.Len())
+	hdr.Bounds = rows.Bounds()
 
 	// Compress first when the spec asks for it: the header's block index
 	// needs every compressed length before the first payload byte lands.
@@ -195,7 +190,7 @@ func WriteDataFileOrdered(fsys fault.WriteFS, path string, hdr DataHeader, buf *
 	var blockData [][]byte
 	if !hdr.Codec.IsRaw() {
 		var err error
-		blocks, blockData, err = compressPayload(&hdr, buf, order)
+		blocks, blockData, err = compressPayload(hdr, rows, order)
 		if err != nil {
 			return err
 		}
@@ -204,7 +199,7 @@ func WriteDataFileOrdered(fsys fault.WriteFS, path string, hdr DataHeader, buf *
 	// Encode the header body once to learn its CRC.
 	var body headerBuf
 	e := newWriter(&body)
-	encodeDataHeader(e, &hdr, blocks)
+	encodeDataHeader(e, hdr, blocks)
 	if e.err != nil {
 		return e.err
 	}
@@ -224,32 +219,33 @@ func WriteDataFileOrdered(fsys fault.WriteFS, path string, hdr DataHeader, buf *
 
 	if blocks != nil {
 		return writeFileAtomic(fsOrOS(fsys), path, func(w io.Writer) error {
-			return writeCompressedPayload(w, prefix.b, &hdr, blockData)
+			return writeCompressedPayload(w, prefix.b, hdr, blockData)
 		})
 	}
 	return writeFileAtomic(fsOrOS(fsys), path, func(w io.Writer) error {
-		return writeDataPayload(w, prefix.b, &hdr, buf, order)
+		return writeDataPayload(w, prefix.b, hdr, rows, order)
 	})
 }
 
 // compressPayload gathers the LOD-ordered records block by block
-// (payload record i is particle order[i], so compression happens
+// (Rows.Gather: payload record i is row order[i], so compression happens
 // strictly after the reorder) and compresses the blocks under the
 // header's codec spec. It returns the block index and the compressed
 // bytes, held in memory until the write: the index precedes the payload
 // on disk.
 //
-// Blocks are compressed concurrently (CompressBlocks, bounded by
-// hdr.CodecWorkers) in runs whose gathered raw records fit one pooled
-// image of at most maxImageBytes, so a huge payload never materializes
-// fully while the workers still get a run's worth of independent
-// blocks. The frames are byte-identical to the serial per-block loop.
-func compressPayload(hdr *DataHeader, buf *particle.Buffer, order []int) ([]codecBlock, [][]byte, error) {
+// Codec blocks are cut at LOD levels, so they are not the rows' own
+// blocks: each run of them is gathered into one pooled image of at most
+// maxImageBytes and compressed concurrently (CompressBlocks, bounded by
+// hdr.CodecWorkers), so a huge payload never materializes fully while the
+// workers still get a run's worth of independent blocks. The frames are
+// byte-identical to the serial per-block loop.
+func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codecBlock, [][]byte, error) {
 	lens := codecBlockLens(hdr.Count, hdr.LOD)
 	blocks := make([]codecBlock, 0, len(lens))
 	blockData := make([][]byte, 0, len(lens))
 	stride := hdr.Schema.Stride()
-	lo := int64(0)
+	lo := 0
 	for start := 0; start < len(lens); {
 		// Extend the run while the next block's records still fit the
 		// image budget (a run always takes at least one block).
@@ -259,18 +255,13 @@ func compressPayload(hdr *DataHeader, buf *particle.Buffer, order []int) ([]code
 			end++
 		}
 		raw := fromPool(&imagePool, int(runRecs)*stride)
+		rows.Gather(raw, order, lo, lo+int(runRecs))
+		lo += int(runRecs)
 		raws := make([][]byte, 0, end-start)
-		off := int64(0)
+		off := 0
 		for _, n := range lens[start:end] {
-			hi := lo + n
-			r := raw[off*int64(stride) : (off+n)*int64(stride)]
-			if order != nil {
-				buf.EncodeRecordsGather(r, order[lo:hi])
-			} else {
-				buf.EncodeRecordsInto(r, int(lo), int(hi))
-			}
-			raws = append(raws, r)
-			lo, off = hi, off+n
+			raws = append(raws, raw[off:off+int(n)*stride])
+			off += int(n) * stride
 		}
 		comp, err := particle.CompressBlocks(hdr.Schema, hdr.Codec, raws, hdr.CodecWorkers)
 		toPool(&imagePool, raw)
@@ -316,14 +307,12 @@ func writeCompressedPayload(w io.Writer, prefix []byte, hdr *DataHeader, blockDa
 	return nil
 }
 
-// chunkRecords is the streaming granularity of the payload writers:
-// ~1MB of records per Write, large enough for bufio's direct-write path
-// and for a writeback kick per chunk.
+// chunkRecords is the streaming granularity of the raw payload writer:
+// ~1MB of records per Write, large enough for bufio's direct-write path.
 const chunkRecords = 8192
 
-// maxImageBytes bounds the materialized AoS image of the ordered fast
-// path below; payloads past it fall back to the bounded-memory per-chunk
-// gather so a huge file never doubles its buffer's footprint.
+// maxImageBytes bounds the staging image of one run of codec blocks, so a
+// huge compressed file never doubles its aggregate's footprint.
 const maxImageBytes = 64 << 20
 
 // scratchPool and imagePool recycle the payload writers' staging slices
@@ -342,52 +331,21 @@ func toPool(p *sync.Pool, b []byte) {
 	p.Put(&b)
 }
 
-// writeDataPayload streams the prefix and the particle records in
-// ~1MB chunks, checksumming along the way if requested. A non-nil order
-// gathers records through it: payload record i is particle order[i].
-//
-// The ordered path copies whole rows through the permutation out of an
-// AoS image of the buffer — a pooled sequential encode, whose SoA -> AoS
-// transpose runs at its sequential speed: the random access the shuffle
-// forces then costs one bounded copy per record instead of one column
-// read per element. Payloads larger than maxImageBytes gather per chunk
-// straight from the columns instead, so a huge file never doubles its
-// buffer's footprint.
-func writeDataPayload(w io.Writer, prefix []byte, hdr *DataHeader, buf *particle.Buffer, order []int) error {
+// writeDataPayload streams the prefix and the records, gathered through
+// order (Rows.Gather) ~1MB at a time whatever the payload's size,
+// checksumming along the way if requested.
+func writeDataPayload(w io.Writer, prefix []byte, hdr *DataHeader, rows *particle.Rows, order []int) error {
 	if _, err := w.Write(prefix); err != nil {
 		return err
 	}
-	stride := buf.Schema().Stride()
-	total := buf.Len() * stride
-	var image []byte
-	if order != nil && total > 0 && total <= maxImageBytes {
-		image = fromPool(&imagePool, total)
-		defer toPool(&imagePool, image)
-		buf.EncodeRecordsInto(image, 0, buf.Len())
-	}
-	chunk := chunkRecords
-	if buf.Len() < chunk {
-		chunk = buf.Len()
-	}
-	scratch := fromPool(&scratchPool, chunk*stride)
+	stride := rows.Schema().Stride()
+	scratch := fromPool(&scratchPool, min(rows.Len(), chunkRecords)*stride)
 	defer toPool(&scratchPool, scratch)
 	var payloadCRC uint32
-	for lo := 0; lo < buf.Len(); lo += chunk {
-		hi := lo + chunk
-		if hi > buf.Len() {
-			hi = buf.Len()
-		}
+	for lo := 0; lo < rows.Len(); lo += chunkRecords {
+		hi := min(lo+chunkRecords, rows.Len())
 		p := scratch[:(hi-lo)*stride]
-		switch {
-		case image != nil:
-			for i, rec := range order[lo:hi] {
-				copy(p[i*stride:(i+1)*stride], image[rec*stride:(rec+1)*stride])
-			}
-		case order != nil:
-			buf.EncodeRecordsGather(p, order[lo:hi])
-		default:
-			buf.EncodeRecordsInto(p, lo, hi)
-		}
+		rows.Gather(p, order, lo, hi)
 		if hdr.PayloadCRC {
 			payloadCRC = crc32.Update(payloadCRC, crc32.IEEETable, p)
 		}

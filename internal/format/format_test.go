@@ -6,10 +6,18 @@ import (
 	"strings"
 	"testing"
 
+	"spio/internal/fault"
 	"spio/internal/geom"
 	"spio/internal/lod"
 	"spio/internal/particle"
 )
+
+// writeBuf writes buf, already in its final order, as a data file.
+func writeBuf(fsys fault.WriteFS, path string, hdr DataHeader, buf *particle.Buffer) error {
+	rows := buf.Rows()
+	defer rows.Release()
+	return WriteDataFile(fsys, path, &hdr, rows, nil)
+}
 
 func writeTestDataFile(t *testing.T, n int) (string, *particle.Buffer) {
 	t.Helper()
@@ -18,7 +26,7 @@ func writeTestDataFile(t *testing.T, n int) (string, *particle.Buffer) {
 	lod.Shuffle(buf, 7)
 	path := filepath.Join(dir, DataFileName(0))
 	hdr := DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 7}
-	if err := WriteDataFile(nil, path, hdr, buf); err != nil {
+	if err := writeBuf(nil, path, hdr, buf); err != nil {
 		t.Fatal(err)
 	}
 	return path, buf
@@ -126,7 +134,7 @@ func TestDataFileEmpty(t *testing.T) {
 	dir := t.TempDir()
 	buf := particle.NewBuffer(particle.Uintah(), 0)
 	path := filepath.Join(dir, DataFileName(3))
-	if err := WriteDataFile(nil, path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
+	if err := writeBuf(nil, path, DataHeader{LOD: lod.DefaultParams()}, buf); err != nil {
 		t.Fatal(err)
 	}
 	df, err := OpenDataFile(path)
@@ -197,7 +205,7 @@ func TestWriteDataFileSchemaMismatch(t *testing.T) {
 	dir := t.TempDir()
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 5, 1, 0)
 	hdr := DataHeader{Schema: particle.PositionOnly(), LOD: lod.DefaultParams()}
-	if err := WriteDataFile(nil, filepath.Join(dir, "x.spd"), hdr, buf); err == nil {
+	if err := writeBuf(nil, filepath.Join(dir, "x.spd"), hdr, buf); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }

@@ -20,7 +20,7 @@ func validDataFileBytes(tb testing.TB) []byte {
 	dir := tb.TempDir()
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 20, 1, 0)
 	path := filepath.Join(dir, "seed.spd")
-	if err := WriteDataFile(nil, path, DataHeader{LOD: lod.DefaultParams(), PayloadCRC: true}, buf); err != nil {
+	if err := writeBuf(nil, path, DataHeader{LOD: lod.DefaultParams(), PayloadCRC: true}, buf); err != nil {
 		tb.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -36,7 +36,7 @@ func validCompressedDataFileBytes(tb testing.TB) []byte {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 200, 2, 0)
 	path := filepath.Join(dir, "seed-comp.spd")
 	hdr := DataHeader{LOD: lod.DefaultParams(), PayloadCRC: true, Codec: particle.LosslessSpec(particle.Uintah())}
-	if err := WriteDataFile(nil, path, hdr, buf); err != nil {
+	if err := writeBuf(nil, path, hdr, buf); err != nil {
 		tb.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -266,7 +266,7 @@ func TestScanMatchesReference(t *testing.T) {
 	for codec, spec := range specs {
 		path := filepath.Join(dir, codec+".spd")
 		hdr := DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 5, Codec: spec}
-		if err := WriteDataFile(nil, path, hdr, buf); err != nil {
+		if err := writeBuf(nil, path, hdr, buf); err != nil {
 			t.Fatal(err)
 		}
 		images[codec] = refPayload(t, path)

@@ -146,23 +146,31 @@ func Reorder(b *particle.Buffer, h Heuristic, seed int64) {
 	}
 }
 
+// Particles is what a reorder heuristic looks at: how many there are and,
+// for the density heuristic, where. A write's aggregate (*particle.Rows)
+// and a caller's *particle.Buffer both are.
+type Particles interface {
+	Len() int
+	Position(i int) geom.Vec3
+	Bounds() geom.Box
+}
+
 // Permutation returns the reorder permutation of the chosen heuristic
 // without applying it: position i of the LOD order holds the particle
 // that is at perm[i] now, so Reorder(b, h, seed) is equivalent to
-// applying Permutation(b, h, seed). Streaming writers use it to fuse the
-// reorder into the file encode — the payload is gathered in permuted
-// order as it streams out, and the multi-megabyte permuted buffer is
-// never materialized. A nil result (buffers shorter than two particles)
-// means the order is already final.
-func Permutation(b *particle.Buffer, h Heuristic, seed int64) []int {
-	if b.Len() < 2 {
+// applying Permutation(b, h, seed). The file write fuses the reorder into
+// its gather — the payload is taken in permuted order as it streams out,
+// and the permuted aggregate is never materialized. A nil result (fewer
+// than two particles) means the order is already final.
+func Permutation(ps Particles, h Heuristic, seed int64) []int {
+	if ps.Len() < 2 {
 		return nil
 	}
 	switch h {
 	case Random:
-		return shufflePerm(b.Len(), seed)
+		return shufflePerm(ps.Len(), seed)
 	case DensityStratified:
-		return stratifyPerm(b, geom.I3(8, 8, 8), seed)
+		return stratifyPerm(ps, geom.I3(8, 8, 8), seed)
 	default:
 		panic(fmt.Sprintf("lod: unknown heuristic %d", h))
 	}
@@ -209,7 +217,7 @@ func Stratify(b *particle.Buffer, dims geom.Idx3, seed int64) {
 
 // stratifyPerm is the round-robin-over-bins index permutation behind
 // Stratify.
-func stratifyPerm(b *particle.Buffer, dims geom.Idx3, seed int64) []int {
+func stratifyPerm(b Particles, dims geom.Idx3, seed int64) []int {
 	n := b.Len()
 	bounds := b.Bounds()
 	// Inflate the upper face slightly so the max particle falls inside

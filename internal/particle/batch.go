@@ -8,13 +8,12 @@ import (
 )
 
 // Batch codec entry points: fan a run of codec blocks over a bounded
-// worker pool. They follow the DecodePool discipline (pool.go) that
-// racegate already locks down — semaphore-bounded goroutines, a
-// WaitGroup joining them, and the first error collected under one mutex
-// — and, like DecodePool, degrade to a synchronous loop when a single
-// worker could not overlap anything anyway. Workers write only to
-// disjoint outputs (their own frame slot, their own record region), so
-// the only shared mutable state is the error slot.
+// worker pool — semaphore-bounded goroutines, a WaitGroup joining them,
+// and the first error collected under one mutex — degrading to a
+// synchronous loop when a single worker could not overlap anything
+// anyway. Workers write only to disjoint outputs (their own frame slot,
+// their own record region), so the only shared mutable state is the
+// error slot.
 
 // batchWorkers normalizes a worker-count knob: <= 0 means GOMAXPROCS,
 // and a batch never needs more workers than items.

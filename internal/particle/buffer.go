@@ -174,9 +174,8 @@ func (b *Buffer) Swap(i, j int) {
 // than a per-index AppendFrom walk, so the per-particle schema dispatch
 // is hoisted out of the loop.
 func (b *Buffer) Select(indices []int) *Buffer {
-	// Overwrite-allocated: the gathers below fill every component of
-	// every selected particle, so zeroed (or fresh) columns buy nothing.
-	out := NewBufferOverwrite(b.schema, len(indices))
+	out := NewBuffer(b.schema, 0)
+	out.SetLen(len(indices))
 	for fi := 0; fi < b.schema.NumFields(); fi++ {
 		f := b.schema.Field(fi)
 		switch f.Kind {

@@ -48,9 +48,8 @@ func (b *Buffer) Grow(n int) {
 
 // SetLen resizes the buffer to exactly n particles. Growing extends every
 // column with zero values; shrinking truncates. It is the pre-sizing
-// primitive of the arrival-order aggregation path: the aggregator sizes
-// its buffer once from the announced counts, then concurrent
-// DecodeRecordsAt calls fill disjoint regions in place.
+// primitive of a read whose size is known up front: size the columns
+// once, then DecodeRecordsAt fills them in place.
 func (b *Buffer) SetLen(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("particle: SetLen(%d)", n))
@@ -94,30 +93,6 @@ func (b *Buffer) SetLen(n int) {
 		}
 	}
 	b.n = n
-}
-
-// CopyFrom overwrites particles [at, at+src.Len()) of b with the
-// particles of src, column by column. The buffer must already be sized
-// (SetLen) to cover the region. Schemas must match. It is the in-memory
-// sibling of DecodeRecordsAt, used for self-sends that never hit the
-// wire.
-func (b *Buffer) CopyFrom(at int, src *Buffer) {
-	if b.schema != src.schema && !b.schema.Equal(src.schema) {
-		panic("particle: CopyFrom across different schemas")
-	}
-	if at < 0 || at+src.n > b.n {
-		panic(fmt.Sprintf("particle: CopyFrom[%d:%d] of %d", at, at+src.n, b.n))
-	}
-	for fi := 0; fi < b.schema.NumFields(); fi++ {
-		f := b.schema.Field(fi)
-		c := f.Components
-		switch f.Kind {
-		case Float64:
-			copy(b.f64[b.fieldSlot[fi]][at*c:], src.f64[src.fieldSlot[fi]])
-		case Float32:
-			copy(b.f32[b.fieldSlot[fi]][at*c:], src.f32[src.fieldSlot[fi]])
-		}
-	}
 }
 
 // Permute reorders the buffer in place so that the particle that was at
@@ -408,9 +383,7 @@ func (b *Buffer) encodeGatherBlock(dst []byte, idx []int) {
 // records) into particles [at, at+count) of the buffer, which must
 // already be sized (SetLen) to cover the region. It does not change the
 // buffer's length, so concurrent calls decoding into disjoint regions
-// are safe — that is the arrival-order aggregation contract: placement
-// is fixed by the metadata counts, arrival order only picks which region
-// fills next.
+// are safe.
 func (b *Buffer) DecodeRecordsAt(data []byte, at int) error {
 	return b.decodeRowsAt(data, b.schema.stride, b.schema.offsets, at)
 }

@@ -109,24 +109,6 @@ func TestGrowPreservesContent(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	src := testBuffer(t, 6, 4)
-	dst := NewBuffer(Uintah(), 0)
-	dst.SetLen(10)
-	dst.CopyFrom(2, src)
-	if !dst.Slice(2, 8).Equal(src) {
-		t.Error("CopyFrom region differs from source")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range CopyFrom: no panic")
-			}
-		}()
-		dst.CopyFrom(5, src)
-	}()
-}
-
 func TestFieldRangesMatchesNaiveScan(t *testing.T) {
 	b := testBuffer(t, 100, 17)
 	mins, maxs := b.FieldRanges()
@@ -195,108 +177,6 @@ func TestFieldRangesEmpty(t *testing.T) {
 	b := NewBuffer(Uintah(), 0)
 	if mins, maxs := b.FieldRanges(); mins != nil || maxs != nil {
 		t.Errorf("empty buffer: got %v/%v, want nil/nil", mins, maxs)
-	}
-}
-
-func TestDecodePoolDisjointRegions(t *testing.T) {
-	const parts = 8
-	srcs := make([]*Buffer, parts)
-	total := 0
-	for i := range srcs {
-		srcs[i] = testBuffer(t, 50+i, int64(i))
-		total += srcs[i].Len()
-	}
-	dst := NewBuffer(Uintah(), 0)
-	dst.SetLen(total)
-	pool := NewDecodePool(dst, 4)
-	at := 0
-	offs := make([]int, parts)
-	for i, s := range srcs {
-		offs[i] = at
-		pool.Go(s.Encode(), at)
-		at += s.Len()
-	}
-	if err := pool.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range srcs {
-		if !dst.Slice(offs[i], offs[i]+s.Len()).Equal(s) {
-			t.Errorf("region %d differs", i)
-		}
-	}
-	if p := pool.PeakConcurrency(); p < 1 || p > 4 {
-		t.Errorf("PeakConcurrency = %d, want in [1,4]", p)
-	}
-}
-
-// TestDecodePoolInlinePath pins the single-worker fast path: decodes
-// run synchronously in Go, regions land intact, PeakConcurrency
-// reports 1, and a decode error still surfaces from Wait while
-// leaving earlier regions untouched. The inline path shares the
-// worker path's mutex discipline on err/peak (racegate's dogfood
-// finding), so this doubles as its regression pin.
-func TestDecodePoolInlinePath(t *testing.T) {
-	const parts = 4
-	srcs := make([]*Buffer, parts)
-	total := 0
-	for i := range srcs {
-		srcs[i] = testBuffer(t, 30+i, int64(i))
-		total += srcs[i].Len()
-	}
-	dst := NewBuffer(Uintah(), 0)
-	dst.SetLen(total)
-	pool := NewDecodePool(dst, 1)
-	at := 0
-	offs := make([]int, parts)
-	for i, s := range srcs {
-		offs[i] = at
-		pool.Go(s.Encode(), at)
-		at += s.Len()
-	}
-	if err := pool.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range srcs {
-		if !dst.Slice(offs[i], offs[i]+s.Len()).Equal(s) {
-			t.Errorf("region %d differs", i)
-		}
-	}
-	if p := pool.PeakConcurrency(); p != 1 {
-		t.Errorf("PeakConcurrency = %d, want 1 on the inline path", p)
-	}
-
-	bad := NewBuffer(Uintah(), 0)
-	bad.SetLen(1)
-	badPool := NewDecodePool(bad, 1)
-	badPool.Go(make([]byte, 124), 1) // out of range
-	if err := badPool.Wait(); err == nil {
-		t.Error("out-of-range inline decode: Wait returned nil")
-	}
-}
-
-func TestDecodePoolReportsError(t *testing.T) {
-	dst := NewBuffer(Uintah(), 0)
-	dst.SetLen(1)
-	pool := NewDecodePool(dst, 2)
-	pool.Go(make([]byte, 124), 0)
-	pool.Go(make([]byte, 124), 1) // out of range
-	if err := pool.Wait(); err == nil {
-		t.Error("out-of-range decode: Wait returned nil")
-	}
-}
-
-func TestDecodePoolBoundsConcurrency(t *testing.T) {
-	dst := NewBuffer(Uintah(), 0)
-	dst.SetLen(64)
-	pool := NewDecodePool(dst, 2)
-	for i := 0; i < 64; i++ {
-		pool.Go(make([]byte, 124), i)
-	}
-	if err := pool.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p := pool.PeakConcurrency(); p > 2 {
-		t.Errorf("PeakConcurrency = %d, want <= 2", p)
 	}
 }
 

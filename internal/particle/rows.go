@@ -1,9 +1,13 @@
 package particle
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
+
+	"spio/internal/geom"
 )
 
 // Rows is the answer of a read in the layout it was found in and the
@@ -13,6 +17,12 @@ import (
 // travel filter → wire → caller without being transposed to columns and
 // back on the way. The columns a caller of the public API gets are made
 // once, at the edge, by Buffer.
+//
+// It is also a write's aggregate: what senders put on the wire is the
+// record encoding, so an aggregator places each arriving payload in the
+// rows at its sender's offset (Extend, Span) and the file is gathered out
+// of them in LOD order (Gather) — a particle is transposed once on the
+// write path, at its sender.
 //
 // The records live in pooled segments of one capacity class. A segment
 // holds a whole number of codec blocks (RowBlock rows), so every block
@@ -34,8 +44,12 @@ type Rows struct {
 }
 
 // RowBlock is the codec block of a Rows: a payload compressed from rows
-// is cut every RowBlock rows, and segments hold whole blocks.
-const RowBlock = 8192
+// is cut every RowBlock rows, and segments hold whole blocks. A power of
+// two, so a row's block and its place in it are a shift and a mask.
+const (
+	rowBlockShift = 13
+	RowBlock      = 1 << rowBlockShift
+)
 
 // rowSegBytes is the one capacity every pooled segment has, so whatever
 // is in the pool serves whatever asks: a megabyte holds one block of
@@ -127,14 +141,118 @@ func (r *Rows) advance(rows int) {
 	r.n += rows
 }
 
-// extend adds count rows of unspecified content, for a caller about to
-// overwrite every one of them block by block.
-func (r *Rows) extend(count int) {
+// Extend adds count rows of unspecified content — whatever the pooled
+// segments last held — for a caller about to overwrite every one of them
+// (Span, Block).
+func (r *Rows) Extend(count int) {
 	for count > 0 {
 		k := min(len(r.room(count))/r.stride, count)
 		r.advance(k)
 		count -= k
 	}
+}
+
+// Span hands fn the memory of rows [at, at+n) piece by piece, to read or
+// to overwrite: dst is rows [at+lo, at+lo+len(dst)/stride), as far as
+// they are contiguous in one segment.
+func (r *Rows) Span(at, n int, fn func(lo int, dst []byte)) {
+	if at < 0 || n < 0 || at+n > r.n {
+		panic(fmt.Sprintf("particle: Span[%d:%d] of %d rows", at, at+n, r.n))
+	}
+	for lo := 0; lo < n; {
+		seg, off := r.segs[(at+lo)/r.perSeg], (at+lo)%r.perSeg
+		k := min(n-lo, r.perSeg-off)
+		fn(lo, seg[off*r.stride:(off+k)*r.stride])
+		lo += k
+	}
+}
+
+// Gather writes records [lo, hi) of the rows taken in the given order
+// into dst, which must be exactly (hi-lo)·stride bytes: record i is row
+// order[i], or row i when order is nil. It is the one loop between an
+// aggregate and its file: a shift, a mask and a row copy per record, out
+// of a table of the rows' blocks.
+func (r *Rows) Gather(dst []byte, order []int, lo, hi int) {
+	stride := r.stride
+	if len(dst) != (hi-lo)*stride {
+		panic(fmt.Sprintf("particle: Gather dst has %d bytes, want %d", len(dst), (hi-lo)*stride))
+	}
+	if order == nil {
+		r.Span(lo, hi-lo, func(at int, src []byte) { copy(dst[at*stride:], src) })
+		return
+	}
+	var few [8][]byte
+	blocks := few[:0]
+	for i := 0; i < r.NumBlocks(); i++ {
+		blocks = append(blocks, r.Block(i))
+	}
+	for i, row := range order[lo:hi] {
+		at := (row & (RowBlock - 1)) * stride
+		copy(dst[i*stride:(i+1)*stride], blocks[row>>rowBlockShift][at:at+stride])
+	}
+}
+
+// Position returns the position of row i.
+func (r *Rows) Position(i int) geom.Vec3 {
+	return PositionAt(r.segs[i/r.perSeg], i%r.perSeg*r.stride)
+}
+
+// Bounds returns the closed bounding box of the rows' positions, bit for
+// bit what Buffer.Bounds returns for the same particles.
+func (r *Rows) Bounds() geom.Box {
+	box := geom.EmptyBox()
+	lo := [3]float64{box.Lo.X, box.Lo.Y, box.Lo.Z}
+	hi := [3]float64{box.Hi.X, box.Hi.Y, box.Hi.Z}
+	for _, seg := range r.segs {
+		for at := 0; at < len(seg); at += r.stride {
+			p := PositionAt(seg, at)
+			rangeScan(p.X, &lo[0], &hi[0])
+			rangeScan(p.Y, &lo[1], &hi[1])
+			rangeScan(p.Z, &lo[2], &hi[2])
+		}
+	}
+	return geom.Box{
+		Lo: geom.Vec3{X: lo[0], Y: lo[1], Z: lo[2]},
+		Hi: geom.Vec3{X: hi[0], Y: hi[1], Z: hi[2]},
+	}
+}
+
+// FieldRanges returns the per-component minima and maxima of every field,
+// flattened in schema order, bit for bit what Buffer.FieldRanges returns
+// for the same particles (rangeScan folds each component in row order on
+// both sides); nil for no rows. One pass over the records.
+func (r *Rows) FieldRanges() (mins, maxs []float64) {
+	if r.n == 0 {
+		return nil, nil
+	}
+	type component struct {
+		off  int
+		kind Kind
+	}
+	var comps []component
+	for fi := 0; fi < r.schema.NumFields(); fi++ {
+		f := r.schema.Field(fi)
+		for k := 0; k < f.Components; k++ {
+			comps = append(comps, component{off: r.schema.Offset(fi) + k*f.Kind.Size(), kind: f.Kind})
+			mins = append(mins, math.Inf(1))
+			maxs = append(maxs, math.Inf(-1))
+		}
+	}
+	for _, seg := range r.segs {
+		for at := 0; at < len(seg); at += r.stride {
+			rec := seg[at : at+r.stride]
+			for j, c := range comps {
+				var v float64
+				if c.kind == Float32 {
+					v = float64(math.Float32frombits(binary.LittleEndian.Uint32(rec[c.off:])))
+				} else {
+					v = math.Float64frombits(binary.LittleEndian.Uint64(rec[c.off:]))
+				}
+				rangeScan(v, &mins[j], &maxs[j])
+			}
+		}
+	}
+	return mins, maxs
 }
 
 // AppendRecords copies recs, whole records of the schema, after the rows
@@ -188,9 +306,6 @@ func (b *Buffer) Rows() *Rows {
 // size, and releases the rows. It is the one transposition an answer
 // undergoes, made where a caller wants columns.
 func (r *Rows) Buffer() *Buffer {
-	// SetLen, not NewBufferOverwrite: a read result is never Recycled, so
-	// drawing its columns from the recycle pools would only drain what
-	// the write path put there.
 	out := NewBuffer(r.schema, 0)
 	out.SetLen(r.n)
 	at := 0
@@ -264,7 +379,7 @@ func (r *Rows) Decompress(stream []byte, n, workers int) error {
 	if err != nil {
 		return err
 	}
-	r.extend(n)
+	r.Extend(n)
 	return eachBlock(len(blocks), workers, func(i int) error {
 		if err := DecompressBlockInto(r.schema, blocks[i].Frame, blocks[i].Count, r.Block(i)); err != nil {
 			return fmt.Errorf("particle: batch decode block %d: %w", i, err)

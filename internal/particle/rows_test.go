@@ -2,6 +2,9 @@ package particle
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spio/internal/geom"
@@ -205,6 +208,84 @@ func TestRowFillerChecksCount(t *testing.T) {
 		t.Fatalf("fill of the announced size: %v", err)
 	}
 	r.Release()
+	if got := RowSegmentsHeld(); got != held {
+		t.Errorf("%d segments still held", got-held)
+	}
+}
+
+// TestRowsAsAggregate checks what the write path asks of its aggregate,
+// against the column kernels it replaces there: rows placed by offset
+// (Extend, Span) are the record encoding, Gather through an order is
+// EncodeRecordsGather, and Position, Bounds and FieldRanges are the
+// buffer's bit for bit — NaNs and signed zeros in non-position fields
+// included, since a range keeps the bits of the value that set it.
+func TestRowsAsAggregate(t *testing.T) {
+	held := RowSegmentsHeld()
+	bits := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for _, schema := range []*Schema{Uintah(), PositionOnly(), wideSchema(t)} {
+		for _, n := range []int{0, 1, RowBlock, RowBlock + 1, 3*RowBlock + 17} {
+			buf := Uniform(schema, geom.NewBox(geom.V3(-1, 0, 2), geom.V3(1, 3, 4)), n, 5, 0)
+			if last := schema.NumFields() - 1; n > 1 && last > 0 {
+				// The last field of both wide schemas is a float32 scalar.
+				tag := buf.Float32Field(last)
+				tag[0], tag[n/2], tag[n-1] = float32(math.NaN()), float32(math.Copysign(0, -1)), 0
+				f64 := buf.Float64Field(1)
+				f64[0], f64[1] = math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000123)
+			}
+			recs, stride := buf.Encode(), schema.Stride()
+
+			// Placement by offset, in pieces laid down back to front.
+			r := NewRows(schema)
+			r.Extend(n)
+			for hi := n; hi > 0; {
+				lo := max(hi-5000, 0)
+				r.Span(lo, hi-lo, func(at int, dst []byte) {
+					copy(dst, recs[(lo+at)*stride:])
+				})
+				hi = lo
+			}
+			if !bytes.Equal(bytes.Join(r.Segments(), nil), recs) {
+				t.Fatalf("%v n=%d: rows placed by Span differ from the record encoding", schema, n)
+			}
+
+			for _, order := range [][]int{nil, rand.New(rand.NewSource(9)).Perm(n)} {
+				want := recs
+				if order != nil {
+					want = make([]byte, len(recs))
+					buf.EncodeRecordsGather(want, order)
+				}
+				got := make([]byte, len(recs))
+				for lo := 0; lo < n; lo += 3000 {
+					hi := min(lo+3000, n)
+					r.Gather(got[lo*stride:hi*stride], order, lo, hi)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%v n=%d order=%v: Gather differs from the column gather", schema, n, order != nil)
+				}
+			}
+
+			for _, i := range []int{0, n / 2, n - 1} {
+				if i >= 0 && i < n && r.Position(i) != buf.Position(i) {
+					t.Errorf("%v n=%d: Position(%d) = %v, want %v", schema, n, i, r.Position(i), buf.Position(i))
+				}
+			}
+			if got, want := r.Bounds(), buf.Bounds(); got != want {
+				t.Errorf("%v n=%d: Bounds %v, want %v", schema, n, got, want)
+			}
+			gotMin, gotMax := r.FieldRanges()
+			wantMin, wantMax := buf.FieldRanges()
+			if !slices.Equal(bits(gotMin), bits(wantMin)) || !slices.Equal(bits(gotMax), bits(wantMax)) {
+				t.Errorf("%v n=%d: FieldRanges %v / %v, want %v / %v", schema, n, gotMin, gotMax, wantMin, wantMax)
+			}
+			r.Release()
+		}
+	}
 	if got := RowSegmentsHeld(); got != held {
 		t.Errorf("%d segments still held", got-held)
 	}

@@ -165,7 +165,6 @@ type Filler struct {
 
 // NewFiller returns a filler for n records of the schema.
 func NewFiller(schema *Schema, n int) *Filler {
-	// SetLen, not NewBufferOverwrite: see Rows.Buffer.
 	out := NewBuffer(schema, 0)
 	out.SetLen(n)
 	return &Filler{out: out}

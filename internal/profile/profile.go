@@ -41,12 +41,8 @@ type Report struct {
 	TotalParticles   int64
 	MaxFileParticles int64
 	// ExchangeBytes is the fleet-wide wire payload volume of the data
-	// phase (self-sends excluded); MaxDecodeConcurrency is the largest
-	// per-rank peak of concurrent payload decodes — together they show
-	// how much data moved and how much decode overlap the arrival-order
-	// path actually achieved.
-	ExchangeBytes        int64
-	MaxDecodeConcurrency int
+	// phase (self-sends excluded).
+	ExchangeBytes int64
 }
 
 // Collect gathers every rank's WriteResult on rank 0 and returns the
@@ -91,9 +87,6 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 			}
 		}
 		rep.ExchangeBytes += r.Timing.ExchangeBytes
-		if r.Timing.DecodeConcurrency > rep.MaxDecodeConcurrency {
-			rep.MaxDecodeConcurrency = r.Timing.DecodeConcurrency
-		}
 	}
 	mk := func(i int) PhaseStats {
 		return PhaseStats{Min: mins[i], Max: maxs[i], Mean: sums[i] / time.Duration(c.Size())}
@@ -126,8 +119,7 @@ func (r *Report) Fprint(w io.Writer) error {
 	for _, row := range rows {
 		fmt.Fprintf(&b, "  %-18s %s\n", row.name, row.st)
 	}
-	fmt.Fprintf(&b, "  %-18s %d bytes (peak decode concurrency %d)\n",
-		"exchange volume", r.ExchangeBytes, r.MaxDecodeConcurrency)
+	fmt.Fprintf(&b, "  %-18s %d bytes\n", "exchange volume", r.ExchangeBytes)
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -143,9 +135,9 @@ func (r *Report) AggregationShare() float64 {
 	return agg / denom
 }
 
-// encodeResult packs a WriteResult into a fixed 10-word payload.
+// encodeResult packs a WriteResult into a fixed 9-word payload.
 func encodeResult(r core.WriteResult) []byte {
-	out := make([]byte, 10*8)
+	out := make([]byte, 9*8)
 	put := func(i int, v int64) { binary.LittleEndian.PutUint64(out[i*8:], uint64(v)) }
 	put(0, int64(r.Timing.MetadataExchange))
 	put(1, int64(r.Timing.ParticleExchange))
@@ -156,14 +148,13 @@ func encodeResult(r core.WriteResult) []byte {
 	put(6, int64(r.Partition))
 	put(7, r.FileParticles)
 	put(8, r.Timing.ExchangeBytes)
-	put(9, int64(r.Timing.DecodeConcurrency))
 	return out
 }
 
 func decodeResult(data []byte) (core.WriteResult, error) {
 	var r core.WriteResult
-	if len(data) != 10*8 {
-		return r, fmt.Errorf("payload has %d bytes, want %d", len(data), 10*8)
+	if len(data) != 9*8 {
+		return r, fmt.Errorf("payload has %d bytes, want %d", len(data), 9*8)
 	}
 	get := func(i int) int64 { return int64(binary.LittleEndian.Uint64(data[i*8:])) }
 	r.Timing.MetadataExchange = time.Duration(get(0))
@@ -175,6 +166,5 @@ func decodeResult(data []byte) (core.WriteResult, error) {
 	r.Partition = int(get(6))
 	r.FileParticles = get(7)
 	r.Timing.ExchangeBytes = get(8)
-	r.Timing.DecodeConcurrency = int(get(9))
 	return r, nil
 }

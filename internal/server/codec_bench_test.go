@@ -51,7 +51,9 @@ func benchCachedRangeReads(b *testing.B, codec particle.Spec) {
 	lod.Shuffle(buf, 5)
 	path := filepath.Join(dir, format.DataFileName(0))
 	hdr := format.DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 5, Codec: codec}
-	if err := format.WriteDataFile(nil, path, hdr, buf); err != nil {
+	rows := buf.Rows()
+	defer rows.Release()
+	if err := format.WriteDataFile(nil, path, &hdr, rows, nil); err != nil {
 		b.Fatal(err)
 	}
 	// A cache holding a quarter of the *uncompressed* payload: raw

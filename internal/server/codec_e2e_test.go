@@ -27,7 +27,9 @@ func TestCompressedBlockCacheEvictionRace(t *testing.T) {
 	path := filepath.Join(dir, format.DataFileName(0))
 	hdr := format.DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 9,
 		Codec: particle.LosslessSpec(particle.Uintah())}
-	if err := format.WriteDataFile(nil, path, hdr, buf); err != nil {
+	rows := buf.Rows()
+	defer rows.Release()
+	if err := format.WriteDataFile(nil, path, &hdr, rows, nil); err != nil {
 		t.Fatal(err)
 	}
 	plain, err := format.OpenDataFile(path)

@@ -7,12 +7,12 @@
 # tests (error agreement, abort cleanup, torn-write fsck) by name so a
 # regression there is called out as such. The race-detector step covers
 # the packages with real concurrency (the goroutine-rank MPI
-# substitute, the exchange's decode pool, the collective write pipeline,
-# the fault-injection seam, the atomic format writers and the streaming
-# scan's decode window, the one cache under the file, block and dataset
-# caches, the reader's shared file cache and its run-time resize, and the
-# serving daemon — the server tier additionally at -count=2 to shake out
-# order-dependent interleavings, and the answer-ownership tests and the
+# substitute, the arrival-order exchange, the collective write pipeline,
+# the fault-injection seam, the atomic format writers, the one cache
+# under the file, block and dataset caches, the reader's shared file
+# cache and its run-time resize, and the serving daemon — the server tier
+# additionally at -count=2 to shake out order-dependent interleavings,
+# and the answer-ownership tests, the aggregate-ownership tests and the
 # cache's forced interleavings by name at -count=3);
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the full
@@ -48,12 +48,19 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test at GOMAXPROCS=1,2,8 (cache, reader, server, gateway) =="
+echo "== go test at GOMAXPROCS=1,2,8 (mpi, agg, core, cache, reader, server, gateway) =="
 # The serving path's failures have depended on core count before (the
 # file-cache pin bug failed 20/20 on 2 cores and hid on others), so the
 # cache and the three packages that share handles through it run uncached
-# at a single P, at two, and oversubscribed.
+# at a single P, at two, and oversubscribed. So does the collective
+# write: the order payloads arrive in at an aggregator is the
+# scheduler's, and that is what the exchange's placement by sender
+# offset must be indifferent to.
+# Two invocations a setting: the serving packages' allocation-budget
+# tests count sync.Pool misses, which eight Ps on two cores make likelier
+# the more packages run beside them.
 for procs in 1 2 8; do
+	GOMAXPROCS=$procs go test -count=1 ./internal/mpi ./internal/agg ./internal/core
 	GOMAXPROCS=$procs go test -count=1 ./internal/cache ./internal/reader ./internal/server ./internal/gateway
 done
 
@@ -73,7 +80,7 @@ echo "== go test -race (mpi, agg, core, fault, particle, format, cache, reader, 
 # internal/format carries the streaming-scan differential test (eight
 # goroutines on one DataFile per codec x seam); particle and query hold
 # the kernels and the callers it is built from; internal/agg's exchange
-# decodes arriving payloads on a worker pool.
+# hands pooled wire slices and row segments from rank to rank.
 go test -race ./internal/mpi ./internal/agg ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/cache ./internal/reader ./internal/query ./internal/server ./internal/gateway
 
 echo "== answer ownership (-race -count=3) =="
@@ -89,6 +96,11 @@ go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplica
 # with waiters, a resize to nothing under users — are forced by
 # construction in the one cache's suite; they run again the same way.
 go test -race -count=3 -run '^TestForced' ./internal/cache
+# A write's aggregate is rows out of the same pools: the exchange's
+# content-error branches (a rogue sender) and the released-on-every-exit
+# assertions — abort after the exchange, after the data files, after the
+# metadata, a retried write, a clean one — run again the same way.
+go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbortsAllRanks|TestFaultDataWriteAbortsAllRanks|TestFaultMetaWriteAbortsAllRanks|TestFaultTransientWriteRetries|TestWriteAdaptiveRankOnUpperFace' ./internal/agg ./internal/core
 
 echo "== go test -race -count=2 (server tier) =="
 # The serving daemon is the most schedule-sensitive tier (admission
