@@ -1,15 +1,16 @@
 // Command spiod is spio's resident dataset server: it mounts dataset
 // directories (or time-series bases) and serves the query surface to
 // concurrent clients over a length-prefixed binary protocol on TCP or
-// Unix sockets, with a shared block cache, admission control, and
-// progressive LOD streaming.
+// Unix sockets, with a shared block cache and admission control. Every
+// read is one request and one response; a progressive read is its
+// client asking for one level range after another.
 //
 //	spiod -mount sim=out/series -listen unix:/tmp/spiod.sock &
 //	spioread -remote unix:/tmp/spiod.sock -dataset sim@latest -knn 0.5,0.5,0.5
 //	spiod stats -addr unix:/tmp/spiod.sock
 //
 // SIGTERM/SIGINT drain gracefully: queued requests fail fast, in-flight
-// requests and streams complete, then the process exits.
+// requests complete, then the process exits.
 package main
 
 import (

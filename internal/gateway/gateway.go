@@ -115,7 +115,7 @@ type Gateway struct {
 }
 
 // gwMount is one logical dataset assembled from shards; it answers the
-// front's server.Dataset seam by scatter-gather (merge.go, stream.go).
+// front's server.Dataset seam by scatter-gather (merge.go).
 type gwMount struct {
 	g      *Gateway
 	name   string
@@ -360,8 +360,8 @@ func (g *Gateway) withShard(sh *gwShard, fn func(ds *server.RemoteDataset) error
 		}
 		lastErr = err
 		if broken {
-			// Transport failure or drain: this replica is out; hedge to
-			// the next one.
+			// Transport failure or drain: this replica is out; try the
+			// next one.
 			be.brk.failure(time.Now())
 			continue
 		}

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net"
 	"os"
@@ -25,13 +24,21 @@ import (
 // package's test harness.
 func writeDataset(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int) {
 	t.Helper()
+	writeDatasetWith(t, dir, simDims, factor, particle.Spec{}, func(int) int { return perRank })
+}
+
+// writeDatasetWith is writeDataset with a disk codec and a particle count
+// of each rank's own.
+func writeDatasetWith(t testing.TB, dir string, simDims, factor geom.Idx3, codec particle.Spec, count func(rank int) int) {
+	t.Helper()
 	cfg := core.WriteConfig{
-		Agg:  agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
-		Seed: 21,
+		Agg:   agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
+		Seed:  21,
+		Codec: codec,
 	}
 	grid := geom.NewGrid(cfg.Agg.Domain, simDims)
 	err := mpi.Run(simDims.Volume(), func(c *mpi.Comm) error {
-		local := particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), perRank, 13, c.Rank())
+		local := particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), count(c.Rank()), 13, c.Rank())
 		_, err := core.Write(c, dir, cfg, local)
 		return err
 	})
@@ -65,17 +72,20 @@ func listenOn(t testing.TB, addr string) net.Listener {
 	return l
 }
 
-// startBackend serves dir as dataset "shard" from a fresh spiod on a
-// fresh unix socket. The returned shutdown func is idempotent via
-// t.Cleanup but may be called early to simulate a lost backend.
-func startBackend(t testing.TB, dir string) (addr string, shutdown func()) {
+// serveSpiod serves dir as dataset "shard" from a fresh spiod on a fresh
+// unix socket — behind cut, when the test wants to break its connections.
+// Shutting it down is the caller's business.
+func serveSpiod(t testing.TB, dir string, cfg server.Config, cut *cutListener) (*server.Server, string) {
 	t.Helper()
-	s := server.New(server.Config{Workers: 2})
+	s := server.New(cfg)
 	if err := s.Mount("shard", dir); err != nil {
 		t.Fatal(err)
 	}
-	addr = sockAddr(t)
+	addr := sockAddr(t)
 	l := listenOn(t, addr)
+	if cut != nil {
+		cut.Listener, l = l, cut
+	}
 	go func() { _ = s.Serve(l) }()
 	// Probe until the accept loop is live: a Shutdown racing Serve's
 	// listener registration would otherwise leave the socket accepting
@@ -85,15 +95,18 @@ func startBackend(t testing.TB, dir string) (addr string, shutdown func()) {
 		t.Fatal(err)
 	}
 	_ = c.Close()
-	stopped := false
+	return s, addr
+}
+
+// startBackend is serveSpiod with two workers and its shutdown in hand:
+// run at cleanup, and callable early to simulate a backend going away.
+func startBackend(t testing.TB, dir string) (addr string, shutdown func()) {
+	t.Helper()
+	s, addr := serveSpiod(t, dir, server.Config{Workers: 2}, nil)
 	shutdown = func() {
-		if stopped {
-			return
-		}
-		stopped = true
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = s.Shutdown(ctx)
+		_ = s.Shutdown(ctx) // a second call finds the first one's drain
 	}
 	t.Cleanup(shutdown)
 	return addr, shutdown
@@ -366,164 +379,39 @@ func TestGatewayPropertyRandom(t *testing.T) {
 	}
 }
 
-// TestGatewayProgressive checks the merged LOD stream: level-by-level
-// byte-identity against a single-node daemon serving the unsplit
-// dataset, strictly coarse-first, with a per-level barrier.
+// TestGatewayProgressive: a level of a stream is a box read routed by its
+// box, so it calls the shards whose files the box intersects and no
+// others — what a stream through the gateway costs the backends. (Its
+// bytes, level by level, are TestLevelRangesTileThePrefix's.)
 func TestGatewayProgressive(t *testing.T) {
 	src := t.TempDir()
 	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 40)
 	specs, _ := splitShards(t, src, 3)
-	_, gwAddr := startGateway(t, Config{}, specs)
-	singleAddr, _ := startBackend(t, src)
-
-	single, err := server.OpenRemote(singleAddr, "shard")
+	g, addr := startGateway(t, Config{}, specs)
+	ds, err := server.OpenRemote(addr, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close()
-	viaGW, err := server.OpenRemote(gwAddr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaGW.Close()
-
-	for _, q := range []geom.Box{
-		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.6, 0.6, 1)),
-		single.Meta().Domain,
+	defer ds.Close()
+	for q, shards := range map[geom.Box]int64{
+		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.2, 0.2, 0.2)): 1,
+		ds.Meta().Domain: 3,
 	} {
-		const readers = 2
-		wantStream, err := single.ProgressiveBox(q, 0, readers)
+		st, err := ds.ProgressiveBox(q, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotStream, err := viaGW.ProgressiveBox(q, 0, readers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		level := 0
-		for {
-			wantBuf, wantOK, err := wantStream.NextLevel()
-			if err != nil {
+		for !st.Done() {
+			before := g.metrics.fanout.Load()
+			if _, _, err := st.NextLevel(); err != nil {
 				t.Fatal(err)
 			}
-			gotBuf, gotOK, err := gotStream.NextLevel()
-			if err != nil {
-				t.Fatal(err)
+			if calls := g.metrics.fanout.Load() - before; calls != shards {
+				t.Fatalf("level %d over %v made %d shard calls, want %d", st.Level()-1, q, calls, shards)
 			}
-			if gotOK != wantOK {
-				t.Fatalf("level %d: ok=%v, want %v", level, gotOK, wantOK)
-			}
-			if !wantOK {
-				break
-			}
-			if gotStream.Level() != wantStream.Level() {
-				t.Fatalf("stream at level %d, want %d", gotStream.Level(), wantStream.Level())
-			}
-			// The per-level barrier means level L through the gateway is
-			// exactly level L of a single node: same increment, not just the
-			// same cumulative prefix — strictly coarse-first.
-			sameRecords(t, "stream level", gotBuf, wantBuf)
-			level++
 		}
-		if !gotStream.Done() {
-			t.Fatal("gateway stream not done after final level")
-		}
-		if level == 0 {
-			t.Fatal("stream delivered no levels")
-		}
-	}
-
-	// Cancel after one level releases the shard streams cleanly.
-	st, err := viaGW.ProgressiveBox(single.Meta().Domain, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.NextLevel(); err != nil || !ok {
-		t.Fatalf("first level: ok=%v err=%v", ok, err)
-	}
-	if err := st.Cancel(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGatewayShutdownMidStream drains a gateway with one client halfway
-// through a progressive stream and a second one idle: the stream runs
-// to its end through the drain, Shutdown returns only then, the idle
-// client's next call is refused with ErrDraining (the front's drain
-// notice), and the backend pools end up closed.
-func TestGatewayShutdownMidStream(t *testing.T) {
-	src := t.TempDir()
-	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 40)
-	specs, _ := splitShards(t, src, 3)
-	g, gwAddr := startGateway(t, Config{}, specs)
-
-	streamer, err := server.OpenRemote(gwAddr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer streamer.Close()
-	idle, err := server.OpenRemote(gwAddr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idle.Close()
-
-	st, err := streamer.ProgressiveBox(streamer.Meta().Domain, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, ok, err := st.NextLevel()
-	if err != nil || !ok {
-		t.Fatalf("first level: ok=%v err=%v", ok, err)
-	}
-	if st.Done() {
-		t.Fatal("dataset streams in one level; the test needs a stream left open")
-	}
-	total := int64(first.Len())
-
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- g.Shutdown(ctx)
-	}()
-	// The drain has begun once the listener is closed and dials fail.
-	for {
-		c, err := server.Dial(gwAddr)
-		if err != nil {
-			break
-		}
-		_ = c.Close()
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case err := <-drained:
-		t.Fatalf("Shutdown returned with the stream still open: %v", err)
-	default:
-	}
-
-	for !st.Done() {
-		buf, _, err := st.NextLevel()
-		if err != nil {
-			t.Fatalf("stream during drain: %v", err)
-		}
-		total += int64(buf.Len())
-	}
-	if total != streamer.Meta().Total {
-		t.Fatalf("drained stream delivered %d of %d particles", total, streamer.Meta().Total)
-	}
-	if st.Stats().Partial {
-		t.Error("drained stream flagged partial: a shard stream was cut")
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if _, _, err := idle.QueryBox(idle.Meta().Domain, rdr.Options{}); !errors.Is(err, server.ErrDraining) {
-		t.Fatalf("idle client after drain: %v, want ErrDraining", err)
-	}
-	for addr, be := range g.backends {
-		if _, err := be.pool.Get(); !errors.Is(err, server.ErrPoolClosed) {
-			t.Errorf("backend %s: pool still open after Shutdown (Get: %v)", addr, err)
+		if st.Level() < 2 || st.Stats().Partial {
+			t.Errorf("stream over %v: %d levels, partial=%v", q, st.Level(), st.Stats().Partial)
 		}
 	}
 }
@@ -576,21 +464,6 @@ func TestGatewayDeadShardPartial(t *testing.T) {
 	}
 	if len(dists) != 8 {
 		t.Fatalf("knn with dead shard: got %d dists, want 8", len(dists))
-	}
-
-	// Progressive streams flag partial per frame too.
-	stream, err := remote.ProgressiveBox(domain, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := stream.NextLevel(); err != nil || !ok {
-		t.Fatalf("stream with dead shard: ok=%v err=%v", ok, err)
-	}
-	if !stream.Stats().Partial {
-		t.Fatal("dead shard: stream partial flag not set")
-	}
-	if err := stream.Cancel(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -667,7 +540,7 @@ func TestGatewayDrainRouting(t *testing.T) {
 	primaryStop() // graceful drain: idle pool conns get the drain notice
 
 	// The pooled connection to the primary is now drained; the gateway
-	// must discover that and hedge to the replica, not error out.
+	// must discover that and retry on the replica, not error out.
 	got, st, err := remote.QueryBox(domain, rdr.Options{})
 	if err != nil {
 		t.Fatalf("query across drain: %v", err)

@@ -70,8 +70,8 @@ func (b *breaker) open(now time.Time) bool {
 	return !b.openUntil.IsZero() && now.Before(b.openUntil)
 }
 
-// gwMetrics counts what only the gateway does; requests, errors,
-// connections and streams are counted once, by the shared front.
+// gwMetrics counts what only the gateway does; requests, errors and
+// connections are counted once, by the shared front.
 type gwMetrics struct {
 	partials     atomic.Int64 // requests answered with the partial-result flag
 	fanout       atomic.Int64 // shard calls issued
@@ -88,8 +88,6 @@ type MetricsSnapshot struct {
 	Fanout        int64   `json:"fanout"`
 	ShardErrors   int64   `json:"shard_errors"`
 	BreakerSkips  int64   `json:"breaker_skips"`
-	Streams       int64   `json:"streams"`
-	StreamLevels  int64   `json:"stream_levels"`
 	ActiveConns   int64   `json:"active_conns"`
 	OpenBreakers  int     `json:"open_breakers"`
 }
@@ -107,8 +105,6 @@ func (g *Gateway) StatsJSON() []byte {
 		Fanout:        g.metrics.fanout.Load(),
 		ShardErrors:   g.metrics.shardErrors.Load(),
 		BreakerSkips:  g.metrics.breakerSkips.Load(),
-		Streams:       front.Streams,
-		StreamLevels:  front.StreamLevels,
 		ActiveConns:   front.ActiveConns,
 	}
 	for _, be := range g.backends {

@@ -14,11 +14,10 @@ import (
 // shardsFor computes the minimal shard set for a box query: exactly the
 // shards with at least one file whose aggregation partition intersects
 // the box — the same per-file metadata test a single node would run,
-// lifted to routing. noFilter (ReadAll) touches every shard.
-func (m *gwMount) shardsFor(box geom.Box, noFilter bool) []*gwShard {
-	if noFilter {
-		return m.shards
-	}
+// lifted to routing. A NoFilter read opens the files its box intersects
+// like any other (ReadAll's box is the domain), so it routes like any
+// other: a level of a progressive read goes to the shards that hold it.
+func (m *gwMount) shardsFor(box geom.Box) []*gwShard {
 	var out []*gwShard
 	for _, sh := range m.shards {
 		if len(sh.meta.FilesIntersecting(box)) > 0 {
@@ -49,15 +48,14 @@ func (m *gwMount) emptyResult(fields []string) (*particle.Rows, error) {
 }
 
 // shardResult is one shard's contribution to a fanned-out query. The
-// gateway is a client that sends its answers on, so a shard's bulk
-// answer arrives, is merged and leaves again as rows; no columns exist
-// here but KNN's k records. A result's rows are released by whoever
-// drops the result, or moved into the merge.
+// gateway is a client that sends its answers on, so a shard's answer
+// arrives, is merged and leaves again as rows; no columns exist here. A
+// result's rows are released by whoever drops the result, or moved into
+// the merge.
 type shardResult struct {
-	idx   int              // shard mount index, for deterministic merge order
-	rows  *particle.Rows   // box answer; halo: the owned particles
-	extra *particle.Rows   // halo ghosts
-	buf   *particle.Buffer // KNN neighbours
+	idx   int            // shard mount index, for deterministic merge order
+	rows  *particle.Rows // box answer; KNN: the neighbours; halo: the owned particles
+	extra *particle.Rows // halo ghosts
 	dists []float64
 	count int64 // raw-density sampled count
 	st    rdr.Stats
@@ -131,11 +129,13 @@ func (g *Gateway) notePartial(st *rdr.Stats) {
 // in shard mount order. Shard partitions are disjoint, so every
 // particle arrives exactly once, and concatenation in metadata order
 // reproduces the single-node result. The merge moves rows: the first
-// shard's answer takes the others after it.
+// shard's answer takes the others after it. A level of a progressive
+// read is a NoFilter read of one level range, and this request is its
+// barrier: the level leaves when every routed shard has answered.
 func (m *gwMount) QueryBox(box geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
 	g := m.g
 	var st rdr.Stats
-	targets := m.shardsFor(box, opts.NoFilter)
+	targets := m.shardsFor(box)
 	if len(targets) == 0 {
 		rows, err := m.emptyResult(opts.Fields)
 		return rows, st, err
@@ -176,7 +176,7 @@ func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, gho
 		patch.Lo.Sub(geom.V3(halo, halo, halo)),
 		patch.Hi.Add(geom.V3(halo, halo, halo)),
 	)
-	targets := m.shardsFor(grown, opts.NoFilter)
+	targets := m.shardsFor(grown)
 	if len(targets) == 0 {
 		if own, err = m.emptyResult(opts.Fields); err != nil {
 			return nil, nil, st, err
@@ -266,8 +266,9 @@ type knnCand struct {
 // the current k-th candidate — no particle of a farther shard can
 // displace the current answer. Each shard returns its own top
 // min(k, shardTotal), a superset of its contribution to the global top
-// k, and the gateway re-ranks the union.
-func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
+// k, and the gateway re-ranks the union and gathers the winners out of
+// the shards' rows.
+func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error) {
 	g := m.g
 	var st rdr.Stats
 	if k <= 0 {
@@ -321,8 +322,8 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stat
 			if int64(kq) > sh.meta.Total {
 				kq = int(sh.meta.Total)
 			}
-			buf, dists, sst, err := ds.KNN(p, kq)
-			return shardResult{buf: buf, dists: dists, st: sst, err: err}
+			rows, dists, sst, err := ds.KNNRows(p, kq)
+			return shardResult{rows: rows, dists: dists, st: sst, err: err}
 		})
 		for _, r := range waveResults {
 			if r.err != nil {
@@ -368,13 +369,20 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stat
 	if n > len(cands) {
 		n = len(cands)
 	}
-	schema := results[cands[0].res].buf.Schema()
-	out := particle.NewBuffer(schema, n)
+	schema := results[cands[0].res].rows.Schema()
+	stride := schema.Stride()
+	out := particle.NewRows(schema)
+	out.Extend(n)
 	dists := make([]float64, n)
-	for i := 0; i < n; i++ {
-		c := cands[i]
-		out.AppendFrom(results[c.res].buf, c.i)
-		dists[i] = c.dist
+	out.Span(0, n, func(lo int, dst []byte) {
+		for i := lo; len(dst) > 0; i, dst = i+1, dst[stride:] {
+			c := cands[i]
+			results[c.res].rows.Gather(dst[:stride], nil, c.i, c.i+1)
+			dists[i] = c.dist
+		}
+	})
+	for _, r := range results {
+		r.rows.Release()
 	}
 	return out, dists, st, nil
 }

@@ -39,7 +39,6 @@ const (
 	opReadLevels
 	opHalo
 	opKNN
-	opStream
 	opDensity
 	numMixedKinds
 )
@@ -78,19 +77,6 @@ type mixedTarget interface {
 	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error)
 	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
 	DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error)
-	// levels opens a progressive read over q: next delivers a level, end
-	// abandons the rest.
-	levels(q geom.Box, readers int) (next func() (*particle.Buffer, bool, error), end func() error, err error)
-}
-
-type remoteTarget struct{ *server.RemoteDataset }
-
-func (r remoteTarget) levels(q geom.Box, readers int) (func() (*particle.Buffer, bool, error), func() error, error) {
-	st, err := r.ProgressiveBox(q, 0, readers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.NextLevel, st.Cancel, nil
 }
 
 // localTarget is the local reader: the truth.
@@ -108,14 +94,6 @@ func (l localTarget) DensityGrid(dims geom.Idx3, levels, readers int) ([]float64
 	return query.DensityGrid(l.Dataset, dims, levels, readers)
 }
 
-func (l localTarget) levels(q geom.Box, readers int) (func() (*particle.Buffer, bool, error), func() error, error) {
-	p, err := l.Progressive(l.Meta().FilesIntersecting(q), readers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.NextLevel, p.Close, nil
-}
-
 // answer runs op against t.
 func answer(t mixedTarget, op mixedOp) (mixedAnswer, error) {
 	var a mixedAnswer
@@ -128,8 +106,8 @@ func answer(t mixedTarget, op mixedOp) (mixedAnswer, error) {
 		buf, _, err := t.QueryBox(op.box, opts)
 		a.bufs = []*particle.Buffer{buf}
 		return a, err
-	case opReadLevels:
-		buf, _, err := t.ReadAll(rdr.Options{Levels: 2, Readers: 4})
+	case opReadLevels: // the second level of a progressive read
+		buf, _, err := t.ReadAll(rdr.Options{SkipLevels: 1, Levels: 2, Readers: 4})
 		a.bufs = []*particle.Buffer{buf}
 		return a, err
 	case opHalo:
@@ -140,22 +118,6 @@ func answer(t mixedTarget, op mixedOp) (mixedAnswer, error) {
 		buf, dists, _, err := t.KNN(op.box.Center(), 8)
 		a.bufs, a.floats = []*particle.Buffer{buf}, dists
 		return a, err
-	case opStream:
-		next, end, err := t.levels(op.box, 4)
-		if err != nil {
-			return a, err
-		}
-		for l := 0; l < 2; l++ {
-			buf, ok, err := next()
-			if err != nil {
-				return a, err
-			}
-			if !ok {
-				break
-			}
-			a.bufs = append(a.bufs, buf)
-		}
-		return a, end()
 	default:
 		counts, frac, _, err := t.DensityGrid(geom.I3(4, 4, 2), 2, 4)
 		a.floats = append(counts, frac)
@@ -243,7 +205,7 @@ func TestResultsDoNotAliasPooledMemory(t *testing.T) {
 				}
 				defer ds.Close()
 				for j := 0; j < perClient; j++ {
-					a, err := answer(remoteTarget{ds}, ops[(c*7+j)%len(ops)])
+					a, err := answer(ds, ops[(c*7+j)%len(ops)])
 					if err != nil {
 						t.Errorf("%s client %d op %d: %v", name, c, j, err)
 						return
@@ -277,11 +239,11 @@ func TestResultsDoNotAliasPooledMemory(t *testing.T) {
 }
 
 // cutListener hands out connections that, once armed, break in the
-// middle of the next large write: half of it goes out, then the
-// connection closes — a backend dying while it sends an answer.
+// middle of the next write of at least armed bytes: half of it goes out,
+// then the connection closes — a backend dying while it sends an answer.
 type cutListener struct {
 	net.Listener
-	armed atomic.Bool
+	armed atomic.Int64
 	cuts  atomic.Int64
 }
 
@@ -299,7 +261,7 @@ type cutConn struct {
 }
 
 func (c *cutConn) Write(p []byte) (int, error) {
-	if len(p) < 16<<10 || !c.l.armed.Load() {
+	if min := c.l.armed.Load(); min == 0 || int64(len(p)) < min {
 		return c.Conn.Write(p)
 	}
 	c.l.cuts.Add(1)
@@ -321,13 +283,8 @@ func TestLosingReplicaReleasesRows(t *testing.T) {
 	if err := Split(src, []string{dir}); err != nil {
 		t.Fatal(err)
 	}
-	primary := server.New(server.Config{})
-	if err := primary.Mount("shard", dir); err != nil {
-		t.Fatal(err)
-	}
-	primaryAddr := sockAddr(t)
-	cut := &cutListener{Listener: listenOn(t, primaryAddr)}
-	go func() { _ = primary.Serve(cut) }()
+	cut := &cutListener{}
+	primary, primaryAddr := serveSpiod(t, dir, server.Config{}, cut)
 	replicaAddr, stopReplica := startBackend(t, dir)
 
 	g, addr := startGateway(t, Config{CallTimeout: 5 * time.Second, FailThreshold: 100},
@@ -351,7 +308,7 @@ func TestLosingReplicaReleasesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cut.armed.Store(true)
+	cut.armed.Store(16 << 10) // the answers, not the statuses
 	for round := 0; round < 3; round++ {
 		got, st, err := remote.QueryBox(domain, rdr.Options{})
 		if err != nil || st.Partial {

@@ -37,6 +37,17 @@ type KNNResult struct {
 // k-th distance is no larger than the box's clearance, no closer
 // particle can be outside.
 func KNN(ds *reader.Dataset, p geom.Vec3, k int) (*particle.Buffer, []float64, reader.Stats, error) {
+	rows, dists, st, err := KNNRows(ds, p, k)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	return rows.Buffer(), dists, st, nil
+}
+
+// KNNRows is KNN for a caller that sends the answer on instead of looking
+// at it (a server): the candidates are ranked where the filter staged
+// them and the k winners gathered out of them, as rows the caller owns.
+func KNNRows(ds *reader.Dataset, p geom.Vec3, k int) (*particle.Rows, []float64, reader.Stats, error) {
 	var st reader.Stats
 	if k <= 0 {
 		return nil, nil, st, fmt.Errorf("query: k must be positive, got %d", k)
@@ -55,36 +66,37 @@ func KNN(ds *reader.Dataset, p geom.Vec3, k int) (*particle.Buffer, []float64, r
 
 	for {
 		box := geom.NewBox(p.Sub(geom.V3(r, r, r)), p.Add(geom.V3(r, r, r)))
-		buf, qst, err := ds.QueryBox(box, reader.Options{})
+		rows, qst, err := ds.QueryBoxRows(box, reader.Options{})
 		if err != nil {
 			return nil, nil, st, err
 		}
 		st = qst // keep the stats of the final (successful) pass
-		if buf.Len() >= k {
-			type cand struct {
-				idx  int
-				dist float64
+		found := rows.Len()
+		if found >= k {
+			order := make([]int, found)
+			all := make([]float64, found)
+			for i := range order {
+				order[i], all[i] = i, p.Dist(rows.Position(i))
 			}
-			cands := make([]cand, buf.Len())
-			for i := 0; i < buf.Len(); i++ {
-				cands[i] = cand{idx: i, dist: p.Dist(buf.Position(i))}
-			}
-			sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
-			kth := cands[k-1].dist
+			sort.Slice(order, func(a, b int) bool { return all[order[a]] < all[order[b]] })
 			// The box guarantees correctness only within its clearance
 			// around p (it is clipped mentally to the sphere of radius r).
-			if kth <= r || r >= maxR {
-				out := particle.NewBuffer(buf.Schema(), k)
+			if kth := all[order[k-1]]; kth <= r || r >= maxR {
 				dists := make([]float64, k)
-				for i := 0; i < k; i++ {
-					out.AppendFrom(buf, cands[i].idx)
-					dists[i] = cands[i].dist
+				for i := range dists {
+					dists[i] = all[order[i]]
 				}
+				out := particle.NewRows(rows.Schema())
+				out.Extend(k)
+				stride := rows.Schema().Stride()
+				out.Span(0, k, func(lo int, dst []byte) { rows.Gather(dst, order, lo, lo+len(dst)/stride) })
+				rows.Release()
 				return out, dists, st, nil
 			}
 		}
+		rows.Release()
 		if r >= maxR {
-			return nil, nil, st, fmt.Errorf("query: exhausted domain with %d of %d neighbours", buf.Len(), k)
+			return nil, nil, st, fmt.Errorf("query: exhausted domain with %d of %d neighbours", found, k)
 		}
 		r *= 2
 	}

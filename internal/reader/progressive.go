@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spio/internal/format"
-	"spio/internal/lod"
 	"spio/internal/particle"
 )
 
@@ -14,38 +13,27 @@ import (
 // already has (Section 4: "the application can read and append another
 // level of data to the previously loaded particles to provide
 // progressive refinement").
+//
+// It keeps its files open between levels: on a parallel file system a
+// level read is dominated by the opens (paper Fig. 8). A server holds
+// nothing between two levels; its clients ask for the same ranges as
+// ordinary reads (Options.SkipLevels).
 type Progressive struct {
-	ds       *Dataset
-	files    []*format.DataFile
-	consumed []int64 // particles already delivered per file
-	base     int64   // per-file level-0 budget
-	level    int     // next level to deliver (0-based)
-	done     bool
-	stats    Stats // cumulative over the levels delivered
+	ds    *Dataset
+	files []*format.DataFile
+	base  int64 // per-file level-0 budget
+	level int   // next level to deliver (0-based)
+	done  bool
+	stats Stats // cumulative over the levels delivered
 }
 
 // Progressive opens the given entries for level-by-level streaming.
 // readers is n in the LOD formula. Close the returned reader when done.
 func (d *Dataset) Progressive(entries []*format.FileEntry, readers int) (*Progressive, error) {
-	return d.ProgressiveBase(entries, readers, 0)
-}
-
-// ProgressiveBase is Progressive with an explicit per-file level-0
-// budget (base <= 0 derives it from readers as usual). A gateway
-// streaming one logical dataset from several shards passes the merged
-// dataset's base so every shard's levels line up with the whole.
-func (d *Dataset) ProgressiveBase(entries []*format.FileEntry, readers int, base int64) (*Progressive, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("reader: no entries to stream")
 	}
-	if base <= 0 {
-		base = PerFileBase(d.meta, readers)
-	}
-	p := &Progressive{
-		ds:       d,
-		consumed: make([]int64, len(entries)),
-		base:     base,
-	}
+	p := &Progressive{ds: d, base: PerFileBase(d.meta, readers)}
 	for _, e := range entries {
 		df, err := d.openDataFile(e.Name)
 		if err != nil {
@@ -86,25 +74,26 @@ func (p *Progressive) NextLevelRows() (*particle.Rows, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
-	// The headers give every file's share of the level, so the increment
-	// is checked against its exact size.
-	targets := make([]int64, len(p.files))
+	// The level is the range [level, level+1) of every file; the headers
+	// give each file's share of it, so the increment is checked against
+	// its exact size.
+	level := Options{SkipLevels: p.level, Levels: p.level + 1, PerFileBase: p.base}
+	los, his := make([]int64, len(p.files)), make([]int64, len(p.files))
 	var total int64
 	remaining := false
 	for i, df := range p.files {
-		targets[i] = max(p.consumed[i], lod.PrefixCount(df.Header.Count, p.base, df.Header.LOD.Scale, p.level+1))
-		total += targets[i] - p.consumed[i]
-		if targets[i] < df.Header.Count {
+		los[i], his[i] = p.ds.levelRange(level, df.Header.Count, df.Header.LOD.Scale)
+		total += his[i] - los[i]
+		if his[i] < df.Header.Count {
 			remaining = true
 		}
 	}
 	fill := particle.NewRowFiller(p.ds.meta.Schema, nil, int(total))
 	for i, df := range p.files {
-		if err := df.Scan(p.consumed[i], targets[i], nil, nil, fill.Chunk); err != nil {
+		if err := df.Scan(los[i], his[i], nil, nil, fill.Chunk); err != nil {
 			fill.Release()
 			return nil, false, err
 		}
-		p.consumed[i] = targets[i]
 	}
 	out, err := fill.Rows()
 	if err != nil {

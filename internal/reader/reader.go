@@ -102,11 +102,19 @@ func (d *Dataset) Meta() *format.Meta { return d.meta }
 // Dir returns the dataset directory.
 func (d *Dataset) Dir() string { return d.dir }
 
-// Options configures a query.
+// Options configures a query. The records of a file lie in LOD order,
+// so a read names the levels it wants as a range: [SkipLevels, Levels),
+// from the start of the file when SkipLevels is 0 and to its end when
+// Levels is. A progressive read is the ranges [l, l+1) one after another,
+// each a read like any other.
 type Options struct {
-	// Levels limits the read to the first Levels levels of detail;
+	// Levels ends the read after the first Levels levels of detail;
 	// <= 0 means full resolution.
 	Levels int
+	// SkipLevels starts the read after the first SkipLevels levels: what a
+	// caller holding that prefix needs to refine it up to Levels. At or
+	// beyond a positive Levels the range is empty.
+	SkipLevels int
 	// Readers is n in the LOD level-size formula x(n,l) = n·P·S^l; it
 	// should be the number of processes participating in the read.
 	// Defaults to 1.
@@ -121,7 +129,7 @@ type Options struct {
 	// PerFileBase, when positive, overrides the per-file level-0 budget
 	// instead of deriving it from Readers and this dataset's file count.
 	// A gateway scatter-gathering a query over shards sets it to the
-	// merged dataset's base so every shard reads exactly the LOD prefix
+	// merged dataset's base so every shard reads exactly the level range
 	// the whole dataset would — a shard's own (smaller) file count would
 	// otherwise inflate its per-file base and desynchronize the levels.
 	PerFileBase int64
@@ -140,19 +148,23 @@ func PerFileBase(meta *format.Meta, readers int) int64 {
 	return max(base, 1)
 }
 
-// prefixLen is the length of the LOD prefix a read under opts takes from
-// a file of count records: the first Levels levels — sized from the
-// per-file base, an explicit override or the derivation from Readers —
-// or all of it.
-func (d *Dataset) prefixLen(opts Options, count int64, scale int) int64 {
-	if opts.Levels <= 0 {
-		return count
+// levelRange is the one place a level range becomes a record range: the
+// records [lo, hi) a read under opts takes from a file of count records —
+// levels [SkipLevels, Levels), sized from the per-file base, an explicit
+// override or the derivation from Readers.
+func (d *Dataset) levelRange(opts Options, count int64, scale int) (lo, hi int64) {
+	if opts.Levels <= 0 && opts.SkipLevels <= 0 {
+		return 0, count
 	}
 	base := opts.PerFileBase
 	if base <= 0 {
 		base = PerFileBase(d.meta, opts.Readers)
 	}
-	return lod.PrefixCount(count, base, scale, opts.Levels)
+	hi = count
+	if opts.Levels > 0 {
+		hi = lod.PrefixCount(count, base, scale, opts.Levels)
+	}
+	return min(lod.PrefixCount(count, base, scale, opts.SkipLevels), hi), hi
 }
 
 // QueryBox reads the particles intersecting q, consulting the metadata
@@ -202,7 +214,8 @@ func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts 
 	if opts.NoFilter {
 		var total int64
 		for _, e := range entries {
-			total += d.prefixLen(opts, e.Count, d.meta.LOD.Scale)
+			lo, hi := d.levelRange(opts, e.Count, d.meta.LOD.Scale)
+			total += hi - lo
 		}
 		fill := particle.NewRowFiller(d.meta.Schema, proj, int(total))
 		st, err := d.Scan(entries, opts, nil, fill.Chunk)
@@ -229,8 +242,8 @@ func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts 
 }
 
 // Scan streams the records of the given entries to fn as AoS chunks of
-// the dataset schema, in metadata-then-record order — each file's LOD
-// prefix as selected by opts.Levels (opts.NoFilter is ignored: what is
+// the dataset schema, in metadata-then-record order — of each file the
+// level range opts selects (opts.NoFilter is ignored: what is
 // kept is sel's and the callback's business). Every read of the package
 // is a callback over it. sel and fn are format.DataFile.Scan's: with a
 // selector, fn gets each chunk with the selection sel made on it and may
@@ -255,7 +268,7 @@ func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, sel particle.S
 	return st, nil
 }
 
-// scanFile streams one data file's LOD prefix to fn through the file
+// scanFile streams one data file's level range to fn through the file
 // cache, and reports the work done.
 func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) (Stats, error) {
 	var st Stats
@@ -283,13 +296,13 @@ func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Pro
 		st.FilesOpened = 1
 	}
 
-	hi := d.prefixLen(opts, df.Header.Count, df.Header.LOD.Scale)
-	if err := df.Scan(0, hi, proj, sel, fn); err != nil {
+	lo, hi := d.levelRange(opts, df.Header.Count, df.Header.LOD.Scale)
+	if err := df.Scan(lo, hi, proj, sel, fn); err != nil {
 		return st, err
 	}
-	st.ParticlesRead = hi
+	st.ParticlesRead = hi - lo
 	// Bytes stream in whole records regardless of projection.
-	st.BytesRead = hi * int64(d.meta.Schema.Stride())
+	st.BytesRead = st.ParticlesRead * int64(d.meta.Schema.Stride())
 	if st.CacheHits > 0 {
 		st.BytesFromCache = st.BytesRead
 		cache.bytesFromCache.Add(st.BytesRead)

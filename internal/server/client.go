@@ -82,11 +82,10 @@ func WithWireCodec(codec uint8) DialOption {
 	}
 }
 
-// WithCallTimeout bounds each request/response exchange (and each
-// progressive-stream level exchange) with a connection deadline. A
-// timeout surfaces as a transport error and marks the client broken —
-// the response may still be in flight, so the connection cannot be
-// reused. Zero (the default) means no deadline.
+// WithCallTimeout bounds each request/response exchange with a
+// connection deadline. A timeout surfaces as a transport error and marks
+// the client broken — the response may still be in flight, so the
+// connection cannot be reused. Zero (the default) means no deadline.
 func WithCallTimeout(d time.Duration) DialOption {
 	//spio:allow racegate -- dial options run before Dial publishes the client; the field is read-only afterwards
 	return func(c *Client) { c.callTimeout = d }
@@ -385,6 +384,7 @@ func (r *RemoteDataset) req(op uint8) *request {
 
 func fillOpts(req *request, opts rdr.Options) {
 	req.Levels = opts.Levels
+	req.Skip = opts.SkipLevels
 	req.Readers = opts.Readers
 	req.NoFilter = opts.NoFilter
 	req.Fields = opts.Fields
@@ -427,6 +427,16 @@ func (r *RemoteDataset) ReadAll(opts rdr.Options) (*particle.Buffer, rdr.Stats, 
 
 // KNN returns the k particles nearest p and their distances.
 func (r *RemoteDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
+	rows, dists, st, err := r.KNNRows(p, k)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	return rows.Buffer(), dists, st, nil
+}
+
+// KNNRows is KNN with the neighbours as rows the caller owns (see
+// QueryBoxRows).
+func (r *RemoteDataset) KNNRows(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error) {
 	req := r.req(opKNN)
 	req.Point = p
 	req.K = k
@@ -439,7 +449,7 @@ func (r *RemoteDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rd
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
-	return resp.Rows.Buffer(), resp.Dists, resp.Stats.Read, nil
+	return resp.Rows, resp.Dists, resp.Stats.Read, nil
 }
 
 // Halo reads a patch's particles plus the ghost layer within halo of
@@ -511,77 +521,54 @@ func (r *RemoteDataset) DensityGridRaw(dims geom.Idx3, opts rdr.Options) ([]floa
 	return resp.Counts, resp.Sampled, resp.Stats.Read, nil
 }
 
-// RemoteStream is a progressive LOD stream served level-by-level; each
-// NextLevel call acks the previous level (backpressure) and receives
-// the next increment. Cancel (or Close) after any prefix to stop the
-// server from reading further levels.
+// RemoteStream is a progressive read of a remote dataset: a cursor, held
+// by the client, over the LOD levels of the files intersecting a box.
+// Each NextLevel is one box query for the level range [l, l+1) — admitted,
+// cached and budgeted like any other — so between two calls the stream
+// holds nothing on either side: no connection, no lock, no worker, no
+// file. A client that stops asking has stopped.
 type RemoteStream struct {
-	c        *Client
-	done     bool
-	released bool
-	level    int
-	stats    rdr.Stats
+	ds      *RemoteDataset
+	q       geom.Box
+	readers int
+	last    int // levels the stream has: those of its deepest file, within the caller's bound, less what a Cancel cut off
+	level   int // levels delivered
+	stats   rdr.Stats
 }
 
-// ProgressiveBox opens a progressive stream over the files intersecting
-// q. levels > 0 bounds the stream; readers is n in the LOD formula. The
-// client connection is dedicated to the stream until it finishes or is
-// cancelled.
+// ProgressiveBox starts a progressive read over the files intersecting q
+// — whole files, level by level, not clipped to q. levels > 0 bounds the
+// stream; readers is n in the LOD formula. Nothing is sent: which files,
+// and how many levels they hold, follow from the metadata.
 func (r *RemoteDataset) ProgressiveBox(q geom.Box, levels, readers int) (*RemoteStream, error) {
-	return r.ProgressiveBoxBase(q, levels, readers, 0)
-}
-
-// ProgressiveBoxBase is ProgressiveBox with an explicit per-file LOD
-// base override (0 = server derives it). A gateway passes the merged
-// dataset's base so every shard's level boundaries line up.
-func (r *RemoteDataset) ProgressiveBoxBase(q geom.Box, levels, readers int, base int64) (*RemoteStream, error) {
-	req := r.req(opProgressive)
-	req.Box = q
-	req.Levels = levels
-	req.Readers = readers
-	req.Base = base
-	r.c.mu.Lock()
-	if r.c.broken {
-		r.c.mu.Unlock()
-		return nil, ErrClientBroken
+	entries := r.meta.FilesIntersecting(q)
+	if len(entries) == 0 {
+		return nil, errors.New("spiod: no files intersect the requested box")
 	}
-	// As in Client.call, the lock deliberately spans the stream's conn
-	// I/O (deadline arming included): the connection is dedicated to
-	// this stream until release().
-	//spio:allow lockorder -- mu dedicates the shared conn to this stream until release(); holding it across the I/O is the protocol
-	r.c.armDeadline()
-	if err := r.c.sendRequest(req); err != nil {
-		r.c.broken = true
-		r.c.disarmDeadline()
-		r.c.mu.Unlock()
-		return nil, err
+	// One level at least, as with reader.Progressive: empty files have an
+	// empty first level.
+	st := &RemoteStream{ds: r, q: q, readers: readers, last: 1}
+	base := rdr.PerFileBase(r.meta, readers)
+	for _, e := range entries {
+		st.last = max(st.last, lod.NumLevels(e.Count, base, r.meta.LOD.Scale))
 	}
-	h, d, err := r.c.readResp()
-	if err != nil {
-		if h == nil || h.Status == statusDraining {
-			r.c.broken = true
-		}
-		r.c.disarmDeadline()
-		r.c.mu.Unlock()
-		return nil, err
+	if levels > 0 {
+		st.last = min(st.last, levels)
 	}
-	d.release()
-	r.c.disarmDeadline()
-	// The lock stays held: the connection speaks this stream until done.
-	return &RemoteStream{c: r.c}, nil
+	return st, nil
 }
 
 // Level returns the number of levels already delivered.
 func (st *RemoteStream) Level() int { return st.level }
 
 // Done reports whether the stream has ended.
-func (st *RemoteStream) Done() bool { return st.done }
+func (st *RemoteStream) Done() bool { return st.level >= st.last }
 
-// Stats returns the cumulative server-side read telemetry received so
-// far.
+// Stats returns the server-side read telemetry summed over the levels
+// received so far.
 func (st *RemoteStream) Stats() rdr.Stats { return st.stats }
 
-// NextLevel acks and receives the next level increment; ok is false
+// NextLevel asks for and receives the next level increment; ok is false
 // once the stream is exhausted.
 func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
 	rows, ok, err := st.NextLevelRows()
@@ -592,77 +579,30 @@ func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
 }
 
 // NextLevelRows is NextLevel with the increment as rows the caller owns
-// (see RemoteDataset.QueryBoxRows).
+// (see RemoteDataset.QueryBoxRows). A level that fails — the server
+// overloaded, the increment over its byte budget — leaves the stream
+// where it was: the levels already received are a valid coarser subset,
+// and the same level can be asked for again.
 func (st *RemoteStream) NextLevelRows() (*particle.Rows, bool, error) {
-	if st.done {
+	if st.Done() {
 		return nil, false, nil
 	}
-	f, err := st.exchange(ackNext)
+	rows, read, err := st.ds.QueryBoxRows(st.q, rdr.Options{
+		SkipLevels: st.level, Levels: st.level + 1, Readers: st.readers, NoFilter: true})
 	if err != nil {
-		// An aborted stream leaves un-acked levels on the wire; the conn
-		// cannot return to request/response use.
-		//spio:allow racegate -- the stream holds c.mu from ProgressiveBox until release(); the write is lock-protected across functions
-		st.c.broken = true
-		st.release()
 		return nil, false, err
 	}
-	st.level = f.Level + 1
-	st.stats = f.Stats.Read
-	if f.Done {
-		st.done = true
-		st.release()
-	}
-	return f.Rows, true, nil
+	st.level++
+	st.stats.Add(read)
+	return rows, true, nil
 }
 
-// Cancel stops the stream after the levels already received; the server
-// abandons the remaining levels. Safe to call at any point; Close
-// implies it.
+// Cancel ends the stream after the levels already received. There is
+// nothing to tell the server: it holds nothing for the stream.
 func (st *RemoteStream) Cancel() error {
-	if st.done {
-		return nil
-	}
-	f, err := st.exchange(ackCancel)
-	st.done = true
-	if err != nil {
-		st.c.broken = true // cancel didn't complete: stream position unknown
-		st.release()
-		return err
-	}
-	st.release()
-	f.Rows.Release() // the closing frame of a cancelled stream is empty
-	st.stats = f.Stats.Read
+	st.last = st.level
 	return nil
 }
 
-// Close ends the stream (cancelling it if still running).
+// Close ends the stream.
 func (st *RemoteStream) Close() error { return st.Cancel() }
-
-// exchange sends one ack and reads one level frame.
-func (st *RemoteStream) exchange(ack uint8) (*streamFrame, error) {
-	st.c.armDeadline()
-	defer st.c.disarmDeadline()
-	var fb frameBuf
-	e := newWriter(&fb)
-	encodeAck(e, ack)
-	if e.err != nil {
-		return nil, e.err
-	}
-	if err := writeFrame(st.c.conn, fb.b); err != nil {
-		return nil, err
-	}
-	_, d, err := st.c.readResp()
-	if err != nil {
-		return nil, err
-	}
-	defer d.release()
-	return decodeStreamFrame(d, st.c.maxFrame)
-}
-
-// release returns the connection to request/response use.
-func (st *RemoteStream) release() {
-	if !st.released {
-		st.released = true
-		st.c.mu.Unlock()
-	}
-}

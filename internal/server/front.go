@@ -34,46 +34,31 @@ type Backend interface {
 // client under the matching status; any other error is a plain failure.
 type Dataset interface {
 	Meta() *format.Meta
-	// QueryBox and Halo answer with rows (see particle.Rows): the layout
-	// the filter found the particles in and the layout the wire sends, so
-	// a bulk answer is never transposed on its way through a server. The
-	// front owns the rows it is handed and releases them once the answer
-	// has been written, or not sent.
+	// QueryBox, KNN and Halo answer with rows (see particle.Rows): the
+	// layout the filter found the particles in and the layout the wire
+	// sends, so an answer is never transposed on its way through a server.
+	// The front owns the rows it is handed and releases them once the
+	// answer has been written, or not sent.
 	QueryBox(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error)
-	// KNN answers k records, few enough to stay columnar.
-	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
+	KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error)
 	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error)
 	// DensityGrid returns per-cell estimates and the sampling fraction,
 	// or with raw the unscaled counts (fraction 1); sampled is the number
 	// of particles counted, where the backend reports it.
 	DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) (counts []float64, frac float64, sampled int64, st rdr.Stats, err error)
-	// Stream opens a progressive stream over the files intersecting q
-	// (every file with opts.NoFilter).
-	Stream(q geom.Box, opts rdr.Options) (LevelStream, error)
-}
-
-// LevelStream delivers one LOD level increment per NextLevel call, as
-// rows the front owns; *rdr.Progressive is under the local one. Level
-// counts the levels delivered and Stats is cumulative over them.
-type LevelStream interface {
-	NextLevel() (*particle.Rows, bool, error)
-	Level() int
-	Done() bool
-	Stats() rdr.Stats
-	Close() error
 }
 
 // Frame bounds on what a client may send.
 const (
 	helloFrameMax = 64
-	ackFrameMax   = 16
 	reqFrameMax   = 1 << 20
 )
 
 // Front is the protocol front shared by spiod and spiogate: the accept
 // loop, the per-connection hello and request loop, admission, the
-// response byte budget, frame encoding, the progressive ack loop, the
-// drain handshake and the traffic counters.
+// response byte budget, frame encoding, the drain handshake and the
+// traffic counters. A request is one frame in and one frame out, and
+// nothing of it — worker slot, rows, file pins — outlives the response.
 type Front struct {
 	cfg     Config
 	backend Backend
@@ -87,7 +72,7 @@ type Front struct {
 	drained   chan struct{} // closed when drain has finished
 	drainOnce sync.Once
 	draining  atomic.Bool
-	reqWG     sync.WaitGroup // in-flight requests and streams
+	reqWG     sync.WaitGroup // in-flight requests
 	connWG    sync.WaitGroup // connection handlers
 	acceptWG  sync.WaitGroup // accept loops
 
@@ -169,7 +154,7 @@ func (c *srvConn) writeLockedFrame(fr *vecFrame) error {
 }
 
 // Shutdown drains the front: stop accepting, fail queued admissions,
-// let in-flight requests and streams finish, then notify and close
+// let in-flight requests finish, then notify and close
 // connections. The context bounds the wait; the drain itself runs once
 // and every caller waits for the same one.
 func (f *Front) Shutdown(ctx context.Context) error {
@@ -193,7 +178,7 @@ func (f *Front) Shutdown(ctx context.Context) error {
 
 func (f *Front) drain() {
 	defer close(f.drained)
-	f.reqWG.Wait() // every admitted request/stream completes
+	f.reqWG.Wait() // every admitted request completes
 	// Snapshot under the lock, notify and close outside it: the notice
 	// write and Close can stall on a wedged peer, and holding f.mu
 	// through that would freeze accept bookkeeping for everyone else.
@@ -373,6 +358,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 	}
 	opts := rdr.Options{
 		Levels:      req.Levels,
+		SkipLevels:  req.Skip,
 		Readers:     req.Readers,
 		NoFilter:    req.NoFilter,
 		Fields:      req.Fields,
@@ -408,11 +394,10 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp, codec) })
 
 	case opKNN:
-		buf, dists, st, err := ds.KNN(req.Point, req.K)
+		rows, dists, st, err := ds.KNN(req.Point, req.K)
 		if err != nil {
 			return f.sendErr(conn, err)
 		}
-		rows := buf.Rows()
 		defer rows.Release()
 		resp := &knnResp{Stats: finish(st), Rows: rows, Dists: dists}
 		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp, codec) })
@@ -438,9 +423,6 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac, Sampled: sampled}
 		return f.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
 
-	case opProgressive:
-		return f.executeStream(conn, req, ds, opts, codec, wait, start)
-
 	default:
 		return f.fail(conn, statusError, fmt.Sprintf("spiod: unknown op %d", req.Op))
 	}
@@ -448,67 +430,4 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 
 func budgetMsg(got, budget int64) string {
 	return fmt.Sprintf("spiod: response of %d bytes exceeds the per-request budget of %d", got, budget)
-}
-
-// executeStream serves a progressive LOD stream: one level increment
-// per client ack, so the client's consumption rate is the backend's
-// read rate (backpressure), and an ackCancel stops after any prefix.
-// The worker slot is held for the stream's whole duration.
-func (f *Front) executeStream(conn *srvConn, req *request, ds Dataset, opts rdr.Options, codec uint8, wait time.Duration, start time.Time) error {
-	p, err := ds.Stream(req.Box, opts)
-	if err != nil {
-		return f.sendErr(conn, err)
-	}
-	defer func() {
-		_ = p.Close() // stream already answered; close is best-effort
-	}()
-	if err := f.sendStatus(conn, statusOK, ""); err != nil {
-		return err
-	}
-	f.metrics.streams.Add(1)
-
-	// sendLevel owns the rows it is handed.
-	sendLevel := func(level int, done bool, rows *particle.Rows) error {
-		defer rows.Release()
-		fr := &streamFrame{Level: level, Done: done, Rows: rows,
-			Stats: wireStats{Read: p.Stats(), QueueWait: int64(wait), Service: int64(time.Since(start))}}
-		if done {
-			f.metrics.note(&fr.Stats)
-		}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeStreamFrame(e, fr, codec) })
-	}
-	var sent int64
-	budget := f.cfg.maxRespBytes()
-	for {
-		ab, err := readFrame(conn, ackFrameMax)
-		if err != nil {
-			return err
-		}
-		ack, err := decodeAck(bodyReader(ab))
-		if err != nil {
-			return f.sendStatus(conn, statusError, err.Error())
-		}
-		var rows *particle.Rows
-		ok := false
-		if ack == ackCancel {
-			f.metrics.streamCancels.Add(1)
-		} else if rows, ok, err = p.NextLevel(); err != nil {
-			return f.sendStatus(conn, statusError, err.Error())
-		}
-		if !ok {
-			// Cancelled, or acked past the end: close the stream cleanly.
-			return sendLevel(p.Level(), true, particle.NewRows(ds.Meta().Schema))
-		}
-		sent += rows.Bytes()
-		done := p.Done() ||
-			(req.Levels > 0 && p.Level() >= req.Levels) ||
-			sent >= budget // LOD semantics: any prefix is a valid subset
-		if err := sendLevel(p.Level()-1, done, rows); err != nil {
-			return err
-		}
-		f.metrics.streamLevels.Add(1)
-		if done {
-			return nil
-		}
-	}
 }

@@ -18,13 +18,12 @@ import (
 )
 
 // fakeBackend drives the Front alone: one dataset, "fake", that answers
-// every query with a canned buffer and streams it `levels` times. hook,
+// every query with a canned buffer, whatever levels it asks for. hook,
 // when set, runs at the start of every dataset call (a test blocks
 // there to hold a worker); err, when set, is what every query returns.
 type fakeBackend struct {
-	buf    *particle.Buffer
-	levels int
-	hook   func()
+	buf  *particle.Buffer
+	hook func()
 
 	mu  sync.Mutex
 	err error
@@ -36,12 +35,12 @@ func (b *fakeBackend) setErr(err error) {
 	b.err = err
 }
 
-func newFakeBackend(records, levels int) *fakeBackend {
+func newFakeBackend(records int) *fakeBackend {
 	buf := particle.NewBuffer(particle.Uintah(), records)
 	if err := buf.DecodeRecords(make([]byte, records*buf.Schema().Stride())); err != nil {
 		panic(err)
 	}
-	return &fakeBackend{buf: buf, levels: levels}
+	return &fakeBackend{buf: buf}
 }
 
 func (b *fakeBackend) Resolve(ref string) (Dataset, error) {
@@ -73,8 +72,9 @@ func (d fakeDataset) QueryBox(geom.Box, rdr.Options) (*particle.Rows, rdr.Stats,
 	}
 	return d.b.buf.Rows(), rdr.Stats{}, nil
 }
-func (d fakeDataset) KNN(geom.Vec3, int) (*particle.Buffer, []float64, rdr.Stats, error) {
-	return d.b.buf, make([]float64, d.b.buf.Len()), rdr.Stats{}, d.b.enter()
+func (d fakeDataset) KNN(geom.Vec3, int) (*particle.Rows, []float64, rdr.Stats, error) {
+	rows, st, err := d.QueryBox(geom.Box{}, rdr.Options{})
+	return rows, make([]float64, d.b.buf.Len()), st, err
 }
 func (d fakeDataset) Halo(geom.Box, float64, rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
 	if err := d.b.enter(); err != nil {
@@ -85,31 +85,6 @@ func (d fakeDataset) Halo(geom.Box, float64, rdr.Options) (own, ghost *particle.
 func (d fakeDataset) DensityGrid(geom.Idx3, rdr.Options, bool) ([]float64, float64, int64, rdr.Stats, error) {
 	return []float64{1}, 1, 1, rdr.Stats{}, d.b.enter()
 }
-func (d fakeDataset) Stream(geom.Box, rdr.Options) (LevelStream, error) {
-	if err := d.b.enter(); err != nil {
-		return nil, err
-	}
-	return &fakeStream{b: d.b}, nil
-}
-
-type fakeStream struct {
-	b     *fakeBackend
-	level int
-}
-
-func (s *fakeStream) NextLevel() (*particle.Rows, bool, error) {
-	if s.Done() {
-		return nil, false, nil
-	}
-	s.level++
-	return s.b.buf.Rows(), true, nil
-}
-func (s *fakeStream) Level() int { return s.level }
-func (s *fakeStream) Done() bool { return s.level >= s.b.levels }
-func (s *fakeStream) Stats() rdr.Stats {
-	return rdr.Stats{ParticlesKept: int64(s.level * s.b.buf.Len())}
-}
-func (s *fakeStream) Close() error { return nil }
 
 // dialFake connects a client to a front over a fakeBackend and attaches
 // the fake dataset without the opMeta round trip.
@@ -124,7 +99,7 @@ func dialFake(t *testing.T, addr string) *RemoteDataset {
 }
 
 func TestFrontOverloadFastFail(t *testing.T) {
-	b := newFakeBackend(4, 1)
+	b := newFakeBackend(4)
 	entered, release := make(chan struct{}), make(chan struct{})
 	b.hook = func() { entered <- struct{}{}; <-release }
 	f := NewFront(Config{Workers: 1, QueueDepth: 1}, b)
@@ -157,7 +132,7 @@ func TestFrontOverloadFastFail(t *testing.T) {
 }
 
 func TestFrontBudgetAndErrorStatus(t *testing.T) {
-	b := newFakeBackend(64, 4)
+	b := newFakeBackend(64)
 	f := NewFront(Config{MaxRespBytes: b.buf.Bytes() + 1}, b)
 	addr := startServer(t, f)
 	ds := dialFake(t, addr)
@@ -169,20 +144,6 @@ func TestFrontBudgetAndErrorStatus(t *testing.T) {
 	if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("halo over budget: %v, want ErrBudget", err)
 	}
-	// A stream ends early, Done, at the budget: any LOD prefix is valid.
-	st, err := ds.ProgressiveBox(geom.UnitBox(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !st.Done() {
-		if _, _, err := st.NextLevel(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Level() != 2 {
-		t.Errorf("stream over a %d-level backend ended after %d levels, want 2 (budget)", b.levels, st.Level())
-	}
-
 	// Backend errors keep their status across the front: what a shard
 	// refused a gateway with reaches the gateway's client as the same error.
 	for _, want := range []error{ErrBudget, ErrOverloaded, ErrDraining} {
@@ -209,7 +170,7 @@ func TestFrontBudgetAndErrorStatus(t *testing.T) {
 }
 
 func TestFrontUnknownOp(t *testing.T) {
-	f := NewFront(Config{}, newFakeBackend(4, 1))
+	f := NewFront(Config{}, newFakeBackend(4))
 	ds := dialFake(t, startServer(t, f))
 	if _, err := ds.c.call(&request{Op: 99, Dataset: "fake"}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
 		t.Fatalf("op 99: %v", err)
@@ -224,22 +185,25 @@ func TestFrontUnknownOp(t *testing.T) {
 	}
 }
 
-// TestFrontDrain drains a front with one client mid-stream and one
-// idle: the stream runs to its end, a request arriving during the drain
-// is refused with ErrDraining, the idle connection is told so too (the
-// drain notice), and Shutdown returns only after the stream finished.
+// TestFrontDrain drains a front with one request in flight and one
+// client idle: the request is answered, a request arriving during the
+// drain is refused with ErrDraining, the idle connection is told so too
+// (the drain notice), and Shutdown returns only after the request
+// finished.
 func TestFrontDrain(t *testing.T) {
-	f := NewFront(Config{}, newFakeBackend(4, 3))
+	b := newFakeBackend(4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	b.hook = func() { entered <- struct{}{}; <-release }
+	f := NewFront(Config{}, b)
 	addr := startServer(t, f)
-	streamer, during, idle := dialFake(t, addr), dialFake(t, addr), dialFake(t, addr)
+	busy, during, idle := dialFake(t, addr), dialFake(t, addr), dialFake(t, addr)
 
-	st, err := streamer.ProgressiveBox(geom.UnitBox(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.NextLevel(); err != nil || !ok {
-		t.Fatalf("first level: %v ok=%v", err, ok)
-	}
+	inflight := make(chan error, 1)
+	go func() {
+		_, _, err := busy.QueryBox(geom.UnitBox(), rdr.Options{})
+		inflight <- err
+	}()
+	<-entered // the request is inside the backend
 	drained := make(chan error, 1)
 	go func() { drained <- f.Shutdown(context.Background()) }()
 	<-f.stop
@@ -249,16 +213,12 @@ func TestFrontDrain(t *testing.T) {
 	}
 	select {
 	case err := <-drained:
-		t.Fatalf("Shutdown returned with the stream still open: %v", err)
+		t.Fatalf("Shutdown returned with a request still in flight: %v", err)
 	default:
 	}
-	for !st.Done() {
-		if _, _, err := st.NextLevel(); err != nil {
-			t.Fatalf("stream during drain: %v", err)
-		}
-	}
-	if st.Level() != 3 {
-		t.Errorf("drained stream delivered %d of 3 levels", st.Level())
+	close(release)
+	if err := <-inflight; err != nil {
+		t.Fatalf("request in flight when the drain began: %v", err)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -277,7 +237,7 @@ func TestFrontDrain(t *testing.T) {
 }
 
 func TestFrontBadHello(t *testing.T) {
-	f := NewFront(Config{}, newFakeBackend(4, 1))
+	f := NewFront(Config{}, newFakeBackend(4))
 	_, path, err := ParseAddr(startServer(t, f))
 	if err != nil {
 		t.Fatal(err)

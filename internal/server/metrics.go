@@ -29,10 +29,6 @@ type metrics struct {
 	queueWaitNs atomic.Int64
 	serviceNs   atomic.Int64
 
-	streams       atomic.Int64
-	streamLevels  atomic.Int64
-	streamCancels atomic.Int64
-
 	activeConns atomic.Int64
 }
 
@@ -90,10 +86,6 @@ type MetricsSnapshot struct {
 	QueueWaitNs int64 `json:"queue_wait_ns"`
 	ServiceNs   int64 `json:"service_ns"`
 
-	Streams       int64 `json:"streams"`
-	StreamLevels  int64 `json:"stream_levels"`
-	StreamCancels int64 `json:"stream_cancels"`
-
 	ActiveConns int64 `json:"active_conns"`
 
 	BlockCache   BlockCacheStats           `json:"block_cache"`
@@ -102,7 +94,7 @@ type MetricsSnapshot struct {
 }
 
 // Snapshot is the front's own part of the metrics image: the request,
-// connection, stream and byte counters. A Backend adds what it owns.
+// connection and byte counters. A Backend adds what it owns.
 func (f *Front) Snapshot() MetricsSnapshot {
 	m := &f.metrics
 	return MetricsSnapshot{
@@ -119,9 +111,6 @@ func (f *Front) Snapshot() MetricsSnapshot {
 		BytesFromCache: m.bytesFromCache.Load(),
 		QueueWaitNs:    m.queueWaitNs.Load(),
 		ServiceNs:      m.serviceNs.Load(),
-		Streams:        m.streams.Load(),
-		StreamLevels:   m.streamLevels.Load(),
-		StreamCancels:  m.streamCancels.Load(),
 		ActiveConns:    m.activeConns.Load(),
 	}
 }

@@ -17,14 +17,14 @@ import (
 // TestRowsReleasedOnEveryExit drives a Front through every way a request
 // that was handed rows can end — answered, refused for the budget,
 // failed by the backend, written to a peer that hangs up in the middle
-// of the frame, streamed and cancelled — and checks, once the front has
-// drained, that no row segment is still held: the front owns the rows it
-// is handed, and releases them on every path.
+// of the frame — and checks, once the front has drained, that no row
+// segment is still held: the front owns the rows it is handed, and
+// releases them on every path (a stream's level is a box answer).
 func TestRowsReleasedOnEveryExit(t *testing.T) {
 	held := particle.RowSegmentsHeld()
 	// 40000 Uintah records: a 5 MB answer, several segments, far more than
 	// a socket buffer holds, so a write to a peer that is gone must fail.
-	b := newFakeBackend(40000, 3)
+	b := newFakeBackend(40000)
 	f := NewFront(Config{MaxRespBytes: b.buf.Bytes() + 1}, b)
 	addr := startServer(t, f)
 	_, path, err := ParseAddr(addr)
@@ -55,27 +55,6 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 			t.Fatalf("codec %d: backend error did not reach the client", codec)
 		}
 		b.setErr(nil)
-		// Streamed one level, then cancelled.
-		st, err := ds.ProgressiveBox(geom.UnitBox(), 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lvl, ok, err := st.NextLevel(); err != nil || !ok || !lvl.Equal(b.buf) {
-			t.Fatalf("codec %d: first level: ok=%v err=%v", codec, ok, err)
-		}
-		if err := st.Cancel(); err != nil {
-			t.Fatalf("codec %d: cancel: %v", codec, err)
-		}
-		// Streamed to the end (the budget ends it after one more level).
-		st, err = ds.ProgressiveBox(geom.UnitBox(), 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !st.Done() {
-			if _, _, err := st.NextLevel(); err != nil {
-				t.Fatalf("codec %d: stream: %v", codec, err)
-			}
-		}
 		_ = c.Close()
 
 		// The peer hangs up with the answer on its way: hello and request
@@ -164,13 +143,13 @@ func (l *writeLogListener) Accept() (net.Conn, error) {
 }
 
 // TestOneWritePerFrame pins the frame writers: a frame with no lent
-// payload — hello, request, ack, status, list, stats, density — leaves
+// payload — hello, request, status, list, stats, density — leaves
 // either side in exactly one Write, length prefix included, on any
 // connection; a frame with a lent payload is one vectored write on a
 // socket and degrades to its pieces in order on a wrapped connection.
 // Either way the bytes on the connection are the same frame.
 func TestOneWritePerFrame(t *testing.T) {
-	b := newFakeBackend(4, 2)
+	b := newFakeBackend(4)
 	f := NewFront(Config{}, b)
 	addr := sockAddr(t)
 	_, path, err := ParseAddr(addr)
@@ -252,24 +231,6 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	oneFrame("knn request", cli, 1)
 	oneFrame("knn response on a wrapped connection", srv, 3)
-
-	// Stream: every ack is one write, every level frame head + rows.
-	st, err := ds.ProgressiveBox(geom.UnitBox(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneFrame("stream request", cli, 1)
-	oneFrame("stream open status", srv, 1)
-	if _, _, err := st.NextLevel(); err != nil {
-		t.Fatal(err)
-	}
-	oneFrame("ack", cli, 1)
-	oneFrame("level frame", srv, 2)
-	if err := st.Cancel(); err != nil {
-		t.Fatal(err)
-	}
-	oneFrame("cancel", cli, 1)
-	oneFrame("closing level frame (no rows)", srv, 1)
 
 	// The same box answer through a real socket — one vectored write —
 	// is the same frame but for the times in its stats.

@@ -41,8 +41,8 @@ type Config struct {
 	QueueDepth int
 	// MaxRespBytes is the per-request response byte budget: a query
 	// whose particle payload exceeds it fails with a budget status
-	// instead of materializing (default 1 GiB). Progressive streams end
-	// early (Done) at the budget — a coarse prefix is a valid result.
+	// instead of materializing (default 1 GiB). A level of a progressive
+	// read is a query like any other.
 	MaxRespBytes int64
 	// CacheBytes bounds the shared block cache (default 256 MiB).
 	CacheBytes int64
@@ -337,8 +337,8 @@ func (d localDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Rows, rd
 	return d.QueryBoxRows(q, opts)
 }
 
-func (d localDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
-	return query.KNN(d.Dataset, p, k)
+func (d localDataset) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error) {
+	return query.KNNRows(d.Dataset, p, k)
 }
 
 func (d localDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
@@ -353,26 +353,3 @@ func (d localDataset) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([
 	counts, frac, st, err := query.DensityGrid(d.Dataset, dims, opts.Levels, opts.Readers)
 	return counts, frac, 0, st, err
 }
-
-func (d localDataset) Stream(q geom.Box, opts rdr.Options) (LevelStream, error) {
-	var entries []*format.FileEntry
-	if opts.NoFilter {
-		entries = d.Meta().AllFiles()
-	} else {
-		entries = d.Meta().FilesIntersecting(q)
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("spiod: no files intersect the requested box")
-	}
-	p, err := d.ProgressiveBase(entries, opts.Readers, opts.PerFileBase)
-	if err != nil {
-		return nil, err
-	}
-	return localStream{p}, nil
-}
-
-// localStream is a local progressive read as the Front's LevelStream:
-// its levels leave as rows.
-type localStream struct{ *rdr.Progressive }
-
-func (s localStream) NextLevel() (*particle.Rows, bool, error) { return s.NextLevelRows() }

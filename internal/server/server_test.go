@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -215,9 +214,13 @@ func TestRemoteHaloAndDensityMatchLocal(t *testing.T) {
 	}
 }
 
-// TestProgressiveStreamMatchesLocal streams level-by-level and checks
-// each increment and the reassembled whole against the local
-// progressive reader, then exercises cancel-after-coarse-prefix.
+// TestProgressiveStreamMatchesLocal: a remote stream has the levels of
+// the local progressive reader, takes one request a level, and its stats
+// are their sum. Then what follows from it being a cursor its client
+// holds: a level bound caps it, a cancel costs the server nothing, and a
+// box no file intersects is refused from the metadata. The bytes of every
+// level, and Done level by level, are TestLevelRangesTileThePrefix's
+// (internal/gateway).
 func TestProgressiveStreamMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
 	writeDataset(t, dir, geom.I3(2, 2, 1), geom.I3(1, 1, 1), 300)
@@ -225,81 +228,44 @@ func TestProgressiveStreamMatchesLocal(t *testing.T) {
 	if err := s.Mount("sim", dir); err != nil {
 		t.Fatal(err)
 	}
-	addr := startServer(t, s)
-	local, err := rdr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := OpenRemote(addr, "sim")
+	ds, err := OpenRemote(startServer(t, s), "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
 
-	q := local.Meta().Domain
-	entries := local.Meta().FilesIntersecting(q)
-	lp, err := local.Progressive(entries, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lp.Close()
-	st, err := ds.ProgressiveBox(q, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels := 0
-	for {
-		wantBuf, wantOK, err := lp.NextLevel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBuf, gotOK, err := st.NextLevel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wantOK {
-			if gotOK && gotBuf.Len() > 0 {
-				t.Fatal("remote stream longer than local")
-			}
-			break
-		}
-		if !gotOK {
-			t.Fatalf("remote stream ended at level %d, local continues", levels)
-		}
-		if !bytes.Equal(gotBuf.Encode(), wantBuf.Encode()) {
-			t.Fatalf("level %d increment not byte-identical", levels)
-		}
-		levels++
-		if st.Done() && lp.Done() {
-			break
+	q, files := ds.Meta().Domain, len(ds.Meta().Files)
+	st, _ := ds.ProgressiveBox(q, 0, 2)
+	before := s.Snapshot().Requests
+	for !st.Done() {
+		if _, ok, err := st.NextLevel(); err != nil || !ok {
+			t.Fatalf("level %d: ok=%v err=%v", st.Level(), ok, err)
 		}
 	}
-	if levels < 2 {
-		t.Fatalf("stream delivered only %d levels", levels)
+	if _, ok, err := st.NextLevel(); ok || err != nil || st.Level() != ds.LevelCount(2) {
+		t.Fatalf("level past the end of %d (LevelCount %d): ok=%v err=%v", st.Level(), ds.LevelCount(2), ok, err)
 	}
-	if st.Stats().ParticlesRead == 0 {
-		t.Error("stream reported no read telemetry")
+	if got := s.Snapshot().Requests - before; got != int64(st.Level()) {
+		t.Errorf("%d levels took %d requests", st.Level(), got)
+	}
+	if read := st.Stats(); read.ParticlesKept != ds.Meta().Total || read.FilesOpened+int(read.CacheHits) != st.Level()*files {
+		t.Errorf("stream stats are not the sum of its %d level requests: %+v", st.Level(), read)
 	}
 
-	// Cancel after the coarse prefix: the server abandons the remaining
-	// levels and the connection stays usable.
-	st2, err := ds.ProgressiveBox(q, 0, 2)
-	if err != nil {
-		t.Fatal(err)
+	bounded, _ := ds.ProgressiveBox(q, 1, 2)
+	if coarse, ok, err := bounded.NextLevel(); err != nil || !ok || coarse.Len() == 0 || !bounded.Done() {
+		t.Fatalf("stream bounded to one level: ok=%v done=%v err=%v", ok, bounded.Done(), err)
 	}
-	coarse, ok, err := st2.NextLevel()
-	if err != nil || !ok || coarse.Len() == 0 {
-		t.Fatalf("coarse prefix: %v ok=%v", err, ok)
+	before = s.Snapshot().Requests
+	cancelled, _ := ds.ProgressiveBox(q, 0, 2)
+	if err := cancelled.Cancel(); err != nil || !cancelled.Done() {
+		t.Fatalf("cancel: done=%v err=%v", cancelled.Done(), err)
 	}
-	if err := st2.Cancel(); err != nil {
-		t.Fatal(err)
+	if _, ok, err := cancelled.NextLevel(); ok || err != nil || s.Snapshot().Requests != before {
+		t.Fatalf("level after cancel: ok=%v err=%v, %d requests", ok, err, s.Snapshot().Requests-before)
 	}
-	if s.front.metrics.streamCancels.Load() != 1 {
-		t.Errorf("cancel not recorded: %d", s.front.metrics.streamCancels.Load())
-	}
-	// The connection serves plain requests again after the cancel.
-	if _, _, err := ds.QueryBox(q, rdr.Options{Levels: 1}); err != nil {
-		t.Fatalf("query after cancel: %v", err)
+	if _, err := ds.ProgressiveBox(geom.NewBox(geom.V3(2, 2, 2), geom.V3(3, 3, 3)), 0, 1); err == nil {
+		t.Fatal("stream over a box outside every file opened")
 	}
 }
 
@@ -353,84 +319,6 @@ func TestOverloadFastFail(t *testing.T) {
 	}
 	if s.front.metrics.overloaded.Load() != overloaded.Load() {
 		t.Errorf("metrics disagree: %d vs %d", s.front.metrics.overloaded.Load(), overloaded.Load())
-	}
-}
-
-// TestGracefulDrainCompletesStream starts a progressive stream, begins
-// a drain mid-stream, and verifies (a) the stream runs to completion,
-// (b) new requests are refused with ErrDraining, (c) Shutdown returns
-// only after the stream finished.
-func TestGracefulDrainCompletesStream(t *testing.T) {
-	dir := t.TempDir()
-	writeDataset(t, dir, geom.I3(2, 2, 1), geom.I3(1, 1, 1), 300)
-	s := New(Config{Workers: 2})
-	if err := s.Mount("sim", dir); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-
-	ds, err := OpenRemote(addr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	bystander, err := OpenRemote(addr, "sim") // dialed before the drain begins
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bystander.Close()
-
-	st, err := ds.ProgressiveBox(ds.Meta().Domain, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, ok, err := st.NextLevel()
-	if err != nil || !ok {
-		t.Fatalf("first level: %v ok=%v", err, ok)
-	}
-	total := first.Len()
-
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- s.Shutdown(ctx)
-	}()
-	// Wait until the drain is visible.
-	for !s.front.draining.Load() {
-		time.Sleep(time.Millisecond)
-	}
-
-	// New work is refused while the stream is still open.
-	if _, _, err := bystander.QueryBox(bystander.Meta().Domain, rdr.Options{}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("request during drain: %v, want ErrDraining", err)
-	}
-	select {
-	case err := <-drained:
-		t.Fatalf("Shutdown returned with the stream still open: %v", err)
-	default:
-	}
-
-	// The in-flight stream completes through the drain.
-	for !st.Done() {
-		buf, ok, err := st.NextLevel()
-		if err != nil {
-			t.Fatalf("stream during drain: %v", err)
-		}
-		if !ok {
-			break
-		}
-		total += buf.Len()
-	}
-	local, err := rdr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(total) != local.Meta().Total {
-		t.Fatalf("drained stream delivered %d of %d particles", total, local.Meta().Total)
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("Shutdown: %v", err)
 	}
 }
 
@@ -644,6 +532,15 @@ func TestBudgetFastFail(t *testing.T) {
 	// A level-limited read fits.
 	if _, _, err := ds.QueryBox(ds.Meta().Domain, rdr.Options{Levels: 1}); err != nil {
 		t.Fatalf("level-limited query: %v", err)
+	}
+	// A level of a stream is an answer like any other: the first to outgrow
+	// the budget is refused; those before it are the valid coarse prefix.
+	st, err := ds.ProgressiveBox(ds.Meta().Domain, 0, 1)
+	for err == nil && !st.Done() {
+		_, _, err = st.NextLevel()
+	}
+	if !errors.Is(err, ErrBudget) || st.Level() == 0 || st.Done() {
+		t.Fatalf("stream over the budget: %v after %d levels (done=%v), want ErrBudget after some", err, st.Level(), st.Done())
 	}
 }
 

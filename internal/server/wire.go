@@ -19,10 +19,10 @@ import (
 //
 // The connection opens with a hello (magic + protocol version) from the
 // client, acknowledged by a response header; after that the client
-// sends one request frame at a time and reads the response frame(s).
-// Progressive streams interleave server level-frames with client ack
-// frames — the explicit backpressure that lets a renderer cancel after
-// a coarse prefix.
+// sends one request frame at a time and reads its one response frame. No
+// request outlives its response: a progressive read is a sequence of
+// level-range box reads (request.Skip), each asked for when the client
+// wants it.
 //
 // Bodies are encoded with the same sticky-error writer/reader idiom as
 // internal/format's binio (little-endian, uvarint lengths), kept in
@@ -33,7 +33,7 @@ import (
 
 const (
 	protoMagic   = "SPIOSRV1"
-	protoVersion = 4 // v4 added the gateway extensions: hello feature bits, per-file base override, raw density, partial-result flag, drain notices
+	protoVersion = 5 // v5: a read's levels are a range (request.Skip); the progressive op, its acks and its level frame are gone
 )
 
 // Feature bits exchanged in the hello (client advertises, server
@@ -77,7 +77,6 @@ const (
 	opKNN         = 3 // k-nearest-neighbour search
 	opHalo        = 4 // patch + ghost-margin read
 	opDensityGrid = 5 // approximate density field from a LOD prefix
-	opProgressive = 6 // level-by-level stream with per-level acks
 	opStats       = 7 // server metrics snapshot (JSON)
 	opList        = 8 // list mounted dataset references
 )
@@ -89,12 +88,6 @@ const (
 	statusOverloaded = 2 // admission queue full: back off and retry
 	statusDraining   = 3 // server shutting down: redial later
 	statusBudget     = 4 // response exceeds the per-request byte budget
-)
-
-// Progressive stream acks (client -> server between level frames).
-const (
-	ackNext   = 1
-	ackCancel = 2
 )
 
 // Decode-side sanity bounds (the frame length bounds total size; these
@@ -589,6 +582,8 @@ type request struct {
 	K       int
 	Halo    float64
 	Dims    geom.Idx3
+	// Levels and Skip are the level range [Skip, Levels) of the read
+	// (rdr.Options.Levels and SkipLevels).
 	Levels  int
 	Readers int
 	// NoFilter returns whole files without box filtering (ReadAll).
@@ -601,6 +596,7 @@ type request struct {
 	Base int64
 	// Flags carries the reqFlag* bits.
 	Flags uint8
+	Skip  int
 }
 
 func encodeRequest(e *writer, r *request) {
@@ -624,6 +620,7 @@ func encodeRequest(e *writer, r *request) {
 	}
 	e.uvarint(uint64(r.Base))
 	e.u8(r.Flags)
+	e.uvarint(uint64(r.Skip))
 }
 
 func decodeRequest(d *reader) (*request, error) {
@@ -670,6 +667,11 @@ func decodeRequest(d *reader) (*request, error) {
 	}
 	r.Base = int64(base)
 	r.Flags = d.u8()
+	skip := d.uvarint()
+	if skip > maxReqLevels || (levels > 0 && skip >= levels) {
+		d.fail(fmt.Errorf("spiod: skip=%d is not below levels=%d (limit %d)", skip, levels, maxReqLevels))
+	}
+	r.Skip = int(skip)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -782,11 +784,11 @@ func decodeWireSchema(d *reader) (*particle.Schema, error) {
 // deterministic from the record count, so the decoder reconstructs the
 // block boundaries from the self-describing frames alone and both sides
 // can run the blocks through the parallel batch codec. A raw payload is
-// exactly the data-file encoding, so a streamed level is bit-identical
-// to the file prefix it came from; a compressed one decodes to it. The
-// server encodes with the negotiated codec but keeps raw whenever
-// compression doesn't shrink the buffer, so codec is a ceiling, not a
-// promise.
+// exactly the data-file encoding, so a level range read whole is
+// bit-identical to the file range it came from; a compressed one decodes
+// to it. The server encodes with the negotiated codec but keeps raw
+// whenever compression doesn't shrink the buffer, so codec is a ceiling,
+// not a promise.
 //
 // Neither side copies the payload: the encoder lends the frame the row
 // segments themselves, or block frames compressed straight out of them
@@ -1100,54 +1102,4 @@ func decodeDensityResp(d *reader, limit int64) (*densityResp, error) {
 		return nil, d.err
 	}
 	return &densityResp{Stats: *st, Counts: counts, Fraction: frac, Sampled: sampled}, nil
-}
-
-// streamFrame is one level increment of a progressive stream. Done
-// marks the final frame; its rows may be empty.
-type streamFrame struct {
-	Level int
-	Done  bool
-	Stats wireStats // cumulative over the stream so far
-	Rows  *particle.Rows
-}
-
-func encodeStreamFrame(e *writer, f *streamFrame, codec uint8) {
-	e.uvarint(uint64(f.Level))
-	var done uint8
-	if f.Done {
-		done = 1
-	}
-	e.u8(done)
-	encodeStats(e, &f.Stats)
-	encodeRows(e, f.Rows, codec)
-}
-
-func decodeStreamFrame(d *reader, limit int64) (*streamFrame, error) {
-	var f streamFrame
-	f.Level = int(d.uvarint())
-	f.Done = d.u8() != 0
-	st, err := decodeStats(d)
-	if err != nil {
-		return nil, err
-	}
-	f.Stats = *st
-	rows, err := decodeRows(d, limit)
-	if err != nil {
-		return nil, err
-	}
-	f.Rows = rows
-	return &f, nil
-}
-
-// Stream acks (client -> server between level frames).
-func encodeAck(e *writer, ack uint8) {
-	e.u8(ack)
-}
-
-func decodeAck(d *reader) (uint8, error) {
-	ack := d.u8()
-	if d.err != nil {
-		return 0, d.err
-	}
-	return ack, nil
 }

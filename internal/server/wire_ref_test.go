@@ -155,7 +155,7 @@ func vecBody(t *testing.T, enc func(e *writer)) []byte {
 // TestWireFramesMatchReference is the differential test of the rows
 // codec: over {raw, lossless} x {0, 1, either side of a wire block, three
 // blocks and a ragged tail} records x {whole Uintah records, positions
-// only} x {query, KNN, halo, stream-frame responses}, the frame the rows
+// only} x {query, KNN, halo responses}, the frame the rows
 // encoder lends together is byte-identical to the frame the columnar
 // reference builds, each decoder accepts the other's frame, and every
 // decoded answer is bit-equal to what went in — with no row segment left
@@ -268,34 +268,6 @@ func TestWireFramesMatchReference(t *testing.T) {
 								return nil, err
 							}
 							return []*particle.Buffer{r.Own.Buffer(), r.Ghost.Buffer()}, nil
-						},
-					},
-					{
-						name: "stream",
-						ref: func(e *writer) {
-							e.uvarint(3)
-							e.u8(1)
-							encodeStats(e, &stats)
-							refEncodeBuffer(e, buf, codec)
-						},
-						rows: func(e *writer) {
-							encodeStreamFrame(e, &streamFrame{Level: 3, Done: true, Stats: stats, Rows: rowsOf}, codec)
-						},
-						refDec: func(d *reader) ([]*particle.Buffer, error) {
-							if level, done := d.uvarint(), d.u8(); level != 3 || done != 1 {
-								return nil, fmt.Errorf("level %d done %d", level, done)
-							}
-							return skipStats(decRef(1))(d)
-						},
-						rowDec: func(d *reader) ([]*particle.Buffer, error) {
-							f, err := decodeStreamFrame(d, 1<<30)
-							if err != nil {
-								return nil, err
-							}
-							if f.Level != 3 || !f.Done || f.Stats != stats {
-								return nil, fmt.Errorf("stream frame header %+v", f)
-							}
-							return []*particle.Buffer{f.Rows.Buffer()}, nil
 						},
 					},
 				}

@@ -31,6 +31,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Halo:     0.0625,
 		Dims:     geom.I3(8, 4, 2),
 		Levels:   3,
+		Skip:     2,
 		Readers:  4,
 		NoFilter: true,
 		Fields:   []string{"id", "density"},
@@ -42,7 +43,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	if got.Op != want.Op || got.Dataset != want.Dataset || got.Box != want.Box ||
 		got.Point != want.Point || got.K != want.K || got.Halo != want.Halo ||
-		got.Dims != want.Dims || got.Levels != want.Levels || got.Readers != want.Readers ||
+		got.Dims != want.Dims || got.Levels != want.Levels || got.Skip != want.Skip || got.Readers != want.Readers ||
 		got.NoFilter != want.NoFilter || len(got.Fields) != 2 ||
 		got.Fields[0] != "id" || got.Fields[1] != "density" {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
@@ -239,24 +240,6 @@ func TestSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamFrameRoundTrip(t *testing.T) {
-	buf := particle.Uniform(particle.PositionOnly(), geom.UnitBox(), 33, 3, 1)
-	want := &streamFrame{
-		Level: 2, Done: true,
-		Stats: wireStats{Read: rdr.Stats{ParticlesRead: 33, BytesRead: 33 * 24}},
-		Rows:  buf.Rows(),
-	}
-	defer want.Rows.Release()
-	d := roundTrip(t, func(e *writer) { encodeStreamFrame(e, want, wireCodecLossless) })
-	got, err := decodeStreamFrame(d, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Level != want.Level || got.Done != want.Done || got.Stats != want.Stats || !got.Rows.Buffer().Equal(buf) {
-		t.Fatalf("stream frame mismatch: %+v", got)
-	}
-}
-
 func TestFloatsBlobNamesRoundTrip(t *testing.T) {
 	d := roundTrip(t, func(e *writer) { encodeFloats(e, []float64{1, math.NaN(), math.Copysign(0, -1)}) })
 	fs, err := decodeFloats(d, 10)
@@ -304,6 +287,8 @@ func TestRequestBoundsEnforced(t *testing.T) {
 		{"grid cells", request{Op: opDensityGrid, Dataset: "sim", Dims: geom.I3(1<<12, 1<<12, 2)}},
 		{"levels", request{Op: opQueryBox, Dataset: "sim", Levels: maxReqLevels + 1}},
 		{"readers", request{Op: opQueryBox, Dataset: "sim", Readers: maxReqReaders + 1}},
+		{"skip at levels", request{Op: opQueryBox, Dataset: "sim", Levels: 3, Skip: 3}},
+		{"skip alone", request{Op: opQueryBox, Dataset: "sim", Skip: maxReqLevels + 1}},
 	}
 	for _, tc := range cases {
 		d := roundTrip(t, func(e *writer) { encodeRequest(e, &tc.req) })
@@ -316,7 +301,7 @@ func TestRequestBoundsEnforced(t *testing.T) {
 	ok := request{
 		Op: opDensityGrid, Dataset: "sim",
 		K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
-		Levels: maxReqLevels, Readers: maxReqReaders,
+		Levels: maxReqLevels, Skip: maxReqLevels - 1, Readers: maxReqReaders,
 	}
 	d := roundTrip(t, func(e *writer) { encodeRequest(e, &ok) })
 	if _, err := decodeRequest(d); err != nil {
