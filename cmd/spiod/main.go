@@ -93,7 +93,6 @@ func runServe(args []string) {
 		fcSlots = fs.Int("file-cache", 0, "per-dataset open-file cache slots (0 = default)")
 		respMB  = fs.Int64("max-resp-mb", 0, "per-request response budget in MiB (0 = default 1024)")
 		fsck    = fs.String("fsck", server.FsckRefuse, "mount integrity policy: refuse|warn|off")
-		wcodec  = fs.String("wire-codec", "any", "response compression policy: any (honor client) | none (force raw)")
 		metrics = fs.String("metrics", "", "HTTP address for /metrics and /debug/vars (empty = off)")
 		drainT  = fs.Duration("drain-timeout", 30*time.Second, "max wait for graceful drain on SIGTERM")
 	)
@@ -101,10 +100,6 @@ func runServe(args []string) {
 	fs.Var(&listens, "listen", "listen address: unix:/path or tcp:host:port (repeatable)")
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error here
 
-	if *wcodec != "any" && *wcodec != "none" {
-		fmt.Fprintf(os.Stderr, "spiod: -wire-codec %q: want any or none\n", *wcodec)
-		os.Exit(2)
-	}
 	if len(mounts.mounts) == 0 {
 		fmt.Fprintln(os.Stderr, "spiod: at least one -mount name=dir is required")
 		fs.Usage()
@@ -122,7 +117,6 @@ func runServe(args []string) {
 		FileCacheSlots: *fcSlots,
 		MaxRespBytes:   *respMB << 20,
 		Fsck:           *fsck,
-		WireCodec:      *wcodec,
 		Logf:           log.Printf,
 	}
 	s := server.New(cfg)

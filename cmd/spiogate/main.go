@@ -135,17 +135,12 @@ func runServe(args []string) {
 		callT   = fs.Duration("call-timeout", 0, "per-backend-call deadline (0 = default 30s)")
 		failN   = fs.Int("breaker-failures", 0, "consecutive failures that open a backend's circuit breaker (0 = default 3)")
 		coolT   = fs.Duration("breaker-cooldown", 0, "open-breaker probe interval (0 = default 5s)")
-		wcodec  = fs.String("wire-codec", "any", "front response compression policy: any (honor client) | none (force raw)")
 		drainT  = fs.Duration("drain-timeout", 30*time.Second, "max wait for graceful drain on SIGTERM")
 	)
 	fs.Var(&shards, "shard", "append a shard: mount=ref=addr[,replica-addr...] (repeatable; order defines the shard map)")
 	fs.Var(&listens, "listen", "listen address: unix:/path or tcp:host:port (repeatable)")
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error here
 
-	if *wcodec != "any" && *wcodec != "none" {
-		fmt.Fprintf(os.Stderr, "spiogate: -wire-codec %q: want any or none\n", *wcodec)
-		os.Exit(2)
-	}
 	if len(shards.order) == 0 {
 		fmt.Fprintln(os.Stderr, "spiogate: at least one -shard mount=ref=addr is required")
 		fs.Usage()
@@ -160,7 +155,6 @@ func runServe(args []string) {
 		CallTimeout:   *callT,
 		FailThreshold: *failN,
 		Cooldown:      *coolT,
-		WireCodec:     *wcodec,
 		Logf:          log.Printf,
 	})
 	for _, name := range shards.order {

@@ -39,7 +39,6 @@ func main() {
 		knnAt   = flag.String("knn", "", "query point x,y,z for a nearest-neighbour search")
 		k       = flag.Int("k", 8, "neighbour count for -knn")
 		sched   = flag.Bool("schedule", false, "print the LOD level schedule for -readers and exit")
-		wcodec  = flag.String("wire-codec", "lossless", "response codec to request from -remote: lossless | raw")
 	)
 	flag.Parse()
 	if (*dir == "") == (*remote == "") {
@@ -63,16 +62,7 @@ func main() {
 		knn func(p spio.Vec3, k int) (*spio.Buffer, []float64, spio.ReadStats, error)
 	)
 	if *remote != "" {
-		var codec uint8
-		switch *wcodec {
-		case "lossless":
-			codec = spio.WireCodecLossless
-		case "raw", "none":
-			codec = spio.WireCodecRaw
-		default:
-			fatal(fmt.Errorf("unknown -wire-codec %q (want lossless or raw)", *wcodec))
-		}
-		rds, err := spio.Dial(*remote, *dataset, spio.WithWireCodec(codec))
+		rds, err := spio.Dial(*remote, *dataset)
 		if err != nil {
 			fatal(err)
 		}

@@ -46,9 +46,6 @@ type Config struct {
 	// MaxFrame bounds response frames accepted from backends (default
 	// server.DefaultMaxFrame).
 	MaxFrame int64
-	// WireCodec is the front response-compression policy: "" or "any"
-	// honors what each client requested; "none" forces raw.
-	WireCodec string
 	// Logf, when non-nil, receives gateway log lines.
 	Logf func(format string, args ...any)
 }
@@ -153,7 +150,7 @@ func New(cfg Config) *Gateway {
 	// The front runs on its defaults for workers, queue depth and
 	// response budget: the admission that guards a spiod guards the
 	// gateway's fan-out the same way.
-	g.front = server.NewFront(server.Config{WireCodec: cfg.WireCodec}, g)
+	g.front = server.NewFront(server.Config{}, g)
 	return g
 }
 
@@ -253,21 +250,15 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) error {
 }
 
 // fetchShardMeta retrieves a shard's metadata from the first replica
-// that answers, and checks the backend implements the scatter-gather
-// wire extensions the merge semantics depend on.
+// that answers. A backend that passed the hello's version check speaks
+// every extension the merge semantics depend on.
 func (g *Gateway) fetchShardMeta(sh *gwShard) (*format.Meta, error) {
-	const need = server.FeatureBaseOverride | server.FeatureRawDensity | server.FeaturePartialResults
 	var lastErr error
 	for _, be := range sh.replicas {
 		c, err := be.pool.Get()
 		if err != nil {
 			lastErr = err
 			continue
-		}
-		if c.ServerFeatures()&need != need {
-			be.pool.Put(c)
-			return nil, fmt.Errorf("backend %s lacks gateway wire extensions (features %#x)",
-				be.addr, c.ServerFeatures())
 		}
 		ds, err := c.Open(sh.ref)
 		be.pool.Put(c)

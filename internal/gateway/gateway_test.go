@@ -73,9 +73,9 @@ func listenOn(t testing.TB, addr string) net.Listener {
 }
 
 // serveSpiod serves dir as dataset "shard" from a fresh spiod on a fresh
-// unix socket — behind cut, when the test wants to break its connections.
-// Shutting it down is the caller's business.
-func serveSpiod(t testing.TB, dir string, cfg server.Config, cut *cutListener) (*server.Server, string) {
+// unix socket — wrapped by wrap, when the test wants a hand on its
+// connections. Shutting it down is the caller's business.
+func serveSpiod(t testing.TB, dir string, cfg server.Config, wrap func(net.Listener) net.Listener) (*server.Server, string) {
 	t.Helper()
 	s := server.New(cfg)
 	if err := s.Mount("shard", dir); err != nil {
@@ -83,8 +83,8 @@ func serveSpiod(t testing.TB, dir string, cfg server.Config, cut *cutListener) (
 	}
 	addr := sockAddr(t)
 	l := listenOn(t, addr)
-	if cut != nil {
-		cut.Listener, l = l, cut
+	if wrap != nil {
+		l = wrap(l)
 	}
 	go func() { _ = s.Serve(l) }()
 	// Probe until the accept loop is live: a Shutdown racing Serve's
@@ -138,12 +138,21 @@ func splitShards(t testing.TB, srcDir string, n int) ([]ShardSpec, []func()) {
 // fresh unix socket.
 func startGateway(t testing.TB, cfg Config, specs []ShardSpec) (*Gateway, string) {
 	t.Helper()
+	return serveGateway(t, cfg, specs, nil)
+}
+
+// serveGateway is startGateway with the front's listener wrapped by wrap.
+func serveGateway(t testing.TB, cfg Config, specs []ShardSpec, wrap func(net.Listener) net.Listener) (*Gateway, string) {
+	t.Helper()
 	g := New(cfg)
 	if err := g.Mount("sim", specs); err != nil {
 		t.Fatal(err)
 	}
 	addr := sockAddr(t)
 	l := listenOn(t, addr)
+	if wrap != nil {
+		l = wrap(l)
+	}
 	go func() {
 		if err := g.Serve(l); err != nil {
 			t.Errorf("gateway Serve: %v", err)

@@ -23,23 +23,23 @@ type levelTarget struct {
 	stream func(q geom.Box, levels, readers int) (*server.RemoteStream, error)
 }
 
-func remoteLevelTarget(t *testing.T, name, addr, ref string, wire uint8) levelTarget {
+func remoteLevelTarget(t *testing.T, name, addr, ref string) levelTarget {
 	t.Helper()
-	ds, err := server.OpenRemote(addr, ref, server.WithWireCodec(wire))
+	ds, err := server.OpenRemote(addr, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	return levelTarget{fmt.Sprintf("%s/wire=%d", name, wire), ds.QueryBox, ds.Meta().FilesIntersecting, ds.ProgressiveBox}
+	return levelTarget{name, ds.QueryBox, ds.Meta().FilesIntersecting, ds.ProgressiveBox}
 }
 
 // TestLevelRangesTileThePrefix is the LOD-prefix-validity invariant
 // (DESIGN.md §12.1) over level ranges, once for every way there is to
 // read one: {local reader, spiod, 3-shard spiogate} x disk codec {raw,
-// lossless} x wire codec {raw, lossless} x readers {1, 2, 256} x {whole
-// records, Fields: density}, over four files of very different sizes —
-// one crosses a codec block, one is smaller than a first level — so that
-// the files of one read run out of levels at different depths. For every
+// lossless} x readers {1, 2, 256} x {whole records, Fields: density},
+// over four files of very different sizes — one crosses a codec block,
+// one is smaller than a first level — so that the files of one read run
+// out of levels at different depths. For every
 // file alone, the ranges [l, l+1), l < k, one after another are the bytes
 // of the Levels: k read, for every k. Over several files — where a prefix
 // read goes file by file and a level across them — each range is the
@@ -64,11 +64,10 @@ func TestLevelRangesTileThePrefix(t *testing.T) {
 		spiod, _ := startBackend(t, src)
 		specs, _ := splitShards(t, src, 3)
 		_, gate := startGateway(t, Config{}, specs)
-		targets := []levelTarget{{name: "local", read: local.QueryBox, files: local.Meta().FilesIntersecting}}
-		for _, wire := range []uint8{server.WireCodecRaw, server.WireCodecLossless} {
-			targets = append(targets,
-				remoteLevelTarget(t, "spiod", spiod, "shard", wire),
-				remoteLevelTarget(t, "spiogate", gate, "sim", wire))
+		targets := []levelTarget{
+			{name: "local", read: local.QueryBox, files: local.Meta().FilesIntersecting},
+			remoteLevelTarget(t, "spiod", spiod, "shard"),
+			remoteLevelTarget(t, "spiogate", gate, "sim"),
 		}
 
 		// One box inside each file's partition, then two that take several.

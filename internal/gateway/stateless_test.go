@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -24,23 +26,28 @@ import (
 type daemon struct {
 	name, addr, ref string
 	shutdown        func(ctx context.Context) error
-	gw              *Gateway // nil for the spiod
+	conns           func() int64 // the front's active_conns
+	gw              *Gateway     // nil for the spiod
 }
 
 // idleCursors idle streams used to exhaust either daemon of bothDaemons.
 const idleCursors = 2
 
 // bothDaemons writes a dataset and serves it from a spiod and from a
-// gateway over three shards of it.
-func bothDaemons(t *testing.T) []daemon {
+// gateway over three shards of it, the listeners their clients dial
+// wrapped by wrap when the test wants a hand on those connections.
+func bothDaemons(t *testing.T, wrap func(net.Listener) net.Listener) []daemon {
 	t.Helper()
 	src := t.TempDir()
 	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 40)
-	s, spiod := serveSpiod(t, src, server.Config{Workers: idleCursors}, nil)
+	s, spiod := serveSpiod(t, src, server.Config{Workers: idleCursors}, wrap)
 	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	specs, _ := splitShards(t, src, 3)
-	g, gate := startGateway(t, Config{PoolSize: idleCursors}, specs)
-	return []daemon{{"spiod", spiod, "shard", s.Shutdown, nil}, {"spiogate", gate, "sim", g.Shutdown, g}}
+	g, gate := serveGateway(t, Config{PoolSize: idleCursors}, specs, wrap)
+	return []daemon{
+		{"spiod", spiod, "shard", s.Shutdown, func() int64 { return s.Snapshot().ActiveConns }, nil},
+		{"spiogate", gate, "sim", g.Shutdown, func() int64 { return g.front.Snapshot().ActiveConns }, g},
+	}
 }
 
 // open dials d with a call timeout: what used to hang fails instead.
@@ -92,7 +99,7 @@ func levelsOf(t *testing.T, ds *server.RemoteDataset, readers int) [][]byte {
 // call timeout. [Each idle stream held a worker slot, and a pooled
 // connection per shard, until its client came back.]
 func TestIdleCursorsHoldNothing(t *testing.T) {
-	for _, d := range bothDaemons(t) {
+	for _, d := range bothDaemons(t, nil) {
 		t.Run(d.name, func(t *testing.T) {
 			for i := 0; i < idleCursors; i++ {
 				d.idleCursor(t)
@@ -112,7 +119,7 @@ func TestIdleCursorsHoldNothing(t *testing.T) {
 // been. [A stream owned its client's lock from open to end: the box query
 // never returned.]
 func TestQueriesBetweenLevels(t *testing.T) {
-	for _, d := range bothDaemons(t) {
+	for _, d := range bothDaemons(t, nil) {
 		t.Run(d.name, func(t *testing.T) {
 			ds := d.open(t)
 			q := ds.Meta().Domain
@@ -147,7 +154,7 @@ func TestQueriesBetweenLevels(t *testing.T) {
 // [The drain waited for a stream's last level, so an abandoned one held
 // Shutdown to its deadline.]
 func TestShutdownWithAbandonedCursor(t *testing.T) {
-	for _, d := range bothDaemons(t) {
+	for _, d := range bothDaemons(t, nil) {
 		t.Run(d.name, func(t *testing.T) {
 			st := d.idleCursor(t)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -165,6 +172,76 @@ func TestShutdownWithAbandonedCursor(t *testing.T) {
 				if _, err := be.pool.Get(); !errors.Is(err, server.ErrPoolClosed) {
 					t.Errorf("backend %s: pool still open after Shutdown (Get: %v)", addr, err)
 				}
+			}
+		})
+	}
+}
+
+// hurried wraps a listener so that a read deadline set on one of its
+// connections expires after at most in: the front's hello deadline at
+// test speed. Only deadlines up to a minute ahead are hurried — a front
+// that would wait longer than that for a hello fails the test like one
+// that waits for ever.
+func hurried(in time.Duration) func(net.Listener) net.Listener {
+	return func(l net.Listener) net.Listener { return hurriedListener{l, in} }
+}
+
+type hurriedListener struct {
+	net.Listener
+	in time.Duration
+}
+
+func (l hurriedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return hurriedConn{c, l.in}, nil
+}
+
+type hurriedConn struct {
+	net.Conn
+	in time.Duration
+}
+
+func (c hurriedConn) SetReadDeadline(t time.Time) error {
+	if wait := time.Until(t); !t.IsZero() && wait > c.in && wait <= time.Minute {
+		t = time.Now().Add(c.in)
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestSilentPeerIsDropped: a peer that connects and says nothing is hung
+// up on when the hello deadline runs out, and active_conns is back at 0;
+// a peer that has said hello may stay silent as long as it likes. [The
+// hello was read without a deadline: a silent peer held a handler
+// goroutine, a descriptor and an active_conns count until the drain.]
+func TestSilentPeerIsDropped(t *testing.T) {
+	const in = 50 * time.Millisecond
+	for _, d := range bothDaemons(t, hurried(in)) {
+		t.Run(d.name, func(t *testing.T) {
+			_, path, err := server.ParseAddr(d.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			silent, err := net.Dial("unix", path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer silent.Close()
+			_ = silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := silent.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+				t.Fatalf("a peer that never said hello read %d bytes, %v; want the daemon to have hung up", n, err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); d.conns() != 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("active_conns still %d after the silent peer was dropped", d.conns())
+				}
+			}
+			idle := d.open(t)
+			time.Sleep(4 * in) // the deadline, had it outlived the hello, has run out
+			if _, _, err := idle.QueryBox(idle.Meta().Domain, rdr.Options{}); err != nil {
+				t.Fatalf("a peer silent after its hello: %v; the deadline is the hello's alone", err)
 			}
 		})
 	}
@@ -188,7 +265,7 @@ func TestGatewayStreamSurvivesReplicaLoss(t *testing.T) {
 	for name, replicated := range map[string]bool{"replica": true, "single": false} {
 		t.Run(name, func(t *testing.T) {
 			primary := &cutListener{}
-			ps, addr := serveSpiod(t, dirs[0], server.Config{}, primary)
+			ps, addr := serveSpiod(t, dirs[0], server.Config{}, primary.over)
 			t.Cleanup(func() { _ = ps.Shutdown(context.Background()) })
 			lost := ShardSpec{Ref: "shard", Addrs: []string{addr}}
 			if replicated {

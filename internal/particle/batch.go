@@ -1,7 +1,6 @@
 package particle
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -101,49 +100,6 @@ func CompressBlocks(schema *Schema, spec Spec, blocks [][]byte, workers int) ([]
 		return nil, err
 	}
 	return out, nil
-}
-
-// SplitFrames walks a concatenation of block frames — counts[i] records
-// each, in order — and returns the batch inputs for DecompressBlocks,
-// each block's At at the running record offset. The walk reads only the
-// per-field frame headers, never the payloads, so it costs a few bytes
-// per field; stream may be untrusted — every claimed length is checked
-// against the remaining bytes, and the frames must tile the stream
-// exactly.
-func SplitFrames(schema *Schema, stream []byte, counts []int) ([]CompressedBlock, error) {
-	blocks := make([]CompressedBlock, 0, len(counts))
-	at := 0
-	rest := stream
-	for bi, count := range counts {
-		n, err := frameLen(schema, rest)
-		if err != nil {
-			return nil, fmt.Errorf("particle: block frame %d: %w", bi, err)
-		}
-		blocks = append(blocks, CompressedBlock{Frame: rest[:n:n], Count: count, At: at})
-		rest = rest[n:]
-		at += count
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("particle: %d trailing bytes after %d block frames", len(rest), len(counts))
-	}
-	return blocks, nil
-}
-
-// frameLen measures one block frame by walking its field headers.
-func frameLen(schema *Schema, data []byte) (int, error) {
-	off := 0
-	for fi := 0; fi < schema.NumFields(); fi++ {
-		if off >= len(data) {
-			return 0, fmt.Errorf("stream ends before field %d", fi)
-		}
-		off++ // codec id
-		plen, n := binary.Uvarint(data[off:])
-		if n <= 0 || plen > uint64(len(data)-off-n) {
-			return 0, fmt.Errorf("field %d: bad payload length", fi)
-		}
-		off += n + int(plen)
-	}
-	return off, nil
 }
 
 // CompressedBlock is one input to DecompressBlocks: a self-describing

@@ -108,10 +108,9 @@ func TestBatchCompressMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchDecompressMatchesSerial is the other half: concatenate the
-// frames, split them back with SplitFrames, and decode — in parallel,
-// serially, and over random sub-ranges of blocks — demanding
-// byte-identity with the original records everywhere.
+// TestBatchDecompressMatchesSerial is the other half: decode the frames
+// — in parallel, serially, and over random sub-ranges of blocks —
+// demanding byte-identity with the original records everywhere.
 func TestBatchDecompressMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 60; trial++ {
@@ -124,7 +123,7 @@ func TestBatchDecompressMatchesSerial(t *testing.T) {
 		nblocks := 1 + r.Intn(7)
 		counts := make([]int, nblocks)
 		var want []byte
-		var stream []byte
+		var blocks []CompressedBlock
 		total := 0
 		for i := range counts {
 			counts[i] = r.Intn(300)
@@ -134,12 +133,8 @@ func TestBatchDecompressMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d: compress: %v", trial, err)
 			}
 			want = append(want, recs...)
-			stream = append(stream, frame...)
+			blocks = append(blocks, CompressedBlock{Frame: frame, Count: counts[i], At: total})
 			total += counts[i]
-		}
-		blocks, err := SplitFrames(schema, stream, counts)
-		if err != nil {
-			t.Fatalf("trial %d: SplitFrames: %v", trial, err)
 		}
 		// Serial reference via DecompressBlockInto.
 		ref := make([]byte, total*stride)
@@ -205,54 +200,6 @@ func TestFastSpecRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(got, recs) {
 			t.Fatalf("trial %d: fast spec round trip not byte-identical", trial)
-		}
-	}
-}
-
-// TestSplitFramesHostile feeds SplitFrames corrupt streams: it must
-// error, never panic or hand out frames past the stream.
-func TestSplitFramesHostile(t *testing.T) {
-	schema, records := testBlock(t, 100, 9)
-	frame, err := CompressBlock(schema, LosslessSpec(schema), records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := append(append([]byte(nil), frame...), frame...)
-	if _, err := SplitFrames(schema, stream, []int{100, 100}); err != nil {
-		t.Fatalf("intact stream: %v", err)
-	}
-	cases := []struct {
-		name   string
-		stream []byte
-		counts []int
-	}{
-		{"truncated", stream[:len(stream)-3], []int{100, 100}},
-		{"trailing bytes", append(append([]byte(nil), stream...), 0xAB), []int{100, 100}},
-		{"too few counts", stream, []int{100}},
-		{"too many counts", stream, []int{100, 100, 100}},
-		{"empty stream, one block", nil, []int{100}},
-	}
-	for _, c := range cases {
-		if _, err := SplitFrames(schema, c.stream, c.counts); err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
-	}
-	// Mutated field headers: random corruption must never walk out of
-	// bounds (an error or a wrong-but-in-bounds split are both fine).
-	r := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 2000; trial++ {
-		m := append([]byte(nil), stream...)
-		for k := 0; k < 1+r.Intn(4); k++ {
-			m[r.Intn(len(m))] ^= byte(1 << r.Intn(8))
-		}
-		blocks, err := SplitFrames(schema, m, []int{100, 100})
-		if err != nil {
-			continue
-		}
-		for _, blk := range blocks {
-			if len(blk.Frame) > len(m) {
-				t.Fatalf("trial %d: frame longer than stream", trial)
-			}
 		}
 	}
 }

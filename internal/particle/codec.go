@@ -227,77 +227,6 @@ func ParseCodecSpec(schema *Schema, s string) (Spec, error) {
 	return Spec{}, fmt.Errorf("particle: unknown codec spec %q (want none, lossless, fast, or lossy:<bound>)", s)
 }
 
-// Narrowing probes: NarrowSpec compresses this many leading records to
-// learn which fields pay for their codec, and keeps a field compressed
-// only when the probe recovered at least narrowKeepNum/narrowKeepDen of
-// its bytes. One part in ten is the wire break-even: below that, the
-// encoder spends more time than the saved bytes are worth on any link
-// faster than a few hundred Mbps.
-const (
-	narrowProbeRecords = 1024
-	narrowKeepNum      = 1
-	narrowKeepDen      = 10
-)
-
-// NarrowSpec returns spec with fields that do not pay for their codec
-// demoted to CodecRaw, learned by compressing a probe prefix of records
-// (up to narrowProbeRecords of them). A field is demoted when its probe
-// frame came back raw or recovered less than a tenth of the column
-// bytes — noisy float columns whose shuffled planes are mostly mantissa
-// entropy cost full codec time for a few percent of ratio, and on the
-// wire path that time loses to just sending the bytes. Lossy fields
-// (CodecQuantize) are never demoted: the caller asked for the error
-// bound, not for speed. The result depends only on schema, spec, and
-// the record bytes, so two encoders narrow identically; frames stay
-// self-describing, so decoders never see the spec at all. On any
-// malformed input the spec is returned unchanged.
-func NarrowSpec(schema *Schema, spec Spec, records []byte) Spec {
-	if len(spec.Fields) == 0 || spec.Validate(schema) != nil {
-		return spec
-	}
-	stride := schema.Stride()
-	count := len(records) / stride
-	if count == 0 || len(records)%stride != 0 {
-		return spec
-	}
-	if count > narrowProbeRecords {
-		count = narrowProbeRecords
-	}
-	frame, err := CompressBlock(schema, spec, records[:count*stride])
-	if err != nil {
-		return spec
-	}
-	narrowed := spec
-	var fields []FieldCodec // copied lazily, only if something demotes
-	off := 0
-	for fi := 0; fi < schema.NumFields(); fi++ {
-		f := schema.Field(fi)
-		if off >= len(frame) {
-			return spec
-		}
-		id := CodecID(frame[off])
-		off++
-		plen, n := binary.Uvarint(frame[off:])
-		if n <= 0 {
-			return spec
-		}
-		off += n + int(plen)
-		if spec.Fields[fi].ID == CodecRaw || spec.Fields[fi].ID == CodecQuantize {
-			continue
-		}
-		colLen := count * f.Bytes()
-		saved := colLen - int(plen)
-		if id == CodecRaw || saved*narrowKeepDen < colLen*narrowKeepNum {
-			if fields == nil {
-				fields = append([]FieldCodec(nil), spec.Fields...)
-				narrowed.Fields = fields
-			}
-			fields[fi] = FieldCodec{ID: CodecRaw}
-		}
-	}
-	return narrowed
-}
-
 // CompressBlock compresses one block of AoS records (a whole number of
 // records in LOD order) under the spec, returning the self-describing
 // per-field frame. Codecs that do not apply to the data at hand fall

@@ -426,8 +426,7 @@ func testBlockF(schema *Schema, n int) (*Schema, []byte) {
 
 // noisyBlock builds a Uintah block whose stress tensor is pure entropy
 // (random mantissa and exponent) while position, id, and type stay
-// structured — the shape that makes narrowing fire on exactly one
-// field.
+// structured.
 func noisyBlock(t *testing.T, n int) (*Schema, []byte) {
 	t.Helper()
 	schema := Uintah()
@@ -443,78 +442,4 @@ func noisyBlock(t *testing.T, n int) (*Schema, []byte) {
 			[]float64{float64(i)}, []float64{0})
 	}
 	return schema, buf.Encode()
-}
-
-func TestNarrowSpec(t *testing.T) {
-	schema, records := noisyBlock(t, 4096)
-	spec := FastSpec(schema)
-	narrowed := NarrowSpec(schema, spec, records)
-
-	want := map[string]CodecID{
-		"position": CodecShuffleLZ,   // structured: stays compressed
-		"stress":   CodecRaw,         // entropy: demoted
-		"id":       CodecDeltaVarint, // integer: stays
-	}
-	for fi := 0; fi < schema.NumFields(); fi++ {
-		f := schema.Field(fi)
-		if w, ok := want[f.Name]; ok && narrowed.Fields[fi].ID != w {
-			t.Errorf("field %q: narrowed to %v, want %v", f.Name, narrowed.Fields[fi].ID, w)
-		}
-	}
-	if &narrowed.Fields[0] == &spec.Fields[0] {
-		t.Error("NarrowSpec mutated the input spec instead of copying")
-	}
-
-	// The narrowed spec must still round-trip byte-identically.
-	comp, err := CompressBlock(schema, narrowed, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecompressBlock(schema, comp, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, records) {
-		t.Fatal("narrowed spec round trip not byte-identical")
-	}
-
-	// Narrowing is deterministic: same inputs, same spec.
-	again := NarrowSpec(schema, spec, records)
-	for fi := range narrowed.Fields {
-		if again.Fields[fi] != narrowed.Fields[fi] {
-			t.Fatalf("narrowing not deterministic at field %d", fi)
-		}
-	}
-}
-
-func TestNarrowSpecKeepsLossyFields(t *testing.T) {
-	schema, records := noisyBlock(t, 4096)
-	spec := FastSpec(schema)
-	// The user asked for an error bound on the noisy field: narrowing
-	// must not silently trade it for speed.
-	for fi := 0; fi < schema.NumFields(); fi++ {
-		if schema.Field(fi).Name == "stress" {
-			spec.Fields[fi] = FieldCodec{ID: CodecQuantize, ErrBound: 1e-3}
-		}
-	}
-	narrowed := NarrowSpec(schema, spec, records)
-	for fi := 0; fi < schema.NumFields(); fi++ {
-		if schema.Field(fi).Name == "stress" && narrowed.Fields[fi].ID != CodecQuantize {
-			t.Errorf("lossy field demoted to %v", narrowed.Fields[fi].ID)
-		}
-	}
-}
-
-func TestNarrowSpecDegenerate(t *testing.T) {
-	schema, records := testBlock(t, 64, 3)
-	if got := NarrowSpec(schema, Spec{}, records); len(got.Fields) != 0 {
-		t.Error("raw spec should pass through unchanged")
-	}
-	spec := FastSpec(schema)
-	if got := NarrowSpec(schema, spec, nil); &got.Fields[0] != &spec.Fields[0] {
-		t.Error("empty records should return the spec unchanged")
-	}
-	if got := NarrowSpec(schema, spec, records[:schema.Stride()-1]); &got.Fields[0] != &spec.Fields[0] {
-		t.Error("partial record should return the spec unchanged")
-	}
 }

@@ -25,9 +25,9 @@ import (
 // write path, at its sender.
 //
 // The records live in pooled segments of one capacity class. A segment
-// holds a whole number of codec blocks (RowBlock rows), so every block
-// of a Rows is contiguous in memory and a block codec can read or write
-// it in place.
+// holds a whole number of blocks (RowBlock rows), so every block of a
+// Rows is contiguous in memory and a row is found by a shift and a mask
+// (Gather).
 //
 // Ownership: a Rows belongs to whoever holds it, and the holder ends its
 // life with exactly one of Buffer (the columns, for a caller that wants
@@ -43,9 +43,9 @@ type Rows struct {
 	n      int
 }
 
-// RowBlock is the codec block of a Rows: a payload compressed from rows
-// is cut every RowBlock rows, and segments hold whole blocks. A power of
-// two, so a row's block and its place in it are a shift and a mask.
+// RowBlock is the block of a Rows: segments hold whole blocks, so each is
+// contiguous. A power of two, so a row's block and its place in it are a
+// shift and a mask.
 const (
 	rowBlockShift = 13
 	RowBlock      = 1 << rowBlockShift
@@ -91,7 +91,7 @@ func (r *Rows) Bytes() int64 { return int64(r.n) * int64(r.stride) }
 // the Rows is released.
 func (r *Rows) Segments() [][]byte { return r.segs }
 
-// NumBlocks returns the number of codec blocks the rows form.
+// NumBlocks returns the number of blocks the rows form.
 func (r *Rows) NumBlocks() int { return (r.n + RowBlock - 1) / RowBlock }
 
 // Block returns rows [i·RowBlock, (i+1)·RowBlock) — the last block may
@@ -337,53 +337,4 @@ func recycleRowSeg(seg []byte) {
 	if cap(seg) == rowSegBytes {
 		rowSegPool.Put(&seg)
 	}
-}
-
-// CompressRows compresses r under spec one RowBlock at a time, on at
-// most workers goroutines (<= 0 means GOMAXPROCS), appending block i's
-// frame onto frames[i] — the caller supplies one destination per block,
-// each with room for FrameBound bytes if it is not to be reallocated.
-// The frames are byte-identical to CompressBlock over the same records.
-func CompressRows(frames [][]byte, r *Rows, spec Spec, workers int) error {
-	if err := spec.Validate(r.schema); err != nil {
-		return err
-	}
-	return eachBlock(r.NumBlocks(), workers, func(i int) error {
-		st := getCodecState()
-		defer putCodecState(st)
-		frames[i] = st.appendBlock(frames[i], r.schema, spec, r.Block(i))
-		return nil
-	})
-}
-
-// FrameBound is the most a block frame of count records can take: every
-// field falls back to its raw column when its codec does not shrink it,
-// so a frame never exceeds the records plus the per-field framing.
-func FrameBound(schema *Schema, count int) int {
-	return count*schema.Stride() + 16*schema.NumFields()
-}
-
-// Decompress reverses CompressRows into an empty Rows: stream is the
-// concatenation of the block frames of n rows. It may be untrusted; n
-// must already be bounded by the caller, since it sizes the result. On
-// failure the rows hold garbage and are the caller's to release.
-func (r *Rows) Decompress(stream []byte, n, workers int) error {
-	if r.n != 0 {
-		return fmt.Errorf("particle: Decompress into %d rows, want none", r.n)
-	}
-	counts := make([]int, 0, n/RowBlock+1)
-	for lo := 0; lo < n; lo += RowBlock {
-		counts = append(counts, min(RowBlock, n-lo))
-	}
-	blocks, err := SplitFrames(r.schema, stream, counts)
-	if err != nil {
-		return err
-	}
-	r.Extend(n)
-	return eachBlock(len(blocks), workers, func(i int) error {
-		if err := DecompressBlockInto(r.schema, blocks[i].Frame, blocks[i].Count, r.Block(i)); err != nil {
-			return fmt.Errorf("particle: batch decode block %d: %w", i, err)
-		}
-		return nil
-	})
 }

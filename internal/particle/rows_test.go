@@ -116,75 +116,6 @@ func TestRowsAppend(t *testing.T) {
 	}
 }
 
-// TestCompressRowsMatchesBlocks pins the rows codec to the block codec:
-// the frames are CompressBlock's over the same records cut every
-// RowBlock, for any worker count; Decompress gives the rows back, and
-// rejects a torn or padded stream.
-func TestCompressRowsMatchesBlocks(t *testing.T) {
-	held := RowSegmentsHeld()
-	for _, schema := range []*Schema{Uintah(), PositionOnly(), wideSchema(t)} {
-		for _, n := range []int{0, 1, RowBlock, RowBlock + 1, 3*RowBlock + 17} {
-			buf := Uniform(schema, geom.UnitBox(), n, 5, 0)
-			recs := buf.Encode()
-			spec := FastSpec(schema)
-			var want []byte
-			for lo := 0; lo < n; lo += RowBlock {
-				hi := min(lo+RowBlock, n)
-				frame, err := CompressBlock(schema, spec, recs[lo*schema.Stride():hi*schema.Stride()])
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, frame...)
-			}
-			for _, workers := range []int{1, 4} {
-				r := buf.Rows()
-				frames := make([][]byte, r.NumBlocks())
-				for i := range frames {
-					frames[i] = make([]byte, 0, FrameBound(schema, RowBlock))
-				}
-				if err := CompressRows(frames, r, spec, workers); err != nil {
-					t.Fatal(err)
-				}
-				for i, f := range frames {
-					if cap(f) != FrameBound(schema, RowBlock) {
-						t.Fatalf("%v n=%d: frame %d outgrew FrameBound", schema, n, i)
-					}
-				}
-				stream := bytes.Join(frames, nil)
-				if !bytes.Equal(stream, want) {
-					t.Fatalf("%v n=%d workers=%d: frames differ from CompressBlock's", schema, n, workers)
-				}
-				back := NewRows(schema)
-				if err := back.Decompress(stream, n, workers); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(bytes.Join(back.Segments(), nil), recs) {
-					t.Fatalf("%v n=%d workers=%d: Decompress differs from the records", schema, n, workers)
-				}
-				if err := back.Decompress(stream, n, workers); n > 0 && err == nil {
-					t.Errorf("%v n=%d: Decompress into rows already held accepted", schema, n)
-				}
-				back.Release()
-				r.Release()
-				if n == 0 {
-					continue
-				}
-				if err := back.Decompress(stream[:len(stream)-1], n, workers); err == nil {
-					t.Errorf("%v n=%d: torn stream accepted", schema, n)
-				}
-				back.Release()
-				if err := back.Decompress(append(stream[:len(stream):len(stream)], 0), n, workers); err == nil {
-					t.Errorf("%v n=%d: padded stream accepted", schema, n)
-				}
-				back.Release()
-			}
-		}
-	}
-	if got := RowSegmentsHeld(); got != held {
-		t.Errorf("%d segments still held", got-held)
-	}
-}
-
 // TestRowFillerChecksCount: a fill that comes up short, or runs over,
 // hands out nothing and holds nothing.
 func TestRowFillerChecksCount(t *testing.T) {

@@ -60,28 +60,6 @@ func WithMaxFrame(n int64) DialOption {
 	}
 }
 
-// Wire codecs a client can request at dial time (WithWireCodec).
-const (
-	// WireCodecRaw asks for uncompressed buffer payloads.
-	WireCodecRaw uint8 = wireCodecRaw
-	// WireCodecLossless (the default) asks for per-field lossless
-	// compression; results are byte-identical to raw, just cheaper to
-	// ship. The server may still answer raw per buffer when compression
-	// doesn't pay, or unconditionally under a "none" policy.
-	WireCodecLossless uint8 = wireCodecLossless
-)
-
-// WithWireCodec selects the response codec requested in the hello.
-// Unknown values fall back to raw.
-func WithWireCodec(codec uint8) DialOption {
-	return func(c *Client) {
-		if codec > maxWireCodec {
-			codec = wireCodecRaw
-		}
-		c.codec = codec
-	}
-}
-
 // WithCallTimeout bounds each request/response exchange with a
 // connection deadline. A timeout surfaces as a transport error and marks
 // the client broken — the response may still be in flight, so the
@@ -116,10 +94,8 @@ type Client struct {
 	mu          sync.Mutex // serializes request/response exchanges
 	conn        net.Conn
 	maxFrame    int64 // largest acceptable response frame (DefaultMaxFrame unless overridden)
-	codec       uint8 // response codec requested in the hello
 	callTimeout time.Duration
-	features    uint32 // server feature bits from the hello ack
-	broken      bool   // transport desync: the conn must not be reused
+	broken      bool // transport desync: the conn must not be reused
 }
 
 // Dial connects to a spiod server ("unix:/path", "tcp:host:port", or a
@@ -133,7 +109,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, maxFrame: DefaultMaxFrame, codec: WireCodecLossless}
+	c := &Client{conn: conn, maxFrame: DefaultMaxFrame}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -144,19 +120,16 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	defer c.disarmDeadline()
 	var fb frameBuf
 	e := newWriter(&fb)
-	encodeHello(e, &hello{Version: protoVersion, Codec: c.codec, Features: serverFeatures})
+	encodeHello(e, &hello{Version: protoVersion})
 	if e.err == nil {
 		err = writeFrame(conn, fb.b)
 	} else {
 		err = e.err
 	}
 	if err == nil {
+		// The ack is a bare OK status; anything else is the refusal.
 		var d *reader
 		if _, d, err = c.readResp(); err == nil {
-			var ack *helloAck
-			if ack, err = decodeHelloAck(d); err == nil {
-				c.features = ack.Features
-			}
 			d.release()
 		}
 	}
@@ -180,10 +153,6 @@ func (c *Client) Broken() bool {
 	defer c.mu.Unlock()
 	return c.broken
 }
-
-// ServerFeatures returns the feature bits the server advertised in its
-// hello ack.
-func (c *Client) ServerFeatures() uint32 { return c.features }
 
 // armDeadline applies the per-call timeout to the connection; callers
 // hold c.mu.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -12,36 +11,9 @@ import (
 	"spio/internal/particle"
 )
 
-// These benchmarks measure what the codec layer buys, in the
-// two places it pays rent: bytes on the wire per query response, and
-// disk traffic through a byte-bounded block cache that now holds
+// These benchmarks measure what the codec layer buys where it pays
+// rent: disk traffic through a byte-bounded block cache that holds
 // compressed blocks.
-
-func benchWireQueryResp(b *testing.B, codec uint8) {
-	buf := particle.Clustered(particle.Uintah(), geom.UnitBox(), 32768, 3, 11, 0)
-	lod.Shuffle(buf, 5)
-	raw := int64(buf.Len() * buf.Schema().Stride())
-	var frame bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame.Reset()
-		e := newWriter(&frame)
-		// From columns, as before the encoder took rows: both codecs pay
-		// the transposition, so their ratio still isolates the codec.
-		rows := buf.Rows()
-		encodeQueryResp(e, &queryResp{Rows: rows}, codec)
-		rows.Release()
-		if e.err != nil {
-			b.Fatal(e.err)
-		}
-	}
-	b.SetBytes(raw)
-	b.ReportMetric(float64(frame.Len()), "wire_B/op")
-	b.ReportMetric(float64(frame.Len())/float64(raw), "wire_ratio")
-}
-
-func BenchmarkWireQueryRespRaw(b *testing.B)      { benchWireQueryResp(b, wireCodecRaw) }
-func BenchmarkWireQueryRespLossless(b *testing.B) { benchWireQueryResp(b, wireCodecLossless) }
 
 func benchCachedRangeReads(b *testing.B, codec particle.Spec) {
 	dir := b.TempDir()

@@ -98,9 +98,8 @@ func TestCompressedBlockCacheEvictionRace(t *testing.T) {
 
 // TestRemoteMatchesLocalCompressed holds the full acceptance criterion:
 // the dataset is compressed on disk (block cache holds compressed
-// blocks, decode on egress) and the wire codec is explicitly negotiated
-// on — and every remote answer is byte-identical to the local one. A
-// raw-requesting client and a server forced to raw must agree too.
+// blocks, decode on egress) under a cache far smaller than it — and
+// every remote answer is byte-identical to the local one.
 func TestRemoteMatchesLocalCompressed(t *testing.T) {
 	dir := t.TempDir()
 	writeDatasetCodec(t, dir, geom.I3(2, 2, 1), geom.I3(2, 1, 1), 400,
@@ -122,48 +121,28 @@ func TestRemoteMatchesLocalCompressed(t *testing.T) {
 	}
 	defer local.Close()
 	domain := local.Meta().Domain
-	boxes := []geom.Box{
-		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
-		geom.NewBox(geom.V3(0.25, 0.25, 0.25), geom.V3(0.8, 0.9, 1)),
-		domain,
-	}
-
-	for _, opt := range [][]DialOption{
-		{WithWireCodec(WireCodecLossless)},
-		{WithWireCodec(WireCodecRaw)},
-		nil, // default (lossless)
-	} {
-		ds, err := OpenRemote(addr, "sim", opt...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range boxes {
-			want, _, err := local.QueryBox(q, rdr.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := ds.QueryBox(q, rdr.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("remote query diverges from local for %v (opts %v)", q, opt)
-			}
-		}
-		ds.Close()
-	}
-
-	// Server policy "none" forces raw responses; answers must not change.
-	s2 := New(Config{WireCodec: "none"})
-	if err := s2.Mount("sim", dir); err != nil {
-		t.Fatal(err)
-	}
-	addr2 := startServer(t, s2)
-	ds, err := OpenRemote(addr2, "sim", WithWireCodec(WireCodecLossless))
+	ds, err := OpenRemote(addr, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	for _, q := range []geom.Box{
+		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
+		geom.NewBox(geom.V3(0.25, 0.25, 0.25), geom.V3(0.8, 0.9, 1)),
+		domain,
+	} {
+		want, _, err := local.QueryBox(q, rdr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ds.QueryBox(q, rdr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("remote query diverges from local for %v", q)
+		}
+	}
 	want, _, err := local.QueryBox(domain, rdr.Options{NoFilter: true})
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +152,6 @@ func TestRemoteMatchesLocalCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatal("forced-raw server diverges from local")
+		t.Fatal("remote ReadAll diverges from local")
 	}
 }

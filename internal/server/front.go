@@ -54,6 +54,13 @@ const (
 	reqFrameMax   = 1 << 20
 )
 
+// helloTimeout bounds the wait for a connection's hello. A client sends
+// it the moment it has connected, so the bound is generous and still
+// ends a peer that connects and never speaks, which otherwise holds a
+// handler goroutine and a descriptor until the drain. One value is in
+// use, so it is not a Config field.
+const helloTimeout = 10 * time.Second
+
 // Front is the protocol front shared by spiod and spiogate: the accept
 // loop, the per-connection hello and request loop, admission, the
 // response byte budget, frame encoding, the drain handshake and the
@@ -83,8 +90,8 @@ type Front struct {
 	requestDelay time.Duration
 }
 
-// NewFront builds a Front over b. Of cfg it reads Workers, QueueDepth,
-// MaxRespBytes and WireCodec.
+// NewFront builds a Front over b. Of cfg it reads Workers, QueueDepth
+// and MaxRespBytes.
 func NewFront(cfg Config, b Backend) *Front {
 	return &Front{
 		cfg:     cfg,
@@ -214,26 +221,25 @@ func (f *Front) handleConn(conn *srvConn) {
 		_ = conn.Close() // second close after drain is harmless
 	}()
 
+	// The hello is read under a deadline, lifted once the ack is out: an
+	// idle connection that has said hello may stay as long as it likes.
+	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout)) // a conn without deadlines just waits, as before
 	body, err := readFrame(conn, helloFrameMax)
 	if err != nil {
 		return
 	}
-	h, err := decodeHello(bodyReader(body))
+	d := bodyReader(body)
+	if _, err = decodeHello(d); err == nil && d.n != int64(len(body)) {
+		err = fmt.Errorf("spiod: %d bytes after the hello", int64(len(body))-d.n)
+	}
 	if err != nil {
 		_ = f.sendStatus(conn, statusError, err.Error())
 		return
 	}
-	if h.Version != protoVersion {
-		_ = f.sendStatus(conn, statusError,
-			fmt.Sprintf("spiod: protocol version %d not supported (want %d)", h.Version, protoVersion))
+	if err := f.sendStatus(conn, statusOK, ""); err != nil {
 		return
 	}
-	codec := f.cfg.wireCodecFor(h.Codec)
-	if err := f.send(conn, statusOK, "", func(e *writer) {
-		encodeHelloAck(e, &helloAck{Features: serverFeatures})
-	}); err != nil {
-		return
-	}
+	_ = conn.SetReadDeadline(time.Time{}) // see above
 
 	for {
 		body, err := readFrame(conn, reqFrameMax)
@@ -247,7 +253,7 @@ func (f *Front) handleConn(conn *srvConn) {
 			_ = f.sendStatus(conn, statusError, err.Error())
 			return
 		}
-		if err := f.handleRequest(conn, req, codec); err != nil {
+		if err := f.handleRequest(conn, req); err != nil {
 			return
 		}
 	}
@@ -285,7 +291,6 @@ func (f *Front) sendErr(conn *srvConn, err error) error {
 // lends the frame must stay unchanged until send returns.
 func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *writer)) error {
 	fr := newVecFrame()
-	defer fr.release()
 	e := newWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: status, Msg: msg})
 	if body != nil {
@@ -301,7 +306,7 @@ func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *write
 // handleRequest admits and executes one request. A non-nil return tears
 // the connection down (wire-level failure); request-level errors travel
 // back as status frames.
-func (f *Front) handleRequest(conn *srvConn, req *request, codec uint8) error {
+func (f *Front) handleRequest(conn *srvConn, req *request) error {
 	// A request joins the drain's wait under f.mu, which Shutdown takes
 	// after flipping draining and before it starts waiting: the request is
 	// either counted before the wait begins or sees the flag and is turned
@@ -330,7 +335,7 @@ func (f *Front) handleRequest(conn *srvConn, req *request, codec uint8) error {
 	if f.requestDelay > 0 {
 		time.Sleep(f.requestDelay)
 	}
-	werr := f.execute(conn, req, codec, wait, time.Now())
+	werr := f.execute(conn, req, wait, time.Now())
 	if werr != nil {
 		f.metrics.errors.Add(1)
 	}
@@ -339,7 +344,7 @@ func (f *Front) handleRequest(conn *srvConn, req *request, codec uint8) error {
 
 // execute dispatches an admitted request to the backend and encodes its
 // answer.
-func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Duration, start time.Time) error {
+func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start time.Time) error {
 	// Ops that need no dataset first.
 	switch req.Op {
 	case opStats:
@@ -391,7 +396,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.fail(conn, statusBudget, budgetMsg(rows.Bytes(), budget))
 		}
 		resp := &queryResp{Stats: finish(st), Rows: rows}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp) })
 
 	case opKNN:
 		rows, dists, st, err := ds.KNN(req.Point, req.K)
@@ -400,7 +405,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 		}
 		defer rows.Release()
 		resp := &knnResp{Stats: finish(st), Rows: rows, Dists: dists}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp) })
 
 	case opHalo:
 		own, ghost, st, err := ds.Halo(req.Box, req.Halo, opts)
@@ -413,7 +418,7 @@ func (f *Front) execute(conn *srvConn, req *request, codec uint8, wait time.Dura
 			return f.fail(conn, statusBudget, budgetMsg(n, budget))
 		}
 		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp, codec) })
+		return f.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp) })
 
 	case opDensityGrid:
 		counts, frac, sampled, st, err := ds.DensityGrid(req.Dims, opts, req.Flags&reqFlagRawDensity != 0)

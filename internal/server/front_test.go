@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -236,55 +236,62 @@ func TestFrontDrain(t *testing.T) {
 	}
 }
 
+// TestFrontBadHello: every hello that is not this version's is answered
+// with a status frame saying why and a closed connection, inside the
+// deadline — a hello of another version with the version message,
+// whatever that version put behind the version field.
 func TestFrontBadHello(t *testing.T) {
 	f := NewFront(Config{}, newFakeBackend(4))
 	_, path, err := ParseAddr(startServer(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused := func(mutate func(fb *frameBuf)) string {
-		t.Helper()
+	// helloOf is a hello of the given version with tail behind it.
+	helloOf := func(version uint32, tail ...byte) []byte {
+		var fb frameBuf
+		encodeHello(newWriter(&fb), &hello{Version: version})
+		return append(fb.b, tail...)
+	}
+	unsupported := func(version uint32) string {
+		return fmt.Sprintf("protocol version %d not supported (want %d)", version, protoVersion)
+	}
+	for _, c := range []struct {
+		name  string
+		hello []byte
+		want  string
+	}{
+		{"bad magic", append([]byte("NOTSPIO!"), helloOf(protoVersion)[len(protoMagic):]...), "not a spio serving connection"},
+		{"next version, same shape", helloOf(protoVersion + 1), unsupported(protoVersion + 1)},
+		// What a v5 client sends, byte for byte: magic, 5, the codec it
+		// asks for, its feature bits.
+		{"v5", helloOf(5, 1, 0x0f, 0, 0, 0), unsupported(5)},
+		{"next version, another length", helloOf(protoVersion+1, make([]byte, 23)...), unsupported(protoVersion + 1)},
+		{"truncated inside the version", helloOf(protoVersion)[:len(protoMagic)+2], "short read"},
+		{"trailing bytes", helloOf(protoVersion, 0), "1 bytes after the hello"},
+	} {
 		conn, err := net.Dial("unix", path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		var fb frameBuf
-		mutate(&fb)
-		if err := writeFrame(conn, fb.b); err != nil {
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, c.hello); err != nil {
 			t.Fatal(err)
 		}
 		body, err := readFrame(conn, 1<<16)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: no status frame: %v", c.name, err)
 		}
-		h, err := decodeRespHeader(newReader(bytes.NewReader(body)))
+		h, err := decodeRespHeader(bodyReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Status != statusError {
-			t.Fatalf("bad hello answered with status %d", h.Status)
+		if h.Status != statusError || !strings.Contains(h.Msg, c.want) {
+			t.Errorf("%s: answered with status %d %q, want an error saying %q", c.name, h.Status, h.Msg, c.want)
 		}
 		// The front hangs up after refusing a hello.
-		if _, err := readFrame(conn, 1<<16); err == nil {
-			t.Fatal("connection still open after a refused hello")
+		if _, err := readFrame(conn, 1<<16); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: connection not closed after the refusal: %v", c.name, err)
 		}
-		return h.Msg
-	}
-	if msg := refused(func(fb *frameBuf) {
-		encodeHello(newWriter(fb), &hello{Version: protoVersion})
-		copy(fb.b, "NOTSPIO!")
-	}); !strings.Contains(msg, "not a spio serving connection") {
-		t.Errorf("bad magic: %q", msg)
-	}
-	if msg := refused(func(fb *frameBuf) {
-		encodeHello(newWriter(fb), &hello{Version: protoVersion + 1})
-	}); !strings.Contains(msg, "protocol version") {
-		t.Errorf("bad version: %q", msg)
-	}
-	if msg := refused(func(fb *frameBuf) {
-		encodeHello(newWriter(fb), &hello{Version: protoVersion, Codec: maxWireCodec + 1})
-	}); !strings.Contains(msg, "unknown wire codec") {
-		t.Errorf("bad codec: %q", msg)
+		_ = conn.Close()
 	}
 }

@@ -32,59 +32,57 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, codec := range []uint8{WireCodecRaw, WireCodecLossless} {
-		c, err := Dial(addr, WithWireCodec(codec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := c.Attach("fake", fakeDataset{}.Meta())
-		// Answered.
-		if got, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil || !got.Equal(b.buf) {
-			t.Fatalf("codec %d: box: %v", codec, err)
-		}
-		if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); err != nil {
-			t.Fatalf("codec %d: knn: %v", codec, err)
-		}
-		// Refused for the budget, with both halves of the halo in hand.
-		if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
-			t.Fatalf("codec %d: halo over budget: %v, want ErrBudget", codec, err)
-		}
-		// Failed by the backend.
-		b.setErr(errors.New("fake: backend down"))
-		if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err == nil {
-			t.Fatalf("codec %d: backend error did not reach the client", codec)
-		}
-		b.setErr(nil)
-		_ = c.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := c.Attach("fake", fakeDataset{}.Meta())
+	// Answered.
+	if got, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil || !got.Equal(b.buf) {
+		t.Fatalf("box: %v", err)
+	}
+	if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); err != nil {
+		t.Fatalf("knn: %v", err)
+	}
+	// Refused for the budget, with both halves of the halo in hand.
+	if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("halo over budget: %v, want ErrBudget", err)
+	}
+	// Failed by the backend.
+	b.setErr(errors.New("fake: backend down"))
+	if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err == nil {
+		t.Fatal("backend error did not reach the client")
+	}
+	b.setErr(nil)
+	_ = c.Close()
 
-		// The peer hangs up with the answer on its way: hello and request
-		// by hand, then close without reading a byte of the response.
-		conn, err := net.Dial("unix", path)
-		if err != nil {
-			t.Fatal(err)
+	// The peer hangs up with the answer on its way: hello and request
+	// by hand, then close without reading a byte of the response.
+	conn, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fb frameBuf
+	encodeHello(newWriter(&fb), &hello{Version: protoVersion})
+	if err := writeFrame(conn, fb.b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(conn, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	fb = frameBuf{}
+	encodeRequest(newWriter(&fb), &request{Op: opQueryBox, Dataset: "fake", Box: geom.UnitBox()})
+	if err := writeFrame(conn, fb.b); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	// The request is answered into the closed connection before the
+	// drain below can turn it away: wait for its handler to be gone.
+	for deadline := time.Now().Add(10 * time.Second); f.metrics.activeConns.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("connection handlers still running 10s after their peers hung up")
 		}
-		var fb frameBuf
-		encodeHello(newWriter(&fb), &hello{Version: protoVersion, Codec: codec})
-		if err := writeFrame(conn, fb.b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readFrame(conn, 1<<16); err != nil {
-			t.Fatal(err)
-		}
-		fb = frameBuf{}
-		encodeRequest(newWriter(&fb), &request{Op: opQueryBox, Dataset: "fake", Box: geom.UnitBox()})
-		if err := writeFrame(conn, fb.b); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.Close()
-		// The request is answered into the closed connection before the
-		// drain below can turn it away: wait for its handler to be gone.
-		for deadline := time.Now().Add(10 * time.Second); f.metrics.activeConns.Load() != 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("connection handlers still running 10s after their peers hung up")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		time.Sleep(time.Millisecond)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -95,10 +93,10 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 	if got := particle.RowSegmentsHeld(); got != held {
 		t.Errorf("%d row segments still held after the front has drained", got-held)
 	}
-	// Per codec: one budget refusal, one backend error, and the raw answer
-	// — far larger than a socket buffer — failing on the peer that left.
-	if got := f.Snapshot().Errors; got < 5 {
-		t.Errorf("%d requests failed, want at least 5: the refusing and failing exits did not all run", got)
+	// One budget refusal, one backend error, and the answer — far larger
+	// than a socket buffer — failing on the peer that left.
+	if got := f.Snapshot().Errors; got != 3 {
+		t.Errorf("%d requests failed, want 3: the refusing and failing exits did not all run", got)
 	}
 }
 
@@ -142,15 +140,11 @@ func (l *writeLogListener) Accept() (net.Conn, error) {
 	return wl, nil
 }
 
-// TestOneWritePerFrame pins the frame writers: a frame with no lent
-// payload — hello, request, status, list, stats, density — leaves
-// either side in exactly one Write, length prefix included, on any
-// connection; a frame with a lent payload is one vectored write on a
-// socket and degrades to its pieces in order on a wrapped connection.
-// Either way the bytes on the connection are the same frame.
-func TestOneWritePerFrame(t *testing.T) {
-	b := newFakeBackend(4)
-	f := NewFront(Config{}, b)
+// dialLogged serves f on a fresh unix socket behind a writeLogListener,
+// dials it, and returns the client and the server's end of its
+// connection. Shutdown and Close run at test cleanup.
+func dialLogged(t *testing.T, f *Front) (*Client, *writeLog) {
+	t.Helper()
 	addr := sockAddr(t)
 	_, path, err := ParseAddr(addr)
 	if err != nil {
@@ -162,20 +156,29 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	wl := &writeLogListener{Listener: l, conns: make(chan *writeLog, 1)}
 	go func() { _ = f.Serve(wl) }()
-	defer func() {
+	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := f.Shutdown(ctx); err != nil {
 			t.Errorf("Shutdown: %v", err)
 		}
-	}()
-
-	c, err := Dial(addr, WithWireCodec(WireCodecRaw))
+	})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	srv := <-wl.conns
+	t.Cleanup(func() { c.Close() })
+	return c, <-wl.conns
+}
+
+// TestOneWritePerFrame pins the frame writers: a frame with no lent
+// payload — hello, request, status, list, stats, density — leaves
+// either side in exactly one Write, length prefix included, on any
+// connection; a frame with a lent payload is one vectored write on a
+// socket and degrades to its pieces in order on a wrapped connection.
+// Either way the bytes on the connection are the same frame.
+func TestOneWritePerFrame(t *testing.T) {
+	c, srv := dialLogged(t, NewFront(Config{}, newFakeBackend(4)))
 	cli := &writeLog{Conn: c.conn}
 	c.conn = cli
 	ds := c.Attach("fake", fakeDataset{}.Meta())
@@ -247,7 +250,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	fr := newVecFrame()
 	e := newWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: statusOK})
-	encodeQueryResp(e, resp, wireCodecRaw)
+	encodeQueryResp(e, resp)
 	if e.err != nil {
 		t.Fatal(e.err)
 	}
@@ -262,6 +265,47 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	if !bytes.Equal(got, box) {
 		t.Errorf("the frame a vectored write puts on a socket (%d bytes) differs from the one written piece by piece (%d bytes)", len(got), len(box))
+	}
+}
+
+// TestAnswerCostsItsRows: on the socket a box, a KNN and a halo answer
+// cost the bytes of their rows (and 8 for each of a KNN's distances) plus
+// a header — length prefix, status, stats, schema, counts — of at most
+// 1 KiB, neither more nor less, whatever the record count and whether the
+// records are whole or positions only (what Fields: position answers
+// with). An answer travels as its records and in no second form, which is
+// what makes server.wire_bytes_per_user_byte 1.00 by construction.
+func TestAnswerCostsItsRows(t *testing.T) {
+	for _, schema := range []*particle.Schema{particle.Uintah(), particle.PositionOnly()} {
+		for _, n := range []int{0, 1, particle.RowBlock + 1, 3*particle.RowBlock + 17} {
+			buf := particle.Uniform(schema, geom.UnitBox(), n, 7, 0)
+			c, srv := dialLogged(t, NewFront(Config{}, &fakeBackend{buf: buf}))
+			srv.take() // the hello's ack
+			ds := c.Attach("fake", fakeDataset{}.Meta())
+			costs := func(what string, user int64) {
+				t.Helper()
+				var frame int64
+				for _, w := range srv.take() {
+					frame += int64(len(w))
+				}
+				if head := frame - user; head < 0 || head > 1<<10 {
+					t.Errorf("%s of %d records of %d bytes: %d bytes on the socket for %d of answer", what, n, schema.Stride(), frame, user)
+				}
+			}
+			if got, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil || !got.Equal(buf) {
+				t.Fatalf("box: %v", err)
+			}
+			costs("box", buf.Bytes())
+			_, dists, _, err := ds.KNN(geom.V3(0, 0, 0), 1)
+			if err != nil {
+				t.Fatalf("knn: %v", err)
+			}
+			costs("knn", buf.Bytes()+8*int64(len(dists)))
+			if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); err != nil {
+				t.Fatalf("halo: %v", err)
+			}
+			costs("halo", 2*buf.Bytes())
+		}
 	}
 }
 

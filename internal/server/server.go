@@ -54,11 +54,6 @@ type Config struct {
 	// Fsck selects the mount-time integrity policy: FsckRefuse (default),
 	// FsckWarn, or FsckOff.
 	Fsck string
-	// WireCodec is the response-compression policy: "" or "any" honors
-	// the codec each client requested in its hello; "none" forces raw
-	// responses regardless of the request (e.g. when CPU is scarcer than
-	// bandwidth).
-	WireCodec string
 	// Logf, when non-nil, receives server log lines (log.Printf shaped).
 	Logf func(format string, args ...any)
 }
@@ -89,14 +84,6 @@ func (c *Config) cacheBytes() int64 {
 		return c.CacheBytes
 	}
 	return 256 << 20
-}
-
-// wireCodecFor clamps a client's requested codec by the server policy.
-func (c *Config) wireCodecFor(requested uint8) uint8 {
-	if c.WireCodec == "none" {
-		return wireCodecRaw
-	}
-	return requested
 }
 
 func (c *Config) fileCacheSlots() int {

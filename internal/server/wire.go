@@ -18,11 +18,12 @@ import (
 //	frame length u32 | body
 //
 // The connection opens with a hello (magic + protocol version) from the
-// client, acknowledged by a response header; after that the client
-// sends one request frame at a time and reads its one response frame. No
-// request outlives its response: a progressive read is a sequence of
-// level-range box reads (request.Skip), each asked for when the client
-// wants it.
+// client, acknowledged by a bare OK response header; after that the
+// client sends one request frame at a time and reads its one response
+// frame. Nothing is negotiated: the version is the contract, and two
+// peers of one version speak one wire form. No request outlives its
+// response: a progressive read is a sequence of level-range box reads
+// (request.Skip), each asked for when the client wants it.
 //
 // Bodies are encoded with the same sticky-error writer/reader idiom as
 // internal/format's binio (little-endian, uvarint lengths), kept in
@@ -33,41 +34,7 @@ import (
 
 const (
 	protoMagic   = "SPIOSRV1"
-	protoVersion = 5 // v5: a read's levels are a range (request.Skip); the progressive op, its acks and its level frame are gone
-)
-
-// Feature bits exchanged in the hello (client advertises, server
-// answers with its own set). They exist so a gateway can verify its
-// backends speak the scatter-gather extensions before routing to them;
-// a plain client can ignore them entirely.
-const (
-	// FeatureBaseOverride: the server honors request.Base as the per-file
-	// LOD level-0 budget instead of deriving it from its own file count.
-	FeatureBaseOverride uint32 = 1 << 0
-	// FeaturePartialResults: response stats carry the partial-result
-	// flag a gateway sets when a shard's region is missing.
-	FeaturePartialResults uint32 = 1 << 1
-	// FeatureRawDensity: the server honors reqFlagRawDensity, returning
-	// unscaled density counts plus the sampled-particle count.
-	FeatureRawDensity uint32 = 1 << 2
-	// featureDrainNotice: on graceful shutdown the server sends idle
-	// connections a statusDraining frame before closing them, so the
-	// next caller sees ErrDraining instead of a raw connection error.
-	featureDrainNotice uint32 = 1 << 3
-
-	// serverFeatures is everything this build implements.
-	serverFeatures = FeatureBaseOverride | FeaturePartialResults | FeatureRawDensity | featureDrainNotice
-)
-
-// Wire buffer codecs. The client requests one in its hello; every
-// buffer frame then carries the codec actually used (self-describing),
-// so the server can fall back to raw per buffer whenever compression
-// doesn't pay — the stream shape is identical either way, which keeps
-// the encode/decode pair symmetric for the wiresym analyzer.
-const (
-	wireCodecRaw      = 0 // raw AoS record image
-	wireCodecLossless = 1 // per-field lossless compression (particle.LosslessSpec)
-	maxWireCodec      = wireCodecLossless
+	protoVersion = 6 // v6: rows travel as their record bytes; the hello is magic + version and its ack a bare status
 )
 
 // Request op codes.
@@ -156,19 +123,6 @@ func (e *writer) lend(chunks [][]byte) {
 		} else {
 			e.bytes(c)
 		}
-	}
-}
-
-// keep hands over the pooled frame bodies that hold chunks just lent:
-// they go back to the pool once the frame has no more use for them —
-// after the write for a vectored frame, now for a sink that copied.
-func (e *writer) keep(bodies [][]byte) {
-	if f, vectored := e.w.(*vecFrame); vectored {
-		f.held = append(f.held, bodies...)
-		return
-	}
-	for _, b := range bodies {
-		putBody(b)
 	}
 }
 
@@ -396,14 +350,13 @@ func writeFrame(w io.Writer, body []byte) error {
 
 // vecFrame assembles one response frame for a single vectored write.
 // What is written to it is copied behind the length prefix; what is lent
-// to it — an answer's row segments, the block frames compressed from
-// them — is only referenced, and goes out from where it lies. An answer's
-// payload is therefore produced once and never copied into a frame.
+// to it — an answer's row segments — is only referenced, and goes out
+// from where it lies. An answer's payload is therefore produced once and
+// never copied into a frame.
 type vecFrame struct {
 	head []byte   // length prefix, then every written byte
 	cuts []vecCut // the lent chunks, in order
 	lent int      // bytes lent
-	held [][]byte // pooled bodies holding lent chunks
 }
 
 // vecCut is one lent chunk: p goes out before head[at:].
@@ -453,20 +406,10 @@ func (f *vecFrame) writeTo(w io.Writer) error {
 	return err
 }
 
-// release returns the held bodies to the pool once the frame is done
-// with, written or not.
-func (f *vecFrame) release() {
-	for _, b := range f.held {
-		putBody(b)
-	}
-	f.held = nil
-}
-
-// Pooled frame bodies: the response frames a client reads and the
-// compressed payloads a server lends to a frame. One capacity class, so
-// whatever is in the pool serves whatever asks for it; a body too small
-// to be worth tying a class body up, or too large for the class, is a
-// plain allocation the collector takes back.
+// Pooled frame bodies: the response frames a client reads. One capacity
+// class, so whatever is in the pool serves whatever asks for it; a body
+// too small to be worth tying a class body up, or too large for the
+// class, is a plain allocation the collector takes back.
 const (
 	bodyClass = 4 << 20
 	bodySmall = 32 << 10
@@ -514,23 +457,22 @@ func readFrame(r io.Reader, max uint32) ([]byte, error) {
 	return body, nil
 }
 
-// hello opens every connection: magic, protocol version, the response
-// codec the client requests for buffer payloads (the server may still
-// answer raw — frames are self-describing), and the feature bits the
-// client implements.
+// hello opens every connection: magic, then the protocol version. The
+// version is the whole contract — one version, one wire form — so there
+// is nothing else to say and nothing to negotiate.
 type hello struct {
-	Version  uint32
-	Codec    uint8
-	Features uint32
+	Version uint32
 }
 
 func encodeHello(e *writer, h *hello) {
 	e.bytes([]byte(protoMagic))
 	e.u32(h.Version)
-	e.u8(h.Codec)
-	e.u32(h.Features)
 }
 
+// decodeHello refuses a version other than its own as soon as it has
+// read it, before anything another version may have put behind it: a
+// hello of any other shape, older or newer, is answered with the version
+// message and not with whatever parsing its tail as ours runs into.
 func decodeHello(d *reader) (*hello, error) {
 	magic := make([]byte, len(protoMagic))
 	d.bytes(magic)
@@ -539,36 +481,13 @@ func decodeHello(d *reader) (*hello, error) {
 	}
 	var h hello
 	h.Version = d.u32()
-	h.Codec = d.u8()
-	h.Features = d.u32()
-	if d.err == nil && h.Codec > maxWireCodec {
-		return nil, fmt.Errorf("spiod: unknown wire codec %d requested", h.Codec)
+	if d.err == nil && h.Version != protoVersion {
+		return nil, fmt.Errorf("spiod: protocol version %d not supported (want %d)", h.Version, protoVersion)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
 	return &h, nil
-}
-
-// helloAck is the payload of the server's hello response: the feature
-// bits the server implements. A gateway checks its backends advertise
-// the scatter-gather extensions here before building a shard map over
-// them.
-type helloAck struct {
-	Features uint32
-}
-
-func encodeHelloAck(e *writer, a *helloAck) {
-	e.u32(a.Features)
-}
-
-func decodeHelloAck(d *reader) (*helloAck, error) {
-	var a helloAck
-	a.Features = d.u32()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return &a, nil
 }
 
 // request is the flat request record: one op code plus the union of
@@ -777,96 +696,27 @@ func decodeWireSchema(d *reader) (*particle.Schema, error) {
 	return particle.NewSchema(fields)
 }
 
-// Rows on the wire: schema, record count, actual codec, payload length,
-// then the payload — the raw AoS record image (wireCodecRaw), which is
-// what the rows are, or a concatenation of particle block frames
-// (wireCodecLossless), cut every wireBlockRecords records. The split is
-// deterministic from the record count, so the decoder reconstructs the
-// block boundaries from the self-describing frames alone and both sides
-// can run the blocks through the parallel batch codec. A raw payload is
-// exactly the data-file encoding, so a level range read whole is
-// bit-identical to the file range it came from; a compressed one decodes
-// to it. The server encodes with the negotiated codec but keeps raw
-// whenever compression doesn't shrink the buffer, so codec is a ceiling,
-// not a promise.
+// Rows on the wire: schema, record count, then count × stride record
+// bytes — the rows themselves, which is exactly the data-file encoding,
+// so a level range read whole is bit-identical to the file range it came
+// from. There is one form: compression lives in the data file, and what
+// shrinks an answer for a slow link is asking for less of it (Fields,
+// Levels).
 //
-// Neither side copies the payload: the encoder lends the frame the row
-// segments themselves, or block frames compressed straight out of them
-// into a pooled body; the decoder inflates block frames lying in the
-// frame body it was handed straight into row segments.
+// The encoder lends the frame the row segments where they lie; the
+// decoder copies the payload out of the frame body it was handed into
+// row segments of its own.
 
-// wireBlockRecords cuts egress payloads into codec blocks: small enough
-// that encode/decode parallelism has work units, large enough that the
-// per-block framing stays noise. It is the block of particle.Rows, which
-// is what keeps every block of an answer contiguous in memory.
-const wireBlockRecords = particle.RowBlock
-
-func encodeRows(e *writer, rows *particle.Rows, codec uint8) {
+func encodeRows(e *writer, rows *particle.Rows) {
 	encodeWireSchema(e, rows.Schema())
 	e.u64(uint64(rows.Len()))
-	payload, actual := rows.Segments(), uint8(wireCodecRaw)
-	var bodies [][]byte
-	if codec == wireCodecLossless {
-		if frames, held, ok := compressRows(rows); ok {
-			payload, actual, bodies = frames, wireCodecLossless, held
-		}
-	}
-	var plen uint64
-	for _, p := range payload {
-		plen += uint64(len(p))
-	}
-	e.u8(actual)
-	e.uvarint(plen)
-	e.lend(payload)
-	e.keep(bodies)
+	e.lend(rows.Segments())
 }
 
-// compressRows compresses an answer's rows into the block frames of a
-// lossless wire payload, each block straight out of the rows into a
-// region of its own of a pooled body, the blocks in parallel when there
-// are spare cores. It returns the frames in order and the bodies that
-// hold them (the caller's to putBody). The egress codec is the
-// throughput-first FastSpec, narrowed by a probe of the leading records
-// so noisy columns that would not pay for their codec ride raw instead
-// of costing full LZ time every block — the frames are self-describing,
-// so neither the spec choice nor the narrowing ever reaches the wire
-// contract. ok is false, with nothing held, when compression does not
-// shrink the payload.
-func compressRows(rows *particle.Rows) (frames, bodies [][]byte, ok bool) {
-	if rows.Len() == 0 {
-		return nil, nil, false
-	}
-	schema := rows.Schema()
-	region := particle.FrameBound(schema, wireBlockRecords)
-	perBody := max(bodyClass/region, 1)
-	frames = make([][]byte, rows.NumBlocks())
-	for i := 0; i < len(frames); i += perBody {
-		k := min(perBody, len(frames)-i)
-		body := getBody(k * region)
-		bodies = append(bodies, body)
-		for j := 0; j < k; j++ {
-			frames[i+j] = body[j*region : j*region : (j+1)*region]
-		}
-	}
-	spec := particle.NarrowSpec(schema, particle.FastSpec(schema), rows.Block(0))
-	total := 0
-	err := particle.CompressRows(frames, rows, spec, 0)
-	for _, f := range frames {
-		total += len(f)
-	}
-	if err != nil || int64(total) >= rows.Bytes() {
-		for _, b := range bodies {
-			putBody(b)
-		}
-		return nil, nil, false
-	}
-	return frames, bodies, true
-}
-
-// decodeRows decodes an answer's rows, refusing decoded payloads larger
-// than limit bytes (the caller's frame bound; the frame is already in
-// memory, the limit guards the record-count allocation). The caller
-// owns the rows; they do not alias the frame.
+// decodeRows decodes an answer's rows, refusing payloads larger than
+// limit bytes (the caller's frame bound; the frame is already in memory,
+// the limit guards the record-count allocation). The caller owns the
+// rows; they do not alias the frame.
 func decodeRows(d *reader, limit int64) (*particle.Rows, error) {
 	schema, err := decodeWireSchema(d)
 	if err != nil {
@@ -882,34 +732,15 @@ func decodeRows(d *reader, limit int64) (*particle.Rows, error) {
 	if d.err == nil && size > uint64(limit) {
 		d.fail(fmt.Errorf("spiod: buffer payload of %d bytes exceeds limit %d", size, limit))
 	}
-	codec := d.u8()
-	plen := d.uvarint()
-	if d.err == nil && codec > maxWireCodec {
-		d.fail(fmt.Errorf("spiod: unknown buffer codec %d", codec))
-	}
-	if d.err == nil && codec == wireCodecRaw && plen != size {
-		d.fail(fmt.Errorf("spiod: raw buffer payload of %d bytes, want %d", plen, size))
-	}
-	// The per-field raw fallback bounds any compressed stream by the raw
-	// column bytes plus the per-block, per-field framing.
-	nblocks := (n + wireBlockRecords - 1) / wireBlockRecords
-	if d.err == nil && plen > size+nblocks*uint64(schema.NumFields())*16 {
-		d.fail(fmt.Errorf("spiod: compressed payload of %d bytes exceeds raw size %d", plen, size))
-	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	payload := d.view(plen)
+	payload := d.view(size)
 	if d.err != nil {
 		return nil, d.err
 	}
 	rows := particle.NewRows(schema)
-	if codec == wireCodecRaw {
-		rows.AppendRecords(payload)
-	} else if err := rows.Decompress(payload, int(n), 0); err != nil {
-		rows.Release()
-		return nil, fmt.Errorf("spiod: %w", err)
-	}
+	rows.AppendRecords(payload)
 	return rows, nil
 }
 
@@ -991,9 +822,9 @@ type queryResp struct {
 	Rows  *particle.Rows
 }
 
-func encodeQueryResp(e *writer, r *queryResp, codec uint8) {
+func encodeQueryResp(e *writer, r *queryResp) {
 	encodeStats(e, &r.Stats)
-	encodeRows(e, r.Rows, codec)
+	encodeRows(e, r.Rows)
 }
 
 func decodeQueryResp(d *reader, limit int64) (*queryResp, error) {
@@ -1015,9 +846,9 @@ type knnResp struct {
 	Dists []float64
 }
 
-func encodeKNNResp(e *writer, r *knnResp, codec uint8) {
+func encodeKNNResp(e *writer, r *knnResp) {
 	encodeStats(e, &r.Stats)
-	encodeRows(e, r.Rows, codec)
+	encodeRows(e, r.Rows)
 	encodeFloats(e, r.Dists)
 }
 
@@ -1045,10 +876,10 @@ type haloResp struct {
 	Ghost *particle.Rows
 }
 
-func encodeHaloResp(e *writer, r *haloResp, codec uint8) {
+func encodeHaloResp(e *writer, r *haloResp) {
 	encodeStats(e, &r.Stats)
-	encodeRows(e, r.Own, codec)
-	encodeRows(e, r.Ghost, codec)
+	encodeRows(e, r.Own)
+	encodeRows(e, r.Ghost)
 }
 
 func decodeHaloResp(d *reader, limit int64) (*haloResp, error) {

@@ -82,148 +82,60 @@ func TestStatsRoundTrip(t *testing.T) {
 
 func TestBufferRoundTripBitExact(t *testing.T) {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 257, 7, 0)
-	for _, codec := range []uint8{wireCodecRaw, wireCodecLossless} {
-		d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf, codec) })
-		got, err := decodeBuffer(d, 1<<26)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(buf) {
-			t.Fatalf("codec %d: decoded buffer differs", codec)
-		}
-		if !bytes.Equal(got.Encode(), buf.Encode()) {
-			t.Fatalf("codec %d: decoded buffer is not byte-identical", codec)
-		}
+	d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf) })
+	got, err := decodeBuffer(d, 1<<26)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestBufferLosslessCodecShrinksFrame(t *testing.T) {
-	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 4096, 7, 0)
-	size := func(codec uint8) int {
-		var fb frameBuf
-		e := newWriter(&fb)
-		encodeBuffer(e, buf, codec)
-		if e.err != nil {
-			t.Fatal(e.err)
-		}
-		return len(fb.b)
+	if !got.Equal(buf) {
+		t.Fatal("decoded buffer differs")
 	}
-	raw, comp := size(wireCodecRaw), size(wireCodecLossless)
-	if comp >= raw {
-		t.Errorf("lossless frame did not shrink: %d -> %d bytes", raw, comp)
+	if !bytes.Equal(got.Encode(), buf.Encode()) {
+		t.Fatal("decoded buffer is not byte-identical")
 	}
-	t.Logf("wire frame: %d -> %d bytes (%.1f%%)", raw, comp, 100*float64(comp)/float64(raw))
 }
 
 func TestBufferDecodeRespectsLimit(t *testing.T) {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 64, 7, 0)
-	for _, codec := range []uint8{wireCodecRaw, wireCodecLossless} {
-		d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf, codec) })
-		if _, err := decodeBuffer(d, 16); err == nil {
-			t.Fatal("oversized buffer accepted")
-		}
+	d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf) })
+	if _, err := decodeBuffer(d, 16); err == nil {
+		t.Fatal("oversized buffer accepted")
 	}
 }
 
-// TestBufferDecodeHostileCodecFrames rejects malformed codec framing:
-// an unknown codec id, a raw payload length that disagrees with the
-// record count, and a compressed payload claiming more bytes than raw.
-func TestBufferDecodeHostileCodecFrames(t *testing.T) {
-	schema := particle.PositionOnly()
-	hostile := func(name string, enc func(e *writer)) {
-		t.Helper()
-		d := roundTrip(t, enc)
-		if _, err := decodeBuffer(d, 1<<20); err == nil {
-			t.Errorf("%s: hostile buffer frame accepted", name)
-		}
-	}
-	hostile("unknown codec", func(e *writer) {
-		encodeWireSchema(e, schema)
-		e.u64(1)
-		e.u8(maxWireCodec + 1)
-		e.uvarint(24)
-		e.bytes(make([]byte, 24))
-	})
-	hostile("raw length mismatch", func(e *writer) {
-		encodeWireSchema(e, schema)
-		e.u64(2)
-		e.u8(wireCodecRaw)
-		e.uvarint(24)
-		e.bytes(make([]byte, 24))
-	})
-	hostile("oversized compressed claim", func(e *writer) {
-		encodeWireSchema(e, schema)
-		e.u64(1)
-		e.u8(wireCodecLossless)
-		e.uvarint(1 << 18)
-		e.bytes(make([]byte, 1<<18))
-	})
-	hostile("garbage compressed payload", func(e *writer) {
-		encodeWireSchema(e, schema)
-		e.u64(4)
-		e.u8(wireCodecLossless)
-		e.uvarint(10)
-		e.bytes([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
-	})
-}
-
-// TestBufferMultiBlockRoundTrip crosses the wireBlockRecords split
-// (protocol v3 cuts lossless payloads into parallel codec blocks): a
-// buffer spanning several wire blocks — including a ragged tail — must
-// round-trip bit-exactly, and the decoder must reconstruct the block
-// counts from the record total alone.
+// TestBufferMultiBlockRoundTrip crosses the segment boundary of the rows
+// on either side: a buffer of several row blocks — including a ragged
+// tail — must round-trip bit-exactly, and a frame torn anywhere inside
+// its payload must be refused, over a body and over a stream, with no
+// row segment left held.
 func TestBufferMultiBlockRoundTrip(t *testing.T) {
-	for _, n := range []int{wireBlockRecords, wireBlockRecords + 1, 2*wireBlockRecords + 137} {
+	held := particle.RowSegmentsHeld()
+	for _, n := range []int{particle.RowBlock, particle.RowBlock + 1, 2*particle.RowBlock + 137} {
 		buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), n, 7, 0)
-		d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf, wireCodecLossless) })
-		got, err := decodeBuffer(d, 1<<26)
+		var fb frameBuf
+		e := newWriter(&fb)
+		encodeBuffer(e, buf)
+		if e.err != nil {
+			t.Fatal(e.err)
+		}
+		got, err := decodeBuffer(bodyReader(fb.b), 1<<26)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !bytes.Equal(got.Encode(), buf.Encode()) {
 			t.Fatalf("n=%d: multi-block wire round trip is not byte-identical", n)
 		}
+		for _, cut := range []int{1, 50, buf.Schema().Stride(), len(fb.b) / 2} {
+			torn := fb.b[:len(fb.b)-cut]
+			for _, d := range []*reader{bodyReader(torn), newReader(bytes.NewReader(torn))} {
+				if _, err := decodeBuffer(d, 1<<26); err == nil {
+					t.Errorf("n=%d: frame torn %d bytes short accepted", n, cut)
+				}
+			}
+		}
 	}
-}
-
-// TestBufferMultiBlockHostile corrupts a multi-block lossless frame
-// structurally: a torn frame and a payload padded past the last block
-// must both be rejected — the decoder must never misalign block
-// boundaries. (A flipped byte inside a field payload is content
-// corruption, the payload CRC's job, not the wire framing's.)
-func TestBufferMultiBlockHostile(t *testing.T) {
-	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), wireBlockRecords+200, 7, 0)
-	var fb frameBuf
-	e := newWriter(&fb)
-	encodeBuffer(e, buf, wireCodecLossless)
-	if e.err != nil {
-		t.Fatal(e.err)
-	}
-	torn := append([]byte(nil), fb.b[:len(fb.b)-50]...)
-	if _, err := decodeBuffer(newReader(bytes.NewReader(torn)), 1<<26); err == nil {
-		t.Error("torn second block accepted")
-	}
-
-	// Rebuild the frame with garbage appended inside the length-prefixed
-	// payload: SplitFrames must report the trailing bytes.
-	data := make([]byte, buf.Len()*buf.Schema().Stride())
-	buf.EncodeRecordsInto(data, 0, buf.Len())
-	payload, ok := compressWirePayload(buf.Schema(), data, nil)
-	if !ok {
-		t.Fatal("lossless wire payload did not shrink")
-	}
-	var padded frameBuf
-	pe := newWriter(&padded)
-	encodeWireSchema(pe, buf.Schema())
-	pe.u64(uint64(buf.Len()))
-	pe.u8(wireCodecLossless)
-	pe.uvarint(uint64(len(payload) + 8))
-	pe.bytes(append(append([]byte(nil), payload...), 1, 2, 3, 4, 5, 6, 7, 8))
-	if pe.err != nil {
-		t.Fatal(pe.err)
-	}
-	if _, err := decodeBuffer(newReader(bytes.NewReader(padded.b)), 1<<26); err == nil {
-		t.Error("payload with trailing bytes after the last block accepted")
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held", got-held)
 	}
 }
 

@@ -45,21 +45,18 @@ var (
 // DialOption customizes a daemon connection at dial time.
 type DialOption = server.DialOption
 
-// Wire codecs a client can request with WithWireCodec. The daemon may
-// still answer raw (per buffer, self-described in the frame) when
-// compression would not shrink the payload, or fleet-wide when started
-// with a "none" wire-codec policy.
-const (
-	// WireCodecRaw requests uncompressed response payloads.
-	WireCodecRaw = server.WireCodecRaw
-	// WireCodecLossless (the dial default) requests per-field lossless
-	// compression of response buffers; decoded bytes are identical.
-	WireCodecLossless = server.WireCodecLossless
-)
+// WireCodecRaw is the one wire form there is: an answer travels as its
+// record bytes.
+//
+// Deprecated: nothing selects a wire form any more. The constant and
+// WithWireCodec stay only because benchmark/layers.go, a fixed contract
+// this repository does not edit, still dials with them.
+const WireCodecRaw uint8 = 0
 
-// WithWireCodec selects the response codec requested at dial time.
-// Unknown values fall back to WireCodecRaw.
-func WithWireCodec(codec uint8) DialOption { return server.WithWireCodec(codec) }
+// WithWireCodec does nothing.
+//
+// Deprecated: see WireCodecRaw.
+func WithWireCodec(uint8) DialOption { return func(*ServerClient) {} }
 
 // WithMaxFrame caps the response frames the client will accept, in
 // bytes (default server.DefaultMaxFrame, 256 MiB): the client's own
