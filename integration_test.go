@@ -126,19 +126,15 @@ func TestEndToEndCampaign(t *testing.T) {
 	ds.SetFileCache(8)
 	defer ds.Close()
 
-	// Batch tile queries cover the dataset exactly once.
+	// Tile queries cover the dataset exactly once.
 	tiles := spio.NewGrid(domain, spio.I3(2, 2, 1))
-	var qs []spio.Box
-	for i := 0; i < 4; i++ {
-		qs = append(qs, tiles.CellBox(spio.Unlinear(i, spio.I3(2, 2, 1))))
-	}
-	outs, _, err := ds.QueryBoxes(qs, spio.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sum := 0
-	for _, o := range outs {
-		sum += o.Len()
+	for i := 0; i < 4; i++ {
+		out, _, err := ds.QueryBox(tiles.CellBox(spio.Unlinear(i, spio.I3(2, 2, 1))), spio.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += out.Len()
 	}
 	if int64(sum) != ds.Meta().Total {
 		t.Fatalf("tiles hold %d of %d", sum, ds.Meta().Total)
@@ -195,7 +191,7 @@ func TestEndToEndCampaign(t *testing.T) {
 	}
 
 	// Halo, density, rendering.
-	own, ghost, _, err := spio.Halo(ds, qs[0], 0.04, spio.QueryOptions{})
+	own, ghost, _, err := spio.Halo(ds, tiles.CellBox(spio.I3(0, 0, 0)), 0.04, spio.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package agg
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math"
 
+	"spio/internal/binio"
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
@@ -21,35 +22,16 @@ import (
 // result is a ScanLayout: it is generally not aligned with the simulation
 // patches, so the exchange scans particles into partitions.
 
-// extentMsg is the 56-byte payload each rank contributes to the
-// all-to-all extent exchange: its bounding box and particle count.
-func encodeExtent(b geom.Box, count int64) []byte {
-	out := make([]byte, 56)
-	put := func(i int, v float64) {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	put(0, b.Lo.X)
-	put(1, b.Lo.Y)
-	put(2, b.Lo.Z)
-	put(3, b.Hi.X)
-	put(4, b.Hi.Y)
-	put(5, b.Hi.Z)
-	binary.LittleEndian.PutUint64(out[48:], uint64(count))
-	return out
+// encodeExtent and decodeExtent are the 56-byte payload each rank
+// contributes to the all-to-all extent exchange: its bounding box and
+// particle count.
+func encodeExtent(e *binio.Writer, b geom.Box, count int64) {
+	e.Box(b)
+	e.I64(count)
 }
 
-func decodeExtent(data []byte) (geom.Box, int64, error) {
-	if len(data) != 56 {
-		return geom.Box{}, 0, fmt.Errorf("agg: extent message has %d bytes, want 56", len(data))
-	}
-	get := func(i int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	b := geom.Box{
-		Lo: geom.Vec3{X: get(0), Y: get(1), Z: get(2)},
-		Hi: geom.Vec3{X: get(3), Y: get(4), Z: get(5)},
-	}
-	return b, int64(binary.LittleEndian.Uint64(data[48:])), nil
+func decodeExtent(d *binio.Reader) (geom.Box, int64) {
+	return d.Box(), d.I64()
 }
 
 // boundsEps returns the inflation that makes the occupied region's closed
@@ -74,8 +56,9 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 		return nil, fmt.Errorf("agg: %d partitions exceed world size %d", parts.Volume(), c.Size())
 	}
 
-	payload := encodeExtent(local.Bounds(), int64(local.Len()))
-	gathered := c.Allgather(payload)
+	var payload bytes.Buffer
+	encodeExtent(binio.NewWriter(&payload), local.Bounds(), int64(local.Len()))
+	gathered := c.Allgather(payload.Bytes())
 
 	// The gathered per-rank extents and counts: the all-to-all exchange's
 	// payload, identical on every rank.
@@ -84,9 +67,10 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 	occupied := geom.EmptyBox()
 	anyParticles := false
 	for r, msg := range gathered {
-		b, n, err := decodeExtent(msg)
-		if err != nil {
-			return nil, fmt.Errorf("agg: rank %d: %w", r, err)
+		d := binio.NewReader(bytes.NewReader(msg), "agg")
+		b, n := decodeExtent(d)
+		if err := d.Whole(len(msg)); err != nil {
+			return nil, fmt.Errorf("agg: rank %d's extent: %w", r, err)
 		}
 		rankBounds[r], rankCounts[r] = b, n
 		if n > 0 {

@@ -1,9 +1,11 @@
 package agg
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"spio/internal/binio"
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
@@ -233,13 +235,34 @@ func TestAdaptiveClusteredWorkload(t *testing.T) {
 	}
 }
 
+// TestExtentCodecRoundTrip and TestCountCodecRoundTrip send messages whose
+// fields are all non-zero and distinct, so two that traded places on one
+// side would decode as each other; a message a byte short or a byte long
+// is refused.
 func TestExtentCodecRoundTrip(t *testing.T) {
 	b := geom.NewBox(geom.V3(-1, 2, 3.5), geom.V3(4, 5, 6))
-	back, n, err := decodeExtent(encodeExtent(b, 12345))
-	if err != nil || back != b || n != 12345 {
-		t.Errorf("roundtrip: %v %d %v", back, n, err)
+	var msg bytes.Buffer
+	encodeExtent(binio.NewWriter(&msg), b, 12345)
+	d := binio.NewReader(bytes.NewReader(msg.Bytes()), "agg")
+	back, n := decodeExtent(d)
+	if err := d.Whole(msg.Len()); err != nil || back != b || n != 12345 || msg.Len() != 56 {
+		t.Errorf("roundtrip of %d bytes: %v %d %v", msg.Len(), back, n, err)
 	}
-	if _, _, err := decodeExtent([]byte{1, 2, 3}); err == nil {
-		t.Error("short extent accepted")
+	for _, torn := range [][]byte{msg.Bytes()[:55], append(msg.Bytes(), 0)} {
+		d := binio.NewReader(bytes.NewReader(torn), "agg")
+		decodeExtent(d)
+		if d.Whole(len(torn)) == nil {
+			t.Errorf("extent message of %d bytes accepted", len(torn))
+		}
+	}
+}
+
+func TestCountCodecRoundTrip(t *testing.T) {
+	var msg bytes.Buffer
+	encodeCount(binio.NewWriter(&msg), 0x0102030405060708)
+	want := []byte{8, 7, 6, 5, 4, 3, 2, 1}
+	d := binio.NewReader(bytes.NewReader(msg.Bytes()), "agg")
+	if n := decodeCount(d); d.Whole(8) != nil || n != 0x0102030405060708 || !bytes.Equal(msg.Bytes(), want) {
+		t.Errorf("count travelled as % x and came back %#x (%v)", msg.Bytes(), n, d.Err())
 	}
 }

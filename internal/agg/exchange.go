@@ -1,13 +1,14 @@
 package agg
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"time"
 
+	"spio/internal/binio"
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
@@ -41,6 +42,12 @@ const (
 	tagMetaCount = 1 // metadata exchange: particle counts
 	tagData      = 2 // particle exchange: encoded records
 )
+
+// encodeCount and decodeCount are the metadata exchange's message: how
+// many particles a sender has for an aggregator.
+func encodeCount(e *binio.Writer, n int64) { e.I64(n) }
+
+func decodeCount(d *binio.Reader) int64 { return d.I64() }
 
 // Timing records how long each write phase took on this rank; the
 // aggregation-vs-file-I/O breakdown is what Fig. 6 reports.
@@ -138,9 +145,9 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 			self = s
 			continue
 		}
-		var cnt [8]byte
-		binary.LittleEndian.PutUint64(cnt[:], uint64(s.count))
-		c.Isend(s.to, tagMetaCount, cnt[:])
+		var cnt bytes.Buffer
+		encodeCount(binio.NewWriter(&cnt), int64(s.count))
+		c.Isend(s.to, tagMetaCount, cnt.Bytes())
 	}
 	// region is where one sender's particles go: count rows from row at
 	// of the aggregate, its place in expectFrom — the sender order every
@@ -160,11 +167,9 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 			}
 		} else {
 			data, _ := c.Recv(src, tagMetaCount)
-			n := int64(-1)
-			if len(data) == 8 {
-				n = int64(binary.LittleEndian.Uint64(data))
-			}
-			if n < 0 || n > int64(math.MaxInt/stride-total) {
+			d := binio.NewReader(bytes.NewReader(data), "agg")
+			n := decodeCount(d)
+			if d.Whole(len(data)) != nil || n < 0 || n > int64(math.MaxInt/stride-total) {
 				// Not eight bytes, negative, or more than an aggregate can
 				// hold. Treat the count as zero so no data receive is posted
 				// for src; if src nevertheless sends a data message it stays

@@ -70,7 +70,7 @@ type Program struct {
 	exitReady     bool
 	taintSums     map[*types.Func]*taintSummary
 	taintFields   map[string]bool
-	taintTypes    map[string]bool
+	taintPkgs     map[string]bool
 	taintFindings []progDiag
 	taintReady    bool
 	raceFindings  []progDiag

@@ -1,7 +1,7 @@
 // Fixture for the wiresym analyzer: a writer/reader pair matched by
 // name convention must perform the same ordered sequence of fixed-width
 // field operations. The local writer/reader types mirror the sticky
-// pair in internal/format/binio.go.
+// pair in internal/binio.
 package wiresym
 
 type writer struct {

@@ -2,7 +2,10 @@
 // hands out is attacker-controlled until a bound check proves
 // otherwise, and letting one reach a make() size or a loop bound turns
 // a hostile length into a huge allocation or a spin before a single
-// payload byte has arrived.
+// payload byte has arrived. The marker below is what makes this package
+// one that decodes outside input: its reader's methods are the roots.
+//
+//spio:untrusted-input
 package wiretaint
 
 import "encoding/binary"
@@ -11,16 +14,14 @@ import "encoding/binary"
 // compare against.
 const maxBlob = 1 << 20
 
-// decoder mimics internal/server's frame decoder: it parses integers
-// out of a client-supplied frame.
-//
-//spio:untrusted-input
-type decoder struct {
+// reader mimics internal/binio's Reader over a client-supplied frame: it
+// parses integers out of bytes a peer chose.
+type reader struct {
 	buf []byte
 	off int
 }
 
-func (d *decoder) u32() uint32 {
+func (d *reader) u32() uint32 {
 	if d.off+4 > len(d.buf) {
 		return 0
 	}
@@ -31,13 +32,13 @@ func (d *decoder) u32() uint32 {
 
 // decodeBlob allocates straight off the wire: the hostile length is
 // the allocation size.
-func decodeBlob(d *decoder) []byte {
+func decodeBlob(d *reader) []byte {
 	n := d.u32()
 	return make([]byte, n) // want "reaches a make"
 }
 
 // decodeRows spins off the wire: the loop bound is the sink.
-func decodeRows(d *decoder) int {
+func decodeRows(d *reader) int {
 	rows := int(d.u32())
 	total := 0
 	for i := 0; i < rows; i++ { // want "reaches a loop bound"
@@ -54,17 +55,17 @@ func alloc(n int) []float64 {
 
 // decodeSeries surfaces alloc's summarized sink at the call site that
 // passes wire data in.
-func decodeSeries(d *decoder) []float64 {
+func decodeSeries(d *reader) []float64 {
 	return alloc(int(d.u32())) // want "size in wiretaint.alloc"
 }
 
 // readCount launders the source through a helper return: the summary
 // carries the source taint back to the caller.
-func readCount(d *decoder) int {
+func readCount(d *reader) int {
 	return int(d.u32())
 }
 
-func decodeTable(d *decoder) []int64 {
+func decodeTable(d *reader) []int64 {
 	rows := readCount(d)
 	return make([]int64, rows) // want "reaches a make"
 }
@@ -76,7 +77,7 @@ type header struct {
 	count   int
 }
 
-func parse(d *decoder) header {
+func parse(d *reader) header {
 	var h header
 	h.version = int(d.u32())
 	h.count = int(d.u32())
@@ -90,7 +91,7 @@ func allocRows(h header) [][]float32 {
 
 // decodeBounded is the sanctioned shape: the early return dominates the
 // allocation, so n is clean at the make. No finding.
-func decodeBounded(d *decoder) []byte {
+func decodeBounded(d *reader) []byte {
 	n := int(d.u32())
 	if n < 0 || n > maxBlob {
 		return nil
@@ -100,7 +101,7 @@ func decodeBounded(d *decoder) []byte {
 
 // decodeCapped trusts the caller's limit: parameters are caller-vouched
 // bounds, so comparing against one clears the taint. No finding.
-func decodeCapped(d *decoder, limit int) []int32 {
+func decodeCapped(d *reader, limit int) []int32 {
 	n := int(d.u32())
 	if n > limit {
 		n = limit
@@ -110,14 +111,14 @@ func decodeCapped(d *decoder, limit int) []int32 {
 
 // decodeClamped clamps with the min builtin against a constant, which
 // bounds the value as surely as a branch. No finding.
-func decodeClamped(d *decoder) []byte {
+func decodeClamped(d *reader) []byte {
 	return make([]byte, min(int(d.u32()), 4096))
 }
 
 // decodeScratch deliberately allocates off the wire: the transport
 // already rejected frames over its cap, which this analyzer cannot see,
 // and the directive records that argument.
-func decodeScratch(d *decoder) []byte {
+func decodeScratch(d *reader) []byte {
 	n := d.u32()
 	//spio:allow wiretaint -- fixture: frame cap upstream already bounds n
 	return make([]byte, n) // want "reaches a make"

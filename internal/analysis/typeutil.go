@@ -12,6 +12,7 @@ const (
 	mpiPath      = "spio/internal/mpi"
 	corePath     = "spio/internal/core"
 	particlePath = "spio/internal/particle"
+	binioPath    = "spio/internal/binio"
 	rootPath     = "spio"
 )
 

@@ -9,24 +9,24 @@ import (
 	"strings"
 )
 
-// WireSym checks writer/reader symmetry of the on-disk format. The
-// format package encodes and decodes every file through the sticky-
-// error writer/reader pair in binio.go; a field written u64 but read
-// u32, written before a sibling but read after it, or written and never
-// read, silently corrupts every checkpoint that crosses the asymmetry.
-// The runtime round-trip tests only cover the values they happen to
-// write; wiresym makes the symmetry a static contract (the position
-// scda takes: a serial-equivalent format is a statically checkable
-// writer/reader pact).
+// WireSym checks writer/reader symmetry of every byte contract framed
+// with internal/binio: the file headers, the frames of the serving
+// protocol, the messages ranks exchange during a write. A field written
+// u64 but read u32, written before a sibling but read after it, or
+// written and never read, silently corrupts everything that crosses the
+// asymmetry. The runtime round-trip tests only cover the values they
+// happen to write; wiresym makes the symmetry a static contract (the
+// position scda takes: a serial-equivalent format is a statically
+// checkable writer/reader pact).
 //
 // For every package-level function pair matched by name convention —
 // encodeX/decodeX, EncodeX/DecodeX, WriteX/ReadX, WriteX/OpenX and the
 // unexported spellings — the analyzer extracts the ordered sequence of
-// fixed-width field operations each side performs on a sticky writer
-// (type named "writer") or reader (type named "reader"): u8, u32, u64,
-// i64, f64, uvarint, str, bytes (and its zero-copy spellings, the
-// writer's lend and the reader's view), vec3, box (the reader's boxv
-// normalizes to box), idx3. Extraction is interprocedural over the
+// fixed-width field operations each side performs on a sticky writer or
+// reader (wireStreamKind: binio's Writer and Reader, or a package's own
+// writer/reader): U8, U32, U64, I64, F64, Uvarint, Str, Bytes (and its
+// zero-copy spellings, the writer's Lend and the reader's View), Vec3,
+// Box, Idx3, in either case. Extraction is interprocedural over the
 // loaded call graph:
 //
 //   - a call passing a writer/reader to a helper splices the helper's
@@ -57,9 +57,9 @@ var WireSym = &Analyzer{
 	Run:  runWireSym,
 }
 
-// wireOps maps sticky writer/reader method names to canonical field
-// tokens. The reader's boxv is the writer's box; lend and view move the
-// same bytes as bytes does, by reference.
+// wireOps maps sticky writer/reader method names, lower-cased, to
+// canonical field tokens. Lend and View move the same bytes as Bytes
+// does, by reference; boxv is a local reader's spelling of box.
 var wireOps = map[string]string{
 	"bytes":   "bytes",
 	"lend":    "bytes",
@@ -107,9 +107,10 @@ type wireItem struct {
 	direct bool
 }
 
-// wireStreamKind classifies a type as sticky writer or reader by the
-// binio naming idiom: a (pointer to a) named type called "writer" or
-// "reader".
+// wireStreamKind classifies a type as sticky writer or reader — the one
+// statement of the idiom, for wiresym and wiretaint alike: a (pointer to
+// a) named type that is internal/binio's Writer or Reader, or a package's
+// own unexported writer or reader (the analyzer fixtures' stand-ins).
 func wireStreamKind(t types.Type) (byte, bool) {
 	if t == nil {
 		return 0, false
@@ -121,7 +122,11 @@ func wireStreamKind(t types.Type) (byte, bool) {
 	if !ok {
 		return 0, false
 	}
-	switch named.Obj().Name() {
+	obj := named.Obj()
+	if obj.Exported() && (obj.Pkg() == nil || obj.Pkg().Path() != binioPath) {
+		return 0, false
+	}
+	switch strings.ToLower(obj.Name()) {
 	case "writer":
 		return 'w', true
 	case "reader":
@@ -430,7 +435,7 @@ func (x *wireExtractor) exprItems(n ast.Node) []wireItem {
 		sig, _ := fn.Type().(*types.Signature)
 		if sig != nil && sig.Recv() != nil {
 			if kind, ok := wireStreamKind(sig.Recv().Type()); ok {
-				if tok, isOp := wireOps[fn.Name()]; isOp {
+				if tok, isOp := wireOps[strings.ToLower(fn.Name())]; isOp {
 					out = append(out, x.opItem(call, fn, kind, tok))
 					return true // args may nest further calls; keep walking
 				}

@@ -11,15 +11,17 @@ import (
 
 // WireTaint tracks untrusted integers from decode sources to allocation
 // and loop-bound sinks. A value is untrusted when it was produced by a
-// method on a declared untrusted-input type (a type whose declaration
-// carries a `//spio:untrusted-input` comment — wire.go's frame decoder,
-// any fixture twin), by encoding/binary's integer readers applied to
-// already-tainted bytes, or read from a struct field some decode path
-// stored an untrusted value into. Source roots are
-// explicit on purpose: a structural "anything wrapping io.Reader" rule
-// would taint the format package's file reader and drown the serving
-// tier's real exposure under every trusted writer/bench path in the
-// module. Taint is cleared only by a dominating bound check — a
+// method of a sticky reader (wireStreamKind) called in a package that
+// decodes bytes from outside — one whose package clause carries a
+// `//spio:untrusted-input` comment: internal/server, any fixture twin —
+// by encoding/binary's integer readers applied to already-tainted bytes,
+// or read from a struct field some decode path stored an untrusted value
+// into. The codec is one type for files and frames, so the root is where
+// it is called, not what it is; and it is explicit on purpose: a
+// structural "anything wrapping io.Reader" rule would taint the format
+// package's file reads and drown the serving tier's real exposure under
+// every trusted writer/bench path in the module (76 findings when tried,
+// ROADMAP item 5(b)). Taint is cleared only by a dominating bound check — a
 // comparison against a trusted value (constant, parameter, len/cap) —
 // or a min/max clamp. Sinks are make() size/cap arguments and for-loop
 // bounds: the two places where a hostile 2⁶⁴-ish integer becomes an
@@ -106,7 +108,7 @@ func (p *Program) ensureTaint() {
 		return
 	}
 	p.taintReady = true
-	p.scanUntrustedTypes()
+	p.scanUntrustedPkgs()
 	fns := make([]*FuncInfo, 0, len(p.Funcs))
 	for _, fi := range p.Funcs {
 		fns = append(fns, fi)
@@ -153,30 +155,17 @@ func (p *Program) ensureTaint() {
 	sort.Slice(p.taintFindings, func(i, j int) bool { return p.taintFindings[i].pos < p.taintFindings[j].pos })
 }
 
-// scanUntrustedTypes records every named type whose declaration carries
-// a //spio:untrusted-input comment. Methods on these types are the
-// taint roots: the marker is how a decoder over hostile bytes (the
-// server's wire reader) is distinguished from the byte-identical
-// decoder over trusted local files (format's binio reader).
-func (p *Program) scanUntrustedTypes() {
-	p.taintTypes = make(map[string]bool)
+// scanUntrustedPkgs records every package one of whose files carries a
+// //spio:untrusted-input comment on its package clause. A sticky reader's
+// methods called in such a package are the taint roots: the marker is how
+// decoding hostile bytes (the server's frames) is distinguished from
+// decoding trusted local files with the same codec.
+func (p *Program) scanUntrustedPkgs() {
+	p.taintPkgs = make(map[string]bool)
 	for _, pkg := range p.Pkgs {
 		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				declMarked := commentHasUntrusted(gd.Doc)
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if declMarked || commentHasUntrusted(ts.Doc) || commentHasUntrusted(ts.Comment) {
-						p.taintTypes[pkg.Types.Path()+"."+ts.Name.Name] = true
-					}
-				}
+			if commentHasUntrusted(file.Doc) {
+				p.taintPkgs[pkg.Types.Path()] = true
 			}
 		}
 	}
@@ -655,7 +644,8 @@ func (w *taintWalker) evalCall(call *ast.CallExpr) taintVal {
 		}
 		return val
 	}
-	// Source roots: any method on a declared untrusted-input type.
+	// Source roots: a sticky reader's methods, in a package marked as
+	// decoding outside input.
 	if w.isDecoderSource(call) {
 		for _, a := range call.Args {
 			w.eval(a)
@@ -769,11 +759,14 @@ func isBinaryIntReader(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// isDecoderSource matches methods on declared untrusted-input types:
-// every result of such a method is decode-source tainted (integers are
-// hostile sizes, byte slices are hostile bytes for isBinaryIntReader to
-// launder).
+// isDecoderSource matches a sticky reader's methods called in a package
+// marked as decoding outside input: every result of such a call is
+// decode-source tainted (integers are hostile sizes, byte slices are
+// hostile bytes for isBinaryIntReader to launder).
 func (w *taintWalker) isDecoderSource(call *ast.CallExpr) bool {
+	if !w.prog.taintPkgs[w.fi.Pkg.Types.Path()] {
+		return false
+	}
 	fn := funcObj(w.info, call)
 	if fn == nil {
 		return false
@@ -782,13 +775,6 @@ func (w *taintWalker) isDecoderSource(call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return w.prog.taintTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
+	kind, ok := wireStreamKind(sig.Recv().Type())
+	return ok && kind == 'r'
 }

@@ -164,7 +164,7 @@ func TestUnusualLODParamsEndToEnd(t *testing.T) {
 	// Single file of 200 particles, per-file base 8, S=4: levels are
 	// 8, 32, 128, 32.
 	for i, want := range []int64{8, 40, 168, 200} {
-		buf, err := df.ReadLevels(8, i+1)
+		buf, err := df.ReadPrefix(lod.PrefixCount(df.Header.Count, 8, df.Header.LOD.Scale, i+1))
 		if err != nil {
 			t.Fatal(err)
 		}

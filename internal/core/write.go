@@ -15,13 +15,13 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"math"
 	"path/filepath"
 	"time"
 
 	"spio/internal/agg"
+	"spio/internal/binio"
 	"spio/internal/fault"
 	"spio/internal/format"
 	"spio/internal/geom"
@@ -227,7 +227,7 @@ func finishWrite(c *mpi.Comm, dir string, cfg WriteConfig,
 		return err
 	}
 
-	var entry fileEntryMsg
+	var entry format.FileEntry
 	var werr error
 	if isAgg {
 		res.Partition = ag.Part
@@ -309,14 +309,14 @@ func abortWrite(c *mpi.Comm, dir string, cfg WriteConfig, isAgg bool) {
 // are identical to reordering in place first). The rows themselves stay
 // in sender order — the bounds and field-range scans are
 // order-independent.
-func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank int, ag agg.Aggregate, tm *agg.Timing) (fileEntryMsg, error) {
+func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank int, ag agg.Aggregate, tm *agg.Timing) (format.FileEntry, error) {
 	start := time.Now()
 	order := lod.Permutation(ag.Rows, cfg.Heuristic, reorderSeed(cfg.Seed, ag.Part))
 	tm.Reorder = time.Since(start)
 
 	start = time.Now()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fileEntryMsg{}, err
+		return format.FileEntry{}, err
 	}
 	name := format.DataFileName(aggRank)
 	hdr := format.DataHeader{
@@ -328,20 +328,22 @@ func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank in
 		CodecWorkers: cfg.CodecWorkers,
 	}
 	if err := format.WriteDataFile(fsys, filepath.Join(dir, name), &hdr, ag.Rows, order); err != nil {
-		return fileEntryMsg{}, err
+		return format.FileEntry{}, err
 	}
 	tm.FileIO = time.Since(start)
 
-	entry := fileEntryMsg{
-		boxIndex:  ag.Part,
-		count:     hdr.Count,
-		partition: ag.Box,
-		bounds:    hdr.Bounds,
+	entry := format.FileEntry{
+		BoxIndex:  ag.Part,
+		AggRank:   aggRank,
+		Name:      name,
+		Partition: ag.Box,
+		Bounds:    hdr.Bounds,
+		Count:     hdr.Count,
 	}
 	// An aggregator with no particles has no field values: FieldRanges
 	// yields no row rather than the ±Inf scan sentinels.
 	if cfg.FieldRanges {
-		entry.fieldMin, entry.fieldMax = ag.Rows.FieldRanges()
+		entry.FieldMin, entry.FieldMax = ag.Rows.FieldRanges()
 	}
 	return entry, nil
 }
@@ -353,90 +355,19 @@ func reorderSeed(seed int64, part int) int64 {
 	return int64(z ^ (z >> 27))
 }
 
-// fileEntryMsg is the Allgather payload each aggregator contributes for
-// the metadata file (Section 3.5): its partition id, count, boxes, and
-// optional field ranges. Non-aggregators contribute an empty payload.
-type fileEntryMsg struct {
-	boxIndex  int
-	count     int64
-	partition geom.Box
-	bounds    geom.Box
-	fieldMin  []float64
-	fieldMax  []float64
-}
-
-func (m *fileEntryMsg) encode() []byte {
-	out := make([]byte, 0, 16+12*8+len(m.fieldMin)*16)
-	var tmp [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:]...)
-	}
-	putF64 := func(v float64) { putU64(math.Float64bits(v)) }
-	putBox := func(b geom.Box) {
-		putF64(b.Lo.X)
-		putF64(b.Lo.Y)
-		putF64(b.Lo.Z)
-		putF64(b.Hi.X)
-		putF64(b.Hi.Y)
-		putF64(b.Hi.Z)
-	}
-	putU64(uint64(m.boxIndex))
-	putU64(uint64(m.count))
-	putBox(m.partition)
-	putBox(m.bounds)
-	putU64(uint64(len(m.fieldMin)))
-	for i := range m.fieldMin {
-		putF64(m.fieldMin[i])
-		putF64(m.fieldMax[i])
-	}
-	return out
-}
-
-func decodeFileEntryMsg(data []byte) (fileEntryMsg, error) {
-	var m fileEntryMsg
-	off := 0
-	getU64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v
-	}
-	getF64 := func() float64 { return math.Float64frombits(getU64()) }
-	getBox := func() geom.Box {
-		return geom.Box{
-			Lo: geom.Vec3{X: getF64(), Y: getF64(), Z: getF64()},
-			Hi: geom.Vec3{X: getF64(), Y: getF64(), Z: getF64()},
-		}
-	}
-	if len(data) < 16+12*8+8 {
-		return m, fmt.Errorf("core: file entry message too short (%d bytes)", len(data))
-	}
-	m.boxIndex = int(getU64())
-	m.count = int64(getU64())
-	m.partition = getBox()
-	m.bounds = getBox()
-	nRanges := int(getU64())
-	if len(data) != off+nRanges*16 {
-		return m, fmt.Errorf("core: file entry message has %d bytes, want %d", len(data), off+nRanges*16)
-	}
-	for i := 0; i < nRanges; i++ {
-		m.fieldMin = append(m.fieldMin, getF64())
-		m.fieldMax = append(m.fieldMax, getF64())
-	}
-	return m, nil
-}
-
-// writeMetaCollective gathers all aggregators' file entries and writes
-// the metadata file on rank 0.
+// writeMetaCollective gathers all aggregators' file entries (Section
+// 3.5) and writes the metadata file on rank 0. An entry travels as the
+// row of the table it becomes (format.EncodeFileEntry); non-aggregators
+// contribute an empty payload.
 func writeMetaCollective(c *mpi.Comm, dir string, cfg WriteConfig,
 	factor, aggDims geom.Idx3, schema *particle.Schema,
-	isAgg bool, entry fileEntryMsg) error {
+	isAgg bool, entry format.FileEntry) error {
 
-	var payload []byte
+	var payload bytes.Buffer
 	if isAgg {
-		payload = entry.encode()
+		format.EncodeFileEntry(binio.NewWriter(&payload), &entry)
 	}
-	gathered := c.Allgather(payload)
+	gathered := c.Allgather(payload.Bytes())
 	if c.Rank() != 0 {
 		return nil
 	}
@@ -454,21 +385,13 @@ func writeMetaCollective(c *mpi.Comm, dir string, cfg WriteConfig,
 		if len(msg) == 0 {
 			continue
 		}
-		m, err := decodeFileEntryMsg(msg)
-		if err != nil {
+		d := binio.NewReader(bytes.NewReader(msg), "core")
+		fe := format.DecodeFileEntry(d, schema)
+		if err := d.Whole(len(msg)); err != nil {
 			return fmt.Errorf("core: rank %d metadata entry: %w", rank, err)
 		}
-		meta.Total += m.count
-		meta.Files = append(meta.Files, format.FileEntry{
-			BoxIndex:  m.boxIndex,
-			AggRank:   rank,
-			Name:      format.DataFileName(rank),
-			Partition: m.partition,
-			Bounds:    m.bounds,
-			Count:     m.count,
-			FieldMin:  m.fieldMin,
-			FieldMax:  m.fieldMax,
-		})
+		meta.Total += fe.Count
+		meta.Files = append(meta.Files, fe)
 	}
 	fsys := cfg.fs()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {

@@ -1,3 +1,9 @@
+// Package format defines spio's on-disk layout: per-aggregator data files
+// holding LOD-ordered particle records, and the spatial metadata file of
+// paper Section 3.5 / Fig. 4 mapping each data file to the bounding box
+// of the particles it holds. Both are little-endian binary with explicit
+// magic, version and checksum, so readers can validate files from any
+// writer configuration. Their headers are framed with internal/binio.
 package format
 
 import (
@@ -11,6 +17,7 @@ import (
 	"sort"
 	"sync"
 
+	"spio/internal/binio"
 	"spio/internal/fault"
 	"spio/internal/geom"
 	"spio/internal/lod"
@@ -125,14 +132,14 @@ func DataFileName(aggRank int) string { return fmt.Sprintf("file_%d.spd", aggRan
 // prefix. blocks is the compressed block index (nil for raw payloads);
 // compressed headers carry the codec table and the index after the
 // flags byte.
-func encodeDataHeader(e *writer, h *DataHeader, blocks []codecBlock) {
-	encodeSchema(e, h.Schema)
-	e.u64(uint64(h.Count))
-	e.box(h.Bounds)
-	e.uvarint(uint64(h.LOD.BasePerReader))
-	e.uvarint(uint64(h.LOD.Scale))
-	e.u8(uint8(h.Heuristic))
-	e.i64(h.Seed)
+func encodeDataHeader(e *binio.Writer, h *DataHeader, blocks []codecBlock) {
+	EncodeSchema(e, h.Schema)
+	e.U64(uint64(h.Count))
+	e.Box(h.Bounds)
+	e.Uvarint(uint64(h.LOD.BasePerReader))
+	e.Uvarint(uint64(h.LOD.Scale))
+	e.U8(uint8(h.Heuristic))
+	e.I64(h.Seed)
 	var flags uint8
 	if h.PayloadCRC {
 		flags |= flagPayloadCRC
@@ -141,17 +148,17 @@ func encodeDataHeader(e *writer, h *DataHeader, blocks []codecBlock) {
 	if compressed {
 		flags |= flagCompressed
 	}
-	e.u8(flags)
+	e.U8(flags)
 	if compressed {
 		for i := 0; i < h.Schema.NumFields(); i++ {
 			fc := h.Codec.Fields[i]
-			e.u8(uint8(fc.ID))
-			e.f64(fc.ErrBound)
+			e.U8(uint8(fc.ID))
+			e.F64(fc.ErrBound)
 		}
-		e.uvarint(uint64(len(blocks)))
+		e.Uvarint(uint64(len(blocks)))
 		for _, b := range blocks {
-			e.uvarint(uint64(b.recs))
-			e.uvarint(uint64(b.bytes))
+			e.Uvarint(uint64(b.recs))
+			e.Uvarint(uint64(b.bytes))
 		}
 	}
 }
@@ -198,23 +205,23 @@ func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *parti
 
 	// Encode the header body once to learn its CRC.
 	var body headerBuf
-	e := newWriter(&body)
+	e := binio.NewWriter(&body)
 	encodeDataHeader(e, hdr, blocks)
-	if e.err != nil {
-		return e.err
+	if e.Err() != nil {
+		return e.Err()
 	}
 
 	// Pre-encode the full file prefix (everything before the payload)
 	// so each write attempt only replays raw bytes plus the record
 	// stream.
 	var prefix headerBuf
-	pre := newWriter(&prefix)
-	pre.bytes([]byte(dataMagic))
-	pre.u32(dataVersion)
-	pre.u32(crc32.ChecksumIEEE(body.b))
-	pre.bytes(body.b)
-	if pre.err != nil {
-		return pre.err
+	pre := binio.NewWriter(&prefix)
+	pre.Bytes([]byte(dataMagic))
+	pre.U32(dataVersion)
+	pre.U32(crc32.ChecksumIEEE(body.b))
+	pre.Bytes(body.b)
+	if pre.Err() != nil {
+		return pre.Err()
 	}
 
 	if blocks != nil {
@@ -435,50 +442,50 @@ func OpenDataFileWith(path string, opts OpenOptions) (*DataFile, error) {
 }
 
 func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
-	br := bufio.NewReaderSize(f, 64<<10)
-	d := newReader(br)
+	src := &crcReader{r: bufio.NewReaderSize(f, 64<<10)}
+	d := binio.NewReader(src, "format")
 	magic := make([]byte, len(dataMagic))
-	d.bytes(magic)
-	if d.err == nil && string(magic) != dataMagic {
+	d.Bytes(magic)
+	if d.Err() == nil && string(magic) != dataMagic {
 		return nil, fmt.Errorf("format: %s: not a spio data file (magic %q)", path, magic)
 	}
-	version := d.u32()
-	if d.err == nil && version != dataVersion {
+	version := d.U32()
+	if d.Err() == nil && version != dataVersion {
 		return nil, fmt.Errorf("format: %s: unsupported data version %d", path, version)
 	}
-	wantCRC := d.u32()
-	if d.err != nil {
-		return nil, classifyHeaderErr(path, d.err)
+	wantCRC := d.U32()
+	if d.Err() != nil {
+		return nil, classifyHeaderErr(path, d.Err())
 	}
 
-	d.crc = 0 // CRC covers only the header body
+	src.crc = 0 // CRC covers only the header body
 	var h DataHeader
-	schema, err := decodeSchema(d)
+	schema, err := DecodeSchema(d)
 	if err != nil {
 		return nil, fmt.Errorf("format: %s: %w", path, err)
 	}
 	h.Schema = schema
-	h.Count = int64(d.u64())
-	h.Bounds = d.boxv()
-	h.LOD.BasePerReader = int(d.uvarint())
-	h.LOD.Scale = int(d.uvarint())
-	h.Heuristic = lod.Heuristic(d.u8())
-	h.Seed = d.i64()
-	flags := d.u8()
+	h.Count = int64(d.U64())
+	h.Bounds = d.Box()
+	h.LOD.BasePerReader = int(d.Uvarint())
+	h.LOD.Scale = int(d.Uvarint())
+	h.Heuristic = lod.Heuristic(d.U8())
+	h.Seed = d.I64()
+	flags := d.U8()
 	h.PayloadCRC = flags&flagPayloadCRC != 0
 	compressed := flags&flagCompressed != 0
-	if d.err == nil && flags&^uint8(flagPayloadCRC|flagCompressed) != 0 {
+	if d.Err() == nil && flags&^uint8(flagPayloadCRC|flagCompressed) != 0 {
 		return nil, fmt.Errorf("format: %s: unknown header flags %#x", path, flags)
 	}
 	var blockRecs, blockOffs []int64
 	if compressed {
 		h.Codec.Fields = make([]particle.FieldCodec, schema.NumFields())
 		for i := range h.Codec.Fields {
-			h.Codec.Fields[i].ID = particle.CodecID(d.u8())
-			h.Codec.Fields[i].ErrBound = d.f64()
+			h.Codec.Fields[i].ID = particle.CodecID(d.U8())
+			h.Codec.Fields[i].ErrBound = d.F64()
 		}
-		nBlocks := d.uvarint()
-		if d.err == nil && h.Count >= 0 && nBlocks > uint64(h.Count) {
+		nBlocks := d.Uvarint()
+		if d.Err() == nil && h.Count >= 0 && nBlocks > uint64(h.Count) {
 			// Every block holds at least one record; a larger claim is
 			// corrupt, and rejecting it here bounds the index allocation.
 			return nil, fmt.Errorf("format: %s: %d compressed blocks for %d records", path, nBlocks, h.Count)
@@ -488,10 +495,10 @@ func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
 		// Per block, the per-field fallback guarantees the stored bytes
 		// never exceed the raw records plus the field framing.
 		maxOverhead := int64(schema.NumFields()) * 16
-		for i := uint64(0); i < nBlocks && d.err == nil; i++ {
-			recs := int64(d.uvarint())
-			bytes := int64(d.uvarint())
-			if d.err != nil {
+		for i := uint64(0); i < nBlocks && d.Err() == nil; i++ {
+			recs := int64(d.Uvarint())
+			bytes := int64(d.Uvarint())
+			if d.Err() != nil {
 				break
 			}
 			if recs <= 0 || recs > h.Count-blockRecs[len(blockRecs)-1] {
@@ -504,10 +511,10 @@ func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
 			blockOffs = append(blockOffs, blockOffs[len(blockOffs)-1]+bytes)
 		}
 	}
-	if d.err != nil {
-		return nil, classifyHeaderErr(path, d.err)
+	if d.Err() != nil {
+		return nil, classifyHeaderErr(path, d.Err())
 	}
-	if d.crc != wantCRC {
+	if src.crc != wantCRC {
 		return nil, fmt.Errorf("format: %s: header checksum mismatch", path)
 	}
 	if h.Count < 0 {
@@ -526,9 +533,9 @@ func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
 		}
 		payloadBytes = blockOffs[len(blockOffs)-1]
 	}
-	// d.n counts every byte consumed so far (magic, version, crc, header
+	// d.N() counts every byte consumed so far (magic, version, crc, header
 	// body), which is exactly where the payload starts.
-	payloadOff := d.n
+	payloadOff := d.N()
 
 	// Verify payload size against the file size.
 	st, err := f.Stat()
@@ -806,16 +813,6 @@ func (df *DataFile) ReadPrefix(n int64) (*particle.Buffer, error) {
 // ReadAll reads every record.
 func (df *DataFile) ReadAll() (*particle.Buffer, error) {
 	return df.ReadRange(0, df.Header.Count)
-}
-
-// ReadLevels reads levels [0, levels) of the file's LOD hierarchy. The
-// caller supplies the per-file level-0 budget perFileBase (spio
-// distributes the dataset-wide budget n·P of Section 3.4 uniformly over
-// data files, so perFileBase = n·P / numFiles, at least 1); the prefix
-// length is PrefixCount(count, perFileBase, S, levels).
-func (df *DataFile) ReadLevels(perFileBase int64, levels int) (*particle.Buffer, error) {
-	n := lod.PrefixCount(df.Header.Count, perFileBase, df.Header.LOD.Scale, levels)
-	return df.ReadPrefix(n)
 }
 
 // VerifyPayload re-reads the whole payload and checks it against the

@@ -112,15 +112,15 @@ func TestDataFileReadLevels(t *testing.T) {
 	}
 	defer df.Close()
 	// Per-file base 32, S=2: levels are 32, 64, 4.
-	l1, err := df.ReadLevels(32, 1)
+	l1, err := df.ReadPrefix(lod.PrefixCount(df.Header.Count, 32, df.Header.LOD.Scale, 1))
 	if err != nil || l1.Len() != 32 {
 		t.Errorf("level 1: err=%v len=%d", err, l1.Len())
 	}
-	l2, err := df.ReadLevels(32, 2)
+	l2, err := df.ReadPrefix(lod.PrefixCount(df.Header.Count, 32, df.Header.LOD.Scale, 2))
 	if err != nil || l2.Len() != 96 {
 		t.Errorf("levels 2: err=%v len=%d", err, l2.Len())
 	}
-	l3, err := df.ReadLevels(32, 3)
+	l3, err := df.ReadPrefix(lod.PrefixCount(df.Header.Count, 32, df.Header.LOD.Scale, 3))
 	if err != nil || l3.Len() != 100 {
 		t.Errorf("levels 3: err=%v len=%d", err, l3.Len())
 	}

@@ -133,6 +133,7 @@ func FuzzReadMeta(f *testing.F) {
 	f.Add(raw[:20])
 	f.Add([]byte(metaMagic))
 	f.Add([]byte{})
+	f.Add(metaImageWithCount(f, 1<<27))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, MetaFileName), data, 0o644); err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"spio/internal/binio"
 	"spio/internal/fault"
 	"spio/internal/geom"
 	"spio/internal/lod"
@@ -193,44 +194,74 @@ func EncodeMeta(w io.Writer, m *Meta) error {
 	}
 
 	var body headerBuf
-	e := newWriter(&body)
-	e.box(m.Domain)
-	e.idx3(m.SimDims)
-	e.idx3(m.PartitionFactor)
-	e.idx3(m.AggDims)
-	encodeSchema(e, m.Schema)
-	e.uvarint(uint64(m.LOD.BasePerReader))
-	e.uvarint(uint64(m.LOD.Scale))
-	e.u8(uint8(m.Heuristic))
-	e.u64(uint64(m.Total))
-	e.uvarint(uint64(len(m.Files)))
-	for _, fe := range m.Files {
-		e.uvarint(uint64(fe.BoxIndex))
-		e.uvarint(uint64(fe.AggRank))
-		e.str(fe.Name)
-		e.box(fe.Partition)
-		e.box(fe.Bounds)
-		e.u64(uint64(fe.Count))
-		if len(fe.FieldMin) > 0 {
-			e.u8(1)
-			for i := range fe.FieldMin {
-				e.f64(fe.FieldMin[i])
-				e.f64(fe.FieldMax[i])
-			}
-		} else {
-			e.u8(0)
-		}
+	e := binio.NewWriter(&body)
+	e.Box(m.Domain)
+	e.Idx3(m.SimDims)
+	e.Idx3(m.PartitionFactor)
+	e.Idx3(m.AggDims)
+	EncodeSchema(e, m.Schema)
+	e.Uvarint(uint64(m.LOD.BasePerReader))
+	e.Uvarint(uint64(m.LOD.Scale))
+	e.U8(uint8(m.Heuristic))
+	e.U64(uint64(m.Total))
+	e.Uvarint(uint64(len(m.Files)))
+	for i := range m.Files {
+		EncodeFileEntry(e, &m.Files[i])
 	}
-	if e.err != nil {
-		return e.err
+	if e.Err() != nil {
+		return e.Err()
 	}
 
-	out := newWriter(w)
-	out.bytes([]byte(metaMagic))
-	out.u32(metaVersion)
-	out.u32(crc32.ChecksumIEEE(body.b))
-	out.bytes(body.b)
-	return out.err
+	out := binio.NewWriter(w)
+	out.Bytes([]byte(metaMagic))
+	out.U32(metaVersion)
+	out.U32(crc32.ChecksumIEEE(body.b))
+	out.Bytes(body.b)
+	return out.Err()
+}
+
+// EncodeFileEntry and DecodeFileEntry are the codec of one row of the
+// metadata table — of the paper's Fig. 4 — wherever it travels: in the
+// metadata file, and from each aggregator to rank 0 in the Allgather that
+// precedes it (internal/core). A range summary is as long as the schema
+// has components.
+func EncodeFileEntry(e *binio.Writer, fe *FileEntry) {
+	e.Uvarint(uint64(fe.BoxIndex))
+	e.Uvarint(uint64(fe.AggRank))
+	e.Str(fe.Name)
+	e.Box(fe.Partition)
+	e.Box(fe.Bounds)
+	e.U64(uint64(fe.Count))
+	if len(fe.FieldMin) > 0 {
+		e.U8(1)
+		for i := range fe.FieldMin {
+			e.F64(fe.FieldMin[i])
+			e.F64(fe.FieldMax[i])
+		}
+	} else {
+		e.U8(0)
+	}
+}
+
+func DecodeFileEntry(d *binio.Reader, schema *particle.Schema) FileEntry {
+	var fe FileEntry
+	fe.BoxIndex = int(d.Uvarint())
+	fe.AggRank = int(d.Uvarint())
+	fe.Name = d.Str(maxFieldName)
+	fe.Partition = d.Box()
+	fe.Bounds = d.Box()
+	fe.Count = int64(d.U64())
+	if d.U8() != 0 && d.Err() == nil {
+		// At most maxFields × maxComponents (DecodeSchema).
+		comps := totalComponents(schema)
+		fe.FieldMin = make([]float64, comps)
+		fe.FieldMax = make([]float64, comps)
+		for j := 0; j < comps; j++ {
+			fe.FieldMin[j] = d.F64()
+			fe.FieldMax[j] = d.F64()
+		}
+	}
+	return fe
 }
 
 // ReadMeta reads and validates the metadata file in dir.
@@ -254,68 +285,47 @@ func DecodeMeta(r io.Reader) (*Meta, error) {
 // errors.
 func decodeMeta(r io.Reader, path string) (*Meta, error) {
 	var err error
-	d := newReader(r)
+	src := &crcReader{r: r}
+	d := binio.NewReader(src, "format")
 	magic := make([]byte, len(metaMagic))
-	d.bytes(magic)
-	if d.err == nil && string(magic) != metaMagic {
+	d.Bytes(magic)
+	if d.Err() == nil && string(magic) != metaMagic {
 		return nil, fmt.Errorf("format: %s: not a spio metadata file", path)
 	}
-	version := d.u32()
-	if d.err == nil && version != metaVersion {
+	version := d.U32()
+	if d.Err() == nil && version != metaVersion {
 		return nil, fmt.Errorf("format: %s: unsupported metadata version %d", path, version)
 	}
-	wantCRC := d.u32()
-	if d.err != nil {
-		return nil, d.err
+	wantCRC := d.U32()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	d.crc = 0
+	src.crc = 0 // the CRC covers the body alone
 
 	var m Meta
-	m.Domain = d.boxv()
-	m.SimDims = d.idx3()
-	m.PartitionFactor = d.idx3()
-	m.AggDims = d.idx3()
-	m.Schema, err = decodeSchema(d)
+	m.Domain = d.Box()
+	m.SimDims = d.Idx3()
+	m.PartitionFactor = d.Idx3()
+	m.AggDims = d.Idx3()
+	m.Schema, err = DecodeSchema(d)
 	if err != nil {
 		return nil, fmt.Errorf("format: %s: %w", path, err)
 	}
-	m.LOD.BasePerReader = int(d.uvarint())
-	m.LOD.Scale = int(d.uvarint())
-	m.Heuristic = lod.Heuristic(d.u8())
-	m.Total = int64(d.u64())
-	nFiles := d.uvarint()
-	if d.err != nil {
-		return nil, fmt.Errorf("format: %s: %w", path, d.err)
+	m.LOD.BasePerReader = int(d.Uvarint())
+	m.LOD.Scale = int(d.Uvarint())
+	m.Heuristic = lod.Heuristic(d.U8())
+	m.Total = int64(d.U64())
+	nFiles := d.Uvarint()
+	// The table grows as its entries decode, so a count the bytes behind
+	// it do not bear out costs what those bytes can decode to, not what
+	// the count claims.
+	for i := uint64(0); i < nFiles && d.Err() == nil; i++ {
+		m.Files = append(m.Files, DecodeFileEntry(d, m.Schema))
 	}
-	if nFiles > 1<<28 {
-		return nil, fmt.Errorf("format: %s: implausible file count %d", path, nFiles)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("format: %s: %w", path, d.Err())
 	}
-	comps := totalComponents(m.Schema)
-	m.Files = make([]FileEntry, nFiles)
-	for i := range m.Files {
-		fe := &m.Files[i]
-		fe.BoxIndex = int(d.uvarint())
-		fe.AggRank = int(d.uvarint())
-		fe.Name = d.str(maxFieldName)
-		fe.Partition = d.boxv()
-		fe.Bounds = d.boxv()
-		fe.Count = int64(d.u64())
-		if d.u8() != 0 {
-			fe.FieldMin = make([]float64, comps)
-			fe.FieldMax = make([]float64, comps)
-			for j := 0; j < comps; j++ {
-				fe.FieldMin[j] = d.f64()
-				fe.FieldMax[j] = d.f64()
-			}
-		}
-		if d.err != nil {
-			return nil, fmt.Errorf("format: %s: %w", path, d.err)
-		}
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("format: %s: %w", path, d.err)
-	}
-	if d.crc != wantCRC {
+	if src.crc != wantCRC {
 		return nil, fmt.Errorf("format: %s: checksum mismatch", path)
 	}
 	if err := m.Validate(); err != nil {

@@ -12,11 +12,6 @@ func MortonEncode3(x, y, z uint32) uint64 {
 	return part1By2(x) | part1By2(y)<<1 | part1By2(z)<<2
 }
 
-// MortonDecode3 inverts MortonEncode3.
-func MortonDecode3(key uint64) (x, y, z uint32) {
-	return compact1By2(key), compact1By2(key >> 1), compact1By2(key >> 2)
-}
-
 // part1By2 spreads the low 21 bits of v so that there are two zero bits
 // between each original bit.
 func part1By2(v uint32) uint64 {
@@ -27,17 +22,6 @@ func part1By2(v uint32) uint64 {
 	x = (x | x<<4) & 0x10c30c30c30c30c3
 	x = (x | x<<2) & 0x1249249249249249
 	return x
-}
-
-// compact1By2 inverts part1By2.
-func compact1By2(x uint64) uint32 {
-	x &= 0x1249249249249249
-	x = (x ^ x>>2) & 0x10c30c30c30c30c3
-	x = (x ^ x>>4) & 0x100f00f00f00f00f
-	x = (x ^ x>>8) & 0x1f0000ff0000ff
-	x = (x ^ x>>16) & 0x1f00000000ffff
-	x = (x ^ x>>32) & 0x1fffff
-	return uint32(x)
 }
 
 // MortonOfIdx returns the Morton key of an integer cell coordinate.

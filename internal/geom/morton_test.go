@@ -3,21 +3,7 @@ package geom
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestMortonRoundTrip(t *testing.T) {
-	f := func(x, y, z uint32) bool {
-		x &= 0x1fffff
-		y &= 0x1fffff
-		z &= 0x1fffff
-		gx, gy, gz := MortonDecode3(MortonEncode3(x, y, z))
-		return gx == x && gy == y && gz == z
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestMortonKnownValues(t *testing.T) {
 	cases := []struct {

@@ -122,9 +122,6 @@ func (i Idx3) Comp(axis int) int {
 	panic(fmt.Sprintf("geom: invalid axis %d", axis))
 }
 
-// ToVec converts the integer coordinate to a Vec3.
-func (i Idx3) ToVec() Vec3 { return Vec3{float64(i.X), float64(i.Y), float64(i.Z)} }
-
 func (i Idx3) String() string { return fmt.Sprintf("%dx%dx%d", i.X, i.Y, i.Z) }
 
 // Linear returns the row-major linear index of i within dims, with X

@@ -133,7 +133,8 @@ func TestIsendIrecvWaitAll(t *testing.T) {
 				reqs = append(reqs, c.Irecv(src, 1))
 			}
 		}
-		for i, data := range WaitAll(reqs) {
+		for i, r := range reqs {
+			data, _ := r.Wait()
 			want := i
 			if i >= c.Rank() {
 				want = i + 1

@@ -262,15 +262,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return r
 }
 
-// WaitAll waits for every request and returns their payloads in order.
-func WaitAll(reqs []*Request) [][]byte {
-	out := make([][]byte, len(reqs))
-	for i, r := range reqs {
-		out[i], _ = r.Wait()
-	}
-	return out
-}
-
 // SendRecv performs a combined send to dst and receive from src with the
 // same tag, without deadlock regardless of ordering.
 func (c *Comm) SendRecv(dst, src, tag int, data []byte) ([]byte, Status) {

@@ -17,35 +17,6 @@ import (
 // just iterate field-major instead of record-major — the bytes produced
 // and consumed are identical.
 
-// Grow reserves capacity for n additional particles without changing the
-// buffer's length, like the append-capacity contract of the standard
-// library's slices.Grow.
-func (b *Buffer) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	for fi := 0; fi < b.schema.NumFields(); fi++ {
-		f := b.schema.Field(fi)
-		want := (b.n + n) * f.Components
-		switch f.Kind {
-		case Float64:
-			s := b.f64[b.fieldSlot[fi]]
-			if cap(s) < want {
-				ns := make([]float64, len(s), want)
-				copy(ns, s)
-				b.f64[b.fieldSlot[fi]] = ns
-			}
-		case Float32:
-			s := b.f32[b.fieldSlot[fi]]
-			if cap(s) < want {
-				ns := make([]float32, len(s), want)
-				copy(ns, s)
-				b.f32[b.fieldSlot[fi]] = ns
-			}
-		}
-	}
-}
-
 // SetLen resizes the buffer to exactly n particles. Growing extends every
 // column with zero values; shrinking truncates. It is the pre-sizing
 // primitive of a read whose size is known up front: size the columns

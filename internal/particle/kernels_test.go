@@ -100,15 +100,6 @@ func TestSetLenZerosAndTruncates(t *testing.T) {
 	}
 }
 
-func TestGrowPreservesContent(t *testing.T) {
-	b := testBuffer(t, 5, 2)
-	want := b.Slice(0, 5)
-	b.Grow(1000)
-	if b.Len() != 5 || !b.Equal(want) {
-		t.Error("Grow changed length or content")
-	}
-}
-
 func TestFieldRangesMatchesNaiveScan(t *testing.T) {
 	b := testBuffer(t, 100, 17)
 	mins, maxs := b.FieldRanges()

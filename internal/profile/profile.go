@@ -5,13 +5,14 @@
 package profile
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strings"
 	"time"
 
+	"spio/internal/binio"
 	"spio/internal/core"
 	"spio/internal/mpi"
 )
@@ -49,8 +50,9 @@ type Report struct {
 // Report there (nil elsewhere). It is collective: every rank must call
 // it after a successful Write.
 func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
-	payload := encodeResult(res)
-	parts := c.Gather(0, payload)
+	var payload bytes.Buffer
+	encodeResult(binio.NewWriter(&payload), &res)
+	parts := c.Gather(0, payload.Bytes())
 	if c.Rank() != 0 {
 		return nil, nil
 	}
@@ -61,9 +63,10 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 		mins[i] = math.MaxInt64
 	}
 	for rank, p := range parts {
-		r, err := decodeResult(p)
-		if err != nil {
-			return nil, fmt.Errorf("profile: rank %d: %w", rank, err)
+		d := binio.NewReader(bytes.NewReader(p), "profile")
+		r := decodeResult(d)
+		if err := d.Whole(len(p)); err != nil {
+			return nil, fmt.Errorf("profile: rank %d's result: %w", rank, err)
 		}
 		phases := [6]time.Duration{
 			r.Timing.MetadataExchange, r.Timing.ParticleExchange,
@@ -135,36 +138,30 @@ func (r *Report) AggregationShare() float64 {
 	return agg / denom
 }
 
-// encodeResult packs a WriteResult into a fixed 9-word payload.
-func encodeResult(r core.WriteResult) []byte {
-	out := make([]byte, 9*8)
-	put := func(i int, v int64) { binary.LittleEndian.PutUint64(out[i*8:], uint64(v)) }
-	put(0, int64(r.Timing.MetadataExchange))
-	put(1, int64(r.Timing.ParticleExchange))
-	put(2, int64(r.Timing.Reorder))
-	put(3, int64(r.Timing.FileIO))
-	put(4, int64(r.Timing.MetaIO))
-	put(5, int64(r.Timing.Abort))
-	put(6, int64(r.Partition))
-	put(7, r.FileParticles)
-	put(8, r.Timing.ExchangeBytes)
-	return out
+// encodeResult and decodeResult are the Gather's message: a WriteResult
+// as nine 64-bit words.
+func encodeResult(e *binio.Writer, r *core.WriteResult) {
+	e.I64(int64(r.Timing.MetadataExchange))
+	e.I64(int64(r.Timing.ParticleExchange))
+	e.I64(int64(r.Timing.Reorder))
+	e.I64(int64(r.Timing.FileIO))
+	e.I64(int64(r.Timing.MetaIO))
+	e.I64(int64(r.Timing.Abort))
+	e.I64(int64(r.Partition))
+	e.I64(r.FileParticles)
+	e.I64(r.Timing.ExchangeBytes)
 }
 
-func decodeResult(data []byte) (core.WriteResult, error) {
+func decodeResult(d *binio.Reader) core.WriteResult {
 	var r core.WriteResult
-	if len(data) != 9*8 {
-		return r, fmt.Errorf("payload has %d bytes, want %d", len(data), 9*8)
-	}
-	get := func(i int) int64 { return int64(binary.LittleEndian.Uint64(data[i*8:])) }
-	r.Timing.MetadataExchange = time.Duration(get(0))
-	r.Timing.ParticleExchange = time.Duration(get(1))
-	r.Timing.Reorder = time.Duration(get(2))
-	r.Timing.FileIO = time.Duration(get(3))
-	r.Timing.MetaIO = time.Duration(get(4))
-	r.Timing.Abort = time.Duration(get(5))
-	r.Partition = int(get(6))
-	r.FileParticles = get(7)
-	r.Timing.ExchangeBytes = get(8)
-	return r, nil
+	r.Timing.MetadataExchange = time.Duration(d.I64())
+	r.Timing.ParticleExchange = time.Duration(d.I64())
+	r.Timing.Reorder = time.Duration(d.I64())
+	r.Timing.FileIO = time.Duration(d.I64())
+	r.Timing.MetaIO = time.Duration(d.I64())
+	r.Timing.Abort = time.Duration(d.I64())
+	r.Partition = int(d.I64())
+	r.FileParticles = d.I64()
+	r.Timing.ExchangeBytes = d.I64()
+	return r
 }

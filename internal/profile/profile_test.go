@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spio/internal/agg"
+	"spio/internal/binio"
 	"spio/internal/core"
 	"spio/internal/geom"
 	"spio/internal/mpi"
@@ -76,6 +77,9 @@ func TestCollectRealWrite(t *testing.T) {
 	}
 }
 
+// TestResultCodecRoundTrip sends a result whose nine words are all
+// non-zero and distinct, so two that traded places on one side would decode
+// as each other; a message a byte short or a byte long is refused.
 func TestResultCodecRoundTrip(t *testing.T) {
 	in := core.WriteResult{
 		Partition:     3,
@@ -86,15 +90,20 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	in.Timing.Reorder = 33 * time.Microsecond
 	in.Timing.FileIO = 44 * time.Microsecond
 	in.Timing.MetaIO = 55 * time.Microsecond
-	out, err := decodeResult(encodeResult(in))
-	if err != nil {
-		t.Fatal(err)
+	in.Timing.Abort = 66 * time.Microsecond
+	in.Timing.ExchangeBytes = 777
+	var msg bytes.Buffer
+	encodeResult(binio.NewWriter(&msg), &in)
+	d := binio.NewReader(bytes.NewReader(msg.Bytes()), "profile")
+	if out := decodeResult(d); d.Whole(msg.Len()) != nil || out != in || msg.Len() != 72 {
+		t.Errorf("roundtrip of %d bytes: %+v != %+v (%v)", msg.Len(), out, in, d.Err())
 	}
-	if out != in {
-		t.Errorf("roundtrip: %+v != %+v", out, in)
-	}
-	if _, err := decodeResult([]byte{1, 2}); err == nil {
-		t.Error("short payload accepted")
+	for _, torn := range [][]byte{msg.Bytes()[:71], append(msg.Bytes(), 0)} {
+		d := binio.NewReader(bytes.NewReader(torn), "profile")
+		decodeResult(d)
+		if d.Whole(len(torn)) == nil {
+			t.Errorf("result message of %d bytes accepted", len(torn))
+		}
 	}
 }
 

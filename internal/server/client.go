@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"spio/internal/binio"
 	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/lod"
@@ -119,16 +120,11 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	c.armDeadline()
 	defer c.disarmDeadline()
 	var fb frameBuf
-	e := newWriter(&fb)
-	encodeHello(e, &hello{Version: protoVersion})
-	if e.err == nil {
-		err = writeFrame(conn, fb.b)
-	} else {
-		err = e.err
-	}
+	encodeHello(binio.NewWriter(&fb), &hello{Version: protoVersion})
+	err = writeFrame(conn, fb.b)
 	if err == nil {
 		// The ack is a bare OK status; anything else is the refusal.
-		var d *reader
+		var d *frameReader
 		if _, d, err = c.readResp(); err == nil {
 			d.release()
 		}
@@ -171,11 +167,7 @@ func (c *Client) disarmDeadline() {
 // sendRequest writes one request frame.
 func (c *Client) sendRequest(req *request) error {
 	var fb frameBuf
-	e := newWriter(&fb)
-	encodeRequest(e, req)
-	if e.err != nil {
-		return e.err
-	}
+	encodeRequest(binio.NewWriter(&fb), req)
 	return writeFrame(c.conn, fb.b)
 }
 
@@ -183,13 +175,13 @@ func (c *Client) sendRequest(req *request) error {
 // the returned decoder is positioned at the payload. It is over the
 // frame's body, which may be pooled: whoever gets a decoder releases it
 // when the response has been decoded, and keeps nothing that aliases it.
-func (c *Client) readResp() (*respHeader, *reader, error) {
+func (c *Client) readResp() (*respHeader, *frameReader, error) {
 	body, err := readFrame(c.conn, uint32(c.maxFrame))
 	if err != nil {
 		return nil, nil, err
 	}
 	d := bodyReader(body)
-	h, err := decodeRespHeader(d)
+	h, err := decodeRespHeader(d.Reader)
 	if err == nil && h.Status == statusOK {
 		return h, d, nil
 	}
@@ -211,7 +203,7 @@ func (c *Client) readResp() (*respHeader, *reader, error) {
 
 // call performs one request/response exchange under the client lock.
 // The caller releases the decoder it gets (see readResp).
-func (c *Client) call(req *request) (*reader, error) {
+func (c *Client) call(req *request) (*frameReader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -252,7 +244,7 @@ func (c *Client) List() ([]string, error) {
 		return nil, err
 	}
 	defer d.release()
-	return decodeNames(d)
+	return decodeNames(d.Reader)
 }
 
 // Stats fetches the server's metrics snapshot as JSON.
@@ -262,7 +254,7 @@ func (c *Client) Stats() ([]byte, error) {
 		return nil, err
 	}
 	defer d.release()
-	return decodeBlob(d, uint64(c.maxFrame))
+	return decodeBlob(d.Reader, uint64(c.maxFrame))
 }
 
 // Open resolves a dataset reference ("name", "name@N", "name@latest")
@@ -273,7 +265,7 @@ func (c *Client) Open(ref string) (*RemoteDataset, error) {
 		return nil, err
 	}
 	defer d.release()
-	blob, err := decodeBlob(d, uint64(c.maxFrame))
+	blob, err := decodeBlob(d.Reader, uint64(c.maxFrame))
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +373,7 @@ func (r *RemoteDataset) QueryBoxRows(q geom.Box, opts rdr.Options) (*particle.Ro
 		return nil, rdr.Stats{}, err
 	}
 	defer d.release()
-	resp, err := decodeQueryResp(d, r.c.maxFrame)
+	resp, err := decodeQueryResp(d.Reader, r.c.maxFrame)
 	if err != nil {
 		return nil, rdr.Stats{}, err
 	}
@@ -414,7 +406,7 @@ func (r *RemoteDataset) KNNRows(p geom.Vec3, k int) (*particle.Rows, []float64, 
 		return nil, nil, rdr.Stats{}, err
 	}
 	defer d.release()
-	resp, err := decodeKNNResp(d, r.c.maxFrame)
+	resp, err := decodeKNNResp(d.Reader, r.c.maxFrame)
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
@@ -443,7 +435,7 @@ func (r *RemoteDataset) HaloRows(patch geom.Box, halo float64, opts rdr.Options)
 		return nil, nil, rdr.Stats{}, err
 	}
 	defer d.release()
-	resp, err := decodeHaloResp(d, r.c.maxFrame)
+	resp, err := decodeHaloResp(d.Reader, r.c.maxFrame)
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
@@ -462,7 +454,7 @@ func (r *RemoteDataset) DensityGrid(dims geom.Idx3, levels, readers int) ([]floa
 		return nil, 0, rdr.Stats{}, err
 	}
 	defer d.release()
-	resp, err := decodeDensityResp(d, r.c.maxFrame)
+	resp, err := decodeDensityResp(d.Reader, r.c.maxFrame)
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
 	}
@@ -483,7 +475,7 @@ func (r *RemoteDataset) DensityGridRaw(dims geom.Idx3, opts rdr.Options) ([]floa
 		return nil, 0, rdr.Stats{}, err
 	}
 	defer d.release()
-	resp, err := decodeDensityResp(d, r.c.maxFrame)
+	resp, err := decodeDensityResp(d.Reader, r.c.maxFrame)
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
 	}

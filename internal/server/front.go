@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spio/internal/binio"
 	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
@@ -229,8 +230,8 @@ func (f *Front) handleConn(conn *srvConn) {
 		return
 	}
 	d := bodyReader(body)
-	if _, err = decodeHello(d); err == nil && d.n != int64(len(body)) {
-		err = fmt.Errorf("spiod: %d bytes after the hello", int64(len(body))-d.n)
+	if _, err = decodeHello(d.Reader); err == nil && d.N() != int64(len(body)) {
+		err = fmt.Errorf("spiod: %d bytes after the hello", int64(len(body))-d.N())
 	}
 	if err != nil {
 		_ = f.sendStatus(conn, statusError, err.Error())
@@ -247,7 +248,7 @@ func (f *Front) handleConn(conn *srvConn) {
 			return // client closed (or drain closed us)
 		}
 		d := bodyReader(body)
-		req, err := decodeRequest(d)
+		req, err := decodeRequest(d.Reader)
 		d.release()
 		if err != nil {
 			_ = f.sendStatus(conn, statusError, err.Error())
@@ -289,15 +290,15 @@ func (f *Front) sendErr(conn *srvConn, err error) error {
 // send writes one response frame: header, then the payload encoded by
 // body (which must leave the writer clean on success). Whatever body
 // lends the frame must stay unchanged until send returns.
-func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *writer)) error {
+func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *binio.Writer)) error {
 	fr := newVecFrame()
-	e := newWriter(fr)
+	e := binio.NewWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: status, Msg: msg})
 	if body != nil {
 		body(e)
 	}
-	if e.err != nil {
-		return e.err
+	if e.Err() != nil {
+		return e.Err()
 	}
 	f.metrics.bytesServed.Add(int64(fr.size()) + 4)
 	return conn.writeLockedFrame(fr)
@@ -350,11 +351,11 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 	case opStats:
 		blob := f.backend.StatsJSON()
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, blob) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeBlob(e, blob) })
 	case opList:
 		names := f.backend.List()
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", func(e *writer) { encodeNames(e, names) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeNames(e, names) })
 	}
 
 	ds, err := f.backend.Resolve(req.Dataset)
@@ -384,7 +385,7 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 			return f.sendErr(conn, err)
 		}
 		f.metrics.requests.Add(1)
-		return f.send(conn, statusOK, "", func(e *writer) { encodeBlob(e, mb.Bytes()) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeBlob(e, mb.Bytes()) })
 
 	case opQueryBox:
 		rows, st, err := ds.QueryBox(req.Box, opts)
@@ -396,7 +397,7 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 			return f.fail(conn, statusBudget, budgetMsg(rows.Bytes(), budget))
 		}
 		resp := &queryResp{Stats: finish(st), Rows: rows}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeQueryResp(e, resp) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeQueryResp(e, resp) })
 
 	case opKNN:
 		rows, dists, st, err := ds.KNN(req.Point, req.K)
@@ -405,7 +406,7 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 		}
 		defer rows.Release()
 		resp := &knnResp{Stats: finish(st), Rows: rows, Dists: dists}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeKNNResp(e, resp) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeKNNResp(e, resp) })
 
 	case opHalo:
 		own, ghost, st, err := ds.Halo(req.Box, req.Halo, opts)
@@ -418,7 +419,7 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 			return f.fail(conn, statusBudget, budgetMsg(n, budget))
 		}
 		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeHaloResp(e, resp) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeHaloResp(e, resp) })
 
 	case opDensityGrid:
 		counts, frac, sampled, st, err := ds.DensityGrid(req.Dims, opts, req.Flags&reqFlagRawDensity != 0)
@@ -426,7 +427,7 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 			return f.sendErr(conn, err)
 		}
 		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac, Sampled: sampled}
-		return f.send(conn, statusOK, "", func(e *writer) { encodeDensityResp(e, resp) })
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeDensityResp(e, resp) })
 
 	default:
 		return f.fail(conn, statusError, fmt.Sprintf("spiod: unknown op %d", req.Op))

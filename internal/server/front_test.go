@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spio/internal/binio"
 	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
@@ -249,7 +250,7 @@ func TestFrontBadHello(t *testing.T) {
 	// helloOf is a hello of the given version with tail behind it.
 	helloOf := func(version uint32, tail ...byte) []byte {
 		var fb frameBuf
-		encodeHello(newWriter(&fb), &hello{Version: version})
+		encodeHello(binio.NewWriter(&fb), &hello{Version: version})
 		return append(fb.b, tail...)
 	}
 	unsupported := func(version uint32) string {
@@ -281,7 +282,7 @@ func TestFrontBadHello(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: no status frame: %v", c.name, err)
 		}
-		h, err := decodeRespHeader(bodyReader(body))
+		h, err := decodeRespHeader(bodyReader(body).Reader)
 		if err != nil {
 			t.Fatal(err)
 		}

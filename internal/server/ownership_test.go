@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spio/internal/binio"
 	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
@@ -63,7 +64,7 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fb frameBuf
-	encodeHello(newWriter(&fb), &hello{Version: protoVersion})
+	encodeHello(binio.NewWriter(&fb), &hello{Version: protoVersion})
 	if err := writeFrame(conn, fb.b); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb = frameBuf{}
-	encodeRequest(newWriter(&fb), &request{Op: opQueryBox, Dataset: "fake", Box: geom.UnitBox()})
+	encodeRequest(binio.NewWriter(&fb), &request{Op: opQueryBox, Dataset: "fake", Box: geom.UnitBox()})
 	if err := writeFrame(conn, fb.b); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestOneWritePerFrame(t *testing.T) {
 
 	// The same box answer through a real socket — one vectored write —
 	// is the same frame but for the times in its stats.
-	d := bodyReader(box)
+	d := bodyReader(box).Reader
 	if _, err := decodeRespHeader(d); err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +249,11 @@ func TestOneWritePerFrame(t *testing.T) {
 	defer resp.Rows.Release()
 	left, right := socketPair(t)
 	fr := newVecFrame()
-	e := newWriter(fr)
+	e := binio.NewWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: statusOK})
 	encodeQueryResp(e, resp)
-	if e.err != nil {
-		t.Fatal(e.err)
+	if e.Err() != nil {
+		t.Fatal(e.Err())
 	}
 	done := make(chan error, 1)
 	go func() { done <- fr.writeTo(left) }()

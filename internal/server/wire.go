@@ -1,13 +1,20 @@
+// What this package decodes arrived over the network (a request at the
+// server, a response at a client or a gateway), so every value read from
+// a frame is attacker-controlled until a bound check proves otherwise.
+// The marker makes binio.Reader's methods, called here, wiretaint's roots.
+//
+//spio:untrusted-input
 package server
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 
+	"spio/internal/binio"
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
@@ -25,12 +32,13 @@ import (
 // response: a progressive read is a sequence of level-range box reads
 // (request.Skip), each asked for when the client wants it.
 //
-// Bodies are encoded with the same sticky-error writer/reader idiom as
-// internal/format's binio (little-endian, uvarint lengths), kept in
-// deliberately name-paired encode/decode functions so the spiolint
-// wiresym analyzer statically checks every pair for width/order/count
-// symmetry — the scda position: the wire format is a checkable
-// writer/reader pact, not two hand-maintained halves.
+// Bodies are framed with internal/binio, the codec of the file headers
+// (little-endian, uvarint lengths), in deliberately name-paired
+// encode/decode functions so the spiolint wiresym analyzer statically
+// checks every pair for width/order/count symmetry — the scda position:
+// the wire format is a checkable writer/reader pact, not two
+// hand-maintained halves. A schema travels as it is stored
+// (format.EncodeSchema), under the bounds a file's is held to.
 
 const (
 	protoMagic   = "SPIOSRV1"
@@ -63,11 +71,6 @@ const (
 	maxWireString = 4096
 	maxWireFields = 256
 	maxWireNames  = 1 << 16
-	// maxWireComponents caps a decoded field's component count; it must
-	// be checked before the value lands in particle.Field, because the
-	// component count multiplies into every per-record stride and
-	// per-field allocation downstream.
-	maxWireComponents = 1024
 )
 
 // Request-parameter bounds, enforced in decodeRequest before the values
@@ -92,233 +95,49 @@ const (
 	reqFlagRawDensity uint8 = 1 << 0
 )
 
-// writer is a sticky-error little-endian encoder, the wire twin of
-// internal/format's binio writer.
-type writer struct {
-	w   io.Writer
-	err error
+// frameBody is a frame body held in memory, the source its decoder reads:
+// being in memory it can lend its bytes (binio.Viewer) instead of copying
+// them out.
+type frameBody struct {
+	b  []byte
+	at int
 }
 
-func newWriter(w io.Writer) *writer { return &writer{w: w} }
-
-func (e *writer) bytes(p []byte) {
-	if e.err != nil {
-		return
+func (f *frameBody) Read(p []byte) (int, error) {
+	if f.at == len(f.b) && len(p) > 0 {
+		return 0, io.EOF
 	}
-	_, e.err = e.w.Write(p)
+	n := copy(p, f.b[f.at:])
+	f.at += n
+	return n, nil
 }
 
-// lend puts chunks into the frame in order. A frame assembled for a
-// vectored write (vecFrame) takes them by reference — they go out from
-// where they lie and must stay unchanged until the frame has been
-// written; any other sink has them written now.
-func (e *writer) lend(chunks [][]byte) {
-	f, vectored := e.w.(*vecFrame)
-	for _, c := range chunks {
-		if e.err != nil {
-			return
-		}
-		if vectored {
-			f.lend(c)
-		} else {
-			e.bytes(c)
-		}
+func (f *frameBody) View(n int) ([]byte, error) {
+	rest := f.b[f.at:]
+	if len(rest) < n {
+		return nil, io.ErrUnexpectedEOF
 	}
+	f.at += n
+	return rest[:n:n], nil
 }
 
-func (e *writer) u8(v uint8) { e.bytes([]byte{v}) }
-
-func (e *writer) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.bytes(b[:])
+// frameReader decodes a frame body held in memory.
+type frameReader struct {
+	*binio.Reader
+	src frameBody
 }
 
-func (e *writer) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.bytes(b[:])
+func bodyReader(body []byte) *frameReader {
+	f := &frameReader{src: frameBody{b: body}}
+	f.Reader = binio.NewReader(&f.src, "spiod")
+	return f
 }
-
-func (e *writer) i64(v int64) { e.u64(uint64(v)) }
-
-func (e *writer) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	e.bytes(b[:n])
-}
-
-func (e *writer) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func (e *writer) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.bytes([]byte(s))
-}
-
-func (e *writer) vec3(v geom.Vec3) {
-	e.f64(v.X)
-	e.f64(v.Y)
-	e.f64(v.Z)
-}
-
-func (e *writer) box(b geom.Box) {
-	e.vec3(b.Lo)
-	e.vec3(b.Hi)
-}
-
-func (e *writer) idx3(i geom.Idx3) {
-	e.uvarint(uint64(i.X))
-	e.uvarint(uint64(i.Y))
-	e.uvarint(uint64(i.Z))
-}
-
-// reader is the sticky-error decoding counterpart of writer. It
-// decodes bytes that arrived over the network, so every value it
-// produces is attacker-controlled until a bound check proves
-// otherwise.
-//
-//spio:untrusted-input
-type reader struct {
-	r    io.Reader // nil when decoding a frame body held in memory
-	body []byte
-	n    int64
-	err  error
-}
-
-func newReader(r io.Reader) *reader { return &reader{r: r} }
-
-// bodyReader decodes a frame body held in memory, which is what lets
-// view lend the body's bytes instead of copying them.
-func bodyReader(body []byte) *reader { return &reader{body: body} }
 
 // release ends the decoding of a frame body: a pooled body goes back to
-// the pool, and nothing view returned may be used afterwards.
-func (d *reader) release() {
-	putBody(d.body)
-	d.body = nil
-}
-
-func (d *reader) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *reader) short(err error) {
-	d.err = fmt.Errorf("spiod: short read at offset %d: %w", d.n, err)
-}
-
-func (d *reader) bytes(p []byte) {
-	if d.err != nil {
-		return
-	}
-	if d.r == nil {
-		rest := d.body[d.n:]
-		switch {
-		case len(rest) >= len(p):
-			copy(p, rest)
-			d.n += int64(len(p))
-		case len(rest) == 0:
-			d.short(io.EOF)
-		default:
-			d.short(io.ErrUnexpectedEOF)
-		}
-		return
-	}
-	if _, err := io.ReadFull(d.r, p); err != nil {
-		d.short(err)
-		return
-	}
-	d.n += int64(len(p))
-}
-
-// view returns the next n bytes of the frame. Over a body held in memory
-// they are lent, not copied: the slice aliases the body and is dead once
-// the body is released. n is untrusted; the caller bounds it first.
-func (d *reader) view(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.r == nil {
-		rest := d.body[d.n:]
-		if uint64(len(rest)) < n {
-			d.short(io.ErrUnexpectedEOF)
-			return nil
-		}
-		d.n += int64(n)
-		return rest[:n:n]
-	}
-	p := make([]byte, n)
-	d.bytes(p)
-	if d.err != nil {
-		return nil
-	}
-	return p
-}
-
-func (d *reader) u8() uint8 {
-	var b [1]byte
-	d.bytes(b[:])
-	return b[0]
-}
-
-func (d *reader) u32() uint32 {
-	var b [4]byte
-	d.bytes(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (d *reader) u64() uint64 {
-	var b [8]byte
-	d.bytes(b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (d *reader) i64() int64 { return int64(d.u64()) }
-
-func (d *reader) uvarint() uint64 {
-	v, err := binary.ReadUvarint(wireByteReader{d})
-	if err != nil && d.err == nil {
-		d.err = fmt.Errorf("spiod: bad varint at offset %d: %w", d.n, err)
-	}
-	return v
-}
-
-func (d *reader) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *reader) str(maxLen uint64) string {
-	n := d.uvarint()
-	if n > maxLen {
-		d.fail(fmt.Errorf("spiod: string length %d exceeds limit %d", n, maxLen))
-		return ""
-	}
-	b := make([]byte, n)
-	d.bytes(b)
-	return string(b)
-}
-
-func (d *reader) vec3() geom.Vec3 {
-	return geom.Vec3{X: d.f64(), Y: d.f64(), Z: d.f64()}
-}
-
-func (d *reader) boxv() geom.Box {
-	return geom.Box{Lo: d.vec3(), Hi: d.vec3()}
-}
-
-func (d *reader) idx3() geom.Idx3 {
-	return geom.Idx3{X: int(d.uvarint()), Y: int(d.uvarint()), Z: int(d.uvarint())}
-}
-
-// wireByteReader adapts reader for binary.ReadUvarint.
-type wireByteReader struct{ d *reader }
-
-func (b wireByteReader) ReadByte() (byte, error) {
-	var buf [1]byte
-	b.d.bytes(buf[:])
-	if b.d.err != nil {
-		return 0, b.d.err
-	}
-	return buf[0], nil
+// the pool, and nothing View returned may be used afterwards.
+func (f *frameReader) release() {
+	putBody(f.src.b)
+	f.src.b = nil
 }
 
 // frameBuf accumulates one frame body in memory.
@@ -372,7 +191,8 @@ func (f *vecFrame) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (f *vecFrame) lend(p []byte) {
+// Lend makes vecFrame a binio.Lender.
+func (f *vecFrame) Lend(p []byte) {
 	if len(p) > 0 {
 		f.cuts = append(f.cuts, vecCut{len(f.head), p})
 		f.lent += len(p)
@@ -440,19 +260,18 @@ func putBody(b []byte) {
 // than max. The body comes from getBody: a caller that is done with it
 // may putBody it.
 func readFrame(r io.Reader, max uint32) ([]byte, error) {
-	d := newReader(r)
-	n := d.u32()
-	if d.err != nil {
-		return nil, d.err
+	var prefix [4]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		return nil, fmt.Errorf("spiod: short read at offset 0: %w", err)
 	}
+	n := binary.LittleEndian.Uint32(prefix[:])
 	if n > max {
 		return nil, fmt.Errorf("spiod: frame of %d bytes exceeds limit %d", n, max)
 	}
 	body := getBody(int(n))
-	d.bytes(body)
-	if d.err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		putBody(body)
-		return nil, d.err
+		return nil, fmt.Errorf("spiod: short read at offset 4: %w", err)
 	}
 	return body, nil
 }
@@ -464,28 +283,28 @@ type hello struct {
 	Version uint32
 }
 
-func encodeHello(e *writer, h *hello) {
-	e.bytes([]byte(protoMagic))
-	e.u32(h.Version)
+func encodeHello(e *binio.Writer, h *hello) {
+	e.Bytes([]byte(protoMagic))
+	e.U32(h.Version)
 }
 
 // decodeHello refuses a version other than its own as soon as it has
 // read it, before anything another version may have put behind it: a
 // hello of any other shape, older or newer, is answered with the version
 // message and not with whatever parsing its tail as ours runs into.
-func decodeHello(d *reader) (*hello, error) {
+func decodeHello(d *binio.Reader) (*hello, error) {
 	magic := make([]byte, len(protoMagic))
-	d.bytes(magic)
-	if d.err == nil && string(magic) != protoMagic {
+	d.Bytes(magic)
+	if d.Err() == nil && string(magic) != protoMagic {
 		return nil, fmt.Errorf("spiod: not a spio serving connection (magic %q)", magic)
 	}
 	var h hello
-	h.Version = d.u32()
-	if d.err == nil && h.Version != protoVersion {
+	h.Version = d.U32()
+	if d.Err() == nil && h.Version != protoVersion {
 		return nil, fmt.Errorf("spiod: protocol version %d not supported (want %d)", h.Version, protoVersion)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return &h, nil
 }
@@ -518,81 +337,81 @@ type request struct {
 	Skip  int
 }
 
-func encodeRequest(e *writer, r *request) {
-	e.u8(r.Op)
-	e.str(r.Dataset)
-	e.box(r.Box)
-	e.vec3(r.Point)
-	e.uvarint(uint64(r.K))
-	e.f64(r.Halo)
-	e.idx3(r.Dims)
-	e.uvarint(uint64(r.Levels))
-	e.uvarint(uint64(r.Readers))
+func encodeRequest(e *binio.Writer, r *request) {
+	e.U8(r.Op)
+	e.Str(r.Dataset)
+	e.Box(r.Box)
+	e.Vec3(r.Point)
+	e.Uvarint(uint64(r.K))
+	e.F64(r.Halo)
+	e.Idx3(r.Dims)
+	e.Uvarint(uint64(r.Levels))
+	e.Uvarint(uint64(r.Readers))
 	var nf uint8
 	if r.NoFilter {
 		nf = 1
 	}
-	e.u8(nf)
-	e.uvarint(uint64(len(r.Fields)))
+	e.U8(nf)
+	e.Uvarint(uint64(len(r.Fields)))
 	for _, f := range r.Fields {
-		e.str(f)
+		e.Str(f)
 	}
-	e.uvarint(uint64(r.Base))
-	e.u8(r.Flags)
-	e.uvarint(uint64(r.Skip))
+	e.Uvarint(uint64(r.Base))
+	e.U8(r.Flags)
+	e.Uvarint(uint64(r.Skip))
 }
 
-func decodeRequest(d *reader) (*request, error) {
+func decodeRequest(d *binio.Reader) (*request, error) {
 	var r request
-	r.Op = d.u8()
-	r.Dataset = d.str(maxWireString)
-	r.Box = d.boxv()
-	r.Point = d.vec3()
-	k := d.uvarint()
+	r.Op = d.U8()
+	r.Dataset = d.Str(maxWireString)
+	r.Box = d.Box()
+	r.Point = d.Vec3()
+	k := d.Uvarint()
 	if k > maxReqK {
-		d.fail(fmt.Errorf("spiod: k=%d exceeds limit %d", k, maxReqK))
+		d.Fail("k=%d exceeds limit %d", k, maxReqK)
 	}
 	r.K = int(k)
-	r.Halo = d.f64()
-	dims := d.idx3()
+	r.Halo = d.F64()
+	dims := d.Idx3()
 	if dims.X < 0 || dims.X > maxReqGridAxis ||
 		dims.Y < 0 || dims.Y > maxReqGridAxis ||
 		dims.Z < 0 || dims.Z > maxReqGridAxis ||
 		int64(dims.X)*int64(dims.Y)*int64(dims.Z) > maxReqCells {
-		d.fail(fmt.Errorf("spiod: grid dims %dx%dx%d exceed limit %d cells", dims.X, dims.Y, dims.Z, maxReqCells))
+		d.Fail("grid dims %dx%dx%d exceed limit %d cells", dims.X, dims.Y, dims.Z, maxReqCells)
 	}
 	r.Dims = dims
-	levels := d.uvarint()
+	levels := d.Uvarint()
 	if levels > maxReqLevels {
-		d.fail(fmt.Errorf("spiod: levels=%d exceeds limit %d", levels, maxReqLevels))
+		d.Fail("levels=%d exceeds limit %d", levels, maxReqLevels)
 	}
 	r.Levels = int(levels)
-	readers := d.uvarint()
+	readers := d.Uvarint()
 	if readers > maxReqReaders {
-		d.fail(fmt.Errorf("spiod: readers=%d exceeds limit %d", readers, maxReqReaders))
+		d.Fail("readers=%d exceeds limit %d", readers, maxReqReaders)
 	}
 	r.Readers = int(readers)
-	r.NoFilter = d.u8() != 0
-	n := d.uvarint()
+	r.NoFilter = d.U8() != 0
+	n := d.Uvarint()
 	if n > maxWireFields {
-		d.fail(fmt.Errorf("spiod: %d projected fields exceeds limit %d", n, maxWireFields))
+		d.Fail("%d projected fields exceeds limit %d", n, maxWireFields)
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		r.Fields = append(r.Fields, d.str(maxWireString))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		r.Fields = append(r.Fields, d.Str(maxWireString))
 	}
-	base := d.uvarint()
+	base := d.Uvarint()
 	if base > maxReqBase {
-		d.fail(fmt.Errorf("spiod: base=%d exceeds limit %d", base, maxReqBase))
+		d.Fail("base=%d exceeds limit %d", base, maxReqBase)
 	}
 	r.Base = int64(base)
-	r.Flags = d.u8()
-	skip := d.uvarint()
+	r.Flags = d.U8()
+	skip := d.Uvarint()
 	if skip > maxReqLevels || (levels > 0 && skip >= levels) {
-		d.fail(fmt.Errorf("spiod: skip=%d is not below levels=%d (limit %d)", skip, levels, maxReqLevels))
+		d.Fail("skip=%d is not below levels=%d (limit %d)", skip, levels, maxReqLevels)
 	}
 	r.Skip = int(skip)
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return &r, nil
 }
@@ -603,17 +422,17 @@ type respHeader struct {
 	Msg    string // error text when Status != statusOK
 }
 
-func encodeRespHeader(e *writer, h *respHeader) {
-	e.u8(h.Status)
-	e.str(h.Msg)
+func encodeRespHeader(e *binio.Writer, h *respHeader) {
+	e.U8(h.Status)
+	e.Str(h.Msg)
 }
 
-func decodeRespHeader(d *reader) (*respHeader, error) {
+func decodeRespHeader(d *binio.Reader) (*respHeader, error) {
 	var h respHeader
-	h.Status = d.u8()
-	h.Msg = d.str(1 << 20)
-	if d.err != nil {
-		return nil, d.err
+	h.Status = d.U8()
+	h.Msg = d.Str(1 << 20)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return &h, nil
 }
@@ -625,75 +444,37 @@ type wireStats struct {
 	Service   int64 // nanoseconds of execution on the worker
 }
 
-func encodeStats(e *writer, st *wireStats) {
-	e.i64(int64(st.Read.FilesOpened))
-	e.i64(st.Read.ParticlesRead)
-	e.i64(st.Read.BytesRead)
-	e.i64(st.Read.ParticlesKept)
-	e.i64(st.Read.CacheHits)
-	e.i64(st.Read.BytesFromCache)
-	e.i64(st.QueueWait)
-	e.i64(st.Service)
+func encodeStats(e *binio.Writer, st *wireStats) {
+	e.I64(int64(st.Read.FilesOpened))
+	e.I64(st.Read.ParticlesRead)
+	e.I64(st.Read.BytesRead)
+	e.I64(st.Read.ParticlesKept)
+	e.I64(st.Read.CacheHits)
+	e.I64(st.Read.BytesFromCache)
+	e.I64(st.QueueWait)
+	e.I64(st.Service)
 	var partial uint8
 	if st.Read.Partial {
 		partial = 1
 	}
-	e.u8(partial)
+	e.U8(partial)
 }
 
-func decodeStats(d *reader) (*wireStats, error) {
+func decodeStats(d *binio.Reader) (*wireStats, error) {
 	var st wireStats
-	st.Read.FilesOpened = int(d.i64())
-	st.Read.ParticlesRead = d.i64()
-	st.Read.BytesRead = d.i64()
-	st.Read.ParticlesKept = d.i64()
-	st.Read.CacheHits = d.i64()
-	st.Read.BytesFromCache = d.i64()
-	st.QueueWait = d.i64()
-	st.Service = d.i64()
-	st.Read.Partial = d.u8() != 0
-	if d.err != nil {
-		return nil, d.err
+	st.Read.FilesOpened = int(d.I64())
+	st.Read.ParticlesRead = d.I64()
+	st.Read.BytesRead = d.I64()
+	st.Read.ParticlesKept = d.I64()
+	st.Read.CacheHits = d.I64()
+	st.Read.BytesFromCache = d.I64()
+	st.QueueWait = d.I64()
+	st.Service = d.I64()
+	st.Read.Partial = d.U8() != 0
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return &st, nil
-}
-
-// Schema on the wire: field count, then (name, kind, components) per
-// field.
-func encodeWireSchema(e *writer, s *particle.Schema) {
-	e.uvarint(uint64(s.NumFields()))
-	for i := 0; i < s.NumFields(); i++ {
-		f := s.Field(i)
-		e.str(f.Name)
-		e.u8(uint8(f.Kind))
-		e.uvarint(uint64(f.Components))
-	}
-}
-
-func decodeWireSchema(d *reader) (*particle.Schema, error) {
-	n := d.uvarint()
-	if n > maxWireFields {
-		d.fail(fmt.Errorf("spiod: schema with %d fields exceeds limit %d", n, maxWireFields))
-	}
-	var fields []particle.Field
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var f particle.Field
-		f.Name = d.str(maxWireString)
-		f.Kind = particle.Kind(d.u8())
-		comps := d.uvarint()
-		if comps > maxWireComponents {
-			d.fail(fmt.Errorf("spiod: field with %d components exceeds limit %d", comps, maxWireComponents))
-		}
-		f.Components = int(comps)
-		if d.err == nil && f.Kind.Size() == 0 {
-			d.fail(fmt.Errorf("spiod: unknown field kind %d", f.Kind))
-		}
-		fields = append(fields, f)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return particle.NewSchema(fields)
 }
 
 // Rows on the wire: schema, record count, then count × stride record
@@ -707,37 +488,37 @@ func decodeWireSchema(d *reader) (*particle.Schema, error) {
 // decoder copies the payload out of the frame body it was handed into
 // row segments of its own.
 
-func encodeRows(e *writer, rows *particle.Rows) {
-	encodeWireSchema(e, rows.Schema())
-	e.u64(uint64(rows.Len()))
-	e.lend(rows.Segments())
+func encodeRows(e *binio.Writer, rows *particle.Rows) {
+	format.EncodeSchema(e, rows.Schema())
+	e.U64(uint64(rows.Len()))
+	e.Lend(rows.Segments())
 }
 
 // decodeRows decodes an answer's rows, refusing payloads larger than
 // limit bytes (the caller's frame bound; the frame is already in memory,
 // the limit guards the record-count allocation). The caller owns the
 // rows; they do not alias the frame.
-func decodeRows(d *reader, limit int64) (*particle.Rows, error) {
-	schema, err := decodeWireSchema(d)
+func decodeRows(d *binio.Reader, limit int64) (*particle.Rows, error) {
+	schema, err := format.DecodeSchema(d)
 	if err != nil {
 		return nil, err
 	}
-	n := d.u64()
+	n := d.U64()
 	if n > uint64(limit) {
 		// Stride is at least the position field, so n records never fit
 		// under limit bytes; checking n first keeps size from overflowing.
-		d.fail(fmt.Errorf("spiod: buffer of %d records exceeds limit %d bytes", n, limit))
+		d.Fail("buffer of %d records exceeds limit %d bytes", n, limit)
 	}
 	size := n * uint64(schema.Stride())
-	if d.err == nil && size > uint64(limit) {
-		d.fail(fmt.Errorf("spiod: buffer payload of %d bytes exceeds limit %d", size, limit))
+	if d.Err() == nil && size > uint64(limit) {
+		d.Fail("buffer payload of %d bytes exceeds limit %d", size, limit)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	payload := d.view(size)
-	if d.err != nil {
-		return nil, d.err
+	payload := d.View(size)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	rows := particle.NewRows(schema)
 	rows.AppendRecords(payload)
@@ -745,72 +526,72 @@ func decodeRows(d *reader, limit int64) (*particle.Rows, error) {
 }
 
 // Float slices (KNN distances, density grids).
-func encodeFloats(e *writer, v []float64) {
-	e.uvarint(uint64(len(v)))
+func encodeFloats(e *binio.Writer, v []float64) {
+	e.Uvarint(uint64(len(v)))
 	for _, x := range v {
-		e.f64(x)
+		e.F64(x)
 	}
 }
 
-func decodeFloats(d *reader, limit int) ([]float64, error) {
-	n := d.uvarint()
+func decodeFloats(d *binio.Reader, limit int) ([]float64, error) {
+	n := d.Uvarint()
 	if n > uint64(limit) {
-		d.fail(fmt.Errorf("spiod: float slice of %d exceeds limit %d", n, limit))
+		d.Fail("float slice of %d exceeds limit %d", n, limit)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	v := make([]float64, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		v = append(v, d.f64())
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		v = append(v, d.F64())
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return v, nil
 }
 
 // Opaque byte payloads (metadata images, JSON snapshots).
-func encodeBlob(e *writer, b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.bytes(b)
+func encodeBlob(e *binio.Writer, b []byte) {
+	e.Uvarint(uint64(len(b)))
+	e.Bytes(b)
 }
 
-func decodeBlob(d *reader, limit uint64) ([]byte, error) {
-	n := d.uvarint()
+func decodeBlob(d *binio.Reader, limit uint64) ([]byte, error) {
+	n := d.Uvarint()
 	if n > limit {
-		d.fail(fmt.Errorf("spiod: blob of %d bytes exceeds limit %d", n, limit))
+		d.Fail("blob of %d bytes exceeds limit %d", n, limit)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	b := make([]byte, n)
-	d.bytes(b)
-	if d.err != nil {
-		return nil, d.err
+	d.Bytes(b)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return b, nil
 }
 
 // Name lists (opList).
-func encodeNames(e *writer, names []string) {
-	e.uvarint(uint64(len(names)))
+func encodeNames(e *binio.Writer, names []string) {
+	e.Uvarint(uint64(len(names)))
 	for _, n := range names {
-		e.str(n)
+		e.Str(n)
 	}
 }
 
-func decodeNames(d *reader) ([]string, error) {
-	n := d.uvarint()
+func decodeNames(d *binio.Reader) ([]string, error) {
+	n := d.Uvarint()
 	if n > maxWireNames {
-		d.fail(fmt.Errorf("spiod: %d names exceeds limit %d", n, maxWireNames))
+		d.Fail("%d names exceeds limit %d", n, maxWireNames)
 	}
 	var names []string
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		names = append(names, d.str(maxWireString))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		names = append(names, d.Str(maxWireString))
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return names, nil
 }
@@ -822,12 +603,12 @@ type queryResp struct {
 	Rows  *particle.Rows
 }
 
-func encodeQueryResp(e *writer, r *queryResp) {
+func encodeQueryResp(e *binio.Writer, r *queryResp) {
 	encodeStats(e, &r.Stats)
 	encodeRows(e, r.Rows)
 }
 
-func decodeQueryResp(d *reader, limit int64) (*queryResp, error) {
+func decodeQueryResp(d *binio.Reader, limit int64) (*queryResp, error) {
 	st, err := decodeStats(d)
 	if err != nil {
 		return nil, err
@@ -846,13 +627,13 @@ type knnResp struct {
 	Dists []float64
 }
 
-func encodeKNNResp(e *writer, r *knnResp) {
+func encodeKNNResp(e *binio.Writer, r *knnResp) {
 	encodeStats(e, &r.Stats)
 	encodeRows(e, r.Rows)
 	encodeFloats(e, r.Dists)
 }
 
-func decodeKNNResp(d *reader, limit int64) (*knnResp, error) {
+func decodeKNNResp(d *binio.Reader, limit int64) (*knnResp, error) {
 	st, err := decodeStats(d)
 	if err != nil {
 		return nil, err
@@ -876,13 +657,13 @@ type haloResp struct {
 	Ghost *particle.Rows
 }
 
-func encodeHaloResp(e *writer, r *haloResp) {
+func encodeHaloResp(e *binio.Writer, r *haloResp) {
 	encodeStats(e, &r.Stats)
 	encodeRows(e, r.Own)
 	encodeRows(e, r.Ghost)
 }
 
-func decodeHaloResp(d *reader, limit int64) (*haloResp, error) {
+func decodeHaloResp(d *binio.Reader, limit int64) (*haloResp, error) {
 	st, err := decodeStats(d)
 	if err != nil {
 		return nil, err
@@ -911,14 +692,14 @@ type densityResp struct {
 	Sampled  int64
 }
 
-func encodeDensityResp(e *writer, r *densityResp) {
+func encodeDensityResp(e *binio.Writer, r *densityResp) {
 	encodeStats(e, &r.Stats)
 	encodeFloats(e, r.Counts)
-	e.f64(r.Fraction)
-	e.i64(r.Sampled)
+	e.F64(r.Fraction)
+	e.I64(r.Sampled)
 }
 
-func decodeDensityResp(d *reader, limit int64) (*densityResp, error) {
+func decodeDensityResp(d *binio.Reader, limit int64) (*densityResp, error) {
 	st, err := decodeStats(d)
 	if err != nil {
 		return nil, err
@@ -927,10 +708,10 @@ func decodeDensityResp(d *reader, limit int64) (*densityResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	frac := d.f64()
-	sampled := d.i64()
-	if d.err != nil {
-		return nil, d.err
+	frac := d.F64()
+	sampled := d.I64()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return &densityResp{Stats: *st, Counts: counts, Fraction: frac, Sampled: sampled}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"spio/internal/binio"
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
@@ -17,34 +19,34 @@ import (
 // that into the frame; refDecodeBuffer copies the payload out of the
 // frame and transposes it into columns.
 
-func refEncodeBuffer(e *writer, buf *particle.Buffer) {
-	encodeWireSchema(e, buf.Schema())
-	e.u64(uint64(buf.Len()))
+func refEncodeBuffer(e *binio.Writer, buf *particle.Buffer) {
+	format.EncodeSchema(e, buf.Schema())
+	e.U64(uint64(buf.Len()))
 	data := make([]byte, buf.Len()*buf.Schema().Stride())
 	buf.EncodeRecordsInto(data, 0, buf.Len())
-	e.bytes(data)
+	e.Bytes(data)
 }
 
-func refDecodeBuffer(d *reader, limit int64) (*particle.Buffer, error) {
-	schema, err := decodeWireSchema(d)
+func refDecodeBuffer(d *binio.Reader, limit int64) (*particle.Buffer, error) {
+	schema, err := format.DecodeSchema(d)
 	if err != nil {
 		return nil, err
 	}
-	n := d.u64()
+	n := d.U64()
 	if n > uint64(limit) {
-		d.fail(fmt.Errorf("spiod: buffer of %d records exceeds limit %d bytes", n, limit))
+		d.Fail("buffer of %d records exceeds limit %d bytes", n, limit)
 	}
 	size := n * uint64(schema.Stride())
-	if d.err == nil && size > uint64(limit) {
-		d.fail(fmt.Errorf("spiod: buffer payload of %d bytes exceeds limit %d", size, limit))
+	if d.Err() == nil && size > uint64(limit) {
+		d.Fail("buffer payload of %d bytes exceeds limit %d", size, limit)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	data := make([]byte, size)
-	d.bytes(data)
-	if d.err != nil {
-		return nil, d.err
+	d.Bytes(data)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return particle.Decode(schema, data)
 }
@@ -52,13 +54,13 @@ func refDecodeBuffer(d *reader, limit int64) (*particle.Buffer, error) {
 // encodeBuffer and decodeBuffer let the wire tests written against the
 // columnar codec run unchanged against the rows codec.
 
-func encodeBuffer(e *writer, buf *particle.Buffer) {
+func encodeBuffer(e *binio.Writer, buf *particle.Buffer) {
 	rows := buf.Rows()
 	defer rows.Release()
 	encodeRows(e, rows)
 }
 
-func decodeBuffer(d *reader, limit int64) (*particle.Buffer, error) {
+func decodeBuffer(d *binio.Reader, limit int64) (*particle.Buffer, error) {
 	rows, err := decodeRows(d, limit)
 	if err != nil {
 		return nil, err
@@ -69,13 +71,13 @@ func decodeBuffer(d *reader, limit int64) (*particle.Buffer, error) {
 // vecBody encodes a response the way Front.send does — into a vecFrame,
 // written with one vectored write — and returns the body that reached
 // the writer, having checked the length prefix in front of it.
-func vecBody(t *testing.T, enc func(e *writer)) []byte {
+func vecBody(t *testing.T, enc func(e *binio.Writer)) []byte {
 	t.Helper()
 	fr := newVecFrame()
-	e := newWriter(fr)
+	e := binio.NewWriter(fr)
 	enc(e)
-	if e.err != nil {
-		t.Fatalf("encode: %v", e.err)
+	if e.Err() != nil {
+		t.Fatalf("encode: %v", e.Err())
 	}
 	var out bytes.Buffer
 	if err := fr.writeTo(&out); err != nil {
@@ -120,11 +122,11 @@ func TestWireFramesMatchReference(t *testing.T) {
 			// it, and how each decodes it back to buffers.
 			type kind struct {
 				name           string
-				ref, rows      func(e *writer)
-				refDec, rowDec func(d *reader) ([]*particle.Buffer, error)
+				ref, rows      func(e *binio.Writer)
+				refDec, rowDec func(d *binio.Reader) ([]*particle.Buffer, error)
 			}
-			decRef := func(k int) func(d *reader) ([]*particle.Buffer, error) {
-				return func(d *reader) ([]*particle.Buffer, error) {
+			decRef := func(k int) func(d *binio.Reader) ([]*particle.Buffer, error) {
+				return func(d *binio.Reader) ([]*particle.Buffer, error) {
 					var out []*particle.Buffer
 					for i := 0; i < k; i++ {
 						b, err := refDecodeBuffer(d, 1<<30)
@@ -136,8 +138,8 @@ func TestWireFramesMatchReference(t *testing.T) {
 					return out, nil
 				}
 			}
-			skipStats := func(dec func(d *reader) ([]*particle.Buffer, error)) func(d *reader) ([]*particle.Buffer, error) {
-				return func(d *reader) ([]*particle.Buffer, error) {
+			skipStats := func(dec func(d *binio.Reader) ([]*particle.Buffer, error)) func(d *binio.Reader) ([]*particle.Buffer, error) {
+				return func(d *binio.Reader) ([]*particle.Buffer, error) {
 					if st, err := decodeStats(d); err != nil || *st != stats {
 						return nil, fmt.Errorf("stats %+v: %v", st, err)
 					}
@@ -148,10 +150,10 @@ func TestWireFramesMatchReference(t *testing.T) {
 			kinds := []kind{
 				{
 					name:   "query",
-					ref:    func(e *writer) { encodeStats(e, &stats); refEncodeBuffer(e, buf) },
-					rows:   func(e *writer) { encodeQueryResp(e, &queryResp{Stats: stats, Rows: rowsOf}) },
+					ref:    func(e *binio.Writer) { encodeStats(e, &stats); refEncodeBuffer(e, buf) },
+					rows:   func(e *binio.Writer) { encodeQueryResp(e, &queryResp{Stats: stats, Rows: rowsOf}) },
 					refDec: skipStats(decRef(1)),
-					rowDec: func(d *reader) ([]*particle.Buffer, error) {
+					rowDec: func(d *binio.Reader) ([]*particle.Buffer, error) {
 						r, err := decodeQueryResp(d, 1<<30)
 						if err != nil {
 							return nil, err
@@ -161,13 +163,13 @@ func TestWireFramesMatchReference(t *testing.T) {
 				},
 				{
 					name: "knn",
-					ref: func(e *writer) {
+					ref: func(e *binio.Writer) {
 						encodeStats(e, &stats)
 						refEncodeBuffer(e, buf)
 						encodeFloats(e, dists)
 					},
-					rows: func(e *writer) { encodeKNNResp(e, &knnResp{Stats: stats, Rows: rowsOf, Dists: dists}) },
-					refDec: skipStats(func(d *reader) ([]*particle.Buffer, error) {
+					rows: func(e *binio.Writer) { encodeKNNResp(e, &knnResp{Stats: stats, Rows: rowsOf, Dists: dists}) },
+					refDec: skipStats(func(d *binio.Reader) ([]*particle.Buffer, error) {
 						bufs, err := decRef(1)(d)
 						if err != nil {
 							return nil, err
@@ -175,7 +177,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 						_, err = decodeFloats(d, len(dists))
 						return bufs, err
 					}),
-					rowDec: func(d *reader) ([]*particle.Buffer, error) {
+					rowDec: func(d *binio.Reader) ([]*particle.Buffer, error) {
 						r, err := decodeKNNResp(d, 1<<30)
 						if err != nil {
 							return nil, err
@@ -188,16 +190,16 @@ func TestWireFramesMatchReference(t *testing.T) {
 				},
 				{
 					name: "halo",
-					ref: func(e *writer) {
+					ref: func(e *binio.Writer) {
 						encodeStats(e, &stats)
 						refEncodeBuffer(e, buf)
 						refEncodeBuffer(e, other)
 					},
-					rows: func(e *writer) {
+					rows: func(e *binio.Writer) {
 						encodeHaloResp(e, &haloResp{Stats: stats, Own: rowsOf, Ghost: rowsOfOther})
 					},
 					refDec: skipStats(decRef(2)),
-					rowDec: func(d *reader) ([]*particle.Buffer, error) {
+					rowDec: func(d *binio.Reader) ([]*particle.Buffer, error) {
 						r, err := decodeHaloResp(d, 1<<30)
 						if err != nil {
 							return nil, err
@@ -209,10 +211,10 @@ func TestWireFramesMatchReference(t *testing.T) {
 			for _, k := range kinds {
 				what := fmt.Sprintf("%s n=%d fields=%d", k.name, n, buf.Schema().NumFields())
 				var ref frameBuf
-				re := newWriter(&ref)
+				re := binio.NewWriter(&ref)
 				k.ref(re)
-				if re.err != nil {
-					t.Fatalf("%s: reference encode: %v", what, re.err)
+				if re.Err() != nil {
+					t.Fatalf("%s: reference encode: %v", what, re.Err())
 				}
 				got := vecBody(t, k.rows)
 				if !bytes.Equal(got, ref.b) {
@@ -223,7 +225,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 				if k.name == "halo" {
 					want = append(want, other)
 				}
-				for name, dec := range map[string]func(d *reader) ([]*particle.Buffer, error){
+				for name, dec := range map[string]func(d *binio.Reader) ([]*particle.Buffer, error){
 					"rows decoder on the reference frame": k.rowDec,
 					"reference decoder on the rows frame": k.refDec,
 				} {
@@ -233,14 +235,14 @@ func TestWireFramesMatchReference(t *testing.T) {
 					}
 					// Both reader shapes: over the body (payload lent) and
 					// over a stream (payload copied).
-					for _, d := range []*reader{bodyReader(frame), newReader(bytes.NewReader(frame))} {
+					for _, d := range []*binio.Reader{bodyReader(frame).Reader, binio.NewReader(bytes.NewReader(frame), "spiod")} {
 						bufs, err := dec(d)
 						if err != nil {
 							t.Errorf("%s: %s: %v", what, name, err)
 							continue
 						}
-						if d.n != int64(len(frame)) {
-							t.Errorf("%s: %s: consumed %d of %d bytes", what, name, d.n, len(frame))
+						if d.N() != int64(len(frame)) {
+							t.Errorf("%s: %s: consumed %d of %d bytes", what, name, d.N(), len(frame))
 						}
 						for i, b := range bufs {
 							if !b.Equal(want[i]) {

@@ -3,23 +3,31 @@ package server
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"spio/internal/binio"
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
 )
 
-func roundTrip(t *testing.T, enc func(e *writer)) *reader {
+func roundTrip(t *testing.T, enc func(e *binio.Writer)) *binio.Reader {
 	t.Helper()
 	var fb frameBuf
-	e := newWriter(&fb)
+	e := binio.NewWriter(&fb)
 	enc(e)
-	if e.err != nil {
-		t.Fatalf("encode: %v", e.err)
+	if e.Err() != nil {
+		t.Fatalf("encode: %v", e.Err())
 	}
-	return newReader(bytes.NewReader(fb.b))
+	return binio.NewReader(bytes.NewReader(fb.b), "spiod")
 }
+
+// The round trips below send values whose fields are all non-zero and
+// distinct, so that two fields which traded places on one side would
+// decode as each other: a zero u8 and a zero uvarint are the same byte,
+// and a codec tested only on zeroes has its order pinned by nothing.
 
 func TestRequestRoundTrip(t *testing.T) {
 	want := &request{
@@ -29,48 +37,93 @@ func TestRequestRoundTrip(t *testing.T) {
 		Point:    geom.V3(0.5, math.Inf(1), -0.5),
 		K:        17,
 		Halo:     0.0625,
-		Dims:     geom.I3(8, 4, 2),
+		Dims:     geom.I3(8, 6, 5),
 		Levels:   3,
 		Skip:     2,
-		Readers:  4,
+		Readers:  7,
 		NoFilter: true,
 		Fields:   []string{"id", "density"},
+		Base:     9,
+		Flags:    0x41,
 	}
-	d := roundTrip(t, func(e *writer) { encodeRequest(e, want) })
+	d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, want) })
 	got, err := decodeRequest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != want.Op || got.Dataset != want.Dataset || got.Box != want.Box ||
-		got.Point != want.Point || got.K != want.K || got.Halo != want.Halo ||
-		got.Dims != want.Dims || got.Levels != want.Levels || got.Skip != want.Skip || got.Readers != want.Readers ||
-		got.NoFilter != want.NoFilter || len(got.Fields) != 2 ||
-		got.Fields[0] != "id" || got.Fields[1] != "density" {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
+func TestRespHeaderRoundTrip(t *testing.T) {
+	want := &respHeader{Status: statusBudget, Msg: "over budget"}
+	d := roundTrip(t, func(e *binio.Writer) { encodeRespHeader(e, want) })
+	if got, err := decodeRespHeader(d); err != nil || *got != *want {
+		t.Fatalf("got %+v (%v), want %+v", got, err, want)
+	}
+}
+
+// TestResponsesRoundTrip: the four answers, each with distinct parts —
+// a halo's own and ghost rows differ in length and content.
+func TestResponsesRoundTrip(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	own := particle.Uniform(particle.Uintah(), geom.UnitBox(), 5, 7, 0)
+	ghost := particle.Uniform(particle.Uintah(), geom.UnitBox(), 3, 8, 1)
+	ownRows, ghostRows := own.Rows(), ghost.Rows()
+	dists := []float64{0.25, 0.5, 1, 2, 4}
+
+	d := roundTrip(t, func(e *binio.Writer) { encodeQueryResp(e, &queryResp{Stats: distinctStats, Rows: ownRows}) })
+	if q, err := decodeQueryResp(d, 1<<20); err != nil || q.Stats != distinctStats || !q.Rows.Buffer().Equal(own) {
+		t.Errorf("query response: %+v, %v", q, err)
+	}
+	d = roundTrip(t, func(e *binio.Writer) { encodeKNNResp(e, &knnResp{Stats: distinctStats, Rows: ownRows, Dists: dists}) })
+	if k, err := decodeKNNResp(d, 1<<20); err != nil || k.Stats != distinctStats || !k.Rows.Buffer().Equal(own) || !reflect.DeepEqual(k.Dists, dists) {
+		t.Errorf("knn response: %+v, %v", k, err)
+	}
+	d = roundTrip(t, func(e *binio.Writer) {
+		encodeHaloResp(e, &haloResp{Stats: distinctStats, Own: ownRows, Ghost: ghostRows})
+	})
+	if h, err := decodeHaloResp(d, 1<<20); err != nil || h.Stats != distinctStats || !h.Own.Buffer().Equal(own) || !h.Ghost.Buffer().Equal(ghost) {
+		t.Errorf("halo response: %+v, %v", h, err)
+	}
+	want := &densityResp{Stats: distinctStats, Counts: []float64{1, 2.5, 4}, Fraction: 0.125, Sampled: 77}
+	d = roundTrip(t, func(e *binio.Writer) { encodeDensityResp(e, want) })
+	if got, err := decodeDensityResp(d, 1<<20); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("density response: %+v, %v", got, err)
+	}
+	ownRows.Release()
+	ghostRows.Release()
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held", got-held)
+	}
+}
+
 func TestHelloRoundTripAndBadMagic(t *testing.T) {
-	d := roundTrip(t, func(e *writer) { encodeHello(e, &hello{Version: protoVersion}) })
+	d := roundTrip(t, func(e *binio.Writer) { encodeHello(e, &hello{Version: protoVersion}) })
 	h, err := decodeHello(d)
 	if err != nil || h.Version != protoVersion {
 		t.Fatalf("hello: %v %+v", err, h)
 	}
-	bad := newReader(bytes.NewReader([]byte("HTTP/1.1 GET /")))
+	bad := binio.NewReader(bytes.NewReader([]byte("HTTP/1.1 GET /")), "spiod")
 	if _, err := decodeHello(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
+// distinctStats is a wireStats every field of which is non-zero and
+// unlike the others.
+var distinctStats = wireStats{
+	Read: rdr.Stats{
+		FilesOpened: 3, ParticlesRead: 1000, BytesRead: 124000,
+		ParticlesKept: 900, CacheHits: 2, BytesFromCache: 4096, Partial: true,
+	},
+	QueueWait: 12345, Service: 67890,
+}
+
 func TestStatsRoundTrip(t *testing.T) {
-	want := &wireStats{
-		Read: rdr.Stats{
-			FilesOpened: 3, ParticlesRead: 1000, BytesRead: 124000,
-			ParticlesKept: 900, CacheHits: 2, BytesFromCache: 4096,
-		},
-		QueueWait: 12345, Service: 67890,
-	}
-	d := roundTrip(t, func(e *writer) { encodeStats(e, want) })
+	want := &distinctStats
+	d := roundTrip(t, func(e *binio.Writer) { encodeStats(e, want) })
 	got, err := decodeStats(d)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +135,7 @@ func TestStatsRoundTrip(t *testing.T) {
 
 func TestBufferRoundTripBitExact(t *testing.T) {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 257, 7, 0)
-	d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf) })
+	d := roundTrip(t, func(e *binio.Writer) { encodeBuffer(e, buf) })
 	got, err := decodeBuffer(d, 1<<26)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +150,7 @@ func TestBufferRoundTripBitExact(t *testing.T) {
 
 func TestBufferDecodeRespectsLimit(t *testing.T) {
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 64, 7, 0)
-	d := roundTrip(t, func(e *writer) { encodeBuffer(e, buf) })
+	d := roundTrip(t, func(e *binio.Writer) { encodeBuffer(e, buf) })
 	if _, err := decodeBuffer(d, 16); err == nil {
 		t.Fatal("oversized buffer accepted")
 	}
@@ -113,12 +166,12 @@ func TestBufferMultiBlockRoundTrip(t *testing.T) {
 	for _, n := range []int{particle.RowBlock, particle.RowBlock + 1, 2*particle.RowBlock + 137} {
 		buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), n, 7, 0)
 		var fb frameBuf
-		e := newWriter(&fb)
+		e := binio.NewWriter(&fb)
 		encodeBuffer(e, buf)
-		if e.err != nil {
-			t.Fatal(e.err)
+		if e.Err() != nil {
+			t.Fatal(e.Err())
 		}
-		got, err := decodeBuffer(bodyReader(fb.b), 1<<26)
+		got, err := decodeBuffer(bodyReader(fb.b).Reader, 1<<26)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -127,7 +180,7 @@ func TestBufferMultiBlockRoundTrip(t *testing.T) {
 		}
 		for _, cut := range []int{1, 50, buf.Schema().Stride(), len(fb.b) / 2} {
 			torn := fb.b[:len(fb.b)-cut]
-			for _, d := range []*reader{bodyReader(torn), newReader(bytes.NewReader(torn))} {
+			for _, d := range []*binio.Reader{bodyReader(torn).Reader, binio.NewReader(bytes.NewReader(torn), "spiod")} {
 				if _, err := decodeBuffer(d, 1<<26); err == nil {
 					t.Errorf("n=%d: frame torn %d bytes short accepted", n, cut)
 				}
@@ -141,8 +194,8 @@ func TestBufferMultiBlockRoundTrip(t *testing.T) {
 
 func TestSchemaRoundTrip(t *testing.T) {
 	for _, s := range []*particle.Schema{particle.Uintah(), particle.PositionOnly()} {
-		d := roundTrip(t, func(e *writer) { encodeWireSchema(e, s) })
-		got, err := decodeWireSchema(d)
+		d := roundTrip(t, func(e *binio.Writer) { format.EncodeSchema(e, s) })
+		got, err := format.DecodeSchema(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,17 +206,17 @@ func TestSchemaRoundTrip(t *testing.T) {
 }
 
 func TestFloatsBlobNamesRoundTrip(t *testing.T) {
-	d := roundTrip(t, func(e *writer) { encodeFloats(e, []float64{1, math.NaN(), math.Copysign(0, -1)}) })
+	d := roundTrip(t, func(e *binio.Writer) { encodeFloats(e, []float64{1, math.NaN(), math.Copysign(0, -1)}) })
 	fs, err := decodeFloats(d, 10)
 	if err != nil || len(fs) != 3 || fs[0] != 1 || !math.IsNaN(fs[1]) || math.Signbit(fs[2]) == false {
 		t.Fatalf("floats: %v %v", fs, err)
 	}
-	d = roundTrip(t, func(e *writer) { encodeBlob(e, []byte("json-ish")) })
+	d = roundTrip(t, func(e *binio.Writer) { encodeBlob(e, []byte("json-ish")) })
 	b, err := decodeBlob(d, 100)
 	if err != nil || string(b) != "json-ish" {
 		t.Fatalf("blob: %q %v", b, err)
 	}
-	d = roundTrip(t, func(e *writer) { encodeNames(e, []string{"a", "b@3"}) })
+	d = roundTrip(t, func(e *binio.Writer) { encodeNames(e, []string{"a", "b@3"}) })
 	ns, err := decodeNames(d)
 	if err != nil || len(ns) != 2 || ns[1] != "b@3" {
 		t.Fatalf("names: %v %v", ns, err)
@@ -203,7 +256,7 @@ func TestRequestBoundsEnforced(t *testing.T) {
 		{"skip alone", request{Op: opQueryBox, Dataset: "sim", Skip: maxReqLevels + 1}},
 	}
 	for _, tc := range cases {
-		d := roundTrip(t, func(e *writer) { encodeRequest(e, &tc.req) })
+		d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, &tc.req) })
 		if _, err := decodeRequest(d); err == nil {
 			t.Errorf("%s: hostile request decoded without error: %+v", tc.name, tc.req)
 		}
@@ -215,7 +268,7 @@ func TestRequestBoundsEnforced(t *testing.T) {
 		K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
 		Levels: maxReqLevels, Skip: maxReqLevels - 1, Readers: maxReqReaders,
 	}
-	d := roundTrip(t, func(e *writer) { encodeRequest(e, &ok) })
+	d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, &ok) })
 	if _, err := decodeRequest(d); err != nil {
 		t.Fatalf("maximal legitimate request rejected: %v", err)
 	}
@@ -225,26 +278,26 @@ func TestRequestBoundsEnforced(t *testing.T) {
 // component count: stride arithmetic multiplies by it, so an unchecked
 // value scales every later allocation.
 func TestSchemaComponentBound(t *testing.T) {
-	d := roundTrip(t, func(e *writer) {
-		e.uvarint(1)
-		e.str("pos")
-		e.u8(uint8(particle.Float64))
-		e.uvarint(maxWireComponents + 1)
+	d := roundTrip(t, func(e *binio.Writer) {
+		e.Uvarint(1)
+		e.Str("pos")
+		e.U8(uint8(particle.Float64))
+		e.Uvarint(1<<10 + 1) // format's component bound, plus one
 	})
-	if _, err := decodeWireSchema(d); err == nil {
+	if _, err := format.DecodeSchema(d); err == nil {
 		t.Fatal("schema with hostile component count accepted")
 	}
 }
 
 func TestTruncatedDecodeFailsCleanly(t *testing.T) {
 	var fb frameBuf
-	e := newWriter(&fb)
+	e := binio.NewWriter(&fb)
 	encodeRequest(e, &request{Op: opQueryBox, Dataset: "x"})
-	if e.err != nil {
-		t.Fatal(e.err)
+	if e.Err() != nil {
+		t.Fatal(e.Err())
 	}
 	for cut := 0; cut < len(fb.b); cut += 7 {
-		d := newReader(bytes.NewReader(fb.b[:cut]))
+		d := binio.NewReader(bytes.NewReader(fb.b[:cut]), "spiod")
 		if _, err := decodeRequest(d); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(fb.b))
 		}

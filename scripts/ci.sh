@@ -13,8 +13,9 @@
 # cache and its run-time resize, and the serving daemon — the server tier
 # additionally at -count=2 to shake out order-dependent interleavings,
 # and the answer-ownership tests, the one-wire-form and hello tests, the
-# one-request-one-response tests, the aggregate-ownership tests and the
-# cache's forced interleavings by name at -count=3);
+# one-request-one-response tests, the aggregate-ownership tests, the
+# cache's forced interleavings and the one codec's hostile-input,
+# field-order and breaker-poll tests by name at -count=3);
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the full
 # analyzer suite (collorder, bufhandoff, errdrop, tagclash, wiresym,
@@ -117,6 +118,16 @@ go test -race -count=3 -run '^TestForced' ./internal/cache
 # assertions — abort after the exchange, after the data files, after the
 # metadata, a retried write, a clean one — run again the same way.
 go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbortsAllRanks|TestFaultDataWriteAbortsAllRanks|TestFaultMetaWriteAbortsAllRanks|TestFaultTransientWriteRetries|TestWriteAdaptiveRankOnUpperFace' ./internal/agg ./internal/core
+# One codec frames every structured byte (internal/binio). A metadata
+# image whose file count its bytes do not bear out is refused for what the
+# bytes cost (it killed the process while the count sized the table); a
+# schema outside the bounds is refused the same way in a file and in a
+# frame; every codec pair round-trips a value whose fields are all
+# distinct, so that two fields trading places fail a test and not only
+# wiresym; and the gateway's breakers are read by a stats poll while
+# requests through a flapping shard open and close them (-race is the
+# assertion: with the lock in breaker.open dropped nothing else fails).
+go test -race -count=3 -run 'TestDecodeMetaHostileCount|TestDecodeSchemaHostile|TestFileEntryCodecRoundTrip|TestRequestRoundTrip|TestRespHeaderRoundTrip|TestStatsRoundTrip|TestResponsesRoundTrip|TestExtentCodecRoundTrip|TestCountCodecRoundTrip|TestResultCodecRoundTrip|TestStatsBesideFlappingShard' ./internal/format ./internal/server ./internal/agg ./internal/profile ./internal/gateway
 
 echo "== go test -race -count=2 (server tier) =="
 # The serving daemon is the most schedule-sensitive tier (admission
@@ -125,17 +136,20 @@ echo "== go test -race -count=2 (server tier) =="
 go test -race -count=2 ./internal/server/...
 
 echo "== codec fuzz smoke =="
-# Short fuzz bursts over the three codec attack surfaces: the per-field
+# Short fuzz bursts over the four decoder attack surfaces: the per-field
 # block codec round-trip (hostile specs and record bytes), the deflate
 # decoder under it (differential against compress/flate: never laxer,
-# same bytes, and every flate.Writer stream accepted) and the data
-# file opener (whose corpus now seeds compressed files, truncations,
-# and bit flips). Regressions here are memory-safety or round-trip
+# same bytes, and every flate.Writer stream accepted), the data
+# file opener (whose corpus seeds compressed files, truncations,
+# and bit flips) and the metadata decoder — which a spiod's clients and a
+# gateway run on bytes a server sent — seeded with the image whose file
+# count claims 2^27 rows. Regressions here are memory-safety or round-trip
 # bugs, not flakes: the corpora are deterministic seeds plus 10s of
 # mutation.
 go test -run '^$' -fuzz '^FuzzCodecRoundTrip$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzInflate$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzOpenDataFile$' -fuzztime 10s ./internal/format
+go test -run '^$' -fuzz '^FuzzReadMeta$' -fuzztime 10s ./internal/format
 
 echo "== spiod e2e smoke =="
 # Serve a freshly written dataset from a real spiod process on a unix
