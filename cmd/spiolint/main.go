@@ -8,7 +8,6 @@
 //	collorder   collectives control-dependent on the rank (deadlocks)
 //	bufhandoff  particle buffers used between WriteAsync and Wait
 //	errdrop     discarded error/WriteResult returns from the spio API
-//	tagclash    hard-coded p2p tags in the reserved collective namespace
 //	wiresym     writer/reader asymmetries in the on-disk format
 //	collabort   early returns on local errors inside the comm phase
 //	lockorder   lock-order inversions, re-acquisition, locks held
@@ -27,15 +26,17 @@
 //
 //	//spio:allow <analyzer> -- <reason>
 //
-// Suppressed findings do not affect the exit status but stay visible in
-// -json output and in the summary counts; a directive without a reason,
-// or one suppressing nothing, is itself a finding.
+// Suppressed findings do not affect the exit status; -summary lists them
+// with their reasons and counts them. A directive without a reason, or
+// one suppressing nothing, is itself a finding.
 //
-// Exit status is analysis.ExitClean (0) when the analyzed packages are
-// clean, analysis.ExitFindings (1) when any unsuppressed diagnostic is
-// reported, analysis.ExitLoadError (2) on usage, load, or type-check
-// errors. The tool is stdlib-only and must be run from inside the
-// module (package loading uses the go tool and the source importer).
+// Two flags: -analyzers a,b runs a subset, -summary appends the
+// suppressed findings, the per-analyzer counts and the per-analyzer wall
+// times. Exit status is analysis.ExitClean (0) when the analyzed
+// packages are clean, analysis.ExitFindings (1) when any unsuppressed
+// diagnostic is reported, analysis.ExitLoadError (2) on usage, load, or
+// type-check errors. The tool is stdlib-only and must be run from inside
+// the module (package loading uses the go tool and the source importer).
 package main
 
 import (
@@ -48,30 +49,18 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (suppressed findings included, marked)")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log (suppressed findings carry inSource suppressions)")
 	only := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	list := flag.Bool("list", false, "list available analyzers and exit")
-	showSuppressed := flag.Bool("show-suppressed", false, "also print findings suppressed by //spio:allow directives")
-	summary := flag.Bool("summary", false, "print per-analyzer diagnostic counts and wall times after the findings")
+	summary := flag.Bool("summary", false, "also print the suppressed findings with their reasons, per-analyzer counts and wall times")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: spiolint [-json|-sarif] [-analyzers a,b] [-show-suppressed] [-summary] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Runs the spio collective-correctness analyzers over the given\npackage patterns (default ./...).\n\nFlags:\n")
+		fmt.Fprintf(os.Stderr, "usage: spiolint [-analyzers a,b] [-summary] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "Runs the spio collective-correctness analyzers over the given\npackage patterns (default ./...).\n\nAnalyzers:\n")
+		for _, a := range analysis.Analyzers() {
+			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
+		}
+		fmt.Fprintf(os.Stderr, "\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "spiolint: -json and -sarif are mutually exclusive")
-		os.Exit(analysis.ExitLoadError)
-	}
-
-	if *list {
-		for _, a := range analysis.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	var names []string
 	if *only != "" {
@@ -94,20 +83,7 @@ func main() {
 	}
 
 	diags, timings := analysis.RunTimed(analyzers, pkgs)
-	switch {
-	case *jsonOut:
-		if err := analysis.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "spiolint:", err)
-			os.Exit(analysis.ExitLoadError)
-		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(os.Stdout, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "spiolint:", err)
-			os.Exit(analysis.ExitLoadError)
-		}
-	default:
-		analysis.WriteText(os.Stdout, diags, *showSuppressed)
-	}
+	analysis.WriteText(os.Stdout, diags, *summary)
 	if *summary {
 		fmt.Println(analysis.Summarize(analyzers, diags))
 		fmt.Println("timings:", analysis.TimingsLine(timings))

@@ -10,6 +10,9 @@
 //     waiting (internal/mpi documents the SPMD contract; guard.go
 //     catches kind mismatches at runtime, but a skipped collective can
 //     still hang, which only static analysis can reject up front).
+//   - collabort: an early return on a rank-local error, once
+//     communication has started, skips a collective the healthy ranks
+//     still enter.
 //   - bufhandoff: WriteAsync transfers ownership of the particle buffer
 //     until Wait returns (spio.go), so any use in between is a data
 //     race with the background checkpoint.
@@ -17,72 +20,83 @@
 //     error and WriteResult returns; dropping them silently corrupts
 //     the "every rank observed the same outcome" reasoning the
 //     collective pipeline depends on.
-//   - tagclash: user point-to-point tags must stay inside
-//     [0, mpi.UserTagSpace); everything else is the reserved collective
-//     tag namespace (internal/mpi/coll.go).
+//   - wiresym, wiretaint: an encodeX/decodeX pair must move the same
+//     fields in the same order, and a length decoded from outside bytes
+//     must be bounded before it sizes an allocation or a loop.
+//   - lockorder, goleak, racegate: the serving tier's mutexes are
+//     acquired in one order and not held across blocking operations,
+//     every goroutine has something that ends it, and a field written
+//     from two goroutines is guarded by one lock.
 //
-// The engine is deliberately small: packages are loaded with `go list`,
-// parsed and type-checked with the stdlib source importer, and each
-// analyzer gets one type-checked package at a time.
+// The engine is one program: the packages `go list` names are
+// type-checked, dependencies first, into one go/types world (load.go),
+// so an object reached from two packages is one pointer; the call graph
+// over them is resolved once (callgraph.go); and each analyzer runs once
+// over that Program, reporting through the Reporter it is handed.
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"io"
 	"sort"
 	"strings"
 	"time"
 )
 
-// Analyzer is one named check over a type-checked package.
+// Analyzer is one named check over the loaded program.
 type Analyzer struct {
 	// Name is the analyzer's short identifier, prefixed to diagnostics.
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Run inspects the package in pass and reports findings via
-	// pass.Reportf.
-	Run func(pass *Pass)
+	// Run inspects the whole program once and reports findings through
+	// report. An analyzer that works file by file is a perPackage walker.
+	Run func(prog *Program, report Reporter)
 }
 
-// Pass carries one analyzer's view of one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	// Prog is the whole-program view (call graph + per-function
-	// summaries) shared by every pass of one Run.
-	Prog *Program
+// Reporter records one finding at pos.
+type Reporter func(pos token.Pos, format string, args ...any)
 
-	diags *[]Diagnostic
+// Pass is a file-by-file walker's view of one package: the syntax and
+// type information it resolves against, the whole-program view behind
+// it, and where it reports.
+type Pass struct {
+	*Package
+	// Prog is the whole-program view (call graph + per-function
+	// summaries).
+	Prog *Program
+	// report is nil for a silent walk: the summary builders share the
+	// analyzers' walking code but report nothing.
+	report Reporter
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Package:  p.Pkg.Path(),
-		Position: p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
+	if p.report != nil {
+		p.report(pos, format, args...)
+	}
+}
+
+// perPackage adapts a walker that inspects one package at a time to the
+// engine's one call per analyzer.
+func perPackage(run func(*Pass)) func(*Program, Reporter) {
+	return func(prog *Program, report Reporter) {
+		for _, pkg := range prog.Pkgs {
+			run(&Pass{Package: pkg, Prog: prog, report: report})
+		}
+	}
 }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string
-	Package  string
 	Position token.Position
 	Message  string
 	// Suppressed marks a finding covered by a //spio:allow directive
 	// (directive.go); SuppressReason carries the directive's reason.
-	// Suppressed findings do not fail the run but stay visible in -json
-	// output and in the summary counts.
+	// Suppressed findings do not fail the run but are counted, and listed
+	// with their reasons, under -summary.
 	Suppressed     bool
 	SuppressReason string
 }
@@ -93,7 +107,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full spiolint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CollOrder, BufHandoff, ErrDrop, TagClash, WireSym, CollAbort, LockOrder, WireTaint, GoLeak, RaceGate}
+	return []*Analyzer{CollOrder, BufHandoff, ErrDrop, WireSym, CollAbort, LockOrder, WireTaint, GoLeak, RaceGate}
 }
 
 // ByName returns the named analyzers, or an error naming the unknown
@@ -120,22 +134,19 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run applies every analyzer to every package and returns the combined
-// findings sorted by file position. A whole-program view (call graph +
-// summaries) is built once over all packages, so helper functions are
-// seen through even when caller and callee live in different packages.
-// Findings covered by a //spio:allow directive are marked Suppressed
-// (not removed); malformed directives are findings themselves.
+// Run applies every analyzer to the program the packages form and
+// returns the combined findings sorted by file position. The packages
+// must come from one Load: they share a file set and a type world, so
+// helper functions are seen through even when caller and callee live in
+// different packages. Findings covered by a //spio:allow directive are
+// marked Suppressed (not removed); malformed directives are findings
+// themselves.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	diags, _ := RunTimed(analyzers, pkgs)
 	return diags
 }
 
-// AnalyzerTiming is one analyzer's wall-clock cost over a whole run,
-// summed across packages. The lazily built whole-program fixpoints
-// (lock sets, exit evidence, taint, race) are charged to the analyzer
-// whose pass triggered them — the first asker pays, which is the honest
-// attribution for "what does adding this analyzer cost".
+// AnalyzerTiming is the wall-clock cost of one analyzer's run.
 type AnalyzerTiming struct {
 	Name    string
 	Elapsed time.Duration
@@ -145,24 +156,13 @@ type AnalyzerTiming struct {
 func RunTimed(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []AnalyzerTiming) {
 	prog := BuildProgram(pkgs)
 	var diags []Diagnostic
-	elapsed := make([]time.Duration, len(analyzers))
-	for _, pkg := range pkgs {
-		for i, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Prog:     prog,
-				diags:    &diags,
-			}
-			start := time.Now()
-			a.Run(pass)
-			elapsed[i] += time.Since(start)
-		}
+	timings := make([]AnalyzerTiming, len(analyzers))
+	for i, a := range analyzers {
+		start := time.Now()
+		a.Run(prog, prog.reporter(a.Name, &diags))
+		timings[i] = AnalyzerTiming{Name: a.Name, Elapsed: time.Since(start)}
 	}
-	applyDirectives(pkgs, analyzers, &diags)
+	applyDirectives(prog, analyzers, &diags)
 	sort.Slice(diags, func(i, j int) bool {
 		pi, pj := diags[i].Position, diags[j].Position
 		if pi.Filename != pj.Filename {
@@ -176,11 +176,19 @@ func RunTimed(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []AnalyzerT
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	timings := make([]AnalyzerTiming, len(analyzers))
-	for i, a := range analyzers {
-		timings[i] = AnalyzerTiming{Name: a.Name, Elapsed: elapsed[i]}
-	}
 	return diags, timings
+}
+
+// reporter returns the Reporter that appends the named analyzer's
+// findings to diags.
+func (p *Program) reporter(analyzer string, diags *[]Diagnostic) Reporter {
+	return func(pos token.Pos, format string, args ...any) {
+		*diags = append(*diags, Diagnostic{
+			Analyzer: analyzer,
+			Position: p.Fset.Position(pos),
+			Message:  fmt.Sprintf(format, args...),
+		})
+	}
 }
 
 // TimingsLine renders the per-analyzer wall times as one parseable
@@ -211,40 +219,6 @@ func WriteText(w io.Writer, diags []Diagnostic, showSuppressed bool) {
 		}
 		fmt.Fprintln(w, d.String())
 	}
-}
-
-// jsonDiagnostic is the -json wire form of one finding.
-type jsonDiagnostic struct {
-	Analyzer   string `json:"analyzer"`
-	Package    string `json:"package"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-// WriteJSON prints diagnostics as a JSON array. Suppressed findings are
-// included, marked "suppressed" with the directive's reason, so tooling
-// can audit what the directives hide.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiagnostic{
-			Analyzer:   d.Analyzer,
-			Package:    d.Package,
-			File:       d.Position.Filename,
-			Line:       d.Position.Line,
-			Column:     d.Position.Column,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-			Reason:     d.SuppressReason,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // Exit codes of the spiolint command. Load or type-check failures
@@ -300,14 +274,4 @@ func Summarize(analyzers []*Analyzer, diags []Diagnostic) string {
 	}
 	fmt.Fprintf(&b, "suppressed=%d", suppressed)
 	return b.String()
-}
-
-// typesInfo allocates the Info maps the analyzers need.
-func typesInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
 }

@@ -3,10 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // wantRe extracts the expectation pattern from a `// want "..."`
@@ -22,10 +24,31 @@ type expectation struct {
 	matched bool
 }
 
+// testWorld is the one type world every test loads into, so the module
+// and the standard library are type-checked once for the whole run: the
+// fixtures import a few module packages, and find them already checked
+// when a whole-module test (TestRepoClean, first in this file) ran
+// before them. In -short mode they come from the source importer instead.
+var testWorld = newWorld()
+
+// loadModule loads the whole module, once, for the tests that need the
+// real program; they are skipped in -short mode.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	pkgs, err := testWorld.load([]string{"spio/..."})
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	return pkgs
+}
+
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadDir(dir, "fixture/"+name)
+	pkg, err := testWorld.loadDir(dir, "fixture/"+name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -56,6 +79,41 @@ func parseWants(t *testing.T, pkg *Package) []*expectation {
 		}
 	}
 	return wants
+}
+
+// TestRepoClean dogfoods the full analyzer suite over the whole module
+// and requires zero unsuppressed diagnostics: the repo itself is the
+// largest negative fixture, and a true positive found later must be
+// fixed, not suppressed. The few deliberate exceptions (a mutex that
+// *dedicates* a conn to one exchange by protocol) stay visible as
+// suppressed findings and must each carry their reason.
+func TestRepoClean(t *testing.T) {
+	pkgs := loadModule(t)
+	// The taint fixpoint must finish with rounds to spare: at the cap it
+	// reports itself, but a tree creeping up on it should be seen first.
+	rounds, converged := taintFixpoint(BuildProgram(pkgs), func(token.Pos, string, ...any) {})
+	t.Logf("wiretaint: fixpoint converged=%v after %d rounds (cap %d)", converged, rounds, taintMaxRounds)
+	if !converged || rounds > taintMaxRounds-3 {
+		t.Errorf("wiretaint fixpoint took %d of %d rounds (converged=%v): raise taintMaxRounds before it under-reports", rounds, taintMaxRounds, converged)
+	}
+	diags := Run(Analyzers(), pkgs)
+	var live []Diagnostic
+	for _, d := range diags {
+		if d.Suppressed {
+			if d.SuppressReason == "" {
+				t.Errorf("suppressed finding without a reason: %s", d)
+			}
+			continue
+		}
+		live = append(live, d)
+	}
+	if len(live) > 0 {
+		var b strings.Builder
+		for _, d := range live {
+			fmt.Fprintf(&b, "\n  %s", d)
+		}
+		t.Errorf("spiolint reports %d unsuppressed diagnostics on the repo (must be clean):%s", len(live), b.String())
+	}
 }
 
 // TestAnalyzerFixtures runs each analyzer over its golden fixture
@@ -96,40 +154,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRepoClean dogfoods the full analyzer suite over the whole module
-// and requires zero unsuppressed diagnostics: the repo itself is the
-// largest negative fixture, and a true positive found later must be
-// fixed, not suppressed. The few deliberate exceptions (a mutex that
-// *dedicates* a conn to one exchange by protocol) stay visible as
-// suppressed findings and must each carry their reason.
-func TestRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	pkgs, err := Load([]string{"spio/..."})
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	diags := Run(Analyzers(), pkgs)
-	var live []Diagnostic
-	for _, d := range diags {
-		if d.Suppressed {
-			if d.SuppressReason == "" {
-				t.Errorf("suppressed finding without a reason: %s", d)
-			}
-			continue
-		}
-		live = append(live, d)
-	}
-	if len(live) > 0 {
-		var b strings.Builder
-		for _, d := range live {
-			fmt.Fprintf(&b, "\n  %s", d)
-		}
-		t.Errorf("spiolint reports %d unsuppressed diagnostics on the repo (must be clean):%s", len(live), b.String())
 	}
 }
 
@@ -180,22 +204,16 @@ func TestSuppression(t *testing.T) {
 	find(directiveAnalyzer, `unknown analyzer "collorderr"`)
 	find(directiveAnalyzer, "suppresses no finding")
 
-	// Suppressed findings are hidden from plain text output, shown with
-	// the flag, and always present (marked) in JSON.
-	var plain, withFlag, asJSON strings.Builder
+	// Suppressed findings are hidden from plain text output and shown,
+	// with their reason, under -summary.
+	var plain, withFlag strings.Builder
 	WriteText(&plain, diags, false)
 	WriteText(&withFlag, diags, true)
 	if strings.Contains(plain.String(), "[suppressed:") {
 		t.Errorf("default text output leaks suppressed findings:\n%s", plain.String())
 	}
 	if !strings.Contains(withFlag.String(), "[suppressed: demo: deliberate rank-0 barrier]") {
-		t.Errorf("-show-suppressed text output misses the suppressed finding:\n%s", withFlag.String())
-	}
-	if err := WriteJSON(&asJSON, diags); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !strings.Contains(asJSON.String(), `"suppressed": true`) {
-		t.Errorf("JSON output does not mark the suppressed finding:\n%s", asJSON.String())
+		t.Errorf("-summary text output misses the suppressed finding:\n%s", withFlag.String())
 	}
 
 	// The summary line counts suppressed findings separately.
@@ -238,7 +256,7 @@ func TestSummarize(t *testing.T) {
 		{Analyzer: "directive"},
 	}
 	got := Summarize(Analyzers(), diags)
-	want := "collorder=2 bufhandoff=0 errdrop=0 tagclash=0 wiresym=0 collabort=0 lockorder=0 wiretaint=0 goleak=0 racegate=0 directive=1 suppressed=1"
+	want := "collorder=2 bufhandoff=0 errdrop=0 wiresym=0 collabort=0 lockorder=0 wiretaint=0 goleak=0 racegate=0 directive=1 suppressed=1"
 	if got != want {
 		t.Fatalf("Summarize = %q, want %q", got, want)
 	}
@@ -246,8 +264,8 @@ func TestSummarize(t *testing.T) {
 
 // TestLoadDirRejectsMissing covers the fixture loader's error path.
 func TestLoadDirRejectsMissing(t *testing.T) {
-	if _, err := LoadDir(filepath.Join("testdata", "src", "nosuch"), "fixture/nosuch"); err == nil {
-		t.Fatal("LoadDir on a missing directory: want error, got nil")
+	if _, err := testWorld.loadDir(filepath.Join("testdata", "src", "nosuch"), "fixture/nosuch"); err == nil {
+		t.Fatal("loadDir on a missing directory: want error, got nil")
 	}
 }
 
@@ -261,5 +279,103 @@ func TestDiagnosticString(t *testing.T) {
 	}
 	if got, want := d.String(), "x.go:3:7: collorder: boom"; got != want {
 		t.Fatalf("Diagnostic.String() = %q, want %q", got, want)
+	}
+}
+
+// TestTimingsLine pins the name=<float>ms format of the -summary output.
+func TestTimingsLine(t *testing.T) {
+	got := TimingsLine([]AnalyzerTiming{
+		{Name: "collorder", Elapsed: 12345 * time.Microsecond},
+		{Name: "racegate", Elapsed: 250 * time.Microsecond},
+	})
+	if want := "collorder=12.3ms racegate=0.2ms"; got != want {
+		t.Fatalf("TimingsLine = %q, want %q", got, want)
+	}
+}
+
+// TestTaintFixpointCapIsLoud lowers the round cap below what the
+// wiretaint fixture needs: the analyzer must say its results are
+// incomplete instead of returning the partial result as clean.
+func TestTaintFixpointCapIsLoud(t *testing.T) {
+	defer func(old int) { taintMaxRounds = old }(taintMaxRounds)
+	taintMaxRounds = 1
+	diags := Run([]*Analyzer{WireTaint}, []*Package{loadFixture(t, "wiretaint")})
+	for _, d := range diags {
+		if strings.Contains(d.Message, "fixpoint did not converge in 1 rounds; results are incomplete") {
+			return
+		}
+	}
+	t.Fatalf("capped fixpoint reported no non-convergence finding in:\n%v", diags)
+}
+
+// TestOneWorld pins the loader's contract: every loaded package is
+// checked into one go/types world, so a function called from another
+// package is the very object its declaration defined, and identity
+// questions (types.Implements) have one answer. With a world per
+// package both halves fail — cross-package callees are importer copies,
+// and *gateway.Gateway does not implement the server.Backend the server
+// package itself sees.
+func TestOneWorld(t *testing.T) {
+	prog := BuildProgram(loadModule(t))
+	cross := 0
+	for _, pkg := range prog.Pkgs {
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg() == pkg.Types {
+				continue
+			}
+			decl := lookupPackage(prog, fn.Pkg().Path())
+			if decl == nil {
+				continue // standard library
+			}
+			cross++
+			if fn.Pkg() != decl.Types {
+				t.Fatalf("%s: %s resolves into a second copy of package %s", prog.Fset.Position(id.Pos()), fn.FullName(), decl.Path)
+			}
+			if sig := fn.Type().(*types.Signature); sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+				continue // interface methods have no body to index
+			}
+			if _, ok := prog.Funcs[fn.Origin()]; !ok {
+				t.Errorf("%s: %s is not the object prog.Funcs holds for its declaration", prog.Fset.Position(id.Pos()), fn.FullName())
+			}
+		}
+	}
+	if cross == 0 {
+		t.Fatal("no cross-package function use found; the test checks nothing")
+	}
+	gw := lookupPackage(prog, "spio/internal/gateway").Types.Scope().Lookup("Gateway").Type()
+	backend := lookupPackage(prog, "spio/internal/server").Types.Scope().Lookup("Backend").Type().Underlying().(*types.Interface)
+	if !types.Implements(types.NewPointer(gw), backend) {
+		t.Error("types.Implements(*gateway.Gateway, server.Backend) = false: the two packages were checked into different worlds")
+	}
+}
+
+func lookupPackage(prog *Program, path string) *Package {
+	for _, pkg := range prog.Pkgs {
+		if pkg.Path == path {
+			return pkg
+		}
+	}
+	return nil
+}
+
+// TestResolvedEdges pins the census of call edges resolved to loaded
+// functions. The failure it guards against is silent: were cross-package
+// identity to break, every such call would degrade to an external leaf
+// and each analyzer would simply see less, with a green run.
+func TestResolvedEdges(t *testing.T) {
+	prog := BuildProgram(loadModule(t))
+	edges, cross := 0, 0
+	for _, fi := range prog.Funcs {
+		for _, c := range fi.Calls {
+			edges++
+			if c.Callee.Pkg != fi.Pkg {
+				cross++
+			}
+		}
+	}
+	t.Logf("resolved call edges: %d, %d of them cross-package", edges, cross)
+	if cross <= 1000 {
+		t.Errorf("only %d cross-package call edges resolve to loaded functions (want > 1000): cross-package calls are degrading to external leaves", cross)
 	}
 }

@@ -27,7 +27,7 @@ import (
 var BufHandoff = &Analyzer{
 	Name: "bufhandoff",
 	Doc:  "flags uses of a particle.Buffer between an async handoff (WriteAsync) and Wait (ownership race)",
-	Run:  runBufHandoff,
+	Run:  perPackage(runBufHandoff),
 }
 
 // handoff is one hand-off call's taint interval.
@@ -144,21 +144,15 @@ func checkHandoffs(pass *Pass, body *ast.BlockStmt) {
 	deepUse := make(map[*ast.Ident][]string)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || pass.Prog == nil {
-			return true
-		}
-		callee := pass.Prog.calleeFunc(pass.Info, call)
-		if callee == nil {
-			return true
-		}
-		sum := pass.Prog.bufSummaryOf(callee)
-		if sum == nil {
-			return true
-		}
-		csig, ok := callee.Type().(*types.Signature)
 		if !ok {
 			return true
 		}
+		callee, _ := pass.Prog.callee(pass.Info, call)
+		if callee == nil {
+			return true
+		}
+		sum := pass.Prog.bufSummaryOf(callee.Obj)
+		csig := callee.Obj.Type().(*types.Signature)
 		for a, arg := range call.Args {
 			id, ok := ast.Unparen(arg).(*ast.Ident)
 			if !ok {
@@ -223,21 +217,15 @@ func handoffTarget(pass *Pass, call *ast.CallExpr) (*handoff, bool) {
 		obj := identObj(pass.Info, call.Args[len(call.Args)-1])
 		return &handoff{bufObj: obj}, obj != nil
 	}
-	if pass.Prog == nil {
-		return nil, false
-	}
-	callee := pass.Prog.calleeFunc(pass.Info, call)
+	callee, _ := pass.Prog.callee(pass.Info, call)
 	if callee == nil {
 		return nil, false
 	}
-	sum := pass.Prog.bufSummaryOf(callee)
-	if sum == nil || len(sum.handoff) == 0 {
+	sum := pass.Prog.bufSummaryOf(callee.Obj)
+	if len(sum.handoff) == 0 {
 		return nil, false
 	}
-	csig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return nil, false
-	}
+	csig := callee.Obj.Type().(*types.Signature)
 	for a, arg := range call.Args {
 		obj := identObj(pass.Info, arg)
 		if obj == nil {

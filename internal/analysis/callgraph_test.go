@@ -59,7 +59,7 @@ func TestCalleeResolutionEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		call := firstCall(t, pkg, tc.fn)
-		got := prog.calleeFunc(pkg.Info, call)
+		got := staticCallee(pkg.Info, call)
 		switch {
 		case tc.resolve == "" && got != nil:
 			t.Errorf("%s: call resolved to %s, want nil (conservative)", tc.fn, got.Name())

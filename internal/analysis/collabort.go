@@ -20,7 +20,7 @@ import (
 //
 //   - entered: the function has issued point-to-point or collective
 //     communication (directly or through a loaded callee, per
-//     mayColl/mayP2P). Before that point, early returns are presumed
+//     mayComm). Before that point, early returns are presumed
 //     config-deterministic — identical on every rank — and stay silent.
 //   - error classes: an error value is *agreed* when it was produced by
 //     (or wrapped around) a call that transitively issues a collective
@@ -41,7 +41,7 @@ import (
 var CollAbort = &Analyzer{
 	Name: "collabort",
 	Doc:  "flags local-error early returns that skip collectives peers will enter (abort-path deadlocks)",
-	Run:  runCollAbort,
+	Run:  perPackage(runCollAbort),
 }
 
 // p2pSet is the machine-readable point-to-point list shared with the
@@ -70,9 +70,6 @@ const (
 )
 
 func runCollAbort(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -271,7 +268,7 @@ func fallsThrough(stmts []ast.Stmt) bool {
 // collective or point-to-point, directly or via a loaded callee.
 func (w *abortWalker) stmtComms(n ast.Node) bool {
 	found := false
-	scanCalls(w.pass.Info, n, func(call *ast.CallExpr) {
+	scanCalls(n, func(call *ast.CallExpr) {
 		if found {
 			return
 		}
@@ -280,17 +277,8 @@ func (w *abortWalker) stmtComms(n ast.Node) bool {
 			found = true
 			return
 		}
-		callee := w.pass.Prog.calleeFunc(w.pass.Info, call)
-		if callee == nil {
-			return
-		}
-		if _, loaded := w.pass.Prog.Funcs[callee]; !loaded {
-			return
-		}
-		w.pass.Prog.ensureMayColl()
-		w.pass.Prog.ensureMayP2P()
-		if w.pass.Prog.mayColl[callee] || w.pass.Prog.mayP2P[callee] {
-			found = true
+		if callee, _ := w.pass.Prog.callee(w.pass.Info, call); callee != nil {
+			found = w.pass.Prog.mayComm[callee.Obj]
 		}
 	})
 	return found
@@ -356,13 +344,12 @@ func (w *abortWalker) classifyExpr(e ast.Expr) errClass {
 		if collectiveSet[commMethodName(w.pass.Info, e)] {
 			return errClassAgreed
 		}
-		callee := w.pass.Prog.calleeFunc(w.pass.Info, e)
-		if callee == nil {
+		callee, unknown := w.pass.Prog.callee(w.pass.Info, e)
+		if unknown {
 			return errClassUnknown // interface or func-value call
 		}
-		if _, loaded := w.pass.Prog.Funcs[callee]; loaded {
-			w.pass.Prog.ensureMayColl()
-			if w.pass.Prog.mayColl[callee] {
+		if callee != nil {
+			if w.pass.Prog.mayColl[callee.Obj] {
 				return errClassAgreed
 			}
 			return errClassLocal

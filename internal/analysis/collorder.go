@@ -35,7 +35,7 @@ import (
 var CollOrder = &Analyzer{
 	Name: "collorder",
 	Doc:  "flags collective operations control-dependent on the rank (collective-mismatch deadlocks)",
-	Run:  runCollOrder,
+	Run:  perPackage(runCollOrder),
 }
 
 // collectiveSet is the machine-readable collective list shared with the
@@ -93,16 +93,13 @@ type collWalker struct {
 	// rankObjs holds the types.Objects of locals derived from the rank.
 	rankObjs map[any]bool
 	flagged  map[token.Pos]bool
-	// silent disables reporting: summary.go reuses the walker to compute
-	// a function's collective signature without emitting diagnostics.
-	silent bool
 }
 
 // flag reports one divergent collective call, once. Helper calls are
 // reported with the helper's collective sequence and a call path, so
 // the reader can see which function deep in the tree actually blocks.
 func (w *collWalker) flag(cc collCall, guardPos token.Pos, why string) {
-	if w.silent || w.flagged[cc.pos] {
+	if w.flagged[cc.pos] {
 		return
 	}
 	w.flagged[cc.pos] = true
@@ -413,17 +410,14 @@ func exprCollsNode(pass *Pass, n ast.Node) flowResult {
 			out.calls = append(out.calls, collCall{name: name, pos: call.Pos()})
 			return true
 		}
-		if pass.Prog == nil {
-			return true
-		}
-		callee := pass.Prog.calleeFunc(pass.Info, call)
+		callee, _ := pass.Prog.callee(pass.Info, call)
 		if callee == nil {
 			return true
 		}
-		if s := pass.Prog.collSummaryOf(callee); s != nil && len(s.sig) > 0 {
+		if s := pass.Prog.collSummaryOf(callee.Obj); len(s.sig) > 0 {
 			out.sig = append(out.sig, s.sig...)
 			out.calls = append(out.calls, collCall{
-				name: funcDisplayName(callee),
+				name: callName(callee.Obj),
 				pos:  call.Pos(),
 				seq:  s.sig,
 				path: s.path,

@@ -15,8 +15,8 @@ import (
 // without a justification is itself reported (analyzer "directive"),
 // as is an allow naming an unknown analyzer — a typo must not silently
 // stop suppressing. Suppressed findings stay in the result set, marked
-// Suppressed, so -json consumers and the summary line can audit them;
-// only unsuppressed findings affect the exit code.
+// Suppressed, so the summary can count and list them; only unsuppressed
+// findings affect the exit code.
 
 // directiveAnalyzer is the pseudo-analyzer name malformed directives
 // are reported under.
@@ -39,10 +39,10 @@ type directiveKey struct {
 	line int
 }
 
-// applyDirectives parses every //spio:allow comment in pkgs, marks the
-// diagnostics they cover as suppressed, and appends findings for
-// malformed or unused directives.
-func applyDirectives(pkgs []*Package, analyzers []*Analyzer, diags *[]Diagnostic) {
+// applyDirectives parses every //spio:allow comment in the program,
+// marks the diagnostics they cover as suppressed, and appends findings
+// for malformed or unused directives.
+func applyDirectives(prog *Program, analyzers []*Analyzer, diags *[]Diagnostic) {
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -53,18 +53,10 @@ func applyDirectives(pkgs []*Package, analyzers []*Analyzer, diags *[]Diagnostic
 	}
 
 	byLine := make(map[directiveKey][]*directive)
-	report := func(pkg *Package, pos token.Pos, format string, args ...any) {
-		pass := &Pass{
-			Analyzer: &Analyzer{Name: directiveAnalyzer},
-			Fset:     pkg.Fset,
-			Pkg:      pkg.Types,
-			diags:    diags,
-		}
-		pass.Reportf(pos, format, args...)
-	}
+	report := prog.reporter(directiveAnalyzer, diags)
 
 	var all []*directive
-	for _, pkg := range pkgs {
+	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
 			for _, group := range file.Comments {
 				for _, c := range group.List {
@@ -79,18 +71,18 @@ func applyDirectives(pkgs []*Package, analyzers []*Analyzer, diags *[]Diagnostic
 					name, reason := m[1], strings.TrimSpace(m[2])
 					switch {
 					case name == "":
-						report(pkg, c.Pos(), "spio:allow directive names no analyzer: want //spio:allow <analyzer> -- <reason>")
+						report(c.Pos(), "spio:allow directive names no analyzer: want //spio:allow <analyzer> -- <reason>")
 						continue
 					case !known[name]:
-						report(pkg, c.Pos(), "spio:allow directive names unknown analyzer %q", name)
+						report(c.Pos(), "spio:allow directive names unknown analyzer %q", name)
 						continue
 					case reason == "":
-						report(pkg, c.Pos(), "spio:allow %s directive is missing its reason: want //spio:allow %s -- <reason>", name, name)
+						report(c.Pos(), "spio:allow %s directive is missing its reason: want //spio:allow %s -- <reason>", name, name)
 						continue
 					}
 					d := &directive{analyzer: name, reason: reason, pos: c.Pos()}
 					all = append(all, d)
-					p := pkg.Fset.Position(c.Pos())
+					p := prog.Fset.Position(c.Pos())
 					// The directive covers its own line and the next one
 					// (the "directive on the line above" form).
 					byLine[directiveKey{p.Filename, p.Line}] = append(byLine[directiveKey{p.Filename, p.Line}], d)
@@ -125,23 +117,9 @@ func applyDirectives(pkgs []*Package, analyzers []*Analyzer, diags *[]Diagnostic
 	// An allow that suppresses nothing is stale: the hazard it excused
 	// is gone, or the directive never matched. Surfacing it keeps the
 	// suppression inventory honest.
-	for _, pkg := range pkgs {
-		for _, dir := range all {
-			if dir.used || !posInPackage(pkg, dir.pos) {
-				continue
-			}
-			report(pkg, dir.pos, "spio:allow %s directive suppresses no finding: remove it", dir.analyzer)
-			dir.used = true
+	for _, dir := range all {
+		if !dir.used {
+			report(dir.pos, "spio:allow %s directive suppresses no finding: remove it", dir.analyzer)
 		}
 	}
-}
-
-// posInPackage reports whether pos falls inside one of pkg's files.
-func posInPackage(pkg *Package, pos token.Pos) bool {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return true
-		}
-	}
-	return false
 }

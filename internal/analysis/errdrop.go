@@ -31,7 +31,7 @@ import (
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "flags discarded error/WriteResult returns from the spio public API and internal encode/decode calls",
-	Run:  runErrDrop,
+	Run:  perPackage(runErrDrop),
 }
 
 // errDropPackages is the API surface errdrop watches.
@@ -81,15 +81,10 @@ func watchedOrPropagating(pass *Pass, call *ast.CallExpr) (*types.Func, []string
 	if fn, ok := watchedCall(pass.Info, call); ok {
 		return fn, nil, true
 	}
-	if pass.Prog == nil {
-		return nil, nil, false
-	}
-	callee := pass.Prog.calleeFunc(pass.Info, call)
-	if callee == nil {
-		return nil, nil, false
-	}
-	if s := pass.Prog.errSummaryOf(callee); s != nil && s.propagates {
-		return callee, s.path, true
+	if callee, _ := pass.Prog.callee(pass.Info, call); callee != nil {
+		if s := pass.Prog.errSummaryOf(callee.Obj); s.propagates {
+			return callee.Obj, s.path, true
+		}
 	}
 	return nil, nil, false
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GoLeak flags `go` statements that spawn a goroutine with no visible
@@ -30,162 +29,70 @@ var GoLeak = &Analyzer{
 	Run:  runGoLeak,
 }
 
-// exitSummary records whether a function provides goroutine-exit
-// evidence, and a representative path to it.
-type exitSummary struct {
-	evidence bool
-	desc     string
-	path     []string
-}
-
-func runGoLeak(pass *Pass) {
-	prog := pass.Prog
-	prog.ensureExitEvidence()
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.GoStmt)
-			if !ok {
+// runGoLeak computes, for every loaded function, whether it
+// (transitively) contains goroutine-exit evidence, then checks every go
+// statement in the program against it.
+func runGoLeak(prog *Program, report Reporter) {
+	exits := prog.reach(func(fi *FuncInfo) bool { return directExitEvidence(fi.Pkg.Info, fi.Decl.Body) })
+	for _, pkg := range prog.Pkgs {
+		info := pkg.Info
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				st, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
+					// Direct evidence in the literal, or in a function it
+					// statically calls.
+					found := directExitEvidence(info, lit.Body)
+					scanCalls(lit.Body, func(call *ast.CallExpr) {
+						if callee, _ := prog.callee(info, call); callee != nil && exits[callee.Obj] {
+							found = true
+						}
+					})
+					if !found {
+						report(st.Pos(), "goroutine has no exit discipline: no WaitGroup.Done, channel operation, or stop-flag check ties its lifetime to anything — it can be neither awaited nor cancelled")
+					}
+					return true
+				}
+				// A func value, interface method or external function has
+				// no body to look into: target unknown, stay silent.
+				if callee, _ := prog.callee(info, st.Call); callee != nil && !exits[callee.Obj] {
+					report(st.Pos(), "goroutine running %s has no exit discipline: nothing in its call tree performs a WaitGroup.Done, channel operation, or stop-flag check", callName(callee.Obj))
+				}
 				return true
-			}
-			pass.checkGoStmt(st)
-			return true
-		})
-	}
-}
-
-func (pass *Pass) checkGoStmt(st *ast.GoStmt) {
-	prog := pass.Prog
-	if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
-		if _, ok := prog.exitEvidenceInBody(pass.Info, lit.Body); ok {
-			return
-		}
-		pass.Reportf(st.Pos(), "goroutine has no exit discipline: no WaitGroup.Done, channel operation, or stop-flag check ties its lifetime to anything — it can be neither awaited nor cancelled")
-		return
-	}
-	callee := prog.calleeFunc(pass.Info, st.Call)
-	if callee == nil {
-		return // func value / interface method: target unknown, stay silent
-	}
-	fi, loaded := prog.Funcs[callee]
-	if !loaded {
-		return // external function: body invisible, stay silent
-	}
-	sum := prog.exitSums[fi.Obj]
-	if sum != nil && sum.evidence {
-		return
-	}
-	pass.Reportf(st.Pos(), "goroutine running %s has no exit discipline: nothing in its call tree performs a WaitGroup.Done, channel operation, or stop-flag check", funcDisplayName(callee))
-}
-
-// ensureExitEvidence computes, for every loaded function, whether it
-// (transitively) contains goroutine-exit evidence: one direct scan per
-// function, then a closure over the call graph.
-func (p *Program) ensureExitEvidence() {
-	if p.exitReady {
-		return
-	}
-	p.exitReady = true
-	callees := make(map[*types.Func][]*types.Func)
-	for fn, fi := range p.Funcs {
-		s := &exitSummary{}
-		name := funcDisplayName(fn)
-		if desc, ok := p.directExitEvidence(fi.Pkg.Info, fi.Decl.Body); ok {
-			s.evidence = true
-			s.desc = desc
-			s.path = []string{name, desc}
-		}
-		scanCalls(fi.Pkg.Info, fi.Decl.Body, func(call *ast.CallExpr) {
-			if callee := p.calleeFunc(fi.Pkg.Info, call); callee != nil {
-				if _, loaded := p.Funcs[callee]; loaded {
-					callees[fn] = append(callees[fn], callee)
-				}
-			}
-		})
-		p.exitSums[fn] = s
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, cs := range callees {
-			s := p.exitSums[fn]
-			if s.evidence {
-				continue
-			}
-			for _, c := range cs {
-				if csum := p.exitSums[c]; csum != nil && csum.evidence {
-					s.evidence = true
-					s.desc = csum.desc
-					s.path = append([]string{funcDisplayName(fn)}, csum.path...)
-					changed = true
-					break
-				}
-			}
+			})
 		}
 	}
-}
-
-// exitEvidenceInBody checks a goroutine literal's body for direct
-// evidence plus evidence through statically-resolved calls.
-func (p *Program) exitEvidenceInBody(info *types.Info, body *ast.BlockStmt) (string, bool) {
-	if desc, ok := p.directExitEvidence(info, body); ok {
-		return desc, true
-	}
-	found := ""
-	scanCalls(info, body, func(call *ast.CallExpr) {
-		if found != "" {
-			return
-		}
-		if callee := p.calleeFunc(info, call); callee != nil {
-			if sum := p.exitSums[callee]; sum != nil && sum.evidence {
-				found = "via " + strings.Join(sum.path, " → ")
-			}
-		}
-	})
-	if found != "" {
-		return found, true
-	}
-	return "", false
 }
 
 // directExitEvidence scans one body (skipping nested literals and go
 // statements — they run on other schedules) for the exit alphabet:
 // WaitGroup.Done, close(ch), channel send/receive/select/range,
 // context.Context.Done, and atomic flag loads.
-func (p *Program) directExitEvidence(info *types.Info, body ast.Node) (string, bool) {
-	found := ""
+func directExitEvidence(info *types.Info, body ast.Node) bool {
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found != "" {
+		if found {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
-		case *ast.SendStmt:
-			found = "channel send"
+		case *ast.SendStmt, *ast.SelectStmt:
+			found = true
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = "channel receive"
-			}
-		case *ast.SelectStmt:
-			found = "select"
+			found = n.Op == token.ARROW
 		case *ast.RangeStmt:
-			if isChanType(info.Types[n.X].Type) {
-				found = "range over channel"
-			}
+			found = isChanType(info.Types[n.X].Type)
 		case *ast.CallExpr:
-			switch {
-			case methodOn(info, n, "sync", "WaitGroup", "Done"):
-				found = "WaitGroup.Done"
-			case isCloseCall(info, n):
-				found = "close(chan)"
-			case isContextDone(info, n):
-				found = "context.Done"
-			case isAtomicFlagLoad(info, n):
-				found = "atomic flag load"
-			}
+			found = methodOn(info, n, "sync", "WaitGroup", "Done") || isCloseCall(info, n) ||
+				isContextDone(info, n) || isAtomicFlagLoad(info, n)
 		}
 		return true
 	})
-	return found, found != ""
+	return found
 }
 
 // isCloseCall matches the close builtin applied to a channel.

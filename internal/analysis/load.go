@@ -27,21 +27,22 @@ type Package struct {
 	Info  *types.Info
 }
 
-// listedPackage is the subset of `go list -json` output the loader
+// listedPackage is the subset of `go list -deps -json` output the loader
 // reads.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
+	Standard   bool // part of the standard library
+	DepOnly    bool // reached only as a dependency of the patterns
 }
 
-// listPackages expands Go package patterns ("./...") with the go tool.
-// The go command is the only authority on module-aware pattern
-// expansion, and it is guaranteed present (the analyzers are run
-// through `go run`).
+// listPackages expands Go package patterns ("./...") and their
+// dependencies with the go tool, dependencies first. The go command is
+// the only authority on module-aware pattern expansion, and it is
+// guaranteed present (the analyzers are run through `go run`).
 func listPackages(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json", "--"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
@@ -61,39 +62,79 @@ func listPackages(patterns []string) ([]listedPackage, error) {
 	return out, nil
 }
 
-// Load expands the patterns, parses every matched package's non-test
-// files, and type-checks them with the stdlib source importer. The
-// importer (and its package cache) is shared across all packages, so a
-// dependency is type-checked at most once.
+// world is one go/types universe: a file set, the non-stdlib packages
+// type-checked into it so far, and the stdlib source importer behind
+// them. Every package checked through one world sees the same
+// *types.Func and *types.Named for a declaration, so objects compare by
+// pointer and types.Implements answers across packages.
+type world struct {
+	fset    *token.FileSet
+	checked map[string]*Package
+	src     types.ImporterFrom
+}
+
+func newWorld() *world {
+	fset := token.NewFileSet()
+	return &world{
+		fset:    fset,
+		checked: make(map[string]*Package),
+		src:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+	}
+}
+
+func (w *world) Import(path string) (*types.Package, error) { return w.ImportFrom(path, "", 0) }
+
+// ImportFrom hands out the packages this world has checked itself and
+// leaves the rest (the standard library) to the source importer.
+func (w *world) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg := w.checked[path]; pkg != nil {
+		return pkg.Types, nil
+	}
+	return w.src.ImportFrom(path, dir, mode)
+}
+
+// Load expands the patterns and type-checks every matched package and
+// every non-stdlib package they depend on into one world, dependencies
+// first, so a declaration has one object however it is reached. Only
+// the matched packages are returned; the standard library comes from the
+// source importer, type-checked at most once.
 func Load(patterns []string) ([]*Package, error) {
+	return newWorld().load(patterns)
+}
+
+func (w *world) load(patterns []string) ([]*Package, error) {
 	listed, err := listPackages(patterns)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
-		files := make([]string, len(lp.GoFiles))
-		for i, f := range lp.GoFiles {
-			files[i] = filepath.Join(lp.Dir, f)
+		pkg := w.checked[lp.ImportPath]
+		if pkg == nil {
+			files := make([]string, len(lp.GoFiles))
+			for i, f := range lp.GoFiles {
+				files[i] = filepath.Join(lp.Dir, f)
+			}
+			if pkg, err = w.check(lp.ImportPath, lp.Dir, files); err != nil {
+				return nil, err
+			}
 		}
-		pkg, err := checkFiles(fset, imp, lp.ImportPath, lp.Dir, files)
-		if err != nil {
-			return nil, err
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
 		}
-		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks every .go file directly inside dir as
+// loadDir parses and type-checks every .go file directly inside dir as
 // one package under the given import path. It is the fixture loader the
-// analyzer tests use for testdata packages `go list` cannot see.
-func LoadDir(dir, path string) (*Package, error) {
+// analyzer tests use for testdata packages `go list` cannot see; the
+// module packages a fixture imports come from the world when it holds
+// them and from the source importer otherwise.
+func (w *world) loadDir(dir, path string) (*Package, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
@@ -102,33 +143,31 @@ func LoadDir(dir, path string) (*Package, error) {
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return checkFiles(fset, imp, path, dir, matches)
+	return w.check(path, dir, matches)
 }
 
-// checkFiles parses and type-checks one package's files.
-func checkFiles(fset *token.FileSet, imp types.Importer, path, dir string, filenames []string) (*Package, error) {
+// check parses and type-checks one package's files into the world.
+func (w *world) check(path, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
+		f, err := parser.ParseFile(w.fset, fn, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	info := typesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	conf := types.Config{Importer: w}
+	tpkg, err := conf.Check(path, w.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	return &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
+	pkg := &Package{Path: path, Dir: dir, Fset: w.fset, Files: files, Types: tpkg, Info: info}
+	w.checked[path] = pkg
+	return pkg, nil
 }

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -61,44 +59,29 @@ type lockBlock struct {
 	path []string
 }
 
-func runLockOrder(pass *Pass) {
-	p := pass.Prog
-	p.ensureLockOrder()
-	pkgPath := pass.Pkg.Path()
-	for _, d := range p.lockFindings {
-		if d.pkg == pkgPath {
-			pass.Reportf(d.pos, "%s", d.msg)
-		}
-	}
-}
-
 // lockEdge is one observed acquisition order: to was acquired while
 // from was held.
 type lockEdge struct {
-	pkg  string
 	pos  token.Pos
 	fn   string
 	from string
 	to   string
 }
 
-// ensureLockOrder runs the whole-program lock analysis once: build
-// per-function summaries, walk every function with an abstract held
-// set, and cross-check the global acquisition-order graph.
-func (p *Program) ensureLockOrder() {
-	if p.lockReady {
-		return
-	}
-	p.lockReady = true
-	p.buildLockSummaries()
+// runLockOrder is the whole-program lock analysis: build per-function
+// summaries, walk every function with an abstract held set, and
+// cross-check the global acquisition-order graph.
+func runLockOrder(prog *Program, report Reporter) {
+	sums := prog.buildLockSummaries()
 
 	var edges []lockEdge
-	for fn, fi := range p.Funcs {
+	for fn, fi := range prog.Funcs {
 		w := &lockWalker{
-			prog:    p,
-			fi:      fi,
+			prog:    prog,
 			info:    fi.Pkg.Info,
-			fnName:  funcDisplayName(fn),
+			fnName:  callName(fn),
+			sums:    sums,
+			sink:    report,
 			flagged: make(map[token.Pos]bool),
 			blocked: make(map[string]bool),
 		}
@@ -123,34 +106,12 @@ func (p *Program) ensureLockOrder() {
 			continue
 		}
 		reported[k], reported[rk] = true, true
-		p.lockFindings = append(p.lockFindings, progDiag{
-			pkg: e.pkg,
-			pos: e.pos,
-			msg: fmt.Sprintf("lock order inversion: %s acquires %s while holding %s, but %s acquires them in the opposite order at %s",
-				e.fn, lockShort(e.to), lockShort(e.from), rev.fn, p.posString(rev.pkg, rev.pos)),
-		})
-		p.lockFindings = append(p.lockFindings, progDiag{
-			pkg: rev.pkg,
-			pos: rev.pos,
-			msg: fmt.Sprintf("lock order inversion: %s acquires %s while holding %s, but %s acquires them in the opposite order at %s",
-				rev.fn, lockShort(rev.to), lockShort(rev.from), e.fn, p.posString(e.pkg, e.pos)),
-		})
-	}
-	sort.Slice(p.lockFindings, func(i, j int) bool { return p.lockFindings[i].pos < p.lockFindings[j].pos })
-}
-
-// posString renders pos using the owning package's file set (all loaded
-// packages share one).
-func (p *Program) posString(pkgPath string, pos token.Pos) string {
-	for _, pkg := range p.Pkgs {
-		if pkg.Types.Path() == pkgPath {
-			return pkg.Fset.Position(pos).String()
+		for _, pair := range [2][2]lockEdge{{e, rev}, {rev, e}} {
+			here, there := pair[0], pair[1]
+			report(here.pos, "lock order inversion: %s acquires %s while holding %s, but %s acquires them in the opposite order at %s",
+				here.fn, lockShort(here.to), lockShort(here.from), there.fn, prog.Fset.Position(there.pos))
 		}
 	}
-	if len(p.Pkgs) > 0 {
-		return p.Pkgs[0].Fset.Position(pos).String()
-	}
-	return "?"
 }
 
 // lockShort trims the package path off a lock key for diagnostics.
@@ -164,16 +125,14 @@ func lockShort(key string) string {
 // buildLockSummaries computes every function's transitive acquire set
 // and may-block bit: one direct scan per function, then a closure over
 // the call graph (fixpoint; cycles converge because the sets only
-// grow).
-func (p *Program) buildLockSummaries() {
-	type callOut struct {
-		fn   *types.Func
-		name string
-	}
-	callees := make(map[*types.Func][]callOut)
+// grow). A call that is itself a blocking operation (Comm.Barrier,
+// writeFrame(conn, …)) is a leaf here: what matters about it is that it
+// parks, not which locks it takes inside.
+func (p *Program) buildLockSummaries() map[*types.Func]*lockSummary {
+	sums := make(map[*types.Func]*lockSummary, len(p.Funcs))
 	for fn, fi := range p.Funcs {
 		s := &lockSummary{acquires: make(map[string]*lockAcq)}
-		name := funcDisplayName(fn)
+		name := callName(fn)
 		info := fi.Pkg.Info
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
@@ -213,33 +172,25 @@ func (p *Program) buildLockSummaries() {
 					} else if write {
 						a.write = true
 					}
-					return true
-				}
-				if desc, ok := blockingCall(info, n); ok {
+				} else if desc, ok := blockingCall(info, n); ok {
 					s.noteBlock(desc, name)
-					return true
-				}
-				if callee := p.calleeFunc(info, n); callee != nil {
-					if _, loaded := p.Funcs[callee]; loaded {
-						callees[fn] = append(callees[fn], callOut{fn: callee, name: funcDisplayName(callee)})
-					}
 				}
 			}
 			return true
 		}
 		ast.Inspect(fi.Decl.Body, visit)
-		p.lockSums[fn] = s
+		sums[fn] = s
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, outs := range callees {
-			s := p.lockSums[fn]
-			name := funcDisplayName(fn)
-			for _, out := range outs {
-				cs := p.lockSums[out.fn]
-				if cs == nil {
+		for fn, fi := range p.Funcs {
+			s := sums[fn]
+			name := callName(fn)
+			for _, c := range fi.Calls {
+				if _, leaf := blockingCall(fi.Pkg.Info, c.Site); leaf {
 					continue
 				}
+				cs := sums[c.Callee.Obj]
 				for key, ca := range cs.acquires {
 					if a := s.acquires[key]; a == nil {
 						s.acquires[key] = &lockAcq{write: ca.write, path: append([]string{name}, ca.path...)}
@@ -256,6 +207,7 @@ func (p *Program) buildLockSummaries() {
 			}
 		}
 	}
+	return sums
 }
 
 func (s *lockSummary) noteBlock(desc, fnName string) {

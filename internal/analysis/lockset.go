@@ -60,9 +60,12 @@ type heldLock struct {
 // function body.
 type lockWalker struct {
 	prog   *Program
-	fi     *FuncInfo
 	info   *types.Info
 	fnName string
+	// sums are lockorder's per-function summaries and sink is where its
+	// findings go; an observing walk has neither.
+	sums map[*types.Func]*lockSummary
+	sink Reporter
 	// flagged dedups findings per position; blocked limits
 	// held-across-blocking findings to one per lock per function.
 	flagged map[token.Pos]bool
@@ -78,11 +81,7 @@ func (w *lockWalker) report(pos token.Pos, format string, args ...any) {
 		return
 	}
 	w.flagged[pos] = true
-	w.prog.lockFindings = append(w.prog.lockFindings, progDiag{
-		pkg: w.fi.Pkg.Types.Path(),
-		pos: pos,
-		msg: fmt.Sprintf(format, args...),
-	})
+	w.sink(pos, format, args...)
 }
 
 // walkStmts interprets stmts in order, threading the held-lock set
@@ -188,10 +187,8 @@ func (w *lockWalker) walkStmt(st ast.Stmt, held []heldLock) []heldLock {
 			}
 			if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
 				w.hooks.funcLit(lit, held)
-			} else if callee := w.prog.calleeFunc(w.info, st.Call); callee != nil {
-				if _, loaded := w.prog.Funcs[callee]; loaded {
-					w.hooks.call(st.Call, callee, held, true)
-				}
+			} else if callee, _ := w.prog.callee(w.info, st.Call); callee != nil {
+				w.hooks.call(st.Call, callee.Obj, held, true)
 			}
 		}
 		for _, a := range st.Call.Args {
@@ -525,9 +522,7 @@ func (w *lockWalker) applyCall(call *ast.CallExpr, held []heldLock) []heldLock {
 		// Record order edges against everything currently held.
 		if w.hooks == nil {
 			for _, h := range held {
-				w.edges = append(w.edges, lockEdge{
-					pkg: w.fi.Pkg.Types.Path(), pos: call.Pos(), fn: w.fnName, from: h.key, to: key,
-				})
+				w.edges = append(w.edges, lockEdge{pos: call.Pos(), fn: w.fnName, from: h.key, to: key})
 			}
 		}
 		return append(copyHeld(held), heldLock{key: key, write: write, pos: call.Pos()})
@@ -561,21 +556,16 @@ func (w *lockWalker) applyCall(call *ast.CallExpr, held []heldLock) []heldLock {
 		w.blockingOp(call.Pos(), desc, held)
 		return held
 	}
-	callee := w.prog.calleeFunc(w.info, call)
+	callee, _ := w.prog.callee(w.info, call)
 	if callee == nil {
 		return held
 	}
 	if w.hooks != nil {
-		if _, loaded := w.prog.Funcs[callee]; loaded {
-			w.hooks.call(call, callee, held, false)
-		}
+		w.hooks.call(call, callee.Obj, held, false)
 		return held
 	}
-	sum := w.prog.lockSums[callee]
-	if sum == nil {
-		return held
-	}
-	calleeName := funcDisplayName(callee)
+	sum := w.sums[callee.Obj]
+	calleeName := callName(callee.Obj)
 	// Self-deadlock through a helper: the callee may acquire a lock
 	// class we already hold.
 	for _, h := range held {
@@ -590,9 +580,7 @@ func (w *lockWalker) applyCall(call *ast.CallExpr, held []heldLock) []heldLock {
 			if key == h.key {
 				continue
 			}
-			w.edges = append(w.edges, lockEdge{
-				pkg: w.fi.Pkg.Types.Path(), pos: call.Pos(), fn: w.fnName, from: h.key, to: key,
-			})
+			w.edges = append(w.edges, lockEdge{pos: call.Pos(), fn: w.fnName, from: h.key, to: key})
 		}
 	}
 	if sum.blocks != nil && len(held) > 0 {
@@ -630,7 +618,7 @@ func (w *lockWalker) blockingCallOp(pos token.Pos, b *lockBlock, held []heldLock
 }
 
 func (w *lockWalker) pos(p token.Pos) string {
-	return w.fi.Pkg.Fset.Position(p).String()
+	return w.prog.Fset.Position(p).String()
 }
 
 // --- lock and blocking-operation recognition ---

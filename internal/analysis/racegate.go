@@ -53,26 +53,11 @@ var RaceGate = &Analyzer{
 	Run:  runRaceGate,
 }
 
-func runRaceGate(pass *Pass) {
-	p := pass.Prog
-	p.ensureRaceGate()
-	pkgPath := pass.Pkg.Path()
-	for _, d := range p.raceFindings {
-		if d.pkg == pkgPath {
-			pass.Reportf(d.pos, "%s", d.msg)
-		}
-	}
-}
-
-// ensureRaceGate runs the whole-program race analysis once and stores
-// the findings on the Program, tagged with their owning package.
-func (p *Program) ensureRaceGate() {
-	if p.raceReady {
-		return
-	}
-	p.raceReady = true
+// runRaceGate is the whole-program race analysis.
+func runRaceGate(p *Program, report Reporter) {
 	a := &raceAnalysis{
 		prog:       p,
+		report:     report,
 		fnCtx:      make(map[*types.Func]*rgCtx),
 		origins:    map[string]*rgOrigin{"main": {id: "main"}},
 		fieldOwner: make(map[string]*types.Named),
@@ -86,7 +71,6 @@ func (p *Program) ensureRaceGate() {
 	a.computeMulti()
 	a.computeLambda()
 	a.evaluate()
-	sort.Slice(p.raceFindings, func(i, j int) bool { return p.raceFindings[i].pos < p.raceFindings[j].pos })
 }
 
 // rgOrigin is one inferred goroutine origin: the main goroutine, or one
@@ -96,7 +80,6 @@ func (p *Program) ensureRaceGate() {
 type rgOrigin struct {
 	id     string // "main" or "go@file:line"
 	pos    token.Pos
-	pkg    string
 	fnName string // display name of the spawning function
 	inLoop bool
 	multi  bool
@@ -108,7 +91,6 @@ type rgOrigin struct {
 // context.
 type rgCtx struct {
 	name string
-	pkg  *Package
 	fn   *types.Func // nil for go-literal contexts
 	// origins is the set of origin ids whose goroutines can execute
 	// this context; via records, per origin, the caller that first
@@ -176,6 +158,7 @@ type rgPre struct {
 
 type raceAnalysis struct {
 	prog       *Program
+	report     Reporter
 	ctxs       []*rgCtx
 	fnCtx      map[*types.Func]*rgCtx
 	origins    map[string]*rgOrigin
@@ -201,8 +184,7 @@ func (a *raceAnalysis) buildContexts() {
 	for _, fi := range fis {
 		fn := fi.Obj
 		c := &rgCtx{
-			name:    funcDisplayName(fn),
-			pkg:     fi.Pkg,
+			name:    callName(fn),
 			fn:      fn,
 			origins: make(map[string]bool),
 			via:     make(map[string]*rgCtx),
@@ -225,7 +207,6 @@ func (a *raceAnalysis) walkInto(c *rgCtx, fi *FuncInfo, pre *rgPre, stmts []ast.
 	info := fi.Pkg.Info
 	w := &lockWalker{
 		prog:   a.prog,
-		fi:     fi,
 		info:   info,
 		fnName: c.name,
 	}
@@ -261,13 +242,12 @@ func (a *raceAnalysis) walkInto(c *rgCtx, fi *FuncInfo, pre *rgPre, stmts []ast.
 // callgraph fixture.
 func (a *raceAnalysis) noteSpawn(c *rgCtx, fi *FuncInfo, pre *rgPre, st *ast.GoStmt) {
 	pos := st.Pos()
-	id := "go@" + a.shortPos(fi.Pkg, pos)
+	id := "go@" + a.shortPos(pos)
 	o := a.origins[id]
 	if o == nil {
 		o = &rgOrigin{
 			id:     id,
 			pos:    pos,
-			pkg:    fi.Pkg.Types.Path(),
 			fnName: c.name,
 			inLoop: pre.inLoop(pos),
 		}
@@ -276,8 +256,7 @@ func (a *raceAnalysis) noteSpawn(c *rgCtx, fi *FuncInfo, pre *rgPre, st *ast.GoS
 	sp := &rgSpawn{origin: o}
 	if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
 		lc := &rgCtx{
-			name:    fmt.Sprintf("go-func@%s (in %s)", a.shortPos(fi.Pkg, pos), c.name),
-			pkg:     fi.Pkg,
+			name:    fmt.Sprintf("go-func@%s (in %s)", a.shortPos(pos), c.name),
 			fn:      nil,
 			origins: make(map[string]bool),
 			via:     make(map[string]*rgCtx),
@@ -285,10 +264,8 @@ func (a *raceAnalysis) noteSpawn(c *rgCtx, fi *FuncInfo, pre *rgPre, st *ast.GoS
 		a.ctxs = append(a.ctxs, lc)
 		sp.rootCtx = lc
 		a.walkInto(lc, fi, pre, lit.Body.List, nil)
-	} else if callee := a.prog.calleeFunc(fi.Pkg.Info, st.Call); callee != nil {
-		if _, loaded := a.prog.Funcs[callee]; loaded {
-			sp.rootFn = callee
-		}
+	} else if callee, _ := a.prog.callee(fi.Pkg.Info, st.Call); callee != nil {
+		sp.rootFn = callee.Obj
 	}
 	c.spawns = append(c.spawns, sp)
 }
@@ -769,12 +746,8 @@ func (a *raceAnalysis) checkMix(key string, atomics, plains []*rgAccess) bool {
 			if p.write {
 				verb = "write"
 			}
-			a.prog.raceFindings = append(a.prog.raceFindings, progDiag{
-				pkg: p.ctx.pkg.Types.Path(),
-				pos: p.pos,
-				msg: fmt.Sprintf("field %s is accessed both atomically and plainly: plain %s here in %s can run concurrently with the atomic access at %s in %s — the plain access defeats the atomic discipline; use the atomic API (or one lock) for every access",
-					lockShort(key), verb, p.ctx.name, a.posOf(at), at.ctx.name),
-			})
+			a.report(p.pos, "field %s is accessed both atomically and plainly: plain %s here in %s can run concurrently with the atomic access at %s in %s — the plain access defeats the atomic discipline; use the atomic API (or one lock) for every access",
+				lockShort(key), verb, p.ctx.name, a.posOf(at), at.ctx.name)
 			return true
 		}
 	}
@@ -828,24 +801,16 @@ func (a *raceAnalysis) checkRace(key string, all, plains []*rgAccess) {
 func (a *raceAnalysis) reportRace(key string, w, acc *rgAccess) {
 	wo, ao := a.pickOrigins(w, acc)
 	if w == acc {
-		a.prog.raceFindings = append(a.prog.raceFindings, progDiag{
-			pkg: w.ctx.pkg.Types.Path(),
-			pos: w.pos,
-			msg: fmt.Sprintf("field %s is written here in %s (%s) and %s runs concurrent instances — concurrent writes to the same field race with each other; no common lock protects them and the access is not atomic",
-				lockShort(key), w.ctx.name, a.accessDesc(w, wo), a.originDesc(wo)),
-		})
+		a.report(w.pos, "field %s is written here in %s (%s) and %s runs concurrent instances — concurrent writes to the same field race with each other; no common lock protects them and the access is not atomic",
+			lockShort(key), w.ctx.name, a.accessDesc(w, wo), a.originDesc(wo))
 		return
 	}
 	verb := "read"
 	if acc.write {
 		verb = "written"
 	}
-	a.prog.raceFindings = append(a.prog.raceFindings, progDiag{
-		pkg: w.ctx.pkg.Types.Path(),
-		pos: w.pos,
-		msg: fmt.Sprintf("field %s is written here in %s (%s) and %s at %s in %s (%s); the accesses share no common lock and are not atomic — schedule-dependent data race",
-			lockShort(key), w.ctx.name, a.accessDesc(w, wo), verb, a.posOf(acc), acc.ctx.name, a.accessDesc(acc, ao)),
-	})
+	a.report(w.pos, "field %s is written here in %s (%s) and %s at %s in %s (%s); the accesses share no common lock and are not atomic — schedule-dependent data race",
+		lockShort(key), w.ctx.name, a.accessDesc(w, wo), verb, a.posOf(acc), acc.ctx.name, a.accessDesc(acc, ao))
 }
 
 // concurrent reports whether two accesses can execute at the same time:
@@ -985,10 +950,10 @@ func (a *raceAnalysis) pathTo(c *rgCtx, origin string) string {
 
 // posOf renders an access position as file:line using the shared fset.
 func (a *raceAnalysis) posOf(acc *rgAccess) string {
-	return a.shortPos(acc.ctx.pkg, acc.pos)
+	return a.shortPos(acc.pos)
 }
 
-func (a *raceAnalysis) shortPos(pkg *Package, pos token.Pos) string {
-	p := pkg.Fset.Position(pos)
+func (a *raceAnalysis) shortPos(pos token.Pos) string {
+	p := a.prog.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -41,109 +41,19 @@ type collSummary struct {
 	path []string
 }
 
-// mayColl is the boolean closure "fn may (transitively) issue a
-// collective", computed for the whole program at once so the signature
-// builder can collapse recursion without losing that bit.
-func (p *Program) ensureMayColl() {
-	if p.mayColl != nil {
-		return
-	}
-	p.mayColl = make(map[*types.Func]bool)
-	callees := make(map[*types.Func][]*types.Func)
-	for fn, fi := range p.Funcs {
-		direct := false
-		scanCalls(fi.Pkg.Info, fi.Decl.Body, func(call *ast.CallExpr) {
-			if collectiveSet[commMethodName(fi.Pkg.Info, call)] {
-				direct = true
-				return
-			}
-			if callee := p.calleeFunc(fi.Pkg.Info, call); callee != nil {
-				if _, loaded := p.Funcs[callee]; loaded {
-					callees[fn] = append(callees[fn], callee)
-				}
+// callsComm returns the predicate "the body directly calls an mpi.Comm
+// method of one of these sets", for Program.reach.
+func callsComm(sets ...map[string]bool) func(*FuncInfo) bool {
+	return func(fi *FuncInfo) bool {
+		found := false
+		scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
+			name := commMethodName(fi.Pkg.Info, call)
+			for _, set := range sets {
+				found = found || set[name]
 			}
 		})
-		if direct {
-			p.mayColl[fn] = true
-		}
+		return found
 	}
-	for changed := true; changed; {
-		changed = false
-		for fn, cs := range callees {
-			if p.mayColl[fn] {
-				continue
-			}
-			for _, c := range cs {
-				if p.mayColl[c] {
-					p.mayColl[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// mayP2P is the matching closure for point-to-point communication:
-// "fn may (transitively) issue a Send/Recv-family call". The collabort
-// analyzer unions it with mayColl to decide that a function has entered
-// the communication phase.
-func (p *Program) ensureMayP2P() {
-	if p.mayP2P != nil {
-		return
-	}
-	p.mayP2P = make(map[*types.Func]bool)
-	callees := make(map[*types.Func][]*types.Func)
-	for fn, fi := range p.Funcs {
-		direct := false
-		scanCalls(fi.Pkg.Info, fi.Decl.Body, func(call *ast.CallExpr) {
-			if p2pSet[commMethodName(fi.Pkg.Info, call)] {
-				direct = true
-				return
-			}
-			if callee := p.calleeFunc(fi.Pkg.Info, call); callee != nil {
-				if _, loaded := p.Funcs[callee]; loaded {
-					callees[fn] = append(callees[fn], callee)
-				}
-			}
-		})
-		if direct {
-			p.mayP2P[fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, cs := range callees {
-			if p.mayP2P[fn] {
-				continue
-			}
-			for _, c := range cs {
-				if p.mayP2P[c] {
-					p.mayP2P[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// scanCalls visits every call expression under n in source order,
-// skipping function literals (their bodies run on their own schedule —
-// the same exclusion the intraprocedural walkers apply) and go
-// statements (unsequenced with the caller).
-func scanCalls(info *types.Info, n ast.Node, f func(*ast.CallExpr)) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			f(x)
-		}
-		return true
-	})
 }
 
 // collSummaryOf returns fn's collective summary, or nil when fn is not
@@ -156,7 +66,6 @@ func (p *Program) collSummaryOf(fn *types.Func) *collSummary {
 	if !ok {
 		return nil
 	}
-	p.ensureMayColl()
 	if !p.mayColl[fn] {
 		s := &collSummary{}
 		p.collSums[fn] = s
@@ -166,22 +75,20 @@ func (p *Program) collSummaryOf(fn *types.Func) *collSummary {
 		// Recursive cycle: opaque but non-empty, so the caller's guard
 		// comparison neither hides the collective nor pretends to know
 		// its shape.
-		name := funcDisplayName(fn)
+		name := callName(fn)
 		return &collSummary{
 			sig:  []string{"rec:" + name},
 			path: []string{name, "…"},
 		}
 	}
 	p.collVisiting[fn] = true
-	// Analyzer is nil: the summary walker shares collorder's walking code
-	// but reports nothing (silent), and naming CollOrder here would form
-	// an initialization cycle with its Run function.
-	pass := p.passFor(nil, fi.Pkg)
+	// No reporter: the summary walker shares collorder's walking code but
+	// reports nothing.
+	pass := &Pass{Package: fi.Pkg, Prog: p}
 	w := &collWalker{
 		pass:     pass,
 		rankObjs: rankDerivedVars(pass, fi.Decl.Body),
 		flagged:  make(map[token.Pos]bool),
-		silent:   true,
 	}
 	res := w.walkStmts(fi.Decl.Body.List)
 	s := &collSummary{sig: res.sig, path: p.collPath(fi)}
@@ -196,27 +103,22 @@ func (p *Program) collSummaryOf(fn *types.Func) *collSummary {
 func (p *Program) collPath(fi *FuncInfo) []string {
 	info := fi.Pkg.Info
 	var path []string
-	scanCalls(info, fi.Decl.Body, func(call *ast.CallExpr) {
+	scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
 		if path != nil {
 			return
 		}
 		if name := commMethodName(info, call); collectiveSet[name] {
-			path = []string{funcDisplayName(fi.Obj), "Comm." + name}
+			path = []string{callName(fi.Obj), "Comm." + name}
 			return
 		}
-		callee := p.calleeFunc(info, call)
-		if callee == nil {
-			return
-		}
-		if _, loaded := p.Funcs[callee]; !loaded {
-			return
-		}
-		if cs := p.collSummaryOf(callee); cs != nil && len(cs.sig) > 0 {
-			path = append([]string{funcDisplayName(fi.Obj)}, cs.path...)
+		if callee, _ := p.callee(info, call); callee != nil {
+			if cs := p.collSummaryOf(callee.Obj); len(cs.sig) > 0 {
+				path = append([]string{callName(fi.Obj)}, cs.path...)
+			}
 		}
 	})
 	if path == nil {
-		path = []string{funcDisplayName(fi.Obj)}
+		path = []string{callName(fi.Obj)}
 	}
 	return path
 }
@@ -287,7 +189,7 @@ func (p *Program) bufSummaryOf(fn *types.Func) *bufSummary {
 		s := &bufSummary{touches: make(map[int]bool), touchPath: make(map[int][]string)}
 		for _, i := range params {
 			s.touches[i] = true
-			s.touchPath[i] = []string{funcDisplayName(fn), "…"}
+			s.touchPath[i] = []string{callName(fn), "…"}
 		}
 		return s
 	}
@@ -305,7 +207,7 @@ func (p *Program) bufSummaryOf(fn *types.Func) *bufSummary {
 		return s
 	}
 	info := fi.Pkg.Info
-	name := funcDisplayName(fn)
+	name := callName(fn)
 
 	// consumed marks parameter identifiers that appear as a whole
 	// argument to a resolvable call; their effect is the callee's
@@ -330,7 +232,7 @@ func (p *Program) bufSummaryOf(fn *types.Func) *bufSummary {
 	// race), so literals are scanned for uses below; handoff and call
 	// propagation stay restricted to the function's own schedule via
 	// scanCalls.
-	scanCalls(info, fi.Decl.Body, func(call *ast.CallExpr) {
+	scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
 		argIdx := func(pos int) (int, *ast.Ident, bool) {
 			id, ok := ast.Unparen(call.Args[pos]).(*ast.Ident)
 			if !ok {
@@ -348,12 +250,11 @@ func (p *Program) bufSummaryOf(fn *types.Func) *bufSummary {
 				return
 			}
 		}
-		callee := p.calleeFunc(info, call)
+		var callee *types.Func
 		var calleeSum *bufSummary
-		if callee != nil {
-			if _, loaded := p.Funcs[callee]; loaded {
-				calleeSum = p.bufSummaryOf(callee)
-			}
+		if cfi, _ := p.callee(info, call); cfi != nil {
+			callee = cfi.Obj
+			calleeSum = p.bufSummaryOf(callee)
 		}
 		for a := range call.Args {
 			i, id, ok := argIdx(a)
@@ -449,25 +350,20 @@ func (p *Program) errSummaryOf(fn *types.Func) *errSummary {
 
 	info := fi.Pkg.Info
 	s := &errSummary{}
-	scanCalls(info, fi.Decl.Body, func(call *ast.CallExpr) {
+	scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
 		if s.propagates {
 			return
 		}
 		if watched, ok := watchedCall(info, call); ok {
 			s.propagates = true
-			s.path = []string{funcDisplayName(fn), callName(watched)}
+			s.path = []string{callName(fn), callName(watched)}
 			return
 		}
-		callee := p.calleeFunc(info, call)
-		if callee == nil {
-			return
-		}
-		if _, loaded := p.Funcs[callee]; !loaded {
-			return
-		}
-		if cs := p.errSummaryOf(callee); cs != nil && cs.propagates {
-			s.propagates = true
-			s.path = append([]string{funcDisplayName(fn)}, cs.path...)
+		if callee, _ := p.callee(info, call); callee != nil {
+			if cs := p.errSummaryOf(callee.Obj); cs.propagates {
+				s.propagates = true
+				s.path = append([]string{callName(fn)}, cs.path...)
+			}
 		}
 	})
 	p.errSums[fn] = s

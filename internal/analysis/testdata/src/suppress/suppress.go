@@ -38,7 +38,7 @@ func unknownAnalyzer(c *mpi.Comm) {
 	}
 }
 
-// A stale allow: nothing on this or the next line trips tagclash.
+// A stale allow: nothing on this or the next line trips errdrop.
 //
-//spio:allow tagclash -- stale: the hazard is long gone
+//spio:allow errdrop -- stale: the hazard is long gone
 func nothingHere() {}

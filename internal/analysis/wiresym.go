@@ -54,7 +54,7 @@ import (
 var WireSym = &Analyzer{
 	Name: "wiresym",
 	Doc:  "flags width/order/count asymmetries between paired writer/reader functions of the on-disk format",
-	Run:  runWireSym,
+	Run:  perPackage(runWireSym),
 }
 
 // wireOps maps sticky writer/reader method names, lower-cased, to
@@ -447,14 +447,11 @@ func (x *wireExtractor) exprItems(n ast.Node) []wireItem {
 		}
 		// Helper splice: a loaded callee contributes its streams, either
 		// onto the writer/reader argument it receives or anonymously.
-		callee := x.prog.calleeFunc(info, call)
+		callee, _ := x.prog.callee(info, call)
 		if callee == nil {
 			return true
 		}
-		if _, loaded := x.prog.Funcs[callee]; !loaded {
-			return true
-		}
-		sum := x.prog.wireSummaryOf(callee)
+		sum := x.prog.wireSummaryOf(callee.Obj)
 		if len(sum.w) == 0 && len(sum.r) == 0 {
 			return true
 		}
@@ -596,14 +593,14 @@ func stitchWire(items []wireItem) *wireSummary {
 		consumed bool
 	}
 	var order []*stream
-	byKey := make(map[key]*stream)
+	streams := make(map[key]*stream)
 	s := &wireSummary{}
 	for _, it := range items {
 		k := key{it.obj, it.kind}
-		st, ok := byKey[k]
+		st, ok := streams[k]
 		if !ok {
 			st = &stream{key: k}
-			byKey[k] = st
+			streams[k] = st
 			order = append(order, st)
 		}
 		st.toks = append(st.toks, it.tok)
@@ -624,7 +621,7 @@ func stitchWire(items []wireItem) *wireSummary {
 				if t.name != "@buf" || t.ref == nil {
 					continue
 				}
-				src, ok := byKey[key{t.ref, st.key.kind}]
+				src, ok := streams[key{t.ref, st.key.kind}]
 				if !ok || src == st {
 					st.toks[i] = wireTok{name: "bytes", pos: t.pos}
 					continue
@@ -673,9 +670,6 @@ func wireCounterparts(name string) []string {
 }
 
 func runWireSym(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
 	// Package-level functions of this package, by name.
 	funcs := make(map[string]*types.Func)
 	for _, file := range pass.Files {

@@ -41,17 +41,6 @@ var WireTaint = &Analyzer{
 	Run:  runWireTaint,
 }
 
-func runWireTaint(pass *Pass) {
-	p := pass.Prog
-	p.ensureTaint()
-	pkgPath := pass.Pkg.Path()
-	for _, d := range p.taintFindings {
-		if d.pkg == pkgPath {
-			pass.Reportf(d.pos, "%s", d.msg)
-		}
-	}
-}
-
 // taintVal tracks where a value's bits may come from: a decode source
 // (src) and/or the enclosing function's parameters (params, a bitmask
 // by parameter index — the currency of the interprocedural summaries).
@@ -100,75 +89,102 @@ func (s *taintSummary) fingerprint() string {
 	return fmt.Sprintf("%v/%x/%d/%d", s.retSrc, s.retParams, len(s.sinkParams), nf)
 }
 
-// ensureTaint runs the whole-program taint fixpoint once: repeat
-// per-function walks until no summary and no tainted-field set
-// changes, then keep the final round's findings.
-func (p *Program) ensureTaint() {
-	if p.taintReady {
-		return
+// taintRun is the state of one whole-program taint fixpoint.
+type taintRun struct {
+	prog *Program
+	// sums are the propagated per-function summaries; fields the field
+	// classes some decode path stored an untrusted value into.
+	sums   map[*types.Func]*taintSummary
+	fields map[string]bool
+	// untrusted holds every package one of whose files carries a
+	// //spio:untrusted-input comment on its package clause. A sticky
+	// reader's methods called in such a package are the taint roots: the
+	// marker is how decoding hostile bytes (the server's frames) is
+	// distinguished from decoding trusted local files with the same codec.
+	untrusted map[*Package]bool
+	// report is set for the round whose findings are kept.
+	report Reporter
+}
+
+// taintMaxRounds caps the fixpoint. The module converges in well under
+// it (TestRepoClean prints the count); running into it is reported, not
+// passed off as a clean result.
+var taintMaxRounds = 12
+
+// runWireTaint runs the whole-program taint fixpoint: repeat
+// per-function walks until no summary and no tainted-field set changes,
+// then walk once more, reporting.
+func runWireTaint(prog *Program, report Reporter) {
+	rounds, converged := taintFixpoint(prog, report)
+	if !converged {
+		report(prog.Pkgs[0].Files[0].Package, "taint fixpoint did not converge in %d rounds; results are incomplete", rounds)
 	}
-	p.taintReady = true
-	p.scanUntrustedPkgs()
-	fns := make([]*FuncInfo, 0, len(p.Funcs))
-	for _, fi := range p.Funcs {
+}
+
+// taintFixpoint is runWireTaint's engine; it returns the number of
+// propagation rounds taken and whether the last one changed nothing.
+func taintFixpoint(prog *Program, report Reporter) (rounds int, converged bool) {
+	t := &taintRun{
+		prog:      prog,
+		sums:      make(map[*types.Func]*taintSummary),
+		fields:    make(map[string]bool),
+		untrusted: make(map[*Package]bool),
+	}
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			if commentHasUntrusted(file.Doc) {
+				t.untrusted[pkg] = true
+			}
+		}
+	}
+	fns := make([]*FuncInfo, 0, len(prog.Funcs))
+	for _, fi := range prog.Funcs {
 		fns = append(fns, fi)
 	}
 	// Deterministic order keeps rounds (and finding order) stable.
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Decl.Pos() < fns[j].Decl.Pos() })
 
-	for round := 0; round < 12; round++ {
-		p.taintFindings = nil
-		changed := false
-		for _, fi := range fns {
-			old := ""
-			if s := p.taintSums[fi.Obj]; s != nil {
-				old = s.fingerprint()
-			}
-			w := &taintWalker{
-				prog:        p,
-				fi:          fi,
-				info:        fi.Pkg.Info,
-				fnName:      funcDisplayName(fi.Obj),
-				vals:        make(map[types.Object]taintVal),
-				cleanFields: make(map[string]bool),
-				sum:         newTaintSummary(),
-				flagged:     make(map[token.Pos]bool),
-			}
-			for i, obj := range paramObjs(fi) {
-				if obj != nil && i < 64 {
-					w.vals[obj] = taintVal{params: 1 << i}
-				}
-			}
-			w.walkStmts(fi.Decl.Body.List)
-			if w.fieldChanged {
-				changed = true
-			}
-			if w.sum.fingerprint() != old {
-				changed = true
-			}
-			p.taintSums[fi.Obj] = w.sum
-		}
-		if !changed {
-			break
-		}
+	for !converged && rounds < taintMaxRounds {
+		rounds++
+		converged = !t.round(fns)
 	}
-	sort.Slice(p.taintFindings, func(i, j int) bool { return p.taintFindings[i].pos < p.taintFindings[j].pos })
+	// The summaries are final (or as good as the cap allows): one more
+	// walk over them is the one that reports.
+	t.report = report
+	t.round(fns)
+	return rounds, converged
 }
 
-// scanUntrustedPkgs records every package one of whose files carries a
-// //spio:untrusted-input comment on its package clause. A sticky reader's
-// methods called in such a package are the taint roots: the marker is how
-// decoding hostile bytes (the server's frames) is distinguished from
-// decoding trusted local files with the same codec.
-func (p *Program) scanUntrustedPkgs() {
-	p.taintPkgs = make(map[string]bool)
-	for _, pkg := range p.Pkgs {
-		for _, file := range pkg.Files {
-			if commentHasUntrusted(file.Doc) {
-				p.taintPkgs[pkg.Types.Path()] = true
+// round walks every function once against the current summaries and
+// reports whether any summary or tainted field class changed.
+func (t *taintRun) round(fns []*FuncInfo) (changed bool) {
+	for _, fi := range fns {
+		old := ""
+		if s := t.sums[fi.Obj]; s != nil {
+			old = s.fingerprint()
+		}
+		w := &taintWalker{
+			taintRun:    t,
+			fi:          fi,
+			info:        fi.Pkg.Info,
+			fnName:      callName(fi.Obj),
+			vals:        make(map[types.Object]taintVal),
+			cleanFields: make(map[string]bool),
+			sum:         newTaintSummary(),
+			flagged:     make(map[token.Pos]bool),
+		}
+		for i, obj := range paramObjs(fi) {
+			if obj != nil && i < 64 {
+				w.vals[obj] = taintVal{params: 1 << i}
 			}
 		}
+		w.walkStmts(fi.Decl.Body.List)
+		if w.fieldChanged || w.sum.fingerprint() != old {
+			changed = true
+		}
+		t.sums[fi.Obj] = w.sum
 	}
+	return changed
 }
 
 func commentHasUntrusted(cg *ast.CommentGroup) bool {
@@ -212,7 +228,7 @@ func paramObjs(fi *FuncInfo) []types.Object {
 
 // taintWalker interprets one function body, one fixpoint round.
 type taintWalker struct {
-	prog   *Program
+	*taintRun
 	fi     *FuncInfo
 	info   *types.Info
 	fnName string
@@ -227,16 +243,13 @@ type taintWalker struct {
 	fieldChanged bool
 }
 
-func (w *taintWalker) report(pos token.Pos, format string, args ...any) {
-	if w.flagged[pos] {
+// flag reports one finding per position, in the reporting walk only.
+func (w *taintWalker) flag(pos token.Pos, format string, args ...any) {
+	if w.report == nil || w.flagged[pos] {
 		return
 	}
 	w.flagged[pos] = true
-	w.prog.taintFindings = append(w.prog.taintFindings, progDiag{
-		pkg: w.fi.Pkg.Types.Path(),
-		pos: pos,
-		msg: fmt.Sprintf(format, args...),
-	})
+	w.report(pos, format, args...)
 }
 
 // markFieldTaint records that a field class received tainted bits:
@@ -246,8 +259,8 @@ func (w *taintWalker) markFieldTaint(key string, val taintVal) {
 	if key == "" || val.zero() {
 		return
 	}
-	if val.src && !w.prog.taintFields[key] {
-		w.prog.taintFields[key] = true
+	if val.src && !w.fields[key] {
+		w.fields[key] = true
 		w.fieldChanged = true
 	}
 	for i := 0; i < 64; i++ {
@@ -276,7 +289,7 @@ func (w *taintWalker) sinkHit(pos token.Pos, desc string, val taintVal, path []s
 		if len(path) > 0 {
 			loc = " (via " + strings.Join(path, " → ") + ")"
 		}
-		w.report(pos, "%s reaches %s in %s without a dominating bound check — a hostile length becomes a huge allocation or spin%s",
+		w.flag(pos, "%s reaches %s in %s without a dominating bound check — a hostile length becomes a huge allocation or spin%s",
 			"untrusted decode value", desc, w.fnName, loc)
 	}
 	for i := 0; i < 64; i++ {
@@ -546,7 +559,7 @@ func (w *taintWalker) eval(e ast.Expr) taintVal {
 	case *ast.SelectorExpr:
 		base := w.eval(e.X)
 		key := w.fieldKeyOf(e)
-		if key != "" && w.prog.taintFields[key] && !w.cleanFields[key] {
+		if key != "" && w.fields[key] && !w.cleanFields[key] {
 			return base.or(taintVal{src: true})
 		}
 		return base
@@ -653,12 +666,11 @@ func (w *taintWalker) evalCall(call *ast.CallExpr) taintVal {
 		return taintVal{src: true}
 	}
 	// Resolved callee: apply its summary.
-	callee := w.prog.calleeFunc(w.info, call)
+	var callee *types.Func
 	var sum *taintSummary
-	if callee != nil {
-		if _, loaded := w.prog.Funcs[callee]; loaded {
-			sum = w.prog.taintSums[callee]
-		}
+	if cfi, _ := w.prog.callee(w.info, call); cfi != nil {
+		callee = cfi.Obj
+		sum = w.sums[callee]
 	}
 	if sum == nil {
 		// Unknown or external: evaluate arguments for nested sinks, and
@@ -669,7 +681,7 @@ func (w *taintWalker) evalCall(call *ast.CallExpr) taintVal {
 		}
 		return taintVal{}
 	}
-	calleeName := funcDisplayName(callee)
+	calleeName := callName(callee)
 	sig, _ := callee.Type().(*types.Signature)
 	nParams := 0
 	hasRecv := false
@@ -764,7 +776,7 @@ func isBinaryIntReader(info *types.Info, call *ast.CallExpr) bool {
 // decode-source tainted (integers are hostile sizes, byte slices are
 // hostile bytes for isBinaryIntReader to launder).
 func (w *taintWalker) isDecoderSource(call *ast.CallExpr) bool {
-	if !w.prog.taintPkgs[w.fi.Pkg.Types.Path()] {
+	if !w.untrusted[w.fi.Pkg] {
 		return false
 	}
 	fn := funcObj(w.info, call)

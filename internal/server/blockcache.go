@@ -1,27 +1,27 @@
 // Package server is spio's resident dataset-serving subsystem: a
 // long-lived daemon (cmd/spiod) that mounts dataset directories and
 // serves the existing query surface — box reads, KNN, halos, density
-// grids, progressive LOD streams — to many concurrent clients over a
-// compact length-prefixed binary protocol on TCP or Unix sockets.
+// grids, level ranges of the LOD prefix — to many concurrent clients
+// over a compact length-prefixed binary protocol on TCP or Unix sockets.
 //
 // The subsystem owns what the in-process read path cannot provide to a
 // fleet of independent clients:
 //
 //   - a shared, size-bounded block cache layered under each dataset's
-//     open-file cache, with singleflight loads so concurrent queries
-//     for the same file region do one disk read (blockcache.go);
+//     open-file cache; a block is loaded once, and a query that wants
+//     it meanwhile waits for that load (blockcache.go, internal/cache);
 //   - an admission controller — bounded worker pool, queue-depth limit
 //     with fast-fail (ErrOverloaded), per-request response byte
 //     budgets, graceful drain on shutdown (admission.go, server.go);
-//   - level-by-level progressive streaming with explicit client
-//     backpressure, reusing the reader's LOD prefix machinery
-//     (server.go, client.go);
+//   - one request, one response: a progressive read is a client-side
+//     cursor issuing one level-range query per level, so the server
+//     holds nothing between two levels (front.go, client.go);
 //   - an observability surface: per-request counters aggregated into a
 //     JSON /metrics snapshot (metrics.go).
 //
-// The wire format is a thin, symmetric reuse of the internal/format
-// encoding idiom (wire.go), so `spiolint wiresym` checks every
-// request/response pair statically.
+// Frames are written and read through internal/binio in encodeX/decodeX
+// pairs (wire.go), so `spiolint wiresym` checks every request/response
+// pair statically.
 package server
 
 import (

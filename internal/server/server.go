@@ -33,8 +33,7 @@ const (
 
 // Config tunes a Server. The zero value serves with sane defaults.
 type Config struct {
-	// Workers bounds concurrently executing requests (default 2×CPU via
-	// nothing fancy: 8).
+	// Workers bounds concurrently executing requests (default 8).
 	Workers int
 	// QueueDepth bounds requests waiting for a worker; one more fails
 	// fast with ErrOverloaded (default 4×Workers).
