@@ -56,9 +56,15 @@ type Timing struct {
 	ParticleExchange time.Duration
 	Reorder          time.Duration
 	FileIO           time.Duration
-	MetaIO           time.Duration
-	// Abort is the time spent in the error-agreement rounds and abort
-	// cleanup when a write fails; zero on the success path.
+	// Encode is the part of FileIO spent compressing the payload (zero
+	// for a raw one): of FileIO, not beside it.
+	Encode time.Duration
+	MetaIO time.Duration
+	// Wait is the time spent in the error-agreement rounds that passed:
+	// blocked until the slowest rank has finished the phase before.
+	Wait time.Duration
+	// Abort is the time spent in the error-agreement round that failed a
+	// write, and in the cleanup after it; zero on the success path.
 	Abort time.Duration
 	// ExchangeBytes counts the particle payload bytes this rank received
 	// over the wire during the data phase (self-sends are encoded in
@@ -74,7 +80,7 @@ func (t Timing) Aggregation() time.Duration {
 
 // Total returns the end-to-end write time on this rank.
 func (t Timing) Total() time.Duration {
-	return t.Aggregation() + t.Reorder + t.FileIO + t.MetaIO + t.Abort
+	return t.Aggregation() + t.Reorder + t.FileIO + t.MetaIO + t.Wait + t.Abort
 }
 
 // send is one outgoing bundle: count particles for one aggregator, and

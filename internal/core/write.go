@@ -269,14 +269,15 @@ func agreeOnError(c *mpi.Comm, phase string, local error) error {
 	return fmt.Errorf("core: %s failed on %d of %d ranks", phase, failed, c.Size())
 }
 
-// agreePoint is agreeOnError plus abort bookkeeping: on an agreed
-// failure it optionally removes this rank's published outputs and
-// charges the time to the Abort phase.
+// agreePoint is agreeOnError plus its bookkeeping: a round that passes is
+// charged to the Wait phase; on an agreed failure it optionally removes
+// this rank's published outputs and charges the time to the Abort phase.
 func agreePoint(c *mpi.Comm, phase string, local error, dir string, cfg WriteConfig,
 	isAgg, cleanup bool, tm *agg.Timing) error {
 	start := time.Now()
 	err := agreeOnError(c, phase, local)
 	if err == nil {
+		tm.Wait += time.Since(start)
 		return nil
 	}
 	if cleanup {
@@ -330,7 +331,7 @@ func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank in
 	if err := format.WriteDataFile(fsys, filepath.Join(dir, name), &hdr, ag.Rows, order); err != nil {
 		return format.FileEntry{}, err
 	}
-	tm.FileIO = time.Since(start)
+	tm.FileIO, tm.Encode = time.Since(start), hdr.EncodeTime
 
 	entry := format.FileEntry{
 		BoxIndex:  ag.Part,

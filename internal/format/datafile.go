@@ -16,6 +16,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"spio/internal/binio"
 	"spio/internal/fault"
@@ -82,6 +84,9 @@ type DataHeader struct {
 	// it is not stored in the file, and the bytes written do not depend
 	// on it.
 	CodecWorkers int
+	// EncodeTime is how long WriteDataFile spent compressing the payload:
+	// a result of the write, like Count and Bounds, not stored.
+	EncodeTime time.Duration
 }
 
 // header flag bits.
@@ -168,8 +173,8 @@ func encodeDataHeader(e *binio.Writer, h *DataHeader, blocks []codecBlock) {
 // already in LOD order). The payload is gathered through order as it
 // streams out, so the reorder is never materialized; the bytes on disk
 // are those of reordering first. hdr.Schema, hdr.Count and hdr.Bounds are
-// filled from rows, for the file and for the caller. rows stay the
-// caller's. The file lands via temp-file + fsync + atomic rename (fsys nil
+// filled from rows, for the file and for the caller, hdr.EncodeTime for
+// the caller. rows stay the caller's. The file lands via temp-file + fsync + atomic rename (fsys nil
 // means the real filesystem), so readers never observe a torn data file
 // under path.
 func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *particle.Rows, order []int) error {
@@ -193,11 +198,16 @@ func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *parti
 
 	// Compress first when the spec asks for it: the header's block index
 	// needs every compressed length before the first payload byte lands.
+	// The frames live in pooled arenas until the file has them or failed.
 	var blocks []codecBlock
 	var blockData [][]byte
 	if !hdr.Codec.IsRaw() {
+		start := time.Now()
+		var arenas [][]byte
 		var err error
-		blocks, blockData, err = compressPayload(hdr, rows, order)
+		blocks, blockData, arenas, err = compressPayload(hdr, rows, order)
+		defer releaseArenas(arenas)
+		hdr.EncodeTime = time.Since(start)
 		if err != nil {
 			return err
 		}
@@ -243,14 +253,17 @@ func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *parti
 //
 // Codec blocks are cut at LOD levels, so they are not the rows' own
 // blocks: each run of them is gathered into one pooled image of at most
-// maxImageBytes and compressed concurrently (CompressBlocks, bounded by
-// hdr.CodecWorkers), so a huge payload never materializes fully while the
-// workers still get a run's worth of independent blocks. The frames are
-// byte-identical to the serial per-block loop.
-func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codecBlock, [][]byte, error) {
+// maxImageBytes and compressed concurrently (CompressBlocksInto, bounded
+// by hdr.CodecWorkers) into one pooled arena sized by the frames' bound,
+// so a huge payload never materializes fully while the workers still get a
+// run's worth of independent blocks. The frames are byte-identical to the
+// serial per-block loop. They alias the returned arenas, the caller's to
+// release once the frames are used — with an error too.
+func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codecBlock, [][]byte, [][]byte, error) {
 	lens := codecBlockLens(hdr.Count, hdr.LOD)
 	blocks := make([]codecBlock, 0, len(lens))
 	blockData := make([][]byte, 0, len(lens))
+	var arenas [][]byte
 	stride := hdr.Schema.Stride()
 	lo := 0
 	for start := 0; start < len(lens); {
@@ -265,15 +278,19 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 		rows.Gather(raw, order, lo, lo+int(runRecs))
 		lo += int(runRecs)
 		raws := make([][]byte, 0, end-start)
-		off := 0
+		off, bound := 0, 0
 		for _, n := range lens[start:end] {
 			raws = append(raws, raw[off:off+int(n)*stride])
 			off += int(n) * stride
+			bound += particle.FrameBound(hdr.Schema, int(n)*stride)
 		}
-		comp, err := particle.CompressBlocks(hdr.Schema, hdr.Codec, raws, hdr.CodecWorkers)
+		arena := fromPool(&arenaPool, bound)
+		arenasHeld.Add(1)
+		arenas = append(arenas, arena)
+		comp, err := particle.CompressBlocksInto(arena, hdr.Schema, hdr.Codec, raws, hdr.CodecWorkers)
 		toPool(&imagePool, raw)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, arenas, err
 		}
 		for i, c := range comp {
 			blocks = append(blocks, codecBlock{recs: lens[start+i], bytes: int64(len(c))})
@@ -286,7 +303,18 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 	if blocks == nil {
 		blocks = []codecBlock{}
 	}
-	return blocks, blockData, nil
+	return blocks, blockData, arenas, nil
+}
+
+// arenasHeld counts the arenas out of arenaPool: zero while no file is
+// being written. releaseArenas ends the life of compressPayload's frames.
+var arenasHeld atomic.Int64
+
+func releaseArenas(arenas [][]byte) {
+	for _, a := range arenas {
+		toPool(&arenaPool, a)
+		arenasHeld.Add(-1)
+	}
 }
 
 // writeCompressedPayload streams the prefix and the pre-compressed
@@ -322,10 +350,11 @@ const chunkRecords = 8192
 // huge compressed file never doubles its aggregate's footprint.
 const maxImageBytes = 64 << 20
 
-// scratchPool and imagePool recycle the payload writers' staging slices
-// across data-file writes (every byte of a staging slice is overwritten
-// before it is read, so stale pooled contents are harmless).
-var scratchPool, imagePool sync.Pool // *[]byte
+// scratchPool, imagePool and arenaPool recycle the payload writers'
+// staging slices and compressed frames across data-file writes (every
+// byte of one is overwritten before it is read, so stale pooled contents
+// are harmless).
+var scratchPool, imagePool, arenaPool sync.Pool // *[]byte
 
 func fromPool(p *sync.Pool, n int) []byte {
 	if v, _ := p.Get().(*[]byte); v != nil && cap(*v) >= n {

@@ -84,12 +84,36 @@ func eachBlock(n, workers int, fn func(i int) error) error {
 // worker checks its own codec state out of the pool, so blocks never
 // share mutable state and the frame bytes do not depend on scheduling.
 func CompressBlocks(schema *Schema, spec Spec, blocks [][]byte, workers int) ([][]byte, error) {
+	return CompressBlocksInto(nil, schema, spec, blocks, workers)
+}
+
+// FrameBound is the most bytes the frame of n record bytes takes under any
+// spec: the records and, per field, a codec byte and a length.
+func FrameBound(schema *Schema, n int) int { return n + 16*schema.NumFields() }
+
+// CompressBlocksInto is CompressBlocks with the frames' memory supplied:
+// frame i is written into arena at the sum of the FrameBounds of the
+// blocks before it. A block whose bound the arena has no room for — every
+// block, of a nil arena — gets a frame of its own; the bytes are the same.
+func CompressBlocksInto(arena []byte, schema *Schema, spec Spec, blocks [][]byte, workers int) ([][]byte, error) {
 	if err := spec.Validate(schema); err != nil {
 		return nil, err
 	}
+	// The third index is what keeps a frame that outgrows its bound — none
+	// does — out of its neighbour: append moves it to memory of its own.
 	out := make([][]byte, len(blocks))
+	for bi, off := 0, 0; bi < len(blocks); bi++ {
+		if end := off + FrameBound(schema, len(blocks[bi])); end <= len(arena) {
+			out[bi] = arena[off:off:end]
+			off = end
+		}
+	}
 	err := eachBlock(len(blocks), workers, func(bi int) error {
-		comp, err := CompressBlock(schema, spec, blocks[bi])
+		dst := out[bi]
+		if dst == nil {
+			dst = make([]byte, 0, FrameBound(schema, len(blocks[bi])))
+		}
+		comp, err := AppendCompressedBlock(dst, schema, spec, blocks[bi])
 		if err != nil {
 			return fmt.Errorf("particle: batch compress block %d: %w", bi, err)
 		}

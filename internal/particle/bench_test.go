@@ -53,3 +53,30 @@ func BenchmarkAppendFrom(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompressFile is the lossless encode of one data file of the
+// benchmark's checkpoint (32768 clustered Uintah particles in LOD order,
+// cut into blocks as a file is), per record byte.
+func BenchmarkCompressFile(b *testing.B) {
+	schema := Uintah()
+	spec := LosslessSpec(schema)
+	blocks := lodBlocks(Clustered(schema, geom.UnitBox(), 32768, 4, 1, 0), 5)
+	var total, stored int
+	var dst []byte
+	for _, blk := range blocks {
+		total += len(blk)
+	}
+	b.SetBytes(int64(total))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stored = 0
+		for _, blk := range blocks {
+			var err error
+			if dst, err = AppendCompressedBlock(dst[:0], schema, spec, blk); err != nil {
+				b.Fatal(err)
+			}
+			stored += len(dst)
+		}
+	}
+	b.ReportMetric(float64(stored)/float64(total), "ratio")
+}

@@ -26,10 +26,10 @@ import (
 // absent/zero always means "the uncompressed AoS bytes", which is what
 // keeps pre-codec files and peers readable unchanged.
 //
-// All (de)compression entry points share pooled codec state (flate
-// writer/reader, LZ match table, shuffle scratch — see codec_state.go),
-// so steady-state compression of a block stream allocates only the
-// output frames themselves.
+// All (de)compression entry points share pooled codec state (deflater,
+// inflater, LZ match table, shuffle scratch — see codec_state.go), so
+// steady-state compression of a block stream allocates only the output
+// frames themselves.
 
 // CodecID identifies one field compression codec.
 type CodecID uint8
@@ -40,9 +40,10 @@ const (
 	// CodecShuffleDeflate byte-plane-transposes the column (all first
 	// bytes, then all second bytes, ...) and deflates the result;
 	// lossless for any field. The shuffle groups the slowly-varying
-	// sign/exponent bytes of neighbouring values so flate sees long
-	// runs. The payload is one RFC 1951 stream; the encoder cuts it at
-	// the planes and stores the incompressible ones (deflatePlanes).
+	// sign/exponent bytes of neighbouring values so deflate sees long
+	// runs. The payload is one RFC 1951 stream any inflater reads; the
+	// encoder (deflate.go) cuts it at the planes, stores the noise and
+	// codes each other plane in whichever block form is fewest bits.
 	CodecShuffleDeflate CodecID = 1
 	// CodecDeltaVarint encodes integer-valued float64 columns (particle
 	// ids, type tags) as zigzag varints of consecutive differences;
@@ -57,7 +58,7 @@ const (
 	// wide for the bound.
 	CodecQuantize CodecID = 3
 	// CodecShuffleLZ byte-plane-transposes the column and runs the
-	// planes through the fast LZ codec (lz.go) instead of flate;
+	// planes through the fast LZ codec (lz.go) instead of deflate;
 	// lossless for any field. It trades a few percent of ratio for
 	// several times the codec throughput, which is the right trade
 	// wherever the codec competes with the network or a warm cache
@@ -239,7 +240,7 @@ func ParseCodecSpec(schema *Schema, s string) (Spec, error) {
 // runs on pooled codec state. AppendCompressedBlock avoids even that
 // when the caller owns a reusable destination.
 func CompressBlock(schema *Schema, spec Spec, records []byte) ([]byte, error) {
-	out := make([]byte, 0, len(records)+16*schema.NumFields())
+	out := make([]byte, 0, FrameBound(schema, len(records)))
 	return AppendCompressedBlock(out, schema, spec, records)
 }
 
@@ -304,16 +305,16 @@ func (st *codecState) encodeField(f Field, want CodecID, bound float64, records 
 	switch want {
 	case CodecDeltaVarint:
 		if f.Kind == Float64 {
-			p, ok := appendDeltaVarint(st.out.b[:0], records, stride, off, count, f.Components)
-			st.out.b = p
+			p, ok := appendDeltaVarint(st.out[:0], records, stride, off, count, f.Components)
+			st.out = p
 			if ok {
 				return CodecDeltaVarint, p
 			}
 		}
 		return st.encodeShuffle(CodecShuffleDeflate, f, records, stride, off, count)
 	case CodecQuantize:
-		p, ok := appendQuantize(st.out.b[:0], records, stride, off, count, f.Components, bound)
-		st.out.b = p
+		p, ok := appendQuantize(st.out[:0], records, stride, off, count, f.Components, bound)
+		st.out = p
 		if ok {
 			return CodecQuantize, p
 		}
@@ -327,17 +328,20 @@ func (st *codecState) encodeField(f Field, want CodecID, bound float64, records 
 
 // encodeShuffle byte-plane-transposes one field straight out of the
 // record image (fused gather+shuffle, see codec_state.go) and entropy-
-// codes the planes with flate (plane by plane, see deflatePlanes) or the
+// codes the planes with deflate (plane by plane, see deflate.go) or the
 // fast LZ.
 func (st *codecState) encodeShuffle(id CodecID, f Field, records []byte, stride, off, count int) (CodecID, []byte) {
 	shuf := st.shuffled(count * f.Bytes())
 	shuffleFromRecords(shuf, records, stride, off, f.Kind.Size(), f.Components, count)
 	if id == CodecShuffleLZ {
-		st.out.b = appendLZ(st.out.b[:0], shuf, st.tab)
-		return CodecShuffleLZ, st.out.b
+		st.out = appendLZ(st.out[:0], shuf, st.tab)
+		return CodecShuffleLZ, st.out
 	}
-	st.deflatePlanes(shuf, f.Kind.Size())
-	return CodecShuffleDeflate, st.out.b
+	if st.def == nil {
+		st.def = new(deflater)
+	}
+	st.out = st.def.deflatePlanes(st.out, shuf, f.Kind.Size())
+	return CodecShuffleDeflate, st.out
 }
 
 // growFrame extends b by n bytes (contents unspecified) and returns the

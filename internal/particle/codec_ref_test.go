@@ -5,21 +5,70 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
 	"spio/internal/geom"
 )
 
-// The single-stream shuffle+deflate encoder the plane-aligned one
-// replaced, kept here as the reference: the frames every file written
-// before the change holds, and the size the new frames are judged
-// against.
+// The two shuffle+deflate encoders deflate.go replaced, kept here as the
+// references: the frames every file written before holds, and the sizes
+// the new frames are judged against. Both ran compress/flate's writer —
+// over the whole column (up to PR 17), then plane by plane (PRs 18–26).
 
 // refDeflateColumn deflates a whole shuffled column as one flate stream.
 func refDeflateColumn(t testing.TB, shuf []byte) []byte {
 	t.Helper()
 	return deflated(t, shuf, flate.BestSpeed, 0)
+}
+
+// refDeflatePlanes is the parent commit's plane encoder: per plane either
+// hand-framed stored blocks (a plane refStoredPlane judges noise on its
+// full histogram) or that plane's own flate segment — a fresh writer, then
+// Flush, which ends the segment on a byte boundary with a sync marker —
+// and one final empty stored block.
+func refDeflatePlanes(t testing.TB, shuf []byte, planes int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	n := len(shuf) / planes
+	for p := 0; p < planes && n > 0; p++ {
+		plane := shuf[p*n : (p+1)*n]
+		if refStoredPlane(plane) {
+			for len(plane) > 0 {
+				k := min(len(plane), maxStored)
+				out.Write([]byte{0, byte(k), byte(k >> 8), ^byte(k), ^byte(k >> 8)})
+				out.Write(plane[:k])
+				plane = plane[k:]
+			}
+			continue
+		}
+		zw, err := flate.NewWriter(&out, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = zw.Write(plane)
+		if err := zw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.Write([]byte{1, 0, 0, 0xff, 0xff})
+	return out.Bytes()
+}
+
+// refStoredPlane is the parent's noise rule: 128 * sum c(b)^2 < n^2 over
+// every byte of the plane.
+func refStoredPlane(plane []byte) bool {
+	var h [256]uint64
+	for _, b := range plane {
+		h[b]++
+	}
+	var sq uint64
+	for _, c := range h {
+		sq += c * c
+	}
+	n := uint64(len(plane))
+	return sq < n*n>>7
 }
 
 // shuffledColumn returns field fi of the records as byte planes.
@@ -31,10 +80,22 @@ func shuffledColumn(schema *Schema, records []byte, fi int) []byte {
 	return shuf
 }
 
-// refCompressBlock frames a block the way the parent commit did: which
+// refCompressBlock frames a block the way files up to PR 17 hold it: which
 // codec a field gets, fallbacks included, is encodeField's decision as
 // ever; a shuffle+deflate payload is one flate stream over the column.
 func refCompressBlock(t testing.TB, schema *Schema, spec Spec, records []byte) []byte {
+	t.Helper()
+	return refCompressBlockWith(t, schema, spec, records, func(shuf []byte, _ int) []byte { return refDeflateColumn(t, shuf) })
+}
+
+// refPlanesBlock frames a block the way the parent commit did (files of
+// PRs 18–26): shuffle+deflate payloads by refDeflatePlanes.
+func refPlanesBlock(t testing.TB, schema *Schema, spec Spec, records []byte) []byte {
+	t.Helper()
+	return refCompressBlockWith(t, schema, spec, records, func(shuf []byte, planes int) []byte { return refDeflatePlanes(t, shuf, planes) })
+}
+
+func refCompressBlockWith(t testing.TB, schema *Schema, spec Spec, records []byte, deflate func(shuf []byte, planes int) []byte) []byte {
 	t.Helper()
 	st := getCodecState()
 	defer putCodecState(st)
@@ -46,7 +107,7 @@ func refCompressBlock(t testing.TB, schema *Schema, spec Spec, records []byte) [
 		colLen := count * f.Bytes()
 		id, payload := st.encodeField(f, spec.Fields[fi].ID, spec.Fields[fi].ErrBound, records, stride, schema.Offset(fi), count)
 		if id == CodecShuffleDeflate {
-			payload = refDeflateColumn(t, shuffledColumn(schema, records, fi))
+			payload = deflate(shuffledColumn(schema, records, fi), f.Kind.Size())
 		}
 		if id == CodecRaw || len(payload) >= colLen {
 			id, payload = CodecRaw, make([]byte, colLen)
@@ -110,20 +171,21 @@ func generatorBlocks() map[string][][]byte {
 	}
 }
 
-// TestPlaneDeflateAgainstSingleStream is the ratio guard of the
-// plane-aligned encoder. The stored/deflate decision is a constant of the
-// encoder, so nothing tunes it per dataset; this holds it to the
-// single-stream reference on every block of the three generators in LOD
-// order. A block frame is never larger than the reference's plus the
-// framing the cut costs — five bytes per stored block, five per flushed
-// segment, five for the closing block of each payload — at any block
+// TestPlaneDeflateAgainstSingleStream is the ratio guard of cutting the
+// stream at the planes. The stored/coded decision is the encoder's own, so
+// nothing tunes it per dataset; this holds it to the single-stream
+// reference on every block of the three generators in LOD order. A block
+// frame is never larger than the reference's plus the framing the cut
+// costs — five bytes per stored block, five per coded plane for the header
+// of its own, five for the closing block of each payload — at any block
 // size; in a full block, where the bytes are, that holds field by field
 // (in a level of a few dozen records a four-plane field of near-constant
 // bytes pays four block headers where one stream paid one, some tens of
 // bytes that the frame recovers elsewhere); and a whole dataset is
 // smaller. It also counts how much of a full block goes out as stored
-// bytes, found in the payload as the exact stored-block framing of the
-// plane: six of a float64's eight planes are mantissa noise, so a share
+// bytes, found in the payload as the stored-block framing of the plane
+// from its length on (the header's byte holds the end of the block
+// before): six of a float64's eight planes are mantissa noise, so a share
 // under 0.6 means the encoder has fallen back to coding everything.
 func TestPlaneDeflateAgainstSingleStream(t *testing.T) {
 	schema := Uintah()
@@ -154,7 +216,7 @@ func TestPlaneDeflateAgainstSingleStream(t *testing.T) {
 						framed = append(append(framed, 0, byte(k), byte(k>>8), ^byte(k), ^byte(k>>8)), rest[:k]...)
 						rest = rest[k:]
 					}
-					if bytes.Contains(ff.payload, framed) {
+					if bytes.Contains(ff.payload, framed[1:]) {
 						stored += n
 						fieldFraming += len(framed) - n
 					} else {
@@ -184,29 +246,82 @@ func TestPlaneDeflateAgainstSingleStream(t *testing.T) {
 	}
 }
 
-// TestPlaneDeflateGivesUpRepeatsInUniformPlanes records the one loss of
-// the histogram test: a plane whose bytes are uniformly distributed but
-// repeat at a distance — here a ramp — is stored, where the single
-// stream's matcher would have shrunk it to nearly nothing. DESIGN.md
-// §12.2 says why that is given up: on disk a plane holds the bytes of
-// records in LOD order, a seeded shuffle, and no period survives one.
+// TestDeflateNoLargerThanStdlibPlanes holds the in-house encoder to the
+// one it replaced, compress/flate's writer run plane by plane
+// (refDeflatePlanes): on every full block of the generators and of the
+// structured and noisy test blocks its frame is no larger, and over each
+// dataset's blocks of every size the frames together are smaller.
+func TestDeflateNoLargerThanStdlibPlanes(t *testing.T) {
+	schema := Uintah()
+	spec := LosslessSpec(schema)
+	all := generatorBlocks()
+	_, structured := testBlock(t, 8192, 21)
+	_, noisy := noisyBlock(t, 8192)
+	all["structured"], all["noisy"] = [][]byte{structured, structured[:4096*schema.Stride()]}, [][]byte{noisy}
+	for name, blocks := range all {
+		var newTotal, refTotal int
+		for bi, records := range blocks {
+			frame := mustCompress(t, schema, spec, records)
+			ref := refPlanesBlock(t, schema, spec, records)
+			newTotal, refTotal = newTotal+len(frame), refTotal+len(ref)
+			if len(records)/schema.Stride() == 8192 && len(frame) > len(ref) {
+				t.Errorf("%s block %d: frame of %d bytes, the stdlib plane encoder's %d", name, bi, len(frame), len(ref))
+			}
+		}
+		if newTotal >= refTotal && name != "noisy" || newTotal > refTotal {
+			t.Errorf("%s: frames take %d bytes, the stdlib plane encoder's %d", name, newTotal, refTotal)
+		}
+		t.Logf("%s: %d blocks, stdlib planes %d bytes, in-house %d (%.4f)", name, len(blocks), refTotal, newTotal, float64(newTotal)/float64(refTotal))
+	}
+}
+
+// TestPlaneDeflateGivesUpRepeatsInUniformPlanes records what the noise
+// rule gives up, now that it runs on a sample and only decides whether
+// coding is tried. The ramp the parent stored — every byte value equally
+// often, so its full histogram was noise — is coded to nearly nothing: a
+// word of every 64 bytes holds 32 of the 256 values, the sample is not
+// uniform, and the matcher finds the period. What is still given up is
+// bytes uniform in the sample that repeat at a distance (a ramp of period
+// 251 shows the sample every value), and, new with the sample, structure
+// the sample does not see (noise in the sampled words, zeros between
+// them): both are stored without the matcher being asked, where the
+// reference encoders shrink them. DESIGN.md §12.2 says why that is given
+// up: on disk a plane holds the bytes of records in LOD order, a seeded
+// shuffle, and neither a period nor a place in the plane survives one.
 func TestPlaneDeflateGivesUpRepeatsInUniformPlanes(t *testing.T) {
-	plane := make([]byte, 3*8192)
-	for i := range plane {
-		plane[i] = byte(i)
+	const n = 3 * 8192
+	ramp, ramp251, hidden := make([]byte, n), make([]byte, n), make([]byte, n)
+	r := rand.New(rand.NewSource(5))
+	for i := range ramp {
+		ramp[i], ramp251[i] = byte(i), byte(i%251)
+		if i%64 < 8 {
+			hidden[i] = byte(r.Intn(256))
+		}
 	}
-	st := getCodecState()
-	defer putCodecState(st)
-	st.deflatePlanes(plane, 1)
-	if want := len(plane) + 5 + 5; len(st.out.b) != want { // one stored block and the closing one
-		t.Errorf("ramp plane: %d bytes, want it stored in %d", len(st.out.b), want)
-	}
-	if ref := refDeflateColumn(t, plane); len(ref) > len(plane)/8 {
-		t.Errorf("the single stream takes %d bytes for a %d-byte ramp: it is not the loss it is recorded as", len(ref), len(plane))
-	}
-	back, err := io.ReadAll(flate.NewReader(bytes.NewReader(st.out.b)))
-	if err != nil || !bytes.Equal(back, plane) {
-		t.Errorf("stored ramp does not inflate back: %v", err)
+	stored := n + 5 + 5 // one stored block and the closing one
+	for _, c := range []struct {
+		name   string
+		plane  []byte
+		stored bool
+		ref    []byte
+	}{
+		{"ramp of period 256", ramp, false, refDeflatePlanes(t, ramp, 1)},
+		{"ramp of period 251", ramp251, true, refDeflateColumn(t, ramp251)},
+		{"noise where the sample looks", hidden, true, refDeflatePlanes(t, hidden, 1)},
+	} {
+		out := new(deflater).deflatePlanes(nil, c.plane, 1)
+		switch {
+		case c.stored && len(out) != stored:
+			t.Errorf("%s: %d bytes, want it stored in %d", c.name, len(out), stored)
+		case c.stored && len(c.ref) > n/4:
+			t.Errorf("%s: the reference takes %d of %d bytes: it is not the loss it is recorded as", c.name, len(c.ref), n)
+		case !c.stored && (len(out) > n/8 || len(c.ref) != stored):
+			t.Errorf("%s: %d bytes, the parent's encoder %d: want it coded now and stored then", c.name, len(out), len(c.ref))
+		}
+		back, err := io.ReadAll(flate.NewReader(bytes.NewReader(out)))
+		if err != nil || !bytes.Equal(back, c.plane) {
+			t.Errorf("%s does not inflate back: %v", c.name, err)
+		}
 	}
 }
 
@@ -257,10 +372,20 @@ func TestDeflatePayloadIsOneStdlibStream(t *testing.T) {
 }
 
 // TestSingleStreamFramesStillDecode is the other direction: frames as
-// the reference encoder wrote them — every file on disk before the
-// change — decode through today's reader to the same records, whole,
+// the single-stream encoder wrote them — every file on disk before the
+// plane cut — decode through today's reader to the same records, whole,
 // with fields skipped, and with rows picked.
 func TestSingleStreamFramesStillDecode(t *testing.T) {
+	checkRefFramesDecode(t, refCompressBlock)
+}
+
+// TestStdlibPlaneFramesStillDecode is the same for frames as the parent
+// commit's encoder wrote them: every file written by PRs 18–26.
+func TestStdlibPlaneFramesStillDecode(t *testing.T) {
+	checkRefFramesDecode(t, refPlanesBlock)
+}
+
+func checkRefFramesDecode(t *testing.T, refFrame func(testing.TB, *Schema, Spec, []byte) []byte) {
 	schema := Uintah()
 	posDensity := make([]bool, schema.NumFields())
 	posDensity[0], posDensity[2] = true, true
@@ -272,7 +397,7 @@ func TestSingleStreamFramesStillDecode(t *testing.T) {
 			for _, bi := range []int{0, 4, len(blocks) - 2, len(blocks) - 1} {
 				records := blocks[bi]
 				count := len(records) / schema.Stride()
-				ref := refCompressBlock(t, schema, spec, records)
+				ref := refFrame(t, schema, spec, records)
 				want, err := DecompressBlock(schema, mustCompress(t, schema, spec, records), count)
 				if err != nil {
 					t.Fatal(err)
@@ -345,13 +470,15 @@ func checkPartialDecodes(t testing.TB, schema *Schema, frame []byte, count int, 
 	}
 }
 
-// TestDeflateBytesIgnoreWriterHistory: the pooled flate writer is Reset
-// for every plane segment, so a payload depends on its column alone —
-// not on what the state compressed before, nor on whether it compressed
-// anything. (Across worker counts the same property is
-// TestBatchCompressMatchesSerial's, and through a whole collective write
-// core's TestLosslessWriteIgnoresCodecWorkers'.)
-func TestDeflateBytesIgnoreWriterHistory(t *testing.T) {
+// TestDeflateBytesDependOnThePlaneAlone: the deflater's hash table is
+// never cleared, only moved past by an epoch, so a payload must depend on
+// its column alone — not on what the state compressed before, nor on
+// whether it compressed anything, nor on the epoch having just wrapped —
+// and a frame must not depend on who compresses it: CompressBlock,
+// CompressBlocks on 1, 2 or 8 workers, or the arena path. (Through a whole
+// collective write the same property is core's
+// TestLosslessWriteIgnoresCodecWorkers'.)
+func TestDeflateBytesDependOnThePlaneAlone(t *testing.T) {
 	schema := Uintah()
 	spec := LosslessSpec(schema)
 	blocks := generatorBlocks()["clustered"]
@@ -363,9 +490,32 @@ func TestDeflateBytesIgnoreWriterHistory(t *testing.T) {
 	used := &codecState{tab: new(lzTable)}
 	used.appendBlock(nil, schema, spec, other)
 	used.appendBlock(nil, schema, FastSpec(schema), records)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if got := used.appendBlock(nil, schema, spec, records); !bytes.Equal(got, want) {
 			t.Fatalf("encode %d on a used codec state differs from a fresh state's", i)
+		}
+		used.def.epoch = math.MaxUint32 - blockMax/2 // the next piece but one wraps it
+	}
+
+	wants := make([][]byte, len(blocks))
+	for bi, b := range blocks {
+		wants[bi] = mustCompress(t, schema, spec, b)
+	}
+	var bound int
+	for _, b := range blocks {
+		bound += FrameBound(schema, len(b))
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, arena := range [][]byte{nil, make([]byte, bound), make([]byte, bound/2)} {
+			frames, err := CompressBlocksInto(arena, schema, spec, blocks, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bi := range blocks {
+				if !bytes.Equal(frames[bi], wants[bi]) {
+					t.Fatalf("%d workers, arena of %d bytes: frame %d differs from CompressBlock's", workers, len(arena), bi)
+				}
+			}
 		}
 	}
 }

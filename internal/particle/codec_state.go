@@ -1,38 +1,36 @@
 package particle
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"sync"
 )
 
-// Pooled per-call codec state. A flate.Writer alone is ~600 KiB of
-// freshly zeroed tables per NewWriter call, and the serial PR 8 codec
-// paid that — plus fresh shuffle scratch and a fresh column — for every
-// block of every field. One codecState carries every piece of reusable
-// codec machinery; CompressBlock/DecompressBlockInto check one out per
-// call, so compressing N blocks on W workers allocates at most W states
-// total, regardless of N.
+// Pooled per-call codec state. One codecState carries every piece of
+// reusable codec machinery; CompressBlock/DecompressBlockInto check one
+// out per call, so compressing N blocks on W workers allocates at most W
+// states total, regardless of N.
 //
 // Size: the struct is 7.7 KiB, nearly all of it the inflater's Huffman
 // tables (inflate.go); it points at the 64 KiB LZ table, at the shuffle
 // and staging scratch of the largest block seen, and — once it has
-// encoded a deflate field — at the flate.Writer. A decode clears none of
-// it: a deflate block rebuilds its tables by overwriting exactly the
-// entries its two codes reach (every entry a lookup can land on; what a
-// one-code or no-code tree leaves unassigned is written as such), the
-// scratch is overwritten before it is read, and only the LZ encoder
-// clears its table.
+// encoded a deflate field — at the deflater (deflate.go: 39 KiB and the
+// matches of the largest plane seen), which a state that only decodes
+// never builds. Nothing of it is cleared between calls: a deflate block
+// rebuilds its decode tables by overwriting exactly the entries its two
+// codes reach (every entry a lookup can land on; what a one-code or
+// no-code tree leaves unassigned is written as such), the deflater's hash
+// table is epoch-stamped, the scratch is overwritten before it is read,
+// and only the LZ encoder clears its table.
 //
 // Ownership rule: a codecState is owned by exactly one (de)compression
 // call from Get to Put; nothing inside it survives the call — payloads
 // returned to callers are always appended onto caller-owned slices.
 type codecState struct {
-	fw  *flate.Writer // lazily built, Reset per use
-	inf inflater      // Huffman tables of the deflate decoder (inflate.go)
-	tab *lzTable      // LZ match-finder table, cleared per block
-	out sliceWriter   // compressed-bytes staging (flate destination)
-	shf []byte        // shuffled byte planes
+	def *deflater // built by the first deflate encode
+	inf inflater  // Huffman tables of the deflate decoder (inflate.go)
+	tab *lzTable  // LZ match-finder table, cleared per block
+	out []byte    // compressed-bytes staging
+	shf []byte    // shuffled byte planes
 }
 
 var codecStatePool sync.Pool // *codecState
@@ -55,108 +53,6 @@ func (st *codecState) shuffled(n int) []byte {
 		st.shf = make([]byte, n)
 	}
 	return st.shf[:n]
-}
-
-// flateWriter returns the pooled flate writer reset — no window, no
-// pending bits — to append onto st.out.
-func (st *codecState) flateWriter() *flate.Writer {
-	if st.fw == nil {
-		zw, err := flate.NewWriter(&st.out, flate.BestSpeed)
-		if err != nil {
-			// flate.NewWriter fails only on an invalid level, which
-			// BestSpeed is not.
-			panic(err)
-		}
-		st.fw = zw
-		return zw
-	}
-	st.fw.Reset(&st.out)
-	return st.fw
-}
-
-// The shuffle+deflate payload is one RFC 1951 stream cut at the byte
-// planes. The planes of a float column are not alike: the low mantissa
-// bytes are noise no entropy coder shrinks, the sign/exponent bytes are
-// nearly constant. One flate stream over the whole column cuts its
-// 64 KiB blocks wherever they fall, so noise and structure share Huffman
-// tables, and both sides pay symbol-by-symbol coding for bytes that come
-// out as long as they went in. deflatePlanes instead emits, per plane,
-// either hand-framed stored blocks (a plane storedPlane judges
-// incompressible: a header and a copy on both sides) or that plane's own
-// flate segment — the pooled writer Reset, so no match reaches into
-// another plane, then Flush, which ends the segment on a byte boundary —
-// and closes the stream with one final empty stored block. Every piece
-// is a whole number of deflate blocks starting and ending byte-aligned,
-// so their concatenation is a valid stream that any inflater reads; the
-// codec id and the decoder are the single-stream encoder's.
-
-// maxStored is the most bytes one stored deflate block carries.
-const maxStored = 0xffff
-
-// deflatePlanes sets st.out to the deflate stream of shuf, planes byte
-// planes of equal length. The bytes depend on shuf alone: the writer is
-// Reset per segment, so nothing of what it compressed before shows.
-func (st *codecState) deflatePlanes(shuf []byte, planes int) {
-	st.out.b = st.out.b[:0]
-	n := len(shuf) / planes
-	for p := 0; p < planes && n > 0; p++ {
-		plane := shuf[p*n : (p+1)*n]
-		if storedPlane(plane) {
-			for len(plane) > 0 {
-				k := min(len(plane), maxStored)
-				// BFINAL=0 BTYPE=00 and the padding to the byte boundary,
-				// then LEN and its complement.
-				st.out.b = append(st.out.b, 0, byte(k), byte(k>>8), ^byte(k), ^byte(k>>8))
-				st.out.b = append(st.out.b, plane[:k]...)
-				plane = plane[k:]
-			}
-			continue
-		}
-		zw := st.flateWriter()
-		_, _ = zw.Write(plane) // sliceWriter writes cannot fail
-		_ = zw.Flush()
-	}
-	st.out.b = append(st.out.b, 1, 0, 0, 0xff, 0xff) // BFINAL=1, stored, empty
-}
-
-// storedPlane reports whether a byte plane is too close to uniform noise
-// for Huffman coding to pay: its collision entropy -log2(sum p(b)^2) is
-// above 7 bits per byte. The collision entropy never exceeds the
-// order-0 (Shannon) entropy, so a stored plane would have cost a Huffman
-// coder more than 7/8 of its length — at most an eighth is given up,
-// against coding time on both sides — and the test is exact in integers
-// where an entropy sum is not: 128 * sum c(b)^2 < n^2. A plane of a few
-// hundred bytes never passes it (n samples collide as if n/256 of them
-// agreed); flate decides those itself. The threshold is a constant of
-// the encoder, not of the format: the decoder reads whatever it chose.
-func storedPlane(plane []byte) bool {
-	// Four tables: consecutive equal bytes do not wait on one counter.
-	var h [4][256]uint32
-	i := 0
-	for ; i+4 <= len(plane); i += 4 {
-		h[0][plane[i]]++
-		h[1][plane[i+1]]++
-		h[2][plane[i+2]]++
-		h[3][plane[i+3]]++
-	}
-	for ; i < len(plane); i++ {
-		h[0][plane[i]]++
-	}
-	var sq uint64
-	for b := 0; b < 256; b++ {
-		c := uint64(h[0][b] + h[1][b] + h[2][b] + h[3][b])
-		sq += c * c
-	}
-	n := uint64(len(plane))
-	return sq < n*n>>7
-}
-
-// sliceWriter is an io.Writer appending into a reusable byte slice.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // The byte-plane shuffle, fused with the AoS gather/scatter. A field's

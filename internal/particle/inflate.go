@@ -99,9 +99,9 @@ var litProto, distProto, preProto = func() (lit [288]uint32, dist [32]uint32, pr
 	return
 }()
 
-// The tables of the fixed code (BTYPE=01), built once.
-var fixedLit, fixedDist = func() (lit [litTabSize]uint32, dist [distTabSize]uint32) {
-	var lens [288]uint8
+// fixedLitLens are the literal/length code lengths of the fixed code
+// (BTYPE=01); its distance codes are five bits each.
+var fixedLitLens = func() (lens [288]uint8) {
 	for s := range lens {
 		switch {
 		case s < 144:
@@ -114,11 +114,17 @@ var fixedLit, fixedDist = func() (lit [litTabSize]uint32, dist [distTabSize]uint
 			lens[s] = 8
 		}
 	}
-	buildTable(lit[:], litBits, lens[:], litProto[:])
-	for s := range lens[:32] {
-		lens[s] = 5
+	return
+}()
+
+// The decode tables of the fixed code, built once.
+var fixedLit, fixedDist = func() (lit [litTabSize]uint32, dist [distTabSize]uint32) {
+	buildTable(lit[:], litBits, fixedLitLens[:], litProto[:])
+	var five [32]uint8
+	for s := range five {
+		five[s] = 5
 	}
-	buildTable(dist[:], distBits, lens[:32], distProto[:])
+	buildTable(dist[:], distBits, five[:], distProto[:])
 	return
 }()
 

@@ -36,7 +36,9 @@ type Report struct {
 	ParticleExchange PhaseStats
 	Reorder          PhaseStats
 	FileIO           PhaseStats
+	Encode           PhaseStats // of FileIO: compressing the payload
 	MetaIO           PhaseStats
+	Wait             PhaseStats // agreement rounds that passed
 	Abort            PhaseStats
 	// TotalParticles written, and the largest single file.
 	TotalParticles   int64
@@ -57,8 +59,8 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 		return nil, nil
 	}
 	rep := &Report{Ranks: c.Size()}
-	var sums [6]time.Duration
-	var mins, maxs [6]time.Duration
+	var sums [8]time.Duration
+	var mins, maxs [8]time.Duration
 	for i := range mins {
 		mins[i] = math.MaxInt64
 	}
@@ -68,10 +70,10 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 		if err := d.Whole(len(p)); err != nil {
 			return nil, fmt.Errorf("profile: rank %d's result: %w", rank, err)
 		}
-		phases := [6]time.Duration{
+		phases := [8]time.Duration{
 			r.Timing.MetadataExchange, r.Timing.ParticleExchange,
-			r.Timing.Reorder, r.Timing.FileIO, r.Timing.MetaIO,
-			r.Timing.Abort,
+			r.Timing.Reorder, r.Timing.FileIO, r.Timing.Encode,
+			r.Timing.MetaIO, r.Timing.Wait, r.Timing.Abort,
 		}
 		for i, d := range phases {
 			sums[i] += d
@@ -98,8 +100,10 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 	rep.ParticleExchange = mk(1)
 	rep.Reorder = mk(2)
 	rep.FileIO = mk(3)
-	rep.MetaIO = mk(4)
-	rep.Abort = mk(5)
+	rep.Encode = mk(4)
+	rep.MetaIO = mk(5)
+	rep.Wait = mk(6)
+	rep.Abort = mk(7)
 	return rep, nil
 }
 
@@ -116,7 +120,9 @@ func (r *Report) Fprint(w io.Writer) error {
 		{"particle exchange", r.ParticleExchange},
 		{"LOD reorder", r.Reorder},
 		{"file I/O", r.FileIO},
+		{"  of it encode", r.Encode},
 		{"metadata write", r.MetaIO},
+		{"agreement wait", r.Wait},
 		{"abort", r.Abort},
 	}
 	for _, row := range rows {
@@ -139,13 +145,15 @@ func (r *Report) AggregationShare() float64 {
 }
 
 // encodeResult and decodeResult are the Gather's message: a WriteResult
-// as nine 64-bit words.
+// as eleven 64-bit words.
 func encodeResult(e *binio.Writer, r *core.WriteResult) {
 	e.I64(int64(r.Timing.MetadataExchange))
 	e.I64(int64(r.Timing.ParticleExchange))
 	e.I64(int64(r.Timing.Reorder))
 	e.I64(int64(r.Timing.FileIO))
+	e.I64(int64(r.Timing.Encode))
 	e.I64(int64(r.Timing.MetaIO))
+	e.I64(int64(r.Timing.Wait))
 	e.I64(int64(r.Timing.Abort))
 	e.I64(int64(r.Partition))
 	e.I64(r.FileParticles)
@@ -158,7 +166,9 @@ func decodeResult(d *binio.Reader) core.WriteResult {
 	r.Timing.ParticleExchange = time.Duration(d.I64())
 	r.Timing.Reorder = time.Duration(d.I64())
 	r.Timing.FileIO = time.Duration(d.I64())
+	r.Timing.Encode = time.Duration(d.I64())
 	r.Timing.MetaIO = time.Duration(d.I64())
+	r.Timing.Wait = time.Duration(d.I64())
 	r.Timing.Abort = time.Duration(d.I64())
 	r.Partition = int(d.I64())
 	r.FileParticles = d.I64()

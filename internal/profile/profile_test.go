@@ -77,7 +77,7 @@ func TestCollectRealWrite(t *testing.T) {
 	}
 }
 
-// TestResultCodecRoundTrip sends a result whose nine words are all
+// TestResultCodecRoundTrip sends a result whose eleven words are all
 // non-zero and distinct, so two that traded places on one side would decode
 // as each other; a message a byte short or a byte long is refused.
 func TestResultCodecRoundTrip(t *testing.T) {
@@ -89,16 +89,18 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	in.Timing.ParticleExchange = 22 * time.Microsecond
 	in.Timing.Reorder = 33 * time.Microsecond
 	in.Timing.FileIO = 44 * time.Microsecond
+	in.Timing.Encode = 40 * time.Microsecond
 	in.Timing.MetaIO = 55 * time.Microsecond
+	in.Timing.Wait = 60 * time.Microsecond
 	in.Timing.Abort = 66 * time.Microsecond
 	in.Timing.ExchangeBytes = 777
 	var msg bytes.Buffer
 	encodeResult(binio.NewWriter(&msg), &in)
 	d := binio.NewReader(bytes.NewReader(msg.Bytes()), "profile")
-	if out := decodeResult(d); d.Whole(msg.Len()) != nil || out != in || msg.Len() != 72 {
+	if out := decodeResult(d); d.Whole(msg.Len()) != nil || out != in || msg.Len() != 88 {
 		t.Errorf("roundtrip of %d bytes: %+v != %+v (%v)", msg.Len(), out, in, d.Err())
 	}
-	for _, torn := range [][]byte{msg.Bytes()[:71], append(msg.Bytes(), 0)} {
+	for _, torn := range [][]byte{msg.Bytes()[:87], append(msg.Bytes(), 0)} {
 		d := binio.NewReader(bytes.NewReader(torn), "profile")
 		decodeResult(d)
 		if d.Whole(len(torn)) == nil {

@@ -13,9 +13,11 @@
 # cache and its run-time resize, and the serving daemon — the server tier
 # additionally at -count=2 to shake out order-dependent interleavings,
 # and the answer-ownership tests, the one-wire-form and hello tests, the
-# one-request-one-response tests, the aggregate-ownership tests, the
-# cache's forced interleavings and the one codec's hostile-input,
-# field-order and breaker-poll tests by name at -count=3);
+# one-request-one-response tests, the aggregate-ownership tests with the
+# frame arena's and the deflater's byte-determinism test, the cache's
+# forced interleavings and the one codec's hostile-input, field-order and
+# breaker-poll tests by name at -count=3); the fuzz step bursts five
+# surfaces, four decoders and the deflate encoder;
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the nine
 # analyzers (collorder, bufhandoff, errdrop, wiresym, collabort,
@@ -118,6 +120,12 @@ go test -race -count=3 -run '^TestForced' ./internal/cache
 # assertions — abort after the exchange, after the data files, after the
 # metadata, a retried write, a clean one — run again the same way.
 go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbortsAllRanks|TestFaultDataWriteAbortsAllRanks|TestFaultMetaWriteAbortsAllRanks|TestFaultTransientWriteRetries|TestWriteAdaptiveRankOnUpperFace' ./internal/agg ./internal/core
+# A compressed file's frames live in a pooled arena from the compress to
+# the end of the write: the bound the arena is sized by, a slot too short
+# (the frame moves out, its neighbour is untouched), the arena back in its
+# pool on every exit, and frames whose bytes depend on the column alone —
+# whatever the pooled deflater coded before, on any number of workers.
+go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone' ./internal/particle ./internal/format
 # One codec frames every structured byte (internal/binio). A metadata
 # image whose file count its bytes do not bear out is refused for what the
 # bytes cost (it killed the process while the count sized the table); a
@@ -136,10 +144,14 @@ echo "== go test -race -count=2 (server tier) =="
 go test -race -count=2 ./internal/server/...
 
 echo "== codec fuzz smoke =="
-# Short fuzz bursts over the four decoder attack surfaces: the per-field
-# block codec round-trip (hostile specs and record bytes), the deflate
-# decoder under it (differential against compress/flate: never laxer,
-# same bytes, and every flate.Writer stream accepted), the data
+# Short fuzz bursts over five surfaces, four decoders and one encoder: the
+# per-field block codec round-trip (hostile specs and record bytes), the
+# deflate decoder under it (differential against compress/flate: never
+# laxer, same bytes, and every flate.Writer stream accepted), the deflate
+# encoder beside it (any bytes in 1, 4 or 8 planes: compress/flate's reader
+# and the inflater both give them back and stop on the payload's last byte,
+# never more than the column stored; minimizing is capped, or one mutant
+# of a 64 KiB seed eats the burst), the data
 # file opener (whose corpus seeds compressed files, truncations,
 # and bit flips) and the metadata decoder — which a spiod's clients and a
 # gateway run on bytes a server sent — seeded with the image whose file
@@ -148,6 +160,7 @@ echo "== codec fuzz smoke =="
 # mutation.
 go test -run '^$' -fuzz '^FuzzCodecRoundTrip$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzInflate$' -fuzztime 10s ./internal/particle
+go test -run '^$' -fuzz '^FuzzDeflate$' -fuzztime 10s -fuzzminimizetime 1s ./internal/particle
 go test -run '^$' -fuzz '^FuzzOpenDataFile$' -fuzztime 10s ./internal/format
 go test -run '^$' -fuzz '^FuzzReadMeta$' -fuzztime 10s ./internal/format
 
