@@ -309,7 +309,7 @@ func BenchmarkAblationScanExchange(b *testing.B) {
 		patches[r] = simGrid.CellBoxLinear(r)
 	}
 	// Misaligned: 3 partitions over 16 patches along x.
-	layout, err := agg.NewScanLayout(geom.UnitBox(), geom.I3(3, 1, 1), patches)
+	layout, err := agg.NewImposedLayout(geom.UnitBox(), geom.I3(3, 1, 1), patches)
 	if err != nil {
 		b.Fatal(err)
 	}

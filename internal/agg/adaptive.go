@@ -19,8 +19,8 @@ import (
 // counts, every rank independently derives the identical occupied region
 // and grid, aggregators stay uniformly spread over the entire rank space,
 // and ranks without particles drop out of the subsequent phases. The
-// result is a ScanLayout: it is generally not aligned with the simulation
-// patches, so the exchange scans particles into partitions.
+// grid is generally not aligned with the simulation patches, so a rank
+// whose bounds span several cells scans its particles into them.
 
 // encodeExtent and decodeExtent are the 56-byte payload each rank
 // contributes to the all-to-all extent exchange: its bounding box and
@@ -47,13 +47,12 @@ func boundsEps(domain geom.Box) float64 {
 // extents") and independently computes the identical adaptive layout on
 // every rank. parts is the desired partition-grid shape (same role as
 // AggDims for the uniform layout); its volume must not exceed the world
-// size. local supplies this rank's bounds and count.
-func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particle.Buffer) (*ScanLayout, error) {
-	if parts.X <= 0 || parts.Y <= 0 || parts.Z <= 0 {
-		return nil, fmt.Errorf("agg: invalid partition dims %v", parts)
-	}
-	if parts.Volume() > c.Size() {
-		return nil, fmt.Errorf("agg: %d partitions exceed world size %d", parts.Volume(), c.Size())
+// size. local supplies this rank's bounds and count. A rank's block is
+// the span of its gathered closed bounds; a rank without particles has
+// none and "does not participate in the subsequent stages at all".
+func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particle.Buffer) (*Layout, error) {
+	if err := checkParts(parts, c.Size()); err != nil {
+		return nil, err
 	}
 
 	var payload bytes.Buffer
@@ -103,42 +102,20 @@ func BuildAdaptive(c *mpi.Comm, domain geom.Box, parts geom.Idx3, local *particl
 		}
 		gridBox.Hi = hi
 	}
-	l := &ScanLayout{
-		Grid:     geom.NewGrid(gridBox, parts),
-		NumRanks: c.Size(),
-		Occupied: occupied,
-		// Aggregators uniformly over the entire rank space (Section 6:
-		// "the adaptive grid places aggregators uniformly across the
-		// entire rank space, and ensures that no aggregator is assigned to
-		// empty simulation domain" — every partition of the adaptive grid
-		// holds occupied space by construction).
-		aggregators: selectAggregators(c.Size(), parts.Volume()),
-		senderSets:  make([][]int, parts.Volume()),
-	}
-
-	// Sender sets: rank r will announce a count to partition p iff r has
-	// particles and p lies in the range of cells r's closed bounds span
-	// under the clamped Grid.Locate that SplitByPartition bins with.
-	// Locate is monotone per axis, so every particle of r is binned
-	// inside that range: sender sets and bins agree by construction,
-	// whatever a particle on an upper face or an inflation below the
-	// coordinates' precision does to a box test. Every rank computes this
-	// from the identical gathered table, so senders and receivers agree.
-	// Ranks without particles "do not participate in the subsequent
-	// stages at all".
-	for r := 0; r < c.Size(); r++ {
-		if rankCounts[r] == 0 {
-			continue
-		}
-		lo, hi := l.Grid.Locate(rankBounds[r].Lo), l.Grid.Locate(rankBounds[r].Hi)
-		for z := lo.Z; z <= hi.Z; z++ {
-			for y := lo.Y; y <= hi.Y; y++ {
-				for x := lo.X; x <= hi.X; x++ {
-					p := geom.I3(x, y, z).Linear(parts)
-					l.senderSets[p] = append(l.senderSets[p], r)
-				}
-			}
+	grid := geom.NewGrid(gridBox, parts)
+	blocks := make([]block, c.Size())
+	for r := range blocks {
+		blocks[r] = noBlock
+		if rankCounts[r] > 0 {
+			blocks[r] = span(grid, rankBounds[r])
 		}
 	}
+	// Aggregators uniformly over the entire rank space (Section 6: "the
+	// adaptive grid places aggregators uniformly across the entire rank
+	// space, and ensures that no aggregator is assigned to empty
+	// simulation domain" — every partition of the adaptive grid holds
+	// occupied space by construction).
+	l := newLayout(grid, blocks)
+	l.Occupied = occupied
 	return l, nil
 }

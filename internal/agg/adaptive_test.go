@@ -13,12 +13,12 @@ import (
 
 // runAdaptive runs BuildAdaptive + Exchange over the occupancy workload
 // and returns per-partition buffers plus one representative layout.
-func runAdaptive(t *testing.T, nRanks int, simDims, parts geom.Idx3, q float64, perRank int) ([]*particle.Buffer, *ScanLayout) {
+func runAdaptive(t *testing.T, nRanks int, simDims, parts geom.Idx3, q float64, perRank int) ([]*particle.Buffer, *Layout) {
 	t.Helper()
 	domain := geom.UnitBox()
 	simGrid := geom.NewGrid(domain, simDims)
 	results := make([]*particle.Buffer, parts.Volume())
-	layouts := make([]*ScanLayout, nRanks)
+	layouts := make([]*Layout, nRanks)
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
 		patch := simGrid.CellBox(geom.Unlinear(c.Rank(), simDims))
 		local := particle.Occupancy(particle.Uintah(), domain, patch, perRank, q, 19, c.Rank())
@@ -171,7 +171,7 @@ func TestAdaptiveEmptyRanksDoNotSend(t *testing.T) {
 			return err
 		}
 		for p := 0; p < l.NumPartitions(); p++ {
-			for _, r := range l.SenderSet(p) {
+			for _, r := range l.Senders(p) {
 				if r != 0 {
 					return fmt.Errorf("partition %d sender set includes empty rank %d", p, r)
 				}

@@ -16,7 +16,7 @@ func BenchmarkExchangeAligned64Ranks(b *testing.B) {
 	}
 	locals := make([]*particle.Buffer, 64)
 	for r := range locals {
-		locals[r] = particle.Uniform(particle.Uintah(), layout.PatchOf(r), 4096, 3, r)
+		locals[r] = particle.Uniform(particle.Uintah(), patchOf(cfg, r), 4096, 3, r)
 	}
 	b.SetBytes(64 * 4096 * 124)
 	b.ResetTimer()
@@ -38,7 +38,7 @@ func BenchmarkSplitByPartition(b *testing.B) {
 	b.SetBytes(buf.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SplitByPartition(buf, grid)
+		SplitByPartition(buf, grid, geom.Idx3{}, geom.I3(3, 3, 3))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -272,57 +271,29 @@ type Aggregate struct {
 	Rows *particle.Rows
 }
 
-// Exchange runs the two-phase exchange for an aligned aggregation-grid:
-// every rank's patch lies in exactly one partition, so each rank sends
-// its whole buffer to one aggregator with no per-particle scan (Section
-// 3.3, "each process can simply send all of its particles to the process
-// which owns the partition").
+// Exchange runs the two-phase exchange from this rank. A rank whose block
+// is one cell sends its whole buffer to that cell's aggregator with no
+// per-particle scan (Section 3.3, "each process can simply send all of its
+// particles to the process which owns the partition"). Any other block is
+// scanned (SplitByPartition) and one bundle goes to every cell of it, zero
+// counts included, each encoded straight from the caller's columns through
+// its bin's index list; an empty block sends nothing. Every rank must hold
+// the identical layout.
 func (l *Layout) Exchange(c *mpi.Comm, local *particle.Buffer) (Aggregate, Timing, error) {
-	if l.NumRanks != c.Size() {
-		return Aggregate{Part: -1}, Timing{}, fmt.Errorf("agg: layout built for %d ranks, world has %d", l.NumRanks, c.Size())
+	if len(l.blocks) != c.Size() {
+		return Aggregate{Part: -1}, Timing{}, fmt.Errorf("agg: layout built for %d ranks, world has %d", len(l.blocks), c.Size())
 	}
-	sends := []send{{to: l.AggregatorOfRank(c.Rank()), count: local.Len(), encode: local.EncodeRecordsInto}}
-	ag := Aggregate{Part: -1}
-	var expectFrom []int
-	part, isAgg := l.IsAggregator(c.Rank())
-	if isAgg {
-		ag.Part, ag.Box = part, l.PartitionBox(part)
-		expectFrom = l.RanksInPartition(part)
-	}
-	var tm Timing
-	var err error
-	ag.Rows, tm, err = exchange(c, local.Schema(), sends, expectFrom, isAgg)
-	return ag, tm, err
-}
-
-// Exchange runs the two-phase exchange for a grid that is not aligned
-// with the ranks' patches: each rank scans its particles to bin them by
-// partition (SplitByPartition) and may send to several aggregators, each
-// bundle encoded straight from the caller's columns through its bin's
-// index list. Every rank must hold the identical layout (it is derived
-// from globally known geometry).
-func (l *ScanLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (Aggregate, Timing, error) {
-	split := SplitByPartition(local, l.Grid)
-
 	var sends []send
-	var sanityErr error
-	for p, senders := range l.senderSets {
-		idx := split[p]
-		if slices.Contains(senders, c.Rank()) {
+	if b := l.blocks[c.Rank()]; b.lo == b.hi {
+		sends = []send{{to: l.aggregators[b.lo.Linear(l.Grid.Dims)], count: local.Len(), encode: local.EncodeRecordsInto}}
+	} else {
+		split := SplitByPartition(local, l.Grid, b.lo, b.hi)
+		b.cells(l.Grid.Dims, func(p int) {
+			idx := split[p]
 			sends = append(sends, send{to: l.aggregators[p], count: len(idx), encode: func(dst []byte, lo, hi int) {
 				local.EncodeRecordsGather(dst, idx[lo:hi])
 			}})
-		} else if len(idx) > 0 && sanityErr == nil {
-			// Every non-empty bin must be covered by a sender-set entry,
-			// otherwise the aggregator would never post a receive for us.
-			// The violation is recorded, not returned early: this rank
-			// still runs the full exchange (dropping the uncovered
-			// particles, which no peer is expecting anyway) so its peers'
-			// sends and receives all complete, and the caller's collective
-			// error agreement surfaces the failure on every rank.
-			sanityErr = fmt.Errorf("agg: rank %d holds %d particles for partition %d but is not in its sender set",
-				c.Rank(), len(idx), p)
-		}
+		})
 	}
 
 	ag := Aggregate{Part: -1}
@@ -330,13 +301,10 @@ func (l *ScanLayout) Exchange(c *mpi.Comm, local *particle.Buffer) (Aggregate, T
 	part, isAgg := l.IsAggregator(c.Rank())
 	if isAgg {
 		ag.Part, ag.Box = part, l.PartitionBox(part)
-		expectFrom = l.senderSets[part]
+		expectFrom = l.senders[part]
 	}
 	var tm Timing
 	var err error
 	ag.Rows, tm, err = exchange(c, local.Schema(), sends, expectFrom, isAgg)
-	if sanityErr != nil {
-		err = sanityErr
-	}
 	return ag, tm, err
 }

@@ -27,7 +27,7 @@ func runAligned(t *testing.T, cfg Config, nRanks, perRank int) []*particle.Buffe
 	}
 	results := make([]*particle.Buffer, l.NumPartitions())
 	err = mpi.Run(nRanks, func(c *mpi.Comm) error {
-		local := particle.Uniform(particle.Uintah(), l.PatchOf(c.Rank()), perRank, 7, c.Rank())
+		local := particle.Uniform(particle.Uintah(), patchOf(cfg, c.Rank()), perRank, 7, c.Rank())
 		ag, _, err := l.Exchange(c, local)
 		if part, ok := l.IsAggregator(c.Rank()); ok != (ag.Rows != nil) || part != ag.Part {
 			err = fmt.Errorf("aggregate of partition %d (rows: %v) on the aggregator of %d (%v)", ag.Part, ag.Rows != nil, part, ok)
@@ -74,13 +74,12 @@ func TestExchangeAlignedSpatialLocality(t *testing.T) {
 
 func TestExchangeAlignedNoParticleLostOrDuplicated(t *testing.T) {
 	cfg := unitCfg(geom.I3(2, 2, 2), geom.I3(2, 1, 1))
-	l, _ := NewLayout(cfg, 8)
 	results := runAligned(t, cfg, 8, 40)
 	// Regenerate every rank's particles and check multiset equality of
 	// global IDs.
 	want := make(map[float64]int)
 	for rank := 0; rank < 8; rank++ {
-		b := particle.Uniform(particle.Uintah(), l.PatchOf(rank), 40, 7, rank)
+		b := particle.Uniform(particle.Uintah(), patchOf(cfg, rank), 40, 7, rank)
 		ids := b.Float64Field(b.Schema().FieldIndex("id"))
 		for _, id := range ids {
 			want[id]++
@@ -111,7 +110,7 @@ func TestExchangeAlignedFilePerProcess(t *testing.T) {
 	results := runAligned(t, cfg, 4, 30)
 	for part, b := range results {
 		rank := l.Aggregator(part)
-		want := particle.Uniform(particle.Uintah(), l.PatchOf(rank), 30, 7, rank)
+		want := particle.Uniform(particle.Uintah(), patchOf(cfg, rank), 30, 7, rank)
 		if !b.Equal(want) {
 			t.Errorf("partition %d buffer differs from its own rank's particles", part)
 		}
@@ -166,7 +165,7 @@ func TestExchangeAlignedEmptyRanks(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		var local *particle.Buffer
 		if c.Rank()%2 == 0 {
-			local = particle.Uniform(particle.Uintah(), l.PatchOf(c.Rank()), 10, 1, c.Rank())
+			local = particle.Uniform(particle.Uintah(), patchOf(cfg, c.Rank()), 10, 1, c.Rank())
 		} else {
 			local = particle.NewBuffer(particle.Uintah(), 0)
 		}
@@ -186,7 +185,7 @@ func TestExchangeTimingPopulated(t *testing.T) {
 	cfg := unitCfg(geom.I3(2, 2, 1), geom.I3(2, 2, 1))
 	l, _ := NewLayout(cfg, 4)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
-		local := particle.Uniform(particle.Uintah(), l.PatchOf(c.Rank()), 100, 3, c.Rank())
+		local := particle.Uniform(particle.Uintah(), patchOf(cfg, c.Rank()), 100, 3, c.Rank())
 		ag, tm, err := l.Exchange(c, local)
 		ag.Rows.Release()
 		if err != nil {
@@ -208,23 +207,20 @@ func TestExchangeTimingPopulated(t *testing.T) {
 func TestExchangeScanNonAligned(t *testing.T) {
 	// A grid deliberately misaligned with patches: 3 partitions over a
 	// 4-rank 1D decomposition; ranks straddle partition boundaries and
-	// must scan. Sender sets derived from patch geometry.
+	// must scan. Sender sets come from the patches' blocks.
 	domain := geom.UnitBox()
-	grid := geom.NewGrid(domain, geom.I3(3, 1, 1))
 	simGrid := geom.NewGrid(domain, geom.I3(4, 1, 1))
-	aggregators := selectAggregators(4, 3)
-	senderSets := make([][]int, 3)
-	for p := range senderSets {
-		pb := grid.CellBoxLinear(p)
-		for r := 0; r < 4; r++ {
-			if simGrid.CellBoxLinear(r).Intersects(pb) {
-				senderSets[p] = append(senderSets[p], r)
-			}
-		}
+	patches := make([]geom.Box, 4)
+	for r := range patches {
+		patches[r] = simGrid.CellBoxLinear(r)
 	}
-	l := &ScanLayout{Grid: grid, NumRanks: 4, aggregators: aggregators, senderSets: senderSets}
+	l, err := NewImposedLayout(domain, geom.I3(3, 1, 1), patches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := l.Grid
 	results := make([]*particle.Buffer, 3)
-	err := mpi.Run(4, func(c *mpi.Comm) error {
+	err = mpi.Run(4, func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), simGrid.CellBoxLinear(c.Rank()), 90, 5, c.Rank())
 		ag, _, err := l.Exchange(c, local)
 		collect(results, ag)
@@ -248,27 +244,5 @@ func TestExchangeScanNonAligned(t *testing.T) {
 	}
 	if total != 4*90 {
 		t.Errorf("total = %d, want 360", total)
-	}
-}
-
-func TestExchangeScanRejectsUncoveredSender(t *testing.T) {
-	// If a rank holds particles for a partition it is not registered to
-	// send to, the exchange must fail loudly instead of deadlocking.
-	domain := geom.UnitBox()
-	grid := geom.NewGrid(domain, geom.I3(2, 1, 1))
-	l := &ScanLayout{Grid: grid, NumRanks: 2, aggregators: []int{0, 1},
-		senderSets: [][]int{{0}, {0}}} // rank 1 missing everywhere
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		local := particle.Uniform(particle.Uintah(), domain, 10, 1, c.Rank())
-		ag, _, err := l.Exchange(c, local)
-		ag.Rows.Release()
-		if c.Rank() == 1 && err == nil {
-			return fmt.Errorf("uncovered sender accepted")
-		}
-		// No deadlock: per senderSets, neither aggregator waits on rank 1.
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

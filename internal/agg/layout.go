@@ -1,8 +1,15 @@
 // Package agg implements the paper's spatially-aware two-phase
-// aggregation (Section 3): the aggregation-grid imposed on the simulation
-// domain, uniform aggregator selection over the rank space, the
-// metadata-then-data particle exchange, and the adaptive aggregation-grid
-// for non-uniform particle distributions (Section 6).
+// aggregation (Section 3): an aggregation-grid over the simulation
+// domain, aggregators spread uniformly over the rank space, and the
+// metadata-then-data particle exchange.
+//
+// There is one Layout. Each rank has a block, the inclusive range of grid
+// cells its particles are binned into, and the senders of a partition are
+// the ranks whose block holds it. The three constructors differ only in
+// where a rank's block comes from: NewLayout (the aligned grid of Section
+// 3.3, one cell by index arithmetic), NewImposedLayout (an arbitrary grid
+// over the ranks' patches) and BuildAdaptive (a grid fitted to the
+// occupied region, Section 6).
 package agg
 
 import (
@@ -57,36 +64,112 @@ func (c Config) NumFiles() int {
 // Px·Py·Pz.
 func (c Config) GroupSize() int { return c.Factor.Volume() }
 
-// Layout is the resolved aggregation structure for a uniform (aligned)
-// write: the simulation grid, the coarsened aggregation-grid, and the
-// aggregator rank owning each partition.
+// Layout is the resolved aggregation structure, identical on every rank:
+// the aggregation-grid, the aggregator owning each partition, and each
+// rank's block.
 type Layout struct {
-	Config
-	NumRanks    int
-	SimGrid     geom.Grid
-	AggGrid     geom.Grid
-	aggregators []int // partition linear index -> aggregator rank
+	// Grid is the aggregation-grid; its cells are the partitions (= files).
+	Grid geom.Grid
+	// Occupied is the tight union of the non-empty ranks' bounds that an
+	// adaptive grid was fitted to; BuildAdaptive sets it, the other
+	// constructors leave it zero.
+	Occupied    geom.Box
+	aggregators []int   // partition -> aggregator rank
+	blocks      []block // rank -> the cells its particles are binned into
+	senders     [][]int // partition -> ranks whose block holds it, in rank order
 }
 
-// NewLayout validates cfg and resolves the aggregation structure for a
-// world of nRanks.
+// block is an inclusive range of grid cells. noBlock, the block of a rank
+// with nothing to send, holds none.
+type block struct{ lo, hi geom.Idx3 }
+
+var noBlock = block{hi: geom.I3(-1, -1, -1)}
+
+// cells calls fn with the linear index of every cell of b, in row-major
+// order.
+func (b block) cells(dims geom.Idx3, fn func(part int)) {
+	for z := b.lo.Z; z <= b.hi.Z; z++ {
+		for y := b.lo.Y; y <= b.hi.Y; y++ {
+			for x := b.lo.X; x <= b.hi.X; x++ {
+				fn(geom.I3(x, y, z).Linear(dims))
+			}
+		}
+	}
+}
+
+// span is the block of the closed box b: the cells Locate puts its
+// corners in and every cell between. Locate is monotone per axis, so
+// every point of b is located inside the block.
+func span(grid geom.Grid, b geom.Box) block {
+	return block{grid.Locate(b.Lo), grid.Locate(b.Hi)}
+}
+
+// newLayout completes a layout from its grid and its ranks' blocks: the
+// aggregators, spread uniformly over the rank space, and the sender sets.
+func newLayout(grid geom.Grid, blocks []block) *Layout {
+	l := &Layout{
+		Grid:        grid,
+		aggregators: selectAggregators(len(blocks), grid.Cells()),
+		blocks:      blocks,
+		senders:     make([][]int, grid.Cells()),
+	}
+	for r, b := range blocks {
+		b.cells(grid.Dims, func(p int) { l.senders[p] = append(l.senders[p], r) })
+	}
+	return l
+}
+
+// NewLayout validates cfg and resolves the aligned aggregation-grid for a
+// world of nRanks: the simulation grid coarsened by the partition factor.
 func NewLayout(cfg Config, nRanks int) (*Layout, error) {
 	if err := cfg.Validate(nRanks); err != nil {
 		return nil, err
 	}
-	simGrid := geom.NewGrid(cfg.Domain, cfg.SimDims)
-	aggGrid, err := simGrid.CoarsenBy(cfg.Factor)
+	grid, err := geom.NewGrid(cfg.Domain, cfg.SimDims).CoarsenBy(cfg.Factor)
 	if err != nil {
 		return nil, err
 	}
-	l := &Layout{
-		Config:   cfg,
-		NumRanks: nRanks,
-		SimGrid:  simGrid,
-		AggGrid:  aggGrid,
+	// A rank's block is its patch's one cell, by index arithmetic (Section
+	// 3.3: "the domain of each process is always contained inside a single
+	// partition"). span of the closed patch would also take in the upper
+	// neighbours its Hi corner touches, and make every rank scan.
+	blocks := make([]block, nRanks)
+	for r := range blocks {
+		cell := geom.CellOfCell(geom.Unlinear(r, cfg.SimDims), cfg.Factor)
+		blocks[r] = block{cell, cell}
 	}
-	l.aggregators = selectAggregators(nRanks, aggGrid.Cells())
-	return l, nil
+	return newLayout(grid, blocks), nil
+}
+
+// NewImposedLayout imposes an arbitrary aggregation-grid of shape parts
+// on the domain, generally not aligned with the nRanks = len(rankPatches)
+// writers' patches (the general case of Section 3). A rank's block is
+// the span of its closed patch. Every rank must build the layout from the
+// same arguments.
+func NewImposedLayout(domain geom.Box, parts geom.Idx3, rankPatches []geom.Box) (*Layout, error) {
+	if err := checkParts(parts, len(rankPatches)); err != nil {
+		return nil, err
+	}
+	if domain.IsEmpty() {
+		return nil, fmt.Errorf("agg: empty domain %v", domain)
+	}
+	grid := geom.NewGrid(domain, parts)
+	blocks := make([]block, len(rankPatches))
+	for r, patch := range rankPatches {
+		blocks[r] = span(grid, patch)
+	}
+	return newLayout(grid, blocks), nil
+}
+
+// checkParts validates a partition-grid shape for a world of n ranks.
+func checkParts(parts geom.Idx3, n int) error {
+	if parts.X <= 0 || parts.Y <= 0 || parts.Z <= 0 {
+		return fmt.Errorf("agg: invalid partition dims %v", parts)
+	}
+	if parts.Volume() > n {
+		return fmt.Errorf("agg: %d partitions exceed %d ranks", parts.Volume(), n)
+	}
+	return nil
 }
 
 // selectAggregators spreads nParts aggregators uniformly over the rank
@@ -103,17 +186,10 @@ func selectAggregators(nRanks, nParts int) []int {
 }
 
 // NumPartitions returns the number of aggregation partitions (= files).
-func (l *Layout) NumPartitions() int { return l.AggGrid.Cells() }
+func (l *Layout) NumPartitions() int { return l.Grid.Cells() }
 
 // Aggregator returns the rank that owns partition part.
 func (l *Layout) Aggregator(part int) int { return l.aggregators[part] }
-
-// Aggregators returns a copy of the partition → aggregator table.
-func (l *Layout) Aggregators() []int {
-	cp := make([]int, len(l.aggregators))
-	copy(cp, l.aggregators)
-	return cp
-}
 
 // IsAggregator reports whether rank owns some partition, and which.
 func (l *Layout) IsAggregator(rank int) (part int, ok bool) {
@@ -125,64 +201,32 @@ func (l *Layout) IsAggregator(rank int) (part int, ok bool) {
 	return -1, false
 }
 
-// PatchOf returns the simulation patch box of a rank.
-func (l *Layout) PatchOf(rank int) geom.Box {
-	return l.SimGrid.CellBox(geom.Unlinear(rank, l.SimDims))
-}
-
-// PartitionOfRank returns the aggregation partition containing a rank's
-// whole patch. Valid because the grid is aligned: a patch never straddles
-// partitions (Section 3.3: "the domain of each process is always
-// contained inside a single partition").
-func (l *Layout) PartitionOfRank(rank int) int {
-	fine := geom.Unlinear(rank, l.SimDims)
-	coarse := geom.CellOfCell(fine, l.Factor)
-	return coarse.Linear(l.AggGrid.Dims)
-}
-
-// AggregatorOfRank returns the aggregator a rank sends its particles to.
-func (l *Layout) AggregatorOfRank(rank int) int {
-	return l.aggregators[l.PartitionOfRank(rank)]
-}
+// Senders returns the ranks that announce a count to partition part: every
+// rank whose block holds it, in rank order.
+func (l *Layout) Senders(part int) []int { return l.senders[part] }
 
 // PartitionBox returns the box of partition part.
 func (l *Layout) PartitionBox(part int) geom.Box {
-	return l.AggGrid.CellBoxLinear(part)
+	return l.Grid.CellBoxLinear(part)
 }
 
-// RanksInPartition returns the ranks whose patches lie inside partition
-// part, in rank order — the aggregator's expected sender set for aligned
-// exchanges.
-func (l *Layout) RanksInPartition(part int) []int {
-	coarse := geom.Unlinear(part, l.AggGrid.Dims)
-	out := make([]int, 0, l.GroupSize())
-	base := coarse.Mul(l.Factor)
-	for dz := 0; dz < l.Factor.Z; dz++ {
-		for dy := 0; dy < l.Factor.Y; dy++ {
-			for dx := 0; dx < l.Factor.X; dx++ {
-				fine := base.Add(geom.I3(dx, dy, dz))
-				out = append(out, fine.Linear(l.SimDims))
-			}
-		}
-	}
-	return out
-}
-
-// SplitByPartition bins a buffer's particles by the aggregation
-// partition containing them — the per-particle scan needed for
-// non-aligned grids (Section 3: "If a process's data is split into two
-// aggregators, it must loop through the particles to determine which
-// aggregator they belong to"). The result has, per partition, the indices
-// of its particles in buffer order (empty for a partition that gets
-// none): a sender encodes each bundle through its list
+// SplitByPartition bins a buffer's particles by the cell of grid that
+// holds them, clamped into the block [lo, hi] — the per-particle scan of a
+// rank whose block spans several cells (Section 3: "If a process's data is
+// split into two aggregators, it must loop through the particles to
+// determine which aggregator they belong to"). The result has, per
+// partition, the indices of its particles in buffer order (empty for a
+// partition that gets none): a sender encodes each bundle through its list
 // (Buffer.EncodeRecordsGather), so no per-partition buffer is built.
-func SplitByPartition(buf *particle.Buffer, aggGrid geom.Grid) [][]int {
-	cells := aggGrid.Cells()
+func SplitByPartition(buf *particle.Buffer, grid geom.Grid, lo, hi geom.Idx3) [][]int {
+	cells := grid.Cells()
 	n := buf.Len()
 	parts := make([]int, n)
 	counts := make([]int, cells)
 	for i := 0; i < n; i++ {
-		p := aggGrid.LocateLinear(buf.Position(i))
+		c := grid.Locate(buf.Position(i))
+		c = geom.I3(min(max(c.X, lo.X), hi.X), min(max(c.Y, lo.Y), hi.Y), min(max(c.Z, lo.Z), hi.Z))
+		p := c.Linear(grid.Dims)
 		parts[i] = p
 		counts[p]++
 	}

@@ -12,6 +12,21 @@ func unitCfg(simDims, factor geom.Idx3) Config {
 	return Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor}
 }
 
+// patchOf is the simulation patch of a rank.
+func patchOf(cfg Config, rank int) geom.Box {
+	return geom.NewGrid(cfg.Domain, cfg.SimDims).CellBox(geom.Unlinear(rank, cfg.SimDims))
+}
+
+// cellOf is the partition of an aligned rank: the one cell of its block.
+func cellOf(t testing.TB, l *Layout, rank int) int {
+	t.Helper()
+	b := l.blocks[rank]
+	if b.lo != b.hi {
+		t.Fatalf("rank %d's block %v..%v is not one cell", rank, b.lo, b.hi)
+	}
+	return b.lo.Linear(l.Grid.Dims)
+}
+
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -75,13 +90,12 @@ func TestAggregatorSelectionPaperExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{0, 4, 8, 12}
-	got := l.Aggregators()
-	if len(got) != len(want) {
-		t.Fatalf("aggregators = %v", got)
+	if l.NumPartitions() != len(want) {
+		t.Fatalf("%d partitions, want %d", l.NumPartitions(), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("aggregators = %v, want %v", got, want)
+	for p, r := range want {
+		if l.Aggregator(p) != r {
+			t.Fatalf("partition %d aggregated by rank %d, want %d", p, l.Aggregator(p), r)
 		}
 	}
 }
@@ -117,11 +131,14 @@ func TestIsAggregator(t *testing.T) {
 	}
 }
 
+// TestPartitionOfRankMatchesGeometry: an aligned rank's block is the one
+// partition holding its whole closed patch.
 func TestPartitionOfRankMatchesGeometry(t *testing.T) {
-	l, _ := NewLayout(unitCfg(geom.I3(4, 4, 2), geom.I3(2, 2, 2)), 32)
+	cfg := unitCfg(geom.I3(4, 4, 2), geom.I3(2, 2, 2))
+	l, _ := NewLayout(cfg, 32)
 	for rank := 0; rank < 32; rank++ {
-		patch := l.PatchOf(rank)
-		part := l.PartitionOfRank(rank)
+		patch := patchOf(cfg, rank)
+		part := cellOf(t, l, rank)
 		if !l.PartitionBox(part).ContainsBox(patch) {
 			t.Fatalf("rank %d patch %v not inside partition %d box %v",
 				rank, patch, part, l.PartitionBox(part))
@@ -129,21 +146,24 @@ func TestPartitionOfRankMatchesGeometry(t *testing.T) {
 	}
 }
 
+// TestRanksInPartitionInverse: on an aligned layout a partition's senders
+// are its group, and exactly the ranks whose block is that partition.
 func TestRanksInPartitionInverse(t *testing.T) {
-	l, _ := NewLayout(unitCfg(geom.I3(4, 4, 2), geom.I3(2, 2, 1)), 32)
+	cfg := unitCfg(geom.I3(4, 4, 2), geom.I3(2, 2, 1))
+	l, _ := NewLayout(cfg, 32)
 	covered := make(map[int]bool)
 	for part := 0; part < l.NumPartitions(); part++ {
-		ranks := l.RanksInPartition(part)
-		if len(ranks) != l.GroupSize() {
-			t.Fatalf("partition %d has %d ranks, want %d", part, len(ranks), l.GroupSize())
+		ranks := l.Senders(part)
+		if len(ranks) != cfg.GroupSize() {
+			t.Fatalf("partition %d has %d ranks, want %d", part, len(ranks), cfg.GroupSize())
 		}
 		for _, r := range ranks {
 			if covered[r] {
 				t.Fatalf("rank %d in two partitions", r)
 			}
 			covered[r] = true
-			if l.PartitionOfRank(r) != part {
-				t.Fatalf("rank %d: PartitionOfRank disagrees with RanksInPartition", r)
+			if cellOf(t, l, r) != part {
+				t.Fatalf("rank %d: its block disagrees with the senders of %d", r, part)
 			}
 		}
 	}
@@ -153,7 +173,8 @@ func TestRanksInPartitionInverse(t *testing.T) {
 }
 
 func TestPartitionBoxesTileDomain(t *testing.T) {
-	l, _ := NewLayout(unitCfg(geom.I3(8, 4, 2), geom.I3(2, 2, 2)), 64)
+	cfg := unitCfg(geom.I3(8, 4, 2), geom.I3(2, 2, 2))
+	l, _ := NewLayout(cfg, 64)
 	var vol float64
 	for p := 0; p < l.NumPartitions(); p++ {
 		b := l.PartitionBox(p)
@@ -164,8 +185,8 @@ func TestPartitionBoxesTileDomain(t *testing.T) {
 			}
 		}
 	}
-	if d := vol - l.Config.Domain.Volume(); d > 1e-9 || d < -1e-9 {
-		t.Errorf("partition volumes sum to %v, domain is %v", vol, l.Config.Domain.Volume())
+	if d := vol - cfg.Domain.Volume(); d > 1e-9 || d < -1e-9 {
+		t.Errorf("partition volumes sum to %v, domain is %v", vol, cfg.Domain.Volume())
 	}
 }
 
@@ -173,7 +194,7 @@ func TestSplitByPartition(t *testing.T) {
 	domain := geom.UnitBox()
 	grid := geom.NewGrid(domain, geom.I3(2, 2, 1))
 	buf := particle.Uniform(particle.Uintah(), domain, 400, 3, 0)
-	split := SplitByPartition(buf, grid)
+	split := SplitByPartition(buf, grid, geom.Idx3{}, geom.I3(1, 1, 0))
 	total := 0
 	for p, idx := range split {
 		total += len(idx)
@@ -193,7 +214,7 @@ func TestSplitByPartition(t *testing.T) {
 }
 
 func TestSplitByPartitionEmpty(t *testing.T) {
-	split := SplitByPartition(particle.NewBuffer(particle.Uintah(), 0), geom.NewGrid(geom.UnitBox(), geom.I3(2, 1, 1)))
+	split := SplitByPartition(particle.NewBuffer(particle.Uintah(), 0), geom.NewGrid(geom.UnitBox(), geom.I3(2, 1, 1)), geom.Idx3{}, geom.I3(1, 0, 0))
 	for _, idx := range split {
 		if len(idx) != 0 {
 			t.Error("empty buffer produced non-empty bins")

@@ -86,17 +86,6 @@ func (p *Plan) MaxPartBytes() int64 {
 	return m
 }
 
-// MaxSenders returns the largest sender fan-in of any partition.
-func (p *Plan) MaxSenders() int {
-	m := 0
-	for _, pp := range p.Parts {
-		if pp.Senders > m {
-			m = pp.Senders
-		}
-	}
-	return m
-}
-
 // UniformPlan is the analytic plan for the paper's weak-scaling
 // workloads: nRanks equal patches, particlesPerRank particles each,
 // aggregated in groups of groupSize = Px·Py·Pz.
@@ -175,24 +164,6 @@ func OccupancyPlan(nRanks, groupSize int, particlesPerRank int64, bytesPerPartic
 				p.Parts[i] = PartPlan{Senders: groupSize, Particles: per + extra}
 			}
 		}
-	}
-	return p, p.Validate()
-}
-
-// PlanFromCounts builds a plan from measured per-partition results (the
-// local engine's actuals), so measured runs can be priced by the model.
-func PlanFromCounts(nRanks, bytesPerParticle int, aligned bool, senders []int, particles []int64) (*Plan, error) {
-	if len(senders) != len(particles) {
-		return nil, fmt.Errorf("agg: %d sender entries vs %d particle entries", len(senders), len(particles))
-	}
-	p := &Plan{
-		NumRanks:         nRanks,
-		BytesPerParticle: bytesPerParticle,
-		Aligned:          aligned,
-		Parts:            make([]PartPlan, len(senders)),
-	}
-	for i := range senders {
-		p.Parts[i] = PartPlan{Senders: senders[i], Particles: particles[i]}
 	}
 	return p, p.Validate()
 }

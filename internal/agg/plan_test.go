@@ -51,8 +51,12 @@ func TestUniformPlanWeakScaling(t *testing.T) {
 	if a.MaxPartBytes() != b.MaxPartBytes() {
 		t.Error("per-file burst should be scale-invariant for fixed factor")
 	}
-	if a.MaxSenders() != 8 || b.MaxSenders() != 8 {
-		t.Error("sender fan-in should equal group size")
+	for _, p := range []*Plan{a, b} {
+		for _, pp := range p.Parts {
+			if pp.Senders != 8 {
+				t.Fatal("sender fan-in should equal group size")
+			}
+		}
 	}
 }
 
@@ -112,8 +116,10 @@ func TestOccupancyPlanAdaptive(t *testing.T) {
 		t.Errorf("adaptive imbalance: %d..%d", mn, mx)
 	}
 	// Fewer senders per partition than the non-adaptive group at q<1.
-	if p.MaxSenders() > 8 {
-		t.Errorf("adaptive senders = %d", p.MaxSenders())
+	for _, pp := range p.Parts {
+		if pp.Senders > 8 {
+			t.Errorf("adaptive senders = %d", pp.Senders)
+		}
 	}
 }
 
@@ -151,22 +157,6 @@ func TestQuickOccupancyPlanConservesTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPlanFromCounts(t *testing.T) {
-	p, err := PlanFromCounts(8, 124, true, []int{4, 4}, []int64{100, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalParticles() != 300 || p.NumFiles() != 2 {
-		t.Errorf("plan = %+v", p)
-	}
-	if _, err := PlanFromCounts(8, 124, true, []int{4}, []int64{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := PlanFromCounts(8, 124, true, []int{-1}, []int64{1}); err == nil {
-		t.Error("negative senders accepted")
 	}
 }
 

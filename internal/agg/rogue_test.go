@@ -25,7 +25,8 @@ const tagGo = 9
 func TestExchangeSurvivesRogueSender(t *testing.T) {
 	const rogue, k = 2, 5
 	schema := particle.Uintah()
-	l, err := NewLayout(unitCfg(geom.I3(4, 1, 1), geom.I3(4, 1, 1)), 4)
+	cfg := unitCfg(geom.I3(4, 1, 1), geom.I3(4, 1, 1))
+	l, err := NewLayout(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestExchangeSurvivesRogueSender(t *testing.T) {
 		t.Fatalf("aggregator is rank %d, the test wants 0", l.Aggregator(0))
 	}
 	localOf := func(rank, n int) *particle.Buffer {
-		return particle.Uniform(schema, l.PatchOf(rank), n, 7, rank)
+		return particle.Uniform(schema, patchOf(cfg, rank), n, 7, rank)
 	}
 	count := func(n uint64) []byte {
 		return binary.LittleEndian.AppendUint64(nil, n)

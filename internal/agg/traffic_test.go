@@ -20,7 +20,7 @@ func measureTraffic(t *testing.T, cfg Config, nRanks, perRank int) mpi.TrafficSt
 	}
 	w := mpi.NewWorld(nRanks)
 	err = w.Run(func(c *mpi.Comm) error {
-		local := particle.Uniform(particle.Uintah(), layout.PatchOf(c.Rank()), perRank, 7, c.Rank())
+		local := particle.Uniform(particle.Uintah(), patchOf(cfg, c.Rank()), perRank, 7, c.Rank())
 		ag, _, err := layout.Exchange(c, local)
 		ag.Rows.Release()
 		return err
@@ -43,7 +43,7 @@ func TestAlignedExchangeTrafficMatchesPlan(t *testing.T) {
 	// so they are not necessarily members of the partitions they own).
 	wireSenders := int64(0)
 	for r := 0; r < nRanks; r++ {
-		if layout.AggregatorOfRank(r) != r {
+		if layout.Aggregator(cellOf(t, layout, r)) != r {
 			wireSenders++
 		}
 	}

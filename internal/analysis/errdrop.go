@@ -36,14 +36,13 @@ var ErrDrop = &Analyzer{
 
 // errDropPackages is the API surface errdrop watches.
 var errDropPackages = map[string]bool{
-	rootPath:                 true,
-	corePath:                 true,
-	particlePath:             true,
-	mpiPath:                  true,
-	"spio/internal/format":   true,
-	"spio/internal/reader":   true,
-	"spio/internal/profile":  true,
-	"spio/internal/baseline": true,
+	rootPath:                true,
+	corePath:                true,
+	particlePath:            true,
+	mpiPath:                 true,
+	"spio/internal/format":  true,
+	"spio/internal/reader":  true,
+	"spio/internal/profile": true,
 }
 
 func runErrDrop(pass *Pass) {

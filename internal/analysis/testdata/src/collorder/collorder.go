@@ -38,12 +38,12 @@ func rankBoundLoop(c *mpi.Comm) {
 }
 
 // Balanced branches: every rank issues the same collective sequence, so
-// the guard is fine (the Exscan root/non-root shape).
-func balancedBranches(c *mpi.Comm, parts [][]byte) []byte {
+// the guard is fine (the root/non-root Bcast shape).
+func balancedBranches(c *mpi.Comm, payload []byte) []byte {
 	if c.Rank() == 0 {
-		return c.Scatter(0, parts)
+		return c.Bcast(0, payload)
 	}
-	return c.Scatter(0, nil)
+	return c.Bcast(0, nil)
 }
 
 // The rank-0-writes-metadata pattern used by internal/core: the

@@ -101,11 +101,11 @@ func TestWriteMatchesColumnReference(t *testing.T) {
 		for r := range patches {
 			patches[r] = simGrid.CellBoxLinear(r)
 		}
-		imposed, err := agg.NewScanLayout(domain, geom.I3(3, 1, 1), patches)
+		imposed, err := agg.NewImposedLayout(domain, geom.I3(3, 1, 1), patches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var adaptive *agg.ScanLayout
+		var adaptive *agg.Layout
 		err = mpi.Run(nRanks, func(c *mpi.Comm) error {
 			l, err := agg.BuildAdaptive(c, domain, geom.I3(2, 2, 1), locals[c.Rank()])
 			if c.Rank() == 0 {
@@ -116,8 +116,8 @@ func TestWriteMatchesColumnReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanning := func(l *agg.ScanLayout) refLayout {
-			return refLayout{l.NumPartitions(), l.Aggregator, l.SenderSet,
+		scanning := func(l *agg.Layout) refLayout {
+			return refLayout{l.NumPartitions(), l.Aggregator, l.Senders,
 				func(part int, p geom.Vec3) bool { return l.Grid.LocateLinear(p) == part }}
 		}
 		layouts := []struct {
@@ -126,7 +126,7 @@ func TestWriteMatchesColumnReference(t *testing.T) {
 			ref  refLayout
 		}{
 			{"aligned", func(*WriteConfig) {},
-				refLayout{aligned.NumPartitions(), aligned.Aggregator, aligned.RanksInPartition, nil}},
+				refLayout{aligned.NumPartitions(), aligned.Aggregator, aligned.Senders, nil}},
 			{"AggDims", func(cfg *WriteConfig) { cfg.AggDims = geom.I3(3, 1, 1) }, scanning(imposed)},
 			{"adaptive", func(cfg *WriteConfig) { cfg.Adaptive, cfg.Agg.Factor = true, geom.I3(2, 1, 1) }, scanning(adaptive)},
 		}

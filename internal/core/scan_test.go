@@ -157,7 +157,6 @@ func TestWriteAdaptiveRankOnUpperFace(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
 			cfg := WriteConfig{
 				Agg:           agg.Config{Domain: tc.domain, SimDims: simDims, Factor: geom.I3(1, 1, 1)},
 				Adaptive:      true,
@@ -165,42 +164,100 @@ func TestWriteAdaptiveRankOnUpperFace(t *testing.T) {
 				Seed:          5,
 			}
 			grid := geom.NewGrid(tc.domain, simDims)
-			want := make(map[float64]int)
 			locals := make([]*particle.Buffer, 4)
 			for r := range locals {
 				locals[r] = tc.local(r, grid.CellBoxLinear(r))
-				for _, id := range locals[r].Float64Field(locals[r].Schema().FieldIndex("id")) {
-					want[id]++
-				}
 			}
-			err := mpi.Run(4, func(c *mpi.Comm) error {
-				_, err := Write(c, dir, cfg, locals[c.Rank()])
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ds, err := reader.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ds.Close()
-			if problems := ds.Fsck(reader.FsckOptions{Deep: true}); len(problems) != 0 {
-				t.Errorf("fsck: %v", problems)
-			}
-			all, _, err := ds.ReadAll(reader.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range all.Float64Field(all.Schema().FieldIndex("id")) {
-				want[id]--
-			}
-			for id, n := range want {
-				if n != 0 {
-					t.Fatalf("particle %v read back %d times too few", id, n)
-				}
-			}
-			noSegmentsHeld(t)
+			writeEveryParticleOnce(t, cfg, locals)
 		})
 	}
+}
+
+// TestWriteParticleOnPatchFace: a particle on the face, edge or corner its
+// rank's patch shares with the patches above it, or on the domain's upper
+// face, is written once and where deep fsck expects it, whatever the grid.
+// An imposed grid used to fail every rank of such a write: its sender sets
+// came from half-open patch boxes, which the particle's partition did not
+// intersect. A rank's block is now the span of its closed patch.
+func TestWriteParticleOnPatchFace(t *testing.T) {
+	simDims := geom.I3(2, 2, 2)
+	grids := []struct {
+		name string
+		set  func(*WriteConfig)
+	}{
+		{"aligned", func(*WriteConfig) {}},
+		{"imposed", func(cfg *WriteConfig) { cfg.AggDims = simDims }},
+		{"adaptive", func(cfg *WriteConfig) { cfg.Adaptive = true }},
+	}
+	onFace := []struct {
+		name string
+		rank int
+		at   geom.Vec3
+	}{
+		{"face", 0, geom.V3(0.5, 0.25, 0.25)},
+		{"edge", 0, geom.V3(0.5, 0.5, 0.25)},
+		{"corner", 0, geom.V3(0.5, 0.5, 0.5)},
+		{"domain's upper face", 7, geom.V3(1, 0.75, 0.75)},
+	}
+	for _, g := range grids {
+		for _, f := range onFace {
+			t.Run(g.name+"/"+f.name, func(t *testing.T) {
+				cfg := WriteConfig{
+					Agg:           agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: geom.I3(1, 1, 1)},
+					ValidateInput: true,
+					Seed:          5,
+				}
+				g.set(&cfg)
+				grid := geom.NewGrid(cfg.Agg.Domain, simDims)
+				locals := make([]*particle.Buffer, simDims.Volume())
+				for r := range locals {
+					locals[r] = particle.Uniform(particle.Uintah(), grid.CellBoxLinear(r), 30, 3, r)
+				}
+				locals[f.rank].SetPosition(0, f.at)
+				writeEveryParticleOnce(t, cfg, locals)
+			})
+		}
+	}
+}
+
+// writeEveryParticleOnce writes locals (one buffer per rank) with cfg and
+// checks that deep fsck is clean and every particle reads back exactly
+// once.
+func writeEveryParticleOnce(t *testing.T, cfg WriteConfig, locals []*particle.Buffer) {
+	t.Helper()
+	dir := t.TempDir()
+	want := make(map[float64]int)
+	for _, local := range locals {
+		for _, id := range local.Float64Field(local.Schema().FieldIndex("id")) {
+			want[id]++
+		}
+	}
+	err := mpi.Run(len(locals), func(c *mpi.Comm) error {
+		_, err := Write(c, dir, cfg, locals[c.Rank()])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := reader.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if problems := ds.Fsck(reader.FsckOptions{Deep: true}); len(problems) != 0 {
+		t.Errorf("fsck: %v", problems)
+	}
+	all, _, err := ds.ReadAll(reader.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range all.Float64Field(all.Schema().FieldIndex("id")) {
+		want[id]--
+	}
+	for id, n := range want {
+		if n != 0 {
+			t.Fatalf("particle %v read back %d times too few", id, n)
+		}
+	}
+	noSegmentsHeld(t)
 }

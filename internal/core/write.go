@@ -1,7 +1,7 @@
 // Package core wires the substrates into the paper's end-to-end I/O
 // pipeline. The write side is the eight-step scheme of Section 3:
 //
-//	(1) set up the aggregation-grid        (agg.NewLayout / NewScanLayout / BuildAdaptive)
+//	(1) set up the aggregation-grid        (one agg.Layout: NewLayout / NewImposedLayout / BuildAdaptive)
 //	(2) select aggregators                 (agg, uniform over rank space)
 //	(3) exchange metadata                  (counts, non-blocking P2P)
 //	(4) allocate aggregation buffers       (particle.Rows, sized from the counts)
@@ -10,8 +10,10 @@
 //	(7) write each aggregator's data file  (format.WriteDataFile)
 //	(8) gather + write spatial metadata    (Allgather to rank 0, format.WriteMeta)
 //
-// Each rank reports per-phase timings; the aggregation-vs-file-I/O split
-// is the quantity Fig. 6 reports.
+// Step 1 builds one agg.Layout whichever grid the configuration asks for
+// — aligned (Factor), imposed (AggDims) or adaptive — and steps 3–5 are its
+// one Exchange. Each rank reports per-phase timings; the
+// aggregation-vs-file-I/O split is the quantity Fig. 6 reports.
 package core
 
 import (
@@ -52,7 +54,8 @@ type WriteConfig struct {
 	// instead of the Factor-derived aligned grid; ranks then scan their
 	// particles into partitions (the general case of Section 3). Its
 	// volume must not exceed the world size. Mutually exclusive with
-	// Adaptive. Particles must lie within their rank's patch.
+	// Adaptive. A particle outside its rank's closed patch is filed in
+	// the nearest of the partitions its patch touches.
 	AggDims geom.Idx3
 	// FieldRanges additionally stores per-file min/max summaries of every
 	// field in the metadata (the Section 3.5 range-query extension).
@@ -119,15 +122,13 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 	if cfg.Adaptive && cfg.AggDims != (geom.Idx3{}) {
 		return res, fmt.Errorf("core: Adaptive and AggDims are mutually exclusive")
 	}
-	// Steps 1–2: one of the two layouts, and the grid shape the metadata
-	// records (the partition factor and the aggregation-grid's dims). A
-	// layout fixed by the configuration is built before any communication:
-	// its errors are pure config errors, identical on every rank, so an
-	// early return here is symmetric and cannot strand a peer in a
-	// collective.
-	var aligned *agg.Layout
-	var scan *agg.ScanLayout
-	factor, aggDims := cfg.Agg.Factor, cfg.AggDims
+	// Steps 1–2: the layout, and the partition factor the metadata records.
+	// A layout fixed by the configuration is built before any
+	// communication: its errors are pure config errors, identical on every
+	// rank, so an early return here is symmetric and cannot strand a peer
+	// in a collective.
+	var layout *agg.Layout
+	factor := cfg.Agg.Factor
 	var err error
 	switch {
 	case cfg.Adaptive:
@@ -136,11 +137,9 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 		// A non-aligned grid has no meaningful partition factor; record
 		// zeros so readers can tell the difference.
 		factor = geom.Idx3{}
-		scan, err = scanLayout(c.Size(), cfg)
+		layout, err = imposedLayout(c.Size(), cfg)
 	default:
-		if aligned, err = agg.NewLayout(cfg.Agg, c.Size()); err == nil {
-			aggDims = aligned.AggGrid.Dims
-		}
+		layout, err = agg.NewLayout(cfg.Agg, c.Size())
 	}
 	if err != nil {
 		return res, err
@@ -158,54 +157,43 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 		}
 	}
 	if cfg.Adaptive {
-		if scan, err = adaptiveLayout(c, cfg, local); err != nil {
+		if layout, err = adaptiveLayout(c, cfg, local); err != nil {
 			return res, err
 		}
-		aggDims = scan.Grid.Dims
 	}
 
 	// Steps 3–5.
-	var ag agg.Aggregate
-	var exchErr error
-	if aligned != nil {
-		ag, res.Timing, exchErr = aligned.Exchange(c, local)
-	} else {
-		ag, res.Timing, exchErr = scan.Exchange(c, local)
-	}
+	ag, tm, exchErr := layout.Exchange(c, local)
+	res.Timing = tm
 
 	// Steps 6–8 plus error agreement.
-	err = finishWrite(c, dir, cfg, factor, aggDims, local.Schema(), ag, exchErr, &res)
+	err = finishWrite(c, dir, cfg, factor, layout.Grid.Dims, local.Schema(), ag, exchErr, &res)
 	return res, err
 }
 
-// scanLayout imposes the non-aligned aggregation-grid WriteConfig.AggDims
-// on the ranks' simulation patches.
-func scanLayout(nRanks int, cfg WriteConfig) (*agg.ScanLayout, error) {
+// imposedLayout imposes the non-aligned aggregation-grid
+// WriteConfig.AggDims on the ranks' simulation patches.
+func imposedLayout(nRanks int, cfg WriteConfig) (*agg.Layout, error) {
 	if v := cfg.Agg.SimDims.Volume(); v != nRanks {
 		return nil, fmt.Errorf("core: sim dims %v cover %d patches, world has %d ranks", cfg.Agg.SimDims, v, nRanks)
 	}
 	simGrid := geom.NewGrid(cfg.Agg.Domain, cfg.Agg.SimDims)
 	patches := make([]geom.Box, nRanks)
 	for r := range patches {
-		patches[r] = simGrid.CellBox(geom.Unlinear(r, cfg.Agg.SimDims))
+		patches[r] = simGrid.CellBoxLinear(r)
 	}
-	return agg.NewScanLayout(cfg.Agg.Domain, cfg.AggDims, patches)
+	return agg.NewImposedLayout(cfg.Agg.Domain, cfg.AggDims, patches)
 }
 
 // adaptiveLayout fits the Section 6 grid, of shape SimDims/Factor, to the
 // occupied subdomain. It is collective (agg.BuildAdaptive).
-func adaptiveLayout(c *mpi.Comm, cfg WriteConfig, local *particle.Buffer) (*agg.ScanLayout, error) {
+func adaptiveLayout(c *mpi.Comm, cfg WriteConfig, local *particle.Buffer) (*agg.Layout, error) {
 	// Validate before deriving the partition-grid shape: a zero factor
 	// component must be rejected here, not divided by below.
 	if err := cfg.Agg.Validate(c.Size()); err != nil {
 		return nil, err
 	}
-	parts := geom.Idx3{
-		X: cfg.Agg.SimDims.X / cfg.Agg.Factor.X,
-		Y: cfg.Agg.SimDims.Y / cfg.Agg.Factor.Y,
-		Z: cfg.Agg.SimDims.Z / cfg.Agg.Factor.Z,
-	}
-	return agg.BuildAdaptive(c, cfg.Agg.Domain, parts, local)
+	return agg.BuildAdaptive(c, cfg.Agg.Domain, cfg.Agg.SimDims.Div(cfg.Agg.Factor), local)
 }
 
 // finishWrite runs steps 6–8 plus the collective error-agreement

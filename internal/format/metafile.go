@@ -144,12 +144,17 @@ func totalComponents(s *particle.Schema) int {
 	return n
 }
 
-// FilesIntersecting returns the entries whose partition intersects q, in
-// file order — the metadata-driven file selection of Section 4.
+// FilesIntersecting returns the entries whose half-open partition
+// intersects q, or whose closed particle bounds touch it, in file order —
+// the metadata-driven file selection of Section 4. The bounds catch what
+// the partition misses: a particle on its partition's upper face, one on
+// its lower face under a query whose Hi is that face, and one filed in
+// the nearest partition of its writer's block. The partition keeps a file
+// whose bounds a NaN position has made unusable.
 func (m *Meta) FilesIntersecting(q geom.Box) []*FileEntry {
 	var out []*FileEntry
 	for i := range m.Files {
-		if m.Files[i].Partition.Intersects(q) {
+		if m.Files[i].Partition.Intersects(q) || m.Files[i].Bounds.Touches(q) {
 			out = append(out, &m.Files[i])
 		}
 	}

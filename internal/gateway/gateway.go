@@ -130,7 +130,7 @@ type gwShard struct {
 	ref      string
 	replicas []*backend
 	meta     *format.Meta
-	bounds   geom.Box // union of the shard's file partitions
+	bounds   geom.Box // union of the shard's file partitions and particle bounds
 }
 
 // backend is one spiod address: its connection pool and health state.
@@ -229,7 +229,12 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) error {
 		sh.meta = meta
 		sh.bounds = geom.EmptyBox()
 		for j := range meta.Files {
+			// A file's particles may lie outside its half-open partition
+			// (see format.Meta.FilesIntersecting); NaN bounds are not valid.
 			sh.bounds = sh.bounds.Union(meta.Files[j].Partition)
+			if b := meta.Files[j].Bounds; b.IsValid() {
+				sh.bounds = sh.bounds.Union(b)
+			}
 		}
 		m.shards = append(m.shards, sh)
 	}

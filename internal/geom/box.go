@@ -82,6 +82,14 @@ func (b Box) Intersects(o Box) bool {
 		b.Lo.Z < o.Hi.Z && o.Lo.Z < b.Hi.Z
 }
 
+// Touches reports whether the closed boxes b and o share a point: faces
+// that meet count. An inverted box, or a NaN coordinate, touches nothing.
+func (b Box) Touches(o Box) bool {
+	return b.Lo.X <= o.Hi.X && o.Lo.X <= b.Hi.X &&
+		b.Lo.Y <= o.Hi.Y && o.Lo.Y <= b.Hi.Y &&
+		b.Lo.Z <= o.Hi.Z && o.Lo.Z <= b.Hi.Z
+}
+
 // Intersect returns the overlap of b and o (possibly empty).
 func (b Box) Intersect(o Box) Box {
 	return Box{Lo: b.Lo.Max(o.Lo), Hi: b.Hi.Min(o.Hi)}

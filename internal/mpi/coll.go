@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Collectives are built from point-to-point messages. Every rank must
@@ -157,18 +156,6 @@ func (op ReduceOp) combineI64(a, b int64) int64 {
 	panic(fmt.Sprintf("mpi: unknown reduce op %d", op))
 }
 
-func (op ReduceOp) combineF64(a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
-	}
-	panic(fmt.Sprintf("mpi: unknown reduce op %d", op))
-}
-
 // Reduce combines every rank's value at root. Non-root ranks get 0.
 func (c *Comm) Reduce(root int, value int64, op ReduceOp) int64 {
 	c.stampColl(collReduce)
@@ -199,19 +186,6 @@ func (c *Comm) Allreduce(value int64, op ReduceOp) int64 {
 	}
 	buf = c.Bcast(0, buf)
 	return int64(binary.LittleEndian.Uint64(buf))
-}
-
-// AllreduceF64 is Allreduce for float64 values.
-func (c *Comm) AllreduceF64(value float64, op ReduceOp) float64 {
-	c.stampColl(collAllreduceF64)
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(value))
-	parts := c.Allgather(buf)
-	acc := math.Float64frombits(binary.LittleEndian.Uint64(parts[0]))
-	for _, p := range parts[1:] {
-		acc = op.combineF64(acc, math.Float64frombits(binary.LittleEndian.Uint64(p)))
-	}
-	return acc
 }
 
 // packSlices encodes a list of byte slices with uvarint length prefixes.

@@ -1,65 +1,11 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 )
 
-// Additional collectives and diagnostics beyond the core set.
-
-// Scatter distributes root's per-rank payloads: rank i receives
-// parts[i]. Non-root ranks pass nil.
-func (c *Comm) Scatter(root int, parts [][]byte) []byte {
-	tag := c.nextCollTag(collScatter)
-	if c.rank == root {
-		if len(parts) != c.world.size {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", c.world.size, len(parts)))
-		}
-		for dst, p := range parts {
-			if dst == root {
-				continue
-			}
-			c.send(dst, tag, p)
-		}
-		cp := make([]byte, len(parts[root]))
-		copy(cp, parts[root])
-		return cp
-	}
-	return c.recvWire(root, tag)
-}
-
-// Exscan computes the exclusive prefix reduction of value over ranks:
-// rank r receives op(value_0, …, value_{r-1}); rank 0 receives 0 (for
-// OpSum — callers using Min/Max must special-case rank 0 themselves).
-// It is the offset-establishing collective shared-file writers use.
-func (c *Comm) Exscan(value int64, op ReduceOp) int64 {
-	c.stampColl(collExscan)
-	// Gather-then-scan through rank 0: simple and O(n), adequate for the
-	// scales the local engine runs.
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(value))
-	parts := c.Gather(0, buf[:])
-	if c.rank == 0 {
-		out := make([][]byte, c.world.size)
-		acc := int64(0)
-		for r := 0; r < c.world.size; r++ {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(acc))
-			out[r] = b[:]
-			v := int64(binary.LittleEndian.Uint64(parts[r]))
-			if r == 0 {
-				acc = v
-			} else {
-				acc = op.combineI64(acc, v)
-			}
-		}
-		res := c.Scatter(0, out)
-		return int64(binary.LittleEndian.Uint64(res))
-	}
-	res := c.Scatter(0, nil)
-	return int64(binary.LittleEndian.Uint64(res))
-}
+// Diagnostics beyond the core collectives.
 
 // ErrTimeout reports that RunTimeout's deadline passed before every
 // rank returned — almost always a communication deadlock (mismatched

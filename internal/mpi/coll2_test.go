@@ -2,89 +2,9 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
-
-func TestScatter(t *testing.T) {
-	const n, root = 6, 2
-	err := Run(n, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == root {
-			for i := 0; i < n; i++ {
-				parts = append(parts, []byte(fmt.Sprintf("part-%d", i)))
-			}
-		}
-		got := c.Scatter(root, parts)
-		want := fmt.Sprintf("part-%d", c.Rank())
-		if string(got) != want {
-			return fmt.Errorf("rank %d got %q", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterSelfCopyIndependent(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == 0 {
-			parts = [][]byte{{1}, {2}}
-		}
-		got := c.Scatter(0, parts)
-		if c.Rank() == 0 {
-			parts[0][0] = 9
-			if got[0] == 9 {
-				return errors.New("scatter self payload aliases input")
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExscanSum(t *testing.T) {
-	const n = 9
-	err := Run(n, func(c *Comm) error {
-		// Each rank contributes rank+1; exclusive prefix sums are the
-		// triangular numbers.
-		got := c.Exscan(int64(c.Rank()+1), OpSum)
-		want := int64(c.Rank() * (c.Rank() + 1) / 2)
-		if got != want {
-			return fmt.Errorf("rank %d exscan = %d, want %d", c.Rank(), got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExscanEstablishesDisjointExtents(t *testing.T) {
-	// The shared-file use case: offsets from Exscan tile [0, total).
-	const n = 7
-	counts := []int64{5, 0, 12, 3, 3, 9, 1}
-	offsets := make([]int64, n)
-	err := Run(n, func(c *Comm) error {
-		offsets[c.Rank()] = c.Exscan(counts[c.Rank()], OpSum)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var expect int64
-	for r := 0; r < n; r++ {
-		if offsets[r] != expect {
-			t.Fatalf("rank %d offset %d, want %d", r, offsets[r], expect)
-		}
-		expect += counts[r]
-	}
-}
 
 func TestRunTimeoutCompletes(t *testing.T) {
 	w := NewWorld(4)

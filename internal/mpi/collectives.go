@@ -21,11 +21,8 @@ const (
 	collGather
 	collAllgather
 	collAlltoall
-	collScatter
 	collReduce
 	collAllreduce
-	collAllreduceF64
-	collExscan
 	collDup
 	collKindLimit // one past the last kind; must stay <= collKindSpace
 )
@@ -55,11 +52,8 @@ var collectives = []collectiveSpec{
 	{"Gather", collGather, true},
 	{"Allgather", collAllgather, false},
 	{"Alltoall", collAlltoall, true},
-	{"Scatter", collScatter, true},
 	{"Reduce", collReduce, false},
 	{"Allreduce", collAllreduce, false},
-	{"AllreduceF64", collAllreduceF64, false},
-	{"Exscan", collExscan, false},
 	{"Dup", collDup, false},
 }
 

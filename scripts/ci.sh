@@ -13,8 +13,8 @@
 # cache and its run-time resize, and the serving daemon — the server tier
 # additionally at -count=2 to shake out order-dependent interleavings,
 # and the answer-ownership tests, the one-wire-form and hello tests, the
-# one-request-one-response tests, the aggregate-ownership tests with the
-# frame arena's and the deflater's byte-determinism test, the cache's
+# one-request-one-response tests, the aggregate-ownership tests, the
+# partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
 # breaker-poll tests by name at -count=3); the fuzz step bursts five
 # surfaces, four decoders and the deflate encoder;
@@ -120,6 +120,11 @@ go test -race -count=3 -run '^TestForced' ./internal/cache
 # assertions — abort after the exchange, after the data files, after the
 # metadata, a retried write, a clean one — run again the same way.
 go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbortsAllRanks|TestFaultDataWriteAbortsAllRanks|TestFaultMetaWriteAbortsAllRanks|TestFaultTransientWriteRetries|TestWriteAdaptiveRankOnUpperFace' ./internal/agg ./internal/core
+# Partition faces: a particle on a face, edge or corner of its patch is
+# written once on the aligned, imposed and adaptive grids (the imposed
+# write failed on every rank), and found by box, halo and KNN queries
+# locally, through spiod and through spiogate (file selection missed it).
+go test -race -count=3 -run 'TestWriteParticleOnPatchFace|TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces' ./internal/agg ./internal/core ./internal/gateway
 # A compressed file's frames live in a pooled arena from the compress to
 # the end of the write: the bound the arena is sized by, a slot too short
 # (the frame moves out, its neighbour is untouched), the arena back in its
