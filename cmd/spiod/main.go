@@ -22,8 +22,10 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -84,17 +86,18 @@ func (l *listenFlag) Set(v string) error {
 func runServe(args []string) {
 	fs := flag.NewFlagSet("spiod", flag.ExitOnError)
 	var (
-		mounts  mountFlag
-		listens listenFlag
-		workers = fs.Int("workers", 0, "max concurrently executing requests (0 = default)")
-		queue   = fs.Int("queue", 0, "max queued requests before fast-fail (0 = default)")
-		cacheMB = fs.Int64("cache-mb", 256, "shared block cache size in MiB")
-		blockKB = fs.Int("block-kb", 0, "block cache granularity in KiB (0 = default)")
-		fcSlots = fs.Int("file-cache", 0, "per-dataset open-file cache slots (0 = default)")
-		respMB  = fs.Int64("max-resp-mb", 0, "per-request response budget in MiB (0 = default 1024)")
-		fsck    = fs.String("fsck", server.FsckRefuse, "mount integrity policy: refuse|warn|off")
-		metrics = fs.String("metrics", "", "HTTP address for /metrics and /debug/vars (empty = off)")
-		drainT  = fs.Duration("drain-timeout", 30*time.Second, "max wait for graceful drain on SIGTERM")
+		mounts   mountFlag
+		listens  listenFlag
+		workers  = fs.Int("workers", 0, "max concurrently executing requests (0 = default)")
+		queue    = fs.Int("queue", 0, "max queued requests before fast-fail (0 = default)")
+		cacheMB  = fs.Int64("cache-mb", 256, "shared block cache size in MiB")
+		blockKB  = fs.Int("block-kb", 0, "block cache granularity in KiB (0 = default)")
+		fcSlots  = fs.Int("file-cache", 0, "per-dataset open-file cache slots (0 = default)")
+		respMB   = fs.Int64("max-resp-mb", 0, "per-request response budget in MiB (0 = default 1024)")
+		fsck     = fs.String("fsck", server.FsckRefuse, "mount integrity policy: refuse|warn|off")
+		metrics  = fs.String("metrics", "", "HTTP address for /metrics, /debug/vars and /debug/pprof/ (empty = off)")
+		lockProf = fs.Bool("lock-profile", false, "record mutex contention and blocking for /debug/pprof/mutex and /debug/pprof/block")
+		drainT   = fs.Duration("drain-timeout", 30*time.Second, "max wait for graceful drain on SIGTERM")
 	)
 	fs.Var(&mounts, "mount", "serve name=dir (repeatable); dir is a dataset or a step-series base")
 	fs.Var(&listens, "listen", "listen address: unix:/path or tcp:host:port (repeatable)")
@@ -107,6 +110,12 @@ func runServe(args []string) {
 	}
 	if len(listens.addrs) == 0 {
 		listens.addrs = []string{"unix:/tmp/spiod.sock"}
+	}
+	if *lockProf {
+		// Every contended unlock, and on average one blocking event per
+		// 10 µs spent blocked.
+		runtime.SetMutexProfileFraction(1)
+		runtime.SetBlockProfileRate(int(10 * time.Microsecond))
 	}
 
 	cfg := server.Config{
@@ -158,6 +167,12 @@ func runServe(args []string) {
 			w.Write(s.StatsJSON())
 		})
 		mux.Handle("/debug/vars", expvar.Handler())
+		// The profiles, on this mux only: pprof.Index serves the named
+		// ones (heap, goroutine, mutex, block, …) under /debug/pprof/;
+		// the CPU profile and the execution trace are sampled on request.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		var err error
 		metricsLis, err = net.Listen("tcp", *metrics)
 		if err != nil {
@@ -170,7 +185,7 @@ func runServe(args []string) {
 			}
 			close(metricsDone)
 		}()
-		log.Printf("spiod: metrics on http://%s/metrics", *metrics)
+		log.Printf("spiod: metrics on http://%s/metrics", metricsLis.Addr())
 	}
 
 	sigc := make(chan os.Signal, 1)

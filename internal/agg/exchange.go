@@ -51,6 +51,9 @@ func decodeCount(d *binio.Reader) int64 { return d.I64() }
 // Timing records how long each write phase took on this rank; the
 // aggregation-vs-file-I/O breakdown is what Fig. 6 reports.
 type Timing struct {
+	// Setup is the write's steps 1–2 before any exchange: validating the
+	// configuration and the input, building or fitting the layout.
+	Setup            time.Duration
 	MetadataExchange time.Duration
 	ParticleExchange time.Duration
 	Reorder          time.Duration
@@ -58,6 +61,8 @@ type Timing struct {
 	// Encode is the part of FileIO spent compressing the payload (zero
 	// for a raw one): of FileIO, not beside it.
 	Encode time.Duration
+	// MetaIO is the metadata row's cost: the aggregator's field-range
+	// scan, the gather and rank 0's write of meta.spmd.
 	MetaIO time.Duration
 	// Wait is the time spent in the error-agreement rounds that passed:
 	// blocked until the slowest rank has finished the phase before.
@@ -79,7 +84,7 @@ func (t Timing) Aggregation() time.Duration {
 
 // Total returns the end-to-end write time on this rank.
 func (t Timing) Total() time.Duration {
-	return t.Aggregation() + t.Reorder + t.FileIO + t.MetaIO + t.Wait + t.Abort
+	return t.Setup + t.Aggregation() + t.Reorder + t.FileIO + t.MetaIO + t.Wait + t.Abort
 }
 
 // send is one outgoing bundle: count particles for one aggregator, and

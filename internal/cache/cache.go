@@ -49,6 +49,7 @@ type Entry[K comparable, V any] struct {
 	// Value is fixed once loaded; a holder only reads it.
 	Value V
 
+	c    *Cache[K, V]
 	key  K
 	cost int64
 	pins int
@@ -118,7 +119,7 @@ func (c *Cache[K, V]) lookup(k K, pin int, load func() (V, int64, error)) (*Entr
 		}
 		return e, true, nil
 	}
-	e := &Entry[K, V]{key: k, pins: pin, done: make(chan struct{})}
+	e := &Entry[K, V]{c: c, key: k, pins: pin, done: make(chan struct{})}
 	c.index[k] = e
 	c.stats.Misses++
 	c.mu.Unlock()
@@ -168,6 +169,10 @@ func (c *Cache[K, V]) Release(e *Entry[K, V]) {
 		c.drop(e.Value)
 	}
 }
+
+// Release unpins the entry, as its cache's Release does: a holder that
+// has only the entry can end its pin.
+func (e *Entry[K, V]) Release() { e.c.Release(e) }
 
 // Resize changes the capacity, evicting down to it.
 func (c *Cache[K, V]) Resize(capacity int64) {

@@ -365,7 +365,7 @@ func TestHitsAllocateNothing(t *testing.T) {
 	c.Get(7, load)
 	if n := testing.AllocsPerRun(100, func() {
 		e, _, _ := c.Acquire(7, load)
-		c.Release(e)
+		e.Release()
 	}); n != 0 {
 		t.Errorf("a pinned hit allocates %v times", n)
 	}

@@ -114,6 +114,7 @@ type WriteResult struct {
 // world must call it collectively with the same dir and cfg. dir must
 // exist. local holds the rank's particles.
 func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (WriteResult, error) {
+	start := time.Now()
 	cfg = cfg.withDefaults()
 	res := WriteResult{Partition: -1}
 	if err := cfg.LOD.Validate(); err != nil {
@@ -162,8 +163,11 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 		}
 	}
 
+	setup := time.Since(start)
+
 	// Steps 3–5.
 	ag, tm, exchErr := layout.Exchange(c, local)
+	tm.Setup = setup
 	res.Timing = tm
 
 	// Steps 6–8 plus error agreement.
@@ -230,7 +234,7 @@ func finishWrite(c *mpi.Comm, dir string, cfg WriteConfig,
 
 	start := time.Now()
 	merr := writeMetaCollective(c, dir, cfg, factor, aggDims, schema, isAgg, entry)
-	res.Timing.MetaIO = time.Since(start)
+	res.Timing.MetaIO += time.Since(start)
 	// Agreement point 3: the metadata write (only rank 0 writes the
 	// file, so only rank 0 can fail it locally).
 	return agreePoint(c, "metadata write", merr, dir, cfg, isAgg, true, &res.Timing)
@@ -330,9 +334,12 @@ func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank in
 		Count:     hdr.Count,
 	}
 	// An aggregator with no particles has no field values: FieldRanges
-	// yields no row rather than the ±Inf scan sentinels.
+	// yields no row rather than the ±Inf scan sentinels. The scan is the
+	// metadata row's content, so it is charged to MetaIO.
 	if cfg.FieldRanges {
+		start = time.Now()
 		entry.FieldMin, entry.FieldMax = ag.Rows.FieldRanges()
+		tm.MetaIO = time.Since(start)
 	}
 	return entry, nil
 }

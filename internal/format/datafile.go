@@ -442,8 +442,8 @@ type OpenOptions struct {
 	// every payload read (Scan and its wrappers, VerifyPayload) goes
 	// through instead — a shared block cache, a counter. What it returns
 	// must serve the exact bytes of file. One that also has ViewAt
-	// (viewerAt) lends a raw scan its bytes instead of copying them into
-	// a staging chunk.
+	// (viewerAt) lends a raw scan its bytes, under a lease, instead of
+	// copying them into a staging chunk.
 	Seam func(path string, file io.ReaderAt) io.ReaderAt
 }
 
@@ -767,51 +767,66 @@ func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, sel particle.Se
 // viewerAt is an ra seam that can lend its bytes instead of copying them
 // out: ViewAt returns the file's bytes from off on, as far as the seam
 // holds them in one piece (a block cache: to the end of the cache block)
-// and at least one, or io.EOF at the end of the file. The view is
-// read-only and stays valid and unchanged for as long as it is held.
+// and at least one, or io.EOF at the end of the file, with the lease
+// that keeps them. The view is read-only and stays valid and unchanged
+// until the lease is released, and not a moment longer: the seam may
+// recycle the bytes at once.
 type viewerAt interface {
-	ViewAt(off int64) ([]byte, error)
+	ViewAt(off int64) (view []byte, lease interface{ Release() }, err error)
 }
 
 // scanViews is the raw scan over a seam that lends its bytes: fn is
 // handed record-aligned sub-slices of the seam's own memory, and only
 // the record that straddles the end of a view is copied, to be handed
-// over whole.
+// over whole. Each view is released once its callbacks have returned and
+// its straddling tail is copied, on every exit, so a scan holds at most
+// one lease at a time.
 func (df *DataFile) scanViews(ra viewerAt, lo, hi int64, fn func(recs []byte) error) error {
 	stride := df.Header.Schema.Stride()
 	pos, end := df.payloadOff+lo*int64(stride), df.payloadOff+hi*int64(stride)
 	straddler := make([]byte, 0, stride)
 	for pos < end {
-		v, err := ra.ViewAt(pos)
+		v, lease, err := ra.ViewAt(pos)
 		if err != nil {
 			return err
 		}
-		if len(v) == 0 {
-			return io.ErrNoProgress
-		}
 		v = v[:min(int64(len(v)), end-pos)]
 		pos += int64(len(v))
-		if len(straddler) > 0 {
-			k := min(stride-len(straddler), len(v))
-			straddler = append(straddler, v[:k]...)
-			v = v[k:]
-			if len(straddler) < stride {
-				continue
-			}
-			if err := fn(straddler); err != nil {
-				return err
-			}
-			straddler = straddler[:0]
+		straddler, err = viewRecords(v, stride, straddler, fn)
+		lease.Release()
+		if err != nil {
+			return err
 		}
-		whole := len(v) / stride * stride
-		if whole > 0 {
-			if err := fn(v[:whole:whole]); err != nil {
-				return err
-			}
-		}
-		straddler = append(straddler, v[whole:]...)
 	}
 	return nil
+}
+
+// viewRecords is scanViews' step over one view: it completes the record
+// straddler holds, hands fn the view's whole records in place, and
+// returns straddler holding a copy of the record begun at the view's end.
+func viewRecords(v []byte, stride int, straddler []byte, fn func(recs []byte) error) ([]byte, error) {
+	if len(v) == 0 {
+		return straddler, io.ErrNoProgress
+	}
+	if len(straddler) > 0 {
+		k := min(stride-len(straddler), len(v))
+		straddler = append(straddler, v[:k]...)
+		v = v[k:]
+		if len(straddler) < stride {
+			return straddler, nil
+		}
+		if err := fn(straddler); err != nil {
+			return straddler, err
+		}
+		straddler = straddler[:0]
+	}
+	whole := len(v) / stride * stride
+	if whole > 0 {
+		if err := fn(v[:whole:whole]); err != nil {
+			return straddler, err
+		}
+	}
+	return append(straddler, v[whole:]...), nil
 }
 
 // ReadRange reads records [lo, hi) into a new buffer, allocated once at

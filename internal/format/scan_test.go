@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spio/internal/geom"
@@ -190,18 +191,75 @@ func (s *lruSeam) ReadAt(p []byte, off int64) (int, error) {
 
 // lendingSeam is an lruSeam that also lends its blocks in place (the
 // viewerAt seam the serving layer's block cache is), so a raw scan hands
-// out the seam's own slices.
+// out the seam's own slices, shared between scans. Its blocks outlive
+// their eviction, so its lease has nothing to do.
 type lendingSeam struct{ *lruSeam }
 
-func (s lendingSeam) ViewAt(off int64) ([]byte, error) {
+type noLease struct{}
+
+func (noLease) Release() {}
+
+func (s lendingSeam) ViewAt(off int64) ([]byte, interface{ Release() }, error) {
 	data, err := s.block(off / s.blockSize)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if bo := off % s.blockSize; bo < int64(len(data)) {
-		return data[bo:], nil
+		return data[bo:], noLease{}, nil
 	}
-	return nil, io.EOF
+	return nil, nil, io.EOF
+}
+
+// recyclingSeam is an lruSeam that lends each view in a buffer of its
+// own and, the moment the view's lease is released, overwrites that
+// buffer and hands it to the next view: a scan that read a view after
+// releasing it, or released one twice, gives a wrong answer instead of a
+// lucky one. out counts the leases not yet released.
+type recyclingSeam struct {
+	*lruSeam
+	out  atomic.Int64
+	fmu  sync.Mutex
+	free [][]byte
+}
+
+type recycledView struct {
+	s        *recyclingSeam
+	buf      []byte
+	released bool
+}
+
+func (l *recycledView) Release() {
+	if l.released {
+		panic("recyclingSeam: lease released twice")
+	}
+	l.released = true
+	for i := range l.buf {
+		l.buf[i] = 0xA5
+	}
+	l.s.out.Add(-1)
+	l.s.fmu.Lock()
+	l.s.free = append(l.s.free, l.buf[:0])
+	l.s.fmu.Unlock()
+}
+
+func (s *recyclingSeam) ViewAt(off int64) ([]byte, interface{ Release() }, error) {
+	data, err := s.block(off / s.blockSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	bo := off % s.blockSize
+	if bo >= int64(len(data)) {
+		return nil, nil, io.EOF
+	}
+	var buf []byte
+	s.fmu.Lock()
+	if n := len(s.free); n > 0 {
+		buf, s.free = s.free[n-1], s.free[:n-1]
+	}
+	s.fmu.Unlock()
+	buf = append(buf, data[bo:]...)
+	s.out.Add(1)
+	return buf, &recycledView{s: s, buf: buf}, nil
 }
 
 // TestScanMatchesReference is the differential test of the streaming
@@ -209,14 +267,16 @@ func (s lendingSeam) ViewAt(off int64) ([]byte, error) {
 // prefix ending mid-block, range starting mid-block, both ends inside
 // one block, empty range} x {all fields, position only, position + one
 // scalar} x {no seam, block seam, a seam that lends its blocks — of a
-// size no record is aligned to, and of a size smaller than a record},
+// size no record is aligned to, and of a size smaller than a record —,
+// a seam that recycles a view the moment its lease is released},
 // a box query (select-then-take through the fused filter), a
 // halo and an unfiltered fill must equal the kept reference (whole range
 // -> Decode -> per-row test) bit for bit — while every callback is
 // handed only what the scan defines for it (poisoned). Eight goroutines
 // share each DataFile, so under -race this is also the proof that a scan
 // never writes a seam's lent bytes or another scan's chunk, and that the
-// selectors the decode workers run share nothing with the takes.
+// selectors the decode workers run share nothing with the takes. Once
+// they are done, the recycling seam has every lease back.
 func TestScanMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 12000
@@ -252,7 +312,7 @@ func TestScanMatchesReference(t *testing.T) {
 	type config struct{ codec, seam string }
 	var configs []config
 	for _, codec := range []string{"raw", "lossless", "fast", "lossy"} {
-		for _, seam := range []string{"none", "seam", "view", "view-tiny"} {
+		for _, seam := range []string{"none", "seam", "view", "view-tiny", "view-recycle"} {
 			configs = append(configs, config{codec, seam})
 		}
 	}
@@ -275,6 +335,7 @@ func TestScanMatchesReference(t *testing.T) {
 		image := images[cfg.codec]
 		t.Run(cfg.codec+"/"+cfg.seam, func(t *testing.T) {
 			var opts OpenOptions
+			var recycling []*recyclingSeam
 			switch cfg.seam {
 			case "seam":
 				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return newLRUSeam(f, 16<<10, 32) }
@@ -282,6 +343,12 @@ func TestScanMatchesReference(t *testing.T) {
 				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 1000, 32)} }
 			case "view-tiny":
 				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 100, 32)} }
+			case "view-recycle":
+				opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt {
+					s := &recyclingSeam{lruSeam: newLRUSeam(f, 1000, 32)}
+					recycling = append(recycling, s)
+					return s
+				}
 			}
 			df, err := OpenDataFileWith(filepath.Join(dir, cfg.codec+".spd"), opts)
 			if err != nil {
@@ -361,6 +428,11 @@ func TestScanMatchesReference(t *testing.T) {
 				}(int64(g) + 100)
 			}
 			wg.Wait()
+			for _, s := range recycling {
+				if n := s.out.Load(); n != 0 {
+					t.Errorf("%d leases never released", n)
+				}
+			}
 			if err := df.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -371,14 +443,19 @@ func TestScanMatchesReference(t *testing.T) {
 // TestScanChunksCoverRangeInOrder pins the Scan contract the callers
 // build on: chunks are record-aligned, arrive in record order, and tile
 // [lo, hi) exactly — for ReadRange that is the whole correctness
-// argument of decoding in place.
+// argument of decoding in place — and a scan ended by its callback has
+// released the view it was in.
 func TestScanChunksCoverRangeInOrder(t *testing.T) {
 	raw, comp, _ := writeCodecPair(t, 3*scanChunkRecords+123, particle.LosslessSpec(particle.Uintah()), false)
 	for i, path := range []string{raw, comp, raw} {
 		var opts OpenOptions
+		var lender *recyclingSeam
 		if i == 2 {
 			// The raw file again, through a seam that lends its blocks.
-			opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt { return lendingSeam{newLRUSeam(f, 4096, 8)} }
+			opts.Seam = func(_ string, f io.ReaderAt) io.ReaderAt {
+				lender = &recyclingSeam{lruSeam: newLRUSeam(f, 4096, 8)}
+				return lender
+			}
 		}
 		df, err := OpenDataFileWith(path, opts)
 		if err != nil {
@@ -412,6 +489,9 @@ func TestScanChunksCoverRangeInOrder(t *testing.T) {
 		err = df.Scan(0, df.Header.Count, nil, nil, func([]byte, []int32) error { calls++; return io.ErrUnexpectedEOF })
 		if err == nil || calls != 1 {
 			t.Errorf("callback error: scan returned %v after %d calls", err, calls)
+		}
+		if lender != nil && lender.out.Load() != 0 {
+			t.Errorf("%d leases still out after a scan ended by its callback", lender.out.Load())
 		}
 		df.Close()
 	}

@@ -32,6 +32,7 @@ type Report struct {
 	Ranks       int
 	Aggregators int
 	// Phase summaries across all ranks.
+	Setup            PhaseStats // validation and the layout, before any exchange
 	MetadataExchange PhaseStats
 	ParticleExchange PhaseStats
 	Reorder          PhaseStats
@@ -59,8 +60,10 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 		return nil, nil
 	}
 	rep := &Report{Ranks: c.Size()}
-	var sums [8]time.Duration
-	var mins, maxs [8]time.Duration
+	// The phases in Timing's order, each with the row it is summarized in.
+	stats := [...]*PhaseStats{&rep.Setup, &rep.MetadataExchange, &rep.ParticleExchange,
+		&rep.Reorder, &rep.FileIO, &rep.Encode, &rep.MetaIO, &rep.Wait, &rep.Abort}
+	var sums, mins, maxs [len(stats)]time.Duration
 	for i := range mins {
 		mins[i] = math.MaxInt64
 	}
@@ -70,8 +73,8 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 		if err := d.Whole(len(p)); err != nil {
 			return nil, fmt.Errorf("profile: rank %d's result: %w", rank, err)
 		}
-		phases := [8]time.Duration{
-			r.Timing.MetadataExchange, r.Timing.ParticleExchange,
+		phases := [len(stats)]time.Duration{
+			r.Timing.Setup, r.Timing.MetadataExchange, r.Timing.ParticleExchange,
 			r.Timing.Reorder, r.Timing.FileIO, r.Timing.Encode,
 			r.Timing.MetaIO, r.Timing.Wait, r.Timing.Abort,
 		}
@@ -93,17 +96,9 @@ func Collect(c *mpi.Comm, res core.WriteResult) (*Report, error) {
 		}
 		rep.ExchangeBytes += r.Timing.ExchangeBytes
 	}
-	mk := func(i int) PhaseStats {
-		return PhaseStats{Min: mins[i], Max: maxs[i], Mean: sums[i] / time.Duration(c.Size())}
+	for i, st := range stats {
+		*st = PhaseStats{Min: mins[i], Max: maxs[i], Mean: sums[i] / time.Duration(c.Size())}
 	}
-	rep.MetadataExchange = mk(0)
-	rep.ParticleExchange = mk(1)
-	rep.Reorder = mk(2)
-	rep.FileIO = mk(3)
-	rep.Encode = mk(4)
-	rep.MetaIO = mk(5)
-	rep.Wait = mk(6)
-	rep.Abort = mk(7)
 	return rep, nil
 }
 
@@ -116,6 +111,7 @@ func (r *Report) Fprint(w io.Writer) error {
 		name string
 		st   PhaseStats
 	}{
+		{"setup", r.Setup},
 		{"metadata exchange", r.MetadataExchange},
 		{"particle exchange", r.ParticleExchange},
 		{"LOD reorder", r.Reorder},
@@ -145,8 +141,9 @@ func (r *Report) AggregationShare() float64 {
 }
 
 // encodeResult and decodeResult are the Gather's message: a WriteResult
-// as eleven 64-bit words.
+// as twelve 64-bit words.
 func encodeResult(e *binio.Writer, r *core.WriteResult) {
+	e.I64(int64(r.Timing.Setup))
 	e.I64(int64(r.Timing.MetadataExchange))
 	e.I64(int64(r.Timing.ParticleExchange))
 	e.I64(int64(r.Timing.Reorder))
@@ -162,6 +159,7 @@ func encodeResult(e *binio.Writer, r *core.WriteResult) {
 
 func decodeResult(d *binio.Reader) core.WriteResult {
 	var r core.WriteResult
+	r.Timing.Setup = time.Duration(d.I64())
 	r.Timing.MetadataExchange = time.Duration(d.I64())
 	r.Timing.ParticleExchange = time.Duration(d.I64())
 	r.Timing.Reorder = time.Duration(d.I64())

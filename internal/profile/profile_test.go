@@ -70,14 +70,14 @@ func TestCollectRealWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"8 ranks", "2 aggregators", "particle exchange", "file I/O"} {
+	for _, want := range []string{"8 ranks", "2 aggregators", "setup", "particle exchange", "file I/O"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestResultCodecRoundTrip sends a result whose eleven words are all
+// TestResultCodecRoundTrip sends a result whose twelve words are all
 // non-zero and distinct, so two that traded places on one side would decode
 // as each other; a message a byte short or a byte long is refused.
 func TestResultCodecRoundTrip(t *testing.T) {
@@ -85,6 +85,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		Partition:     3,
 		FileParticles: 12345,
 	}
+	in.Timing.Setup = 7 * time.Microsecond
 	in.Timing.MetadataExchange = 11 * time.Microsecond
 	in.Timing.ParticleExchange = 22 * time.Microsecond
 	in.Timing.Reorder = 33 * time.Microsecond
@@ -97,10 +98,10 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	var msg bytes.Buffer
 	encodeResult(binio.NewWriter(&msg), &in)
 	d := binio.NewReader(bytes.NewReader(msg.Bytes()), "profile")
-	if out := decodeResult(d); d.Whole(msg.Len()) != nil || out != in || msg.Len() != 88 {
+	if out := decodeResult(d); d.Whole(msg.Len()) != nil || out != in || msg.Len() != 96 {
 		t.Errorf("roundtrip of %d bytes: %+v != %+v (%v)", msg.Len(), out, in, d.Err())
 	}
-	for _, torn := range [][]byte{msg.Bytes()[:87], append(msg.Bytes(), 0)} {
+	for _, torn := range [][]byte{msg.Bytes()[:95], append(msg.Bytes(), 0)} {
 		d := binio.NewReader(bytes.NewReader(torn), "profile")
 		decodeResult(d)
 		if d.Whole(len(torn)) == nil {

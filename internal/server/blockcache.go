@@ -28,6 +28,8 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"sync"
+	"sync/atomic"
 
 	"spio/internal/cache"
 )
@@ -57,12 +59,25 @@ type BlockCacheStats struct {
 // It is a cache.Cache whose cost is a block's length: N queries racing on
 // a cold block do one disk read and share the bytes.
 //
+// Blocks are recycled. A miss fills a block-sized buffer from the cache's
+// pool, and the cache's drop hook puts it back once the block is both
+// evicted and unleased; a file's short tail block is held at its own size
+// and left to the collector. A block is only ever read under a pin —
+// ViewAt lends it with the pinned entry as the lease — so no reader sees
+// a recycled block refilled. What stays resident is the indexed blocks
+// (at most the capacity), the evicted blocks still leased (at most one
+// per running scan), and what the pool keeps between collections.
+//
 // Cached blocks are immutable once inserted; the cache assumes data
 // files are immutable once published (spio writes them via atomic
 // rename and never mutates them in place).
 type BlockCache struct {
 	blockSize int64
 	blocks    *cache.Cache[blockKey, []byte]
+	pool      sync.Pool // *[]byte, each blockSize long
+	// held counts the blocks out of pool: indexed, leased or being
+	// filled. It is zero once nothing is indexed or leased.
+	held atomic.Int64
 }
 
 type blockKey struct {
@@ -79,9 +94,26 @@ func NewBlockCache(capacityBytes int64, blockSize int) *BlockCache {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return &BlockCache{
-		blockSize: int64(blockSize),
-		blocks:    cache.New[blockKey, []byte](max(capacityBytes, int64(blockSize)), nil),
+	c := &BlockCache{blockSize: int64(blockSize)}
+	c.blocks = cache.New[blockKey, []byte](max(capacityBytes, int64(blockSize)), c.recycle)
+	return c
+}
+
+// getBlock takes a block-sized buffer out of the pool, or makes one.
+func (c *BlockCache) getBlock() []byte {
+	c.held.Add(1)
+	if b, _ := c.pool.Get().(*[]byte); b != nil {
+		return *b
+	}
+	return make([]byte, c.blockSize)
+}
+
+// recycle is the cache's drop: a block-sized buffer goes back to the
+// pool; a tail block, copied out at its own size, is the collector's.
+func (c *BlockCache) recycle(b []byte) {
+	if int64(len(b)) == c.blockSize {
+		c.held.Add(-1)
+		c.pool.Put(&b)
 	}
 }
 
@@ -114,54 +146,62 @@ type cachedReaderAt struct {
 func (r *cachedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	n := 0
 	for n < len(p) {
-		v, err := r.ViewAt(off + int64(n))
+		v, lease, err := r.ViewAt(off + int64(n))
 		if err != nil {
 			return n, err
 		}
 		n += copy(p[n:], v)
+		lease.Release()
 	}
 	return n, nil
 }
 
 // ViewAt lends the cached bytes at off instead of copying them: the rest
 // of the block that holds off, at least one byte, or io.EOF at the end
-// of the file. A cached block is immutable and its slice outlives its
-// eviction (the cache only forgets it), so a view needs neither a copy
-// nor a pin; the caller must not write it. It is what lets a raw scan
-// test the hot bytes where they are (format.DataFile.Scan).
-func (r *cachedReaderAt) ViewAt(off int64) ([]byte, error) {
+// of the file. The view comes with a lease, the block's pinned cache
+// entry: the block is neither dropped nor refilled until the caller has
+// called the lease's Release, and the view is dead from then on. The
+// caller must not write it. It is what lets a raw scan test the hot bytes
+// where they are (format.DataFile.Scan). The lease is the entry itself,
+// not a closure over it, so a hit allocates nothing.
+func (r *cachedReaderAt) ViewAt(off int64) (view []byte, lease interface{ Release() }, err error) {
 	if off < 0 {
 		// Match os.File.ReadAt semantics: a negative offset is a caller
 		// bug, not a truncation — don't misreport it as one.
-		return nil, &fs.PathError{Op: "readat", Path: r.key, Err: errors.New("negative offset")}
+		return nil, nil, &fs.PathError{Op: "readat", Path: r.key, Err: errors.New("negative offset")}
 	}
 	bs := r.c.blockSize
 	idx := off / bs
-	data, err := r.c.blocks.Get(blockKey{file: r.key, idx: idx}, func() ([]byte, int64, error) {
+	e, _, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx}, func() ([]byte, int64, error) {
 		return r.readBlock(idx)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if bo := off % bs; bo < int64(len(data)) {
-		return data[bo:], nil
+	if bo := off % bs; bo < int64(len(e.Value)) {
+		return e.Value[bo:], e, nil
 	}
-	return nil, io.EOF
+	e.Release()
+	return nil, nil, io.EOF
 }
 
-// readBlock reads block idx of the file from base. A read exactly at EOF
-// (any file sized a multiple of the block size ends with one) yields an
-// empty block of cost 0, which the cache returns and does not keep.
+// readBlock reads block idx of the file from base into a pooled buffer.
+// A read exactly at EOF (any file sized a multiple of the block size ends
+// with one) yields an empty block of cost 0, which the cache returns and
+// does not keep.
 func (r *cachedReaderAt) readBlock(idx int64) ([]byte, int64, error) {
-	buf := make([]byte, r.c.blockSize)
+	buf := r.c.getBlock()
 	n, err := r.base.ReadAt(buf, idx*r.c.blockSize)
 	if err != nil && err != io.EOF { // a short tail block is a valid block
+		r.c.recycle(buf)
 		return nil, 0, err
 	}
 	if n < len(buf) {
 		// A file's tail block is held at its own size: as a prefix of buf
 		// it would pin the whole blockSize array while the cache counts n.
-		buf = append(make([]byte, 0, n), buf[:n]...)
+		tail := append(make([]byte, 0, n), buf[:n]...)
+		r.c.recycle(buf)
+		buf = tail
 	}
 	return buf, int64(n), nil
 }

@@ -5,10 +5,20 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"math"
 	"math/rand"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"spio/internal/format"
+	"spio/internal/geom"
+	"spio/internal/israce"
+	"spio/internal/lod"
+	"spio/internal/particle"
 )
 
 // countingReaderAt counts ReadAt calls into an in-memory byte slice.
@@ -157,7 +167,8 @@ func (g *gatedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // gate while other goroutines sweep enough distinct blocks through a
 // one-block cache to evict everything repeatedly — including block 0 the
 // moment it lands. Readers parked on that load must still get the right
-// bytes: evicted slices stay valid, the cache only forgets them. (The
+// bytes: each holds a pin, so an evicted block is not recycled under
+// them. (The
 // interleaving itself, and the accounting after it, is forced and checked
 // in internal/cache: TestForcedEvictionRacesFlight.)
 func TestBlockCacheEvictionRacesSingleflight(t *testing.T) {
@@ -332,5 +343,226 @@ func TestBlockCacheNegativeOffset(t *testing.T) {
 	var pe *fs.PathError
 	if !errors.As(err, &pe) {
 		t.Errorf("negative offset error is %T, want *fs.PathError", err)
+	}
+}
+
+// view lends the bytes at off through the cache's reader, failing the
+// test on an error.
+func view(t *testing.T, ra io.ReaderAt, off int64) ([]byte, interface{ Release() }) {
+	t.Helper()
+	v, lease, err := ra.(*cachedReaderAt).ViewAt(off)
+	if err != nil {
+		t.Fatalf("view at %d: %v", off, err)
+	}
+	return v, lease
+}
+
+// TestViewSurvivesEvictionWhilePinned: a view is its block's lease. In a
+// one-block cache, a held view's block is evicted by the next read, and
+// every read after that recycles the blocks the cache let go of — but not
+// the leased one, whose bytes stay what they were until Release, after
+// which it goes back to the pool.
+func TestViewSurvivesEvictionWhilePinned(t *testing.T) {
+	const bs, nBlocks = 512, 8
+	c := NewBlockCache(bs, bs) // capacity: exactly one block
+	ra := c.ReaderFor("f", &gatedReaderAt{size: bs * nBlocks})
+	held, lease := view(t, ra, 0)
+	want := append([]byte(nil), held...)
+	buf := make([]byte, bs)
+	for i := 0; i < 50; i++ {
+		if _, err := ra.ReadAt(buf, (1+int64(i)%(nBlocks-1))*bs); err != nil {
+			t.Fatal(err)
+		}
+		// The indexed block and the leased one, and no more: each miss
+		// refilled the block the one before it let go of.
+		if got := c.held.Load(); got != 2 {
+			t.Fatalf("after read %d: %d blocks out of the pool, want 2", i, got)
+		}
+	}
+	if st := c.Stats(); st.Evictions < 50 {
+		t.Fatalf("%d evictions: the leased block was not pushed out", st.Evictions)
+	}
+	if !bytes.Equal(held, want) {
+		t.Fatal("a leased view changed after its block was evicted and the pool refilled")
+	}
+	lease.Release()
+	if got := c.held.Load(); got != 1 {
+		t.Errorf("after Release: %d blocks out of the pool, want 1 (the indexed one)", got)
+	}
+}
+
+// TestBlocksReturnToPoolOnEveryExit drives the block cache through every
+// way a pooled block can leave a fill or a lease — a failing base, the
+// empty block at EOF, a short tail block, Purge and Resize under a pin, a
+// scan whose callback fails in the middle of a view, a record straddling
+// two views — and checks each time that the blocks out of the pool come
+// back to where they started once nothing is indexed or leased.
+func TestBlocksReturnToPoolOnEveryExit(t *testing.T) {
+	const bs = 1000 // no record is aligned to it: every scan straddles
+	settled := func(t *testing.T, c *BlockCache) {
+		t.Helper()
+		c.blocks.Purge()
+		if got := c.held.Load(); got != 0 {
+			t.Errorf("%d blocks still out of the pool", got)
+		}
+	}
+	t.Run("failing base", func(t *testing.T) {
+		c := NewBlockCache(1<<20, bs)
+		if _, err := c.ReaderFor("f", failingReaderAt{}).ReadAt(make([]byte, 10), 0); err == nil {
+			t.Fatal("a failing base read succeeded")
+		}
+		if got := c.held.Load(); got != 0 {
+			t.Errorf("a failed fill kept %d blocks", got)
+		}
+	})
+	t.Run("empty block at EOF", func(t *testing.T) {
+		c := NewBlockCache(1<<20, bs)
+		ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(4*bs, 1)})
+		if n, err := ra.ReadAt(make([]byte, 10), 4*bs); n != 0 || err != io.EOF {
+			t.Fatalf("read at EOF: %d, %v", n, err)
+		}
+		if got := c.held.Load(); got != 0 {
+			t.Errorf("the empty block kept %d blocks", got)
+		}
+	})
+	t.Run("tail block", func(t *testing.T) {
+		c := NewBlockCache(1<<20, bs)
+		ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(bs/3, 2)})
+		if _, err := ra.ReadAt(make([]byte, bs/3), 0); err != nil {
+			t.Fatal(err)
+		}
+		if st, got := c.Stats(), c.held.Load(); st.Blocks != 1 || got != 0 {
+			t.Errorf("a tail block indexed at its own size: %d blocks indexed, %d out of the pool", st.Blocks, got)
+		}
+	})
+	for _, teardown := range []string{"Purge", "Resize"} {
+		t.Run(teardown+" with a pinned entry", func(t *testing.T) {
+			c := NewBlockCache(1<<20, bs)
+			ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(4*bs, 3)})
+			v, lease := view(t, ra, bs)
+			want := append([]byte(nil), v...)
+			if teardown == "Purge" {
+				c.blocks.Purge()
+			} else {
+				c.blocks.Resize(0)
+			}
+			if got := c.held.Load(); got != 1 {
+				t.Errorf("%s under a lease: %d blocks out of the pool, want the leased one", teardown, got)
+			}
+			if !bytes.Equal(v, want) {
+				t.Errorf("%s recycled a leased block", teardown)
+			}
+			lease.Release()
+			settled(t, c)
+		})
+	}
+
+	// A raw data file scanned through the cache, lent view by view.
+	dir := t.TempDir()
+	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 200, 5, 0)
+	path := filepath.Join(dir, format.DataFileName(0))
+	rows := buf.Rows()
+	defer rows.Release()
+	if err := format.WriteDataFile(nil, path, &format.DataHeader{LOD: lod.DefaultParams()}, rows, nil); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(t *testing.T, fn func(recs []byte, picked []int32) error) (*BlockCache, error) {
+		t.Helper()
+		c := NewBlockCache(2*bs, bs) // two blocks of a 25 KB file: the scan evicts as it goes
+		df, err := format.OpenDataFileWith(path, format.OpenOptions{Seam: c.ReaderFor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer df.Close()
+		return c, df.Scan(0, df.Header.Count, nil, nil, fn)
+	}
+	t.Run("callback fails mid-view", func(t *testing.T) {
+		calls := 0
+		c, err := scan(t, func([]byte, []int32) error {
+			if calls++; calls == 4 {
+				return errors.New("callback failed")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("the callback's error did not end the scan")
+		}
+		settled(t, c)
+	})
+	t.Run("record straddling two views", func(t *testing.T) {
+		stride := buf.Schema().Stride()
+		var got []byte
+		c, err := scan(t, func(recs []byte, _ []int32) error {
+			if len(recs) == stride {
+				got = append(got, recs...) // the straddlers, one record each
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatal("no record straddled two views")
+		}
+		settled(t, c)
+	})
+}
+
+type failingReaderAt struct{}
+
+func (failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, errors.New("disk on fire") }
+
+// TestViewAtHitAllocatesNothing: a lent view on a hit is one pinned cache
+// lookup, and its lease is the cache's own entry — no closure, no box.
+func TestViewAtHitAllocatesNothing(t *testing.T) {
+	c := NewBlockCache(1<<20, 512)
+	ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(2048, 8)})
+	_, lease := view(t, ra, 600)
+	lease.Release()
+	if n := testing.AllocsPerRun(100, func() {
+		_, lease := view(t, ra, 700)
+		lease.Release()
+	}); n != 0 {
+		t.Errorf("ViewAt + Release on a hit allocates %v times", n)
+	}
+}
+
+// TestWarmMissAllocatesNoBlock: once a block has been evicted, the next
+// miss refills it instead of allocating and clearing a fresh one. Blocks
+// are full-size 256 KiB ones; the budget is a kilobyte. It reads the
+// least of ten misses, collector off: a miss above that floor is the
+// pool's per-P cache missing, not the fill.
+func TestWarmMissAllocatesNoBlock(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const bs = DefaultBlockSize
+	c := NewBlockCache(bs, bs) // one block: every read below misses and evicts
+	ra := c.ReaderFor("f", &gatedReaderAt{size: 4 * bs})
+	p := make([]byte, 64)
+	next := int64(0)
+	miss := func() {
+		next = (next + 1) % 4
+		if _, err := ra.ReadAt(p, next*bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		miss()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 10; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		miss()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<10 {
+		t.Errorf("a warm miss allocates %d bytes", least)
+	}
+	if st := c.Stats(); st.Misses != 20 || st.Hits != 0 {
+		t.Errorf("not every read missed: %+v", st)
 	}
 }

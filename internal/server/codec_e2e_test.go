@@ -14,32 +14,35 @@ import (
 )
 
 // TestCompressedBlockCacheEvictionRace is the compressed twin of
-// TestBlockCacheEvictionRacesSingleflight (run under -race): a
-// compressed data file is served through a block cache far smaller than
-// its payload, so the cache holds compressed bytes that decode on
-// egress while concurrent readers span codec-block boundaries and force
-// constant eviction. Every read must still match the uncompressed
-// ground truth.
+// TestBlockCacheEvictionRacesSingleflight (run under -race): a data file
+// is served through a block cache far smaller than its payload, so
+// concurrent readers spanning codec-block boundaries force constant
+// eviction, and every evicted block is recycled into the next miss. The
+// compressed file is read through ReadAt's copies (decode on egress), the
+// raw one through leased views in place. Every read must still match the
+// uncompressed ground truth, and once the cache is purged every block is
+// back in the pool.
 func TestCompressedBlockCacheEvictionRace(t *testing.T) {
-	dir := t.TempDir()
 	buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), 4000, 17, 0)
 	lod.Shuffle(buf, 9)
-	path := filepath.Join(dir, format.DataFileName(0))
-	hdr := format.DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 9,
-		Codec: particle.LosslessSpec(particle.Uintah())}
 	rows := buf.Rows()
 	defer rows.Release()
-	if err := format.WriteDataFile(nil, path, &hdr, rows, nil); err != nil {
-		t.Fatal(err)
+	for _, codec := range []particle.Spec{particle.LosslessSpec(particle.Uintah()), {}} {
+		path := filepath.Join(t.TempDir(), format.DataFileName(0))
+		hdr := format.DataHeader{LOD: lod.DefaultParams(), Heuristic: lod.Random, Seed: 9, Codec: codec}
+		if err := format.WriteDataFile(nil, path, &hdr, rows, nil); err != nil {
+			t.Fatal(err)
+		}
+		evictionRace(t, path)
 	}
+}
+
+func evictionRace(t *testing.T, path string) {
 	plain, err := format.OpenDataFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if !plain.Compressed() {
-		t.Fatal("test file is not compressed")
-	}
 	want, err := plain.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +79,7 @@ func TestCompressedBlockCacheEvictionRace(t *testing.T) {
 					return
 				}
 				if !got.Equal(ref) {
-					t.Errorf("range [%d,%d): compressed read through churning cache diverged", lo, hi)
+					t.Errorf("compressed=%v range [%d,%d): read through churning cache diverged", df.Compressed(), lo, hi)
 					return
 				}
 			}
@@ -93,6 +96,10 @@ func TestCompressedBlockCacheEvictionRace(t *testing.T) {
 	}
 	if st.Used > 4<<10 {
 		t.Errorf("cache overgrew its capacity: %d bytes", st.Used)
+	}
+	cache.blocks.Purge()
+	if n := cache.held.Load(); n != 0 {
+		t.Errorf("compressed=%v: %d blocks still out of the pool", df.Compressed(), n)
 	}
 }
 

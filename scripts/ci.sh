@@ -12,8 +12,8 @@
 # under the file, block and dataset caches, the reader's shared file
 # cache and its run-time resize, and the serving daemon — the server tier
 # additionally at -count=2 to shake out order-dependent interleavings,
-# and the answer-ownership tests, the one-wire-form and hello tests, the
-# one-request-one-response tests, the aggregate-ownership tests, the
+# and the answer-ownership tests, the block-lease tests, the
+# one-wire-form and hello tests, the one-request-one-response tests, the aggregate-ownership tests, the
 # partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
 # breaker-poll tests by name at -count=3); the fuzz step bursts five
@@ -98,6 +98,11 @@ echo "== answer ownership (-race -count=3) =="
 # bytes against the kept columnar reference run again, by name, three
 # times.
 go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplicaReleasesRows|TestRowsReleasedOnEveryExit|TestOneWritePerFrame|TestWireFramesMatchReference' ./internal/server ./internal/gateway
+# A raw scan reads the block cache's own blocks under a lease, and the
+# cache recycles a block once it is evicted and unleased: a view read
+# after its release, or a block kept from the pool on some exit, shows
+# only under some interleaving. The lease tests run again the same way.
+go test -race -count=3 -run 'TestViewSurvivesEvictionWhilePinned|TestBlocksReturnToPoolOnEveryExit|TestViewAtHitAllocatesNothing|TestWarmMissAllocatesNoBlock|TestScanMatchesReference' ./internal/server ./internal/format
 # One wire form and a hello that is a version check: an answer costs its
 # rows on the socket through a spiod and through a gateway, a peer that
 # never says hello is hung up on, and a hello of any other version or
@@ -172,14 +177,15 @@ go test -run '^$' -fuzz '^FuzzReadMeta$' -fuzztime 10s ./internal/format
 echo "== spiod e2e smoke =="
 # Serve a freshly written dataset from a real spiod process on a unix
 # socket and prove a remote KNN answers byte-for-byte like the local
-# reader, under 8 concurrent clients; then drain it with SIGTERM.
+# reader, under 8 concurrent clients; fetch a heap profile from its
+# metrics listener once; then drain it with SIGTERM.
 smoke=$(mktemp -d /tmp/spio-smoke-XXXXXX)
 trap 'rm -rf "$smoke"' EXIT
 go build -o "$smoke/" ./cmd/spiod ./cmd/spiowrite ./cmd/spioread
 # -codec lossless: the smoke then covers compressed files end to end —
 # block cache holding compressed blocks, decode on egress.
 "$smoke/spiowrite" -dir "$smoke/data" -dims 2x2x1 -particles 2000 -codec lossless >/dev/null
-"$smoke/spiod" -mount sim="$smoke/data" -listen "unix:$smoke/s.sock" &
+"$smoke/spiod" -mount sim="$smoke/data" -listen "unix:$smoke/s.sock" -metrics 127.0.0.1:0 2>"$smoke/spiod.log" &
 spiod_pid=$!
 for _ in $(seq 1 50); do
 	[ -S "$smoke/s.sock" ] && break
@@ -201,9 +207,16 @@ for i in 1 2 3 4 5 6 7 8; do
 	cmp "$smoke/local.txt" "$smoke/remote$i.txt"
 done
 "$smoke/spiod" stats -addr "unix:$smoke/s.sock" | grep -q '"requests"'
+for _ in $(seq 1 50); do
+	grep -q 'metrics on' "$smoke/spiod.log" && break
+	sleep 0.1
+done
+metrics_addr=$(sed -n 's|.*metrics on http://\([^/]*\)/metrics.*|\1|p' "$smoke/spiod.log")
+curl -fsS "http://$metrics_addr/debug/pprof/heap?debug=1" | grep -q '^heap profile:'
 kill -TERM "$spiod_pid"
 wait "$spiod_pid"
-echo "spiod smoke: remote KNN byte-identical to local under 8 clients; clean drain"
+grep -q 'drained cleanly' "$smoke/spiod.log"
+echo "spiod smoke: remote KNN byte-identical to local under 8 clients; heap profile served; clean drain"
 
 echo "== spiogate e2e smoke =="
 # Split the same dataset into 3 shards, serve each from its own spiod,
