@@ -31,7 +31,7 @@ import (
 // propagation: per-function summaries (taint in, taint out — so a
 // helper like `func alloc(n int) []byte { return make([]byte, n) }`
 // sinks its caller's taint), field-based tracking (a tainted store to
-// request.K taints every later read of .K, context-insensitively), and
+// Request.K taints every later read of .K, context-insensitively), and
 // source rounds until no new tainted field appears. Soundness
 // boundaries — any comparison counts as a bound check, taint does not
 // survive unresolvable calls — are in DESIGN.md §8.3.

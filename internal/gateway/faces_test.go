@@ -9,28 +9,9 @@ import (
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
-	"spio/internal/query"
 	rdr "spio/internal/reader"
 	"spio/internal/server"
 )
-
-// querier is what the face test asks of a dataset, local or served.
-type querier interface {
-	QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
-	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error)
-	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
-}
-
-// localQuerier answers through internal/query, as spiod does.
-type localQuerier struct{ *rdr.Dataset }
-
-func (l localQuerier) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
-	return query.Halo(l.Dataset, patch, halo, opts)
-}
-
-func (l localQuerier) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
-	return query.KNN(l.Dataset, p, k)
-}
 
 // TestBoxQueryFindsParticlesOnPartitionFaces: a particle on a partition's
 // face, edge or corner, or one filed in a partition that does not hold it,
@@ -119,7 +100,7 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 	}{{geom.V3(0.8, 0.8, 0.8), 1}, {geom.V3(0.5, 0.5, 0.5), 4}, {geom.V3(0.52, 0.25, 0.25), 2}}
 
 	for _, src := range sources {
-		var ds querier = localQuerier{local}
+		var ds server.Dataset = server.Local(local)
 		if src.addr != "" {
 			remote, err := server.OpenRemote(src.addr, src.ref)
 			if err != nil {
@@ -128,21 +109,24 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 			defer remote.Close()
 			ds = remote
 		}
-		for _, q := range boxes {
-			got, _, err := ds.QueryBox(q, rdr.Options{})
+		ask := func(req *server.Request) *server.Answer {
+			t.Helper()
+			a, err := ds.Answer(req)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return a
+		}
+		for _, q := range boxes {
+			got := ask(&server.Request{Op: server.OpQueryBox, Box: q}).Rows.Buffer()
 			if want := ids(all, q.ContainsClosed); !slices.Equal(ids(got, every), want) {
 				t.Errorf("%s: box %v holds %d particles, brute force %d", src.name, q, got.Len(), len(want))
 			}
 		}
 		for _, h := range halos {
 			grown := geom.NewBox(h.patch.Lo.Sub(geom.V3(h.halo, h.halo, h.halo)), h.patch.Hi.Add(geom.V3(h.halo, h.halo, h.halo)))
-			own, ghost, _, err := ds.Halo(h.patch, h.halo, rdr.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := ask(&server.Request{Op: server.OpHalo, Box: h.patch, Halo: h.halo})
+			own, ghost := a.Rows.Buffer(), a.Ghost.Buffer()
 			wantOwn := ids(all, func(p geom.Vec3) bool { return grown.ContainsClosed(p) && h.patch.Contains(p) })
 			wantGhost := ids(all, func(p geom.Vec3) bool { return grown.ContainsClosed(p) && !h.patch.Contains(p) })
 			if !slices.Equal(ids(own, every), wantOwn) || !slices.Equal(ids(ghost, every), wantGhost) {
@@ -151,17 +135,15 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 			}
 		}
 		for _, n := range knns {
-			_, got, _, err := ds.KNN(n.p, n.k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := ask(&server.Request{Op: server.OpKNN, Point: n.p, K: n.k})
+			a.Release()
 			want := make([]float64, all.Len())
 			for i := range want {
 				want[i] = n.p.Dist(all.Position(i))
 			}
 			slices.Sort(want)
-			if !slices.Equal(got, want[:n.k]) {
-				t.Errorf("%s: %d nearest to %v at %v, brute force %v", src.name, n.k, n.p, got, want[:n.k])
+			if !slices.Equal(a.Floats, want[:n.k]) {
+				t.Errorf("%s: %d nearest to %v at %v, brute force %v", src.name, n.k, n.p, a.Floats, want[:n.k])
 			}
 		}
 	}

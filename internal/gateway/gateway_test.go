@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -421,6 +422,32 @@ func TestGatewayProgressive(t *testing.T) {
 		}
 		if st.Level() < 2 || st.Stats().Partial {
 			t.Errorf("stream over %v: %d levels, partial=%v", q, st.Level(), st.Stats().Partial)
+		}
+	}
+}
+
+// TestZeroAxisDensityIsRefused: a density grid with a zero axis passes
+// the request bounds (zero dims are every other op's) but has no cells.
+// It reached geom.NewGrid's panic and took the daemon down; a spiod and
+// a 3-shard spiogate now refuse it and serve the connection's next
+// request.
+func TestZeroAxisDensityIsRefused(t *testing.T) {
+	src := t.TempDir()
+	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 30)
+	spiod, _ := startBackend(t, src)
+	specs, _ := splitShards(t, src, 3)
+	_, gate := startGateway(t, Config{}, specs)
+	for _, c := range []struct{ name, addr, ref string }{{"spiod", spiod, "shard"}, {"spiogate", gate, "sim"}} {
+		ds, err := server.OpenRemote(c.addr, c.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if _, _, _, err := ds.DensityGrid(geom.I3(0, 4, 4), 0, 1); err == nil || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("%s: zero-axis density grid: %v, want a refusal", c.name, err)
+		}
+		if counts, _, _, err := ds.DensityGrid(geom.I3(4, 4, 1), 0, 1); err != nil || len(counts) != 16 {
+			t.Errorf("%s: the next request: %d cells, %v", c.name, len(counts), err)
 		}
 	}
 }

@@ -27,24 +27,34 @@ func (m *gwMount) shardsFor(box geom.Box) []*gwShard {
 	return out
 }
 
-// mergedBase is the per-file LOD budget of the merged dataset — what
-// every shard must be told to use so level boundaries (and therefore
-// LOD-prefix reads) are identical to a single node serving the whole.
-func (m *gwMount) mergedBase(readers int) int64 {
-	return rdr.PerFileBase(m.merged, readers)
-}
-
-// emptyResult builds the zero-particle answer for queries whose box
-// intersects no shard, honoring any field projection.
-func (m *gwMount) emptyResult(fields []string) (*particle.Rows, error) {
-	proj, err := m.merged.Schema.ProjectOnto(fields)
-	if err != nil {
-		return nil, err
+// Answer scatter-gathers one query (server.Dataset): it routes req to
+// the shards that can contribute, forwards the same request to each of
+// them (fanOut) and merges their answers by one of three rules —
+// concatenation for a box or halo read, a sum scaled once for a density
+// grid, waves of candidates for KNN.
+func (m *gwMount) Answer(req *server.Request) (*server.Answer, error) {
+	// Every shard is told the per-file LOD budget of the merged dataset,
+	// so its level boundaries (and therefore LOD-prefix reads) are those
+	// of a single node serving the whole; a density grid comes back
+	// unscaled, to be scaled once here.
+	fwd := *req
+	fwd.Base = rdr.PerFileBase(m.merged, req.Readers)
+	switch req.Op {
+	case server.OpQueryBox:
+		return m.concat(&fwd, req.Box)
+	case server.OpHalo:
+		if req.Halo < 0 {
+			return nil, fmt.Errorf("query: negative halo %v", req.Halo)
+		}
+		h := geom.V3(req.Halo, req.Halo, req.Halo)
+		return m.concat(&fwd, geom.NewBox(req.Box.Lo.Sub(h), req.Box.Hi.Add(h)))
+	case server.OpDensityGrid:
+		fwd.Flags |= server.FlagRawDensity
+		return m.density(&fwd, req.Flags&server.FlagRawDensity != 0)
+	case server.OpKNN:
+		return m.knn(&fwd)
 	}
-	if proj != nil {
-		return particle.NewRows(proj.Schema()), nil
-	}
-	return particle.NewRows(m.merged.Schema), nil
+	return nil, fmt.Errorf("spiogate: unknown op %d", req.Op)
 }
 
 // shardResult is one shard's contribution to a fanned-out query. The
@@ -53,32 +63,31 @@ func (m *gwMount) emptyResult(fields []string) (*particle.Rows, error) {
 // result's rows are released by whoever drops the result, or moved into
 // the merge.
 type shardResult struct {
-	idx   int            // shard mount index, for deterministic merge order
-	rows  *particle.Rows // box answer; KNN: the neighbours; halo: the owned particles
-	extra *particle.Rows // halo ghosts
-	dists []float64
-	count int64 // raw-density sampled count
-	st    rdr.Stats
-	err   error
+	idx int // shard mount index, for deterministic merge order
+	a   *server.Answer
+	err error
 }
 
-// fanOut runs fn against every target shard concurrently (each call
-// bounded by the backend pools) and returns the results indexed like
-// targets. Each goroutine sends exactly one result and exits; the
-// collector drains all of them, so none can leak.
-func (g *Gateway) fanOut(targets []*gwShard, fn func(sh *gwShard, ds *server.RemoteDataset) shardResult) []shardResult {
+// fanOut forwards req to every target shard concurrently (each call
+// bounded by the backend pools) and returns the results in shard mount
+// order. A shard is asked under its own reference and, for KNN, for no
+// more neighbours than it holds. Each goroutine sends exactly one result
+// and exits; the collector drains all of them, so none can leak.
+func (g *Gateway) fanOut(targets []*gwShard, req *server.Request) []shardResult {
 	ch := make(chan shardResult, len(targets))
 	for _, sh := range targets {
 		go func(sh *gwShard) {
 			g.metrics.fanout.Add(1)
-			var res shardResult
-			err := g.withShard(sh, func(ds *server.RemoteDataset) error {
-				res = fn(sh, ds)
-				return res.err
+			sreq := *req
+			if sreq.Op == server.OpKNN {
+				sreq.K = int(min(int64(sreq.K), sh.meta.Total))
+			}
+			res := shardResult{idx: sh.idx}
+			res.err = g.withShard(sh, func(ds *server.RemoteDataset) (err error) {
+				res.a, err = ds.Answer(&sreq)
+				return err
 			})
-			res.idx = sh.idx
-			res.err = err
-			if err != nil {
+			if res.err != nil {
 				g.metrics.shardErrors.Add(1)
 			}
 			ch <- res
@@ -106,7 +115,7 @@ func (g *Gateway) gatherErr(results []shardResult, st *rdr.Stats) error {
 			}
 			continue
 		}
-		st.Add(r.st)
+		st.Add(r.a.Stats)
 	}
 	if failed == len(results) && failed > 0 {
 		return firstErr
@@ -125,130 +134,91 @@ func (g *Gateway) notePartial(st *rdr.Stats) {
 	}
 }
 
-// QueryBox scatter-gathers a box query: route, fan out, concatenate
-// in shard mount order. Shard partitions are disjoint, so every
-// particle arrives exactly once, and concatenation in metadata order
-// reproduces the single-node result. The merge moves rows: the first
-// shard's answer takes the others after it. A level of a progressive
-// read is a NoFilter read of one level range, and this request is its
-// barrier: the level leaves when every routed shard has answered.
-func (m *gwMount) QueryBox(box geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
-	g := m.g
-	var st rdr.Stats
-	targets := m.shardsFor(box)
+// concat scatter-gathers a box or halo read: route by the box the read
+// selects from, fan out, concatenate in shard mount order. Shard
+// partitions are disjoint, so every particle arrives exactly once —
+// ghosts at a shard boundary come from whichever shard owns them — and
+// concatenation in metadata order reproduces the single-node result. The
+// merge moves rows: the first shard's answer takes the others after it.
+// A level of a progressive read is a NoFilter read of one level range,
+// and this request is its barrier: the level leaves when every routed
+// shard has answered.
+func (m *gwMount) concat(req *server.Request, sel geom.Box) (*server.Answer, error) {
+	targets := m.shardsFor(sel)
 	if len(targets) == 0 {
-		rows, err := m.emptyResult(opts.Fields)
-		return rows, st, err
+		return m.emptyAnswer(req)
 	}
-	opts.PerFileBase = m.mergedBase(opts.Readers)
-	results := g.fanOut(targets, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
-		rows, sst, err := ds.QueryBoxRows(box, opts)
-		return shardResult{rows: rows, st: sst, err: err}
-	})
-	if err := g.gatherErr(results, &st); err != nil {
-		return nil, st, err
-	}
-	var out *particle.Rows
-	for _, r := range results {
-		if r.err != nil {
-			continue
-		}
-		if out == nil {
-			out = r.rows
-		} else {
-			out.Append(r.rows)
-		}
-	}
-	return out, st, nil
-}
-
-// Halo scatter-gathers a patch + ghost-margin read. Each shard splits
-// its own particles into own/ghost against the same patch box; the
-// partitions being disjoint means no particle appears on two shards, so
-// plain concatenation de-duplicates by construction — ghosts at a shard
-// boundary come from whichever shard owns them.
-func (m *gwMount) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
-	g := m.g
-	if halo < 0 {
-		return nil, nil, st, fmt.Errorf("query: negative halo %v", halo)
-	}
-	grown := geom.NewBox(
-		patch.Lo.Sub(geom.V3(halo, halo, halo)),
-		patch.Hi.Add(geom.V3(halo, halo, halo)),
-	)
-	targets := m.shardsFor(grown)
-	if len(targets) == 0 {
-		if own, err = m.emptyResult(opts.Fields); err != nil {
-			return nil, nil, st, err
-		}
-		ghost, err = m.emptyResult(opts.Fields)
-		return own, ghost, st, err
-	}
-	opts.PerFileBase = m.mergedBase(opts.Readers)
-	results := g.fanOut(targets, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
-		o, gh, sst, err := ds.HaloRows(patch, halo, opts)
-		return shardResult{rows: o, extra: gh, st: sst, err: err}
-	})
-	if err := g.gatherErr(results, &st); err != nil {
-		return nil, nil, st, err
+	results := m.g.fanOut(targets, req)
+	out := new(server.Answer)
+	if err := m.g.gatherErr(results, &out.Stats); err != nil {
+		return nil, err
 	}
 	for _, r := range results {
 		if r.err != nil {
 			continue
 		}
-		if own == nil {
-			own, ghost = r.rows, r.extra
-		} else {
-			own.Append(r.rows)
-			ghost.Append(r.extra)
+		if out.Rows == nil {
+			out.Rows, out.Ghost = r.a.Rows, r.a.Ghost
+			continue
+		}
+		out.Rows.Append(r.a.Rows)
+		if out.Ghost != nil {
+			out.Ghost.Append(r.a.Ghost)
 		}
 	}
-	return own, ghost, st, nil
+	return out, nil
 }
 
-// DensityGrid scatter-gathers a density grid. Every shard returns raw
+// emptyAnswer is the zero-particle answer of a box or halo read that
+// routes to no shard, honoring any field projection.
+func (m *gwMount) emptyAnswer(req *server.Request) (*server.Answer, error) {
+	proj, err := m.merged.Schema.ProjectOnto(req.Fields)
+	if err != nil {
+		return nil, err
+	}
+	schema := m.merged.Schema
+	if proj != nil {
+		schema = proj.Schema()
+	}
+	a := &server.Answer{Rows: particle.NewRows(schema)}
+	if req.Op == server.OpHalo {
+		a.Ghost = particle.NewRows(schema)
+	}
+	return a, nil
+}
+
+// density scatter-gathers a density grid. Every shard returns raw
 // (unscaled) per-cell sample counts plus its sampled-particle count;
 // the gateway sums both — integer-valued float64 adds, exact — and
 // scales once against the merged total with the same arithmetic the
 // local path uses (query.ScaleDensity), so the merged grid is
 // bit-identical to the single-node answer. raw skips the final scaling
 // (a nested gateway asked us for raw counts itself).
-func (m *gwMount) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([]float64, float64, int64, rdr.Stats, error) {
-	g := m.g
-	var st rdr.Stats
-	opts.PerFileBase = m.mergedBase(opts.Readers)
-	results := g.fanOut(m.shards, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
-		counts, sampled, sst, err := ds.DensityGridRaw(dims, opts)
-		buf := shardResult{count: sampled, st: sst, err: err}
-		buf.dists = counts // reuse the float slice slot
-		return buf
-	})
-	if err := g.gatherErr(results, &st); err != nil {
-		return nil, 0, 0, st, err
+func (m *gwMount) density(req *server.Request, raw bool) (*server.Answer, error) {
+	results := m.g.fanOut(m.shards, req)
+	out := &server.Answer{Fraction: 1}
+	if err := m.g.gatherErr(results, &out.Stats); err != nil {
+		return nil, err
 	}
-	var counts []float64
-	var sampled int64
 	for _, r := range results {
-		if r.err != nil {
+		switch {
+		case r.err != nil:
 			continue
-		}
-		if counts == nil {
-			counts = r.dists
-		} else {
-			if len(r.dists) != len(counts) {
-				return nil, 0, 0, st, fmt.Errorf("spiogate: shard %d returned %d density cells, want %d", r.idx, len(r.dists), len(counts))
-			}
-			for i, v := range r.dists {
-				counts[i] += v
+		case out.Floats == nil:
+			out.Floats = r.a.Floats
+		case len(r.a.Floats) != len(out.Floats):
+			return nil, fmt.Errorf("spiogate: shard %d returned %d density cells, want %d", r.idx, len(r.a.Floats), len(out.Floats))
+		default:
+			for i, v := range r.a.Floats {
+				out.Floats[i] += v
 			}
 		}
-		sampled += r.count
+		out.Sampled += r.a.Sampled
 	}
-	if raw {
-		return counts, 1, sampled, st, nil
+	if !raw {
+		out.Fraction = query.ScaleDensity(out.Floats, out.Sampled, m.merged.Total)
 	}
-	frac := query.ScaleDensity(counts, sampled, m.merged.Total)
-	return counts, frac, sampled, st, nil
+	return out, nil
 }
 
 // knnCand is one merged KNN candidate: where it lives and how far it
@@ -259,7 +229,7 @@ type knnCand struct {
 	dist float64
 }
 
-// KNN scatter-gathers a k-nearest-neighbour search with wave-based
+// knn scatter-gathers a k-nearest-neighbour search with wave-based
 // pruning: shards are ordered by the distance from the query point to
 // their region (geom.Box.Dist); the gateway queries the containing
 // shards first, then widens to any shard whose region is nearer than
@@ -268,14 +238,14 @@ type knnCand struct {
 // min(k, shardTotal), a superset of its contribution to the global top
 // k, and the gateway re-ranks the union and gathers the winners out of
 // the shards' rows.
-func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error) {
+func (m *gwMount) knn(req *server.Request) (*server.Answer, error) {
 	g := m.g
-	var st rdr.Stats
+	p, k := req.Point, req.K
 	if k <= 0 {
-		return nil, nil, st, fmt.Errorf("query: k must be positive, got %d", k)
+		return nil, fmt.Errorf("query: k must be positive, got %d", k)
 	}
 	if m.merged.Total < int64(k) {
-		return nil, nil, st, fmt.Errorf("query: dataset holds %d particles, asked for %d", m.merged.Total, k)
+		return nil, fmt.Errorf("query: dataset holds %d particles, asked for %d", m.merged.Total, k)
 	}
 	order := make([]*gwShard, 0, len(m.shards))
 	for _, sh := range m.shards {
@@ -289,10 +259,16 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats,
 	}
 	sort.SliceStable(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })
 
+	var st rdr.Stats
 	var results []shardResult
+	defer func() {
+		for _, r := range results {
+			r.a.Release()
+		}
+	}()
 	var cands []knnCand
 	var firstErr error
-	failed, queried := 0, 0
+	failed := 0
 	next := 0
 	for {
 		var wave []*gwShard
@@ -316,16 +292,7 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats,
 		if len(wave) == 0 {
 			break
 		}
-		queried += len(wave)
-		waveResults := g.fanOut(wave, func(sh *gwShard, ds *server.RemoteDataset) shardResult {
-			kq := k
-			if int64(kq) > sh.meta.Total {
-				kq = int(sh.meta.Total)
-			}
-			rows, dists, sst, err := ds.KNNRows(p, kq)
-			return shardResult{rows: rows, dists: dists, st: sst, err: err}
-		})
-		for _, r := range waveResults {
+		for _, r := range g.fanOut(wave, req) {
 			if r.err != nil {
 				failed++
 				if firstErr == nil {
@@ -333,10 +300,10 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats,
 				}
 				continue
 			}
-			st.Add(r.st)
+			st.Add(r.a.Stats)
 			ri := len(results)
 			results = append(results, r)
-			for i, d := range r.dists {
+			for i, d := range r.a.Floats {
 				cands = append(cands, knnCand{res: ri, i: i, dist: d})
 			}
 		}
@@ -355,9 +322,9 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats,
 	}
 	if len(cands) == 0 {
 		if firstErr != nil {
-			return nil, nil, st, firstErr
+			return nil, firstErr
 		}
-		return nil, nil, st, fmt.Errorf("query: dataset holds 0 particles, asked for %d", k)
+		return nil, fmt.Errorf("query: dataset holds 0 particles, asked for %d", k)
 	}
 	if failed > 0 {
 		// A failed shard's particles are missing from the candidate set:
@@ -365,24 +332,17 @@ func (m *gwMount) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats,
 		st.Partial = true
 	}
 	g.notePartial(&st)
-	n := k
-	if n > len(cands) {
-		n = len(cands)
-	}
-	schema := results[cands[0].res].rows.Schema()
+	n := min(k, len(cands))
+	schema := results[cands[0].res].a.Rows.Schema()
 	stride := schema.Stride()
-	out := particle.NewRows(schema)
-	out.Extend(n)
-	dists := make([]float64, n)
-	out.Span(0, n, func(lo int, dst []byte) {
+	out := &server.Answer{Stats: st, Rows: particle.NewRows(schema), Floats: make([]float64, n)}
+	out.Rows.Extend(n)
+	out.Rows.Span(0, n, func(lo int, dst []byte) {
 		for i := lo; len(dst) > 0; i, dst = i+1, dst[stride:] {
 			c := cands[i]
-			results[c.res].rows.Gather(dst[:stride], nil, c.i, c.i+1)
-			dists[i] = c.dist
+			results[c.res].a.Rows.Gather(dst[:stride], nil, c.i, c.i+1)
+			out.Floats[i] = c.dist
 		}
 	})
-	for _, r := range results {
-		r.rows.Release()
-	}
-	return out, dists, st, nil
+	return out, nil
 }

@@ -28,102 +28,49 @@ import (
 // aliases memory that goes back to a pool, and every segment drawn is
 // returned whatever way the request ends.
 
-// mixedOp is one request of the ownership mix: kind over a box.
-type mixedOp struct {
-	kind int
-	box  geom.Box
-}
-
-const (
-	opBox = iota
-	opBoxProjected
-	opReadLevels
-	opHalo
-	opKNN
-	opDensity
-	numMixedKinds
-)
-
-var mixedFields = []string{"density"}
-
-func mixedOps() []mixedOp {
+// mixedOps is the ownership mix: every query op, over four boxes.
+func mixedOps() []*server.Request {
 	boxes := []geom.Box{
 		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
 		geom.NewBox(geom.V3(0.3, 0.2, 0), geom.V3(0.8, 0.7, 1)),
 		geom.NewBox(geom.V3(0.45, 0.45, 0.2), geom.V3(0.55, 0.55, 0.8)),
 		geom.UnitBox(),
 	}
-	var ops []mixedOp
+	var ops []*server.Request
 	for _, b := range boxes {
-		for k := 0; k < numMixedKinds; k++ {
-			ops = append(ops, mixedOp{kind: k, box: b})
-		}
+		ops = append(ops,
+			&server.Request{Op: server.OpQueryBox, Box: b},
+			&server.Request{Op: server.OpQueryBox, Box: b, Fields: []string{"density"}},
+			// The second level of a progressive read.
+			&server.Request{Op: server.OpQueryBox, Box: geom.UnitBox(), NoFilter: true, Skip: 1, Levels: 2, Readers: 4},
+			&server.Request{Op: server.OpHalo, Box: b, Halo: 0.05},
+			&server.Request{Op: server.OpKNN, Point: b.Center(), K: 8},
+			&server.Request{Op: server.OpDensityGrid, Dims: geom.I3(4, 4, 2), Levels: 2, Readers: 4},
+		)
 	}
 	return ops
 }
 
-// mixedAnswer is what one op returned: its buffers, in a fixed order,
-// and its float results.
+// mixedAnswer is what one op returned, held as a caller holds it: its
+// particles as buffers, in a fixed order, and its float results.
 type mixedAnswer struct {
 	bufs   []*particle.Buffer
 	floats []float64
 }
 
-// mixedTarget is what the mix runs against: the query surface the remote
-// dataset and the local reader have in common, so that one definition of
-// the ops serves both sides of the comparison.
-type mixedTarget interface {
-	QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
-	ReadAll(opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
-	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error)
-	KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error)
-	DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error)
-}
-
-// localTarget is the local reader: the truth.
-type localTarget struct{ *rdr.Dataset }
-
-func (l localTarget) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
-	return query.Halo(l.Dataset, patch, halo, opts)
-}
-
-func (l localTarget) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
-	return query.KNN(l.Dataset, p, k)
-}
-
-func (l localTarget) DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error) {
-	return query.DensityGrid(l.Dataset, dims, levels, readers)
-}
-
-// answer runs op against t.
-func answer(t mixedTarget, op mixedOp) (mixedAnswer, error) {
-	var a mixedAnswer
-	switch op.kind {
-	case opBox, opBoxProjected:
-		var opts rdr.Options
-		if op.kind == opBoxProjected {
-			opts.Fields = mixedFields
-		}
-		buf, _, err := t.QueryBox(op.box, opts)
-		a.bufs = []*particle.Buffer{buf}
-		return a, err
-	case opReadLevels: // the second level of a progressive read
-		buf, _, err := t.ReadAll(rdr.Options{SkipLevels: 1, Levels: 2, Readers: 4})
-		a.bufs = []*particle.Buffer{buf}
-		return a, err
-	case opHalo:
-		own, ghost, _, err := t.Halo(op.box, 0.05, rdr.Options{})
-		a.bufs = []*particle.Buffer{own, ghost}
-		return a, err
-	case opKNN:
-		buf, dists, _, err := t.KNN(op.box.Center(), 8)
-		a.bufs, a.floats = []*particle.Buffer{buf}, dists
-		return a, err
-	default:
-		counts, frac, _, err := t.DensityGrid(geom.I3(4, 4, 2), 2, 4)
-		a.floats = append(counts, frac)
-		return a, err
+// answer asks ds for req and keeps the answer as a mixedAnswer.
+func answer(ds server.Dataset, req *server.Request) (mixedAnswer, error) {
+	a, err := ds.Answer(req)
+	if err != nil {
+		return mixedAnswer{}, err
 	}
+	m := mixedAnswer{floats: append(a.Floats, a.Fraction)}
+	for _, r := range []*particle.Rows{a.Rows, a.Ghost} {
+		if r != nil {
+			m.bufs = append(m.bufs, r.Buffer())
+		}
+	}
+	return m, nil
 }
 
 // sameAnswer compares a held remote answer with the local truth. A
@@ -171,7 +118,7 @@ func TestResultsDoNotAliasPooledMemory(t *testing.T) {
 	ops := mixedOps()
 	truth := make([]mixedAnswer, len(ops))
 	for i, op := range ops {
-		if truth[i], err = answer(localTarget{local}, op); err != nil {
+		if truth[i], err = answer(server.Local(local), op); err != nil {
 			t.Fatalf("local op %d: %v", i, err)
 		}
 	}
@@ -214,8 +161,8 @@ func TestResultsDoNotAliasPooledMemory(t *testing.T) {
 		for c := range answers {
 			for j, a := range answers[c] {
 				if err := sameAnswer(a, truth[(c*7+j)%len(ops)]); err != nil {
-					t.Fatalf("%s client %d op %d (kind %d): held result differs from the local read: %v",
-						name, c, j, ops[(c*7+j)%len(ops)].kind, err)
+					t.Fatalf("%s client %d op %d (%+v): held result differs from the local read: %v",
+						name, c, j, ops[(c*7+j)%len(ops)], err)
 				}
 			}
 		}

@@ -163,6 +163,9 @@ func DensityGrid(ds *reader.Dataset, dims geom.Idx3, levels, readers int) ([]flo
 // both bias the estimate (shards sample at different effective
 // fractions) and break bit-identity with the single-node answer.
 func DensityGridRaw(ds *reader.Dataset, dims geom.Idx3, opts reader.Options) ([]float64, int64, reader.Stats, error) {
+	if dims.X <= 0 || dims.Y <= 0 || dims.Z <= 0 {
+		return nil, 0, reader.Stats{}, fmt.Errorf("query: density grid dims must be positive, got %v", dims)
+	}
 	meta := ds.Meta()
 	grid := geom.NewGrid(meta.Domain, dims)
 	counts := make([]float64, grid.Cells())

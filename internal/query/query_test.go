@@ -201,6 +201,10 @@ func TestDensityGridExactAndSampled(t *testing.T) {
 	if corr := num / math.Sqrt(dx*dy); corr < 0.7 {
 		t.Errorf("sampled density decorrelated from exact (r=%.2f)", corr)
 	}
+	// A grid with an empty axis is an error, not geom.NewGrid's panic.
+	if _, _, _, err := DensityGrid(ds, geom.I3(4, 0, 2), 0, 1); err == nil {
+		t.Error("a grid with a zero axis accepted")
+	}
 }
 
 // TestDensityGridAllocatesTheGrid holds DensityGridRaw to the read

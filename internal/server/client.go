@@ -165,7 +165,7 @@ func (c *Client) disarmDeadline() {
 }
 
 // sendRequest writes one request frame.
-func (c *Client) sendRequest(req *request) error {
+func (c *Client) sendRequest(req *Request) error {
 	var fb frameBuf
 	encodeRequest(binio.NewWriter(&fb), req)
 	return writeFrame(c.conn, fb.b)
@@ -203,7 +203,7 @@ func (c *Client) readResp() (*respHeader, *frameReader, error) {
 
 // call performs one request/response exchange under the client lock.
 // The caller releases the decoder it gets (see readResp).
-func (c *Client) call(req *request) (*frameReader, error) {
+func (c *Client) call(req *Request) (*frameReader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -239,7 +239,7 @@ func (c *Client) call(req *request) (*frameReader, error) {
 // List returns the dataset references the server is currently willing
 // to serve.
 func (c *Client) List() ([]string, error) {
-	d, err := c.call(&request{Op: opList})
+	d, err := c.call(&Request{Op: opList})
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +249,7 @@ func (c *Client) List() ([]string, error) {
 
 // Stats fetches the server's metrics snapshot as JSON.
 func (c *Client) Stats() ([]byte, error) {
-	d, err := c.call(&request{Op: opStats})
+	d, err := c.call(&Request{Op: opStats})
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,7 @@ func (c *Client) Stats() ([]byte, error) {
 // Open resolves a dataset reference ("name", "name@N", "name@latest")
 // into a RemoteDataset mirroring the local Dataset query surface.
 func (c *Client) Open(ref string) (*RemoteDataset, error) {
-	d, err := c.call(&request{Op: opMeta, Dataset: ref})
+	d, err := c.call(&Request{Op: opMeta, Dataset: ref})
 	if err != nil {
 		return nil, err
 	}
@@ -339,45 +339,31 @@ func (r *RemoteDataset) LevelCount(nReaders int) int {
 	return lod.NumLevels(r.meta.Total, base, r.meta.LOD.Scale)
 }
 
-func (r *RemoteDataset) req(op uint8) *request {
-	return &request{Op: op, Dataset: r.ref}
-}
-
-func fillOpts(req *request, opts rdr.Options) {
-	req.Levels = opts.Levels
-	req.Skip = opts.SkipLevels
-	req.Readers = opts.Readers
-	req.NoFilter = opts.NoFilter
-	req.Fields = opts.Fields
-	req.Base = opts.PerFileBase
+// Answer asks the server for req on this dataset, whatever dataset req
+// names, and returns the server's answer, whose rows the caller owns.
+// req itself is left as it was. RemoteDataset is thereby a Dataset: a
+// gateway forwards the request it was asked to each shard with this one
+// call.
+func (r *RemoteDataset) Answer(req *Request) (*Answer, error) {
+	q := *req
+	q.Dataset = r.ref
+	d, err := r.c.call(&q)
+	if err != nil {
+		return nil, err
+	}
+	defer d.release()
+	return decodeAnswer(d.Reader, q.Op, r.c.maxFrame)
 }
 
 // QueryBox reads the particles intersecting q, server-side.
 func (r *RemoteDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
-	rows, st, err := r.QueryBoxRows(q, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	return rows.Buffer(), st, nil
-}
-
-// QueryBoxRows is QueryBox for a caller that sends the answer on instead
-// of looking at it (a gateway): the particles as the rows the wire
-// carried, not transposed to columns. The caller owns the rows.
-func (r *RemoteDataset) QueryBoxRows(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
-	req := r.req(opQueryBox)
+	req := optsRequest(OpQueryBox, opts)
 	req.Box = q
-	fillOpts(req, opts)
-	d, err := r.c.call(req)
+	a, err := r.Answer(req)
 	if err != nil {
 		return nil, rdr.Stats{}, err
 	}
-	defer d.release()
-	resp, err := decodeQueryResp(d.Reader, r.c.maxFrame)
-	if err != nil {
-		return nil, rdr.Stats{}, err
-	}
-	return resp.Rows, resp.Stats.Read, nil
+	return a.Rows.Buffer(), a.Stats, nil
 }
 
 // ReadAll reads the whole dataset (optionally only some LOD levels).
@@ -388,98 +374,33 @@ func (r *RemoteDataset) ReadAll(opts rdr.Options) (*particle.Buffer, rdr.Stats, 
 
 // KNN returns the k particles nearest p and their distances.
 func (r *RemoteDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
-	rows, dists, st, err := r.KNNRows(p, k)
-	if err != nil {
-		return nil, nil, st, err
-	}
-	return rows.Buffer(), dists, st, nil
-}
-
-// KNNRows is KNN with the neighbours as rows the caller owns (see
-// QueryBoxRows).
-func (r *RemoteDataset) KNNRows(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error) {
-	req := r.req(opKNN)
-	req.Point = p
-	req.K = k
-	d, err := r.c.call(req)
+	a, err := r.Answer(&Request{Op: OpKNN, Point: p, K: k})
 	if err != nil {
 		return nil, nil, rdr.Stats{}, err
 	}
-	defer d.release()
-	resp, err := decodeKNNResp(d.Reader, r.c.maxFrame)
-	if err != nil {
-		return nil, nil, rdr.Stats{}, err
-	}
-	return resp.Rows, resp.Dists, resp.Stats.Read, nil
+	return a.Rows.Buffer(), a.Floats, a.Stats, nil
 }
 
 // Halo reads a patch's particles plus the ghost layer within halo of
 // it, separately.
 func (r *RemoteDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
-	o, g, st, err := r.HaloRows(patch, halo, opts)
+	req := optsRequest(OpHalo, opts)
+	req.Box, req.Halo = patch, halo
+	a, err := r.Answer(req)
 	if err != nil {
 		return nil, nil, st, err
 	}
-	return o.Buffer(), g.Buffer(), st, nil
-}
-
-// HaloRows is Halo with the particles as rows the caller owns (see
-// QueryBoxRows).
-func (r *RemoteDataset) HaloRows(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
-	req := r.req(opHalo)
-	req.Box = patch
-	req.Halo = halo
-	fillOpts(req, opts)
-	d, err := r.c.call(req)
-	if err != nil {
-		return nil, nil, rdr.Stats{}, err
-	}
-	defer d.release()
-	resp, err := decodeHaloResp(d.Reader, r.c.maxFrame)
-	if err != nil {
-		return nil, nil, rdr.Stats{}, err
-	}
-	return resp.Own, resp.Ghost, resp.Stats.Read, nil
+	return a.Rows.Buffer(), a.Ghost.Buffer(), a.Stats, nil
 }
 
 // DensityGrid estimates per-cell particle counts over the domain from
 // the first levels LOD levels; the sampling fraction is also returned.
 func (r *RemoteDataset) DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error) {
-	req := r.req(opDensityGrid)
-	req.Dims = dims
-	req.Levels = levels
-	req.Readers = readers
-	d, err := r.c.call(req)
+	a, err := r.Answer(&Request{Op: OpDensityGrid, Dims: dims, Levels: levels, Readers: readers})
 	if err != nil {
 		return nil, 0, rdr.Stats{}, err
 	}
-	defer d.release()
-	resp, err := decodeDensityResp(d.Reader, r.c.maxFrame)
-	if err != nil {
-		return nil, 0, rdr.Stats{}, err
-	}
-	return resp.Counts, resp.Fraction, resp.Stats.Read, nil
-}
-
-// DensityGridRaw asks the server for unscaled per-cell sample counts
-// plus the sampled-particle count (reqFlagRawDensity). A gateway sums
-// these across shards and scales once against the merged total, which
-// keeps the result bit-identical to a single-node DensityGrid.
-func (r *RemoteDataset) DensityGridRaw(dims geom.Idx3, opts rdr.Options) ([]float64, int64, rdr.Stats, error) {
-	req := r.req(opDensityGrid)
-	req.Dims = dims
-	req.Flags |= reqFlagRawDensity
-	fillOpts(req, opts)
-	d, err := r.c.call(req)
-	if err != nil {
-		return nil, 0, rdr.Stats{}, err
-	}
-	defer d.release()
-	resp, err := decodeDensityResp(d.Reader, r.c.maxFrame)
-	if err != nil {
-		return nil, 0, rdr.Stats{}, err
-	}
-	return resp.Counts, resp.Sampled, resp.Stats.Read, nil
+	return a.Floats, a.Fraction, a.Stats, nil
 }
 
 // RemoteStream is a progressive read of a remote dataset: a cursor, held
@@ -530,32 +451,22 @@ func (st *RemoteStream) Done() bool { return st.level >= st.last }
 func (st *RemoteStream) Stats() rdr.Stats { return st.stats }
 
 // NextLevel asks for and receives the next level increment; ok is false
-// once the stream is exhausted.
-func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
-	rows, ok, err := st.NextLevelRows()
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return rows.Buffer(), true, nil
-}
-
-// NextLevelRows is NextLevel with the increment as rows the caller owns
-// (see RemoteDataset.QueryBoxRows). A level that fails — the server
+// once the stream is exhausted. A level that fails — the server
 // overloaded, the increment over its byte budget — leaves the stream
 // where it was: the levels already received are a valid coarser subset,
 // and the same level can be asked for again.
-func (st *RemoteStream) NextLevelRows() (*particle.Rows, bool, error) {
+func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
 	if st.Done() {
 		return nil, false, nil
 	}
-	rows, read, err := st.ds.QueryBoxRows(st.q, rdr.Options{
+	buf, read, err := st.ds.QueryBox(st.q, rdr.Options{
 		SkipLevels: st.level, Levels: st.level + 1, Readers: st.readers, NoFilter: true})
 	if err != nil {
 		return nil, false, err
 	}
 	st.level++
 	st.stats.Add(read)
-	return rows, true, nil
+	return buf, true, nil
 }
 
 // Cancel ends the stream after the levels already received. There is

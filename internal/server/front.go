@@ -12,7 +12,6 @@ import (
 
 	"spio/internal/binio"
 	"spio/internal/format"
-	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
 )
@@ -30,23 +29,57 @@ type Backend interface {
 	StatsJSON() []byte
 }
 
-// Dataset is the query surface a Backend resolves a reference to. An
-// error wrapping ErrBudget, ErrOverloaded or ErrDraining travels to the
-// client under the matching status; any other error is a plain failure.
+// Dataset is the query surface a Backend resolves a reference to: its
+// metadata, and an Answer to each of the four query ops (OpQueryBox,
+// OpKNN, OpHalo, OpDensityGrid). An error wrapping ErrBudget,
+// ErrOverloaded or ErrDraining travels to the client under the matching
+// status; any other error is a plain failure.
 type Dataset interface {
 	Meta() *format.Meta
-	// QueryBox, KNN and Halo answer with rows (see particle.Rows): the
-	// layout the filter found the particles in and the layout the wire
-	// sends, so an answer is never transposed on its way through a server.
-	// The front owns the rows it is handed and releases them once the
-	// answer has been written, or not sent.
-	QueryBox(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error)
-	KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error)
-	Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error)
-	// DensityGrid returns per-cell estimates and the sampling fraction,
-	// or with raw the unscaled counts (fraction 1); sampled is the number
-	// of particles counted, where the backend reports it.
-	DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) (counts []float64, frac float64, sampled int64, st rdr.Stats, err error)
+	Answer(req *Request) (*Answer, error)
+}
+
+// Answer is what a query op answers with. Which parts are set follows
+// from the op:
+//
+//   - OpQueryBox: Rows.
+//   - OpKNN: Rows, the neighbours nearest first, and Floats, their
+//     distances.
+//   - OpHalo: Rows, the particles of the patch, and Ghost, those of the
+//     margin.
+//   - OpDensityGrid: Floats, the per-cell estimates, and Fraction, the
+//     sampling fraction; under FlagRawDensity the unscaled counts,
+//     Fraction 1 and Sampled, the number of particles counted.
+//
+// Particles travel as rows (see particle.Rows): the layout the filter
+// found them in and the layout the wire sends, so an answer is never
+// transposed on its way through a server. Whoever holds an answer owns
+// its rows and ends them, with Release or by moving them on.
+type Answer struct {
+	Stats    rdr.Stats
+	Rows     *particle.Rows
+	Ghost    *particle.Rows
+	Floats   []float64
+	Fraction float64
+	Sampled  int64
+}
+
+// Release gives the answer's rows back to their pool.
+func (a *Answer) Release() {
+	a.Rows.Release()
+	a.Ghost.Release()
+}
+
+// Bytes returns the size of the answer's particles: what the response
+// byte budget holds a query to.
+func (a *Answer) Bytes() int64 {
+	var n int64
+	for _, r := range []*particle.Rows{a.Rows, a.Ghost} {
+		if r != nil {
+			n += r.Bytes()
+		}
+	}
+	return n
 }
 
 // Frame bounds on what a client may send.
@@ -307,7 +340,7 @@ func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *binio
 // handleRequest admits and executes one request. A non-nil return tears
 // the connection down (wire-level failure); request-level errors travel
 // back as status frames.
-func (f *Front) handleRequest(conn *srvConn, req *request) error {
+func (f *Front) handleRequest(conn *srvConn, req *Request) error {
 	// A request joins the drain's wait under f.mu, which Shutdown takes
 	// after flipping draining and before it starts waiting: the request is
 	// either counted before the wait begins or sees the flag and is turned
@@ -345,7 +378,7 @@ func (f *Front) handleRequest(conn *srvConn, req *request) error {
 
 // execute dispatches an admitted request to the backend and encodes its
 // answer.
-func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start time.Time) error {
+func (f *Front) execute(conn *srvConn, req *Request, wait time.Duration, start time.Time) error {
 	// Ops that need no dataset first.
 	switch req.Op {
 	case opStats:
@@ -362,22 +395,6 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 	if err != nil {
 		return f.sendErr(conn, err)
 	}
-	opts := rdr.Options{
-		Levels:      req.Levels,
-		SkipLevels:  req.Skip,
-		Readers:     req.Readers,
-		NoFilter:    req.NoFilter,
-		Fields:      req.Fields,
-		PerFileBase: req.Base,
-	}
-	budget := f.cfg.maxRespBytes()
-
-	finish := func(st rdr.Stats) wireStats {
-		ws := wireStats{Read: st, QueueWait: int64(wait), Service: int64(time.Since(start))}
-		f.metrics.note(&ws)
-		return ws
-	}
-
 	switch req.Op {
 	case opMeta:
 		var mb bytes.Buffer
@@ -387,47 +404,18 @@ func (f *Front) execute(conn *srvConn, req *request, wait time.Duration, start t
 		f.metrics.requests.Add(1)
 		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeBlob(e, mb.Bytes()) })
 
-	case opQueryBox:
-		rows, st, err := ds.QueryBox(req.Box, opts)
+	case OpQueryBox, OpKNN, OpHalo, OpDensityGrid:
+		a, err := ds.Answer(req)
 		if err != nil {
 			return f.sendErr(conn, err)
 		}
-		defer rows.Release()
-		if rows.Bytes() > budget {
-			return f.fail(conn, statusBudget, budgetMsg(rows.Bytes(), budget))
-		}
-		resp := &queryResp{Stats: finish(st), Rows: rows}
-		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeQueryResp(e, resp) })
-
-	case opKNN:
-		rows, dists, st, err := ds.KNN(req.Point, req.K)
-		if err != nil {
-			return f.sendErr(conn, err)
-		}
-		defer rows.Release()
-		resp := &knnResp{Stats: finish(st), Rows: rows, Dists: dists}
-		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeKNNResp(e, resp) })
-
-	case opHalo:
-		own, ghost, st, err := ds.Halo(req.Box, req.Halo, opts)
-		if err != nil {
-			return f.sendErr(conn, err)
-		}
-		defer own.Release()
-		defer ghost.Release()
-		if n := own.Bytes() + ghost.Bytes(); n > budget {
+		defer a.Release()
+		if n, budget := a.Bytes(), f.cfg.maxRespBytes(); n > budget {
 			return f.fail(conn, statusBudget, budgetMsg(n, budget))
 		}
-		resp := &haloResp{Stats: finish(st), Own: own, Ghost: ghost}
-		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeHaloResp(e, resp) })
-
-	case opDensityGrid:
-		counts, frac, sampled, st, err := ds.DensityGrid(req.Dims, opts, req.Flags&reqFlagRawDensity != 0)
-		if err != nil {
-			return f.sendErr(conn, err)
-		}
-		resp := &densityResp{Stats: finish(st), Counts: counts, Fraction: frac, Sampled: sampled}
-		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeDensityResp(e, resp) })
+		st := wireStats{Read: a.Stats, QueueWait: int64(wait), Service: int64(time.Since(start))}
+		f.metrics.note(&st)
+		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeAnswer(e, req.Op, &st, a) })
 
 	default:
 		return f.fail(conn, statusError, fmt.Sprintf("spiod: unknown op %d", req.Op))

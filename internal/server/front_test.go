@@ -19,9 +19,11 @@ import (
 )
 
 // fakeBackend drives the Front alone: one dataset, "fake", that answers
-// every query with a canned buffer, whatever levels it asks for. hook,
-// when set, runs at the start of every dataset call (a test blocks
-// there to hold a worker); err, when set, is what every query returns.
+// every query with a canned buffer, whatever it asks for — a box read
+// with the buffer, a KNN or a halo with the buffer twice over, so that a
+// budget the buffer fits refuses both. hook, when set, runs at the start
+// of every answer (a test blocks there to hold a worker); err, when set,
+// is what every query returns.
 type fakeBackend struct {
 	buf  *particle.Buffer
 	hook func()
@@ -53,38 +55,33 @@ func (b *fakeBackend) Resolve(ref string) (Dataset, error) {
 func (b *fakeBackend) List() []string    { return []string{"fake"} }
 func (b *fakeBackend) StatsJSON() []byte { return []byte(`{"fake":true}`) }
 
-func (b *fakeBackend) enter() error {
-	if b.hook != nil {
-		b.hook()
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
 type fakeDataset struct{ b *fakeBackend }
 
 func (fakeDataset) Meta() *format.Meta {
 	return &format.Meta{Domain: geom.UnitBox(), Schema: particle.Uintah()}
 }
-func (d fakeDataset) QueryBox(geom.Box, rdr.Options) (*particle.Rows, rdr.Stats, error) {
-	if err := d.b.enter(); err != nil {
-		return nil, rdr.Stats{}, err
+
+func (d fakeDataset) Answer(req *Request) (*Answer, error) {
+	if d.b.hook != nil {
+		d.b.hook()
 	}
-	return d.b.buf.Rows(), rdr.Stats{}, nil
-}
-func (d fakeDataset) KNN(geom.Vec3, int) (*particle.Rows, []float64, rdr.Stats, error) {
-	rows, st, err := d.QueryBox(geom.Box{}, rdr.Options{})
-	return rows, make([]float64, d.b.buf.Len()), st, err
-}
-func (d fakeDataset) Halo(geom.Box, float64, rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
-	if err := d.b.enter(); err != nil {
-		return nil, nil, st, err
+	d.b.mu.Lock()
+	defer d.b.mu.Unlock()
+	if d.b.err != nil {
+		return nil, d.b.err
 	}
-	return d.b.buf.Rows(), d.b.buf.Rows(), st, nil
-}
-func (d fakeDataset) DensityGrid(geom.Idx3, rdr.Options, bool) ([]float64, float64, int64, rdr.Stats, error) {
-	return []float64{1}, 1, 1, rdr.Stats{}, d.b.enter()
+	rows := d.b.buf.Rows
+	switch req.Op {
+	case OpDensityGrid:
+		return &Answer{Floats: []float64{1}, Fraction: 1, Sampled: 1}, nil
+	case OpKNN:
+		a := &Answer{Rows: rows(), Floats: make([]float64, 2*d.b.buf.Len())}
+		a.Rows.Append(rows())
+		return a, nil
+	case OpHalo:
+		return &Answer{Rows: rows(), Ghost: rows()}, nil
+	}
+	return &Answer{Rows: rows()}, nil
 }
 
 // dialFake connects a client to a front over a fakeBackend and attaches
@@ -138,12 +135,16 @@ func TestFrontBudgetAndErrorStatus(t *testing.T) {
 	addr := startServer(t, f)
 	ds := dialFake(t, addr)
 
-	// One buffer fits the budget, the two of a halo answer do not.
+	// One buffer fits the budget, the two of a halo or a KNN answer do
+	// not: every particle answer is held to it.
 	if _, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil {
 		t.Fatalf("box within budget: %v", err)
 	}
 	if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("halo over budget: %v, want ErrBudget", err)
+	}
+	if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); !errors.Is(err, ErrBudget) {
+		t.Fatalf("knn over budget: %v, want ErrBudget", err)
 	}
 	// Backend errors keep their status across the front: what a shard
 	// refused a gateway with reaches the gateway's client as the same error.
@@ -165,15 +166,15 @@ func TestFrontBudgetAndErrorStatus(t *testing.T) {
 	if _, err := ds.c.Open("nope"); err == nil || !strings.Contains(err.Error(), `no dataset "nope"`) {
 		t.Errorf("unresolvable reference: %v", err)
 	}
-	if got := f.Snapshot().Errors; got != 6 {
-		t.Errorf("errors counted: %d, want 6", got)
+	if got := f.Snapshot().Errors; got != 7 {
+		t.Errorf("errors counted: %d, want 7", got)
 	}
 }
 
 func TestFrontUnknownOp(t *testing.T) {
 	f := NewFront(Config{}, newFakeBackend(4))
 	ds := dialFake(t, startServer(t, f))
-	if _, err := ds.c.call(&request{Op: 99, Dataset: "fake"}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
+	if _, err := ds.c.call(&Request{Op: 99, Dataset: "fake"}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
 		t.Fatalf("op 99: %v", err)
 	}
 	// A refused op is a completed exchange: the connection carries on.

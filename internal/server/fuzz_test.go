@@ -1,0 +1,78 @@
+package server
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"spio/internal/binio"
+	"spio/internal/geom"
+)
+
+// FuzzServeRequest executes any request frame decodeRequest accepts
+// through a Front over a small real mount, on a connection of its own:
+// the frame always gets a response frame — whatever its status — the
+// daemon does not panic, and the same connection answers the next
+// request. The seeds are each op's request, the zero-axis density grid
+// that once panicked the daemon, and the limit cases of
+// TestRequestBoundsEnforced.
+func FuzzServeRequest(f *testing.F) {
+	dir := f.TempDir()
+	writeDataset(f, dir, geom.I3(2, 1, 1), geom.I3(1, 1, 1), 50)
+	s := New(Config{Workers: 2})
+	if err := s.Mount("sim", dir); err != nil {
+		f.Fatal(err)
+	}
+	addr := startServer(f, s)
+	frame := func(r *Request) []byte {
+		var fb frameBuf
+		encodeRequest(binio.NewWriter(&fb), r)
+		return fb.b
+	}
+	box := geom.NewBox(geom.V3(0.2, 0.1, 0.3), geom.V3(0.7, 0.9, 0.6))
+	for _, r := range []*Request{
+		{Op: opMeta, Dataset: "sim"},
+		{Op: opStats},
+		{Op: opList},
+		{Op: OpQueryBox, Dataset: "sim", Box: box, Fields: []string{"density"}},
+		{Op: OpQueryBox, Dataset: "sim", Box: geom.UnitBox(), NoFilter: true, Skip: 1, Levels: 2, Readers: 4},
+		{Op: OpKNN, Dataset: "sim", Point: box.Center(), K: 5},
+		{Op: OpHalo, Dataset: "sim", Box: box, Halo: 0.0625},
+		{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(4, 2, 1), Levels: 2, Readers: 2},
+		{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(4, 2, 1), Flags: FlagRawDensity, Base: 9},
+		{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(0, 4, 4)},
+		{Op: OpKNN, Dataset: "sim", K: maxReqK + 1},
+		{Op: OpQueryBox, Dataset: "sim", Levels: 3, Skip: 3},
+		{Op: OpDensityGrid, Dataset: "sim", K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
+			Levels: maxReqLevels, Skip: maxReqLevels - 1, Readers: maxReqReaders},
+	} {
+		f.Add(frame(r))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > reqFrameMax {
+			return
+		}
+		if _, err := decodeRequest(binio.NewReader(bytes.NewReader(body), "spiod")); err != nil {
+			return // the front answers and hangs up; FuzzServeRequest is about what it executes
+		}
+		c, err := Dial(addr, WithCallTimeout(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.armDeadline()
+		if err := writeFrame(c.conn, body); err != nil {
+			t.Fatal(err)
+		}
+		h, d, err := c.readResp()
+		if h == nil {
+			t.Fatalf("no response frame: %v", err)
+		}
+		if d != nil {
+			d.release()
+		}
+		if _, err := c.List(); err != nil {
+			t.Fatalf("the request after it: %v", err)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"net"
@@ -42,12 +43,12 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 	if got, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{}); err != nil || !got.Equal(b.buf) {
 		t.Fatalf("box: %v", err)
 	}
-	if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); err != nil {
-		t.Fatalf("knn: %v", err)
-	}
-	// Refused for the budget, with both halves of the halo in hand.
+	// Refused for the budget, with a halo's two halves or a KNN's rows in hand.
 	if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("halo over budget: %v, want ErrBudget", err)
+	}
+	if _, _, _, err := ds.KNN(geom.V3(0, 0, 0), 1); !errors.Is(err, ErrBudget) {
+		t.Fatalf("knn over budget: %v, want ErrBudget", err)
 	}
 	// Failed by the backend.
 	b.setErr(errors.New("fake: backend down"))
@@ -72,7 +73,7 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb = frameBuf{}
-	encodeRequest(binio.NewWriter(&fb), &request{Op: opQueryBox, Dataset: "fake", Box: geom.UnitBox()})
+	encodeRequest(binio.NewWriter(&fb), &Request{Op: OpQueryBox, Dataset: "fake", Box: geom.UnitBox()})
 	if err := writeFrame(conn, fb.b); err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +95,10 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 	if got := particle.RowSegmentsHeld(); got != held {
 		t.Errorf("%d row segments still held after the front has drained", got-held)
 	}
-	// One budget refusal, one backend error, and the answer — far larger
+	// Two budget refusals, one backend error, and the answer — far larger
 	// than a socket buffer — failing on the peer that left.
-	if got := f.Snapshot().Errors; got != 3 {
-		t.Errorf("%d requests failed, want 3: the refusing and failing exits did not all run", got)
+	if got := f.Snapshot().Errors; got != 4 {
+		t.Errorf("%d requests failed, want 4: the refusing and failing exits did not all run", got)
 	}
 }
 
@@ -238,20 +239,22 @@ func TestOneWritePerFrame(t *testing.T) {
 
 	// The same box answer through a real socket — one vectored write —
 	// is the same frame but for the times in its stats.
-	d := bodyReader(box).Reader
-	if _, err := decodeRespHeader(d); err != nil {
+	// A decoded answer keeps the read stats alone: the times are read
+	// from a second look at the frame.
+	d, d2 := bodyReader(box).Reader, bodyReader(box).Reader
+	_, err1 := decodeRespHeader(d)
+	_, err2 := decodeRespHeader(d2)
+	st, err3 := decodeStats(d)
+	a, err4 := decodeAnswer(d2, OpQueryBox, 1<<20)
+	if err := cmp.Or(err1, err2, err3, err4); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := decodeQueryResp(d, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Rows.Release()
+	defer a.Release()
 	left, right := socketPair(t)
 	fr := newVecFrame()
 	e := binio.NewWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: statusOK})
-	encodeQueryResp(e, resp)
+	encodeAnswer(e, OpQueryBox, st, a)
 	if e.Err() != nil {
 		t.Fatal(e.Err())
 	}
@@ -301,7 +304,7 @@ func TestAnswerCostsItsRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("knn: %v", err)
 			}
-			costs("knn", buf.Bytes()+8*int64(len(dists)))
+			costs("knn", 2*buf.Bytes()+8*int64(len(dists)))
 			if _, _, _, err := ds.Halo(geom.UnitBox(), 0.1, rdr.Options{}); err != nil {
 				t.Fatalf("halo: %v", err)
 			}

@@ -13,8 +13,6 @@ import (
 
 	"spio/internal/cache"
 	"spio/internal/format"
-	"spio/internal/geom"
-	"spio/internal/particle"
 	"spio/internal/query"
 	rdr "spio/internal/reader"
 )
@@ -285,7 +283,7 @@ func (s *Server) Resolve(ref string) (Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return localDataset{ds}, nil
+	return Local(ds), nil
 }
 
 // List returns the currently servable dataset references (Backend).
@@ -314,28 +312,38 @@ func (s *Server) List() []string {
 	return refs
 }
 
-// localDataset answers the Front's Dataset seam from a mounted
-// rdr.Dataset and internal/query; Meta is the reader's, and the bulk
-// answers are the reader's rows-returning reads.
+// Local is the Dataset a spiod serves a mounted dataset as: its metadata
+// is the reader's, and each query op is the internal/query read of it.
+func Local(ds *rdr.Dataset) Dataset { return localDataset{ds} }
+
 type localDataset struct{ *rdr.Dataset }
 
-func (d localDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Rows, rdr.Stats, error) {
-	return d.QueryBoxRows(q, opts)
-}
-
-func (d localDataset) KNN(p geom.Vec3, k int) (*particle.Rows, []float64, rdr.Stats, error) {
-	return query.KNNRows(d.Dataset, p, k)
-}
-
-func (d localDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Rows, st rdr.Stats, err error) {
-	return query.HaloRows(d.Dataset, patch, halo, opts)
-}
-
-func (d localDataset) DensityGrid(dims geom.Idx3, opts rdr.Options, raw bool) ([]float64, float64, int64, rdr.Stats, error) {
-	if raw {
-		counts, sampled, st, err := query.DensityGridRaw(d.Dataset, dims, opts)
-		return counts, 1, sampled, st, err
+func (d localDataset) Answer(req *Request) (*Answer, error) {
+	switch req.Op {
+	case OpQueryBox:
+		rows, st, err := d.QueryBoxRows(req.Box, req.Options())
+		return answered(&Answer{Stats: st, Rows: rows}, err)
+	case OpKNN:
+		rows, dists, st, err := query.KNNRows(d.Dataset, req.Point, req.K)
+		return answered(&Answer{Stats: st, Rows: rows, Floats: dists}, err)
+	case OpHalo:
+		own, ghost, st, err := query.HaloRows(d.Dataset, req.Box, req.Halo, req.Options())
+		return answered(&Answer{Stats: st, Rows: own, Ghost: ghost}, err)
+	case OpDensityGrid:
+		if req.Flags&FlagRawDensity != 0 {
+			counts, sampled, st, err := query.DensityGridRaw(d.Dataset, req.Dims, req.Options())
+			return answered(&Answer{Stats: st, Floats: counts, Fraction: 1, Sampled: sampled}, err)
+		}
+		counts, frac, st, err := query.DensityGrid(d.Dataset, req.Dims, req.Levels, req.Readers)
+		return answered(&Answer{Stats: st, Floats: counts, Fraction: frac}, err)
 	}
-	counts, frac, st, err := query.DensityGrid(d.Dataset, dims, opts.Levels, opts.Readers)
-	return counts, frac, 0, st, err
+	return nil, fmt.Errorf("spiod: unknown op %d", req.Op)
+}
+
+// answered is a, or no answer if the read that made it failed.
+func answered(a *Answer, err error) (*Answer, error) {
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
 }

@@ -474,13 +474,13 @@ func TestSeriesMountHoldsBoundedSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, _, err := ds.QueryBox(geom.UnitBox(), rdr.Options{})
+		a, err := ds.Answer(&Request{Op: OpQueryBox, Box: geom.UnitBox()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rows.Release()
-		if want := filesPerStep * (20 + step); rows.Len() != want {
-			t.Fatalf("step %d answered %d particles, want %d", step, rows.Len(), want)
+		defer a.Release()
+		if want := filesPerStep * (20 + step); a.Rows.Len() != want {
+			t.Fatalf("step %d answered %d particles, want %d", step, a.Rows.Len(), want)
 		}
 	}
 	for step := 2; step < steps; step++ {

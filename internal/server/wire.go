@@ -7,6 +7,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,7 +31,7 @@ import (
 // frame. Nothing is negotiated: the version is the contract, and two
 // peers of one version speak one wire form. No request outlives its
 // response: a progressive read is a sequence of level-range box reads
-// (request.Skip), each asked for when the client wants it.
+// (Request.Skip), each asked for when the client wants it.
 //
 // Bodies are framed with internal/binio, the codec of the file headers
 // (little-endian, uvarint lengths), in deliberately name-paired
@@ -45,13 +46,14 @@ const (
 	protoVersion = 6 // v6: rows travel as their record bytes; the hello is magic + version and its ack a bare status
 )
 
-// Request op codes.
+// Request op codes. The four exported ones are the query ops a Dataset
+// answers; the Front answers the others itself.
 const (
 	opMeta        = 1 // resolve a dataset reference, return its metadata image
-	opQueryBox    = 2 // box query (QueryBox / ReadAll via NoFilter)
-	opKNN         = 3 // k-nearest-neighbour search
-	opHalo        = 4 // patch + ghost-margin read
-	opDensityGrid = 5 // approximate density field from a LOD prefix
+	OpQueryBox    = 2 // box query (QueryBox / ReadAll via NoFilter)
+	OpKNN         = 3 // k-nearest-neighbour search
+	OpHalo        = 4 // patch + ghost-margin read
+	OpDensityGrid = 5 // approximate density field from a LOD prefix
 	opStats       = 7 // server metrics snapshot (JSON)
 	opList        = 8 // list mounted dataset references
 )
@@ -87,12 +89,12 @@ const (
 	maxReqBase     = 1 << 40 // per-file LOD base override (sizes prefix reads)
 )
 
-// Request flag bits (request.Flags).
+// Request flag bits (Request.Flags).
 const (
-	// reqFlagRawDensity asks a density-grid op for unscaled per-cell
+	// FlagRawDensity asks a density-grid op for unscaled per-cell
 	// sample counts plus the sampled-particle count, so a gateway can sum
 	// shards and scale once against the merged total.
-	reqFlagRawDensity uint8 = 1 << 0
+	FlagRawDensity uint8 = 1 << 0
 )
 
 // frameBody is a frame body held in memory, the source its decoder reads:
@@ -309,10 +311,12 @@ func decodeHello(d *binio.Reader) (*hello, error) {
 	return &h, nil
 }
 
-// request is the flat request record: one op code plus the union of
+// Request is the flat request record: one op code plus the union of
 // every op's parameters, always encoded in full so the stream shape is
-// identical for all ops.
-type request struct {
+// identical for all ops. It is the one value a query travels as, from
+// the client through a Front and a gateway to the Dataset that answers
+// it.
+type Request struct {
 	Op      uint8
 	Dataset string // dataset reference: name, name@N, name@latest
 	Box     geom.Box
@@ -332,12 +336,24 @@ type request struct {
 	// this server's own file count). A gateway passes the merged
 	// dataset's base so every shard cuts the same level boundaries.
 	Base int64
-	// Flags carries the reqFlag* bits.
+	// Flags carries the Flag* bits.
 	Flags uint8
 	Skip  int
 }
 
-func encodeRequest(e *binio.Writer, r *request) {
+// optsRequest is a request of op that reads as opts says.
+func optsRequest(op uint8, opts rdr.Options) *Request {
+	return &Request{Op: op, Levels: opts.Levels, Skip: opts.SkipLevels, Readers: opts.Readers,
+		NoFilter: opts.NoFilter, Fields: opts.Fields, Base: opts.PerFileBase}
+}
+
+// Options returns the read options the request carries.
+func (r *Request) Options() rdr.Options {
+	return rdr.Options{Levels: r.Levels, SkipLevels: r.Skip, Readers: r.Readers,
+		NoFilter: r.NoFilter, Fields: r.Fields, PerFileBase: r.Base}
+}
+
+func encodeRequest(e *binio.Writer, r *Request) {
 	e.U8(r.Op)
 	e.Str(r.Dataset)
 	e.Box(r.Box)
@@ -361,8 +377,8 @@ func encodeRequest(e *binio.Writer, r *request) {
 	e.Uvarint(uint64(r.Skip))
 }
 
-func decodeRequest(d *binio.Reader) (*request, error) {
-	var r request
+func decodeRequest(d *binio.Reader) (*Request, error) {
+	var r Request
 	r.Op = d.U8()
 	r.Dataset = d.Str(maxWireString)
 	r.Box = d.Box()
@@ -596,122 +612,66 @@ func decodeNames(d *binio.Reader) ([]string, error) {
 	return names, nil
 }
 
-// queryResp answers opQueryBox. A decoded response's rows are the
-// caller's to release, here and in every response below.
-type queryResp struct {
-	Stats wireStats
-	Rows  *particle.Rows
+// A query op's response is its answer's parts after the stats: a box
+// read's rows; a KNN's rows and distances; a halo's owned rows and ghost
+// rows; a density grid's counts, sampling fraction and sampled count.
+// A response frame does not name its op: the decoder is told the op of
+// the request it answers. A decoded answer's rows are the caller's to
+// release.
+
+func encodeAnswer(e *binio.Writer, op uint8, st *wireStats, a *Answer) {
+	encodeStats(e, st)
+	switch op {
+	case OpQueryBox:
+		encodeRows(e, a.Rows)
+	case OpKNN:
+		encodeRows(e, a.Rows)
+		encodeFloats(e, a.Floats)
+	case OpHalo:
+		encodeRows(e, a.Rows)
+		encodeRows(e, a.Ghost)
+	case OpDensityGrid:
+		encodeFloats(e, a.Floats)
+		e.F64(a.Fraction)
+		e.I64(a.Sampled)
+	}
 }
 
-func encodeQueryResp(e *binio.Writer, r *queryResp) {
-	encodeStats(e, &r.Stats)
-	encodeRows(e, r.Rows)
-}
-
-func decodeQueryResp(d *binio.Reader, limit int64) (*queryResp, error) {
+// decodeAnswer keeps the read stats of the answer's wireStats: the queue
+// and service times are the server's, for its metrics. It decodes into
+// locals and builds the Answer once, as a literal — wiretaint taints a
+// field class globally on a field store, and an answer's fields are read
+// far from here.
+func decodeAnswer(d *binio.Reader, op uint8, limit int64) (*Answer, error) {
 	st, err := decodeStats(d)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := decodeRows(d, limit)
-	if err != nil {
-		return nil, err
+	var (
+		rows, ghost *particle.Rows
+		floats      []float64
+		frac        float64
+		sampled     int64
+		err2        error
+	)
+	switch op {
+	case OpQueryBox:
+		rows, err = decodeRows(d, limit)
+	case OpKNN:
+		rows, err = decodeRows(d, limit)
+		floats, err2 = decodeFloats(d, int(limit/8)+1)
+	case OpHalo:
+		rows, err = decodeRows(d, limit)
+		ghost, err2 = decodeRows(d, limit)
+	case OpDensityGrid:
+		floats, err = decodeFloats(d, int(limit/8)+1)
+		frac = d.F64()
+		sampled = d.I64()
 	}
-	return &queryResp{Stats: *st, Rows: rows}, nil
-}
-
-// knnResp answers opKNN.
-type knnResp struct {
-	Stats wireStats
-	Rows  *particle.Rows
-	Dists []float64
-}
-
-func encodeKNNResp(e *binio.Writer, r *knnResp) {
-	encodeStats(e, &r.Stats)
-	encodeRows(e, r.Rows)
-	encodeFloats(e, r.Dists)
-}
-
-func decodeKNNResp(d *binio.Reader, limit int64) (*knnResp, error) {
-	st, err := decodeStats(d)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := decodeRows(d, limit)
-	if err != nil {
-		return nil, err
-	}
-	dists, err := decodeFloats(d, int(limit/8)+1)
-	if err != nil {
+	if err = cmp.Or(err, err2, d.Err()); err != nil {
 		rows.Release()
+		ghost.Release()
 		return nil, err
 	}
-	return &knnResp{Stats: *st, Rows: rows, Dists: dists}, nil
-}
-
-// haloResp answers opHalo: the owned and ghost particles separately.
-type haloResp struct {
-	Stats wireStats
-	Own   *particle.Rows
-	Ghost *particle.Rows
-}
-
-func encodeHaloResp(e *binio.Writer, r *haloResp) {
-	encodeStats(e, &r.Stats)
-	encodeRows(e, r.Own)
-	encodeRows(e, r.Ghost)
-}
-
-func decodeHaloResp(d *binio.Reader, limit int64) (*haloResp, error) {
-	st, err := decodeStats(d)
-	if err != nil {
-		return nil, err
-	}
-	own, err := decodeRows(d, limit)
-	if err != nil {
-		return nil, err
-	}
-	ghost, err := decodeRows(d, limit)
-	if err != nil {
-		own.Release()
-		return nil, err
-	}
-	return &haloResp{Stats: *st, Own: own, Ghost: ghost}, nil
-}
-
-// densityResp answers opDensityGrid. For a raw request
-// (reqFlagRawDensity) Counts are unscaled per-cell sample counts,
-// Fraction is 1, and Sampled is the number of particles sampled — the
-// inputs a gateway needs to sum shards and scale once against the
-// merged total.
-type densityResp struct {
-	Stats    wireStats
-	Counts   []float64
-	Fraction float64
-	Sampled  int64
-}
-
-func encodeDensityResp(e *binio.Writer, r *densityResp) {
-	encodeStats(e, &r.Stats)
-	encodeFloats(e, r.Counts)
-	e.F64(r.Fraction)
-	e.I64(r.Sampled)
-}
-
-func decodeDensityResp(d *binio.Reader, limit int64) (*densityResp, error) {
-	st, err := decodeStats(d)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := decodeFloats(d, int(limit/8)+1)
-	if err != nil {
-		return nil, err
-	}
-	frac := d.F64()
-	sampled := d.I64()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return &densityResp{Stats: *st, Counts: counts, Fraction: frac, Sampled: sampled}, nil
+	return &Answer{Stats: st.Read, Rows: rows, Ghost: ghost, Floats: floats, Fraction: frac, Sampled: sampled}, nil
 }

@@ -118,116 +118,71 @@ func TestWireFramesMatchReference(t *testing.T) {
 			for i := range dists {
 				dists[i] = float64(i) / 7
 			}
-			// One response kind: how the reference and the rows codec encode
-			// it, and how each decodes it back to buffers.
-			type kind struct {
-				name           string
-				ref, rows      func(e *binio.Writer)
-				refDec, rowDec func(d *binio.Reader) ([]*particle.Buffer, error)
-			}
-			decRef := func(k int) func(d *binio.Reader) ([]*particle.Buffer, error) {
-				return func(d *binio.Reader) ([]*particle.Buffer, error) {
-					var out []*particle.Buffer
-					for i := 0; i < k; i++ {
-						b, err := refDecodeBuffer(d, 1<<30)
-						if err != nil {
-							return nil, err
-						}
-						out = append(out, b)
-					}
-					return out, nil
-				}
-			}
-			skipStats := func(dec func(d *binio.Reader) ([]*particle.Buffer, error)) func(d *binio.Reader) ([]*particle.Buffer, error) {
-				return func(d *binio.Reader) ([]*particle.Buffer, error) {
-					if st, err := decodeStats(d); err != nil || *st != stats {
-						return nil, fmt.Errorf("stats %+v: %v", st, err)
-					}
-					return dec(d)
-				}
-			}
+			// One response kind: an op's answer, and the buffers the columnar
+			// reference encodes it as, a KNN's distances behind them.
 			rowsOf, rowsOfOther := buf.Rows(), other.Rows()
-			kinds := []kind{
-				{
-					name:   "query",
-					ref:    func(e *binio.Writer) { encodeStats(e, &stats); refEncodeBuffer(e, buf) },
-					rows:   func(e *binio.Writer) { encodeQueryResp(e, &queryResp{Stats: stats, Rows: rowsOf}) },
-					refDec: skipStats(decRef(1)),
-					rowDec: func(d *binio.Reader) ([]*particle.Buffer, error) {
-						r, err := decodeQueryResp(d, 1<<30)
-						if err != nil {
-							return nil, err
-						}
-						return []*particle.Buffer{r.Rows.Buffer()}, nil
-					},
-				},
-				{
-					name: "knn",
-					ref: func(e *binio.Writer) {
-						encodeStats(e, &stats)
-						refEncodeBuffer(e, buf)
-						encodeFloats(e, dists)
-					},
-					rows: func(e *binio.Writer) { encodeKNNResp(e, &knnResp{Stats: stats, Rows: rowsOf, Dists: dists}) },
-					refDec: skipStats(func(d *binio.Reader) ([]*particle.Buffer, error) {
-						bufs, err := decRef(1)(d)
-						if err != nil {
-							return nil, err
-						}
-						_, err = decodeFloats(d, len(dists))
-						return bufs, err
-					}),
-					rowDec: func(d *binio.Reader) ([]*particle.Buffer, error) {
-						r, err := decodeKNNResp(d, 1<<30)
-						if err != nil {
-							return nil, err
-						}
-						if len(r.Dists) != len(dists) {
-							return nil, fmt.Errorf("%d distances, want %d", len(r.Dists), len(dists))
-						}
-						return []*particle.Buffer{r.Rows.Buffer()}, nil
-					},
-				},
-				{
-					name: "halo",
-					ref: func(e *binio.Writer) {
-						encodeStats(e, &stats)
-						refEncodeBuffer(e, buf)
-						refEncodeBuffer(e, other)
-					},
-					rows: func(e *binio.Writer) {
-						encodeHaloResp(e, &haloResp{Stats: stats, Own: rowsOf, Ghost: rowsOfOther})
-					},
-					refDec: skipStats(decRef(2)),
-					rowDec: func(d *binio.Reader) ([]*particle.Buffer, error) {
-						r, err := decodeHaloResp(d, 1<<30)
-						if err != nil {
-							return nil, err
-						}
-						return []*particle.Buffer{r.Own.Buffer(), r.Ghost.Buffer()}, nil
-					},
-				},
+			kinds := []struct {
+				name string
+				op   uint8
+				a    Answer
+				want []*particle.Buffer
+			}{
+				{"query", OpQueryBox, Answer{Rows: rowsOf}, []*particle.Buffer{buf}},
+				{"knn", OpKNN, Answer{Rows: rowsOf, Floats: dists}, []*particle.Buffer{buf}},
+				{"halo", OpHalo, Answer{Rows: rowsOf, Ghost: rowsOfOther}, []*particle.Buffer{buf, other}},
 			}
 			for _, k := range kinds {
 				what := fmt.Sprintf("%s n=%d fields=%d", k.name, n, buf.Schema().NumFields())
 				var ref frameBuf
 				re := binio.NewWriter(&ref)
-				k.ref(re)
+				encodeStats(re, &stats)
+				for _, b := range k.want {
+					refEncodeBuffer(re, b)
+				}
+				if k.op == OpKNN {
+					encodeFloats(re, dists)
+				}
 				if re.Err() != nil {
 					t.Fatalf("%s: reference encode: %v", what, re.Err())
 				}
-				got := vecBody(t, k.rows)
+				got := vecBody(t, func(e *binio.Writer) { encodeAnswer(e, k.op, &stats, &k.a) })
 				if !bytes.Equal(got, ref.b) {
 					t.Errorf("%s: rows frame (%d bytes) differs from the reference frame (%d bytes)", what, len(got), len(ref.b))
 					continue
 				}
-				want := []*particle.Buffer{buf}
-				if k.name == "halo" {
-					want = append(want, other)
+				refDec := func(d *binio.Reader) (bufs []*particle.Buffer, err error) {
+					if st, err := decodeStats(d); err != nil || *st != stats {
+						return nil, fmt.Errorf("stats %+v: %v", st, err)
+					}
+					for range k.want {
+						b, err := refDecodeBuffer(d, 1<<30)
+						if err != nil {
+							return nil, err
+						}
+						bufs = append(bufs, b)
+					}
+					if k.op == OpKNN {
+						_, err = decodeFloats(d, len(dists))
+					}
+					return bufs, err
+				}
+				rowDec := func(d *binio.Reader) ([]*particle.Buffer, error) {
+					a, err := decodeAnswer(d, k.op, 1<<30)
+					if err != nil {
+						return nil, err
+					}
+					if len(a.Floats) != len(k.a.Floats) {
+						return nil, fmt.Errorf("%d distances, want %d", len(a.Floats), len(k.a.Floats))
+					}
+					bufs := []*particle.Buffer{a.Rows.Buffer()}
+					if a.Ghost != nil {
+						bufs = append(bufs, a.Ghost.Buffer())
+					}
+					return bufs, nil
 				}
 				for name, dec := range map[string]func(d *binio.Reader) ([]*particle.Buffer, error){
-					"rows decoder on the reference frame": k.rowDec,
-					"reference decoder on the rows frame": k.refDec,
+					"rows decoder on the reference frame": rowDec,
+					"reference decoder on the rows frame": refDec,
 				} {
 					frame := ref.b
 					if name == "reference decoder on the rows frame" {
@@ -245,7 +200,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 							t.Errorf("%s: %s: consumed %d of %d bytes", what, name, d.N(), len(frame))
 						}
 						for i, b := range bufs {
-							if !b.Equal(want[i]) {
+							if !b.Equal(k.want[i]) {
 								t.Errorf("%s: %s: answer %d is not bit-equal", what, name, i)
 							}
 						}

@@ -30,8 +30,8 @@ func roundTrip(t *testing.T, enc func(e *binio.Writer)) *binio.Reader {
 // and a codec tested only on zeroes has its order pinned by nothing.
 
 func TestRequestRoundTrip(t *testing.T) {
-	want := &request{
-		Op:       opHalo,
+	want := &Request{
+		Op:       OpHalo,
 		Dataset:  "sim@42",
 		Box:      geom.NewBox(geom.V3(0.1, 0.2, 0.3), geom.V3(0.9, 0.8, 0.7)),
 		Point:    geom.V3(0.5, math.Inf(1), -0.5),
@@ -64,33 +64,34 @@ func TestRespHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResponsesRoundTrip: the four answers, each with distinct parts —
-// a halo's own and ghost rows differ in length and content.
+// TestResponsesRoundTrip: the four ops' answers, each with distinct
+// parts — a halo's own and ghost rows differ in length and content.
 func TestResponsesRoundTrip(t *testing.T) {
 	held := particle.RowSegmentsHeld()
 	own := particle.Uniform(particle.Uintah(), geom.UnitBox(), 5, 7, 0)
 	ghost := particle.Uniform(particle.Uintah(), geom.UnitBox(), 3, 8, 1)
 	ownRows, ghostRows := own.Rows(), ghost.Rows()
 	dists := []float64{0.25, 0.5, 1, 2, 4}
-
-	d := roundTrip(t, func(e *binio.Writer) { encodeQueryResp(e, &queryResp{Stats: distinctStats, Rows: ownRows}) })
-	if q, err := decodeQueryResp(d, 1<<20); err != nil || q.Stats != distinctStats || !q.Rows.Buffer().Equal(own) {
-		t.Errorf("query response: %+v, %v", q, err)
-	}
-	d = roundTrip(t, func(e *binio.Writer) { encodeKNNResp(e, &knnResp{Stats: distinctStats, Rows: ownRows, Dists: dists}) })
-	if k, err := decodeKNNResp(d, 1<<20); err != nil || k.Stats != distinctStats || !k.Rows.Buffer().Equal(own) || !reflect.DeepEqual(k.Dists, dists) {
-		t.Errorf("knn response: %+v, %v", k, err)
-	}
-	d = roundTrip(t, func(e *binio.Writer) {
-		encodeHaloResp(e, &haloResp{Stats: distinctStats, Own: ownRows, Ghost: ghostRows})
-	})
-	if h, err := decodeHaloResp(d, 1<<20); err != nil || h.Stats != distinctStats || !h.Own.Buffer().Equal(own) || !h.Ghost.Buffer().Equal(ghost) {
-		t.Errorf("halo response: %+v, %v", h, err)
-	}
-	want := &densityResp{Stats: distinctStats, Counts: []float64{1, 2.5, 4}, Fraction: 0.125, Sampled: 77}
-	d = roundTrip(t, func(e *binio.Writer) { encodeDensityResp(e, want) })
-	if got, err := decodeDensityResp(d, 1<<20); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("density response: %+v, %v", got, err)
+	for _, c := range []struct {
+		op          uint8
+		a           Answer
+		rows, ghost *particle.Buffer // what a.Rows and a.Ghost hold
+	}{
+		{OpQueryBox, Answer{Rows: ownRows}, own, nil},
+		{OpKNN, Answer{Rows: ownRows, Floats: dists}, own, nil},
+		{OpHalo, Answer{Rows: ownRows, Ghost: ghostRows}, own, ghost},
+		{OpDensityGrid, Answer{Floats: []float64{1, 2.5, 4}, Fraction: 0.125, Sampled: 77}, nil, nil},
+	} {
+		d := roundTrip(t, func(e *binio.Writer) { encodeAnswer(e, c.op, &distinctStats, &c.a) })
+		got, err := decodeAnswer(d, c.op, 1<<20)
+		if err != nil || got.Stats != distinctStats.Read {
+			t.Errorf("op %d: %v", c.op, err)
+			continue
+		}
+		if (c.rows != nil && !got.Rows.Buffer().Equal(c.rows)) || (c.ghost != nil && !got.Ghost.Buffer().Equal(c.ghost)) ||
+			!reflect.DeepEqual(got.Floats, c.a.Floats) || got.Fraction != c.a.Fraction || got.Sampled != c.a.Sampled {
+			t.Errorf("op %d: answer %+v, want %+v", c.op, got, c.a)
+		}
 	}
 	ownRows.Release()
 	ghostRows.Release()
@@ -245,15 +246,15 @@ func TestFrameLimit(t *testing.T) {
 func TestRequestBoundsEnforced(t *testing.T) {
 	cases := []struct {
 		name string
-		req  request
+		req  Request
 	}{
-		{"knn k", request{Op: opKNN, Dataset: "sim", K: maxReqK + 1}},
-		{"grid axis", request{Op: opDensityGrid, Dataset: "sim", Dims: geom.I3(maxReqGridAxis+1, 1, 1)}},
-		{"grid cells", request{Op: opDensityGrid, Dataset: "sim", Dims: geom.I3(1<<12, 1<<12, 2)}},
-		{"levels", request{Op: opQueryBox, Dataset: "sim", Levels: maxReqLevels + 1}},
-		{"readers", request{Op: opQueryBox, Dataset: "sim", Readers: maxReqReaders + 1}},
-		{"skip at levels", request{Op: opQueryBox, Dataset: "sim", Levels: 3, Skip: 3}},
-		{"skip alone", request{Op: opQueryBox, Dataset: "sim", Skip: maxReqLevels + 1}},
+		{"knn k", Request{Op: OpKNN, Dataset: "sim", K: maxReqK + 1}},
+		{"grid axis", Request{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(maxReqGridAxis+1, 1, 1)}},
+		{"grid cells", Request{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(1<<12, 1<<12, 2)}},
+		{"levels", Request{Op: OpQueryBox, Dataset: "sim", Levels: maxReqLevels + 1}},
+		{"readers", Request{Op: OpQueryBox, Dataset: "sim", Readers: maxReqReaders + 1}},
+		{"skip at levels", Request{Op: OpQueryBox, Dataset: "sim", Levels: 3, Skip: 3}},
+		{"skip alone", Request{Op: OpQueryBox, Dataset: "sim", Skip: maxReqLevels + 1}},
 	}
 	for _, tc := range cases {
 		d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, &tc.req) })
@@ -263,8 +264,8 @@ func TestRequestBoundsEnforced(t *testing.T) {
 	}
 	// The limits admit every legitimate request: a maximal one still
 	// round-trips.
-	ok := request{
-		Op: opDensityGrid, Dataset: "sim",
+	ok := Request{
+		Op: OpDensityGrid, Dataset: "sim",
 		K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
 		Levels: maxReqLevels, Skip: maxReqLevels - 1, Readers: maxReqReaders,
 	}
@@ -292,7 +293,7 @@ func TestSchemaComponentBound(t *testing.T) {
 func TestTruncatedDecodeFailsCleanly(t *testing.T) {
 	var fb frameBuf
 	e := binio.NewWriter(&fb)
-	encodeRequest(e, &request{Op: opQueryBox, Dataset: "x"})
+	encodeRequest(e, &Request{Op: OpQueryBox, Dataset: "x"})
 	if e.Err() != nil {
 		t.Fatal(e.Err())
 	}

@@ -16,8 +16,8 @@
 # one-wire-form and hello tests, the one-request-one-response tests, the aggregate-ownership tests, the
 # partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
-# breaker-poll tests by name at -count=3); the fuzz step bursts five
-# surfaces, four decoders and the deflate encoder;
+# breaker-poll tests by name at -count=3); the fuzz step bursts six
+# surfaces, five decoders and the deflate encoder;
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the nine
 # analyzers (collorder, bufhandoff, errdrop, wiresym, collabort,
@@ -154,7 +154,7 @@ echo "== go test -race -count=2 (server tier) =="
 go test -race -count=2 ./internal/server/...
 
 echo "== codec fuzz smoke =="
-# Short fuzz bursts over five surfaces, four decoders and one encoder: the
+# Short fuzz bursts over six surfaces, five decoders and one encoder: the
 # per-field block codec round-trip (hostile specs and record bytes), the
 # deflate decoder under it (differential against compress/flate: never
 # laxer, same bytes, and every flate.Writer stream accepted), the deflate
@@ -165,14 +165,20 @@ echo "== codec fuzz smoke =="
 # file opener (whose corpus seeds compressed files, truncations,
 # and bit flips) and the metadata decoder — which a spiod's clients and a
 # gateway run on bytes a server sent — seeded with the image whose file
-# count claims 2^27 rows. Regressions here are memory-safety or round-trip
-# bugs, not flakes: the corpora are deterministic seeds plus 10s of
-# mutation.
+# count claims 2^27 rows — and the serving daemon's request decoder with
+# what it executes: every request frame it accepts is run through a Front
+# over a real mount and must get a response, on a connection that then
+# answers the next request (seeded with the zero-axis density grid that
+# once panicked the daemon; minimizing is capped, as some accepted
+# requests cost a 32 MiB grid each). Regressions here are memory-safety or
+# round-trip bugs, not flakes: the corpora are deterministic seeds plus
+# 10s of mutation.
 go test -run '^$' -fuzz '^FuzzCodecRoundTrip$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzInflate$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzDeflate$' -fuzztime 10s -fuzzminimizetime 1s ./internal/particle
 go test -run '^$' -fuzz '^FuzzOpenDataFile$' -fuzztime 10s ./internal/format
 go test -run '^$' -fuzz '^FuzzReadMeta$' -fuzztime 10s ./internal/format
+go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 echo "== spiod e2e smoke =="
 # Serve a freshly written dataset from a real spiod process on a unix
