@@ -55,32 +55,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Both backends serve the same Queryable surface; KNN differs only
-	// in where the search runs.
-	var (
-		ds  spio.Queryable
-		knn func(p spio.Vec3, k int) (*spio.Buffer, []float64, spio.ReadStats, error)
-	)
+	// Both backends serve the same Queryable surface.
+	var ds spio.Queryable
+	var err error
 	if *remote != "" {
-		rds, err := spio.Dial(*remote, *dataset)
-		if err != nil {
-			fatal(err)
-		}
-		ds, knn = rds, rds.KNN
+		ds, err = spio.Dial(*remote, *dataset)
 	} else {
-		lds, err := spio.Open(*dir)
-		if err != nil {
-			fatal(err)
-		}
-		ds = lds
-		knn = func(p spio.Vec3, k int) (*spio.Buffer, []float64, spio.ReadStats, error) {
-			return spio.KNN(lds, p, k)
-		}
+		ds, err = spio.Open(*dir)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	defer ds.Close()
 
 	if *knnAt != "" {
-		runKNN(knn, *knnAt, *k)
+		runKNN(ds, *knnAt, *k)
 		return
 	}
 	if *sched {
@@ -89,7 +78,6 @@ func main() {
 	}
 
 	q := ds.Meta().Domain
-	var err error
 	if *boxSpec != "" {
 		q, err = parseBox(*boxSpec)
 		if err != nil {
@@ -160,7 +148,7 @@ func printSchedule(ds spio.Queryable, readers int) {
 	}
 }
 
-func runKNN(knn func(p spio.Vec3, k int) (*spio.Buffer, []float64, spio.ReadStats, error), at string, k int) {
+func runKNN(ds spio.Queryable, at string, k int) {
 	parts := strings.Split(at, ",")
 	if len(parts) != 3 {
 		fatal(fmt.Errorf("knn point %q: want x,y,z", at))
@@ -175,7 +163,7 @@ func runKNN(knn func(p spio.Vec3, k int) (*spio.Buffer, []float64, spio.ReadStat
 	}
 	point := spio.V3(v[0], v[1], v[2])
 	start := time.Now()
-	nn, dists, st, err := knn(point, k)
+	nn, dists, st, err := ds.KNN(point, k)
 	if err != nil {
 		fatal(err)
 	}

@@ -19,7 +19,8 @@ import (
 // KNN, locally, through spiod and through a 3-shard spiogate, against a
 // closed brute-force filter. Files used to be selected by their half-open
 // partition alone, which misses a particle on the partition's upper face,
-// or on its lower face under a query whose Hi is that face.
+// or on its lower face under a query whose Hi is that face. A KNN around a
+// point outside the domain gave up short of k, locally and through spiod.
 func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 	dir := t.TempDir()
 	simDims := geom.I3(2, 2, 2)
@@ -97,10 +98,11 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 	knns := []struct {
 		p geom.Vec3
 		k int
-	}{{geom.V3(0.8, 0.8, 0.8), 1}, {geom.V3(0.5, 0.5, 0.5), 4}, {geom.V3(0.52, 0.25, 0.25), 2}}
+	}{{geom.V3(0.8, 0.8, 0.8), 1}, {geom.V3(0.5, 0.5, 0.5), 4}, {geom.V3(0.52, 0.25, 0.25), 2},
+		{geom.V3(3, 0.5, 0.5), 40}, {geom.V3(-2, 3, 0.5), 1}} // the last two outside the domain
 
 	for _, src := range sources {
-		var ds server.Dataset = server.Local(local)
+		var ds server.Dataset = local
 		if src.addr != "" {
 			remote, err := server.OpenRemote(src.addr, src.ref)
 			if err != nil {
@@ -109,7 +111,7 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 			defer remote.Close()
 			ds = remote
 		}
-		ask := func(req *server.Request) *server.Answer {
+		ask := func(req *rdr.Request) *rdr.Answer {
 			t.Helper()
 			a, err := ds.Answer(req)
 			if err != nil {
@@ -118,14 +120,14 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 			return a
 		}
 		for _, q := range boxes {
-			got := ask(&server.Request{Op: server.OpQueryBox, Box: q}).Rows.Buffer()
+			got := ask(&rdr.Request{Op: rdr.OpQueryBox, Box: q}).Rows.Buffer()
 			if want := ids(all, q.ContainsClosed); !slices.Equal(ids(got, every), want) {
 				t.Errorf("%s: box %v holds %d particles, brute force %d", src.name, q, got.Len(), len(want))
 			}
 		}
 		for _, h := range halos {
 			grown := geom.NewBox(h.patch.Lo.Sub(geom.V3(h.halo, h.halo, h.halo)), h.patch.Hi.Add(geom.V3(h.halo, h.halo, h.halo)))
-			a := ask(&server.Request{Op: server.OpHalo, Box: h.patch, Halo: h.halo})
+			a := ask(&rdr.Request{Op: rdr.OpHalo, Box: h.patch, Halo: h.halo})
 			own, ghost := a.Rows.Buffer(), a.Ghost.Buffer()
 			wantOwn := ids(all, func(p geom.Vec3) bool { return grown.ContainsClosed(p) && h.patch.Contains(p) })
 			wantGhost := ids(all, func(p geom.Vec3) bool { return grown.ContainsClosed(p) && !h.patch.Contains(p) })
@@ -135,7 +137,7 @@ func TestBoxQueryFindsParticlesOnPartitionFaces(t *testing.T) {
 			}
 		}
 		for _, n := range knns {
-			a := ask(&server.Request{Op: server.OpKNN, Point: n.p, K: n.k})
+			a := ask(&rdr.Request{Op: rdr.OpKNN, Point: n.p, K: n.k})
 			a.Release()
 			want := make([]float64, all.Len())
 			for i := range want {

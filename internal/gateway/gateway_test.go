@@ -16,7 +16,6 @@ import (
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
-	"spio/internal/query"
 	rdr "spio/internal/reader"
 	"spio/internal/server"
 )
@@ -260,7 +259,7 @@ func TestGatewayByteIdentity(t *testing.T) {
 
 	// KNN: distances and particle bytes must match exactly, in order.
 	for _, p := range []geom.Vec3{geom.V3(0.5, 0.5, 0.5), geom.V3(0.05, 0.9, 0.3), geom.V3(1.5, 1.5, 1.5)} {
-		wantBuf, wantD, _, err := query.KNN(local, p, 16)
+		wantBuf, wantD, _, err := local.KNN(p, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +278,7 @@ func TestGatewayByteIdentity(t *testing.T) {
 	// Halo: own and ghost sets each match; de-dup at shard boundaries is
 	// by construction (disjoint partitions).
 	patch := geom.NewBox(geom.V3(0.25, 0.25, 0.25), geom.V3(0.75, 0.75, 0.75))
-	wantOwn, wantGhost, _, err := query.Halo(local, patch, 0.1, rdr.Options{})
+	wantOwn, wantGhost, _, err := local.Halo(patch, 0.1, rdr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +291,7 @@ func TestGatewayByteIdentity(t *testing.T) {
 
 	// Density: summing raw shard counts and scaling once must be
 	// bit-identical to the single-node grid, including the fraction.
-	wantCounts, wantFrac, _, err := query.DensityGrid(local, geom.I3(4, 4, 4), 2, 2)
+	wantCounts, wantFrac, _, err := local.DensityGrid(geom.I3(4, 4, 4), 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,16 +368,27 @@ func TestGatewayPropertyRandom(t *testing.T) {
 		}
 		sameRecords(t, "random box", got, want)
 	}
+	// Random points in and around the domain, then points far outside it,
+	// where a shard's search once gave up short of k: the answer failed, or
+	// came back flagged partial with every shard up.
+	type knnCase struct {
+		p geom.Vec3
+		k int
+	}
+	var knns []knnCase
 	for i := 0; i < 15; i++ {
-		p := geom.V3(2*rng.Float64()-0.5, 2*rng.Float64()-0.5, 2*rng.Float64()-0.5)
-		k := 1 + rng.Intn(32)
-		wantBuf, wantD, _, err := query.KNN(local, p, k)
+		knns = append(knns, knnCase{geom.V3(2*rng.Float64()-0.5, 2*rng.Float64()-0.5, 2*rng.Float64()-0.5), 1 + rng.Intn(32)})
+	}
+	knns = append(knns, knnCase{geom.V3(2, 0.5, 0.5), 900}, knnCase{geom.V3(3, 0.5, 0.5), 50},
+		knnCase{geom.V3(3, 3, 3), 1}, knnCase{geom.V3(4, 0.5, 0.5), 1})
+	for i, c := range knns {
+		wantBuf, wantD, _, err := local.KNN(c.p, c.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBuf, gotD, _, err := remote.KNN(p, k)
-		if err != nil {
-			t.Fatalf("knn %d at %v k=%d: %v", i, p, k, err)
+		gotBuf, gotD, st, err := remote.KNN(c.p, c.k)
+		if err != nil || st.Partial {
+			t.Fatalf("knn %d at %v k=%d: partial=%v err=%v", i, c.p, c.k, st.Partial, err)
 		}
 		for j := range wantD {
 			if gotD[j] != wantD[j] {

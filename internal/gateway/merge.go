@@ -1,12 +1,12 @@
 package gateway
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
 	"spio/internal/geom"
 	"spio/internal/particle"
-	"spio/internal/query"
 	rdr "spio/internal/reader"
 	"spio/internal/server"
 )
@@ -27,31 +27,32 @@ func (m *gwMount) shardsFor(box geom.Box) []*gwShard {
 	return out
 }
 
-// Answer scatter-gathers one query (server.Dataset): it routes req to
-// the shards that can contribute, forwards the same request to each of
-// them (fanOut) and merges their answers by one of three rules —
-// concatenation for a box or halo read, a sum scaled once for a density
-// grid, waves of candidates for KNN.
-func (m *gwMount) Answer(req *server.Request) (*server.Answer, error) {
+// Answer scatter-gathers one query (server.Dataset): it checks req against
+// the merged metadata as a single node would, routes it to the shards
+// that can contribute, forwards the same request to each of them (fanOut)
+// and merges their answers by one of three rules — concatenation for a
+// box or halo read, a sum scaled once for a density grid, waves of
+// candidates for KNN.
+func (m *gwMount) Answer(req *rdr.Request) (*rdr.Answer, error) {
+	if err := req.Check(m.merged); err != nil {
+		return nil, err
+	}
 	// Every shard is told the per-file LOD budget of the merged dataset,
 	// so its level boundaries (and therefore LOD-prefix reads) are those
 	// of a single node serving the whole; a density grid comes back
 	// unscaled, to be scaled once here.
 	fwd := *req
-	fwd.Base = rdr.PerFileBase(m.merged, req.Readers)
+	fwd.PerFileBase = rdr.PerFileBase(m.merged, req.Readers)
 	switch req.Op {
-	case server.OpQueryBox:
+	case rdr.OpQueryBox:
 		return m.concat(&fwd, req.Box)
-	case server.OpHalo:
-		if req.Halo < 0 {
-			return nil, fmt.Errorf("query: negative halo %v", req.Halo)
-		}
+	case rdr.OpHalo:
 		h := geom.V3(req.Halo, req.Halo, req.Halo)
 		return m.concat(&fwd, geom.NewBox(req.Box.Lo.Sub(h), req.Box.Hi.Add(h)))
-	case server.OpDensityGrid:
-		fwd.Flags |= server.FlagRawDensity
-		return m.density(&fwd, req.Flags&server.FlagRawDensity != 0)
-	case server.OpKNN:
+	case rdr.OpDensityGrid:
+		fwd.Flags |= rdr.FlagRawDensity
+		return m.density(&fwd, req.Flags&rdr.FlagRawDensity != 0)
+	case rdr.OpKNN:
 		return m.knn(&fwd)
 	}
 	return nil, fmt.Errorf("spiogate: unknown op %d", req.Op)
@@ -64,7 +65,7 @@ func (m *gwMount) Answer(req *server.Request) (*server.Answer, error) {
 // the merge.
 type shardResult struct {
 	idx int // shard mount index, for deterministic merge order
-	a   *server.Answer
+	a   *rdr.Answer
 	err error
 }
 
@@ -73,13 +74,13 @@ type shardResult struct {
 // order. A shard is asked under its own reference and, for KNN, for no
 // more neighbours than it holds. Each goroutine sends exactly one result
 // and exits; the collector drains all of them, so none can leak.
-func (g *Gateway) fanOut(targets []*gwShard, req *server.Request) []shardResult {
+func (g *Gateway) fanOut(targets []*gwShard, req *rdr.Request) []shardResult {
 	ch := make(chan shardResult, len(targets))
 	for _, sh := range targets {
 		go func(sh *gwShard) {
 			g.metrics.fanout.Add(1)
 			sreq := *req
-			if sreq.Op == server.OpKNN {
+			if sreq.Op == rdr.OpKNN {
 				sreq.K = int(min(int64(sreq.K), sh.meta.Total))
 			}
 			res := shardResult{idx: sh.idx}
@@ -143,13 +144,13 @@ func (g *Gateway) notePartial(st *rdr.Stats) {
 // A level of a progressive read is a NoFilter read of one level range,
 // and this request is its barrier: the level leaves when every routed
 // shard has answered.
-func (m *gwMount) concat(req *server.Request, sel geom.Box) (*server.Answer, error) {
+func (m *gwMount) concat(req *rdr.Request, sel geom.Box) (*rdr.Answer, error) {
 	targets := m.shardsFor(sel)
 	if len(targets) == 0 {
 		return m.emptyAnswer(req)
 	}
 	results := m.g.fanOut(targets, req)
-	out := new(server.Answer)
+	out := new(rdr.Answer)
 	if err := m.g.gatherErr(results, &out.Stats); err != nil {
 		return nil, err
 	}
@@ -171,7 +172,7 @@ func (m *gwMount) concat(req *server.Request, sel geom.Box) (*server.Answer, err
 
 // emptyAnswer is the zero-particle answer of a box or halo read that
 // routes to no shard, honoring any field projection.
-func (m *gwMount) emptyAnswer(req *server.Request) (*server.Answer, error) {
+func (m *gwMount) emptyAnswer(req *rdr.Request) (*rdr.Answer, error) {
 	proj, err := m.merged.Schema.ProjectOnto(req.Fields)
 	if err != nil {
 		return nil, err
@@ -180,8 +181,8 @@ func (m *gwMount) emptyAnswer(req *server.Request) (*server.Answer, error) {
 	if proj != nil {
 		schema = proj.Schema()
 	}
-	a := &server.Answer{Rows: particle.NewRows(schema)}
-	if req.Op == server.OpHalo {
+	a := &rdr.Answer{Rows: particle.NewRows(schema)}
+	if req.Op == rdr.OpHalo {
 		a.Ghost = particle.NewRows(schema)
 	}
 	return a, nil
@@ -191,12 +192,12 @@ func (m *gwMount) emptyAnswer(req *server.Request) (*server.Answer, error) {
 // (unscaled) per-cell sample counts plus its sampled-particle count;
 // the gateway sums both — integer-valued float64 adds, exact — and
 // scales once against the merged total with the same arithmetic the
-// local path uses (query.ScaleDensity), so the merged grid is
+// local path uses (rdr.ScaleDensity), so the merged grid is
 // bit-identical to the single-node answer. raw skips the final scaling
 // (a nested gateway asked us for raw counts itself).
-func (m *gwMount) density(req *server.Request, raw bool) (*server.Answer, error) {
+func (m *gwMount) density(req *rdr.Request, raw bool) (*rdr.Answer, error) {
 	results := m.g.fanOut(m.shards, req)
-	out := &server.Answer{Fraction: 1}
+	out := &rdr.Answer{Fraction: 1}
 	if err := m.g.gatherErr(results, &out.Stats); err != nil {
 		return nil, err
 	}
@@ -216,7 +217,7 @@ func (m *gwMount) density(req *server.Request, raw bool) (*server.Answer, error)
 		out.Sampled += r.a.Sampled
 	}
 	if !raw {
-		out.Fraction = query.ScaleDensity(out.Floats, out.Sampled, m.merged.Total)
+		out.Fraction = rdr.ScaleDensity(out.Floats, out.Sampled, m.merged.Total)
 	}
 	return out, nil
 }
@@ -238,15 +239,9 @@ type knnCand struct {
 // min(k, shardTotal), a superset of its contribution to the global top
 // k, and the gateway re-ranks the union and gathers the winners out of
 // the shards' rows.
-func (m *gwMount) knn(req *server.Request) (*server.Answer, error) {
+func (m *gwMount) knn(req *rdr.Request) (*rdr.Answer, error) {
 	g := m.g
 	p, k := req.Point, req.K
-	if k <= 0 {
-		return nil, fmt.Errorf("query: k must be positive, got %d", k)
-	}
-	if m.merged.Total < int64(k) {
-		return nil, fmt.Errorf("query: dataset holds %d particles, asked for %d", m.merged.Total, k)
-	}
 	order := make([]*gwShard, 0, len(m.shards))
 	for _, sh := range m.shards {
 		if sh.meta.Total > 0 {
@@ -321,10 +316,8 @@ func (m *gwMount) knn(req *server.Request) (*server.Answer, error) {
 		})
 	}
 	if len(cands) == 0 {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, fmt.Errorf("query: dataset holds 0 particles, asked for %d", k)
+		// Check let k particles in, so every shard asked has failed.
+		return nil, cmp.Or(firstErr, errShardDown)
 	}
 	if failed > 0 {
 		// A failed shard's particles are missing from the candidate set:
@@ -335,7 +328,7 @@ func (m *gwMount) knn(req *server.Request) (*server.Answer, error) {
 	n := min(k, len(cands))
 	schema := results[cands[0].res].a.Rows.Schema()
 	stride := schema.Stride()
-	out := &server.Answer{Stats: st, Rows: particle.NewRows(schema), Floats: make([]float64, n)}
+	out := &rdr.Answer{Stats: st, Rows: particle.NewRows(schema), Floats: make([]float64, n)}
 	out.Rows.Extend(n)
 	out.Rows.Span(0, n, func(lo int, dst []byte) {
 		for i := lo; len(dst) > 0; i, dst = i+1, dst[stride:] {

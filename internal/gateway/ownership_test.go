@@ -16,7 +16,6 @@ import (
 	"spio/internal/geom"
 	"spio/internal/israce"
 	"spio/internal/particle"
-	"spio/internal/query"
 	rdr "spio/internal/reader"
 	"spio/internal/server"
 )
@@ -29,23 +28,23 @@ import (
 // returned whatever way the request ends.
 
 // mixedOps is the ownership mix: every query op, over four boxes.
-func mixedOps() []*server.Request {
+func mixedOps() []*rdr.Request {
 	boxes := []geom.Box{
 		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
 		geom.NewBox(geom.V3(0.3, 0.2, 0), geom.V3(0.8, 0.7, 1)),
 		geom.NewBox(geom.V3(0.45, 0.45, 0.2), geom.V3(0.55, 0.55, 0.8)),
 		geom.UnitBox(),
 	}
-	var ops []*server.Request
+	var ops []*rdr.Request
 	for _, b := range boxes {
 		ops = append(ops,
-			&server.Request{Op: server.OpQueryBox, Box: b},
-			&server.Request{Op: server.OpQueryBox, Box: b, Fields: []string{"density"}},
+			&rdr.Request{Op: rdr.OpQueryBox, Box: b},
+			&rdr.Request{Op: rdr.OpQueryBox, Box: b, Options: rdr.Options{Fields: []string{"density"}}},
 			// The second level of a progressive read.
-			&server.Request{Op: server.OpQueryBox, Box: geom.UnitBox(), NoFilter: true, Skip: 1, Levels: 2, Readers: 4},
-			&server.Request{Op: server.OpHalo, Box: b, Halo: 0.05},
-			&server.Request{Op: server.OpKNN, Point: b.Center(), K: 8},
-			&server.Request{Op: server.OpDensityGrid, Dims: geom.I3(4, 4, 2), Levels: 2, Readers: 4},
+			&rdr.Request{Op: rdr.OpQueryBox, Box: geom.UnitBox(), Options: rdr.Options{NoFilter: true, SkipLevels: 1, Levels: 2, Readers: 4}},
+			&rdr.Request{Op: rdr.OpHalo, Box: b, Halo: 0.05},
+			&rdr.Request{Op: rdr.OpKNN, Point: b.Center(), K: 8},
+			&rdr.Request{Op: rdr.OpDensityGrid, Dims: geom.I3(4, 4, 2), Options: rdr.Options{Levels: 2, Readers: 4}},
 		)
 	}
 	return ops
@@ -59,7 +58,7 @@ type mixedAnswer struct {
 }
 
 // answer asks ds for req and keeps the answer as a mixedAnswer.
-func answer(ds server.Dataset, req *server.Request) (mixedAnswer, error) {
+func answer(ds server.Dataset, req *rdr.Request) (mixedAnswer, error) {
 	a, err := ds.Answer(req)
 	if err != nil {
 		return mixedAnswer{}, err
@@ -118,7 +117,7 @@ func TestResultsDoNotAliasPooledMemory(t *testing.T) {
 	ops := mixedOps()
 	truth := make([]mixedAnswer, len(ops))
 	for i, op := range ops {
-		if truth[i], err = answer(server.Local(local), op); err != nil {
+		if truth[i], err = answer(local, op); err != nil {
 			t.Fatalf("local op %d: %v", i, err)
 		}
 	}
@@ -255,7 +254,7 @@ func TestLosingReplicaReleasesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOwn, wantGhost, _, err := query.Halo(local, geom.NewBox(geom.V3(0.2, 0.2, 0), geom.V3(0.8, 0.8, 1)), 0.1, rdr.Options{})
+	wantOwn, wantGhost, _, err := local.Halo(geom.NewBox(geom.V3(0.2, 0.2, 0), geom.V3(0.8, 0.8, 1)), 0.1, rdr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

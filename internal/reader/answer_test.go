@@ -1,0 +1,290 @@
+package reader
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"spio/internal/agg"
+	"spio/internal/core"
+	"spio/internal/geom"
+	"spio/internal/israce"
+	"spio/internal/mpi"
+	"spio/internal/particle"
+)
+
+// clustered writes a 16-rank clustered dataset of 4800 particles and
+// returns it opened, plus every particle for brute-force comparison.
+func clustered(t *testing.T) (*Dataset, *particle.Buffer) {
+	t.Helper()
+	dir := t.TempDir()
+	simDims := geom.I3(4, 4, 1)
+	grid := geom.NewGrid(geom.UnitBox(), simDims)
+	cfg := core.WriteConfig{
+		Agg: agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: geom.I3(2, 2, 1)},
+	}
+	err := mpi.Run(16, func(c *mpi.Comm) error {
+		local := particle.Clustered(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), 300, 2, 7, c.Rank())
+		_, werr := core.Write(c, dir, cfg, local)
+		return werr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := ds.ReadAll(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, all
+}
+
+// checkKNN asks ds for the k nearest to p and holds the answer to brute
+// force over all: the distances, each the distance of the particle
+// returned beside it, ascending.
+func checkKNN(t *testing.T, ds *Dataset, all *particle.Buffer, p geom.Vec3, k int) {
+	t.Helper()
+	got, dists, _, err := ds.KNN(p, k)
+	if err != nil {
+		t.Fatalf("%d nearest to %v: %v", k, p, err)
+	}
+	if got.Len() != k || len(dists) != k {
+		t.Fatalf("%d nearest to %v: got %d neighbours", k, p, got.Len())
+	}
+	bf := make([]float64, all.Len())
+	for i := range bf {
+		bf[i] = p.Dist(all.Position(i))
+	}
+	sort.Float64s(bf)
+	for i := 0; i < k; i++ {
+		if math.Abs(dists[i]-bf[i]) > 1e-12 {
+			t.Fatalf("%d nearest to %v: neighbour %d distance %v, brute force %v", k, p, i, dists[i], bf[i])
+		}
+		if p.Dist(got.Position(i)) != dists[i] {
+			t.Fatalf("%d nearest to %v: reported distance inconsistent with particle", k, p)
+		}
+		if i > 0 && dists[i] < dists[i-1] {
+			t.Fatalf("%d nearest to %v: distances unsorted", k, p)
+		}
+	}
+}
+
+func TestKNNMatchesBruteForce(t *testing.T) {
+	ds, all := clustered(t)
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		checkKNN(t, ds, all, geom.V3(r.Float64(), r.Float64(), r.Float64()), 1+r.Intn(20))
+	}
+}
+
+// TestKNNQueryOutsideClusterStillWorks: a corner point far from most mass
+// forces the box to grow, and a point outside the domain makes it grow
+// past the domain's diagonal — which covers the domain only from inside
+// it, so the search used to give up short of k ("exhausted domain")
+// anywhere beyond it, and return a partial answer through a gateway.
+func TestKNNQueryOutsideClusterStillWorks(t *testing.T) {
+	ds, all := clustered(t)
+	checkKNN(t, ds, all, geom.V3(0.999, 0.999, 0.999), 5)
+	for _, x := range []float64{1.2, 2, 3.2, 4} {
+		for _, k := range []int{1, 100, 3000, 4700} {
+			checkKNN(t, ds, all, geom.V3(x, 0.5, 0.5), k)
+		}
+	}
+	checkKNN(t, ds, all, geom.V3(-2, -1, 3), 10)
+}
+
+func TestKNNErrors(t *testing.T) {
+	ds, _ := clustered(t)
+	for _, c := range []struct {
+		p geom.Vec3
+		k int
+	}{
+		{geom.V3(0.5, 0.5, 0.5), 0},
+		{geom.V3(0.5, 0.5, 0.5), 1 << 30},    // more than the dataset holds
+		{geom.V3(math.NaN(), 0.5, 0.5), 1},   // no clearance ever holds it
+		{geom.V3(0.5, math.Inf(-1), 0.5), 1}, // nor this one
+	} {
+		if _, _, _, err := ds.KNN(c.p, c.k); err == nil {
+			t.Errorf("%d nearest to %v accepted", c.k, c.p)
+		}
+	}
+}
+
+func TestHaloSplitsOwnAndGhost(t *testing.T) {
+	ds, all := clustered(t)
+	patch := geom.NewBox(geom.V3(0.25, 0.25, 0), geom.V3(0.5, 0.5, 1))
+	const h = 0.05
+	own, ghost, _, err := ds.Halo(patch, h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < own.Len(); i++ {
+		if !patch.Contains(own.Position(i)) {
+			t.Fatal("own particle outside patch")
+		}
+	}
+	grown := geom.NewBox(patch.Lo.Sub(geom.V3(h, h, h)), patch.Hi.Add(geom.V3(h, h, h)))
+	for i := 0; i < ghost.Len(); i++ {
+		p := ghost.Position(i)
+		if patch.Contains(p) {
+			t.Fatal("ghost particle inside patch")
+		}
+		if !grown.ContainsClosed(p) {
+			t.Fatal("ghost particle outside halo")
+		}
+	}
+	// Completeness: own+ghost equals the brute-force count in grown.
+	want := 0
+	for i := 0; i < all.Len(); i++ {
+		if grown.ContainsClosed(all.Position(i)) {
+			want++
+		}
+	}
+	if own.Len()+ghost.Len() != want {
+		t.Errorf("halo returned %d, brute force %d", own.Len()+ghost.Len(), want)
+	}
+	for _, bad := range []float64{-1, math.NaN()} {
+		if _, _, _, err := ds.Halo(patch, bad, Options{}); err == nil {
+			t.Errorf("halo %v accepted", bad)
+		}
+	}
+}
+
+func TestDensityGridExactAndSampled(t *testing.T) {
+	ds, all := clustered(t)
+	dims := geom.I3(4, 4, 2)
+	exact, frac, _, err := ds.DensityGrid(dims, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frac != 1 {
+		t.Errorf("full read fraction = %v", frac)
+	}
+	var sum float64
+	for _, c := range exact {
+		sum += c
+	}
+	if int(sum) != all.Len() {
+		t.Errorf("exact density sums to %v, want %d", sum, all.Len())
+	}
+
+	approx, frac, _, err := ds.DensityGrid(dims, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frac >= 1 || frac <= 0 {
+		t.Fatalf("sampled fraction = %v", frac)
+	}
+	// The scaled estimate should total ≈ the dataset size and correlate
+	// with the exact field.
+	sum = 0
+	for _, c := range approx {
+		sum += c
+	}
+	if math.Abs(sum-float64(all.Len())) > 1 {
+		t.Errorf("approx density sums to %v, want ≈%d", sum, all.Len())
+	}
+	var num, dx, dy float64
+	var mx, my float64
+	for i := range exact {
+		mx += exact[i]
+		my += approx[i]
+	}
+	mx /= float64(len(exact))
+	my /= float64(len(approx))
+	for i := range exact {
+		num += (exact[i] - mx) * (approx[i] - my)
+		dx += (exact[i] - mx) * (exact[i] - mx)
+		dy += (approx[i] - my) * (approx[i] - my)
+	}
+	if corr := num / math.Sqrt(dx*dy); corr < 0.7 {
+		t.Errorf("sampled density decorrelated from exact (r=%.2f)", corr)
+	}
+	// A grid with an empty axis is an error, not geom.NewGrid's panic.
+	if _, _, _, err := ds.DensityGrid(geom.I3(4, 0, 2), 0, 1); err == nil {
+		t.Error("a grid with a zero axis accepted")
+	}
+}
+
+// TestDensityGridAllocatesTheGrid holds the density read to the read
+// path's memory model: it counts positions straight out of the record
+// chunks, so what it allocates is the grid plus a constant (one staging
+// slice a per-P pool may fail to hand back), however much data it
+// samples. The 4 MB file here cost the old ReadAll-then-count path more
+// than 8 MB.
+func TestDensityGridAllocatesTheGrid(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const perRank = 8192
+	for _, codec := range []string{"raw", "lossless"} {
+		dir, _ := writeDataset(t, geom.I3(2, 2, 1), geom.I3(2, 2, 1), perRank, func(cfg *core.WriteConfig) {
+			if codec == "lossless" {
+				cfg.Codec = particle.LosslessSpec(particle.Uintah())
+			}
+		})
+		ds, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if err := ds.SetFileCache(4); err != nil {
+			t.Fatal(err)
+		}
+		dims := geom.I3(16, 16, 8)
+		req := &Request{Op: OpDensityGrid, Dims: dims, Flags: FlagRawDensity}
+		got := allocPerRun(func() {
+			a, err := ds.Answer(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Sampled != 4*perRank || len(a.Floats) != dims.Volume() {
+				t.Fatalf("%s: sampled %d into %d cells", codec, a.Sampled, len(a.Floats))
+			}
+		})
+		gridBytes := int64(8 * dims.Volume())
+		t.Logf("%s: %d bytes allocated for a %d-byte grid over %d bytes of records", codec, got, gridBytes, 4*perRank*124)
+		if got > gridBytes+allocSlack {
+			t.Errorf("%s: the density read allocates %d bytes for a %d-byte grid; budget %d", codec, got, gridBytes, gridBytes+allocSlack)
+		}
+	}
+}
+
+func BenchmarkKNN(b *testing.B) {
+	ds := benchDataset(b)
+	p := geom.V3(0.4, 0.6, 0.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := ds.KNN(p, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHalo(b *testing.B) {
+	ds := benchDataset(b)
+	patch := geom.NewBox(geom.V3(0.25, 0.25, 0), geom.V3(0.5, 0.5, 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := ds.Halo(patch, 0.05, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDataset writes a 16-rank dataset once per benchmark run and opens
+// it with a warm file cache.
+func benchDataset(b *testing.B) *Dataset {
+	dir, _ := writeDataset(b, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 2000, nil)
+	ds, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.SetFileCache(8)
+	b.Cleanup(func() { ds.Close() })
+	return ds
+}

@@ -60,17 +60,6 @@ func (p *Progressive) Stats() Stats { return p.stats }
 // detail: the particles in level p.Level() that have not been delivered
 // yet. It returns (nil, false, nil) once all levels are exhausted.
 func (p *Progressive) NextLevel() (*particle.Buffer, bool, error) {
-	rows, ok, err := p.NextLevelRows()
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return rows.Buffer(), true, nil
-}
-
-// NextLevelRows is NextLevel for a caller that sends the increment on
-// instead of looking at it (a server): the same particles as rows, which
-// the caller owns.
-func (p *Progressive) NextLevelRows() (*particle.Rows, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
@@ -104,7 +93,7 @@ func (p *Progressive) NextLevelRows() (*particle.Rows, bool, error) {
 	p.stats.ParticlesRead += int64(out.Len())
 	p.stats.ParticlesKept += int64(out.Len())
 	p.stats.BytesRead += out.Bytes()
-	return out, true, nil
+	return out.Buffer(), true, nil
 }
 
 // Close releases all file handles.

@@ -167,46 +167,57 @@ func (d *Dataset) levelRange(opts Options, count int64, scale int) (lo, hi int64
 	return min(lod.PrefixCount(count, base, scale, opts.SkipLevels), hi), hi
 }
 
-// QueryBox reads the particles intersecting q, consulting the metadata
-// to open only intersecting files (Section 4: "any process making such
-// reads simply uses the bounding box information stored in the metadata
-// file to select exactly which file to read").
+// The column reads of a Dataset are the ones every Answerer has
+// (answer.go).
+
+// QueryBox reads the particles intersecting q (see QueryBox).
 func (d *Dataset) QueryBox(q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
-	return buffered(d.QueryBoxRows(q, opts))
+	return QueryBox(d, q, opts)
 }
 
-// QueryBoxRows is QueryBox for a caller that sends the answer on instead
-// of looking at it (a server): the same particles as the rows the filter
-// kept, not yet transposed to columns. The caller owns the rows.
-func (d *Dataset) QueryBoxRows(q geom.Box, opts Options) (*particle.Rows, Stats, error) {
-	return d.ReadEntriesRows(d.meta.FilesIntersecting(q), q, opts)
+// ReadAll reads the whole dataset (see ReadAll).
+func (d *Dataset) ReadAll(opts Options) (*particle.Buffer, Stats, error) { return ReadAll(d, opts) }
+
+// KNN returns the k particles nearest to p and their distances (see KNN).
+func (d *Dataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, Stats, error) {
+	return KNN(d, p, k)
 }
 
-// ReadAll reads the whole dataset (optionally only some LOD levels).
-func (d *Dataset) ReadAll(opts Options) (*particle.Buffer, Stats, error) {
-	opts.NoFilter = true
-	return d.ReadEntries(d.meta.AllFiles(), d.meta.Domain, opts)
+// Halo reads a patch's particles and its ghost layer, apart (see Halo).
+func (d *Dataset) Halo(patch geom.Box, halo float64, opts Options) (own, ghost *particle.Buffer, st Stats, err error) {
+	return Halo(d, patch, halo, opts)
 }
+
+// DensityGrid estimates per-cell particle counts (see DensityGrid).
+func (d *Dataset) DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, Stats, error) {
+	return DensityGrid(d, dims, levels, readers)
+}
+
+// LevelCount returns the number of LOD levels the dataset exposes to
+// nReaders readers (see LevelCount).
+func (d *Dataset) LevelCount(nReaders int) int { return LevelCount(d.meta, nReaders) }
 
 // ReadEntries reads the given metadata entries (a reader rank's assigned
 // file subset), filtered to q unless opts.NoFilter.
 func (d *Dataset) ReadEntries(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Buffer, Stats, error) {
-	return buffered(d.ReadEntriesRows(entries, q, opts))
-}
-
-// buffered turns a rows-returning read into the columnar one.
-func buffered(rows *particle.Rows, st Stats, err error) (*particle.Buffer, Stats, error) {
+	rows, st, err := d.entriesRows(entries, q, opts)
 	if err != nil {
 		return nil, st, err
 	}
 	return rows.Buffer(), st, nil
 }
 
-// ReadEntriesRows is the read under every box and whole-file read: one
-// scan over the entries whose callback keeps the records inside q — or,
-// with opts.NoFilter, all of them, checked against the count the
-// metadata announces — as rows the caller owns.
-func (d *Dataset) ReadEntriesRows(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Rows, Stats, error) {
+// boxRows is the box read: the files the metadata says intersect q,
+// filtered to q unless opts.NoFilter.
+func (d *Dataset) boxRows(q geom.Box, opts Options) (*particle.Rows, Stats, error) {
+	return d.entriesRows(d.meta.FilesIntersecting(q), q, opts)
+}
+
+// entriesRows is the read under every box and whole-file read: one scan
+// over the entries whose callback keeps the records inside q — or, with
+// opts.NoFilter, all of them, checked against the count the metadata
+// announces — as rows the caller owns.
+func (d *Dataset) entriesRows(entries []*format.FileEntry, q geom.Box, opts Options) (*particle.Rows, Stats, error) {
 	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
 	if err != nil {
 		return nil, Stats{}, err
@@ -440,14 +451,4 @@ func ScanWithoutMetadata(dir string, schema *particle.Schema, q geom.Box) (*part
 	out := f.Buffer()
 	st.ParticlesKept = int64(out.Len())
 	return out, st, nil
-}
-
-// LevelCount returns the number of LOD levels the dataset exposes to
-// nReaders readers (Section 5.4's l = log_S(total/(n·P)) computation).
-func (d *Dataset) LevelCount(nReaders int) int {
-	if nReaders <= 0 {
-		nReaders = 1
-	}
-	base := int64(nReaders) * int64(d.meta.LOD.BasePerReader)
-	return lod.NumLevels(d.meta.Total, base, d.meta.LOD.Scale)
 }

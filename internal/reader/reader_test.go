@@ -15,7 +15,7 @@ import (
 // writeDataset writes a uniform dataset with the given shape and returns
 // its directory and the concatenation of all rank inputs (for
 // brute-force comparison).
-func writeDataset(t *testing.T, simDims, factor geom.Idx3, perRank int, mut func(*core.WriteConfig)) (string, *particle.Buffer) {
+func writeDataset(t testing.TB, simDims, factor geom.Idx3, perRank int, mut func(*core.WriteConfig)) (string, *particle.Buffer) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := core.WriteConfig{

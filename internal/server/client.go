@@ -164,10 +164,10 @@ func (c *Client) disarmDeadline() {
 	}
 }
 
-// sendRequest writes one request frame.
-func (c *Client) sendRequest(req *Request) error {
+// sendRequest writes one request frame: req, asked of the dataset ref.
+func (c *Client) sendRequest(ref string, req *rdr.Request) error {
 	var fb frameBuf
-	encodeRequest(binio.NewWriter(&fb), req)
+	encodeRequest(binio.NewWriter(&fb), ref, req)
 	return writeFrame(c.conn, fb.b)
 }
 
@@ -201,9 +201,10 @@ func (c *Client) readResp() (*respHeader, *frameReader, error) {
 	}
 }
 
-// call performs one request/response exchange under the client lock.
-// The caller releases the decoder it gets (see readResp).
-func (c *Client) call(req *Request) (*frameReader, error) {
+// call performs one request/response exchange under the client lock:
+// req, asked of the dataset ref. The caller releases the decoder it gets
+// (see readResp).
+func (c *Client) call(ref string, req *rdr.Request) (*frameReader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
@@ -216,7 +217,7 @@ func (c *Client) call(req *Request) (*frameReader, error) {
 	//spio:allow lockorder -- mu serializes request/response exchanges on the shared conn; holding it across the I/O is the protocol
 	c.armDeadline()
 	defer c.disarmDeadline()
-	if err := c.sendRequest(req); err != nil {
+	if err := c.sendRequest(ref, req); err != nil {
 		// The write can fail because the server drained and closed the
 		// socket — in which case its goodbye frame is sitting in our
 		// receive buffer. Salvage it so the caller sees ErrDraining (a
@@ -239,7 +240,7 @@ func (c *Client) call(req *Request) (*frameReader, error) {
 // List returns the dataset references the server is currently willing
 // to serve.
 func (c *Client) List() ([]string, error) {
-	d, err := c.call(&Request{Op: opList})
+	d, err := c.call("", &rdr.Request{Op: opList})
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +250,7 @@ func (c *Client) List() ([]string, error) {
 
 // Stats fetches the server's metrics snapshot as JSON.
 func (c *Client) Stats() ([]byte, error) {
-	d, err := c.call(&Request{Op: opStats})
+	d, err := c.call("", &rdr.Request{Op: opStats})
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +261,7 @@ func (c *Client) Stats() ([]byte, error) {
 // Open resolves a dataset reference ("name", "name@N", "name@latest")
 // into a RemoteDataset mirroring the local Dataset query surface.
 func (c *Client) Open(ref string) (*RemoteDataset, error) {
-	d, err := c.call(&Request{Op: opMeta, Dataset: ref})
+	d, err := c.call(ref, &rdr.Request{Op: opMeta})
 	if err != nil {
 		return nil, err
 	}
@@ -329,79 +330,52 @@ func (r *RemoteDataset) Close() error {
 	return nil
 }
 
-// LevelCount mirrors rdr.Dataset.LevelCount from the fetched
-// metadata.
-func (r *RemoteDataset) LevelCount(nReaders int) int {
-	if nReaders <= 0 {
-		nReaders = 1
-	}
-	base := int64(nReaders) * int64(r.meta.LOD.BasePerReader)
-	return lod.NumLevels(r.meta.Total, base, r.meta.LOD.Scale)
-}
-
-// Answer asks the server for req on this dataset, whatever dataset req
-// names, and returns the server's answer, whose rows the caller owns.
-// req itself is left as it was. RemoteDataset is thereby a Dataset: a
-// gateway forwards the request it was asked to each shard with this one
+// Answer asks the server for req on this dataset and returns the server's
+// answer, whose rows the caller owns. RemoteDataset is thereby a Dataset:
+// a gateway forwards the request it was asked to each shard with this one
 // call.
-func (r *RemoteDataset) Answer(req *Request) (*Answer, error) {
-	q := *req
-	q.Dataset = r.ref
-	d, err := r.c.call(&q)
+func (r *RemoteDataset) Answer(req *rdr.Request) (*rdr.Answer, error) {
+	d, err := r.c.call(r.ref, req)
 	if err != nil {
 		return nil, err
 	}
 	defer d.release()
-	return decodeAnswer(d.Reader, q.Op, r.c.maxFrame)
+	return decodeAnswer(d.Reader, req.Op, r.c.maxFrame)
 }
+
+// The column reads of a RemoteDataset are the ones every rdr.Answerer
+// has, those of a local rdr.Dataset.
 
 // QueryBox reads the particles intersecting q, server-side.
 func (r *RemoteDataset) QueryBox(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
-	req := optsRequest(OpQueryBox, opts)
-	req.Box = q
-	a, err := r.Answer(req)
-	if err != nil {
-		return nil, rdr.Stats{}, err
-	}
-	return a.Rows.Buffer(), a.Stats, nil
+	return rdr.QueryBox(r, q, opts)
 }
 
 // ReadAll reads the whole dataset (optionally only some LOD levels).
 func (r *RemoteDataset) ReadAll(opts rdr.Options) (*particle.Buffer, rdr.Stats, error) {
-	opts.NoFilter = true
-	return r.QueryBox(r.meta.Domain, opts)
+	return rdr.ReadAll(r, opts)
 }
 
 // KNN returns the k particles nearest p and their distances.
 func (r *RemoteDataset) KNN(p geom.Vec3, k int) (*particle.Buffer, []float64, rdr.Stats, error) {
-	a, err := r.Answer(&Request{Op: OpKNN, Point: p, K: k})
-	if err != nil {
-		return nil, nil, rdr.Stats{}, err
-	}
-	return a.Rows.Buffer(), a.Floats, a.Stats, nil
+	return rdr.KNN(r, p, k)
 }
 
 // Halo reads a patch's particles plus the ghost layer within halo of
 // it, separately.
 func (r *RemoteDataset) Halo(patch geom.Box, halo float64, opts rdr.Options) (own, ghost *particle.Buffer, st rdr.Stats, err error) {
-	req := optsRequest(OpHalo, opts)
-	req.Box, req.Halo = patch, halo
-	a, err := r.Answer(req)
-	if err != nil {
-		return nil, nil, st, err
-	}
-	return a.Rows.Buffer(), a.Ghost.Buffer(), a.Stats, nil
+	return rdr.Halo(r, patch, halo, opts)
 }
 
 // DensityGrid estimates per-cell particle counts over the domain from
 // the first levels LOD levels; the sampling fraction is also returned.
 func (r *RemoteDataset) DensityGrid(dims geom.Idx3, levels, readers int) ([]float64, float64, rdr.Stats, error) {
-	a, err := r.Answer(&Request{Op: OpDensityGrid, Dims: dims, Levels: levels, Readers: readers})
-	if err != nil {
-		return nil, 0, rdr.Stats{}, err
-	}
-	return a.Floats, a.Fraction, a.Stats, nil
+	return rdr.DensityGrid(r, dims, levels, readers)
 }
+
+// LevelCount returns the number of LOD levels the dataset exposes to
+// nReaders readers.
+func (r *RemoteDataset) LevelCount(nReaders int) int { return rdr.LevelCount(r.meta, nReaders) }
 
 // RemoteStream is a progressive read of a remote dataset: a cursor, held
 // by the client, over the LOD levels of the files intersecting a box.

@@ -12,7 +12,6 @@ import (
 
 	"spio/internal/binio"
 	"spio/internal/format"
-	"spio/internal/particle"
 	rdr "spio/internal/reader"
 )
 
@@ -30,57 +29,16 @@ type Backend interface {
 }
 
 // Dataset is the query surface a Backend resolves a reference to: its
-// metadata, and an Answer to each of the four query ops (OpQueryBox,
-// OpKNN, OpHalo, OpDensityGrid). An error wrapping ErrBudget,
-// ErrOverloaded or ErrDraining travels to the client under the matching
-// status; any other error is a plain failure.
+// metadata, and an rdr.Answer to each of the four query ops. An error
+// wrapping ErrBudget, ErrOverloaded or ErrDraining travels to the client
+// under the matching status; any other error is a plain failure.
 type Dataset interface {
 	Meta() *format.Meta
-	Answer(req *Request) (*Answer, error)
+	Answer(req *rdr.Request) (*rdr.Answer, error)
 }
 
-// Answer is what a query op answers with. Which parts are set follows
-// from the op:
-//
-//   - OpQueryBox: Rows.
-//   - OpKNN: Rows, the neighbours nearest first, and Floats, their
-//     distances.
-//   - OpHalo: Rows, the particles of the patch, and Ghost, those of the
-//     margin.
-//   - OpDensityGrid: Floats, the per-cell estimates, and Fraction, the
-//     sampling fraction; under FlagRawDensity the unscaled counts,
-//     Fraction 1 and Sampled, the number of particles counted.
-//
-// Particles travel as rows (see particle.Rows): the layout the filter
-// found them in and the layout the wire sends, so an answer is never
-// transposed on its way through a server. Whoever holds an answer owns
-// its rows and ends them, with Release or by moving them on.
-type Answer struct {
-	Stats    rdr.Stats
-	Rows     *particle.Rows
-	Ghost    *particle.Rows
-	Floats   []float64
-	Fraction float64
-	Sampled  int64
-}
-
-// Release gives the answer's rows back to their pool.
-func (a *Answer) Release() {
-	a.Rows.Release()
-	a.Ghost.Release()
-}
-
-// Bytes returns the size of the answer's particles: what the response
-// byte budget holds a query to.
-func (a *Answer) Bytes() int64 {
-	var n int64
-	for _, r := range []*particle.Rows{a.Rows, a.Ghost} {
-		if r != nil {
-			n += r.Bytes()
-		}
-	}
-	return n
-}
+// A spiod serves a mounted dataset as the reader's Dataset itself.
+var _ Dataset = (*rdr.Dataset)(nil)
 
 // Frame bounds on what a client may send.
 const (
@@ -281,13 +239,13 @@ func (f *Front) handleConn(conn *srvConn) {
 			return // client closed (or drain closed us)
 		}
 		d := bodyReader(body)
-		req, err := decodeRequest(d.Reader)
+		ref, req, err := decodeRequest(d.Reader)
 		d.release()
 		if err != nil {
 			_ = f.sendStatus(conn, statusError, err.Error())
 			return
 		}
-		if err := f.handleRequest(conn, req); err != nil {
+		if err := f.handleRequest(conn, ref, req); err != nil {
 			return
 		}
 	}
@@ -340,7 +298,7 @@ func (f *Front) send(conn *srvConn, status uint8, msg string, body func(e *binio
 // handleRequest admits and executes one request. A non-nil return tears
 // the connection down (wire-level failure); request-level errors travel
 // back as status frames.
-func (f *Front) handleRequest(conn *srvConn, req *Request) error {
+func (f *Front) handleRequest(conn *srvConn, ref string, req *rdr.Request) error {
 	// A request joins the drain's wait under f.mu, which Shutdown takes
 	// after flipping draining and before it starts waiting: the request is
 	// either counted before the wait begins or sees the flag and is turned
@@ -369,16 +327,16 @@ func (f *Front) handleRequest(conn *srvConn, req *Request) error {
 	if f.requestDelay > 0 {
 		time.Sleep(f.requestDelay)
 	}
-	werr := f.execute(conn, req, wait, time.Now())
+	werr := f.execute(conn, ref, req, wait, time.Now())
 	if werr != nil {
 		f.metrics.errors.Add(1)
 	}
 	return werr
 }
 
-// execute dispatches an admitted request to the backend and encodes its
-// answer.
-func (f *Front) execute(conn *srvConn, req *Request, wait time.Duration, start time.Time) error {
+// execute dispatches an admitted request for the dataset ref names to the
+// backend and encodes its answer.
+func (f *Front) execute(conn *srvConn, ref string, req *rdr.Request, wait time.Duration, start time.Time) error {
 	// Ops that need no dataset first.
 	switch req.Op {
 	case opStats:
@@ -391,7 +349,7 @@ func (f *Front) execute(conn *srvConn, req *Request, wait time.Duration, start t
 		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeNames(e, names) })
 	}
 
-	ds, err := f.backend.Resolve(req.Dataset)
+	ds, err := f.backend.Resolve(ref)
 	if err != nil {
 		return f.sendErr(conn, err)
 	}
@@ -404,7 +362,7 @@ func (f *Front) execute(conn *srvConn, req *Request, wait time.Duration, start t
 		f.metrics.requests.Add(1)
 		return f.send(conn, statusOK, "", func(e *binio.Writer) { encodeBlob(e, mb.Bytes()) })
 
-	case OpQueryBox, OpKNN, OpHalo, OpDensityGrid:
+	case rdr.OpQueryBox, rdr.OpKNN, rdr.OpHalo, rdr.OpDensityGrid:
 		a, err := ds.Answer(req)
 		if err != nil {
 			return f.sendErr(conn, err)

@@ -61,7 +61,7 @@ func (fakeDataset) Meta() *format.Meta {
 	return &format.Meta{Domain: geom.UnitBox(), Schema: particle.Uintah()}
 }
 
-func (d fakeDataset) Answer(req *Request) (*Answer, error) {
+func (d fakeDataset) Answer(req *rdr.Request) (*rdr.Answer, error) {
 	if d.b.hook != nil {
 		d.b.hook()
 	}
@@ -72,16 +72,16 @@ func (d fakeDataset) Answer(req *Request) (*Answer, error) {
 	}
 	rows := d.b.buf.Rows
 	switch req.Op {
-	case OpDensityGrid:
-		return &Answer{Floats: []float64{1}, Fraction: 1, Sampled: 1}, nil
-	case OpKNN:
-		a := &Answer{Rows: rows(), Floats: make([]float64, 2*d.b.buf.Len())}
+	case rdr.OpDensityGrid:
+		return &rdr.Answer{Floats: []float64{1}, Fraction: 1, Sampled: 1}, nil
+	case rdr.OpKNN:
+		a := &rdr.Answer{Rows: rows(), Floats: make([]float64, 2*d.b.buf.Len())}
 		a.Rows.Append(rows())
 		return a, nil
-	case OpHalo:
-		return &Answer{Rows: rows(), Ghost: rows()}, nil
+	case rdr.OpHalo:
+		return &rdr.Answer{Rows: rows(), Ghost: rows()}, nil
 	}
-	return &Answer{Rows: rows()}, nil
+	return &rdr.Answer{Rows: rows()}, nil
 }
 
 // dialFake connects a client to a front over a fakeBackend and attaches
@@ -174,7 +174,7 @@ func TestFrontBudgetAndErrorStatus(t *testing.T) {
 func TestFrontUnknownOp(t *testing.T) {
 	f := NewFront(Config{}, newFakeBackend(4))
 	ds := dialFake(t, startServer(t, f))
-	if _, err := ds.c.call(&Request{Op: 99, Dataset: "fake"}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
+	if _, err := ds.c.call("fake", &rdr.Request{Op: 99}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
 		t.Fatalf("op 99: %v", err)
 	}
 	// A refused op is a completed exchange: the connection carries on.

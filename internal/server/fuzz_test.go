@@ -7,6 +7,7 @@ import (
 
 	"spio/internal/binio"
 	"spio/internal/geom"
+	rdr "spio/internal/reader"
 )
 
 // FuzzServeRequest executes any request frame decodeRequest accepts
@@ -24,35 +25,32 @@ func FuzzServeRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	addr := startServer(f, s)
-	frame := func(r *Request) []byte {
-		var fb frameBuf
-		encodeRequest(binio.NewWriter(&fb), r)
-		return fb.b
-	}
 	box := geom.NewBox(geom.V3(0.2, 0.1, 0.3), geom.V3(0.7, 0.9, 0.6))
-	for _, r := range []*Request{
-		{Op: opMeta, Dataset: "sim"},
+	for _, r := range []*rdr.Request{
+		{Op: opMeta},
 		{Op: opStats},
 		{Op: opList},
-		{Op: OpQueryBox, Dataset: "sim", Box: box, Fields: []string{"density"}},
-		{Op: OpQueryBox, Dataset: "sim", Box: geom.UnitBox(), NoFilter: true, Skip: 1, Levels: 2, Readers: 4},
-		{Op: OpKNN, Dataset: "sim", Point: box.Center(), K: 5},
-		{Op: OpHalo, Dataset: "sim", Box: box, Halo: 0.0625},
-		{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(4, 2, 1), Levels: 2, Readers: 2},
-		{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(4, 2, 1), Flags: FlagRawDensity, Base: 9},
-		{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(0, 4, 4)},
-		{Op: OpKNN, Dataset: "sim", K: maxReqK + 1},
-		{Op: OpQueryBox, Dataset: "sim", Levels: 3, Skip: 3},
-		{Op: OpDensityGrid, Dataset: "sim", K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
-			Levels: maxReqLevels, Skip: maxReqLevels - 1, Readers: maxReqReaders},
+		{Op: rdr.OpQueryBox, Box: box, Options: rdr.Options{Fields: []string{"density"}}},
+		{Op: rdr.OpQueryBox, Box: geom.UnitBox(), Options: rdr.Options{NoFilter: true, SkipLevels: 1, Levels: 2, Readers: 4}},
+		{Op: rdr.OpKNN, Point: box.Center(), K: 5},
+		{Op: rdr.OpHalo, Box: box, Halo: 0.0625},
+		{Op: rdr.OpDensityGrid, Dims: geom.I3(4, 2, 1), Options: rdr.Options{Levels: 2, Readers: 2}},
+		{Op: rdr.OpDensityGrid, Dims: geom.I3(4, 2, 1), Flags: rdr.FlagRawDensity, Options: rdr.Options{PerFileBase: 9}},
+		{Op: rdr.OpDensityGrid, Dims: geom.I3(0, 4, 4)},
+		{Op: rdr.OpKNN, K: maxReqK + 1},
+		{Op: rdr.OpQueryBox, Options: rdr.Options{Levels: 3, SkipLevels: 3}},
+		{Op: rdr.OpDensityGrid, K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
+			Options: rdr.Options{Levels: maxReqLevels, SkipLevels: maxReqLevels - 1, Readers: maxReqReaders}},
 	} {
-		f.Add(frame(r))
+		var fb frameBuf
+		encodeRequest(binio.NewWriter(&fb), "sim", r)
+		f.Add(fb.b)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > reqFrameMax {
 			return
 		}
-		if _, err := decodeRequest(binio.NewReader(bytes.NewReader(body), "spiod")); err != nil {
+		if _, _, err := decodeRequest(binio.NewReader(bytes.NewReader(body), "spiod")); err != nil {
 			return // the front answers and hangs up; FuzzServeRequest is about what it executes
 		}
 		c, err := Dial(addr, WithCallTimeout(30*time.Second))

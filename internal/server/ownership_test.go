@@ -73,7 +73,7 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb = frameBuf{}
-	encodeRequest(binio.NewWriter(&fb), &Request{Op: OpQueryBox, Dataset: "fake", Box: geom.UnitBox()})
+	encodeRequest(binio.NewWriter(&fb), "fake", &rdr.Request{Op: rdr.OpQueryBox, Box: geom.UnitBox()})
 	if err := writeFrame(conn, fb.b); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	_, err1 := decodeRespHeader(d)
 	_, err2 := decodeRespHeader(d2)
 	st, err3 := decodeStats(d)
-	a, err4 := decodeAnswer(d2, OpQueryBox, 1<<20)
+	a, err4 := decodeAnswer(d2, rdr.OpQueryBox, 1<<20)
 	if err := cmp.Or(err1, err2, err3, err4); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	fr := newVecFrame()
 	e := binio.NewWriter(fr)
 	encodeRespHeader(e, &respHeader{Status: statusOK})
-	encodeAnswer(e, OpQueryBox, st, a)
+	encodeAnswer(e, rdr.OpQueryBox, st, a)
 	if e.Err() != nil {
 		t.Fatal(e.Err())
 	}

@@ -13,7 +13,6 @@ import (
 
 	"spio/internal/cache"
 	"spio/internal/format"
-	"spio/internal/query"
 	rdr "spio/internal/reader"
 )
 
@@ -283,7 +282,7 @@ func (s *Server) Resolve(ref string) (Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Local(ds), nil
+	return ds, nil
 }
 
 // List returns the currently servable dataset references (Backend).
@@ -310,40 +309,4 @@ func (s *Server) List() []string {
 	}
 	sort.Strings(refs)
 	return refs
-}
-
-// Local is the Dataset a spiod serves a mounted dataset as: its metadata
-// is the reader's, and each query op is the internal/query read of it.
-func Local(ds *rdr.Dataset) Dataset { return localDataset{ds} }
-
-type localDataset struct{ *rdr.Dataset }
-
-func (d localDataset) Answer(req *Request) (*Answer, error) {
-	switch req.Op {
-	case OpQueryBox:
-		rows, st, err := d.QueryBoxRows(req.Box, req.Options())
-		return answered(&Answer{Stats: st, Rows: rows}, err)
-	case OpKNN:
-		rows, dists, st, err := query.KNNRows(d.Dataset, req.Point, req.K)
-		return answered(&Answer{Stats: st, Rows: rows, Floats: dists}, err)
-	case OpHalo:
-		own, ghost, st, err := query.HaloRows(d.Dataset, req.Box, req.Halo, req.Options())
-		return answered(&Answer{Stats: st, Rows: own, Ghost: ghost}, err)
-	case OpDensityGrid:
-		if req.Flags&FlagRawDensity != 0 {
-			counts, sampled, st, err := query.DensityGridRaw(d.Dataset, req.Dims, req.Options())
-			return answered(&Answer{Stats: st, Floats: counts, Fraction: 1, Sampled: sampled}, err)
-		}
-		counts, frac, st, err := query.DensityGrid(d.Dataset, req.Dims, req.Levels, req.Readers)
-		return answered(&Answer{Stats: st, Floats: counts, Fraction: frac}, err)
-	}
-	return nil, fmt.Errorf("spiod: unknown op %d", req.Op)
-}
-
-// answered is a, or no answer if the read that made it failed.
-func answered(a *Answer, err error) (*Answer, error) {
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
-	"spio/internal/query"
 	rdr "spio/internal/reader"
 )
 
@@ -73,45 +71,21 @@ func TestRemoteMatchesLocalConcurrent(t *testing.T) {
 			defer ds.Close()
 			for round := 0; round < 3; round++ {
 				c := boxes[(g+round)%len(boxes)]
-				wantBuf, _, err := local.QueryBox(c.q, rdr.Options{})
-				if err != nil {
-					errc <- err
-					return
-				}
-				gotBuf, st, err := ds.QueryBox(c.q, rdr.Options{})
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !bytes.Equal(gotBuf.Encode(), wantBuf.Encode()) {
-					errc <- errors.New(c.name + ": remote result not byte-identical to local")
-					return
-				}
-				if st.FilesOpened == 0 && st.CacheHits == 0 {
-					errc <- errors.New(c.name + ": remote stats empty")
-					return
-				}
-
 				p := geom.V3(0.2+0.1*float64(g%4), 0.6, 0.5)
-				wantNN, wantD, _, err := query.KNN(local, p, 8)
-				if err != nil {
-					errc <- err
-					return
-				}
-				gotNN, gotD, _, err := ds.KNN(p, 8)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !bytes.Equal(gotNN.Encode(), wantNN.Encode()) {
-					errc <- errors.New("KNN: remote neighbours not byte-identical")
-					return
-				}
-				for i := range wantD {
-					if gotD[i] != wantD[i] {
-						errc <- errors.New("KNN: distances differ")
-						return
+				err := sameAnswer(local, ds, func(ds rdr.Answerer) (string, error) {
+					buf, st, err := rdr.QueryBox(ds, c.q, rdr.Options{})
+					if err == nil && st.FilesOpened == 0 && st.CacheHits == 0 {
+						err = errors.New("stats empty")
 					}
+					if err != nil {
+						return "", err
+					}
+					nn, dists, _, err := rdr.KNN(ds, p, 8)
+					return fmt.Sprint(buf.Encode(), nn.Encode(), dists), err
+				})
+				if err != nil {
+					errc <- fmt.Errorf("%s box, KNN at %v: %w", c.name, p, err)
+					return
 				}
 			}
 		}(g)
@@ -176,33 +150,16 @@ func TestRemoteHaloAndDensityMatchLocal(t *testing.T) {
 	defer ds.Close()
 
 	patch := geom.NewBox(geom.V3(0.25, 0.25, 0), geom.V3(0.75, 0.75, 1))
-	wantOwn, wantGhost, _, err := query.Halo(local, patch, 0.1, rdr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOwn, gotGhost, _, err := ds.Halo(patch, 0.1, rdr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotOwn.Encode(), wantOwn.Encode()) || !bytes.Equal(gotGhost.Encode(), wantGhost.Encode()) {
-		t.Fatal("halo results differ from local")
-	}
-
-	wantCounts, wantFrac, _, err := query.DensityGrid(local, geom.I3(4, 4, 1), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCounts, gotFrac, _, err := ds.DensityGrid(geom.I3(4, 4, 1), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFrac != wantFrac || len(gotCounts) != len(wantCounts) {
-		t.Fatalf("density shape: frac %v vs %v", gotFrac, wantFrac)
-	}
-	for i := range wantCounts {
-		if gotCounts[i] != wantCounts[i] {
-			t.Fatal("density counts differ from local")
+	err = sameAnswer(local, ds, func(ds rdr.Answerer) (string, error) {
+		own, ghost, _, err := rdr.Halo(ds, patch, 0.1, rdr.Options{})
+		if err != nil {
+			return "", err
 		}
+		counts, frac, _, err := rdr.DensityGrid(ds, geom.I3(4, 4, 1), 2, 1)
+		return fmt.Sprint(own.Encode(), ghost.Encode(), counts, frac), err
+	})
+	if err != nil {
+		t.Fatalf("halo and density: %v", err)
 	}
 
 	// The served metadata is the exact on-disk image.
@@ -474,7 +431,7 @@ func TestSeriesMountHoldsBoundedSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := ds.Answer(&Request{Op: OpQueryBox, Box: geom.UnitBox()})
+		a, err := ds.Answer(&rdr.Request{Op: rdr.OpQueryBox, Box: geom.UnitBox()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
+	rdr "spio/internal/reader"
 )
 
 // writeDataset writes a uniform dataset into dir (creating it) and
@@ -46,6 +48,21 @@ func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perR
 		t.Fatal(err)
 	}
 	return all
+}
+
+// sameAnswer asks the local and the remote dataset the same queries
+// through the same reads, and fails unless ask renders their answers
+// identically.
+func sameAnswer(local, remote rdr.Answerer, ask func(ds rdr.Answerer) (string, error)) error {
+	want, err := ask(local)
+	if err != nil {
+		return err
+	}
+	got, err := ask(remote)
+	if err == nil && got != want {
+		err = errors.New("the remote answer differs from the local one")
+	}
+	return err
 }
 
 // sockAddr returns a fresh, short unix socket address (unix socket

@@ -16,7 +16,6 @@ import (
 
 	"spio/internal/binio"
 	"spio/internal/format"
-	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
 )
@@ -31,7 +30,7 @@ import (
 // frame. Nothing is negotiated: the version is the contract, and two
 // peers of one version speak one wire form. No request outlives its
 // response: a progressive read is a sequence of level-range box reads
-// (Request.Skip), each asked for when the client wants it.
+// (rdr.Options.SkipLevels), each asked for when the client wants it.
 //
 // Bodies are framed with internal/binio, the codec of the file headers
 // (little-endian, uvarint lengths), in deliberately name-paired
@@ -46,16 +45,12 @@ const (
 	protoVersion = 6 // v6: rows travel as their record bytes; the hello is magic + version and its ack a bare status
 )
 
-// Request op codes. The four exported ones are the query ops a Dataset
-// answers; the Front answers the others itself.
+// Request op codes the Front answers itself; codes 2 to 5 are the query
+// ops a Dataset answers (rdr.OpQueryBox … rdr.OpDensityGrid).
 const (
-	opMeta        = 1 // resolve a dataset reference, return its metadata image
-	OpQueryBox    = 2 // box query (QueryBox / ReadAll via NoFilter)
-	OpKNN         = 3 // k-nearest-neighbour search
-	OpHalo        = 4 // patch + ghost-margin read
-	OpDensityGrid = 5 // approximate density field from a LOD prefix
-	opStats       = 7 // server metrics snapshot (JSON)
-	opList        = 8 // list mounted dataset references
+	opMeta  = 1 // resolve a dataset reference, return its metadata image
+	opStats = 7 // server metrics snapshot (JSON)
+	opList  = 8 // list mounted dataset references
 )
 
 // Response status codes.
@@ -87,14 +82,6 @@ const (
 	maxReqLevels   = 1 << 10 // LOD levels
 	maxReqReaders  = 1 << 16 // simulated reader fan-out
 	maxReqBase     = 1 << 40 // per-file LOD base override (sizes prefix reads)
-)
-
-// Request flag bits (Request.Flags).
-const (
-	// FlagRawDensity asks a density-grid op for unscaled per-cell
-	// sample counts plus the sampled-particle count, so a gateway can sum
-	// shards and scale once against the merged total.
-	FlagRawDensity uint8 = 1 << 0
 )
 
 // frameBody is a frame body held in memory, the source its decoder reads:
@@ -311,51 +298,16 @@ func decodeHello(d *binio.Reader) (*hello, error) {
 	return &h, nil
 }
 
-// Request is the flat request record: one op code plus the union of
-// every op's parameters, always encoded in full so the stream shape is
-// identical for all ops. It is the one value a query travels as, from
-// the client through a Front and a gateway to the Dataset that answers
-// it.
-type Request struct {
-	Op      uint8
-	Dataset string // dataset reference: name, name@N, name@latest
-	Box     geom.Box
-	Point   geom.Vec3
-	K       int
-	Halo    float64
-	Dims    geom.Idx3
-	// Levels and Skip are the level range [Skip, Levels) of the read
-	// (rdr.Options.Levels and SkipLevels).
-	Levels  int
-	Readers int
-	// NoFilter returns whole files without box filtering (ReadAll).
-	NoFilter bool
-	// Fields projects the result onto the named fields.
-	Fields []string
-	// Base overrides the per-file LOD level-0 budget (0 = derive from
-	// this server's own file count). A gateway passes the merged
-	// dataset's base so every shard cuts the same level boundaries.
-	Base int64
-	// Flags carries the Flag* bits.
-	Flags uint8
-	Skip  int
-}
+// A request frame is the flat record of an rdr.Request — one op code plus
+// the union of every op's parameters, always encoded in full so the
+// stream shape is identical for all ops — with the reference of the
+// dataset it asks ("name", "name@N", "name@latest") after the op code.
+// The reference is the wire's: the Front resolves it to the Dataset the
+// request is then handed to.
 
-// optsRequest is a request of op that reads as opts says.
-func optsRequest(op uint8, opts rdr.Options) *Request {
-	return &Request{Op: op, Levels: opts.Levels, Skip: opts.SkipLevels, Readers: opts.Readers,
-		NoFilter: opts.NoFilter, Fields: opts.Fields, Base: opts.PerFileBase}
-}
-
-// Options returns the read options the request carries.
-func (r *Request) Options() rdr.Options {
-	return rdr.Options{Levels: r.Levels, SkipLevels: r.Skip, Readers: r.Readers,
-		NoFilter: r.NoFilter, Fields: r.Fields, PerFileBase: r.Base}
-}
-
-func encodeRequest(e *binio.Writer, r *Request) {
+func encodeRequest(e *binio.Writer, ref string, r *rdr.Request) {
 	e.U8(r.Op)
-	e.Str(r.Dataset)
+	e.Str(ref)
 	e.Box(r.Box)
 	e.Vec3(r.Point)
 	e.Uvarint(uint64(r.K))
@@ -372,15 +324,15 @@ func encodeRequest(e *binio.Writer, r *Request) {
 	for _, f := range r.Fields {
 		e.Str(f)
 	}
-	e.Uvarint(uint64(r.Base))
+	e.Uvarint(uint64(r.PerFileBase))
 	e.U8(r.Flags)
-	e.Uvarint(uint64(r.Skip))
+	e.Uvarint(uint64(r.SkipLevels))
 }
 
-func decodeRequest(d *binio.Reader) (*Request, error) {
-	var r Request
+func decodeRequest(d *binio.Reader) (string, *rdr.Request, error) {
+	var r rdr.Request
 	r.Op = d.U8()
-	r.Dataset = d.Str(maxWireString)
+	ref := d.Str(maxWireString)
 	r.Box = d.Box()
 	r.Point = d.Vec3()
 	k := d.Uvarint()
@@ -419,17 +371,17 @@ func decodeRequest(d *binio.Reader) (*Request, error) {
 	if base > maxReqBase {
 		d.Fail("base=%d exceeds limit %d", base, maxReqBase)
 	}
-	r.Base = int64(base)
+	r.PerFileBase = int64(base)
 	r.Flags = d.U8()
 	skip := d.Uvarint()
 	if skip > maxReqLevels || (levels > 0 && skip >= levels) {
 		d.Fail("skip=%d is not below levels=%d (limit %d)", skip, levels, maxReqLevels)
 	}
-	r.Skip = int(skip)
+	r.SkipLevels = int(skip)
 	if d.Err() != nil {
-		return nil, d.Err()
+		return "", nil, d.Err()
 	}
-	return &r, nil
+	return ref, &r, nil
 }
 
 // respHeader opens every response.
@@ -619,18 +571,18 @@ func decodeNames(d *binio.Reader) ([]string, error) {
 // the request it answers. A decoded answer's rows are the caller's to
 // release.
 
-func encodeAnswer(e *binio.Writer, op uint8, st *wireStats, a *Answer) {
+func encodeAnswer(e *binio.Writer, op uint8, st *wireStats, a *rdr.Answer) {
 	encodeStats(e, st)
 	switch op {
-	case OpQueryBox:
+	case rdr.OpQueryBox:
 		encodeRows(e, a.Rows)
-	case OpKNN:
+	case rdr.OpKNN:
 		encodeRows(e, a.Rows)
 		encodeFloats(e, a.Floats)
-	case OpHalo:
+	case rdr.OpHalo:
 		encodeRows(e, a.Rows)
 		encodeRows(e, a.Ghost)
-	case OpDensityGrid:
+	case rdr.OpDensityGrid:
 		encodeFloats(e, a.Floats)
 		e.F64(a.Fraction)
 		e.I64(a.Sampled)
@@ -642,7 +594,7 @@ func encodeAnswer(e *binio.Writer, op uint8, st *wireStats, a *Answer) {
 // locals and builds the Answer once, as a literal — wiretaint taints a
 // field class globally on a field store, and an answer's fields are read
 // far from here.
-func decodeAnswer(d *binio.Reader, op uint8, limit int64) (*Answer, error) {
+func decodeAnswer(d *binio.Reader, op uint8, limit int64) (*rdr.Answer, error) {
 	st, err := decodeStats(d)
 	if err != nil {
 		return nil, err
@@ -655,15 +607,15 @@ func decodeAnswer(d *binio.Reader, op uint8, limit int64) (*Answer, error) {
 		err2        error
 	)
 	switch op {
-	case OpQueryBox:
+	case rdr.OpQueryBox:
 		rows, err = decodeRows(d, limit)
-	case OpKNN:
+	case rdr.OpKNN:
 		rows, err = decodeRows(d, limit)
 		floats, err2 = decodeFloats(d, int(limit/8)+1)
-	case OpHalo:
+	case rdr.OpHalo:
 		rows, err = decodeRows(d, limit)
 		ghost, err2 = decodeRows(d, limit)
-	case OpDensityGrid:
+	case rdr.OpDensityGrid:
 		floats, err = decodeFloats(d, int(limit/8)+1)
 		frac = d.F64()
 		sampled = d.I64()
@@ -673,5 +625,5 @@ func decodeAnswer(d *binio.Reader, op uint8, limit int64) (*Answer, error) {
 		ghost.Release()
 		return nil, err
 	}
-	return &Answer{Stats: st.Read, Rows: rows, Ghost: ghost, Floats: floats, Fraction: frac, Sampled: sampled}, nil
+	return &rdr.Answer{Stats: st.Read, Rows: rows, Ghost: ghost, Floats: floats, Fraction: frac, Sampled: sampled}, nil
 }

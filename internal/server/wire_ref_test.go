@@ -124,12 +124,12 @@ func TestWireFramesMatchReference(t *testing.T) {
 			kinds := []struct {
 				name string
 				op   uint8
-				a    Answer
+				a    rdr.Answer
 				want []*particle.Buffer
 			}{
-				{"query", OpQueryBox, Answer{Rows: rowsOf}, []*particle.Buffer{buf}},
-				{"knn", OpKNN, Answer{Rows: rowsOf, Floats: dists}, []*particle.Buffer{buf}},
-				{"halo", OpHalo, Answer{Rows: rowsOf, Ghost: rowsOfOther}, []*particle.Buffer{buf, other}},
+				{"query", rdr.OpQueryBox, rdr.Answer{Rows: rowsOf}, []*particle.Buffer{buf}},
+				{"knn", rdr.OpKNN, rdr.Answer{Rows: rowsOf, Floats: dists}, []*particle.Buffer{buf}},
+				{"halo", rdr.OpHalo, rdr.Answer{Rows: rowsOf, Ghost: rowsOfOther}, []*particle.Buffer{buf, other}},
 			}
 			for _, k := range kinds {
 				what := fmt.Sprintf("%s n=%d fields=%d", k.name, n, buf.Schema().NumFields())
@@ -139,7 +139,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 				for _, b := range k.want {
 					refEncodeBuffer(re, b)
 				}
-				if k.op == OpKNN {
+				if k.op == rdr.OpKNN {
 					encodeFloats(re, dists)
 				}
 				if re.Err() != nil {
@@ -161,7 +161,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 						}
 						bufs = append(bufs, b)
 					}
-					if k.op == OpKNN {
+					if k.op == rdr.OpKNN {
 						_, err = decodeFloats(d, len(dists))
 					}
 					return bufs, err

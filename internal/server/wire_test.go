@@ -30,29 +30,24 @@ func roundTrip(t *testing.T, enc func(e *binio.Writer)) *binio.Reader {
 // and a codec tested only on zeroes has its order pinned by nothing.
 
 func TestRequestRoundTrip(t *testing.T) {
-	want := &Request{
-		Op:       OpHalo,
-		Dataset:  "sim@42",
-		Box:      geom.NewBox(geom.V3(0.1, 0.2, 0.3), geom.V3(0.9, 0.8, 0.7)),
-		Point:    geom.V3(0.5, math.Inf(1), -0.5),
-		K:        17,
-		Halo:     0.0625,
-		Dims:     geom.I3(8, 6, 5),
-		Levels:   3,
-		Skip:     2,
-		Readers:  7,
-		NoFilter: true,
-		Fields:   []string{"id", "density"},
-		Base:     9,
-		Flags:    0x41,
+	want := &rdr.Request{
+		Op:    rdr.OpHalo,
+		Box:   geom.NewBox(geom.V3(0.1, 0.2, 0.3), geom.V3(0.9, 0.8, 0.7)),
+		Point: geom.V3(0.5, math.Inf(1), -0.5),
+		K:     17,
+		Halo:  0.0625,
+		Dims:  geom.I3(8, 6, 5),
+		Options: rdr.Options{Levels: 3, SkipLevels: 2, Readers: 7, NoFilter: true,
+			Fields: []string{"id", "density"}, PerFileBase: 9},
+		Flags: 0x41,
 	}
-	d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, want) })
-	got, err := decodeRequest(d)
+	d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, "sim@42", want) })
+	ref, got, err := decodeRequest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	if ref != "sim@42" || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %q %+v\nwant %+v", ref, got, want)
 	}
 }
 
@@ -74,13 +69,13 @@ func TestResponsesRoundTrip(t *testing.T) {
 	dists := []float64{0.25, 0.5, 1, 2, 4}
 	for _, c := range []struct {
 		op          uint8
-		a           Answer
+		a           rdr.Answer
 		rows, ghost *particle.Buffer // what a.Rows and a.Ghost hold
 	}{
-		{OpQueryBox, Answer{Rows: ownRows}, own, nil},
-		{OpKNN, Answer{Rows: ownRows, Floats: dists}, own, nil},
-		{OpHalo, Answer{Rows: ownRows, Ghost: ghostRows}, own, ghost},
-		{OpDensityGrid, Answer{Floats: []float64{1, 2.5, 4}, Fraction: 0.125, Sampled: 77}, nil, nil},
+		{rdr.OpQueryBox, rdr.Answer{Rows: ownRows}, own, nil},
+		{rdr.OpKNN, rdr.Answer{Rows: ownRows, Floats: dists}, own, nil},
+		{rdr.OpHalo, rdr.Answer{Rows: ownRows, Ghost: ghostRows}, own, ghost},
+		{rdr.OpDensityGrid, rdr.Answer{Floats: []float64{1, 2.5, 4}, Fraction: 0.125, Sampled: 77}, nil, nil},
 	} {
 		d := roundTrip(t, func(e *binio.Writer) { encodeAnswer(e, c.op, &distinctStats, &c.a) })
 		got, err := decodeAnswer(d, c.op, 1<<20)
@@ -246,31 +241,30 @@ func TestFrameLimit(t *testing.T) {
 func TestRequestBoundsEnforced(t *testing.T) {
 	cases := []struct {
 		name string
-		req  Request
+		req  rdr.Request
 	}{
-		{"knn k", Request{Op: OpKNN, Dataset: "sim", K: maxReqK + 1}},
-		{"grid axis", Request{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(maxReqGridAxis+1, 1, 1)}},
-		{"grid cells", Request{Op: OpDensityGrid, Dataset: "sim", Dims: geom.I3(1<<12, 1<<12, 2)}},
-		{"levels", Request{Op: OpQueryBox, Dataset: "sim", Levels: maxReqLevels + 1}},
-		{"readers", Request{Op: OpQueryBox, Dataset: "sim", Readers: maxReqReaders + 1}},
-		{"skip at levels", Request{Op: OpQueryBox, Dataset: "sim", Levels: 3, Skip: 3}},
-		{"skip alone", Request{Op: OpQueryBox, Dataset: "sim", Skip: maxReqLevels + 1}},
+		{"knn k", rdr.Request{Op: rdr.OpKNN, K: maxReqK + 1}},
+		{"grid axis", rdr.Request{Op: rdr.OpDensityGrid, Dims: geom.I3(maxReqGridAxis+1, 1, 1)}},
+		{"grid cells", rdr.Request{Op: rdr.OpDensityGrid, Dims: geom.I3(1<<12, 1<<12, 2)}},
+		{"levels", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{Levels: maxReqLevels + 1}}},
+		{"readers", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{Readers: maxReqReaders + 1}}},
+		{"skip at levels", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{Levels: 3, SkipLevels: 3}}},
+		{"skip alone", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{SkipLevels: maxReqLevels + 1}}},
 	}
 	for _, tc := range cases {
-		d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, &tc.req) })
-		if _, err := decodeRequest(d); err == nil {
+		d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, "sim", &tc.req) })
+		if _, _, err := decodeRequest(d); err == nil {
 			t.Errorf("%s: hostile request decoded without error: %+v", tc.name, tc.req)
 		}
 	}
 	// The limits admit every legitimate request: a maximal one still
 	// round-trips.
-	ok := Request{
-		Op: OpDensityGrid, Dataset: "sim",
-		K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
-		Levels: maxReqLevels, Skip: maxReqLevels - 1, Readers: maxReqReaders,
+	ok := rdr.Request{
+		Op: rdr.OpDensityGrid, K: maxReqK, Dims: geom.I3(1<<11, 1<<11, 1),
+		Options: rdr.Options{Levels: maxReqLevels, SkipLevels: maxReqLevels - 1, Readers: maxReqReaders},
 	}
-	d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, &ok) })
-	if _, err := decodeRequest(d); err != nil {
+	d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, "sim", &ok) })
+	if _, _, err := decodeRequest(d); err != nil {
 		t.Fatalf("maximal legitimate request rejected: %v", err)
 	}
 }
@@ -293,13 +287,13 @@ func TestSchemaComponentBound(t *testing.T) {
 func TestTruncatedDecodeFailsCleanly(t *testing.T) {
 	var fb frameBuf
 	e := binio.NewWriter(&fb)
-	encodeRequest(e, &Request{Op: OpQueryBox, Dataset: "x"})
+	encodeRequest(e, "x", &rdr.Request{Op: rdr.OpQueryBox})
 	if e.Err() != nil {
 		t.Fatal(e.Err())
 	}
 	for cut := 0; cut < len(fb.b); cut += 7 {
 		d := binio.NewReader(bytes.NewReader(fb.b[:cut]), "spiod")
-		if _, err := decodeRequest(d); err == nil {
+		if _, _, err := decodeRequest(d); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(fb.b))
 		}
 	}

@@ -89,6 +89,9 @@ type Queryable interface {
 	Meta() *Meta
 	QueryBox(q Box, opts QueryOptions) (*Buffer, ReadStats, error)
 	ReadAll(opts QueryOptions) (*Buffer, ReadStats, error)
+	KNN(p Vec3, k int) (*Buffer, []float64, ReadStats, error)
+	Halo(patch Box, halo float64, opts QueryOptions) (own, ghost *Buffer, st ReadStats, err error)
+	DensityGrid(dims Idx3, levels, readers int) ([]float64, float64, ReadStats, error)
 	LevelCount(nReaders int) int
 	Close() error
 }

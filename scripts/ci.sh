@@ -17,7 +17,8 @@
 # partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
 # breaker-poll tests by name at -count=3); the fuzz step bursts six
-# surfaces, five decoders and the deflate encoder;
+# surfaces, five decoders and the deflate encoder; the examples smoke
+# runs every program under examples/;
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the nine
 # analyzers (collorder, bufhandoff, errdrop, wiresym, collabort,
@@ -83,12 +84,12 @@ echo "== fault-injection tests =="
 go test ./internal/fault
 go test -run 'TestFault|TestFsck|TestWrite(File|Meta)' ./internal/core ./internal/format
 
-echo "== go test -race (mpi, agg, core, fault, particle, format, cache, reader, query, server, gateway) =="
+echo "== go test -race (mpi, agg, core, fault, particle, format, cache, reader, server, gateway) =="
 # internal/format carries the streaming-scan differential test (eight
-# goroutines on one DataFile per codec x seam); particle and query hold
+# goroutines on one DataFile per codec x seam); particle and reader hold
 # the kernels and the callers it is built from; internal/agg's exchange
 # hands pooled wire slices and row segments from rank to rank.
-go test -race ./internal/mpi ./internal/agg ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/cache ./internal/reader ./internal/query ./internal/server ./internal/gateway
+go test -race ./internal/mpi ./internal/agg ./internal/core ./internal/fault ./internal/particle ./internal/format ./internal/cache ./internal/reader ./internal/server ./internal/gateway
 
 echo "== answer ownership (-race -count=3) =="
 # The rows an answer travels as live in pools: a result that aliased
@@ -281,6 +282,17 @@ for p in $shard_pids; do
 	kill -TERM "$p" 2>/dev/null || true
 done
 echo "spiogate smoke: gateway byte-identical to local; dead shard degraded to flagged partial results"
+
+echo "== examples smoke =="
+# Every program under examples/ runs end to end, about a second in all;
+# examples/analysis drives the facade's KNN, halo and density reads. Each
+# runs with TMPDIR in the smoke directory, which goes at exit:
+# examples/rendering leaves its frames behind for inspection.
+for ex in examples/*/; do
+	go build -o "$smoke/example" "./$ex"
+	TMPDIR="$smoke" "$smoke/example" >"$smoke/example.txt" 2>&1 || { cat "$smoke/example.txt"; exit 1; }
+done
+echo "examples smoke: every example ran"
 
 echo "== spiolint =="
 lint_budget=60
