@@ -627,15 +627,15 @@ func (df *DataFile) stage(n int) []byte {
 // progressive stream) is a callback over it, so nothing on the read path
 // materializes more than a chunk of a file.
 //
-// A scan selects, then takes. sel, when non-nil, is run over every chunk
-// and names the records fn is to look at: fn gets the chunk and that
-// selection (indices of records in the chunk, increasing), and of the
-// chunk only the positions and the selected records are defined. With a
-// nil sel, picked is nil and every record of the chunk counts. Knowing
-// the selection before the take is what lets a compressed block decode
-// its position, run sel on it, and assemble the other fields of the
-// selected records alone (particle.DecompressPickedInto). sel and fn
-// both run on the caller's goroutine, chunk by chunk, in order.
+// A scan selects, then takes. box, when non-nil, selects from every
+// chunk the records whose position lies in that closed box, and fn gets
+// the chunk with that selection (indices of records in the chunk,
+// increasing); of the chunk only the selected records are defined. With a
+// nil box, picked is nil and every record of the chunk counts. Knowing
+// the box before the take is what lets a compressed block select on its
+// position as it inflates and assemble the selected records alone
+// (particle.DecompressPickedInto). fn runs on the caller's goroutine,
+// chunk by chunk, in order.
 //
 // A chunk and its selection are valid only for the duration of the call
 // and must not be written: the chunk is a pooled buffer about to be
@@ -652,7 +652,7 @@ func (df *DataFile) stage(n int) []byte {
 // proj, when non-nil, names the fields fn will look at (it must have
 // been built from this file's schema); the others may hold garbage: a
 // compressed block inflates only those fields' frames.
-func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) error {
+func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, box *geom.Box, fn func(recs []byte, picked []int32) error) error {
 	var want []bool
 	if proj != nil {
 		if !proj.Source().Equal(df.Header.Schema) {
@@ -663,7 +663,7 @@ func (df *DataFile) Scan(lo, hi int64, proj *particle.Projection, sel particle.S
 	if err := df.checkRange(lo, hi); err != nil {
 		return err
 	}
-	if err := df.scan(lo, hi, want, sel, fn); err != nil {
+	if err := df.scan(lo, hi, want, box, fn); err != nil {
 		return fmt.Errorf("format: %s: %w", df.path, err)
 	}
 	return nil
@@ -676,8 +676,9 @@ func (df *DataFile) checkRange(lo, hi int64) error {
 	return nil
 }
 
-// selPool recycles selection vectors: one per raw scan, one per block in
-// flight of a compressed one.
+// selPool recycles selection vectors, one per scan. A kernel grows its
+// vector by the chunk's record count before it selects, so a pooled
+// vector is as long as the longest chunk it has served.
 var selPool sync.Pool // *[]int32
 
 func getSel() []int32 {
@@ -693,14 +694,14 @@ func putSel(sel []int32) {
 	}
 }
 
-func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn func(recs []byte, picked []int32) error) error {
+func (df *DataFile) scan(lo, hi int64, want []bool, box *geom.Box, fn func(recs []byte, picked []int32) error) error {
 	if lo == hi {
 		return nil
 	}
 	// Select and take run back to back on the caller's goroutine, chunk
 	// by chunk, so one selection vector serves the whole scan.
 	var picked []int32
-	if sel != nil {
+	if box != nil {
 		picked = getSel()
 		defer func() { putSel(picked) }()
 	}
@@ -710,22 +711,22 @@ func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn fu
 		bi := sort.Search(len(df.blockRecs)-1, func(i int) bool { return df.blockRecs[i+1] > lo })
 		for ; bi < len(df.blockRecs)-1 && df.blockRecs[bi] < hi; bi++ {
 			var err error
-			if picked, err = df.scanBlock(bi, lo, hi, want, sel, picked, fn); err != nil {
+			if picked, err = df.scanBlock(bi, lo, hi, want, box, picked, fn); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	stride := int64(df.Header.Schema.Stride())
 	each := func(recs []byte) error {
-		if sel != nil {
-			picked = sel(picked[:0], recs)
+		if box != nil {
+			picked = particle.SelectClosed(picked[:0], recs, int(stride), box)
 		}
 		return fn(recs, picked)
 	}
 	if v, ok := df.ra.(viewerAt); ok {
 		return df.scanViews(v, lo, hi, each)
 	}
-	stride := int64(df.Header.Schema.Stride())
 	chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
 	defer toPool(&stagePool, chunk)
 	for at := lo; at < hi; at += scanChunkRecords {
@@ -742,11 +743,12 @@ func (df *DataFile) scan(lo, hi int64, want []bool, sel particle.Selector, fn fu
 
 // scanBlock is the compressed scan's step: it reads codec block bi whole
 // through the ra seam, inflates it into a pooled image — position first,
-// and of the other wanted fields only what sel keeps of the block's
-// overlap with [lo, hi) (particle.DecompressPickedInto) — and hands fn
-// that overlap with the selection, which it returns for the next block to
-// reuse. A scan holds one block image however long its range.
-func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, sel particle.Selector, picked []int32, fn func(recs []byte, picked []int32) error) ([]int32, error) {
+// selected on by box, then of the wanted fields only the rows box keeps
+// of the block's overlap with [lo, hi) (particle.DecompressPickedInto) —
+// and hands fn that overlap with the selection, which it returns for the
+// next block to reuse. A scan holds one block image however long its
+// range.
+func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, box *geom.Box, picked []int32, fn func(recs []byte, picked []int32) error) ([]int32, error) {
 	bLo, bHi := df.blockRecs[bi], df.blockRecs[bi+1]
 	count, stride := int(bHi-bLo), df.Header.Schema.Stride()
 	cLo, cHi := int(max(lo, bLo)-bLo), int(min(hi, bHi)-bLo)
@@ -757,7 +759,7 @@ func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, sel particle.Se
 	}
 	recs := df.stage(count * stride)
 	defer toPool(&stagePool, recs)
-	picked, err := particle.DecompressPickedInto(df.Header.Schema, comp, count, recs, want, cLo, cHi, sel, picked[:0])
+	picked, err := particle.DecompressPickedInto(df.Header.Schema, comp, count, recs, want, cLo, cHi, box, picked[:0])
 	if err != nil {
 		return picked, err
 	}

@@ -88,7 +88,7 @@ func refQuery(schema *particle.Schema, image []byte, lo, hi int64, proj *particl
 // not given then produces a wrong answer instead of a lucky one — which
 // is how "the filters never look at a record that was not picked" is
 // checked, and a compressed block's never-assembled rows along with it.
-// selecting says whether the scan was given a selector (a nil picked
+// selecting says whether the scan was given a box (a nil picked
 // then means nothing was picked, not everything).
 func poisoned(schema *particle.Schema, proj *particle.Projection, selecting bool, take func(recs []byte, picked []int32) error) func([]byte, []int32) error {
 	stride := schema.Stride()
@@ -275,7 +275,7 @@ func (s *recyclingSeam) ViewAt(off int64) ([]byte, interface{ Release() }, error
 // handed only what the scan defines for it (poisoned). Eight goroutines
 // share each DataFile, so under -race this is also the proof that a scan
 // never writes a seam's lent bytes or another scan's chunk, and that the
-// selectors the decode workers run share nothing with the takes. Once
+// selections the scans make share nothing with the takes. Once
 // they are done, the recycling seam has every lease back.
 func TestScanMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -386,12 +386,12 @@ func TestScanMatchesReference(t *testing.T) {
 						switch kind {
 						case "box":
 							f := particle.NewBoxFilter(schema, proj, q)
-							err = df.Scan(rg[0], rg[1], proj, f.Select, poisoned(schema, proj, true, f.Take))
+							err = df.Scan(rg[0], rg[1], proj, f.Box(), poisoned(schema, proj, true, f.Take))
 							got = []*particle.Buffer{f.Buffer()}
 							keeps = []func(geom.Vec3) bool{q.ContainsClosed}
 						case "halo":
 							f := particle.NewHaloFilter(schema, proj, grown, q)
-							err = df.Scan(rg[0], rg[1], proj, f.Select, poisoned(schema, proj, true, f.Take))
+							err = df.Scan(rg[0], rg[1], proj, f.Box(), poisoned(schema, proj, true, f.Take))
 							own, ghost := f.Rows()
 							got = []*particle.Buffer{own.Buffer(), ghost.Buffer()}
 							keeps = []func(geom.Vec3) bool{
@@ -467,7 +467,7 @@ func TestScanChunksCoverRangeInOrder(t *testing.T) {
 		at := lo
 		err = df.Scan(lo, hi, nil, nil, func(recs []byte, picked []int32) error {
 			if picked != nil {
-				t.Errorf("a scan without a selector handed out the selection %v", picked)
+				t.Errorf("a scan without a box handed out the selection %v", picked)
 			}
 			if int64(len(recs))%stride != 0 || len(recs) == 0 {
 				t.Errorf("chunk of %d bytes is not a positive whole number of records", len(recs))

@@ -61,8 +61,27 @@ func (g Grid) CellBoxLinear(i int) Box { return g.CellBox(Unlinear(i, g.Dims)) }
 // Locate returns the integer coordinate of the cell containing p.
 // Points on the upper domain boundary are clamped into the last cell, so
 // every point of the closed domain has an owner cell.
-func (g Grid) Locate(p Vec3) Idx3 {
-	cs := g.CellSize()
+func (g Grid) Locate(p Vec3) Idx3 { return g.locate(p, g.CellSize()) }
+
+// LocateLinear returns the row-major linear cell index containing p.
+func (g Grid) LocateLinear(p Vec3) int { return g.Locate(p).Linear(g.Dims) }
+
+// Locator is a grid that locates many points: LocateLinear with the cell
+// size computed once instead of per point, the same divisions and clamps
+// after it.
+type Locator struct {
+	g  Grid
+	cs Vec3
+}
+
+// Locator returns the grid's Locator.
+func (g Grid) Locator() Locator { return Locator{g: g, cs: g.CellSize()} }
+
+// LocateLinear is Grid.LocateLinear.
+func (l *Locator) LocateLinear(p Vec3) int { return l.g.locate(p, l.cs).Linear(l.g.Dims) }
+
+// locate is Locate with the grid's cell size cs.
+func (g Grid) locate(p Vec3, cs Vec3) Idx3 {
 	rel := p.Sub(g.Domain.Lo)
 	idx := Idx3{
 		X: clampCell(int(rel.X/cs.X), g.Dims.X),
@@ -71,9 +90,6 @@ func (g Grid) Locate(p Vec3) Idx3 {
 	}
 	return idx
 }
-
-// LocateLinear returns the row-major linear cell index containing p.
-func (g Grid) LocateLinear(p Vec3) int { return g.Locate(p).Linear(g.Dims) }
 
 func clampCell(i, n int) int {
 	if i < 0 {

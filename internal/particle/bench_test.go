@@ -80,3 +80,41 @@ func BenchmarkCompressFile(b *testing.B) {
 	}
 	b.ReportMetric(float64(stored)/float64(total), "ratio")
 }
+
+// BenchmarkSelect is the select step of a box read on one full block
+// (8192 clustered Uintah records in LOD order) by each way the positions
+// can arrive: "records" is the records kernel over the AoS block (a raw
+// chunk, a cached view); "planes" is the planes kernel over the block's
+// inflated position planes plus the positions of the picked rows alone,
+// what a compressed block's position costs after its inflate; and
+// "unshuffle-select" is the same from the planes through a whole position
+// image, as a compressed block decoded before the planes kernel.
+func BenchmarkSelect(b *testing.B) {
+	schema := Uintah()
+	stride := schema.Stride()
+	blocks := generatorBlocks()["clustered"]
+	recs := blocks[len(blocks)-2]
+	count := len(recs) / stride
+	planes := positionPlanes(recs, stride)
+	q := geom.NewBox(geom.V3(0.3, 0.3, 0.3), geom.V3(0.8, 0.8, 0.8))
+	dst := make([]byte, len(recs))
+	var sel []int32
+	run := func(name string, step func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(24 * count))
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(len(sel))/float64(count), "kept")
+		})
+	}
+	run("records", func() { sel = SelectClosed(sel[:0], recs, stride, &q) })
+	run("planes", func() {
+		sel = selectPlanes(sel[:0], planes, count, 0, count, &q)
+		unshuffleRows(dst, planes, stride, 0, 8, 3, count, 0, sel)
+	})
+	run("unshuffle-select", func() {
+		unshuffleToRecords(dst, planes, stride, 0, 8, 3, count)
+		sel = SelectClosed(sel[:0], dst, stride, &q)
+	})
+}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"spio/internal/geom"
 )
 
 // Per-field compression codecs over the AoS record encoding. A block of
@@ -391,19 +393,20 @@ func DecompressBlockInto(schema *Schema, data []byte, count int, dst []byte) err
 // by a projected read exactly as by a full one, with the same error;
 // only corruption inside a skipped payload goes unseen.
 //
-// Rows: the reader learns which it keeps from their positions. With a
-// pick, the position (field 0) of every record is decoded first, wanted
-// or not, pick is run over records [lo, hi) of dst, and every other
-// wanted field is then decoded at the picked rows alone. The selection
-// is returned, appended to picked — indices relative to lo. Of dst, the
-// position of every record and the wanted fields of the picked rows are
-// then defined; everything else is unspecified. A byte-plane codec still
-// inflates a wanted field's planes whole (a deflate stream has no random
-// access) but assembles values only where a row was picked, and a block
-// in which nothing was picked inflates nothing after the position — its
-// frames are walked and checked all the same. A nil pick decodes every
-// record and returns picked as it came.
-func DecompressPickedInto(schema *Schema, data []byte, count int, dst []byte, want []bool, lo, hi int, pick Selector, picked []int32) ([]int32, error) {
+// Rows: the reader keeps those whose position lies in the closed box.
+// With a box, the position (field 0) is decoded first, wanted or not, the
+// records [lo, hi) are selected on it — on a byte-plane codec's planes
+// as they inflate (selectPlanes), on the decoded values otherwise
+// (SelectClosed) — and every wanted field, the position included, is then
+// decoded at the picked rows alone. The selection is returned, appended
+// to picked — indices relative to lo. Of dst, only the wanted fields of
+// the picked rows are then defined; everything else is unspecified. A
+// byte-plane codec still inflates a wanted field's planes whole (a
+// deflate stream has no random access) but assembles values only where a
+// row was picked, and a block in which nothing was picked inflates
+// nothing after the position — its frames are walked and checked all the
+// same. A nil box decodes every record and returns picked as it came.
+func DecompressPickedInto(schema *Schema, data []byte, count int, dst []byte, want []bool, lo, hi int, box *geom.Box, picked []int32) ([]int32, error) {
 	if count < 0 {
 		return picked, fmt.Errorf("particle: negative record count %d", count)
 	}
@@ -416,19 +419,18 @@ func DecompressPickedInto(schema *Schema, data []byte, count int, dst []byte, wa
 	}
 	st := getCodecState()
 	defer putCodecState(st)
-	return st.decompressInto(schema, data, count, dst, want, lo, hi, pick, picked)
+	return st.decompressInto(schema, data, count, dst, want, lo, hi, box, picked)
 }
 
 // decompressInto walks the per-field frames, decoding each wanted field
-// straight into its slots of the dst record image — with a pick, at the
-// rows it selects from [lo, hi) once the position is in place.
-func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst []byte, want []bool, lo, hi int, pick Selector, picked []int32) ([]int32, error) {
+// straight into its slots of the dst record image — with a box, at the
+// rows it selects from [lo, hi) once the position has been looked at.
+func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst []byte, want []bool, lo, hi int, box *geom.Box, picked []int32) ([]int32, error) {
 	stride := schema.Stride()
-	// Once the position has been picked over, rows names the records the
-	// other fields are decoded at (relative to lo); until then, and
-	// without a pick, a field is decoded at all of them.
-	var rows []int32
-	picking := false
+	// Once the position has been selected on, picked[at:] names the
+	// records the fields are decoded at (relative to lo); until then, and
+	// without a box, a field is decoded at all of them.
+	at, picking := len(picked), false
 	for fi := 0; fi < schema.NumFields(); fi++ {
 		f := schema.Field(fi)
 		off := schema.Offset(fi)
@@ -453,19 +455,24 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 		case (id == CodecDeltaVarint || id == CodecQuantize) && f.Kind != Float64:
 			return picked, fmt.Errorf("particle: field %q: %v codec on %v column", f.Name, id, f.Kind)
 		}
-		selecting := pick != nil && fi == 0 // the position is what pick looks at
-		if !selecting && (want != nil && !want[fi] || picking && len(rows) == 0) {
+		selecting := box != nil && fi == 0 // the position is what the box looks at
+		wanted := want == nil || want[fi]
+		if !selecting && (!wanted || picking && len(picked) == at) {
 			continue
 		}
 		var err error
 		switch id {
 		case CodecRaw:
+			w := f.Bytes()
+			if selecting {
+				picked, picking = SelectClosed(picked, payload[lo*w:hi*w], w, box), true
+			}
 			if !picking {
-				scatterColumn(dst, stride, off, f.Bytes(), payload)
-			} else {
-				for _, i := range rows {
+				scatterColumn(dst, stride, off, w, payload)
+			} else if wanted {
+				for _, i := range picked[at:] {
 					r := lo + int(i)
-					copy(dst[r*stride+off:r*stride+off+f.Bytes()], payload[r*f.Bytes():])
+					copy(dst[r*stride+off:r*stride+off+w], payload[r*w:])
 				}
 			}
 		case CodecShuffleDeflate, CodecShuffleLZ:
@@ -478,13 +485,17 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 			if err != nil {
 				break
 			}
+			if selecting {
+				picked, picking = selectPlanes(picked, shuf, count, lo, hi, box), true
+			}
 			if !picking {
 				unshuffleToRecords(dst, shuf, stride, off, f.Kind.Size(), f.Components, count)
-			} else {
-				unshuffleRows(dst, shuf, stride, off, f.Kind.Size(), f.Components, count, lo, rows)
+			} else if wanted {
+				unshuffleRows(dst, shuf, stride, off, f.Kind.Size(), f.Components, count, lo, picked[at:])
 			}
 		// The varint codecs are one sequential stream each: a value is
-		// found only by decoding those before it, so they decode whole.
+		// found only by decoding those before it, so they decode whole, and
+		// a position so coded is selected on in the record image.
 		case CodecDeltaVarint:
 			err = decodeDeltaVarintInto(dst, stride, off, payload, count, f.Components)
 		case CodecQuantize:
@@ -493,10 +504,8 @@ func (st *codecState) decompressInto(schema *Schema, data []byte, count int, dst
 		if err != nil {
 			return picked, fmt.Errorf("particle: field %q: %w", f.Name, err)
 		}
-		if selecting {
-			base := len(picked)
-			picked = pick(picked, dst[lo*stride:hi*stride])
-			rows, picking = picked[base:], true
+		if selecting && !picking {
+			picked, picking = SelectClosed(picked, dst[lo*stride:hi*stride], stride, box), true
 		}
 	}
 	if len(data) != 0 {

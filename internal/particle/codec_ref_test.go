@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spio/internal/geom"
@@ -390,7 +391,6 @@ func checkRefFramesDecode(t *testing.T, refFrame func(testing.TB, *Schema, Spec,
 	posDensity := make([]bool, schema.NumFields())
 	posDensity[0], posDensity[2] = true, true
 	q := geom.NewBox(geom.V3(0.2, 0.1, 0.3), geom.V3(0.7, 0.8, 0.9))
-	pick := func(sel []int32, recs []byte) []int32 { return selectClosed(sel, recs, schema.Stride(), q) }
 	for _, spec := range []Spec{LosslessSpec(schema), LossySpec(schema, 1e-3)} {
 		for name, blocks := range generatorBlocks() {
 			// A raw-fallback level, a small coded one, a full block, the tail.
@@ -409,7 +409,7 @@ func checkRefFramesDecode(t *testing.T, refFrame func(testing.TB, *Schema, Spec,
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("%s block %d: reference frame, full decode: %v", name, bi, err)
 				}
-				checkPartialDecodes(t, schema, ref, count, want, posDensity, pick)
+				checkPartialDecodes(t, schema, ref, count, want, posDensity, q)
 			}
 		}
 	}
@@ -425,33 +425,30 @@ func mustCompress(t testing.TB, schema *Schema, spec Spec, records []byte) []byt
 }
 
 // checkPartialDecodes decodes frame with fields skipped and with rows
-// picked — over the whole block and over a clipped row range — into
-// poisoned images and compares what each defines with full, the whole
-// decode: the wanted fields of the picked rows and every position.
-func checkPartialDecodes(t testing.TB, schema *Schema, frame []byte, count int, full []byte, want []bool, pick Selector) {
+// picked by box — over the whole block and over a clipped row range —
+// into poisoned images and compares what each defines with full, the
+// whole decode: the wanted fields, the position among them, of the
+// picked rows.
+func checkPartialDecodes(t testing.TB, schema *Schema, frame []byte, count int, full []byte, want []bool, box geom.Box) {
 	t.Helper()
 	stride := schema.Stride()
 	for _, clip := range [][2]int{{0, count}, {count / 3, count - count/4}} {
 		for _, w := range [][]bool{nil, want} {
-			for _, p := range []Selector{nil, pick} {
+			for _, b := range []*geom.Box{nil, &box} {
 				got := bytes.Repeat([]byte{0xA5}, len(full))
-				picked, err := DecompressPickedInto(schema, frame, count, got, w, clip[0], clip[1], p, nil)
+				picked, err := DecompressPickedInto(schema, frame, count, got, w, clip[0], clip[1], b, nil)
 				if err != nil {
-					t.Fatalf("rows %v fields %v pick %v: %v", clip, w != nil, p != nil, err)
+					t.Fatalf("rows %v fields %v box %v: %v", clip, w != nil, b != nil, err)
 				}
 				rows := make([]bool, count) // rows whose wanted fields are defined
 				for i := range rows {
-					rows[i] = p == nil
+					rows[i] = b == nil
 				}
-				if p != nil {
-					ref := p(nil, full[clip[0]*stride:clip[1]*stride])
-					if len(ref) != len(picked) {
-						t.Fatalf("rows %v: picked %d rows, the whole decode picks %d", clip, len(picked), len(ref))
+				if b != nil {
+					if ref := refSelect(full, stride, clip[0], clip[1], box); !slices.Equal(picked, ref) {
+						t.Fatalf("rows %v: picked %v, the whole decode's positions give %v", clip, picked, ref)
 					}
-					for j, i := range picked {
-						if i != ref[j] {
-							t.Fatalf("rows %v: pick %d is row %d, want %d", clip, j, i, ref[j])
-						}
+					for _, i := range picked {
 						rows[clip[0]+int(i)] = true
 					}
 				}
@@ -459,9 +456,8 @@ func checkPartialDecodes(t testing.TB, schema *Schema, frame []byte, count int, 
 					for fi := 0; fi < schema.NumFields(); fi++ {
 						lo := i*stride + schema.Offset(fi)
 						hi := lo + schema.Field(fi).Bytes()
-						defined := rows[i] && (w == nil || w[fi]) || fi == 0 && (p != nil || w == nil || w[0])
-						if defined && !bytes.Equal(got[lo:hi], full[lo:hi]) {
-							t.Fatalf("rows %v fields %v pick %v: record %d field %d differs from the whole decode", clip, w != nil, p != nil, i, fi)
+						if rows[i] && (w == nil || w[fi]) && !bytes.Equal(got[lo:hi], full[lo:hi]) {
+							t.Fatalf("rows %v fields %v box %v: record %d field %d differs from the whole decode", clip, w != nil, b != nil, i, fi)
 						}
 					}
 				}

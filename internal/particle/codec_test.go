@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"spio/internal/geom"
 )
 
 // testBlock builds a Uintah-schema record block with id-like ids,
@@ -307,57 +310,60 @@ func TestDecompressBlockHostile(t *testing.T) {
 		if want := `particle: field "position": inflate: `; err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("%s: %v, want an error starting %q", name, err, want)
 		}
-		if _, err := DecompressPickedInto(schema, m, 64, make([]byte, len(records)), nil, 0, 64, pickNothing, nil); err == nil {
+		if _, err := DecompressPickedInto(schema, m, 64, make([]byte, len(records)), nil, 0, 64, &boxNothing, nil); err == nil {
 			t.Errorf("%s: the position-first decode accepts it", name)
 		}
 	}
 }
 
-// pickNothing and pickOddX are the selectors the hostile tests drive the
+// boxNothing and boxLowX are the boxes the hostile tests drive the
 // row-picking decode with: a block without survivors, which inflates
 // nothing after the position, and one whose survivors depend on the
-// decoded bytes.
-func pickNothing(sel []int32, _ []byte) []int32 { return sel }
+// decoded bytes — x in [0, 16] and anything else, so a few of
+// testBlock's positions (x in [0, 100)) and half of testBlockF's (x = 0,
+// 1, …, 31).
+var (
+	boxNothing = geom.EmptyBox()
+	boxLowX    = geom.NewBox(geom.V3(0, math.Inf(-1), math.Inf(-1)), geom.V3(16, math.Inf(1), math.Inf(1)))
+)
 
-func pickOddX(stride int) Selector {
-	return func(sel []int32, recs []byte) []int32 {
-		for i := 0; i*stride < len(recs); i++ {
-			if recs[i*stride]&1 == 1 {
-				sel = append(sel, int32(i))
-			}
+// refSelect is the selection a box makes of records [lo, hi) of a record
+// image, by geom.Box.ContainsClosed one record at a time: what both
+// kernels are held to.
+func refSelect(recs []byte, stride, lo, hi int, box geom.Box) []int32 {
+	var sel []int32
+	for i := lo; i < hi; i++ {
+		if box.ContainsClosed(PositionAt(recs, i*stride)) {
+			sel = append(sel, int32(i-lo))
 		}
-		return sel
 	}
+	return sel
 }
 
 // checkPickedAgainstFull runs the row-picking decode on a frame the full
 // decode has already judged (full, fullErr). It sees the same hostile
 // bytes, and must survive them; it may accept a frame the full decode
 // rejects — damage inside a payload it never inflates — never the
-// reverse; and what it decodes is the full decode's.
+// reverse; and it picks the rows the full decode's positions put in the
+// box, each of them the full decode's record.
 func checkPickedAgainstFull(t testing.TB, schema *Schema, frame []byte, count int, full []byte, fullErr error) {
 	t.Helper()
 	stride := schema.Stride()
-	for name, pick := range map[string]Selector{"nothing": pickNothing, "odd x": pickOddX(stride)} {
+	for name, box := range map[string]geom.Box{"nothing": boxNothing, "low x": boxLowX} {
 		part := make([]byte, count*stride)
-		picked, err := DecompressPickedInto(schema, frame, count, part, nil, 0, count, pick, nil)
+		picked, err := DecompressPickedInto(schema, frame, count, part, nil, 0, count, &box, nil)
 		if fullErr != nil {
 			continue
 		}
 		if err != nil {
-			t.Fatalf("pick %s: full decode accepted a frame the picking decode rejects: %v", name, err)
+			t.Fatalf("box %s: full decode accepted a frame the picking decode rejects: %v", name, err)
 		}
-		if want := pick(nil, full); len(picked) != len(want) {
-			t.Fatalf("pick %s: %d rows picked, %d from the full decode", name, len(picked), len(want))
-		}
-		for i := 0; i < count; i++ {
-			if o := i * stride; !bytes.Equal(part[o:o+24], full[o:o+24]) {
-				t.Fatalf("pick %s: record %d: position differs from the full decode", name, i)
-			}
+		if want := refSelect(full, stride, 0, count, box); !slices.Equal(picked, want) {
+			t.Fatalf("box %s: picked rows %v, the full decode's positions give %v", name, picked, want)
 		}
 		for _, i := range picked {
 			if o := int(i) * stride; !bytes.Equal(part[o:o+stride], full[o:o+stride]) {
-				t.Fatalf("pick %s: picked record %d differs from the full decode", name, i)
+				t.Fatalf("box %s: picked record %d differs from the full decode", name, i)
 			}
 		}
 	}

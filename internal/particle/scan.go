@@ -4,39 +4,39 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"spio/internal/geom"
 )
 
 // The fused filter kernel of the read path. A box query looks at every
 // record of every intersecting file and keeps a small fraction of them,
-// so what it does with the rest is the cost. These kernels work on the
-// AoS record chunks a format.DataFile scan hands out, in two steps the
-// scan runs itself: select — the box is tested on the position bytes in
-// place (the position is field 0, so it sits at byte 0 of every record)
+// so what it does with the rest is the cost. A format.DataFile scan runs
+// it in two steps: select — the closed box is tested on the positions
 // and the survivors of a chunk are named by a selection vector — then
 // take: only they, and only the projected fields, are copied out.
 // Nothing is decoded for a record that is thrown away, and because the
 // scan knows the selection before the take, a compressed block never
-// even assembles the other fields of such a record
+// assembles any field of such a record, its position included
 // (DecompressPickedInto).
 //
-// BoxFilter and HaloFilter are the kernel as the readers use it — a
-// selector and a scan callback plus the result, handed out as Rows (for
-// an answer that is going onto the wire) or as the Buffer made from
-// them; RowFiller is their unfiltered sibling, and Filler fills columns
-// directly for a local read whose size is known up front.
+// The select is one test in two kernels, one per layout the positions
+// can arrive in: SelectClosed over AoS records (the position is field 0,
+// so it sits at byte 0 of every record) and selectPlanes over a
+// compressed block's position byte planes. Both make all six comparisons
+// of every record and add their AND to the count, so no branch depends
+// on the data.
+//
+// BoxFilter and HaloFilter are the kernel as the readers use it — a box
+// for the scan to select by and a scan callback plus the result, handed
+// out as Rows (for an answer that is going onto the wire) or as the
+// Buffer made from them; RowFiller is their unfiltered sibling, and
+// Filler fills columns directly for a local read whose size is known up
+// front.
 
-// Selector is the select step of a scan: it appends to sel the index of
-// every record of recs (whole records of the scanned schema) that the
-// scan is to keep, in record order, and returns the extended slice. It
-// may look at positions only: of a chunk whose selection is not yet known
-// nothing else is defined.
-type Selector func(sel []int32, recs []byte) []int32
-
-// BoxFilter is a box query as a scan sees it: Select keeps the records
-// whose position lies in the closed box, Take collects them projected
-// onto proj's fields.
+// BoxFilter is a box query as a scan sees it: the scan selects the
+// records whose position lies in the closed Box, Take collects them
+// projected onto proj's fields.
 type BoxFilter struct {
 	q      geom.Box
 	stride int
@@ -49,10 +49,8 @@ func NewBoxFilter(src *Schema, proj *Projection, q geom.Box) *BoxFilter {
 	return &BoxFilter{q: q, stride: src.Stride(), kept: newCollector(src, proj)}
 }
 
-// Select is the filter's Selector. It reads only what NewBoxFilter set.
-func (f *BoxFilter) Select(sel []int32, recs []byte) []int32 {
-	return selectClosed(sel, recs, f.stride, f.q)
-}
+// Box is the closed box the scan selects by.
+func (f *BoxFilter) Box() *geom.Box { return &f.q }
 
 // Take is the scan callback: it copies the picked records of one chunk.
 // Records that were not picked are not looked at.
@@ -71,9 +69,9 @@ func (f *BoxFilter) Buffer() *Buffer { return f.Rows().Buffer() }
 // Release drops the records kept so far: the exit of a scan that failed.
 func (f *BoxFilter) Release() { f.kept.rows().Release() }
 
-// HaloFilter is a halo read as a scan sees it: Select keeps the records
-// inside the closed grown box, Take splits them into those the half-open
-// patch owns and the ghosts around it and collects both.
+// HaloFilter is a halo read as a scan sees it: the scan selects the
+// records inside the closed grown Box, Take splits them into those the
+// half-open patch owns and the ghosts around it and collects both.
 type HaloFilter struct {
 	grown, patch geom.Box
 	stride       int
@@ -88,10 +86,8 @@ func NewHaloFilter(src *Schema, proj *Projection, grown, patch geom.Box) *HaloFi
 		own: newCollector(src, proj), ghosts: newCollector(src, proj)}
 }
 
-// Select is the filter's Selector. It reads only what NewHaloFilter set.
-func (f *HaloFilter) Select(sel []int32, recs []byte) []int32 {
-	return selectClosed(sel, recs, f.stride, f.grown)
-}
+// Box is the closed box the scan selects by: the grown box.
+func (f *HaloFilter) Box() *geom.Box { return &f.grown }
 
 // Take is the scan callback: it splits the picked records of one chunk
 // by the patch and copies them. Records that were not picked are not
@@ -130,7 +126,7 @@ func NewRowFiller(src *Schema, proj *Projection, n int) *RowFiller {
 	return &RowFiller{kept: newCollector(src, proj), stride: src.Stride(), want: n}
 }
 
-// Chunk is the scan callback of a scan without a selector: it keeps every
+// Chunk is the scan callback of a scan without a box: it keeps every
 // record of one chunk.
 func (f *RowFiller) Chunk(recs []byte, _ []int32) error {
 	f.kept.addAll(recs, f.stride)
@@ -170,7 +166,7 @@ func NewFiller(schema *Schema, n int) *Filler {
 	return &Filler{out: out}
 }
 
-// Chunk is the scan callback of a scan without a selector: it decodes one
+// Chunk is the scan callback of a scan without a box: it decodes one
 // chunk of AoS records after the ones before it. It fails if the chunks
 // run past the size the filler was made for.
 func (f *Filler) Chunk(recs []byte, _ []int32) error {
@@ -198,26 +194,88 @@ func PositionAt(recs []byte, off int) geom.Vec3 {
 	}
 }
 
-// selectClosed appends to sel the index of every record of recs (rows
-// stride bytes apart) whose position lies in the closed box q, in record
-// order. The test is geom.Box.ContainsClosed written out: a NaN
-// coordinate fails every comparison and is rejected, an empty box (Lo >
-// Hi) keeps nothing.
-func selectClosed(sel []int32, recs []byte, stride int, q geom.Box) []int32 {
+// SelectClosed is the records kernel: it appends to sel the index of
+// every record of recs (rows stride bytes apart, the position at byte 0
+// of each) whose position lies in the closed box q, in record order. It
+// grows sel once by the record count, writes every index, and moves past
+// it by inClosed's 0 or 1.
+func SelectClosed(sel []int32, recs []byte, stride int, q *geom.Box) []int32 {
 	n := len(recs) / stride
+	at := len(sel)
+	sel = slices.Grow(sel, n)[:at+n]
+	out, k := sel[at:], 0
+	lo, hi := q.Lo, q.Hi
 	for i, off := 0, 0; i < n; i, off = i+1, off+stride {
 		row := recs[off : off+24]
 		x := math.Float64frombits(binary.LittleEndian.Uint64(row[0:]))
-		if !(x >= q.Lo.X && x <= q.Hi.X) {
-			continue
-		}
 		y := math.Float64frombits(binary.LittleEndian.Uint64(row[8:]))
 		z := math.Float64frombits(binary.LittleEndian.Uint64(row[16:]))
-		if y >= q.Lo.Y && y <= q.Hi.Y && z >= q.Lo.Z && z <= q.Hi.Z {
-			sel = append(sel, int32(i))
+		out[k] = int32(i)
+		k += inClosed(lo, hi, x, y, z)
+	}
+	return sel[:at+k]
+}
+
+// selectPlanes is the planes kernel: SelectClosed over the position of a
+// compressed block as it inflates, eight byte planes of the block's
+// count x 3 float64 components (shuffleFromRecords' layout). It selects
+// among records [lo, hi), with indices relative to lo, and writes no
+// position anywhere: eight records at a time, three register transposes
+// turn a word of each plane into their 24 components. The caller
+// assembles the positions of the picked rows alone (unshuffleRows).
+func selectPlanes(sel []int32, planes []byte, count, lo, hi int, q *geom.Box) []int32 {
+	nelem := 3 * count
+	p0, p1, p2, p3 := planes[:nelem], planes[nelem:2*nelem], planes[2*nelem:3*nelem], planes[3*nelem:4*nelem]
+	p4, p5, p6, p7 := planes[4*nelem:5*nelem], planes[5*nelem:6*nelem], planes[6*nelem:7*nelem], planes[7*nelem:8*nelem]
+	n := hi - lo
+	at := len(sel)
+	sel = slices.Grow(sel, n)[:at+n]
+	out, k := sel[at:], 0
+	qlo, qhi := q.Lo, q.Hi
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		var v [24]uint64
+		for t, e := 0, 3*(lo+i); t < 24; t, e = t+8, e+8 {
+			v[t], v[t+1], v[t+2], v[t+3], v[t+4], v[t+5], v[t+6], v[t+7] = transpose8x8(
+				binary.LittleEndian.Uint64(p0[e:]), binary.LittleEndian.Uint64(p1[e:]),
+				binary.LittleEndian.Uint64(p2[e:]), binary.LittleEndian.Uint64(p3[e:]),
+				binary.LittleEndian.Uint64(p4[e:]), binary.LittleEndian.Uint64(p5[e:]),
+				binary.LittleEndian.Uint64(p6[e:]), binary.LittleEndian.Uint64(p7[e:]))
+		}
+		for j := 0; j < 8; j++ {
+			out[k] = int32(i + j)
+			k += inClosed(qlo, qhi, math.Float64frombits(v[3*j]), math.Float64frombits(v[3*j+1]), math.Float64frombits(v[3*j+2]))
 		}
 	}
-	return sel
+	for ; i < n; i++ {
+		var c [3]float64
+		for m, e := 0, 3*(lo+i); m < 3; m, e = m+1, e+1 {
+			c[m] = math.Float64frombits(uint64(p0[e]) | uint64(p1[e])<<8 | uint64(p2[e])<<16 | uint64(p3[e])<<24 |
+				uint64(p4[e])<<32 | uint64(p5[e])<<40 | uint64(p6[e])<<48 | uint64(p7[e])<<56)
+		}
+		out[k] = int32(i)
+		k += inClosed(qlo, qhi, c[0], c[1], c[2])
+	}
+	return sel[:at+k]
+}
+
+// inClosed is the one containment test of the read path, 1 if (x, y, z)
+// lies in the closed box [lo, hi] and 0 if not: geom.Box.ContainsClosed
+// written out, so a NaN coordinate fails every comparison and an empty
+// box (Lo > Hi) holds nothing. All six comparisons are made and ANDed as
+// integers: no short circuit, no branch. The corners come by value so
+// that it inlines and a kernel holds them in registers.
+func inClosed(lo, hi geom.Vec3, x, y, z float64) int {
+	return b2i(x >= lo.X) & b2i(x <= hi.X) & b2i(y >= lo.Y) & b2i(y <= hi.Y) & b2i(z >= lo.Z) & b2i(z <= hi.Z)
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // splitHalfOpen partitions a selection by the half-open box: the

@@ -3,7 +3,9 @@ package particle
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"spio/internal/geom"
@@ -18,12 +20,12 @@ func positionRecords(pts []geom.Vec3) []byte {
 	return b.Encode()
 }
 
-// TestSelectClosedIsContainsClosed pins the one containment test of the
-// read path against geom.Box.ContainsClosed — which is what the old
-// `Contains(p) || ContainsClosed(p)` always evaluated to — on the cases
-// where a rewritten comparison could drift: each Lo/Hi face, one ulp
-// outside each, NaN and ±Inf coordinates, and an empty box.
-func TestSelectClosedIsContainsClosed(t *testing.T) {
+// selectCases are the points and boxes where a rewritten comparison
+// could drift from geom.Box.ContainsClosed — which is what the old
+// `Contains(p) || ContainsClosed(p)` always evaluated to: each Lo/Hi
+// face, one ulp outside each, NaN and ±Inf coordinates, and boxes that
+// are empty, inverted, a single point and everything.
+func selectCases() ([]geom.Vec3, []geom.Box) {
 	q := geom.NewBox(geom.V3(-1, 0.25, 2), geom.V3(1, 0.75, 8))
 	mid := q.Center()
 	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
@@ -39,8 +41,6 @@ func TestSelectClosedIsContainsClosed(t *testing.T) {
 		}
 	}
 	pts = append(pts, geom.V3(math.NaN(), math.NaN(), math.NaN()))
-	recs := positionRecords(pts)
-
 	boxes := []geom.Box{
 		q,
 		geom.EmptyBox(),
@@ -48,26 +48,107 @@ func TestSelectClosedIsContainsClosed(t *testing.T) {
 		{Lo: q.Lo, Hi: q.Lo}, // degenerate: the single point Lo
 		geom.NewBox(geom.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1)), geom.V3(math.Inf(1), math.Inf(1), math.Inf(1))),
 	}
-	for _, box := range boxes {
-		sel := selectClosed(nil, recs, 24, box)
-		next := 0
-		for i, p := range pts {
-			want := box.ContainsClosed(p)
-			if old := box.Contains(p) || box.ContainsClosed(p); old != want {
+	return pts, boxes
+}
+
+// positionPlanes is a block's position column as a byte-plane codec
+// inflates it.
+func positionPlanes(recs []byte, stride int) []byte {
+	count := len(recs) / stride
+	planes := make([]byte, 24*count)
+	shuffleFromRecords(planes, recs, stride, 0, 8, 3, count)
+	return planes
+}
+
+// TestSelectClosedIsContainsClosed pins the one containment test of the
+// read path, in both its kernels, against geom.Box.ContainsClosed on
+// selectCases: the records kernel over the whole record image and the
+// planes kernel over blocks of 1 to 17 of the points at every clip [lo,
+// hi) of the block, so that both the eight-record body and the tail run
+// from every offset. Each appends to what the vector already holds.
+func TestSelectClosedIsContainsClosed(t *testing.T) {
+	pts, boxes := selectCases()
+	for _, p := range pts {
+		for _, box := range boxes {
+			if (box.Contains(p) || box.ContainsClosed(p)) != box.ContainsClosed(p) {
 				t.Fatalf("box %v point %v: the doubled test is not ContainsClosed", box, p)
 			}
-			got := next < len(sel) && sel[next] == int32(i)
-			if got {
-				next++
-			}
-			if got != want {
-				t.Errorf("box %v point %d %v: selected=%v, ContainsClosed=%v", box, i, p, got, want)
-			}
-		}
-		if next != len(sel) {
-			t.Errorf("box %v: selection %v is not an increasing list of record indices", box, sel)
 		}
 	}
+	recs := positionRecords(pts)
+	for _, box := range boxes {
+		checkSelection(t, "records kernel", SelectClosed([]int32{-1}, recs, 24, &box), pts, box)
+	}
+	for n := 1; n <= 17; n++ {
+		for first := 0; first+n <= len(pts); first += 7 {
+			block := pts[first : first+n]
+			recs := positionRecords(block)
+			planes := positionPlanes(recs, 24)
+			for lo := 0; lo <= n; lo++ {
+				for hi := lo; hi <= n; hi++ {
+					for _, box := range boxes {
+						what := fmt.Sprintf("planes kernel, points %d..%d, rows [%d,%d)", first, first+n, lo, hi)
+						checkSelection(t, what, selectPlanes([]int32{-1}, planes, n, lo, hi, &box), block[lo:hi], box)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSelection holds a kernel's selection, appended to the one entry
+// -1, to ContainsClosed over pts.
+func checkSelection(t *testing.T, what string, sel []int32, pts []geom.Vec3, box geom.Box) {
+	t.Helper()
+	if len(sel) == 0 || sel[0] != -1 {
+		t.Fatalf("%s, box %v: the selection %v does not extend the vector it was given", what, box, sel)
+	}
+	sel = sel[1:]
+	next := 0
+	for i, p := range pts {
+		want := box.ContainsClosed(p)
+		got := next < len(sel) && sel[next] == int32(i)
+		if got {
+			next++
+		}
+		if got != want {
+			t.Errorf("%s, box %v, point %d %v: selected=%v, ContainsClosed=%v", what, box, i, p, got, want)
+		}
+	}
+	if next != len(sel) {
+		t.Errorf("%s, box %v: selection %v is not an increasing list of record indices", what, box, sel)
+	}
+}
+
+// FuzzSelect holds the records kernel, the planes kernel and
+// geom.Box.ContainsClosed to one selection over any bytes as positions,
+// any box and any clip of the block.
+func FuzzSelect(f *testing.F) {
+	pts, boxes := selectCases()
+	recs := positionRecords(pts)
+	for i, box := range boxes {
+		f.Add(recs, box.Lo.X, box.Lo.Y, box.Lo.Z, box.Hi.X, box.Hi.Y, box.Hi.Z, uint16(i), uint16(3*i+11))
+	}
+	f.Add([]byte{}, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, lx, ly, lz, hx, hy, hz float64, a, b uint16) {
+		count := len(data) / 24
+		recs := data[:24*count]
+		box := geom.Box{Lo: geom.V3(lx, ly, lz), Hi: geom.V3(hx, hy, hz)}
+		lo := int(a) % (count + 1)
+		hi := lo + int(b)%(count-lo+1)
+		var want []int32
+		for i := lo; i < hi; i++ {
+			if box.ContainsClosed(PositionAt(recs, 24*i)) {
+				want = append(want, int32(i-lo))
+			}
+		}
+		if got := SelectClosed(nil, recs[24*lo:24*hi], 24, &box); !slices.Equal(got, want) {
+			t.Fatalf("records kernel, rows [%d,%d) of %d, box %v: %v, ContainsClosed gives %v", lo, hi, count, box, got, want)
+		}
+		if got := selectPlanes(nil, positionPlanes(recs, 24), count, lo, hi, &box); !slices.Equal(got, want) {
+			t.Fatalf("planes kernel, rows [%d,%d) of %d, box %v: %v, ContainsClosed gives %v", lo, hi, count, box, got, want)
+		}
+	})
 }
 
 func TestSplitHalfOpen(t *testing.T) {
@@ -181,7 +262,7 @@ func TestDecompressFieldsSkipsButValidates(t *testing.T) {
 		want := make([]bool, schema.NumFields())
 		want[0], want[2] = true, true // position + density
 		// The same, and over picked rows too, against poisoned images.
-		checkPartialDecodes(t, schema, comp, count, full, want, pickOddX(schema.Stride()))
+		checkPartialDecodes(t, schema, comp, count, full, want, boxLowX)
 		got := bytes.Repeat([]byte{0xA5}, len(full))
 		if _, err := DecompressPickedInto(schema, comp, count, got, want, 0, count, nil, nil); err != nil {
 			t.Fatal(err)
@@ -228,7 +309,7 @@ func TestDecompressFieldsSkipsButValidates(t *testing.T) {
 		_, skipErr := DecompressPickedInto(schema, m, count, dst, posOnly, 0, count, nil, nil)
 		// A block in which nothing is picked inflates the position alone,
 		// like the position-only decode, though every field is wanted.
-		_, pickErr := DecompressPickedInto(schema, m, count, dst, nil, 0, count, pickNothing, nil)
+		_, pickErr := DecompressPickedInto(schema, m, count, dst, nil, 0, count, &boxNothing, nil)
 		if fullErr == nil || skipErr == nil || pickErr == nil {
 			t.Errorf("%s: full decode err=%v, position-only err=%v, zero-survivor err=%v; all must reject", name, fullErr, skipErr, pickErr)
 		} else if fullErr.Error() != skipErr.Error() || fullErr.Error() != pickErr.Error() {

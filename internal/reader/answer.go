@@ -209,7 +209,7 @@ func (d *Dataset) halo(patch geom.Box, halo float64, opts Options) (*Answer, err
 		return nil, err
 	}
 	f := particle.NewHaloFilter(d.meta.Schema, proj, grown, patch)
-	st, err := d.Scan(d.meta.FilesIntersecting(grown), opts, f.Select, f.Take)
+	st, err := d.Scan(d.meta.FilesIntersecting(grown), opts, f.Box(), f.Take)
 	if err != nil {
 		f.Release()
 		return nil, err
@@ -234,9 +234,10 @@ func (d *Dataset) density(dims geom.Idx3, opts Options, raw bool) (*Answer, erro
 	// straight from the record bytes.
 	opts.Fields = []string{particle.PositionField}
 	stride := d.meta.Schema.Stride()
+	loc := grid.Locator()
 	st, err := d.Scan(d.meta.AllFiles(), opts, nil, func(recs []byte, _ []int32) error {
 		for off := 0; off < len(recs); off += stride {
-			counts[grid.LocateLinear(particle.PositionAt(recs, off))]++
+			counts[loc.LocateLinear(particle.PositionAt(recs, off))]++
 		}
 		return nil
 	})

@@ -3,6 +3,7 @@ package reader
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -207,6 +208,63 @@ func TestDensityGridExactAndSampled(t *testing.T) {
 	// A grid with an empty axis is an error, not geom.NewGrid's panic.
 	if _, _, _, err := ds.DensityGrid(geom.I3(4, 0, 2), 0, 1); err == nil {
 		t.Error("a grid with a zero axis accepted")
+	}
+}
+
+// TestDensityCountsAreLocateLinear holds the density read, which computes
+// the cell size once per answer, to geom.Grid.LocateLinear one particle
+// at a time, over a domain off the origin whose cell sizes are not exact,
+// with particles on every cell face (where geom.Grid.CellBox puts it), an
+// ulp below each, and on the domain's upper faces: where a rounding or a
+// clamp that drifted would move a count to a neighbour.
+func TestDensityCountsAreLocateLinear(t *testing.T) {
+	dom := geom.NewBox(geom.V3(-0.3, 0.1, 2), geom.V3(0.7, 1.4, 2.9))
+	dims := geom.I3(4, 3, 7)
+	grid := geom.NewGrid(dom, dims)
+	buf := particle.Uniform(particle.Uintah(), dom, 2000, 3, 0)
+	below := func(v, lo float64) float64 { return max(math.Nextafter(v, lo), lo) }
+	at := 0
+	for x := 0; x <= dims.X; x++ {
+		for y := 0; y <= dims.Y; y++ {
+			for z := 0; z <= dims.Z; z++ {
+				c := grid.CellBox(geom.I3(min(x, dims.X-1), min(y, dims.Y-1), min(z, dims.Z-1)))
+				face := c.Lo
+				if x == dims.X {
+					face.X = c.Hi.X
+				}
+				if y == dims.Y {
+					face.Y = c.Hi.Y
+				}
+				if z == dims.Z {
+					face.Z = c.Hi.Z
+				}
+				for _, p := range []geom.Vec3{face, geom.V3(below(face.X, dom.Lo.X), face.Y, face.Z),
+					geom.V3(face.X, below(face.Y, dom.Lo.Y), face.Z), geom.V3(face.X, face.Y, below(face.Z, dom.Lo.Z))} {
+					buf.SetPosition(at, p)
+					at++
+				}
+			}
+		}
+	}
+	dir := t.TempDir()
+	cfg := core.WriteConfig{Agg: agg.Config{Domain: dom, SimDims: geom.I3(1, 1, 1), Factor: geom.I3(1, 1, 1)}}
+	if err := mpi.Run(1, func(c *mpi.Comm) error { _, err := core.Write(c, dir, cfg, buf); return err }); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, grid.Cells())
+	for i := 0; i < buf.Len(); i++ {
+		want[grid.LocateLinear(buf.Position(i))]++
+	}
+	got, frac, _, err := ds.DensityGrid(dims, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frac != 1 || !slices.Equal(got, want) {
+		t.Errorf("density counts %v (fraction %v), per-particle LocateLinear %v", got, frac, want)
 	}
 }
 

@@ -242,7 +242,7 @@ func (d *Dataset) entriesRows(entries []*format.FileEntry, q geom.Box, opts Opti
 		return out, st, nil
 	}
 	f := particle.NewBoxFilter(d.meta.Schema, proj, q)
-	st, err := d.Scan(entries, opts, f.Select, f.Take)
+	st, err := d.Scan(entries, opts, f.Box(), f.Take)
 	if err != nil {
 		f.Release()
 		return nil, st, err
@@ -255,22 +255,22 @@ func (d *Dataset) entriesRows(entries []*format.FileEntry, q geom.Box, opts Opti
 // Scan streams the records of the given entries to fn as AoS chunks of
 // the dataset schema, in metadata-then-record order — of each file the
 // level range opts selects (opts.NoFilter is ignored: what is
-// kept is sel's and the callback's business). Every read of the package
-// is a callback over it. sel and fn are format.DataFile.Scan's: with a
-// selector, fn gets each chunk with the selection sel made on it and may
-// look at the selected records only; without, picked is nil and every
-// record counts. A chunk is valid only during the call and must not be
-// written; with opts.Fields set, only the projected fields of its
-// records are meaningful. The returned Stats count the file-system work;
-// ParticlesKept is left to the caller.
-func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, sel particle.Selector, fn func(recs []byte, picked []int32) error) (Stats, error) {
+// kept is box's and the callback's business). Every read of the package
+// is a callback over it. box and fn are format.DataFile.Scan's: with a
+// box, fn gets each chunk with the selection of the records in the
+// closed box and may look at the selected records only; without, picked
+// is nil and every record counts. A chunk is valid only during the call
+// and must not be written; with opts.Fields set, only the projected
+// fields of its records are meaningful. The returned Stats count the
+// file-system work; ParticlesKept is left to the caller.
+func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, box *geom.Box, fn func(recs []byte, picked []int32) error) (Stats, error) {
 	var st Stats
 	proj, err := d.meta.Schema.ProjectOnto(opts.Fields)
 	if err != nil {
 		return st, err
 	}
 	for _, e := range entries {
-		fst, err := d.scanFile(e, opts, proj, sel, fn)
+		fst, err := d.scanFile(e, opts, proj, box, fn)
 		st.Add(fst)
 		if err != nil {
 			return st, err
@@ -281,7 +281,7 @@ func (d *Dataset) Scan(entries []*format.FileEntry, opts Options, sel particle.S
 
 // scanFile streams one data file's level range to fn through the file
 // cache, and reports the work done.
-func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, sel particle.Selector, fn func(recs []byte, picked []int32) error) (Stats, error) {
+func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Projection, box *geom.Box, fn func(recs []byte, picked []int32) error) (Stats, error) {
 	var st Stats
 	var df *format.DataFile
 	cache := d.cache.Load()
@@ -308,7 +308,7 @@ func (d *Dataset) scanFile(e *format.FileEntry, opts Options, proj *particle.Pro
 	}
 
 	lo, hi := d.levelRange(opts, df.Header.Count, df.Header.LOD.Scale)
-	if err := df.Scan(lo, hi, proj, sel, fn); err != nil {
+	if err := df.Scan(lo, hi, proj, box, fn); err != nil {
 		return st, err
 	}
 	st.ParticlesRead = hi - lo
@@ -439,7 +439,7 @@ func ScanWithoutMetadata(dir string, schema *particle.Schema, q geom.Box) (*part
 			_ = df.Close() // read-only; the schema mismatch is the error to report
 			return nil, st, fmt.Errorf("reader: %s: schema %v differs from the requested %v", de.Name(), df.Header.Schema, schema)
 		}
-		err = df.Scan(0, df.Header.Count, nil, f.Select, f.Take)
+		err = df.Scan(0, df.Header.Count, nil, f.Box(), f.Take)
 		_ = df.Close() // read-only; the scan error is the one to report
 		if err != nil {
 			return nil, st, err

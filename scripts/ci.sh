@@ -16,8 +16,9 @@
 # one-wire-form and hello tests, the one-request-one-response tests, the aggregate-ownership tests, the
 # partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
-# breaker-poll tests by name at -count=3); the fuzz step bursts six
-# surfaces, five decoders and the deflate encoder; the examples smoke
+# breaker-poll tests by name at -count=3); the fuzz step bursts seven
+# surfaces, five decoders, the deflate encoder and the two select
+# kernels; the examples smoke
 # runs every program under examples/;
 # the benchmark dry gate builds, vets and smoke-tests the nested
 # benchmark module against the tree; the spiolint step runs the nine
@@ -155,9 +156,12 @@ echo "== go test -race -count=2 (server tier) =="
 go test -race -count=2 ./internal/server/...
 
 echo "== codec fuzz smoke =="
-# Short fuzz bursts over six surfaces, five decoders and one encoder: the
-# per-field block codec round-trip (hostile specs and record bytes), the
-# deflate decoder under it (differential against compress/flate: never
+# Short fuzz bursts over seven surfaces, five decoders, one encoder and the
+# select kernels: the per-field block codec round-trip (hostile specs and
+# record bytes), the box select (any bytes as positions, any box, any clip:
+# the records kernel, the planes kernel and ContainsClosed must make one
+# selection), the deflate decoder under it (differential against
+# compress/flate: never
 # laxer, same bytes, and every flate.Writer stream accepted), the deflate
 # encoder beside it (any bytes in 1, 4 or 8 planes: compress/flate's reader
 # and the inflater both give them back and stop on the payload's last byte,
@@ -177,6 +181,7 @@ echo "== codec fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzCodecRoundTrip$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzInflate$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzDeflate$' -fuzztime 10s -fuzzminimizetime 1s ./internal/particle
+go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s ./internal/particle
 go test -run '^$' -fuzz '^FuzzOpenDataFile$' -fuzztime 10s ./internal/format
 go test -run '^$' -fuzz '^FuzzReadMeta$' -fuzztime 10s ./internal/format
 go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
