@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"spio/internal/format"
@@ -320,12 +321,14 @@ func (g *Gateway) Resolve(ref string) (server.Dataset, error) {
 	return m, nil
 }
 
-// List returns the mounted dataset names (server.Backend).
+// List returns the mounted dataset names, sorted, as a spiod lists its
+// own (server.Backend).
 func (g *Gateway) List() []string {
 	names := make([]string, 0, len(g.mounts))
 	for name := range g.mounts {
 		names = append(names, name)
 	}
+	slices.Sort(names)
 	return names
 }
 

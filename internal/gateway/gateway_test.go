@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -402,7 +403,7 @@ func TestGatewayPropertyRandom(t *testing.T) {
 // TestGatewayProgressive: a level of a stream is a box read routed by its
 // box, so it calls the shards whose files the box intersects and no
 // others — what a stream through the gateway costs the backends. (Its
-// bytes, level by level, are TestLevelRangesTileThePrefix's.)
+// bytes, level by level, are TestReadContract's.)
 func TestGatewayProgressive(t *testing.T) {
 	src := t.TempDir()
 	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 40)
@@ -432,6 +433,35 @@ func TestGatewayProgressive(t *testing.T) {
 		}
 		if st.Level() < 2 || st.Stats().Partial {
 			t.Errorf("stream over %v: %d levels, partial=%v", q, st.Level(), st.Stats().Partial)
+		}
+	}
+}
+
+// TestGatewayListsMountsSorted: a gateway lists its mounts in name order,
+// as a spiod lists its own. [Gateway.List ranged over its map, so a list
+// through a gateway came back in a new order per call.]
+func TestGatewayListsMountsSorted(t *testing.T) {
+	src := t.TempDir()
+	writeDataset(t, src, geom.I3(2, 2, 1), geom.I3(2, 2, 1), 20)
+	backend, _ := startBackend(t, src)
+	g := New(Config{})
+	for _, name := range []string{"f", "b", "e", "a", "d", "c"} {
+		if err := g.Mount(name, []ShardSpec{{Ref: "shard", Addrs: []string{backend}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr := sockAddr(t)
+	l := listenOn(t, addr)
+	go func() { _ = g.Serve(l) }()
+	t.Cleanup(func() { _ = g.Shutdown(context.Background()) })
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 5; i++ {
+		if names, err := c.List(); err != nil || !slices.Equal(names, []string{"a", "b", "c", "d", "e", "f"}) {
+			t.Fatalf("list %d: %v, %v; want the six mounts in name order", i, names, err)
 		}
 	}
 }

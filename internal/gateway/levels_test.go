@@ -20,7 +20,7 @@ type levelTarget struct {
 	name   string
 	read   func(q geom.Box, opts rdr.Options) (*particle.Buffer, rdr.Stats, error)
 	files  func(q geom.Box) []*format.FileEntry
-	stream func(q geom.Box, levels, readers int) (*server.RemoteStream, error)
+	stream func(q geom.Box, levels, readers int) (*rdr.Stream, error)
 }
 
 func remoteLevelTarget(t *testing.T, name, addr, ref string) levelTarget {
@@ -43,11 +43,12 @@ func remoteLevelTarget(t *testing.T, name, addr, ref string) levelTarget {
 // file alone, the ranges [l, l+1), l < k, one after another are the bytes
 // of the Levels: k read, for every k. Over several files — where a prefix
 // read goes file by file and a level across them — each range is the
-// bytes of the level the local reader.Progressive delivers over the same
-// files in the target's order, and the ranges below k are the Levels: k
-// read as a set of records. The range past the last level is empty, and a
-// served stream's levels are those ranges, Done exactly when Progressive
-// is.
+// bytes of the level a local Dataset.Progressive stream delivers over the
+// same files in the target's order, and the ranges below k are the
+// Levels: k read as a set of records. The range past the last level is
+// empty, and every target's own stream — local, through spiod or through
+// spiogate — delivers those ranges as its levels, Done exactly when the
+// Progressive stream is.
 func TestLevelRangesTileThePrefix(t *testing.T) {
 	for _, disk := range []struct {
 		name string
@@ -65,7 +66,7 @@ func TestLevelRangesTileThePrefix(t *testing.T) {
 		specs, _ := splitShards(t, src, 3)
 		_, gate := startGateway(t, Config{}, specs)
 		targets := []levelTarget{
-			{name: "local", read: local.QueryBox, files: local.Meta().FilesIntersecting},
+			{name: "local", read: local.QueryBox, files: local.Meta().FilesIntersecting, stream: local.ProgressiveBox},
 			remoteLevelTarget(t, "spiod", spiod, "shard"),
 			remoteLevelTarget(t, "spiogate", gate, "sim"),
 		}
@@ -115,7 +116,7 @@ func checkLevelRanges(t *testing.T, what string, local *rdr.Dataset, tg levelTar
 		fail(err, "oracle")
 	}
 	defer oracle.Close()
-	var stream *server.RemoteStream
+	var stream *rdr.Stream
 	if tg.stream != nil && fields == nil {
 		if stream, err = tg.stream(q, 0, readers); err != nil {
 			fail(err, "stream")

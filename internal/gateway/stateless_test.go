@@ -63,7 +63,7 @@ func (d daemon) open(t *testing.T) *server.RemoteDataset {
 
 // idleCursor takes one level of a stream over the whole domain on a
 // connection of its own and leaves it there, unfinished.
-func (d daemon) idleCursor(t *testing.T) *server.RemoteStream {
+func (d daemon) idleCursor(t *testing.T) *rdr.Stream {
 	t.Helper()
 	ds := d.open(t)
 	st, err := ds.ProgressiveBox(ds.Meta().Domain, 0, 1)

@@ -115,6 +115,10 @@ func TestKNNErrors(t *testing.T) {
 	}
 }
 
+// TestHaloSplitsOwnAndGhost: the owned particles lie in the half-open
+// patch, the ghosts in the closed grown box outside it, the two are as
+// many as the grown box holds, and a margin that is not at least 0 is
+// refused.
 func TestHaloSplitsOwnAndGhost(t *testing.T) {
 	ds, all := clustered(t)
 	patch := geom.NewBox(geom.V3(0.25, 0.25, 0), geom.V3(0.5, 0.5, 1))
@@ -122,6 +126,9 @@ func TestHaloSplitsOwnAndGhost(t *testing.T) {
 	own, ghost, _, err := ds.Halo(patch, h, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if own.Len() == 0 || ghost.Len() == 0 {
+		t.Fatalf("halo owns %d and ghosts %d; the test wants both", own.Len(), ghost.Len())
 	}
 	for i := 0; i < own.Len(); i++ {
 		if !patch.Contains(own.Position(i)) {
@@ -155,6 +162,11 @@ func TestHaloSplitsOwnAndGhost(t *testing.T) {
 	}
 }
 
+// TestDensityGridExactAndSampled: an exact grid is read at fraction 1 and
+// counts every particle; a grid sampled from a LOD prefix is scaled to
+// about the dataset's size and correlates with the exact one; a grid with
+// an empty axis is refused. The cells, bit for bit, are TestReadContract's
+// (internal/gateway).
 func TestDensityGridExactAndSampled(t *testing.T) {
 	ds, all := clustered(t)
 	dims := geom.I3(4, 4, 2)

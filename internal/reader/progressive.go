@@ -1,109 +1,106 @@
 package reader
 
 import (
-	"fmt"
+	"errors"
 
 	"spio/internal/format"
+	"spio/internal/geom"
+	"spio/internal/lod"
 	"spio/internal/particle"
 )
 
-// Progressive streams a file set level by level: each NextLevel call
-// returns only the *new* particles of the next level of detail, so a
-// visualization can refine its current frame without re-reading what it
-// already has (Section 4: "the application can read and append another
-// level of data to the previously loaded particles to provide
-// progressive refinement").
-//
-// It keeps its files open between levels: on a parallel file system a
-// level read is dominated by the opens (paper Fig. 8). A server holds
-// nothing between two levels; its clients ask for the same ranges as
-// ordinary reads (Options.SkipLevels).
-type Progressive struct {
-	ds    *Dataset
-	files []*format.DataFile
-	base  int64 // per-file level-0 budget
-	level int   // next level to deliver (0-based)
-	done  bool
-	stats Stats // cumulative over the levels delivered
+// Stream is a progressive read: a cursor over the LOD levels of a file
+// set, each NextLevel returning only the *new* particles of the next
+// level, so a visualization can refine its current frame without
+// re-reading what it already has (Section 4: "the application can read
+// and append another level of data to the previously loaded particles to
+// provide progressive refinement"). Level l is the read of the range
+// [l, l+1) (Options.SkipLevels) like any other, so between two levels the
+// stream holds nothing: no file, no connection, no worker. A local stream
+// reuses handles through its dataset's file cache (SetFileCache).
+type Stream struct {
+	read    func(opts Options) (*particle.Buffer, Stats, error) // one level range of the stream's files
+	readers int
+	last    int   // levels the stream has: those of its deepest file, within the caller's bound, less what a Cancel cut off
+	level   int   // levels delivered
+	stats   Stats // summed over the levels delivered
 }
 
-// Progressive opens the given entries for level-by-level streaming.
-// readers is n in the LOD formula. Close the returned reader when done.
-func (d *Dataset) Progressive(entries []*format.FileEntry, readers int) (*Progressive, error) {
+// newStream starts a stream over entries of the dataset meta describes,
+// each level read by read; levels > 0 bounds it.
+func newStream(meta *format.Meta, entries []*format.FileEntry, levels, readers int, read func(Options) (*particle.Buffer, Stats, error)) (*Stream, error) {
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("reader: no entries to stream")
+		return nil, errors.New("reader: no files to stream")
 	}
-	p := &Progressive{ds: d, base: PerFileBase(d.meta, readers)}
+	// One level at least: empty files have an empty first level.
+	s := &Stream{read: read, readers: readers, last: 1}
+	base := PerFileBase(meta, readers)
 	for _, e := range entries {
-		df, err := d.openDataFile(e.Name)
-		if err != nil {
-			_ = p.Close() // unwinding: the open error is the one to report
-			return nil, err
-		}
-		p.files = append(p.files, df)
+		s.last = max(s.last, lod.NumLevels(e.Count, base, meta.LOD.Scale))
 	}
-	p.stats.FilesOpened = len(p.files)
-	return p, nil
+	if levels > 0 {
+		s.last = min(s.last, levels)
+	}
+	return s, nil
+}
+
+// ProgressiveBox starts a progressive read of ds over the files
+// intersecting q — whole files, level by level, not clipped to q. levels
+// > 0 bounds the stream; readers is n in the LOD formula.
+func ProgressiveBox(ds Answerer, q geom.Box, levels, readers int) (*Stream, error) {
+	return newStream(ds.Meta(), ds.Meta().FilesIntersecting(q), levels, readers, func(opts Options) (*particle.Buffer, Stats, error) {
+		return QueryBox(ds, q, opts)
+	})
+}
+
+// ProgressiveBox starts a progressive read over the files intersecting q
+// (see ProgressiveBox).
+func (d *Dataset) ProgressiveBox(q geom.Box, levels, readers int) (*Stream, error) {
+	return ProgressiveBox(d, q, levels, readers)
+}
+
+// Progressive starts a progressive read of the given entries (a reader
+// rank's assigned file subset, AssignFiles). readers is n in the LOD
+// formula.
+func (d *Dataset) Progressive(entries []*format.FileEntry, readers int) (*Stream, error) {
+	return newStream(d.meta, entries, 0, readers, func(opts Options) (*particle.Buffer, Stats, error) {
+		return d.ReadEntries(entries, geom.Box{}, opts)
+	})
 }
 
 // Level returns the number of levels already delivered.
-func (p *Progressive) Level() int { return p.level }
+func (s *Stream) Level() int { return s.level }
 
-// Done reports whether every file has been fully streamed.
-func (p *Progressive) Done() bool { return p.done }
+// Done reports whether the stream has ended.
+func (s *Stream) Done() bool { return s.level >= s.last }
 
-// Stats returns the read telemetry accumulated over the levels
-// delivered so far; every particle streamed is kept.
-func (p *Progressive) Stats() Stats { return p.stats }
+// Stats returns the read telemetry summed over the levels delivered.
+func (s *Stream) Stats() Stats { return s.stats }
 
-// NextLevel reads and returns the increment for the next level of
-// detail: the particles in level p.Level() that have not been delivered
-// yet. It returns (nil, false, nil) once all levels are exhausted.
-func (p *Progressive) NextLevel() (*particle.Buffer, bool, error) {
-	if p.done {
+// NextLevel reads and returns the next level increment; ok is false once
+// the stream is exhausted. A level that fails — a server overloaded, the
+// increment over its byte budget — leaves the stream where it was: the
+// levels already delivered are a valid coarser subset, and the same level
+// can be asked for again.
+func (s *Stream) NextLevel() (*particle.Buffer, bool, error) {
+	if s.Done() {
 		return nil, false, nil
 	}
-	// The level is the range [level, level+1) of every file; the headers
-	// give each file's share of it, so the increment is checked against
-	// its exact size.
-	level := Options{SkipLevels: p.level, Levels: p.level + 1, PerFileBase: p.base}
-	los, his := make([]int64, len(p.files)), make([]int64, len(p.files))
-	var total int64
-	remaining := false
-	for i, df := range p.files {
-		los[i], his[i] = p.ds.levelRange(level, df.Header.Count, df.Header.LOD.Scale)
-		total += his[i] - los[i]
-		if his[i] < df.Header.Count {
-			remaining = true
-		}
-	}
-	fill := particle.NewRowFiller(p.ds.meta.Schema, nil, int(total))
-	for i, df := range p.files {
-		if err := df.Scan(los[i], his[i], nil, nil, fill.Chunk); err != nil {
-			fill.Release()
-			return nil, false, err
-		}
-	}
-	out, err := fill.Rows()
+	buf, read, err := s.read(Options{SkipLevels: s.level, Levels: s.level + 1, Readers: s.readers, NoFilter: true})
 	if err != nil {
 		return nil, false, err
 	}
-	p.level++
-	p.done = !remaining
-	p.stats.ParticlesRead += int64(out.Len())
-	p.stats.ParticlesKept += int64(out.Len())
-	p.stats.BytesRead += out.Bytes()
-	return out.Buffer(), true, nil
+	s.level++
+	s.stats.Add(read)
+	return buf, true, nil
 }
 
-// Close releases all file handles.
-func (p *Progressive) Close() error {
-	var first error
-	for _, df := range p.files {
-		if err := df.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	p.files = nil
-	return first
+// Cancel ends the stream after the levels already delivered. It costs
+// nothing: nothing is held for the stream.
+func (s *Stream) Cancel() error {
+	s.last = s.level
+	return nil
 }
+
+// Close ends the stream.
+func (s *Stream) Close() error { return s.Cancel() }

@@ -6,62 +6,70 @@ import (
 	"spio/internal/geom"
 )
 
+// TestProgressiveStreamsWholeDataset: a local stream delivers every
+// particle once, in disjoint increments. Its levels are reads like any
+// other, so its Stats are their sum and it holds no handle between two of
+// them. With a file cache of at least its k files it opens each file once
+// over all its levels, and every later level hits; without one it opens
+// the k files again for every level. The bytes of every level, and Done
+// level by level, are TestReadContract's (internal/gateway).
 func TestProgressiveStreamsWholeDataset(t *testing.T) {
 	dir, all := writeDataset(t, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 128, nil)
-	ds, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := AssignFiles(ds.Meta(), 1, 0)
-	p, err := ds.Progressive(entries, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	seen := make(map[float64]bool)
-	total := 0
-	levels := 0
-	var prevInc int
-	for {
-		inc, ok, err := p.NextLevel()
+	for _, slots := range []int{0, 4, 8} {
+		ds, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		if err := ds.SetFileCache(slots); err != nil {
+			t.Fatal(err)
 		}
-		levels++
-		// Increments are disjoint: no particle arrives twice.
-		ids := inc.Float64Field(inc.Schema().FieldIndex("id"))
-		for _, id := range ids {
-			if seen[id] {
-				t.Fatalf("particle %v delivered twice", id)
+		entries := ds.Meta().AllFiles()
+		k := len(entries)
+		st, err := ds.Progressive(entries, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[float64]bool)
+		total, prevInc := 0, 0
+		for !st.Done() {
+			inc, ok, err := st.NextLevel()
+			if err != nil || !ok {
+				t.Fatalf("cache %d: level %d: ok=%v err=%v", slots, st.Level(), ok, err)
 			}
-			seen[id] = true
+			// Increments are disjoint: no particle arrives twice.
+			for _, id := range inc.Float64Field(inc.Schema().FieldIndex("id")) {
+				if seen[id] {
+					t.Fatalf("cache %d: particle %v delivered twice", slots, id)
+				}
+				seen[id] = true
+			}
+			total += inc.Len()
+			// Geometric-ish growth until the tail.
+			if prevInc > 0 && inc.Len() > 3*prevInc {
+				t.Errorf("cache %d: level %d increment %d jumped from %d", slots, st.Level(), inc.Len(), prevInc)
+			}
+			if inc.Len() > 0 {
+				prevInc = inc.Len()
+			}
 		}
-		total += inc.Len()
-		// Geometric-ish growth until the tail (each level at most ~2x+slack
-		// the previous, never smaller than 0 obviously).
-		if prevInc > 0 && inc.Len() > 3*prevInc {
-			t.Errorf("level %d increment %d jumped from %d", levels, inc.Len(), prevInc)
+		if total != all.Len() {
+			t.Errorf("cache %d: streamed %d of %d particles", slots, total, all.Len())
 		}
-		if inc.Len() > 0 {
-			prevInc = inc.Len()
+		// Further calls keep returning not-ok.
+		if _, ok, _ := st.NextLevel(); ok {
+			t.Errorf("cache %d: NextLevel after done returned ok", slots)
 		}
-	}
-	if total != all.Len() {
-		t.Errorf("streamed %d of %d particles", total, all.Len())
-	}
-	if !p.Done() {
-		t.Error("Done should be true after exhaustion")
-	}
-	if p.Level() != levels {
-		t.Errorf("Level() = %d, delivered %d", p.Level(), levels)
-	}
-	// Further calls keep returning not-ok.
-	if _, ok, _ := p.NextLevel(); ok {
-		t.Error("NextLevel after done should return ok=false")
+		levels := st.Level()
+		opened, hits := k*levels, 0
+		if slots >= k {
+			opened, hits = k, (levels-1)*k
+		}
+		read := st.Stats()
+		if levels < 3 || read.FilesOpened != opened || read.CacheHits != int64(hits) || read.ParticlesKept != int64(all.Len()) {
+			t.Errorf("cache %d: %d levels over %d files opened %d and hit %d, kept %d; want %d, %d and %d",
+				slots, levels, k, read.FilesOpened, read.CacheHits, read.ParticlesKept, opened, hits, all.Len())
+		}
+		ds.Close()
 	}
 }
 

@@ -91,12 +91,15 @@ func TestQueryBoxOpensOnlyIntersectingFiles(t *testing.T) {
 	ds, _ := Open(dir)
 	// A query strictly inside one partition opens exactly 1 of 4 files.
 	q := geom.NewBox(geom.V3(0.05, 0.05, 0.1), geom.V3(0.45, 0.45, 0.9))
-	_, st, err := ds.QueryBox(q, Options{})
+	got, st, err := ds.QueryBox(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.FilesOpened != 1 {
 		t.Errorf("opened %d files, want 1 (spatial metadata should prune)", st.FilesOpened)
+	}
+	if st.ParticlesKept != int64(got.Len()) {
+		t.Errorf("stats kept %d != returned %d", st.ParticlesKept, got.Len())
 	}
 	// The whole domain opens all 4.
 	_, st, _ = ds.QueryBox(geom.UnitBox(), Options{NoFilter: true})
@@ -189,17 +192,20 @@ func TestLODLevelZeroIsRepresentative(t *testing.T) {
 
 func TestReadWithDifferentReaderCounts(t *testing.T) {
 	// The Section 2.1 contrast with HDF5 subfiling: reads work with any
-	// reader count, not just the writer configuration. Partition the
-	// files over 1, 2, 3, 5 readers and verify the union is always the
-	// whole dataset with no overlap.
+	// reader count, not just the writer configuration. AssignFiles deals
+	// the files over 1, 2, 3, 5, 8, 16 readers so that every file has
+	// exactly one reader, and the union of the readers' reads is the whole
+	// dataset with no overlap.
 	dir, all := writeDataset(t, geom.I3(4, 2, 1), geom.I3(1, 1, 1), 32, nil)
 	ds, _ := Open(dir)
 	for _, nReaders := range []int{1, 2, 3, 5, 8, 16} {
+		readers := make(map[string]int)
 		got := make(map[float64]bool)
-		filesSeen := 0
 		for rdr := 0; rdr < nReaders; rdr++ {
 			entries := AssignFiles(ds.Meta(), nReaders, rdr)
-			filesSeen += len(entries)
+			for _, e := range entries {
+				readers[e.Name]++
+			}
 			buf, _, err := ds.ReadEntries(entries, geom.UnitBox(), Options{NoFilter: true})
 			if err != nil {
 				t.Fatal(err)
@@ -211,11 +217,16 @@ func TestReadWithDifferentReaderCounts(t *testing.T) {
 				got[id] = true
 			}
 		}
-		if filesSeen != len(ds.Meta().Files) {
-			t.Errorf("nReaders=%d: assigned %d files of %d", nReaders, filesSeen, len(ds.Meta().Files))
-		}
 		if len(got) != all.Len() {
 			t.Errorf("nReaders=%d: read %d of %d particles", nReaders, len(got), all.Len())
+		}
+		for _, e := range ds.Meta().Files {
+			if readers[e.Name] != 1 {
+				t.Errorf("nReaders=%d: %s dealt to %d readers", nReaders, e.Name, readers[e.Name])
+			}
+		}
+		if len(readers) != len(ds.Meta().Files) {
+			t.Errorf("nReaders=%d: dealt %d files of %d", nReaders, len(readers), len(ds.Meta().Files))
 		}
 	}
 }

@@ -62,10 +62,10 @@ func (c *coverage) take() (n int64) {
 }
 
 // TestEveryReadGoesThroughTheSeam: what a dataset was opened with is what
-// every read of it goes through — box, whole-dataset and halo reads
-// through the file cache, and a progressive stream on the handles it opens
-// for itself — while a check of the dataset, which a server runs at mount
-// on files nobody has asked for yet, reads around it.
+// every read of it goes through — box, whole-dataset and halo reads and a
+// progressive stream's levels, through the file cache — while a check of
+// the dataset, which a server runs at mount on files nobody has asked for
+// yet, reads around it.
 func TestEveryReadGoesThroughTheSeam(t *testing.T) {
 	simDims := geom.I3(4, 4, 1)
 	grid := geom.NewGrid(geom.UnitBox(), simDims)

@@ -12,7 +12,6 @@ import (
 	"spio/internal/binio"
 	"spio/internal/format"
 	"spio/internal/geom"
-	"spio/internal/lod"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
 )
@@ -377,78 +376,9 @@ func (r *RemoteDataset) DensityGrid(dims geom.Idx3, levels, readers int) ([]floa
 // nReaders readers.
 func (r *RemoteDataset) LevelCount(nReaders int) int { return rdr.LevelCount(r.meta, nReaders) }
 
-// RemoteStream is a progressive read of a remote dataset: a cursor, held
-// by the client, over the LOD levels of the files intersecting a box.
-// Each NextLevel is one box query for the level range [l, l+1) — admitted,
-// cached and budgeted like any other — so between two calls the stream
-// holds nothing on either side: no connection, no lock, no worker, no
-// file. A client that stops asking has stopped.
-type RemoteStream struct {
-	ds      *RemoteDataset
-	q       geom.Box
-	readers int
-	last    int // levels the stream has: those of its deepest file, within the caller's bound, less what a Cancel cut off
-	level   int // levels delivered
-	stats   rdr.Stats
+// ProgressiveBox starts a progressive read over the files intersecting q:
+// a cursor the client holds, each level one box query, so between two
+// levels the server holds nothing for it.
+func (r *RemoteDataset) ProgressiveBox(q geom.Box, levels, readers int) (*rdr.Stream, error) {
+	return rdr.ProgressiveBox(r, q, levels, readers)
 }
-
-// ProgressiveBox starts a progressive read over the files intersecting q
-// — whole files, level by level, not clipped to q. levels > 0 bounds the
-// stream; readers is n in the LOD formula. Nothing is sent: which files,
-// and how many levels they hold, follow from the metadata.
-func (r *RemoteDataset) ProgressiveBox(q geom.Box, levels, readers int) (*RemoteStream, error) {
-	entries := r.meta.FilesIntersecting(q)
-	if len(entries) == 0 {
-		return nil, errors.New("spiod: no files intersect the requested box")
-	}
-	// One level at least, as with reader.Progressive: empty files have an
-	// empty first level.
-	st := &RemoteStream{ds: r, q: q, readers: readers, last: 1}
-	base := rdr.PerFileBase(r.meta, readers)
-	for _, e := range entries {
-		st.last = max(st.last, lod.NumLevels(e.Count, base, r.meta.LOD.Scale))
-	}
-	if levels > 0 {
-		st.last = min(st.last, levels)
-	}
-	return st, nil
-}
-
-// Level returns the number of levels already delivered.
-func (st *RemoteStream) Level() int { return st.level }
-
-// Done reports whether the stream has ended.
-func (st *RemoteStream) Done() bool { return st.level >= st.last }
-
-// Stats returns the server-side read telemetry summed over the levels
-// received so far.
-func (st *RemoteStream) Stats() rdr.Stats { return st.stats }
-
-// NextLevel asks for and receives the next level increment; ok is false
-// once the stream is exhausted. A level that fails — the server
-// overloaded, the increment over its byte budget — leaves the stream
-// where it was: the levels already received are a valid coarser subset,
-// and the same level can be asked for again.
-func (st *RemoteStream) NextLevel() (*particle.Buffer, bool, error) {
-	if st.Done() {
-		return nil, false, nil
-	}
-	buf, read, err := st.ds.QueryBox(st.q, rdr.Options{
-		SkipLevels: st.level, Levels: st.level + 1, Readers: st.readers, NoFilter: true})
-	if err != nil {
-		return nil, false, err
-	}
-	st.level++
-	st.stats.Add(read)
-	return buf, true, nil
-}
-
-// Cancel ends the stream after the levels already received. There is
-// nothing to tell the server: it holds nothing for the stream.
-func (st *RemoteStream) Cancel() error {
-	st.last = st.level
-	return nil
-}
-
-// Close ends the stream.
-func (st *RemoteStream) Close() error { return st.Cancel() }

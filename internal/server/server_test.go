@@ -171,13 +171,14 @@ func TestRemoteHaloAndDensityMatchLocal(t *testing.T) {
 	}
 }
 
-// TestProgressiveStreamMatchesLocal: a remote stream has the levels of
-// the local progressive reader, takes one request a level, and its stats
-// are their sum. Then what follows from it being a cursor its client
-// holds: a level bound caps it, a cancel costs the server nothing, and a
-// box no file intersects is refused from the metadata. The bytes of every
-// level, and Done level by level, are TestLevelRangesTileThePrefix's
-// (internal/gateway).
+// TestProgressiveStreamMatchesLocal: a remote stream takes one request a
+// level, and its stats are the sum of theirs — what the same level ranges
+// read as box queries report — as a local stream's are of its level
+// reads, so the two account for the same work. Then what follows from it
+// being a cursor its client holds: a level bound caps it, a cancel costs
+// the server nothing, and a box no file intersects is refused from the
+// metadata, with the local stream's error. The bytes of every level, and
+// Done level by level, are TestReadContract's (internal/gateway).
 func TestProgressiveStreamMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
 	writeDataset(t, dir, geom.I3(2, 2, 1), geom.I3(1, 1, 1), 300)
@@ -190,8 +191,12 @@ func TestProgressiveStreamMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	local, err := rdr.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	q, files := ds.Meta().Domain, len(ds.Meta().Files)
+	q := ds.Meta().Domain
 	st, _ := ds.ProgressiveBox(q, 0, 2)
 	before := s.Snapshot().Requests
 	for !st.Done() {
@@ -205,8 +210,27 @@ func TestProgressiveStreamMatchesLocal(t *testing.T) {
 	if got := s.Snapshot().Requests - before; got != int64(st.Level()) {
 		t.Errorf("%d levels took %d requests", st.Level(), got)
 	}
-	if read := st.Stats(); read.ParticlesKept != ds.Meta().Total || read.FilesOpened+int(read.CacheHits) != st.Level()*files {
-		t.Errorf("stream stats are not the sum of its %d level requests: %+v", st.Level(), read)
+	var sum rdr.Stats
+	for l := 0; l < st.Level(); l++ {
+		_, read, err := ds.QueryBox(q, rdr.Options{SkipLevels: l, Levels: l + 1, Readers: 2, NoFilter: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Add(read)
+	}
+	mine, _ := local.ProgressiveBox(q, 0, 2)
+	for !mine.Done() {
+		if _, _, err := mine.NextLevel(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The server's file cache decides which of a level's files it opened
+	// and which it found open; the two together are the files it read.
+	work := func(s rdr.Stats) [4]int64 {
+		return [4]int64{int64(s.FilesOpened) + s.CacheHits, s.ParticlesRead, s.ParticlesKept, s.BytesRead}
+	}
+	if read := st.Stats(); read.ParticlesKept != ds.Meta().Total || work(read) != work(sum) || work(read) != work(mine.Stats()) {
+		t.Errorf("stream stats %+v are not the sum of its %d level requests %+v, nor the local stream's %+v", read, st.Level(), sum, mine.Stats())
 	}
 
 	bounded, _ := ds.ProgressiveBox(q, 1, 2)
@@ -221,8 +245,11 @@ func TestProgressiveStreamMatchesLocal(t *testing.T) {
 	if _, ok, err := cancelled.NextLevel(); ok || err != nil || s.Snapshot().Requests != before {
 		t.Fatalf("level after cancel: ok=%v err=%v, %d requests", ok, err, s.Snapshot().Requests-before)
 	}
-	if _, err := ds.ProgressiveBox(geom.NewBox(geom.V3(2, 2, 2), geom.V3(3, 3, 3)), 0, 1); err == nil {
-		t.Fatal("stream over a box outside every file opened")
+	outside := geom.NewBox(geom.V3(2, 2, 2), geom.V3(3, 3, 3))
+	_, err = ds.ProgressiveBox(outside, 0, 1)
+	_, localErr := local.ProgressiveBox(outside, 0, 1)
+	if err == nil || localErr == nil || err.Error() != localErr.Error() {
+		t.Fatalf("stream over a box outside every file: %v, locally %v; want one refusal", err, localErr)
 	}
 }
 

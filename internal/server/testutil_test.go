@@ -17,16 +17,15 @@ import (
 	rdr "spio/internal/reader"
 )
 
-// writeDataset writes a uniform dataset into dir (creating it) and
-// returns the concatenation of all rank inputs for brute-force
-// comparison.
-func writeDataset(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int) *particle.Buffer {
-	return writeDatasetCodec(t, dir, simDims, factor, perRank, particle.Spec{})
+// writeDataset writes a uniform dataset into dir (creating it).
+func writeDataset(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int) {
+	t.Helper()
+	writeDatasetCodec(t, dir, simDims, factor, perRank, particle.Spec{})
 }
 
 // writeDatasetCodec is writeDataset with a per-field compression spec:
 // the served files then exercise the decode-on-egress path.
-func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int, codec particle.Spec) *particle.Buffer {
+func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int, codec particle.Spec) {
 	t.Helper()
 	cfg := core.WriteConfig{
 		Agg:   agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
@@ -34,12 +33,7 @@ func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perR
 		Codec: codec,
 	}
 	grid := geom.NewGrid(cfg.Agg.Domain, simDims)
-	nRanks := simDims.Volume()
-	all := particle.NewBuffer(particle.Uintah(), nRanks*perRank)
-	for rank := 0; rank < nRanks; rank++ {
-		all.AppendBuffer(particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(rank, simDims)), perRank, 13, rank))
-	}
-	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
+	err := mpi.Run(simDims.Volume(), func(c *mpi.Comm) error {
 		local := particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), perRank, 13, c.Rank())
 		_, err := core.Write(c, dir, cfg, local)
 		return err
@@ -47,7 +41,6 @@ func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perR
 	if err != nil {
 		t.Fatal(err)
 	}
-	return all
 }
 
 // sameAnswer asks the local and the remote dataset the same queries

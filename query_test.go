@@ -120,6 +120,14 @@ func TestFacadeFieldProjection(t *testing.T) {
 			t.Fatal("projected density differs from full read")
 		}
 	}
+	// Several fields come after the position in the order named.
+	two, _, err := ds.ReadAll(spio.QueryOptions{Fields: []string{"id", "density"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := two.Schema(); s.NumFields() != 3 || s.FieldIndex("id") != 1 || s.FieldIndex("density") != 2 || s.Stride() != 40 {
+		t.Errorf("projected schema = %v", s)
+	}
 	// Unknown field fails cleanly.
 	if _, _, err := ds.ReadAll(spio.QueryOptions{Fields: []string{"nope"}}); err == nil {
 		t.Error("unknown projected field accepted")

@@ -17,10 +17,6 @@ type (
 	// ServerClient is one connection to a spiod daemon (List, Stats,
 	// Open of multiple datasets over a single connection).
 	ServerClient = server.Client
-	// RemoteStream is a progressive LOD read of a RemoteDataset: a cursor
-	// the client holds, one box query per level, nothing held on the
-	// daemon between two of them; stop after any prefix.
-	RemoteStream = server.RemoteStream
 	// ServerConfig tunes an embedded Server.
 	ServerConfig = server.Config
 	// Server is an embeddable spiod: mount datasets, serve listeners.

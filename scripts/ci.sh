@@ -62,9 +62,9 @@ echo "== go test at GOMAXPROCS=1,2,8 (mpi, agg, core, cache, reader, server, gat
 # write: the order payloads arrive in at an aggregator is the
 # scheduler's, and that is what the exchange's placement by sender
 # offset must be indifferent to.
-# internal/gateway holds the level-range differential test
-# (TestLevelRangesTileThePrefix: local, spiod and spiogate x disk codec),
-# so the LOD-prefix invariant runs at every setting too.
+# internal/gateway holds the read path's one oracle (TestReadContract:
+# local, spiod and spiogate x disk codec x cache budget against brute
+# force), so the read contract runs at every setting too.
 # Two invocations a setting: the serving packages' allocation-budget
 # tests count sync.Pool misses, which eight Ps on two cores make likelier
 # the more packages run beside them.
@@ -130,7 +130,9 @@ go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbor
 # Partition faces: a particle on a face, edge or corner of its patch is
 # written once on the aligned, imposed and adaptive grids (the imposed
 # write failed on every rank), and found by box, halo and KNN queries
-# locally, through spiod and through spiogate (file selection missed it).
+# locally, through spiod and through spiogate (file selection missed it;
+# TestReadContract holds the same particles on every target, run once by
+# the package-wide -race step above).
 go test -race -count=3 -run 'TestWriteParticleOnPatchFace|TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces' ./internal/agg ./internal/core ./internal/gateway
 # A compressed file's frames live in a pooled arena from the compress to
 # the end of the write: the bound the arena is sized by, a slot too short

@@ -40,6 +40,6 @@ func Restart(c *Comm, dir string, domain Box, simDims Idx3) (*Buffer, error) {
 	return reader.Restart(c, dir, domain, simDims)
 }
 
-// ProgressiveReader streams a file set level by level; see
-// Dataset.Progressive.
-type ProgressiveReader = reader.Progressive
+// Stream is a progressive LOD read, local or served: a cursor, one read
+// per level, nothing held between two of them; stop after any prefix.
+type Stream = reader.Stream
