@@ -642,7 +642,9 @@ func (df *DataFile) stage(n int) []byte {
 // refilled, or the ra seam's own memory. Raw payloads are read through
 // the ra seam scanChunkRecords records at a time, or, when the seam can
 // lend its bytes (viewerAt; the serving layer's block cache can), handed
-// over in place. Compressed payloads read whole compressed blocks through
+// over in place — and then a box selects on the cell index the seam keeps
+// beside them, testing only the records in the cells the box meets
+// (scanIndexed). Compressed payloads read whole compressed blocks through
 // the ra seam — so a serving layer's block cache holds compressed bytes,
 // multiplying its effective capacity — and decode on the way out, one
 // codec block per chunk (the edge blocks clipped to the range), one
@@ -717,16 +719,15 @@ func (df *DataFile) scan(lo, hi int64, want []bool, box *geom.Box, fn func(recs 
 		}
 		return nil
 	}
-	stride := int64(df.Header.Schema.Stride())
-	each := func(recs []byte) error {
-		if box != nil {
-			picked = particle.SelectClosed(picked[:0], recs, int(stride), box)
-		}
-		return fn(recs, picked)
-	}
 	if v, ok := df.ra.(viewerAt); ok {
-		return df.scanViews(v, lo, hi, each)
+		if box != nil {
+			var err error
+			picked, err = df.scanIndexed(v, lo, hi, box, picked, fn)
+			return err
+		}
+		return df.scanViews(v, lo, hi, func(recs []byte) error { return fn(recs, nil) })
 	}
+	stride := int64(df.Header.Schema.Stride())
 	chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
 	defer toPool(&stagePool, chunk)
 	for at := lo; at < hi; at += scanChunkRecords {
@@ -734,11 +735,70 @@ func (df *DataFile) scan(lo, hi int64, want []bool, box *geom.Box, fn func(recs 
 		if _, err := df.ra.ReadAt(recs, df.payloadOff+at*stride); err != nil {
 			return err
 		}
-		if err := each(recs); err != nil {
+		if box != nil {
+			picked = particle.SelectClosed(picked[:0], recs, int(stride), box)
+		}
+		if err := fn(recs, picked); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// scanIndexed is the raw box scan over a seam that lends its bytes: the
+// records of each particle.IndexChunkRecords chunk are selected on the
+// chunk's cell index, which the seam keeps beside the bytes (Derive,
+// built from them on first use), and then taken from the views, fn
+// handed each view's records with the picks that fall in it. It returns
+// the selection vector for the scan to pool.
+func (df *DataFile) scanIndexed(ra viewerAt, lo, hi int64, box *geom.Box, picked []int32, fn func(recs []byte, picked []int32) error) ([]int32, error) {
+	const chunk = particle.IndexChunkRecords
+	stride := df.Header.Schema.Stride()
+	for k := lo / chunk; k*chunk < hi; k++ {
+		cLo, cHi := k*chunk, min((k+1)*chunk, df.Header.Count)
+		img, lease, err := ra.Derive(k, func() ([]byte, error) { return df.buildIndex(ra, cLo, cHi) })
+		if err != nil {
+			return picked, err
+		}
+		picked = particle.SelectIndexed(picked[:0], img, int(max(lo, cLo)-cLo), int(min(hi, cHi)-cLo), df.Header.Bounds, box)
+		lease.Release()
+		at, rest := int32(max(lo, cLo)-cLo), picked
+		err = df.scanViews(ra, max(lo, cLo), min(hi, cHi), func(recs []byte) error {
+			n := int32(len(recs) / stride)
+			j := 0
+			for j < len(rest) && rest[j] < at+n {
+				rest[j] -= at
+				j++
+			}
+			mine := rest[:j]
+			at, rest = at+n, rest[j:]
+			return fn(recs, mine)
+		})
+		if err != nil {
+			return picked, err
+		}
+	}
+	return picked, nil
+}
+
+// buildIndex returns the cell index of records [lo, hi) over the file's
+// bounds, built from their positions, which it gathers from the views:
+// the blocks the take is about to read, and no copy of the records.
+func (df *DataFile) buildIndex(ra viewerAt, lo, hi int64) ([]byte, error) {
+	stride := df.Header.Schema.Stride()
+	pos := df.stage(int(hi-lo) * 24)
+	defer toPool(&stagePool, pos)
+	at := 0
+	err := df.scanViews(ra, lo, hi, func(recs []byte) error {
+		for off := 0; off < len(recs); off, at = off+stride, at+24 {
+			*(*[24]byte)(pos[at:]) = *(*[24]byte)(recs[off:])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return particle.BuildCellIndex(pos, 24, df.Header.Bounds), nil
 }
 
 // scanBlock is the compressed scan's step: it reads codec block bi whole
@@ -773,8 +833,15 @@ func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, box *geom.Box, 
 // that keeps them. The view is read-only and stays valid and unchanged
 // until the lease is released, and not a moment longer: the seam may
 // recycle the bytes at once.
+//
+// Derive keeps, beside those bytes, an image made from them: it returns
+// the image build makes for idx (the scan asks for the cell index of the
+// idx'th particle.IndexChunkRecords records), building it on first use
+// and keeping it as long as the seam sees fit, under a lease like
+// ViewAt's. build reads through the seam.
 type viewerAt interface {
 	ViewAt(off int64) (view []byte, lease interface{ Release() }, err error)
+	Derive(idx int64, build func() ([]byte, error)) (img []byte, lease interface{ Release() }, err error)
 }
 
 // scanViews is the raw scan over a seam that lends its bytes: fn is

@@ -210,6 +210,13 @@ func (s lendingSeam) ViewAt(off int64) ([]byte, interface{ Release() }, error) {
 	return nil, nil, io.EOF
 }
 
+// Derive builds the image on every call: the seam keeps nothing beside
+// its blocks.
+func (s lendingSeam) Derive(_ int64, build func() ([]byte, error)) ([]byte, interface{ Release() }, error) {
+	img, err := build()
+	return img, noLease{}, err
+}
+
 // recyclingSeam is an lruSeam that lends each view in a buffer of its
 // own and, the moment the view's lease is released, overwrites that
 // buffer and hands it to the next view: a scan that read a view after
@@ -251,15 +258,32 @@ func (s *recyclingSeam) ViewAt(off int64) ([]byte, interface{ Release() }, error
 	if bo >= int64(len(data)) {
 		return nil, nil, io.EOF
 	}
+	v, lease := s.lend(data[bo:])
+	return v, lease, nil
+}
+
+// lend copies b into a recycled buffer and lends it.
+func (s *recyclingSeam) lend(b []byte) ([]byte, interface{ Release() }) {
 	var buf []byte
 	s.fmu.Lock()
 	if n := len(s.free); n > 0 {
 		buf, s.free = s.free[n-1], s.free[:n-1]
 	}
 	s.fmu.Unlock()
-	buf = append(buf, data[bo:]...)
+	buf = append(buf, b...)
 	s.out.Add(1)
-	return buf, &recycledView{s: s, buf: buf}, nil
+	return buf, &recycledView{s: s, buf: buf}
+}
+
+// Derive builds the image on every call and lends it as it lends a view:
+// poisoned the moment its lease is released.
+func (s *recyclingSeam) Derive(_ int64, build func() ([]byte, error)) ([]byte, interface{ Release() }, error) {
+	img, err := build()
+	if err != nil {
+		return nil, nil, err
+	}
+	v, lease := s.lend(img)
+	return v, lease, nil
 }
 
 // TestScanMatchesReference is the differential test of the streaming

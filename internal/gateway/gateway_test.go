@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -194,209 +193,6 @@ func sameRecords(t *testing.T, what string, got, want *particle.Buffer) {
 		if g[i] != w[i] {
 			t.Fatalf("%s: sorted record %d differs", what, i)
 		}
-	}
-}
-
-// TestGatewayByteIdentity is the tentpole acceptance test: every query
-// type through a 3-shard gateway answers byte-identically (after
-// canonical sort) to the local reader over the unsplit dataset.
-func TestGatewayByteIdentity(t *testing.T) {
-	src := t.TempDir()
-	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 40) // 8 files
-	specs, _ := splitShards(t, src, 3)
-	_, addr := startGateway(t, Config{}, specs)
-
-	local, err := rdr.Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	remote, err := server.OpenRemote(addr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	if remote.Meta().Total != local.Meta().Total {
-		t.Fatalf("merged meta total %d, want %d", remote.Meta().Total, local.Meta().Total)
-	}
-	if len(remote.Meta().Files) != len(local.Meta().Files) {
-		t.Fatalf("merged meta has %d files, want %d", len(remote.Meta().Files), len(local.Meta().Files))
-	}
-
-	boxes := map[string]geom.Box{
-		"octant":   geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
-		"straddle": geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.8, 0.8, 0.8)),
-		"all":      local.Meta().Domain,
-		"sliver":   geom.NewBox(geom.V3(0.49, 0, 0), geom.V3(0.51, 1, 1)),
-	}
-	for name, q := range boxes {
-		for _, opts := range []rdr.Options{{}, {Levels: 2, Readers: 2}, {Fields: []string{"position", "density"}}} {
-			want, _, err := local.QueryBox(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := remote.QueryBox(q, opts)
-			if err != nil {
-				t.Fatalf("box %s: %v", name, err)
-			}
-			if st.Partial {
-				t.Fatalf("box %s: unexpected partial flag with all shards up", name)
-			}
-			sameRecords(t, "box "+name, got, want)
-		}
-	}
-
-	// Zero-shard query: a box outside every partition answers empty
-	// without touching a backend.
-	out := geom.NewBox(geom.V3(2, 2, 2), geom.V3(3, 3, 3))
-	got, _, err := remote.QueryBox(out, rdr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("out-of-domain box: got %d particles, want 0", got.Len())
-	}
-
-	// KNN: distances and particle bytes must match exactly, in order.
-	for _, p := range []geom.Vec3{geom.V3(0.5, 0.5, 0.5), geom.V3(0.05, 0.9, 0.3), geom.V3(1.5, 1.5, 1.5)} {
-		wantBuf, wantD, _, err := local.KNN(p, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBuf, gotD, _, err := remote.KNN(p, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantD {
-			if gotD[i] != wantD[i] {
-				t.Fatalf("knn %v: dist %d = %v, want %v", p, i, gotD[i], wantD[i])
-			}
-		}
-		sameRecords(t, "knn", gotBuf, wantBuf)
-	}
-
-	// Halo: own and ghost sets each match; de-dup at shard boundaries is
-	// by construction (disjoint partitions).
-	patch := geom.NewBox(geom.V3(0.25, 0.25, 0.25), geom.V3(0.75, 0.75, 0.75))
-	wantOwn, wantGhost, _, err := local.Halo(patch, 0.1, rdr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOwn, gotGhost, _, err := remote.Halo(patch, 0.1, rdr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, "halo own", gotOwn, wantOwn)
-	sameRecords(t, "halo ghost", gotGhost, wantGhost)
-
-	// Density: summing raw shard counts and scaling once must be
-	// bit-identical to the single-node grid, including the fraction.
-	wantCounts, wantFrac, _, err := local.DensityGrid(geom.I3(4, 4, 4), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCounts, gotFrac, _, err := remote.DensityGrid(geom.I3(4, 4, 4), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFrac != wantFrac {
-		t.Fatalf("density fraction %v, want %v", gotFrac, wantFrac)
-	}
-	for i := range wantCounts {
-		if gotCounts[i] != wantCounts[i] {
-			t.Fatalf("density cell %d: %v, want %v", i, gotCounts[i], wantCounts[i])
-		}
-	}
-}
-
-// TestGatewayPropertyRandom is the routing property test: for random
-// boxes (including slivers, boundary-straddling boxes, and boxes
-// intersecting no shard) and random KNN queries, the union of the
-// routed shards' answers is byte-identical after canonical sort to the
-// single-node answer.
-func TestGatewayPropertyRandom(t *testing.T) {
-	src := t.TempDir()
-	writeDataset(t, src, geom.I3(4, 4, 2), geom.I3(2, 2, 1), 30) // 8 files
-	specs, _ := splitShards(t, src, 3)
-	_, addr := startGateway(t, Config{}, specs)
-
-	local, err := rdr.Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	remote, err := server.OpenRemote(addr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	randBox := func(i int) geom.Box {
-		switch {
-		case i%7 == 0:
-			// Off-domain: routes to zero shards.
-			lo := geom.V3(1+rng.Float64(), 1+rng.Float64(), 1+rng.Float64())
-			return geom.NewBox(lo, lo.Add(geom.V3(rng.Float64(), rng.Float64(), rng.Float64())))
-		case i%3 == 0:
-			// Centered: straddles at least two shard boundaries.
-			h := 0.1 + 0.4*rng.Float64()
-			return geom.NewBox(geom.V3(0.5-h, 0.5-h, 0.5-h), geom.V3(0.5+h, 0.5+h, 0.5+h))
-		default:
-			lo := geom.V3(rng.Float64(), rng.Float64(), rng.Float64())
-			sz := geom.V3(rng.Float64(), rng.Float64(), rng.Float64())
-			return geom.NewBox(lo, lo.Add(sz))
-		}
-	}
-	for i := 0; i < 40; i++ {
-		q := randBox(i)
-		opts := rdr.Options{}
-		if i%5 == 0 {
-			opts.Levels = 1 + rng.Intn(3)
-			opts.Readers = 1 + rng.Intn(4)
-		}
-		want, _, err := local.QueryBox(q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := remote.QueryBox(q, opts)
-		if err != nil {
-			t.Fatalf("box %d %v: %v", i, q, err)
-		}
-		if st.Partial {
-			t.Fatalf("box %d: unexpected partial flag", i)
-		}
-		sameRecords(t, "random box", got, want)
-	}
-	// Random points in and around the domain, then points far outside it,
-	// where a shard's search once gave up short of k: the answer failed, or
-	// came back flagged partial with every shard up.
-	type knnCase struct {
-		p geom.Vec3
-		k int
-	}
-	var knns []knnCase
-	for i := 0; i < 15; i++ {
-		knns = append(knns, knnCase{geom.V3(2*rng.Float64()-0.5, 2*rng.Float64()-0.5, 2*rng.Float64()-0.5), 1 + rng.Intn(32)})
-	}
-	knns = append(knns, knnCase{geom.V3(2, 0.5, 0.5), 900}, knnCase{geom.V3(3, 0.5, 0.5), 50},
-		knnCase{geom.V3(3, 3, 3), 1}, knnCase{geom.V3(4, 0.5, 0.5), 1})
-	for i, c := range knns {
-		wantBuf, wantD, _, err := local.KNN(c.p, c.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBuf, gotD, st, err := remote.KNN(c.p, c.k)
-		if err != nil || st.Partial {
-			t.Fatalf("knn %d at %v k=%d: partial=%v err=%v", i, c.p, c.k, st.Partial, err)
-		}
-		for j := range wantD {
-			if gotD[j] != wantD[j] {
-				t.Fatalf("knn %d: dist %d = %v, want %v", i, j, gotD[j], wantD[j])
-			}
-		}
-		sameRecords(t, "random knn", gotBuf, wantBuf)
 	}
 }
 

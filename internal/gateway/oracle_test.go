@@ -48,6 +48,7 @@ func TestReadContract(t *testing.T) {
 	locals := contractParticles()
 	ops := contractOps(rand.New(rand.NewSource(35)))
 	var wants []reply
+	var meta *format.Meta
 	for _, disk := range []struct {
 		name string
 		spec particle.Spec
@@ -58,6 +59,7 @@ func TestReadContract(t *testing.T) {
 			// The lossless files hold the raw files' records
 			// (TestWriteCompressedMatchesRaw): one truth serves both.
 			truth := readTruth(t, dir, locals)
+			meta = truth.meta
 			for _, op := range ops {
 				want := truth.answer(t, op)
 				for _, p := range want.parts {
@@ -68,7 +70,7 @@ func TestReadContract(t *testing.T) {
 		}
 		t.Run(disk.name, func(t *testing.T) {
 			for _, tg := range contractTargets(t, dir) {
-				tg.drive(t, disk.name, ops, wants)
+				tg.drive(t, disk.name, meta, ops, wants)
 			}
 		})
 	}
@@ -249,6 +251,7 @@ func contractOps(r *rand.Rand) []contractOp {
 type reply struct {
 	parts   []*particle.Buffer
 	floats  []float64
+	partial bool
 	encoded [][]byte
 	sorted  [][]string
 }
@@ -257,14 +260,14 @@ type reply struct {
 func (o contractOp) ask(ds rdr.Answerer) (reply, error) {
 	switch o.kind {
 	case opKNN:
-		buf, dists, _, err := rdr.KNN(ds, o.point, o.k)
-		return reply{parts: []*particle.Buffer{buf}, floats: dists}, err
+		buf, dists, st, err := rdr.KNN(ds, o.point, o.k)
+		return reply{parts: []*particle.Buffer{buf}, floats: dists, partial: st.Partial}, err
 	case opHalo:
-		own, ghost, _, err := rdr.Halo(ds, o.box, o.margin, o.opts)
-		return reply{parts: []*particle.Buffer{own, ghost}}, err
+		own, ghost, st, err := rdr.Halo(ds, o.box, o.margin, o.opts)
+		return reply{parts: []*particle.Buffer{own, ghost}, partial: st.Partial}, err
 	case opDensity:
-		counts, frac, _, err := rdr.DensityGrid(ds, o.dims, o.opts.Levels, o.opts.Readers)
-		return reply{floats: append(counts, frac)}, err
+		counts, frac, st, err := rdr.DensityGrid(ds, o.dims, o.opts.Levels, o.opts.Readers)
+		return reply{floats: append(counts, frac), partial: st.Partial}, err
 	case opStream:
 		st, err := rdr.ProgressiveBox(ds, o.box, o.opts.Levels, o.opts.Readers)
 		if err != nil {
@@ -284,15 +287,20 @@ func (o contractOp) ask(ds rdr.Answerer) (reply, error) {
 		if _, ok, err := st.NextLevel(); ok || err != nil {
 			return a, fmt.Errorf("a level after Done: ok=%v, %v", ok, err)
 		}
+		a.partial = st.Stats().Partial
 		return a, nil
 	}
-	buf, _, err := rdr.QueryBox(ds, o.box, o.opts)
-	return reply{parts: []*particle.Buffer{buf}}, err
+	buf, st, err := rdr.QueryBox(ds, o.box, o.opts)
+	return reply{parts: []*particle.Buffer{buf}, partial: st.Partial}, err
 }
 
 // differs says how got departs from want: part by part the same records —
-// in the same order, when ordered — and the same floats, bit for bit.
+// in the same order, when ordered — and the same floats, bit for bit, and
+// never flagged partial (every target has all its shards up).
 func (want reply) differs(got reply, ordered bool) error {
+	if got.partial {
+		return fmt.Errorf("flagged partial with every shard up")
+	}
 	if len(got.parts) != len(want.parts) {
 		return fmt.Errorf("%d parts (levels), brute force %d", len(got.parts), len(want.parts))
 	}
@@ -568,12 +576,16 @@ func contractTargets(t *testing.T, dir string) []contractTarget {
 }
 
 // drive puts the ops to tg from four concurrent clients, op i on client
-// i mod 4, and holds each answer to its brute-force one.
-func (tg contractTarget) drive(t *testing.T, codec string, ops []contractOp, wants []reply) {
+// i mod 4, and holds each answer to its brute-force one, and what each
+// client sees of the dataset to meta's total and files.
+func (tg contractTarget) drive(t *testing.T, codec string, meta *format.Meta, ops []contractOp, wants []reply) {
 	t.Helper()
 	clients := make([]rdr.Answerer, 4)
 	for c := range clients {
 		clients[c] = tg.open(t)
+		if m := clients[c].Meta(); m.Total != meta.Total || len(m.Files) != len(meta.Files) {
+			t.Errorf("%s, %s: %d particles in %d files, the dataset is %d in %d", codec, tg.name, m.Total, len(m.Files), meta.Total, len(meta.Files))
+		}
 	}
 	var wg sync.WaitGroup
 	for c, ds := range clients {

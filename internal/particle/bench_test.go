@@ -1,6 +1,8 @@
 package particle
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"spio/internal/geom"
@@ -88,7 +90,10 @@ func BenchmarkCompressFile(b *testing.B) {
 // inflated position planes plus the positions of the picked rows alone,
 // what a compressed block's position costs after its inflate; and
 // "unshuffle-select" is the same from the planes through a whole position
-// image, as a compressed block decoded before the planes kernel.
+// image, as a compressed block decoded before the planes kernel. "index"
+// is the index kernel on the cell index of one full chunk of the same
+// records, under their bounds, with a box as much smaller than them as
+// a serve_hot box is than the files it reads (it keeps 1 in 18.5).
 func BenchmarkSelect(b *testing.B) {
 	schema := Uintah()
 	stride := schema.Stride()
@@ -117,4 +122,14 @@ func BenchmarkSelect(b *testing.B) {
 		unshuffleToRecords(dst, planes, stride, 0, 8, 3, count)
 		sel = SelectClosed(sel[:0], dst, stride, &q)
 	})
+	chunk := slices.Concat(blocks...)[:IndexChunkRecords*stride]
+	bounds := geom.EmptyBox()
+	for off := 0; off < len(chunk); off += stride {
+		bounds = bounds.Union(geom.Box{Lo: PositionAt(chunk, off), Hi: PositionAt(chunk, off)})
+	}
+	side := bounds.Size().Mul(math.Cbrt(1 / 18.5))
+	qi := geom.Box{Lo: bounds.Center().Sub(side.Mul(0.5)), Hi: bounds.Center().Add(side.Mul(0.5))}
+	img := BuildCellIndex(chunk, stride, bounds)
+	count = IndexChunkRecords
+	run("index", func() { sel = SelectIndexed(sel[:0], img, 0, IndexChunkRecords, bounds, &qi) })
 }

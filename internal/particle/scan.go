@@ -25,7 +25,9 @@ import (
 // so it sits at byte 0 of every record) and selectPlanes over a
 // compressed block's position byte planes. Both make all six comparisons
 // of every record and add their AND to the count, so no branch depends
-// on the data.
+// on the data. The third, SelectIndexed (cells.go), runs SelectClosed on
+// the positions of only the cells a box meets, from a cell index a
+// serving cache keeps beside a raw file's records.
 //
 // BoxFilter and HaloFilter are the kernel as the readers use it — a box
 // for the scan to select by and a scan callback plus the result, handed

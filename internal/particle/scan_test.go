@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -96,6 +97,81 @@ func TestSelectClosedIsContainsClosed(t *testing.T) {
 	}
 }
 
+// TestIndexSelectIsContainsClosed holds the index kernel to
+// ContainsClosed: over selectCases' points (faces, ulps, ±Inf, NaN) and
+// points outside the file's bounds, under bounds that are the points'
+// own, smaller than the box, degenerate on one axis, inverted, infinite
+// and NaN, for selectCases' boxes and a NaN one, on images of 1, 63, 64,
+// 65, 8191, 8192 and 8193 records clipped at either end, both or none.
+func TestIndexSelectIsContainsClosed(t *testing.T) {
+	cases, boxes := selectCases()
+	boxes = append(boxes, geom.Box{Lo: geom.V3(math.NaN(), 0.25, 2), Hi: geom.V3(1, 0.75, 8)})
+	q := boxes[0]
+	inf, nan := math.Inf(1), math.NaN()
+	allBounds := []geom.Box{
+		{Lo: geom.V3(-2, 0, 0), Hi: geom.V3(2, 1, 10)},         // the finite points'
+		{Lo: geom.V3(-0.5, 0.4, 3), Hi: geom.V3(0.5, 0.6, 5)},  // inside the box: points outside them
+		{Lo: geom.V3(-2, 0.5, 0), Hi: geom.V3(2, 0.5, 10)},     // degenerate on y
+		{Lo: geom.V3(2, 1, 10), Hi: geom.V3(-2, 0, 0)},         // inverted
+		{Lo: geom.V3(-inf, 0, 0), Hi: geom.V3(2, inf, 10)},     // infinite
+		{Lo: geom.V3(nan, 0, nan), Hi: geom.V3(2, nan, 10)},    // NaN
+		{Lo: geom.V3(-1e308, 0, 0), Hi: geom.V3(1e308, 1, 10)}, // wider than a float64
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 63, 64, 65, 8191, 8192, 8193} {
+		pts := make([]geom.Vec3, n)
+		for i := range pts {
+			if i%3 == 0 {
+				pts[i] = cases[(i/3)%len(cases)]
+			} else { // around the box, a fifth of it outside every bound above
+				pts[i] = geom.V3(q.Lo.X+(r.Float64()*1.4-0.2)*(q.Hi.X-q.Lo.X),
+					q.Lo.Y+(r.Float64()*1.4-0.2)*(q.Hi.Y-q.Lo.Y), q.Lo.Z+(r.Float64()*1.4-0.2)*(q.Hi.Z-q.Lo.Z))
+			}
+		}
+		recs := positionRecords(pts)
+		clips := [][2]int{{0, n}, {min(1, n), n}, {0, max(n-1, 0)}, {min(65, n), max(n-64, min(65, n))}}
+		for _, bounds := range allBounds {
+			img := BuildCellIndex(recs, 24, bounds)
+			for _, c := range clips {
+				lo, hi := c[0], c[1]
+				for _, box := range boxes {
+					sel := SelectIndexed([]int32{-1}, img, lo, hi, bounds, &box)
+					for i := 1; i < len(sel); i++ {
+						sel[i] -= int32(lo)
+					}
+					what := fmt.Sprintf("index kernel, %d records, bounds %v, rows [%d,%d)", n, bounds, lo, hi)
+					checkSelection(t, what, sel, pts[lo:hi], box)
+				}
+			}
+		}
+	}
+}
+
+// TestCellMapIsMonotone pins what the index kernel's pruning rests on:
+// along every axis the cell of a coordinate never decreases as the
+// coordinate grows — through the bounds' faces, outside them, at ±Inf —
+// under any bounds, and is a cell; a NaN is in cell 0.
+func TestCellMapIsMonotone(t *testing.T) {
+	inf := math.Inf(1)
+	vs := []float64{-inf, -1e308, -3, -1, math.Nextafter(-1, -2), -1, -0.999, -0.5, 0, 0.25, 0.5,
+		math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 3, 1e308, inf}
+	for _, b := range [][2]float64{{-1, 1}, {0, 0.5}, {0.5, 0.5}, {1, -1}, {-inf, 1}, {-1, inf},
+		{math.NaN(), 1}, {-1e308, 1e308}, {0, 5e-324}} {
+		m := newCellMap(geom.Box{Lo: geom.V3(b[0], b[0], b[0]), Hi: geom.V3(b[1], b[1], b[1])})
+		last := 0
+		for _, v := range vs {
+			c, cy, cz := m.cells(v, v, v)
+			if c < last || c >= gridCells || c != cy || c != cz {
+				t.Errorf("bounds %v: %v is in cell %d after cell %d", b, v, c, last)
+			}
+			last = c
+		}
+		if c, _, _ := m.cells(math.NaN(), 0, 0); c != 0 {
+			t.Errorf("bounds %v: NaN is in cell %d", b, c)
+		}
+	}
+}
+
 // checkSelection holds a kernel's selection, appended to the one entry
 // -1, to ContainsClosed over pts.
 func checkSelection(t *testing.T, what string, sel []int32, pts []geom.Vec3, box geom.Box) {
@@ -120,20 +196,22 @@ func checkSelection(t *testing.T, what string, sel []int32, pts []geom.Vec3, box
 	}
 }
 
-// FuzzSelect holds the records kernel, the planes kernel and
+// FuzzSelect holds the three kernels — records, planes and index — and
 // geom.Box.ContainsClosed to one selection over any bytes as positions,
-// any box and any clip of the block.
+// any box, any clip of the block and, for the index, any file bounds
+// (the box scaled by s about the origin).
 func FuzzSelect(f *testing.F) {
 	pts, boxes := selectCases()
 	recs := positionRecords(pts)
 	for i, box := range boxes {
-		f.Add(recs, box.Lo.X, box.Lo.Y, box.Lo.Z, box.Hi.X, box.Hi.Y, box.Hi.Z, uint16(i), uint16(3*i+11))
+		f.Add(recs, box.Lo.X, box.Lo.Y, box.Lo.Z, box.Hi.X, box.Hi.Y, box.Hi.Z, uint16(i), uint16(3*i+11), 0.5+float64(i))
 	}
-	f.Add([]byte{}, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint16(0), uint16(0))
-	f.Fuzz(func(t *testing.T, data []byte, lx, ly, lz, hx, hy, hz float64, a, b uint16) {
+	f.Add([]byte{}, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint16(0), uint16(0), 1.0)
+	f.Fuzz(func(t *testing.T, data []byte, lx, ly, lz, hx, hy, hz float64, a, b uint16, s float64) {
 		count := len(data) / 24
 		recs := data[:24*count]
 		box := geom.Box{Lo: geom.V3(lx, ly, lz), Hi: geom.V3(hx, hy, hz)}
+		bounds := geom.Box{Lo: box.Lo.Mul(s), Hi: box.Hi.Mul(s)}
 		lo := int(a) % (count + 1)
 		hi := lo + int(b)%(count-lo+1)
 		var want []int32
@@ -147,6 +225,13 @@ func FuzzSelect(f *testing.F) {
 		}
 		if got := selectPlanes(nil, positionPlanes(recs, 24), count, lo, hi, &box); !slices.Equal(got, want) {
 			t.Fatalf("planes kernel, rows [%d,%d) of %d, box %v: %v, ContainsClosed gives %v", lo, hi, count, box, got, want)
+		}
+		got := SelectIndexed(nil, BuildCellIndex(recs, 24, bounds), lo, hi, bounds, &box)
+		for i := range got {
+			got[i] -= int32(lo)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("index kernel, rows [%d,%d) of %d, bounds %v, box %v: %v, ContainsClosed gives %v", lo, hi, count, bounds, box, got, want)
 		}
 	})
 }

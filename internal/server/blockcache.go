@@ -34,22 +34,33 @@ import (
 	"spio/internal/cache"
 )
 
-// BlockCacheStats is the shared block cache's counter snapshot.
+// BlockCacheStats is the shared block cache's counter snapshot. Hits,
+// Misses, the two byte counts and Blocks are about file blocks alone;
+// the cell indexes kept beside them have counters of their own.
 type BlockCacheStats struct {
 	// Hits counts block lookups served from memory (including waits on
 	// another request's in-flight load).
 	Hits int64 `json:"hits"`
 	// Misses counts block loads that went to disk.
 	Misses int64 `json:"misses"`
-	// Evictions counts blocks pushed out by the capacity bound.
+	// Evictions counts entries, blocks or indexes, pushed out by the
+	// capacity bound.
 	Evictions int64 `json:"evictions"`
 	// BytesFromCache and BytesFromDisk split served block bytes by
 	// origin.
 	BytesFromCache int64 `json:"bytes_from_cache"`
 	BytesFromDisk  int64 `json:"bytes_from_disk"`
-	// Used and Blocks describe current occupancy.
+	// Used is the bytes held under the capacity, blocks and indexes;
+	// Blocks counts the blocks among them.
 	Used   int64 `json:"used_bytes"`
 	Blocks int   `json:"blocks"`
+	// IndexBuilds counts the cell indexes built from blocks, a failed
+	// build included, and IndexBuildBytes their size; Indexes and
+	// IndexBytes are the ones held now, their bytes part of Used.
+	IndexBuilds     int64 `json:"index_builds"`
+	IndexBuildBytes int64 `json:"index_build_bytes"`
+	Indexes         int   `json:"indexes"`
+	IndexBytes      int64 `json:"index_bytes"`
 }
 
 // BlockCache is a shared, size-bounded cache of fixed-size file blocks,
@@ -68,21 +79,40 @@ type BlockCacheStats struct {
 // (at most the capacity), the evicted blocks still leased (at most one
 // per running scan), and what the pool keeps between collections.
 //
+// Beside a file's blocks the cache keeps what a raw scan derives from
+// them, the cell index of each chunk of records (Derive), under the same
+// bound and leased the same way; an index costs its length, is built
+// from blocks the cache serves, and is the collector's once dropped.
+//
 // Cached blocks are immutable once inserted; the cache assumes data
 // files are immutable once published (spio writes them via atomic
 // rename and never mutates them in place).
 type BlockCache struct {
 	blockSize int64
-	blocks    *cache.Cache[blockKey, []byte]
+	blocks    *cache.Cache[blockKey, cached]
 	pool      sync.Pool // *[]byte, each blockSize long
 	// held counts the blocks out of pool: indexed, leased or being
 	// filled. It is zero once nothing is indexed or leased.
 	held atomic.Int64
+	// The index entries' share of the cache's counters, which Stats
+	// takes out of the blocks'.
+	indexHits, indexHitBytes     atomic.Int64
+	indexBuilds, indexBuildBytes atomic.Int64
 }
 
+// blockKey names an entry: block idx of a file, or, when index is set,
+// the cell index of the file's idx'th chunk of records.
 type blockKey struct {
-	file string
-	idx  int64
+	file  string
+	idx   int64
+	index bool
+}
+
+// cached is an entry's value; pooled marks a block-sized buffer of the
+// pool, the only kind the drop hook recycles.
+type cached struct {
+	data   []byte
+	pooled bool
 }
 
 // DefaultBlockSize is the block granularity when none is configured.
@@ -95,7 +125,11 @@ func NewBlockCache(capacityBytes int64, blockSize int) *BlockCache {
 		blockSize = DefaultBlockSize
 	}
 	c := &BlockCache{blockSize: int64(blockSize)}
-	c.blocks = cache.New[blockKey, []byte](max(capacityBytes, int64(blockSize)), c.recycle)
+	c.blocks = cache.New[blockKey, cached](max(capacityBytes, int64(blockSize)), func(v cached) {
+		if v.pooled {
+			c.recycle(v.data)
+		}
+	})
 	return c
 }
 
@@ -108,23 +142,36 @@ func (c *BlockCache) getBlock() []byte {
 	return make([]byte, c.blockSize)
 }
 
-// recycle is the cache's drop: a block-sized buffer goes back to the
-// pool; a tail block, copied out at its own size, is the collector's.
+// recycle puts a buffer getBlock handed out back in the pool.
 func (c *BlockCache) recycle(b []byte) {
-	if int64(len(b)) == c.blockSize {
-		c.held.Add(-1)
-		c.pool.Put(&b)
-	}
+	c.held.Add(-1)
+	c.pool.Put(&b)
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters. The index counters are
+// kept apart from the cache's own and taken out of them, so a snapshot
+// taken while an index is being looked up may count that lookup as a
+// block's.
 func (c *BlockCache) Stats() BlockCacheStats {
 	st := c.blocks.Stats()
-	return BlockCacheStats{
-		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-		BytesFromCache: st.HitCost, BytesFromDisk: st.LoadCost,
-		Used: st.Used, Blocks: st.Len,
+	out := BlockCacheStats{
+		Hits:            st.Hits - c.indexHits.Load(),
+		Misses:          st.Misses - c.indexBuilds.Load(),
+		Evictions:       st.Evictions,
+		BytesFromCache:  st.HitCost - c.indexHitBytes.Load(),
+		BytesFromDisk:   st.LoadCost - c.indexBuildBytes.Load(),
+		Used:            st.Used,
+		IndexBuilds:     c.indexBuilds.Load(),
+		IndexBuildBytes: c.indexBuildBytes.Load(),
 	}
+	c.blocks.Each(func(k blockKey, v cached) {
+		if k.index {
+			out.Indexes++
+			out.IndexBytes += int64(len(v.data))
+		}
+	})
+	out.Blocks = st.Len - out.Indexes
+	return out
 }
 
 // ReaderFor returns an io.ReaderAt serving key's bytes from the cache,
@@ -172,36 +219,59 @@ func (r *cachedReaderAt) ViewAt(off int64) (view []byte, lease interface{ Releas
 	}
 	bs := r.c.blockSize
 	idx := off / bs
-	e, _, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx}, func() ([]byte, int64, error) {
+	e, _, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx}, func() (cached, int64, error) {
 		return r.readBlock(idx)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if bo := off % bs; bo < int64(len(e.Value)) {
-		return e.Value[bo:], e, nil
+	if bo := off % bs; bo < int64(len(e.Value.data)) {
+		return e.Value.data[bo:], e, nil
 	}
 	e.Release()
 	return nil, nil, io.EOF
+}
+
+// Derive returns the file's image idx, which build makes — the cell index
+// of a chunk of records, built from the blocks ViewAt lends — and the
+// cache keeps beside the blocks, its length its cost, until the capacity
+// pushes it out. It comes with a lease, the pinned entry, as a view does,
+// and a hit allocates nothing.
+func (r *cachedReaderAt) Derive(idx int64, build func() ([]byte, error)) (img []byte, lease interface{ Release() }, err error) {
+	e, hit, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx, index: true}, func() (cached, int64, error) {
+		img, err := build()
+		return cached{data: img}, int64(len(img)), err
+	})
+	count, bytes := &r.c.indexBuilds, &r.c.indexBuildBytes
+	if hit {
+		count, bytes = &r.c.indexHits, &r.c.indexHitBytes
+	}
+	count.Add(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	bytes.Add(int64(len(e.Value.data)))
+	return e.Value.data, e, nil
 }
 
 // readBlock reads block idx of the file from base into a pooled buffer.
 // A read exactly at EOF (any file sized a multiple of the block size ends
 // with one) yields an empty block of cost 0, which the cache returns and
 // does not keep.
-func (r *cachedReaderAt) readBlock(idx int64) ([]byte, int64, error) {
+func (r *cachedReaderAt) readBlock(idx int64) (cached, int64, error) {
 	buf := r.c.getBlock()
 	n, err := r.base.ReadAt(buf, idx*r.c.blockSize)
 	if err != nil && err != io.EOF { // a short tail block is a valid block
 		r.c.recycle(buf)
-		return nil, 0, err
+		return cached{}, 0, err
 	}
 	if n < len(buf) {
-		// A file's tail block is held at its own size: as a prefix of buf
-		// it would pin the whole blockSize array while the cache counts n.
+		// A file's tail block is held at its own size, and is the
+		// collector's: as a prefix of buf it would pin the whole blockSize
+		// array while the cache counts n.
 		tail := append(make([]byte, 0, n), buf[:n]...)
 		r.c.recycle(buf)
-		buf = tail
+		return cached{data: tail}, int64(n), nil
 	}
-	return buf, int64(n), nil
+	return cached{data: buf, pooled: true}, int64(n), nil
 }

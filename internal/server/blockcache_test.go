@@ -316,7 +316,8 @@ func TestBlockCacheHoldsTailBlocksAtTheirSize(t *testing.T) {
 		}
 	}
 	var pinned int
-	c.blocks.Each(func(_ blockKey, data []byte) {
+	c.blocks.Each(func(_ blockKey, v cached) {
+		data := v.data
 		if size, readInto := arrays[&data[0]]; readInto {
 			pinned += size // the block is the front of the array the read filled
 		} else {
@@ -476,6 +477,41 @@ func TestBlocksReturnToPoolOnEveryExit(t *testing.T) {
 		defer df.Close()
 		return c, df.Scan(0, df.Header.Count, nil, nil, fn)
 	}
+	t.Run("index image of a block's size", func(t *testing.T) {
+		c := NewBlockCache(1<<20, bs)
+		ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(4*bs, 4)}).(*cachedReaderAt)
+		img, lease, err := ra.Derive(0, func() ([]byte, error) { return make([]byte, bs), nil })
+		if err != nil || len(img) != bs {
+			t.Fatalf("Derive: %d bytes, %v", len(img), err)
+		}
+		lease.Release()
+		settled(t, c) // an image dropped into the pool would take held below 0
+	})
+	t.Run("index build fails on a block", func(t *testing.T) {
+		const failing = 10
+		c := NewBlockCache(1<<20, bs)
+		var ra io.ReaderAt
+		df, err := format.OpenDataFileWith(path, format.OpenOptions{Seam: func(path string, f io.ReaderAt) io.ReaderAt {
+			ra = c.ReaderFor(path, failingFrom{f, failing * bs})
+			return ra
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer df.Close()
+		if _, err := ra.ReadAt(make([]byte, failing*bs), 0); err != nil {
+			t.Fatal(err)
+		}
+		held, used := c.held.Load(), c.Stats().Used
+		box := geom.UnitBox()
+		if err := df.Scan(0, df.Header.Count, nil, &box, func([]byte, []int32) error { return nil }); err == nil {
+			t.Fatal("a scan whose index could not be built succeeded")
+		}
+		if st := c.Stats(); c.held.Load() != held || st.Used != used || st.Indexes != 0 || st.IndexBuilds != 1 || st.IndexBuildBytes != 0 {
+			t.Errorf("held %d, used %d before the failed build; after: held %d, %+v", held, used, c.held.Load(), st)
+		}
+		settled(t, c)
+	})
 	t.Run("callback fails mid-view", func(t *testing.T) {
 		calls := 0
 		c, err := scan(t, func([]byte, []int32) error {
@@ -510,6 +546,19 @@ func TestBlocksReturnToPoolOnEveryExit(t *testing.T) {
 
 type failingReaderAt struct{}
 
+// failingFrom reads its ReaderAt up to byte from and fails past it.
+type failingFrom struct {
+	io.ReaderAt
+	from int64
+}
+
+func (f failingFrom) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > f.from {
+		return 0, errors.New("disk on fire")
+	}
+	return f.ReaderAt.ReadAt(p, off)
+}
+
 func (failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, errors.New("disk on fire") }
 
 // TestViewAtHitAllocatesNothing: a lent view on a hit is one pinned cache
@@ -524,6 +573,88 @@ func TestViewAtHitAllocatesNothing(t *testing.T) {
 		lease.Release()
 	}); n != 0 {
 		t.Errorf("ViewAt + Release on a hit allocates %v times", n)
+	}
+}
+
+// TestDeriveHitAllocatesNothing: a kept index is lent as a view is, its
+// lease the cache's own entry.
+func TestDeriveHitAllocatesNothing(t *testing.T) {
+	c := NewBlockCache(1<<20, 512)
+	ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(2048, 8)}).(*cachedReaderAt)
+	build := func() ([]byte, error) { return make([]byte, 100), nil }
+	_, lease, err := ra.Derive(3, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease.Release()
+	if n := testing.AllocsPerRun(100, func() {
+		_, lease, err := ra.Derive(3, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease.Release()
+	}); n != 0 {
+		t.Errorf("Derive + Release on a hit allocates %v times", n)
+	}
+}
+
+// byteCountingReaderAt counts the bytes its ReaderAt returned.
+type byteCountingReaderAt struct {
+	io.ReaderAt
+	n *atomic.Int64
+}
+
+func (b byteCountingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := b.ReaderAt.ReadAt(p, off)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// TestIndexesAreNotDiskBytes: the cell indexes a box scan builds are
+// kept beside the blocks and counted apart from them. The bytes the disk
+// gave are exactly BytesFromDisk; Hits, Misses and Blocks count blocks,
+// and the indexes show as builds and as held bytes inside Used.
+func TestIndexesAreNotDiskBytes(t *testing.T) {
+	const n = 3*particle.IndexChunkRecords + 100
+	dir := t.TempDir()
+	path := filepath.Join(dir, format.DataFileName(0))
+	rows := particle.Uniform(particle.Uintah(), geom.UnitBox(), n, 5, 0).Rows()
+	defer rows.Release()
+	if err := format.WriteDataFile(nil, path, &format.DataHeader{LOD: lod.DefaultParams()}, rows, nil); err != nil {
+		t.Fatal(err)
+	}
+	var disk atomic.Int64
+	c := NewBlockCache(64<<20, 64<<10)
+	df, err := format.OpenDataFileWith(path, format.OpenOptions{Seam: func(path string, f io.ReaderAt) io.ReaderAt {
+		return c.ReaderFor(path, byteCountingReaderAt{f, &disk})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer df.Close()
+	box := geom.NewBox(geom.V3(0.2, 0.3, 0.1), geom.V3(0.6, 0.5, 0.9))
+	for range 3 {
+		if err := df.Scan(100, n, nil, &box, func([]byte, []int32) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.BytesFromDisk != disk.Load() {
+		t.Errorf("the disk gave %d bytes, BytesFromDisk says %d", disk.Load(), st.BytesFromDisk)
+	}
+	var indexBytes int64
+	for k := range int64(4) {
+		indexBytes += int64(particle.CellIndexBytes(int(min(n-k*particle.IndexChunkRecords, particle.IndexChunkRecords))))
+	}
+	if st.IndexBuilds != 4 || st.IndexBuildBytes != indexBytes || st.Indexes != 4 || st.IndexBytes != indexBytes {
+		t.Errorf("4 indexes of %d bytes built once and kept: %+v", indexBytes, st)
+	}
+	blocks := int((disk.Load() + c.blockSize - 1) / c.blockSize)
+	if st.Blocks != blocks || st.Misses != int64(blocks) || st.Used != disk.Load()+indexBytes {
+		t.Errorf("%d blocks of %d bytes read: %+v", blocks, disk.Load(), st)
+	}
+	if st.Hits == 0 {
+		t.Errorf("three scans lent their views without a block hit: %+v", st)
 	}
 }
 

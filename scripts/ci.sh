@@ -12,12 +12,12 @@
 # under the file, block and dataset caches, the reader's shared file
 # cache and its run-time resize, and the serving daemon — the server tier
 # additionally at -count=2 to shake out order-dependent interleavings,
-# and the answer-ownership tests, the block-lease tests, the
+# and the answer-ownership tests, the block-lease and index-accounting tests, the
 # one-wire-form and hello tests, the one-request-one-response tests, the aggregate-ownership tests, the
 # partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
 # breaker-poll tests by name at -count=3); the fuzz step bursts seven
-# surfaces, five decoders, the deflate encoder and the two select
+# surfaces, five decoders, the deflate encoder and the three select
 # kernels; the examples smoke
 # runs every program under examples/;
 # the benchmark dry gate builds, vets and smoke-tests the nested
@@ -103,8 +103,10 @@ go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplica
 # A raw scan reads the block cache's own blocks under a lease, and the
 # cache recycles a block once it is evicted and unleased: a view read
 # after its release, or a block kept from the pool on some exit, shows
-# only under some interleaving. The lease tests run again the same way.
-go test -race -count=3 -run 'TestViewSurvivesEvictionWhilePinned|TestBlocksReturnToPoolOnEveryExit|TestViewAtHitAllocatesNothing|TestWarmMissAllocatesNoBlock|TestScanMatchesReference' ./internal/server ./internal/format
+# only under some interleaving. The cell indexes kept beside the blocks
+# are leased and counted the same way. The lease and accounting tests run
+# again the same way.
+go test -race -count=3 -run 'TestViewSurvivesEvictionWhilePinned|TestBlocksReturnToPoolOnEveryExit|TestViewAtHitAllocatesNothing|TestDeriveHitAllocatesNothing|TestIndexesAreNotDiskBytes|TestWarmMissAllocatesNoBlock|TestScanMatchesReference' ./internal/server ./internal/format
 # One wire form and a hello that is a version check: an answer costs its
 # rows on the socket through a spiod and through a gateway, a peer that
 # never says hello is hung up on, and a hello of any other version or
@@ -160,9 +162,9 @@ go test -race -count=2 ./internal/server/...
 echo "== codec fuzz smoke =="
 # Short fuzz bursts over seven surfaces, five decoders, one encoder and the
 # select kernels: the per-field block codec round-trip (hostile specs and
-# record bytes), the box select (any bytes as positions, any box, any clip:
-# the records kernel, the planes kernel and ContainsClosed must make one
-# selection), the deflate decoder under it (differential against
+# record bytes), the box select (any bytes as positions, any box, any clip,
+# any file bounds: the three select kernels — records, planes and index —
+# and ContainsClosed must make one selection), the deflate decoder under it (differential against
 # compress/flate: never
 # laxer, same bytes, and every flate.Writer stream accepted), the deflate
 # encoder beside it (any bytes in 1, 4 or 8 planes: compress/flate's reader
