@@ -9,6 +9,18 @@
 //	spioread -remote unix:/tmp/spiod.sock -dataset sim@latest -knn 0.5,0.5,0.5
 //	spiod stats -addr unix:/tmp/spiod.sock
 //
+// A mount may also be sharded: one logical dataset whose shards other
+// spiods serve. Each -shard flag appends one shard to a mount,
+// mount=ref=addr[,addr], extra addresses being replicas retried when the
+// primary fails; a query goes to the shards whose partitions it meets and
+// their answers are merged. `spiod split` deals a dataset into shards:
+//
+//	spiod split -src out/sim -out /srv/shard0 -out /srv/shard1
+//	spiod -mount sim=/srv/shard0 -listen unix:/tmp/s0.sock &
+//	spiod -mount sim=/srv/shard1 -listen unix:/tmp/s1.sock &
+//	spiod -shard sim=sim=unix:/tmp/s0.sock -shard sim=sim=unix:/tmp/s1.sock \
+//	      -listen unix:/tmp/front.sock &
+//
 // SIGTERM/SIGINT drain gracefully: queued requests fail fast, in-flight
 // requests complete, then the process exits.
 package main
@@ -30,15 +42,41 @@ import (
 	"syscall"
 	"time"
 
+	"spio/internal/gateway"
 	"spio/internal/server"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "stats" {
-		runStats(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "split":
+			runSplit(os.Args[2:])
+			return
+		case "stats":
+			runStats(os.Args[2:])
+			return
+		}
 	}
 	runServe(os.Args[1:])
+}
+
+// runSplit implements `spiod split`: partition a dataset into shard
+// datasets that spiods can mount and a sharded mount can name.
+func runSplit(args []string) {
+	fs := flag.NewFlagSet("spiod split", flag.ExitOnError)
+	src := fs.String("src", "", "source dataset directory")
+	var outs listFlag
+	fs.Var(&outs, "out", "shard output directory (repeatable, one per shard)")
+	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error here
+	if *src == "" || len(outs) == 0 {
+		fmt.Fprintln(os.Stderr, "spiod split: -src and at least one -out are required")
+		fs.Usage()
+		os.Exit(2)
+	}
+	if err := gateway.Split(*src, outs); err != nil {
+		fatal(err)
+	}
+	log.Printf("spiod: split %s into %d shards", *src, len(outs))
 }
 
 // runStats implements `spiod stats -addr ...`: fetch and print the
@@ -73,13 +111,38 @@ func (m *mountFlag) Set(v string) error {
 	return nil
 }
 
-// listenFlag collects repeated -listen addresses.
-type listenFlag struct{ addrs []string }
+// listFlag collects a repeated string flag.
+type listFlag []string
 
-func (l *listenFlag) String() string { return strings.Join(l.addrs, ",") }
+func (l *listFlag) String() string { return strings.Join(*l, ",") }
 
-func (l *listenFlag) Set(v string) error {
-	l.addrs = append(l.addrs, v)
+func (l *listFlag) Set(v string) error {
+	*l = append(*l, v)
+	return nil
+}
+
+// shardFlag collects repeated -shard mount=ref=addr[,addr] entries,
+// keeping each mount's shard order.
+type shardFlag struct {
+	order  []string
+	shards map[string][]gateway.ShardSpec
+}
+
+func (s *shardFlag) String() string { return fmt.Sprintf("%d mounts", len(s.order)) }
+
+func (s *shardFlag) Set(v string) error {
+	name, rest, _ := strings.Cut(v, "=")
+	ref, addrs, ok := strings.Cut(rest, "=")
+	if !ok || name == "" || ref == "" || addrs == "" {
+		return fmt.Errorf("want mount=ref=addr[,addr...], got %q", v)
+	}
+	if s.shards == nil {
+		s.shards = map[string][]gateway.ShardSpec{}
+	}
+	if _, seen := s.shards[name]; !seen {
+		s.order = append(s.order, name)
+	}
+	s.shards[name] = append(s.shards[name], gateway.ShardSpec{Ref: ref, Addrs: strings.Split(addrs, ",")})
 	return nil
 }
 
@@ -87,7 +150,8 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("spiod", flag.ExitOnError)
 	var (
 		mounts   mountFlag
-		listens  listenFlag
+		shards   shardFlag
+		listens  listFlag
 		workers  = fs.Int("workers", 0, "max concurrently executing requests (0 = default)")
 		queue    = fs.Int("queue", 0, "max queued requests before fast-fail (0 = default)")
 		cacheMB  = fs.Int64("cache-mb", 256, "shared block cache size in MiB")
@@ -98,18 +162,23 @@ func runServe(args []string) {
 		metrics  = fs.String("metrics", "", "HTTP address for /metrics, /debug/vars and /debug/pprof/ (empty = off)")
 		lockProf = fs.Bool("lock-profile", false, "record mutex contention and blocking for /debug/pprof/mutex and /debug/pprof/block")
 		drainT   = fs.Duration("drain-timeout", 30*time.Second, "max wait for graceful drain on SIGTERM")
+		pool     = fs.Int("pool", 0, "sharded mounts: max connections per backend (0 = default 4)")
+		callT    = fs.Duration("call-timeout", 0, "sharded mounts: per-backend-call deadline (0 = default 30s)")
+		failN    = fs.Int("breaker-failures", 0, "sharded mounts: consecutive failures that open a backend's circuit breaker (0 = default 3)")
+		coolT    = fs.Duration("breaker-cooldown", 0, "sharded mounts: open-breaker probe interval (0 = default 5s)")
 	)
 	fs.Var(&mounts, "mount", "serve name=dir (repeatable); dir is a dataset or a step-series base")
+	fs.Var(&shards, "shard", "append a shard to a sharded mount: mount=ref=addr[,replica-addr...] (repeatable; order defines the shard map)")
 	fs.Var(&listens, "listen", "listen address: unix:/path or tcp:host:port (repeatable)")
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error here
 
-	if len(mounts.mounts) == 0 {
-		fmt.Fprintln(os.Stderr, "spiod: at least one -mount name=dir is required")
+	if len(mounts.mounts) == 0 && len(shards.order) == 0 {
+		fmt.Fprintln(os.Stderr, "spiod: at least one -mount name=dir or -shard mount=ref=addr is required")
 		fs.Usage()
 		os.Exit(2)
 	}
-	if len(listens.addrs) == 0 {
-		listens.addrs = []string{"unix:/tmp/spiod.sock"}
+	if len(listens) == 0 {
+		listens = []string{"unix:/tmp/spiod.sock"}
 	}
 	if *lockProf {
 		// Every contended unlock, and on average one blocking event per
@@ -134,9 +203,22 @@ func runServe(args []string) {
 			fatal(err)
 		}
 	}
+	// The sharded mounts' backends: their pools close after the drain.
+	g := gateway.On(s, gateway.Config{
+		PoolSize:      *pool,
+		CallTimeout:   *callT,
+		FailThreshold: *failN,
+		Cooldown:      *coolT,
+		Logf:          log.Printf,
+	})
+	for _, name := range shards.order {
+		if err := g.Mount(name, shards.shards[name]); err != nil {
+			fatal(err)
+		}
+	}
 
-	errc := make(chan error, len(listens.addrs))
-	for _, addr := range listens.addrs {
+	errc := make(chan error, len(listens))
+	for _, addr := range listens {
 		network, address, err := server.ParseAddr(addr)
 		if err != nil {
 			fatal(err)
@@ -195,7 +277,7 @@ func runServe(args []string) {
 		log.Printf("spiod: %v: draining (timeout %v)", sig, *drainT)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainT)
 		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
+		if err := g.Shutdown(ctx); err != nil {
 			log.Printf("spiod: drain incomplete: %v", err)
 			os.Exit(1)
 		}

@@ -313,7 +313,7 @@ func TestTaintFixpointCapIsLoud(t *testing.T) {
 // package is the very object its declaration defined, and identity
 // questions (types.Implements) have one answer. With a world per
 // package both halves fail — cross-package callees are importer copies,
-// and *gateway.Gateway does not implement the server.Backend the server
+// and *gateway.gwMount does not implement the server.Dataset the server
 // package itself sees.
 func TestOneWorld(t *testing.T) {
 	prog := BuildProgram(loadModule(t))
@@ -343,10 +343,10 @@ func TestOneWorld(t *testing.T) {
 	if cross == 0 {
 		t.Fatal("no cross-package function use found; the test checks nothing")
 	}
-	gw := lookupPackage(prog, "spio/internal/gateway").Types.Scope().Lookup("Gateway").Type()
-	backend := lookupPackage(prog, "spio/internal/server").Types.Scope().Lookup("Backend").Type().Underlying().(*types.Interface)
-	if !types.Implements(types.NewPointer(gw), backend) {
-		t.Error("types.Implements(*gateway.Gateway, server.Backend) = false: the two packages were checked into different worlds")
+	mount := lookupPackage(prog, "spio/internal/gateway").Types.Scope().Lookup("gwMount").Type()
+	dataset := lookupPackage(prog, "spio/internal/server").Types.Scope().Lookup("Dataset").Type().Underlying().(*types.Interface)
+	if !types.Implements(types.NewPointer(mount), dataset) {
+		t.Error("types.Implements(*gateway.gwMount, server.Dataset) = false: the two packages were checked into different worlds")
 	}
 }
 

@@ -1,14 +1,13 @@
-// Package gateway implements spiogate, the scatter-gather front tier
-// for sharded spiod serving. A gateway mounts one logical dataset as a
-// set of shards — disjoint file subsets served by spiod backends — and
-// speaks the unmodified spiod wire protocol on its front, so spio.Dial
-// works against a gateway exactly as against a single daemon. For each
-// query it computes the minimal shard set whose aggregation partitions
-// intersect the request, fans out over bounded per-backend connection
-// pools, and merges the shard answers so the result is byte-identical
-// (up to particle order) to a single node serving the whole dataset:
-// the paper's metadata-driven file pruning, lifted one tier up from
-// files to servers.
+// Package gateway implements spiod's sharded mounts: one logical dataset
+// assembled from shards — disjoint file subsets served by other spiods —
+// mounted on a server.Server beside its local mounts and served by the
+// same front, so spio.Dial works against it exactly as against a single
+// daemon. For each query a sharded mount computes the minimal shard set
+// whose aggregation partitions intersect the request, fans out over
+// bounded per-backend connection pools, and merges the shard answers so
+// the result is byte-identical (up to particle order) to a single node
+// serving the whole dataset: the paper's metadata-driven file pruning,
+// lifted one tier up from files to servers.
 //
 // Failure containment is first-class: per-backend circuit breakers,
 // per-call timeouts, retry across replicas when a shard is served by
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"time"
 
 	"spio/internal/format"
@@ -44,9 +42,6 @@ type Config struct {
 	// Cooldown is how long an open breaker rejects a backend before
 	// letting one probe through (default 5s).
 	Cooldown time.Duration
-	// MaxFrame bounds response frames accepted from backends (default
-	// server.DefaultMaxFrame).
-	MaxFrame int64
 	// Logf, when non-nil, receives gateway log lines.
 	Logf func(format string, args ...any)
 }
@@ -82,13 +77,6 @@ func (c *Config) cooldown() time.Duration {
 	return 5 * time.Second
 }
 
-func (c *Config) maxFrame() int64 {
-	if c.MaxFrame > 0 {
-		return c.MaxFrame
-	}
-	return server.DefaultMaxFrame
-}
-
 // ShardSpec names one shard of a mounted dataset: the dataset reference
 // the shard's files are served under, and the backends holding it. The
 // first address is the primary; any further addresses are replicas the
@@ -99,26 +87,24 @@ type ShardSpec struct {
 	Addrs []string
 }
 
-// Gateway is the resident front-tier state: mounted shard maps over
-// pooled backend connections, served through the same server.Front as a
-// spiod, whose Backend it is.
+// Gateway is the shard registry of one server: the backends its sharded
+// mounts call, each with its connection pool and circuit breaker, shared
+// by every mount that names the same address.
 type Gateway struct {
-	cfg Config
-
-	backends map[string]*backend // keyed by address; shared across mounts
-	mounts   map[string]*gwMount
-
-	front   *server.Front
-	metrics gwMetrics
+	cfg      Config
+	srv      *server.Server
+	backends map[string]*backend // keyed by address
 }
 
 // gwMount is one logical dataset assembled from shards; it answers the
 // front's server.Dataset seam by scatter-gather (merge.go).
 type gwMount struct {
-	g      *Gateway
-	name   string
-	shards []*gwShard
-	merged *format.Meta // concatenated shard metadata; the front's opMeta answer
+	shards  []*gwShard
+	merged  *format.Meta // concatenated shard metadata; the front's opMeta answer
+	metrics gwMetrics
+	// owns are the backends this mount was the first to name. It reports
+	// their breakers, so a backend two mounts share is counted once.
+	owns []*backend
 }
 
 // Meta returns the merged metadata.
@@ -141,30 +127,28 @@ type backend struct {
 	brk  breaker
 }
 
-// New builds a Gateway; Mount shard maps, then Serve listeners.
-func New(cfg Config) *Gateway {
-	g := &Gateway{
-		cfg:      cfg,
-		backends: map[string]*backend{},
-		mounts:   map[string]*gwMount{},
-	}
-	// The front runs on its defaults for workers, queue depth and
-	// response budget: the admission that guards a spiod guards the
-	// gateway's fan-out the same way.
-	g.front = server.NewFront(server.Config{}, g)
-	return g
+// On builds the shard registry of srv: Mount shard maps, which srv
+// serves beside its own mounts.
+func On(srv *server.Server, cfg Config) *Gateway {
+	return &Gateway{cfg: cfg, srv: srv, backends: map[string]*backend{}}
 }
 
-// Serve accepts front connections on l until Shutdown. It returns nil
-// on drain-triggered listener close.
-func (g *Gateway) Serve(l net.Listener) error { return g.front.Serve(l) }
+// New builds a Gateway on a server of its own, with no local mounts and
+// the front's defaults for workers, queue depth and response budget;
+// Mount shard maps, then Serve listeners.
+func New(cfg Config) *Gateway {
+	return On(server.New(server.Config{Logf: cfg.Logf}), cfg)
+}
 
-// Shutdown drains the front — stop accepting, let in-flight requests
+// Serve accepts connections on l until Shutdown (see server.Server.Serve).
+func (g *Gateway) Serve(l net.Listener) error { return g.srv.Serve(l) }
+
+// Shutdown drains the server — stop accepting, let in-flight requests
 // finish, send idle connections a drain notice — and then closes the
 // backend pools. The context bounds the wait; when it expires the pools
 // are left to the requests still using them.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	if err := g.front.Shutdown(ctx); err != nil {
+	if err := g.srv.Shutdown(ctx); err != nil {
 		return err
 	}
 	for _, be := range g.backends {
@@ -179,13 +163,13 @@ func (g *Gateway) logf(format string, args ...any) {
 	}
 }
 
-// backendFor returns (creating if needed) the shared backend state for
-// one address. Mount-time only; not locked.
-func (g *Gateway) backendFor(addr string) *backend {
+// backendFor returns (creating if needed, owned by m) the shared backend
+// state for one address. Mount-time only; not locked.
+func (g *Gateway) backendFor(m *gwMount, addr string) *backend {
 	if be, ok := g.backends[addr]; ok {
 		return be
 	}
-	opts := []server.DialOption{server.WithMaxFrame(g.cfg.maxFrame())}
+	var opts []server.DialOption
 	if d := g.cfg.callTimeout(); d > 0 {
 		opts = append(opts, server.WithCallTimeout(d))
 	}
@@ -196,36 +180,42 @@ func (g *Gateway) backendFor(addr string) *backend {
 	be.brk.threshold = g.cfg.failThreshold()
 	be.brk.cooldown = g.cfg.cooldown()
 	g.backends[addr] = be
+	m.owns = append(m.owns, be)
 	return be
 }
 
-// Mount assembles the shards into one logical dataset served under
-// name. It contacts one live replica per shard to fetch the shard's
-// metadata, verifies the shards agree on schema/domain/LOD and that
-// their partitions are disjoint, and precomputes the merged metadata
-// image the front serves for opMeta. Mount everything before Serve.
-func (g *Gateway) Mount(name string, specs []ShardSpec) error {
-	if name == "" {
-		return fmt.Errorf("spiogate: empty mount name")
-	}
-	if _, dup := g.mounts[name]; dup {
-		return fmt.Errorf("spiogate: mount %s: name already in use", name)
-	}
+// Mount assembles the shards into one logical dataset and mounts it on
+// the server under name (server.Server.MountDataset: Mount's name rules,
+// and a name no other mount has). It contacts one live replica per shard
+// to fetch the shard's metadata, verifies the shards agree on
+// schema/domain/LOD and that their partitions are disjoint, and
+// precomputes the merged metadata image the front serves for opMeta.
+// Mount everything before Serve. A mount that fails closes the backends
+// it was the first to name.
+func (g *Gateway) Mount(name string, specs []ShardSpec) (err error) {
+	m := new(gwMount)
+	defer func() {
+		if err != nil {
+			for _, be := range m.owns {
+				delete(g.backends, be.addr)
+				_ = be.pool.Close() // never served a query
+			}
+		}
+	}()
 	if len(specs) == 0 {
-		return fmt.Errorf("spiogate: mount %s: no shards", name)
+		return fmt.Errorf("gateway: mount %s: no shards", name)
 	}
-	m := &gwMount{g: g, name: name}
 	for i, spec := range specs {
 		if len(spec.Addrs) == 0 {
-			return fmt.Errorf("spiogate: mount %s: shard %d has no backends", name, i)
+			return fmt.Errorf("gateway: mount %s: shard %d has no backends", name, i)
 		}
 		sh := &gwShard{idx: i, ref: spec.Ref}
 		for _, addr := range spec.Addrs {
-			sh.replicas = append(sh.replicas, g.backendFor(addr))
+			sh.replicas = append(sh.replicas, g.backendFor(m, addr))
 		}
-		meta, err := g.fetchShardMeta(sh)
+		meta, err := fetchShardMeta(sh)
 		if err != nil {
-			return fmt.Errorf("spiogate: mount %s: shard %d (%s): %w", name, i, spec.Ref, err)
+			return fmt.Errorf("gateway: mount %s: shard %d (%s): %w", name, i, spec.Ref, err)
 		}
 		sh.meta = meta
 		sh.bounds = geom.EmptyBox()
@@ -241,16 +231,18 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) error {
 	}
 	merged, err := mergeMetas(m.shards)
 	if err != nil {
-		return fmt.Errorf("spiogate: mount %s: %w", name, err)
+		return fmt.Errorf("gateway: mount %s: %w", name, err)
 	}
 	if err := format.EncodeMeta(io.Discard, merged); err != nil {
 		// EncodeMeta validates: overlapping shard partitions or count
 		// mismatches are caught here, before the mount is served.
-		return fmt.Errorf("spiogate: mount %s: merged metadata invalid: %w", name, err)
+		return fmt.Errorf("gateway: mount %s: merged metadata invalid: %w", name, err)
 	}
 	m.merged = merged
-	g.mounts[name] = m
-	g.logf("spiogate: mounted %s: %d shards, %d files, %d particles",
+	if err := g.srv.MountDataset(name, m); err != nil {
+		return err
+	}
+	g.logf("gateway: mounted %s: %d shards, %d files, %d particles",
 		name, len(m.shards), len(merged.Files), merged.Total)
 	return nil
 }
@@ -258,7 +250,7 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) error {
 // fetchShardMeta retrieves a shard's metadata from the first replica
 // that answers. A backend that passed the hello's version check speaks
 // every extension the merge semantics depend on.
-func (g *Gateway) fetchShardMeta(sh *gwShard) (*format.Meta, error) {
+func fetchShardMeta(sh *gwShard) (*format.Meta, error) {
 	var lastErr error
 	for _, be := range sh.replicas {
 		c, err := be.pool.Get()
@@ -310,38 +302,16 @@ func mergeMetas(shards []*gwShard) (*format.Meta, error) {
 	return merged, nil
 }
 
-// Resolve maps a front dataset reference to its mount (server.Backend).
-// Gateways serve plain names only — step selection happens at the shard
-// layer, where the series lives.
-func (g *Gateway) Resolve(ref string) (server.Dataset, error) {
-	m, ok := g.mounts[ref]
-	if !ok {
-		return nil, fmt.Errorf("spiogate: no dataset mounted as %q", ref)
-	}
-	return m, nil
-}
-
-// List returns the mounted dataset names, sorted, as a spiod lists its
-// own (server.Backend).
-func (g *Gateway) List() []string {
-	names := make([]string, 0, len(g.mounts))
-	for name := range g.mounts {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names
-}
-
 // withShard runs fn against the first available replica of sh,
 // advancing past open breakers, dead backends, and draining servers. A
 // clean request-level failure (budget, bad query) is definitive and
 // returned immediately; transport-level failures mark the replica and
 // move on.
-func (g *Gateway) withShard(sh *gwShard, fn func(ds *server.RemoteDataset) error) error {
+func (m *gwMount) withShard(sh *gwShard, fn func(ds *server.RemoteDataset) error) error {
 	var lastErr error = errShardDown
 	for _, be := range sh.replicas {
 		if !be.brk.allow(time.Now()) {
-			g.metrics.breakerSkips.Add(1)
+			m.metrics.breakerSkips.Add(1)
 			continue
 		}
 		c, err := be.pool.Get()
@@ -372,4 +342,4 @@ func (g *Gateway) withShard(sh *gwShard, fn func(ds *server.RemoteDataset) error
 	return lastErr
 }
 
-var errShardDown = fmt.Errorf("spiogate: shard unavailable: all replicas down or circuit-broken")
+var errShardDown = fmt.Errorf("gateway: shard unavailable: all replicas down or circuit-broken")

@@ -148,6 +148,14 @@ func serveGateway(t testing.TB, cfg Config, specs []ShardSpec, wrap func(net.Lis
 	if err := g.Mount("sim", specs); err != nil {
 		t.Fatal(err)
 	}
+	return g, serveOn(t, g, wrap)
+}
+
+// serveOn serves g's server on a fresh unix socket, its listener wrapped
+// by wrap, until the test ends; then it drains the server and closes g's
+// backend pools.
+func serveOn(t testing.TB, g *Gateway, wrap func(net.Listener) net.Listener) string {
+	t.Helper()
 	addr := sockAddr(t)
 	l := listenOn(t, addr)
 	if wrap != nil {
@@ -165,7 +173,7 @@ func serveGateway(t testing.TB, cfg Config, specs []ShardSpec, wrap func(net.Lis
 			t.Errorf("gateway Shutdown: %v", err)
 		}
 	})
-	return g, addr
+	return addr
 }
 
 // records returns the buffer's particles as canonical-sorted encoded
@@ -219,11 +227,11 @@ func TestGatewayProgressive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for !st.Done() {
-			before := g.metrics.fanout.Load()
+			before := g.srv.Snapshot().Fanout
 			if _, _, err := st.NextLevel(); err != nil {
 				t.Fatal(err)
 			}
-			if calls := g.metrics.fanout.Load() - before; calls != shards {
+			if calls := g.srv.Snapshot().Fanout - before; calls != shards {
 				t.Fatalf("level %d over %v made %d shard calls, want %d", st.Level()-1, q, calls, shards)
 			}
 		}

@@ -1,10 +1,11 @@
 package gateway
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"spio/internal/server"
 )
 
 // breaker is a per-backend circuit breaker with three states:
@@ -70,16 +71,35 @@ func (b *breaker) open(now time.Time) bool {
 	return !b.openUntil.IsZero() && now.Before(b.openUntil)
 }
 
-// gwMetrics counts what only the gateway does; requests, errors and
-// connections are counted once, by the shared front.
+// gwMetrics counts what only a sharded mount does; requests, errors,
+// partial answers and connections are counted once, by the server's
+// front.
 type gwMetrics struct {
-	partials     atomic.Int64 // requests answered with the partial-result flag
 	fanout       atomic.Int64 // shard calls issued
 	shardErrors  atomic.Int64 // shard calls that failed (after replica retries)
 	breakerSkips atomic.Int64 // replica attempts rejected by an open breaker
 }
 
-// MetricsSnapshot is the JSON shape served for opStats.
+// ShardMetrics reports the mount's counters and the open breakers of the
+// backends it owns, for the server's metrics snapshot to sum.
+func (m *gwMount) ShardMetrics() server.ShardMetrics {
+	sm := server.ShardMetrics{
+		Fanout:       m.metrics.fanout.Load(),
+		ShardErrors:  m.metrics.shardErrors.Load(),
+		BreakerSkips: m.metrics.breakerSkips.Load(),
+	}
+	now := time.Now()
+	for _, be := range m.owns {
+		if be.brk.open(now) {
+			sm.OpenBreakers++
+		}
+	}
+	return sm
+}
+
+// MetricsSnapshot is the part of a server's metrics image (opStats,
+// /metrics) that a sharded deployment is read by: a decode type, whose
+// keys are the top-level keys of server.MetricsSnapshot.
 type MetricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Requests      int64   `json:"requests"`
@@ -90,31 +110,4 @@ type MetricsSnapshot struct {
 	BreakerSkips  int64   `json:"breaker_skips"`
 	ActiveConns   int64   `json:"active_conns"`
 	OpenBreakers  int     `json:"open_breakers"`
-}
-
-// StatsJSON renders the metrics for opStats (server.Backend): the
-// front's traffic counters beside the gateway's own.
-func (g *Gateway) StatsJSON() []byte {
-	now := time.Now()
-	front := g.front.Snapshot()
-	snap := MetricsSnapshot{
-		UptimeSeconds: front.UptimeSeconds,
-		Requests:      front.Requests,
-		Errors:        front.Errors,
-		Partials:      g.metrics.partials.Load(),
-		Fanout:        g.metrics.fanout.Load(),
-		ShardErrors:   g.metrics.shardErrors.Load(),
-		BreakerSkips:  g.metrics.breakerSkips.Load(),
-		ActiveConns:   front.ActiveConns,
-	}
-	for _, be := range g.backends {
-		if be.brk.open(now) {
-			snap.OpenBreakers++
-		}
-	}
-	b, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		return []byte("{}")
-	}
-	return b
 }

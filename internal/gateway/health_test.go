@@ -112,7 +112,7 @@ func (l *flapListener) set(down bool) {
 }
 
 // TestStatsBesideFlappingShard reads the breakers the way an operator
-// does — StatsJSON, polled — while requests open and close them: eight
+// does — the server's StatsJSON, polled — while requests open and close them: eight
 // clients fan out through a gateway one of whose three shards flaps, with
 // a threshold of one failure and a cooldown shorter than a flap. It is a
 // -race test: with the lock in breaker.open dropped nothing else fails.
@@ -184,7 +184,7 @@ func TestStatsBesideFlappingShard(t *testing.T) {
 		flap.set(flaps%2 == 0)
 		for until := time.Now().Add(5 * time.Millisecond); time.Now().Before(until); {
 			var snap MetricsSnapshot
-			if err := json.Unmarshal(g.StatsJSON(), &snap); err != nil {
+			if err := json.Unmarshal(g.srv.StatsJSON(), &snap); err != nil {
 				t.Fatal(err)
 			}
 			sawOpen = sawOpen || snap.OpenBreakers > 0

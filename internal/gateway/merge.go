@@ -55,7 +55,7 @@ func (m *gwMount) Answer(req *rdr.Request) (*rdr.Answer, error) {
 	case rdr.OpKNN:
 		return m.knn(&fwd)
 	}
-	return nil, fmt.Errorf("spiogate: unknown op %d", req.Op)
+	return nil, fmt.Errorf("gateway: unknown op %d", req.Op)
 }
 
 // shardResult is one shard's contribution to a fanned-out query. The
@@ -74,22 +74,22 @@ type shardResult struct {
 // order. A shard is asked under its own reference and, for KNN, for no
 // more neighbours than it holds. Each goroutine sends exactly one result
 // and exits; the collector drains all of them, so none can leak.
-func (g *Gateway) fanOut(targets []*gwShard, req *rdr.Request) []shardResult {
+func (m *gwMount) fanOut(targets []*gwShard, req *rdr.Request) []shardResult {
 	ch := make(chan shardResult, len(targets))
 	for _, sh := range targets {
 		go func(sh *gwShard) {
-			g.metrics.fanout.Add(1)
+			m.metrics.fanout.Add(1)
 			sreq := *req
 			if sreq.Op == rdr.OpKNN {
 				sreq.K = int(min(int64(sreq.K), sh.meta.Total))
 			}
 			res := shardResult{idx: sh.idx}
-			res.err = g.withShard(sh, func(ds *server.RemoteDataset) (err error) {
+			res.err = m.withShard(sh, func(ds *server.RemoteDataset) (err error) {
 				res.a, err = ds.Answer(&sreq)
 				return err
 			})
 			if res.err != nil {
-				g.metrics.shardErrors.Add(1)
+				m.metrics.shardErrors.Add(1)
 			}
 			ch <- res
 		}(sh)
@@ -104,8 +104,8 @@ func (g *Gateway) fanOut(targets []*gwShard, req *rdr.Request) []shardResult {
 
 // gatherErr folds fan-out failures into the partial-result contract:
 // every shard failing fails the query; any shard succeeding degrades
-// the failures to a partial-result flag.
-func (g *Gateway) gatherErr(results []shardResult, st *rdr.Stats) error {
+// the failures to a partial-result flag, which the front counts.
+func gatherErr(results []shardResult, st *rdr.Stats) error {
 	var firstErr error
 	failed := 0
 	for _, r := range results {
@@ -124,15 +124,7 @@ func (g *Gateway) gatherErr(results []shardResult, st *rdr.Stats) error {
 	if failed > 0 {
 		st.Partial = true
 	}
-	g.notePartial(st)
 	return nil
-}
-
-// notePartial counts an answer going out with the partial-result flag.
-func (g *Gateway) notePartial(st *rdr.Stats) {
-	if st.Partial {
-		g.metrics.partials.Add(1)
-	}
 }
 
 // concat scatter-gathers a box or halo read: route by the box the read
@@ -149,9 +141,9 @@ func (m *gwMount) concat(req *rdr.Request, sel geom.Box) (*rdr.Answer, error) {
 	if len(targets) == 0 {
 		return m.emptyAnswer(req)
 	}
-	results := m.g.fanOut(targets, req)
+	results := m.fanOut(targets, req)
 	out := new(rdr.Answer)
-	if err := m.g.gatherErr(results, &out.Stats); err != nil {
+	if err := gatherErr(results, &out.Stats); err != nil {
 		return nil, err
 	}
 	for _, r := range results {
@@ -196,9 +188,9 @@ func (m *gwMount) emptyAnswer(req *rdr.Request) (*rdr.Answer, error) {
 // bit-identical to the single-node answer. raw skips the final scaling
 // (a nested gateway asked us for raw counts itself).
 func (m *gwMount) density(req *rdr.Request, raw bool) (*rdr.Answer, error) {
-	results := m.g.fanOut(m.shards, req)
+	results := m.fanOut(m.shards, req)
 	out := &rdr.Answer{Fraction: 1}
-	if err := m.g.gatherErr(results, &out.Stats); err != nil {
+	if err := gatherErr(results, &out.Stats); err != nil {
 		return nil, err
 	}
 	for _, r := range results {
@@ -208,7 +200,7 @@ func (m *gwMount) density(req *rdr.Request, raw bool) (*rdr.Answer, error) {
 		case out.Floats == nil:
 			out.Floats = r.a.Floats
 		case len(r.a.Floats) != len(out.Floats):
-			return nil, fmt.Errorf("spiogate: shard %d returned %d density cells, want %d", r.idx, len(r.a.Floats), len(out.Floats))
+			return nil, fmt.Errorf("gateway: shard %d returned %d density cells, want %d", r.idx, len(r.a.Floats), len(out.Floats))
 		default:
 			for i, v := range r.a.Floats {
 				out.Floats[i] += v
@@ -240,7 +232,6 @@ type knnCand struct {
 // k, and the gateway re-ranks the union and gathers the winners out of
 // the shards' rows.
 func (m *gwMount) knn(req *rdr.Request) (*rdr.Answer, error) {
-	g := m.g
 	p, k := req.Point, req.K
 	order := make([]*gwShard, 0, len(m.shards))
 	for _, sh := range m.shards {
@@ -287,7 +278,7 @@ func (m *gwMount) knn(req *rdr.Request) (*rdr.Answer, error) {
 		if len(wave) == 0 {
 			break
 		}
-		for _, r := range g.fanOut(wave, req) {
+		for _, r := range m.fanOut(wave, req) {
 			if r.err != nil {
 				failed++
 				if firstErr == nil {
@@ -324,7 +315,6 @@ func (m *gwMount) knn(req *rdr.Request) (*rdr.Answer, error) {
 		// the answer may be incomplete, flag it instead of failing.
 		st.Partial = true
 	}
-	g.notePartial(&st)
 	n := min(k, len(cands))
 	schema := results[cands[0].res].a.Rows.Schema()
 	stride := schema.Stride()

@@ -276,7 +276,7 @@ func TestLosingReplicaReleasesRows(t *testing.T) {
 	if cut.cuts.Load() == 0 {
 		t.Fatal("the primary never died mid-answer: the test did not test the failover")
 	}
-	if got := g.metrics.shardErrors.Load(); got != 0 {
+	if got := g.srv.Snapshot().ShardErrors; got != 0 {
 		t.Errorf("%d shard errors: a failover is not one", got)
 	}
 

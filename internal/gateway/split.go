@@ -22,19 +22,19 @@ import (
 // dataset.
 func Split(srcDir string, outDirs []string) error {
 	if len(outDirs) == 0 {
-		return fmt.Errorf("spiogate: split: no output directories")
+		return fmt.Errorf("gateway: split: no output directories")
 	}
 	meta, err := format.ReadMeta(srcDir)
 	if err != nil {
 		return err
 	}
 	if len(meta.Files) < len(outDirs) {
-		return fmt.Errorf("spiogate: split: %d files cannot fill %d shards", len(meta.Files), len(outDirs))
+		return fmt.Errorf("gateway: split: %d files cannot fill %d shards", len(meta.Files), len(outDirs))
 	}
 	for shard, dir := range outDirs {
 		entries := rdr.AssignFiles(meta, len(outDirs), shard)
 		if len(entries) == 0 {
-			return fmt.Errorf("spiogate: split: shard %d would be empty", shard)
+			return fmt.Errorf("gateway: split: shard %d would be empty", shard)
 		}
 		if err := os.MkdirAll(dir, 0o777); err != nil {
 			return err
@@ -52,11 +52,11 @@ func Split(srcDir string, outDirs []string) error {
 			sub.Total += e.Count
 			sub.Files = append(sub.Files, *e)
 			if err := copyFile(filepath.Join(srcDir, e.Name), filepath.Join(dir, e.Name)); err != nil {
-				return fmt.Errorf("spiogate: split: shard %d: %w", shard, err)
+				return fmt.Errorf("gateway: split: shard %d: %w", shard, err)
 			}
 		}
 		if err := format.WriteMeta(nil, dir, sub); err != nil {
-			return fmt.Errorf("spiogate: split: shard %d: %w", shard, err)
+			return fmt.Errorf("gateway: split: shard %d: %w", shard, err)
 		}
 	}
 	return nil

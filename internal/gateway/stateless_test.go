@@ -46,7 +46,7 @@ func bothDaemons(t *testing.T, wrap func(net.Listener) net.Listener) []daemon {
 	g, gate := serveGateway(t, Config{PoolSize: idleCursors}, specs, wrap)
 	return []daemon{
 		{"spiod", spiod, "shard", s.Shutdown, func() int64 { return s.Snapshot().ActiveConns }, nil},
-		{"spiogate", gate, "sim", g.Shutdown, func() int64 { return g.front.Snapshot().ActiveConns }, g},
+		{"spiogate", gate, "sim", g.Shutdown, func() int64 { return g.srv.Snapshot().ActiveConns }, g},
 	}
 }
 
@@ -298,7 +298,7 @@ func TestGatewayStreamSurvivesReplicaLoss(t *testing.T) {
 					t.Fatalf("level %d without the lost shard: %d bytes of %d, want the surviving shard's", l, len(enc), len(want[l]))
 				}
 			}
-			if errs := g.metrics.shardErrors.Load(); !st.Done() || st.Stats().Partial == replicated || (errs == 0) != replicated {
+			if errs := g.srv.Snapshot().ShardErrors; !st.Done() || st.Stats().Partial == replicated || (errs == 0) != replicated {
 				t.Errorf("after the loss: done=%v partial=%v, %d shard errors", st.Done(), st.Stats().Partial, errs)
 			}
 		})

@@ -10,7 +10,6 @@ import (
 	"spio/internal/geom"
 	"spio/internal/lod"
 	"spio/internal/particle"
-	rdr "spio/internal/reader"
 )
 
 // TestCompressedBlockCacheEvictionRace is the compressed twin of
@@ -100,65 +99,5 @@ func evictionRace(t *testing.T, path string) {
 	cache.blocks.Purge()
 	if n := cache.held.Load(); n != 0 {
 		t.Errorf("compressed=%v: %d blocks still out of the pool", df.Compressed(), n)
-	}
-}
-
-// TestRemoteMatchesLocalCompressed holds the full acceptance criterion:
-// the dataset is compressed on disk (block cache holds compressed
-// blocks, decode on egress) under a cache far smaller than it — and
-// every remote answer is byte-identical to the local one.
-func TestRemoteMatchesLocalCompressed(t *testing.T) {
-	dir := t.TempDir()
-	writeDatasetCodec(t, dir, geom.I3(2, 2, 1), geom.I3(2, 1, 1), 400,
-		particle.LosslessSpec(particle.Uintah()))
-
-	s := New(Config{
-		Workers:    2,
-		CacheBytes: 16 << 10, // much smaller than the compressed payload: eviction under load
-		BlockBytes: 2 << 10,
-	})
-	if err := s.Mount("sim", dir); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-
-	local, err := rdr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	domain := local.Meta().Domain
-	ds, err := OpenRemote(addr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	for _, q := range []geom.Box{
-		geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1)),
-		geom.NewBox(geom.V3(0.25, 0.25, 0.25), geom.V3(0.8, 0.9, 1)),
-		domain,
-	} {
-		want, _, err := local.QueryBox(q, rdr.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := ds.QueryBox(q, rdr.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("remote query diverges from local for %v", q)
-		}
-	}
-	want, _, err := local.QueryBox(domain, rdr.Options{NoFilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ds.ReadAll(rdr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("remote ReadAll diverges from local")
 	}
 }

@@ -15,10 +15,10 @@ import (
 	rdr "spio/internal/reader"
 )
 
-// Backend is what a Front serves. spiod's Server answers from local
-// mounts; the gateway answers by scatter-gather over shards. Everything
-// about connections, frames, admission and drain is the Front's; a
-// Backend only names datasets and answers queries on them.
+// Backend is what a Front serves: spiod's Server, whose mounts answer
+// from local files or by scatter-gather over shards (internal/gateway).
+// Everything about connections, frames, admission and drain is the
+// Front's; a Backend only names datasets and answers queries on them.
 type Backend interface {
 	// Resolve maps a dataset reference to the dataset answering it.
 	Resolve(ref string) (Dataset, error)
@@ -53,10 +53,9 @@ const (
 // use, so it is not a Config field.
 const helloTimeout = 10 * time.Second
 
-// Front is the protocol front shared by spiod and spiogate: the accept
-// loop, the per-connection hello and request loop, admission, the
-// response byte budget, frame encoding, the drain handshake and the
-// traffic counters. A request is one frame in and one frame out, and
+// Front is spiod's protocol front: the accept loop, the per-connection
+// hello and request loop, admission, the response byte budget, frame
+// encoding, the drain handshake and the traffic counters. A request is one frame in and one frame out, and
 // nothing of it — worker slot, rows, file pins — outlives the response.
 type Front struct {
 	cfg     Config
@@ -368,6 +367,9 @@ func (f *Front) execute(conn *srvConn, ref string, req *rdr.Request, wait time.D
 			return f.sendErr(conn, err)
 		}
 		defer a.Release()
+		if a.Stats.Partial {
+			f.metrics.partials.Add(1)
+		}
 		if n, budget := a.Bytes(), f.cfg.maxRespBytes(); n > budget {
 			return f.fail(conn, statusBudget, budgetMsg(n, budget))
 		}

@@ -17,6 +17,7 @@ type metrics struct {
 	errors     atomic.Int64
 	overloaded atomic.Int64
 	drained    atomic.Int64
+	partials   atomic.Int64 // answers flagged partial
 
 	bytesServed atomic.Int64
 
@@ -64,6 +65,21 @@ type DecodedCacheStats struct {
 	Misses int64 `json:"misses"`
 }
 
+// ShardMetrics is what the sharded mounts count beside the front: shard
+// calls, the ones that failed after their replica retries, replica
+// attempts an open circuit breaker turned away, and the backends whose
+// breaker is open now, each address counted once.
+type ShardMetrics struct {
+	Fanout       int64 `json:"fanout"`
+	ShardErrors  int64 `json:"shard_errors"`
+	BreakerSkips int64 `json:"breaker_skips"`
+	OpenBreakers int   `json:"open_breakers"`
+}
+
+// A sharded mount's dataset reports its ShardMetrics; the snapshot sums
+// them over the mounts.
+type shardReporter interface{ ShardMetrics() ShardMetrics }
+
 // MetricsSnapshot is the JSON image served on /metrics, by `spiod
 // stats`, and published to expvar — the Darshan-style aggregate view of
 // what the daemon's I/O has been doing.
@@ -74,6 +90,9 @@ type MetricsSnapshot struct {
 	Errors     int64 `json:"errors"`
 	Overloaded int64 `json:"overloaded"`
 	Drained    int64 `json:"drained"`
+	Partials   int64 `json:"partials"`
+
+	ShardMetrics
 
 	BytesServed int64 `json:"bytes_served"`
 
@@ -103,6 +122,7 @@ func (f *Front) Snapshot() MetricsSnapshot {
 		Errors:         m.errors.Load(),
 		Overloaded:     m.overloaded.Load(),
 		Drained:        m.drained.Load(),
+		Partials:       m.partials.Load(),
 		BytesServed:    m.bytesServed.Load(),
 		FilesOpened:    m.filesOpened.Load(),
 		ParticlesRead:  m.particlesRead.Load(),
@@ -116,19 +136,27 @@ func (f *Front) Snapshot() MetricsSnapshot {
 }
 
 // Snapshot assembles the current metrics image: the front's counters,
-// the shared block cache, and every mounted dataset's file-cache
-// counters.
+// the shared block cache, every opened dataset's file-cache counters, and
+// the sharded mounts' counters summed.
 func (s *Server) Snapshot() MetricsSnapshot {
 	snap := s.front.Snapshot()
 	snap.BlockCache = s.cache.Stats()
 	snap.Datasets = map[string]DatasetMetrics{}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, mt := range s.mounts {
+	for _, mt := range s.mountList() {
+		if mt.ds != nil {
+			if r, ok := mt.ds.(shardReporter); ok {
+				sm := r.ShardMetrics()
+				snap.Fanout += sm.Fanout
+				snap.ShardErrors += sm.ShardErrors
+				snap.BreakerSkips += sm.BreakerSkips
+				snap.OpenBreakers += sm.OpenBreakers
+			}
+			continue
+		}
 		mt.open.Each(func(ref string, ds *rdr.Dataset) {
-			key := name
+			key := mt.name
 			if mt.series {
-				key = name + "@" + ref
+				key = mt.name + "@" + ref
 			}
 			snap.Datasets[key] = DatasetMetrics{
 				Dir:       ds.Dir(),

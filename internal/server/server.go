@@ -89,12 +89,14 @@ func (c *Config) fileCacheSlots() int {
 	return 64
 }
 
-// mount is one served name: either a plain dataset directory or a
-// time-series base (StepDir convention), resolved per request.
+// mount is one served name: a plain dataset directory, a time-series
+// base (StepDir convention) resolved per request, or a dataset the server
+// does not open itself (MountDataset).
 type mount struct {
 	name   string
 	dir    string
 	series bool
+	ds     Dataset // set for a MountDataset mount, which has no dir and no open
 
 	// open holds the opened datasets, each at cost 1: key "" for a plain
 	// mount, the decimal step for a series mount. Its load opens and
@@ -155,8 +157,8 @@ func (s *Server) logf(format string, args ...any) {
 // policy (Config.Fsck) applies to the dataset — for a series, to its
 // newest step now and to every step when first served.
 func (s *Server) Mount(name, dir string) error {
-	if name == "" || strings.ContainsAny(name, "@ \t\n") {
-		return fmt.Errorf("spiod: invalid mount name %q", name)
+	if err := checkMountName(name); err != nil {
+		return err
 	}
 	m := &mount{name: name, dir: dir, open: cache.New[string](mountSteps, func(ds *rdr.Dataset) {
 		// Idle handles close now, busy ones on their release; a query still
@@ -182,13 +184,41 @@ func (s *Server) Mount(name, dir string) error {
 			return err
 		}
 	}
+	if err := s.add(m); err != nil {
+		return err
+	}
+	s.logf("spiod: mounted %s -> %s (series=%v)", name, dir, m.series)
+	return nil
+}
+
+// MountDataset serves ds under name: a dataset the server does not open
+// itself, such as a sharded one answering by scatter-gather over other
+// servers. It has no steps and no file cache; its name follows Mount's
+// rules and may not be one Mount has taken, nor the other way round.
+func (s *Server) MountDataset(name string, ds Dataset) error {
+	if err := checkMountName(name); err != nil {
+		return err
+	}
+	return s.add(&mount{name: name, ds: ds})
+}
+
+// checkMountName refuses a name a reference could not name: empty, or
+// holding the step separator or white space.
+func checkMountName(name string) error {
+	if name == "" || strings.ContainsAny(name, "@ \t\n") {
+		return fmt.Errorf("spiod: invalid mount name %q", name)
+	}
+	return nil
+}
+
+// add registers m under its name, unless the name is taken.
+func (s *Server) add(m *mount) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.mounts[name]; dup {
-		return fmt.Errorf("spiod: mount %s: name already in use", name)
+	if _, dup := s.mounts[m.name]; dup {
+		return fmt.Errorf("spiod: mount %s: name already in use", m.name)
 	}
-	s.mounts[name] = m
-	s.logf("spiod: mounted %s -> %s (series=%v)", name, dir, m.series)
+	s.mounts[m.name] = m
 	return nil
 }
 
@@ -244,7 +274,7 @@ func (s *Server) checkDataset(name string, ds *rdr.Dataset) error {
 }
 
 // Resolve maps a dataset reference — "name", "name@N", "name@latest" —
-// to an open dataset (Backend).
+// to an open dataset, or to the dataset MountDataset gave (Backend).
 func (s *Server) Resolve(ref string) (Dataset, error) {
 	name, sel := ref, ""
 	if i := strings.IndexByte(ref, '@'); i >= 0 {
@@ -261,6 +291,9 @@ func (s *Server) Resolve(ref string) (Dataset, error) {
 	case !m.series:
 		if sel != "" {
 			return nil, fmt.Errorf("spiod: %s is not a series (reference %q)", name, ref)
+		}
+		if m.ds != nil {
+			return m.ds, nil
 		}
 	case sel == "" || sel == "latest":
 		step, ok, err := rdr.LatestStep(m.dir)
@@ -287,14 +320,8 @@ func (s *Server) Resolve(ref string) (Dataset, error) {
 
 // List returns the currently servable dataset references (Backend).
 func (s *Server) List() []string {
-	s.mu.Lock()
-	mounts := make([]*mount, 0, len(s.mounts))
-	for _, m := range s.mounts {
-		mounts = append(mounts, m)
-	}
-	s.mu.Unlock()
 	var refs []string
-	for _, m := range mounts {
+	for _, m := range s.mountList() {
 		if !m.series {
 			refs = append(refs, m.name)
 			continue
@@ -309,4 +336,17 @@ func (s *Server) List() []string {
 	}
 	sort.Strings(refs)
 	return refs
+}
+
+// mountList returns the mounts. A mount is not changed once added, so
+// its fields are read without the lock, and what a mount's dataset or
+// cache does is not done under it.
+func (s *Server) mountList() []*mount {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mounts := make([]*mount, 0, len(s.mounts))
+	for _, m := range s.mounts {
+		mounts = append(mounts, m)
+	}
+	return mounts
 }

@@ -22,155 +22,6 @@ import (
 	rdr "spio/internal/reader"
 )
 
-// TestRemoteMatchesLocalConcurrent is the tentpole acceptance test: 8
-// concurrent clients against a daemon whose block cache is smaller than
-// the working set must all receive byte-identical answers to the same
-// queries via the local Dataset.
-func TestRemoteMatchesLocalConcurrent(t *testing.T) {
-	dir := t.TempDir()
-	writeDataset(t, dir, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 200) // ~397 KB working set
-
-	s := New(Config{
-		Workers:    4,
-		CacheBytes: 32 << 10, // far smaller than the working set: eviction under load
-		BlockBytes: 4 << 10,
-	})
-	if err := s.Mount("sim", dir); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-
-	local, err := rdr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domain := local.Meta().Domain
-
-	type check struct {
-		name string
-		q    geom.Box
-	}
-	boxes := []check{
-		{"octant", geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.5, 0.5, 1))},
-		{"center", geom.NewBox(geom.V3(0.3, 0.3, 0), geom.V3(0.7, 0.7, 1))},
-		{"all", domain},
-	}
-
-	const clients = 8
-	var wg sync.WaitGroup
-	errc := make(chan error, clients)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ds, err := OpenRemote(addr, "sim")
-			if err != nil {
-				errc <- err
-				return
-			}
-			defer ds.Close()
-			for round := 0; round < 3; round++ {
-				c := boxes[(g+round)%len(boxes)]
-				p := geom.V3(0.2+0.1*float64(g%4), 0.6, 0.5)
-				err := sameAnswer(local, ds, func(ds rdr.Answerer) (string, error) {
-					buf, st, err := rdr.QueryBox(ds, c.q, rdr.Options{})
-					if err == nil && st.FilesOpened == 0 && st.CacheHits == 0 {
-						err = errors.New("stats empty")
-					}
-					if err != nil {
-						return "", err
-					}
-					nn, dists, _, err := rdr.KNN(ds, p, 8)
-					return fmt.Sprint(buf.Encode(), nn.Encode(), dists), err
-				})
-				if err != nil {
-					errc <- fmt.Errorf("%s box, KNN at %v: %w", c.name, p, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-
-	// The block cache saw real pressure. With the working set an order
-	// of magnitude over capacity, eight concurrent full sweeps thrash, so
-	// hits are not guaranteed here — misses, evictions, and the capacity
-	// bound are.
-	cs := s.cache.Stats()
-	if cs.Misses == 0 {
-		t.Errorf("block cache uninvolved: %+v", cs)
-	}
-	if cs.Evictions == 0 {
-		t.Errorf("no evictions with a 32 KiB cache over a ~400 KB working set: %+v", cs)
-	}
-	if cs.Used > 32<<10 {
-		t.Errorf("block cache exceeded capacity: %+v", cs)
-	}
-
-	// Back-to-back reads of a region that fits in the cache do hit.
-	ds, err := OpenRemote(addr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	// A coarse (level-1) read touches only each file's LOD prefix — a
-	// footprint that fits the cache, unlike a full sweep.
-	tiny := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.2, 0.2, 1))
-	before := s.cache.Stats().Hits
-	for i := 0; i < 2; i++ {
-		if _, _, err := ds.QueryBox(tiny, rdr.Options{Levels: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := s.cache.Stats().Hits; after <= before {
-		t.Errorf("repeat query produced no block-cache hits (%d -> %d)", before, after)
-	}
-}
-
-func TestRemoteHaloAndDensityMatchLocal(t *testing.T) {
-	dir := t.TempDir()
-	writeDataset(t, dir, geom.I3(2, 2, 1), geom.I3(1, 1, 1), 150)
-	s := New(Config{})
-	if err := s.Mount("sim", dir); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-	local, err := rdr.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := OpenRemote(addr, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	patch := geom.NewBox(geom.V3(0.25, 0.25, 0), geom.V3(0.75, 0.75, 1))
-	err = sameAnswer(local, ds, func(ds rdr.Answerer) (string, error) {
-		own, ghost, _, err := rdr.Halo(ds, patch, 0.1, rdr.Options{})
-		if err != nil {
-			return "", err
-		}
-		counts, frac, _, err := rdr.DensityGrid(ds, geom.I3(4, 4, 1), 2, 1)
-		return fmt.Sprint(own.Encode(), ghost.Encode(), counts, frac), err
-	})
-	if err != nil {
-		t.Fatalf("halo and density: %v", err)
-	}
-
-	// The served metadata is the exact on-disk image.
-	if ds.Meta().Total != local.Meta().Total || len(ds.Meta().Files) != len(local.Meta().Files) {
-		t.Fatal("remote meta differs from local")
-	}
-	if ds.LevelCount(4) != local.LevelCount(4) {
-		t.Fatal("remote LevelCount differs from local")
-	}
-}
-
 // TestProgressiveStreamMatchesLocal: a remote stream takes one request a
 // level, and its stats are the sum of theirs — what the same level ranges
 // read as box queries report — as a local stream's are of its level

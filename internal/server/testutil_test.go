@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -14,23 +13,14 @@ import (
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
-	rdr "spio/internal/reader"
 )
 
 // writeDataset writes a uniform dataset into dir (creating it).
 func writeDataset(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int) {
 	t.Helper()
-	writeDatasetCodec(t, dir, simDims, factor, perRank, particle.Spec{})
-}
-
-// writeDatasetCodec is writeDataset with a per-field compression spec:
-// the served files then exercise the decode-on-egress path.
-func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int, codec particle.Spec) {
-	t.Helper()
 	cfg := core.WriteConfig{
-		Agg:   agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
-		Seed:  21,
-		Codec: codec,
+		Agg:  agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
+		Seed: 21,
 	}
 	grid := geom.NewGrid(cfg.Agg.Domain, simDims)
 	err := mpi.Run(simDims.Volume(), func(c *mpi.Comm) error {
@@ -41,21 +31,6 @@ func writeDatasetCodec(t testing.TB, dir string, simDims, factor geom.Idx3, perR
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// sameAnswer asks the local and the remote dataset the same queries
-// through the same reads, and fails unless ask renders their answers
-// identically.
-func sameAnswer(local, remote rdr.Answerer, ask func(ds rdr.Answerer) (string, error)) error {
-	want, err := ask(local)
-	if err != nil {
-		return err
-	}
-	got, err := ask(remote)
-	if err == nil && got != want {
-		err = errors.New("the remote answer differs from the local one")
-	}
-	return err
 }
 
 // sockAddr returns a fresh, short unix socket address (unix socket

@@ -98,34 +98,34 @@ var (
 	_ Queryable = (*RemoteDataset)(nil)
 )
 
-// Sharded serving (cmd/spiogate): a gateway mounts one logical dataset
-// as shards held by separate spiod backends, routes each query to the
-// minimal shard set whose partitions intersect it, and merges the
-// answers — the paper's spatial pruning lifted from files to servers.
-// The gateway speaks the spiod protocol on its front, so Dial works
-// against it unchanged.
+// Sharded serving (spiod -shard): a sharded mount is one logical
+// dataset whose shards separate spiod backends hold; it routes each query
+// to the minimal shard set whose partitions intersect it and merges the
+// answers — the paper's spatial pruning lifted from files to servers. It
+// is served by the same front as a local mount, so Dial works against it
+// unchanged.
 
 type (
-	// Gateway is an embeddable spiogate: Mount shard maps, then Serve
-	// front listeners. A dead backend degrades queries to flagged
+	// Gateway is the shard registry of a server: Mount shard maps, then
+	// Serve front listeners. A dead backend degrades queries to flagged
 	// partial results (ReadStats.Partial) instead of errors.
 	Gateway = gateway.Gateway
 	// GatewayConfig tunes pooling, per-call timeouts, and the
 	// per-backend circuit breakers of a Gateway.
 	GatewayConfig = gateway.Config
-	// ShardSpec names one shard of a gateway mount: the dataset ref its
+	// ShardSpec names one shard of a sharded mount: the dataset ref its
 	// backends serve it under and their addresses (first is primary,
 	// the rest are failover replicas).
 	ShardSpec = gateway.ShardSpec
 )
 
-// NewGateway builds an embeddable scatter-gather front tier (the
-// library form of cmd/spiogate).
+// NewGateway builds an embeddable server whose mounts are sharded (the
+// library form of spiod -shard with no -mount).
 func NewGateway(cfg GatewayConfig) *Gateway { return gateway.New(cfg) }
 
 // SplitDataset partitions the dataset at srcDir into spatially compact
-// shard datasets, one per output directory, for spiod backends behind a
-// gateway to mount. Together the shards hold exactly the source's
+// shard datasets, one per output directory, for spiod backends to serve
+// and a sharded mount to name (spiod split). Together the shards hold exactly the source's
 // files.
 func SplitDataset(srcDir string, outDirs []string) error {
 	return gateway.Split(srcDir, outDirs)

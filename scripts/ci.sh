@@ -63,7 +63,7 @@ echo "== go test at GOMAXPROCS=1,2,8 (mpi, agg, core, cache, reader, server, gat
 # scheduler's, and that is what the exchange's placement by sender
 # offset must be indifferent to.
 # internal/gateway holds the read path's one oracle (TestReadContract:
-# local, spiod and spiogate x disk codec x cache budget against brute
+# local, spiod and a sharded mount x disk codec x cache budget against brute
 # force), so the read contract runs at every setting too.
 # Two invocations a setting: the serving packages' allocation-budget
 # tests count sync.Pool misses, which eight Ps on two cores make likelier
@@ -117,7 +117,7 @@ go test -race -count=3 -run 'TestAnswerCostsItsRows|TestSilentPeerIsDropped|Test
 # nobody, a cursor's connection carries other calls between two levels, a
 # drain does not wait for a cursor, and a level lost with its replica is
 # retried on the next. Each of these hung or went partial while a stream
-# was a session; they run again the same way, on both daemons.
+# was a session; they run again the same way, on a plain and a sharded mount.
 go test -race -count=3 -run 'TestIdleCursorsHoldNothing|TestQueriesBetweenLevels|TestShutdownWithAbandonedCursor|TestGatewayStreamSurvivesReplicaLoss' ./internal/gateway
 # The interleavings that were the three old caches' bugs — evicted while
 # pinned and re-acquired, eviction racing a parked load, a failing load
@@ -132,7 +132,7 @@ go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbor
 # Partition faces: a particle on a face, edge or corner of its patch is
 # written once on the aligned, imposed and adaptive grids (the imposed
 # write failed on every rank), and found by box, halo and KNN queries
-# locally, through spiod and through spiogate (file selection missed it;
+# locally, through spiod and through a sharded mount (file selection missed it;
 # TestReadContract holds the same particles on every target, run once by
 # the package-wide -race step above).
 go test -race -count=3 -run 'TestWriteParticleOnPatchFace|TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces' ./internal/agg ./internal/core ./internal/gateway
@@ -234,18 +234,20 @@ wait "$spiod_pid"
 grep -q 'drained cleanly' "$smoke/spiod.log"
 echo "spiod smoke: remote KNN byte-identical to local under 8 clients; heap profile served; clean drain"
 
-echo "== spiogate e2e smoke =="
+echo "== sharded mount e2e smoke =="
 # Split the same dataset into 3 shards, serve each from its own spiod,
-# put a spiogate in front, and prove the gateway answers byte-for-byte
-# like the single-node daemon; then SIGKILL one shard and assert the
-# gateway degrades to flagged partial results instead of failing.
-go build -o "$smoke/" ./cmd/spiogate
+# and put one more spiod in front that mounts the shards as one dataset
+# beside a local mount of the whole: both mounts answer byte-for-byte
+# like the local reader, the front's stats and /metrics carry the shard
+# counters, and its metrics listener serves profiles. Then SIGKILL one
+# shard: the sharded mount degrades to flagged partial results instead
+# of failing, and the front still drains cleanly.
 # A wider rank grid than the spiod smoke: 4x4x2 ranks aggregated 2x2x1
 # gives 8 files, enough spatial structure to deal across 3 shards.
 "$smoke/spiowrite" -dir "$smoke/gdata" -dims 4x4x2 -particles 500 -codec lossless >/dev/null
 "$smoke/spioread" -dir "$smoke/gdata" -knn 0.5,0.5,0.5 -k 16 | grep distance >"$smoke/glocal.txt"
 [ -s "$smoke/glocal.txt" ]
-"$smoke/spiogate" split -src "$smoke/gdata" -out "$smoke/sh0" -out "$smoke/sh1" -out "$smoke/sh2"
+"$smoke/spiod" split -src "$smoke/gdata" -out "$smoke/sh0" -out "$smoke/sh1" -out "$smoke/sh2"
 shard_pids=""
 for i in 0 1 2; do
 	"$smoke/spiod" -mount shard="$smoke/sh$i" -listen "unix:$smoke/sh$i.sock" &
@@ -258,39 +260,53 @@ for i in 0 1 2; do
 	done
 	[ -S "$smoke/sh$i.sock" ]
 done
-"$smoke/spiogate" \
+"$smoke/spiod" \
 	-shard sim=shard="unix:$smoke/sh0.sock" \
 	-shard sim=shard="unix:$smoke/sh1.sock" \
 	-shard sim=shard="unix:$smoke/sh2.sock" \
-	-listen "unix:$smoke/gate.sock" &
-gate_pid=$!
+	-mount local="$smoke/gdata" \
+	-listen "unix:$smoke/front.sock" -metrics 127.0.0.1:0 2>"$smoke/front.log" &
+front_pid=$!
 for _ in $(seq 1 50); do
-	[ -S "$smoke/gate.sock" ] && break
+	[ -S "$smoke/front.sock" ] && break
 	sleep 0.1
 done
-[ -S "$smoke/gate.sock" ]
-# KNN answers in deterministic nearest-first order on both paths, so the
-# gateway's merged answer must compare byte-for-byte with the local one.
-"$smoke/spioread" -remote "unix:$smoke/gate.sock" -dataset sim -knn 0.5,0.5,0.5 -k 16 \
-	| grep distance >"$smoke/gate.txt"
-cmp "$smoke/glocal.txt" "$smoke/gate.txt"
+[ -S "$smoke/front.sock" ]
+# KNN answers in deterministic nearest-first order on every path, so
+# the sharded mount's merged answer, and the local mount's beside it,
+# must compare byte-for-byte with the local reader's.
+for ds in sim local; do
+	"$smoke/spioread" -remote "unix:$smoke/front.sock" -dataset $ds -knn 0.5,0.5,0.5 -k 16 \
+		| grep distance >"$smoke/front-$ds.txt"
+	cmp "$smoke/glocal.txt" "$smoke/front-$ds.txt"
+done
 # Box-query particle counts agree too (order differs across shards, so
 # compare the result line's kept-count rather than raw bytes).
 local_n=$("$smoke/spioread" -dir "$smoke/gdata" -box 0.2,0.2,0.2,0.8,0.8,0.8 | sed -n 's/^result: *\([0-9]*\) particles kept.*/\1/p')
-gate_n=$("$smoke/spioread" -remote "unix:$smoke/gate.sock" -dataset sim -box 0.2,0.2,0.2,0.8,0.8,0.8 | sed -n 's/^result: *\([0-9]*\) particles kept.*/\1/p')
+gate_n=$("$smoke/spioread" -remote "unix:$smoke/front.sock" -dataset sim -box 0.2,0.2,0.2,0.8,0.8,0.8 | sed -n 's/^result: *\([0-9]*\) particles kept.*/\1/p')
 [ -n "$local_n" ] && [ "$local_n" = "$gate_n" ]
-"$smoke/spiogate" stats -addr "unix:$smoke/gate.sock" | grep -q '"fanout"'
+"$smoke/spiod" stats -addr "unix:$smoke/front.sock" | grep -q '"fanout"'
+for _ in $(seq 1 50); do
+	grep -q 'metrics on' "$smoke/front.log" && break
+	sleep 0.1
+done
+metrics_addr=$(sed -n 's|.*metrics on http://\([^/]*\)/metrics.*|\1|p' "$smoke/front.log")
+curl -fsS "http://$metrics_addr/metrics" >"$smoke/front-metrics.json"
+grep -q '"fanout"' "$smoke/front-metrics.json"
+curl -fsS "http://$metrics_addr/debug/pprof/heap?debug=1" >"$smoke/front-heap.txt"
+grep -q '^heap profile:' "$smoke/front-heap.txt"
 # Kill one shard the hard way: the same query must still answer, now
-# carrying the partial-result marker, and the gateway must stay up.
+# carrying the partial-result marker, and the front must stay up.
 kill -KILL $(echo "$shard_pids" | awk '{print $2}')
-"$smoke/spioread" -remote "unix:$smoke/gate.sock" -dataset sim -box 0.2,0.2,0.2,0.8,0.8,0.8 >"$smoke/partial.txt"
+"$smoke/spioread" -remote "unix:$smoke/front.sock" -dataset sim -box 0.2,0.2,0.2,0.8,0.8,0.8 >"$smoke/partial.txt"
 grep -q '\[partial\]' "$smoke/partial.txt"
-kill -TERM "$gate_pid"
-wait "$gate_pid"
+kill -TERM "$front_pid"
+wait "$front_pid"
+grep -q 'drained cleanly' "$smoke/front.log"
 for p in $shard_pids; do
 	kill -TERM "$p" 2>/dev/null || true
 done
-echo "spiogate smoke: gateway byte-identical to local; dead shard degraded to flagged partial results"
+echo "sharded mount smoke: sharded and local mounts byte-identical to local; shard counters and heap profile served; dead shard degraded to flagged partial results; clean drain"
 
 echo "== examples smoke =="
 # Every program under examples/ runs end to end, about a second in all;
