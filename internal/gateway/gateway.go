@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -117,7 +118,21 @@ type gwShard struct {
 	ref      string
 	replicas []*backend
 	meta     *format.Meta
-	bounds   geom.Box // union of the shard's file partitions and particle bounds
+	// regions holds, per non-empty file, the union of its partition and
+	// its particle bounds: the boxes a particle of the shard lies in (see
+	// format.Meta.FilesIntersecting).
+	regions []geom.Box
+}
+
+// dist is a lower bound on the distance from p to any particle of the
+// shard: to its nearest file's region. A non-empty file without valid
+// bounds may hold a particle anywhere, so it is at distance 0.
+func (sh *gwShard) dist(p geom.Vec3) float64 {
+	d := math.Inf(1)
+	for _, r := range sh.regions {
+		d = min(d, r.Dist(p))
+	}
+	return d
 }
 
 // backend is one spiod address: its connection pool and health state.
@@ -218,13 +233,16 @@ func (g *Gateway) Mount(name string, specs []ShardSpec) (err error) {
 			return fmt.Errorf("gateway: mount %s: shard %d (%s): %w", name, i, spec.Ref, err)
 		}
 		sh.meta = meta
-		sh.bounds = geom.EmptyBox()
-		for j := range meta.Files {
+		for _, f := range meta.Files {
 			// A file's particles may lie outside its half-open partition
 			// (see format.Meta.FilesIntersecting); NaN bounds are not valid.
-			sh.bounds = sh.bounds.Union(meta.Files[j].Partition)
-			if b := meta.Files[j].Bounds; b.IsValid() {
-				sh.bounds = sh.bounds.Union(b)
+			switch {
+			case f.Count == 0:
+			case f.Bounds.IsValid():
+				sh.regions = append(sh.regions, f.Partition.Union(f.Bounds))
+			default:
+				inf := math.Inf(1)
+				sh.regions = append(sh.regions, geom.NewBox(geom.V3(-inf, -inf, -inf), geom.V3(inf, inf, inf)))
 			}
 		}
 		m.shards = append(m.shards, sh)

@@ -24,21 +24,13 @@ import (
 // package's test harness.
 func writeDataset(t testing.TB, dir string, simDims, factor geom.Idx3, perRank int) {
 	t.Helper()
-	writeDatasetWith(t, dir, simDims, factor, particle.Spec{}, func(int) int { return perRank })
-}
-
-// writeDatasetWith is writeDataset with a disk codec and a particle count
-// of each rank's own.
-func writeDatasetWith(t testing.TB, dir string, simDims, factor geom.Idx3, codec particle.Spec, count func(rank int) int) {
-	t.Helper()
 	cfg := core.WriteConfig{
-		Agg:   agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
-		Seed:  21,
-		Codec: codec,
+		Agg:  agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: factor},
+		Seed: 21,
 	}
 	grid := geom.NewGrid(cfg.Agg.Domain, simDims)
 	err := mpi.Run(simDims.Volume(), func(c *mpi.Comm) error {
-		local := particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), count(c.Rank()), 13, c.Rank())
+		local := particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), perRank, 13, c.Rank())
 		_, err := core.Write(c, dir, cfg, local)
 		return err
 	})

@@ -224,9 +224,9 @@ type knnCand struct {
 
 // knn scatter-gathers a k-nearest-neighbour search with wave-based
 // pruning: shards are ordered by the distance from the query point to
-// their region (geom.Box.Dist); the gateway queries the containing
-// shards first, then widens to any shard whose region is nearer than
-// the current k-th candidate — no particle of a farther shard can
+// their nearest file (gwShard.dist); the gateway queries the containing
+// shards first, then widens to any shard whose nearest file is nearer
+// than the current k-th candidate — no particle of a farther shard can
 // displace the current answer. Each shard returns its own top
 // min(k, shardTotal), a superset of its contribution to the global top
 // k, and the gateway re-ranks the union and gathers the winners out of
@@ -241,7 +241,7 @@ func (m *gwMount) knn(req *rdr.Request) (*rdr.Answer, error) {
 	}
 	dist := make(map[*gwShard]float64, len(order))
 	for _, sh := range order {
-		dist[sh] = sh.bounds.Dist(p)
+		dist[sh] = sh.dist(p)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })
 

@@ -1,6 +1,7 @@
 package particle
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -29,9 +30,9 @@ import (
 // the positions of only the cells a box meets, from a cell index a
 // serving cache keeps beside a raw file's records.
 //
-// BoxFilter and HaloFilter are the kernel as the readers use it — a box
-// for the scan to select by and a scan callback plus the result, handed
-// out as Rows (for an answer that is going onto the wire) or as the
+// BoxFilter, HaloFilter and NearestFilter are the kernel as the readers
+// use it — a box for the scan to select by and a scan callback plus the
+// result, handed out as Rows (for an answer that is going onto the wire) or as the
 // Buffer made from them; RowFiller is their unfiltered sibling, and
 // Filler fills columns directly for a local read whose size is known up
 // front.
@@ -110,6 +111,139 @@ func (f *HaloFilter) Rows() (own, ghost *Rows) { return f.own.rows(), f.ghosts.r
 func (f *HaloFilter) Release() {
 	f.own.rows().Release()
 	f.ghosts.rows().Release()
+}
+
+// NearestFilter is a k-nearest-neighbour search as a scan sees it: the
+// scan selects the records inside the closed Box around the query point,
+// Take ranks each picked record by its distance to the point and keeps it
+// only while it is among the k nearest seen — ties going to the one that
+// arrived first — so a search holds k records however many its box
+// holds. It keeps whole records.
+type NearestFilter struct {
+	q      geom.Box
+	p      geom.Vec3
+	k      int
+	schema *Schema
+	stride int
+	seen   int64     // records offered since Reset
+	recs   []byte    // the kept records, slot s at s·stride
+	heap   []nearest // a max-heap on (dist, seq): the farthest kept on top
+}
+
+// nearest is one kept record: its rank keys and where its bytes are.
+type nearest struct {
+	dist float64
+	seq  int64 // arrival, the tie-break
+	slot int
+}
+
+// farther orders the heap: a ranks after b.
+func (a nearest) farther(b nearest) bool {
+	return a.dist > b.dist || (a.dist == b.dist && a.seq > b.seq)
+}
+
+// NewNearestFilter returns a filter keeping the k records of schema src
+// nearest to p among those inside the box Reset gives it.
+func NewNearestFilter(src *Schema, p geom.Vec3, k int) *NearestFilter {
+	stride := src.Stride()
+	return &NearestFilter{p: p, k: k, schema: src, stride: stride,
+		recs: make([]byte, k*stride), heap: make([]nearest, 0, k)}
+}
+
+// Reset drops what was kept and makes q the box of the next scan.
+func (f *NearestFilter) Reset(q geom.Box) {
+	f.q, f.seen, f.heap = q, 0, f.heap[:0]
+}
+
+// Box is the closed box the scan selects by.
+func (f *NearestFilter) Box() *geom.Box { return &f.q }
+
+// Take is the scan callback: it ranks the picked records of one chunk and
+// copies out those that enter the k nearest (the chunk is the scan's, and
+// recycled after the call).
+func (f *NearestFilter) Take(recs []byte, picked []int32) error {
+	for _, i := range picked {
+		off := int(i) * f.stride
+		c := nearest{dist: f.p.Dist(PositionAt(recs, off)), seq: f.seen}
+		f.seen++
+		switch {
+		case len(f.heap) < f.k:
+			c.slot = len(f.heap)
+			f.heap = append(f.heap, c)
+			f.siftUp(len(f.heap) - 1)
+		case f.heap[0].farther(c):
+			c.slot = f.heap[0].slot
+			f.heap[0] = c
+			f.siftDown(0)
+		default:
+			continue
+		}
+		copy(f.recs[c.slot*f.stride:(c.slot+1)*f.stride], recs[off:off+f.stride])
+	}
+	return nil
+}
+
+// siftUp moves h[i] above every parent nearer than it.
+func (f *NearestFilter) siftUp(i int) {
+	h := f.heap
+	for i > 0 {
+		up := (i - 1) / 2
+		if !h[i].farther(h[up]) {
+			return
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+}
+
+// siftDown moves h[i] below every child farther than it, always swapping
+// with the farther child so that the top stays the farthest.
+func (f *NearestFilter) siftDown(i int) {
+	h := f.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].farther(h[c]) {
+			c++
+		}
+		if !h[c].farther(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// Seen returns the number of records the scan offered since Reset: the
+// candidates inside the box.
+func (f *NearestFilter) Seen() int64 { return f.seen }
+
+// Kth returns the distance of the k-th nearest record kept, +Inf while
+// fewer than k have been seen.
+func (f *NearestFilter) Kth() float64 {
+	if len(f.heap) < f.k {
+		return math.Inf(1)
+	}
+	return f.heap[0].dist
+}
+
+// Rows returns the records kept, nearest first, and their distances, and
+// resets the filter. The caller owns the rows (see Rows).
+func (f *NearestFilter) Rows() (*Rows, []float64) {
+	order := f.heap
+	slices.SortFunc(order, func(a, b nearest) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.seq, b.seq))
+	})
+	out := NewRows(f.schema)
+	dists := make([]float64, len(order))
+	for i, c := range order {
+		out.AppendRecords(f.recs[c.slot*f.stride : (c.slot+1)*f.stride])
+		dists[i] = c.dist
+	}
+	f.Reset(f.q)
+	return out, dists
 }
 
 // RowFiller is the scan callback of an unfiltered read that keeps its

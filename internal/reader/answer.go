@@ -3,7 +3,6 @@ package reader
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"spio/internal/format"
 	"spio/internal/geom"
@@ -150,8 +149,8 @@ func (d *Dataset) Answer(req *Request) (*Answer, error) {
 // knn finds the k particles nearest p by growing a box around it until
 // the box provably holds them: once k candidates exist and the k-th is no
 // farther than the box's clearance, no closer particle can be outside.
-// The candidates are ranked where the filter staged them and the k
-// winners gathered out of them.
+// Each round ranks the candidates in the scan (particle.NearestFilter),
+// so it holds k records however many the box holds.
 func (d *Dataset) knn(p geom.Vec3, k int) (*Answer, error) {
 	dom := d.meta.Domain
 	// The clearance that reaches the domain's corner farthest from p puts
@@ -163,35 +162,21 @@ func (d *Dataset) knn(p geom.Vec3, k int) (*Answer, error) {
 	if !(r > 0) {
 		r = maxR / 16
 	}
+	f := particle.NewNearestFilter(d.meta.Schema, p, k)
 	for {
-		rows, st, err := d.boxRows(geom.NewBox(p.Sub(geom.V3(r, r, r)), p.Add(geom.V3(r, r, r))), Options{})
+		q := geom.NewBox(p.Sub(geom.V3(r, r, r)), p.Add(geom.V3(r, r, r)))
+		f.Reset(q)
+		st, err := d.Scan(d.meta.FilesIntersecting(q), Options{}, f.Box(), f.Take)
 		if err != nil {
 			return nil, err
 		}
-		found := rows.Len()
-		if found >= k {
-			order := make([]int, found)
-			all := make([]float64, found)
-			for i := range order {
-				order[i], all[i] = i, p.Dist(rows.Position(i))
-			}
-			sort.Slice(order, func(a, b int) bool { return all[order[a]] < all[order[b]] })
-			if kth := all[order[k-1]]; kth <= r || r >= maxR {
-				dists := make([]float64, k)
-				for i := range dists {
-					dists[i] = all[order[i]]
-				}
-				out := particle.NewRows(rows.Schema())
-				out.Extend(k)
-				stride := rows.Schema().Stride()
-				out.Span(0, k, func(lo int, dst []byte) { rows.Gather(dst, order, lo, lo+len(dst)/stride) })
-				rows.Release()
-				return &Answer{Stats: st, Rows: out, Floats: dists}, nil // the stats of the final pass
-			}
+		if f.Kth() <= r || (f.Seen() >= int64(k) && r >= maxR) {
+			st.ParticlesKept = f.Seen() // the stats of the final pass
+			rows, dists := f.Rows()
+			return &Answer{Stats: st, Rows: rows, Floats: dists}, nil
 		}
-		rows.Release()
 		if r >= maxR {
-			return nil, fmt.Errorf("reader: exhausted domain with %d of %d neighbours", found, k)
+			return nil, fmt.Errorf("reader: exhausted domain with %d of %d neighbours", f.Seen(), k)
 		}
 		r *= 2
 	}

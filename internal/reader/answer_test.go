@@ -324,14 +324,61 @@ func TestDensityGridAllocatesTheGrid(t *testing.T) {
 	}
 }
 
+// TestKNNAllocatesItsAnswer holds a KNN to the read path's memory model:
+// it ranks candidates in the scan and keeps k of them, so what it
+// allocates is its answer plus a constant, however many candidates its
+// box holds. From a point this far outside the domain the final box holds
+// every particle; the search that copied and sorted every candidate there
+// allocated 731 KB for a 2 KB answer.
+func TestKNNAllocatesItsAnswer(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	dir, _ := writeDataset(t, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 2000, nil)
+	ds, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.SetFileCache(8); err != nil {
+		t.Fatal(err)
+	}
+	const k = 16
+	var kept int64
+	got := allocPerRun(func() {
+		_, _, st, err := ds.KNN(geom.V3(4, 0.5, 0.5), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = st.ParticlesKept
+	})
+	answer := int64(k * ds.Meta().Schema.Stride())
+	t.Logf("KNN: %d bytes allocated for a %d-byte answer out of %d candidates", got, answer, kept)
+	if budget := answer + knnSlack; got > budget || kept < 100*k {
+		t.Errorf("KNN allocates %d bytes for a %d-byte answer out of %d candidates; budget %d", got, answer, kept, budget)
+	}
+}
+
+// knnSlack is a KNN's constant: each round's file entries, selection
+// vector and stats, and the filter's k slots.
+const knnSlack = 64 << 10
+
+// BenchmarkKNN searches inside the data and from a point outside the
+// domain, whose final box holds every particle.
 func BenchmarkKNN(b *testing.B) {
 	ds := benchDataset(b)
-	p := geom.V3(0.4, 0.6, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ds.KNN(p, 16); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		p    geom.Vec3
+	}{{"in-cluster", geom.V3(0.4, 0.6, 0.5)}, {"far", geom.V3(4, 0.5, 0.5)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := ds.KNN(c.p, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

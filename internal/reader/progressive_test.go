@@ -73,33 +73,6 @@ func TestProgressiveStreamsWholeDataset(t *testing.T) {
 	}
 }
 
-func TestProgressiveMatchesBatchLevels(t *testing.T) {
-	// Accumulating k increments must equal a batch read of k levels.
-	dir, _ := writeDataset(t, geom.I3(2, 2, 1), geom.I3(2, 1, 1), 200, nil)
-	ds, _ := Open(dir)
-	entries := AssignFiles(ds.Meta(), 1, 0)
-	p, err := ds.Progressive(entries, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	accumulated := 0
-	for k := 1; k <= 4; k++ {
-		inc, ok, err := p.NextLevel()
-		if err != nil || !ok {
-			t.Fatalf("level %d: %v %v", k, ok, err)
-		}
-		accumulated += inc.Len()
-		batch, _, err := ds.ReadAll(Options{Levels: k, Readers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if accumulated != batch.Len() {
-			t.Fatalf("after %d levels: progressive %d vs batch %d", k, accumulated, batch.Len())
-		}
-	}
-}
-
 func TestProgressivePerReaderSubset(t *testing.T) {
 	// Two readers streaming disjoint file sets cover the dataset.
 	dir, all := writeDataset(t, geom.I3(4, 2, 1), geom.I3(2, 1, 1), 64, nil)

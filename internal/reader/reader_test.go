@@ -139,32 +139,6 @@ func TestScanWithoutMetadataEquivalentButCostlier(t *testing.T) {
 	}
 }
 
-func TestLODLevelsProgressive(t *testing.T) {
-	dir, _ := writeDataset(t, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 128, nil)
-	ds, _ := Open(dir)
-	var prev *particle.Buffer
-	var prevBytes int64
-	for levels := 1; levels <= ds.LevelCount(1); levels++ {
-		got, st, err := ds.ReadAll(Options{Levels: levels, Readers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil {
-			if got.Len() < prev.Len() {
-				t.Fatalf("levels %d returned fewer particles than %d", levels, levels-1)
-			}
-			if st.BytesRead < prevBytes {
-				t.Fatalf("levels %d read fewer bytes", levels)
-			}
-		}
-		prev, prevBytes = got, st.BytesRead
-	}
-	// Reading every level returns the full dataset.
-	if int64(prev.Len()) != ds.Meta().Total {
-		t.Errorf("full LOD read returned %d of %d", prev.Len(), ds.Meta().Total)
-	}
-}
-
 func TestLODLevelZeroIsRepresentative(t *testing.T) {
 	// The level-1 subset should cover most of the domain: split into 8
 	// octants, every octant should be hit once the subset has ≥ 64

@@ -134,8 +134,11 @@ go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbor
 # write failed on every rank), and found by box, halo and KNN queries
 # locally, through spiod and through a sharded mount (file selection missed it;
 # TestReadContract holds the same particles on every target, run once by
-# the package-wide -race step above).
-go test -race -count=3 -run 'TestWriteParticleOnPatchFace|TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces' ./internal/agg ./internal/core ./internal/gateway
+# the package-wide -race step above). A KNN beside a face between two
+# shards asks both, and one inside a shard asks it alone, rogue particle
+# included; a KNN from outside the domain keeps k records, not its box's
+# (its allocation budget skips under -race, like every budget).
+go test -race -count=3 -run 'TestWriteParticleOnPatchFace|TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/core ./internal/gateway ./internal/reader
 # A compressed file's frames live in a pooled arena from the compress to
 # the end of the write: the bound the arena is sized by, a slot too short
 # (the frame moves out, its neighbour is untouched), the arena back in its

@@ -91,31 +91,3 @@ func TestRestartFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestProgressiveFacade(t *testing.T) {
-	base := t.TempDir()
-	writeSeries(t, base, 1)
-	ds, err := spio.OpenStep(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ds.Progressive(spio.AssignFiles(ds.Meta(), 1, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	total := 0
-	for {
-		inc, ok, err := p.NextLevel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		total += inc.Len()
-	}
-	if int64(total) != ds.Meta().Total {
-		t.Errorf("streamed %d of %d", total, ds.Meta().Total)
-	}
-}
