@@ -21,11 +21,10 @@ func TestEndToEndCampaign(t *testing.T) {
 	nRanks := simDims.Volume()
 	grid := spio.NewGrid(domain, simDims)
 	cfg := spio.WriteConfig{
-		Agg:           spio.AggConfig{Domain: domain, SimDims: simDims, Factor: spio.I3(2, 2, 1)},
-		FieldRanges:   true,
-		Checksum:      true,
-		ValidateInput: true,
-		Seed:          99,
+		Agg:         spio.AggConfig{Domain: domain, SimDims: simDims, Factor: spio.I3(2, 2, 1)},
+		FieldRanges: true,
+		Checksum:    true,
+		Seed:        99,
 	}
 
 	// --- Simulation: 3 steps, async checkpoints, particle migration. ---

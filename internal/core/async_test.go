@@ -96,42 +96,3 @@ func TestTwoConcurrentAsyncWrites(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteAsyncMatchesSyncOutput(t *testing.T) {
-	// Async and sync writes of identical input produce identical files.
-	simDims := geom.I3(2, 1, 1)
-	grid := geom.NewGrid(geom.UnitBox(), simDims)
-	cfg := WriteConfig{
-		Agg:  agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: geom.I3(2, 1, 1)},
-		Seed: 5,
-	}
-	dirSync, dirAsync := t.TempDir(), t.TempDir()
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		mk := func() *particle.Buffer {
-			return particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), 150, 9, c.Rank())
-		}
-		if _, err := Write(c, dirSync, cfg, mk()); err != nil {
-			return err
-		}
-		_, err := WriteAsync(c, dirAsync, cfg, mk()).Wait()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := format.OpenDataFile(dirSync + "/" + format.DataFileName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := format.OpenDataFile(dirAsync + "/" + format.DataFileName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	ba, _ := a.ReadAll()
-	bb, _ := b.ReadAll()
-	if !ba.Equal(bb) {
-		t.Error("async write produced different content than sync")
-	}
-}

@@ -107,47 +107,3 @@ func TestWriteScanDeterministicUnderAdversarialDelivery(t *testing.T) {
 	}
 	check("adversarial", hashDir(t, adv))
 }
-
-// TestLosslessWriteIgnoresCodecWorkers extends the check to a compressed
-// write: the blocks of a data file are compressed concurrently on pooled
-// codec states whose flate writers carry whatever they compressed last,
-// and the bytes on disk must depend on neither — not on how many workers
-// ran (CodecWorkers), not on which state a block happened to get. The
-// hashes are compared with each other, not pinned: what flate emits for a
-// plane is the Go release's to change, that two runs agree is ours.
-func TestLosslessWriteIgnoresCodecWorkers(t *testing.T) {
-	simDims := geom.I3(4, 4, 1)
-	grid := geom.NewGrid(geom.UnitBox(), simDims)
-	var want map[string]string
-	for _, workers := range []int{1, 1, 3, 8} {
-		dir := t.TempDir()
-		cfg := WriteConfig{
-			Agg:          agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: geom.I3(2, 2, 1)},
-			Seed:         42,
-			Checksum:     true,
-			Codec:        particle.LosslessSpec(particle.Uintah()),
-			CodecWorkers: workers,
-		}
-		err := mpi.NewWorld(16).Run(func(c *mpi.Comm) error {
-			local := particle.Clustered(particle.Uintah(), grid.CellBoxLinear(c.Rank()), 3000, 3, 3, c.Rank())
-			_, err := Write(c, dir, cfg, local)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := hashDir(t, dir)
-		if want == nil {
-			want = got
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("CodecWorkers %d: wrote %d files, the first run %d", workers, len(got), len(want))
-		}
-		for name, h := range want {
-			if got[name] != h {
-				t.Errorf("CodecWorkers %d: %s differs from the first run's", workers, name)
-			}
-		}
-	}
-}

@@ -275,84 +275,3 @@ func TestWriteAdaptiveRejectsZeroFactor(t *testing.T) {
 		}
 	}
 }
-
-// TestWriteEmptyAggregatorRoundTrip drives an aggregator that receives
-// zero particles (the nil-buffer crash regression) with field ranges on
-// (the ±Inf sentinel regression): the write must succeed, the empty
-// file must carry no range rows, range queries must skip it, and the
-// dataset must read back whole.
-func TestWriteEmptyAggregatorRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	simDims := geom.I3(4, 1, 1)
-	cfg := WriteConfig{
-		Agg:         agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: geom.I3(2, 1, 1)},
-		FieldRanges: true,
-	}
-	grid := geom.NewGrid(geom.UnitBox(), simDims)
-	err := runWithWatchdog(t, 4, 60*time.Second, func(c *mpi.Comm) error {
-		// Only the left half of the domain holds particles: aggregator 2's
-		// partition (right half) receives nothing from anyone.
-		local := particle.NewBuffer(particle.Uintah(), 0)
-		if c.Rank() < 2 {
-			local = particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(c.Rank(), simDims)), 50, 13, c.Rank())
-		}
-		_, err := Write(c, dir, cfg, local)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("write with an empty aggregator: %v", err)
-	}
-
-	meta, err := format.ReadMeta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(meta.Files) != 2 {
-		t.Fatalf("%d files, want 2", len(meta.Files))
-	}
-	if meta.Total != 100 {
-		t.Errorf("total = %d, want 100", meta.Total)
-	}
-	var empty *format.FileEntry
-	for i := range meta.Files {
-		fe := &meta.Files[i]
-		if fe.Count == 0 {
-			empty = fe
-		} else if len(fe.FieldMin) == 0 {
-			t.Errorf("populated file %s lost its field ranges", fe.Name)
-		}
-	}
-	if empty == nil {
-		t.Fatal("no empty file entry; test premise broken")
-	}
-	if len(empty.FieldMin) != 0 || len(empty.FieldMax) != 0 {
-		t.Errorf("empty file %s stores %d range rows (would be ±Inf sentinels)", empty.Name, len(empty.FieldMin))
-	}
-
-	ds, err := reader.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	// Range queries must skip the empty file outright…
-	hits, err := ds.QueryFieldRange("position", 0, -1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range hits {
-		if e.Count == 0 {
-			t.Errorf("range query returned empty file %s", e.Name)
-		}
-	}
-	// …and plain reads must tolerate it.
-	buf, _, err := ds.ReadAll(reader.Options{})
-	if err != nil {
-		t.Fatalf("reading a dataset with an empty file: %v", err)
-	}
-	if buf.Len() != 100 {
-		t.Errorf("read back %d particles, want 100", buf.Len())
-	}
-	if problems := ds.Fsck(reader.FsckOptions{Deep: true, Checksums: true}); len(problems) != 0 {
-		t.Errorf("dataset with empty file fails fsck: %v", problems)
-	}
-}

@@ -24,9 +24,9 @@ func noSegmentsHeld(t *testing.T) {
 
 // TestRogueSenderAbortsAllRanks drives the exchange's content errors
 // through Write: rank 2 of four speaks the protocol by hand — a count and
-// payloads on the exchange's tags, then its vote in the agreement round —
-// and gets it wrong. The write must fail on every rank, leave no file
-// behind and hold no aggregate.
+// payloads on the exchange's tags, then its votes in the input-validation
+// and agreement rounds — and gets it wrong. The write must fail on every
+// rank, leave no file behind and hold no aggregate.
 func TestRogueSenderAbortsAllRanks(t *testing.T) {
 	// The exchange's wire protocol (agg/exchange.go), and the test's own
 	// signal that the rogue has sent: its messages are then first in the
@@ -73,6 +73,7 @@ func TestRogueSenderAbortsAllRanks(t *testing.T) {
 				}
 				c.Send(1, tagGo, nil)
 				c.Send(3, tagGo, nil)
+				c.Allreduce(0, mpi.OpSum)            // the input validation every write runs
 				rogueSaw = c.Allreduce(0, mpi.OpSum) // agreement point 1
 				return nil
 			})

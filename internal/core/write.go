@@ -68,14 +68,6 @@ type WriteConfig struct {
 	// block stays a valid LOD prefix). The zero value writes the classic
 	// uncompressed layout.
 	Codec particle.Spec
-	// CodecWorkers bounds the concurrent block compressions of each
-	// aggregator's data-file write (<= 0 means GOMAXPROCS). The bytes
-	// written do not depend on it.
-	CodecWorkers int
-	// ValidateInput rejects the write up front if any local particle has
-	// a non-finite position or lies outside the domain (which would
-	// silently land in the wrong file under the aligned exchange).
-	ValidateInput bool
 	// FS, when non-nil, routes every mutating filesystem operation of
 	// this rank's write through it — the fault-injection seam of
 	// internal/fault. Nil means the real filesystem.
@@ -145,17 +137,16 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 	if err != nil {
 		return res, err
 	}
-	if cfg.ValidateInput {
-		// Collective validation: every rank learns whether any rank's
-		// input is bad, so a failure aborts the write everywhere instead
-		// of deadlocking the healthy ranks in the exchange.
-		verr := local.CheckFinite()
-		if verr == nil {
-			verr = local.CheckInside(cfg.Agg.Domain)
-		}
-		if err := agreeOnError(c, "input validation", verr); err != nil {
-			return res, err
-		}
+	// Every write validates its input, collectively: a particle with a
+	// non-finite position or outside the domain would silently land in the
+	// wrong file, and agreeing on the verdict aborts the write on every
+	// rank instead of deadlocking the healthy ones in the exchange.
+	verr := local.CheckFinite()
+	if verr == nil {
+		verr = local.CheckInside(cfg.Agg.Domain)
+	}
+	if err := agreeOnError(c, "input validation", verr); err != nil {
+		return res, err
 	}
 	if cfg.Adaptive {
 		if layout, err = adaptiveLayout(c, cfg, local); err != nil {
@@ -313,12 +304,11 @@ func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank in
 	}
 	name := format.DataFileName(aggRank)
 	hdr := format.DataHeader{
-		LOD:          cfg.LOD,
-		Heuristic:    cfg.Heuristic,
-		Seed:         reorderSeed(cfg.Seed, ag.Part),
-		PayloadCRC:   cfg.Checksum,
-		Codec:        cfg.Codec,
-		CodecWorkers: cfg.CodecWorkers,
+		LOD:        cfg.LOD,
+		Heuristic:  cfg.Heuristic,
+		Seed:       reorderSeed(cfg.Seed, ag.Part),
+		PayloadCRC: cfg.Checksum,
+		Codec:      cfg.Codec,
 	}
 	if err := format.WriteDataFile(fsys, filepath.Join(dir, name), &hdr, ag.Rows, order); err != nil {
 		return format.FileEntry{}, err

@@ -79,11 +79,6 @@ type DataHeader struct {
 	// under. The zero value (raw) writes the classic uncompressed
 	// layout, byte-identical to pre-codec files.
 	Codec particle.Spec
-	// CodecWorkers bounds the concurrent block compressions of one
-	// data-file write (<= 0 means GOMAXPROCS). A write-time knob only —
-	// it is not stored in the file, and the bytes written do not depend
-	// on it.
-	CodecWorkers int
 	// EncodeTime is how long WriteDataFile spent compressing the payload:
 	// a result of the write, like Count and Bounds, not stored.
 	EncodeTime time.Duration
@@ -253,8 +248,8 @@ func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *parti
 //
 // Codec blocks are cut at LOD levels, so they are not the rows' own
 // blocks: each run of them is gathered into one pooled image of at most
-// maxImageBytes and compressed concurrently (CompressBlocksInto, bounded
-// by hdr.CodecWorkers) into one pooled arena sized by the frames' bound,
+// maxImageBytes and compressed concurrently (CompressBlocksInto, on
+// GOMAXPROCS workers) into one pooled arena sized by the frames' bound,
 // so a huge payload never materializes fully while the workers still get a
 // run's worth of independent blocks. The frames are byte-identical to the
 // serial per-block loop. They alias the returned arenas, the caller's to
@@ -287,7 +282,7 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 		arena := fromPool(&arenaPool, bound)
 		arenasHeld.Add(1)
 		arenas = append(arenas, arena)
-		comp, err := particle.CompressBlocksInto(arena, hdr.Schema, hdr.Codec, raws, hdr.CodecWorkers)
+		comp, err := particle.CompressBlocksInto(arena, hdr.Schema, hdr.Codec, raws, 0)
 		toPool(&imagePool, raw)
 		if err != nil {
 			return nil, nil, arenas, err

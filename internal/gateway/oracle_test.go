@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -24,17 +25,20 @@ import (
 
 // TestReadContract is the read path's one oracle (DESIGN.md §12.1): every
 // way there is to read a dataset answers a fixed, seeded set of queries
-// exactly as brute force over the raw files' records does. The targets are
-// a local reader without and with its file cache, a spiod with an ample and
+// exactly as brute force over the files' records does. The targets are a
+// local reader without and with its file cache, a spiod with an ample and
 // with a tiny block cache, and a 3-shard spiogate over either kind of
-// spiod, each under disk codec {raw, lossless} and driven by four
-// concurrent clients through the one reader.Answerer surface. The queries
+// spiod, each under disk codec {raw, lossless, lossy:1e-3} and driven by
+// four concurrent clients through the one reader.Answerer surface; each op
+// is asked under one of the three codecs, in turn. The queries
 // are boxes under every read option (level ranges, readers, NoFilter,
 // Fields), KNN, halos, density grids and progressive streams, level by
 // level with Done exactly at the last.
 //
 // The ground truth uses no reader code: membership is geometry over the
-// records the raw files hold, record order is theirs
+// records the files hold (lossy: as decoded, each within the bound of its
+// raw twin, and the files selected by the raw records' bounds, which the
+// metadata keeps), record order is theirs
 // (format.OpenDataFile), and a level range is lod.PrefixCount under the
 // base n·P/files. A local reader and a spiod answer in that order; a
 // gateway answers the same records in shard order, so its answers are
@@ -47,34 +51,52 @@ import (
 func TestReadContract(t *testing.T) {
 	locals := contractParticles()
 	ops := contractOps(rand.New(rand.NewSource(35)))
-	var wants []reply
-	var meta *format.Meta
-	for _, disk := range []struct {
+	disks := []struct {
 		name string
 		spec particle.Spec
-	}{{"raw", particle.Spec{}}, {"lossless", particle.LosslessSpec(particle.Uintah())}} {
+	}{
+		{"raw", particle.Spec{}},
+		{"lossless", particle.LosslessSpec(particle.Uintah())},
+		{"lossy:1e-3", particle.LossySpec(particle.Uintah(), lossyBound)},
+	}
+	var raw *groundTruth
+	for ci, disk := range disks {
 		dir := t.TempDir()
 		writeContractDataset(t, dir, locals, disk.spec)
-		if wants == nil {
-			// The lossless files hold the raw files' records
-			// (TestWriteCompressedMatchesRaw): one truth serves both.
-			truth := readTruth(t, dir, locals)
-			meta = truth.meta
-			for _, op := range ops {
-				want := truth.answer(t, op)
-				for _, p := range want.parts {
-					want.encoded, want.sorted = append(want.encoded, p.Encode()), append(want.sorted, records(p))
-				}
-				wants = append(wants, want)
+		// The lossless files hold the raw files' records
+		// (TestWriteMatchesColumnReference in internal/core): one truth
+		// serves both. The lossy files' truth is their decoded records.
+		truth := raw
+		switch {
+		case raw == nil:
+			raw = readTruth(t, dir, locals, nil)
+			truth = raw
+		case disk.name == "lossy:1e-3":
+			truth = readTruth(t, dir, locals, raw)
+		}
+		// Each op is asked under one codec, in turn.
+		var mine []contractOp
+		var wants []reply
+		for i, op := range ops {
+			if i%len(disks) != ci {
+				continue
 			}
+			want := truth.answer(t, op)
+			for _, p := range want.parts {
+				want.encoded, want.sorted = append(want.encoded, p.Encode()), append(want.sorted, records(p))
+			}
+			mine, wants = append(mine, op), append(wants, want)
 		}
 		t.Run(disk.name, func(t *testing.T) {
 			for _, tg := range contractTargets(t, dir) {
-				tg.drive(t, disk.name, meta, ops, wants)
+				tg.drive(t, disk.name, truth.meta, mine, wants)
 			}
 		})
 	}
 }
+
+// lossyBound is the lossy row's error bound.
+const lossyBound = 1e-3
 
 // contractParticles is the dataset's particles, rank by rank: eight ranks
 // of 2×2×2 over the unit box with very different counts, and particles
@@ -97,6 +119,14 @@ func contractParticles() []*particle.Buffer {
 		locals[0].SetPosition(i, at)
 	}
 	locals[7].SetPosition(0, geom.V3(0.5, 0.75, 0.75)) // on rank 7's lower x face
+	// Unique ids, which a lossy record is matched to its raw twin by.
+	id := 0.0
+	for _, l := range locals {
+		ids := l.Float64Field(l.Schema().FieldIndex("id"))
+		for i := range ids {
+			ids[i], id = id, id+1
+		}
+	}
 	return locals
 }
 
@@ -332,9 +362,13 @@ type groundTruth struct {
 	bounds []geom.Box
 }
 
-// readTruth reads the raw dataset at dir record by record, and checks the
-// records are the written particles.
-func readTruth(t *testing.T, dir string, locals []*particle.Buffer) *groundTruth {
+// readTruth reads the dataset at dir record by record. Without raw, the
+// records must be the written particles. With raw, the truth of the same
+// particles written raw, each record must be within lossyBound of its raw
+// twin, matched by id, in position and equal in every other field; the
+// bounds a whole-file read selects by are then the raw records', which
+// the metadata holds.
+func readTruth(t *testing.T, dir string, locals []*particle.Buffer, raw *groundTruth) *groundTruth {
 	t.Helper()
 	meta, err := format.ReadMeta(dir)
 	if err != nil {
@@ -342,7 +376,7 @@ func readTruth(t *testing.T, dir string, locals []*particle.Buffer) *groundTruth
 	}
 	tr := &groundTruth{meta: meta}
 	all, written := particle.NewBuffer(meta.Schema, 0), particle.NewBuffer(meta.Schema, 0)
-	for _, e := range meta.Files {
+	for i, e := range meta.Files {
 		df, err := format.OpenDataFile(filepath.Join(dir, e.Name))
 		if err != nil {
 			t.Fatal(err)
@@ -353,14 +387,42 @@ func readTruth(t *testing.T, dir string, locals []*particle.Buffer) *groundTruth
 			t.Fatal(err)
 		}
 		tr.files = append(tr.files, buf)
-		tr.bounds = append(tr.bounds, buf.Bounds())
+		if raw != nil {
+			tr.bounds = append(tr.bounds, raw.bounds[i])
+		} else {
+			tr.bounds = append(tr.bounds, buf.Bounds())
+		}
 		all.AppendBuffer(buf)
 	}
 	for _, l := range locals {
 		written.AppendBuffer(l)
 	}
-	if !slices.Equal(records(all), records(written)) {
-		t.Fatalf("the files hold %d records, not the %d particles written", all.Len(), written.Len())
+	if raw == nil {
+		if !slices.Equal(records(all), records(written)) {
+			t.Fatalf("the files hold %d records, not the %d particles written", all.Len(), written.Len())
+		}
+		return tr
+	}
+	ids := meta.Schema.FieldIndex("id")
+	twin := make(map[float64]int, written.Len())
+	for i, id := range written.Float64Field(ids) {
+		twin[id] = i
+	}
+	for i, id := range all.Float64Field(ids) {
+		j, ok := twin[id]
+		if !ok {
+			t.Fatalf("record %d has id %v, not a written particle's", i, id)
+		}
+		delete(twin, id)
+		got, want := all.Position(i), written.Position(j)
+		rec := all.Select([]int{i})
+		rec.SetPosition(0, want)
+		if d := got.Sub(want); max(math.Abs(d.X), math.Abs(d.Y), math.Abs(d.Z)) > lossyBound || !bytes.Equal(rec.Encode(), written.Select([]int{j}).Encode()) {
+			t.Fatalf("record %d (id %v) at %v is not within %v of its raw twin at %v, or differs in another field", i, id, got, lossyBound, want)
+		}
+	}
+	if len(twin) != 0 {
+		t.Fatalf("%d written particles have no record", len(twin))
 	}
 	return tr
 }

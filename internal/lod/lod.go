@@ -15,6 +15,7 @@ package lod
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"spio/internal/geom"
@@ -225,6 +226,13 @@ func stratifyPerm(b Particles, dims geom.Idx3, seed int64) []int {
 	sz := bounds.Size()
 	eps := 1e-9 * (sz.X + sz.Y + sz.Z + 1)
 	bounds.Hi = bounds.Hi.Add(geom.V3(eps, eps, eps))
+	// Far from the origin eps is below the coordinates' precision, and an
+	// axis the particles are flat on would stay empty: give it one step.
+	for axis := 0; axis < 3; axis++ {
+		if lo := bounds.Lo.Comp(axis); bounds.Hi.Comp(axis) <= lo {
+			bounds.Hi = bounds.Hi.WithComp(axis, math.Nextafter(lo, math.Inf(1)))
+		}
+	}
 	g := geom.NewGrid(bounds, dims)
 
 	cells := make([][]int, g.Cells())

@@ -286,16 +286,25 @@ func TestQuickApplyPermutationRandom(t *testing.T) {
 	}
 }
 
+// TestStratifyIsPermutation also stratifies particles flat on an axis far
+// from the origin, where the bounds' inflation is below the coordinates'
+// precision: the grid over them used to be empty, and NewGrid panicked.
 func TestStratifyIsPermutation(t *testing.T) {
-	b := particle.Clustered(particle.Uintah(), geom.UnitBox(), 400, 3, 9, 0)
-	before := idsOf(b)
-	Stratify(b, geom.I3(4, 4, 4), 1)
-	after := idsOf(b)
-	sort.Float64s(before)
-	sort.Float64s(after)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("stratify is not a permutation")
+	far := geom.NewBox(geom.V3(1e9, 1e9, 1e9), geom.V3(1e9+1, 1e9+1, 1e9+1))
+	flat := particle.Uniform(particle.Uintah(), far, 50, 9, 0)
+	for i := 0; i < flat.Len(); i++ {
+		flat.SetPosition(i, flat.Position(i).WithComp(0, far.Hi.X))
+	}
+	for _, b := range []*particle.Buffer{particle.Clustered(particle.Uintah(), geom.UnitBox(), 400, 3, 9, 0), flat} {
+		before := idsOf(b)
+		Stratify(b, geom.I3(4, 4, 4), 1)
+		after := idsOf(b)
+		sort.Float64s(before)
+		sort.Float64s(after)
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatal("stratify is not a permutation")
+			}
 		}
 	}
 }

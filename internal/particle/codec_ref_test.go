@@ -471,9 +471,7 @@ func checkPartialDecodes(t testing.TB, schema *Schema, frame []byte, count int, 
 // its column alone — not on what the state compressed before, nor on
 // whether it compressed anything, nor on the epoch having just wrapped —
 // and a frame must not depend on who compresses it: CompressBlock,
-// CompressBlocks on 1, 2 or 8 workers, or the arena path. (Through a whole
-// collective write the same property is core's
-// TestLosslessWriteIgnoresCodecWorkers'.)
+// CompressBlocks on 1, 2 or 8 workers, or the arena path.
 func TestDeflateBytesDependOnThePlaneAlone(t *testing.T) {
 	schema := Uintah()
 	spec := LosslessSpec(schema)

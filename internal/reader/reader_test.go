@@ -250,6 +250,15 @@ func TestQueryFieldRange(t *testing.T) {
 	if len(hits) != 2 {
 		t.Errorf("x in [0.3,0.6] hit %d files, want 2", len(hits))
 	}
+	// An empty file's entry carries no range rows
+	// (TestWriteMatchesColumnReference in internal/core holds the writer to
+	// that): the query skips it instead of keeping it as a file without a
+	// summary.
+	empty := &ds.meta.Files[0]
+	empty.Count, empty.FieldMin, empty.FieldMax = 0, nil, nil
+	if hits, err := ds.QueryFieldRange("position", 0, 0, 1); err != nil || len(hits) != 3 {
+		t.Errorf("x in [0,1] beside an empty file hit %d files (%v), want 3", len(hits), err)
+	}
 	if _, err := ds.QueryFieldRange("nope", 0, 0, 1); err == nil {
 		t.Error("unknown field accepted")
 	}

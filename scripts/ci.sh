@@ -61,7 +61,10 @@ echo "== go test at GOMAXPROCS=1,2,8 (mpi, agg, core, cache, reader, server, gat
 # at a single P, at two, and oversubscribed. So does the collective
 # write: the order payloads arrive in at an aggregator is the
 # scheduler's, and that is what the exchange's placement by sender
-# offset must be indifferent to.
+# offset must be indifferent to; internal/core's
+# TestWriteMatchesColumnReference holds every async cell's files
+# byte-identical to a sync write's, so that identity is checked at every
+# setting.
 # internal/gateway holds the read path's one oracle (TestReadContract:
 # local, spiod and a sharded mount x disk codec x cache budget against brute
 # force), so the read contract runs at every setting too.
@@ -128,17 +131,21 @@ go test -race -count=3 -run '^TestForced' ./internal/cache
 # content-error branches (a rogue sender) and the released-on-every-exit
 # assertions — abort after the exchange, after the data files, after the
 # metadata, a retried write, a clean one — run again the same way.
-go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbortsAllRanks|TestFaultDataWriteAbortsAllRanks|TestFaultMetaWriteAbortsAllRanks|TestFaultTransientWriteRetries|TestWriteAdaptiveRankOnUpperFace' ./internal/agg ./internal/core
-# Partition faces: a particle on a face, edge or corner of its patch is
-# written once on the aligned, imposed and adaptive grids (the imposed
-# write failed on every rank), and found by box, halo and KNN queries
-# locally, through spiod and through a sharded mount (file selection missed it;
-# TestReadContract holds the same particles on every target, run once by
-# the package-wide -race step above). A KNN beside a face between two
-# shards asks both, and one inside a shard asks it alone, rogue particle
-# included; a KNN from outside the domain keeps k records, not its box's
-# (its allocation budget skips under -race, like every budget).
-go test -race -count=3 -run 'TestWriteParticleOnPatchFace|TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/core ./internal/gateway ./internal/reader
+go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbortsAllRanks|TestFaultDataWriteAbortsAllRanks|TestFaultMetaWriteAbortsAllRanks|TestFaultTransientWriteRetries' ./internal/agg ./internal/core
+# Partition faces: a particle on a face, edge or corner of its patch, or a
+# whole rank on the domain's upper face, is written once on the aligned,
+# imposed and adaptive grids (the imposed write failed on every rank, and
+# so did an adaptive one whose rank sat on the upper face): the write
+# contract's face-heavy and adaptive cells. The same particles are found by
+# box, halo and KNN queries locally, through spiod and through a sharded
+# mount (file selection missed them; TestReadContract holds them on every
+# target, run once by the package-wide -race step above). A KNN beside a
+# face between two shards asks both, and one inside a shard asks it alone,
+# rogue particle included; a KNN from outside the domain keeps k records,
+# not its box's (its allocation budget skips under -race, like every budget).
+go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/.*/.*/.*/.*/.*/^face-heavy$' ./internal/core
+go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/^adaptive$' ./internal/core
+go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/gateway ./internal/reader
 # A compressed file's frames live in a pooled arena from the compress to
 # the end of the write: the bound the arena is sized by, a slot too short
 # (the frame moves out, its neighbour is untouched), the arena back in its
