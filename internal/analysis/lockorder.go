@@ -126,7 +126,7 @@ func lockShort(key string) string {
 // and may-block bit: one direct scan per function, then a closure over
 // the call graph (fixpoint; cycles converge because the sets only
 // grow). A call that is itself a blocking operation (Comm.Barrier,
-// writeFrame(conn, …)) is a leaf here: what matters about it is that it
+// fr.writeTo(conn)) is a leaf here: what matters about it is that it
 // parks, not which locks it takes inside.
 func (p *Program) buildLockSummaries() map[*types.Func]*lockSummary {
 	sums := make(map[*types.Func]*lockSummary, len(p.Funcs))

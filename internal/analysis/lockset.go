@@ -776,7 +776,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	// net.Conn I/O: a method on a conn, or a conn passed into any
-	// non-builtin call (writeFrame(conn, …) blocks on the socket exactly
+	// non-builtin call (fr.writeTo(conn) blocks on the socket exactly
 	// like conn.Write; append(conns, c) does not).
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if t := info.Types[sel.X].Type; t != nil && isNetConn(t) {

@@ -25,7 +25,7 @@ import (
 // fixed-width field operations each side performs on a sticky writer or
 // reader (wireStreamKind: binio's Writer and Reader, or a package's own
 // writer/reader): U8, U32, U64, I64, F64, Uvarint, Str, Bytes (and its
-// zero-copy spellings, the writer's Lend and the reader's View), Vec3,
+// chunked spellings, the writer's Lend and the reader's Fill), Vec3,
 // Box, Idx3, in either case. Extraction is interprocedural over the
 // loaded call graph:
 //
@@ -58,12 +58,12 @@ var WireSym = &Analyzer{
 }
 
 // wireOps maps sticky writer/reader method names, lower-cased, to
-// canonical field tokens. Lend and View move the same bytes as Bytes
-// does, by reference; boxv is a local reader's spelling of box.
+// canonical field tokens. Lend and Fill move the same bytes as Bytes
+// does, chunk by chunk; boxv is a local reader's spelling of box.
 var wireOps = map[string]string{
 	"bytes":   "bytes",
 	"lend":    "bytes",
-	"view":    "bytes",
+	"fill":    "bytes",
 	"u8":      "u8",
 	"u16":     "u16",
 	"u32":     "u32",

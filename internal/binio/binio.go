@@ -8,8 +8,7 @@
 // The codec does not know who calls it. What differs between its callers
 // is a property of the sink or source they hand it: a checksum is an
 // io.Writer/io.Reader that updates one as bytes pass; a sink that can
-// send bytes from where they lie is a Lender; a source held in memory,
-// which can hand out its bytes instead of copying them, is a Viewer.
+// send bytes from where they lie is a Lender.
 package binio
 
 import (
@@ -26,13 +25,6 @@ import (
 // the sink has been sent.
 type Lender interface {
 	Lend(p []byte)
-}
-
-// Viewer is a source that lends its next n bytes instead of copying them
-// out: the slice aliases the source and lives as long as it does. With
-// fewer than n bytes left it returns io.ErrUnexpectedEOF.
-type Viewer interface {
-	View(n int) ([]byte, error)
 }
 
 // Writer is a sticky-error little-endian encoder: after the first failed
@@ -177,29 +169,12 @@ func (d *Reader) Bytes(p []byte) {
 	d.n += int64(len(p))
 }
 
-// View returns the next n bytes: lent by a source that is a Viewer,
-// and dead when that source is; read into a fresh slice from any other.
-// The caller bounds n first.
-func (d *Reader) View(n uint64) []byte {
-	if d.err != nil {
-		return nil
+// Fill reads the next bytes into the chunks in order, filling each: the
+// reading side of Writer.Lend. The caller bounds their total first.
+func (d *Reader) Fill(chunks [][]byte) {
+	for _, c := range chunks {
+		d.Bytes(c)
 	}
-	v, views := d.r.(Viewer)
-	if !views {
-		p := make([]byte, n)
-		d.Bytes(p)
-		if d.err != nil {
-			return nil
-		}
-		return p
-	}
-	p, err := v.View(int(n))
-	if err != nil {
-		d.short(err)
-		return nil
-	}
-	d.n += int64(n)
-	return p
 }
 
 func (d *Reader) U8() uint8 {

@@ -61,44 +61,45 @@ func (g Grid) CellBoxLinear(i int) Box { return g.CellBox(Unlinear(i, g.Dims)) }
 // Locate returns the integer coordinate of the cell containing p.
 // Points on the upper domain boundary are clamped into the last cell, so
 // every point of the closed domain has an owner cell.
-func (g Grid) Locate(p Vec3) Idx3 { return g.locate(p, g.CellSize()) }
+func (g Grid) Locate(p Vec3) Idx3 {
+	l := g.Locator()
+	return l.Locate(p)
+}
 
 // LocateLinear returns the row-major linear cell index containing p.
-func (g Grid) LocateLinear(p Vec3) int { return g.Locate(p).Linear(g.Dims) }
+func (g Grid) LocateLinear(p Vec3) int {
+	l := g.Locator()
+	return l.LocateLinear(p)
+}
 
-// Locator is a grid that locates many points: LocateLinear with the cell
-// size computed once instead of per point, the same divisions and clamps
-// after it.
+// Locator is a grid that locates many points: the domain corner, the
+// cell size and the dims taken out of the grid once, in calls the
+// compiler inlines into the caller's loop. Grid.Locate and
+// Grid.LocateLinear are a Locator's.
 type Locator struct {
-	g  Grid
-	cs Vec3
+	lo, cs Vec3
+	top    Idx3 // the last cell: Dims - 1 kept, so that LocateLinear inlines
+	nx, ny int
 }
 
 // Locator returns the grid's Locator.
-func (g Grid) Locator() Locator { return Locator{g: g, cs: g.CellSize()} }
-
-// LocateLinear is Grid.LocateLinear.
-func (l *Locator) LocateLinear(p Vec3) int { return l.g.locate(p, l.cs).Linear(l.g.Dims) }
-
-// locate is Locate with the grid's cell size cs.
-func (g Grid) locate(p Vec3, cs Vec3) Idx3 {
-	rel := p.Sub(g.Domain.Lo)
-	idx := Idx3{
-		X: clampCell(int(rel.X/cs.X), g.Dims.X),
-		Y: clampCell(int(rel.Y/cs.Y), g.Dims.Y),
-		Z: clampCell(int(rel.Z/cs.Z), g.Dims.Z),
-	}
-	return idx
+func (g Grid) Locator() Locator {
+	return Locator{lo: g.Domain.Lo, cs: g.CellSize(), top: g.Dims.Add(Idx3{-1, -1, -1}), nx: g.Dims.X, ny: g.Dims.Y}
 }
 
-func clampCell(i, n int) int {
-	if i < 0 {
-		return 0
+// Locate is Grid.Locate.
+func (l *Locator) Locate(p Vec3) Idx3 {
+	return Idx3{
+		X: min(max(int((p.X-l.lo.X)/l.cs.X), 0), l.top.X),
+		Y: min(max(int((p.Y-l.lo.Y)/l.cs.Y), 0), l.top.Y),
+		Z: min(max(int((p.Z-l.lo.Z)/l.cs.Z), 0), l.top.Z),
 	}
-	if i >= n {
-		return n - 1
-	}
-	return i
+}
+
+// LocateLinear is Grid.LocateLinear.
+func (l *Locator) LocateLinear(p Vec3) int {
+	c := l.Locate(p)
+	return c.X + l.nx*(c.Y+l.ny*c.Z)
 }
 
 // CoarsenBy groups the grid's cells into super-cells of factor f per axis,
@@ -127,17 +128,8 @@ func (g Grid) OverlappingCells(q Box) []int {
 	if !q.Intersects(g.Domain) {
 		return nil
 	}
-	cs := g.CellSize()
-	loIdx := Idx3{
-		X: clampCell(int((q.Lo.X-g.Domain.Lo.X)/cs.X), g.Dims.X),
-		Y: clampCell(int((q.Lo.Y-g.Domain.Lo.Y)/cs.Y), g.Dims.Y),
-		Z: clampCell(int((q.Lo.Z-g.Domain.Lo.Z)/cs.Z), g.Dims.Z),
-	}
-	hiIdx := Idx3{
-		X: clampCell(int((q.Hi.X-g.Domain.Lo.X)/cs.X), g.Dims.X),
-		Y: clampCell(int((q.Hi.Y-g.Domain.Lo.Y)/cs.Y), g.Dims.Y),
-		Z: clampCell(int((q.Hi.Z-g.Domain.Lo.Z)/cs.Z), g.Dims.Z),
-	}
+	l := g.Locator()
+	loIdx, hiIdx := l.Locate(q.Lo), l.Locate(q.Hi)
 	var out []int
 	for z := loIdx.Z; z <= hiIdx.Z; z++ {
 		for y := loIdx.Y; y <= hiIdx.Y; y++ {

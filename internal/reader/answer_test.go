@@ -228,7 +228,8 @@ func TestDensityGridExactAndSampled(t *testing.T) {
 // at a time, over a domain off the origin whose cell sizes are not exact,
 // with particles on every cell face (where geom.Grid.CellBox puts it), an
 // ulp below each, and on the domain's upper faces: where a rounding or a
-// clamp that drifted would move a count to a neighbour.
+// clamp that drifted would move a count to a neighbour. The Locator is
+// held to the definition on NaN, infinite and outside points too.
 func TestDensityCountsAreLocateLinear(t *testing.T) {
 	dom := geom.NewBox(geom.V3(-0.3, 0.1, 2), geom.V3(0.7, 1.4, 2.9))
 	dims := geom.I3(4, 3, 7)
@@ -277,6 +278,47 @@ func TestDensityCountsAreLocateLinear(t *testing.T) {
 	}
 	if frac != 1 || !slices.Equal(got, want) {
 		t.Errorf("density counts %v (fraction %v), per-particle LocateLinear %v", got, frac, want)
+	}
+	// The density read counts with the grid's Locator, which is
+	// Grid.LocateLinear. On every point above, and on the ones no write
+	// accepts — each axis NaN, ±Inf, outside the domain on either side, on
+	// either face or inside — it is the definition: per axis, the offset
+	// from the domain corner over the cell size, truncated and clamped
+	// into the axis; and Locate is the same cell.
+	loc := grid.Locator()
+	cs := grid.CellSize()
+	ref := func(v, lo, cs float64, n int) int {
+		i := int((v - lo) / cs)
+		if i < 0 {
+			return 0
+		}
+		if i >= n {
+			return n - 1
+		}
+		return i
+	}
+	axis := func(lo, hi float64) []float64 {
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1), lo - 1, hi + 1, math.Nextafter(lo, math.Inf(-1)), lo, hi, (lo + hi) / 2}
+	}
+	points := make([]geom.Vec3, 0, buf.Len()+9*9*9)
+	for i := 0; i < buf.Len(); i++ {
+		points = append(points, buf.Position(i))
+	}
+	for _, x := range axis(dom.Lo.X, dom.Hi.X) {
+		for _, y := range axis(dom.Lo.Y, dom.Hi.Y) {
+			for _, z := range axis(dom.Lo.Z, dom.Hi.Z) {
+				points = append(points, geom.V3(x, y, z))
+			}
+		}
+	}
+	for _, p := range points {
+		want := geom.I3(ref(p.X, dom.Lo.X, cs.X, dims.X), ref(p.Y, dom.Lo.Y, cs.Y, dims.Y), ref(p.Z, dom.Lo.Z, cs.Z, dims.Z))
+		if got := loc.Locate(p); got != want {
+			t.Errorf("%v: located in cell %v, the definition's is %v", p, got, want)
+		}
+		if got := loc.LocateLinear(p); got != want.Linear(dims) {
+			t.Errorf("%v: located in linear cell %d, the definition's is %d", p, got, want.Linear(dims))
+		}
 	}
 }
 

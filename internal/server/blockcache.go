@@ -67,13 +67,13 @@ type BlockCacheStats struct {
 // layered under the per-dataset open-file caches: every payload read of
 // every mounted dataset goes through it, so concurrent clients querying
 // overlapping regions hit memory instead of multiplying disk reads.
-// It is a cache.Cache whose cost is a block's length: N queries racing on
+// It is a cache.Cache whose cost is a block's size: N queries racing on
 // a cold block do one disk read and share the bytes.
 //
 // Blocks are recycled. A miss fills a block-sized buffer from the cache's
 // pool, and the cache's drop hook puts it back once the block is both
-// evicted and unleased; a file's short tail block is held at its own size
-// and left to the collector. A block is only ever read under a pin —
+// evicted and unleased; a tail block under half a block is held at its
+// own size and left to the collector. A block is only ever read under a pin —
 // ViewAt lends it with the pinned entry as the lease — so no reader sees
 // a recycled block refilled. What stays resident is the indexed blocks
 // (at most the capacity), the evicted blocks still leased (at most one
@@ -94,10 +94,11 @@ type BlockCache struct {
 	// held counts the blocks out of pool: indexed, leased or being
 	// filled. It is zero once nothing is indexed or leased.
 	held atomic.Int64
-	// The index entries' share of the cache's counters, which Stats
-	// takes out of the blocks'.
-	indexHits, indexHitBytes     atomic.Int64
-	indexBuilds, indexBuildBytes atomic.Int64
+	// The index entries' share of the cache's lookups, which Stats takes
+	// out of the blocks'; the block bytes served from memory and read
+	// from disk, which a tail block's cost overstates.
+	indexHits, indexBuilds, indexBuildBytes atomic.Int64
+	bytesFromCache, bytesFromDisk           atomic.Int64
 }
 
 // blockKey names an entry: block idx of a file, or, when index is set,
@@ -142,9 +143,11 @@ func (c *BlockCache) getBlock() []byte {
 	return make([]byte, c.blockSize)
 }
 
-// recycle puts a buffer getBlock handed out back in the pool.
+// recycle puts a buffer getBlock handed out back in the pool, at its full
+// length: a tail block is a prefix of it.
 func (c *BlockCache) recycle(b []byte) {
 	c.held.Add(-1)
+	b = b[:cap(b)]
 	c.pool.Put(&b)
 }
 
@@ -158,8 +161,8 @@ func (c *BlockCache) Stats() BlockCacheStats {
 		Hits:            st.Hits - c.indexHits.Load(),
 		Misses:          st.Misses - c.indexBuilds.Load(),
 		Evictions:       st.Evictions,
-		BytesFromCache:  st.HitCost - c.indexHitBytes.Load(),
-		BytesFromDisk:   st.LoadCost - c.indexBuildBytes.Load(),
+		BytesFromCache:  c.bytesFromCache.Load(),
+		BytesFromDisk:   c.bytesFromDisk.Load(),
 		Used:            st.Used,
 		IndexBuilds:     c.indexBuilds.Load(),
 		IndexBuildBytes: c.indexBuildBytes.Load(),
@@ -219,11 +222,14 @@ func (r *cachedReaderAt) ViewAt(off int64) (view []byte, lease interface{ Releas
 	}
 	bs := r.c.blockSize
 	idx := off / bs
-	e, _, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx}, func() (cached, int64, error) {
+	e, hit, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx}, func() (cached, int64, error) {
 		return r.readBlock(idx)
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	if hit {
+		r.c.bytesFromCache.Add(int64(len(e.Value.data)))
 	}
 	if bo := off % bs; bo < int64(len(e.Value.data)) {
 		return e.Value.data[bo:], e, nil
@@ -240,24 +246,26 @@ func (r *cachedReaderAt) ViewAt(off int64) (view []byte, lease interface{ Releas
 func (r *cachedReaderAt) Derive(idx int64, build func() ([]byte, error)) (img []byte, lease interface{ Release() }, err error) {
 	e, hit, err := r.c.blocks.Acquire(blockKey{file: r.key, idx: idx, index: true}, func() (cached, int64, error) {
 		img, err := build()
+		r.c.indexBuilds.Add(1)
+		r.c.indexBuildBytes.Add(int64(len(img)))
 		return cached{data: img}, int64(len(img)), err
 	})
-	count, bytes := &r.c.indexBuilds, &r.c.indexBuildBytes
 	if hit {
-		count, bytes = &r.c.indexHits, &r.c.indexHitBytes
+		r.c.indexHits.Add(1)
 	}
-	count.Add(1)
 	if err != nil {
 		return nil, nil, err
 	}
-	bytes.Add(int64(len(e.Value.data)))
 	return e.Value.data, e, nil
 }
 
 // readBlock reads block idx of the file from base into a pooled buffer.
-// A read exactly at EOF (any file sized a multiple of the block size ends
-// with one) yields an empty block of cost 0, which the cache returns and
-// does not keep.
+// A block, or a tail block filling at least half of it, stays in the
+// buffer and costs the block size, the memory it pins; a shorter tail is
+// copied out and costs its length, so a small file does not take a block
+// of the capacity. A read exactly at EOF (any file sized a multiple of
+// the block size ends with one) yields an empty block of cost 0, which
+// the cache returns and does not keep.
 func (r *cachedReaderAt) readBlock(idx int64) (cached, int64, error) {
 	buf := r.c.getBlock()
 	n, err := r.base.ReadAt(buf, idx*r.c.blockSize)
@@ -265,13 +273,11 @@ func (r *cachedReaderAt) readBlock(idx int64) (cached, int64, error) {
 		r.c.recycle(buf)
 		return cached{}, 0, err
 	}
-	if n < len(buf) {
-		// A file's tail block is held at its own size, and is the
-		// collector's: as a prefix of buf it would pin the whole blockSize
-		// array while the cache counts n.
+	r.c.bytesFromDisk.Add(int64(n))
+	if n < len(buf)/2 {
 		tail := append(make([]byte, 0, n), buf[:n]...)
 		r.c.recycle(buf)
 		return cached{data: tail}, int64(n), nil
 	}
-	return cached{data: buf, pooled: true}, int64(n), nil
+	return cached{data: buf[:n], pooled: true}, r.c.blockSize, nil
 }

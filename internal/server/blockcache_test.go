@@ -299,7 +299,8 @@ func (r *recordingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // TestBlockCacheHoldsTailBlocksAtTheirSize: the capacity bounds the
 // memory the cache pins, not just the bytes it counts — a short tail
-// block must not keep the blockSize array it was read into alive.
+// block must not keep the blockSize array it was read into alive, and is
+// charged its own size, so 64 small files fit where four blocks would.
 func TestBlockCacheHoldsTailBlocksAtTheirSize(t *testing.T) {
 	const capacity, blockSize = 16 << 10, 4 << 10
 	c := NewBlockCache(capacity, blockSize)
@@ -426,16 +427,25 @@ func TestBlocksReturnToPoolOnEveryExit(t *testing.T) {
 			t.Errorf("the empty block kept %d blocks", got)
 		}
 	})
-	t.Run("tail block", func(t *testing.T) {
-		c := NewBlockCache(1<<20, bs)
-		ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(bs/3, 2)})
-		if _, err := ra.ReadAt(make([]byte, bs/3), 0); err != nil {
-			t.Fatal(err)
-		}
-		if st, got := c.Stats(), c.held.Load(); st.Blocks != 1 || got != 0 {
-			t.Errorf("a tail block indexed at its own size: %d blocks indexed, %d out of the pool", st.Blocks, got)
-		}
-	})
+	// A tail under half a block is copied out at its size and its block
+	// goes back; one of half a block or more stays in its block, charged
+	// all of it, and goes back once dropped.
+	for _, tail := range []struct {
+		name             string
+		size, held, used int64
+	}{{"tail block", bs / 3, 0, bs / 3}, {"tail block of half a block", bs / 2, 1, bs}} {
+		t.Run(tail.name, func(t *testing.T) {
+			c := NewBlockCache(1<<20, bs)
+			ra := c.ReaderFor("f", &countingReaderAt{data: randomBytes(int(tail.size), 2)})
+			if _, err := ra.ReadAt(make([]byte, tail.size), 0); err != nil {
+				t.Fatal(err)
+			}
+			if st, got := c.Stats(), c.held.Load(); st.Blocks != 1 || got != tail.held || st.Used != tail.used {
+				t.Errorf("%d blocks indexed of %d bytes, %d out of the pool; want 1 of %d, %d", st.Blocks, st.Used, got, tail.used, tail.held)
+			}
+			settled(t, c)
+		})
+	}
 	for _, teardown := range []string{"Purge", "Resize"} {
 		t.Run(teardown+" with a pinned entry", func(t *testing.T) {
 			c := NewBlockCache(1<<20, bs)
@@ -649,8 +659,14 @@ func TestIndexesAreNotDiskBytes(t *testing.T) {
 	if st.IndexBuilds != 4 || st.IndexBuildBytes != indexBytes || st.Indexes != 4 || st.IndexBytes != indexBytes {
 		t.Errorf("4 indexes of %d bytes built once and kept: %+v", indexBytes, st)
 	}
+	// Every whole block costs the block size, and so does the file's tail
+	// if it fills half a block; a shorter one costs its length.
 	blocks := int((disk.Load() + c.blockSize - 1) / c.blockSize)
-	if st.Blocks != blocks || st.Misses != int64(blocks) || st.Used != disk.Load()+indexBytes {
+	used := disk.Load()
+	if tail := used % c.blockSize; tail >= c.blockSize/2 {
+		used += c.blockSize - tail
+	}
+	if st.Blocks != blocks || st.Misses != int64(blocks) || st.Used != used+indexBytes {
 		t.Errorf("%d blocks of %d bytes read: %+v", blocks, disk.Load(), st)
 	}
 	if st.Hits == 0 {
@@ -695,5 +711,57 @@ func TestWarmMissAllocatesNoBlock(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 20 || st.Hits != 0 {
 		t.Errorf("not every read missed: %+v", st)
+	}
+}
+
+// TestWarmTailMissAllocatesNoBlock: a file's tail block that fills at
+// least half a block is read into a pooled block and kept there, charged
+// the block's full size — no two of three such files fit a one-block
+// cache together, so reading them in turn misses every time — and once
+// warm such a miss allocates no block. The files differ in length, so a block that went back to the
+// pool at a tail's length would come out too short for the next file's
+// tail. It reads the least of ten misses, collector off, as
+// TestWarmMissAllocatesNoBlock does.
+func TestWarmTailMissAllocatesNoBlock(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const bs = DefaultBlockSize
+	c := NewBlockCache(bs, bs)
+	sizes := []int64{bs / 2, bs/2 + 1, bs - 1}
+	var files []io.ReaderAt
+	for i, size := range sizes {
+		files = append(files, c.ReaderFor(string(rune('a'+i)), &gatedReaderAt{size: size}))
+	}
+	p := make([]byte, 64)
+	next, disk := 0, int64(0)
+	miss := func() {
+		next = (next + 1) % len(files)
+		off := sizes[next] - int64(len(p))
+		if _, err := files[next].ReadAt(p, off); err != nil {
+			t.Fatalf("file %d's last %d bytes: %v", next, len(p), err)
+		}
+		if p[len(p)-1] != patternByte(sizes[next]-1) {
+			t.Fatalf("file %d's last byte reads %d, want %d", next, p[len(p)-1], patternByte(sizes[next]-1))
+		}
+		disk += sizes[next]
+	}
+	for i := 0; i < 10; i++ {
+		miss()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 10; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		miss()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<10 {
+		t.Errorf("a warm tail miss allocates %d bytes", least)
+	}
+	if st := c.Stats(); st.Misses != 20 || st.Hits != 0 || st.Used != bs || st.BytesFromDisk != disk {
+		t.Errorf("tail blocks not charged their full size, or not %d bytes from disk: %+v", disk, st)
 	}
 }

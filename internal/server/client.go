@@ -93,7 +93,8 @@ func ParseAddr(addr string) (network, address string, err error) {
 type Client struct {
 	mu          sync.Mutex // serializes request/response exchanges
 	conn        net.Conn
-	maxFrame    int64 // largest acceptable response frame (DefaultMaxFrame unless overridden)
+	in          *frameIn // the response frames, read from conn
+	maxFrame    int64    // largest acceptable response frame (DefaultMaxFrame unless overridden)
 	callTimeout time.Duration
 	broken      bool // transport desync: the conn must not be reused
 }
@@ -109,24 +110,19 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, maxFrame: DefaultMaxFrame}
+	c := &Client{conn: conn, in: newFrameIn(conn), maxFrame: DefaultMaxFrame}
 	for _, opt := range opts {
 		opt(c)
 	}
 	// The handshake gets the same deadline as calls: a listener whose
 	// process died with connections still in the accept backlog would
-	// otherwise hang the dial forever.
+	// otherwise hang the dial forever. The ack is a bare OK status;
+	// anything else is the refusal.
 	c.armDeadline()
 	defer c.disarmDeadline()
-	var fb frameBuf
-	encodeHello(binio.NewWriter(&fb), &hello{Version: protoVersion})
-	err = writeFrame(conn, fb.b)
+	err = c.send(func(e *binio.Writer) { encodeHello(e, &hello{Version: protoVersion}) })
 	if err == nil {
-		// The ack is a bare OK status; anything else is the refusal.
-		var d *frameReader
-		if _, d, err = c.readResp(); err == nil {
-			d.release()
-		}
+		err = c.readResp(nil)
 	}
 	if err != nil {
 		_ = conn.Close() // handshake failed; the handshake error is the one to report
@@ -163,51 +159,55 @@ func (c *Client) disarmDeadline() {
 	}
 }
 
-// sendRequest writes one request frame: req, asked of the dataset ref.
-func (c *Client) sendRequest(ref string, req *rdr.Request) error {
-	var fb frameBuf
-	encodeRequest(binio.NewWriter(&fb), ref, req)
-	return writeFrame(c.conn, fb.b)
+// send writes one frame, what enc encodes, in one write.
+func (c *Client) send(enc func(e *binio.Writer)) error {
+	fr := newVecFrame()
+	enc(binio.NewWriter(fr))
+	return fr.writeTo(c.conn)
 }
 
-// readResp reads one response frame and maps its status to an error;
-// the returned decoder is positioned at the payload. It is over the
-// frame's body, which may be pooled: whoever gets a decoder releases it
-// when the response has been decoded, and keeps nothing that aliases it.
-func (c *Client) readResp() (*respHeader, *frameReader, error) {
-	body, err := readFrame(c.conn, uint32(c.maxFrame))
-	if err != nil {
-		return nil, nil, err
-	}
-	d := bodyReader(body)
-	h, err := decodeRespHeader(d.Reader)
-	if err == nil && h.Status == statusOK {
-		return h, d, nil
-	}
-	d.release()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch h.Status {
-	case statusOverloaded:
-		return h, nil, fmt.Errorf("%w (%s)", ErrOverloaded, h.Msg)
-	case statusDraining:
-		return h, nil, fmt.Errorf("%w (%s)", ErrDraining, h.Msg)
-	case statusBudget:
-		return h, nil, fmt.Errorf("%w (%s)", ErrBudget, h.Msg)
-	default:
-		return h, nil, errors.New(h.Msg)
-	}
+// readResp reads one response frame: its status, mapped to an error, and
+// on OK the payload, which decode reads as it arrives (nil: a bare
+// status).
+func (c *Client) readResp(decode func(d *binio.Reader, size int64) error) error {
+	return c.in.read(c.maxFrame, "response", func(d *binio.Reader, size int64) error {
+		h, err := decodeRespHeader(d)
+		if err != nil {
+			return badHeader{err}
+		}
+		switch h.Status {
+		case statusOK:
+			if decode == nil {
+				return nil
+			}
+			return decode(d, size)
+		case statusOverloaded:
+			return fmt.Errorf("%w (%s)", ErrOverloaded, h.Msg)
+		case statusDraining:
+			return fmt.Errorf("%w (%s)", ErrDraining, h.Msg)
+		case statusBudget:
+			return fmt.Errorf("%w (%s)", ErrBudget, h.Msg)
+		default:
+			return errors.New(h.Msg)
+		}
+	})
 }
+
+// badHeader is a response whose header does not decode: not a refusal
+// but a peer that no longer speaks the protocol, so it breaks the client
+// (a pool fails over to the next replica).
+type badHeader struct{ error }
+
+func (e badHeader) Unwrap() error { return e.error }
 
 // call performs one request/response exchange under the client lock:
-// req, asked of the dataset ref. The caller releases the decoder it gets
-// (see readResp).
-func (c *Client) call(ref string, req *rdr.Request) (*frameReader, error) {
+// req, asked of the dataset ref, its answer's payload read by decode (see
+// readResp) under the same lock.
+func (c *Client) call(ref string, req *rdr.Request, decode func(d *binio.Reader, size int64) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
-		return nil, ErrClientBroken
+		return ErrClientBroken
 	}
 	// The lock intentionally spans the conn I/O (deadline arming
 	// included): it is what serializes whole request/response exchanges
@@ -216,56 +216,55 @@ func (c *Client) call(ref string, req *rdr.Request) (*frameReader, error) {
 	//spio:allow lockorder -- mu serializes request/response exchanges on the shared conn; holding it across the I/O is the protocol
 	c.armDeadline()
 	defer c.disarmDeadline()
-	if err := c.sendRequest(ref, req); err != nil {
+	if err := c.send(func(e *binio.Writer) { encodeRequest(e, ref, req) }); err != nil {
 		// The write can fail because the server drained and closed the
 		// socket — in which case its goodbye frame is sitting in our
 		// receive buffer. Salvage it so the caller sees ErrDraining (a
 		// clean "go elsewhere") instead of a raw reset.
 		c.broken = true
-		if _, _, rerr := c.readResp(); errors.Is(rerr, ErrDraining) {
-			return nil, rerr
+		if rerr := c.readResp(nil); errors.Is(rerr, ErrDraining) {
+			return rerr
 		}
-		return nil, err
+		return err
 	}
-	h, d, err := c.readResp()
-	if err != nil && (h == nil || h.Status == statusDraining) {
-		// Transport failure (desync) or the server is going away; either
-		// way this connection must not carry another exchange.
-		c.broken = true
-	}
-	return d, err
+	err := c.readResp(decode)
+	// A transport failure, a bad header or the server's drain notice ends
+	// the connection; a refused payload does not, its frame having been
+	// skipped.
+	var bad badHeader
+	c.broken = c.in.cut || errors.As(err, &bad) || errors.Is(err, ErrDraining)
+	return err
 }
 
 // List returns the dataset references the server is currently willing
 // to serve.
 func (c *Client) List() ([]string, error) {
-	d, err := c.call("", &rdr.Request{Op: opList})
-	if err != nil {
-		return nil, err
-	}
-	defer d.release()
-	return decodeNames(d.Reader)
+	var names []string
+	err := c.call("", &rdr.Request{Op: opList}, func(d *binio.Reader, _ int64) (err error) {
+		names, err = decodeNames(d)
+		return err
+	})
+	return names, err
 }
 
 // Stats fetches the server's metrics snapshot as JSON.
 func (c *Client) Stats() ([]byte, error) {
-	d, err := c.call("", &rdr.Request{Op: opStats})
-	if err != nil {
-		return nil, err
-	}
-	defer d.release()
-	return decodeBlob(d.Reader, uint64(c.maxFrame))
+	var blob []byte
+	err := c.call("", &rdr.Request{Op: opStats}, func(d *binio.Reader, size int64) (err error) {
+		blob, err = decodeBlob(d, uint64(size))
+		return err
+	})
+	return blob, err
 }
 
 // Open resolves a dataset reference ("name", "name@N", "name@latest")
 // into a RemoteDataset mirroring the local Dataset query surface.
 func (c *Client) Open(ref string) (*RemoteDataset, error) {
-	d, err := c.call(ref, &rdr.Request{Op: opMeta})
-	if err != nil {
-		return nil, err
-	}
-	defer d.release()
-	blob, err := decodeBlob(d.Reader, uint64(c.maxFrame))
+	var blob []byte
+	err := c.call(ref, &rdr.Request{Op: opMeta}, func(d *binio.Reader, size int64) (err error) {
+		blob, err = decodeBlob(d, uint64(size))
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -334,12 +333,18 @@ func (r *RemoteDataset) Close() error {
 // a gateway forwards the request it was asked to each shard with this one
 // call.
 func (r *RemoteDataset) Answer(req *rdr.Request) (*rdr.Answer, error) {
-	d, err := r.c.call(r.ref, req)
+	var a *rdr.Answer
+	err := r.c.call(r.ref, req, func(d *binio.Reader, size int64) (err error) {
+		a, err = decodeAnswer(d, req.Op, size)
+		return err
+	})
 	if err != nil {
+		if a != nil {
+			a.Release() // decoded, then refused for the bytes behind it
+		}
 		return nil, err
 	}
-	defer d.release()
-	return decodeAnswer(d.Reader, req.Op, r.c.maxFrame)
+	return a, nil
 }
 
 // The column reads of a RemoteDataset are the ones every rdr.Answerer

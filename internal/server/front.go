@@ -214,14 +214,16 @@ func (f *Front) handleConn(conn *srvConn) {
 
 	// The hello is read under a deadline, lifted once the ack is out: an
 	// idle connection that has said hello may stay as long as it likes.
+	// A frame that cannot be read ends the connection; one that is refused
+	// is answered with why, and then ends it.
+	in := newFrameIn(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout)) // a conn without deadlines just waits, as before
-	body, err := readFrame(conn, helloFrameMax)
-	if err != nil {
+	err := in.read(helloFrameMax, "hello", func(d *binio.Reader, _ int64) error {
+		_, err := decodeHello(d)
+		return err
+	})
+	if in.cut {
 		return
-	}
-	d := bodyReader(body)
-	if _, err = decodeHello(d.Reader); err == nil && d.N() != int64(len(body)) {
-		err = fmt.Errorf("spiod: %d bytes after the hello", int64(len(body))-d.N())
 	}
 	if err != nil {
 		_ = f.sendStatus(conn, statusError, err.Error())
@@ -233,13 +235,15 @@ func (f *Front) handleConn(conn *srvConn) {
 	_ = conn.SetReadDeadline(time.Time{}) // see above
 
 	for {
-		body, err := readFrame(conn, reqFrameMax)
-		if err != nil {
+		var ref string
+		var req *rdr.Request
+		err := in.read(reqFrameMax, "request", func(d *binio.Reader, _ int64) (err error) {
+			ref, req, err = decodeRequest(d)
+			return err
+		})
+		if in.cut {
 			return // client closed (or drain closed us)
 		}
-		d := bodyReader(body)
-		ref, req, err := decodeRequest(d.Reader)
-		d.release()
 		if err != nil {
 			_ = f.sendStatus(conn, statusError, err.Error())
 			return

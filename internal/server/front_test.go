@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -174,7 +175,7 @@ func TestFrontBudgetAndErrorStatus(t *testing.T) {
 func TestFrontUnknownOp(t *testing.T) {
 	f := NewFront(Config{}, newFakeBackend(4))
 	ds := dialFake(t, startServer(t, f))
-	if _, err := ds.c.call("fake", &rdr.Request{Op: 99}); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
+	if err := ds.c.call("fake", &rdr.Request{Op: 99}, nil); err == nil || !strings.Contains(err.Error(), "unknown op 99") {
 		t.Fatalf("op 99: %v", err)
 	}
 	// A refused op is a completed exchange: the connection carries on.
@@ -250,9 +251,9 @@ func TestFrontBadHello(t *testing.T) {
 	}
 	// helloOf is a hello of the given version with tail behind it.
 	helloOf := func(version uint32, tail ...byte) []byte {
-		var fb frameBuf
+		var fb bytes.Buffer
 		encodeHello(binio.NewWriter(&fb), &hello{Version: version})
-		return append(fb.b, tail...)
+		return append(fb.Bytes(), tail...)
 	}
 	unsupported := func(version uint32) string {
 		return fmt.Sprintf("protocol version %d not supported (want %d)", version, protoVersion)
@@ -276,14 +277,14 @@ func TestFrontBadHello(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeFrame(conn, c.hello); err != nil {
+		if err := sendBody(conn, c.hello); err != nil {
 			t.Fatal(err)
 		}
-		body, err := readFrame(conn, 1<<16)
+		body, err := recvBody(conn, 1<<16)
 		if err != nil {
 			t.Fatalf("%s: no status frame: %v", c.name, err)
 		}
-		h, err := decodeRespHeader(bodyReader(body).Reader)
+		h, err := decodeRespHeader(binio.NewReader(bytes.NewReader(body), "spiod"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,9 +292,54 @@ func TestFrontBadHello(t *testing.T) {
 			t.Errorf("%s: answered with status %d %q, want an error saying %q", c.name, h.Status, h.Msg, c.want)
 		}
 		// The front hangs up after refusing a hello.
-		if _, err := readFrame(conn, 1<<16); !errors.Is(err, io.EOF) {
+		if _, err := recvBody(conn, 1<<16); !errors.Is(err, io.EOF) {
 			t.Errorf("%s: connection not closed after the refusal: %v", c.name, err)
 		}
 		_ = conn.Close()
+	}
+}
+
+// TestRequestWithTrailingBytesRefused: like a hello, a request frame with
+// bytes behind the decoded request is refused with a status saying so,
+// and the front hangs up.
+func TestRequestWithTrailingBytesRefused(t *testing.T) {
+	f := NewFront(Config{}, newFakeBackend(4))
+	_, path, err := ParseAddr(startServer(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var fb bytes.Buffer
+	encodeHello(binio.NewWriter(&fb), &hello{Version: protoVersion})
+	if err := sendBody(conn, fb.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvBody(conn, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	fb.Reset()
+	encodeRequest(binio.NewWriter(&fb), "fake", &rdr.Request{Op: opList})
+	fb.WriteByte(0)
+	if err := sendBody(conn, fb.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	body, err := recvBody(conn, 1<<16)
+	if err != nil {
+		t.Fatalf("no status frame: %v", err)
+	}
+	h, err := decodeRespHeader(binio.NewReader(bytes.NewReader(body), "spiod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "1 bytes after the request"; h.Status != statusError || !strings.Contains(h.Msg, want) {
+		t.Errorf("answered with status %d %q, want an error saying %q", h.Status, h.Msg, want)
+	}
+	if _, err := recvBody(conn, 1<<16); !errors.Is(err, io.EOF) {
+		t.Errorf("connection not closed after the refusal: %v", err)
 	}
 }

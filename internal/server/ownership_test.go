@@ -5,12 +5,15 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"spio/internal/binio"
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
@@ -64,17 +67,17 @@ func TestRowsReleasedOnEveryExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fb frameBuf
+	var fb bytes.Buffer
 	encodeHello(binio.NewWriter(&fb), &hello{Version: protoVersion})
-	if err := writeFrame(conn, fb.b); err != nil {
+	if err := sendBody(conn, fb.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(conn, 1<<16); err != nil {
+	if _, err := recvBody(conn, 1<<16); err != nil {
 		t.Fatal(err)
 	}
-	fb = frameBuf{}
+	fb.Reset()
 	encodeRequest(binio.NewWriter(&fb), "fake", &rdr.Request{Op: rdr.OpQueryBox, Box: geom.UnitBox()})
-	if err := writeFrame(conn, fb.b); err != nil {
+	if err := sendBody(conn, fb.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.Close()
@@ -194,7 +197,7 @@ func TestOneWritePerFrame(t *testing.T) {
 			t.Errorf("%s: %d writes, want %d", what, len(ws), writes)
 		}
 		stream := bytes.Join(ws, nil)
-		body, err := readFrame(bytes.NewReader(stream), 1<<20)
+		body, err := recvBody(bytes.NewReader(stream), 1<<20)
 		if err != nil || len(body)+4 != len(stream) {
 			t.Fatalf("%s: %d bytes written are not one frame: %v", what, len(stream), err)
 		}
@@ -241,11 +244,11 @@ func TestOneWritePerFrame(t *testing.T) {
 	// is the same frame but for the times in its stats.
 	// A decoded answer keeps the read stats alone: the times are read
 	// from a second look at the frame.
-	d, d2 := bodyReader(box).Reader, bodyReader(box).Reader
+	d, d2 := binio.NewReader(bytes.NewReader(box), "spiod"), binio.NewReader(bytes.NewReader(box), "spiod")
 	_, err1 := decodeRespHeader(d)
 	_, err2 := decodeRespHeader(d2)
 	st, err3 := decodeStats(d)
-	a, err4 := decodeAnswer(d2, rdr.OpQueryBox, 1<<20)
+	a, err4 := decodeAnswer(d2, rdr.OpQueryBox, int64(len(box)))
 	if err := cmp.Or(err1, err2, err3, err4); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +263,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- fr.writeTo(left) }()
-	got, err := readFrame(right, 1<<20)
+	got, err := recvBody(right, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,4 +344,176 @@ func socketPair(t *testing.T) (net.Conn, net.Conn) {
 	right := <-accepted
 	t.Cleanup(func() { left.Close(); right.Close() })
 	return left, right
+}
+
+// scriptedResp is one response a scriptedPeer sends: body as it is, or,
+// cut, the length prefix of the whole body and the first half of it,
+// after which the peer hangs up.
+type scriptedResp struct {
+	body []byte
+	cut  bool
+}
+
+// scriptedPeer serves one connection at a fresh address by hand: it acks
+// the hello and answers the i'th request with the i'th response, whatever
+// was asked. It is how a test hands a client frames no front would send.
+func scriptedPeer(t *testing.T, script ...scriptedResp) string {
+	t.Helper()
+	addr := sockAddr(t)
+	_, path, err := ParseAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack bytes.Buffer
+	encodeRespHeader(binio.NewWriter(&ack), &respHeader{Status: statusOK})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		// The hello, then one request per response.
+		for i := -1; i < len(script); i++ {
+			if _, err := recvBody(conn, reqFrameMax); err != nil {
+				return // the client is gone
+			}
+			resp := scriptedResp{body: ack.Bytes()}
+			if i >= 0 {
+				resp = script[i]
+			}
+			var frame bytes.Buffer
+			if err := sendBody(&frame, resp.body); err != nil {
+				t.Error(err)
+				return
+			}
+			if resp.cut {
+				_, _ = conn.Write(frame.Bytes()[:4+len(resp.body)/2]) // the client sees the cut either way
+				return
+			}
+			if _, err := conn.Write(frame.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { l.Close(); <-done })
+	return addr
+}
+
+// boxResp is the body of an OK box answer of Uintah records: count, then
+// payload, then tail, whatever count says.
+func boxResp(t *testing.T, count uint64, payload []byte, tail ...byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	e := binio.NewWriter(&b)
+	encodeRespHeader(e, &respHeader{Status: statusOK})
+	encodeStats(e, &wireStats{})
+	format.EncodeSchema(e, particle.Uintah())
+	e.U64(count)
+	e.Bytes(payload)
+	e.Bytes(tail)
+	if e.Err() != nil {
+		t.Fatal(e.Err())
+	}
+	return b.Bytes()
+}
+
+// TestRefusedAnswerLeavesClientUsable: a response whose row count the
+// frame cannot hold, and one with a byte behind a whole answer, are each
+// refused and skipped — the client holds no row segment for them, is not
+// broken, and its next call reads the next answer whole. The refused
+// frames are larger than the frame reader's buffer, so what is skipped is
+// read off the connection. A response whose header does not decode is no
+// refusal: it breaks the client, so a pool fails over.
+func TestRefusedAnswerLeavesClientUsable(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	recs := particle.Uniform(particle.Uintah(), geom.UnitBox(), 100, 5, 0).Encode()
+	ds := dialFake(t, scriptedPeer(t,
+		scriptedResp{body: boxResp(t, 1<<20, recs)},
+		scriptedResp{body: boxResp(t, 100, recs, 0)},
+		scriptedResp{body: boxResp(t, 100, recs)},
+		scriptedResp{body: []byte{statusOK}}, // a header without its message
+	))
+	req := &rdr.Request{Op: rdr.OpQueryBox, Box: geom.UnitBox()}
+	for _, want := range []string{"bytes left in the frame", "1 bytes after the response"} {
+		if _, err := ds.Answer(req); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("answered with %v, want a refusal saying %q", err, want)
+		}
+		if ds.c.Broken() {
+			t.Fatalf("a refused answer (%s) broke the client", want)
+		}
+		if got := particle.RowSegmentsHeld(); got != held {
+			t.Errorf("%d row segments held after a refusal (%s)", got-held, want)
+		}
+	}
+	a, err := ds.Answer(req)
+	if err != nil {
+		t.Fatalf("the call after two refusals: %v", err)
+	}
+	if got := bytes.Join(a.Rows.Segments(), nil); !bytes.Equal(got, recs) {
+		t.Errorf("the call after two refusals read %d bytes of rows, not the %d sent", len(got), len(recs))
+	}
+	a.Release()
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held", got-held)
+	}
+	if _, err := ds.Answer(req); err == nil {
+		t.Error("a response without a whole header answered")
+	}
+	if !ds.c.Broken() {
+		t.Error("a response whose header does not decode left the client usable")
+	}
+}
+
+// TestRowCountBeyondFrameTakesNoSegment: a row count larger than the
+// bytes left in the frame is refused on the count, before a segment is
+// taken or a payload byte read — whatever the count, up to one whose
+// payload size would overflow.
+func TestRowCountBeyondFrameTakesNoSegment(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	stride := particle.Uintah().Stride()
+	for _, n := range []uint64{3, 1 << 40, math.MaxUint64} {
+		var fb bytes.Buffer
+		e := binio.NewWriter(&fb)
+		format.EncodeSchema(e, particle.Uintah())
+		e.U64(n)
+		e.Bytes(make([]byte, 2*stride)) // two records' bytes, whatever n says
+		src := bytes.NewReader(fb.Bytes())
+		rows, err := decodeRows(binio.NewReader(src, "spiod"), int64(fb.Len()))
+		if err == nil || !strings.Contains(err.Error(), "bytes left in the frame") {
+			rows.Release()
+			t.Errorf("n=%d: decoded with %v, want the count refused", n, err)
+		}
+		if src.Len() != 2*stride {
+			t.Errorf("n=%d: the refusal read %d payload bytes", n, 2*stride-src.Len())
+		}
+	}
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held", got-held)
+	}
+}
+
+// TestCutMidPayloadReleasesRows: a connection that ends inside an
+// answer's payload, several segments long, fails the call, breaks the
+// client, and leaves no row segment held.
+func TestCutMidPayloadReleasesRows(t *testing.T) {
+	held := particle.RowSegmentsHeld()
+	n := 3*particle.RowBlock + 17
+	ds := dialFake(t, scriptedPeer(t,
+		scriptedResp{body: boxResp(t, uint64(n), make([]byte, n*particle.Uintah().Stride())), cut: true}))
+	if _, err := ds.Answer(&rdr.Request{Op: rdr.OpQueryBox, Box: geom.UnitBox()}); err == nil {
+		t.Fatal("an answer cut in half accepted")
+	}
+	if !ds.c.Broken() {
+		t.Error("a cut connection left the client usable")
+	}
+	if got := particle.RowSegmentsHeld(); got != held {
+		t.Errorf("%d row segments still held after the cut", got-held)
+	}
 }

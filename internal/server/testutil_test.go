@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"spio/internal/agg"
+	"spio/internal/binio"
 	"spio/internal/core"
 	"spio/internal/geom"
 	"spio/internal/mpi"
@@ -74,4 +76,24 @@ func startServer(t testing.TB, s interface {
 		}
 	})
 	return addr
+}
+
+// sendBody writes body as one frame, in one write, as the client and the
+// front write theirs.
+func sendBody(w io.Writer, body []byte) error {
+	fr := newVecFrame()
+	_, _ = fr.Write(body) // a vecFrame takes every write
+	return fr.writeTo(w)
+}
+
+// recvBody reads one frame of at most max bytes through the one frame
+// reader and returns its body.
+func recvBody(r io.Reader, max int64) ([]byte, error) {
+	var body []byte
+	err := newFrameIn(r).read(max, "frame", func(d *binio.Reader, size int64) error {
+		body = make([]byte, size)
+		d.Bytes(body)
+		return d.Err()
+	})
+	return body, err
 }

@@ -7,12 +7,12 @@
 package server
 
 import (
+	"bufio"
 	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"spio/internal/binio"
 	"spio/internal/format"
@@ -84,83 +84,65 @@ const (
 	maxReqBase     = 1 << 40 // per-file LOD base override (sizes prefix reads)
 )
 
-// frameBody is a frame body held in memory, the source its decoder reads:
-// being in memory it can lend its bytes (binio.Viewer) instead of copying
-// them out.
-type frameBody struct {
-	b  []byte
-	at int
+// frameIn reads the frames of one connection, each decoded as its bytes
+// arrive. The length prefix is checked against the caller's bound before
+// a byte of the body is read; the body is read through a small buffer over
+// the connection limited to it, so no decoder reads past its frame, and a
+// row payload too large for the buffer bypasses it into the row segments
+// that carry it (decodeRows). A frame ends decoded whole, or refused and
+// the rest of it read and dropped: the stream stays in step unless the
+// transport failed.
+type frameIn struct {
+	body io.LimitedReader // the connection, limited to the rest of the frame
+	buf  *bufio.Reader    // over body
+	d    binio.Reader     // over buf, one frame's
+	cut  bool             // the transport failed: the stream is out of step
 }
 
-func (f *frameBody) Read(p []byte) (int, error) {
-	if f.at == len(f.b) && len(p) > 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b[f.at:])
-	f.at += n
-	return n, nil
-}
-
-func (f *frameBody) View(n int) ([]byte, error) {
-	rest := f.b[f.at:]
-	if len(rest) < n {
-		return nil, io.ErrUnexpectedEOF
-	}
-	f.at += n
-	return rest[:n:n], nil
-}
-
-// frameReader decodes a frame body held in memory.
-type frameReader struct {
-	*binio.Reader
-	src frameBody
-}
-
-func bodyReader(body []byte) *frameReader {
-	f := &frameReader{src: frameBody{b: body}}
-	f.Reader = binio.NewReader(&f.src, "spiod")
+func newFrameIn(conn io.Reader) *frameIn {
+	f := &frameIn{body: io.LimitedReader{R: conn}}
+	f.buf = bufio.NewReaderSize(&f.body, 4<<10)
 	return f
 }
 
-// release ends the decoding of a frame body: a pooled body goes back to
-// the pool, and nothing View returned may be used afterwards.
-func (f *frameReader) release() {
-	putBody(f.src.b)
-	f.src.b = nil
-}
-
-// frameBuf accumulates one frame body in memory.
-type frameBuf struct{ b []byte }
-
-func (f *frameBuf) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-// smallFrame is the body size up to which writeFrame copies prefix and
-// body into one buffer, so that any writer sees a single Write.
-const smallFrame = 4 << 10
-
-// writeFrame sends one length-prefixed frame in one write: a small frame
-// as one buffer, a larger one as a vector — one writev on a socket, the
-// pieces in order on a writer that has no vectored write.
-func writeFrame(w io.Writer, body []byte) error {
+// read reads one frame of at most max bytes, handing decode the reader of
+// its body and the body's size. A frame that decode does not consume whole
+// is refused as "N bytes after the <what>". It returns decode's error or
+// the refusal, with the frame skipped, or a transport failure, which sets
+// cut: the connection must carry no further frame.
+func (f *frameIn) read(max int64, what string, decode func(d *binio.Reader, size int64) error) error {
 	var prefix [4]byte
-	binary.LittleEndian.PutUint32(prefix[:], uint32(len(body)))
-	if len(body) <= smallFrame {
-		_, err := w.Write(append(prefix[:], body...))
-		return err
+	if _, err := io.ReadFull(f.body.R, prefix[:]); err != nil {
+		f.cut = true
+		return fmt.Errorf("spiod: short read at offset 0: %w", err)
 	}
-	v := net.Buffers{prefix[:], body}
-	_, err := v.WriteTo(w)
+	size := int64(binary.LittleEndian.Uint32(prefix[:]))
+	if size > max {
+		f.cut = true
+		return fmt.Errorf("spiod: frame of %d bytes exceeds limit %d", size, max)
+	}
+	f.body.N = size
+	f.buf.Reset(&f.body)
+	f.d = *binio.NewReader(f.buf, "spiod")
+	err := decode(&f.d, size)
+	if err == nil && f.d.N() != size {
+		err = fmt.Errorf("spiod: %d bytes after the %s", size-f.d.N(), what)
+	}
+	if err != nil {
+		// What the buffer holds goes with the next Reset; the rest of the
+		// frame is read here. A connection that ends first is cut.
+		if _, derr := io.Copy(io.Discard, &f.body); derr != nil || f.body.N > 0 {
+			f.cut = true
+		}
+	}
 	return err
 }
 
-// vecFrame assembles one response frame for a single vectored write.
-// What is written to it is copied behind the length prefix; what is lent
-// to it — an answer's row segments — is only referenced, and goes out
-// from where it lies. An answer's payload is therefore produced once and
-// never copied into a frame.
+// vecFrame assembles one frame — a hello, a request, a response — for a
+// single write. What is written to it is copied behind the length prefix;
+// what is lent to it — an answer's row segments — is only referenced, and
+// goes out from where it lies. An answer's payload is therefore produced
+// once and never copied into a frame.
 type vecFrame struct {
 	head []byte   // length prefix, then every written byte
 	cuts []vecCut // the lent chunks, in order
@@ -192,7 +174,8 @@ func (f *vecFrame) Lend(p []byte) {
 func (f *vecFrame) size() int { return len(f.head) - 4 + f.lent }
 
 // writeTo sends the frame: one Write when nothing was lent, else one
-// vectored write (see writeFrame).
+// vectored write — one writev on a socket, the pieces in order on a
+// writer that has no vectored write.
 func (f *vecFrame) writeTo(w io.Writer) error {
 	binary.LittleEndian.PutUint32(f.head, uint32(f.size()))
 	if len(f.cuts) == 0 {
@@ -213,56 +196,6 @@ func (f *vecFrame) writeTo(w io.Writer) error {
 	}
 	_, err := v.WriteTo(w)
 	return err
-}
-
-// Pooled frame bodies: the response frames a client reads. One capacity
-// class, so whatever is in the pool serves whatever asks for it; a body
-// too small to be worth tying a class body up, or too large for the
-// class, is a plain allocation the collector takes back.
-const (
-	bodyClass = 4 << 20
-	bodySmall = 32 << 10
-)
-
-var bodyPool sync.Pool // *[]byte of capacity bodyClass
-
-// getBody returns an n-byte body of unspecified content.
-func getBody(n int) []byte {
-	if n <= bodySmall || n > bodyClass {
-		return make([]byte, n)
-	}
-	if v, _ := bodyPool.Get().(*[]byte); v != nil {
-		return (*v)[:n]
-	}
-	return make([]byte, n, bodyClass)
-}
-
-// putBody returns a body to the pool if it is of the pooled class. The
-// caller must not touch it, or anything aliasing it, afterwards.
-func putBody(b []byte) {
-	if cap(b) == bodyClass {
-		bodyPool.Put(&b)
-	}
-}
-
-// readFrame receives one length-prefixed frame, refusing bodies larger
-// than max. The body comes from getBody: a caller that is done with it
-// may putBody it.
-func readFrame(r io.Reader, max uint32) ([]byte, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return nil, fmt.Errorf("spiod: short read at offset 0: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(prefix[:])
-	if n > max {
-		return nil, fmt.Errorf("spiod: frame of %d bytes exceeds limit %d", n, max)
-	}
-	body := getBody(int(n))
-	if _, err := io.ReadFull(r, body); err != nil {
-		putBody(body)
-		return nil, fmt.Errorf("spiod: short read at offset 4: %w", err)
-	}
-	return body, nil
 }
 
 // hello opens every connection: magic, then the protocol version. The
@@ -453,8 +386,8 @@ func decodeStats(d *binio.Reader) (*wireStats, error) {
 // Levels).
 //
 // The encoder lends the frame the row segments where they lie; the
-// decoder copies the payload out of the frame body it was handed into
-// row segments of its own.
+// decoder reads the payload into row segments of its own (Fill, the
+// reading side of Lend).
 
 func encodeRows(e *binio.Writer, rows *particle.Rows) {
 	format.EncodeSchema(e, rows.Schema())
@@ -462,34 +395,35 @@ func encodeRows(e *binio.Writer, rows *particle.Rows) {
 	e.Lend(rows.Segments())
 }
 
-// decodeRows decodes an answer's rows, refusing payloads larger than
-// limit bytes (the caller's frame bound; the frame is already in memory,
-// the limit guards the record-count allocation). The caller owns the
-// rows; they do not alias the frame.
+// decodeRows decodes an answer's rows from a frame of limit bytes: a
+// record count the bytes left in the frame cannot hold is refused before
+// a segment is taken. The caller owns the rows.
 func decodeRows(d *binio.Reader, limit int64) (*particle.Rows, error) {
 	schema, err := format.DecodeSchema(d)
 	if err != nil {
 		return nil, err
 	}
 	n := d.U64()
-	if n > uint64(limit) {
+	left := max(limit-d.N(), 0)
+	if n > uint64(left) {
 		// Stride is at least the position field, so n records never fit
-		// under limit bytes; checking n first keeps size from overflowing.
-		d.Fail("buffer of %d records exceeds limit %d bytes", n, limit)
+		// in fewer bytes; checking n first keeps size from overflowing.
+		d.Fail("buffer of %d records exceeds the %d bytes left in the frame", n, left)
 	}
 	size := n * uint64(schema.Stride())
-	if d.Err() == nil && size > uint64(limit) {
-		d.Fail("buffer payload of %d bytes exceeds limit %d", size, limit)
+	if d.Err() == nil && size > uint64(left) {
+		d.Fail("buffer payload of %d bytes exceeds the %d bytes left in the frame", size, left)
 	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	payload := d.View(size)
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
 	rows := particle.NewRows(schema)
-	rows.AppendRecords(payload)
+	rows.Extend(int(n))
+	d.Fill(rows.Segments())
+	if d.Err() != nil {
+		rows.Release()
+		return nil, d.Err()
+	}
 	return rows, nil
 }
 
@@ -589,8 +523,9 @@ func encodeAnswer(e *binio.Writer, op uint8, st *wireStats, a *rdr.Answer) {
 	}
 }
 
-// decodeAnswer keeps the read stats of the answer's wireStats: the queue
-// and service times are the server's, for its metrics. It decodes into
+// decodeAnswer decodes the answer of a frame of limit bytes. It keeps the
+// read stats of the answer's wireStats: the queue and service times are
+// the server's, for its metrics. It decodes into
 // locals and builds the Answer once, as a literal — wiretaint taints a
 // field class globally on a field store, and an answer's fields are read
 // far from here.

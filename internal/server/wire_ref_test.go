@@ -83,7 +83,7 @@ func vecBody(t *testing.T, enc func(e *binio.Writer)) []byte {
 	if err := fr.writeTo(&out); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(bytes.NewReader(out.Bytes()), 1<<30)
+	body, err := recvBody(bytes.NewReader(out.Bytes()), 1<<30)
 	if err != nil || len(body)+4 != out.Len() || len(body) != fr.size() {
 		t.Fatalf("vectored frame: %d bytes written, body %d, size %d: %v", out.Len(), len(body), fr.size(), err)
 	}
@@ -133,7 +133,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 			}
 			for _, k := range kinds {
 				what := fmt.Sprintf("%s n=%d fields=%d", k.name, n, buf.Schema().NumFields())
-				var ref frameBuf
+				var ref bytes.Buffer
 				re := binio.NewWriter(&ref)
 				encodeStats(re, &stats)
 				for _, b := range k.want {
@@ -146,8 +146,8 @@ func TestWireFramesMatchReference(t *testing.T) {
 					t.Fatalf("%s: reference encode: %v", what, re.Err())
 				}
 				got := vecBody(t, func(e *binio.Writer) { encodeAnswer(e, k.op, &stats, &k.a) })
-				if !bytes.Equal(got, ref.b) {
-					t.Errorf("%s: rows frame (%d bytes) differs from the reference frame (%d bytes)", what, len(got), len(ref.b))
+				if !bytes.Equal(got, ref.Bytes()) {
+					t.Errorf("%s: rows frame (%d bytes) differs from the reference frame (%d bytes)", what, len(got), ref.Len())
 					continue
 				}
 				refDec := func(d *binio.Reader) (bufs []*particle.Buffer, err error) {
@@ -167,7 +167,7 @@ func TestWireFramesMatchReference(t *testing.T) {
 					return bufs, err
 				}
 				rowDec := func(d *binio.Reader) ([]*particle.Buffer, error) {
-					a, err := decodeAnswer(d, k.op, 1<<30)
+					a, err := decodeAnswer(d, k.op, int64(len(got)))
 					if err != nil {
 						return nil, err
 					}
@@ -184,24 +184,38 @@ func TestWireFramesMatchReference(t *testing.T) {
 					"rows decoder on the reference frame": rowDec,
 					"reference decoder on the rows frame": refDec,
 				} {
-					frame := ref.b
+					frame := ref.Bytes()
 					if name == "reference decoder on the rows frame" {
 						frame = got
 					}
-					// Both reader shapes: over the body (payload lent) and
-					// over a stream (payload copied).
-					for _, d := range []*binio.Reader{bodyReader(frame).Reader, binio.NewReader(bytes.NewReader(frame), "spiod")} {
-						bufs, err := dec(d)
-						if err != nil {
-							t.Errorf("%s: %s: %v", what, name, err)
-							continue
+					// Both ways in: over a stream of the body, and as the
+					// body of a frame read through the frame reader, which
+					// refuses a frame not consumed whole.
+					for _, framed := range []bool{false, true} {
+						var bufs []*particle.Buffer
+						var err error
+						if framed {
+							var stream bytes.Buffer
+							if err := sendBody(&stream, frame); err != nil {
+								t.Fatal(err)
+							}
+							err = newFrameIn(&stream).read(1<<30, "response", func(d *binio.Reader, _ int64) (err error) {
+								bufs, err = dec(d)
+								return err
+							})
+						} else {
+							d := binio.NewReader(bytes.NewReader(frame), "spiod")
+							if bufs, err = dec(d); err == nil && d.N() != int64(len(frame)) {
+								err = fmt.Errorf("consumed %d of %d bytes", d.N(), len(frame))
+							}
 						}
-						if d.N() != int64(len(frame)) {
-							t.Errorf("%s: %s: consumed %d of %d bytes", what, name, d.N(), len(frame))
+						if err != nil {
+							t.Errorf("%s: %s (framed %v): %v", what, name, framed, err)
+							continue
 						}
 						for i, b := range bufs {
 							if !b.Equal(k.want[i]) {
-								t.Errorf("%s: %s: answer %d is not bit-equal", what, name, i)
+								t.Errorf("%s: %s (framed %v): answer %d is not bit-equal", what, name, framed, i)
 							}
 						}
 					}

@@ -15,13 +15,13 @@ import (
 
 func roundTrip(t *testing.T, enc func(e *binio.Writer)) *binio.Reader {
 	t.Helper()
-	var fb frameBuf
+	var fb bytes.Buffer
 	e := binio.NewWriter(&fb)
 	enc(e)
 	if e.Err() != nil {
 		t.Fatalf("encode: %v", e.Err())
 	}
-	return binio.NewReader(bytes.NewReader(fb.b), "spiod")
+	return binio.NewReader(&fb, "spiod")
 }
 
 // The round trips below send values whose fields are all non-zero and
@@ -154,31 +154,47 @@ func TestBufferDecodeRespectsLimit(t *testing.T) {
 
 // TestBufferMultiBlockRoundTrip crosses the segment boundary of the rows
 // on either side: a buffer of several row blocks — including a ragged
-// tail — must round-trip bit-exactly, and a frame torn anywhere inside
-// its payload must be refused, over a body and over a stream, with no
-// row segment left held.
+// tail — must round-trip bit-exactly, over a stream and through the frame
+// reader, and a frame torn anywhere inside its payload must be refused,
+// either way, with no row segment left held.
 func TestBufferMultiBlockRoundTrip(t *testing.T) {
 	held := particle.RowSegmentsHeld()
+	// decode decodes body over a stream, or as the body of a frame read
+	// through a frameIn.
+	decode := func(body []byte, framed bool) (*particle.Buffer, error) {
+		if !framed {
+			return decodeBuffer(binio.NewReader(bytes.NewReader(body), "spiod"), 1<<26)
+		}
+		var stream bytes.Buffer
+		if err := sendBody(&stream, body); err != nil {
+			return nil, err
+		}
+		var got *particle.Buffer
+		err := newFrameIn(&stream).read(1<<26, "buffer", func(d *binio.Reader, size int64) (err error) {
+			got, err = decodeBuffer(d, size)
+			return err
+		})
+		return got, err
+	}
 	for _, n := range []int{particle.RowBlock, particle.RowBlock + 1, 2*particle.RowBlock + 137} {
 		buf := particle.Uniform(particle.Uintah(), geom.UnitBox(), n, 7, 0)
-		var fb frameBuf
+		var fb bytes.Buffer
 		e := binio.NewWriter(&fb)
 		encodeBuffer(e, buf)
 		if e.Err() != nil {
 			t.Fatal(e.Err())
 		}
-		got, err := decodeBuffer(bodyReader(fb.b).Reader, 1<<26)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !bytes.Equal(got.Encode(), buf.Encode()) {
-			t.Fatalf("n=%d: multi-block wire round trip is not byte-identical", n)
-		}
-		for _, cut := range []int{1, 50, buf.Schema().Stride(), len(fb.b) / 2} {
-			torn := fb.b[:len(fb.b)-cut]
-			for _, d := range []*binio.Reader{bodyReader(torn).Reader, binio.NewReader(bytes.NewReader(torn), "spiod")} {
-				if _, err := decodeBuffer(d, 1<<26); err == nil {
-					t.Errorf("n=%d: frame torn %d bytes short accepted", n, cut)
+		for _, framed := range []bool{false, true} {
+			got, err := decode(fb.Bytes(), framed)
+			if err != nil {
+				t.Fatalf("n=%d framed=%v: %v", n, framed, err)
+			}
+			if !bytes.Equal(got.Encode(), buf.Encode()) {
+				t.Fatalf("n=%d framed=%v: multi-block wire round trip is not byte-identical", n, framed)
+			}
+			for _, cut := range []int{1, 50, buf.Schema().Stride(), fb.Len() / 2} {
+				if _, err := decode(fb.Bytes()[:fb.Len()-cut], framed); err == nil {
+					t.Errorf("n=%d framed=%v: frame torn %d bytes short accepted", n, framed, cut)
 				}
 			}
 		}
@@ -219,15 +235,21 @@ func TestFloatsBlobNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameLimit: a frame longer than the reader's bound is refused on
+// its length prefix, before a byte of its body is read.
 func TestFrameLimit(t *testing.T) {
 	var out bytes.Buffer
-	if err := writeFrame(&out, make([]byte, 100)); err != nil {
+	if err := sendBody(&out, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(bytes.NewReader(out.Bytes()), 50); err == nil {
+	src := bytes.NewReader(out.Bytes())
+	if _, err := recvBody(src, 50); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	body, err := readFrame(bytes.NewReader(out.Bytes()), 100)
+	if src.Len() != 100 {
+		t.Errorf("the refusal read %d bytes of the body", 100-src.Len())
+	}
+	body, err := recvBody(bytes.NewReader(out.Bytes()), 100)
 	if err != nil || len(body) != 100 {
 		t.Fatalf("frame: %d bytes, %v", len(body), err)
 	}
@@ -285,16 +307,16 @@ func TestSchemaComponentBound(t *testing.T) {
 }
 
 func TestTruncatedDecodeFailsCleanly(t *testing.T) {
-	var fb frameBuf
+	var fb bytes.Buffer
 	e := binio.NewWriter(&fb)
 	encodeRequest(e, "x", &rdr.Request{Op: rdr.OpQueryBox})
 	if e.Err() != nil {
 		t.Fatal(e.Err())
 	}
-	for cut := 0; cut < len(fb.b); cut += 7 {
-		d := binio.NewReader(bytes.NewReader(fb.b[:cut]), "spiod")
+	for cut := 0; cut < fb.Len(); cut += 7 {
+		d := binio.NewReader(bytes.NewReader(fb.Bytes()[:cut]), "spiod")
 		if _, _, err := decodeRequest(d); err == nil {
-			t.Fatalf("truncation at %d of %d decoded without error", cut, len(fb.b))
+			t.Fatalf("truncation at %d of %d decoded without error", cut, fb.Len())
 		}
 	}
 }

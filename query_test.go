@@ -1,8 +1,6 @@
 package spio_test
 
 import (
-	"math"
-	"sort"
 	"testing"
 
 	"spio"
@@ -26,67 +24,6 @@ func writeQueryDataset(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return dir
-}
-
-func TestFacadeKNN(t *testing.T) {
-	ds, err := spio.Open(writeQueryDataset(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := spio.V3(0.3, 0.7, 0.5)
-	nn, dists, _, err := spio.KNN(ds, p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nn.Len() != 8 || len(dists) != 8 {
-		t.Fatalf("got %d neighbours", nn.Len())
-	}
-	if !sort.Float64sAreSorted(dists) {
-		t.Error("distances not sorted")
-	}
-	// Cross-check the nearest against a full scan.
-	all, _, err := ds.ReadAll(spio.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := math.Inf(1)
-	for i := 0; i < all.Len(); i++ {
-		if d := p.Dist(all.Position(i)); d < best {
-			best = d
-		}
-	}
-	if math.Abs(best-dists[0]) > 1e-12 {
-		t.Errorf("nearest distance %v, brute force %v", dists[0], best)
-	}
-}
-
-func TestFacadeHaloAndDensity(t *testing.T) {
-	ds, err := spio.Open(writeQueryDataset(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	patch := spio.NewBox(spio.V3(0.5, 0.5, 0), spio.V3(0.75, 0.75, 1))
-	own, ghost, _, err := spio.Halo(ds, patch, 0.05, spio.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if own.Len() == 0 || ghost.Len() == 0 {
-		t.Errorf("halo: own=%d ghost=%d", own.Len(), ghost.Len())
-	}
-	counts, frac, _, err := spio.DensityGrid(ds, spio.I3(2, 2, 1), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac != 1 || len(counts) != 4 {
-		t.Fatalf("density: frac=%v len=%d", frac, len(counts))
-	}
-	var sum float64
-	for _, c := range counts {
-		sum += c
-	}
-	if int64(sum) != ds.Meta().Total {
-		t.Errorf("density sums to %v", sum)
-	}
 }
 
 func TestFacadeFieldProjection(t *testing.T) {
@@ -131,24 +68,5 @@ func TestFacadeFieldProjection(t *testing.T) {
 	// Unknown field fails cleanly.
 	if _, _, err := ds.ReadAll(spio.QueryOptions{Fields: []string{"nope"}}); err == nil {
 		t.Error("unknown projected field accepted")
-	}
-}
-
-func TestFacadeProjectionWithBoxAndLevels(t *testing.T) {
-	ds, err := spio.Open(writeQueryDataset(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := spio.NewBox(spio.V3(0, 0, 0), spio.V3(0.5, 0.5, 1))
-	proj, _, err := ds.QueryBox(q, spio.QueryOptions{Fields: []string{"id"}, Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _, err := ds.QueryBox(q, spio.QueryOptions{Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.Len() != full.Len() {
-		t.Errorf("projection changed the particle set: %d vs %d", proj.Len(), full.Len())
 	}
 }

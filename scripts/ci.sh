@@ -101,8 +101,11 @@ echo "== answer ownership (-race -count=3) =="
 # particular interleaving shows. The tests that hold results across
 # thousands of pool reuses, cut connections mid-frame and pin the wire
 # bytes against the kept columnar reference run again, by name, three
-# times.
-go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplicaReleasesRows|TestRowsReleasedOnEveryExit|TestOneWritePerFrame|TestWireFramesMatchReference' ./internal/server ./internal/gateway
+# times — with the frame reader's exits: a refused answer skipped and the
+# client still usable (a bad header breaks it), a row count beyond the
+# frame refused before a segment is taken, a request with trailing bytes
+# refused, a cut in the middle of a payload releasing what was read.
+go test -race -count=3 -run 'TestResultsDoNotAliasPooledMemory|TestLosingReplicaReleasesRows|TestRowsReleasedOnEveryExit|TestOneWritePerFrame|TestWireFramesMatchReference|TestRefusedAnswerLeavesClientUsable|TestRowCountBeyondFrameTakesNoSegment|TestRequestWithTrailingBytesRefused|TestCutMidPayloadReleasesRows' ./internal/server ./internal/gateway
 # A raw scan reads the block cache's own blocks under a lease, and the
 # cache recycles a block once it is evicted and unleased: a view read
 # after its release, or a block kept from the pool on some exit, shows
