@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"spio/internal/binio"
@@ -12,29 +11,6 @@ import (
 	"spio/internal/mpi"
 	"spio/internal/particle"
 )
-
-// wirePool recycles encoded record payloads across exchanges. A payload
-// is written once by its sender's encode, read once by the receiver's
-// copy into the aggregate, and is then dead — without recycling every
-// write allocates (and the runtime zero-fills) megabytes of one-shot wire
-// buffers. The sender draws from the pool before encoding; the receiver
-// returns every payload as soon as it has placed it. sync.Pool supplies
-// the happens-before edge between a Put on one rank's goroutine and a Get
-// on another's.
-var wirePool sync.Pool // *[]byte
-
-// getWire returns an n-byte slice that may hold stale payload bytes;
-// callers must overwrite all of it (EncodeRecordsInto fills every byte).
-func getWire(n int) []byte {
-	if v, _ := wirePool.Get().(*[]byte); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]byte, n)
-}
-
-func putWire(b []byte) {
-	wirePool.Put(&b)
-}
 
 // Message tags for the two exchange phases (Section 3.3).
 const (
@@ -212,16 +188,17 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 	}
 
 	// Phase 3: particle exchange. Sends are posted first (eager,
-	// non-blocking). Each payload is encoded into a pooled slice whose
-	// ownership moves to the receiver (SendOwned), so the wire bytes are
-	// written exactly once — encoding into a rank-local scratch would
-	// force the transport to copy the payload again. The self bundle
-	// never exists as a payload: it is encoded into its rows.
+	// non-blocking). Each payload is encoded into a pooled slice
+	// (particle.Bytes; the encode fills every byte) whose ownership moves
+	// to the receiver (SendOwned), so the wire bytes are written exactly
+	// once — encoding into a rank-local scratch would force the transport
+	// to copy the payload again. The self bundle never exists as a
+	// payload: it is encoded into its rows.
 	for _, s := range sends {
 		if s.to == c.Rank() || s.count == 0 {
 			continue
 		}
-		payload := getWire(s.count * stride)
+		payload := particle.Bytes.Get(s.count * stride)
 		s.encode(payload, 0, s.count)
 		c.SendOwned(s.to, tagData, payload)
 	}
@@ -232,7 +209,7 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 	}
 
 	// Receive in arrival order: AnySource, first payload in wins, copied
-	// to its sender's region and handed back to the wire pool. The loop
+	// to its sender's region and handed back to the pool. The loop
 	// ends when every announced payload has been consumed, whatever else
 	// arrived in between.
 	for pending > 0 {
@@ -260,7 +237,7 @@ func exchange(c *mpi.Comm, schema *particle.Schema, sends []send, expectFrom []i
 				copy(dst, data[lo*stride:])
 			})
 		}
-		putWire(data)
+		particle.Bytes.Put(data)
 	}
 	tm.ParticleExchange = time.Since(start)
 	return agg, tm, firstErr

@@ -296,6 +296,7 @@ func abortWrite(c *mpi.Comm, dir string, cfg WriteConfig, isAgg bool) {
 func reorderAndWrite(fsys fault.WriteFS, dir string, cfg WriteConfig, aggRank int, ag agg.Aggregate, tm *agg.Timing) (format.FileEntry, error) {
 	start := time.Now()
 	order := lod.Permutation(ag.Rows, cfg.Heuristic, reorderSeed(cfg.Seed, ag.Part))
+	defer particle.Ints.Put(order)
 	tm.Reorder = time.Since(start)
 
 	start = time.Now()

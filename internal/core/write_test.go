@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"spio/internal/agg"
 	"spio/internal/geom"
+	"spio/internal/israce"
 	"spio/internal/mpi"
 	"spio/internal/particle"
 )
@@ -136,5 +140,61 @@ func TestWriteRejectsBadConfig(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmWriteAllocatesNothingPerParticle: a warm lossless write through
+// four aggregators of unequal size allocates about as much at 4N particles
+// a rank as at N — its images, frames, wire payloads, LOD orders and file
+// buffers come back from pools — so nothing the write allocates is sized
+// by its particles. The least of ten writes, collector off: a write
+// above that floor is a pool's per-P cache missing. A slice is returned
+// to the P that returned it, so on many Ps a warm write keeps missing
+// until every P holds one of each class; the budget is measured on two.
+func TestWarmWriteAllocatesNothingPerParticle(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	simDims := geom.I3(2, 2, 2)
+	cfg := WriteConfig{
+		Agg:   agg.Config{Domain: geom.UnitBox(), SimDims: simDims, Factor: geom.I3(1, 1, 2)},
+		Codec: particle.LosslessSpec(particle.Uintah()),
+	}
+	grid := geom.NewGrid(cfg.Agg.Domain, simDims)
+	alloc := func(perRank int) uint64 {
+		locals := make([]*particle.Buffer, simDims.Volume())
+		for r := range locals {
+			locals[r] = particle.Uniform(particle.Uintah(), grid.CellBox(geom.Unlinear(r, simDims)), perRank*(4+r)/4, 5, r)
+		}
+		dir := t.TempDir()
+		write := func() {
+			err := mpi.Run(len(locals), func(c *mpi.Comm) error {
+				_, err := Write(c, dir, cfg, locals[c.Rank()])
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		write()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 10; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			write()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const n = 4000
+	alloc(n) // a process's first writes allocate what it keeps
+	small, large := alloc(n), alloc(4*n)
+	t.Logf("a warm write allocates %d KB at %d particles a rank, %d KB at %d", small>>10, n, large>>10, 4*n)
+	if large > small+384<<10 {
+		t.Errorf("a warm write allocates %d KB more at %d particles a rank than at %d", (large-small)>>10, 4*n, n)
 	}
 }

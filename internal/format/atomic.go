@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"spio/internal/fault"
@@ -55,6 +56,13 @@ func writeFileAtomic(fsys fault.WriteFS, path string, emit func(w io.Writer) err
 	return err
 }
 
+// writerPool holds the file writers' buffers, one per attempt in flight.
+// A buffer coalesces small header/trailer writes; it is deliberately
+// smaller than the ~1MB payload chunks the data-file emitters produce, so
+// bufio's large-write fast path hands those to the file directly instead
+// of memmove-ing every payload byte through the buffer first.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<18) }}
+
 // writeFileOnce is one attempt of the temp+fsync+rename sequence. On
 // any failure the temp file is removed, so aborted writes leave the
 // directory as it was.
@@ -64,11 +72,12 @@ func writeFileOnce(fsys fault.WriteFS, path string, emit func(w io.Writer) error
 	if err != nil {
 		return err
 	}
-	// The buffer coalesces small header/trailer writes; it is deliberately
-	// smaller than the ~1MB payload chunks the data-file emitters produce,
-	// so bufio's large-write fast path hands those to the file directly
-	// instead of memmove-ing every payload byte through the buffer first.
-	bw := bufio.NewWriterSize(f, 1<<18)
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(f)
+	defer func() {
+		bw.Reset(nil)
+		writerPool.Put(bw)
+	}()
 	err = emit(bw)
 	if err == nil {
 		err = bw.Flush()

@@ -269,7 +269,7 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 			runRecs += lens[end]
 			end++
 		}
-		raw := fromPool(&imagePool, int(runRecs)*stride)
+		raw := particle.Bytes.Get(int(runRecs) * stride)
 		rows.Gather(raw, order, lo, lo+int(runRecs))
 		lo += int(runRecs)
 		raws := make([][]byte, 0, end-start)
@@ -279,11 +279,11 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 			off += int(n) * stride
 			bound += particle.FrameBound(hdr.Schema, int(n)*stride)
 		}
-		arena := fromPool(&arenaPool, bound)
+		arena := particle.Bytes.Get(bound)
 		arenasHeld.Add(1)
 		arenas = append(arenas, arena)
 		comp, err := particle.CompressBlocksInto(arena, hdr.Schema, hdr.Codec, raws, 0)
-		toPool(&imagePool, raw)
+		particle.Bytes.Put(raw)
 		if err != nil {
 			return nil, nil, arenas, err
 		}
@@ -301,13 +301,13 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 	return blocks, blockData, arenas, nil
 }
 
-// arenasHeld counts the arenas out of arenaPool: zero while no file is
+// arenasHeld counts the arenas out of the pool: zero while no file is
 // being written. releaseArenas ends the life of compressPayload's frames.
 var arenasHeld atomic.Int64
 
 func releaseArenas(arenas [][]byte) {
 	for _, a := range arenas {
-		toPool(&arenaPool, a)
+		particle.Bytes.Put(a)
 		arenasHeld.Add(-1)
 	}
 }
@@ -342,25 +342,9 @@ func writeCompressedPayload(w io.Writer, prefix []byte, hdr *DataHeader, blockDa
 const chunkRecords = 8192
 
 // maxImageBytes bounds the staging image of one run of codec blocks, so a
-// huge compressed file never doubles its aggregate's footprint.
+// huge compressed file never doubles its aggregate's footprint. The
+// classes of particle.Bytes reach past the frames of such an image.
 const maxImageBytes = 64 << 20
-
-// scratchPool, imagePool and arenaPool recycle the payload writers'
-// staging slices and compressed frames across data-file writes (every
-// byte of one is overwritten before it is read, so stale pooled contents
-// are harmless).
-var scratchPool, imagePool, arenaPool sync.Pool // *[]byte
-
-func fromPool(p *sync.Pool, n int) []byte {
-	if v, _ := p.Get().(*[]byte); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]byte, n)
-}
-
-func toPool(p *sync.Pool, b []byte) {
-	p.Put(&b)
-}
 
 // writeDataPayload streams the prefix and the records, gathered through
 // order (Rows.Gather) ~1MB at a time whatever the payload's size,
@@ -370,8 +354,8 @@ func writeDataPayload(w io.Writer, prefix []byte, hdr *DataHeader, rows *particl
 		return err
 	}
 	stride := rows.Schema().Stride()
-	scratch := fromPool(&scratchPool, min(rows.Len(), chunkRecords)*stride)
-	defer toPool(&scratchPool, scratch)
+	scratch := particle.Bytes.Get(min(rows.Len(), chunkRecords) * stride)
+	defer particle.Bytes.Put(scratch)
 	var payloadCRC uint32
 	for lo := 0; lo < rows.Len(); lo += chunkRecords {
 		hi := min(lo+chunkRecords, rows.Len())
@@ -616,6 +600,8 @@ func (df *DataFile) stage(n int) []byte {
 	return make([]byte, n, max(n, full))
 }
 
+func unstage(b []byte) { stagePool.Put(&b) }
+
 // Scan is the one read primitive: it hands fn the AoS record bytes of
 // records [lo, hi), in record order, as record-aligned chunks. Every
 // other read (ReadRange and its wrappers, the reader's box filter, the
@@ -724,7 +710,7 @@ func (df *DataFile) scan(lo, hi int64, want []bool, box *geom.Box, fn func(recs 
 	}
 	stride := int64(df.Header.Schema.Stride())
 	chunk := df.stage(int(min(hi-lo, scanChunkRecords) * stride))
-	defer toPool(&stagePool, chunk)
+	defer unstage(chunk)
 	for at := lo; at < hi; at += scanChunkRecords {
 		recs := chunk[:min(hi-at, scanChunkRecords)*stride]
 		if _, err := df.ra.ReadAt(recs, df.payloadOff+at*stride); err != nil {
@@ -782,7 +768,7 @@ func (df *DataFile) scanIndexed(ra viewerAt, lo, hi int64, box *geom.Box, picked
 func (df *DataFile) buildIndex(ra viewerAt, lo, hi int64) ([]byte, error) {
 	stride := df.Header.Schema.Stride()
 	pos := df.stage(int(hi-lo) * 24)
-	defer toPool(&stagePool, pos)
+	defer unstage(pos)
 	at := 0
 	err := df.scanViews(ra, lo, hi, func(recs []byte) error {
 		for off := 0; off < len(recs); off, at = off+stride, at+24 {
@@ -808,12 +794,12 @@ func (df *DataFile) scanBlock(bi int, lo, hi int64, want []bool, box *geom.Box, 
 	count, stride := int(bHi-bLo), df.Header.Schema.Stride()
 	cLo, cHi := int(max(lo, bLo)-bLo), int(min(hi, bHi)-bLo)
 	comp := df.stage(int(df.blockOffs[bi+1] - df.blockOffs[bi]))
-	defer toPool(&stagePool, comp)
+	defer unstage(comp)
 	if _, err := df.ra.ReadAt(comp, df.payloadOff+df.blockOffs[bi]); err != nil {
 		return picked, err
 	}
 	recs := df.stage(count * stride)
-	defer toPool(&stagePool, recs)
+	defer unstage(recs)
 	picked, err := particle.DecompressPickedInto(df.Header.Schema, comp, count, recs, want, cLo, cHi, box, picked[:0])
 	if err != nil {
 		return picked, err

@@ -162,7 +162,8 @@ type Particles interface {
 // applying Permutation(b, h, seed). The file write fuses the reorder into
 // its gather — the payload is taken in permuted order as it streams out,
 // and the permuted aggregate is never materialized. A nil result (fewer
-// than two particles) means the order is already final.
+// than two particles) means the order is already final. The result is
+// drawn from particle.Ints: the caller may return it there once done.
 func Permutation(ps Particles, h Heuristic, seed int64) []int {
 	if ps.Len() < 2 {
 		return nil
@@ -193,7 +194,7 @@ func Shuffle(b *particle.Buffer, seed int64) {
 // shufflePerm is the Fisher–Yates index permutation behind Shuffle.
 func shufflePerm(n int, seed int64) []int {
 	r := rand.New(rand.NewSource(seed))
-	perm := make([]int, n)
+	perm := particle.Ints.Get(n)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -246,7 +247,7 @@ func stratifyPerm(b Particles, dims geom.Idx3, seed int64) []int {
 			members[i], members[j] = members[j], members[i]
 		})
 	}
-	perm := make([]int, 0, n)
+	perm := particle.Ints.Get(n)[:0]
 	for round := 0; len(perm) < n; round++ {
 		for _, members := range cells {
 			if round < len(members) {

@@ -2,9 +2,7 @@ package reader
 
 import (
 	"math"
-	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"spio/internal/agg"
@@ -42,60 +40,6 @@ func clustered(t *testing.T) (*Dataset, *particle.Buffer) {
 		t.Fatal(err)
 	}
 	return ds, all
-}
-
-// checkKNN asks ds for the k nearest to p and holds the answer to brute
-// force over all: the distances, each the distance of the particle
-// returned beside it, ascending.
-func checkKNN(t *testing.T, ds *Dataset, all *particle.Buffer, p geom.Vec3, k int) {
-	t.Helper()
-	got, dists, _, err := ds.KNN(p, k)
-	if err != nil {
-		t.Fatalf("%d nearest to %v: %v", k, p, err)
-	}
-	if got.Len() != k || len(dists) != k {
-		t.Fatalf("%d nearest to %v: got %d neighbours", k, p, got.Len())
-	}
-	bf := make([]float64, all.Len())
-	for i := range bf {
-		bf[i] = p.Dist(all.Position(i))
-	}
-	sort.Float64s(bf)
-	for i := 0; i < k; i++ {
-		if math.Abs(dists[i]-bf[i]) > 1e-12 {
-			t.Fatalf("%d nearest to %v: neighbour %d distance %v, brute force %v", k, p, i, dists[i], bf[i])
-		}
-		if p.Dist(got.Position(i)) != dists[i] {
-			t.Fatalf("%d nearest to %v: reported distance inconsistent with particle", k, p)
-		}
-		if i > 0 && dists[i] < dists[i-1] {
-			t.Fatalf("%d nearest to %v: distances unsorted", k, p)
-		}
-	}
-}
-
-func TestKNNMatchesBruteForce(t *testing.T) {
-	ds, all := clustered(t)
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		checkKNN(t, ds, all, geom.V3(r.Float64(), r.Float64(), r.Float64()), 1+r.Intn(20))
-	}
-}
-
-// TestKNNQueryOutsideClusterStillWorks: a corner point far from most mass
-// forces the box to grow, and a point outside the domain makes it grow
-// past the domain's diagonal — which covers the domain only from inside
-// it, so the search used to give up short of k ("exhausted domain")
-// anywhere beyond it, and return a partial answer through a gateway.
-func TestKNNQueryOutsideClusterStillWorks(t *testing.T) {
-	ds, all := clustered(t)
-	checkKNN(t, ds, all, geom.V3(0.999, 0.999, 0.999), 5)
-	for _, x := range []float64{1.2, 2, 3.2, 4} {
-		for _, k := range []int{1, 100, 3000, 4700} {
-			checkKNN(t, ds, all, geom.V3(x, 0.5, 0.5), k)
-		}
-	}
-	checkKNN(t, ds, all, geom.V3(-2, -1, 3), 10)
 }
 
 func TestKNNErrors(t *testing.T) {

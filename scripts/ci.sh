@@ -14,7 +14,7 @@
 # additionally at -count=2 to shake out order-dependent interleavings,
 # and the answer-ownership tests, the block-lease and index-accounting tests, the
 # one-wire-form and hello tests, the one-request-one-response tests, the aggregate-ownership tests, the
-# partition-face write and query tests, the frame arena's and the deflater's byte-determinism test, the cache's
+# partition-face write and query tests, the frame arena's, the size-classed pool's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
 # breaker-poll tests by name at -count=3); the fuzz step bursts seven
 # surfaces, five decoders, the deflate encoder and the three select
@@ -153,8 +153,10 @@ go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestBoxQueryFindsPart
 # the end of the write: the bound the arena is sized by, a slot too short
 # (the frame moves out, its neighbour is untouched), the arena back in its
 # pool on every exit, and frames whose bytes depend on the column alone —
-# whatever the pooled deflater coded before, on any number of workers.
-go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone' ./internal/particle ./internal/format
+# whatever the pooled deflater coded before, on any number of workers. The
+# arena, like every slice of the write step, comes from the size-classed
+# pool, whose slices cross goroutines: returned by one, handed to another.
+go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone|TestClassedPool' ./internal/particle ./internal/format
 # One codec frames every structured byte (internal/binio). A metadata
 # image whose file count its bytes do not bear out is refused for what the
 # bytes cost (it killed the process while the count sized the table); a
