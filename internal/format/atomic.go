@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"io"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"spio/internal/fault"
+	"spio/internal/particle"
 )
 
 // Crash-consistent file landing. Every spio file (data and metadata)
@@ -61,7 +61,7 @@ func writeFileAtomic(fsys fault.WriteFS, path string, emit func(w io.Writer) err
 // smaller than the ~1MB payload chunks the data-file emitters produce, so
 // bufio's large-write fast path hands those to the file directly instead
 // of memmove-ing every payload byte through the buffer first.
-var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<18) }}
+var writerPool = particle.Pool[*bufio.Writer]{New: func() *bufio.Writer { return bufio.NewWriterSize(nil, 1<<18) }}
 
 // writeFileOnce is one attempt of the temp+fsync+rename sequence. On
 // any failure the temp file is removed, so aborted writes leave the
@@ -72,7 +72,7 @@ func writeFileOnce(fsys fault.WriteFS, path string, emit func(w io.Writer) error
 	if err != nil {
 		return err
 	}
-	bw := writerPool.Get().(*bufio.Writer)
+	bw := writerPool.Get()
 	bw.Reset(f)
 	defer func() {
 		bw.Reset(nil)

@@ -14,8 +14,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -269,6 +269,7 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 			runRecs += lens[end]
 			end++
 		}
+		gathering <- struct{}{}
 		raw := particle.Bytes.Get(int(runRecs) * stride)
 		rows.Gather(raw, order, lo, lo+int(runRecs))
 		lo += int(runRecs)
@@ -284,6 +285,7 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 		arenas = append(arenas, arena)
 		comp, err := particle.CompressBlocksInto(arena, hdr.Schema, hdr.Codec, raws, 0)
 		particle.Bytes.Put(raw)
+		<-gathering
 		if err != nil {
 			return nil, nil, arenas, err
 		}
@@ -300,6 +302,13 @@ func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codec
 	}
 	return blocks, blockData, arenas, nil
 }
+
+// gathering admits a run: no more images are out at once than the machine
+// has CPUs to compress them. Without it every aggregator of a step drew
+// its image at once and held it while its blocks waited for a CPU, so how
+// many images of a size class a step held was the scheduler's, and a step
+// that held more than any before allocated one.
+var gathering = make(chan struct{}, runtime.NumCPU())
 
 // arenasHeld counts the arenas out of the pool: zero while no file is
 // being written. releaseArenas ends the life of compressPayload's frames.
@@ -590,17 +599,17 @@ const scanChunkRecords = 2048
 // capacity of the largest thing the file can make the path stage — its
 // largest possible codec block's records plus framing — and whatever is
 // pooled serves whatever a file of that size asks.
-var stagePool sync.Pool // *[]byte
+var stagePool particle.Pool[[]byte]
 
 func (df *DataFile) stage(n int) []byte {
-	if v, _ := stagePool.Get().(*[]byte); v != nil && cap(*v) >= n {
-		return (*v)[:n]
+	if v := stagePool.Get(); cap(v) >= n {
+		return v[:n]
 	}
 	full := int(min(df.Header.Count, maxCodecBlockRecords))*df.Header.Schema.Stride() + 16*df.Header.Schema.NumFields()
 	return make([]byte, n, max(n, full))
 }
 
-func unstage(b []byte) { stagePool.Put(&b) }
+func unstage(b []byte) { stagePool.Put(b) }
 
 // Scan is the one read primitive: it hands fn the AoS record bytes of
 // records [lo, hi), in record order, as record-aligned chunks. Every
@@ -662,18 +671,13 @@ func (df *DataFile) checkRange(lo, hi int64) error {
 // selPool recycles selection vectors, one per scan. A kernel grows its
 // vector by the chunk's record count before it selects, so a pooled
 // vector is as long as the longest chunk it has served.
-var selPool sync.Pool // *[]int32
+var selPool particle.Pool[[]int32]
 
-func getSel() []int32 {
-	if v, _ := selPool.Get().(*[]int32); v != nil {
-		return (*v)[:0]
-	}
-	return nil
-}
+func getSel() []int32 { return selPool.Get()[:0] }
 
 func putSel(sel []int32) {
 	if cap(sel) > 0 {
-		selPool.Put(&sel)
+		selPool.Put(sel)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"spio/internal/geom"
-	"spio/internal/israce"
 	"spio/internal/particle"
 	rdr "spio/internal/reader"
 	"spio/internal/server"
@@ -376,9 +375,6 @@ func leastAllocPerRun(fn func()) int64 {
 // anywhere on the way fails it. Before answers travelled as rows the same
 // query cost about 6.5 answers through a spiod and 13 through a gateway.
 func TestServeAllocationBudget(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	src := t.TempDir()
 	writeDataset(t, src, geom.I3(4, 2, 1), geom.I3(2, 2, 1), 8192) // 2 files of 4 MB
 	spiod, _ := startBackend(t, src)

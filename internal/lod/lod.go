@@ -191,9 +191,21 @@ func Shuffle(b *particle.Buffer, seed int64) {
 	ApplyPermutation(b, shufflePerm(b.Len(), seed))
 }
 
+// rands holds the shuffles' generators. A source is 4.9 KB and reseeding
+// one replays the sequence a new source of that seed makes, so a write
+// step reseeds a pooled generator instead of building one per file.
+var rands = particle.Pool[*rand.Rand]{New: func() *rand.Rand { return rand.New(rand.NewSource(0)) }}
+
+func seeded(seed int64) *rand.Rand {
+	r := rands.Get()
+	r.Seed(seed)
+	return r
+}
+
 // shufflePerm is the Fisher–Yates index permutation behind Shuffle.
 func shufflePerm(n int, seed int64) []int {
-	r := rand.New(rand.NewSource(seed))
+	r := seeded(seed)
+	defer rands.Put(r)
 	perm := particle.Ints.Get(n)
 	for i := range perm {
 		perm[i] = i
@@ -241,7 +253,8 @@ func stratifyPerm(b Particles, dims geom.Idx3, seed int64) []int {
 		c := g.LocateLinear(b.Position(i))
 		cells[c] = append(cells[c], i)
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := seeded(seed)
+	defer rands.Put(r)
 	for _, members := range cells {
 		r.Shuffle(len(members), func(i, j int) {
 			members[i], members[j] = members[j], members[i]

@@ -46,40 +46,52 @@ func (b *batchErr) set(err error) {
 	b.mu.Unlock()
 }
 
-// eachBlock runs fn for every block index in [0, n) on at most workers
-// goroutines and returns the first error. fn must write only to outputs
-// that are its block's own.
-func eachBlock(n, workers int, fn func(i int) error) error {
+// eachBlock runs fn for every block index in [0, n) and returns the first
+// error. Each call holds a slot of slots while it runs; nil slots means
+// at most workers of the batch's own. fn must write only to outputs that
+// are its block's own.
+func eachBlock(n, workers int, slots chan struct{}, fn func(i int) error) error {
 	workers = batchWorkers(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := holding(slots, fn, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	if slots == nil {
+		slots = make(chan struct{}, workers)
+	}
 	var (
 		wg   sync.WaitGroup
-		sem  = make(chan struct{}, workers)
 		errs batchErr
 	)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs.set(fn(i))
+			errs.set(holding(slots, fn, i))
 		}(i)
 	}
 	wg.Wait()
 	return errs.err
 }
 
+// holding runs fn(i) while it holds a slot of slots; nil slots holds none.
+func holding(slots chan struct{}, fn func(i int) error, i int) error {
+	if slots != nil {
+		slots <- struct{}{}
+		defer func() { <-slots }()
+	}
+	return fn(i)
+}
+
 // CompressBlocks compresses each block of AoS records under the spec
-// concurrently on at most workers goroutines (workers <= 0 means
-// GOMAXPROCS) and returns the per-block frames in block order. The
+// concurrently on at most workers goroutines and returns the per-block
+// frames in block order. workers <= 0 means the process's bound: no more
+// blocks are compressed at once, over every call, than the machine has
+// CPUs (compressing). The
 // result is byte-identical to calling CompressBlock per block: each
 // worker checks its own codec state out of the pool, so blocks never
 // share mutable state and the frame bytes do not depend on scheduling.
@@ -90,6 +102,15 @@ func CompressBlocks(schema *Schema, spec Spec, blocks [][]byte, workers int) ([]
 // FrameBound is the most bytes the frame of n record bytes takes under any
 // spec: the records and, per field, a codec byte and a length.
 func FrameBound(schema *Schema, n int) int { return n + 16*schema.NumFields() }
+
+// compressing holds a slot for each block a call without a worker count
+// of its own is compressing, so no more codec states are in use at once
+// than the machine has CPUs. Concurrent writes each fan their blocks out,
+// and a goroutine preempted mid-block keeps its state: bounded per call,
+// a write on 8 Ps kept up to four times as many states as blocks it could
+// run, and one first handed a large block many writes in grew its scratch
+// then, megabytes at a time.
+var compressing = make(chan struct{}, runtime.NumCPU())
 
 // CompressBlocksInto is CompressBlocks with the frames' memory supplied:
 // frame i is written into arena at the sum of the FrameBounds of the
@@ -108,7 +129,11 @@ func CompressBlocksInto(arena []byte, schema *Schema, spec Spec, blocks [][]byte
 			off = end
 		}
 	}
-	err := eachBlock(len(blocks), workers, func(bi int) error {
+	var slots chan struct{}
+	if workers <= 0 {
+		slots = compressing
+	}
+	err := eachBlock(len(blocks), workers, slots, func(bi int) error {
 		dst := out[bi]
 		if dst == nil {
 			dst = make([]byte, 0, FrameBound(schema, len(blocks[bi])))
@@ -149,7 +174,7 @@ func DecompressBlocks(schema *Schema, blocks []CompressedBlock, dst []byte, work
 				bi, blk.At, blk.At+blk.Count, len(dst)/stride)
 		}
 	}
-	return eachBlock(len(blocks), workers, func(bi int) error {
+	return eachBlock(len(blocks), workers, nil, func(bi int) error {
 		blk := blocks[bi]
 		region := dst[blk.At*stride : (blk.At+blk.Count)*stride]
 		if err := DecompressBlockInto(schema, blk.Frame, blk.Count, region); err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"spio/internal/israce"
 )
 
 // batchSchema builds a random schema: position plus a handful of
@@ -233,9 +231,6 @@ func TestBatchDecompressBadRegion(t *testing.T) {
 // pooled state. Each bound leaves slack for a GC emptying the state
 // pool mid-run.
 func TestCodecAllocs(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	schema, records := testBlock(t, 4096, 13)
 	cases := []struct {
 		name string

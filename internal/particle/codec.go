@@ -257,8 +257,8 @@ func AppendCompressedBlock(dst []byte, schema *Schema, spec Spec, records []byte
 	if len(records)%stride != 0 {
 		return nil, fmt.Errorf("particle: %d bytes is not a multiple of record size %d", len(records), stride)
 	}
-	st := getCodecState()
-	defer putCodecState(st)
+	st := codecStatePool.Get()
+	defer codecStatePool.Put(st)
 	return st.appendBlock(dst, schema, spec, records), nil
 }
 
@@ -417,8 +417,8 @@ func DecompressPickedInto(schema *Schema, data []byte, count int, dst []byte, wa
 	if lo < 0 || hi > count || lo > hi {
 		return picked, fmt.Errorf("particle: rows [%d,%d) out of a block of %d", lo, hi, count)
 	}
-	st := getCodecState()
-	defer putCodecState(st)
+	st := codecStatePool.Get()
+	defer codecStatePool.Put(st)
 	return st.decompressInto(schema, data, count, dst, want, lo, hi, box, picked)
 }
 

@@ -98,8 +98,8 @@ func refPlanesBlock(t testing.TB, schema *Schema, spec Spec, records []byte) []b
 
 func refCompressBlockWith(t testing.TB, schema *Schema, spec Spec, records []byte, deflate func(shuf []byte, planes int) []byte) []byte {
 	t.Helper()
-	st := getCodecState()
-	defer putCodecState(st)
+	st := codecStatePool.Get()
+	defer codecStatePool.Put(st)
 	stride := schema.Stride()
 	count := len(records) / stride
 	var out []byte

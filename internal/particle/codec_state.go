@@ -1,9 +1,6 @@
 package particle
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
 // Pooled per-call codec state. One codecState carries every piece of
 // reusable codec machinery; CompressBlock/DecompressBlockInto check one
@@ -33,18 +30,7 @@ type codecState struct {
 	shf []byte    // shuffled byte planes
 }
 
-var codecStatePool sync.Pool // *codecState
-
-func getCodecState() *codecState {
-	if st, _ := codecStatePool.Get().(*codecState); st != nil {
-		return st
-	}
-	return &codecState{tab: new(lzTable)}
-}
-
-func putCodecState(st *codecState) {
-	codecStatePool.Put(st)
-}
+var codecStatePool = Pool[*codecState]{New: func() *codecState { return &codecState{tab: new(lzTable)} }}
 
 // shuffled returns st's shuffle scratch resized to n bytes (contents
 // unspecified; every byte is overwritten before use).

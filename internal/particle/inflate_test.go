@@ -29,8 +29,8 @@ func refInflate(stream []byte, limit int) (out []byte, unread int, err error) {
 
 // ownInflate runs the in-house inflater into a fresh n-byte column.
 func ownInflate(stream []byte, n int) ([]byte, error) {
-	st := getCodecState()
-	defer putCodecState(st)
+	st := codecStatePool.Get()
+	defer codecStatePool.Put(st)
 	dst := make([]byte, n)
 	return dst, st.inf.inflate(dst, stream)
 }
@@ -580,8 +580,8 @@ func TestInflateTruncatedEverywhere(t *testing.T) {
 	if len(payloads) < 4 {
 		t.Fatalf("only %d deflate payloads in the block", len(payloads))
 	}
-	st := getCodecState()
-	defer putCodecState(st)
+	st := codecStatePool.Get()
+	defer codecStatePool.Put(st)
 	for pi, payload := range payloads {
 		dst := make([]byte, len(columns[pi]))
 		if err := st.inf.inflate(dst, payload); err != nil || !bytes.Equal(dst, columns[pi]) {
@@ -692,8 +692,8 @@ func BenchmarkInflate(b *testing.B) {
 	}
 	dst := make([]byte, total)
 	b.Run("own", func(b *testing.B) {
-		st := getCodecState()
-		defer putCodecState(st)
+		st := codecStatePool.Get()
+		defer codecStatePool.Put(st)
 		b.SetBytes(int64(total))
 		for i := 0; i < b.N; i++ {
 			for pi, p := range payloads {

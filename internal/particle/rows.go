@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"spio/internal/geom"
@@ -58,7 +56,7 @@ const (
 const rowSegBytes = 1 << 20
 
 var (
-	rowSegPool  sync.Pool    // *[]byte of capacity rowSegBytes
+	rowSegPool  = Pool[[]byte]{New: func() []byte { return make([]byte, 0, rowSegBytes) }}
 	rowSegsHeld atomic.Int64 // segments inside live Rows
 )
 
@@ -66,67 +64,6 @@ var (
 // that have not been released. A process with no read in flight holds
 // none; tests use it to check that every exit path releases.
 func RowSegmentsHeld() int64 { return rowSegsHeld.Load() }
-
-// Classed pools slices in size classes a quarter of a power of two
-// apart, so a pooled slice serves every request of its class with at
-// most 25 % slack. A pool of as-needed lengths would keep handing a short
-// slice to a long request, which then allocates anyway. Bytes serves the
-// write path's images, frames and wire payloads, Ints its LOD orders.
-type Classed[T any] struct {
-	pools [numClasses]sync.Pool // *[]T of capacity a class size
-}
-
-var (
-	Bytes Classed[byte]
-	Ints  Classed[int]
-)
-
-// classShift is the reach of the class table: its largest class is
-// 1<<classShift elements, above the largest write-path request (the
-// frames of a 64 MiB image). Sizes 1–4 are classes of their own; every
-// octave above has four.
-const (
-	classShift = 27
-	numClasses = 4 * (classShift - 1)
-)
-
-// sizeClass returns n's class and the class's size: n rounded up to a
-// quarter of the power of two below it.
-func sizeClass(n int) (int, int) {
-	if n <= 4 {
-		return n - 1, n
-	}
-	k := bits.Len(uint(n - 1)) // 1<<(k-1) < n <= 1<<k
-	q := (n-1)>>(k-3) + 1      // 5..8 quarters of 1<<(k-1)
-	return 4*k - 13 + q, q << (k - 3)
-}
-
-// Get returns a slice of length n at its class's capacity. Its contents
-// are stale: the caller overwrites every element before reading one.
-func (c *Classed[T]) Get(n int) []T {
-	if n <= 0 {
-		return nil
-	}
-	i, size := sizeClass(n)
-	if i >= numClasses {
-		return make([]T, n)
-	}
-	if v, _ := c.pools[i].Get().(*[]T); v != nil {
-		return (*v)[:n]
-	}
-	return make([]T, n, size)
-}
-
-// Put pools s, whose owner is done with it. A slice whose capacity is
-// not a class size — not one Get made — is left to the collector.
-func (c *Classed[T]) Put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	if i, size := sizeClass(cap(s)); i < numClasses && size == cap(s) {
-		c.pools[i].Put(&s)
-	}
-}
 
 // NewRows returns an empty Rows of the schema. It holds no segment until
 // a row is added.
@@ -173,13 +110,8 @@ func (r *Rows) room(want int) []byte {
 	full := r.perSeg * r.stride
 	last := len(r.segs) - 1
 	if last < 0 || len(r.segs[last]) == full {
-		seg, _ := rowSegPool.Get().(*[]byte)
-		if seg == nil {
-			seg = new([]byte)
-			*seg = make([]byte, 0, rowSegBytes)
-		}
 		rowSegsHeld.Add(1)
-		r.segs = append(r.segs, (*seg)[:0])
+		r.segs = append(r.segs, rowSegPool.Get()[:0])
 		last++
 	}
 	seg := r.segs[last]
@@ -397,6 +329,6 @@ func (r *Rows) Release() {
 // to the collector.
 func recycleRowSeg(seg []byte) {
 	if cap(seg) == rowSegBytes {
-		rowSegPool.Put(&seg)
+		rowSegPool.Put(seg)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spio/internal/geom"
-	"spio/internal/israce"
 )
 
 // wideSchema has a record too wide for a block of it to fit the pooled
@@ -221,70 +220,4 @@ func TestRowsAsAggregate(t *testing.T) {
 	if got := RowSegmentsHeld(); got != held {
 		t.Errorf("%d segments still held", got-held)
 	}
-}
-
-// TestClassedPool: every request from one element to the frames of a
-// 64 MiB image gets a class whose size exceeds it by under a quarter, a
-// returned slice serves the next request of its class, a slice of a
-// capacity no class has is not pooled, and a slice returned on one
-// goroutine is handed out on another (-race holds the pool to the
-// happens-before edge).
-func TestClassedPool(t *testing.T) {
-	top := FrameBound(Uintah(), 64<<20)
-	var empty Classed[struct{}] // zero-size elements: Get allocates nothing
-	edge := func(n int) {
-		if s := empty.Get(n); len(s) != n || cap(s) < n || 4*cap(s) > 5*n {
-			t.Fatalf("Get(%d): len %d cap %d", n, len(s), cap(s))
-		}
-	}
-	class, size := -1, 0
-	for n := 1; n <= top; n++ {
-		i, s := sizeClass(n)
-		if n > size { // the first request of the next class
-			if i != class+1 || s < n || i >= numClasses {
-				t.Fatalf("size %d: class %d of %d elements after class %d", n, i, s, class)
-			}
-			if n > 1 {
-				edge(size)
-			}
-			edge(n)
-			class, size = i, s
-		} else if i != class || s != size {
-			t.Fatalf("size %d: class %d of %d elements inside class %d of %d", n, i, s, class, size)
-		}
-		if 4*s > 5*n {
-			t.Fatalf("size %d: class of %d elements", n, s)
-		}
-	}
-
-	var c Classed[byte]
-	foreign := make([]byte, 5000)
-	c.Put(foreign)
-	if b := c.Get(5000); cap(b) != 5120 || &b[0] == &foreign[0] {
-		t.Errorf("a slice of capacity 5000 was pooled: got cap %d", cap(b))
-	}
-	if !israce.Enabled { // the detector drops a share of what is put
-		b := c.Get(5000)
-		c.Put(b)
-		if again := c.Get(4900); &again[0] != &b[0] {
-			t.Error("a returned slice did not serve the next request of its class")
-		}
-	}
-
-	done := make(chan struct{})
-	churn := func(fill byte) {
-		for i := 0; i < 200; i++ {
-			b := c.Get(1000 + i)
-			for j := range b {
-				b[j] = fill
-			}
-			c.Put(b)
-		}
-	}
-	go func() {
-		defer close(done)
-		churn(1)
-	}()
-	churn(2)
-	<-done
 }

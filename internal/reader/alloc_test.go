@@ -7,7 +7,6 @@ import (
 
 	"spio/internal/core"
 	"spio/internal/geom"
-	"spio/internal/israce"
 	"spio/internal/particle"
 )
 
@@ -29,9 +28,8 @@ func allocPerRun(fn func()) int64 {
 }
 
 // allocSlack is the constant part of every budget below: the per-query
-// bookkeeping (selection vector, stats, collector, decode window slots)
-// plus one staging slice or codec scratch that a per-P sync.Pool failed
-// to hand back — neither grows with the file or the answer.
+// bookkeeping (selection vector, stats, collector, decode window slots),
+// which grows with neither the file nor the answer.
 const allocSlack = 1 << 20
 
 // TestReadAllocationBudget holds the read path to its memory model: what
@@ -40,9 +38,6 @@ const allocSlack = 1 << 20
 // whole-file materialise -> Decode -> AppendFrom path this replaced
 // allocated more than 8 MB per file touched.
 func TestReadAllocationBudget(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	const perRank = 32768
 	for _, codec := range []string{"raw", "lossless"} {
 		t.Run(codec, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"spio/internal/agg"
 	"spio/internal/core"
 	"spio/internal/geom"
-	"spio/internal/israce"
 	"spio/internal/mpi"
 	"spio/internal/particle"
 )
@@ -268,14 +267,10 @@ func TestDensityCountsAreLocateLinear(t *testing.T) {
 
 // TestDensityGridAllocatesTheGrid holds the density read to the read
 // path's memory model: it counts positions straight out of the record
-// chunks, so what it allocates is the grid plus a constant (one staging
-// slice a per-P pool may fail to hand back), however much data it
-// samples. The 4 MB file here cost the old ReadAll-then-count path more
+// chunks, so what it allocates is the grid plus a constant, however much
+// data it samples. The 4 MB file here cost the old ReadAll-then-count path more
 // than 8 MB.
 func TestDensityGridAllocatesTheGrid(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	const perRank = 8192
 	for _, codec := range []string{"raw", "lossless"} {
 		dir, _ := writeDataset(t, geom.I3(2, 2, 1), geom.I3(2, 2, 1), perRank, func(cfg *core.WriteConfig) {
@@ -317,9 +312,6 @@ func TestDensityGridAllocatesTheGrid(t *testing.T) {
 // every particle; the search that copied and sorted every candidate there
 // allocated 731 KB for a 2 KB answer.
 func TestKNNAllocatesItsAnswer(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	dir, _ := writeDataset(t, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 2000, nil)
 	ds, err := Open(dir)
 	if err != nil {

@@ -1,7 +1,6 @@
 package reader
 
 import (
-	"math/rand"
 	"testing"
 
 	"spio/internal/agg"
@@ -48,42 +47,6 @@ func idSet(b *particle.Buffer) map[float64]bool {
 		out[id] = true
 	}
 	return out
-}
-
-func TestQueryBoxMatchesBruteForce(t *testing.T) {
-	dir, all := writeDataset(t, geom.I3(4, 4, 1), geom.I3(2, 2, 1), 80, nil)
-	ds, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		lo := geom.V3(r.Float64()*0.8, r.Float64()*0.8, 0)
-		q := geom.NewBox(lo, lo.Add(geom.V3(r.Float64()*0.5, r.Float64()*0.5, 1)))
-		got, st, err := ds.QueryBox(q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[float64]bool)
-		ids := all.Float64Field(all.Schema().FieldIndex("id"))
-		for i := 0; i < all.Len(); i++ {
-			if q.Contains(all.Position(i)) || q.ContainsClosed(all.Position(i)) {
-				want[ids[i]] = true
-			}
-		}
-		gotIDs := idSet(got)
-		if len(gotIDs) != len(want) {
-			t.Fatalf("trial %d: query returned %d particles, brute force %d", trial, len(gotIDs), len(want))
-		}
-		for id := range want {
-			if !gotIDs[id] {
-				t.Fatalf("trial %d: missing particle %v", trial, id)
-			}
-		}
-		if st.ParticlesKept != int64(got.Len()) {
-			t.Errorf("stats kept %d != returned %d", st.ParticlesKept, got.Len())
-		}
-	}
 }
 
 func TestQueryBoxOpensOnlyIntersectingFiles(t *testing.T) {

@@ -28,10 +28,10 @@ import (
 	"errors"
 	"io"
 	"io/fs"
-	"sync"
 	"sync/atomic"
 
 	"spio/internal/cache"
+	"spio/internal/particle"
 )
 
 // BlockCacheStats is the shared block cache's counter snapshot. Hits,
@@ -77,7 +77,8 @@ type BlockCacheStats struct {
 // ViewAt lends it with the pinned entry as the lease — so no reader sees
 // a recycled block refilled. What stays resident is the indexed blocks
 // (at most the capacity), the evicted blocks still leased (at most one
-// per running scan), and what the pool keeps between collections.
+// per running scan), and what the pool was handed in the last two
+// collections.
 //
 // Beside a file's blocks the cache keeps what a raw scan derives from
 // them, the cell index of each chunk of records (Derive), under the same
@@ -90,7 +91,10 @@ type BlockCacheStats struct {
 type BlockCache struct {
 	blockSize int64
 	blocks    *cache.Cache[blockKey, cached]
-	pool      sync.Pool // *[]byte, each blockSize long
+	// pool holds buffers blockSize long. It is an allocation of its own:
+	// a pool holding something is kept alive by its cleanup for up to two
+	// collections, and that should not keep the cache's blocks.
+	pool *particle.Pool[[]byte]
 	// held counts the blocks out of pool: indexed, leased or being
 	// filled. It is zero once nothing is indexed or leased.
 	held atomic.Int64
@@ -125,7 +129,7 @@ func NewBlockCache(capacityBytes int64, blockSize int) *BlockCache {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	c := &BlockCache{blockSize: int64(blockSize)}
+	c := &BlockCache{blockSize: int64(blockSize), pool: &particle.Pool[[]byte]{New: func() []byte { return make([]byte, blockSize) }}}
 	c.blocks = cache.New[blockKey, cached](max(capacityBytes, int64(blockSize)), func(v cached) {
 		if v.pooled {
 			c.recycle(v.data)
@@ -137,10 +141,7 @@ func NewBlockCache(capacityBytes int64, blockSize int) *BlockCache {
 // getBlock takes a block-sized buffer out of the pool, or makes one.
 func (c *BlockCache) getBlock() []byte {
 	c.held.Add(1)
-	if b, _ := c.pool.Get().(*[]byte); b != nil {
-		return *b
-	}
-	return make([]byte, c.blockSize)
+	return c.pool.Get()
 }
 
 // recycle puts a buffer getBlock handed out back in the pool, at its full
@@ -148,7 +149,7 @@ func (c *BlockCache) getBlock() []byte {
 func (c *BlockCache) recycle(b []byte) {
 	c.held.Add(-1)
 	b = b[:cap(b)]
-	c.pool.Put(&b)
+	c.pool.Put(b)
 }
 
 // Stats returns a snapshot of the cache counters. The index counters are

@@ -16,7 +16,6 @@ import (
 
 	"spio/internal/format"
 	"spio/internal/geom"
-	"spio/internal/israce"
 	"spio/internal/lod"
 	"spio/internal/particle"
 )
@@ -677,12 +676,9 @@ func TestIndexesAreNotDiskBytes(t *testing.T) {
 // TestWarmMissAllocatesNoBlock: once a block has been evicted, the next
 // miss refills it instead of allocating and clearing a fresh one. Blocks
 // are full-size 256 KiB ones; the budget is a kilobyte. It reads the
-// least of ten misses, collector off: a miss above that floor is the
-// pool's per-P cache missing, not the fill.
+// least of ten misses, collector off: what a fill allocates, every miss
+// allocates.
 func TestWarmMissAllocatesNoBlock(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	const bs = DefaultBlockSize
 	c := NewBlockCache(bs, bs) // one block: every read below misses and evicts
 	ra := c.ReaderFor("f", &gatedReaderAt{size: 4 * bs})
@@ -723,9 +719,6 @@ func TestWarmMissAllocatesNoBlock(t *testing.T) {
 // tail. It reads the least of ten misses, collector off, as
 // TestWarmMissAllocatesNoBlock does.
 func TestWarmTailMissAllocatesNoBlock(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	const bs = DefaultBlockSize
 	c := NewBlockCache(bs, bs)
 	sizes := []int64{bs / 2, bs/2 + 1, bs - 1}

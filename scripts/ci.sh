@@ -69,7 +69,7 @@ echo "== go test at GOMAXPROCS=1,2,8 (mpi, agg, core, cache, reader, server, gat
 # local, spiod and a sharded mount x disk codec x cache budget against brute
 # force), so the read contract runs at every setting too.
 # Two invocations a setting: the serving packages' allocation-budget
-# tests count sync.Pool misses, which eight Ps on two cores make likelier
+# tests count pool misses, which eight Ps on two cores make likelier
 # the more packages run beside them.
 for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/mpi ./internal/agg ./internal/core
@@ -145,7 +145,7 @@ go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbor
 # target, run once by the package-wide -race step above). A KNN beside a
 # face between two shards asks both, and one inside a shard asks it alone,
 # rogue particle included; a KNN from outside the domain keeps k records,
-# not its box's (its allocation budget skips under -race, like every budget).
+# not its box's (its allocation budget holds under -race, like every budget).
 go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/.*/.*/.*/.*/.*/^face-heavy$' ./internal/core
 go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/^adaptive$' ./internal/core
 go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/gateway ./internal/reader
@@ -156,7 +156,7 @@ go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestBoxQueryFindsPart
 # whatever the pooled deflater coded before, on any number of workers. The
 # arena, like every slice of the write step, comes from the size-classed
 # pool, whose slices cross goroutines: returned by one, handed to another.
-go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone|TestClassedPool' ./internal/particle ./internal/format
+go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone|TestPool' ./internal/particle ./internal/format
 # One codec frames every structured byte (internal/binio). A metadata
 # image whose file count its bytes do not bear out is refused for what the
 # bytes cost (it killed the process while the count sized the table); a
