@@ -149,10 +149,8 @@ func TestWriteRejectsBadConfig(t *testing.T) {
 // off, each of ten warm writes of 16 000–44 000 particles a rank must
 // stay under the budget, so one missed payload, image or arena (2.4 MB
 // and up here) or one codec state growing fails the test. The budget is
-// a write's goroutines and messages (about 60 KB) and up to three 256 KiB
-// file buffers: how many of the four files are written at the same moment
-// varies, and a write that overlaps more of them than any before it takes
-// one more buffer. And the least of ten writes at a quarter of the
+// a write's goroutines and messages (about 60 KB). And the least of ten
+// writes at a quarter of the
 // particles is within 128 KiB of the least at the full count, so a write
 // that allocates one byte a particle (180 000 more here) fails too.
 func TestWarmWriteAllocatesNothingPerParticle(t *testing.T) {
@@ -196,7 +194,7 @@ func TestWarmWriteAllocatesNothingPerParticle(t *testing.T) {
 		}
 		return least, most
 	}
-	const n, budget, slope = 4000, 1 << 20, 128 << 10
+	const n, budget, slope = 4000, 256 << 10, 128 << 10
 	small, _ := warm(n)
 	large, most := warm(4 * n)
 	t.Logf("a warm write allocates %d KB at %d particles a rank, %d KB at %d; the largest of ten %d KB", small>>10, n, large>>10, 4*n, most>>10)

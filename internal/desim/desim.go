@@ -2,7 +2,7 @@
 // performance model (internal/perfmodel). Where the analytic engine
 // treats the write as bulk-synchronous — every phase lasts as long as
 // its slowest partition — the event simulation lets each aggregation
-// partition pipeline independently: a partition that finishes gathering
+// partition pipeline independently: a partition whose gather finishes
 // early starts creating and writing its file early, and concurrent file
 // transfers share the storage system as a fluid processor-sharing
 // resource (bandwidth min(peak, writers·perWriter)·eff recomputed at

@@ -13,7 +13,7 @@ import (
 )
 
 // TestArenaReleasedOnEveryExit: the frames of a compressed write live in
-// a pooled arena from the compress to the end of the file's write, and
+// one pooled arena a file from the compress to the end of its write, and
 // the arena goes back whichever way that ends — the file landed, the
 // filesystem failed at any step, the codec refused the run — also with
 // writers beside each other (the run under -race is the assertion that a
@@ -55,17 +55,17 @@ func TestArenaReleasedOnEveryExit(t *testing.T) {
 	wg.Wait()
 	check("clean and failing writes")
 
-	// A codec error cannot pass WriteDataFile's own validation, so the run
-	// is compressed directly under a spec that does not fit the schema: the
-	// arena was drawn, the error comes back with it, and releasing it is
-	// the caller's one duty.
+	// A codec error cannot pass WriteDataFile's own validation, so the
+	// payload is compressed directly under a spec that does not fit the
+	// schema: the arena was drawn, the error comes back with it, and
+	// releasing it is the caller's one duty.
 	bad := newHeader()
 	bad.Schema, bad.Count = schema, int64(rows.Len())
 	bad.Codec.Fields = bad.Codec.Fields[:2]
-	_, _, arenas, err := compressPayload(bad, rows, nil)
-	if err == nil || len(arenas) != 1 || arenasHeld.Load() != held+1 {
-		t.Fatalf("compressPayload under a bad spec: err %v with %d arenas, %d out", err, len(arenas), arenasHeld.Load()-held)
+	_, _, arena, err := compressPayload(bad, rows, nil)
+	if err == nil || arena == nil || arenasHeld.Load() != held+1 {
+		t.Fatalf("compressPayload under a bad spec: err %v with an arena of %d bytes, %d out", err, len(arena), arenasHeld.Load()-held)
 	}
-	releaseArenas(arenas)
+	releaseArena(arena)
 	check("codec error")
 }

@@ -1,13 +1,11 @@
 package format
 
 import (
-	"bufio"
 	"io"
 	"path/filepath"
 	"time"
 
 	"spio/internal/fault"
-	"spio/internal/particle"
 )
 
 // Crash-consistent file landing. Every spio file (data and metadata)
@@ -56,32 +54,18 @@ func writeFileAtomic(fsys fault.WriteFS, path string, emit func(w io.Writer) err
 	return err
 }
 
-// writerPool holds the file writers' buffers, one per attempt in flight.
-// A buffer coalesces small header/trailer writes; it is deliberately
-// smaller than the ~1MB payload chunks the data-file emitters produce, so
-// bufio's large-write fast path hands those to the file directly instead
-// of memmove-ing every payload byte through the buffer first.
-var writerPool = particle.Pool[*bufio.Writer]{New: func() *bufio.Writer { return bufio.NewWriterSize(nil, 1<<18) }}
-
-// writeFileOnce is one attempt of the temp+fsync+rename sequence. On
-// any failure the temp file is removed, so aborted writes leave the
-// directory as it was.
+// writeFileOnce is one attempt of the temp+fsync+rename sequence. emit
+// writes to the temp file itself, unbuffered: every emitter writes a
+// prefix, then frames or ~1MB chunks, then at most a 4-byte tail. On any
+// failure the temp file is removed, so aborted writes leave the directory
+// as it was.
 func writeFileOnce(fsys fault.WriteFS, path string, emit func(w io.Writer) error) error {
 	tmp := path + TempSuffix
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	bw := writerPool.Get()
-	bw.Reset(f)
-	defer func() {
-		bw.Reset(nil)
-		writerPool.Put(bw)
-	}()
-	err = emit(bw)
-	if err == nil {
-		err = bw.Flush()
-	}
+	err = emit(f)
 	if err == nil {
 		// The data must be durable before the rename publishes it:
 		// rename-before-fsync can surface a complete-looking file with

@@ -14,7 +14,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -193,15 +192,15 @@ func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *parti
 
 	// Compress first when the spec asks for it: the header's block index
 	// needs every compressed length before the first payload byte lands.
-	// The frames live in pooled arenas until the file has them or failed.
+	// The frames live in a pooled arena until the file has them or failed.
 	var blocks []codecBlock
 	var blockData [][]byte
 	if !hdr.Codec.IsRaw() {
 		start := time.Now()
-		var arenas [][]byte
+		var arena []byte
 		var err error
-		blocks, blockData, arenas, err = compressPayload(hdr, rows, order)
-		defer releaseArenas(arenas)
+		blocks, blockData, arena, err = compressPayload(hdr, rows, order)
+		defer releaseArena(arena)
 		hdr.EncodeTime = time.Since(start)
 		if err != nil {
 			return err
@@ -239,86 +238,42 @@ func WriteDataFile(fsys fault.WriteFS, path string, hdr *DataHeader, rows *parti
 	})
 }
 
-// compressPayload gathers the LOD-ordered records block by block
-// (Rows.Gather: payload record i is row order[i], so compression happens
-// strictly after the reorder) and compresses the blocks under the
-// header's codec spec. It returns the block index and the compressed
-// bytes, held in memory until the write: the index precedes the payload
-// on disk.
-//
-// Codec blocks are cut at LOD levels, so they are not the rows' own
-// blocks: each run of them is gathered into one pooled image of at most
-// maxImageBytes and compressed concurrently (CompressBlocksInto, on
-// GOMAXPROCS workers) into one pooled arena sized by the frames' bound,
-// so a huge payload never materializes fully while the workers still get a
-// run's worth of independent blocks. The frames are byte-identical to the
-// serial per-block loop. They alias the returned arenas, the caller's to
-// release once the frames are used — with an error too.
-func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codecBlock, [][]byte, [][]byte, error) {
+// compressPayload compresses the LOD-ordered records (payload record i
+// is row order[i], so compression happens strictly after the reorder)
+// block by block under the header's codec spec (particle.CompressRowsInto:
+// one job a block, gathered as it is compressed). It returns the block
+// index and the compressed bytes, held in memory until the write: the
+// index precedes the payload on disk. The frames alias the returned
+// arena, one pooled slice sized by their bound, the caller's to release
+// once the frames are used — with an error too.
+func compressPayload(hdr *DataHeader, rows *particle.Rows, order []int) ([]codecBlock, [][]byte, []byte, error) {
 	lens := codecBlockLens(hdr.Count, hdr.LOD)
-	blocks := make([]codecBlock, 0, len(lens))
-	blockData := make([][]byte, 0, len(lens))
-	var arenas [][]byte
-	stride := hdr.Schema.Stride()
-	lo := 0
-	for start := 0; start < len(lens); {
-		// Extend the run while the next block's records still fit the
-		// image budget (a run always takes at least one block).
-		end, runRecs := start, int64(0)
-		for end < len(lens) && (end == start || (runRecs+lens[end])*int64(stride) <= maxImageBytes) {
-			runRecs += lens[end]
-			end++
-		}
-		gathering <- struct{}{}
-		raw := particle.Bytes.Get(int(runRecs) * stride)
-		rows.Gather(raw, order, lo, lo+int(runRecs))
-		lo += int(runRecs)
-		raws := make([][]byte, 0, end-start)
-		off, bound := 0, 0
-		for _, n := range lens[start:end] {
-			raws = append(raws, raw[off:off+int(n)*stride])
-			off += int(n) * stride
-			bound += particle.FrameBound(hdr.Schema, int(n)*stride)
-		}
-		arena := particle.Bytes.Get(bound)
-		arenasHeld.Add(1)
-		arenas = append(arenas, arena)
-		comp, err := particle.CompressBlocksInto(arena, hdr.Schema, hdr.Codec, raws, 0)
-		particle.Bytes.Put(raw)
-		<-gathering
-		if err != nil {
-			return nil, nil, arenas, err
-		}
-		for i, c := range comp {
-			blocks = append(blocks, codecBlock{recs: lens[start+i], bytes: int64(len(c))})
-			blockData = append(blockData, c)
-		}
-		start = end
+	bound := 0
+	for _, n := range lens {
+		bound += particle.FrameBound(hdr.Schema, int(n)*hdr.Schema.Stride())
+	}
+	arena := particle.Bytes.Get(bound)
+	arenasHeld.Add(1)
+	frames, err := particle.CompressRowsInto(arena, hdr.Codec, rows, order, lens)
+	if err != nil {
+		return nil, nil, arena, err
 	}
 	// A compressed file always carries an index, even an empty one: the
 	// flag, not the block count, is what distinguishes the layouts.
-	if blocks == nil {
-		blocks = []codecBlock{}
+	blocks := make([]codecBlock, len(frames))
+	for i, f := range frames {
+		blocks[i] = codecBlock{recs: lens[i], bytes: int64(len(f))}
 	}
-	return blocks, blockData, arenas, nil
+	return blocks, frames, arena, nil
 }
 
-// gathering admits a run: no more images are out at once than the machine
-// has CPUs to compress them. Without it every aggregator of a step drew
-// its image at once and held it while its blocks waited for a CPU, so how
-// many images of a size class a step held was the scheduler's, and a step
-// that held more than any before allocated one.
-var gathering = make(chan struct{}, runtime.NumCPU())
-
 // arenasHeld counts the arenas out of the pool: zero while no file is
-// being written. releaseArenas ends the life of compressPayload's frames.
+// being written. releaseArena ends the life of compressPayload's frames.
 var arenasHeld atomic.Int64
 
-func releaseArenas(arenas [][]byte) {
-	for _, a := range arenas {
-		particle.Bytes.Put(a)
-		arenasHeld.Add(-1)
-	}
+func releaseArena(arena []byte) {
+	particle.Bytes.Put(arena)
+	arenasHeld.Add(-1)
 }
 
 // writeCompressedPayload streams the prefix and the pre-compressed
@@ -347,13 +302,8 @@ func writeCompressedPayload(w io.Writer, prefix []byte, hdr *DataHeader, blockDa
 }
 
 // chunkRecords is the streaming granularity of the raw payload writer:
-// ~1MB of records per Write, large enough for bufio's direct-write path.
+// ~1MB of records per Write.
 const chunkRecords = 8192
-
-// maxImageBytes bounds the staging image of one run of codec blocks, so a
-// huge compressed file never doubles its aggregate's footprint. The
-// classes of particle.Bytes reach past the frames of such an image.
-const maxImageBytes = 64 << 20
 
 // writeDataPayload streams the prefix and the records, gathered through
 // order (Rows.Gather) ~1MB at a time whatever the payload's size,

@@ -134,6 +134,9 @@ func FuzzReadMeta(f *testing.F) {
 	f.Add([]byte(metaMagic))
 	f.Add([]byte{})
 	f.Add(metaImageWithCount(f, 1<<27))
+	for _, name := range []string{"../B/file_0.spd", "/etc/passwd", "", DataFileName(0)} {
+		f.Add(metaImageWithNames(f, DataFileName(0), name))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, MetaFileName), data, 0o644); err != nil {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"spio/internal/binio"
@@ -72,6 +73,49 @@ func TestDecodeMetaHostileCount(t *testing.T) {
 	// The same walk with the count left alone is the image itself.
 	if m, err := DecodeMeta(bytes.NewReader(metaImageWithCount(t, 2))); err != nil || len(m.Files) != 2 {
 		t.Fatalf("image with its own count: %v", err)
+	}
+}
+
+// metaImageWithNames is validMetaBytes with its entries' names replaced
+// by names, in order, and the checksum recomputed: a table no writer
+// makes, which a reader decodes from the bytes.
+func metaImageWithNames(tb testing.TB, names ...string) []byte {
+	tb.Helper()
+	image := validMetaBytes(tb)
+	str := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	for i, name := range names {
+		old := str(DataFileName(i))
+		if bytes.Count(image, old) != 1 {
+			tb.Fatalf("entry %d's name is not once in the image", i)
+		}
+		image = bytes.Replace(image, old, str(name), 1)
+	}
+	binary.LittleEndian.PutUint32(image[len(metaMagic)+4:], crc32.ChecksumIEEE(image[len(metaMagic)+8:]))
+	return image
+}
+
+// TestDecodeMetaRefusesNamesOutsideTheDataset: every reader joins an
+// entry's name to the dataset directory, and a split copies the file
+// under it, so a name that is not one file of that directory — or that
+// two entries share — is refused from the bytes, with the entry's index.
+func TestDecodeMetaRefusesNamesOutsideTheDataset(t *testing.T) {
+	for _, tc := range []struct{ name, err string }{
+		{"../B/file_0.spd", "file 1 name"},
+		{"..", "file 1 name"},
+		{".", "file 1 name"},
+		{"", "file 1 name"},
+		{"/etc/passwd", "file 1 name"},
+		{"sub/file_1.spd", "file 1 name"},
+		{"file_1.spd/", "file 1 name"},
+		{DataFileName(0), "files 0 and 1 are both named"},
+	} {
+		_, err := DecodeMeta(bytes.NewReader(metaImageWithNames(t, DataFileName(0), tc.name)))
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("entry named %q: error %v, want one with %q", tc.name, err, tc.err)
+		}
+	}
+	if m, err := DecodeMeta(bytes.NewReader(metaImageWithNames(t, "a.spd", "file_0.spd.1"))); err != nil || m.Files[0].Name != "a.spd" {
+		t.Fatalf("entries of plain names: %v", err)
 	}
 }
 

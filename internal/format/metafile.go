@@ -94,7 +94,10 @@ type Meta struct {
 
 // Validate checks structural invariants: positive dims, every entry's
 // partition inside the domain, disjoint partitions, counts summing to
-// Total.
+// Total, and distinct entry names that are each one file of the dataset's
+// own directory — a name is joined to that directory by every reader and
+// by a split's copy, so "../x", "/x", "a/b", "." or "" would reach outside
+// it or no file at all.
 func (m *Meta) Validate() error {
 	if m.Schema == nil {
 		return fmt.Errorf("format: meta has no schema")
@@ -111,6 +114,9 @@ func (m *Meta) Validate() error {
 		if f.Count < 0 {
 			return fmt.Errorf("format: file %d has negative count", i)
 		}
+		if f.Name == "." || !filepath.IsLocal(f.Name) || f.Name != filepath.Base(f.Name) {
+			return fmt.Errorf("format: file %d name %q is not a file of the dataset directory", i, f.Name)
+		}
 		if !f.Partition.IsValid() || f.Partition.IsEmpty() {
 			return fmt.Errorf("format: file %d partition %v invalid", i, f.Partition)
 		}
@@ -126,6 +132,9 @@ func (m *Meta) Validate() error {
 		for j := 0; j < i; j++ {
 			if m.Files[j].Partition.Intersects(f.Partition) {
 				return fmt.Errorf("format: files %d and %d have overlapping partitions", j, i)
+			}
+			if m.Files[j].Name == f.Name {
+				return fmt.Errorf("format: files %d and %d are both named %q", j, i, f.Name)
 			}
 		}
 		sum += f.Count

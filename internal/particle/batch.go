@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Batch codec entry points: fan a run of codec blocks over a bounded
-// worker pool — semaphore-bounded goroutines, a WaitGroup joining them,
-// and the first error collected under one mutex — degrading to a
-// synchronous loop when a single worker could not overlap anything
-// anyway. Workers write only to disjoint outputs (their own frame slot,
-// their own record region), so the only shared mutable state is the
-// error slot.
+// Batch codec entry points: a run of codec blocks is worked off by at
+// most a worker count of goroutines, the caller's among them, each taking
+// the next block index from one counter, and the first error is kept
+// under one mutex. Workers write only to disjoint outputs (their own
+// frame slot, their own record region), so the only shared mutable state
+// is the counter and the error slot.
 
 // batchWorkers normalizes a worker-count knob: <= 0 means GOMAXPROCS,
 // and a batch never needs more workers than items.
@@ -36,9 +36,6 @@ type batchErr struct {
 }
 
 func (b *batchErr) set(err error) {
-	if err == nil {
-		return
-	}
 	b.mu.Lock()
 	if b.err == nil {
 		b.err = err
@@ -46,34 +43,35 @@ func (b *batchErr) set(err error) {
 	b.mu.Unlock()
 }
 
-// eachBlock runs fn for every block index in [0, n) and returns the first
-// error. Each call holds a slot of slots while it runs; nil slots means
-// at most workers of the batch's own. fn must write only to outputs that
-// are its block's own.
+// eachBlock runs fn for every block index in [0, n) on min(workers, n)
+// goroutines, the caller's among them, and returns the first error; the
+// blocks not yet taken when one fails are skipped. Each fn holds a slot
+// of slots while it runs (nil slots: none), the one bound shared by every
+// call that passes them. fn must write only to outputs that are its
+// block's own.
 func eachBlock(n, workers int, slots chan struct{}, fn func(i int) error) error {
-	workers = batchWorkers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := holding(slots, fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if slots == nil {
-		slots = make(chan struct{}, workers)
-	}
 	var (
+		next atomic.Int64
 		wg   sync.WaitGroup
 		errs batchErr
 	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs.set(holding(slots, fn, i))
-		}(i)
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			if err := holding(slots, fn, i); err != nil {
+				errs.set(err)
+				next.Store(int64(n))
+			}
+		}
 	}
+	workers = batchWorkers(workers, n)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	return errs.err
 }
@@ -91,12 +89,41 @@ func holding(slots chan struct{}, fn func(i int) error, i int) error {
 // concurrently on at most workers goroutines and returns the per-block
 // frames in block order. workers <= 0 means the process's bound: no more
 // blocks are compressed at once, over every call, than the machine has
-// CPUs (compressing). The
-// result is byte-identical to calling CompressBlock per block: each
-// worker checks its own codec state out of the pool, so blocks never
-// share mutable state and the frame bytes do not depend on scheduling.
+// CPUs (compressing). The result is byte-identical to calling
+// CompressBlock per block: each worker checks its own codec state out of
+// the pool, so blocks never share mutable state and the frame bytes do
+// not depend on scheduling.
 func CompressBlocks(schema *Schema, spec Spec, blocks [][]byte, workers int) ([][]byte, error) {
-	return CompressBlocksInto(nil, schema, spec, blocks, workers)
+	if err := spec.Validate(schema); err != nil {
+		return nil, err
+	}
+	var slots chan struct{}
+	if workers <= 0 {
+		slots = compressing
+	}
+	out := make([][]byte, len(blocks))
+	err := eachBlock(len(blocks), workers, slots, func(bi int) error {
+		return compressInto(out, bi, schema, spec, blocks[bi])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// compressInto appends block bi's frame of records to out[bi], the slot
+// it was handed, and stores it there; a nil slot gets memory of its own.
+func compressInto(out [][]byte, bi int, schema *Schema, spec Spec, records []byte) error {
+	dst := out[bi]
+	if dst == nil {
+		dst = make([]byte, 0, FrameBound(schema, len(records)))
+	}
+	frame, err := AppendCompressedBlock(dst, schema, spec, records)
+	if err != nil {
+		return fmt.Errorf("particle: batch compress block %d: %w", bi, err)
+	}
+	out[bi] = frame
+	return nil
 }
 
 // FrameBound is the most bytes the frame of n record bytes takes under any
@@ -104,46 +131,55 @@ func CompressBlocks(schema *Schema, spec Spec, blocks [][]byte, workers int) ([]
 func FrameBound(schema *Schema, n int) int { return n + 16*schema.NumFields() }
 
 // compressing holds a slot for each block a call without a worker count
-// of its own is compressing, so no more codec states are in use at once
-// than the machine has CPUs. Concurrent writes each fan their blocks out,
-// and a goroutine preempted mid-block keeps its state: bounded per call,
-// a write on 8 Ps kept up to four times as many states as blocks it could
-// run, and one first handed a large block many writes in grew its scratch
-// then, megabytes at a time.
+// of its own is compressing, so no more codec states and images are in
+// use at once than the machine has CPUs. Concurrent writes each fan their
+// blocks out, and a goroutine preempted mid-block keeps its state: bounded
+// per call, a write on 8 Ps kept up to four times as many states as blocks
+// it could run, and one first handed a large block many writes in grew
+// its scratch then, megabytes at a time.
 var compressing = make(chan struct{}, runtime.NumCPU())
 
-// CompressBlocksInto is CompressBlocks with the frames' memory supplied:
-// frame i is written into arena at the sum of the FrameBounds of the
-// blocks before it. A block whose bound the arena has no room for — every
-// block, of a nil arena — gets a frame of its own; the bytes are the same.
-func CompressBlocksInto(arena []byte, schema *Schema, spec Spec, blocks [][]byte, workers int) ([][]byte, error) {
+// CompressRowsInto compresses the rows taken in the given order — record
+// i is row order[i], or row i when order is nil (Rows.Gather) — cut into
+// blocks of lens[b] records, under the spec, and returns the frames in
+// block order. Frame b is written into arena at the sum of the
+// FrameBounds of the blocks before it; a block whose bound the arena has
+// no room for — every block, of a nil arena — gets a frame of its own,
+// the bytes the same. Each block is one job on the compressing slots: it
+// draws an image sized for the largest block (so every block draws one
+// class), gathers its records into it, compresses them into its slot and
+// puts the image back, so a file of any size holds at most one image a
+// CPU. The frames are byte-identical to CompressBlock over each block
+// of the payload taken in order.
+func CompressRowsInto(arena []byte, spec Spec, rows *Rows, order []int, lens []int64) ([][]byte, error) {
+	schema := rows.Schema()
 	if err := spec.Validate(schema); err != nil {
 		return nil, err
 	}
+	stride := schema.Stride()
 	// The third index is what keeps a frame that outgrows its bound — none
 	// does — out of its neighbour: append moves it to memory of its own.
-	out := make([][]byte, len(blocks))
-	for bi, off := 0, 0; bi < len(blocks); bi++ {
-		if end := off + FrameBound(schema, len(blocks[bi])); end <= len(arena) {
+	out := make([][]byte, len(lens))
+	starts := make([]int, len(lens)+1) // starts[b]: block b's first record
+	largest := 0
+	for bi, off := 0, 0; bi < len(lens); bi++ {
+		n := int(lens[bi]) * stride
+		if end := off + FrameBound(schema, n); end <= len(arena) {
 			out[bi] = arena[off:off:end]
 			off = end
 		}
+		starts[bi+1] = starts[bi] + int(lens[bi])
+		largest = max(largest, n)
 	}
-	var slots chan struct{}
-	if workers <= 0 {
-		slots = compressing
+	if total := starts[len(lens)]; total != rows.Len() || (order != nil && len(order) != total) {
+		return nil, fmt.Errorf("particle: blocks of %d records over %d rows in an order of %d", total, rows.Len(), len(order))
 	}
-	err := eachBlock(len(blocks), workers, slots, func(bi int) error {
-		dst := out[bi]
-		if dst == nil {
-			dst = make([]byte, 0, FrameBound(schema, len(blocks[bi])))
-		}
-		comp, err := AppendCompressedBlock(dst, schema, spec, blocks[bi])
-		if err != nil {
-			return fmt.Errorf("particle: batch compress block %d: %w", bi, err)
-		}
-		out[bi] = comp
-		return nil
+	err := eachBlock(len(lens), 0, compressing, func(bi int) error {
+		image := Bytes.Get(largest)
+		defer Bytes.Put(image)
+		records := image[:(starts[bi+1]-starts[bi])*stride]
+		rows.Gather(records, order, starts[bi], starts[bi+1])
+		return compressInto(out, bi, schema, spec, records)
 	})
 	if err != nil {
 		return nil, err

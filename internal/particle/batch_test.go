@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // batchSchema builds a random schema: position plus a handful of
@@ -74,7 +79,9 @@ func specFor(r *rand.Rand, schema *Schema) Spec {
 // for random schemas, specs, block counts, and worker counts, the
 // frames CompressBlocks produces are byte-identical to a serial
 // CompressBlock loop — parallel compression must not depend on
-// scheduling.
+// scheduling. And the bound is one: eight calls at once on 8 Ps, on the
+// compressing slots, never have more blocks inside fn than those slots,
+// and no call runs on more goroutines than its worker count.
 func TestBatchCompressMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
@@ -104,6 +111,47 @@ func TestBatchCompressMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var inside, most atomic.Int64
+	var wg sync.WaitGroup
+	for c, workers := range []int{0, 1, 2, 3, 5, 8, 16, 0} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			const n = 40
+			var mu sync.Mutex
+			ran := map[string]bool{}
+			err := eachBlock(n, workers, compressing, func(i int) error {
+				now := inside.Add(1)
+				for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+				}
+				mu.Lock()
+				ran[goroutineID()] = true
+				mu.Unlock()
+				time.Sleep(100 * time.Microsecond)
+				inside.Add(-1)
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			if want := batchWorkers(workers, n); len(ran) > want {
+				t.Errorf("call %d of %d workers ran on %d goroutines", c, want, len(ran))
+			}
+		}()
+	}
+	wg.Wait()
+	if most.Load() > int64(cap(compressing)) {
+		t.Errorf("%d blocks inside fn at once over %d slots", most.Load(), cap(compressing))
+	}
+}
+
+// goroutineID is the number runtime.Stack heads the calling goroutine's
+// trace with.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
 // TestBatchDecompressMatchesSerial is the other half: decode the frames

@@ -471,7 +471,9 @@ func checkPartialDecodes(t testing.TB, schema *Schema, frame []byte, count int, 
 // its column alone — not on what the state compressed before, nor on
 // whether it compressed anything, nor on the epoch having just wrapped —
 // and a frame must not depend on who compresses it: CompressBlock,
-// CompressBlocks on 1, 2 or 8 workers, or the arena path.
+// CompressBlocks on 1, 2 or 8 workers, or CompressRowsInto taking the
+// blocks from rows as they lie or permuted, into a nil, a full or a half
+// arena.
 func TestDeflateBytesDependOnThePlaneAlone(t *testing.T) {
 	schema := Uintah()
 	spec := LosslessSpec(schema)
@@ -495,21 +497,70 @@ func TestDeflateBytesDependOnThePlaneAlone(t *testing.T) {
 	for bi, b := range blocks {
 		wants[bi] = mustCompress(t, schema, spec, b)
 	}
+	for _, workers := range []int{1, 2, 8} {
+		frames, err := CompressBlocks(schema, spec, blocks, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi := range blocks {
+			if !bytes.Equal(frames[bi], wants[bi]) {
+				t.Fatalf("%d workers: frame %d differs from CompressBlock's", workers, bi)
+			}
+		}
+	}
+	rows, lens := blockRows(schema, blocks)
+	defer rows.Release()
 	var bound int
 	for _, b := range blocks {
 		bound += FrameBound(schema, len(b))
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, order := range [][]int{nil, rand.New(rand.NewSource(5)).Perm(rows.Len())} {
+		for bi, b := range gatheredBlocks(schema, blocks, order) {
+			wants[bi] = mustCompress(t, schema, spec, b)
+		}
 		for _, arena := range [][]byte{nil, make([]byte, bound), make([]byte, bound/2)} {
-			frames, err := CompressBlocksInto(arena, schema, spec, blocks, workers)
+			frames, err := CompressRowsInto(arena, spec, rows, order, lens)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for bi := range blocks {
 				if !bytes.Equal(frames[bi], wants[bi]) {
-					t.Fatalf("%d workers, arena of %d bytes: frame %d differs from CompressBlock's", workers, len(arena), bi)
+					t.Fatalf("order %v, arena of %d bytes: frame %d differs from CompressBlock's", order != nil, len(arena), bi)
 				}
 			}
 		}
 	}
+}
+
+// blockRows lays the blocks' records end to end as rows, what
+// CompressRowsInto takes, and returns them with each block's length in
+// records.
+func blockRows(schema *Schema, blocks [][]byte) (*Rows, []int64) {
+	rows := NewRows(schema)
+	lens := make([]int64, len(blocks))
+	for bi, b := range blocks {
+		rows.AppendRecords(b)
+		lens[bi] = int64(len(b) / schema.Stride())
+	}
+	return rows, lens
+}
+
+// gatheredBlocks is what CompressRowsInto compresses of blockRows' rows:
+// their records taken in order (nil: as they lie), cut into blocks of the
+// same lengths.
+func gatheredBlocks(schema *Schema, blocks [][]byte, order []int) [][]byte {
+	all := bytes.Join(blocks, nil)
+	stride := schema.Stride()
+	if order != nil {
+		permuted := make([]byte, 0, len(all))
+		for _, row := range order {
+			permuted = append(permuted, all[row*stride:(row+1)*stride]...)
+		}
+		all = permuted
+	}
+	out := make([][]byte, len(blocks))
+	for bi, b := range blocks {
+		out[bi], all = all[:len(b)], all[len(b):]
+	}
+	return out
 }

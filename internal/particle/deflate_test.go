@@ -198,28 +198,40 @@ func TestArenaOverflowAllocates(t *testing.T) {
 		t.Error("the bytes after the slot were written")
 	}
 
-	// The batch entry point cuts the slots itself: blocks the arena has no
-	// room for get frames of their own, the others stay inside it.
+	// The batch entry point cuts the slots itself, from rows as they lie
+	// or permuted: blocks the arena has no room for get frames of their
+	// own, the others stay inside it, and it is written nowhere else.
 	blocks := [][]byte{records, records[:schema.Stride()*500], records}
+	rows, lens := blockRows(schema, blocks)
+	defer rows.Release()
 	room := FrameBound(schema, len(blocks[0])) + FrameBound(schema, len(blocks[1]))
-	arena = bytes.Repeat([]byte{0xA5}, room+100) // not enough for the third
-	frames, err := CompressBlocksInto(arena, schema, spec, blocks, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := 0
-	for bi, frame := range frames {
-		if !bytes.Equal(frame, mustCompress(t, schema, spec, blocks[bi])) {
-			t.Fatalf("frame %d differs from CompressBlock's", bi)
-		}
-		if bi < 2 {
-			if !bytes.Equal(arena[off:off+len(frame)], frame) {
-				t.Errorf("frame %d is not in its slot of the arena", bi)
+	full := room + FrameBound(schema, len(blocks[2]))
+	for _, order := range [][]int{nil, rand.New(rand.NewSource(6)).Perm(rows.Len())} {
+		gathered := gatheredBlocks(schema, blocks, order)
+		for _, size := range []int{0, full, room + 100, full / 2} {
+			var arena []byte
+			if size > 0 {
+				arena = bytes.Repeat([]byte{0xA5}, size)
 			}
-			off += FrameBound(schema, len(blocks[bi]))
+			frames, err := CompressRowsInto(arena, spec, rows, order, lens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := 0
+			for bi, frame := range frames {
+				if !bytes.Equal(frame, mustCompress(t, schema, spec, gathered[bi])) {
+					t.Fatalf("order %v, arena of %d: frame %d differs from CompressBlock's", order != nil, size, bi)
+				}
+				if end := off + FrameBound(schema, len(blocks[bi])); end <= size {
+					if &frame[0] != &arena[off] {
+						t.Errorf("order %v, arena of %d: frame %d is not in its slot", order != nil, size, bi)
+					}
+					off = end
+				}
+			}
+			if !bytes.Equal(arena[off:], bytes.Repeat([]byte{0xA5}, size-off)) {
+				t.Errorf("order %v, arena of %d: the arena past its last slot was written", order != nil, size)
+			}
 		}
-	}
-	if !bytes.Equal(arena[room:], bytes.Repeat([]byte{0xA5}, 100)) {
-		t.Error("the arena past its last slot was written")
 	}
 }

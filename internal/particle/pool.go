@@ -105,11 +105,11 @@ var (
 )
 
 // classShift is the reach of the class table: its largest class is
-// 1<<classShift elements, above the largest write-path request (the
-// frames of a 64 MiB image). Sizes 1–4 are classes of their own; every
-// octave above has four.
+// 1<<classShift elements, so a compressed file's frames (one arena a
+// file) come from the pool up to a gigabyte of them. Sizes 1–4 are
+// classes of their own; every octave above has four.
 const (
-	classShift = 27
+	classShift = 30
 	numClasses = 4 * (classShift - 1)
 )
 

@@ -119,6 +119,9 @@ func TestPool(t *testing.T) {
 			t.Fatalf("size %d: class of %d elements", n, s)
 		}
 	}
+	if i, s := sizeClass(1 << classShift); i != numClasses-1 || s != 1<<classShift || classSize(i) != s {
+		t.Fatalf("the largest class is %d of %d elements, want %d of %d", i, s, numClasses-1, 1<<classShift)
+	}
 
 	var c Classed[byte]
 	foreign := make([]byte, 5000)

@@ -128,7 +128,7 @@ type Options struct {
 	Fields []string
 	// PerFileBase, when positive, overrides the per-file level-0 budget
 	// instead of deriving it from Readers and this dataset's file count.
-	// A gateway scatter-gathering a query over shards sets it to the
+	// A gateway that scatters a query over shards sets it to the
 	// merged dataset's base so every shard reads exactly the level range
 	// the whole dataset would — a shard's own (smaller) file count would
 	// otherwise inflate its per-file base and desynchronize the levels.

@@ -1,10 +1,17 @@
 package reader
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"spio/internal/agg"
 	"spio/internal/core"
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/lod"
 	"spio/internal/mpi"
@@ -245,6 +252,36 @@ func TestQueryFieldRangeWithoutSummariesKeepsAll(t *testing.T) {
 func TestOpenMissingDataset(t *testing.T) {
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Error("empty dir accepted")
+	}
+}
+
+// TestOpenRefusesAnEntryOutsideTheDataset: a dataset whose first entry
+// names a sibling dataset's file, ../B/file_0.spd, with the checksum
+// recomputed, does not open, and the error names the entry; writing such
+// metadata is refused before it lands.
+func TestOpenRefusesAnEntryOutsideTheDataset(t *testing.T) {
+	dir, _ := writeDataset(t, geom.I3(2, 2, 1), geom.I3(1, 1, 1), 100, nil)
+	meta, err := format.ReadMeta(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, probe := meta.Files[0].Name, "../B/file_0.spd"
+	meta.Files[0].Name = probe
+	if err := format.WriteMeta(nil, dir, meta); err == nil {
+		t.Fatal("metadata naming a file outside its dataset was written")
+	}
+	path := filepath.Join(dir, format.MetaFileName)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image = bytes.Replace(image, append([]byte{byte(len(name))}, name...), append([]byte{byte(len(probe))}, probe...), 1)
+	binary.LittleEndian.PutUint32(image[12:], crc32.ChecksumIEEE(image[16:]))
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "file 0 name") {
+		t.Fatalf("a dataset naming %s opened: %v", probe, err)
 	}
 }
 

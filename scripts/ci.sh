@@ -14,7 +14,7 @@
 # additionally at -count=2 to shake out order-dependent interleavings,
 # and the answer-ownership tests, the block-lease and index-accounting tests, the
 # one-wire-form and hello tests, the one-request-one-response tests, the aggregate-ownership tests, the
-# partition-face write and query tests, the frame arena's, the size-classed pool's and the deflater's byte-determinism test, the cache's
+# partition-face write and query tests, the frame arena's, the size-classed pool's, the one compress bound's and the deflater's byte-determinism test, the cache's
 # forced interleavings and the one codec's hostile-input, field-order and
 # breaker-poll tests by name at -count=3); the fuzz step bursts seven
 # surfaces, five decoders, the deflate encoder and the three select
@@ -149,24 +149,27 @@ go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbor
 go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/.*/.*/.*/.*/.*/^face-heavy$' ./internal/core
 go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/^adaptive$' ./internal/core
 go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/gateway ./internal/reader
-# A compressed file's frames live in a pooled arena from the compress to
+# A compressed file's frames live in one pooled arena from the compress to
 # the end of the write: the bound the arena is sized by, a slot too short
 # (the frame moves out, its neighbour is untouched), the arena back in its
 # pool on every exit, and frames whose bytes depend on the column alone —
 # whatever the pooled deflater coded before, on any number of workers. The
 # arena, like every slice of the write step, comes from the size-classed
 # pool, whose slices cross goroutines: returned by one, handed to another.
-go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone|TestPool' ./internal/particle ./internal/format
+# Every block job of every call holds one of the compress slots, and no
+# call runs on more goroutines than its worker count.
+go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocates|TestArenaReleasedOnEveryExit|TestDeflateBytesDependOnThePlaneAlone|TestPool|TestBatchCompressMatchesSerial' ./internal/particle ./internal/format
 # One codec frames every structured byte (internal/binio). A metadata
 # image whose file count its bytes do not bear out is refused for what the
-# bytes cost (it killed the process while the count sized the table); a
-# schema outside the bounds is refused the same way in a file and in a
+# bytes cost (it killed the process while the count sized the table), and
+# one naming a file outside the dataset directory, or a file twice, is
+# refused with the entry's index; a schema outside the bounds is refused the same way in a file and in a
 # frame; every codec pair round-trips a value whose fields are all
 # distinct, so that two fields trading places fail a test and not only
 # wiresym; and the gateway's breakers are read by a stats poll while
 # requests through a flapping shard open and close them (-race is the
 # assertion: with the lock in breaker.open dropped nothing else fails).
-go test -race -count=3 -run 'TestDecodeMetaHostileCount|TestDecodeSchemaHostile|TestFileEntryCodecRoundTrip|TestRequestRoundTrip|TestRespHeaderRoundTrip|TestStatsRoundTrip|TestResponsesRoundTrip|TestExtentCodecRoundTrip|TestCountCodecRoundTrip|TestResultCodecRoundTrip|TestStatsBesideFlappingShard' ./internal/format ./internal/server ./internal/agg ./internal/profile ./internal/gateway
+go test -race -count=3 -run 'TestDecodeMetaHostileCount|TestDecodeMetaRefusesNamesOutsideTheDataset|TestDecodeSchemaHostile|TestFileEntryCodecRoundTrip|TestRequestRoundTrip|TestRespHeaderRoundTrip|TestStatsRoundTrip|TestResponsesRoundTrip|TestExtentCodecRoundTrip|TestCountCodecRoundTrip|TestResultCodecRoundTrip|TestStatsBesideFlappingShard' ./internal/format ./internal/server ./internal/agg ./internal/profile ./internal/gateway
 
 echo "== go test -race -count=2 (server tier) =="
 # The serving daemon is the most schedule-sensitive tier (admission
