@@ -139,7 +139,7 @@ func (d *Reader) N() int64 { return d.n }
 // unless it already has one: how a decoder refuses a value it has read.
 func (d *Reader) Fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf(d.prefix+": "+format, args...)
+		d.err = fmt.Errorf("%s: "+format, append([]any{d.prefix}, args...)...)
 	}
 }
 

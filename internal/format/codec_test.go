@@ -2,7 +2,6 @@ package format
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -157,50 +156,6 @@ func TestCompressedProjectedRead(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Error("projected compressed read diverges from raw")
-	}
-}
-
-func TestCompressedLossyBound(t *testing.T) {
-	const bound = 1e-4
-	schema := particle.Uintah()
-	raw, comp, _ := writeCodecPair(t, 1200, particle.LossySpec(schema, bound), false)
-	rf, err := OpenDataFile(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	cf, err := OpenDataFile(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	if !cf.Header.Codec.Lossy() {
-		t.Fatal("lossy spec did not survive the header round trip")
-	}
-	want, err := rf.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cf.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, posGot := want.Float64Field(0), got.Float64Field(0)
-	for i := range pos {
-		if d := math.Abs(pos[i] - posGot[i]); d > bound {
-			t.Fatalf("position component %d: error %g exceeds bound %g", i, d, bound)
-		}
-	}
-	for fi := 1; fi < schema.NumFields(); fi++ {
-		if schema.Field(fi).Kind != particle.Float64 {
-			continue
-		}
-		a, b := want.Float64Field(fi), got.Float64Field(fi)
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("field %q drifted under a position-only lossy spec", schema.Field(fi).Name)
-			}
-		}
 	}
 }
 

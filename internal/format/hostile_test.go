@@ -3,7 +3,11 @@ package format
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -112,10 +116,37 @@ func TestDecodeMetaRefusesNamesOutsideTheDataset(t *testing.T) {
 		_, err := DecodeMeta(bytes.NewReader(metaImageWithNames(t, DataFileName(0), tc.name)))
 		if err == nil || !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("entry named %q: error %v, want one with %q", tc.name, err, tc.err)
+			continue
+		}
+		// The package says so once, before the image it names.
+		if msg := err.Error(); strings.Count(msg, "format:") != 1 || !strings.HasPrefix(msg, "format: metadata: ") {
+			t.Errorf("entry named %q: error %q, want %q once, at its start", tc.name, msg, "format: metadata: ")
 		}
 	}
 	if m, err := DecodeMeta(bytes.NewReader(metaImageWithNames(t, "a.spd", "file_0.spd.1"))); err != nil || m.Files[0].Name != "a.spd" {
 		t.Fatalf("entries of plain names: %v", err)
+	}
+}
+
+// TestReadMetaShortUnderAnyPath: the path a short read names is text, not
+// a format, so a directory named with a verb neither garbles the message
+// nor hides the read error it wraps.
+func TestReadMetaShortUnderAnyPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run_100%x")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The image ends four bytes into the domain's first coordinate.
+	image := validMetaBytes(t)[:len(metaMagic)+12]
+	if err := os.WriteFile(filepath.Join(dir, MetaFileName), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadMeta(dir)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated image: error %v, want one wrapping %v", err, io.ErrUnexpectedEOF)
+	}
+	if want := "format: " + filepath.Join(dir, MetaFileName) + ": short read at offset"; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("truncated image: error %q, want it to start %q", err, want)
 	}
 }
 

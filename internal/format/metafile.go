@@ -97,50 +97,51 @@ type Meta struct {
 // Total, and distinct entry names that are each one file of the dataset's
 // own directory — a name is joined to that directory by every reader and
 // by a split's copy, so "../x", "/x", "a/b", "." or "" would reach outside
-// it or no file at all.
+// it or no file at all. Its errors start with what is wrong: EncodeMeta
+// and the decoder put the package, and the image's path, before them.
 func (m *Meta) Validate() error {
 	if m.Schema == nil {
-		return fmt.Errorf("format: meta has no schema")
+		return fmt.Errorf("meta has no schema")
 	}
 	if err := m.LOD.Validate(); err != nil {
 		return err
 	}
 	if m.Domain.IsEmpty() {
-		return fmt.Errorf("format: meta domain %v is empty", m.Domain)
+		return fmt.Errorf("meta domain %v is empty", m.Domain)
 	}
 	var sum int64
 	comps := totalComponents(m.Schema)
 	for i, f := range m.Files {
 		if f.Count < 0 {
-			return fmt.Errorf("format: file %d has negative count", i)
+			return fmt.Errorf("file %d has negative count", i)
 		}
 		if f.Name == "." || !filepath.IsLocal(f.Name) || f.Name != filepath.Base(f.Name) {
-			return fmt.Errorf("format: file %d name %q is not a file of the dataset directory", i, f.Name)
+			return fmt.Errorf("file %d name %q is not a file of the dataset directory", i, f.Name)
 		}
 		if !f.Partition.IsValid() || f.Partition.IsEmpty() {
-			return fmt.Errorf("format: file %d partition %v invalid", i, f.Partition)
+			return fmt.Errorf("file %d partition %v invalid", i, f.Partition)
 		}
 		if !m.Domain.ContainsBox(f.Partition) {
-			return fmt.Errorf("format: file %d partition %v escapes domain %v", i, f.Partition, m.Domain)
+			return fmt.Errorf("file %d partition %v escapes domain %v", i, f.Partition, m.Domain)
 		}
 		if len(f.FieldMin) != 0 && len(f.FieldMin) != comps {
-			return fmt.Errorf("format: file %d has %d field minima, want 0 or %d", i, len(f.FieldMin), comps)
+			return fmt.Errorf("file %d has %d field minima, want 0 or %d", i, len(f.FieldMin), comps)
 		}
 		if len(f.FieldMin) != len(f.FieldMax) {
-			return fmt.Errorf("format: file %d min/max length mismatch", i)
+			return fmt.Errorf("file %d min/max length mismatch", i)
 		}
 		for j := 0; j < i; j++ {
 			if m.Files[j].Partition.Intersects(f.Partition) {
-				return fmt.Errorf("format: files %d and %d have overlapping partitions", j, i)
+				return fmt.Errorf("files %d and %d have overlapping partitions", j, i)
 			}
 			if m.Files[j].Name == f.Name {
-				return fmt.Errorf("format: files %d and %d are both named %q", j, i, f.Name)
+				return fmt.Errorf("files %d and %d are both named %q", j, i, f.Name)
 			}
 		}
 		sum += f.Count
 	}
 	if sum != m.Total {
-		return fmt.Errorf("format: file counts sum to %d, meta total is %d", sum, m.Total)
+		return fmt.Errorf("file counts sum to %d, meta total is %d", sum, m.Total)
 	}
 	return nil
 }
@@ -204,7 +205,7 @@ func WriteMeta(fsys fault.WriteFS, dir string, m *Meta) error {
 // so the remote and on-disk representations cannot drift.
 func EncodeMeta(w io.Writer, m *Meta) error {
 	if err := m.Validate(); err != nil {
-		return err
+		return fmt.Errorf("format: %w", err)
 	}
 
 	var body headerBuf
@@ -300,7 +301,7 @@ func DecodeMeta(r io.Reader) (*Meta, error) {
 func decodeMeta(r io.Reader, path string) (*Meta, error) {
 	var err error
 	src := &crcReader{r: r}
-	d := binio.NewReader(src, "format")
+	d := binio.NewReader(src, "format: "+path)
 	magic := make([]byte, len(metaMagic))
 	d.Bytes(magic)
 	if d.Err() == nil && string(magic) != metaMagic {
@@ -323,7 +324,10 @@ func decodeMeta(r io.Reader, path string) (*Meta, error) {
 	m.AggDims = d.Idx3()
 	m.Schema, err = DecodeSchema(d)
 	if err != nil {
-		return nil, fmt.Errorf("format: %s: %w", path, err)
+		if d.Err() == nil { // the schema's own refusal, not the reader's
+			err = fmt.Errorf("format: %s: %w", path, err)
+		}
+		return nil, err
 	}
 	m.LOD.BasePerReader = int(d.Uvarint())
 	m.LOD.Scale = int(d.Uvarint())
@@ -337,7 +341,7 @@ func decodeMeta(r io.Reader, path string) (*Meta, error) {
 		m.Files = append(m.Files, DecodeFileEntry(d, m.Schema))
 	}
 	if d.Err() != nil {
-		return nil, fmt.Errorf("format: %s: %w", path, d.Err())
+		return nil, d.Err()
 	}
 	if src.crc != wantCRC {
 		return nil, fmt.Errorf("format: %s: checksum mismatch", path)

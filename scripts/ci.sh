@@ -148,7 +148,7 @@ go test -race -count=3 -run 'TestExchangeSurvivesRogueSender|TestRogueSenderAbor
 # not its box's (its allocation budget holds under -race, like every budget).
 go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/.*/.*/.*/.*/.*/^face-heavy$' ./internal/core
 go test -race -count=3 -run '^TestWriteMatchesColumnReference$/.*/^adaptive$' ./internal/core
-go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestBoxQueryFindsParticlesOnPartitionFaces|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/gateway ./internal/reader
+go test -race -count=3 -run 'TestQuickBlocksCoverParticles|TestKNNAsksOnlyShardsThatCanHoldIt|TestKNNAllocatesItsAnswer' ./internal/agg ./internal/gateway ./internal/reader
 # A compressed file's frames live in one pooled arena from the compress to
 # the end of the write: the bound the arena is sized by, a slot too short
 # (the frame moves out, its neighbour is untouched), the arena back in its
