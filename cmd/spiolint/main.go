@@ -5,11 +5,8 @@
 //
 // Analyzers:
 //
-//	collorder   collectives control-dependent on the rank (deadlocks)
 //	bufhandoff  particle buffers used between WriteAsync and Wait
 //	errdrop     discarded error/WriteResult returns from the spio API
-//	wiresym     writer/reader asymmetries in the on-disk format
-//	collabort   early returns on local errors inside the comm phase
 //	lockorder   lock-order inversions, re-acquisition, locks held
 //	            across blocking operations
 //	wiretaint   untrusted decode values reaching make() sizes or loop
@@ -19,10 +16,10 @@
 //	racegate    struct fields written from multiple goroutine origins
 //	            without a consistent lock, and atomic/plain mixes
 //
-// All analyzers are interprocedural: a collective, a buffer handoff, a
-// dropped error, a lock acquisition, a tainted length, or an unlocked
-// field write hidden inside a helper is reported at the call site with
-// the call path. Findings can be suppressed per line with
+// All analyzers are interprocedural: a buffer handoff, a dropped error,
+// a lock acquisition, a tainted length, or an unlocked field write
+// hidden inside a helper is reported at the call site with the call
+// path. Findings can be suppressed per line with
 //
 //	//spio:allow <analyzer> -- <reason>
 //

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -18,32 +20,55 @@ import (
 	"spio"
 )
 
+// errUsage is a command line run cannot act on; main exits 2 on it.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		base      = flag.String("base", "", "series base directory (required)")
-		dims      = flag.String("dims", "4x2x2", "rank patch grid")
-		factor    = flag.String("factor", "2x2x1", "aggregation partition factor")
-		steps     = flag.Int("steps", 6, "timesteps to run")
-		interval  = flag.Int("interval", 2, "checkpoint every N steps")
-		particles = flag.Int("particles", 8192, "initial particles per rank")
-		restart   = flag.Int("restart", -1, "resume from this checkpoint step (-1: fresh start)")
-		checksum  = flag.Bool("checksum", false, "store payload checksums in checkpoints")
-		async     = flag.Bool("async", false, "checkpoint asynchronously, overlapping the next steps")
-		seed      = flag.Int64("seed", 17, "initial-conditions seed")
-	)
-	flag.Parse()
-	if *base == "" {
-		fmt.Fprintln(os.Stderr, "spiosim: -base is required")
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "spiosim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, simulates, checkpoints and
+// analyses, and prints its report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("spiosim", flag.ContinueOnError)
+	var (
+		base      = fs.String("base", "", "series base directory (required)")
+		dims      = fs.String("dims", "4x2x2", "rank patch grid")
+		factor    = fs.String("factor", "2x2x1", "aggregation partition factor")
+		steps     = fs.Int("steps", 6, "timesteps to run")
+		interval  = fs.Int("interval", 2, "checkpoint every N steps")
+		particles = fs.Int("particles", 8192, "initial particles per rank")
+		restart   = fs.Int("restart", -1, "resume from this checkpoint step (-1: fresh start)")
+		checksum  = fs.Bool("checksum", false, "store payload checksums in checkpoints")
+		async     = fs.Bool("async", false, "checkpoint asynchronously, overlapping the next steps")
+		seed      = fs.Int64("seed", 17, "initial-conditions seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *base == "" {
+		fmt.Fprintln(fs.Output(), "spiosim: -base is required")
+		fs.Usage()
+		return errUsage
 	}
 	simDims, err := parseDims(*dims)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fDims, err := parseDims(*factor)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	nRanks := simDims.Volume()
 	domain := spio.UnitBox()
@@ -68,7 +93,7 @@ func main() {
 			}
 			local = b
 			if c.Rank() == 0 {
-				fmt.Printf("restarted from step %d on %d ranks\n", *restart, nRanks)
+				fmt.Fprintf(out, "restarted from step %d on %d ranks\n", *restart, nRanks)
 			}
 		} else {
 			patch := grid.CellBox(spio.Unlinear(c.Rank(), simDims))
@@ -111,7 +136,7 @@ func main() {
 					snapshot.AppendBuffer(local)
 					pending = spio.WriteAsync(c, spio.StepDir(*base, step), cfg, snapshot)
 					if c.Rank() == 0 {
-						fmt.Printf("step %4d: checkpoint started asynchronously\n", step)
+						fmt.Fprintf(out, "step %4d: checkpoint started asynchronously\n", step)
 					}
 				} else {
 					res, err := spio.WriteStep(c, *base, step, cfg, local)
@@ -119,7 +144,7 @@ func main() {
 						return err
 					}
 					if c.Rank() == 0 {
-						fmt.Printf("step %4d: checkpoint (rank0 agg %v, I/O %v)\n",
+						fmt.Fprintf(out, "step %4d: checkpoint (rank0 agg %v, I/O %v)\n",
 							step, res.Timing.Aggregation().Round(time.Microsecond),
 							res.Timing.FileIO.Round(time.Microsecond))
 					}
@@ -134,31 +159,32 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("simulated %d steps on %d ranks in %v\n\n", *steps, nRanks, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "simulated %d steps on %d ranks in %v\n\n", *steps, nRanks, time.Since(start).Round(time.Millisecond))
 
 	// Analysis pass: per-checkpoint density summary from cheap LOD reads.
 	stepsOnDisk, err := spio.Steps(*base)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("series holds %d checkpoints: %v\n", len(stepsOnDisk), stepsOnDisk)
+	fmt.Fprintf(out, "series holds %d checkpoints: %v\n", len(stepsOnDisk), stepsOnDisk)
 	for _, s := range stepsOnDisk {
 		if s < firstStep {
 			continue
 		}
 		ds, err := spio.OpenStep(*base, s)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		counts, frac, _, err := spio.DensityGrid(ds, spio.I3(4, 1, 1), 5, 4)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  t%06d: %8d particles, x-slab densities %v (sampled %.0f%%)\n",
+		fmt.Fprintf(out, "  t%06d: %8d particles, x-slab densities %v (sampled %.0f%%)\n",
 			s, ds.Meta().Total, round(counts), frac*100)
 	}
+	return nil
 }
 
 // migrate routes particles to the ranks owning their positions.
@@ -226,9 +252,4 @@ func parseDims(s string) (spio.Idx3, error) {
 		}
 	}
 	return spio.I3(v[0], v[1], v[2]), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "spiosim: %v\n", err)
-	os.Exit(1)
 }

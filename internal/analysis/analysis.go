@@ -2,17 +2,10 @@
 // go/types + go/importer — no external dependencies) carrying the
 // project-specific analyzers behind cmd/spiolint.
 //
-// The analyzers encode the correctness contracts the runtime cannot
-// fully enforce:
+// The analyzers encode correctness contracts the tests do not pin down;
+// an analyzer that catches nothing the tests miss is deleted (DESIGN.md
+// §8.4, §8.5 hold the mutation trials):
 //
-//   - collorder: every rank must issue the same collective sequence, so
-//     a collective call control-dependent on the rank is a deadlock in
-//     waiting (internal/mpi documents the SPMD contract; guard.go
-//     catches kind mismatches at runtime, but a skipped collective can
-//     still hang, which only static analysis can reject up front).
-//   - collabort: an early return on a rank-local error, once
-//     communication has started, skips a collective the healthy ranks
-//     still enter.
 //   - bufhandoff: WriteAsync transfers ownership of the particle buffer
 //     until Wait returns (spio.go), so any use in between is a data
 //     race with the background checkpoint.
@@ -20,9 +13,8 @@
 //     error and WriteResult returns; dropping them silently corrupts
 //     the "every rank observed the same outcome" reasoning the
 //     collective pipeline depends on.
-//   - wiresym, wiretaint: an encodeX/decodeX pair must move the same
-//     fields in the same order, and a length decoded from outside bytes
-//     must be bounded before it sizes an allocation or a loop.
+//   - wiretaint: a length decoded from outside bytes must be bounded
+//     before it sizes an allocation or a loop.
 //   - lockorder, goleak, racegate: the serving tier's mutexes are
 //     acquired in one order and not held across blocking operations,
 //     every goroutine has something that ends it, and a field written
@@ -107,7 +99,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full spiolint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CollOrder, BufHandoff, ErrDrop, WireSym, CollAbort, LockOrder, WireTaint, GoLeak, RaceGate}
+	return []*Analyzer{BufHandoff, ErrDrop, LockOrder, WireTaint, GoLeak, RaceGate}
 }
 
 // ByName returns the named analyzers, or an error naming the unknown
@@ -192,7 +184,7 @@ func (p *Program) reporter(analyzer string, diags *[]Diagnostic) Reporter {
 }
 
 // TimingsLine renders the per-analyzer wall times as one parseable
-// line, e.g. "collorder=12.3ms bufhandoff=0.4ms ...". ci.sh surfaces it
+// line, e.g. "bufhandoff=0.4ms errdrop=1.2ms ...". ci.sh surfaces it
 // under -summary, so the format is a contract: space-separated
 // name=<float>ms pairs in suite order.
 func TimingsLine(timings []AnalyzerTiming) string {
@@ -244,7 +236,7 @@ func ExitCode(diags []Diagnostic) int {
 }
 
 // Summarize renders the per-analyzer diagnostic counts as one line,
-// e.g. "collorder=1 bufhandoff=0 ... suppressed=2". Analyzer order is
+// e.g. "bufhandoff=1 errdrop=0 ... suppressed=2". Analyzer order is
 // the suite order; suppressed findings count toward the suppressed
 // total, not the per-analyzer count.
 func Summarize(analyzers []*Analyzer, diags []Diagnostic) string {

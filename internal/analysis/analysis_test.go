@@ -120,8 +120,7 @@ func TestRepoClean(t *testing.T) {
 // package and checks the diagnostics against the `// want` comments:
 // every want must be hit, and every diagnostic must be wanted. Each
 // fixture contains at least two true positives and at least one
-// deliberately clean shape (for collorder, the rank-0-writes-metadata
-// pattern used by internal/core).
+// deliberately clean shape.
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
 		a := a
@@ -180,12 +179,12 @@ func TestSuppression(t *testing.T) {
 	suppressed := 0
 	live := 0
 	for _, d := range diags {
-		if d.Analyzer != "collorder" {
+		if d.Analyzer != "errdrop" {
 			continue
 		}
 		if d.Suppressed {
 			suppressed++
-			if want := "demo: deliberate rank-0 barrier"; d.SuppressReason != want {
+			if want := "demo: deliberately blanked error"; d.SuppressReason != want {
 				t.Errorf("suppressed finding carries reason %q, want %q", d.SuppressReason, want)
 			}
 		} else {
@@ -193,15 +192,15 @@ func TestSuppression(t *testing.T) {
 		}
 	}
 	if suppressed != 1 {
-		t.Errorf("got %d suppressed collorder findings, want 1", suppressed)
+		t.Errorf("got %d suppressed errdrop findings, want 1", suppressed)
 	}
 	if live != 3 {
-		// unsuppressedBarrier, missingReason, unknownAnalyzer
-		t.Errorf("got %d live collorder findings, want 3", live)
+		// unsuppressedBlank, missingReason, unknownAnalyzer
+		t.Errorf("got %d live errdrop findings, want 3", live)
 	}
 
 	find(directiveAnalyzer, "missing its reason")
-	find(directiveAnalyzer, `unknown analyzer "collorderr"`)
+	find(directiveAnalyzer, `unknown analyzer "errdropp"`)
 	find(directiveAnalyzer, "suppresses no finding")
 
 	// Suppressed findings are hidden from plain text output and shown,
@@ -212,7 +211,7 @@ func TestSuppression(t *testing.T) {
 	if strings.Contains(plain.String(), "[suppressed:") {
 		t.Errorf("default text output leaks suppressed findings:\n%s", plain.String())
 	}
-	if !strings.Contains(withFlag.String(), "[suppressed: demo: deliberate rank-0 barrier]") {
+	if !strings.Contains(withFlag.String(), "[suppressed: demo: deliberately blanked error]") {
 		t.Errorf("-summary text output misses the suppressed finding:\n%s", withFlag.String())
 	}
 
@@ -233,10 +232,10 @@ func TestExitCodes(t *testing.T) {
 	if got := ExitCode(nil); got != ExitClean {
 		t.Errorf("ExitCode(nil) = %d, want %d", got, ExitClean)
 	}
-	if got := ExitCode([]Diagnostic{{Analyzer: "collorder", Suppressed: true}}); got != ExitClean {
+	if got := ExitCode([]Diagnostic{{Analyzer: "errdrop", Suppressed: true}}); got != ExitClean {
 		t.Errorf("ExitCode(suppressed-only) = %d, want %d", got, ExitClean)
 	}
-	if got := ExitCode([]Diagnostic{{Analyzer: "collorder", Suppressed: true}, {Analyzer: "errdrop"}}); got != ExitFindings {
+	if got := ExitCode([]Diagnostic{{Analyzer: "errdrop", Suppressed: true}, {Analyzer: "lockorder"}}); got != ExitFindings {
 		t.Errorf("ExitCode(mixed) = %d, want %d", got, ExitFindings)
 	}
 	// A load failure never produces diagnostics; the loader's error is
@@ -250,13 +249,13 @@ func TestExitCodes(t *testing.T) {
 // surfaces.
 func TestSummarize(t *testing.T) {
 	diags := []Diagnostic{
-		{Analyzer: "collorder"},
-		{Analyzer: "collorder"},
-		{Analyzer: "wiresym", Suppressed: true},
+		{Analyzer: "errdrop"},
+		{Analyzer: "errdrop"},
+		{Analyzer: "wiretaint", Suppressed: true},
 		{Analyzer: "directive"},
 	}
 	got := Summarize(Analyzers(), diags)
-	want := "collorder=2 bufhandoff=0 errdrop=0 wiresym=0 collabort=0 lockorder=0 wiretaint=0 goleak=0 racegate=0 directive=1 suppressed=1"
+	want := "bufhandoff=0 errdrop=2 lockorder=0 wiretaint=0 goleak=0 racegate=0 directive=1 suppressed=1"
 	if got != want {
 		t.Fatalf("Summarize = %q, want %q", got, want)
 	}
@@ -273,11 +272,11 @@ func TestLoadDirRejectsMissing(t *testing.T) {
 // gate greps for.
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
-		Analyzer: "collorder",
+		Analyzer: "errdrop",
 		Position: token.Position{Filename: "x.go", Line: 3, Column: 7},
 		Message:  "boom",
 	}
-	if got, want := d.String(), "x.go:3:7: collorder: boom"; got != want {
+	if got, want := d.String(), "x.go:3:7: errdrop: boom"; got != want {
 		t.Fatalf("Diagnostic.String() = %q, want %q", got, want)
 	}
 }
@@ -285,10 +284,10 @@ func TestDiagnosticString(t *testing.T) {
 // TestTimingsLine pins the name=<float>ms format of the -summary output.
 func TestTimingsLine(t *testing.T) {
 	got := TimingsLine([]AnalyzerTiming{
-		{Name: "collorder", Elapsed: 12345 * time.Microsecond},
+		{Name: "errdrop", Elapsed: 12345 * time.Microsecond},
 		{Name: "racegate", Elapsed: 250 * time.Microsecond},
 	})
-	if want := "collorder=12.3ms racegate=0.2ms"; got != want {
+	if want := "errdrop=12.3ms racegate=0.2ms"; got != want {
 		t.Fatalf("TimingsLine = %q, want %q", got, want)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Whole-program layer. Strictly intraprocedural analyzers miss a
-// collective, a buffer handoff, or a dropped API error hidden one
-// function deep. Program closes that hole with a conservative call graph
+// buffer handoff, a lock, or a dropped API error hidden one function
+// deep. Program closes that hole with a conservative call graph
 // over every loaded package, resolved once, plus lazily computed
 // per-function summaries (summary.go) the analyzers propagate through
 // call sites.
@@ -24,12 +24,12 @@ import (
 //     function literals do not resolve. They degrade the caller to
 //     "may do anything we cannot see": the summary is marked imprecise
 //     (Unknown) but no phantom behaviour is invented, because inventing
-//     it would flag every rank-guarded log statement and bury the real
+//     it would flag every call through an interface and bury the real
 //     findings. DESIGN.md §8 spells out this soundness trade.
 //   - calls that resolve to functions outside the loaded package set
 //     (the standard library) are treated as behaviour-free for the
-//     spio contracts: an external package cannot issue spio collectives
-//     or spio API calls except through a func value, which is already
+//     spio contracts: an external package cannot hand off a spio buffer
+//     or call the spio API except through a func value, which is already
 //     an unknown call.
 type Program struct {
 	Pkgs []*Package
@@ -40,24 +40,12 @@ type Program struct {
 	Funcs map[*types.Func]*FuncInfo
 
 	// Per-function summaries memoized for the file-by-file analyzers
-	// (summary.go, wiresym.go), with their in-progress sets for cycles.
-	collSums map[*types.Func]*collSummary
-	bufSums  map[*types.Func]*bufSummary
-	errSums  map[*types.Func]*errSummary
-	wireSums map[*types.Func]*wireSummary
+	// (summary.go), with their in-progress sets for cycles.
+	bufSums map[*types.Func]*bufSummary
+	errSums map[*types.Func]*errSummary
 
-	collVisiting map[*types.Func]bool
-	bufVisiting  map[*types.Func]bool
-	errVisiting  map[*types.Func]bool
-	wireVisiting map[*types.Func]bool
-
-	// mayColl is the closure "may (transitively) issue a collective" —
-	// computed for the whole program at once, so the signature builder
-	// can collapse recursion without losing that bit — and mayComm widens
-	// it by the point-to-point Send/Recv family: collabort's "has entered
-	// the communication phase".
-	mayColl map[*types.Func]bool
-	mayComm map[*types.Func]bool
+	bufVisiting map[*types.Func]bool
+	errVisiting map[*types.Func]bool
 }
 
 // FuncInfo is one call-graph node: a declared function with a body,
@@ -83,16 +71,12 @@ type Call struct {
 // the call edges between them.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:         pkgs,
-		Funcs:        make(map[*types.Func]*FuncInfo),
-		collSums:     make(map[*types.Func]*collSummary),
-		bufSums:      make(map[*types.Func]*bufSummary),
-		errSums:      make(map[*types.Func]*errSummary),
-		wireSums:     make(map[*types.Func]*wireSummary),
-		collVisiting: make(map[*types.Func]bool),
-		bufVisiting:  make(map[*types.Func]bool),
-		errVisiting:  make(map[*types.Func]bool),
-		wireVisiting: make(map[*types.Func]bool),
+		Pkgs:        pkgs,
+		Funcs:       make(map[*types.Func]*FuncInfo),
+		bufSums:     make(map[*types.Func]*bufSummary),
+		errSums:     make(map[*types.Func]*errSummary),
+		bufVisiting: make(map[*types.Func]bool),
+		errVisiting: make(map[*types.Func]bool),
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
@@ -117,8 +101,6 @@ func BuildProgram(pkgs []*Package) *Program {
 			}
 		})
 	}
-	prog.mayColl = prog.reach(callsComm(collectiveSet))
-	prog.mayComm = prog.reach(callsComm(collectiveSet, p2pSet))
 	return prog
 }
 

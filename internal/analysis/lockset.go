@@ -6,6 +6,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"spio/internal/mpi"
 )
 
 // Shared lock-set machinery. The abstract held-set interpreter below
@@ -754,6 +756,16 @@ func lockKey(info *types.Info, e ast.Expr) string {
 func isCondWait(info *types.Info, call *ast.CallExpr) bool {
 	return methodOn(info, call, "sync", "Cond", "Wait")
 }
+
+// collectiveSet is the machine-readable collective list shared with the
+// runtime guard: a collective blocks until every rank has entered it.
+var collectiveSet = func() map[string]bool {
+	m := make(map[string]bool)
+	for _, name := range mpi.CollectiveMethods() {
+		m[name] = true
+	}
+	return m
+}()
 
 // blockingCall classifies calls that park the goroutine: WaitGroup
 // waits, collective/point-to-point communication on mpi.Comm, net.Conn

@@ -3,17 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // Per-function summaries, computed lazily and memoized on the Program.
 // Each summary answers one analyzer's question about a whole call tree:
 //
-//   - collSummary: the ordered collective sequence a call to this
-//     function issues (collorder inlines it at call sites, so a
-//     rank-guarded call to a helper that hides a Barrier is flagged
-//     exactly like a rank-guarded Barrier);
 //   - bufSummary: which *particle.Buffer parameters the function may
 //     use, and which it (transitively) hands off to WriteAsync
 //     (bufhandoff opens the ownership window at wrapper calls and
@@ -22,106 +17,10 @@ import (
 //     error from the watched spio API surface (errdrop then treats the
 //     function itself as watched).
 //
-// Recursion is handled per summary kind: collective signatures collapse
-// a cycle to an opaque "rec:…" element (still non-empty, so guarded
-// recursive helpers are flagged; opaque, so identical helpers on both
-// arms still balance), buffer-touch cycles degrade to "touches"
-// (over-approximate, never hides a race), and handoff/error cycles
-// degrade to "no" (under-approximate: they can only miss, never invent,
-// a finding).
-
-// collSummary is a function's transitive collective behaviour.
-type collSummary struct {
-	// sig is the canonical collective signature of one call to the
-	// function (helper calls inlined, loops collapsed, balanced guards
-	// resolved), in the same alphabet collorder compares branch arms in.
-	sig []string
-	// path is a representative call path from the function to a
-	// collective call site, for diagnostics: ["core.helper", "Comm.Barrier"].
-	path []string
-}
-
-// callsComm returns the predicate "the body directly calls an mpi.Comm
-// method of one of these sets", for Program.reach.
-func callsComm(sets ...map[string]bool) func(*FuncInfo) bool {
-	return func(fi *FuncInfo) bool {
-		found := false
-		scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
-			name := commMethodName(fi.Pkg.Info, call)
-			for _, set := range sets {
-				found = found || set[name]
-			}
-		})
-		return found
-	}
-}
-
-// collSummaryOf returns fn's collective summary, or nil when fn is not
-// a loaded function.
-func (p *Program) collSummaryOf(fn *types.Func) *collSummary {
-	if s, ok := p.collSums[fn]; ok {
-		return s
-	}
-	fi, ok := p.Funcs[fn]
-	if !ok {
-		return nil
-	}
-	if !p.mayColl[fn] {
-		s := &collSummary{}
-		p.collSums[fn] = s
-		return s
-	}
-	if p.collVisiting[fn] {
-		// Recursive cycle: opaque but non-empty, so the caller's guard
-		// comparison neither hides the collective nor pretends to know
-		// its shape.
-		name := callName(fn)
-		return &collSummary{
-			sig:  []string{"rec:" + name},
-			path: []string{name, "…"},
-		}
-	}
-	p.collVisiting[fn] = true
-	// No reporter: the summary walker shares collorder's walking code but
-	// reports nothing.
-	pass := &Pass{Package: fi.Pkg, Prog: p}
-	w := &collWalker{
-		pass:     pass,
-		rankObjs: rankDerivedVars(pass, fi.Decl.Body),
-		flagged:  make(map[token.Pos]bool),
-	}
-	res := w.walkStmts(fi.Decl.Body.List)
-	s := &collSummary{sig: res.sig, path: p.collPath(fi)}
-	delete(p.collVisiting, fn)
-	p.collSums[fn] = s
-	return s
-}
-
-// collPath builds a representative path from fi to a collective call:
-// the first direct collective in the body, or the first helper call
-// whose own summary issues one.
-func (p *Program) collPath(fi *FuncInfo) []string {
-	info := fi.Pkg.Info
-	var path []string
-	scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
-		if path != nil {
-			return
-		}
-		if name := commMethodName(info, call); collectiveSet[name] {
-			path = []string{callName(fi.Obj), "Comm." + name}
-			return
-		}
-		if callee, _ := p.callee(info, call); callee != nil {
-			if cs := p.collSummaryOf(callee.Obj); len(cs.sig) > 0 {
-				path = append([]string{callName(fi.Obj)}, cs.path...)
-			}
-		}
-	})
-	if path == nil {
-		path = []string{callName(fi.Obj)}
-	}
-	return path
-}
+// Recursion is handled per summary kind: buffer-touch cycles degrade to
+// "touches" (over-approximate, never hides a race), and handoff/error
+// cycles degrade to "no" (under-approximate: they can only miss, never
+// invent, a finding).
 
 // bufSummary records how a function treats its *particle.Buffer
 // parameters, by parameter index.

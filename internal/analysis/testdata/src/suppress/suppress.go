@@ -4,38 +4,34 @@
 // finding, and a directive that suppresses nothing is stale.
 package suppress
 
-import "spio/internal/mpi"
+import "spio/internal/particle"
 
 // Suppressed: the directive on the line above covers the finding.
-func suppressedBarrier(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		//spio:allow collorder -- demo: deliberate rank-0 barrier
-		c.Barrier()
-	}
+func suppressedBlank() *particle.Schema {
+	//spio:allow errdrop -- demo: deliberately blanked error
+	s, _ := particle.NewSchema(nil)
+	return s
 }
 
 // The same shape without a directive stays a live finding.
-func unsuppressedBarrier(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		c.Barrier()
-	}
+func unsuppressedBlank() *particle.Schema {
+	s, _ := particle.NewSchema(nil)
+	return s
 }
 
 // A directive without a reason suppresses nothing and is reported; the
-// barrier stays a live finding too.
-func missingReason(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		//spio:allow collorder
-		c.Barrier()
-	}
+// blanked error stays a live finding too.
+func missingReason() *particle.Schema {
+	//spio:allow errdrop
+	s, _ := particle.NewSchema(nil)
+	return s
 }
 
 // A typo'd analyzer name must not silently stop suppressing.
-func unknownAnalyzer(c *mpi.Comm) {
-	if c.Rank() == 0 {
-		//spio:allow collorderr -- typo
-		c.Barrier()
-	}
+func unknownAnalyzer() *particle.Schema {
+	//spio:allow errdropp -- typo
+	s, _ := particle.NewSchema(nil)
+	return s
 }
 
 // A stale allow: nothing on this or the next line trips errdrop.

@@ -11,7 +11,7 @@ import (
 
 // WireTaint tracks untrusted integers from decode sources to allocation
 // and loop-bound sinks. A value is untrusted when it was produced by a
-// method of a sticky reader (wireStreamKind) called in a package that
+// method of a sticky reader (isWireReader) called in a package that
 // decodes bytes from outside — one whose package clause carries a
 // `//spio:untrusted-input` comment: internal/server, any fixture twin —
 // by encoding/binary's integer readers applied to already-tainted bytes,
@@ -787,6 +787,23 @@ func (w *taintWalker) isDecoderSource(call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	kind, ok := wireStreamKind(sig.Recv().Type())
-	return ok && kind == 'r'
+	return isWireReader(sig.Recv().Type())
+}
+
+// isWireReader reports whether t is a sticky reader: a (pointer to a)
+// named type that is internal/binio's Reader, or a package's own
+// unexported reader (the analyzer fixtures' stand-in).
+func isWireReader(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Exported() && (obj.Pkg() == nil || obj.Pkg().Path() != binioPath) {
+		return false
+	}
+	return strings.ToLower(obj.Name()) == "reader"
 }

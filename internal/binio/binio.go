@@ -2,8 +2,8 @@
 // little-endian Writer and the Reader that mirrors it op for op. The
 // data file and metadata headers, every frame of the serving protocol and
 // the small messages ranks exchange during a write are all framed with
-// it, in name-paired encodeX/decodeX functions the wiresym analyzer
-// compares statically.
+// it, in name-paired encodeX/decodeX functions, each pinned by a
+// round-trip test over its bytes.
 //
 // The codec does not know who calls it. What differs between its callers
 // is a property of the sink or source they hand it: a checksum is an

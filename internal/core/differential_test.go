@@ -349,21 +349,28 @@ func contractWrite(t *testing.T, dir string, cfg WriteConfig, async bool, locals
 // rejectBadInput writes the clean input with rank bad holding one particle
 // at a NaN position, and then outside the domain: every rank must fail,
 // bad with its own cause and the rest with the agreed summary, and nothing
-// may be written.
+// may be written. A configuration naming an unknown heuristic must fail
+// every rank with one error the same way.
 func rejectBadInput(t *testing.T, cfg WriteConfig, async bool, in *contractInput, bad int) {
 	t.Helper()
 	dir := t.TempDir()
 	for _, tc := range []struct {
-		at   geom.Vec3
-		want string
+		at        geom.Vec3
+		heuristic lod.Heuristic
+		want      string
 	}{
-		{geom.V3(math.NaN(), in.domain.Lo.Y, in.domain.Lo.Z), "non-finite"},
-		{in.domain.Hi.Add(geom.V3(0.5, 0, 0)), "outside"},
+		{at: geom.V3(math.NaN(), in.domain.Lo.Y, in.domain.Lo.Z), want: "non-finite"},
+		{at: in.domain.Hi.Add(geom.V3(0.5, 0, 0)), want: "outside"},
+		{heuristic: 7, want: "unknown heuristic 7"},
 	} {
+		cfg := cfg
+		if tc.heuristic != 0 {
+			cfg.Heuristic = tc.heuristic
+		}
 		errs := make([]error, contractRanks)
 		err := runWithWatchdog(t, contractRanks, 30*time.Second, func(c *mpi.Comm) error {
 			local := in.locals[c.Rank()]
-			if c.Rank() == bad {
+			if c.Rank() == bad && tc.heuristic == 0 {
 				local = particle.NewBuffer(in.all.Schema(), 0)
 				local.AppendFrom(in.all, 0)
 				local.SetPosition(0, tc.at)
@@ -380,11 +387,11 @@ func rejectBadInput(t *testing.T, cfg WriteConfig, async bool, in *contractInput
 		}
 		for r, werr := range errs {
 			want := "input validation failed on 1 of 8 ranks"
-			if r == bad {
+			if r == bad || tc.heuristic != 0 {
 				want = tc.want
 			}
 			if werr == nil || !strings.Contains(werr.Error(), want) {
-				t.Errorf("particle at %v on rank %d: rank %d returned %v, want an error containing %q", tc.at, bad, r, werr, want)
+				t.Errorf("particle at %v on rank %d, heuristic %d: rank %d returned %v, want an error containing %q", tc.at, bad, tc.heuristic, r, werr, want)
 			}
 		}
 		if ents, _ := os.ReadDir(dir); len(ents) != 0 {

@@ -112,6 +112,9 @@ func Write(c *mpi.Comm, dir string, cfg WriteConfig, local *particle.Buffer) (Wr
 	if err := cfg.LOD.Validate(); err != nil {
 		return res, err
 	}
+	if cfg.Heuristic != lod.Random && cfg.Heuristic != lod.DensityStratified {
+		return res, fmt.Errorf("core: unknown heuristic %d", cfg.Heuristic)
+	}
 	if cfg.Adaptive && cfg.AggDims != (geom.Idx3{}) {
 		return res, fmt.Errorf("core: Adaptive and AggDims are mutually exclusive")
 	}

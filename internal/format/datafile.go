@@ -410,7 +410,7 @@ func OpenDataFileWith(path string, opts OpenOptions) (*DataFile, error) {
 
 func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
 	src := &crcReader{r: bufio.NewReaderSize(f, 64<<10)}
-	d := binio.NewReader(src, "format")
+	d := binio.NewReader(src, "format: "+path)
 	magic := make([]byte, len(dataMagic))
 	d.Bytes(magic)
 	if d.Err() == nil && string(magic) != dataMagic {
@@ -429,7 +429,7 @@ func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
 	var h DataHeader
 	schema, err := DecodeSchema(d)
 	if err != nil {
-		return nil, fmt.Errorf("format: %s: %w", path, err)
+		return nil, err
 	}
 	h.Schema = schema
 	h.Count = int64(d.U64())
@@ -521,12 +521,13 @@ func readDataFileHeader(f *os.File, path string) (*DataFile, error) {
 }
 
 // classifyHeaderErr tags header reads that ran off the end of the file
-// as truncation, so fsck can tell a torn file from a corrupt one.
+// as truncation, so fsck can tell a torn file from a corrupt one. Any
+// other error is the header reader's, which already names the file.
 func classifyHeaderErr(path string, err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return fmt.Errorf("format: %s: header ends early: %w", path, ErrTruncated)
 	}
-	return fmt.Errorf("format: %s: %w", path, err)
+	return err
 }
 
 // Close releases the file handle. A Scan starts no goroutine, so nothing

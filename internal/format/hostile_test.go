@@ -15,6 +15,7 @@ import (
 
 	"spio/internal/binio"
 	"spio/internal/geom"
+	"spio/internal/lod"
 	"spio/internal/particle"
 )
 
@@ -147,6 +148,36 @@ func TestReadMetaShortUnderAnyPath(t *testing.T) {
 	}
 	if want := "format: " + filepath.Join(dir, MetaFileName) + ": short read at offset"; !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("truncated image: error %q, want it to start %q", err, want)
+	}
+}
+
+// TestDataHeaderRefusalNamesItsFileOnce: a data file header refused for
+// what it says, or cut short, names its file once, under one "format:".
+func TestDataHeaderRefusalNamesItsFileOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "file_0.spd")
+	if err := writeBuf(nil, path, DataHeader{LOD: lod.DefaultParams()}, atomicTestBuf(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The field count is the first byte of the header body, behind the
+	// magic, the version and the body's checksum.
+	image[len(dataMagic)+8] = 0
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDataFile(path)
+	if err == nil || strings.Count(err.Error(), "format:") != 1 || !strings.HasPrefix(err.Error(), "format: "+path+": implausible field count 0") {
+		t.Errorf("zero field count: error %v, want one %q naming %s", err, "format:", path)
+	}
+	if err := os.Truncate(path, int64(len(dataMagic))+6); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDataFile(path)
+	if !errors.Is(err, ErrTruncated) || strings.Count(err.Error(), "format:") != 1 || !strings.Contains(err.Error(), path) {
+		t.Errorf("short header: error %v, want one %q naming %s and wrapping %v", err, "format:", path, ErrTruncated)
 	}
 }
 

@@ -324,9 +324,6 @@ func decodeMeta(r io.Reader, path string) (*Meta, error) {
 	m.AggDims = d.Idx3()
 	m.Schema, err = DecodeSchema(d)
 	if err != nil {
-		if d.Err() == nil { // the schema's own refusal, not the reader's
-			err = fmt.Errorf("format: %s: %w", path, err)
-		}
 		return nil, err
 	}
 	m.LOD.BasePerReader = int(d.Uvarint())

@@ -35,7 +35,8 @@ func EncodeSchema(e *binio.Writer, s *particle.Schema) {
 }
 
 // DecodeSchema reads a field list, refuses one outside the bounds and
-// validates the rest — an unknown kind among it — through NewSchema.
+// validates the rest — an unknown kind among it — through NewSchema. A
+// refusal is the reader's error, under the reader's prefix.
 func DecodeSchema(d *binio.Reader) (*particle.Schema, error) {
 	n := d.Uvarint()
 	if d.Err() == nil && (n == 0 || n > maxFields) {
@@ -56,7 +57,12 @@ func DecodeSchema(d *binio.Reader) (*particle.Schema, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	return particle.NewSchema(fields)
+	s, err := particle.NewSchema(fields)
+	if err != nil {
+		d.Fail("%w", err)
+		return nil, d.Err()
+	}
+	return s, nil
 }
 
 // crcReader is the source of a checksummed header: it updates a CRC-32

@@ -43,9 +43,7 @@ type collectiveSpec struct {
 
 // collectives lists every collective method of *Comm, in declaration
 // order. Every rank of a communicator must call these methods in the
-// same order (the SPMD contract); guard.go enforces the kind part of
-// that contract at runtime, and the collorder analyzer enforces the
-// control-flow part statically.
+// same order (the SPMD contract); guard.go enforces it at runtime.
 var collectives = []collectiveSpec{
 	{"Barrier", collBarrier, true},
 	{"Bcast", collBcast, true},
@@ -68,8 +66,9 @@ func (k collKind) String() string {
 
 // CollectiveMethods returns the names of every collective method of
 // *Comm, in declaration order. It is the machine-readable contract
-// consumed by the collorder static analyzer: a call to any of these must
-// be issued by every rank of the communicator in the same order.
+// consumed by the lockorder static analyzer: a call to any of these
+// blocks until every rank of the communicator has issued it, so it must
+// not be made holding a lock.
 func CollectiveMethods() []string {
 	out := make([]string, len(collectives))
 	for i, spec := range collectives {

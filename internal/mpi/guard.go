@@ -21,8 +21,9 @@ import (
 // rank that skips a collective entirely desynchronizes its sequence
 // numbers, which the ledger usually exposes at the *next* collective
 // (the kinds at that position then disagree); a skip followed by
-// nothing — or by an identical collective sequence — still deadlocks,
-// and remains the static analyzer's (collorder) job to reject.
+// nothing — or by an identical collective sequence — still deadlocks:
+// every multi-rank test runs under a timeout, which turns that hang into
+// a failure.
 
 // collKey addresses one collective operation: its communicator
 // namespace and per-rank sequence number.

@@ -283,12 +283,3 @@ func (c *Comm) Probe(src, tag int) bool {
 	}
 	return false
 }
-
-// P2PMethods returns the names of every point-to-point method of *Comm.
-// Like CollectiveMethods it is a machine-readable contract for static
-// analysis: once a function has issued any of these (or a collective),
-// it has entered the communication phase, and a local-error early
-// return can strand peers (the collabort analyzer's rule).
-func P2PMethods() []string {
-	return []string{"Send", "Isend", "Recv", "Irecv", "SendRecv", "Probe"}
-}

@@ -32,15 +32,17 @@ import (
 // the reference in the tests.
 
 const (
-	hashBits = 13
-	minMatch = 4
-	maxMatch = 258
-	maxDist  = 32768
+	hashBits  = 13
+	minMatch  = 4
+	maxMatch  = 258
+	maxDist   = 32768
+	maxStored = 0xffff // the most bytes one stored block carries
 	// blockMax is the most bytes one piece — one classification, one pair
 	// of codes — covers. A plane of a data file's block is at most 8192
-	// records of nine components: one piece.
-	blockMax    = 1 << 17
-	maxStored   = 0xffff // the most bytes one stored block carries
+	// records of nine components: one piece. It is a whole number of
+	// stored blocks, so a plane cut into pieces stores in as many blocks
+	// as it would whole, and the payload keeps its stored-size promise.
+	blockMax    = 2 * maxStored
 	endOfBlock  = 256
 	preSyms     = 19
 	maxPreLen   = 7

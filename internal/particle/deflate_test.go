@@ -35,7 +35,7 @@ func checkDeflate(t testing.TB, d *deflater, col []byte, planes int) []byte {
 // deflateSeeds are columns that each take the encoder somewhere else: no
 // bytes at all, planes too short to hold a match, one symbol only, runs,
 // periods, noise (stored unasked), noise with a little structure (tried,
-// then stored), a plane past one stored block, text.
+// then stored), a plane past one stored block, noise past one piece, text.
 func deflateSeeds() [][]byte {
 	r := rand.New(rand.NewSource(12))
 	noise := make([]byte, 70000)
@@ -48,10 +48,12 @@ func deflateSeeds() [][]byte {
 	for i := range skewed {
 		skewed[i] = byte(r.Intn(256) & r.Intn(256) & r.Intn(256))
 	}
+	pastPiece := make([]byte, 132916)
+	r.Read(pastPiece)
 	seeds := [][]byte{
 		bytes.Repeat([]byte{0}, 70000),
 		bytes.Repeat([]byte("abcdefghi"), 2000),
-		noise, noise[:4096], noise[:300], ramp, ramp[:5000], skewed,
+		noise, noise[:4096], noise[:300], ramp, ramp[:5000], skewed, pastPiece,
 		append(bytes.Repeat([]byte{7}, 3000), noise[:3000]...),
 		[]byte("a plane of text, a plane of text, and a plane of text again"),
 	}

@@ -13,7 +13,7 @@ import (
 // field per record. The kernels below hoist the schema walk out of the
 // per-particle loop: one tight per-field/per-component inner loop over a
 // pre-sized destination, no append, no per-record dispatch. Encode and
-// decode stay exact mirrors of each other (the wiresym invariant), they
+// decode stay exact mirrors of each other (the round-trip tests), they
 // just iterate field-major instead of record-major — the bytes produced
 // and consumed are identical.
 

@@ -20,8 +20,7 @@
 //     JSON /metrics snapshot (metrics.go).
 //
 // Frames are written and read through internal/binio in encodeX/decodeX
-// pairs (wire.go), so `spiolint wiresym` checks every request/response
-// pair statically.
+// pairs (wire.go), each pinned by a round-trip test.
 package server
 
 import (

@@ -33,11 +33,10 @@ import (
 // (rdr.Options.SkipLevels), each asked for when the client wants it.
 //
 // Bodies are framed with internal/binio, the codec of the file headers
-// (little-endian, uvarint lengths), in deliberately name-paired
-// encode/decode functions so the spiolint wiresym analyzer statically
-// checks every pair for width/order/count symmetry — the scda position:
-// the wire format is a checkable writer/reader pact, not two
-// hand-maintained halves. A schema travels as it is stored
+// (little-endian, uvarint lengths), in name-paired encode/decode
+// functions that the round-trip tests pin over the real bytes — the scda
+// position: the wire format is a writer/reader pact checked from the
+// bytes alone, not two hand-maintained halves. A schema travels as it is stored
 // (format.EncodeSchema), under the bounds a file's is held to.
 
 const (

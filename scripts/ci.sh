@@ -21,9 +21,9 @@
 # kernels; the examples smoke
 # runs every program under examples/;
 # the benchmark dry gate builds, vets and smoke-tests the nested
-# benchmark module against the tree; the spiolint step runs the nine
-# analyzers (collorder, bufhandoff, errdrop, wiresym, collabort,
-# lockorder, wiretaint, goleak, racegate — all interprocedural) over
+# benchmark module against the tree; the spiolint step runs the six
+# analyzers (bufhandoff, errdrop, lockorder, wiretaint, goleak,
+# racegate — all interprocedural) over
 # the whole module, prints the suppressed findings with their reasons,
 # the per-analyzer diagnostic counts and the wall times, fails on any
 # unsuppressed diagnostic (exit 1; load errors exit 2), caps the number
@@ -165,8 +165,7 @@ go test -race -count=3 -run 'TestFrameNeverExceedsBound|TestArenaOverflowAllocat
 # one naming a file outside the dataset directory, or a file twice, is
 # refused with the entry's index; a schema outside the bounds is refused the same way in a file and in a
 # frame; every codec pair round-trips a value whose fields are all
-# distinct, so that two fields trading places fail a test and not only
-# wiresym; and the gateway's breakers are read by a stats poll while
+# distinct, so that two fields trading places fail a test; and the gateway's breakers are read by a stats poll while
 # requests through a flapping shard open and close them (-race is the
 # assertion: with the lock in breaker.open dropped nothing else fails).
 go test -race -count=3 -run 'TestDecodeMetaHostileCount|TestDecodeMetaRefusesNamesOutsideTheDataset|TestDecodeSchemaHostile|TestFileEntryCodecRoundTrip|TestRequestRoundTrip|TestRespHeaderRoundTrip|TestStatsRoundTrip|TestResponsesRoundTrip|TestExtentCodecRoundTrip|TestCountCodecRoundTrip|TestResultCodecRoundTrip|TestStatsBesideFlappingShard' ./internal/format ./internal/server ./internal/agg ./internal/profile ./internal/gateway
@@ -358,7 +357,7 @@ if [ "$lint_suppressed" -gt "$lint_max_suppressed" ]; then
 	echo "spiolint: more than ${lint_max_suppressed} //spio:allow suppressions; fix the finding instead of adding one"
 	exit 1
 fi
-echo "spiolint: nine analyzers (collorder bufhandoff errdrop wiresym collabort lockorder wiretaint goleak racegate) took ${lint_elapsed}s (budget ${lint_budget}s)"
+echo "spiolint: six analyzers (bufhandoff errdrop lockorder wiretaint goleak racegate) took ${lint_elapsed}s (budget ${lint_budget}s)"
 if [ "$lint_elapsed" -gt "$lint_budget" ]; then
 	echo "spiolint: exceeded the ${lint_budget}s runtime budget"
 	exit 1

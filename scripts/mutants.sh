@@ -9,7 +9,7 @@
 # header lines,
 #
 #   mutant:   what the bug is
-#   ledger:   its row in DESIGN §16.1 or §8.4
+#   ledger:   its row in DESIGN §16.1, §8.4 or §8.5
 #   catchers: the tests (top-level names) and spiolint analyzers expected
 #             to catch it; naming an analyzer runs spiolint on this mutant
 #             even without -lint
@@ -21,10 +21,12 @@
 # tracked and untracked, not ignored, as they stand, so uncommitted edits
 # and deletions count — are copied into .bench_build/mutants/<name>; the
 # patch is applied there; `go build ./...` must pass; then
-# `go test -count=1 -failfast -timeout 180s ./...` runs, or
-# `go test -race` of the header's packages under the same flags; the
-# named catchers that -failfast kept from running are then run by name.
-# -lint also runs spiolint on every mutant. One row a mutant: whether it
+# `go test -count=1 -failfast -timeout 180s -skip '^TestRepoClean$' ./...`
+# runs, or `go test -race` of the header's packages under the same flags;
+# the named catchers that -failfast kept from running are then run by
+# name. TestRepoClean is skipped because it runs spiolint: the test
+# verdict is the tests' alone, and only the spiolint column reports the
+# analyzers. -lint also runs spiolint on every mutant. One row a mutant: whether it
 # applies, the verdict (caught, caught-by-timeout, caught-by-lint or
 # escaped), how many of the named catchers caught it (one that ran and
 # passed is named as missed), the seconds, spiolint's analyzers, and the
@@ -81,9 +83,9 @@ for name in "$@"; do
     continue
   fi
   if [ -n "$race" ]; then
-    (cd "$dir" && go test -race -v -count=1 -failfast -timeout 180s $race) >"$log.test" 2>&1
+    (cd "$dir" && go test -race -v -count=1 -failfast -timeout 180s -skip '^TestRepoClean$' $race) >"$log.test" 2>&1
   else
-    (cd "$dir" && go test -v -count=1 -failfast -timeout 180s ./...) >"$log.test" 2>&1
+    (cd "$dir" && go test -v -count=1 -failfast -timeout 180s -skip '^TestRepoClean$' ./...) >"$log.test" 2>&1
   fi
   if grep -q '\[\(build\|setup\) failed\]' "$log.test"; then
     printf '%-36s %-7s %s\n' "$name" yes 'does not build'
