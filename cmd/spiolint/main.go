@@ -5,21 +5,14 @@
 //
 // Analyzers:
 //
-//	bufhandoff  particle buffers used between WriteAsync and Wait
-//	errdrop     discarded error/WriteResult returns from the spio API
 //	lockorder   lock-order inversions, re-acquisition, locks held
 //	            across blocking operations
-//	wiretaint   untrusted decode values reaching make() sizes or loop
-//	            bounds without a dominating bound check
-//	goleak      goroutines with no exit discipline (nothing to await
-//	            or cancel them)
 //	racegate    struct fields written from multiple goroutine origins
 //	            without a consistent lock, and atomic/plain mixes
 //
-// All analyzers are interprocedural: a buffer handoff, a dropped error,
-// a lock acquisition, a tainted length, or an unlocked field write
-// hidden inside a helper is reported at the call site with the call
-// path. Findings can be suppressed per line with
+// Both analyzers are interprocedural: a lock acquisition or an unlocked
+// field write hidden inside a helper is reported at the call site with
+// the call path. Findings can be suppressed per line with
 //
 //	//spio:allow <analyzer> -- <reason>
 //

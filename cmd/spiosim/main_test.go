@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -36,6 +38,20 @@ func TestSimulateAndRestart(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("2-rank restart: output lacks %q:\n%s", want, out.String())
 		}
+	}
+
+	// A checkpoint that cannot be written fails the run, the last one
+	// too: a file stands where step 2's directory goes.
+	blocked := filepath.Join(t.TempDir(), "blocked")
+	if err := os.MkdirAll(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spio.StepDir(blocked, 2), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-base", blocked, "-dims", "2x1x1", "-factor", "1x1x1",
+		"-steps", "4", "-interval", "2", "-async"}, io.Discard); err == nil {
+		t.Fatal("an async run whose last checkpoint cannot be written returned no error")
 	}
 
 	steps, err := spio.Steps(base)

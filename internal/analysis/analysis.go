@@ -4,21 +4,12 @@
 //
 // The analyzers encode correctness contracts the tests do not pin down;
 // an analyzer that catches nothing the tests miss is deleted (DESIGN.md
-// §8.4, §8.5 hold the mutation trials):
+// §8.4, §8.5 and §8.6 hold the mutation trials):
 //
-//   - bufhandoff: WriteAsync transfers ownership of the particle buffer
-//     until Wait returns (spio.go), so any use in between is a data
-//     race with the background checkpoint.
-//   - errdrop: the write/read APIs report partial failure through
-//     error and WriteResult returns; dropping them silently corrupts
-//     the "every rank observed the same outcome" reasoning the
-//     collective pipeline depends on.
-//   - wiretaint: a length decoded from outside bytes must be bounded
-//     before it sizes an allocation or a loop.
-//   - lockorder, goleak, racegate: the serving tier's mutexes are
-//     acquired in one order and not held across blocking operations,
-//     every goroutine has something that ends it, and a field written
-//     from two goroutines is guarded by one lock.
+//   - lockorder: the serving tier's mutexes are acquired in one order
+//     and not held across blocking operations;
+//   - racegate: a field written from two goroutines is guarded by one
+//     lock.
 //
 // The engine is one program: the packages `go list` names are
 // type-checked, dependencies first, into one go/types world (load.go),
@@ -43,42 +34,12 @@ type Analyzer struct {
 	// Doc is a one-line description.
 	Doc string
 	// Run inspects the whole program once and reports findings through
-	// report. An analyzer that works file by file is a perPackage walker.
+	// report.
 	Run func(prog *Program, report Reporter)
 }
 
 // Reporter records one finding at pos.
 type Reporter func(pos token.Pos, format string, args ...any)
-
-// Pass is a file-by-file walker's view of one package: the syntax and
-// type information it resolves against, the whole-program view behind
-// it, and where it reports.
-type Pass struct {
-	*Package
-	// Prog is the whole-program view (call graph + per-function
-	// summaries).
-	Prog *Program
-	// report is nil for a silent walk: the summary builders share the
-	// analyzers' walking code but report nothing.
-	report Reporter
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.report != nil {
-		p.report(pos, format, args...)
-	}
-}
-
-// perPackage adapts a walker that inspects one package at a time to the
-// engine's one call per analyzer.
-func perPackage(run func(*Pass)) func(*Program, Reporter) {
-	return func(prog *Program, report Reporter) {
-		for _, pkg := range prog.Pkgs {
-			run(&Pass{Package: pkg, Prog: prog, report: report})
-		}
-	}
-}
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -99,7 +60,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full spiolint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{BufHandoff, ErrDrop, LockOrder, WireTaint, GoLeak, RaceGate}
+	return []*Analyzer{LockOrder, RaceGate}
 }
 
 // ByName returns the named analyzers, or an error naming the unknown
@@ -184,7 +145,7 @@ func (p *Program) reporter(analyzer string, diags *[]Diagnostic) Reporter {
 }
 
 // TimingsLine renders the per-analyzer wall times as one parseable
-// line, e.g. "bufhandoff=0.4ms errdrop=1.2ms ...". ci.sh surfaces it
+// line, e.g. "lockorder=0.4ms racegate=1.2ms". ci.sh surfaces it
 // under -summary, so the format is a contract: space-separated
 // name=<float>ms pairs in suite order.
 func TimingsLine(timings []AnalyzerTiming) string {
@@ -236,7 +197,7 @@ func ExitCode(diags []Diagnostic) int {
 }
 
 // Summarize renders the per-analyzer diagnostic counts as one line,
-// e.g. "bufhandoff=1 errdrop=0 ... suppressed=2". Analyzer order is
+// e.g. "lockorder=1 racegate=0 suppressed=2". Analyzer order is
 // the suite order; suppressed findings count toward the suppressed
 // total, not the per-analyzer count.
 func Summarize(analyzers []*Analyzer, diags []Diagnostic) string {

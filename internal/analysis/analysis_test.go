@@ -88,15 +88,7 @@ func parseWants(t *testing.T, pkg *Package) []*expectation {
 // *dedicates* a conn to one exchange by protocol) stay visible as
 // suppressed findings and must each carry their reason.
 func TestRepoClean(t *testing.T) {
-	pkgs := loadModule(t)
-	// The taint fixpoint must finish with rounds to spare: at the cap it
-	// reports itself, but a tree creeping up on it should be seen first.
-	rounds, converged := taintFixpoint(BuildProgram(pkgs), func(token.Pos, string, ...any) {})
-	t.Logf("wiretaint: fixpoint converged=%v after %d rounds (cap %d)", converged, rounds, taintMaxRounds)
-	if !converged || rounds > taintMaxRounds-3 {
-		t.Errorf("wiretaint fixpoint took %d of %d rounds (converged=%v): raise taintMaxRounds before it under-reports", rounds, taintMaxRounds, converged)
-	}
-	diags := Run(Analyzers(), pkgs)
+	diags := Run(Analyzers(), loadModule(t))
 	var live []Diagnostic
 	for _, d := range diags {
 		if d.Suppressed {
@@ -179,12 +171,12 @@ func TestSuppression(t *testing.T) {
 	suppressed := 0
 	live := 0
 	for _, d := range diags {
-		if d.Analyzer != "errdrop" {
+		if d.Analyzer != "lockorder" {
 			continue
 		}
 		if d.Suppressed {
 			suppressed++
-			if want := "demo: deliberately blanked error"; d.SuppressReason != want {
+			if want := "demo: deliberately held across the send"; d.SuppressReason != want {
 				t.Errorf("suppressed finding carries reason %q, want %q", d.SuppressReason, want)
 			}
 		} else {
@@ -192,15 +184,15 @@ func TestSuppression(t *testing.T) {
 		}
 	}
 	if suppressed != 1 {
-		t.Errorf("got %d suppressed errdrop findings, want 1", suppressed)
+		t.Errorf("got %d suppressed lockorder findings, want 1", suppressed)
 	}
 	if live != 3 {
-		// unsuppressedBlank, missingReason, unknownAnalyzer
-		t.Errorf("got %d live errdrop findings, want 3", live)
+		// unsuppressedSend, missingReason, unknownAnalyzer
+		t.Errorf("got %d live lockorder findings, want 3", live)
 	}
 
 	find(directiveAnalyzer, "missing its reason")
-	find(directiveAnalyzer, `unknown analyzer "errdropp"`)
+	find(directiveAnalyzer, `unknown analyzer "lockordr"`)
 	find(directiveAnalyzer, "suppresses no finding")
 
 	// Suppressed findings are hidden from plain text output and shown,
@@ -211,7 +203,7 @@ func TestSuppression(t *testing.T) {
 	if strings.Contains(plain.String(), "[suppressed:") {
 		t.Errorf("default text output leaks suppressed findings:\n%s", plain.String())
 	}
-	if !strings.Contains(withFlag.String(), "[suppressed: demo: deliberately blanked error]") {
+	if !strings.Contains(withFlag.String(), "[suppressed: demo: deliberately held across the send]") {
 		t.Errorf("-summary text output misses the suppressed finding:\n%s", withFlag.String())
 	}
 
@@ -232,10 +224,10 @@ func TestExitCodes(t *testing.T) {
 	if got := ExitCode(nil); got != ExitClean {
 		t.Errorf("ExitCode(nil) = %d, want %d", got, ExitClean)
 	}
-	if got := ExitCode([]Diagnostic{{Analyzer: "errdrop", Suppressed: true}}); got != ExitClean {
+	if got := ExitCode([]Diagnostic{{Analyzer: "lockorder", Suppressed: true}}); got != ExitClean {
 		t.Errorf("ExitCode(suppressed-only) = %d, want %d", got, ExitClean)
 	}
-	if got := ExitCode([]Diagnostic{{Analyzer: "errdrop", Suppressed: true}, {Analyzer: "lockorder"}}); got != ExitFindings {
+	if got := ExitCode([]Diagnostic{{Analyzer: "lockorder", Suppressed: true}, {Analyzer: "racegate"}}); got != ExitFindings {
 		t.Errorf("ExitCode(mixed) = %d, want %d", got, ExitFindings)
 	}
 	// A load failure never produces diagnostics; the loader's error is
@@ -249,13 +241,13 @@ func TestExitCodes(t *testing.T) {
 // surfaces.
 func TestSummarize(t *testing.T) {
 	diags := []Diagnostic{
-		{Analyzer: "errdrop"},
-		{Analyzer: "errdrop"},
-		{Analyzer: "wiretaint", Suppressed: true},
+		{Analyzer: "lockorder"},
+		{Analyzer: "lockorder"},
+		{Analyzer: "racegate", Suppressed: true},
 		{Analyzer: "directive"},
 	}
 	got := Summarize(Analyzers(), diags)
-	want := "bufhandoff=0 errdrop=2 lockorder=0 wiretaint=0 goleak=0 racegate=0 directive=1 suppressed=1"
+	want := "lockorder=2 racegate=0 directive=1 suppressed=1"
 	if got != want {
 		t.Fatalf("Summarize = %q, want %q", got, want)
 	}
@@ -272,11 +264,11 @@ func TestLoadDirRejectsMissing(t *testing.T) {
 // gate greps for.
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
-		Analyzer: "errdrop",
+		Analyzer: "lockorder",
 		Position: token.Position{Filename: "x.go", Line: 3, Column: 7},
 		Message:  "boom",
 	}
-	if got, want := d.String(), "x.go:3:7: errdrop: boom"; got != want {
+	if got, want := d.String(), "x.go:3:7: lockorder: boom"; got != want {
 		t.Fatalf("Diagnostic.String() = %q, want %q", got, want)
 	}
 }
@@ -284,27 +276,12 @@ func TestDiagnosticString(t *testing.T) {
 // TestTimingsLine pins the name=<float>ms format of the -summary output.
 func TestTimingsLine(t *testing.T) {
 	got := TimingsLine([]AnalyzerTiming{
-		{Name: "errdrop", Elapsed: 12345 * time.Microsecond},
+		{Name: "lockorder", Elapsed: 12345 * time.Microsecond},
 		{Name: "racegate", Elapsed: 250 * time.Microsecond},
 	})
-	if want := "errdrop=12.3ms racegate=0.2ms"; got != want {
+	if want := "lockorder=12.3ms racegate=0.2ms"; got != want {
 		t.Fatalf("TimingsLine = %q, want %q", got, want)
 	}
-}
-
-// TestTaintFixpointCapIsLoud lowers the round cap below what the
-// wiretaint fixture needs: the analyzer must say its results are
-// incomplete instead of returning the partial result as clean.
-func TestTaintFixpointCapIsLoud(t *testing.T) {
-	defer func(old int) { taintMaxRounds = old }(taintMaxRounds)
-	taintMaxRounds = 1
-	diags := Run([]*Analyzer{WireTaint}, []*Package{loadFixture(t, "wiretaint")})
-	for _, d := range diags {
-		if strings.Contains(d.Message, "fixpoint did not converge in 1 rounds; results are incomplete") {
-			return
-		}
-	}
-	t.Fatalf("capped fixpoint reported no non-convergence finding in:\n%v", diags)
 }
 
 // TestOneWorld pins the loader's contract: every loaded package is

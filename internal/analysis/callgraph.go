@@ -6,12 +6,10 @@ import (
 	"go/types"
 )
 
-// Whole-program layer. Strictly intraprocedural analyzers miss a
-// buffer handoff, a lock, or a dropped API error hidden one function
-// deep. Program closes that hole with a conservative call graph
-// over every loaded package, resolved once, plus lazily computed
-// per-function summaries (summary.go) the analyzers propagate through
-// call sites.
+// Whole-program layer. Strictly intraprocedural analyzers miss a lock
+// or a spawn hidden one function deep. Program closes that hole with a
+// conservative call graph over every loaded package, resolved once,
+// which the analyzers' summaries propagate along.
 //
 // Call resolution is deliberately modest and therefore predictable:
 //
@@ -28,9 +26,9 @@ import (
 //     findings. DESIGN.md §8 spells out this soundness trade.
 //   - calls that resolve to functions outside the loaded package set
 //     (the standard library) are treated as behaviour-free for the
-//     spio contracts: an external package cannot hand off a spio buffer
-//     or call the spio API except through a func value, which is already
-//     an unknown call.
+//     spio contracts: an external package cannot take a spio lock or
+//     spawn spio code except through a func value, which is already an
+//     unknown call.
 type Program struct {
 	Pkgs []*Package
 	// Fset is the file set every loaded package was parsed into.
@@ -38,14 +36,6 @@ type Program struct {
 	// Funcs indexes every function and method declared (with a body) in
 	// the loaded packages.
 	Funcs map[*types.Func]*FuncInfo
-
-	// Per-function summaries memoized for the file-by-file analyzers
-	// (summary.go), with their in-progress sets for cycles.
-	bufSums map[*types.Func]*bufSummary
-	errSums map[*types.Func]*errSummary
-
-	bufVisiting map[*types.Func]bool
-	errVisiting map[*types.Func]bool
 }
 
 // FuncInfo is one call-graph node: a declared function with a body,
@@ -56,8 +46,7 @@ type FuncInfo struct {
 	Pkg  *Package
 	// Calls are the body's calls that resolve to loaded functions, in
 	// source order: the graph's out-edges. Function literals and go
-	// statements are excluded (scanCalls) — their calls run on another
-	// schedule.
+	// statements are excluded — their calls run on another schedule.
 	Calls []Call
 }
 
@@ -71,12 +60,8 @@ type Call struct {
 // the call edges between them.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:        pkgs,
-		Funcs:       make(map[*types.Func]*FuncInfo),
-		bufSums:     make(map[*types.Func]*bufSummary),
-		errSums:     make(map[*types.Func]*errSummary),
-		bufVisiting: make(map[*types.Func]bool),
-		errVisiting: make(map[*types.Func]bool),
+		Pkgs:  pkgs,
+		Funcs: make(map[*types.Func]*FuncInfo),
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
@@ -95,59 +80,19 @@ func BuildProgram(pkgs []*Package) *Program {
 		}
 	}
 	for _, fi := range prog.Funcs {
-		scanCalls(fi.Decl.Body, func(call *ast.CallExpr) {
-			if callee, _ := prog.callee(fi.Pkg.Info, call); callee != nil {
-				fi.Calls = append(fi.Calls, Call{Site: call, Callee: callee})
+		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit, *ast.GoStmt:
+				return false
+			case *ast.CallExpr:
+				if callee, _ := prog.callee(fi.Pkg.Info, n); callee != nil {
+					fi.Calls = append(fi.Calls, Call{Site: n, Callee: callee})
+				}
 			}
+			return true
 		})
 	}
 	return prog
-}
-
-// scanCalls visits every call expression under n in source order,
-// skipping function literals (their bodies run on their own schedule —
-// the same exclusion the intraprocedural walkers apply) and go
-// statements (unsequenced with the caller).
-func scanCalls(n ast.Node, f func(*ast.CallExpr)) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			f(x)
-		}
-		return true
-	})
-}
-
-// reach returns the functions from which one satisfying direct is
-// reachable along the resolved call edges, those satisfying it
-// themselves included.
-func (p *Program) reach(direct func(*FuncInfo) bool) map[*types.Func]bool {
-	set := make(map[*types.Func]bool)
-	for fn, fi := range p.Funcs {
-		if direct(fi) {
-			set[fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, fi := range p.Funcs {
-			if set[fn] {
-				continue
-			}
-			for _, c := range fi.Calls {
-				if set[c.Callee.Obj] {
-					set[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return set
 }
 
 // callee resolves a call expression to a loaded function's FuncInfo.

@@ -81,12 +81,11 @@ func TestCalleeResolutionEdges(t *testing.T) {
 
 // TestUnresolvedSpawnStaysSilent pins the downstream contract of the
 // nil resolutions: a goroutine spawned through a func-typed field is
-// invisible to the whole-program passes, so goleak reports no exit
-// evidence for it and racegate derives no origin from it — degraded
-// knowledge stays silent rather than guessing.
+// invisible to the whole-program passes, so racegate derives no origin
+// from it — degraded knowledge stays silent rather than guessing.
 func TestUnresolvedSpawnStaysSilent(t *testing.T) {
 	pkg := loadFixture(t, "callgraph")
-	diags := Run([]*Analyzer{GoLeak, RaceGate}, []*Package{pkg})
+	diags := Run([]*Analyzer{RaceGate}, []*Package{pkg})
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic on conservative-edge fixture: %s", d)
 	}

@@ -38,8 +38,7 @@ func Deferred(c *Conn) {
 
 // GoField pins the spawn-through-field hole: the goroutine body lives
 // behind a func-typed field, so the go statement resolves to nil — the
-// spawned work is invisible to goleak's exit evidence and contributes
-// no racegate origin.
+// spawned work contributes no racegate origin.
 func GoField(c *Conn) {
 	go c.hook()
 }

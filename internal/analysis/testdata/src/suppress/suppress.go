@@ -4,37 +4,48 @@
 // finding, and a directive that suppresses nothing is stale.
 package suppress
 
-import "spio/internal/particle"
+import "sync"
+
+// mailbox's methods each send on ch while holding mu: one lockorder
+// finding apiece.
+type mailbox struct {
+	mu sync.Mutex
+	ch chan int
+}
 
 // Suppressed: the directive on the line above covers the finding.
-func suppressedBlank() *particle.Schema {
-	//spio:allow errdrop -- demo: deliberately blanked error
-	s, _ := particle.NewSchema(nil)
-	return s
+func (m *mailbox) suppressedSend() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	//spio:allow lockorder -- demo: deliberately held across the send
+	m.ch <- 1
 }
 
 // The same shape without a directive stays a live finding.
-func unsuppressedBlank() *particle.Schema {
-	s, _ := particle.NewSchema(nil)
-	return s
+func (m *mailbox) unsuppressedSend() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ch <- 2
 }
 
 // A directive without a reason suppresses nothing and is reported; the
-// blanked error stays a live finding too.
-func missingReason() *particle.Schema {
-	//spio:allow errdrop
-	s, _ := particle.NewSchema(nil)
-	return s
+// send stays a live finding too.
+func (m *mailbox) missingReason() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	//spio:allow lockorder
+	m.ch <- 3
 }
 
 // A typo'd analyzer name must not silently stop suppressing.
-func unknownAnalyzer() *particle.Schema {
-	//spio:allow errdropp -- typo
-	s, _ := particle.NewSchema(nil)
-	return s
+func (m *mailbox) unknownAnalyzer() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	//spio:allow lockordr -- typo
+	m.ch <- 4
 }
 
-// A stale allow: nothing on this or the next line trips errdrop.
+// A stale allow: nothing on this or the next line trips lockorder.
 //
-//spio:allow errdrop -- stale: the hazard is long gone
+//spio:allow lockorder -- stale: the hazard is long gone
 func nothingHere() {}

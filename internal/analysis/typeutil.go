@@ -5,16 +5,9 @@ import (
 	"go/types"
 )
 
-// Import paths the analyzers key on. The root package re-exports most
-// of the internal API through aliases, so type-identity checks against
-// the internal paths cover both spellings.
-const (
-	mpiPath      = "spio/internal/mpi"
-	corePath     = "spio/internal/core"
-	particlePath = "spio/internal/particle"
-	binioPath    = "spio/internal/binio"
-	rootPath     = "spio"
-)
+// mpiPath is the import path of the communicator whose collective and
+// point-to-point calls lockorder counts as blocking.
+const mpiPath = "spio/internal/mpi"
 
 // isNamed reports whether t (after stripping pointers) is the named
 // type pkgPath.name.
@@ -103,20 +96,20 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 	return info.Defs[id]
 }
 
-// funcBodies yields every function body in the file: declarations and
-// function literals, each as an independent analysis root (a literal
-// runs on its own goroutine's schedule, so cross-boundary sequencing is
-// meaningless for our per-function checks).
-func funcBodies(file *ast.File, fn func(body *ast.BlockStmt)) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				fn(d.Body)
-			}
-		case *ast.FuncLit:
-			fn(d.Body)
+// callName renders fn for a diagnostic: Type.Method for a method,
+// pkg.Func otherwise.
+func callName(fn *types.Func) string {
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
 		}
-		return true
-	})
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	if fn.Pkg() != nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return fn.Name()
 }

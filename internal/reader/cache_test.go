@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spio/internal/cache"
+	"spio/internal/core"
 	"spio/internal/format"
 	"spio/internal/geom"
 )
@@ -51,6 +52,14 @@ func TestFileCacheAvoidsReopens(t *testing.T) {
 	}
 	if cs.Evictions != 0 {
 		t.Errorf("capacity 8 over 4 files evicted %d handles", cs.Evictions)
+	}
+	// A file cut under its cached handle fails the next query: the read
+	// error is the query's, not a short answer.
+	if err := os.Truncate(filepath.Join(dir, ds.Meta().Files[0].Name), 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ds.QueryBox(q, Options{}); err == nil {
+		t.Error("a query over a file cut under its cached handle succeeded")
 	}
 }
 
@@ -274,7 +283,7 @@ func TestFsckCleanDataset(t *testing.T) {
 }
 
 func TestFsckDetectsMissingFile(t *testing.T) {
-	dir, _ := writeDataset(t, geom.I3(2, 2, 1), geom.I3(2, 1, 1), 50, nil)
+	dir, _ := writeDataset(t, geom.I3(2, 2, 1), geom.I3(2, 1, 1), 50, func(cfg *core.WriteConfig) { cfg.Checksum = true })
 	ds, _ := Open(dir)
 	os.Remove(filepath.Join(dir, ds.Meta().Files[0].Name))
 	problems := ds.Fsck(FsckOptions{})
@@ -283,6 +292,19 @@ func TestFsckDetectsMissingFile(t *testing.T) {
 	}
 	if problems[0].String() == "" {
 		t.Error("empty problem description")
+	}
+	// A flipped payload byte is a problem once checksums are checked.
+	path := filepath.Join(dir, ds.Meta().Files[1].Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if problems := ds.Fsck(FsckOptions{Checksums: true}); len(problems) != 2 {
+		t.Errorf("with a flipped payload byte, problems = %v", problems)
 	}
 }
 

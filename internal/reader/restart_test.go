@@ -2,8 +2,11 @@ package reader
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"spio/internal/format"
 	"spio/internal/geom"
 	"spio/internal/mpi"
 	"spio/internal/particle"
@@ -91,14 +94,23 @@ func TestRestartRejectsBadDims(t *testing.T) {
 	}
 }
 
+// TestRestartMissingDataset: a restart from no dataset, or from one
+// whose data file is gone, fails instead of carrying on with what it
+// could read.
 func TestRestartMissingDataset(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) error {
-		if _, err := Restart(c, t.TempDir(), geom.UnitBox(), geom.I3(1, 1, 1)); err == nil {
-			return fmt.Errorf("missing dataset accepted")
-		}
-		return nil
-	})
-	if err != nil {
+	partial, _ := writeDataset(t, geom.I3(1, 1, 1), geom.I3(1, 1, 1), 5, nil)
+	if err := os.Remove(filepath.Join(partial, format.DataFileName(0))); err != nil {
 		t.Fatal(err)
+	}
+	for _, dir := range []string{t.TempDir(), partial} {
+		err := mpi.Run(1, func(c *mpi.Comm) error {
+			if _, err := Restart(c, dir, geom.UnitBox(), geom.I3(1, 1, 1)); err == nil {
+				return fmt.Errorf("restart from %s succeeded", dir)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

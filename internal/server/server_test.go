@@ -478,3 +478,74 @@ func TestStatsSurface(t *testing.T) {
 		t.Errorf("timing counters: wait=%d service=%d", snap.QueueWaitNs, snap.ServiceNs)
 	}
 }
+
+// TestQueriesBesideStatsAndMounts: clients run box queries on two steps
+// of one series mount while one goroutine polls the stats and another
+// mounts more datasets. Every request reads the mount table and reorders
+// its mount's open cache, every poll walks both, and a mount writes the
+// table. The connection reaches them only through the Backend interface,
+// which racegate cannot see through, so -race is the assertion (DESIGN
+// §8.4's R1, R6 and R8).
+func TestQueriesBesideStatsAndMounts(t *testing.T) {
+	base := t.TempDir()
+	for step := 0; step < 2; step++ {
+		writeDataset(t, rdr.StepDir(base, step), geom.I3(2, 2, 1), geom.I3(2, 2, 1), 100)
+	}
+	s := New(Config{})
+	if err := s.Mount("sim", base); err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, s)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	calls := []func() error{func() error { _, err := c.Stats(); return err }}
+	for i := 0; i < 3; i++ {
+		ds, err := OpenRemote(addr, fmt.Sprintf("sim@%d", i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		calls = append(calls, func() error { _, _, err := ds.QueryBox(ds.Meta().Domain, rdr.Options{}); return err })
+	}
+	// Each call repeats until stop; the mounts start once every call has
+	// answered once, so they land among calls in flight. The stop is a
+	// channel polled without blocking: an atomic flag would order every
+	// goroutine after the mounts and hide the races this test is for.
+	stop := make(chan struct{})
+	var started, done sync.WaitGroup
+	for _, call := range calls {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for i := 0; ; i++ {
+				err := call()
+				if i == 0 {
+					started.Done()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	// A poll meets a mount's write only now and then; at 32 mounts a
+	// package run under -race missed R8 about one time in five.
+	for i := 0; i < 256; i++ {
+		if err := s.Mount(fmt.Sprintf("more%d", i), base); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	done.Wait()
+}

@@ -1,9 +1,6 @@
 // What this package decodes arrived over the network (a request at the
 // server, a response at a client or a gateway), so every value read from
 // a frame is attacker-controlled until a bound check proves otherwise.
-// The marker makes binio.Reader's methods, called here, wiretaint's roots.
-//
-//spio:untrusted-input
 package server
 
 import (
@@ -524,10 +521,8 @@ func encodeAnswer(e *binio.Writer, op uint8, st *wireStats, a *rdr.Answer) {
 
 // decodeAnswer decodes the answer of a frame of limit bytes. It keeps the
 // read stats of the answer's wireStats: the queue and service times are
-// the server's, for its metrics. It decodes into
-// locals and builds the Answer once, as a literal — wiretaint taints a
-// field class globally on a field store, and an answer's fields are read
-// far from here.
+// the server's, for its metrics. It decodes into locals and builds the
+// Answer once, as a literal.
 func decodeAnswer(d *binio.Reader, op uint8, limit int64) (*rdr.Answer, error) {
 	st, err := decodeStats(d)
 	if err != nil {

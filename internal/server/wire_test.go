@@ -217,6 +217,8 @@ func TestSchemaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloatsBlobNamesRoundTrip: the response decoders' values round-trip
+// and their counts are held to their limits.
 func TestFloatsBlobNamesRoundTrip(t *testing.T) {
 	d := roundTrip(t, func(e *binio.Writer) { encodeFloats(e, []float64{1, math.NaN(), math.Copysign(0, -1)}) })
 	fs, err := decodeFloats(d, 10)
@@ -232,6 +234,20 @@ func TestFloatsBlobNamesRoundTrip(t *testing.T) {
 	ns, err := decodeNames(d)
 	if err != nil || len(ns) != 2 || ns[1] != "b@3" {
 		t.Fatalf("names: %v %v", ns, err)
+	}
+	// A response one past each limit is refused, though every byte it
+	// announces is there.
+	d = roundTrip(t, func(e *binio.Writer) { encodeFloats(e, make([]float64, 11)) })
+	if _, err := decodeFloats(d, 10); err == nil {
+		t.Error("11 floats decoded under a limit of 10")
+	}
+	d = roundTrip(t, func(e *binio.Writer) { encodeBlob(e, make([]byte, 101)) })
+	if _, err := decodeBlob(d, 100); err == nil {
+		t.Error("a 101-byte blob decoded under a limit of 100")
+	}
+	d = roundTrip(t, func(e *binio.Writer) { encodeNames(e, make([]string, maxWireNames+1)) })
+	if _, err := decodeNames(d); err == nil {
+		t.Error("maxWireNames+1 names decoded")
 	}
 }
 
@@ -256,10 +272,10 @@ func TestFrameLimit(t *testing.T) {
 }
 
 // TestRequestBoundsEnforced pins the server-side request-parameter
-// bounds added after wiretaint flagged the unchecked path: a hostile K
-// or Dims in a single request frame used to reach make() sizes in the
-// query layer (KNN result buffers, DensityGrid cell arrays) before any
-// dataset was even resolved — a one-frame denial of service.
+// bounds, one case a bound: a hostile K or Dims in a single request
+// frame used to reach make() sizes in the query layer (KNN result
+// buffers, DensityGrid cell arrays) before any dataset was even
+// resolved — a one-frame denial of service.
 func TestRequestBoundsEnforced(t *testing.T) {
 	cases := []struct {
 		name string
@@ -272,6 +288,8 @@ func TestRequestBoundsEnforced(t *testing.T) {
 		{"readers", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{Readers: maxReqReaders + 1}}},
 		{"skip at levels", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{Levels: 3, SkipLevels: 3}}},
 		{"skip alone", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{SkipLevels: maxReqLevels + 1}}},
+		{"fields", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{Fields: make([]string, maxWireFields+1)}}},
+		{"base", rdr.Request{Op: rdr.OpQueryBox, Options: rdr.Options{PerFileBase: maxReqBase + 1}}},
 	}
 	for _, tc := range cases {
 		d := roundTrip(t, func(e *binio.Writer) { encodeRequest(e, "sim", &tc.req) })

@@ -9,7 +9,7 @@
 # header lines,
 #
 #   mutant:   what the bug is
-#   ledger:   its row in DESIGN §16.1, §8.4 or §8.5
+#   ledger:   its row in DESIGN §16.1 or §8.4–§8.6
 #   catchers: the tests (top-level names) and spiolint analyzers expected
 #             to catch it; naming an analyzer runs spiolint on this mutant
 #             even without -lint
